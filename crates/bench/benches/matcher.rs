@@ -6,9 +6,7 @@
 //! `matcher_search/learned/*` medians (`scripts/bench_overhead.sh`
 //! automates this; the acceptance bar is <2% overhead).
 
-use sketchql::{
-    ClassicalSimilarity, Matcher, MatcherConfig, MaterializeConfig, MaterializedWindows, VideoIndex,
-};
+use sketchql::{ClassicalSimilarity, Matcher, MatcherConfig, VideoIndex};
 use sketchql_bench::harness::Harness;
 use sketchql_bench::{bench_model, bench_video};
 use sketchql_datasets::{query_clip, EventKind};
@@ -61,17 +59,6 @@ fn bench_matcher(h: &mut Harness) {
             },
         );
         b.iter(|| black_box(m.search(&idx, black_box(&query)).unwrap()))
-    });
-    group.finish();
-
-    // Materialized-window fast path: build once, query many times.
-    let video = bench_video(1, 44);
-    let idx1 = VideoIndex::from_truth(&video);
-    let sim = model.similarity();
-    let mat = MaterializedWindows::build(&idx1, &sim, MaterializeConfig::default());
-    let mut group = h.group("matcher_materialized");
-    group.bench("query_after_build", |b| {
-        b.iter(|| black_box(mat.query(&sim, black_box(&query), 10, 0.45)))
     });
     group.finish();
 

@@ -1,21 +1,21 @@
-//! Shard-tier bench — cold attach vs monolithic full load, parallel vs
-//! single-thread sharded ingest, and recall parity with the monolithic
-//! store (`scripts/bench_shard.sh` gates the numbers).
+//! Shard-set bench — cold attach vs a full verify (every shard mapped
+//! and checksummed), parallel vs single-thread ingest, and recall
+//! parity with the scan (`scripts/bench_shard.sh` gates the numbers).
 //!
 //! Before timing anything, the bench asserts the hard invariant: with
-//! exhaustive probing the sharded path, the monolithic store path, and
-//! the full scan return identical moments with bit-identical scores.
+//! exhaustive probing the store path and the full scan return identical
+//! moments with bit-identical scores.
 //!
 //! Besides the usual `BENCH` lines this prints two `SHARD` lines:
 //!
 //! ```text
-//! SHARD shard_recall sharded_recall_at_10=1.000 monolithic_recall_at_10=1.000 queries=4 shards=6
+//! SHARD shard_recall sharded_recall_at_10=1.000 queries=4 shards=6
 //! SHARD shard_ingest single_thread_ns=123 multi_thread_ns=61 threads=4 cpus=4
 //! ```
 
 use sketchql::{
-    ingest, ingest_sharded, CancelToken, IngestConfig, Matcher, MatcherConfig, RetrievedMoment,
-    ShardSet, VideoIndex,
+    ingest_sharded, CancelToken, IngestConfig, Matcher, MatcherConfig, RetrievedMoment, ShardSet,
+    VideoIndex,
 };
 use sketchql_bench::harness::Harness;
 use sketchql_bench::{bench_model, bench_video};
@@ -109,39 +109,22 @@ fn main() {
     drop(set);
     println!("SHARD shard_ingest single_thread_ns={single_ns} multi_thread_ns={multi_ns} threads={cpus} cpus={cpus}");
 
-    // The monolithic reference, persisted so both cold paths read disk.
-    let mut mono = ingest(&m.sim, &index, "bench", &ingest_cfg);
-    let mono_path = work.join("bench.skstore");
-    mono.save(&mono_path).expect("save monolithic store");
-
-    // Hard invariant first: exhaustive probing makes all three paths
-    // identical, moments and score bits alike.
-    mono.nprobe = mono.nlist();
+    // Hard invariant first: exhaustive probing makes the store path
+    // identical to the scan, moments and score bits alike.
     let mut set = ShardSet::open(&shard_dir).expect("attach shard set");
     set.nprobe = set.nlist();
-    let mut sharded_hits = 0usize;
-    let mut mono_hits = 0usize;
+    let mut hits = 0usize;
     let mut total = 0usize;
     for &kind in QUERIES {
         let query = query_clip(kind);
         let scan = m.search(&index, &query).expect("scan");
-        let via_mono = m
-            .search_with_store(&index, &mono, &query, &CancelToken::none())
-            .expect("monolithic search");
         let via_shards = m
             .search_with_shards(&index, &set, &query, &CancelToken::none())
             .expect("sharded search");
-        assert!(
-            via_mono.from_store && via_shards.from_store,
-            "{kind:?} fell back"
-        );
+        assert!(via_shards.from_store, "{kind:?} fell back");
         assert_eq!(
             via_shards.moments, scan,
             "{kind:?}: sharded path diverged from the scan"
-        );
-        assert_eq!(
-            via_shards.moments, via_mono.moments,
-            "{kind:?}: sharded path diverged from the monolithic store"
         );
         for (a, b) in via_shards.moments.iter().zip(&scan) {
             assert_eq!(
@@ -151,30 +134,30 @@ fn main() {
             );
         }
         let (h, t) = recall_at_10(&via_shards.moments, &scan);
-        sharded_hits += h;
+        hits += h;
         total += t;
-        mono_hits += recall_at_10(&via_mono.moments, &scan).0;
     }
-    let sharded_recall = sharded_hits as f64 / total.max(1) as f64;
-    let mono_recall = mono_hits as f64 / total.max(1) as f64;
+    let recall = hits as f64 / total.max(1) as f64;
     println!(
-        "SHARD shard_recall sharded_recall_at_10={sharded_recall:.3} \
-         monolithic_recall_at_10={mono_recall:.3} queries={} shards={shards}",
+        "SHARD shard_recall sharded_recall_at_10={recall:.3} queries={} shards={shards}",
         QUERIES.len()
     );
+    drop(set);
 
-    // Cold-start comparison: sharded attach reads the manifest and one
-    // 64-byte header per shard; the monolithic full load reads, checks,
-    // and indexes the whole payload.
+    // Cold-start comparison: attach reads the manifest and one 64-byte
+    // header per shard; a full verify maps and checksums every payload
+    // — what an eager attach would cost.
     let mut h = Harness::from_env();
     let mut group = h.group("shard_attach");
     group.sample_size(20);
     group.bench("attach_sharded", |b| {
         b.iter(|| black_box(ShardSet::open(black_box(&shard_dir)).expect("attach")))
     });
-    group.bench("full_load_monolithic", |b| {
+    group.bench("attach_and_verify", |b| {
         b.iter(|| {
-            black_box(sketchql::DatasetStore::open(black_box(&mono_path)).expect("full load"))
+            let set = ShardSet::open(black_box(&shard_dir)).expect("attach");
+            set.verify().expect("verify");
+            black_box(set)
         })
     });
     group.finish();

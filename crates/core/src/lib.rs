@@ -48,7 +48,6 @@ pub mod cancel;
 pub mod embed_cache;
 pub mod index;
 pub mod matcher;
-pub mod materialized;
 pub mod rules;
 pub mod session;
 pub mod similarity;
@@ -62,7 +61,6 @@ pub use cancel::{CancelReason, CancelToken};
 pub use embed_cache::{embed_clips_parallel, try_embed_clips_parallel, EmbedCache};
 pub use index::VideoIndex;
 pub use matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment};
-pub use materialized::{MaterializeConfig, MaterializedWindows};
 pub use rules::{
     evaluate_rule, expert_rule, motion_stats, MotionStats, Predicate, Relation, RuleQuery,
     RuleSearchConfig,
@@ -80,12 +78,9 @@ pub use training::{train, train_with_schedule, PairEval, TrainedModel, TrainingC
 pub use tuner::{active_feedback_loop, fine_tune, Feedback, FeedbackRound, Reranker, TunerConfig};
 pub use vshard::{
     append_frames, enumerate_store_rows, ingest_sharded, load_store_tier_dir, shard_set_dir_name,
-    AppendOutcome, IngestProgress, LazyStore, ShardSet, StoreTier,
+    AppendOutcome, IngestProgress, ShardSet, StoreTier,
 };
-pub use vstore::{
-    index_fingerprint, ingest, load_store_dir, model_fingerprint, save_store_dir, DatasetStore,
-    IngestConfig, StoreSearch,
-};
+pub use vstore::{index_fingerprint, model_fingerprint, IngestConfig, StoreSearch};
 
 /// Convenient re-exports for application code.
 pub mod prelude {

@@ -191,6 +191,20 @@ impl<S: Similarity> Matcher<S> {
         query: &Clip,
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, MatchError> {
+        self.search_scoped(index, query, cancel, None)
+    }
+
+    /// [`search_with_cancel`](Self::search_with_cancel) restricted to
+    /// windows whose end frame is at least `min_end` (the store
+    /// planner's scan fallback under an epoch scope). Windows are
+    /// dropped before scoring, so `top_k` applies within the scope.
+    pub(crate) fn search_scoped(
+        &self,
+        index: &VideoIndex,
+        query: &Clip,
+        cancel: &CancelToken,
+        min_end: Option<u32>,
+    ) -> Result<Vec<RetrievedMoment>, MatchError> {
         let _search_span = telemetry::span(names::MATCHER_SEARCH);
         let q_span = query.span();
         if q_span == 0
@@ -207,7 +221,10 @@ impl<S: Similarity> Matcher<S> {
         let classes = query.classes();
 
         let scan_span = telemetry::span(names::MATCHER_SCAN);
-        let windows = self.enumerate_windows(q_span, index.frames);
+        let mut windows = self.enumerate_windows(q_span, index.frames);
+        if let Some(min_end) = min_end {
+            windows.retain(|&(_, end, _)| end >= min_end);
+        }
         telemetry::counter(names::WINDOWS_ENUMERATED).add(windows.len() as u64);
 
         let use_cache = self.config.embed_cache && self.sim.uses_embeddings();

@@ -28,8 +28,9 @@ use crate::similarity::{LearnedSimilarity, Similarity, SimilarityError};
 use crate::sketcher::{SketchError, Sketcher};
 use crate::training::TrainedModel;
 use crate::tuner::{fine_tune, Feedback, Reranker, TunerConfig};
-use crate::vstore::{self, DatasetStore, IngestConfig};
-use sketchql_store::StoreError;
+use crate::vshard::{ingest_sharded, load_store_tier_dir, shard_set_dir_name, ShardSet};
+use crate::vstore::{sanitize, IngestConfig};
+use sketchql_store::{StoreError, SHARD_SET_EXT};
 
 /// Preprocessing settings applied at upload time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,6 +66,9 @@ pub enum SessionError {
     Similarity(SimilarityError),
     /// The query was cancelled or its deadline passed mid-search.
     Cancelled(CancelReason),
+    /// Writing a dataset's embedding store failed (the message is the
+    /// store error's, which names the file).
+    Store(String),
 }
 
 impl fmt::Display for SessionError {
@@ -74,6 +78,7 @@ impl fmt::Display for SessionError {
             SessionError::Sketch(e) => write!(f, "sketch error: {e}"),
             SessionError::Similarity(e) => write!(f, "similarity error: {e}"),
             SessionError::Cancelled(r) => write!(f, "query {r}"),
+            SessionError::Store(e) => write!(f, "{e}"),
         }
     }
 }
@@ -195,7 +200,7 @@ pub struct SketchQL {
     /// Preprocessing settings for future uploads.
     pub preprocess: PreprocessConfig,
     datasets: BTreeMap<String, VideoIndex>,
-    stores: BTreeMap<String, DatasetStore>,
+    stores: BTreeMap<String, ShardSet>,
     last_report: Mutex<Option<QueryReport>>,
 }
 
@@ -260,34 +265,43 @@ impl SketchQL {
 
     /// Builds a persistent embedding store for an uploaded dataset: every
     /// sliding window the matcher would enumerate is embedded once and
-    /// kept, so subsequent queries on this dataset take the index-backed
-    /// path instead of re-embedding the whole video. Returns the number
-    /// of vectors ingested.
+    /// written as a one-shard set under `dir`, so subsequent queries on
+    /// this dataset take the index-backed path instead of re-embedding
+    /// the whole video. Returns the number of vectors ingested.
     pub fn ingest_dataset(
         &mut self,
         name: &str,
         config: &IngestConfig,
+        dir: &std::path::Path,
     ) -> Result<usize, SessionError> {
-        let store = {
+        let set = {
             let index = self.dataset(name)?;
-            let sim = LearnedSimilarity::new(self.model.encoder.clone(), self.model.store.clone());
-            vstore::ingest(&sim, index, name, config)
+            ingest_sharded(
+                &self.model.similarity(),
+                index,
+                name,
+                config,
+                index.frames.max(1),
+                &dir.join(shard_set_dir_name(name)),
+                &|_| {},
+            )
+            .map_err(|e| SessionError::Store(e.to_string()))?
         };
-        let n = store.store.len();
-        self.stores.insert(name.to_string(), store);
+        let n = set.total_rows() as usize;
+        self.stores.insert(name.to_string(), set);
         Ok(n)
     }
 
-    /// Attaches an already-built store (e.g. loaded from a store
+    /// Attaches an already-built store (e.g. opened from a store
     /// directory) to a dataset. Queries verify the store's model and
     /// index fingerprints at search time and fall back to the full scan
     /// on any mismatch, so attaching a stale store is safe, just useless.
-    pub fn attach_store(&mut self, name: &str, store: DatasetStore) {
+    pub fn attach_store(&mut self, name: &str, store: ShardSet) {
         self.stores.insert(name.to_string(), store);
     }
 
     /// The store attached to a dataset, if any.
-    pub fn store(&self, name: &str) -> Option<&DatasetStore> {
+    pub fn store(&self, name: &str) -> Option<&ShardSet> {
         self.stores.get(name)
     }
 
@@ -335,7 +349,7 @@ impl SketchQL {
             let index = self.dataset(dataset)?;
             let matcher = Matcher::with_config(sim, self.matcher_config.clone());
             let recorder = Recorder::begin();
-            let results = matcher.search_with_store(index, store, query, cancel);
+            let results = matcher.search_with_shards(index, store, query, cancel);
             telemetry::counter(names::SESSION_QUERY).inc();
             *self.last_report.lock().unwrap() = Some(recorder.finish(dataset));
             return results.map(|s| s.moments).map_err(SessionError::from);
@@ -504,27 +518,23 @@ impl SketchQL {
         std::fs::create_dir_all(&idx_dir)?;
         self.model.save(&dir.join("model.json"))?;
         let mut names = Vec::new();
-        // Distinct dataset names can sanitize to the same file name
-        // ("a/b" and "a_b" both become "a_b"); suffix on collision so no
-        // index silently overwrites another. The manifest records the
-        // actual file each dataset landed in.
-        let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
+        // The manifest records the actual file each dataset landed in.
+        let mut used = std::collections::HashSet::new();
         for (name, index) in &self.datasets {
-            let base = sanitize(name);
-            let mut file = format!("{base}.json");
-            let mut k = 2;
-            while !used.insert(file.clone()) {
-                file = format!("{base}_{k}.json");
-                k += 1;
-            }
+            let file = unique_name(&mut used, &sanitize(name), ".json");
             let json = serde_json::to_string(index).map_err(std::io::Error::other)?;
             std::fs::write(idx_dir.join(&file), json)?;
             names.push((name.clone(), file));
         }
         let manifest = serde_json::to_string(&names).map_err(std::io::Error::other)?;
         std::fs::write(dir.join("manifest.json"), manifest)?;
-        if !self.stores.is_empty() {
-            vstore::save_store_dir(&dir.join("stores"), &self.stores)
+        // Each set travels as a directory under `stores/`; its real
+        // dataset name is inside its manifest, so loading never depends
+        // on the directory name.
+        let mut used = std::collections::HashSet::new();
+        for (name, set) in &self.stores {
+            let set_dir = unique_name(&mut used, &sanitize(name), &format!(".{SHARD_SET_EXT}"));
+            set.copy_to(&dir.join("stores").join(set_dir))
                 .map_err(std::io::Error::other)?;
         }
         Ok(())
@@ -564,23 +574,24 @@ impl SketchQL {
         }
         let stores_dir = dir.join("stores");
         if stores_dir.is_dir() {
-            session.stores = vstore::load_store_dir(&stores_dir)?;
+            session.stores = load_store_tier_dir(&stores_dir)?;
         }
         Ok(session)
     }
 }
 
-/// Filesystem-safe dataset file name.
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
+/// `{base}{ext}`, or `{base}_2{ext}`, `{base}_3{ext}`, … — the first not
+/// yet in `used`. Distinct dataset names can sanitize to the same file
+/// name ("a/b" and "a_b" both become "a_b"); suffixing on collision
+/// means no dataset silently overwrites another.
+fn unique_name(used: &mut std::collections::HashSet<String>, base: &str, ext: &str) -> String {
+    let mut file = format!("{base}{ext}");
+    let mut k = 2;
+    while !used.insert(file.clone()) {
+        file = format!("{base}_{k}{ext}");
+        k += 1;
+    }
+    file
 }
 
 #[cfg(test)]
@@ -829,16 +840,18 @@ mod tests {
         let scan_results = sq.run_query("v", &query).unwrap();
 
         let cfg = IngestConfig::from_matcher(&sq.matcher_config, &[query.span()]);
-        let n = sq.ingest_dataset("v", &cfg).unwrap();
+        let dir = std::env::temp_dir().join(format!("sketchql-store-rt-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let n = sq.ingest_dataset("v", &cfg, &dir.join("ingest")).unwrap();
         assert!(n > 0, "ingest produced no vectors");
         // Exhaustive probe so the store path must agree exactly.
         let nlist = sq.store("v").unwrap().nlist();
         sq.stores.get_mut("v").unwrap().nprobe = nlist;
         assert_eq!(sq.run_query("v", &query).unwrap(), scan_results);
 
-        let dir = std::env::temp_dir().join(format!("sketchql-store-rt-{}", std::process::id()));
-        sq.save(&dir).unwrap();
-        let mut back = SketchQL::load(&dir).unwrap();
+        sq.save(&dir.join("session")).unwrap();
+        std::fs::remove_dir_all(dir.join("ingest")).unwrap();
+        let mut back = SketchQL::load(&dir.join("session")).unwrap();
         assert_eq!(back.stored_datasets(), vec!["v"]);
         back.stores.get_mut("v").unwrap().nprobe = nlist;
         assert_eq!(

@@ -1,29 +1,28 @@
-//! The sharded, memory-mapped store tier: parallel per-shard ingest,
-//! lazy shard loading, and the shard-fan-out search path.
+//! The shard-set store: parallel per-shard ingest, incremental append,
+//! and lazy shard loading. (The search side is
+//! [`Matcher::search_stored`](crate::matcher::Matcher::search_stored).)
 //!
-//! A monolithic `.skstore` holds one dataset in one file, fully loaded
-//! (and checksummed, and ANN-indexed) before the first query. This
-//! module splits the same rows into **frame-range shards** — shard `i`
-//! owns every sliding window whose *start frame* falls in
+//! A dataset's window rows are split into **frame-range shards** —
+//! shard `i` owns every sliding window whose *start frame* falls in
 //! `[i·shard_frames, (i+1)·shard_frames)` — written as independent
 //! [`ShardData`] files plus one [`Manifest`] carrying the dataset
 //! provenance, the shared coarse-quantizer centroids, and per-shard
-//! row-per-centroid counts.
+//! row-per-centroid counts. A whole video in one shard is just the
+//! `shard_frames >= frames` case.
 //!
-//! Three properties the tier guarantees:
+//! Three properties the store guarantees:
 //!
 //! - **Grid fidelity.** The union of all shards' window rows equals the
-//!   monolithic ingest's rows exactly — no duplicates, no gaps. Boundary
+//!   matcher's window grid exactly — no duplicates, no gaps. Boundary
 //!   windows (spanning a shard edge) belong to the shard owning their
 //!   start frame, and the per-shard enumeration replays the matcher's
 //!   global grid restricted to that start range (see
 //!   [`enumerate_store_rows`]).
 //! - **Bit-identical scores.** Probing ranks the *shared* quantizer's
-//!   centroids once per query (the exact ranking `IvfIndex::probe`
-//!   applies), gathers candidates from the top shards, and re-ranks them
-//!   with the same `score_embedding` the scan uses. Scores can never
-//!   differ from the monolithic path or the scan; probing fewer lists
-//!   only omits windows.
+//!   centroids once per query, gathers candidates from the shards
+//!   owning rows under the top lists, and re-ranks them with the same
+//!   `score_embedding` the scan uses. Scores can never differ from the
+//!   scan; probing fewer lists only omits windows.
 //! - **Lazy residency.** Attaching a [`ShardSet`] reads the manifest and
 //!   each shard's 64-byte header. Shard payloads are memory-mapped,
 //!   checksummed, and decoded on *first probe* — and a shard whose
@@ -32,24 +31,20 @@
 
 use sketchql_store::{
     hex_u64, read_shard_header, AnnConfig, CoarseQuantizer, LoadedShard, Manifest, ManifestShard,
-    ShardData, StoreError, StoreHeader, StoreMeta, StoreRow, MANIFEST_FILE, SHARD_SET_EXT,
+    ShardData, StoreError, StoreMeta, StoreRow, MANIFEST_FILE, SHARD_SET_EXT,
 };
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{Clip, Trajectory};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use crate::cancel::CancelToken;
 use crate::embed_cache::embed_clips_parallel;
 use crate::index::VideoIndex;
-use crate::matcher::{window_clip, MatchError, Matcher};
-use crate::similarity::{LearnedSimilarity, PreparedQuery, Similarity};
-use crate::vstore::{
-    self, index_fingerprint, model_fingerprint, track_overlaps, DatasetStore, IngestConfig,
-    StoreSearch,
-};
+use crate::matcher::window_clip;
+use crate::similarity::LearnedSimilarity;
+use crate::vstore::{self, index_fingerprint, model_fingerprint, track_overlaps, IngestConfig};
 
 /// Upper bound on the vectors sampled to train the shared quantizer.
 /// Sampling is deterministic (every k-th vector in shard-major order),
@@ -68,12 +63,22 @@ fn publish_residency() {
 
 /// Enumerates the store rows of the matcher's sliding-window grid,
 /// optionally restricted to windows whose start frame lies in
-/// `start_range` (inclusive). `None` replays the exact monolithic
-/// [`vstore::ingest`] enumeration; `Some((lo, hi))` is the shard-local
-/// grid, and because every window's start belongs to exactly one shard,
-/// partitioning the frame axis partitions the rows: the union over
-/// disjoint covering ranges equals the unrestricted enumeration, row
-/// for row.
+/// `start_range` (inclusive). `None` enumerates the whole grid;
+/// `Some((lo, hi))` is the shard-local grid, and because every window's
+/// start belongs to exactly one shard, partitioning the frame axis
+/// partitions the rows: the union over disjoint covering ranges equals
+/// the unrestricted enumeration, row for row.
+///
+/// Rows are enumerated exactly as the matcher enumerates candidates:
+/// per length, the strided window grid with tail clamping; per window,
+/// every overlap-eligible track in index order. A `(track, start, end)`
+/// row is recorded once even when several lengths produce the same
+/// clamped window; insertion happens only on qualification so a later
+/// length with a laxer overlap floor can still add the tracks the
+/// stricter one rejected. Segments that produce an empty clip (a track
+/// whose frame range brushes a window it has no points in) are skipped
+/// — the matcher's embedding cache excludes exactly the same
+/// candidates.
 ///
 /// Returns the rows plus the matching window clips (the embedder's
 /// input), in enumeration order.
@@ -181,8 +186,8 @@ type EmbeddedShard = Option<Vec<Option<Vec<f32>>>>;
 /// `shard_frames` is the frame-range width each shard owns; the last
 /// shard takes the remainder. Embeddings, the quantizer, and the row
 /// partition are all deterministic, so the same inputs always produce
-/// the same set, and the rows across all shards are exactly the rows
-/// [`vstore::ingest`] would persist monolithically.
+/// the same set, and the rows across all shards are exactly the
+/// matcher's window grid.
 pub fn ingest_sharded(
     sim: &LearnedSimilarity,
     index: &VideoIndex,
@@ -220,7 +225,7 @@ pub fn ingest_sharded(
 
     // Phase 2: embed shard by shard across the worker pool. Each worker
     // claims the next shard; embedding a clip is independent of its
-    // batch, so the vectors are bit-identical to a monolithic ingest.
+    // batch, so the vectors do not depend on the shard layout.
     let threads = config.threads.max(1).min(shard_count.max(1));
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
@@ -249,8 +254,10 @@ pub fn ingest_sharded(
     });
     drop(slots);
 
-    // Materialize per-shard row + vector columns (dropping the rare
-    // unembeddable segment, as monolithic ingest does).
+    // Materialize per-shard row + vector columns. A non-empty
+    // single-track clip always embeds (the encoder only rejects empty
+    // clips and object-count overflows); an unembeddable segment would
+    // be unservable either way, so it is dropped.
     let dim = embedded
         .iter()
         .flatten()
@@ -726,10 +733,8 @@ impl Gathered {
     }
 }
 
-/// An attached sharded store: manifest + shared quantizer resident,
-/// shard payloads lazy. The monolithic counterpart is
-/// [`DatasetStore`]; queries treat both through the common candidate
-/// pipeline, so results are bit-identical across tiers.
+/// An attached store: manifest + shared quantizer resident, shard
+/// payloads lazy.
 pub struct ShardSet {
     dir: PathBuf,
     manifest: Manifest,
@@ -906,6 +911,8 @@ impl ShardSet {
                     Ok(shard)
                 }
                 Err(e) => {
+                    // The error is sticky, so this logs once per attach.
+                    eprintln!("shard load failed; queries that need it fall back to scan: {e}");
                     telemetry::counter(names::SHARD_LOAD_ERRORS).inc();
                     let err = Arc::new(e);
                     slot.error = Some(Arc::clone(&err));
@@ -962,6 +969,28 @@ impl ShardSet {
                 publish_residency();
             }
         }
+    }
+
+    /// Copies the set into `dest` — every shard file the manifest names,
+    /// then the manifest, so a reader never finds a manifest without its
+    /// shards. A no-op when `dest` is where the set already lives.
+    pub fn copy_to(&self, dest: &Path) -> Result<(), StoreError> {
+        let io = |path: &Path| {
+            let path = path.to_path_buf();
+            move |source| StoreError::Io { path, source }
+        };
+        std::fs::create_dir_all(dest).map_err(io(dest))?;
+        let same = std::fs::canonicalize(dest).map_err(io(dest))?
+            == std::fs::canonicalize(&self.dir).map_err(io(&self.dir))?;
+        if same {
+            return Ok(());
+        }
+        let shard_files = self.manifest.shards.iter().map(|s| s.file.as_str());
+        for file in shard_files.chain([MANIFEST_FILE]) {
+            let to = dest.join(file);
+            std::fs::copy(self.dir.join(file), &to).map_err(io(&to))?;
+        }
+        Ok(())
     }
 
     /// Whether this set was built from exactly this index's contents.
@@ -1044,481 +1073,17 @@ impl Drop for ShardSet {
     }
 }
 
-impl Matcher<LearnedSimilarity> {
-    /// The sharded index-backed search path: embeds the query once,
-    /// ranks the shared quantizer's centroids, fans out to the shards
-    /// owning rows under the top `nprobe` lists, and exactly re-ranks
-    /// the gathered candidates. Fallback rules are identical to
-    /// [`search_with_store`](Self::search_with_store), plus one more: a
-    /// shard that fails to load (corruption discovered at first probe)
-    /// falls back to the full scan, so results stay correct.
-    pub fn search_with_shards(
-        &self,
-        index: &VideoIndex,
-        set: &ShardSet,
-        query: &Clip,
-        cancel: &CancelToken,
-    ) -> Result<StoreSearch, MatchError> {
-        self.search_with_shards_scoped(index, set, query, cancel, None)
-    }
-
-    /// [`search_with_shards`](Self::search_with_shards) restricted to
-    /// an epoch scope (windows ending at or after `min_end`; see
-    /// `search_with_store_scoped` for the semantics).
-    pub fn search_with_shards_scoped(
-        &self,
-        index: &VideoIndex,
-        set: &ShardSet,
-        query: &Clip,
-        cancel: &CancelToken,
-        min_end: Option<u32>,
-    ) -> Result<StoreSearch, MatchError> {
-        let q_span = query.span();
-        if q_span == 0
-            || q_span < self.config.min_window
-            || query.num_objects() == 0
-            || index.frames == 0
-        {
-            return Ok(StoreSearch {
-                moments: Vec::new(),
-                from_store: false,
-                probed: 0,
-            });
-        }
-        if !self.meta_serves(index, set.meta(), query, q_span) {
-            telemetry::counter(names::STORE_FALLBACKS).inc();
-            let moments = self.search_with_cancel(index, query, cancel)?;
-            return Ok(StoreSearch {
-                moments: vstore::scope_moments(moments, min_end),
-                from_store: false,
-                probed: 0,
-            });
-        }
-        let _search_span = telemetry::span(names::MATCHER_SEARCH);
-        cancel.check().map_err(MatchError::from)?;
-        let prepared = {
-            let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
-            self.sim.prepare(query)?
-        };
-        let PreparedQuery::Embedding(ref qe) = prepared else {
-            unreachable!("learned similarity always prepares an embedding")
-        };
-        let gathered = {
-            let _probe_span = telemetry::span(names::STORE_PROBE);
-            let ranked = set.quantizer.rank(qe);
-            let nprobe = set.nprobe.max(1).min(ranked.len().max(1));
-            set.gather(&ranked[..nprobe.min(ranked.len())])
-                .map(Some)
-                .unwrap_or_else(|e| {
-                    eprintln!("shard load failed, falling back to scan: {e}");
-                    None
-                })
-        };
-        match gathered {
-            Some(gathered) => {
-                cancel.check().map_err(MatchError::from)?;
-                let candidates = vstore::scope_candidates(gathered.candidates(), min_end);
-                self.finish_store_search(index, query, &prepared, candidates, cancel)
-            }
-            None => {
-                telemetry::counter(names::STORE_FALLBACKS).inc();
-                let moments = self.search_with_cancel(index, query, cancel)?;
-                Ok(StoreSearch {
-                    moments: vstore::scope_moments(moments, min_end),
-                    from_store: false,
-                    probed: 0,
-                })
-            }
-        }
-    }
-
-    /// [`search_with_shards`](Self::search_with_shards) for a batch of
-    /// concurrent same-dataset queries: every served member's embedding
-    /// goes through **one** shared centroid ranking
-    /// ([`CoarseQuantizer::rank_batch`]), then each member gathers and
-    /// exactly re-ranks on its own. Per-member results are
-    /// bit-identical to the solo entry point.
-    pub fn search_with_shards_batch(
-        &self,
-        index: &VideoIndex,
-        set: &ShardSet,
-        queries: &[(&Clip, &CancelToken)],
-    ) -> Vec<Result<StoreSearch, MatchError>> {
-        self.search_with_shards_batch_scoped(index, set, queries, None)
-    }
-
-    /// [`search_with_shards_batch`](Self::search_with_shards_batch)
-    /// with one epoch scope shared by every member.
-    pub fn search_with_shards_batch_scoped(
-        &self,
-        index: &VideoIndex,
-        set: &ShardSet,
-        queries: &[(&Clip, &CancelToken)],
-        min_end: Option<u32>,
-    ) -> Vec<Result<StoreSearch, MatchError>> {
-        if queries.len() <= 1 {
-            return queries
-                .iter()
-                .map(|&(q, c)| self.search_with_shards_scoped(index, set, q, c, min_end))
-                .collect();
-        }
-        enum Plan {
-            Ready(PreparedQuery),
-            Done(Result<StoreSearch, MatchError>),
-        }
-        let _search_span = telemetry::span(names::MATCHER_SEARCH);
-        let plans: Vec<Plan> = queries
-            .iter()
-            .map(|&(query, cancel)| {
-                let q_span = query.span();
-                if q_span == 0
-                    || q_span < self.config.min_window
-                    || query.num_objects() == 0
-                    || index.frames == 0
-                {
-                    return Plan::Done(Ok(StoreSearch {
-                        moments: Vec::new(),
-                        from_store: false,
-                        probed: 0,
-                    }));
-                }
-                if !self.meta_serves(index, set.meta(), query, q_span) {
-                    telemetry::counter(names::STORE_FALLBACKS).inc();
-                    return Plan::Done(self.search_with_cancel(index, query, cancel).map(
-                        |moments| StoreSearch {
-                            moments: vstore::scope_moments(moments, min_end),
-                            from_store: false,
-                            probed: 0,
-                        },
-                    ));
-                }
-                match cancel.check().map_err(MatchError::from).and_then(|()| {
-                    let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
-                    self.sim.prepare(query).map_err(MatchError::from)
-                }) {
-                    Ok(prepared) => Plan::Ready(prepared),
-                    Err(e) => Plan::Done(Err(e)),
-                }
-            })
-            .collect();
-        let embeddings: Vec<&[f32]> = plans
-            .iter()
-            .filter_map(|plan| match plan {
-                Plan::Ready(PreparedQuery::Embedding(qe)) => Some(qe.as_slice()),
-                Plan::Ready(_) => {
-                    unreachable!("learned similarity always prepares an embedding")
-                }
-                Plan::Done(_) => None,
-            })
-            .collect();
-        let ranked_all = if embeddings.is_empty() {
-            Vec::new()
-        } else {
-            let _probe_span = telemetry::span(names::STORE_PROBE);
-            set.quantizer.rank_batch(&embeddings)
-        };
-        let mut rank_iter = ranked_all.into_iter();
-        queries
-            .iter()
-            .zip(plans)
-            .map(|(&(query, cancel), plan)| match plan {
-                Plan::Done(result) => result,
-                Plan::Ready(prepared) => {
-                    let ranked = rank_iter.next().expect("one ranking per served member");
-                    let nprobe = self::probe_len(set, &ranked);
-                    let gathered = {
-                        let _probe_span = telemetry::span(names::STORE_PROBE);
-                        set.gather(&ranked[..nprobe]).map(Some).unwrap_or_else(|e| {
-                            eprintln!("shard load failed, falling back to scan: {e}");
-                            None
-                        })
-                    };
-                    match gathered {
-                        Some(gathered) => cancel.check().map_err(MatchError::from).and_then(|()| {
-                            let candidates =
-                                vstore::scope_candidates(gathered.candidates(), min_end);
-                            self.finish_store_search(index, query, &prepared, candidates, cancel)
-                        }),
-                        None => {
-                            telemetry::counter(names::STORE_FALLBACKS).inc();
-                            self.search_with_cancel(index, query, cancel)
-                                .map(|moments| StoreSearch {
-                                    moments: vstore::scope_moments(moments, min_end),
-                                    from_store: false,
-                                    probed: 0,
-                                })
-                        }
-                    }
-                }
-            })
-            .collect()
-    }
-}
-
-/// The number of ranked centroids a probe actually visits.
-fn probe_len(set: &ShardSet, ranked: &[usize]) -> usize {
-    set.nprobe.max(1).min(ranked.len())
-}
-
-/// A monolithic store attached lazily: the header (provenance, shape)
-/// is validated at attach; the full read — checksum over the whole
-/// payload, column decode, ANN build — happens on first query.
-pub struct LazyStore {
-    meta: StoreMeta,
-    rows: u64,
-    source: Option<PathBuf>,
-    /// `nprobe` applied to the store when it loads (and immediately, if
-    /// already loaded).
-    nprobe: Option<usize>,
-    cell: OnceLock<Result<DatasetStore, StoreError>>,
-}
-
-impl LazyStore {
-    /// Attaches a `.skstore` file by validating its header and length
-    /// only. The deferred checksum still runs before any row is served
-    /// (inside the first [`LazyStore::get`]).
-    pub fn open(path: &Path) -> Result<Self, StoreError> {
-        let header = StoreHeader::read(path)?;
-        Ok(LazyStore {
-            meta: header.meta,
-            rows: u64::from(header.rows),
-            source: Some(path.to_path_buf()),
-            nprobe: None,
-            cell: OnceLock::new(),
-        })
-    }
-
-    /// Wraps an already-loaded [`DatasetStore`] (e.g. fresh from
-    /// ingest) — nothing is deferred.
-    pub fn from_store(store: DatasetStore) -> Self {
-        let meta = store.store.meta.clone();
-        let rows = store.store.len() as u64;
-        let cell = OnceLock::new();
-        cell.set(Ok(store)).ok().expect("fresh cell");
-        LazyStore {
-            meta,
-            rows,
-            source: None,
-            nprobe: None,
-            cell,
-        }
-    }
-
-    /// Provenance metadata, available without loading.
-    pub fn meta(&self) -> &StoreMeta {
-        &self.meta
-    }
-
-    /// Rows recorded in the header.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// Whether the full store has been read (checksum + ANN build done).
-    pub fn is_loaded(&self) -> bool {
-        matches!(self.cell.get(), Some(Ok(_)))
-    }
-
-    /// Overrides the probe width applied when the store loads.
-    pub fn set_nprobe(&mut self, nprobe: usize) {
-        self.nprobe = Some(nprobe);
-        if let Some(Ok(store)) = self.cell.get_mut() {
-            store.nprobe = nprobe.max(1);
-        }
-    }
-
-    /// The loaded store, reading + verifying + indexing it on first
-    /// call. Errors are sticky and loud (they name the file).
-    pub fn get(&self) -> &Result<DatasetStore, StoreError> {
-        self.cell.get_or_init(|| {
-            let path = self.source.as_ref().expect("unloaded stores have a path");
-            DatasetStore::open(path).map(|mut store| {
-                if let Some(nprobe) = self.nprobe {
-                    store.nprobe = nprobe.max(1);
-                }
-                store
-            })
-        })
-    }
-}
-
-/// One dataset's attached store, whichever shape it takes on disk. The
-/// engine and CLI route queries through this so monolithic files and
-/// shard sets serve identically.
+/// Shim for the frozen `perfbench/`, whose `live` workload passes
+/// `StoreTier::Sharded(set)` to `Engine::reload_dataset`: the benchmark
+/// is its only user, and the next `benchmark` PR deletes it.
 pub enum StoreTier {
-    /// A single `.skstore` file, loaded lazily.
-    Monolithic(LazyStore),
-    /// A `.skset/` directory of shards, loaded shard-by-shard, lazily.
+    /// The only store shape there is.
     Sharded(ShardSet),
 }
 
-impl From<DatasetStore> for StoreTier {
-    fn from(store: DatasetStore) -> Self {
-        StoreTier::Monolithic(LazyStore::from_store(store))
-    }
-}
-
-impl StoreTier {
-    /// Dataset name recorded at ingest.
-    pub fn dataset(&self) -> &str {
-        &self.meta().dataset
-    }
-
-    /// Provenance metadata (attach-time, no payload reads).
-    pub fn meta(&self) -> &StoreMeta {
-        match self {
-            StoreTier::Monolithic(s) => s.meta(),
-            StoreTier::Sharded(s) => s.meta(),
-        }
-    }
-
-    /// Rows the tier serves (from headers/manifest).
-    pub fn rows(&self) -> u64 {
-        match self {
-            StoreTier::Monolithic(s) => s.rows(),
-            StoreTier::Sharded(s) => s.total_rows(),
-        }
-    }
-
-    /// Shards in the tier (1 for a monolithic store).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            StoreTier::Monolithic(_) => 1,
-            StoreTier::Sharded(s) => s.shard_count(),
-        }
-    }
-
-    /// Whether this tier was built from exactly this index's contents.
-    pub fn matches_index(&self, index: &VideoIndex) -> bool {
-        self.meta().frames == index.frames
-            && self.meta().index_fingerprint == index_fingerprint(index)
-    }
-
-    /// Whether this tier's vectors came from exactly this model.
-    pub fn matches_model(&self, sim: &LearnedSimilarity) -> bool {
-        self.meta().model_fingerprint == model_fingerprint(sim)
-    }
-
-    /// Overrides the probe width.
-    pub fn set_nprobe(&mut self, nprobe: usize) {
-        match self {
-            StoreTier::Monolithic(s) => s.set_nprobe(nprobe),
-            StoreTier::Sharded(s) => s.nprobe = nprobe.max(1),
-        }
-    }
-
-    /// Caps resident shards (no-op for a monolithic store, which is a
-    /// single always-resident unit).
-    pub fn set_max_resident(&mut self, cap: Option<usize>) {
-        if let StoreTier::Sharded(s) = self {
-            s.set_max_resident(cap);
-        }
-    }
-
-    /// Ingest epoch the tier serves: the number of committed
-    /// [`append_frames`] calls (0 for a fresh ingest, and always 0 for
-    /// a monolithic store, which cannot be appended to).
-    pub fn epoch(&self) -> u64 {
-        match self {
-            StoreTier::Monolithic(_) => 0,
-            StoreTier::Sharded(s) => s.manifest().epoch,
-        }
-    }
-}
-
-impl Matcher<LearnedSimilarity> {
-    /// Tier-dispatching store search: monolithic stores go through
-    /// [`search_with_store`](Self::search_with_store) (loading lazily
-    /// on first use), shard sets through
-    /// [`search_with_shards`](Self::search_with_shards). A monolithic
-    /// store whose deferred full read fails falls back to the scan.
-    pub fn search_with_tier(
-        &self,
-        index: &VideoIndex,
-        tier: &StoreTier,
-        query: &Clip,
-        cancel: &CancelToken,
-    ) -> Result<StoreSearch, MatchError> {
-        self.search_with_tier_scoped(index, tier, query, cancel, None)
-    }
-
-    /// [`search_with_tier`](Self::search_with_tier) restricted to an
-    /// epoch scope (windows ending at or after `min_end` — the
-    /// standing-query evaluation range).
-    pub fn search_with_tier_scoped(
-        &self,
-        index: &VideoIndex,
-        tier: &StoreTier,
-        query: &Clip,
-        cancel: &CancelToken,
-        min_end: Option<u32>,
-    ) -> Result<StoreSearch, MatchError> {
-        match tier {
-            StoreTier::Sharded(set) => {
-                self.search_with_shards_scoped(index, set, query, cancel, min_end)
-            }
-            StoreTier::Monolithic(lazy) => match lazy.get() {
-                Ok(store) => self.search_with_store_scoped(index, store, query, cancel, min_end),
-                Err(e) => {
-                    eprintln!("store load failed, falling back to scan: {e}");
-                    telemetry::counter(names::STORE_FALLBACKS).inc();
-                    let moments = self.search_with_cancel(index, query, cancel)?;
-                    Ok(StoreSearch {
-                        moments: vstore::scope_moments(moments, min_end),
-                        from_store: false,
-                        probed: 0,
-                    })
-                }
-            },
-        }
-    }
-
-    /// Tier-dispatching batched store search (the scheduler's
-    /// store-aware fusion path). Per-member results are bit-identical
-    /// to calling [`search_with_tier`](Self::search_with_tier) per
-    /// member.
-    pub fn search_with_tier_batch(
-        &self,
-        index: &VideoIndex,
-        tier: &StoreTier,
-        queries: &[(&Clip, &CancelToken)],
-    ) -> Vec<Result<StoreSearch, MatchError>> {
-        self.search_with_tier_batch_scoped(index, tier, queries, None)
-    }
-
-    /// [`search_with_tier_batch`](Self::search_with_tier_batch) with
-    /// one epoch scope shared by every member (the scheduler only fuses
-    /// jobs with equal scopes).
-    pub fn search_with_tier_batch_scoped(
-        &self,
-        index: &VideoIndex,
-        tier: &StoreTier,
-        queries: &[(&Clip, &CancelToken)],
-        min_end: Option<u32>,
-    ) -> Vec<Result<StoreSearch, MatchError>> {
-        match tier {
-            StoreTier::Sharded(set) => {
-                self.search_with_shards_batch_scoped(index, set, queries, min_end)
-            }
-            StoreTier::Monolithic(lazy) => match lazy.get() {
-                Ok(store) => self.search_with_store_batch_scoped(index, store, queries, min_end),
-                Err(e) => {
-                    eprintln!("store load failed, falling back to scan: {e}");
-                    queries
-                        .iter()
-                        .map(|&(query, cancel)| {
-                            telemetry::counter(names::STORE_FALLBACKS).inc();
-                            self.search_with_cancel(index, query, cancel)
-                                .map(|moments| StoreSearch {
-                                    moments: vstore::scope_moments(moments, min_end),
-                                    from_store: false,
-                                    probed: 0,
-                                })
-                        })
-                        .collect()
-                }
-            },
-        }
+impl From<StoreTier> for ShardSet {
+    fn from(StoreTier::Sharded(set): StoreTier) -> Self {
+        set
     }
 }
 
@@ -1527,12 +1092,16 @@ pub fn shard_set_dir_name(dataset: &str) -> String {
     format!("{}.{SHARD_SET_EXT}", vstore::sanitize(dataset))
 }
 
-/// Attaches every store in `dir` — `.skstore` files as lazy monolithic
-/// tiers, `.skset/` directories (those containing a manifest) as shard
-/// sets — keyed by the dataset name each records. Attach validates
-/// headers and manifests only; a structurally damaged store fails
+/// Attaches every shard set in `dir` (the sub-directories holding a
+/// manifest), keyed by the dataset name each records. Attach validates
+/// manifests and shard headers only; a structurally damaged set fails
 /// loudly here, while payload corruption surfaces at first probe.
-pub fn load_store_tier_dir(dir: &Path) -> Result<BTreeMap<String, StoreTier>, StoreError> {
+///
+/// A leftover monolithic `*.skstore` file is an error, not something to
+/// skip: nothing reads that format any more, and ignoring it would turn
+/// a store-backed deployment into a scan without notice. (The function's
+/// name predates the single store shape and is pinned by `perfbench/`.)
+pub fn load_store_tier_dir(dir: &Path) -> Result<BTreeMap<String, ShardSet>, StoreError> {
     let mut out = BTreeMap::new();
     let entries = std::fs::read_dir(dir).map_err(|source| StoreError::Io {
         path: dir.to_path_buf(),
@@ -1541,17 +1110,18 @@ pub fn load_store_tier_dir(dir: &Path) -> Result<BTreeMap<String, StoreTier>, St
     let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
     paths.sort();
     for path in paths {
-        let tier = if path.is_dir() {
-            if !path.join(MANIFEST_FILE).is_file() {
-                continue;
-            }
-            StoreTier::Sharded(ShardSet::open(&path)?)
-        } else if path.extension().is_some_and(|x| x == vstore::STORE_EXT) {
-            StoreTier::Monolithic(LazyStore::open(&path)?)
-        } else {
-            continue;
-        };
-        out.insert(tier.dataset().to_string(), tier);
+        if path.extension().is_some_and(|x| x == "skstore") {
+            return Err(StoreError::BadHeader {
+                path,
+                detail: "monolithic .skstore files are no longer supported; re-run `ingest` to \
+                         write a .skset shard set"
+                    .into(),
+            });
+        }
+        if path.is_dir() && path.join(MANIFEST_FILE).is_file() {
+            let set = ShardSet::open(&path)?;
+            out.insert(set.dataset().to_string(), set);
+        }
     }
     Ok(out)
 }

@@ -1,15 +1,14 @@
-//! Persistent embedding stores: offline ingest + index-backed search.
+//! Store-backed search: fingerprints, the ingest grid configuration,
+//! and the one planner every store query goes through.
 //!
 //! The learned similarity embeds candidate clips independently of the
-//! query, so candidate-window embeddings are query-agnostic. This module
-//! computes them once — [`ingest`] enumerates the matcher's sliding
-//! windows over a [`VideoIndex`], embeds every single-track window
-//! segment through the batched encoder path, and persists vectors +
-//! metadata to an [`EmbeddingStore`] — and serves them forever after:
-//! [`Matcher::search_with_store`] embeds only the query, probes an
-//! IVF-style ANN index over the stored vectors, and re-ranks the probed
-//! rows with the *exact* same `score_embedding` call the full scan uses,
-//! so every moment the store path reports carries a bit-identical score.
+//! query, so candidate-window embeddings are query-agnostic. Ingest
+//! ([`ingest_sharded`](crate::vshard::ingest_sharded)) computes them
+//! once into a [`ShardSet`]; [`Matcher::search_stored`] then embeds only
+//! the query, ranks the set's coarse-quantizer centroids, gathers the
+//! rows under the best lists, and re-ranks them with the *exact* same
+//! `score_embedding` call the full scan uses, so every moment the store
+//! path reports carries a bit-identical score.
 //!
 //! Stores are strictly a cache: when one does not match the live model
 //! (fingerprint), the live index (fingerprint), or the query's window
@@ -17,17 +16,16 @@
 //! are what they always were. Multi-object queries always fall back —
 //! the store persists one track per row, not track combinations.
 
-use sketchql_store::{AnnConfig, EmbeddingStore, Fnv64, IvfIndex, StoreError, StoreMeta, StoreRow};
+use sketchql_store::{AnnConfig, Fnv64, StoreMeta, StoreRow};
 use sketchql_telemetry::{self as telemetry, names};
-use sketchql_trajectory::{TrackId, Trajectory};
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::path::Path;
+use sketchql_trajectory::{Clip, TrackId, Trajectory};
+use std::collections::HashMap;
 
 use crate::cancel::CancelToken;
-use crate::embed_cache::embed_clips_parallel;
 use crate::index::VideoIndex;
-use crate::matcher::{window_clip, MatchError, Matcher, MatcherConfig, RetrievedMoment};
+use crate::matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment};
 use crate::similarity::{LearnedSimilarity, PreparedQuery, Similarity};
+use crate::vshard::ShardSet;
 
 /// Bucket bounds for the rows-per-probe histogram.
 const PROBE_BOUNDS: &[f64] = &[8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0];
@@ -134,164 +132,6 @@ impl IngestConfig {
     }
 }
 
-/// A dataset's persisted embeddings plus the ANN index probing them.
-///
-/// The ANN index is rebuilt deterministically at load time — the
-/// expensive part of a store is the encoder forwards, which are never
-/// repeated; the k-means quantizer over a few thousand small vectors is
-/// milliseconds.
-pub struct DatasetStore {
-    /// The persisted vectors and window metadata.
-    pub store: EmbeddingStore,
-    /// How many inverted lists a query probes (defaults to the build's
-    /// [`AnnConfig::nprobe`]; raise it toward `nlist` to trade speed for
-    /// recall, at `nlist` the probe is exhaustive).
-    pub nprobe: usize,
-    ann: IvfIndex,
-}
-
-impl DatasetStore {
-    /// Wraps an already-loaded [`EmbeddingStore`], building its ANN index.
-    pub fn from_store(store: EmbeddingStore, ann_config: &AnnConfig) -> Self {
-        let ann = IvfIndex::build(store.vectors(), store.dim(), ann_config);
-        DatasetStore {
-            store,
-            nprobe: ann_config.nprobe.max(1),
-            ann,
-        }
-    }
-
-    /// Loads a store file and builds its ANN index.
-    pub fn open(path: &Path) -> Result<Self, StoreError> {
-        let _span = telemetry::span(names::STORE_LOAD);
-        let store = EmbeddingStore::load(path)?;
-        Ok(Self::from_store(store, &AnnConfig::default()))
-    }
-
-    /// Persists the underlying [`EmbeddingStore`] (the ANN index is
-    /// derived state and is not written).
-    pub fn save(&self, path: &Path) -> Result<(), StoreError> {
-        self.store.save(path)
-    }
-
-    /// Dataset name recorded at ingest.
-    pub fn dataset(&self) -> &str {
-        &self.store.meta.dataset
-    }
-
-    /// Number of lists the ANN index partitioned the vectors into.
-    pub fn nlist(&self) -> usize {
-        self.ann.nlist()
-    }
-
-    /// Whether this store was built from exactly this index's contents.
-    pub fn matches_index(&self, index: &VideoIndex) -> bool {
-        self.store.meta.frames == index.frames
-            && self.store.meta.index_fingerprint == index_fingerprint(index)
-    }
-
-    /// Whether this store's vectors came from exactly this model.
-    pub fn matches_model(&self, sim: &LearnedSimilarity) -> bool {
-        self.store.meta.model_fingerprint == model_fingerprint(sim)
-    }
-}
-
-/// Builds a [`DatasetStore`] offline: enumerates every sliding window of
-/// `index` across `config.window_lens` with the matcher's stride and
-/// clamping rules, slices each eligible track into its window segment,
-/// embeds the distinct segments through the batched encoder path, and
-/// records one row per `(track, start, end)`.
-///
-/// Segments that produce an empty clip (a track whose frame range brushes
-/// a window it has no points in) are skipped — the matcher's embedding
-/// cache excludes exactly the same candidates.
-pub fn ingest(
-    sim: &LearnedSimilarity,
-    index: &VideoIndex,
-    dataset: &str,
-    config: &IngestConfig,
-) -> DatasetStore {
-    let _span = telemetry::span(names::STORE_BUILD);
-    let mut lens = config.window_lens.clone();
-    lens.sort_unstable();
-    lens.dedup();
-
-    // Enumerate rows exactly as the matcher enumerates candidates: per
-    // length, the strided window grid with tail clamping; per window,
-    // every class-eligible track in index order. A `(track, start, end)`
-    // row is recorded once even when several lengths produce the same
-    // clamped window; insertion happens only on qualification so a later
-    // length with a laxer overlap floor can still add the tracks the
-    // stricter one rejected.
-    let mut rows: Vec<StoreRow> = Vec::new();
-    let mut clips = Vec::new();
-    let mut seen: HashSet<(TrackId, u32, u32)> = HashSet::new();
-    for &window in &lens {
-        if window == 0 || window > index.frames {
-            continue;
-        }
-        let stride = ((window as f32 * config.stride_frac) as u32).max(1);
-        let min_overlap = ((window as f32 * config.min_overlap_frac) as u32).max(1);
-        let mut start = 0u32;
-        loop {
-            let end = (start + window - 1).min(index.frames.saturating_sub(1));
-            for t in &index.tracks {
-                if !track_overlaps(t, start, end, min_overlap) || seen.contains(&(t.id, start, end))
-                {
-                    continue;
-                }
-                let slot: Vec<Vec<&Trajectory>> = vec![vec![t]];
-                let clip = window_clip(index, &[0], &slot, start, end);
-                if clip.is_empty() {
-                    continue;
-                }
-                seen.insert((t.id, start, end));
-                rows.push(StoreRow {
-                    track_id: t.id,
-                    class: t.class,
-                    start,
-                    end,
-                });
-                clips.push(clip);
-            }
-            if end + 1 >= index.frames {
-                break;
-            }
-            start += stride;
-        }
-    }
-
-    let embeddings = embed_clips_parallel(sim, &clips, config.threads.max(1));
-    let dim = embeddings
-        .iter()
-        .flatten()
-        .next()
-        .map_or(sim.encoder.config.embed_dim, Vec::len);
-    let meta = StoreMeta {
-        dataset: dataset.to_string(),
-        model_fingerprint: model_fingerprint(sim),
-        index_fingerprint: index_fingerprint(index),
-        frames: index.frames,
-        fps: index.fps,
-        frame_width: index.frame_width,
-        frame_height: index.frame_height,
-        stride_frac: config.stride_frac,
-        min_overlap_frac: config.min_overlap_frac,
-        window_lens: lens,
-    };
-    let mut store = EmbeddingStore::new(meta, dim);
-    for (row, embedding) in rows.into_iter().zip(embeddings) {
-        // A non-empty single-track clip always embeds (the encoder only
-        // rejects empty clips and object-count overflows), but stay
-        // defensive: an unembeddable segment is unservable either way.
-        if let Some(v) = embedding {
-            store.push(row, &v);
-        }
-    }
-    telemetry::counter(names::STORE_VECTORS).add(store.len() as u64);
-    DatasetStore::from_store(store, &config.ann)
-}
-
 /// Eligibility of a track for a window, matching
 /// [`VideoIndex::tracks_in_window`]'s overlap rule.
 pub(crate) fn track_overlaps(t: &Trajectory, start: u32, end: u32, min_overlap: u32) -> bool {
@@ -305,7 +145,7 @@ pub(crate) fn track_overlaps(t: &Trajectory, start: u32, end: u32, min_overlap: 
     }
 }
 
-/// Outcome of [`Matcher::search_with_store`].
+/// Outcome of one [`Matcher::search_stored`] member.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreSearch {
     /// The retrieved moments (ranked, NMS'd, refined — same pipeline as
@@ -317,136 +157,69 @@ pub struct StoreSearch {
     pub probed: u64,
 }
 
+impl StoreSearch {
+    /// A result the store did not serve.
+    fn unserved(moments: Vec<RetrievedMoment>) -> Self {
+        StoreSearch {
+            moments,
+            from_store: false,
+            probed: 0,
+        }
+    }
+}
+
 impl Matcher<LearnedSimilarity> {
-    /// The index-backed search path: embeds the query once, probes
-    /// `store`'s ANN index, exactly re-ranks the probed rows, and runs
-    /// the usual ranking pipeline. Falls back to
-    /// [`search_with_cancel`](Self::search_with_cancel) when the store
-    /// cannot serve this query:
+    /// The store search planner — the only store-backed search there
+    /// is. Every member of `queries` (concurrent queries over one
+    /// dataset; a batch of one is the solo case) is answered from `set`
+    /// when it can be and from the scan when it cannot:
     ///
-    /// - the query binds more than one object (stores hold single-track
-    ///   rows);
-    /// - the store's model or index fingerprint differs from the live
-    ///   model/index;
-    /// - the matcher's stride or overlap fractions differ from the
-    ///   store's, or a window length this query derives was not ingested.
+    /// 1. **Classify.** A degenerate query (empty, shorter than
+    ///    `min_window`, or over an empty index) settles to an empty
+    ///    result. A query `set` cannot serve falls back to the scan:
+    ///    it binds more than one object (stores hold single-track
+    ///    rows); the set's model or index fingerprint differs from the
+    ///    live model/index; or the matcher's stride or overlap
+    ///    fractions differ from the set's, or a window length the query
+    ///    derives was not ingested. Everything else embeds its query.
+    /// 2. **Rank.** One [`CoarseQuantizer::rank_batch`] pass over the
+    ///    shared centroid table for every served member.
+    /// 3. **Gather and re-rank**, per member under its own token: the
+    ///    rows under the top `nprobe` lists, scored exactly and run
+    ///    through the usual ranking pipeline. A shard that fails to
+    ///    load (corruption discovered at first probe) falls back to the
+    ///    scan, so results stay correct.
     ///
     /// Every moment the store path reports scores bit-identically to the
     /// full scan (the same `score_embedding` over the same vector bits);
     /// probing fewer than all lists can only *omit* windows, never change
-    /// a reported score.
-    pub fn search_with_store(
+    /// a reported score. Per-member results do not depend on what else
+    /// is in the batch.
+    ///
+    /// `min_end` is the epoch scope shared by every member (the
+    /// scheduler only fuses equal scopes): only windows whose **end**
+    /// frame is at least `min_end` are considered. A window fires in the
+    /// epoch that first covers its last frame, so scoping by end makes
+    /// epochs partition the windows: no window is delivered twice, none
+    /// is skipped. Windows are filtered before scoring on both the store
+    /// path and the scan fallback, so `top_k` applies *within* the scope
+    /// and scores stay bit-identical to an unscoped query.
+    ///
+    /// [`CoarseQuantizer::rank_batch`]: sketchql_store::CoarseQuantizer::rank_batch
+    pub fn search_stored(
         &self,
         index: &VideoIndex,
-        store: &DatasetStore,
-        query: &sketchql_trajectory::Clip,
-        cancel: &CancelToken,
-    ) -> Result<StoreSearch, MatchError> {
-        self.search_with_store_scoped(index, store, query, cancel, None)
-    }
-
-    /// [`search_with_store`](Self::search_with_store) restricted to an
-    /// epoch scope: only windows whose **end** frame is at least
-    /// `min_end` are considered (the standing-query evaluation range —
-    /// a window fires in the epoch that first covers its last frame, so
-    /// scoping by end makes epochs partition the windows: no window is
-    /// delivered twice, none is skipped). Candidates are filtered
-    /// before ranking, so `top_k` applies *within* the scope and scores
-    /// stay bit-identical to an unscoped query. On the scan-fallback
-    /// path the filter applies to the ranked moments instead (the scan
-    /// has no per-window candidate stage), a documented approximation:
-    /// top-k there is global.
-    pub fn search_with_store_scoped(
-        &self,
-        index: &VideoIndex,
-        store: &DatasetStore,
-        query: &sketchql_trajectory::Clip,
-        cancel: &CancelToken,
-        min_end: Option<u32>,
-    ) -> Result<StoreSearch, MatchError> {
-        let q_span = query.span();
-        if q_span == 0
-            || q_span < self.config.min_window
-            || query.num_objects() == 0
-            || index.frames == 0
-        {
-            return Ok(StoreSearch {
-                moments: Vec::new(),
-                from_store: false,
-                probed: 0,
-            });
-        }
-        if !self.store_serves(index, store, query, q_span) {
-            telemetry::counter(names::STORE_FALLBACKS).inc();
-            let moments = self.search_with_cancel(index, query, cancel)?;
-            return Ok(StoreSearch {
-                moments: scope_moments(moments, min_end),
-                from_store: false,
-                probed: 0,
-            });
-        }
-
-        let _search_span = telemetry::span(names::MATCHER_SEARCH);
-        cancel.check().map_err(MatchError::from)?;
-        let prepared = {
-            let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
-            self.sim.prepare(query)?
-        };
-        let PreparedQuery::Embedding(ref qe) = prepared else {
-            unreachable!("learned similarity always prepares an embedding");
-        };
-        let probed = {
-            let _probe_span = telemetry::span(names::STORE_PROBE);
-            self.probe_rows(store, qe)
-        };
-        cancel.check().map_err(MatchError::from)?;
-        let candidates = scope_candidates(rows_of(store, &probed), min_end);
-        self.finish_store_search(index, query, &prepared, candidates, cancel)
-    }
-
-    /// [`search_with_store`](Self::search_with_store) for a batch of
-    /// concurrent same-dataset queries: every served member's embedding
-    /// goes through **one** shared centroid ranking
-    /// ([`IvfIndex::probe_batch`](sketchql_store::IvfIndex)) instead of
-    /// per-member probes, then each member is exactly re-ranked on its
-    /// own. Per-member results (and fallback behavior) are bit-identical
-    /// to calling [`search_with_store`](Self::search_with_store) once
-    /// per member — the classification, probe ranking, and scoring run
-    /// the same code over the same inputs.
-    pub fn search_with_store_batch(
-        &self,
-        index: &VideoIndex,
-        store: &DatasetStore,
-        queries: &[(&sketchql_trajectory::Clip, &CancelToken)],
-    ) -> Vec<Result<StoreSearch, MatchError>> {
-        self.search_with_store_batch_scoped(index, store, queries, None)
-    }
-
-    /// [`search_with_store_batch`](Self::search_with_store_batch) with
-    /// one epoch scope shared by every member (the scheduler only fuses
-    /// jobs with equal scopes). See
-    /// [`search_with_store_scoped`](Self::search_with_store_scoped) for
-    /// the scope semantics.
-    pub fn search_with_store_batch_scoped(
-        &self,
-        index: &VideoIndex,
-        store: &DatasetStore,
-        queries: &[(&sketchql_trajectory::Clip, &CancelToken)],
+        set: &ShardSet,
+        queries: &[(&Clip, &CancelToken)],
         min_end: Option<u32>,
     ) -> Vec<Result<StoreSearch, MatchError>> {
-        if queries.len() <= 1 {
-            return queries
-                .iter()
-                .map(|&(q, c)| self.search_with_store_scoped(index, store, q, c, min_end))
-                .collect();
-        }
         enum Plan {
-            Ready(PreparedQuery),
-            Done(Result<StoreSearch, MatchError>),
+            Empty,
+            Scan,
+            Probe(PreparedQuery),
+            Failed(MatchError),
         }
         let _search_span = telemetry::span(names::MATCHER_SEARCH);
-        // Pass 1: classify each member exactly as the solo entry point
-        // does (empty-result guard, fallback, or prepare-for-probe).
         let plans: Vec<Plan> = queries
             .iter()
             .map(|&(query, cancel)| {
@@ -456,79 +229,109 @@ impl Matcher<LearnedSimilarity> {
                     || query.num_objects() == 0
                     || index.frames == 0
                 {
-                    return Plan::Done(Ok(StoreSearch {
-                        moments: Vec::new(),
-                        from_store: false,
-                        probed: 0,
-                    }));
+                    return Plan::Empty;
                 }
-                if !self.store_serves(index, store, query, q_span) {
-                    telemetry::counter(names::STORE_FALLBACKS).inc();
-                    return Plan::Done(self.search_with_cancel(index, query, cancel).map(
-                        |moments| StoreSearch {
-                            moments: scope_moments(moments, min_end),
-                            from_store: false,
-                            probed: 0,
-                        },
-                    ));
+                if !self.meta_serves(index, set.meta(), query, q_span) {
+                    return Plan::Scan;
                 }
                 match cancel.check().map_err(MatchError::from).and_then(|()| {
                     let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
                     self.sim.prepare(query).map_err(MatchError::from)
                 }) {
-                    Ok(prepared) => Plan::Ready(prepared),
-                    Err(e) => Plan::Done(Err(e)),
+                    Ok(prepared) => Plan::Probe(prepared),
+                    Err(e) => Plan::Failed(e),
                 }
             })
             .collect();
-        // Pass 2: one shared centroid ranking for every served member.
+
         let embeddings: Vec<&[f32]> = plans
             .iter()
             .filter_map(|plan| match plan {
-                Plan::Ready(PreparedQuery::Embedding(qe)) => Some(qe.as_slice()),
-                Plan::Ready(_) => {
-                    unreachable!("learned similarity always prepares an embedding")
-                }
-                Plan::Done(_) => None,
+                Plan::Probe(PreparedQuery::Embedding(qe)) => Some(qe.as_slice()),
+                Plan::Probe(_) => unreachable!("learned similarity always prepares an embedding"),
+                _ => None,
             })
             .collect();
-        let probed_all = if embeddings.is_empty() {
+        let rankings = if embeddings.is_empty() {
             Vec::new()
         } else {
             let _probe_span = telemetry::span(names::STORE_PROBE);
-            store.ann.probe_batch(&embeddings, store.nprobe.max(1))
+            set.quantizer().rank_batch(&embeddings)
         };
-        // Pass 3: exact per-member re-rank, identical to the solo path.
-        let mut probe_iter = probed_all.into_iter();
+
+        // The one fallback: the scoped scan, which filters windows by
+        // `min_end` before scoring exactly as the served path filters
+        // candidates.
+        let scan = |query: &Clip, cancel: &CancelToken| {
+            telemetry::counter(names::STORE_FALLBACKS).inc();
+            self.search_scoped(index, query, cancel, min_end)
+                .map(StoreSearch::unserved)
+        };
+        let mut rankings = rankings.into_iter();
         queries
             .iter()
             .zip(plans)
             .map(|(&(query, cancel), plan)| match plan {
-                Plan::Done(result) => result,
-                Plan::Ready(prepared) => {
-                    let probed = probe_iter.next().expect("one probe per served member");
-                    cancel.check().map_err(MatchError::from).and_then(|()| {
-                        let candidates = scope_candidates(rows_of(store, &probed), min_end);
-                        self.finish_store_search(index, query, &prepared, candidates, cancel)
-                    })
+                Plan::Empty => Ok(StoreSearch::unserved(Vec::new())),
+                Plan::Failed(e) => Err(e),
+                Plan::Scan => scan(query, cancel),
+                Plan::Probe(prepared) => {
+                    let ranked = rankings.next().expect("one ranking per served member");
+                    let nprobe = set.nprobe.max(1).min(ranked.len());
+                    let gathered = {
+                        let _probe_span = telemetry::span(names::STORE_PROBE);
+                        set.gather(&ranked[..nprobe])
+                    };
+                    // A load error was logged where it was first recorded
+                    // (`ShardSet::load_shard`).
+                    let Ok(gathered) = gathered else {
+                        return scan(query, cancel);
+                    };
+                    cancel.check().map_err(MatchError::from)?;
+                    let candidates = scope_candidates(gathered.candidates(), min_end);
+                    self.finish_store_search(index, query, &prepared, candidates, cancel)
                 }
             })
             .collect()
     }
 
-    /// Served-path tail shared by every store-backed search — solo,
-    /// batched, monolithic, and sharded: window enumeration, exact
-    /// re-rank of the probed candidates, and the usual ranking pipeline.
-    /// Taking the probed candidates as `(row, vector)` pairs is what
-    /// makes the batched and sharded paths bit-identical by
-    /// construction: the candidate *source* (one store, many shards)
-    /// cannot influence scoring, and the best-per-slot selection below
-    /// is insensitive to candidate order (strictly-greater score wins,
-    /// ties break on track position).
-    pub(crate) fn finish_store_search(
+    /// [`search_stored`](Self::search_stored) for one unscoped query.
+    pub fn search_with_shards(
         &self,
         index: &VideoIndex,
-        query: &sketchql_trajectory::Clip,
+        set: &ShardSet,
+        query: &Clip,
+        cancel: &CancelToken,
+    ) -> Result<StoreSearch, MatchError> {
+        self.search_with_shards_scoped(index, set, query, cancel, None)
+    }
+
+    /// [`search_stored`](Self::search_stored) for one query under an
+    /// epoch scope.
+    pub fn search_with_shards_scoped(
+        &self,
+        index: &VideoIndex,
+        set: &ShardSet,
+        query: &Clip,
+        cancel: &CancelToken,
+        min_end: Option<u32>,
+    ) -> Result<StoreSearch, MatchError> {
+        self.search_stored(index, set, &[(query, cancel)], min_end)
+            .pop()
+            .expect("one result per query")
+    }
+
+    /// The served path's tail: window enumeration, exact re-rank of the
+    /// probed candidates, and the usual ranking pipeline. Taking the
+    /// candidates as `(row, vector)` pairs is what makes the result
+    /// independent of the shard layout by construction: how many shards
+    /// the rows came from cannot influence scoring, and the
+    /// best-per-slot selection below is insensitive to candidate order
+    /// (strictly-greater score wins, ties break on track position).
+    fn finish_store_search(
+        &self,
+        index: &VideoIndex,
+        query: &Clip,
         prepared: &PreparedQuery,
         candidates: Vec<(StoreRow, &[f32])>,
         cancel: &CancelToken,
@@ -625,29 +428,9 @@ impl Matcher<LearnedSimilarity> {
         })
     }
 
-    /// Whether `store` can serve this query over this index with results
-    /// the full scan would also produce.
-    fn store_serves(
-        &self,
-        index: &VideoIndex,
-        store: &DatasetStore,
-        query: &sketchql_trajectory::Clip,
-        q_span: u32,
-    ) -> bool {
-        self.meta_serves(index, &store.store.meta, query, q_span)
-    }
-
-    /// [`store_serves`](Self::store_serves) on provenance metadata alone
-    /// — the shared eligibility rule for every store tier (a sharded
-    /// set's manifest carries the same `StoreMeta` a monolithic file
-    /// does).
-    pub(crate) fn meta_serves(
-        &self,
-        index: &VideoIndex,
-        meta: &StoreMeta,
-        query: &sketchql_trajectory::Clip,
-        q_span: u32,
-    ) -> bool {
+    /// Whether a set with provenance `meta` can serve this query over
+    /// this index with results the full scan would also produce.
+    fn meta_serves(&self, index: &VideoIndex, meta: &StoreMeta, query: &Clip, q_span: u32) -> bool {
         if query.num_objects() != 1
             || meta.model_fingerprint != model_fingerprint(&self.sim)
             || meta.frames != index.frames
@@ -664,31 +447,12 @@ impl Matcher<LearnedSimilarity> {
             len > index.frames || meta.window_lens.contains(&len)
         })
     }
-
-    /// Probes the ANN index, exhaustively when `nprobe` covers every list.
-    fn probe_rows(&self, store: &DatasetStore, query_embedding: &[f32]) -> Vec<u32> {
-        store.ann.probe(query_embedding, store.nprobe.max(1))
-    }
-}
-
-/// Materializes probed row ids as the `(row, vector)` candidate pairs
-/// [`Matcher::finish_store_search`] scores.
-fn rows_of<'a>(store: &'a DatasetStore, probed: &[u32]) -> Vec<(StoreRow, &'a [f32])> {
-    probed
-        .iter()
-        .map(|&id| {
-            (
-                store.store.row(id as usize),
-                store.store.vector(id as usize),
-            )
-        })
-        .collect()
 }
 
 /// Restricts store candidates to windows ending at or after `min_end`
 /// (the live epoch scope); `None` keeps everything. Applied before
 /// ranking, so `top_k` acts within the scope.
-pub(crate) fn scope_candidates(
+fn scope_candidates(
     candidates: Vec<(StoreRow, &[f32])>,
     min_end: Option<u32>,
 ) -> Vec<(StoreRow, &[f32])> {
@@ -698,21 +462,8 @@ pub(crate) fn scope_candidates(
     }
 }
 
-/// Epoch-scope filter for the scan-fallback path, which has no
-/// per-window candidate stage: the filter runs over the ranked moments,
-/// so top-k there is global (a documented approximation).
-pub(crate) fn scope_moments(
-    moments: Vec<RetrievedMoment>,
-    min_end: Option<u32>,
-) -> Vec<RetrievedMoment> {
-    match min_end {
-        None => moments,
-        Some(m) => moments.into_iter().filter(|r| r.end >= m).collect(),
-    }
-}
-
-/// Filesystem-safe store file name for a dataset, mirroring the session's
-/// naming scheme.
+/// Filesystem-safe store directory name for a dataset, mirroring the
+/// session's naming scheme.
 pub(crate) fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| {
@@ -723,51 +474,4 @@ pub(crate) fn sanitize(name: &str) -> String {
             }
         })
         .collect()
-}
-
-/// Extension store files carry inside a store directory.
-pub const STORE_EXT: &str = "skstore";
-
-/// Writes one store per dataset into `dir` as `<sanitized-name>.skstore`,
-/// suffixing on sanitization collisions. The dataset's real name travels
-/// inside the file ([`StoreMeta::dataset`]), so loading never depends on
-/// the file name.
-pub fn save_store_dir(
-    dir: &Path,
-    stores: &BTreeMap<String, DatasetStore>,
-) -> Result<(), StoreError> {
-    let mut used: HashSet<String> = HashSet::new();
-    for (name, store) in stores {
-        let base = sanitize(name);
-        let mut file = format!("{base}.{STORE_EXT}");
-        let mut k = 2;
-        while !used.insert(file.clone()) {
-            file = format!("{base}_{k}.{STORE_EXT}");
-            k += 1;
-        }
-        store.save(&dir.join(file))?;
-    }
-    Ok(())
-}
-
-/// Loads every `.skstore` file under `dir`, keyed by the dataset name
-/// recorded in each file. Unreadable or corrupt files are errors — a
-/// store directory with a half-written member should fail loudly, not
-/// serve a partial set.
-pub fn load_store_dir(dir: &Path) -> Result<BTreeMap<String, DatasetStore>, StoreError> {
-    let mut out = BTreeMap::new();
-    let entries = std::fs::read_dir(dir).map_err(|source| StoreError::Io {
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let mut paths: Vec<std::path::PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == STORE_EXT))
-        .collect();
-    paths.sort();
-    for path in paths {
-        let store = DatasetStore::open(&path)?;
-        out.insert(store.dataset().to_string(), store);
-    }
-    Ok(out)
 }

@@ -1,25 +1,33 @@
-//! Sharded-store correctness: the shard-set grid must equal the
-//! monolithic grid exactly (no boundary duplicates or gaps), sharded
-//! search must report bit-identical scores to the monolithic store and
-//! the full scan, shards must load lazily (residency follows probes),
-//! and a corrupt shard must fail loudly while queries fall back.
+//! Store correctness: the shard grids must partition the matcher's
+//! window grid exactly (no boundary duplicates or gaps), store-backed
+//! search must report bit-identical scores to the full scan however the
+//! set is sharded and batched, shards must load lazily (residency
+//! follows probes), a set that cannot serve a query must fall back to
+//! the scan, and a corrupt shard must fail loudly while queries fall
+//! back.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sketchql::cancel::CancelToken;
-use sketchql::matcher::{Matcher, MatcherConfig};
+use sketchql::cancel::{CancelReason, CancelToken};
+use sketchql::matcher::{MatchError, Matcher, MatcherConfig};
 use sketchql::similarity::LearnedSimilarity;
 use sketchql::training::{train, TrainingConfig};
-use sketchql::vshard::{enumerate_store_rows, ingest_sharded, IngestProgress, ShardSet, StoreTier};
-use sketchql::vstore::{ingest, IngestConfig};
+use sketchql::vshard::{
+    enumerate_store_rows, ingest_sharded, load_store_tier_dir, IngestProgress, ShardSet,
+};
+use sketchql::vstore::{index_fingerprint, model_fingerprint, IngestConfig};
 use sketchql::VideoIndex;
 use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
 use std::path::PathBuf;
 
-fn tiny_model() -> sketchql::training::TrainedModel {
+fn model_with_steps(steps: usize) -> sketchql::training::TrainedModel {
     let mut cfg = TrainingConfig::tiny();
-    cfg.steps = 8;
+    cfg.steps = steps;
     train(cfg)
+}
+
+fn tiny_model() -> sketchql::training::TrainedModel {
+    model_with_steps(8)
 }
 
 fn test_index(seed: u64) -> VideoIndex {
@@ -43,17 +51,32 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Ingests `index` into `dir` for the window grid `spans` need, probing
+/// exhaustively so answers must equal the scan, not merely recall well.
+fn exhaustive_set(
+    m: &Matcher<LearnedSimilarity>,
+    index: &VideoIndex,
+    spans: &[u32],
+    shard_frames: u32,
+    dir: &std::path::Path,
+) -> ShardSet {
+    let cfg = IngestConfig::from_matcher(&m.config, spans);
+    let mut set = ingest_sharded(&m.sim, index, "v", &cfg, shard_frames, dir, &|_| {}).unwrap();
+    set.nprobe = set.nlist();
+    set
+}
+
 /// The union of every shard range's enumeration must reproduce the
-/// monolithic enumeration exactly: same rows, same multiplicity, no
+/// unrestricted enumeration exactly: same rows, same multiplicity, no
 /// window lost or duplicated at any shard boundary. Exercises several
 /// shard widths, including ones that land boundaries mid-stride and a
 /// width larger than the video.
 #[test]
-fn sharded_window_grid_equals_monolithic_grid() {
+fn shard_grids_partition_the_whole_grid() {
     let index = test_index(31);
     let config = IngestConfig::from_matcher(&MatcherConfig::default(), &[40, 64]);
-    let (mono_rows, mono_clips) = enumerate_store_rows(&index, &config, None);
-    assert!(!mono_rows.is_empty(), "grid enumeration came up empty");
+    let (whole_rows, whole_clips) = enumerate_store_rows(&index, &config, None);
+    assert!(!whole_rows.is_empty(), "grid enumeration came up empty");
 
     for shard_frames in [1u32, 7, 33, 64, 100, index.frames, index.frames * 2] {
         let mut union = Vec::new();
@@ -74,59 +97,39 @@ fn sharded_window_grid_equals_monolithic_grid() {
         }
         let key = |r: &sketchql_store::StoreRow| (r.track_id, r.start, r.end);
         let mut got: Vec<_> = union.iter().map(key).collect();
-        let mut want: Vec<_> = mono_rows.iter().map(key).collect();
+        let mut want: Vec<_> = whole_rows.iter().map(key).collect();
         got.sort_unstable();
         want.sort_unstable();
         assert_eq!(
             got, want,
-            "shard width {shard_frames}: union of shard grids != monolithic grid"
+            "shard width {shard_frames}: union of shard grids != whole grid"
         );
     }
-    // The unrestricted enumeration also matches what monolithic ingest
-    // would embed: one clip per row, aligned.
-    assert_eq!(mono_rows.len(), mono_clips.len());
+    // One clip per row, aligned: what ingest embeds.
+    assert_eq!(whole_rows.len(), whole_clips.len());
 }
 
-/// End-to-end bit-identity: with exhaustive probing, the sharded path,
-/// the monolithic store path, and the full scan must all report the
-/// same moments with bit-identical scores — across 1, 3, and many
-/// shards, and across a disk round trip (simulated server restart).
+/// End-to-end bit-identity: with exhaustive probing the store path and
+/// the full scan must report the same moments with bit-identical
+/// scores — across 1, 3, and many shards, and across a disk round trip
+/// (simulated server restart).
 #[test]
-fn sharded_search_matches_monolithic_and_scan_exactly() {
+fn sharded_search_matches_scan_exactly() {
     let model = tiny_model();
     let index = test_index(32);
     let m = matcher(&model);
     let query = query_clip(EventKind::LeftTurn);
-    let ingest_cfg = IngestConfig::from_matcher(&m.config, &[query.span()]);
     let scan = m.search(&index, &query).unwrap();
     assert!(!scan.is_empty(), "scan found nothing to compare against");
 
-    let mut mono = ingest(&m.sim, &index, "v", &ingest_cfg);
-    mono.nprobe = mono.nlist();
-    let via_mono = m
-        .search_with_store(&index, &mono, &query, &CancelToken::none())
-        .unwrap();
-    assert!(via_mono.from_store);
-    assert_eq!(via_mono.moments, scan);
-
     for shard_frames in [index.frames, index.frames / 3 + 1, 25] {
         let dir = temp_dir(&format!("exact-{shard_frames}"));
-        let set = ingest_sharded(
-            &m.sim,
-            &index,
-            "v",
-            &ingest_cfg,
-            shard_frames,
-            &dir,
-            &|_| {},
-        )
-        .unwrap();
-        let mut set = set;
-        set.nprobe = set.nlist();
+        let set = exhaustive_set(&m, &index, &[query.span()], shard_frames, &dir);
         let via_shards = m
             .search_with_shards(&index, &set, &query, &CancelToken::none())
             .unwrap();
         assert!(via_shards.from_store, "{shard_frames}: fell back");
+        assert!(via_shards.probed > 0);
         assert_eq!(
             via_shards.moments, scan,
             "{shard_frames}-frame shards diverged from scan"
@@ -149,37 +152,192 @@ fn sharded_search_matches_monolithic_and_scan_exactly() {
     }
 }
 
-/// The batched entry point must agree bit-for-bit with the solo one.
+/// The planner differential: for a one-shard and a multi-shard set at
+/// `nprobe = nlist`, one `search_stored` call over N queries, N
+/// single-query calls, and `Matcher::search` all agree — moments and
+/// score bits — for served members and for the member that falls back.
 #[test]
-fn sharded_batch_matches_solo() {
+fn planner_batch_equals_solo_equals_scan() {
     let model = tiny_model();
     let index = test_index(33);
     let m = matcher(&model);
     let queries = [
         query_clip(EventKind::LeftTurn),
+        query_clip(EventKind::PerpendicularCrossing),
         query_clip(EventKind::StopAndGo),
         query_clip(EventKind::LaneChange),
     ];
     let spans: Vec<u32> = queries.iter().map(|q| q.span()).collect();
-    let ingest_cfg = IngestConfig::from_matcher(&m.config, &spans);
-    let dir = temp_dir("batch");
-    let mut set = ingest_sharded(&m.sim, &index, "v", &ingest_cfg, 40, &dir, &|_| {}).unwrap();
-    set.nprobe = set.nlist();
-
     let none = CancelToken::none();
     let batch: Vec<_> = queries.iter().map(|q| (q, &none)).collect();
-    let batched = m.search_with_shards_batch(&index, &set, &batch);
-    for (q, r) in queries.iter().zip(batched) {
-        let solo = m.search_with_shards(&index, &set, q, &none).unwrap();
-        let r = r.unwrap();
-        assert_eq!(r.from_store, solo.from_store);
-        assert_eq!(r.moments, solo.moments, "batch diverged from solo");
-        for (a, b) in r.moments.iter().zip(&solo.moments) {
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
+
+    for shard_frames in [index.frames, 40] {
+        let dir = temp_dir(&format!("planner-{shard_frames}"));
+        let set = exhaustive_set(&m, &index, &spans, shard_frames, &dir);
+        let batched = m.search_stored(&index, &set, &batch, None);
+        assert_eq!(batched.len(), queries.len());
+        for (q, batched) in queries.iter().zip(batched) {
+            let batched = batched.unwrap();
+            let solo = m
+                .search_stored(&index, &set, &[(q, &none)], None)
+                .pop()
+                .unwrap()
+                .unwrap();
+            let scan = m.search(&index, q).unwrap();
+            assert_eq!(batched, solo, "{shard_frames}: batch diverged from solo");
+            assert_eq!(
+                solo.moments, scan,
+                "{shard_frames}: solo diverged from scan"
+            );
+            for (a, b) in batched.moments.iter().zip(&scan) {
+                assert_eq!(a.score.to_bits(), b.score.to_bits());
+            }
+            assert_eq!(
+                solo.from_store,
+                q.num_objects() == 1,
+                "{shard_frames}: only the multi-object member may fall back"
+            );
         }
-        assert!(solo.from_store, "{q:?} unexpectedly fell back");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A set built by another model must refuse to serve (the vectors would
+/// score differently) and the query must come back from the scan.
+#[test]
+fn model_mismatch_falls_back_to_scan() {
+    let model = tiny_model();
+    let index = test_index(13);
+    let m = matcher(&model);
+    let query = query_clip(EventKind::LeftTurn);
+    let dir = temp_dir("model-mismatch");
+    let set = exhaustive_set(&m, &index, &[query.span()], index.frames, &dir);
+
+    // A model trained two more steps embeds differently; its fingerprint
+    // must differ.
+    let m2 = matcher(&model_with_steps(10));
+    assert_ne!(model_fingerprint(&m.sim), model_fingerprint(&m2.sim));
+    let r = m2
+        .search_with_shards(&index, &set, &query, &CancelToken::none())
+        .unwrap();
+    assert!(!r.from_store, "mismatched model must fall back");
+    assert_eq!(r.moments, m2.search(&index, &query).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Different video contents, a different matcher stride, and a query
+/// whose window lengths were never ingested all fall back.
+#[test]
+fn index_mismatch_and_config_mismatch_fall_back() {
+    let model = tiny_model();
+    let index = test_index(14);
+    let m = matcher(&model);
+    let query = query_clip(EventKind::LeftTurn);
+    let dir = temp_dir("config-mismatch");
+    let set = exhaustive_set(&m, &index, &[query.span()], index.frames, &dir);
+    let none = CancelToken::none();
+
+    let other_index = test_index(15);
+    assert_ne!(index_fingerprint(&index), index_fingerprint(&other_index));
+    let r = m
+        .search_with_shards(&other_index, &set, &query, &none)
+        .unwrap();
+    assert!(!r.from_store);
+
+    let mut strided = matcher(&model);
+    strided.config.stride_frac = 0.5;
+    let r = strided
+        .search_with_shards(&index, &set, &query, &none)
+        .unwrap();
+    assert!(!r.from_store);
+
+    let unseen = query_clip(EventKind::UTurn);
+    if IngestConfig::from_matcher(&m.config, &[unseen.span()]).window_lens != set.meta().window_lens
+    {
+        let r = m.search_with_shards(&index, &set, &unseen, &none).unwrap();
+        assert!(!r.from_store);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Stores hold single-track rows, so a multi-object query scans.
+#[test]
+fn multi_object_query_falls_back() {
+    let model = tiny_model();
+    let index = test_index(16);
+    let m = matcher(&model);
+    let query = query_clip(EventKind::PerpendicularCrossing);
+    assert!(query.num_objects() > 1);
+    let dir = temp_dir("multi-object");
+    let set = exhaustive_set(&m, &index, &[query.span()], index.frames, &dir);
+    let r = m
+        .search_with_shards(&index, &set, &query, &CancelToken::none())
+        .unwrap();
+    assert!(!r.from_store, "multi-object queries must fall back");
+    assert_eq!(r.moments, m.search(&index, &query).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cancelled_store_search_reports_cancelled() {
+    let model = tiny_model();
+    let index = test_index(18);
+    let m = matcher(&model);
+    let query = query_clip(EventKind::LeftTurn);
+    let dir = temp_dir("cancelled");
+    let set = exhaustive_set(&m, &index, &[query.span()], index.frames, &dir);
+    let cancel = CancelToken::new();
+    cancel.cancel();
+    let err = m
+        .search_with_shards(&index, &set, &query, &cancel)
+        .unwrap_err();
+    assert_eq!(err, MatchError::Cancelled(CancelReason::Cancelled));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An epoch-scoped query that falls back to the scan (here: the set was
+/// built by another model) must return exactly what a store-served
+/// scoped query returns: both drop windows ending before `min_end`
+/// *before* ranking, so `top_k` applies within the scope and an epoch
+/// whose windows rank below older ones still delivers its matches.
+#[test]
+fn scoped_fallback_equals_scoped_store_search() {
+    let index = test_index(19);
+    let query = query_clip(EventKind::LeftTurn);
+    let mut m = matcher(&tiny_model());
+    // A small top-k makes a post-rank filter visibly lossy.
+    m.config.top_k = 2;
+    let other = matcher(&model_with_steps(10));
+    let served_dir = temp_dir("scoped-served");
+    let stale_dir = temp_dir("scoped-stale");
+    let served = exhaustive_set(&m, &index, &[query.span()], 40, &served_dir);
+    let stale = exhaustive_set(&other, &index, &[query.span()], 40, &stale_dir);
+    let none = CancelToken::none();
+
+    let mut scoped_out_a_global_hit = false;
+    let global = m.search(&index, &query).unwrap();
+    for min_end in [0, index.frames / 3, index.frames / 2, index.frames - 1] {
+        let want = m
+            .search_with_shards_scoped(&index, &served, &query, &none, Some(min_end))
+            .unwrap();
+        assert!(want.from_store);
+        let got = m
+            .search_with_shards_scoped(&index, &stale, &query, &none, Some(min_end))
+            .unwrap();
+        assert!(!got.from_store, "a stale set must fall back");
+        assert_eq!(got.moments, want.moments, "min_end {min_end}");
+        for (a, b) in got.moments.iter().zip(&want.moments) {
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
+        }
+        let post_filtered = global.iter().filter(|r| r.end >= min_end).count();
+        scoped_out_a_global_hit |= post_filtered < got.moments.len();
+    }
+    assert!(
+        scoped_out_a_global_hit,
+        "fixture never exercised the case a post-rank filter loses"
+    );
+    std::fs::remove_dir_all(&served_dir).ok();
+    std::fs::remove_dir_all(&stale_dir).ok();
 }
 
 /// Residency follows probes: attach loads nothing, a narrow probe
@@ -206,6 +364,17 @@ fn shards_load_lazily_and_only_when_probed() {
         .search_with_shards(&index, &set, &query, &CancelToken::none())
         .unwrap();
     assert!(r.from_store);
+    // A narrow probe may omit moments, but anything it reports must carry
+    // the exact scan score for that (window, track) pair.
+    let scan = m.search(&index, &query).unwrap();
+    for a in &r.moments {
+        if let Some(b) = scan
+            .iter()
+            .find(|b| (b.start, b.end, &b.track_ids) == (a.start, a.end, &a.track_ids))
+        {
+            assert_eq!(a.score.to_bits(), b.score.to_bits(), "score drifted: {a:?}");
+        }
+    }
     let after_one = set.resident_shards();
     assert!(
         after_one <= set.shard_count(),
@@ -360,45 +529,52 @@ fn parallel_ingest_is_deterministic() {
     std::fs::remove_dir_all(&dir3).ok();
 }
 
-/// The tier abstraction serves both shapes identically, and a
-/// monolithic `.skstore` still attaches (as a lazily loaded one-shard
-/// tier) — the migration guarantee.
+/// A store directory attaches every shard set in it, keyed by dataset
+/// name — and refuses a leftover monolithic `.skstore`, naming the file,
+/// rather than silently serving its dataset from the scan.
 #[test]
-fn store_tier_serves_monolithic_and_sharded_alike() {
+fn store_dir_attaches_sets_and_rejects_a_stray_skstore() {
     let model = tiny_model();
     let index = test_index(37);
     let m = matcher(&model);
     let query = query_clip(EventKind::LeftTurn);
     let ingest_cfg = IngestConfig::from_matcher(&m.config, &[query.span()]);
-    let dir = temp_dir("tier");
+    let dir = temp_dir("store-dir");
+    for (name, shard_frames) in [("whole", index.frames), ("sharded", 25)] {
+        let set_dir = dir.join(sketchql::shard_set_dir_name(name));
+        ingest_sharded(
+            &m.sim,
+            &index,
+            name,
+            &ingest_cfg,
+            shard_frames,
+            &set_dir,
+            &|_| {},
+        )
+        .unwrap();
+    }
+    std::fs::write(dir.join("notes.txt"), "not a store").unwrap();
 
-    // One dataset as a monolithic file, another as a shard set.
-    let mono = ingest(&m.sim, &index, "mono", &ingest_cfg);
-    mono.save(&dir.join("mono.skstore")).unwrap();
-    ingest_sharded(
-        &m.sim,
-        &index,
-        "sharded",
-        &ingest_cfg,
-        25,
-        &dir.join("sharded.skset"),
-        &|_| {},
-    )
-    .unwrap();
-
-    let mut tiers = sketchql::vshard::load_store_tier_dir(&dir).unwrap();
-    assert_eq!(tiers.len(), 2, "both store shapes must attach");
+    let mut sets = load_store_tier_dir(&dir).unwrap();
+    assert_eq!(
+        sets.keys().collect::<Vec<_>>(),
+        ["sharded", "whole"],
+        "both sets must attach, other files are ignored"
+    );
     let scan = m.search(&index, &query).unwrap();
-    for (name, tier) in tiers.iter_mut() {
-        tier.set_nprobe(usize::MAX / 2);
-        if let StoreTier::Monolithic(lazy) = tier {
-            assert!(!lazy.is_loaded(), "{name}: attach must not load payload");
-        }
+    for (name, set) in sets.iter_mut() {
+        set.nprobe = set.nlist();
         let r = m
-            .search_with_tier(&index, tier, &query, &CancelToken::none())
+            .search_with_shards(&index, set, &query, &CancelToken::none())
             .unwrap();
         assert!(r.from_store, "{name} fell back");
         assert_eq!(r.moments, scan, "{name} diverged from scan");
     }
+
+    std::fs::write(dir.join("x.skstore"), b"SKQLSTOR").unwrap();
+    let err = load_store_tier_dir(&dir).err().expect("stray .skstore");
+    let msg = err.to_string();
+    assert!(msg.contains("x.skstore"), "error must name the file: {msg}");
+    assert!(msg.contains("ingest"), "error must say what to do: {msg}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -71,23 +71,23 @@
 //! ## Index-backed datasets
 //!
 //! [`Engine::start_with_stores`] additionally accepts persistent
-//! embedding stores (built offline by `sketchql::vstore::ingest`). A
-//! store is warm-validated at startup — it must name a loaded dataset
-//! and carry the model's and index's fingerprints — and mismatches are
-//! dropped so every query against that dataset falls back to the fused
-//! scan path. Concurrent queries against a stored dataset fuse too:
-//! the batch runs one `Matcher::search_with_store_batch` call that ranks
-//! the ANN centroid table once for all members (one pass over centroid
-//! memory instead of per-member probes) and then re-ranks each member
-//! exactly, under per-member tokens for exact deadline semantics.
-//! Results stay byte-identical to solo [`Matcher::search_with_store`]
-//! calls. Store effectiveness is mirrored in plain atomics
-//! ([`EngineStats::store_hits`] and friends), so the numbers survive
-//! builds with telemetry compiled out.
+//! embedding stores (shard sets built offline by
+//! `sketchql::ingest_sharded`). A store is warm-validated at startup —
+//! it must name a loaded dataset and carry the model's and index's
+//! fingerprints — and mismatches are dropped so every query against
+//! that dataset falls back to the fused scan path. Concurrent queries
+//! against a stored dataset fuse too: the batch is one
+//! [`Matcher::search_stored`] call that ranks the shared centroid table
+//! once for all members (one pass over centroid memory instead of
+//! per-member probes) and then re-ranks each member exactly, under
+//! per-member tokens for exact deadline semantics. Per-member results
+//! do not depend on the batch. Store effectiveness is mirrored in plain
+//! atomics ([`EngineStats::store_hits`] and friends), so the numbers
+//! survive builds with telemetry compiled out.
 //!
 //! ## Live ingest and standing queries
 //!
-//! Datasets and their store tiers live behind a swappable snapshot:
+//! Datasets and their stores live behind a swappable snapshot:
 //! every query (and every fused batch) works against one `Arc`'d view
 //! for its whole run, and [`Engine::reload_dataset`] replaces the view
 //! wholesale — readers never observe a half-swapped dataset. A reload
@@ -112,7 +112,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use sketchql::{
     CancelReason, CancelToken, LearnedSimilarity, MatchError, Matcher, MatcherConfig,
-    RetrievedMoment, SimilarityError, StoreTier, TrainedModel, VideoIndex,
+    RetrievedMoment, ShardSet, SimilarityError, TrainedModel, VideoIndex,
 };
 use sketchql_telemetry::{self as telemetry, names, TraceContext, TraceOutcome};
 use sketchql_trajectory::Clip;
@@ -280,7 +280,7 @@ pub enum EngineError {
     /// Live registration targets a dataset with no embedding store
     /// attached (epoch-scoped evaluation needs the store's window grid).
     NotStored(String),
-    /// A live reload offered a store tier that doesn't match the
+    /// A live reload offered a store that doesn't match the
     /// engine's model or the reloaded index.
     StoreMismatch(String),
     /// The query's deadline passed (in the queue or mid-search).
@@ -682,7 +682,7 @@ struct MonitorState {
 /// names — which keeps the per-dataset counter tables lock-free.
 struct LiveData {
     datasets: BTreeMap<String, Arc<VideoIndex>>,
-    stores: BTreeMap<String, Arc<StoreTier>>,
+    stores: BTreeMap<String, Arc<ShardSet>>,
 }
 
 struct Shared {
@@ -739,11 +739,11 @@ impl Engine {
         Engine::start_with_stores(model, datasets, BTreeMap::new(), config)
     }
 
-    /// Like [`Engine::start`], but attaches persistent embedding store
-    /// tiers keyed by dataset name. Each tier is validated here from
+    /// Like [`Engine::start`], but attaches persistent embedding
+    /// stores keyed by dataset name. Each set is validated here from
     /// its attach-time metadata alone (headers and manifests — no
     /// payload reads, no checksums): it must name a loaded dataset and
-    /// carry both the model's and that index's fingerprints. Tiers
+    /// carry both the model's and that index's fingerprints. Sets
     /// that don't match are dropped, and queries against their dataset
     /// simply take the fused-scan path — per-dataset fallback, never a
     /// startup failure. Payloads (and their deferred checksums) load on
@@ -751,7 +751,7 @@ impl Engine {
     pub fn start_with_stores(
         model: TrainedModel,
         datasets: BTreeMap<String, VideoIndex>,
-        stores: BTreeMap<String, StoreTier>,
+        stores: BTreeMap<String, ShardSet>,
         config: EngineConfig,
     ) -> Engine {
         let mut config = config;
@@ -777,15 +777,13 @@ impl Engine {
             .into_iter()
             .map(|(name, idx)| (name, Arc::new(idx)))
             .collect();
-        let stores: BTreeMap<String, Arc<StoreTier>> = stores
+        let stores: BTreeMap<String, Arc<ShardSet>> = stores
             .into_iter()
-            .filter(|(name, tier)| {
-                tier.matches_model(&matcher.sim)
-                    && datasets
-                        .get(name)
-                        .is_some_and(|idx| tier.matches_index(idx))
+            .filter(|(name, set)| {
+                set.matches_model(&matcher.sim)
+                    && datasets.get(name).is_some_and(|idx| set.matches_index(idx))
             })
-            .map(|(name, tier)| (name, Arc::new(tier)))
+            .map(|(name, set)| (name, Arc::new(set)))
             .collect();
         let per_dataset = datasets
             .keys()
@@ -1121,7 +1119,7 @@ impl Engine {
         let Some(index) = data.datasets.get(dataset) else {
             return Err(EngineError::UnknownDataset(dataset.to_string()));
         };
-        let Some(tier) = data.stores.get(dataset) else {
+        let Some(set) = data.stores.get(dataset) else {
             return Err(EngineError::NotStored(dataset.to_string()));
         };
         let reg = self.shared.live.register(
@@ -1130,7 +1128,7 @@ impl Engine {
             min_score,
             top_k,
             index.frames,
-            tier.epoch(),
+            set.manifest().epoch,
         );
         telemetry::gauge(names::LIVE_REGISTRATIONS).set(self.shared.live.count() as f64);
         self.shared.live.save();
@@ -1155,7 +1153,7 @@ impl Engine {
     }
 
     /// Commits a live ingest epoch: atomically swaps `dataset`'s index
-    /// and store tier (queries in flight finish against the old
+    /// and store (queries in flight finish against the old
     /// snapshot; new queries see the new one) and evaluates every
     /// standing query the growth left behind. Evaluation is synchronous
     /// — when this returns, every match for the epoch is queued — but
@@ -1169,22 +1167,23 @@ impl Engine {
         &self,
         name: &str,
         index: VideoIndex,
-        tier: StoreTier,
+        set: impl Into<ShardSet>,
     ) -> Result<LiveReload, EngineError> {
+        let set: ShardSet = set.into();
         if !self.shared.per_dataset.contains_key(name) {
             return Err(EngineError::UnknownDataset(name.to_string()));
         }
-        if !tier.matches_model(&self.shared.matcher.sim) {
+        if !set.matches_model(&self.shared.matcher.sim) {
             return Err(EngineError::StoreMismatch(format!(
                 "store for {name:?} was built by a different model"
             )));
         }
-        if !tier.matches_index(&index) {
+        if !set.matches_index(&index) {
             return Err(EngineError::StoreMismatch(format!(
                 "store for {name:?} does not match the offered index"
             )));
         }
-        let epoch = tier.epoch();
+        let epoch = set.manifest().epoch;
         let frames = index.frames;
         {
             let mut data = self.shared.data.lock().unwrap();
@@ -1193,7 +1192,7 @@ impl Engine {
                 stores: data.stores.clone(),
             };
             next.datasets.insert(name.to_string(), Arc::new(index));
-            next.stores.insert(name.to_string(), Arc::new(tier));
+            next.stores.insert(name.to_string(), Arc::new(set));
             *data = Arc::new(next);
         }
         let (evaluated, delivered) = self.evaluate_live(Some(name));
@@ -1226,7 +1225,10 @@ impl Engine {
             let Some(frames) = data.datasets.get(&d.dataset).map(|idx| idx.frames) else {
                 continue;
             };
-            let epoch = data.stores.get(&d.dataset).map(|t| t.epoch()).unwrap_or(0);
+            let epoch = data
+                .stores
+                .get(&d.dataset)
+                .map_or(0, |set| set.manifest().epoch);
             let spec = QuerySpec {
                 dataset: d.dataset.clone(),
                 query: d.query,
@@ -1655,8 +1657,8 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, guard: &BatchGuard) {
         .expect("dataset validated at submit")
         .as_ref();
 
-    if let Some(tier) = data.stores.get(&dataset) {
-        run_store_batch(shared, &dataset, index, tier.as_ref(), live);
+    if let Some(set) = data.stores.get(&dataset) {
+        run_store_batch(shared, &dataset, index, set, live);
         return;
     }
 
@@ -1736,9 +1738,12 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, guard: &BatchGuard) {
         observe_deadline_margin(&member);
         match result {
             Ok(moments) => {
-                // Scan-path epoch scope: filter ranked moments (the
-                // store path prunes candidate windows instead — see
-                // the core scoped-search docs for the distinction).
+                // Epoch scope on a dataset with no store (a scoped
+                // `QuerySpec` aimed at a scan-only dataset, or a durable
+                // registration caught up after a restart without its
+                // store): the fused scan has no scope, so this filters
+                // *after* the global top-k and can under-deliver. The
+                // store planner scopes before ranking.
                 let moments = match member.min_end {
                     Some(m) => moments.into_iter().filter(|r| r.end >= m).collect(),
                     None => moments,
@@ -1750,17 +1755,15 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, guard: &BatchGuard) {
     }
 }
 
-/// Executes one batch against an index-backed dataset: store-aware
-/// fusion ranks the ANN (or shared shard-quantizer) centroid table
-/// once for every member (one `search_with_tier_batch` call), then
-/// re-ranks each member exactly under its own token — results are
-/// byte-identical to solo `search_with_tier` calls, whichever shape
-/// the tier takes on disk.
+/// Executes one batch against an index-backed dataset: one
+/// `Matcher::search_stored` call ranks the shared centroid table once
+/// for every member, then re-ranks each member exactly under its own
+/// token — per-member results do not depend on the batch.
 fn run_store_batch(
     shared: &Shared,
     dataset: &str,
     index: &VideoIndex,
-    tier: &StoreTier,
+    set: &ShardSet,
     live: Vec<LiveMember>,
 ) {
     let batch_size = live.len();
@@ -1780,9 +1783,7 @@ fn run_store_batch(
     // Batch members all share one epoch scope (form_batch only fuses
     // equal scopes), so the scoped call stays one fused probe.
     let min_end = live[0].1.min_end;
-    let results = shared
-        .matcher
-        .search_with_tier_batch_scoped(index, tier, &queries, min_end);
+    let results = shared.matcher.search_stored(index, set, &queries, min_end);
     let execute = started.elapsed();
     drop(fusion_span);
     drop(exec_span);

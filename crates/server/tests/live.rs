@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sketchql::{append_frames, ingest_sharded, IngestConfig, MatcherConfig, ShardSet, StoreTier};
+use sketchql::{append_frames, ingest_sharded, IngestConfig, MatcherConfig, ShardSet};
 use sketchql_datasets::{
     extend_video, generate_video, query_clip, EventKind, ExtendConfig, SceneFamily, SyntheticVideo,
     VideoConfig,
@@ -64,10 +64,10 @@ fn ingest_cfg(query: &Clip) -> IngestConfig {
 
 /// Reopens the shard set at `dir` with exhaustive probing so the store
 /// path is provably exact (matches the scan bit-for-bit).
-fn exhaustive_tier(dir: &std::path::Path) -> StoreTier {
+fn exhaustive_set(dir: &std::path::Path) -> ShardSet {
     let mut set = ShardSet::open(dir).expect("reopen shard set");
     set.nprobe = set.nlist();
-    StoreTier::Sharded(set)
+    set
 }
 
 /// The acceptance property: for every appended epoch, the standing
@@ -98,7 +98,7 @@ fn standing_query_matches_offline_scoped_query_per_epoch() {
     datasets.insert("alpha".to_string(), indexes[0].clone());
     datasets.insert("beta".to_string(), common::small_index(12));
     let mut stores = BTreeMap::new();
-    stores.insert("alpha".to_string(), exhaustive_tier(&dir));
+    stores.insert("alpha".to_string(), exhaustive_set(&dir));
     let engine =
         Engine::start_with_stores(model.clone(), datasets, stores, EngineConfig::default());
 
@@ -116,7 +116,7 @@ fn standing_query_matches_offline_scoped_query_per_epoch() {
         assert_eq!(out.epoch, k as u64);
         drop(out);
         let reload = engine
-            .reload_dataset("alpha", index.clone(), exhaustive_tier(&dir))
+            .reload_dataset("alpha", index.clone(), exhaustive_set(&dir))
             .unwrap();
         assert_eq!(reload.epoch, k as u64);
         assert_eq!(reload.frames, index.frames);
@@ -219,7 +219,7 @@ fn registry_survives_restart_and_catches_up() {
     let mut datasets = BTreeMap::new();
     datasets.insert("alpha".to_string(), base.clone());
     let mut stores = BTreeMap::new();
-    stores.insert("alpha".to_string(), exhaustive_tier(&dir.join("set")));
+    stores.insert("alpha".to_string(), exhaustive_set(&dir.join("set")));
     let engine = Engine::start_with_stores(model.clone(), datasets, stores, config.clone());
     let reg = engine.register("alpha", query.clone(), None, None).unwrap();
     engine.shutdown();
@@ -233,7 +233,7 @@ fn registry_survives_restart_and_catches_up() {
     let mut datasets = BTreeMap::new();
     datasets.insert("alpha".to_string(), grown.clone());
     let mut stores = BTreeMap::new();
-    stores.insert("alpha".to_string(), exhaustive_tier(&dir.join("set")));
+    stores.insert("alpha".to_string(), exhaustive_set(&dir.join("set")));
     let engine = Engine::start_with_stores(model, datasets, stores, config);
     let offline = engine
         .execute(QuerySpec {
@@ -285,7 +285,7 @@ fn wire_register_and_notifications_round_trip() {
     datasets.insert("alpha".to_string(), base.clone());
     datasets.insert("beta".to_string(), common::small_index(12));
     let mut stores = BTreeMap::new();
-    stores.insert("alpha".to_string(), exhaustive_tier(&dir));
+    stores.insert("alpha".to_string(), exhaustive_set(&dir));
     let engine =
         Engine::start_with_stores(model.clone(), datasets, stores, EngineConfig::default());
     let server = Server::start(engine, "127.0.0.1:0").unwrap();
@@ -309,7 +309,7 @@ fn wire_register_and_notifications_round_trip() {
     append_frames(&model.similarity(), &grown, &dir, 2, &|_| {}).unwrap();
     let reload = server
         .engine()
-        .reload_dataset("alpha", grown.clone(), exhaustive_tier(&dir))
+        .reload_dataset("alpha", grown.clone(), exhaustive_set(&dir))
         .unwrap();
     assert_eq!(reload.epoch, 1);
 

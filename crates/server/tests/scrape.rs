@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use sketchql::{ingest_sharded, IngestConfig, MatcherConfig, StoreTier};
+use sketchql::{ingest_sharded, IngestConfig, MatcherConfig};
 use sketchql_datasets::query_clip;
 use sketchql_server::{Client, Engine, EngineConfig, Server};
 use sketchql_telemetry as telemetry;
@@ -134,7 +134,7 @@ fn prometheus_exposition_is_well_formed() {
     .unwrap();
     set.nprobe = set.nlist();
     let mut stores = std::collections::BTreeMap::new();
-    stores.insert("alpha".to_string(), StoreTier::Sharded(set));
+    stores.insert("alpha".to_string(), set);
     let engine = Engine::start_with_stores(
         model,
         two_datasets(),

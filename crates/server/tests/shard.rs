@@ -1,13 +1,15 @@
-//! Engine integration with the sharded store tier: attach must stay
-//! lazy (no shard resident until traffic arrives), shard-served answers
-//! must be byte-identical to a plain (scan-only) engine, and the
-//! store-effectiveness counters must attribute sharded hits.
+//! Engine integration with persistent embedding stores: warm-load
+//! validation, lazy attach (no shard resident until traffic arrives),
+//! answers byte-identical to a plain (scan-only) engine, per-query
+//! fallback, and the store-effectiveness counters surfaced through
+//! `stats()`.
 
 mod common;
 
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 
-use sketchql::{ingest_sharded, IngestConfig, MatcherConfig, ShardSet, StoreTier};
+use sketchql::{ingest_sharded, IngestConfig, MatcherConfig, ShardSet};
 use sketchql_datasets::{query_clip, EventKind};
 use sketchql_server::{Engine, EngineConfig, QuerySpec};
 use sketchql_telemetry::{self as telemetry, names};
@@ -25,88 +27,170 @@ fn spec(dataset: &str, event: EventKind) -> QuerySpec {
     QuerySpec::new(dataset, query_clip(event))
 }
 
-/// One test drives the whole lifecycle so the process-wide residency
-/// gauge is observed without interference: build a shard set for
-/// `alpha`, attach it cold, check nothing is resident, then compare
-/// every answer against a plain engine and watch residency rise.
-#[test]
-fn sharded_engine_is_lazy_and_matches_plain_engine() {
-    let model = tiny_model();
-    let alpha = small_index(11);
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("skql-server-shards-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Ingests `index` as dataset "alpha" into `dir`, covering the window
+/// grid every `SINGLE_OBJECT` query needs, and reattaches it cold with
+/// an exhaustive probe so answers are provably identical to the scan,
+/// not merely high-recall.
+fn exhaustive_set(
+    model: &sketchql::TrainedModel,
+    index: &sketchql::VideoIndex,
+    shard_frames: u32,
+    dir: &std::path::Path,
+) -> ShardSet {
     let spans: Vec<u32> = SINGLE_OBJECT
         .iter()
         .map(|&k| query_clip(k).span())
         .collect();
     let cfg = IngestConfig::from_matcher(&MatcherConfig::default(), &spans);
-    let dir = std::env::temp_dir().join(format!("skql-server-shards-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let set = ingest_sharded(
+    ingest_sharded(
         &model.similarity(),
-        &alpha,
+        index,
         "alpha",
         &cfg,
-        25,
-        &dir,
+        shard_frames,
+        dir,
         &|_| {},
     )
     .expect("sharded ingest");
-    let shard_count = set.shard_count();
-    assert!(shard_count > 1, "fixture must produce several shards");
-    drop(set);
+    let mut set = ShardSet::open(dir).expect("reattach shard set");
+    set.nprobe = set.nlist();
+    set
+}
+
+/// One test drives the whole lifecycle so the process-wide residency
+/// gauge is observed without interference (the other tests here never
+/// fault a shard in): for a many-shard and a one-shard set of `alpha`,
+/// attach it cold, check nothing is resident, then compare every answer
+/// against a plain engine and watch residency rise.
+#[test]
+fn store_backed_engine_is_lazy_and_matches_plain_engine() {
+    let model = tiny_model();
+    let alpha = small_index(11);
 
     // A plain engine answers from the scan — the reference output.
     let plain = Engine::start(model.clone(), two_datasets(), EngineConfig::default());
     let mut expected = Vec::new();
-    for &event in SINGLE_OBJECT {
-        expected.push((event, plain.execute(spec("alpha", event)).unwrap().moments));
+    for dataset in ["alpha", "beta"] {
+        for &event in SINGLE_OBJECT {
+            expected.push((
+                (dataset, event),
+                plain.execute(spec(dataset, event)).unwrap().moments,
+            ));
+        }
     }
     plain.shutdown();
 
-    // Cold attach: manifest + headers only. Nothing resident yet.
-    let mut set = ShardSet::open(&dir).expect("reattach shard set");
-    set.nprobe = set.nlist();
-    assert_eq!(set.resident_shards(), 0, "attach must not load any shard");
-    let resident_before = telemetry::gauge(names::SHARD_RESIDENT).get();
-    let mut stores = BTreeMap::new();
-    stores.insert("alpha".to_string(), StoreTier::Sharded(set));
-    let engine = Engine::start_with_stores(model, two_datasets(), stores, EngineConfig::default());
-    assert_eq!(
-        engine.stored_datasets(),
-        vec!["alpha".to_string()],
-        "sharded tier must pass warm validation"
-    );
-    if telemetry::is_enabled() {
-        assert_eq!(
-            telemetry::gauge(names::SHARD_RESIDENT).get(),
-            resident_before,
-            "engine startup must not fault in any shard"
+    for shard_frames in [25, alpha.frames] {
+        let dir = temp_dir(&format!("lifecycle-{shard_frames}"));
+        // Cold attach: manifest + headers only. Nothing resident yet.
+        let set = exhaustive_set(&model, &alpha, shard_frames, &dir);
+        assert_eq!(set.shard_count() > 1, shard_frames < alpha.frames);
+        assert_eq!(set.resident_shards(), 0, "attach must not load any shard");
+        let resident_before = telemetry::gauge(names::SHARD_RESIDENT).get();
+        let stores = BTreeMap::from([("alpha".to_string(), set)]);
+        let engine = Engine::start_with_stores(
+            model.clone(),
+            two_datasets(),
+            stores,
+            EngineConfig::default(),
         );
-    }
-
-    for (event, want) in &expected {
-        let got = engine.execute(spec("alpha", *event)).unwrap();
         assert_eq!(
-            &got.moments, want,
-            "{event:?}: sharded engine diverged from plain engine"
+            engine.stored_datasets(),
+            vec!["alpha".to_string()],
+            "the set must pass warm validation"
         );
-        for (a, b) in got.moments.iter().zip(want) {
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
+        let infos = engine.datasets();
+        assert!(infos.iter().any(|d| d.name == "alpha" && d.stored));
+        assert!(infos.iter().any(|d| d.name == "beta" && !d.stored));
+        if telemetry::is_enabled() {
+            assert_eq!(
+                telemetry::gauge(names::SHARD_RESIDENT).get(),
+                resident_before,
+                "engine startup must not fault in any shard"
+            );
         }
-    }
-    let stats = engine.stats();
-    assert_eq!(
-        stats.store_hits,
-        SINGLE_OBJECT.len() as u64,
-        "every single-object alpha query must be shard-served"
-    );
-    assert_eq!(stats.store_fallbacks, 0);
-    assert!(stats.store_probed > 0);
-    if telemetry::is_enabled() {
-        assert!(
-            telemetry::gauge(names::SHARD_RESIDENT).get() > resident_before,
-            "traffic must fault shards in"
+
+        for ((dataset, event), want) in &expected {
+            let got = engine.execute(spec(dataset, *event)).unwrap();
+            assert_eq!(
+                &got.moments, want,
+                "{dataset}/{event:?}: store-backed engine diverged from plain engine"
+            );
+            for (a, b) in got.moments.iter().zip(want) {
+                assert_eq!(a.score.to_bits(), b.score.to_bits());
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!(
+            stats.store_hits,
+            SINGLE_OBJECT.len() as u64,
+            "every single-object alpha query must be store-served"
         );
+        assert_eq!(stats.store_fallbacks, 0);
+        assert!(stats.store_probed > 0);
+        if telemetry::is_enabled() {
+            assert!(
+                telemetry::gauge(names::SHARD_RESIDENT).get() > resident_before,
+                "traffic must fault shards in"
+            );
+        }
+        engine.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A store built against different video contents fails fingerprint
+/// validation at startup and is dropped; its dataset still answers
+/// queries through the ordinary scan path.
+#[test]
+fn mismatched_store_is_dropped_at_startup() {
+    let model = tiny_model();
+    let dir = temp_dir("mismatch");
+    // Named "alpha" but embedded from a different video.
+    let other = small_index(99);
+    let set = exhaustive_set(&model, &other, other.frames, &dir);
+    let stores = BTreeMap::from([("alpha".to_string(), set)]);
+    let engine = Engine::start_with_stores(model, two_datasets(), stores, EngineConfig::default());
+    assert!(engine.stored_datasets().is_empty());
+    assert!(engine.datasets().iter().all(|d| !d.stored));
+    let result = engine.execute(spec("alpha", EventKind::LeftTurn)).unwrap();
+    assert!(!result.moments.is_empty());
+    assert_eq!(engine.stats().store_hits, 0);
+    engine.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A multi-object sketch against a stored dataset is answered correctly
+/// by falling back to the scan, and the fallback is counted.
+#[test]
+fn multi_object_query_on_stored_dataset_falls_back() {
+    let model = tiny_model();
+    let dir = temp_dir("multi-object");
+    let alpha = small_index(11);
+    let set = exhaustive_set(&model, &alpha, alpha.frames, &dir);
+    let stores = BTreeMap::from([("alpha".to_string(), set)]);
+
+    let plain = Engine::start(model.clone(), two_datasets(), EngineConfig::default());
+    let want = plain
+        .execute(spec("alpha", EventKind::PerpendicularCrossing))
+        .unwrap()
+        .moments;
+    plain.shutdown();
+
+    let engine = Engine::start_with_stores(model, two_datasets(), stores, EngineConfig::default());
+    let got = engine
+        .execute(spec("alpha", EventKind::PerpendicularCrossing))
+        .unwrap();
+    assert_eq!(got.moments, want);
+    let stats = engine.stats();
+    assert_eq!(stats.store_fallbacks, 1);
+    assert_eq!(stats.store_hits, 0);
     engine.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,18 +1,19 @@
-//! IVF-style approximate-nearest-neighbor index.
+//! The coarse quantizer of a shard set: spherical k-means centroids.
 //!
-//! A k-means coarse quantizer partitions the stored vectors into `nlist`
-//! inverted lists. A query probes the `nprobe` lists whose centroids are
-//! most aligned with it and re-ranks only those rows with the exact
-//! cosine — so probing trades recall for speed, but never changes the
-//! *score* of any row it returns.
+//! k-means partitions the stored vectors into `nlist` posting lists
+//! (kept inside each shard, expressed against one shared centroid
+//! table). A query ranks the centroids by alignment and gathers the
+//! rows under the `nprobe` best, which the caller re-ranks with the
+//! exact cosine — so probing trades recall for speed, but never changes
+//! the *score* of any row it returns.
 //!
 //! Everything here is deterministic: initialization is seeded (a
 //! splitmix64 stream over `AnnConfig::seed`), ties break toward the
 //! lower centroid index, and no wall-clock or thread-order dependence
-//! exists anywhere, so the same vectors + config always build the same
-//! index.
+//! exists anywhere, so the same vectors + config always train the same
+//! centroids.
 
-/// Configuration for [`IvfIndex::build`].
+/// Configuration for [`CoarseQuantizer::train`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnConfig {
     /// Number of inverted lists (k-means centroids). `0` picks
@@ -38,145 +39,10 @@ impl Default for AnnConfig {
     }
 }
 
-/// An inverted-file index over a flat row-major vector column.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IvfIndex {
-    dim: usize,
-    centroids: Vec<f32>,
-    lists: Vec<Vec<u32>>,
-}
-
-impl IvfIndex {
-    /// Builds the index over `n = vectors.len() / dim` rows.
-    ///
-    /// # Panics
-    /// If `dim == 0` while `vectors` is non-empty, or `vectors.len()` is
-    /// not a multiple of `dim`.
-    pub fn build(vectors: &[f32], dim: usize, cfg: &AnnConfig) -> Self {
-        if vectors.is_empty() {
-            return IvfIndex {
-                dim,
-                centroids: Vec::new(),
-                lists: Vec::new(),
-            };
-        }
-        assert!(dim > 0, "dim must be positive for non-empty vectors");
-        assert_eq!(vectors.len() % dim, 0, "vectors not a multiple of dim");
-        let n = vectors.len() / dim;
-        let nlist = if cfg.nlist == 0 {
-            (n as f64).sqrt().ceil() as usize
-        } else {
-            cfg.nlist
-        }
-        .clamp(1, n);
-
-        // Unit-normalize rows once so assignment by dot product is
-        // assignment by cosine.
-        let mut unit = vectors.to_vec();
-        for row in unit.chunks_mut(dim) {
-            normalize(row);
-        }
-
-        let centroids = train_centroids(&unit, dim, nlist, cfg.iters, cfg.seed);
-
-        // Final assignment into inverted lists.
-        let mut lists = vec![Vec::new(); nlist];
-        for (i, row) in unit.chunks(dim).enumerate() {
-            lists[nearest(&centroids, dim, row).0].push(i as u32);
-        }
-
-        IvfIndex {
-            dim,
-            centroids,
-            lists,
-        }
-    }
-
-    /// Number of inverted lists.
-    pub fn nlist(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// The centroid table, row-major `nlist × dim`.
-    pub fn centroids(&self) -> &[f32] {
-        &self.centroids
-    }
-
-    /// Row ids from the `nprobe` lists whose centroids are most aligned
-    /// with `query` (descending alignment; ties toward the lower list
-    /// index). Empty index → empty result.
-    pub fn probe(&self, query: &[f32], nprobe: usize) -> Vec<u32> {
-        if self.lists.is_empty() || nprobe == 0 {
-            return Vec::new();
-        }
-        let mut q = query.to_vec();
-        normalize(&mut q);
-        let mut ranked: Vec<(usize, f32)> = self
-            .centroids
-            .chunks(self.dim)
-            .enumerate()
-            .map(|(c, cent)| (c, dot(cent, &q)))
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        let mut out = Vec::new();
-        for &(c, _) in ranked.iter().take(nprobe.min(ranked.len())) {
-            out.extend_from_slice(&self.lists[c]);
-        }
-        out
-    }
-
-    /// [`IvfIndex::probe`] for many queries at once: one pass over the
-    /// centroid table scores every query against each centroid (the
-    /// centroid memory is streamed once instead of once per query),
-    /// then each query ranks and gathers exactly as a solo probe would.
-    /// Per-query results are bit-identical to [`IvfIndex::probe`] —
-    /// same dot products, same comparator, same tie-breaks.
-    pub fn probe_batch(&self, queries: &[&[f32]], nprobe: usize) -> Vec<Vec<u32>> {
-        if self.lists.is_empty() || nprobe == 0 {
-            return queries.iter().map(|_| Vec::new()).collect();
-        }
-        let unit: Vec<Vec<f32>> = queries
-            .iter()
-            .map(|q| {
-                let mut q = q.to_vec();
-                normalize(&mut q);
-                q
-            })
-            .collect();
-        let mut ranked: Vec<Vec<(usize, f32)>> =
-            vec![Vec::with_capacity(self.nlist()); queries.len()];
-        for (c, cent) in self.centroids.chunks(self.dim).enumerate() {
-            for (qi, q) in unit.iter().enumerate() {
-                ranked[qi].push((c, dot(cent, q)));
-            }
-        }
-        ranked
-            .into_iter()
-            .map(|mut ranked| {
-                ranked.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                let mut out = Vec::new();
-                for &(c, _) in ranked.iter().take(nprobe.min(ranked.len())) {
-                    out.extend_from_slice(&self.lists[c]);
-                }
-                out
-            })
-            .collect()
-    }
-}
-
-/// The k-means refinement loop shared by [`IvfIndex::build`] and
-/// [`CoarseQuantizer::train`]: seeded distinct-row initialization, then
-/// `iters` rounds of assign + renormalized-mean update with deterministic
-/// empty-cluster reseeding. `unit` must already be row-normalized.
-/// Extracting this keeps the two callers bit-identical by construction.
+/// The k-means refinement loop behind [`CoarseQuantizer::train`]: seeded
+/// distinct-row initialization, then `iters` rounds of assign +
+/// renormalized-mean update with deterministic empty-cluster reseeding.
+/// `unit` must already be row-normalized.
 fn train_centroids(unit: &[f32], dim: usize, nlist: usize, iters: usize, seed: u64) -> Vec<f32> {
     let n = unit.len() / dim;
     // Seeded distinct-row initialization.
@@ -239,13 +105,12 @@ fn train_centroids(unit: &[f32], dim: usize, nlist: usize, iters: usize, seed: u
     centroids
 }
 
-/// The shared coarse quantizer of a *sharded* store: the same k-means
-/// centroids an [`IvfIndex`] would train, without per-row inverted
-/// lists — those live inside each shard, expressed against this one
-/// centroid table. Training once over a sample of the whole dataset
-/// (rather than per shard) is what lets a query rank centroids a single
-/// time and fan out to shards, and what makes per-shard posting lists
-/// comparable across shards.
+/// The shared coarse quantizer of a shard set: k-means centroids
+/// without per-row posting lists — those live inside each shard,
+/// expressed against this one centroid table. Training once over a
+/// sample of the whole dataset (rather than per shard) is what lets a
+/// query rank centroids a single time and fan out to shards, and what
+/// makes per-shard posting lists comparable across shards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoarseQuantizer {
     dim: usize,
@@ -253,9 +118,9 @@ pub struct CoarseQuantizer {
 }
 
 impl CoarseQuantizer {
-    /// Trains centroids over `vectors` (row-major, `len / dim` rows)
-    /// with exactly [`IvfIndex::build`]'s k-means: same normalization,
-    /// same seeded initialization, same refinement and reseeding.
+    /// Trains centroids over `vectors` (row-major, `len / dim` rows):
+    /// rows are unit-normalized once so assignment by dot product is
+    /// assignment by cosine, then refined by `train_centroids`.
     ///
     /// # Panics
     /// If `dim == 0` while `vectors` is non-empty, or `vectors.len()` is
@@ -311,9 +176,8 @@ impl CoarseQuantizer {
         &self.centroids
     }
 
-    /// The centroid a data row belongs to — the assignment
-    /// [`IvfIndex::build`] would make for the same row against the same
-    /// centroids. `0` for an empty quantizer.
+    /// The centroid a data row belongs to (most aligned; ties toward
+    /// the lower index). `0` for an empty quantizer.
     pub fn assign(&self, row: &[f32]) -> usize {
         if self.centroids.is_empty() {
             return 0;
@@ -324,9 +188,8 @@ impl CoarseQuantizer {
     }
 
     /// Every centroid index ranked by alignment with `query`
-    /// (descending; ties toward the lower index) — the exact ranking
-    /// [`IvfIndex::probe`] applies before gathering lists. Callers take
-    /// the first `nprobe`.
+    /// (descending; ties toward the lower index). Callers take the
+    /// first `nprobe`.
     pub fn rank(&self, query: &[f32]) -> Vec<usize> {
         if self.centroids.is_empty() {
             return Vec::new();
@@ -445,165 +308,45 @@ mod tests {
         (v, 2)
     }
 
-    #[test]
-    fn build_is_deterministic() {
+    fn toy_quantizer() -> CoarseQuantizer {
         let (v, dim) = toy_vectors();
-        let cfg = AnnConfig {
-            nlist: 3,
-            ..AnnConfig::default()
-        };
-        let a = IvfIndex::build(&v, dim, &cfg);
-        let b = IvfIndex::build(&v, dim, &cfg);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn every_row_lands_in_exactly_one_list() {
-        let (v, dim) = toy_vectors();
-        let idx = IvfIndex::build(&v, dim, &AnnConfig::default());
-        let mut seen: Vec<u32> = idx.lists.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..15u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn probing_all_lists_returns_every_row() {
-        let (v, dim) = toy_vectors();
-        let idx = IvfIndex::build(&v, dim, &AnnConfig::default());
-        let mut got = idx.probe(&[0.5, 0.5], idx.nlist());
-        got.sort_unstable();
-        assert_eq!(got, (0..15u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn probe_prefers_the_aligned_cluster() {
-        let (v, dim) = toy_vectors();
-        let idx = IvfIndex::build(
+        CoarseQuantizer::train(
             &v,
             dim,
             &AnnConfig {
                 nlist: 3,
                 ..AnnConfig::default()
             },
-        );
-        // Probing one list with a query right on the +x direction must
-        // return the +x cluster (rows 0..5).
-        let got = idx.probe(&[1.0, 0.0], 1);
-        assert!(!got.is_empty());
-        assert!(got.iter().all(|&r| r < 5), "got {got:?}");
+        )
     }
 
     #[test]
-    fn empty_store_builds_an_empty_index() {
-        let idx = IvfIndex::build(&[], 0, &AnnConfig::default());
-        assert_eq!(idx.nlist(), 0);
-        assert!(idx.probe(&[1.0], 4).is_empty());
+    fn training_is_deterministic() {
+        assert_eq!(toy_quantizer(), toy_quantizer());
     }
 
     #[test]
-    fn probe_batch_matches_solo_probes_bit_for_bit() {
+    fn rank_puts_the_assigned_centroid_first() {
+        // Each well-separated cluster gets its own centroid, and a
+        // query on a cluster's direction ranks that centroid first.
         let (v, dim) = toy_vectors();
-        let idx = IvfIndex::build(
-            &v,
-            dim,
-            &AnnConfig {
-                nlist: 3,
-                ..AnnConfig::default()
-            },
-        );
-        let queries: Vec<Vec<f32>> = vec![
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-            vec![-0.7, -0.7],
-            vec![0.3, 0.2],
-            vec![0.0, 0.0], // degenerate: normalization no-ops
-        ];
-        for nprobe in 0..=idx.nlist() + 1 {
-            let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-            let batched = idx.probe_batch(&refs, nprobe);
-            for (q, got) in queries.iter().zip(&batched) {
-                assert_eq!(got, &idx.probe(q, nprobe), "nprobe={nprobe}");
-            }
+        let q = toy_quantizer();
+        let assigned: Vec<usize> = v.chunks(dim).map(|row| q.assign(row)).collect();
+        for cluster in assigned.chunks(5) {
+            assert!(cluster.iter().all(|&c| c == cluster[0]), "{assigned:?}");
         }
-    }
-
-    #[test]
-    fn probe_batch_on_empty_index_returns_per_query_empties() {
-        let idx = IvfIndex::build(&[], 0, &AnnConfig::default());
-        let q: Vec<f32> = vec![1.0];
-        assert_eq!(idx.probe_batch(&[&q, &q], 4), vec![vec![], vec![]]);
-    }
-
-    #[test]
-    fn quantizer_trains_the_exact_ivf_centroids() {
-        // Same vectors + config must give the same centroid bits whether
-        // trained through IvfIndex::build or CoarseQuantizer::train.
-        let (v, dim) = toy_vectors();
-        let cfg = AnnConfig {
-            nlist: 3,
-            ..AnnConfig::default()
-        };
-        let idx = IvfIndex::build(&v, dim, &cfg);
-        let q = CoarseQuantizer::train(&v, dim, &cfg);
-        let a: Vec<u32> = idx.centroids().iter().map(|c| c.to_bits()).collect();
-        let b: Vec<u32> = q.centroids().iter().map(|c| c.to_bits()).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn quantizer_assignment_reproduces_ivf_lists() {
-        let (v, dim) = toy_vectors();
-        let cfg = AnnConfig {
-            nlist: 3,
-            ..AnnConfig::default()
-        };
-        let idx = IvfIndex::build(&v, dim, &cfg);
-        let q = CoarseQuantizer::from_centroids(idx.centroids().to_vec(), dim);
-        let mut lists = vec![Vec::new(); q.nlist()];
-        for (i, row) in v.chunks(dim).enumerate() {
-            lists[q.assign(row)].push(i as u32);
-        }
-        for (c, list) in lists.iter().enumerate() {
-            assert_eq!(*list, idx.lists[c], "list {c}");
-        }
-    }
-
-    #[test]
-    fn quantizer_rank_orders_exactly_like_probe() {
-        // probe(nprobe) must gather lists in rank() order: truncating the
-        // rank at any nprobe and concatenating the IVF lists reproduces
-        // probe's output for that nprobe.
-        let (v, dim) = toy_vectors();
-        let cfg = AnnConfig {
-            nlist: 3,
-            ..AnnConfig::default()
-        };
-        let idx = IvfIndex::build(&v, dim, &cfg);
-        let q = CoarseQuantizer::from_centroids(idx.centroids().to_vec(), dim);
-        for query in [[1.0f32, 0.0], [0.0, 1.0], [-0.6, -0.6], [0.0, 0.0]] {
+        assert_ne!(assigned[0], assigned[5]);
+        assert_ne!(assigned[5], assigned[10]);
+        for query in [[1.0f32, 0.0], [0.0, 1.0], [-0.6, -0.6]] {
             let ranked = q.rank(&query);
             assert_eq!(ranked.len(), 3);
-            for nprobe in 1..=3usize {
-                let mut gathered = Vec::new();
-                for &c in ranked.iter().take(nprobe) {
-                    gathered.extend_from_slice(&idx.lists[c]);
-                }
-                assert_eq!(gathered, idx.probe(&query, nprobe), "nprobe={nprobe}");
-            }
+            assert_eq!(ranked[0], q.assign(&query));
         }
     }
 
     #[test]
     fn quantizer_rank_batch_matches_solo_ranks() {
-        let (v, dim) = toy_vectors();
-        let q = CoarseQuantizer::train(
-            &v,
-            dim,
-            &AnnConfig {
-                nlist: 3,
-                ..AnnConfig::default()
-            },
-        );
+        let q = toy_quantizer();
         let queries: Vec<Vec<f32>> = vec![
             vec![1.0, 0.0],
             vec![0.0, -1.0],

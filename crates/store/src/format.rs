@@ -1,36 +1,6 @@
-//! The on-disk store format: a versioned, checksummed binary columnar
-//! layout.
-//!
-//! One store file holds every persisted sliding window of one
-//! [`VideoIndex`](https://docs.rs) dataset: the window metadata columns
-//! and a flat vector column, preceded by a fixed header describing the
-//! dataset and the exact ingest configuration, and followed by an FNV-1a
-//! checksum of everything before it. All integers and floats are
-//! little-endian; floats are stored by bit pattern, so a round trip is
-//! bit-identical.
-//!
-//! ```text
-//! magic            8 bytes   "SKQLSTOR"
-//! version          u32       FORMAT_VERSION
-//! model_fp         u64       fingerprint of the encoder + weights
-//! index_fp         u64       fingerprint of the VideoIndex contents
-//! frames           u32       video length the windows were cut from
-//! fps              f32
-//! frame_width      f32
-//! frame_height     f32
-//! stride_frac      f32       ingest window stride (fraction of length)
-//! min_overlap_frac f32       ingest track-eligibility overlap fraction
-//! dataset_len      u32       + that many UTF-8 bytes (dataset name)
-//! n_window_lens    u32       + that many u32 window lengths
-//! rows             u32       number of stored windows (n)
-//! dim              u32       embedding dimensionality
-//! track_ids        n × u64
-//! classes          n × u8    (see class code table below)
-//! starts           n × u32
-//! ends             n × u32
-//! vectors          n × dim × f32
-//! checksum         u64       FNV-1a 64 over every preceding byte
-//! ```
+//! Types every store file shares: the typed [`StoreError`], the
+//! provenance record [`StoreMeta`] a shard-set manifest carries, the
+//! per-window [`StoreRow`] columns, and the class-code table.
 //!
 //! Class codes: `0` is [`ObjectClass::Any`]; `1 + i` is
 //! `ObjectClass::CONCRETE[i]`. Codes outside that table are rejected at
@@ -39,15 +9,7 @@
 
 use sketchql_trajectory::{ObjectClass, TrackId};
 use std::fmt;
-use std::path::{Path, PathBuf};
-
-use crate::Fnv64;
-
-/// Magic bytes opening every store file.
-pub const MAGIC: [u8; 8] = *b"SKQLSTOR";
-
-/// Current format version; bumped on incompatible layout changes.
-pub const FORMAT_VERSION: u32 = 1;
+use std::path::PathBuf;
 
 /// Errors reading or writing a store file. Every variant names the file
 /// it concerns, so a corrupt store in a directory of many is identifiable
@@ -61,12 +23,14 @@ pub enum StoreError {
         /// The originating I/O error.
         source: std::io::Error,
     },
-    /// The file does not start with [`MAGIC`] — not a store file at all.
+    /// The file does not start with its format's magic bytes — not a
+    /// store file at all.
     BadMagic {
         /// Offending file.
         path: PathBuf,
     },
-    /// The file's format version is not [`FORMAT_VERSION`].
+    /// The file's format version is not one this build reads (see
+    /// `SHARD_VERSION` and `MANIFEST_VERSION`).
     UnsupportedVersion {
         /// Offending file.
         path: PathBuf,
@@ -119,7 +83,7 @@ impl fmt::Display for StoreError {
             }
             StoreError::UnsupportedVersion { path, found } => write!(
                 f,
-                "store {}: unsupported format version {found} (expected {FORMAT_VERSION})",
+                "store {}: unsupported format version {found}",
                 path.display()
             ),
             StoreError::Truncated { path, detail } => {
@@ -197,381 +161,6 @@ pub struct StoreRow {
     pub end: u32,
 }
 
-/// An in-memory embedding store: columnar window metadata plus a flat
-/// vector column. Build with [`EmbeddingStore::new`] + `push`, persist
-/// with [`save`](EmbeddingStore::save), restore with
-/// [`load`](EmbeddingStore::load).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmbeddingStore {
-    /// Provenance and ingest configuration.
-    pub meta: StoreMeta,
-    dim: usize,
-    track_ids: Vec<TrackId>,
-    classes: Vec<ObjectClass>,
-    starts: Vec<u32>,
-    ends: Vec<u32>,
-    vectors: Vec<f32>,
-}
-
-impl EmbeddingStore {
-    /// An empty store with the given provenance and vector width.
-    pub fn new(meta: StoreMeta, dim: usize) -> Self {
-        EmbeddingStore {
-            meta,
-            dim,
-            track_ids: Vec::new(),
-            classes: Vec::new(),
-            starts: Vec::new(),
-            ends: Vec::new(),
-            vectors: Vec::new(),
-        }
-    }
-
-    /// Appends one window row.
-    ///
-    /// # Panics
-    /// If `vector.len()` differs from the store's `dim`.
-    pub fn push(&mut self, row: StoreRow, vector: &[f32]) {
-        assert_eq!(
-            vector.len(),
-            self.dim,
-            "vector width {} does not match store dim {}",
-            vector.len(),
-            self.dim
-        );
-        self.track_ids.push(row.track_id);
-        self.classes.push(row.class);
-        self.starts.push(row.start);
-        self.ends.push(row.end);
-        self.vectors.extend_from_slice(vector);
-    }
-
-    /// Number of stored windows.
-    pub fn len(&self) -> usize {
-        self.track_ids.len()
-    }
-
-    /// Whether the store holds no windows.
-    pub fn is_empty(&self) -> bool {
-        self.track_ids.is_empty()
-    }
-
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Metadata of row `i`.
-    pub fn row(&self, i: usize) -> StoreRow {
-        StoreRow {
-            track_id: self.track_ids[i],
-            class: self.classes[i],
-            start: self.starts[i],
-            end: self.ends[i],
-        }
-    }
-
-    /// Vector of row `i`.
-    pub fn vector(&self, i: usize) -> &[f32] {
-        &self.vectors[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// The flat vector column, row-major (`len × dim`).
-    pub fn vectors(&self) -> &[f32] {
-        &self.vectors
-    }
-
-    /// Serializes the store to its binary layout (see module docs).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.len();
-        let mut out = Vec::with_capacity(64 + n * (8 + 1 + 4 + 4 + self.dim * 4) + 8);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.meta.model_fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.meta.index_fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.meta.frames.to_le_bytes());
-        out.extend_from_slice(&self.meta.fps.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.meta.frame_width.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.meta.frame_height.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.meta.stride_frac.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.meta.min_overlap_frac.to_bits().to_le_bytes());
-        let name = self.meta.dataset.as_bytes();
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name);
-        out.extend_from_slice(&(self.meta.window_lens.len() as u32).to_le_bytes());
-        for &w in &self.meta.window_lens {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out.extend_from_slice(&(n as u32).to_le_bytes());
-        out.extend_from_slice(&(self.dim as u32).to_le_bytes());
-        for &id in &self.track_ids {
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-        for &c in &self.classes {
-            out.push(class_code(c));
-        }
-        for &s in &self.starts {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-        for &e in &self.ends {
-            out.extend_from_slice(&e.to_le_bytes());
-        }
-        for &v in &self.vectors {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let mut h = Fnv64::new();
-        h.write(&out);
-        out.extend_from_slice(&h.finish().to_le_bytes());
-        out
-    }
-
-    /// Parses a store from bytes; `path` labels errors.
-    pub fn from_bytes(path: &Path, bytes: &[u8]) -> Result<Self, StoreError> {
-        let mut r = Reader {
-            path,
-            bytes,
-            pos: 0,
-        };
-        let magic = r.take(MAGIC.len(), "magic")?;
-        if magic != MAGIC {
-            return Err(StoreError::BadMagic {
-                path: path.to_path_buf(),
-            });
-        }
-        let version = r.u32("version")?;
-        if version != FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                path: path.to_path_buf(),
-                found: version,
-            });
-        }
-        let model_fingerprint = r.u64("model fingerprint")?;
-        let index_fingerprint = r.u64("index fingerprint")?;
-        let frames = r.u32("frames")?;
-        let fps = r.f32("fps")?;
-        let frame_width = r.f32("frame width")?;
-        let frame_height = r.f32("frame height")?;
-        let stride_frac = r.f32("stride fraction")?;
-        let min_overlap_frac = r.f32("overlap fraction")?;
-        let name_len = r.u32("dataset name length")? as usize;
-        let name = r.take(name_len, "dataset name")?;
-        let dataset = String::from_utf8(name.to_vec()).map_err(|_| StoreError::BadHeader {
-            path: path.to_path_buf(),
-            detail: "dataset name is not UTF-8".into(),
-        })?;
-        let n_lens = r.u32("window-length count")? as usize;
-        let mut window_lens = Vec::with_capacity(n_lens.min(1024));
-        for _ in 0..n_lens {
-            window_lens.push(r.u32("window length")?);
-        }
-        let n = r.u32("row count")? as usize;
-        let dim = r.u32("vector dim")? as usize;
-
-        let mut track_ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            track_ids.push(r.u64("track-id column")?);
-        }
-        let class_bytes = r.take(n, "class column")?.to_vec();
-        let mut starts = Vec::with_capacity(n);
-        for _ in 0..n {
-            starts.push(r.u32("start column")?);
-        }
-        let mut ends = Vec::with_capacity(n);
-        for _ in 0..n {
-            ends.push(r.u32("end column")?);
-        }
-        let mut vectors = Vec::with_capacity(n * dim);
-        for _ in 0..n * dim {
-            vectors.push(r.f32("vector column")?);
-        }
-
-        // Checksum covers every byte before it.
-        let payload_end = r.pos;
-        let expected = r.u64("checksum")?;
-        let mut h = Fnv64::new();
-        h.write(&bytes[..payload_end]);
-        let found = h.finish();
-        if found != expected {
-            return Err(StoreError::ChecksumMismatch {
-                path: path.to_path_buf(),
-                expected,
-                found,
-            });
-        }
-
-        let mut classes = Vec::with_capacity(n);
-        for code in class_bytes {
-            classes.push(class_from_code(code).ok_or(StoreError::BadClass {
-                path: path.to_path_buf(),
-                code,
-            })?);
-        }
-
-        Ok(EmbeddingStore {
-            meta: StoreMeta {
-                dataset,
-                model_fingerprint,
-                index_fingerprint,
-                frames,
-                fps,
-                frame_width,
-                frame_height,
-                stride_frac,
-                min_overlap_frac,
-                window_lens,
-            },
-            dim,
-            track_ids,
-            classes,
-            starts,
-            ends,
-            vectors,
-        })
-    }
-
-    /// Writes the store to `path` (atomically: a temp file in the same
-    /// directory is renamed into place, so readers never observe a
-    /// half-written store).
-    pub fn save(&self, path: &Path) -> Result<(), StoreError> {
-        let io = |source| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(io)?;
-            }
-        }
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_bytes()).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
-    }
-
-    /// Reads a store previously written with [`save`](Self::save).
-    pub fn load(path: &Path) -> Result<Self, StoreError> {
-        let bytes = std::fs::read(path).map_err(|source| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        Self::from_bytes(path, &bytes)
-    }
-}
-
-/// A store file's header, read without touching the column payload.
-///
-/// This is everything attach-time validation needs: the full
-/// [`StoreMeta`] (fingerprints, grid configuration), the row count and
-/// dimensionality, and an implicit structural check — the file length
-/// must be exactly what the header implies, so truncation is caught
-/// without hashing gigabytes. The trailing checksum is deliberately
-/// *not* verified here; it runs on first full load (see the core
-/// crate's lazy store tier).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreHeader {
-    /// Provenance and ingest configuration, exactly as a full load
-    /// would return it.
-    pub meta: StoreMeta,
-    /// Number of stored windows.
-    pub rows: u32,
-    /// Embedding dimensionality.
-    pub dim: u32,
-}
-
-impl StoreHeader {
-    /// Reads and validates the header of `path`: magic, version, header
-    /// fields, and that the file length matches the layout the header
-    /// implies.
-    pub fn read(path: &Path) -> Result<Self, StoreError> {
-        let io = |source| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
-        let mut file = std::fs::File::open(path).map_err(io)?;
-        let file_len = file.metadata().map_err(io)?.len() as usize;
-        // The header is variable-length (dataset name + window grid) but
-        // small; one bounded prefix read covers any plausible store.
-        let take = file_len.min(64 * 1024);
-        let mut prefix = vec![0u8; take];
-        std::io::Read::read_exact(&mut file, &mut prefix).map_err(io)?;
-        let (header, header_len) = Self::parse(path, &prefix)?;
-        let n = header.rows as usize;
-        let dim = header.dim as usize;
-        let expected = header_len + n * (8 + 1 + 4 + 4) + n * dim * 4 + 8;
-        if file_len != expected {
-            return Err(StoreError::Truncated {
-                path: path.to_path_buf(),
-                detail: format!(
-                    "store payload (header implies {expected} bytes, file has {file_len})"
-                ),
-            });
-        }
-        Ok(header)
-    }
-
-    /// Parses the header fields from a file prefix; returns the header
-    /// plus its byte length (where the column payload starts).
-    fn parse(path: &Path, bytes: &[u8]) -> Result<(Self, usize), StoreError> {
-        let mut r = Reader {
-            path,
-            bytes,
-            pos: 0,
-        };
-        let magic = r.take(MAGIC.len(), "magic")?;
-        if magic != MAGIC {
-            return Err(StoreError::BadMagic {
-                path: path.to_path_buf(),
-            });
-        }
-        let version = r.u32("version")?;
-        if version != FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                path: path.to_path_buf(),
-                found: version,
-            });
-        }
-        let model_fingerprint = r.u64("model fingerprint")?;
-        let index_fingerprint = r.u64("index fingerprint")?;
-        let frames = r.u32("frames")?;
-        let fps = r.f32("fps")?;
-        let frame_width = r.f32("frame width")?;
-        let frame_height = r.f32("frame height")?;
-        let stride_frac = r.f32("stride fraction")?;
-        let min_overlap_frac = r.f32("overlap fraction")?;
-        let name_len = r.u32("dataset name length")? as usize;
-        let name = r.take(name_len, "dataset name")?;
-        let dataset = String::from_utf8(name.to_vec()).map_err(|_| StoreError::BadHeader {
-            path: path.to_path_buf(),
-            detail: "dataset name is not UTF-8".into(),
-        })?;
-        let n_lens = r.u32("window-length count")? as usize;
-        let mut window_lens = Vec::with_capacity(n_lens.min(1024));
-        for _ in 0..n_lens {
-            window_lens.push(r.u32("window length")?);
-        }
-        let rows = r.u32("row count")?;
-        let dim = r.u32("vector dim")?;
-        Ok((
-            StoreHeader {
-                meta: StoreMeta {
-                    dataset,
-                    model_fingerprint,
-                    index_fingerprint,
-                    frames,
-                    fps,
-                    frame_width,
-                    frame_height,
-                    stride_frac,
-                    min_overlap_frac,
-                    window_lens,
-                },
-                rows,
-                dim,
-            },
-            r.pos,
-        ))
-    }
-}
-
 /// Encodes a class for the class column (see module docs).
 pub(crate) fn class_code(c: ObjectClass) -> u8 {
     match ObjectClass::CONCRETE.iter().position(|&k| k == c) {
@@ -588,146 +177,9 @@ pub(crate) fn class_from_code(code: u8) -> Option<ObjectClass> {
     }
 }
 
-/// Little-endian cursor over a byte slice with path-labelled errors.
-struct Reader<'a> {
-    path: &'a Path,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], StoreError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(StoreError::Truncated {
-                path: self.path.to_path_buf(),
-                detail: format!(
-                    "{what} (need {n} bytes at offset {}, file has {})",
-                    self.pos,
-                    self.bytes.len()
-                ),
-            });
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, StoreError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, StoreError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f32(&mut self, what: &str) -> Result<f32, StoreError> {
-        Ok(f32::from_bits(self.u32(what)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_meta() -> StoreMeta {
-        StoreMeta {
-            dataset: "traffic/one".into(),
-            model_fingerprint: 0xdead_beef_0123_4567,
-            index_fingerprint: u64::MAX - 3,
-            frames: 900,
-            fps: 30.0,
-            frame_width: 1280.0,
-            frame_height: 720.0,
-            stride_frac: 0.25,
-            min_overlap_frac: 0.5,
-            window_lens: vec![67, 90, 135],
-        }
-    }
-
-    fn sample_store() -> EmbeddingStore {
-        let mut s = EmbeddingStore::new(sample_meta(), 3);
-        s.push(
-            StoreRow {
-                track_id: 1,
-                class: ObjectClass::Car,
-                start: 0,
-                end: 89,
-            },
-            &[0.1, -0.5, f32::MIN_POSITIVE],
-        );
-        s.push(
-            StoreRow {
-                track_id: u64::MAX,
-                class: ObjectClass::Any,
-                start: 22,
-                end: 111,
-            },
-            &[-0.0, 1.0e-38, 3.25],
-        );
-        s
-    }
-
-    #[test]
-    fn round_trip_is_bit_identical() {
-        let s = sample_store();
-        let bytes = s.to_bytes();
-        let back = EmbeddingStore::from_bytes(Path::new("mem"), &bytes).unwrap();
-        assert_eq!(back, s);
-        for i in 0..s.len() {
-            assert_eq!(
-                back.vector(i)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                s.vector(i).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn save_load_round_trip() {
-        let s = sample_store();
-        let dir = std::env::temp_dir().join(format!("skql-store-{}", std::process::id()));
-        let path = dir.join("sample.skstore");
-        s.save(&path).unwrap();
-        let back = EmbeddingStore::load(&path).unwrap();
-        assert_eq!(back, s);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn header_read_matches_full_load_without_touching_columns() {
-        let s = sample_store();
-        let dir = std::env::temp_dir().join(format!("skql-header-{}", std::process::id()));
-        let path = dir.join("sample.skstore");
-        s.save(&path).unwrap();
-        let header = StoreHeader::read(&path).unwrap();
-        assert_eq!(header.meta, s.meta);
-        assert_eq!(header.rows as usize, s.len());
-        assert_eq!(header.dim as usize, s.dim());
-
-        // A truncated payload is still caught by the length check alone.
-        let bytes = s.to_bytes();
-        let short = dir.join("short.skstore");
-        std::fs::write(&short, &bytes[..bytes.len() - 3]).unwrap();
-        let err = StoreHeader::read(&short).unwrap_err();
-        assert!(matches!(err, StoreError::Truncated { .. }), "{err:?}");
-
-        // But a flipped payload byte is NOT caught here — that is the
-        // deferred-checksum contract: header validation is O(header).
-        let mut flipped = bytes.clone();
-        let idx = flipped.len() - 16;
-        flipped[idx] ^= 1;
-        let corrupt = dir.join("corrupt.skstore");
-        std::fs::write(&corrupt, &flipped).unwrap();
-        assert!(StoreHeader::read(&corrupt).is_ok());
-        assert!(EmbeddingStore::load(&corrupt).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     #[test]
     fn every_concrete_class_round_trips() {

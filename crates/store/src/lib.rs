@@ -8,19 +8,22 @@
 //! future query instead of being recomputed per search and thrown away at
 //! process exit.
 //!
-//! Two layers, both dependency-free (`std` only):
+//! One on-disk representation, the shard set (`<dataset>.skset/`):
 //!
-//! - [`format`]: the versioned, checksummed binary columnar on-disk
-//!   format ([`EmbeddingStore`]). One file holds the window metadata
-//!   columns (track id, class, start, end) plus a flat `f32` vector
-//!   column, with an [`FNV-1a`](Fnv64) checksum over the whole payload so
-//!   truncation and corruption are detected at load, not at query time.
-//! - [`ann`]: an IVF-style approximate-nearest-neighbor index
-//!   ([`IvfIndex`]) — a k-means coarse quantizer over the stored vectors
-//!   with a configurable probe count. Probing narrows the candidate set;
+//! - [`manifest`]: the versioned JSON [`Manifest`] — dataset provenance
+//!   ([`StoreMeta`]), the shared coarse-quantizer centroids, and one
+//!   entry per shard (file, frame range, checksum, rows per centroid).
+//!   It is all a server parses to attach a dataset.
+//! - [`shard`]: the checksummed binary columnar shard file ([`ShardData`]
+//!   to write, [`LoadedShard`] to read through [`mmap`]). A whole video
+//!   in one shard is simply a one-shard set.
+//! - [`ann`]: the k-means [`CoarseQuantizer`] whose centroids partition
+//!   the vectors into posting lists. Probing narrows the candidate set;
 //!   callers re-rank the probed rows with the *exact* cosine, so any
 //!   moment the index-backed path reports scores bit-identically to the
 //!   full-scan path.
+//! - [`format`]: the types every file shares — the typed [`StoreError`],
+//!   [`StoreMeta`], [`StoreRow`], and the class-code table.
 //!
 //! The ingest pipeline itself (sliding-window enumeration + batched
 //! embedding) lives in the core crate, which owns the window semantics;
@@ -34,10 +37,8 @@ pub mod manifest;
 pub mod mmap;
 pub mod shard;
 
-pub use ann::{AnnConfig, CoarseQuantizer, IvfIndex};
-pub use format::{
-    EmbeddingStore, StoreError, StoreHeader, StoreMeta, StoreRow, FORMAT_VERSION, MAGIC,
-};
+pub use ann::{AnnConfig, CoarseQuantizer};
+pub use format::{StoreError, StoreMeta, StoreRow};
 pub use manifest::{
     hex_u64, parse_hex_u64, Manifest, ManifestShard, MANIFEST_FILE, MANIFEST_VERSION, SHARD_SET_EXT,
 };
@@ -48,7 +49,7 @@ pub use shard::{
 
 /// Incremental FNV-1a 64-bit hasher.
 ///
-/// Used both for the store file checksum and (by the core crate) for the
+/// Used both for the shard file checksum and (by the core crate) for the
 /// model / index fingerprints recorded in [`StoreMeta`]. FNV-1a is not
 /// cryptographic; it guards against truncation, bit rot, and accidental
 /// mismatches, not adversaries.

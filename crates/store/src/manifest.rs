@@ -3,8 +3,8 @@
 //!
 //! The manifest is the only thing a server must parse to *attach* a
 //! sharded dataset: it carries the dataset identity and ingest
-//! configuration (everything `StoreMeta` carries for a monolithic
-//! store), the shared coarse-quantizer centroids, and one entry per
+//! configuration (everything `StoreMeta` carries), the shared
+//! coarse-quantizer centroids, and one entry per
 //! shard — file name, frame range, row count, checksum, and the number
 //! of rows each shard holds per centroid. That last column is what
 //! makes lazy probing cheap: a query ranks the shared centroids once

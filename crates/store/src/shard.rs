@@ -1,8 +1,8 @@
-//! The on-disk shard format: one frame-range segment of a sharded store.
+//! The on-disk shard format: one frame-range segment of a shard set.
 //!
-//! A sharded store splits a dataset's window rows into frame-range
+//! A shard set splits a dataset's window rows into frame-range
 //! shards; each shard is a self-contained columnar file carrying its own
-//! rows, vectors, IVF posting lists (against the shard set's *shared*
+//! rows, vectors, posting lists (against the shard set's *shared*
 //! coarse quantizer), and trailing checksum. The set-level metadata —
 //! dataset identity, fingerprints, quantizer centroids, per-shard
 //! checksums — lives in the manifest ([`crate::manifest`]), so opening a

@@ -126,15 +126,6 @@ pub mod names {
     /// Counter: Kalman update steps.
     pub const KALMAN_UPDATES: &str = "sketchql.tracker.kalman_updates";
 
-    /// Span: one `MaterializedWindows::build` run.
-    pub const MATERIALIZED_BUILD: &str = "sketchql.materialized.build";
-    /// Span: one `MaterializedWindows::query` run.
-    pub const MATERIALIZED_QUERY: &str = "sketchql.materialized.query";
-    /// Counter: window embeddings materialized ahead of time.
-    pub const MATERIALIZED_WINDOWS: &str = "sketchql.materialized.windows_built";
-    /// Counter: dot products evaluated against materialized windows.
-    pub const MATERIALIZED_SCANS: &str = "sketchql.materialized.scans";
-
     /// Span: one full training run.
     pub const TRAINING_RUN: &str = "sketchql.training.run";
     /// Counter: optimizer steps taken.
@@ -219,8 +210,6 @@ pub mod names {
     /// Span: one offline store ingest (window enumeration + embedding +
     /// persistence).
     pub const STORE_BUILD: &str = "sketchql.store.build";
-    /// Span: one store load from disk (parse + checksum + ANN build).
-    pub const STORE_LOAD: &str = "sketchql.store.load";
     /// Counter: window embeddings persisted into stores at ingest.
     pub const STORE_VECTORS: &str = "sketchql.store.vectors_ingested";
     /// Counter: queries answered from a persistent store (index-backed

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Shard-tier gates: runs the shard bench, which ingests a fixture video
-# into both a monolithic store and a sharded set, asserts bit-identical
-# results across scan / monolithic / sharded paths, and prints attach
-# and ingest timings. This script gates the numbers:
+# Shard-set gates: runs the shard bench, which ingests a fixture video
+# into a shard set, asserts bit-identical results between the scan and
+# the store path, and prints attach and ingest timings. This script
+# gates the numbers:
 #
-#   (a) sharded recall@10 == monolithic recall@10 (exhaustive probe)
-#   (b) cold sharded attach <= $SKETCHQL_SHARD_ATTACH_FRAC_MAX of the
-#       monolithic full-load time (default 0.10)
+#   (a) store recall@10 against the scan == 1.0 (exhaustive probe)
+#   (b) cold attach <= $SKETCHQL_SHARD_ATTACH_FRAC_MAX of attach + a
+#       full `ShardSet::verify` — every payload mapped and checksummed,
+#       what an eager attach would cost (default 0.25: an eager attach
+#       reads ~1.0, a lazy one 0.05-0.12 on these small fixtures, where
+#       the fixed manifest parse is a visible share of either side)
 #   (c) parallel ingest >= $SKETCHQL_SHARD_INGEST_SPEEDUP_MIN x the
 #       single-thread ingest (default 2) — enforced only when the
 #       machine has >= 2 CPUs; on a single-CPU host a parallel pool
@@ -21,7 +24,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ATTACH_FRAC_MAX="${SKETCHQL_SHARD_ATTACH_FRAC_MAX:-0.10}"
+ATTACH_FRAC_MAX="${SKETCHQL_SHARD_ATTACH_FRAC_MAX:-0.25}"
 INGEST_SPEEDUP_MIN="${SKETCHQL_SHARD_INGEST_SPEEDUP_MIN:-2}"
 INGEST_NOREG="${SKETCHQL_SHARD_INGEST_NOREG:-0.8}"
 OUT_JSON="${SKETCHQL_SHARD_BENCH_JSON:-BENCH_shard.json}"
@@ -43,9 +46,8 @@ awk -v fracmax="$ATTACH_FRAC_MAX" -v speedmin="$INGEST_SPEEDUP_MIN" \
     }
     /^SHARD shard_recall/ {
         for (i = 3; i <= NF; i++) {
-            if ($i ~ /^sharded_recall_at_10=/)    { sub(/^sharded_recall_at_10=/, "", $i); srec = $i }
-            if ($i ~ /^monolithic_recall_at_10=/) { sub(/^monolithic_recall_at_10=/, "", $i); mrec = $i }
-            if ($i ~ /^shards=/)                  { sub(/^shards=/, "", $i); shards = $i }
+            if ($i ~ /^sharded_recall_at_10=/) { sub(/^sharded_recall_at_10=/, "", $i); srec = $i }
+            if ($i ~ /^shards=/)               { sub(/^shards=/, "", $i); shards = $i }
         }
     }
     /^SHARD shard_ingest/ {
@@ -56,18 +58,18 @@ awk -v fracmax="$ATTACH_FRAC_MAX" -v speedmin="$INGEST_SPEEDUP_MIN" \
         }
     }
     END {
-        if (!("attach_sharded" in med) || !("full_load_monolithic" in med) || med["full_load_monolithic"] <= 0) {
-            print "missing shard_attach/{attach_sharded,full_load_monolithic} medians"
+        if (!("attach_sharded" in med) || !("attach_and_verify" in med) || med["attach_and_verify"] <= 0) {
+            print "missing shard_attach/{attach_sharded,attach_and_verify} medians"
             exit 2
         }
-        if (srec == "" || mrec == "") { print "missing SHARD shard_recall line"; exit 2 }
+        if (srec == "") { print "missing SHARD shard_recall line"; exit 2 }
         if (single == "" || multi == "" || multi <= 0) { print "missing SHARD shard_ingest line"; exit 2 }
-        frac = med["attach_sharded"] / med["full_load_monolithic"]
+        frac = med["attach_sharded"] / med["attach_and_verify"]
         ingest_speedup = single / multi
-        printf "attach (sharded, cold): %.2f ms\n", med["attach_sharded"] / 1e6
-        printf "full load (monolithic): %.2f ms\n", med["full_load_monolithic"] / 1e6
+        printf "attach (cold): %.2f ms\n", med["attach_sharded"] / 1e6
+        printf "attach + full verify: %.2f ms\n", med["attach_and_verify"] / 1e6
         printf "attach fraction: %.4f (bar: <=%s)\n", frac, fracmax
-        printf "recall@10: sharded %.3f vs monolithic %.3f over %s shards (bar: equal)\n", srec, mrec, shards
+        printf "recall@10 against the scan: %.3f over %s shards (bar: 1.000)\n", srec, shards
         if (cpus + 0 >= 2)
             printf "ingest speedup: %.2fx on %s cpus (bar: >=%sx)\n", ingest_speedup, cpus, speedmin
         else
@@ -76,27 +78,26 @@ awk -v fracmax="$ATTACH_FRAC_MAX" -v speedmin="$INGEST_SPEEDUP_MIN" \
                "  \"bench\": \"shard\",\n" \
                "  \"quick\": %s,\n" \
                "  \"attach_sharded_ns\": %.0f,\n" \
-               "  \"full_load_monolithic_ns\": %.0f,\n" \
+               "  \"attach_and_verify_ns\": %.0f,\n" \
                "  \"attach_fraction\": %.5f,\n" \
                "  \"max_attach_fraction\": %s,\n" \
                "  \"sharded_recall_at_10\": %s,\n" \
-               "  \"monolithic_recall_at_10\": %s,\n" \
                "  \"ingest_single_thread_ns\": %.0f,\n" \
                "  \"ingest_multi_thread_ns\": %.0f,\n" \
                "  \"ingest_speedup\": %.3f,\n" \
                "  \"cpus\": %s\n" \
                "}\n", (quick != 0) ? "true" : "false", \
-               med["attach_sharded"], med["full_load_monolithic"], frac, fracmax, \
-               srec, mrec, single, multi, ingest_speedup, cpus > out
+               med["attach_sharded"], med["attach_and_verify"], frac, fracmax, \
+               srec, single, multi, ingest_speedup, cpus > out
         printf "wrote %s\n", out
-        ok_recall = (srec + 0.0 == mrec + 0.0)
+        ok_recall = (srec + 0.0 == 1.0)
         ok_attach = (frac <= fracmax + 0.0)
         if (cpus + 0 >= 2)
             ok_ingest = (ingest_speedup >= speedmin + 0.0)
         else
             ok_ingest = (ingest_speedup >= noreg + 0.0)
-        if (!ok_recall) print "FAIL: sharded recall != monolithic recall"
-        if (!ok_attach) print "FAIL: sharded attach exceeds the fraction bar"
+        if (!ok_recall) print "FAIL: store recall@10 against the scan is below 1.0"
+        if (!ok_attach) print "FAIL: cold attach exceeds the fraction bar"
         if (!ok_ingest) print "FAIL: parallel ingest too slow"
         exit (ok_recall && ok_attach && ok_ingest) ? 0 : 1
     }

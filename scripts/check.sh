@@ -21,7 +21,7 @@ echo "== feature check: telemetry disabled still builds and tests"
 cargo build --release --no-default-features
 cargo test -q --no-default-features
 
-echo "== tier-1 verify: cargo build --release && cargo test -q"
+echo "== tier-1 verify: cargo build --release && cargo test -q (whole workspace)"
 cargo build --release
 cargo test -q
 
@@ -51,24 +51,13 @@ SKETCHQL_BENCH_QUICK=1 SKETCHQL_SCHED_P99_MIN=1.5 SKETCHQL_SCHED_TPUT_MIN=0.8 \
     SKETCHQL_SCHED_BENCH_JSON=target/BENCH_sched_smoke.json \
     scripts/bench_sched.sh
 
-echo "== store smoke (ingest -> restart -> serve --store-dir round trip)"
-scripts/smoke_store.sh
-
-echo "== store speedup + recall smoke (quick samples)"
-# Quick samples are noisy, so the smoke speedup bar is looser than the
-# full bench's 5x acceptance bar (run scripts/bench_store.sh for that);
-# the recall bar stays at the real 0.95 because recall is deterministic.
-SKETCHQL_BENCH_QUICK=1 SKETCHQL_STORE_SPEEDUP_MIN=3 \
-    SKETCHQL_STORE_BENCH_JSON=target/BENCH_store_smoke.json \
-    scripts/bench_store.sh
-
-echo "== shard smoke (sharded ingest -> restart -> byte-identical query -> serve)"
+echo "== store smoke (ingest, sharded and one-shard -> restart -> byte-identical query -> serve)"
 scripts/smoke_shard.sh
 
-echo "== shard attach + ingest + recall-parity smoke (quick samples)"
-# Recall parity and the attach fraction are deterministic, so those bars
-# stay at the real acceptance values even in quick mode; the parallel
-# ingest bar self-adjusts to the machine (see bench_shard.sh).
+echo "== shard attach + ingest + recall smoke (quick samples)"
+# Recall against the scan and the attach fraction are deterministic, so
+# those bars stay at the real acceptance values even in quick mode; the
+# parallel ingest bar self-adjusts to the machine (see bench_shard.sh).
 SKETCHQL_BENCH_QUICK=1 \
     SKETCHQL_SHARD_BENCH_JSON=target/BENCH_shard_smoke.json \
     scripts/bench_shard.sh

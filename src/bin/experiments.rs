@@ -756,29 +756,30 @@ fn exp_t5() {
         );
     }
 
-    // Materialized windows: build once, then answer single-object queries
-    // with a dot-product scan (EVA-style materialized views).
-    let sim_m = model.similarity();
+    // The embedding store: ingest the window embeddings once, then
+    // answer single-object queries by probe + exact re-rank.
+    let m = Matcher::new(model.similarity());
+    let mut cfg = sketchql::IngestConfig::from_matcher(&m.config, &[query.span()]);
+    cfg.threads = 4;
+    let dir = std::env::temp_dir().join(format!("sketchql-exp-t5-{}", std::process::id()));
     let t0 = Instant::now();
-    let mat = sketchql::MaterializedWindows::build(
-        &idx,
-        &sim_m,
-        sketchql::MaterializeConfig {
-            threads: 4,
-            ..Default::default()
-        },
-    );
+    let set = sketchql::ingest_sharded(&m.sim, &idx, "t5", &cfg, idx.frames, &dir, &|_| {})
+        .expect("ingest into a temp dir");
     let build_ms = t0.elapsed().as_secs_f64() * 1000.0;
     let t0 = Instant::now();
-    let mat_results = mat.query(&sim_m, &query, 10, 0.45).unwrap();
+    let served = m
+        .search_with_shards(&idx, &set, &query, &sketchql::CancelToken::none())
+        .expect("experiment queries embed");
     let query_ms = t0.elapsed().as_secs_f64() * 1000.0;
     println!(
-        "\nmaterialized windows: build {:.0}ms ({} entries), per-query {:.1}ms ({} moments)",
+        "\nembedding store: ingest {:.0}ms ({} windows), per-query {:.1}ms ({} moments, {} rows probed)",
         build_ms,
-        mat.len(),
+        set.total_rows(),
         query_ms,
-        mat_results.len()
+        served.moments.len(),
+        served.probed
     );
+    std::fs::remove_dir_all(&dir).ok();
 
     // Encoder embedding throughput.
     let sim = model.similarity();

@@ -16,18 +16,19 @@
 //! ```
 //!
 //! Videos and models are JSON artifacts so pipelines can be scripted and
-//! inspected; embedding stores are the binary `.skstore` format from the
-//! `sketchql-store` crate, written once by `ingest` and served without
-//! re-embedding by `serve --store-dir` / `query --store-dir`.
+//! inspected; embedding stores are `.skset/` shard-set directories (the
+//! `sketchql-store` crate's format), written once by `ingest`, grown by
+//! `append`, and served without re-embedding by `serve --store-dir` /
+//! `query --store-dir`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::telemetry::{self, Recorder};
 use sketchql::training::{train_with_callback, TrainedModel, TrainingConfig};
 use sketchql::{
-    append_frames, ingest, ingest_sharded, load_store_tier_dir, save_store_dir, shard_set_dir_name,
-    CancelToken, ClassicalSimilarity, IngestConfig, IngestProgress, Matcher, MatcherConfig,
-    RetrievedMoment, ShardSet, VideoIndex,
+    append_frames, ingest_sharded, load_store_tier_dir, shard_set_dir_name, CancelToken,
+    ClassicalSimilarity, IngestConfig, IngestProgress, Matcher, MatcherConfig, RetrievedMoment,
+    ShardSet, VideoIndex,
 };
 use sketchql_datasets::{
     extend_video, generate_video, query_clip, EventKind, ExtendConfig, SceneFamily, SyntheticVideo,
@@ -92,11 +93,12 @@ commands:
            [--store-dir <dir>] [--nprobe <n>]
   ingest   --video <file> --model <file> [--dataset <name>] [--store-dir <dir>]
            [--events <a,b,...>] [--threads <n>] [--oracle-tracks] [--verify]
-           precompute window embeddings into <dir>/<dataset>.skstore
-           [--shard-frames <n>] shard by frame range instead: parallel
-           ingest into <dir>/<dataset>.skset/ (shards + manifest),
-           served memory-mapped with lazy shard loading; --verify
-           re-opens the written output and checks every checksum
+           precompute window embeddings into <dir>/<dataset>.skset/
+           (shards + manifest), served memory-mapped with lazy shard
+           loading; --verify re-opens the written output and checks
+           every checksum
+           [--shard-frames <n>] frame-range width of each shard, embedded
+           in parallel (default: the whole video in one shard)
   append   --video <file> --model <file> --dataset <name> [--store-dir <dir>]
            [--threads <n>] [--oracle-tracks] [--verify]
            commit a live ingest epoch: embed only the windows the new
@@ -124,7 +126,7 @@ commands:
            [--profile-hz <n>] continuous profiler rate (default 19, 0 = off)
            [--max-resident-shards <n>] LRU-evict mapped shards beyond n
            [--registry <file>] persist standing queries across restarts
-           [--live-poll-ms <n>] poll sharded stores for appended epochs
+           [--live-poll-ms <n>] poll stores for appended epochs
            and evaluate standing queries against each new epoch
   client   --addr <host:port>
            --action <ping|list|stats|query|trace|metrics|profile|top|shutdown>
@@ -338,31 +340,29 @@ fn execute_query(
         // instead of the memoized batched path (results are identical).
         m.config.embed_cache = !flags.contains_key("no-embed-cache");
         if let Some(dir) = flags.get("store-dir") {
-            // Index-backed path: pick the attached store tier (a
-            // monolithic `.skstore` or a sharded `.skset/`) whose model
+            // Index-backed path: pick the attached shard set whose model
             // and video fingerprints match what we just built. Attach
             // validates headers/manifests only; payloads load on probe.
-            let tiers = load_store_tier_dir(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
-            let mut tier = tiers
+            let sets = load_store_tier_dir(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
+            let mut set = sets
                 .into_values()
-                .find(|t| t.matches_model(&m.sim) && t.matches_index(&index))
+                .find(|s| s.matches_model(&m.sim) && s.matches_index(&index))
                 .ok_or_else(|| format!("{dir}: no store matches this video and model"))?;
             if let Some(np) = flags.get("nprobe") {
-                let np: usize = np
+                set.nprobe = np
                     .parse()
                     .map_err(|_| format!("--nprobe: cannot parse {np:?}"))?;
-                tier.set_nprobe(np);
             }
             let search = m
-                .search_with_tier(&index, &tier, &query, &CancelToken::none())
+                .search_with_shards(&index, &set, &query, &CancelToken::none())
                 .map_err(|e| e.to_string())?;
             if !quiet {
                 if search.from_store {
                     println!(
                         "store: index-backed ({} of {} vectors probed, {} shard(s))",
                         search.probed,
-                        tier.rows(),
-                        tier.shard_count()
+                        set.total_rows(),
+                        set.shard_count()
                     );
                 } else {
                     println!("store: cannot serve this query; fell back to full scan");
@@ -410,8 +410,8 @@ fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// Offline ingest: embed every sliding window of a video once and
 /// persist the vectors (plus the window grid and fingerprints) as a
-/// `.skstore` file that `serve --store-dir` and `query --store-dir`
-/// can answer from without re-embedding.
+/// `.skset/` shard set that `serve --store-dir` and `query --store-dir`
+/// can answer from without re-embedding, and `append` can grow.
 fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
     let video = load_video(req(flags, "video")?)?;
     let model = TrainedModel::load(Path::new(req(flags, "model")?)).map_err(|e| e.to_string())?;
@@ -439,90 +439,67 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
     cfg.threads = num(flags, "threads", 4)?;
     let started = std::time::Instant::now();
 
-    if flags.contains_key("shard-frames") {
-        // Sharded ingest: frame-range shards embedded in parallel across
-        // the worker pool, one `.skshard` file each plus a manifest.
-        let shard_frames: u32 = num(flags, "shard-frames", 0)?;
-        if shard_frames == 0 {
-            return Err("--shard-frames: must be at least 1".into());
-        }
-        let set_dir = dir.join(shard_set_dir_name(&dataset));
-        let set = ingest_sharded(
-            &sim,
-            &index,
-            &dataset,
-            &cfg,
-            shard_frames,
-            &set_dir,
-            &|e| match e {
-                IngestProgress::Enumerated { windows, shards } => {
-                    println!("progress: enumerated {windows} windows across {shards} shard(s)");
-                }
-                IngestProgress::ShardEmbedded {
-                    shard_id,
-                    done,
-                    total,
-                } => {
-                    println!("progress: {done}/{total} windows embedded (shard {shard_id} done)");
-                }
-                IngestProgress::ShardWritten { shard_id, rows } => {
-                    println!("progress: shard {shard_id} written ({rows} rows)");
-                }
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        println!(
-            "embedded {} windows into {} shards (window lengths {:?}, {} quantizer lists, \
-             {} threads) in {:.1}s",
-            set.total_rows(),
-            set.shard_count(),
-            cfg.window_lens,
-            set.nlist(),
-            cfg.threads.max(1),
-            started.elapsed().as_secs_f64()
-        );
-        if flags.contains_key("verify") {
-            let reopened = ShardSet::open(&set_dir).map_err(|e| e.to_string())?;
-            reopened.verify().map_err(|e| e.to_string())?;
-            println!(
-                "verify: manifest and {} shard checksum(s) ok",
-                reopened.shard_count()
-            );
-        }
-        println!(
-            "wrote sharded store for dataset {dataset:?} into {}",
-            set_dir.display()
-        );
-        return Ok(());
+    // Frame-range shards embedded in parallel across the worker pool,
+    // one `.skshard` file each plus a manifest. Without the flag the
+    // whole video is one shard.
+    let shard_frames: u32 = num(flags, "shard-frames", index.frames.max(1))?;
+    if shard_frames == 0 {
+        return Err("--shard-frames: must be at least 1".into());
     }
-
-    let store = ingest(&sim, &index, &dataset, &cfg);
+    let set_dir = dir.join(shard_set_dir_name(&dataset));
+    let set = ingest_sharded(
+        &sim,
+        &index,
+        &dataset,
+        &cfg,
+        shard_frames,
+        &set_dir,
+        &|e| match e {
+            IngestProgress::Enumerated { windows, shards } => {
+                println!("progress: enumerated {windows} windows across {shards} shard(s)");
+            }
+            IngestProgress::ShardEmbedded {
+                shard_id,
+                done,
+                total,
+            } => {
+                println!("progress: {done}/{total} windows embedded (shard {shard_id} done)");
+            }
+            IngestProgress::ShardWritten { shard_id, rows } => {
+                println!("progress: shard {shard_id} written ({rows} rows)");
+            }
+        },
+    )
+    .map_err(|e| e.to_string())?;
     println!(
-        "embedded {} windows (dim {}, window lengths {:?}) in {:.1}s; {} ANN lists",
-        store.store.len(),
-        store.store.dim(),
+        "embedded {} windows into {} shard(s) (window lengths {:?}, {} quantizer lists, \
+         {} threads) in {:.1}s",
+        set.total_rows(),
+        set.shard_count(),
         cfg.window_lens,
-        started.elapsed().as_secs_f64(),
-        store.nlist()
+        set.nlist(),
+        cfg.threads.max(1),
+        started.elapsed().as_secs_f64()
     );
-    let mut stores = std::collections::BTreeMap::new();
-    stores.insert(dataset.clone(), store);
-    save_store_dir(dir, &stores).map_err(|e| e.to_string())?;
     if flags.contains_key("verify") {
-        let reopened = load_store_tier_dir(dir).map_err(|e| e.to_string())?;
-        if !reopened.contains_key(&dataset) {
-            return Err(format!("verify: dataset {dataset:?} missing after write"));
-        }
-        println!("verify: store header ok");
+        let reopened = ShardSet::open(&set_dir).map_err(|e| e.to_string())?;
+        reopened.verify().map_err(|e| e.to_string())?;
+        println!(
+            "verify: manifest and {} shard checksum(s) ok",
+            reopened.shard_count()
+        );
     }
-    println!("wrote store for dataset {dataset:?} into {}", dir.display());
+    println!(
+        "wrote store for dataset {dataset:?} into {}",
+        set_dir.display()
+    );
     Ok(())
 }
 
 /// Live ingest: commit the frames `--video` has grown by since the
 /// last ingest/append of `<store-dir>/<dataset>.skset/` as one new
 /// epoch. Only windows owned by the new frames are embedded; the
-/// result is byte-identical to a from-scratch sharded ingest of the
+/// result is byte-identical to a from-scratch ingest of the
 /// grown video (the append-equivalence gate in `crates/core/tests`).
 fn cmd_append(flags: &HashMap<String, String>) -> Result<(), String> {
     let video = load_video(req(flags, "video")?)?;
@@ -535,8 +512,7 @@ fn cmd_append(flags: &HashMap<String, String>) -> Result<(), String> {
     let set_dir = dir.join(shard_set_dir_name(&dataset));
     if !set_dir.is_dir() {
         return Err(format!(
-            "{}: no sharded store for dataset {dataset:?} (run ingest --shard-frames first; \
-             monolithic .skstore files cannot be appended to)",
+            "{}: no store for dataset {dataset:?} (run ingest first)",
             set_dir.display()
         ));
     }
@@ -769,10 +745,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(path) = &config.registry_path {
         println!("standing-query registry: {}", path.display());
     }
-    // Attach ingested embedding stores (monolithic `.skstore` files and
-    // sharded `.skset/` directories alike). Attach validates headers and
-    // manifests only — payloads, checksums, and ANN builds are deferred
-    // to first probe, so startup cost does not scale with store size.
+    // Attach ingested embedding stores (`.skset/` directories). Attach
+    // validates manifests and shard headers only — payloads and their
+    // checksums are deferred to first probe, so startup cost does not
+    // scale with store size.
     // Engine::start_with_stores validates fingerprints and silently
     // drops mismatches, so a stale store degrades that dataset to the
     // scan path instead of failing.
@@ -795,11 +771,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(dir) => {
             let mut stores =
                 load_store_tier_dir(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
-            for tier in stores.values_mut() {
+            for set in stores.values_mut() {
                 if let Some(np) = nprobe {
-                    tier.set_nprobe(np);
+                    set.nprobe = np;
                 }
-                tier.set_max_resident(max_resident);
+                set.set_max_resident(max_resident);
             }
             stores
         }
@@ -809,7 +785,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         println!("shard residency capped at {cap} shard(s) per set (LRU eviction)");
     }
     if !stores.is_empty() {
-        let shards: usize = stores.values().map(|t| t.shard_count()).sum();
+        let shards: usize = stores.values().map(|s| s.shard_count()).sum();
         println!(
             "store: attached {} store(s) ({} shard(s)) in {:.1} ms; payloads load lazily",
             stores.len(),
@@ -819,7 +795,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let loaded: Vec<String> = stores.keys().cloned().collect();
 
-    // Sharded stores can grow behind the server's back (the `append`
+    // Stores can grow behind the server's back (the `append`
     // command commits new epochs in place); with --live-poll-ms the
     // server watches each set's manifest and turns every new epoch
     // into a live reload + standing-query evaluation.
@@ -828,14 +804,13 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     {
         Some(dir) if live_poll > 0 => stores
             .iter()
-            .filter(|(_, tier)| matches!(tier, sketchql::StoreTier::Sharded(_)))
-            .filter_map(|(name, tier)| {
+            .filter_map(|(name, set)| {
                 video_paths.get(name).map(|vp| {
                     (
                         name.clone(),
                         vp.clone(),
                         Path::new(dir).join(shard_set_dir_name(name)),
-                        tier.epoch(),
+                        set.manifest().epoch,
                     )
                 })
             })
@@ -933,7 +908,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let live_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let poller = if !live_sources.is_empty() {
         println!(
-            "live ingest poller: checking {} sharded store(s) every {} ms",
+            "live ingest poller: checking {} store(s) every {} ms",
             live_sources.len(),
             live_poll
         );
@@ -956,7 +931,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
                     }
                     for (name, video_path, set_dir, last_epoch) in sources.iter_mut() {
                         // Manifest-only open: cheap enough to poll.
-                        let Ok(set) = ShardSet::open(set_dir) else {
+                        let Ok(mut set) = ShardSet::open(set_dir) else {
                             continue;
                         };
                         let epoch = set.manifest().epoch;
@@ -970,12 +945,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
                             continue;
                         };
                         let index = build_index(&video, oracle);
-                        let mut tier = sketchql::StoreTier::Sharded(set);
                         if let Some(np) = nprobe {
-                            tier.set_nprobe(np);
+                            set.nprobe = np;
                         }
-                        tier.set_max_resident(max_resident);
-                        match engine.reload_dataset(name, index, tier) {
+                        set.set_max_resident(max_resident);
+                        match engine.reload_dataset(name, index, set) {
                             Ok(r) => {
                                 println!(
                                     "live: {name} advanced to epoch {} ({} frames): \
