@@ -6,20 +6,21 @@
 //! collapse to identical windows) and across overlapping strides. With
 //! the learned similarity each recurrence used to pay a full encoder
 //! forward. [`EmbedCache`] interns each distinct segment exactly once per
-//! search, so the encoder runs once per *unique* candidate, and the
+//! scan, so the encoder runs once per *unique* candidate, and the
 //! unique clips can then be embedded in large batches
 //! ([`embed_clips_parallel`]) instead of one forward per candidate.
 //!
-//! The cache is scoped to one `Matcher::search` call: embeddings depend
-//! only on `(track ids in slot order, start, end)` for a fixed index and
-//! model, so no cross-query invalidation is needed and memory is released
-//! when the search returns.
+//! The cache is scoped to one scan (one query, or a batch of concurrent
+//! queries over the same index): embeddings depend only on `(track ids
+//! in slot order, start, end)` for a fixed index and model, so the
+//! batch's members share it, no invalidation is needed, and memory is
+//! released when the scan returns.
 
 use std::collections::HashMap;
 
 use sketchql_trajectory::{Clip, TrackId};
 
-use crate::cancel::{CancelReason, CancelToken};
+use crate::cancel::CancelToken;
 use crate::similarity::Similarity;
 
 /// A candidate segment: the bound tracks in query-slot order plus the
@@ -114,30 +115,32 @@ pub fn embed_clips_parallel<S: Similarity>(
     clips: &[Clip],
     threads: usize,
 ) -> Vec<Option<Vec<f32>>> {
-    match try_embed_clips_parallel(sim, clips, threads, &CancelToken::none()) {
-        Ok(out) => out,
-        Err(_) => unreachable!("null token never cancels"),
-    }
+    try_embed_clips_parallel(sim, clips, threads, &[&CancelToken::none()])
+        .expect("null token never cancels")
 }
 
-/// [`embed_clips_parallel`] with cooperative cancellation: `cancel` is
-/// polled between encoder batches (on every worker thread), so a tripped
-/// token abandons the remaining batches promptly. Embedding values are
-/// unchanged — batched encoder forwards are bit-identical regardless of
-/// how the input is chunked.
+/// [`embed_clips_parallel`] on behalf of the searches holding the
+/// `waiting` tokens: between encoder batches (on every worker thread)
+/// the pass checks whether any of them is still live, and once none is
+/// — every token tripped, or nobody waiting at all — it abandons the
+/// remaining batches and returns `None`. Embedding values are unchanged:
+/// batched encoder forwards are bit-identical regardless of how the
+/// input is chunked.
 pub fn try_embed_clips_parallel<S: Similarity>(
     sim: &S,
     clips: &[Clip],
     threads: usize,
-    cancel: &CancelToken,
-) -> Result<Vec<Option<Vec<f32>>>, CancelReason> {
-    let embed_piece = |piece: &[Clip]| -> Result<Vec<Option<Vec<f32>>>, CancelReason> {
+    waiting: &[&CancelToken],
+) -> Option<Vec<Option<Vec<f32>>>> {
+    let embed_piece = |piece: &[Clip]| -> Option<Vec<Option<Vec<f32>>>> {
         let mut out = Vec::with_capacity(piece.len());
         for sub in piece.chunks(CANCEL_POLL_CLIPS) {
-            cancel.check()?;
+            if waiting.iter().all(|t| t.is_cancelled()) {
+                return None;
+            }
             out.extend(sim.embed_candidates(sub));
         }
-        Ok(out)
+        Some(out)
     };
     let threads = threads.max(1);
     if threads == 1 || clips.len() < 2 * threads {
@@ -147,7 +150,7 @@ pub fn try_embed_clips_parallel<S: Similarity>(
     // Hand the calling thread's live traces to the workers so encoder
     // CPU and allocations attribute to the query being embedded.
     let entered = sketchql_telemetry::TraceContext::entered();
-    let pieces: Vec<Result<Vec<Option<Vec<f32>>>, CancelReason>> = std::thread::scope(|scope| {
+    let pieces: Vec<Option<Vec<Option<Vec<f32>>>>> = std::thread::scope(|scope| {
         let embed_piece = &embed_piece;
         let entered = &entered;
         let handles: Vec<_> = clips
@@ -168,7 +171,7 @@ pub fn try_embed_clips_parallel<S: Similarity>(
     for piece in pieces {
         out.extend(piece?);
     }
-    Ok(out)
+    Some(out)
 }
 
 #[cfg(test)]

@@ -7,12 +7,18 @@
 //! each candidate with a [`Similarity`], suppresses temporally overlapping
 //! hits (NMS), and returns the top-k moments sorted by score.
 //!
-//! For embedding-based similarities the scan runs in three phases: (1)
-//! enumerate all candidates, interning each distinct segment once in an
-//! [`EmbedCache`]; (2) embed the unique segments in batched encoder
-//! forwards across worker threads; (3) score every candidate from its
-//! cached embedding. This returns byte-identical moments to the direct
-//! per-candidate path while embedding each distinct segment exactly once.
+//! There is one scan, `Matcher::scan`, and its unit of work is a batch
+//! of `(query, token)` members over one index under one optional epoch
+//! scope; `search`, `search_with_cancel` and `search_batch` are fronts
+//! over it, and the store planner
+//! (`Matcher::search_stored`, in [`vstore`](crate::vstore)) sends every member it
+//! cannot serve through it. For embedding-based similarities the scan
+//! (1) enumerates every member's candidates, interning each distinct
+//! segment once in an [`EmbedCache`] shared by the batch; (2) embeds the
+//! unique segments in batched encoder forwards across worker threads;
+//! (3) scores every member's candidates from the cached embeddings. This
+//! returns byte-identical moments to the direct per-candidate path while
+//! embedding each distinct segment exactly once per batch.
 
 use serde::{Deserialize, Serialize};
 use sketchql_telemetry::{self as telemetry, names};
@@ -191,197 +197,144 @@ impl<S: Similarity> Matcher<S> {
         query: &Clip,
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, MatchError> {
-        self.search_scoped(index, query, cancel, None)
+        self.scan(index, &[(query, cancel)], None)
+            .pop()
+            .expect("one result per member")
     }
 
-    /// [`search_with_cancel`](Self::search_with_cancel) restricted to
-    /// windows whose end frame is at least `min_end` (the store
-    /// planner's scan fallback under an epoch scope). Windows are
-    /// dropped before scoring, so `top_k` applies within the scope.
-    pub(crate) fn search_scoped(
-        &self,
-        index: &VideoIndex,
-        query: &Clip,
-        cancel: &CancelToken,
-        min_end: Option<u32>,
-    ) -> Result<Vec<RetrievedMoment>, MatchError> {
-        let _search_span = telemetry::span(names::MATCHER_SEARCH);
-        let q_span = query.span();
-        if q_span == 0
-            || q_span < self.config.min_window
-            || query.num_objects() == 0
-            || index.frames == 0
-        {
-            return Ok(Vec::new());
-        }
-        let prepared = {
-            let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
-            self.sim.prepare(query)?
-        };
-        let classes = query.classes();
-
-        let scan_span = telemetry::span(names::MATCHER_SCAN);
-        let mut windows = self.enumerate_windows(q_span, index.frames);
-        if let Some(min_end) = min_end {
-            windows.retain(|&(_, end, _)| end >= min_end);
-        }
-        telemetry::counter(names::WINDOWS_ENUMERATED).add(windows.len() as u64);
-
-        let use_cache = self.config.embed_cache && self.sim.uses_embeddings();
-        let scored: Vec<RetrievedMoment> = if use_cache {
-            let mut cache = EmbedCache::new();
-            let per_window =
-                self.enumerate_candidates(index, &classes, &windows, &mut cache, cancel)?;
-            telemetry::counter(names::EMBED_CACHE_HITS).add(cache.hits());
-            telemetry::counter(names::EMBED_CACHE_MISSES).add(cache.misses());
-            let embed_span = telemetry::span(names::MATCHER_EMBED);
-            let embeddings =
-                try_embed_clips_parallel(&self.sim, cache.clips(), self.config.threads, cancel)?;
-            drop(embed_span);
-            self.score_candidates(&prepared, per_window, &embeddings, cancel)?
-        } else {
-            self.scan_direct(index, &classes, &prepared, &windows, cancel)?
-        };
-        telemetry::counter(names::WINDOWS_PRUNED).add((windows.len() - scored.len()) as u64);
-        if telemetry::is_enabled() {
-            let hist = telemetry::histogram(names::WINDOW_SCORE, SCORE_BOUNDS);
-            for m in &scored {
-                hist.observe(m.score as f64);
-            }
-        }
-        drop(scan_span);
-        Ok(self.rank(index, scored))
-    }
-
-    /// Executes several queries against one index in a single fused scan.
-    ///
-    /// Candidate-segment embeddings depend only on the index and the
-    /// model — not on the query — so concurrent queries over the same
-    /// video share one [`EmbedCache`] and one batched encoder pass over
-    /// the union of their candidate segments. Scoring, ranking, NMS, and
-    /// refinement still run per query, so each query's result vector is
-    /// byte-identical to what a solo [`search`](Self::search) returns.
-    ///
-    /// This is the engine's multi-query amortization path ("shared scan"):
-    /// with K concurrent look-alike queries the encoder work is paid
-    /// roughly once instead of K times. Queries whose spans differ still
-    /// share whatever windows coincide.
-    ///
-    /// One `cancel` token covers the whole batch (the fused encoder pass
-    /// is indivisible); when it trips, *every* query in the batch reports
-    /// [`MatchError::Cancelled`]. Per-query failures (e.g. an
-    /// unembeddable query) are reported per slot without failing the
-    /// batch. Similarities that do not use embeddings fall back to
-    /// sequential solo searches.
+    /// Several queries against one index in a single fused scan, all
+    /// under one `cancel` token: when it trips, every query that has not
+    /// finished reports [`MatchError::Cancelled`].
     pub fn search_batch(
         &self,
         index: &VideoIndex,
         queries: &[&Clip],
         cancel: &CancelToken,
     ) -> Vec<Result<Vec<RetrievedMoment>, MatchError>> {
-        if !(self.config.embed_cache && self.sim.uses_embeddings()) || queries.len() == 1 {
-            return queries
-                .iter()
-                .map(|q| self.search_with_cancel(index, q, cancel))
-                .collect();
-        }
-        match self.search_batch_fused(index, queries, cancel) {
-            Ok(results) => results,
-            Err(e) => queries.iter().map(|_| Err(e.clone())).collect(),
-        }
+        let members: Vec<_> = queries.iter().map(|&q| (q, cancel)).collect();
+        self.scan(index, &members, None)
     }
 
-    /// The fused path behind [`search_batch`](Self::search_batch): phase 1
-    /// per query into one shared cache, one phase-2 encoder pass, then
-    /// phases 3-4 per query. An `Err` here is batch-wide (cancellation).
-    fn search_batch_fused(
+    /// Whether `query` can match nothing in `index` by construction:
+    /// empty, shorter than [`MatcherConfig::min_window`], or searched
+    /// over an empty index.
+    pub(crate) fn is_degenerate(&self, index: &VideoIndex, query: &Clip) -> bool {
+        let q_span = query.span();
+        q_span == 0
+            || q_span < self.config.min_window
+            || query.num_objects() == 0
+            || index.frames == 0
+    }
+
+    /// The scan — the only one there is. Every member of `members`
+    /// (concurrent queries over one index, each with its own token; a
+    /// batch of one is the solo case) goes through the same four phases:
+    ///
+    /// 1. **Set up**, per member under its own token: settle degenerate
+    ///    queries to an empty result, prepare the query, enumerate its
+    ///    windows, drop those ending before `min_end` (the epoch scope —
+    ///    applied before scoring, so `top_k` acts within it), and intern
+    ///    every candidate segment into one [`EmbedCache`] shared by the
+    ///    whole batch.
+    /// 2. **Embed** the cache's distinct segments in one batched encoder
+    ///    pass. Candidate embeddings depend only on the index and the
+    ///    model, not on the query, so K look-alike members pay for the
+    ///    encoder roughly once. The pass stops only when no member still
+    ///    waiting for it has a live token.
+    /// 3. **Score** each member's candidates from the shared embeddings,
+    ///    under its own token.
+    /// 4. **Rank** them (sort, NMS, top-k, refinement).
+    ///
+    /// A member's result does not depend on what else is in the batch: it
+    /// is byte-identical to the member running alone, and one member's
+    /// failure (a tripped token, a query the similarity rejects) is
+    /// reported in its own slot. Similarities that do not use embeddings,
+    /// and `embed_cache: false`, score each member's windows directly
+    /// ([`scan_direct`](Self::scan_direct)) in phase 1 and skip phase 2.
+    pub(crate) fn scan(
         &self,
         index: &VideoIndex,
-        queries: &[&Clip],
-        cancel: &CancelToken,
-    ) -> Result<Vec<Result<Vec<RetrievedMoment>, MatchError>>, MatchError> {
-        let _search_span = telemetry::span(names::MATCHER_SEARCH);
-
-        // Per-query setup mirrors `search_with_cancel` exactly; queries
-        // that fail to prepare (or are degenerate) are settled here and
-        // excluded from the fused scan.
-        enum Slot {
-            Done(Result<Vec<RetrievedMoment>, MatchError>),
-            Live {
-                prepared: PreparedQuery,
-                windows: Vec<(u32, u32, u32)>,
-            },
+        members: &[(&Clip, &CancelToken)],
+        min_end: Option<u32>,
+    ) -> Vec<Result<Vec<RetrievedMoment>, MatchError>> {
+        enum Candidates {
+            Interned(Vec<WindowCandidates>),
+            Scored(Vec<RetrievedMoment>),
         }
-        let mut slots: Vec<Slot> = Vec::with_capacity(queries.len());
+        let _search_span = telemetry::span(names::MATCHER_SEARCH);
+        let _scan_span = telemetry::span(names::MATCHER_SCAN);
+        let use_cache = self.config.embed_cache && self.sim.uses_embeddings();
         let mut cache = EmbedCache::new();
-        let mut live_candidates: Vec<Vec<WindowCandidates>> = Vec::new();
-        {
-            let scan_span = telemetry::span(names::MATCHER_SCAN);
-            for query in queries {
-                cancel.check().map_err(MatchError::from)?;
-                let q_span = query.span();
-                if q_span == 0
-                    || q_span < self.config.min_window
-                    || query.num_objects() == 0
-                    || index.frames == 0
-                {
-                    slots.push(Slot::Done(Ok(Vec::new())));
-                    continue;
+        // The tokens of the members whose candidates await the encoder pass.
+        let mut waiting: Vec<&CancelToken> = Vec::new();
+
+        // `None` settles a degenerate member to an empty result.
+        type Setup = Option<(PreparedQuery, usize, Candidates)>;
+        let setups: Vec<Result<Setup, MatchError>> = members
+            .iter()
+            .map(|&(query, cancel)| {
+                if self.is_degenerate(index, query) {
+                    return Ok(None);
                 }
+                cancel.check()?;
                 let prepared = {
                     let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
-                    match self.sim.prepare(query) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            slots.push(Slot::Done(Err(e.into())));
-                            continue;
-                        }
-                    }
+                    self.sim.prepare(query)?
                 };
                 let classes = query.classes();
-                let windows = self.enumerate_windows(q_span, index.frames);
+                let mut windows = self.enumerate_windows(query.span(), index.frames);
+                if let Some(min_end) = min_end {
+                    windows.retain(|&(_, end, _)| end >= min_end);
+                }
                 telemetry::counter(names::WINDOWS_ENUMERATED).add(windows.len() as u64);
-                live_candidates.push(
-                    self.enumerate_candidates(index, &classes, &windows, &mut cache, cancel)?,
-                );
-                slots.push(Slot::Live { prepared, windows });
-            }
-            telemetry::counter(names::EMBED_CACHE_HITS).add(cache.hits());
-            telemetry::counter(names::EMBED_CACHE_MISSES).add(cache.misses());
+                let candidates = if use_cache {
+                    let per_window =
+                        self.enumerate_candidates(index, &classes, &windows, &mut cache, cancel)?;
+                    waiting.push(cancel);
+                    Candidates::Interned(per_window)
+                } else {
+                    Candidates::Scored(
+                        self.scan_direct(index, &classes, &prepared, &windows, cancel)?,
+                    )
+                };
+                Ok(Some((prepared, windows.len(), candidates)))
+            })
+            .collect();
+        telemetry::counter(names::EMBED_CACHE_HITS).add(cache.hits());
+        telemetry::counter(names::EMBED_CACHE_MISSES).add(cache.misses());
 
-            // Phase 2 once for the whole batch: the shared cache holds the
-            // union of every live query's distinct candidate segments.
-            let embed_span = telemetry::span(names::MATCHER_EMBED);
-            let embeddings =
-                try_embed_clips_parallel(&self.sim, cache.clips(), self.config.threads, cancel)?;
-            drop(embed_span);
+        let embeddings = {
+            let _embed_span = telemetry::span(names::MATCHER_EMBED);
+            try_embed_clips_parallel(&self.sim, cache.clips(), self.config.threads, &waiting)
+        };
 
-            // Phases 3-4 per query, identical to the solo path.
-            let mut live = live_candidates.into_iter();
-            let mut results: Vec<Result<Vec<RetrievedMoment>, MatchError>> =
-                Vec::with_capacity(queries.len());
-            for slot in slots {
-                match slot {
-                    Slot::Done(r) => results.push(r),
-                    Slot::Live { prepared, windows } => {
-                        let per_window = live.next().expect("one candidate set per live slot");
-                        let scored =
-                            self.score_candidates(&prepared, per_window, &embeddings, cancel)?;
-                        telemetry::counter(names::WINDOWS_PRUNED)
-                            .add((windows.len() - scored.len()) as u64);
-                        if telemetry::is_enabled() {
-                            let hist = telemetry::histogram(names::WINDOW_SCORE, SCORE_BOUNDS);
-                            for m in &scored {
-                                hist.observe(m.score as f64);
-                            }
-                        }
-                        results.push(Ok(self.rank(index, scored)));
+        setups
+            .into_iter()
+            .zip(members)
+            .map(|(setup, &(_, cancel))| {
+                let Some((prepared, windows, candidates)) = setup? else {
+                    return Ok(Vec::new());
+                };
+                let scored = match candidates {
+                    Candidates::Scored(scored) => scored,
+                    Candidates::Interned(per_window) => {
+                        cancel.check()?;
+                        let embeddings = embeddings
+                            .as_ref()
+                            .expect("the pass stops only once every waiting token has tripped");
+                        self.score_candidates(&prepared, per_window, embeddings, cancel)?
+                    }
+                };
+                telemetry::counter(names::WINDOWS_PRUNED).add((windows - scored.len()) as u64);
+                if telemetry::is_enabled() {
+                    let hist = telemetry::histogram(names::WINDOW_SCORE, SCORE_BOUNDS);
+                    for m in &scored {
+                        hist.observe(m.score as f64);
                     }
                 }
-            }
-            drop(scan_span);
-            Ok(results)
-        }
+                Ok(self.rank(index, scored))
+            })
+            .collect()
     }
 
     /// Final ranking: sort by score (ties broken deterministically so
@@ -553,9 +506,9 @@ impl<S: Similarity> Matcher<S> {
     /// interning each distinct segment once in `cache`. A window's
     /// candidate list holds the bound track ids (slot order) and the
     /// segment's embedding slot, in combination order, for every distinct
-    /// non-empty candidate. The cache may be shared across queries
-    /// ([`search_batch`](Self::search_batch)): interning is keyed purely
-    /// on `(track_ids, start, end)`, which is query-independent.
+    /// non-empty candidate. The cache is shared across the batch's
+    /// members: interning is keyed purely on `(track_ids, start, end)`,
+    /// which is query-independent.
     fn enumerate_candidates(
         &self,
         index: &VideoIndex,

@@ -345,16 +345,16 @@ impl SketchQL {
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, SessionError> {
         let sim = LearnedSimilarity::new(self.model.encoder.clone(), self.model.store.clone());
-        if let Some(store) = self.stores.get(dataset) {
-            let index = self.dataset(dataset)?;
-            let matcher = Matcher::with_config(sim, self.matcher_config.clone());
-            let recorder = Recorder::begin();
-            let results = matcher.search_with_shards(index, store, query, cancel);
-            telemetry::counter(names::SESSION_QUERY).inc();
-            *self.last_report.lock().unwrap() = Some(recorder.finish(dataset));
-            return results.map(|s| s.moments).map_err(SessionError::from);
-        }
-        self.run_query_with_cancel(dataset, query, sim, cancel)
+        let index = self.dataset(dataset)?;
+        let matcher = Matcher::with_config(sim, self.matcher_config.clone());
+        let recorder = Recorder::begin();
+        let result = matcher
+            .search_stored(index, self.stores.get(dataset), &[(query, cancel)], None)
+            .pop()
+            .expect("one result per query");
+        telemetry::counter(names::SESSION_QUERY).inc();
+        *self.last_report.lock().unwrap() = Some(recorder.finish(dataset));
+        result.map(|s| s.moments).map_err(SessionError::from)
     }
 
     /// Step 5 with an arbitrary similarity function (baseline experiments).

@@ -1,5 +1,6 @@
 //! Store-backed search: fingerprints, the ingest grid configuration,
-//! and the one planner every store query goes through.
+//! and the one planner every query goes through, with or without a
+//! store.
 //!
 //! The learned similarity embeds candidate clips independently of the
 //! query, so candidate-window embeddings are query-agnostic. Ingest
@@ -12,9 +13,11 @@
 //!
 //! Stores are strictly a cache: when one does not match the live model
 //! (fingerprint), the live index (fingerprint), or the query's window
-//! configuration, the search falls back to the full scan and the results
-//! are what they always were. Multi-object queries always fall back —
-//! the store persists one track per row, not track combinations.
+//! configuration, the planner hands the query to the scan
+//! (`Matcher::scan`, the same call it makes when there is no store at
+//! all) and the results are what they always were. Multi-object queries
+//! always scan — the store persists one track per row, not track
+//! combinations.
 
 use sketchql_store::{AnnConfig, Fnv64, StoreMeta, StoreRow};
 use sketchql_telemetry::{self as telemetry, names};
@@ -169,14 +172,15 @@ impl StoreSearch {
 }
 
 impl Matcher<LearnedSimilarity> {
-    /// The store search planner — the only store-backed search there
-    /// is. Every member of `queries` (concurrent queries over one
-    /// dataset; a batch of one is the solo case) is answered from `set`
-    /// when it can be and from the scan when it cannot:
+    /// The search planner — the one call every query goes through.
+    /// Every member of `queries` (concurrent queries over one dataset,
+    /// each under its own token; a batch of one is the solo case) is
+    /// answered from `set` when it can be and from the scan when it
+    /// cannot; with no `set` every member scans:
     ///
     /// 1. **Classify.** A degenerate query (empty, shorter than
     ///    `min_window`, or over an empty index) settles to an empty
-    ///    result. A query `set` cannot serve falls back to the scan:
+    ///    result. A query `set` cannot serve is left for the scan:
     ///    it binds more than one object (stores hold single-track
     ///    rows); the set's model or index fingerprint differs from the
     ///    live model/index; or the matcher's stride or overlap
@@ -187,8 +191,12 @@ impl Matcher<LearnedSimilarity> {
     /// 3. **Gather and re-rank**, per member under its own token: the
     ///    rows under the top `nprobe` lists, scored exactly and run
     ///    through the usual ranking pipeline. A shard that fails to
-    ///    load (corruption discovered at first probe) falls back to the
-    ///    scan, so results stay correct.
+    ///    load (corruption discovered at first probe) leaves its member
+    ///    for the scan, so results stay correct.
+    /// 4. **Scan** every member the store did not serve in one fused
+    ///    `Matcher::scan` (one shared embedding cache and encoder
+    ///    pass, per-member tokens) — each counted as a store fallback
+    ///    when there was a store to fall back from.
     ///
     /// Every moment the store path reports scores bit-identically to the
     /// full scan (the same `score_embedding` over the same vector bits);
@@ -202,96 +210,85 @@ impl Matcher<LearnedSimilarity> {
     /// epoch that first covers its last frame, so scoping by end makes
     /// epochs partition the windows: no window is delivered twice, none
     /// is skipped. Windows are filtered before scoring on both the store
-    /// path and the scan fallback, so `top_k` applies *within* the scope
-    /// and scores stay bit-identical to an unscoped query.
+    /// path and the scan, so `top_k` applies *within* the scope and
+    /// scores stay bit-identical to an unscoped query.
     ///
     /// [`CoarseQuantizer::rank_batch`]: sketchql_store::CoarseQuantizer::rank_batch
     pub fn search_stored(
         &self,
         index: &VideoIndex,
-        set: &ShardSet,
+        set: Option<&ShardSet>,
         queries: &[(&Clip, &CancelToken)],
         min_end: Option<u32>,
     ) -> Vec<Result<StoreSearch, MatchError>> {
-        enum Plan {
-            Empty,
-            Scan,
-            Probe(PreparedQuery),
-            Failed(MatchError),
-        }
         let _search_span = telemetry::span(names::MATCHER_SEARCH);
-        let plans: Vec<Plan> = queries
-            .iter()
-            .map(|&(query, cancel)| {
-                let q_span = query.span();
-                if q_span == 0
-                    || q_span < self.config.min_window
-                    || query.num_objects() == 0
-                    || index.frames == 0
-                {
-                    return Plan::Empty;
+        // `None` = not served by the store (yet): phase 4 scans it.
+        let mut results: Vec<Option<Result<StoreSearch, MatchError>>> =
+            queries.iter().map(|_| None).collect();
+        if let Some(set) = set {
+            let mut probes: Vec<(usize, PreparedQuery)> = Vec::new();
+            for (i, &(query, cancel)) in queries.iter().enumerate() {
+                if self.is_degenerate(index, query) {
+                    results[i] = Some(Ok(StoreSearch::unserved(Vec::new())));
+                } else if self.meta_serves(index, set.meta(), query) {
+                    match cancel.check().map_err(MatchError::from).and_then(|()| {
+                        let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
+                        self.sim.prepare(query).map_err(MatchError::from)
+                    }) {
+                        Ok(prepared) => probes.push((i, prepared)),
+                        Err(e) => results[i] = Some(Err(e)),
+                    }
                 }
-                if !self.meta_serves(index, set.meta(), query, q_span) {
-                    return Plan::Scan;
+            }
+            let rankings = if probes.is_empty() {
+                Vec::new()
+            } else {
+                let embeddings: Vec<&[f32]> = probes
+                    .iter()
+                    .map(|(_, prepared)| match prepared {
+                        PreparedQuery::Embedding(qe) => qe.as_slice(),
+                        _ => unreachable!("learned similarity always prepares an embedding"),
+                    })
+                    .collect();
+                let _probe_span = telemetry::span(names::STORE_PROBE);
+                set.quantizer().rank_batch(&embeddings)
+            };
+            for ((i, prepared), ranked) in probes.iter().zip(rankings) {
+                let (query, cancel) = queries[*i];
+                let nprobe = set.nprobe.max(1).min(ranked.len());
+                let gathered = {
+                    let _probe_span = telemetry::span(names::STORE_PROBE);
+                    set.gather(&ranked[..nprobe])
+                };
+                // A load error was logged where it was first recorded
+                // (`ShardSet::load_shard`); the member is left unserved.
+                if let Ok(gathered) = gathered {
+                    results[*i] = Some(cancel.check().map_err(MatchError::from).and_then(|()| {
+                        let candidates = scope_candidates(gathered.candidates(), min_end);
+                        self.finish_store_search(index, query, prepared, candidates, cancel)
+                    }));
                 }
-                match cancel.check().map_err(MatchError::from).and_then(|()| {
-                    let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
-                    self.sim.prepare(query).map_err(MatchError::from)
-                }) {
-                    Ok(prepared) => Plan::Probe(prepared),
-                    Err(e) => Plan::Failed(e),
-                }
-            })
-            .collect();
+            }
+        }
 
-        let embeddings: Vec<&[f32]> = plans
-            .iter()
-            .filter_map(|plan| match plan {
-                Plan::Probe(PreparedQuery::Embedding(qe)) => Some(qe.as_slice()),
-                Plan::Probe(_) => unreachable!("learned similarity always prepares an embedding"),
-                _ => None,
-            })
+        let unserved: Vec<usize> = (0..queries.len())
+            .filter(|&i| results[i].is_none())
             .collect();
-        let rankings = if embeddings.is_empty() {
-            Vec::new()
-        } else {
-            let _probe_span = telemetry::span(names::STORE_PROBE);
-            set.quantizer().rank_batch(&embeddings)
-        };
-
-        // The one fallback: the scoped scan, which filters windows by
-        // `min_end` before scoring exactly as the served path filters
-        // candidates.
-        let scan = |query: &Clip, cancel: &CancelToken| {
-            telemetry::counter(names::STORE_FALLBACKS).inc();
-            self.search_scoped(index, query, cancel, min_end)
-                .map(StoreSearch::unserved)
-        };
-        let mut rankings = rankings.into_iter();
-        queries
-            .iter()
-            .zip(plans)
-            .map(|(&(query, cancel), plan)| match plan {
-                Plan::Empty => Ok(StoreSearch::unserved(Vec::new())),
-                Plan::Failed(e) => Err(e),
-                Plan::Scan => scan(query, cancel),
-                Plan::Probe(prepared) => {
-                    let ranked = rankings.next().expect("one ranking per served member");
-                    let nprobe = set.nprobe.max(1).min(ranked.len());
-                    let gathered = {
-                        let _probe_span = telemetry::span(names::STORE_PROBE);
-                        set.gather(&ranked[..nprobe])
-                    };
-                    // A load error was logged where it was first recorded
-                    // (`ShardSet::load_shard`).
-                    let Ok(gathered) = gathered else {
-                        return scan(query, cancel);
-                    };
-                    cancel.check().map_err(MatchError::from)?;
-                    let candidates = scope_candidates(gathered.candidates(), min_end);
-                    self.finish_store_search(index, query, &prepared, candidates, cancel)
-                }
-            })
+        if !unserved.is_empty() {
+            if set.is_some() {
+                telemetry::counter(names::STORE_FALLBACKS).add(unserved.len() as u64);
+            }
+            let members: Vec<_> = unserved.iter().map(|&i| queries[i]).collect();
+            for (i, moments) in unserved
+                .into_iter()
+                .zip(self.scan(index, &members, min_end))
+            {
+                results[i] = Some(moments.map(StoreSearch::unserved));
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every member is served or scanned"))
             .collect()
     }
 
@@ -316,7 +313,7 @@ impl Matcher<LearnedSimilarity> {
         cancel: &CancelToken,
         min_end: Option<u32>,
     ) -> Result<StoreSearch, MatchError> {
-        self.search_stored(index, set, &[(query, cancel)], min_end)
+        self.search_stored(index, Some(set), &[(query, cancel)], min_end)
             .pop()
             .expect("one result per query")
     }
@@ -430,7 +427,7 @@ impl Matcher<LearnedSimilarity> {
 
     /// Whether a set with provenance `meta` can serve this query over
     /// this index with results the full scan would also produce.
-    fn meta_serves(&self, index: &VideoIndex, meta: &StoreMeta, query: &Clip, q_span: u32) -> bool {
+    fn meta_serves(&self, index: &VideoIndex, meta: &StoreMeta, query: &Clip) -> bool {
         if query.num_objects() != 1
             || meta.model_fingerprint != model_fingerprint(&self.sim)
             || meta.frames != index.frames
@@ -443,7 +440,7 @@ impl Matcher<LearnedSimilarity> {
         // Every window length this query derives (and that fits the
         // video) must have been ingested.
         self.config.window_scales.iter().all(|&scale| {
-            let len = ((q_span as f32 * scale) as u32).max(self.config.min_window);
+            let len = ((query.span() as f32 * scale) as u32).max(self.config.min_window);
             len > index.frames || meta.window_lens.contains(&len)
         })
     }

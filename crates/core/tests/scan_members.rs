@@ -1,0 +1,132 @@
+//! Per-member cancellation in the one scan: each member of a batch runs
+//! under its own token, so one member's tripped token is reported in
+//! its own slot while its peers come back byte-identical to solo
+//! searches; the shared encoder pass runs only while somebody is still
+//! waiting for it; and the store planner sends all of its unserved
+//! members through one fused scan.
+//!
+//! These tests read process-global counters, so they live in their own
+//! binary and take a lock: nothing else may embed while they measure.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sketchql::cancel::{CancelReason, CancelToken};
+use sketchql::matcher::{MatchError, Matcher, MatcherConfig};
+use sketchql::similarity::LearnedSimilarity;
+use sketchql::training::{train, TrainingConfig};
+use sketchql::vshard::ingest_sharded;
+use sketchql::vstore::IngestConfig;
+use sketchql::VideoIndex;
+use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
+use sketchql_telemetry::{self as telemetry, names};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+fn matcher() -> Matcher<LearnedSimilarity> {
+    let mut cfg = TrainingConfig::tiny();
+    cfg.steps = 8;
+    Matcher::with_config(train(cfg).similarity(), MatcherConfig::default())
+}
+
+fn test_index(seed: u64) -> VideoIndex {
+    let cfg = VideoConfig {
+        family: SceneFamily::UrbanIntersection,
+        events_per_kind: 1,
+        distractors: 2,
+        fps: 30.0,
+    };
+    VideoIndex::from_truth(&generate_video(cfg, seed, &mut StdRng::seed_from_u64(seed)))
+}
+
+#[test]
+fn a_cancelled_member_does_not_disturb_a_live_one() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let m = matcher();
+    let index = test_index(41);
+    let (qa, qb) = (
+        query_clip(EventKind::LeftTurn),
+        query_clip(EventKind::UTurn),
+    );
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    let live = CancelToken::new();
+    let mut results = m.search_stored(&index, None, &[(&qa, &cancelled), (&qb, &live)], None);
+    let b = results.pop().unwrap().unwrap();
+    let a = results.pop().unwrap();
+    assert_eq!(a, Err(MatchError::Cancelled(CancelReason::Cancelled)));
+    assert!(!b.from_store);
+    assert!(!b.moments.is_empty());
+    assert_eq!(b.moments, m.search(&index, &qb).unwrap());
+}
+
+#[test]
+fn a_batch_nobody_waits_for_embeds_nothing() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let m = matcher();
+    let index = test_index(42);
+    let q = query_clip(EventKind::LeftTurn);
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    let expired = CancelToken::with_deadline_at(Instant::now() - Duration::from_millis(1));
+    let before = telemetry::counter(names::EMBEDDINGS_COMPUTED).get();
+    let results = m.search_stored(&index, None, &[(&q, &cancelled), (&q, &expired)], None);
+    assert_eq!(
+        results,
+        vec![
+            Err(MatchError::Cancelled(CancelReason::Cancelled)),
+            Err(MatchError::Cancelled(CancelReason::DeadlineExceeded)),
+        ]
+    );
+    assert_eq!(
+        telemetry::counter(names::EMBEDDINGS_COMPUTED).get(),
+        before,
+        "neither a query nor a candidate may be embedded for a dead batch"
+    );
+}
+
+#[test]
+fn unserved_members_of_a_stored_dataset_share_one_scan() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let m = matcher();
+    let index = test_index(43);
+    // Stores hold single-track rows, so none of these can be served.
+    let queries = [
+        query_clip(EventKind::PerpendicularCrossing),
+        query_clip(EventKind::Overtake),
+        query_clip(EventKind::PerpendicularCrossing),
+    ];
+    let dir = std::env::temp_dir().join(format!("skql-scan-members-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let spans: Vec<u32> = queries.iter().map(|q| q.span()).collect();
+    let cfg = IngestConfig::from_matcher(&m.config, &spans);
+    let set = ingest_sharded(&m.sim, &index, "v", &cfg, 40, &dir, &|_| {}).unwrap();
+    let solo: Vec<_> = queries
+        .iter()
+        .map(|q| m.search(&index, q).unwrap())
+        .collect();
+
+    let none = CancelToken::none();
+    let members: Vec<_> = queries.iter().map(|q| (q, &none)).collect();
+    let fallbacks = telemetry::counter(names::STORE_FALLBACKS).get();
+    let hits = telemetry::counter(names::EMBED_CACHE_HITS).get();
+    let results = m.search_stored(&index, Some(&set), &members, None);
+    for (got, want) in results.into_iter().zip(solo) {
+        let got = got.unwrap();
+        assert!(!got.from_store);
+        assert!(!want.is_empty());
+        assert_eq!(got.moments, want, "fused fallback diverged from solo");
+    }
+    if telemetry::is_enabled() {
+        assert_eq!(
+            telemetry::counter(names::STORE_FALLBACKS).get() - fallbacks,
+            3
+        );
+        assert!(
+            telemetry::counter(names::EMBED_CACHE_HITS).get() > hits,
+            "the repeated member must find its segments already interned"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

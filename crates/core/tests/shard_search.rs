@@ -174,12 +174,12 @@ fn planner_batch_equals_solo_equals_scan() {
     for shard_frames in [index.frames, 40] {
         let dir = temp_dir(&format!("planner-{shard_frames}"));
         let set = exhaustive_set(&m, &index, &spans, shard_frames, &dir);
-        let batched = m.search_stored(&index, &set, &batch, None);
+        let batched = m.search_stored(&index, Some(&set), &batch, None);
         assert_eq!(batched.len(), queries.len());
         for (q, batched) in queries.iter().zip(batched) {
             let batched = batched.unwrap();
             let solo = m
-                .search_stored(&index, &set, &[(q, &none)], None)
+                .search_stored(&index, Some(&set), &[(q, &none)], None)
                 .pop()
                 .unwrap()
                 .unwrap();

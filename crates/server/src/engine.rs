@@ -39,16 +39,20 @@
 //! mid-search aborts the remaining work promptly. Callers can also cancel
 //! explicitly through the [`QueryHandle`].
 //!
-//! ## Shared-scan fusion
+//! ## One executor, fused batches
 //!
 //! When a worker dequeues a query it also drains up to
 //! [`EngineConfig::fused_batch`] − 1 queued queries against the *same*
-//! dataset and executes them as one fused
-//! [`Matcher::search_batch`] call: candidate-segment embeddings depend
-//! only on `(index, model, tracks, frame range)`, not on the query, so
-//! the fused batch shares one embedding cache and one batched encoder
-//! pass. Per-query results are bit-identical to running each query alone
-//! (see the core matcher tests), so fusion changes throughput, never
+//! dataset (and the same epoch scope) and executes the batch as one
+//! [`Matcher::search_stored`] call — the only search call the engine
+//! makes, whether or not the dataset has a store and whether the batch
+//! has one member or many. Members the store can serve share one pass
+//! over its centroid table; members it cannot (or all of them, with no
+//! store) share one scan: candidate-segment embeddings depend only on
+//! `(index, model, tracks, frame range)`, not on the query, so the
+//! batch shares one embedding cache and one batched encoder pass.
+//! Per-query results are bit-identical to running each query alone (see
+//! the core matcher tests), so fusion changes throughput, never
 //! answers. `fused_batch` defaults to the worker count: a 1-worker engine
 //! executes query-at-a-time, an 8-worker engine amortizes encoder work
 //! across up to 8 concurrent queries — which is what makes a wider pool
@@ -59,14 +63,13 @@
 //! margin covers the dataset's estimated scan time (the running mean of
 //! the same per-dataset execute-stage observations that feed the
 //! `sketchql.server.execute_ms` histogram), so a tight-deadline query is
-//! never fused into a scan it can't survive. The shared scan runs under
-//! a batch token whose deadline is the *latest* member deadline (the
-//! last instant any member still wants the result); a dedicated deadline
-//! monitor polls every member's own token while the scan runs, answering
-//! a member whose tighter deadline expires (or that is cancelled)
-//! `DeadlineExceeded`/`Cancelled` *mid-batch* — within one
-//! [`SchedPolicy::poll_interval`] — and cancels the shared scan early
-//! once no member still wants it.
+//! never fused into a scan it can't survive. Every member runs under its
+//! own token: the search stops working for a member whose token trips,
+//! and stops altogether once no member is live. A dedicated deadline
+//! monitor polls the same tokens while the search runs, so a member
+//! whose deadline expires (or that is cancelled) *mid-batch* is answered
+//! `DeadlineExceeded`/`Cancelled` within one
+//! [`SchedPolicy::poll_interval`] — not when the worker next reaches it.
 //!
 //! ## Index-backed datasets
 //!
@@ -75,13 +78,7 @@
 //! `sketchql::ingest_sharded`). A store is warm-validated at startup —
 //! it must name a loaded dataset and carry the model's and index's
 //! fingerprints — and mismatches are dropped so every query against
-//! that dataset falls back to the fused scan path. Concurrent queries
-//! against a stored dataset fuse too: the batch is one
-//! [`Matcher::search_stored`] call that ranks the shared centroid table
-//! once for all members (one pass over centroid memory instead of
-//! per-member probes) and then re-ranks each member exactly, under
-//! per-member tokens for exact deadline semantics. Per-member results
-//! do not depend on the batch. Store effectiveness is mirrored in plain
+//! that dataset takes the scan. Store effectiveness is mirrored in plain
 //! atomics ([`EngineStats::store_hits`] and friends), so the numbers
 //! survive builds with telemetry compiled out.
 //!
@@ -192,8 +189,8 @@ pub struct SchedPolicy {
     /// credit (starvation protection). `0` disables aging.
     pub aging_ms: u64,
     /// How often the deadline monitor polls the member tokens of
-    /// in-flight fused batches; the bound on how late after its own
-    /// deadline a fused member is answered.
+    /// in-flight batches; the bound on how late after its own deadline
+    /// a member is answered.
     pub poll_interval: Duration,
 }
 
@@ -446,7 +443,7 @@ pub struct ClassStats {
 }
 
 /// A point-in-time view of the engine, also served over the wire.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Worker threads.
     pub workers: usize,
@@ -473,41 +470,12 @@ pub struct EngineStats {
     pub store_fallbacks: u64,
     /// Total stored rows scored across all store-served queries.
     pub store_probed: u64,
-    /// Queries rejected at admission by a class rate limit. Zero when
-    /// talking to a pre-v5 server.
+    /// Queries rejected at admission by a class rate limit.
     pub rate_limited: u64,
-    /// Per-dataset traffic totals, in dataset-name order. Empty when
-    /// talking to a pre-v4 server.
+    /// Per-dataset traffic totals, in dataset-name order.
     pub datasets: Vec<DatasetTraffic>,
     /// Per-class queue position and traffic, in class-name order.
-    /// Empty when talking to a pre-v5 server.
     pub classes: Vec<ClassStats>,
-}
-
-// Hand-written so a newer client still parses older stats: the
-// per-dataset breakdown (v4) and the class/rate-limit fields (v5)
-// default when absent.
-impl Deserialize for EngineStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use crate::protocol::{field, obj, opt_field};
-        let fields = obj(v, "EngineStats")?;
-        Ok(EngineStats {
-            workers: field(&fields, "workers")?,
-            queued: field(&fields, "queued")?,
-            in_flight: field(&fields, "in_flight")?,
-            accepted: field(&fields, "accepted")?,
-            completed: field(&fields, "completed")?,
-            rejected_overload: field(&fields, "rejected_overload")?,
-            timed_out: field(&fields, "timed_out")?,
-            failed: field(&fields, "failed")?,
-            store_hits: field(&fields, "store_hits")?,
-            store_fallbacks: field(&fields, "store_fallbacks")?,
-            store_probed: field(&fields, "store_probed")?,
-            rate_limited: opt_field(&fields, "rate_limited")?.unwrap_or_default(),
-            datasets: opt_field(&fields, "datasets")?.unwrap_or_default(),
-            classes: opt_field(&fields, "classes")?.unwrap_or_default(),
-        })
-    }
 }
 
 /// A loaded dataset, as listed over the wire.
@@ -660,11 +628,10 @@ struct ClassCounters {
     shed: AtomicU64,
 }
 
-/// One in-flight fused batch the deadline monitor watches: the members'
-/// own tokens are polled while `scan_cancel` drives the shared scan.
+/// One in-flight batch the deadline monitor watches: it polls the
+/// members' own tokens while the worker searches.
 struct Watch {
     id: u64,
-    scan_cancel: CancelToken,
     members: Vec<Arc<Member>>,
 }
 
@@ -1480,17 +1447,13 @@ fn record_scan_estimate(shared: &Shared, dataset: &str, execute: Duration) {
     d.scans.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Registers a fused batch with the deadline monitor; the returned id
+/// Registers a batch with the deadline monitor; the returned id
 /// unregisters it.
-fn register_watch(shared: &Shared, scan_cancel: CancelToken, members: Vec<Arc<Member>>) -> u64 {
+fn register_watch(shared: &Shared, members: Vec<Arc<Member>>) -> u64 {
     let mut mon = shared.monitor.lock().unwrap();
     mon.next_id += 1;
     let id = mon.next_id;
-    mon.watches.push(Watch {
-        id,
-        scan_cancel,
-        members,
-    });
+    mon.watches.push(Watch { id, members });
     shared.monitor_signal.notify_all();
     id
 }
@@ -1500,12 +1463,13 @@ fn unregister_watch(shared: &Shared, id: u64) {
     mon.watches.retain(|w| w.id != id);
 }
 
-/// Deadline monitor body: while any fused batch is in flight, poll its
+/// Deadline monitor body: while any batch is in flight, poll its
 /// members' own tokens every [`SchedPolicy::poll_interval`]. A member
 /// whose deadline trips (or that is cancelled) mid-batch is answered
-/// immediately — not after the shared scan finishes — and once no
-/// member still wants a scan's result, the scan itself is cancelled.
-/// Sleeps on the condvar whenever nothing is in flight.
+/// immediately — not when the worker next looks at it. The search holds
+/// the same tokens, so it stops working for that member (and stops
+/// altogether once no member is live) on its own. Sleeps on the condvar
+/// whenever nothing is in flight.
 fn monitor_loop(shared: &Shared) {
     let mut mon = shared.monitor.lock().unwrap();
     loop {
@@ -1524,22 +1488,9 @@ fn monitor_loop(shared: &Shared) {
         if mon.stop {
             return;
         }
-        for watch in &mon.watches {
-            let mut all_answered = true;
-            for member in &watch.members {
-                if member.claimed.load(Ordering::Acquire) {
-                    continue;
-                }
-                if let Err(reason) = member.cancel.check() {
-                    finish_err(shared, member, reason.into());
-                }
-                if !member.claimed.load(Ordering::Acquire) {
-                    all_answered = false;
-                }
-            }
-            if all_answered {
-                // No member still wants this scan's result.
-                watch.scan_cancel.cancel();
+        for member in mon.watches.iter().flat_map(|w| &w.members) {
+            if let Err(reason) = member.cancel.check() {
+                finish_err(shared, member, reason.into());
             }
         }
     }
@@ -1572,10 +1523,6 @@ impl<'a> BatchGuard<'a> {
     fn set_watch(&self, id: u64) {
         *self.watch.lock().unwrap() = Some(id);
     }
-
-    fn clear_watch(&self) -> Option<u64> {
-        self.watch.lock().unwrap().take()
-    }
 }
 
 impl Drop for BatchGuard<'_> {
@@ -1598,7 +1545,9 @@ impl Drop for BatchGuard<'_> {
     }
 }
 
-/// Executes one same-dataset batch and answers every member.
+/// The executor: runs one same-dataset batch as one
+/// [`Matcher::search_stored`] call — store or no store, one member or
+/// many — and answers every member.
 fn run_batch(shared: &Shared, batch: Vec<Job>, guard: &BatchGuard) {
     // Register every member with the guard before any fallible work:
     // a panic anywhere below still answers them all.
@@ -1657,133 +1606,33 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, guard: &BatchGuard) {
         .expect("dataset validated at submit")
         .as_ref();
 
-    if let Some(set) = data.stores.get(&dataset) {
-        run_store_batch(shared, &dataset, index, set, live);
-        return;
-    }
+    let store = data.stores.get(&dataset).map(Arc::as_ref);
 
-    telemetry::histogram(names::SERVER_FUSED_BATCH, BATCH_BOUNDS).observe(live.len() as f64);
-    let batch_size = live.len();
-    for (_, member, _) in &live {
-        member.trace.set_batch_size(batch_size);
-    }
-    // Enter every member's trace: the shared scan's spans (embed, scan,
-    // rank) are delivered to each member, so every fused query still
-    // carries a complete span tree of the work done on its behalf.
-    let trace_guards: Vec<_> = live.iter().map(|(_, m, _)| m.trace.enter()).collect();
-    let exec_span = telemetry::span(names::SERVER_EXECUTE);
-    let fusion_span = if batch_size > 1 {
-        Some(telemetry::span(names::SERVER_FUSION))
-    } else {
-        None
-    };
-    let started = Instant::now();
-    let results = if live.len() == 1 {
-        // A lone query runs under its own token, so explicit cancellation
-        // and the deadline both stop the scan directly.
-        let (query, member, _) = &live[0];
-        vec![shared
-            .matcher
-            .search_with_cancel(index, query, &member.cancel)]
-    } else {
-        // Fused: one shared scan under a batch token whose deadline is
-        // the latest member deadline — the last instant any member still
-        // wants the result. While the scan runs, the deadline monitor
-        // polls every member's own token: a tighter deadline (or an
-        // explicit cancel) answers that member mid-batch, and once no
-        // member is left waiting the monitor cancels this token too.
-        let mut latest = Some(started);
-        for (_, member, _) in &live {
-            match (member.cancel.deadline(), latest) {
-                (Some(d), Some(l)) => latest = Some(l.max(d)),
-                _ => latest = None,
-            }
-        }
-        let scan_cancel = match latest {
-            Some(at) => CancelToken::with_deadline_at(at),
-            None => CancelToken::new(),
-        };
-        let watch_id = register_watch(
-            shared,
-            scan_cancel.clone(),
-            live.iter().map(|(_, m, _)| Arc::clone(m)).collect(),
-        );
-        guard.set_watch(watch_id);
-        let queries: Vec<&Clip> = live.iter().map(|(q, _, _)| q).collect();
-        let results = shared.matcher.search_batch(index, &queries, &scan_cancel);
-        if let Some(id) = guard.clear_watch() {
-            unregister_watch(shared, id);
-        }
-        results
-    };
-    let execute = started.elapsed();
-    drop(fusion_span);
-    drop(exec_span);
-    drop(trace_guards);
-    telemetry::histogram(names::SERVER_EXECUTE_MS, LATENCY_MS_BOUNDS)
-        .observe(execute.as_secs_f64() * 1e3);
-    if results.iter().any(|r| r.is_ok()) {
-        // Only scans that ran to completion feed the fusion estimate;
-        // aborted scans would bias it low and over-fuse.
-        record_scan_estimate(shared, &dataset, execute);
-    }
-
-    for ((_, member, wait), result) in live.into_iter().zip(results) {
-        // A member whose own token tripped during a fused scan reports
-        // its own reason even though the batch ran on for its peers.
-        let result = match member.cancel.check() {
-            Ok(()) => result,
-            Err(reason) => Err(MatchError::Cancelled(reason)),
-        };
-        observe_deadline_margin(&member);
-        match result {
-            Ok(moments) => {
-                // Epoch scope on a dataset with no store (a scoped
-                // `QuerySpec` aimed at a scan-only dataset, or a durable
-                // registration caught up after a restart without its
-                // store): the fused scan has no scope, so this filters
-                // *after* the global top-k and can under-deliver. The
-                // store planner scopes before ranking.
-                let moments = match member.min_end {
-                    Some(m) => moments.into_iter().filter(|r| r.end >= m).collect(),
-                    None => moments,
-                };
-                finish_ok(shared, &member, moments, wait, execute, batch_size)
-            }
-            Err(e) => finish_err(shared, &member, e.into()),
-        }
-    }
-}
-
-/// Executes one batch against an index-backed dataset: one
-/// `Matcher::search_stored` call ranks the shared centroid table once
-/// for every member, then re-ranks each member exactly under its own
-/// token — per-member results do not depend on the batch.
-fn run_store_batch(
-    shared: &Shared,
-    dataset: &str,
-    index: &VideoIndex,
-    set: &ShardSet,
-    live: Vec<LiveMember>,
-) {
     let batch_size = live.len();
     telemetry::histogram(names::SERVER_FUSED_BATCH, BATCH_BOUNDS).observe(batch_size as f64);
     for (_, member, _) in &live {
         member.trace.set_batch_size(batch_size);
     }
+    // Enter every member's trace: the shared work's spans (probe, embed,
+    // scan, rank) are delivered to each member, so every fused query
+    // still carries a complete span tree of the work done on its behalf.
     let trace_guards: Vec<_> = live.iter().map(|(_, m, _)| m.trace.enter()).collect();
     let exec_span = telemetry::span(names::SERVER_EXECUTE);
-    let fusion_span = if batch_size > 1 {
-        Some(telemetry::span(names::SERVER_FUSION))
-    } else {
-        None
-    };
+    let fusion_span = (batch_size > 1).then(|| telemetry::span(names::SERVER_FUSION));
+    // While the search runs, the deadline monitor answers any member
+    // whose own token trips; the guard unregisters the watch.
+    guard.set_watch(register_watch(
+        shared,
+        live.iter().map(|(_, m, _)| Arc::clone(m)).collect(),
+    ));
     let started = Instant::now();
     let queries: Vec<(&Clip, &CancelToken)> = live.iter().map(|(q, m, _)| (q, &m.cancel)).collect();
     // Batch members all share one epoch scope (form_batch only fuses
-    // equal scopes), so the scoped call stays one fused probe.
+    // equal scopes).
     let min_end = live[0].1.min_end;
-    let results = shared.matcher.search_stored(index, set, &queries, min_end);
+    let results = shared
+        .matcher
+        .search_stored(index, store, &queries, min_end);
     let execute = started.elapsed();
     drop(fusion_span);
     drop(exec_span);
@@ -1791,7 +1640,9 @@ fn run_store_batch(
     telemetry::histogram(names::SERVER_EXECUTE_MS, LATENCY_MS_BOUNDS)
         .observe(execute.as_secs_f64() * 1e3);
     if results.iter().any(|r| r.is_ok()) {
-        record_scan_estimate(shared, dataset, execute);
+        // Only searches that ran to completion feed the fusion estimate;
+        // aborted ones would bias it low and over-fuse.
+        record_scan_estimate(shared, &dataset, execute);
     }
     for ((_, member, wait), result) in live.into_iter().zip(results) {
         observe_deadline_margin(&member);
@@ -1801,7 +1652,7 @@ fn run_store_batch(
                 if search.from_store {
                     c.store_hits.fetch_add(1, Ordering::Relaxed);
                     c.store_probed.fetch_add(search.probed, Ordering::Relaxed);
-                } else {
+                } else if store.is_some() {
                     c.store_fallbacks.fetch_add(1, Ordering::Relaxed);
                 }
                 finish_ok(shared, &member, search.moments, wait, execute, batch_size);

@@ -65,4 +65,4 @@ pub use live::{
 };
 pub use protocol::{ErrorKind, Request, Response, WireSpan, WireTrace, PROTOCOL_VERSION};
 pub use scrape::MetricsListener;
-pub use server::{named_datasets, Server};
+pub use server::{named_datasets, Server, MAX_REQUEST_BYTES};

@@ -6,20 +6,17 @@
 //!
 //! ```text
 //! → "Ping"
-//! ← {"Pong":{"version":3}}
-//! → {"Query":{"dataset":"traffic","event":"left_turn","clip":null,"top_k":5,"deadline_ms":2000,"trace_id":181696028373}}
+//! ← {"Pong":{"version":6}}
+//! → {"Query":{"dataset":"traffic","event":"left_turn","clip":null,"top_k":5,"deadline_ms":2000,"trace_id":181696028373,"class":null,"priority":null}}
 //! ← {"Moments":{"moments":[...],"queue_wait_ms":0,"execute_ms":41,"batch_size":1,"trace_id":181696028373}}
 //! ```
 //!
-//! Requests carry every field (absent options are `null`), with one
-//! deliberate exception: [`Request`] uses a hand-written deserializer
-//! that tolerates a *missing* `trace_id` on `Query` and missing fields
-//! on `Trace`, so protocol-version-2 clients (which predate tracing)
-//! keep working against a version-3 server. Response enums still use
-//! the derived deserializer, which ignores unknown fields — a v2
-//! client simply never looks at `Moments.trace_id`. A request the
-//! server cannot parse is answered with [`Response::Error`] of kind
-//! [`ErrorKind::BadRequest`] — the connection stays usable.
+//! Both directions use the derived (de)serializers: a request carries
+//! every field of its variant (absent options are `null`; a missing
+//! field is a parse error naming it), and unknown fields are ignored.
+//! A request the server cannot parse is answered with
+//! [`Response::Error`] of kind [`ErrorKind::BadRequest`] — the
+//! connection stays usable.
 //!
 //! [`Request::Query`] names its sketch either by `event` (a canonical
 //! event query from the datasets crate, e.g. `"left_turn"`) or by an
@@ -30,34 +27,22 @@
 //! [`sketchql_telemetry::mint_trace_id`]) so they survive JSON numbers
 //! stored as `f64`.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use sketchql::RetrievedMoment;
 use sketchql_trajectory::Clip;
 
 use crate::engine::{DatasetInfo, EngineError, EngineStats};
 
 /// Bumped on incompatible wire changes; echoed by [`Response::Pong`].
-/// Version 2 added store-effectiveness fields to `Stats` and the
-/// `stored` flag to dataset listings. Version 3 added end-to-end
-/// tracing: `trace_id` on `Query`/`Moments`, and the `Trace` and
-/// `Metrics` requests (v2 clients still parse and round-trip).
-/// Version 4 added resource attribution and profiling: the `Profile`
-/// request, `alloc_bytes`/`alloc_count`/`cpu_nanos` on [`WireTrace`]
-/// (absent fields read as 0, so v4 clients also parse v3 traces), and
-/// per-dataset traffic in `Stats` (v3 clients ignore the new fields).
-/// Version 5 added scheduling: `class`/`priority` on `Query` (absent
-/// fields read as the server's defaults, so v4 queries still parse),
-/// the `RateLimited` error kind, and per-class queue diagnostics in
-/// `Stats` (v4 clients ignore them).
-/// Version 6 added live monitoring: the `Register`/`Unregister`/
-/// `Notifications` requests for standing queries over appended ingest
-/// epochs, and their `Registered`/`Unregistered`/`Notifications`
-/// responses. v5 clients never send the new requests and ignore the
-/// new response variants, so both directions stay compatible.
+/// Compatibility is kept with the current and the previous version
+/// only. Version 6 added the `Register`/`Unregister`/`Notifications`
+/// requests and their responses; a version-5 client sends every
+/// `Query` field, never sends the new requests and never provokes the
+/// new responses, so it still round-trips.
 pub const PROTOCOL_VERSION: u32 = 6;
 
 /// A client request: one JSON value per line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Liveness probe.
     Ping,
@@ -79,14 +64,14 @@ pub enum Request {
         /// Per-query deadline in milliseconds, or null for the server's
         /// default policy.
         deadline_ms: Option<u64>,
-        /// Client-minted trace id (48-bit, nonzero), or null/absent to
-        /// let the server mint one. v2 clients omit the field entirely.
+        /// Client-minted trace id (48-bit, nonzero), or null to let the
+        /// server mint one.
         trace_id: Option<u64>,
-        /// Admission class (see `SchedPolicy`), or null/absent for the
-        /// server's default class. v4 clients omit the field entirely.
+        /// Admission class (see `SchedPolicy`), or null for the server's
+        /// default class.
         class: Option<String>,
-        /// Base priority override (higher runs first), or null/absent
-        /// for the class default. v4 clients omit the field entirely.
+        /// Base priority override (higher runs first), or null for the
+        /// class default.
         priority: Option<i32>,
     },
     /// Fetch query traces from the server's flight recorder.
@@ -117,9 +102,9 @@ pub enum Request {
         event: Option<String>,
         /// Inline query clip, or null. Takes precedence over `event`.
         clip: Option<Clip>,
-        /// Drop matches scoring below this, or null/absent to keep all.
+        /// Drop matches scoring below this, or null to keep all.
         min_score: Option<f32>,
-        /// Per-epoch result cap, or null/absent for the server default.
+        /// Per-epoch result cap, or null for the server default.
         top_k: Option<usize>,
     },
     /// Remove a standing query; pending notifications are discarded.
@@ -131,189 +116,11 @@ pub enum Request {
     Notifications {
         /// The id [`Response::Registered`] handed back.
         registration_id: u64,
-        /// Drain at most this many matches, or null/absent for all.
+        /// Drain at most this many matches, or null for all.
         max: Option<usize>,
     },
     /// Ask the server process to shut down gracefully.
     Shutdown,
-}
-
-pub(crate) fn obj(v: &Value, what: &str) -> Result<Vec<(String, Value)>, DeError> {
-    match v {
-        Value::Obj(fields) => Ok(fields.clone()),
-        other => Err(DeError::expected(what, other)),
-    }
-}
-
-pub(crate) fn field<T: Deserialize>(fields: &[(String, Value)], key: &str) -> Result<T, DeError> {
-    let v = fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| DeError(format!("missing field {key:?}")))?;
-    T::from_value(v)
-}
-
-/// Like [`field`], but an *absent* key deserializes as `None` — the
-/// compatibility hook that lets v2 requests omit trace fields.
-pub(crate) fn opt_field<T: Deserialize>(
-    fields: &[(String, Value)],
-    key: &str,
-) -> Result<Option<T>, DeError> {
-    match fields.iter().find(|(k, _)| k == key) {
-        Some((_, Value::Null)) | None => Ok(None),
-        Some((_, v)) => T::from_value(v).map(Some),
-    }
-}
-
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        match self {
-            Request::Ping => Value::Str("Ping".into()),
-            Request::ListDatasets => Value::Str("ListDatasets".into()),
-            Request::Stats => Value::Str("Stats".into()),
-            Request::Metrics => Value::Str("Metrics".into()),
-            Request::Shutdown => Value::Str("Shutdown".into()),
-            Request::Query {
-                dataset,
-                event,
-                clip,
-                top_k,
-                deadline_ms,
-                trace_id,
-                class,
-                priority,
-            } => Value::Obj(vec![(
-                "Query".into(),
-                Value::Obj(vec![
-                    ("dataset".into(), dataset.to_value()),
-                    ("event".into(), event.to_value()),
-                    ("clip".into(), clip.to_value()),
-                    ("top_k".into(), top_k.to_value()),
-                    ("deadline_ms".into(), deadline_ms.to_value()),
-                    ("trace_id".into(), trace_id.to_value()),
-                    ("class".into(), class.to_value()),
-                    ("priority".into(), priority.to_value()),
-                ]),
-            )]),
-            Request::Trace { trace_id, limit } => Value::Obj(vec![(
-                "Trace".into(),
-                Value::Obj(vec![
-                    ("trace_id".into(), trace_id.to_value()),
-                    ("limit".into(), limit.to_value()),
-                ]),
-            )]),
-            Request::Profile { seconds, hz } => Value::Obj(vec![(
-                "Profile".into(),
-                Value::Obj(vec![
-                    ("seconds".into(), seconds.to_value()),
-                    ("hz".into(), hz.to_value()),
-                ]),
-            )]),
-            Request::Register {
-                dataset,
-                event,
-                clip,
-                min_score,
-                top_k,
-            } => Value::Obj(vec![(
-                "Register".into(),
-                Value::Obj(vec![
-                    ("dataset".into(), dataset.to_value()),
-                    ("event".into(), event.to_value()),
-                    ("clip".into(), clip.to_value()),
-                    ("min_score".into(), min_score.to_value()),
-                    ("top_k".into(), top_k.to_value()),
-                ]),
-            )]),
-            Request::Unregister { registration_id } => Value::Obj(vec![(
-                "Unregister".into(),
-                Value::Obj(vec![("registration_id".into(), registration_id.to_value())]),
-            )]),
-            Request::Notifications {
-                registration_id,
-                max,
-            } => Value::Obj(vec![(
-                "Notifications".into(),
-                Value::Obj(vec![
-                    ("registration_id".into(), registration_id.to_value()),
-                    ("max".into(), max.to_value()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl Deserialize for Request {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(tag) => match tag.as_str() {
-                "Ping" => Ok(Request::Ping),
-                "ListDatasets" => Ok(Request::ListDatasets),
-                "Stats" => Ok(Request::Stats),
-                "Metrics" => Ok(Request::Metrics),
-                "Shutdown" => Ok(Request::Shutdown),
-                other => Err(DeError(format!("unknown request variant {other:?}"))),
-            },
-            Value::Obj(entries) if entries.len() == 1 => {
-                let (tag, body) = &entries[0];
-                match tag.as_str() {
-                    "Query" => {
-                        let fields = obj(body, "Query")?;
-                        Ok(Request::Query {
-                            dataset: field(&fields, "dataset")?,
-                            event: field(&fields, "event")?,
-                            clip: field(&fields, "clip")?,
-                            top_k: field(&fields, "top_k")?,
-                            deadline_ms: field(&fields, "deadline_ms")?,
-                            trace_id: opt_field(&fields, "trace_id")?,
-                            class: opt_field(&fields, "class")?,
-                            priority: opt_field(&fields, "priority")?,
-                        })
-                    }
-                    "Trace" => {
-                        let fields = obj(body, "Trace")?;
-                        Ok(Request::Trace {
-                            trace_id: opt_field(&fields, "trace_id")?,
-                            limit: opt_field(&fields, "limit")?,
-                        })
-                    }
-                    "Profile" => {
-                        let fields = obj(body, "Profile")?;
-                        Ok(Request::Profile {
-                            seconds: opt_field(&fields, "seconds")?,
-                            hz: opt_field(&fields, "hz")?,
-                        })
-                    }
-                    "Register" => {
-                        let fields = obj(body, "Register")?;
-                        Ok(Request::Register {
-                            dataset: field(&fields, "dataset")?,
-                            event: opt_field(&fields, "event")?,
-                            clip: opt_field(&fields, "clip")?,
-                            min_score: opt_field(&fields, "min_score")?,
-                            top_k: opt_field(&fields, "top_k")?,
-                        })
-                    }
-                    "Unregister" => {
-                        let fields = obj(body, "Unregister")?;
-                        Ok(Request::Unregister {
-                            registration_id: field(&fields, "registration_id")?,
-                        })
-                    }
-                    "Notifications" => {
-                        let fields = obj(body, "Notifications")?;
-                        Ok(Request::Notifications {
-                            registration_id: field(&fields, "registration_id")?,
-                            max: opt_field(&fields, "max")?,
-                        })
-                    }
-                    other => Err(DeError(format!("unknown request variant {other:?}"))),
-                }
-            }
-            other => Err(DeError::expected("request", other)),
-        }
-    }
 }
 
 /// One span of a wire-fetched trace (see [`WireTrace`]).
@@ -332,7 +139,7 @@ pub struct WireSpan {
 /// One query trace as served by [`Request::Trace`]: the flight
 /// recorder's `QueryTrace` with span starts rebased to the trace start
 /// (the process epoch means nothing off-host).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireTrace {
     /// The 48-bit trace id.
     pub trace_id: u64,
@@ -345,8 +152,7 @@ pub struct WireTrace {
     pub batch_size: usize,
     /// Wall time from admission to finalization, nanoseconds.
     pub total_nanos: u64,
-    /// Heap bytes attributed to the query (0 on v3 servers or without
-    /// telemetry).
+    /// Heap bytes attributed to the query (0 without telemetry).
     pub alloc_bytes: u64,
     /// Heap allocations attributed to the query.
     pub alloc_count: u64,
@@ -354,26 +160,6 @@ pub struct WireTrace {
     pub cpu_nanos: u64,
     /// Spans sorted by start offset.
     pub spans: Vec<WireSpan>,
-}
-
-// Hand-written so a v4 client still parses v3 traces: the resource
-// fields default to 0 when absent (the same `opt_field` compatibility
-// hook requests use).
-impl Deserialize for WireTrace {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let fields = obj(v, "WireTrace")?;
-        Ok(WireTrace {
-            trace_id: field(&fields, "trace_id")?,
-            label: field(&fields, "label")?,
-            outcome: field(&fields, "outcome")?,
-            batch_size: field(&fields, "batch_size")?,
-            total_nanos: field(&fields, "total_nanos")?,
-            alloc_bytes: opt_field(&fields, "alloc_bytes")?.unwrap_or(0),
-            alloc_count: opt_field(&fields, "alloc_count")?.unwrap_or(0),
-            cpu_nanos: opt_field(&fields, "cpu_nanos")?.unwrap_or(0),
-            spans: field(&fields, "spans")?,
-        })
-    }
 }
 
 impl WireTrace {
@@ -692,250 +478,6 @@ mod tests {
     fn garbage_line_is_a_parse_error_not_a_panic() {
         assert!(serde_json::from_str::<Request>("{\"nope\"").is_err());
         assert!(serde_json::from_str::<Request>("{\"Frobnicate\":{}}").is_err());
-    }
-
-    /// The exact bytes a protocol-version-2 client puts on the wire
-    /// (no `trace_id`) must still parse — satellite of the v3 bump.
-    #[test]
-    fn v2_query_without_trace_id_still_parses() {
-        let v2_line = "{\"Query\":{\"dataset\":\"traffic\",\"event\":\"left_turn\",\
-                       \"clip\":null,\"top_k\":5,\"deadline_ms\":2000}}";
-        let req: Request = serde_json::from_str(v2_line).unwrap();
-        assert_eq!(
-            req,
-            Request::Query {
-                dataset: "traffic".into(),
-                event: Some("left_turn".into()),
-                clip: None,
-                top_k: Some(5),
-                deadline_ms: Some(2000),
-                trace_id: None,
-                class: None,
-                priority: None,
-            }
-        );
-    }
-
-    /// The exact bytes a protocol-version-4 client puts on the wire
-    /// (no `class`/`priority`) must still parse — satellite of the v5
-    /// bump. The engine treats the absent fields as the default class.
-    #[test]
-    fn v4_query_without_class_still_parses() {
-        let v4_line = "{\"Query\":{\"dataset\":\"traffic\",\"event\":\"left_turn\",\
-                       \"clip\":null,\"top_k\":5,\"deadline_ms\":2000,\
-                       \"trace_id\":42}}";
-        let req: Request = serde_json::from_str(v4_line).unwrap();
-        assert_eq!(
-            req,
-            Request::Query {
-                dataset: "traffic".into(),
-                event: Some("left_turn".into()),
-                clip: None,
-                top_k: Some(5),
-                deadline_ms: Some(2000),
-                trace_id: Some(42),
-                class: None,
-                priority: None,
-            }
-        );
-    }
-
-    /// A v4 client deserializes v5 `Stats` with its derived struct
-    /// (unknown fields ignored): simulate one by parsing a v5 stats
-    /// line into a v4-shaped mirror struct without the class vector.
-    #[test]
-    fn v5_stats_parse_under_a_v4_shaped_client() {
-        use crate::engine::ClassStats;
-
-        #[derive(Debug, PartialEq, Deserialize)]
-        struct V4Stats {
-            workers: usize,
-            queued: usize,
-            in_flight: usize,
-            accepted: u64,
-            completed: u64,
-            rejected_overload: u64,
-            timed_out: u64,
-            failed: u64,
-        }
-
-        let v5 = EngineStats {
-            workers: 2,
-            queued: 2,
-            in_flight: 1,
-            accepted: 15,
-            completed: 10,
-            rejected_overload: 3,
-            timed_out: 1,
-            failed: 0,
-            store_hits: 0,
-            store_fallbacks: 0,
-            store_probed: 0,
-            rate_limited: 4,
-            datasets: Vec::new(),
-            classes: vec![ClassStats {
-                name: "interactive".into(),
-                priority: 10,
-                queued: 2,
-                oldest_wait_ms: 7,
-                completed: 6,
-                rate_limited: 4,
-                shed: 0,
-            }],
-        };
-        let line = serde_json::to_string(&v5).unwrap();
-        let back: V4Stats = serde_json::from_str(&line).unwrap();
-        assert_eq!((back.queued, back.in_flight), (2, 1));
-        assert_eq!((back.completed, back.rejected_overload), (10, 3));
-    }
-
-    /// The exact stats shape a v4 server puts on the wire (no
-    /// `rate_limited`/`classes`) still parses under this v5 client:
-    /// absent fields read as empty/zero.
-    #[test]
-    fn v4_stats_parse_under_this_v5_client() {
-        let v4_line = "{\"workers\":2,\"queued\":1,\"in_flight\":2,\
-                       \"accepted\":40,\"completed\":30,\"rejected_overload\":4,\
-                       \"timed_out\":5,\"failed\":6,\"store_hits\":0,\
-                       \"store_fallbacks\":0,\"store_probed\":0,\
-                       \"datasets\":[]}";
-        let stats: EngineStats = serde_json::from_str(v4_line).unwrap();
-        assert_eq!(stats.queued, 1);
-        assert_eq!(stats.rate_limited, 0);
-        assert!(stats.classes.is_empty());
-    }
-
-    /// A v2 client deserializes v3 responses with its derived enum
-    /// (unknown fields ignored): simulate one by parsing a v3 `Moments`
-    /// line into a v2-shaped mirror enum without `trace_id`.
-    #[test]
-    fn v3_moments_parse_under_a_v2_shaped_client() {
-        #[derive(Debug, PartialEq, Deserialize)]
-        enum V2Response {
-            #[allow(dead_code)]
-            Pong { version: u32 },
-            Moments {
-                moments: Vec<RetrievedMoment>,
-                queue_wait_ms: u64,
-                execute_ms: u64,
-                batch_size: usize,
-            },
-        }
-
-        let v3 = Response::Moments {
-            moments: vec![RetrievedMoment {
-                start: 1,
-                end: 9,
-                score: 0.5,
-                track_ids: vec![2],
-            }],
-            queue_wait_ms: 3,
-            execute_ms: 14,
-            batch_size: 1,
-            trace_id: 0x00de_adbe_ef01,
-        };
-        let line = serde_json::to_string(&v3).unwrap();
-        let back: V2Response = serde_json::from_str(&line).unwrap();
-        let V2Response::Moments {
-            moments,
-            queue_wait_ms,
-            execute_ms,
-            batch_size,
-        } = back
-        else {
-            panic!("expected Moments");
-        };
-        assert_eq!(moments.len(), 1);
-        assert_eq!((queue_wait_ms, execute_ms, batch_size), (3, 14, 1));
-    }
-
-    /// A bare `{"Profile":{}}` (and a v3-era client that sends no
-    /// resource-aware fields anywhere) parses with both knobs defaulted
-    /// — the `opt_field` compatibility hook, v4 edition.
-    #[test]
-    fn profile_request_with_absent_fields_parses() {
-        let req: Request = serde_json::from_str("{\"Profile\":{}}").unwrap();
-        assert_eq!(
-            req,
-            Request::Profile {
-                seconds: None,
-                hz: None,
-            }
-        );
-    }
-
-    /// The exact trace shape a v3 server puts on the wire (no resource
-    /// fields) still parses under this v4 client: absent fields read 0.
-    #[test]
-    fn v3_wire_trace_parses_with_zero_resources() {
-        let v3_line = "{\"trace_id\":7,\"label\":\"traffic/left_turn\",\
-                       \"outcome\":\"completed\",\"batch_size\":1,\"total_nanos\":1234567,\
-                       \"spans\":[{\"name\":\"sketchql.server.execute\",\"depth\":0,\
-                       \"start_nanos\":0,\"nanos\":1000}]}";
-        let t: WireTrace = serde_json::from_str(v3_line).unwrap();
-        assert_eq!((t.alloc_bytes, t.alloc_count, t.cpu_nanos), (0, 0, 0));
-        assert_eq!(t.trace_id, 7);
-        assert_eq!(t.spans.len(), 1);
-    }
-
-    /// A v3 client deserializes v4 `Traces` with its derived struct
-    /// (unknown fields ignored): simulate one by parsing a v4 trace
-    /// line into a v3-shaped mirror struct without resource fields.
-    #[test]
-    fn v4_wire_trace_parses_under_a_v3_shaped_client() {
-        #[derive(Debug, PartialEq, Deserialize)]
-        struct V3WireTrace {
-            trace_id: u64,
-            label: String,
-            outcome: String,
-            batch_size: usize,
-            total_nanos: u64,
-            spans: Vec<WireSpan>,
-        }
-
-        let v4 = WireTrace {
-            trace_id: 9,
-            label: "traffic/merge".into(),
-            outcome: "completed".into(),
-            batch_size: 2,
-            total_nanos: 777,
-            alloc_bytes: 1024,
-            alloc_count: 3,
-            cpu_nanos: 555,
-            spans: Vec::new(),
-        };
-        let line = serde_json::to_string(&v4).unwrap();
-        let back: V3WireTrace = serde_json::from_str(&line).unwrap();
-        assert_eq!(back.trace_id, 9);
-        assert_eq!(back.total_nanos, 777);
-    }
-
-    /// A minimal `{"Register":{...}}` with every optional knob absent
-    /// parses with them defaulted — the `opt_field` compatibility hook,
-    /// v6 edition — and a bare `Notifications` drains everything.
-    #[test]
-    fn register_request_with_absent_fields_parses() {
-        let line = "{\"Register\":{\"dataset\":\"traffic\",\"event\":\"merge\"}}";
-        let req: Request = serde_json::from_str(line).unwrap();
-        assert_eq!(
-            req,
-            Request::Register {
-                dataset: "traffic".into(),
-                event: Some("merge".into()),
-                clip: None,
-                min_score: None,
-                top_k: None,
-            }
-        );
-        let line = "{\"Notifications\":{\"registration_id\":5}}";
-        let req: Request = serde_json::from_str(line).unwrap();
-        assert_eq!(
-            req,
-            Request::Notifications {
-                registration_id: 5,
-                max: None,
-            }
-        );
     }
 
     /// The exact bytes a protocol-version-5 client puts on the wire

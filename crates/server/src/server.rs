@@ -15,7 +15,7 @@
 //! query is answered before the process exits.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -30,6 +30,13 @@ use crate::protocol::{ErrorKind, Request, Response, WireTrace, PROTOCOL_VERSION}
 
 /// How often an idle connection thread re-checks the running flag.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Longest request line a connection may send. The largest legitimate
+/// line is a `Query` carrying an inline clip (tens of kilobytes); a
+/// client that streams past the cap without a newline is answered
+/// `BadRequest` once and disconnected instead of growing the line
+/// buffer without bound.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Traces returned by a `Trace` request that names no id and no limit.
 const DEFAULT_TRACE_LIMIT: usize = 16;
@@ -162,10 +169,10 @@ fn signal_shutdown(running: &AtomicBool, signal: &(Mutex<bool>, Condvar)) {
     condvar.notify_all();
 }
 
-/// One connection: read request lines, answer each, until EOF or
-/// shutdown. A read timeout keeps idle connections responsive to the
-/// running flag; partially-read lines survive the timeout because
-/// `read_line` appends.
+/// One connection: read request lines, answer each, until EOF,
+/// shutdown, or a line longer than [`MAX_REQUEST_BYTES`]. A read timeout
+/// keeps idle connections responsive to the running flag;
+/// partially-read lines survive the timeout because `read_line` appends.
 fn handle_connection(
     stream: TcpStream,
     engine: &Engine,
@@ -182,8 +189,20 @@ fn handle_connection(
     let mut writer = stream;
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
+        // One byte past the cap is enough to tell "too long" from "fits".
+        let budget = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(budget).read_line(&mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > MAX_REQUEST_BYTES => {
+                let _ = write_response(
+                    &mut writer,
+                    &Response::Error {
+                        kind: ErrorKind::BadRequest,
+                        message: format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
+                    },
+                );
+                break;
+            }
             Ok(_) => {
                 let trimmed = line.trim();
                 if !trimmed.is_empty() {
@@ -199,14 +218,7 @@ fn handle_connection(
                         let _serialize_span = trace
                             .as_ref()
                             .map(|_| telemetry::span(names::SERVER_SERIALIZE));
-                        match serde_json::to_string(&response) {
-                            Ok(json) => {
-                                writer.write_all(json.as_bytes()).is_ok()
-                                    && writer.write_all(b"\n").is_ok()
-                                    && writer.flush().is_ok()
-                            }
-                            Err(_) => false,
-                        }
+                        write_response(&mut writer, &response)
                     };
                     if let Some(trace) = trace {
                         trace.finalize();
@@ -225,6 +237,15 @@ fn handle_connection(
             Err(_) => break,
         }
     }
+}
+
+/// Writes one response line; `false` if the peer is gone.
+fn write_response(writer: &mut TcpStream, response: &Response) -> bool {
+    serde_json::to_string(response).is_ok_and(|json| {
+        writer.write_all(json.as_bytes()).is_ok()
+            && writer.write_all(b"\n").is_ok()
+            && writer.flush().is_ok()
+    })
 }
 
 /// Serves one parsed request line. The bool asks the connection loop to

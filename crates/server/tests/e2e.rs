@@ -3,13 +3,14 @@
 
 mod common;
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 use sketchql_datasets::{query_clip, EventKind};
 use sketchql_server::{
     Client, ClientError, Engine, EngineConfig, ErrorKind, QuerySpec, Response, Server,
-    PROTOCOL_VERSION,
+    MAX_REQUEST_BYTES, PROTOCOL_VERSION,
 };
 
 use common::{tiny_model, two_datasets};
@@ -99,18 +100,24 @@ fn error_responses_keep_the_connection_usable() {
     server.shutdown();
 }
 
+/// Writes one raw request line and reads the one response line back.
+fn raw_round_trip(stream: &mut TcpStream, line: &str) -> Response {
+    stream.write_all(line.as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
+    stream.flush().unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream.try_clone().unwrap())
+        .read_line(&mut reply)
+        .unwrap();
+    serde_json::from_str(reply.trim()).unwrap()
+}
+
 #[test]
 fn garbage_line_gets_bad_request_not_a_hangup() {
     let server = start_server(1);
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream.write_all(b"this is not json\n").unwrap();
-    stream.flush().unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let resp: Response = serde_json::from_str(line.trim()).unwrap();
     assert!(matches!(
-        resp,
+        raw_round_trip(&mut stream, "this is not json"),
         Response::Error {
             kind: ErrorKind::BadRequest,
             ..
@@ -118,17 +125,98 @@ fn garbage_line_gets_bad_request_not_a_hangup() {
     ));
 
     // Connection survives: a valid request on the same socket works.
-    stream.write_all(b"\"Ping\"\n").unwrap();
-    stream.flush().unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    let resp: Response = serde_json::from_str(line.trim()).unwrap();
     assert_eq!(
-        resp,
+        raw_round_trip(&mut stream, "\"Ping\""),
         Response::Pong {
             version: PROTOCOL_VERSION
         }
     );
+    server.shutdown();
+}
+
+/// Requests carry every field of their variant: a `Query` that leaves
+/// one out is a bad request naming the field, not a silent default.
+#[test]
+fn query_missing_a_field_is_a_bad_request_naming_it() {
+    let server = start_server(1);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let no_class = "{\"Query\":{\"dataset\":\"alpha\",\"event\":\"left_turn\",\"clip\":null,\
+                    \"top_k\":3,\"deadline_ms\":null,\"trace_id\":null,\"priority\":null}}";
+    let Response::Error { kind, message } = raw_round_trip(&mut stream, no_class) else {
+        panic!("a Query without `class` must be refused");
+    };
+    assert_eq!(kind, ErrorKind::BadRequest);
+    assert!(message.contains("\"class\""), "message was {message:?}");
+
+    assert_eq!(
+        raw_round_trip(&mut stream, "\"Ping\""),
+        Response::Pong {
+            version: PROTOCOL_VERSION
+        }
+    );
+    server.shutdown();
+}
+
+/// A client that never sends a newline cannot grow the server's line
+/// buffer without bound: past `MAX_REQUEST_BYTES` it is told so once
+/// and disconnected, and the server keeps serving everyone else.
+#[test]
+fn oversized_request_line_is_rejected_and_the_server_stays_healthy() {
+    // The cap leaves generous room for the largest legitimate line, a
+    // `Query` carrying an inline clip.
+    let largest = EventKind::ALL
+        .iter()
+        .map(|&kind| {
+            let req = sketchql_server::Request::Query {
+                dataset: "alpha".into(),
+                event: None,
+                clip: Some(query_clip(kind)),
+                top_k: None,
+                deadline_ms: None,
+                trace_id: None,
+                class: None,
+                priority: None,
+            };
+            serde_json::to_string(&req).unwrap().len()
+        })
+        .max()
+        .unwrap();
+    assert!(MAX_REQUEST_BYTES >= 4 * largest, "largest query {largest}");
+
+    let server = start_server(1);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // The server hangs up part-way through; a failed write is expected.
+    let chunk = vec![b'x'; 64 * 1024];
+    for _ in 0..(2 * MAX_REQUEST_BYTES / chunk.len()) {
+        if stream.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    // Either the error line arrives, or the reset that follows a close
+    // with unread input swallowed it; the connection must end either way.
+    let mut reply = String::new();
+    if let Err(e) = stream.read_to_string(&mut reply) {
+        assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the server kept the connection open"
+        );
+    }
+    if !reply.is_empty() {
+        let Response::Error { kind, message } = serde_json::from_str(reply.trim()).unwrap() else {
+            panic!("expected an error line, got {reply:?}");
+        };
+        assert_eq!(kind, ErrorKind::BadRequest);
+        assert!(message.contains("exceeds"), "message was {message:?}");
+    }
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.ping().unwrap(), PROTOCOL_VERSION);
     server.shutdown();
 }
 

@@ -6,8 +6,10 @@ mod common;
 use std::sync::Arc;
 use std::time::Duration;
 
+use sketchql::{CancelToken, Matcher, MatcherConfig, VideoIndex};
 use sketchql_datasets::{query_clip, EventKind};
 use sketchql_server::{Engine, EngineConfig, EngineError, QuerySpec};
+use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
 
 use common::{tiny_model, two_datasets};
 
@@ -257,4 +259,86 @@ fn shutdown_drains_admitted_queries() {
         EngineError::ShuttingDown
     );
     assert_eq!(engine.stats().completed, 6);
+}
+
+/// An epoch-scoped query on a dataset with no store attached (a
+/// hand-built scoped `QuerySpec`, or a durable registration caught up
+/// without its store) ranks *within* its scope: windows ending before
+/// `min_end` are dropped before scoring, so better-scoring older windows
+/// cannot crowd the scope's own matches out of the top-k.
+#[test]
+fn scoped_query_on_a_scan_only_dataset_ranks_within_the_scope() {
+    let query = query_clip(EventKind::LeftTurn);
+    let span = query.span();
+    let stride = span / 4;
+    // Two early tracks replay the sketch exactly, one window stride
+    // apart, so each is the perfect match of its own window; a late
+    // track only drives straight.
+    let replay = |id: u64, at: u32| {
+        let pts = query.objects[0]
+            .points()
+            .iter()
+            .map(|p| TrajPoint::new(p.frame + at, p.bbox))
+            .collect();
+        Trajectory::from_points(id, ObjectClass::Car, pts)
+    };
+    let late = 4 * span;
+    let straight = Trajectory::from_points(
+        3,
+        ObjectClass::Car,
+        (0..span)
+            .map(|f| {
+                TrajPoint::new(
+                    late + f,
+                    BBox::new(50.0 + f as f32 * 4.0, 300.0, 60.0, 35.0),
+                )
+            })
+            .collect(),
+    );
+    let clip = Clip::new(
+        query.frame_width,
+        query.frame_height,
+        vec![replay(1, 0), replay(2, stride), straight],
+    );
+    let index = VideoIndex::from_clip("scoped", &clip, 6 * span, 30.0);
+    let min_end = 3 * span;
+
+    let model = tiny_model();
+    let matcher = MatcherConfig {
+        top_k: 2,
+        ..Default::default()
+    };
+    let engine = Engine::start(
+        model.clone(),
+        [("scoped".to_string(), index.clone())].into(),
+        EngineConfig {
+            workers: 1,
+            matcher: matcher.clone(),
+            ..Default::default()
+        },
+    );
+    // Premise: the global top-k lies entirely before the scope.
+    let global = engine
+        .execute(QuerySpec::new("scoped", query.clone()))
+        .unwrap();
+    assert_eq!(global.moments.len(), 2);
+    assert!(global.moments.iter().all(|m| m.end < min_end));
+
+    let mut scoped = QuerySpec::new("scoped", query.clone());
+    scoped.min_end = Some(min_end);
+    let reply = engine.execute(scoped).unwrap().moments;
+    assert!(!reply.is_empty(), "the scope's own windows must be ranked");
+    assert!(reply.iter().all(|m| m.track_ids == [3]));
+    let want = Matcher::with_config(model.similarity(), matcher)
+        .search_stored(
+            &index,
+            None,
+            &[(&query, &CancelToken::none())],
+            Some(min_end),
+        )
+        .pop()
+        .unwrap()
+        .unwrap();
+    assert_eq!(reply, want.moments);
+    engine.shutdown();
 }

@@ -1,16 +1,16 @@
 //! End-to-end tracing tests: a query over the wire leaves one coherent
 //! span tree fetchable through the `Trace` request, shed queries still
-//! reach the flight recorder, old (v2) clients interoperate with the v3
-//! protocol, and the standalone scrape listener serves Prometheus text.
+//! reach the flight recorder, and the standalone scrape listener serves
+//! Prometheus text.
 
 mod common;
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use sketchql_datasets::{query_clip, EventKind};
-use sketchql_server::{Client, Engine, EngineConfig, MetricsListener, QuerySpec, Response, Server};
+use sketchql_server::{Client, Engine, EngineConfig, MetricsListener, QuerySpec, Server};
 use sketchql_telemetry as tel;
 
 use common::{tiny_model, two_datasets};
@@ -167,52 +167,6 @@ fn shed_queries_leave_a_trace_with_a_shed_outcome() {
         assert_eq!(trace.label, "alpha");
     }
     engine.shutdown();
-}
-
-/// A v2 client — no `trace_id` in its Query, no trace fields in the
-/// response shapes it knows — still round-trips query and stats
-/// responses against a v3 server, over a raw socket so nothing from the
-/// v3 client library leaks in.
-#[test]
-fn v2_wire_client_interoperates_with_a_v3_server() {
-    let server = start_server(1);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut line = String::new();
-
-    // Exactly what a v2 client sends: no trace_id field at all.
-    stream
-        .write_all(
-            b"{\"Query\":{\"dataset\":\"alpha\",\"event\":\"left_turn\",\"clip\":null,\
-              \"top_k\":3,\"deadline_ms\":null}}\n",
-        )
-        .unwrap();
-    stream.flush().unwrap();
-    reader.read_line(&mut line).unwrap();
-    // The v3 response parses under the v3 enum (trace_id present)...
-    let resp: Response = serde_json::from_str(line.trim()).unwrap();
-    let Response::Moments {
-        moments, trace_id, ..
-    } = resp
-    else {
-        panic!("expected Moments, got {line:?}");
-    };
-    assert!(!moments.is_empty());
-    assert_ne!(trace_id, 0, "server mints an id when the client sends none");
-    // ...and a v2 client's tolerant parser simply skips the extra
-    // `trace_id` key: the v2-visible fields are all present.
-    assert!(line.contains("\"moments\""));
-    assert!(line.contains("\"queue_wait_ms\""));
-    assert!(line.contains("\"batch_size\""));
-
-    line.clear();
-    stream.write_all(b"\"Stats\"\n").unwrap();
-    stream.flush().unwrap();
-    reader.read_line(&mut line).unwrap();
-    let resp: Response = serde_json::from_str(line.trim()).unwrap();
-    assert!(matches!(resp, Response::Stats { .. }));
-
-    server.shutdown();
 }
 
 /// The standalone scrape listener answers plain HTTP with the full

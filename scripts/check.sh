@@ -25,6 +25,20 @@ echo "== tier-1 verify: cargo build --release && cargo test -q (whole workspace)
 cargo build --release
 cargo test -q
 
+echo "== frozen benchmark: perfbench builds untouched and every workload passes its output checks"
+# perfbench/ pins public API names and compares served replies against
+# direct Matcher calls; a failed check is a `FAILED:` line on stderr.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in scan sharded ingest live; do
+    if ! err=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --quick --trace 0 --seed 1 2>&1 >/dev/null) \
+        || grep -q 'FAILED:' <<<"$err"; then
+        echo "$err" >&2
+        echo "perfbench $workload: non-zero exit or a failed output check" >&2
+        exit 1
+    fi
+done
+
 echo "== server smoke (CLI serve/client round trip)"
 scripts/smoke_server.sh
 

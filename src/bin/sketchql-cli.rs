@@ -339,39 +339,49 @@ fn execute_query(
         // Escape hatch for A/B timing: one encoder forward per candidate
         // instead of the memoized batched path (results are identical).
         m.config.embed_cache = !flags.contains_key("no-embed-cache");
-        if let Some(dir) = flags.get("store-dir") {
-            // Index-backed path: pick the attached shard set whose model
-            // and video fingerprints match what we just built. Attach
-            // validates headers/manifests only; payloads load on probe.
-            let sets = load_store_tier_dir(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
-            let mut set = sets
-                .into_values()
-                .find(|s| s.matches_model(&m.sim) && s.matches_index(&index))
-                .ok_or_else(|| format!("{dir}: no store matches this video and model"))?;
-            if let Some(np) = flags.get("nprobe") {
-                set.nprobe = np
-                    .parse()
-                    .map_err(|_| format!("--nprobe: cannot parse {np:?}"))?;
-            }
-            let search = m
-                .search_with_shards(&index, &set, &query, &CancelToken::none())
-                .map_err(|e| e.to_string())?;
-            if !quiet {
-                if search.from_store {
-                    println!(
-                        "store: index-backed ({} of {} vectors probed, {} shard(s))",
-                        search.probed,
-                        set.total_rows(),
-                        set.shard_count()
-                    );
-                } else {
-                    println!("store: cannot serve this query; fell back to full scan");
+        // Index-backed path: pick the attached shard set whose model and
+        // video fingerprints match what we just built. Attach validates
+        // headers/manifests only; payloads load on probe.
+        let set = match flags.get("store-dir") {
+            None => None,
+            Some(dir) => {
+                let sets =
+                    load_store_tier_dir(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
+                let mut set = sets
+                    .into_values()
+                    .find(|s| s.matches_model(&m.sim) && s.matches_index(&index))
+                    .ok_or_else(|| format!("{dir}: no store matches this video and model"))?;
+                if let Some(np) = flags.get("nprobe") {
+                    set.nprobe = np
+                        .parse()
+                        .map_err(|_| format!("--nprobe: cannot parse {np:?}"))?;
                 }
+                Some(set)
             }
-            search.moments
-        } else {
-            m.search(&index, &query).map_err(|e| e.to_string())?
+        };
+        let search = m
+            .search_stored(
+                &index,
+                set.as_ref(),
+                &[(&query, &CancelToken::none())],
+                None,
+            )
+            .pop()
+            .expect("one result per query")
+            .map_err(|e| e.to_string())?;
+        if let (Some(set), false) = (&set, quiet) {
+            if search.from_store {
+                println!(
+                    "store: index-backed ({} of {} vectors probed, {} shard(s))",
+                    search.probed,
+                    set.total_rows(),
+                    set.shard_count()
+                );
+            } else {
+                println!("store: cannot serve this query; fell back to full scan");
+            }
         }
+        search.moments
     };
     let report = recorder.finish(format!("{}/{}", video.name, kind.name()));
 
