@@ -1,0 +1,87 @@
+//! The sliding-window grid: the one place that decides which windows
+//! exist. The scan, the store writer, the planner's serve check and the
+//! rule baseline all go through these three functions, so the windows
+//! ingest persists are the windows a query asks for by construction.
+
+/// The window length a query of `span` frames derives at `scale`,
+/// clamped up to `min_window`.
+pub(crate) fn window_len(span: u32, scale: f32, min_window: u32) -> u32 {
+    ((span as f32 * scale) as u32).max(min_window)
+}
+
+/// The `(start, end, min_overlap)` windows of one length over a video of
+/// `frames` frames: starts at multiples of the stride from 0, stopping
+/// at the first window that reaches the last frame, with that tail
+/// window's end clamped to it (so `len >= frames` yields the single
+/// window `(0, frames - 1)`; skipping lengths longer than the video is
+/// the caller's policy). `min_overlap` is the number of frames a track
+/// must cover to take part.
+///
+/// `starts` restricts the sequence to windows whose start frame lies in
+/// the inclusive range — every window starts in exactly one of a set of
+/// disjoint covering ranges, so such ranges partition the grid.
+pub(crate) fn windows(
+    len: u32,
+    frames: u32,
+    stride_frac: f32,
+    min_overlap_frac: f32,
+    starts: Option<(u32, u32)>,
+) -> impl Iterator<Item = (u32, u32, u32)> {
+    let stride = ((len as f32 * stride_frac) as u32).max(1);
+    let min_overlap = ((len as f32 * min_overlap_frac) as u32).max(1);
+    let last_frame = frames.saturating_sub(1);
+    let last_start = frames.saturating_sub(len).div_ceil(stride) * stride;
+    let (lo, hi) = starts.unwrap_or((0, u32::MAX));
+    // No length, no video: an empty range.
+    let (first, stop) = if len == 0 || frames == 0 {
+        (1, 0)
+    } else {
+        (
+            lo.div_ceil(stride).saturating_mul(stride),
+            hi.min(last_start),
+        )
+    };
+    (first..=stop).step_by(stride as usize).map(move |start| {
+        let end = start.saturating_add(len - 1).min(last_frame);
+        (start, end, min_overlap)
+    })
+}
+
+/// The first start frame whose window can change when a video of
+/// `old_frames` frames grows: a window of at most `max_len` frames
+/// starting earlier ended inside the old video, unclamped, and is
+/// untouched by a pure extension.
+pub(crate) fn first_touched_start(old_frames: u32, max_len: u32) -> u32 {
+    old_frames.saturating_sub(max_len.saturating_sub(1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn all(len: u32, frames: u32, starts: Option<(u32, u32)>) -> Vec<(u32, u32, u32)> {
+        windows(len, frames, 0.25, 0.5, starts).collect()
+    }
+
+    #[test]
+    fn tail_clamps_and_an_overlong_length_is_one_window() {
+        assert_eq!(all(20, 30, None), [(0, 19, 10), (5, 24, 10), (10, 29, 10)]);
+        assert_eq!(all(20, 27, None), [(0, 19, 10), (5, 24, 10), (10, 26, 10)]);
+        assert_eq!(all(40, 30, None), [(0, 29, 20)]);
+        assert!(all(40, 0, None).is_empty());
+        // A start range keeps exactly the windows that start inside it.
+        assert_eq!(all(20, 30, Some((3, 9))), [(5, 24, 10)]);
+    }
+
+    #[test]
+    fn an_extension_leaves_windows_before_the_bound_alone() {
+        for (len, old, new) in [(16u32, 100u32, 130u32), (24, 50, 51), (60, 40, 90)] {
+            let bound = first_touched_start(old, len);
+            let before = |frames| all(len, frames, None).into_iter().filter(|w| w.0 < bound);
+            assert!(
+                before(old).eq(before(new)),
+                "len {len}: changed below {bound}"
+            );
+        }
+    }
+}

@@ -120,15 +120,24 @@ impl VideoIndex {
         self.tracks
             .iter()
             .filter(|t| query_class.matches(&t.class))
-            .filter(|t| match (t.start_frame(), t.end_frame()) {
-                (Some(s), Some(e)) => {
-                    let lo = s.max(start);
-                    let hi = e.min(end);
-                    hi >= lo && (hi - lo + 1) >= min_overlap
-                }
-                _ => false,
-            })
+            .filter(|t| overlap_frames(t, start, end) >= min_overlap.max(1))
             .collect()
+    }
+}
+
+/// How many frames of the window `[start, end]` fall inside `t`'s frame
+/// range (0 when they are disjoint or the track is empty) — the one
+/// overlap rule: [`VideoIndex::tracks_in_window`] admits a track on it,
+/// and the store planner re-applies it to stored rows.
+pub(crate) fn overlap_frames(t: &Trajectory, start: u32, end: u32) -> u32 {
+    let (Some(s), Some(e)) = (t.start_frame(), t.end_frame()) else {
+        return 0;
+    };
+    let (lo, hi) = (s.max(start), e.min(end));
+    if hi >= lo {
+        hi - lo + 1
+    } else {
+        0
     }
 }
 

@@ -46,6 +46,7 @@ pub use sketchql_telemetry as telemetry;
 
 pub mod cancel;
 pub mod embed_cache;
+mod grid;
 pub mod index;
 pub mod matcher;
 pub mod rules;

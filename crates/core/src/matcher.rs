@@ -7,6 +7,12 @@
 //! each candidate with a [`Similarity`], suppresses temporally overlapping
 //! hits (NMS), and returns the top-k moments sorted by score.
 //!
+//! Which windows exist is decided in one place, the crate's `grid`
+//! module; which tracks may fill one, in
+//! [`VideoIndex::tracks_in_window`]. The store writer and the rule
+//! baseline ([`rules`](crate::rules)) walk the same two, and the rule
+//! baseline also shares `for_each_distinct_combo` and `nms_top_k` below.
+//!
 //! There is one scan, `Matcher::scan`, and its unit of work is a batch
 //! of `(query, token)` members over one index under one optional epoch
 //! scope; `search`, `search_with_cancel` and `search_batch` are fronts
@@ -28,6 +34,7 @@ use std::fmt;
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::embed_cache::{try_embed_clips_parallel, EmbedCache};
+use crate::grid;
 use crate::index::VideoIndex;
 use crate::similarity::{PreparedQuery, Similarity, SimilarityError};
 
@@ -337,34 +344,14 @@ impl<S: Similarity> Matcher<S> {
             .collect()
     }
 
-    /// Final ranking: sort by score (ties broken deterministically so
-    /// parallel and sequential runs agree), NMS, truncate to top-k, and
-    /// optionally refine boundaries.
+    /// Final ranking: [`nms_top_k`], then optional boundary refinement.
     pub(crate) fn rank(
         &self,
         index: &VideoIndex,
-        mut scored: Vec<RetrievedMoment>,
+        scored: Vec<RetrievedMoment>,
     ) -> Vec<RetrievedMoment> {
         let _rank_span = telemetry::span(names::MATCHER_RANK);
-        scored.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.start.cmp(&b.start))
-                .then(a.track_ids.cmp(&b.track_ids))
-        });
-        let mut kept: Vec<RetrievedMoment> = Vec::new();
-        for m in scored {
-            if kept.len() >= self.config.top_k {
-                break;
-            }
-            let overlaps = kept
-                .iter()
-                .any(|k| k.temporal_iou(&m) >= self.config.nms_tiou && k.track_ids == m.track_ids);
-            if !overlaps {
-                kept.push(m);
-            }
-        }
+        let mut kept = nms_top_k(scored, self.config.top_k, self.config.nms_tiou);
         telemetry::counter(names::TOPK_HEAP_OPS).add(kept.len() as u64);
         if self.config.refine_boundaries {
             for m in &mut kept {
@@ -424,33 +411,20 @@ impl<S: Similarity> Matcher<S> {
 
     /// Enumerates every `(start, end, min_overlap)` window across the
     /// configured scales, first occurrence order, duplicates dropped.
-    /// Scales whose window would not fit in the video are skipped.
-    ///
-    /// Deduplication matters: two scales whose windows clamp to the same
-    /// length (e.g. both under [`MatcherConfig::min_window`]) used to emit
-    /// the whole window list twice, scoring — and with the learned
-    /// similarity, embedding — every candidate in it twice.
+    /// Scales whose window would not fit in the video are skipped. (Two
+    /// scales can clamp to one length, e.g. under
+    /// [`MatcherConfig::min_window`]; their windows are scored once.)
     pub(crate) fn enumerate_windows(&self, q_span: u32, frames: u32) -> Vec<(u32, u32, u32)> {
+        let c = &self.config;
         let mut windows: Vec<(u32, u32, u32)> = Vec::new();
         let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
-        for &scale in &self.config.window_scales {
-            let window = ((q_span as f32 * scale) as u32).max(self.config.min_window);
-            if window > frames {
+        for &scale in &c.window_scales {
+            let len = grid::window_len(q_span, scale, c.min_window);
+            if len > frames {
                 continue;
             }
-            let stride = ((window as f32 * self.config.stride_frac) as u32).max(1);
-            let min_overlap = ((window as f32 * self.config.min_overlap_frac) as u32).max(1);
-            let mut start = 0u32;
-            loop {
-                let end = (start + window - 1).min(frames.saturating_sub(1));
-                if seen.insert((start, end, min_overlap)) {
-                    windows.push((start, end, min_overlap));
-                }
-                if end + 1 >= frames {
-                    break;
-                }
-                start += stride;
-            }
+            let of_len = grid::windows(len, frames, c.stride_frac, c.min_overlap_frac, None);
+            windows.extend(of_len.filter(|&w| seen.insert(w)));
         }
         windows
     }
@@ -584,11 +558,42 @@ impl<S: Similarity> Matcher<S> {
 /// distinct candidate's bound track ids (slot order) and embedding slot.
 type WindowCandidates = (u32, u32, Vec<(Vec<TrackId>, u32)>);
 
+/// Sorts by score (ties broken deterministically on start, then bound
+/// tracks, so parallel and sequential runs agree), drops a moment whose
+/// temporal IoU with a better-ranked moment over the same tracks reaches
+/// `nms_tiou`, and keeps the best `top_k`.
+pub(crate) fn nms_top_k(
+    mut scored: Vec<RetrievedMoment>,
+    top_k: usize,
+    nms_tiou: f32,
+) -> Vec<RetrievedMoment> {
+    scored.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.start.cmp(&b.start))
+            .then(a.track_ids.cmp(&b.track_ids))
+    });
+    let mut kept: Vec<RetrievedMoment> = Vec::new();
+    for m in scored {
+        if kept.len() >= top_k {
+            break;
+        }
+        let overlaps = kept
+            .iter()
+            .any(|k| k.temporal_iou(&m) >= nms_tiou && k.track_ids == m.track_ids);
+        if !overlaps {
+            kept.push(m);
+        }
+    }
+    kept
+}
+
 /// Visits every combination of one track per slot where all chosen tracks
 /// are distinct, in mixed-radix order, stopping after `max_combos` visits.
 /// The callback receives the per-slot indices and the chosen track ids in
 /// slot order.
-fn for_each_distinct_combo(
+pub(crate) fn for_each_distinct_combo(
     per_slot: &[Vec<&Trajectory>],
     max_combos: usize,
     mut visit: impl FnMut(&[usize], &[TrackId]),

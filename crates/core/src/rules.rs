@@ -12,15 +12,18 @@
 //! compare it against sketching: a [`Predicate`] algebra over per-track
 //! motion primitives (displacement, speed, signed turning, stops, path
 //! wiggle), multi-object [`Relation`]s (perpendicularity, proximity,
-//! relative speed), a sliding-window evaluator, and the set of
+//! relative speed), a sliding-window evaluator ([`evaluate_rule`], which
+//! walks the matcher's own window grid, candidate combinations and
+//! NMS + top-k and supplies only the scoring), and the set of
 //! [`expert_rule`]s an expert user would hand-write for each event kind of
 //! the evaluation workload.
 
 use serde::{Deserialize, Serialize};
 use sketchql_trajectory::{wrap_angle, ObjectClass, Trajectory};
 
+use crate::grid;
 use crate::index::VideoIndex;
-use crate::matcher::RetrievedMoment;
+use crate::matcher::{for_each_distinct_combo, nms_top_k, RetrievedMoment};
 
 /// Motion statistics of one track restricted to a window — the "low-level
 /// primitives" rules are written over.
@@ -334,122 +337,77 @@ impl Default for RuleSearchConfig {
     }
 }
 
+/// Cap on object combinations scored per window (the matcher's default
+/// `max_combos_per_window`).
+const MAX_COMBOS_PER_WINDOW: usize = 64;
+
 /// Evaluates a rule query over an indexed video, returning ranked moments.
 /// The score of a moment is the fraction of satisfied atomic predicates
 /// and relations (1.0 = rule fully satisfied), so partially matching
 /// windows still rank.
+///
+/// The search skeleton is the matcher's: the same window grid, track
+/// eligibility, distinct-combination walk and NMS + top-k — only the
+/// scoring of a bound combination is the rule's own.
 pub fn evaluate_rule(
     index: &VideoIndex,
     rule: &RuleQuery,
     config: &RuleSearchConfig,
 ) -> Vec<RetrievedMoment> {
-    if rule.objects.is_empty() || index.frames == 0 {
+    if rule.objects.is_empty() {
         return Vec::new();
     }
-    let window = rule.window.clamp(8, index.frames.max(8));
-    let stride = ((window as f32 * config.stride_frac) as u32).max(1);
-    let min_overlap = ((window as f32 * config.min_overlap_frac) as u32).max(1);
+    let len = rule.window.clamp(8, index.frames.max(8));
     let total_atoms: usize =
         rule.objects.iter().map(|(_, p)| p.atoms()).sum::<usize>() + rule.relations.len();
 
     let mut scored = Vec::new();
-    let mut start = 0u32;
-    loop {
-        let end = (start + window - 1).min(index.frames.saturating_sub(1));
-        // Candidate tracks per slot.
+    for (start, end, min_overlap) in grid::windows(
+        len,
+        index.frames,
+        config.stride_frac,
+        config.min_overlap_frac,
+        None,
+    ) {
         let per_slot: Vec<Vec<&Trajectory>> = rule
             .objects
             .iter()
             .map(|(class, _)| index.tracks_in_window(*class, start, end, min_overlap))
             .collect();
-        if per_slot.iter().all(|s| !s.is_empty()) {
-            let mut combo = vec![0usize; rule.objects.len()];
-            let mut best: Option<RetrievedMoment> = None;
-            let mut tried = 0;
-            'combos: loop {
-                let ids: Vec<u64> = combo
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &i)| per_slot[s][i].id)
-                    .collect();
-                let distinct = {
-                    let mut sorted = ids.clone();
-                    sorted.sort_unstable();
-                    sorted.windows(2).all(|w| w[0] != w[1])
-                };
-                if distinct {
-                    tried += 1;
-                    let tracks: Vec<&Trajectory> = combo
-                        .iter()
-                        .enumerate()
-                        .map(|(s, &i)| per_slot[s][i])
-                        .collect();
-                    let stats: Vec<MotionStats> =
-                        tracks.iter().map(|t| motion_stats(t, start, end)).collect();
-                    let mut satisfied = 0usize;
-                    for ((_, pred), st) in rule.objects.iter().zip(&stats) {
-                        satisfied += pred.satisfied(st);
-                    }
-                    for rel in &rule.relations {
-                        if rel.eval(&tracks, &stats, start, end) {
-                            satisfied += 1;
-                        }
-                    }
-                    let score = satisfied as f32 / total_atoms.max(1) as f32;
-                    if best.as_ref().is_none_or(|b| score > b.score) {
-                        best = Some(RetrievedMoment {
-                            start,
-                            end,
-                            score,
-                            track_ids: ids,
-                        });
-                    }
-                    if tried >= 64 {
-                        break 'combos;
-                    }
-                }
-                let mut slot = 0;
-                loop {
-                    combo[slot] += 1;
-                    if combo[slot] < per_slot[slot].len() {
-                        break;
-                    }
-                    combo[slot] = 0;
-                    slot += 1;
-                    if slot == combo.len() {
-                        break 'combos;
-                    }
+        if per_slot.iter().any(Vec::is_empty) {
+            continue;
+        }
+        let mut best: Option<RetrievedMoment> = None;
+        for_each_distinct_combo(&per_slot, MAX_COMBOS_PER_WINDOW, |combo, ids| {
+            let tracks: Vec<&Trajectory> = combo
+                .iter()
+                .enumerate()
+                .map(|(s, &i)| per_slot[s][i])
+                .collect();
+            let stats: Vec<MotionStats> =
+                tracks.iter().map(|t| motion_stats(t, start, end)).collect();
+            let mut satisfied = 0usize;
+            for ((_, pred), st) in rule.objects.iter().zip(&stats) {
+                satisfied += pred.satisfied(st);
+            }
+            for rel in &rule.relations {
+                if rel.eval(&tracks, &stats, start, end) {
+                    satisfied += 1;
                 }
             }
-            if let Some(m) = best {
-                scored.push(m);
+            let score = satisfied as f32 / total_atoms.max(1) as f32;
+            if best.as_ref().is_none_or(|b| score > b.score) {
+                best = Some(RetrievedMoment {
+                    start,
+                    end,
+                    score,
+                    track_ids: ids.to_vec(),
+                });
             }
-        }
-        if end + 1 >= index.frames {
-            break;
-        }
-        start += stride;
+        });
+        scored.extend(best);
     }
-
-    scored.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.start.cmp(&b.start))
-    });
-    let mut kept: Vec<RetrievedMoment> = Vec::new();
-    for m in scored {
-        if kept.len() >= config.top_k {
-            break;
-        }
-        if !kept
-            .iter()
-            .any(|k| k.temporal_iou(&m) >= config.nms_tiou && k.track_ids == m.track_ids)
-        {
-            kept.push(m);
-        }
-    }
-    kept
+    nms_top_k(scored, config.top_k, config.nms_tiou)
 }
 
 /// The rule an expert user would hand-write for each evaluation event.

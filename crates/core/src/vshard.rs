@@ -1,6 +1,15 @@
-//! The shard-set store: parallel per-shard ingest, incremental append,
+//! The shard-set store: one writer behind ingest and incremental append,
 //! and lazy shard loading. (The search side is
 //! [`Matcher::search_stored`](crate::matcher::Matcher::search_stored).)
+//!
+//! **Ingest is append from the empty set.** `write_shards` is the only
+//! code that enumerates a shard's rows, embeds them, assigns them to the
+//! shared quantizer and writes a shard file. [`ingest_sharded`] runs it
+//! from shard 0 with nothing to reuse, no quantizer yet and epoch 0, then
+//! writes a fresh manifest; [`append_frames`] validates, sweeps what a
+//! crashed append left behind, harvests the vectors it can reuse, runs
+//! it from the first dirty shard with the manifest's quantizer under the
+//! next epoch, then commits `Manifest { ..old }`.
 //!
 //! A dataset's window rows are split into **frame-range shards** —
 //! shard `i` owns every sliding window whose *start frame* falls in
@@ -15,9 +24,9 @@
 //! - **Grid fidelity.** The union of all shards' window rows equals the
 //!   matcher's window grid exactly — no duplicates, no gaps. Boundary
 //!   windows (spanning a shard edge) belong to the shard owning their
-//!   start frame, and the per-shard enumeration replays the matcher's
-//!   global grid restricted to that start range (see
-//!   [`enumerate_store_rows`]).
+//!   start frame, and the per-shard enumeration is the matcher's own
+//!   grid (the crate's `grid` module) restricted to that start range
+//!   (see [`enumerate_store_rows`]).
 //! - **Bit-identical scores.** Probing ranks the *shared* quantizer's
 //!   centroids once per query, gathers candidates from the shards
 //!   owning rows under the top lists, and re-ranks them with the same
@@ -31,20 +40,21 @@
 
 use sketchql_store::{
     hex_u64, read_shard_header, AnnConfig, CoarseQuantizer, LoadedShard, Manifest, ManifestShard,
-    ShardData, StoreError, StoreMeta, StoreRow, MANIFEST_FILE, SHARD_SET_EXT,
+    ShardData, StoreError, StoreRow, MANIFEST_FILE, SHARD_EXT, SHARD_SET_EXT,
 };
 use sketchql_telemetry::{self as telemetry, names};
-use sketchql_trajectory::{Clip, Trajectory};
+use sketchql_trajectory::{Clip, ObjectClass, TrackId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::embed_cache::embed_clips_parallel;
+use crate::grid;
 use crate::index::VideoIndex;
 use crate::matcher::window_clip;
 use crate::similarity::LearnedSimilarity;
-use crate::vstore::{self, index_fingerprint, model_fingerprint, track_overlaps, IngestConfig};
+use crate::vstore::{self, index_fingerprint, model_fingerprint, IngestConfig};
 
 /// Upper bound on the vectors sampled to train the shared quantizer.
 /// Sampling is deterministic (every k-th vector in shard-major order),
@@ -69,9 +79,11 @@ fn publish_residency() {
 /// partitions the rows: the union over disjoint covering ranges equals
 /// the unrestricted enumeration, row for row.
 ///
-/// Rows are enumerated exactly as the matcher enumerates candidates:
-/// per length, the strided window grid with tail clamping; per window,
-/// every overlap-eligible track in index order. A `(track, start, end)`
+/// Rows are enumerated exactly as the matcher enumerates candidates —
+/// through the same [`grid`] and the same
+/// [`VideoIndex::tracks_in_window`]: per length that fits the video, the
+/// strided window grid with tail clamping; per window, every
+/// overlap-eligible track in index order. A `(track, start, end)`
 /// row is recorded once even when several lengths produce the same
 /// clamped window; insertion happens only on qualification so a later
 /// length with a laxer overlap floor can still add the tracks the
@@ -87,42 +99,25 @@ pub fn enumerate_store_rows(
     config: &IngestConfig,
     start_range: Option<(u32, u32)>,
 ) -> (Vec<StoreRow>, Vec<Clip>) {
-    let mut lens = config.window_lens.clone();
-    lens.sort_unstable();
-    lens.dedup();
-    let (lo, hi) = match start_range {
-        Some((lo, hi)) => (lo, hi),
-        None => (0, u32::MAX),
-    };
-
     let mut rows: Vec<StoreRow> = Vec::new();
     let mut clips: Vec<Clip> = Vec::new();
-    let mut seen: HashSet<(sketchql_trajectory::TrackId, u32, u32)> = HashSet::new();
-    for &window in &lens {
-        if window == 0 || window > index.frames {
+    let mut seen: HashSet<RowKey> = HashSet::new();
+    for len in sorted_lens(config) {
+        if len > index.frames {
             continue;
         }
-        let stride = ((window as f32 * config.stride_frac) as u32).max(1);
-        let min_overlap = ((window as f32 * config.min_overlap_frac) as u32).max(1);
-        // The global grid starts at 0 and stops at the first start whose
-        // (clamped) window reaches the end of the video. Jump to the
-        // first grid point inside the range; stop at the earlier of the
-        // range end and the global stop.
-        let global_last = if window >= index.frames {
-            0
-        } else {
-            (index.frames - window).div_ceil(stride) * stride
-        };
-        let mut start = lo.div_ceil(stride).saturating_mul(stride);
-        while start <= hi.min(global_last) {
-            let end = (start + window - 1).min(index.frames.saturating_sub(1));
-            for t in &index.tracks {
-                if !track_overlaps(t, start, end, min_overlap) || seen.contains(&(t.id, start, end))
-                {
+        for (start, end, min_overlap) in grid::windows(
+            len,
+            index.frames,
+            config.stride_frac,
+            config.min_overlap_frac,
+            start_range,
+        ) {
+            for t in index.tracks_in_window(ObjectClass::Any, start, end, min_overlap) {
+                if seen.contains(&(t.id, start, end)) {
                     continue;
                 }
-                let slot: Vec<Vec<&Trajectory>> = vec![vec![t]];
-                let clip = window_clip(index, &[0], &slot, start, end);
+                let clip = window_clip(index, &[0], &[vec![t]], start, end);
                 if clip.is_empty() {
                     continue;
                 }
@@ -135,17 +130,21 @@ pub fn enumerate_store_rows(
                 });
                 clips.push(clip);
             }
-            match start.checked_add(stride) {
-                Some(next) => start = next,
-                None => break,
-            }
         }
     }
     (rows, clips)
 }
 
-/// Progress events emitted by [`ingest_sharded`]. The callback may be
-/// invoked from worker threads.
+/// The configured window lengths as the manifest records them: sorted,
+/// duplicates dropped.
+fn sorted_lens(config: &IngestConfig) -> Vec<u32> {
+    let mut lens = config.window_lens.clone();
+    lens.sort_unstable();
+    lens.dedup();
+    lens
+}
+
+/// Progress events emitted by [`ingest_sharded`] and [`append_frames`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestProgress {
     /// Window enumeration finished: the total work is known.
@@ -173,21 +172,209 @@ pub enum IngestProgress {
     },
 }
 
-/// One shard's embedding output: `None` until its worker finishes,
-/// then one optional vector per enumerated row.
-type EmbeddedShard = Option<Vec<Option<Vec<f32>>>>;
+/// What identifies a store row: a track sliced to a window.
+type RowKey = (TrackId, u32, u32);
 
-/// Builds a sharded store on disk: enumerates and embeds each shard's
-/// windows on a pool of `config.threads` workers, trains the shared
-/// coarse quantizer over a deterministic sample, writes one
-/// `.skshard` per shard plus the manifest into `dir`, and returns the
-/// freshly opened (cold, nothing resident) [`ShardSet`].
+fn row_key(row: &StoreRow) -> RowKey {
+    (row.track_id, row.start, row.end)
+}
+
+/// What a write starts from. The default is the empty set — an ingest;
+/// an append starts from the previous epoch.
+#[derive(Default)]
+struct WriteBase {
+    /// First shard to write; the shards before it stay as they are.
+    first: usize,
+    /// Vectors the previous epoch holds, by row: copied, not re-embedded.
+    reuse: HashMap<RowKey, Vec<f32>>,
+    /// The set's shared quantizer; `None` trains one over the rows written.
+    quantizer: Option<CoarseQuantizer>,
+    /// The epoch the shard files are written under.
+    epoch: u64,
+}
+
+/// What [`write_shards`] did: the manifest entries of the shards written
+/// (from `base.first` on), the quantizer their rows were assigned to, and
+/// how many rows were embedded and how many copied from `base.reuse`.
+struct Written {
+    shards: Vec<ManifestShard>,
+    quantizer: CoarseQuantizer,
+    embedded_rows: usize,
+    reused_rows: usize,
+}
+
+/// File name of shard `i` as written under `epoch`. Appends never
+/// overwrite the files a reader of the previous epoch may still open.
+fn shard_file_name(i: usize, epoch: u64) -> String {
+    match epoch {
+        0 => format!("shard-{i:04}.skshard"),
+        _ => format!("shard-{i:04}-e{epoch:04}.skshard"),
+    }
+}
+
+/// The writer — the one pipeline behind [`ingest_sharded`] and
+/// [`append_frames`]. Writes shards `base.first..` of `index` cut into
+/// `shard_frames`-frame ranges (the last takes the remainder); publishing
+/// a manifest over the returned entries is the caller's commit.
+///
+/// 1. **Enumerate** every shard's rows (cheap; gives progress its totals).
+/// 2. **Embed**, shard by shard: a row in `base.reuse` takes its vector
+///    from there, the rest are embedded on `config.threads` workers that
+///    split the *clips*, so the count applies whatever the shard count.
+///    Embeddings are batch-invariant, so neither threads nor layout
+///    change a vector. A non-empty single-track clip always embeds; a row
+///    that did not would be unservable, and is dropped.
+/// 3. **Quantize**: take `base.quantizer`, or train one over every k-th
+///    vector in shard-major order (at most [`QUANTIZER_SAMPLE_MAX`]).
+/// 4. **Assign and write** each shard under [`shard_file_name`].
+fn write_shards(
+    sim: &LearnedSimilarity,
+    index: &VideoIndex,
+    config: &IngestConfig,
+    shard_frames: u32,
+    base: WriteBase,
+    dir: &Path,
+    progress: &(dyn Fn(IngestProgress) + Sync),
+) -> Result<Written, StoreError> {
+    let last_frame = index.frames.saturating_sub(1);
+    let shard_count = (index.frames.div_ceil(shard_frames) as usize).max(1);
+    let ranges: Vec<(u32, u32)> = (base.first..shard_count)
+        .map(|i| {
+            let lo = i as u32 * shard_frames;
+            (lo, lo.saturating_add(shard_frames - 1).min(last_frame))
+        })
+        .collect();
+    let enumerated: Vec<(Vec<StoreRow>, Vec<Clip>)> = ranges
+        .iter()
+        .map(|&range| enumerate_store_rows(index, config, Some(range)))
+        .collect();
+    let is_fresh = |row: &StoreRow| !base.reuse.contains_key(&row_key(row));
+    let total_fresh = enumerated
+        .iter()
+        .flat_map(|(rows, _)| rows)
+        .filter(|row| is_fresh(row))
+        .count();
+    progress(IngestProgress::Enumerated {
+        windows: total_fresh,
+        shards: ranges.len(),
+    });
+
+    let dim = sim.encoder.config.embed_dim;
+    let (mut embedded_rows, mut reused_rows, mut done) = (0usize, 0usize, 0usize);
+    let mut columns: Vec<(Vec<StoreRow>, Vec<f32>)> = Vec::with_capacity(ranges.len());
+    for (j, (rows, clips)) in enumerated.into_iter().enumerate() {
+        let fresh: Vec<Clip> = rows
+            .iter()
+            .zip(clips)
+            .filter(|(row, _)| is_fresh(row))
+            .map(|(_, clip)| clip)
+            .collect();
+        let mut fresh_vectors = embed_clips_parallel(sim, &fresh, config.threads).into_iter();
+        done += fresh.len();
+        progress(IngestProgress::ShardEmbedded {
+            shard_id: (base.first + j) as u32,
+            done,
+            total: total_fresh,
+        });
+        let mut kept = Vec::with_capacity(rows.len());
+        let mut vectors: Vec<f32> = Vec::with_capacity(rows.len() * dim);
+        for row in rows {
+            if let Some(v) = base.reuse.get(&row_key(&row)) {
+                reused_rows += 1;
+                vectors.extend_from_slice(v);
+            } else if let Some(v) = fresh_vectors.next().expect("one embedding per fresh row") {
+                embedded_rows += 1;
+                vectors.extend_from_slice(&v);
+            } else {
+                continue;
+            }
+            kept.push(row);
+        }
+        columns.push((kept, vectors));
+    }
+    telemetry::counter(names::STORE_VECTORS).add(embedded_rows as u64);
+
+    let quantizer = base.quantizer.unwrap_or_else(|| {
+        let total_rows: usize = columns.iter().map(|(rows, _)| rows.len()).sum();
+        let step = total_rows.div_ceil(QUANTIZER_SAMPLE_MAX).max(1);
+        let sample: Vec<f32> = columns
+            .iter()
+            .flat_map(|(_, vectors)| vectors.chunks_exact(dim))
+            .step_by(step)
+            .flatten()
+            .copied()
+            .collect();
+        let sample_n = sample.len() / dim.max(1);
+        let nlist = match config.ann.nlist {
+            0 => (total_rows as f64).sqrt().ceil() as usize,
+            n => n,
+        }
+        .clamp(1, sample_n.max(1));
+        let sample_dim = if sample.is_empty() { 0 } else { dim };
+        CoarseQuantizer::train(
+            &sample,
+            sample_dim,
+            &AnnConfig {
+                nlist,
+                ..config.ann
+            },
+        )
+    });
+
+    let mut shards: Vec<ManifestShard> = Vec::with_capacity(ranges.len());
+    for ((rows, vectors), (j, &(frame_start, frame_end))) in
+        columns.into_iter().zip(ranges.iter().enumerate())
+    {
+        let i = base.first + j;
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); quantizer.nlist()];
+        if !lists.is_empty() {
+            for (r, v) in vectors.chunks_exact(dim).enumerate() {
+                lists[quantizer.assign(v)].push(r as u32);
+            }
+        }
+        let file = shard_file_name(i, base.epoch);
+        let data = ShardData {
+            shard_id: i as u32,
+            frame_start,
+            frame_end,
+            dim,
+            rows,
+            vectors,
+            lists,
+        };
+        let checksum = data.save(&dir.join(&file))?;
+        progress(IngestProgress::ShardWritten {
+            shard_id: data.shard_id,
+            rows: data.rows.len(),
+        });
+        shards.push(ManifestShard {
+            file,
+            shard_id: data.shard_id,
+            frame_start,
+            frame_end,
+            rows: data.rows.len() as u32,
+            checksum: hex_u64(checksum),
+            list_rows: data.lists.iter().map(|l| l.len() as u32).collect(),
+        });
+    }
+    Ok(Written {
+        shards,
+        quantizer,
+        embedded_rows,
+        reused_rows,
+    })
+}
+
+/// Builds a sharded store on disk — [`write_shards`] from the empty set
+/// (every shard, nothing to reuse, a freshly trained quantizer, epoch 0)
+/// followed by a fresh manifest — and returns the freshly opened (cold,
+/// nothing resident) [`ShardSet`].
 ///
 /// `shard_frames` is the frame-range width each shard owns; the last
 /// shard takes the remainder. Embeddings, the quantizer, and the row
 /// partition are all deterministic, so the same inputs always produce
-/// the same set, and the rows across all shards are exactly the
-/// matcher's window grid.
+/// the same set whatever `config.threads` is, and the rows across all
+/// shards are exactly the matcher's window grid.
 pub fn ingest_sharded(
     sim: &LearnedSimilarity,
     index: &VideoIndex,
@@ -199,164 +386,8 @@ pub fn ingest_sharded(
 ) -> Result<ShardSet, StoreError> {
     let _span = telemetry::span(names::STORE_BUILD);
     let shard_frames = shard_frames.max(1);
-    let shard_count = if index.frames == 0 {
-        1
-    } else {
-        index.frames.div_ceil(shard_frames) as usize
-    };
-
-    // Phase 1: enumerate every shard's rows (cheap — no embedding).
-    let ranges: Vec<(u32, u32)> = (0..shard_count as u32)
-        .map(|i| {
-            let lo = i * shard_frames;
-            let hi = ((i + 1) * shard_frames - 1).min(index.frames.saturating_sub(1));
-            (lo, hi)
-        })
-        .collect();
-    let enumerated: Vec<(Vec<StoreRow>, Vec<Clip>)> = ranges
-        .iter()
-        .map(|&range| enumerate_store_rows(index, config, Some(range)))
-        .collect();
-    let total_windows: usize = enumerated.iter().map(|(rows, _)| rows.len()).sum();
-    progress(IngestProgress::Enumerated {
-        windows: total_windows,
-        shards: shard_count,
-    });
-
-    // Phase 2: embed shard by shard across the worker pool. Each worker
-    // claims the next shard; embedding a clip is independent of its
-    // batch, so the vectors do not depend on the shard layout.
-    let threads = config.threads.max(1).min(shard_count.max(1));
-    let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let mut embedded: Vec<EmbeddedShard> = Vec::new();
-    embedded.resize_with(shard_count, || None);
-    let slots: Vec<std::sync::Mutex<&mut EmbeddedShard>> =
-        embedded.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= shard_count {
-                    break;
-                }
-                let (rows, clips) = &enumerated[i];
-                let vectors = embed_clips_parallel(sim, clips, 1);
-                **slots[i].lock().unwrap() = Some(vectors);
-                let so_far = done.fetch_add(rows.len(), Ordering::Relaxed) + rows.len();
-                progress(IngestProgress::ShardEmbedded {
-                    shard_id: i as u32,
-                    done: so_far,
-                    total: total_windows,
-                });
-            });
-        }
-    });
-    drop(slots);
-
-    // Materialize per-shard row + vector columns. A non-empty
-    // single-track clip always embeds (the encoder only rejects empty
-    // clips and object-count overflows); an unembeddable segment would
-    // be unservable either way, so it is dropped.
-    let dim = embedded
-        .iter()
-        .flatten()
-        .flatten()
-        .flatten()
-        .next()
-        .map_or(sim.encoder.config.embed_dim, Vec::len);
-    let mut shard_rows: Vec<Vec<StoreRow>> = Vec::with_capacity(shard_count);
-    let mut shard_vecs: Vec<Vec<f32>> = Vec::with_capacity(shard_count);
-    for (i, (rows, _)) in enumerated.into_iter().enumerate() {
-        let vectors = embedded[i].take().expect("every shard embeds");
-        let mut keep_rows = Vec::with_capacity(rows.len());
-        let mut keep_vecs = Vec::with_capacity(rows.len() * dim);
-        for (row, v) in rows.into_iter().zip(vectors) {
-            if let Some(v) = v {
-                keep_rows.push(row);
-                keep_vecs.extend_from_slice(&v);
-            }
-        }
-        shard_rows.push(keep_rows);
-        shard_vecs.push(keep_vecs);
-    }
-    let total_rows: usize = shard_rows.iter().map(Vec::len).sum();
-    telemetry::counter(names::STORE_VECTORS).add(total_rows as u64);
-
-    // Phase 3: train the shared quantizer over a deterministic sample
-    // (every k-th vector, shard-major order), sized by the full corpus.
-    let step = total_rows.div_ceil(QUANTIZER_SAMPLE_MAX).max(1);
-    let mut sample: Vec<f32> = Vec::new();
-    let mut sampled = 0usize;
-    for (vecs, rows) in shard_vecs.iter().zip(&shard_rows) {
-        for r in 0..rows.len() {
-            let global = sampled + r;
-            if global.is_multiple_of(step) {
-                sample.extend_from_slice(&vecs[r * dim..(r + 1) * dim]);
-            }
-        }
-        sampled += rows.len();
-    }
-    let sample_n = sample.len() / dim.max(1);
-    let nlist = if config.ann.nlist == 0 {
-        (total_rows as f64).sqrt().ceil() as usize
-    } else {
-        config.ann.nlist
-    }
-    .clamp(1, sample_n.max(1));
-    let quantizer = CoarseQuantizer::train(
-        &sample,
-        if sample.is_empty() { 0 } else { dim },
-        &AnnConfig {
-            nlist,
-            ..config.ann
-        },
-    );
-    let nlist = quantizer.nlist();
-
-    // Phase 4: assign rows to the shared centroids and write each shard
-    // plus the manifest.
-    std::fs::create_dir_all(dir).map_err(|source| StoreError::Io {
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let mut entries: Vec<ManifestShard> = Vec::with_capacity(shard_count);
-    for (i, (rows, vecs)) in shard_rows.into_iter().zip(shard_vecs).enumerate() {
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
-        if nlist > 0 {
-            for r in 0..rows.len() {
-                lists[quantizer.assign(&vecs[r * dim..(r + 1) * dim])].push(r as u32);
-            }
-        }
-        let file = format!("shard-{i:04}.skshard");
-        let data = ShardData {
-            shard_id: i as u32,
-            frame_start: ranges[i].0,
-            frame_end: ranges[i].1,
-            dim,
-            rows,
-            vectors: vecs,
-            lists,
-        };
-        let checksum = data.save(&dir.join(&file))?;
-        progress(IngestProgress::ShardWritten {
-            shard_id: i as u32,
-            rows: data.rows.len(),
-        });
-        entries.push(ManifestShard {
-            file,
-            shard_id: i as u32,
-            frame_start: ranges[i].0,
-            frame_end: ranges[i].1,
-            rows: data.rows.len() as u32,
-            checksum: hex_u64(checksum),
-            list_rows: data.lists.iter().map(|l| l.len() as u32).collect(),
-        });
-    }
-
-    let mut lens = config.window_lens.clone();
-    lens.sort_unstable();
-    lens.dedup();
+    let base = WriteBase::default();
+    let written = write_shards(sim, index, config, shard_frames, base, dir, progress)?;
     let manifest = Manifest {
         version: sketchql_store::MANIFEST_VERSION,
         epoch: 0,
@@ -369,12 +400,17 @@ pub fn ingest_sharded(
         frame_height_bits: index.frame_height.to_bits(),
         stride_frac_bits: config.stride_frac.to_bits(),
         min_overlap_frac_bits: config.min_overlap_frac.to_bits(),
-        window_lens: lens,
-        dim: dim as u32,
+        window_lens: sorted_lens(config),
+        dim: sim.encoder.config.embed_dim as u32,
         shard_frames,
-        nlist: nlist as u32,
-        centroid_bits: quantizer.centroids().iter().map(|c| c.to_bits()).collect(),
-        shards: entries,
+        nlist: written.quantizer.nlist() as u32,
+        centroid_bits: written
+            .quantizer
+            .centroids()
+            .iter()
+            .map(|c| c.to_bits())
+            .collect(),
+        shards: written.shards,
     };
     manifest.save(dir)?;
     ShardSet::open(dir)
@@ -400,6 +436,41 @@ pub struct AppendOutcome {
     pub rewritten_shards: usize,
 }
 
+/// Removes what a crashed append left in `dir`: shard files and
+/// write-then-rename temporaries the manifest does not name. A write
+/// killed before its rename leaves a `.tmp`; one killed before the
+/// manifest commit leaves next-epoch `.skshard` files.
+fn sweep_unclaimed(dir: &Path, manifest: &Manifest) {
+    let claimed: HashSet<&str> = manifest.shards.iter().map(|s| s.file.as_str()).collect();
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        let sweepable = path
+            .extension()
+            .is_some_and(|x| x == SHARD_EXT || x == "tmp");
+        if sweepable && !claimed.contains(entry.file_name().to_str().unwrap_or_default()) {
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
+
+/// The vectors `shards` hold, by row.
+fn harvest(dir: &Path, shards: &[ManifestShard]) -> Result<HashMap<RowKey, Vec<f32>>, StoreError> {
+    let mut vectors = HashMap::new();
+    for entry in shards {
+        let path = dir.join(&entry.file);
+        let checksum = sketchql_store::manifest::parse_hex_u64(&entry.checksum)
+            .expect("manifest validation checked checksum hex");
+        let shard = LoadedShard::open(&path, Some(checksum))?;
+        for r in 0..entry.rows as usize {
+            vectors.insert(row_key(&shard.row(r)), shard.vector(r).to_vec());
+        }
+    }
+    Ok(vectors)
+}
+
 /// Incrementally extends an existing shard set to cover `index`, which
 /// must be the *same* video with frames appended (pure extension: every
 /// pre-existing frame's detections are unchanged). Only windows whose
@@ -407,28 +478,30 @@ pub struct AppendOutcome {
 /// copied from the previous epoch's shards, so the cost scales with the
 /// appended span, not the corpus.
 ///
-/// Because shard `i` owns windows by *start frame*, a window can only
-/// change if its start is at least `old_frames - (wmax - 1)` (`wmax` =
-/// the longest configured window): anything starting earlier ended
-/// before the old tail and is untouched by construction. The rewrite
-/// therefore begins at the shard owning that start (never later than
-/// the old tail shard, whose frame range itself grows) and re-runs the
-/// exact from-scratch enumeration for the rewritten ranges — the
-/// resulting row/vector columns are byte-identical to a full re-ingest.
-/// New rows are assigned to the **existing** shared quantizer
-/// (list-append; centroids are never retrained), so query results are
-/// bit-identical to a from-scratch ingest under exact re-rank even
-/// though the coarse lists may differ.
+/// This is validation, a sweep of what a crashed append left behind,
+/// and then [`write_shards`] from the previous epoch instead of from the
+/// empty set. Because shard `i` owns windows by *start frame*, a window
+/// can only change if its start is at least
+/// [`grid::first_touched_start`] of the old frame count and the longest
+/// configured window. The rewrite therefore begins at the shard owning
+/// that start (never later than the old tail shard, whose frame range
+/// itself grows), harvests the vectors of the shards it is about to
+/// rewrite for reuse, and runs the exact from-scratch pipeline over
+/// those ranges with the manifest's grid — the resulting row/vector
+/// columns are byte-identical to a full re-ingest. Rows are assigned to
+/// the **existing** shared quantizer (centroids are never retrained), so
+/// query results are bit-identical to a from-scratch ingest under exact
+/// re-rank even though the coarse lists may differ.
 ///
-/// Commit is atomic: rewritten shards land under epoch-suffixed names
+/// Commit is atomic: rewritten shards land under next-epoch names
 /// (current-epoch files are never overwritten), then one
 /// `manifest.json` rename publishes the new epoch. A reader holding the
 /// old manifest keeps a complete old-epoch set; a crash before the
-/// rename leaves the old epoch intact (orphaned new-epoch files are
-/// garbage-collected by the next append).
+/// rename leaves the old epoch intact, and the next append sweeps the
+/// orphans.
 ///
-/// `threads` sizes the embedding worker pool. Re-calling with an index
-/// the set already covers is a no-op (same epoch returned).
+/// `threads` sizes the embedding pass. Re-calling with an index the set
+/// already covers is a no-op (same epoch returned).
 pub fn append_frames(
     sim: &LearnedSimilarity,
     index: &VideoIndex,
@@ -475,22 +548,9 @@ pub fn append_frames(
             "append with same frame count but different contents (history rewritten?)".into(),
         ));
     }
+    sweep_unclaimed(dir, &manifest);
 
-    // Garbage-collect shard files a crashed previous append left behind
-    // (anything with the shard extension the manifest doesn't claim).
-    let referenced: HashSet<&str> = manifest.shards.iter().map(|s| s.file.as_str()).collect();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let is_shard = path.extension().is_some_and(|x| x == "skshard");
-            let name = entry.file_name();
-            if is_shard && !referenced.contains(name.to_str().unwrap_or_default()) {
-                std::fs::remove_file(&path).ok();
-            }
-        }
-    }
-
-    // Rebuild the exact ingest grid configuration from the manifest.
+    // The exact ingest grid, rebuilt from the manifest.
     let config = IngestConfig {
         window_lens: manifest.window_lens.clone(),
         stride_frac: f32::from_bits(manifest.stride_frac_bits),
@@ -499,174 +559,46 @@ pub fn append_frames(
         ann: AnnConfig::default(), // unused: the quantizer is never retrained
     };
     let shard_frames = manifest.shard_frames.max(1);
-    let wmax = manifest.window_lens.iter().copied().max().unwrap_or(1);
-    // First start frame whose window could touch the new frames. Every
-    // row starting earlier is unchanged by a pure extension.
-    let dirty_lo = old_frames.saturating_sub(wmax.saturating_sub(1));
-    let old_count = manifest.shards.len();
+    let max_len = manifest.window_lens.iter().copied().max().unwrap_or(1);
+    let first_dirty = grid::first_touched_start(old_frames, max_len) / shard_frames;
     // The old tail shard always rewrites: its owned frame range itself
     // extends when the video grows past it.
-    let d_first = ((dirty_lo / shard_frames) as usize).min(old_count.saturating_sub(1));
-    let new_count = if index.frames == 0 {
-        1
-    } else {
-        index.frames.div_ceil(shard_frames) as usize
-    };
-
-    // Harvest reusable vectors from the shards about to be rewritten:
-    // rows untouched by the new frames keep their embeddings verbatim.
-    let mut reuse: HashMap<(sketchql_trajectory::TrackId, u32, u32), Vec<f32>> = HashMap::new();
-    let dim = manifest.dim as usize;
-    for entry in &manifest.shards[d_first..] {
-        let checksum = sketchql_store::manifest::parse_hex_u64(&entry.checksum)
-            .ok_or_else(|| bad(format!("shard {} checksum is not hex", entry.shard_id)))?;
-        let shard = LoadedShard::open(&dir.join(&entry.file), Some(checksum))?;
-        for r in 0..entry.rows as usize {
-            let row = shard.row(r);
-            reuse.insert((row.track_id, row.start, row.end), shard.vector(r).to_vec());
-        }
-    }
-
-    // Enumerate the rewritten ranges with the exact from-scratch grid.
-    let ranges: Vec<(u32, u32)> = (d_first..new_count)
-        .map(|i| {
-            let lo = i as u32 * shard_frames;
-            let hi = ((i as u32 + 1) * shard_frames - 1).min(index.frames.saturating_sub(1));
-            (lo, hi)
-        })
-        .collect();
-    let enumerated: Vec<(Vec<StoreRow>, Vec<Clip>)> = ranges
-        .iter()
-        .map(|&range| enumerate_store_rows(index, &config, Some(range)))
-        .collect();
-    let rewrite_count = enumerated.len();
-    let total_fresh: usize = enumerated
-        .iter()
-        .flat_map(|(rows, _)| rows.iter())
-        .filter(|row| !reuse.contains_key(&(row.track_id, row.start, row.end)))
-        .count();
-    progress(IngestProgress::Enumerated {
-        windows: total_fresh,
-        shards: rewrite_count,
-    });
-
-    // Embed only the fresh windows, shard by shard across the pool —
-    // the same per-clip embedding a from-scratch ingest runs, so the
-    // vectors are bit-identical.
-    let pool = threads.max(1).min(rewrite_count.max(1));
-    let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let mut embedded: Vec<EmbeddedShard> = Vec::new();
-    embedded.resize_with(rewrite_count, || None);
-    let slots: Vec<std::sync::Mutex<&mut EmbeddedShard>> =
-        embedded.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..pool {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= rewrite_count {
-                    break;
-                }
-                let (rows, clips) = &enumerated[i];
-                let fresh: Vec<Clip> = rows
-                    .iter()
-                    .zip(clips)
-                    .filter(|(row, _)| !reuse.contains_key(&(row.track_id, row.start, row.end)))
-                    .map(|(_, clip)| clip.clone())
-                    .collect();
-                let n_fresh = fresh.len();
-                let vectors = embed_clips_parallel(sim, &fresh, 1);
-                **slots[i].lock().unwrap() = Some(vectors);
-                let so_far = done.fetch_add(n_fresh, Ordering::Relaxed) + n_fresh;
-                progress(IngestProgress::ShardEmbedded {
-                    shard_id: (d_first + i) as u32,
-                    done: so_far,
-                    total: total_fresh,
-                });
-            });
-        }
-    });
-    drop(slots);
-
-    // Assemble each rewritten shard in enumeration order, splicing
-    // reused vectors back in (and dropping unembeddable rows, exactly
-    // as from-scratch ingest does).
-    let quantizer = CoarseQuantizer::from_centroids(manifest.centroids(), dim);
-    let nlist = manifest.nlist as usize;
+    let first = (first_dirty as usize).min(manifest.shards.len().saturating_sub(1));
     let epoch = manifest.epoch + 1;
-    let mut entries: Vec<ManifestShard> = manifest.shards[..d_first].to_vec();
-    let mut embedded_rows = 0usize;
-    let mut reused_rows = 0usize;
-    for (j, (rows, _)) in enumerated.into_iter().enumerate() {
-        let i = d_first + j;
-        let vectors = embedded[j].take().expect("every shard embeds");
-        let mut fresh_iter = vectors.into_iter();
-        let mut keep_rows = Vec::with_capacity(rows.len());
-        let mut keep_vecs: Vec<f32> = Vec::with_capacity(rows.len() * dim);
-        for row in rows {
-            if let Some(v) = reuse.get(&(row.track_id, row.start, row.end)) {
-                reused_rows += 1;
-                keep_rows.push(row);
-                keep_vecs.extend_from_slice(v);
-            } else if let Some(v) = fresh_iter.next().expect("one embedding per fresh row") {
-                embedded_rows += 1;
-                keep_rows.push(row);
-                keep_vecs.extend_from_slice(&v);
-            }
-        }
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
-        if nlist > 0 {
-            for r in 0..keep_rows.len() {
-                lists[quantizer.assign(&keep_vecs[r * dim..(r + 1) * dim])].push(r as u32);
-            }
-        }
-        let file = format!("shard-{i:04}-e{epoch:04}.skshard");
-        let data = ShardData {
-            shard_id: i as u32,
-            frame_start: ranges[j].0,
-            frame_end: ranges[j].1,
-            dim,
-            rows: keep_rows,
-            vectors: keep_vecs,
-            lists,
-        };
-        let checksum = data.save(&dir.join(&file))?;
-        progress(IngestProgress::ShardWritten {
-            shard_id: i as u32,
-            rows: data.rows.len(),
-        });
-        entries.push(ManifestShard {
-            file,
-            shard_id: i as u32,
-            frame_start: ranges[j].0,
-            frame_end: ranges[j].1,
-            rows: data.rows.len() as u32,
-            checksum: hex_u64(checksum),
-            list_rows: data.lists.iter().map(|l| l.len() as u32).collect(),
-        });
-    }
-    telemetry::counter(names::STORE_VECTORS).add(embedded_rows as u64);
+    let base = WriteBase {
+        first,
+        reuse: harvest(dir, &manifest.shards[first..])?,
+        quantizer: Some(CoarseQuantizer::from_centroids(
+            manifest.centroids(),
+            manifest.dim as usize,
+        )),
+        epoch,
+    };
+    let written = write_shards(sim, index, &config, shard_frames, base, dir, progress)?;
+    let rewritten_shards = written.shards.len();
+    let mut shards = manifest.shards[..first].to_vec();
+    shards.extend(written.shards);
 
     // The atomic commit: one manifest rename publishes the new epoch.
     let new_manifest = Manifest {
         epoch,
         frames: index.frames,
         index_fingerprint: hex_u64(index_fingerprint(index)),
-        shards: entries,
+        shards,
         ..manifest
     };
     new_manifest.save(dir)?;
     telemetry::counter(names::LIVE_APPENDS).inc();
-    telemetry::counter(names::LIVE_ROWS_APPENDED).add(embedded_rows as u64);
-    telemetry::counter(names::LIVE_ROWS_REUSED).add(reused_rows as u64);
+    telemetry::counter(names::LIVE_ROWS_APPENDED).add(written.embedded_rows as u64);
+    telemetry::counter(names::LIVE_ROWS_REUSED).add(written.reused_rows as u64);
     Ok(AppendOutcome {
         set: ShardSet::open(dir)?,
         epoch,
         old_frames,
         new_frames: index.frames,
-        embedded_rows,
-        reused_rows,
-        rewritten_shards: rewrite_count,
+        embedded_rows: written.embedded_rows,
+        reused_rows: written.reused_rows,
+        rewritten_shards,
     })
 }
 
@@ -738,7 +670,9 @@ impl Gathered {
 pub struct ShardSet {
     dir: PathBuf,
     manifest: Manifest,
-    meta: StoreMeta,
+    /// The manifest's hex fingerprints, parsed once at open.
+    model_fingerprint: u64,
+    index_fingerprint: u64,
     quantizer: CoarseQuantizer,
     /// How many shared-quantizer lists a query probes (defaults to
     /// [`AnnConfig::nprobe`]; at `nlist` the probe is exhaustive).
@@ -792,24 +726,13 @@ impl ShardSet {
                 .expect("manifest validation checked checksum hex");
             shards.push(LazyShard::new(path, checksum));
         }
-        let meta = StoreMeta {
-            dataset: manifest.dataset.clone(),
-            model_fingerprint: manifest.model_fp().expect("validated hex"),
-            index_fingerprint: manifest.index_fp().expect("validated hex"),
-            frames: manifest.frames,
-            fps: f32::from_bits(manifest.fps_bits),
-            frame_width: f32::from_bits(manifest.frame_width_bits),
-            frame_height: f32::from_bits(manifest.frame_height_bits),
-            stride_frac: f32::from_bits(manifest.stride_frac_bits),
-            min_overlap_frac: f32::from_bits(manifest.min_overlap_frac_bits),
-            window_lens: manifest.window_lens.clone(),
-        };
         let quantizer =
             CoarseQuantizer::from_centroids(manifest.centroids(), manifest.dim as usize);
         Ok(ShardSet {
             dir: dir.to_path_buf(),
+            model_fingerprint: manifest.model_fp().expect("validated hex"),
+            index_fingerprint: manifest.index_fp().expect("validated hex"),
             manifest,
-            meta,
             quantizer,
             nprobe: AnnConfig::default().nprobe,
             max_resident: None,
@@ -843,14 +766,9 @@ impl ShardSet {
         &self.manifest
     }
 
-    /// Dataset provenance, reconstructed bit-exactly from the manifest.
-    pub fn meta(&self) -> &StoreMeta {
-        &self.meta
-    }
-
     /// Dataset name recorded at ingest.
     pub fn dataset(&self) -> &str {
-        &self.meta.dataset
+        &self.manifest.dataset
     }
 
     /// Number of shards in the set.
@@ -995,12 +913,12 @@ impl ShardSet {
 
     /// Whether this set was built from exactly this index's contents.
     pub fn matches_index(&self, index: &VideoIndex) -> bool {
-        self.meta.frames == index.frames && self.meta.index_fingerprint == index_fingerprint(index)
+        self.manifest.frames == index.frames && self.index_fingerprint == index_fingerprint(index)
     }
 
     /// Whether this set's vectors came from exactly this model.
     pub fn matches_model(&self, sim: &LearnedSimilarity) -> bool {
-        self.meta.model_fingerprint == model_fingerprint(sim)
+        self.model_fingerprint == model_fingerprint(sim)
     }
 
     /// Gathers the candidate rows of every probed centroid across all

@@ -13,19 +13,21 @@
 //!
 //! Stores are strictly a cache: when one does not match the live model
 //! (fingerprint), the live index (fingerprint), or the query's window
-//! configuration, the planner hands the query to the scan
+//! configuration (compared through the same `grid` functions ingest
+//! enumerated with), the planner hands the query to the scan
 //! (`Matcher::scan`, the same call it makes when there is no store at
 //! all) and the results are what they always were. Multi-object queries
 //! always scan — the store persists one track per row, not track
 //! combinations.
 
-use sketchql_store::{AnnConfig, Fnv64, StoreMeta, StoreRow};
+use sketchql_store::{AnnConfig, Fnv64, StoreRow};
 use sketchql_telemetry::{self as telemetry, names};
-use sketchql_trajectory::{Clip, TrackId, Trajectory};
+use sketchql_trajectory::{Clip, TrackId};
 use std::collections::HashMap;
 
 use crate::cancel::CancelToken;
-use crate::index::VideoIndex;
+use crate::grid;
+use crate::index::{overlap_frames, VideoIndex};
 use crate::matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment};
 use crate::similarity::{LearnedSimilarity, PreparedQuery, Similarity};
 use crate::vshard::ShardSet;
@@ -119,8 +121,7 @@ impl IngestConfig {
         let mut lens: Vec<u32> = Vec::new();
         for &span in query_spans {
             for &scale in &config.window_scales {
-                let len = ((span as f32 * scale) as u32).max(config.min_window);
-                lens.push(len);
+                lens.push(grid::window_len(span, scale, config.min_window));
             }
         }
         lens.sort_unstable();
@@ -132,19 +133,6 @@ impl IngestConfig {
             threads: config.threads,
             ann: AnnConfig::default(),
         }
-    }
-}
-
-/// Eligibility of a track for a window, matching
-/// [`VideoIndex::tracks_in_window`]'s overlap rule.
-pub(crate) fn track_overlaps(t: &Trajectory, start: u32, end: u32, min_overlap: u32) -> bool {
-    match (t.start_frame(), t.end_frame()) {
-        (Some(s), Some(e)) => {
-            let lo = s.max(start);
-            let hi = e.min(end);
-            hi >= lo && (hi - lo + 1) >= min_overlap
-        }
-        _ => false,
     }
 }
 
@@ -230,7 +218,7 @@ impl Matcher<LearnedSimilarity> {
             for (i, &(query, cancel)) in queries.iter().enumerate() {
                 if self.is_degenerate(index, query) {
                     results[i] = Some(Ok(StoreSearch::unserved(Vec::new())));
-                } else if self.meta_serves(index, set.meta(), query) {
+                } else if self.meta_serves(index, set, query) {
                     match cancel.check().map_err(MatchError::from).and_then(|()| {
                         let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
                         self.sim.prepare(query).map_err(MatchError::from)
@@ -355,11 +343,6 @@ impl Matcher<LearnedSimilarity> {
             .enumerate()
             .map(|(i, t)| (t.id, i))
             .collect();
-        let track_range: HashMap<TrackId, (u32, u32)> = index
-            .tracks
-            .iter()
-            .filter_map(|t| Some((t.id, (t.start_frame()?, t.end_frame()?))))
-            .collect();
 
         // Best candidate per (start, end, overlap-floor) slot.
         let mut best: HashMap<(u32, u32, u32), (f32, usize, TrackId)> = HashMap::new();
@@ -376,10 +359,7 @@ impl Matcher<LearnedSimilarity> {
             let Some(&pos) = track_pos.get(&row.track_id) else {
                 continue;
             };
-            let (ts, te) = track_range[&row.track_id];
-            let lo = ts.max(row.start);
-            let hi = te.min(row.end);
-            let overlap = if hi >= lo { hi - lo + 1 } else { 0 };
+            let overlap = overlap_frames(&index.tracks[pos], row.start, row.end);
             let score = self.sim.score_embedding(prepared, Some(vector));
             let score = if score.is_finite() { score } else { 0.0 };
             for &floor in floors {
@@ -425,23 +405,24 @@ impl Matcher<LearnedSimilarity> {
         })
     }
 
-    /// Whether a set with provenance `meta` can serve this query over
-    /// this index with results the full scan would also produce.
-    fn meta_serves(&self, index: &VideoIndex, meta: &StoreMeta, query: &Clip) -> bool {
+    /// Whether `set` can serve this query over this index with results
+    /// the full scan would also produce.
+    fn meta_serves(&self, index: &VideoIndex, set: &ShardSet, query: &Clip) -> bool {
+        let c = &self.config;
+        let manifest = set.manifest();
         if query.num_objects() != 1
-            || meta.model_fingerprint != model_fingerprint(&self.sim)
-            || meta.frames != index.frames
-            || meta.index_fingerprint != index_fingerprint(index)
-            || meta.stride_frac.to_bits() != self.config.stride_frac.to_bits()
-            || meta.min_overlap_frac.to_bits() != self.config.min_overlap_frac.to_bits()
+            || !set.matches_model(&self.sim)
+            || !set.matches_index(index)
+            || manifest.stride_frac_bits != c.stride_frac.to_bits()
+            || manifest.min_overlap_frac_bits != c.min_overlap_frac.to_bits()
         {
             return false;
         }
         // Every window length this query derives (and that fits the
         // video) must have been ingested.
-        self.config.window_scales.iter().all(|&scale| {
-            let len = ((query.span() as f32 * scale) as u32).max(self.config.min_window);
-            len > index.frames || meta.window_lens.contains(&len)
+        c.window_scales.iter().all(|&scale| {
+            let len = grid::window_len(query.span(), scale, c.min_window);
+            len > index.frames || manifest.window_lens.contains(&len)
         })
     }
 }

@@ -19,7 +19,8 @@ use sketchql_datasets::{
     VideoConfig,
 };
 use sketchql_store::LoadedShard;
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 fn tiny_model() -> sketchql::training::TrainedModel {
     let mut cfg = TrainingConfig::tiny();
@@ -64,6 +65,47 @@ fn streaming_stages(seed: u64) -> Vec<SyntheticVideo> {
     stages
 }
 
+/// The files of a directory, by name.
+fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// Shard-level byte identity of rows and vectors between two sets over
+/// the same video: every shard holds the same rows with bit-identical
+/// vectors (only the coarse list assignment may differ — the quantizer
+/// is trained per ingest but never retrained on append).
+fn assert_same_rows_and_vectors(a: &ShardSet, b: &ShardSet) {
+    assert_eq!(a.shard_count(), b.shard_count());
+    assert_eq!(a.total_rows(), b.total_rows());
+    let open = |set: &ShardSet, e: &sketchql_store::ManifestShard| {
+        let sum = sketchql_store::manifest::parse_hex_u64(&e.checksum).unwrap();
+        LoadedShard::open(&set.dir().join(&e.file), Some(sum)).unwrap()
+    };
+    for (ea, eb) in a.manifest().shards.iter().zip(&b.manifest().shards) {
+        assert_eq!(
+            (ea.frame_start, ea.frame_end),
+            (eb.frame_start, eb.frame_end)
+        );
+        assert_eq!(ea.rows, eb.rows, "shard {} row count differs", ea.shard_id);
+        let (sa, sb) = (open(a, ea), open(b, eb));
+        for r in 0..ea.rows as usize {
+            assert_eq!(sa.row(r), sb.row(r), "shard {} row {r}", ea.shard_id);
+            let (va, vb) = (sa.vector(r), sb.vector(r));
+            assert_eq!(va.len(), vb.len());
+            for (x, y) in va.iter().zip(vb) {
+                assert_eq!(x.to_bits(), y.to_bits(), "shard {} row {r}", ea.shard_id);
+            }
+        }
+    }
+}
+
 #[test]
 fn append_equals_from_scratch_ingest_across_splits_and_widths() {
     let model = tiny_model();
@@ -97,7 +139,25 @@ fn append_equals_from_scratch_ingest_across_splits_and_widths() {
         drop(set);
         let mut total_reused = 0usize;
         for (k, index) in indexes.iter().enumerate().skip(1) {
-            let out = append_frames(&m.sim, index, &dir_inc, 2, &|_| {}).unwrap();
+            // The first append also runs on one thread over a copy: the
+            // thread count must not change a byte.
+            let dir_serial = (k == 1).then(|| {
+                let dir = temp_dir(&format!("inc-serial-{shard_frames}"));
+                for (name, bytes) in dir_files(&dir_inc) {
+                    std::fs::write(dir.join(name), bytes).unwrap();
+                }
+                append_frames(&m.sim, index, &dir, 1, &|_| {}).unwrap();
+                dir
+            });
+            let out = append_frames(&m.sim, index, &dir_inc, 3, &|_| {}).unwrap();
+            if let Some(dir_serial) = dir_serial {
+                assert_eq!(
+                    dir_files(&dir_inc),
+                    dir_files(&dir_serial),
+                    "width {shard_frames}: 1- and 3-thread appends wrote different bytes"
+                );
+                std::fs::remove_dir_all(&dir_serial).ok();
+            }
             assert_eq!(out.epoch, k as u64, "epochs advance by one per commit");
             assert_eq!(out.old_frames, indexes[k - 1].frames);
             assert_eq!(out.new_frames, index.frames);
@@ -128,30 +188,8 @@ fn append_equals_from_scratch_ingest_across_splits_and_widths() {
         let scratch = ShardSet::open(&dir_full).unwrap();
 
         // (a) Shard-level byte identity of rows and vectors: the
-        // incremental grid replays the from-scratch enumeration, so
-        // every shard holds the same rows with bit-identical vectors
-        // (only the coarse list assignment may differ — the quantizer
-        // is trained per ingest but never retrained on append).
-        assert_eq!(inc.shard_count(), scratch.shard_count());
-        assert_eq!(inc.total_rows(), scratch.total_rows());
-        for (a, b) in inc.manifest().shards.iter().zip(&scratch.manifest().shards) {
-            assert_eq!((a.frame_start, a.frame_end), (b.frame_start, b.frame_end));
-            assert_eq!(a.rows, b.rows, "shard {} row count differs", a.shard_id);
-            let open = |dir: &std::path::Path, e: &sketchql_store::ManifestShard| {
-                let sum = sketchql_store::manifest::parse_hex_u64(&e.checksum).unwrap();
-                LoadedShard::open(&dir.join(&e.file), Some(sum)).unwrap()
-            };
-            let sa = open(&dir_inc, a);
-            let sb = open(&dir_full, b);
-            for r in 0..a.rows as usize {
-                assert_eq!(sa.row(r), sb.row(r), "shard {} row {r}", a.shard_id);
-                let (va, vb) = (sa.vector(r), sb.vector(r));
-                assert_eq!(va.len(), vb.len());
-                for (x, y) in va.iter().zip(vb) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "shard {} row {r}", a.shard_id);
-                }
-            }
-        }
+        // incremental grid replays the from-scratch enumeration.
+        assert_same_rows_and_vectors(&inc, &scratch);
 
         // (b) Query-result byte identity under exact re-rank with
         // exhaustive probes, for every query.
@@ -261,4 +299,45 @@ fn append_guards_provenance_and_is_idempotent() {
     };
     assert!(err.to_string().contains("shrink"), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crashed append leaves next-epoch shard files (killed before the
+/// manifest commit) and write-then-rename temporaries (killed before a
+/// rename). The next append must sweep all of them, and still commit a
+/// set that verifies and equals a from-scratch ingest.
+#[test]
+fn append_sweeps_what_a_crashed_append_left_behind() {
+    let model = tiny_model();
+    let m = matcher(&model);
+    let ingest_cfg = IngestConfig::from_matcher(&m.config, &[48]);
+    let stages = streaming_stages(53);
+    let base = VideoIndex::from_truth(&stages[0]);
+    let grown = VideoIndex::from_truth(&stages[1]);
+    let dir = temp_dir("crash");
+    ingest_sharded(&m.sim, &base, "v", &ingest_cfg, 30, &dir, &|_| {}).unwrap();
+
+    let orphans = [
+        "shard-0009-e0007.skshard",
+        "shard-0001.tmp",
+        "manifest.json.tmp",
+    ];
+    for name in orphans {
+        std::fs::write(dir.join(name), b"torn write").unwrap();
+    }
+    append_frames(&m.sim, &grown, &dir, 2, &|_| {}).unwrap();
+    for name in orphans {
+        assert!(!dir.join(name).exists(), "{name} survived the append");
+    }
+
+    let set = ShardSet::open(&dir).unwrap();
+    assert_eq!(set.manifest().epoch, 1);
+    for shard in &set.manifest().shards {
+        assert!(dir.join(&shard.file).is_file(), "{} is gone", shard.file);
+    }
+    set.verify().unwrap();
+    let dir_full = temp_dir("crash-full");
+    let scratch = ingest_sharded(&m.sim, &grown, "v", &ingest_cfg, 30, &dir_full, &|_| {}).unwrap();
+    assert_same_rows_and_vectors(&set, &scratch);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&dir_full).ok();
 }

@@ -252,7 +252,8 @@ fn index_mismatch_and_config_mismatch_fall_back() {
     assert!(!r.from_store);
 
     let unseen = query_clip(EventKind::UTurn);
-    if IngestConfig::from_matcher(&m.config, &[unseen.span()]).window_lens != set.meta().window_lens
+    if IngestConfig::from_matcher(&m.config, &[unseen.span()]).window_lens
+        != set.manifest().window_lens
     {
         let r = m.search_with_shards(&index, &set, &unseen, &none).unwrap();
         assert!(!r.from_store);
@@ -488,7 +489,9 @@ fn corrupt_shard_fails_loudly_and_queries_fall_back() {
 }
 
 /// Parallel ingest must be deterministic: 1 worker and 3 workers write
-/// byte-identical shard files and manifests.
+/// byte-identical shard files and manifests — for many shards and for
+/// the whole video in one shard, where the workers split one shard's
+/// clips.
 #[test]
 fn parallel_ingest_is_deterministic() {
     let model = tiny_model();
@@ -500,33 +503,54 @@ fn parallel_ingest_is_deterministic() {
     let mut parallel_cfg = ingest_cfg;
     parallel_cfg.threads = 3;
 
-    let dir1 = temp_dir("det-1");
-    let dir3 = temp_dir("det-3");
-    let mut progress_events = std::sync::Mutex::new(0usize);
-    ingest_sharded(&m.sim, &index, "v", &serial_cfg, 30, &dir1, &|_| {}).unwrap();
-    ingest_sharded(&m.sim, &index, "v", &parallel_cfg, 30, &dir3, &|e| {
-        if matches!(e, IngestProgress::ShardWritten { .. }) {
-            *progress_events.lock().unwrap() += 1;
-        }
-    })
-    .unwrap();
-    assert!(
-        *progress_events.get_mut().unwrap() > 0,
-        "no progress events"
-    );
+    for shard_frames in [30, index.frames] {
+        let dir1 = temp_dir("det-1");
+        let dir3 = temp_dir("det-3");
+        let written = std::sync::atomic::AtomicUsize::new(0);
+        let count = |e| {
+            if matches!(e, IngestProgress::ShardWritten { .. }) {
+                written.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+        };
+        ingest_sharded(
+            &m.sim,
+            &index,
+            "v",
+            &serial_cfg,
+            shard_frames,
+            &dir1,
+            &|_| {},
+        )
+        .unwrap();
+        ingest_sharded(
+            &m.sim,
+            &index,
+            "v",
+            &parallel_cfg,
+            shard_frames,
+            &dir3,
+            &count,
+        )
+        .unwrap();
+        assert!(written.into_inner() > 0, "no progress events");
 
-    let mut names: Vec<String> = std::fs::read_dir(&dir1)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    names.sort();
-    for name in &names {
-        let a = std::fs::read(dir1.join(name)).unwrap();
-        let b = std::fs::read(dir3.join(name)).unwrap();
-        assert_eq!(a, b, "{name} differs between 1- and 3-thread ingest");
+        let mut names: Vec<String> = std::fs::read_dir(&dir1)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names.len() > 2, shard_frames < index.frames);
+        for name in &names {
+            let a = std::fs::read(dir1.join(name)).unwrap();
+            let b = std::fs::read(dir3.join(name)).unwrap();
+            assert_eq!(
+                a, b,
+                "{shard_frames}-frame shards: {name} differs between 1- and 3-thread ingest"
+            );
+        }
+        std::fs::remove_dir_all(&dir1).ok();
+        std::fs::remove_dir_all(&dir3).ok();
     }
-    std::fs::remove_dir_all(&dir1).ok();
-    std::fs::remove_dir_all(&dir3).ok();
 }
 
 /// A store directory attaches every shard set in it, keyed by dataset

@@ -61,7 +61,8 @@ pub use engine::{
     EngineStats, QueryHandle, QueryResult, QuerySpec, SchedMode, SchedPolicy, DEFAULT_CLASS,
 };
 pub use live::{
-    LiveMatch, LiveNotifications, LiveRegistration, LiveReload, LIVE_CLASS, NOTIFY_QUEUE_CAP,
+    LiveMatch, LiveNotifications, LivePoller, LiveRegistration, LiveReload, LIVE_CLASS,
+    NOTIFY_QUEUE_CAP,
 };
 pub use protocol::{ErrorKind, Request, Response, WireSpan, WireTrace, PROTOCOL_VERSION};
 pub use scrape::MetricsListener;

@@ -26,15 +26,23 @@
 //! watermark trails the reloaded dataset (appends that happened while
 //! the server was down). Buffered, not-yet-polled matches are the one
 //! thing a restart loses — the queue is delivery state, not history.
+//!
+//! Stores grow behind the server's back (`append_frames` commits new
+//! epochs in place). [`LivePoller`] is the loop that notices: it watches
+//! each set's manifest and turns every new epoch into a
+//! [`Engine::reload_dataset`](crate::Engine::reload_dataset).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use sketchql::RetrievedMoment;
+use sketchql::{RetrievedMoment, ShardSet, VideoIndex};
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{Clip, TrackId};
+
+use crate::engine::Engine;
 
 /// Admission class standing-query evaluation runs under. Auto-declared
 /// at engine start (unless the policy declares it itself) with base
@@ -105,6 +113,79 @@ pub struct LiveReload {
     pub evaluated: usize,
     /// Matches enqueued across those evaluations.
     pub delivered: usize,
+}
+
+/// The live-epoch poller: a thread that, every `interval`, re-reads the
+/// manifest of each watched shard set (a manifest-only open — cheap
+/// enough to poll) and, when its epoch has advanced past the one the
+/// engine serves, rebuilds the dataset's index, reopens the set and
+/// hands both to [`Engine::reload_dataset`]. A set that cannot be opened
+/// or reloaded is reported on stderr and retried on the next tick.
+pub struct LivePoller {
+    /// Dropping the sender is the stop signal.
+    stop: mpsc::Sender<()>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl LivePoller {
+    /// Starts polling `sources` — `(dataset, shard-set directory, epoch
+    /// the engine already serves)` — every `interval`. The two things
+    /// only the caller knows come as closures: `rebuild_index` produces
+    /// the dataset's grown [`VideoIndex`] (its error completes the line
+    /// "store advanced but ..."), and `configure` sets up a freshly
+    /// opened [`ShardSet`] the way the caller set up the ones it attached
+    /// at startup.
+    pub fn spawn(
+        engine: Arc<Engine>,
+        mut sources: Vec<(String, PathBuf, u64)>,
+        interval: Duration,
+        rebuild_index: impl Fn(&str) -> Result<VideoIndex, String> + Send + 'static,
+        configure: impl Fn(&mut ShardSet) + Send + 'static,
+    ) -> std::io::Result<LivePoller> {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let thread = std::thread::Builder::new()
+            .name("sketchql-live-poll".into())
+            .spawn(move || {
+                while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    for (name, set_dir, served_epoch) in sources.iter_mut() {
+                        let Ok(mut set) = ShardSet::open(set_dir) else {
+                            continue;
+                        };
+                        let epoch = set.manifest().epoch;
+                        if epoch <= *served_epoch {
+                            continue;
+                        }
+                        let index = match rebuild_index(name) {
+                            Ok(index) => index,
+                            Err(e) => {
+                                eprintln!("live: {name}: store advanced but {e}");
+                                continue;
+                            }
+                        };
+                        configure(&mut set);
+                        match engine.reload_dataset(name, index, set) {
+                            Ok(r) => {
+                                println!(
+                                    "live: {name} advanced to epoch {} ({} frames): \
+                                     {} standing quer(ies) evaluated, {} match(es) queued",
+                                    r.epoch, r.frames, r.evaluated, r.delivered
+                                );
+                                *served_epoch = epoch;
+                            }
+                            Err(e) => eprintln!("live: reload {name}: {e}"),
+                        }
+                    }
+                }
+            })?;
+        Ok(LivePoller { stop, thread })
+    }
+
+    /// Stops the loop (at once if it is between ticks, after the reload
+    /// in progress otherwise) and joins the thread.
+    pub fn stop(self) {
+        drop(self.stop);
+        let _ = self.thread.join();
+    }
 }
 
 /// One evaluation the registry owes: registration `id` has only been

@@ -3,12 +3,15 @@
 //! over the appended range returns — no duplicates, no misses, scores
 //! bit-identical — across several epochs; the registry survives a
 //! restart and catches up on appends committed while the server was
-//! down; and the wire protocol round-trips the whole flow.
+//! down; the wire protocol round-trips the whole flow; and the poller
+//! turns an epoch committed behind the engine's back into notifications.
 
 mod common;
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,8 +21,8 @@ use sketchql_datasets::{
     VideoConfig,
 };
 use sketchql_server::{
-    Client, ClientError, Engine, EngineConfig, EngineError, ErrorKind, QuerySpec, Server,
-    LIVE_CLASS, PROTOCOL_VERSION,
+    Client, ClientError, Engine, EngineConfig, EngineError, ErrorKind, LivePoller, QuerySpec,
+    Server, LIVE_CLASS, PROTOCOL_VERSION,
 };
 use sketchql_trajectory::Clip;
 
@@ -339,5 +342,69 @@ fn wire_register_and_notifications_round_trip() {
 
     client.shutdown().unwrap();
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The loop `serve --live-poll-ms` runs, without the CLI: an append
+/// committed behind the engine's back is noticed by the poller, reloaded
+/// with the caller's index and set configuration, and delivered to the
+/// standing query — the same matches an offline scoped query returns.
+#[test]
+fn poller_turns_an_appended_epoch_into_notifications() {
+    let model = tiny_model();
+    let query = query_clip(EventKind::LeftTurn);
+    let stages = streaming_stages(91, 1);
+    let base = sketchql::VideoIndex::from_truth(&stages[0]);
+    let grown = sketchql::VideoIndex::from_truth(&stages[1]);
+    let dir = temp_dir("poller");
+    let sim = model.similarity();
+    ingest_sharded(&sim, &base, "alpha", &ingest_cfg(&query), 25, &dir, &|_| {}).unwrap();
+
+    let mut datasets = BTreeMap::new();
+    datasets.insert("alpha".to_string(), base.clone());
+    let mut stores = BTreeMap::new();
+    stores.insert("alpha".to_string(), exhaustive_set(&dir));
+    let engine = Arc::new(Engine::start_with_stores(
+        model,
+        datasets,
+        stores,
+        EngineConfig::default(),
+    ));
+    let rebuilt = grown.clone();
+    let poller = LivePoller::spawn(
+        Arc::clone(&engine),
+        vec![("alpha".to_string(), dir.clone(), 0)],
+        Duration::from_millis(20),
+        move |_| Ok(rebuilt.clone()),
+        |set| set.nprobe = set.nlist(),
+    )
+    .unwrap();
+    let reg = engine.register("alpha", query.clone(), None, None).unwrap();
+
+    append_frames(&sim, &grown, &dir, 2, &|_| {}).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let feed = loop {
+        let feed = engine.notifications(reg.id, None).unwrap();
+        if feed.epoch == 1 {
+            break feed;
+        }
+        assert!(Instant::now() < deadline, "the poller never reloaded");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    poller.stop();
+
+    assert_eq!(feed.watermark, grown.frames);
+    let offline = engine
+        .execute(QuerySpec {
+            min_end: Some(base.frames),
+            ..QuerySpec::new("alpha", query)
+        })
+        .unwrap();
+    assert_eq!(feed.matches.len(), offline.moments.len());
+    for (m, r) in feed.matches.iter().zip(&offline.moments) {
+        assert_eq!((m.start, m.end), (r.start, r.end));
+        assert_eq!(m.score.to_bits(), r.score.to_bits());
+    }
+    engine.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,5 +1,4 @@
 //! Types every store file shares: the typed [`StoreError`], the
-//! provenance record [`StoreMeta`] a shard-set manifest carries, the
 //! per-window [`StoreRow`] columns, and the class-code table.
 //!
 //! Class codes: `0` is [`ObjectClass::Any`]; `1 + i` is
@@ -115,37 +114,6 @@ impl std::error::Error for StoreError {
             _ => None,
         }
     }
-}
-
-/// Everything about how (and from what) a store was built. Queries use
-/// this to decide whether the store is applicable: the fingerprints must
-/// match the live model and index, and the window grid must cover the
-/// query's window lengths.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreMeta {
-    /// Name of the dataset the windows were cut from.
-    pub dataset: String,
-    /// Fingerprint of the encoder architecture + trained weights that
-    /// produced the vectors (see the core crate's `model_fingerprint`).
-    pub model_fingerprint: u64,
-    /// Fingerprint of the `VideoIndex` contents the windows were cut
-    /// from (see the core crate's `index_fingerprint`).
-    pub index_fingerprint: u64,
-    /// Frames in the source video.
-    pub frames: u32,
-    /// Frames per second of the source video.
-    pub fps: f32,
-    /// Frame width of the source video.
-    pub frame_width: f32,
-    /// Frame height of the source video.
-    pub frame_height: f32,
-    /// Window stride as a fraction of the window length (must equal the
-    /// matcher's `stride_frac` for the grids to line up).
-    pub stride_frac: f32,
-    /// Minimum track/window overlap fraction used for row eligibility.
-    pub min_overlap_frac: f32,
-    /// The window lengths (frames) enumerated at ingest.
-    pub window_lens: Vec<u32>,
 }
 
 /// One stored window's metadata columns.

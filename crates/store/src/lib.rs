@@ -11,7 +11,7 @@
 //! One on-disk representation, the shard set (`<dataset>.skset/`):
 //!
 //! - [`manifest`]: the versioned JSON [`Manifest`] — dataset provenance
-//!   ([`StoreMeta`]), the shared coarse-quantizer centroids, and one
+//!   and window grid, the shared coarse-quantizer centroids, and one
 //!   entry per shard (file, frame range, checksum, rows per centroid).
 //!   It is all a server parses to attach a dataset.
 //! - [`shard`]: the checksummed binary columnar shard file ([`ShardData`]
@@ -23,7 +23,7 @@
 //!   moment the index-backed path reports scores bit-identically to the
 //!   full-scan path.
 //! - [`format`]: the types every file shares — the typed [`StoreError`],
-//!   [`StoreMeta`], [`StoreRow`], and the class-code table.
+//!   [`StoreRow`], and the class-code table.
 //!
 //! The ingest pipeline itself (sliding-window enumeration + batched
 //! embedding) lives in the core crate, which owns the window semantics;
@@ -38,7 +38,7 @@ pub mod mmap;
 pub mod shard;
 
 pub use ann::{AnnConfig, CoarseQuantizer};
-pub use format::{StoreError, StoreMeta, StoreRow};
+pub use format::{StoreError, StoreRow};
 pub use manifest::{
     hex_u64, parse_hex_u64, Manifest, ManifestShard, MANIFEST_FILE, MANIFEST_VERSION, SHARD_SET_EXT,
 };
@@ -50,7 +50,7 @@ pub use shard::{
 /// Incremental FNV-1a 64-bit hasher.
 ///
 /// Used both for the shard file checksum and (by the core crate) for the
-/// model / index fingerprints recorded in [`StoreMeta`]. FNV-1a is not
+/// model / index fingerprints recorded in the [`Manifest`]. FNV-1a is not
 /// cryptographic; it guards against truncation, bit rot, and accidental
 /// mismatches, not adversaries.
 #[derive(Debug, Clone)]

@@ -3,10 +3,10 @@
 //!
 //! The manifest is the only thing a server must parse to *attach* a
 //! sharded dataset: it carries the dataset identity and ingest
-//! configuration (everything `StoreMeta` carries), the shared
-//! coarse-quantizer centroids, and one entry per
-//! shard — file name, frame range, row count, checksum, and the number
-//! of rows each shard holds per centroid. That last column is what
+//! configuration (fingerprints, video dimensions, the window grid), the
+//! shared coarse-quantizer centroids, and one entry per shard — file
+//! name, frame range, row count, checksum, and the number of rows each
+//! shard holds per centroid. That last column is what
 //! makes lazy probing cheap: a query ranks the shared centroids once
 //! and skips (never maps, never loads) any shard with zero rows across
 //! the probed lists.

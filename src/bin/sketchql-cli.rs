@@ -35,8 +35,8 @@ use sketchql_datasets::{
     VideoConfig,
 };
 use sketchql_server::{
-    ClassConfig, Client, Engine, EngineConfig, MetricsListener, QueryOptions, SchedMode,
-    SchedPolicy, Server,
+    ClassConfig, Client, Engine, EngineConfig, LivePoller, MetricsListener, QueryOptions,
+    SchedMode, SchedPolicy, Server,
 };
 use sketchql_tracker::{DetectorConfig, TrackerConfig};
 use sketchql_trajectory::{render_storyboard, DistanceKind};
@@ -173,17 +173,25 @@ fn req<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, St
         .ok_or_else(|| format!("missing required flag --{name}"))
 }
 
+/// An optional numeric flag: `None` when absent, an error naming the
+/// flag when present but unparseable.
+fn opt_num<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    let parse = |v: &String| {
+        v.parse()
+            .map_err(|_| format!("--{name}: cannot parse {v:?}"))
+    };
+    flags.get(name).map(parse).transpose()
+}
+
 fn num<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name}: cannot parse {v:?}")),
-    }
+    Ok(opt_num(flags, name)?.unwrap_or(default))
 }
 
 fn parse_family(name: &str) -> Result<SceneFamily, String> {
@@ -351,10 +359,8 @@ fn execute_query(
                     .into_values()
                     .find(|s| s.matches_model(&m.sim) && s.matches_index(&index))
                     .ok_or_else(|| format!("{dir}: no store matches this video and model"))?;
-                if let Some(np) = flags.get("nprobe") {
-                    set.nprobe = np
-                        .parse()
-                        .map_err(|_| format!("--nprobe: cannot parse {np:?}"))?;
+                if let Some(np) = opt_num(flags, "nprobe")? {
+                    set.nprobe = np;
                 }
                 Some(set)
             }
@@ -418,11 +424,17 @@ fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Offline ingest: embed every sliding window of a video once and
-/// persist the vectors (plus the window grid and fingerprints) as a
-/// `.skset/` shard set that `serve --store-dir` and `query --store-dir`
-/// can answer from without re-embedding, and `append` can grow.
-fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
+/// What `ingest` and `append` both start from: the tracked video, the
+/// model, and where the dataset's shard set lives.
+struct StoreJob {
+    model: TrainedModel,
+    dataset: String,
+    set_dir: std::path::PathBuf,
+    index: VideoIndex,
+    threads: usize,
+}
+
+fn store_job(flags: &HashMap<String, String>) -> Result<StoreJob, String> {
     let video = load_video(req(flags, "video")?)?;
     let model = TrainedModel::load(Path::new(req(flags, "model")?)).map_err(|e| e.to_string())?;
     let dataset = flags
@@ -430,6 +442,59 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
         .cloned()
         .unwrap_or_else(|| video.name.clone());
     let dir = Path::new(flags.get("store-dir").map_or("stores", String::as_str));
+    let set_dir = dir.join(shard_set_dir_name(&dataset));
+    let threads = num(flags, "threads", 4)?;
+    let index = build_index(&video, flags.contains_key("oracle-tracks"));
+    println!(
+        "index: {} tracks over {} frames",
+        index.tracks.len(),
+        index.frames
+    );
+    Ok(StoreJob {
+        model,
+        dataset,
+        set_dir,
+        index,
+        threads,
+    })
+}
+
+fn print_progress(e: IngestProgress) {
+    match e {
+        IngestProgress::Enumerated { windows, shards } => {
+            println!("progress: enumerated {windows} windows across {shards} shard(s)");
+        }
+        IngestProgress::ShardEmbedded {
+            shard_id,
+            done,
+            total,
+        } => {
+            println!("progress: {done}/{total} windows embedded (shard {shard_id} done)");
+        }
+        IngestProgress::ShardWritten { shard_id, rows } => {
+            println!("progress: shard {shard_id} written ({rows} rows)");
+        }
+    }
+}
+
+/// `--verify`: reopen the set from disk and check every shard.
+fn verify_if_asked(flags: &HashMap<String, String>, set_dir: &Path) -> Result<(), String> {
+    if flags.contains_key("verify") {
+        let reopened = ShardSet::open(set_dir).map_err(|e| e.to_string())?;
+        reopened.verify().map_err(|e| e.to_string())?;
+        println!(
+            "verify: manifest and {} shard checksum(s) ok",
+            reopened.shard_count()
+        );
+    }
+    Ok(())
+}
+
+/// Offline ingest: embed every sliding window of a video once and
+/// persist the vectors (plus the window grid and fingerprints) as a
+/// `.skset/` shard set that `serve --store-dir` and `query --store-dir`
+/// can answer from without re-embedding, and `append` can grow.
+fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
     let kinds: Vec<EventKind> = match flags.get("events") {
         // Default to the full canonical catalogue so the store serves
         // any event query at the default matcher window grid.
@@ -437,48 +502,25 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(list) => list.split(',').map(parse_event).collect::<Result<_, _>>()?,
     };
     let spans: Vec<u32> = kinds.iter().map(|&k| query_clip(k).span()).collect();
-
-    let index = build_index(&video, flags.contains_key("oracle-tracks"));
-    println!(
-        "index: {} tracks over {} frames",
-        index.tracks.len(),
-        index.frames
-    );
-    let sim = model.similarity();
+    let job = store_job(flags)?;
     let mut cfg = IngestConfig::from_matcher(&MatcherConfig::default(), &spans);
-    cfg.threads = num(flags, "threads", 4)?;
+    cfg.threads = job.threads;
     let started = std::time::Instant::now();
 
-    // Frame-range shards embedded in parallel across the worker pool,
-    // one `.skshard` file each plus a manifest. Without the flag the
-    // whole video is one shard.
-    let shard_frames: u32 = num(flags, "shard-frames", index.frames.max(1))?;
+    // One `.skshard` file per frame range plus a manifest. Without the
+    // flag the whole video is one shard.
+    let shard_frames: u32 = num(flags, "shard-frames", job.index.frames.max(1))?;
     if shard_frames == 0 {
         return Err("--shard-frames: must be at least 1".into());
     }
-    let set_dir = dir.join(shard_set_dir_name(&dataset));
     let set = ingest_sharded(
-        &sim,
-        &index,
-        &dataset,
+        &job.model.similarity(),
+        &job.index,
+        &job.dataset,
         &cfg,
         shard_frames,
-        &set_dir,
-        &|e| match e {
-            IngestProgress::Enumerated { windows, shards } => {
-                println!("progress: enumerated {windows} windows across {shards} shard(s)");
-            }
-            IngestProgress::ShardEmbedded {
-                shard_id,
-                done,
-                total,
-            } => {
-                println!("progress: {done}/{total} windows embedded (shard {shard_id} done)");
-            }
-            IngestProgress::ShardWritten { shard_id, rows } => {
-                println!("progress: shard {shard_id} written ({rows} rows)");
-            }
-        },
+        &job.set_dir,
+        &print_progress,
     )
     .map_err(|e| e.to_string())?;
     println!(
@@ -491,17 +533,11 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
         cfg.threads.max(1),
         started.elapsed().as_secs_f64()
     );
-    if flags.contains_key("verify") {
-        let reopened = ShardSet::open(&set_dir).map_err(|e| e.to_string())?;
-        reopened.verify().map_err(|e| e.to_string())?;
-        println!(
-            "verify: manifest and {} shard checksum(s) ok",
-            reopened.shard_count()
-        );
-    }
+    verify_if_asked(flags, &job.set_dir)?;
     println!(
-        "wrote store for dataset {dataset:?} into {}",
-        set_dir.display()
+        "wrote store for dataset {:?} into {}",
+        job.dataset,
+        job.set_dir.display()
     );
     Ok(())
 }
@@ -512,33 +548,22 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> Result<(), String> {
 /// result is byte-identical to a from-scratch ingest of the
 /// grown video (the append-equivalence gate in `crates/core/tests`).
 fn cmd_append(flags: &HashMap<String, String>) -> Result<(), String> {
-    let video = load_video(req(flags, "video")?)?;
-    let model = TrainedModel::load(Path::new(req(flags, "model")?)).map_err(|e| e.to_string())?;
-    let dataset = flags
-        .get("dataset")
-        .cloned()
-        .unwrap_or_else(|| video.name.clone());
-    let dir = Path::new(flags.get("store-dir").map_or("stores", String::as_str));
-    let set_dir = dir.join(shard_set_dir_name(&dataset));
-    if !set_dir.is_dir() {
+    let job = store_job(flags)?;
+    if !job.set_dir.is_dir() {
         return Err(format!(
-            "{}: no store for dataset {dataset:?} (run ingest first)",
-            set_dir.display()
+            "{}: no store for dataset {:?} (run ingest first)",
+            job.set_dir.display(),
+            job.dataset
         ));
     }
-    let index = build_index(&video, flags.contains_key("oracle-tracks"));
-    println!(
-        "index: {} tracks over {} frames",
-        index.tracks.len(),
-        index.frames
-    );
-    let threads = num(flags, "threads", 4)?;
     let started = std::time::Instant::now();
-    let out = append_frames(&model.similarity(), &index, &set_dir, threads, &|e| {
-        if let IngestProgress::ShardWritten { shard_id, rows } = e {
-            println!("progress: shard {shard_id} rewritten ({rows} rows)");
-        }
-    })
+    let out = append_frames(
+        &job.model.similarity(),
+        &job.index,
+        &job.set_dir,
+        job.threads,
+        &print_progress,
+    )
     .map_err(|e| e.to_string())?;
     if out.new_frames == out.old_frames {
         println!(
@@ -558,15 +583,7 @@ fn cmd_append(flags: &HashMap<String, String>) -> Result<(), String> {
         out.rewritten_shards,
         started.elapsed().as_secs_f64()
     );
-    if flags.contains_key("verify") {
-        let reopened = ShardSet::open(&set_dir).map_err(|e| e.to_string())?;
-        reopened.verify().map_err(|e| e.to_string())?;
-        println!(
-            "verify: manifest and {} shard checksum(s) ok",
-            reopened.shard_count()
-        );
-    }
-    Ok(())
+    verify_if_asked(flags, &job.set_dir)
 }
 
 fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -700,10 +717,7 @@ fn parse_sched_policy(flags: &HashMap<String, String>) -> Result<SchedPolicy, St
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // The flight recorder freezes its capacity on first use, so the
     // flag must be applied before anything records a trace.
-    if let Some(n) = flags.get("flight-traces") {
-        let n: usize = n
-            .parse()
-            .map_err(|_| format!("--flight-traces: cannot parse {n:?}"))?;
+    if let Some(n) = opt_num::<usize>(flags, "flight-traces")? {
         if telemetry::configure_flight_capacity(n) {
             println!("flight recorder: keeping the last {n} traces");
         } else if telemetry::is_enabled() {
@@ -739,14 +753,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let config = EngineConfig {
         workers: num(flags, "workers", 4)?,
         queue_depth: num(flags, "queue-depth", 64)?,
-        default_deadline: flags
-            .get("deadline-ms")
-            .map(|v| {
-                v.parse::<u64>()
-                    .map(Duration::from_millis)
-                    .map_err(|_| format!("--deadline-ms: cannot parse {v:?}"))
-            })
-            .transpose()?,
+        default_deadline: opt_num(flags, "deadline-ms")?.map(Duration::from_millis),
         fused_batch: num(flags, "fused-batch", 0)?,
         sched: parse_sched_policy(flags)?,
         matcher,
@@ -763,34 +770,21 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // drops mismatches, so a stale store degrades that dataset to the
     // scan path instead of failing.
     let attach_started = std::time::Instant::now();
-    let nprobe: Option<usize> = flags
-        .get("nprobe")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("--nprobe: cannot parse {v:?}"))
-        })
-        .transpose()?;
-    let max_resident: Option<usize> = flags
-        .get("max-resident-shards")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("--max-resident-shards: cannot parse {v:?}"))
-        })
-        .transpose()?;
-    let stores = match flags.get("store-dir") {
-        Some(dir) => {
-            let mut stores =
-                load_store_tier_dir(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
-            for set in stores.values_mut() {
-                if let Some(np) = nprobe {
-                    set.nprobe = np;
-                }
-                set.set_max_resident(max_resident);
-            }
-            stores
+    let nprobe: Option<usize> = opt_num(flags, "nprobe")?;
+    let max_resident: Option<usize> = opt_num(flags, "max-resident-shards")?;
+    // How an attached set is set up — at startup and, by the live
+    // poller, on every epoch.
+    let configure = move |set: &mut ShardSet| {
+        if let Some(np) = nprobe {
+            set.nprobe = np;
         }
+        set.set_max_resident(max_resident);
+    };
+    let mut stores = match flags.get("store-dir") {
+        Some(dir) => load_store_tier_dir(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?,
         None => std::collections::BTreeMap::new(),
     };
+    stores.values_mut().for_each(configure);
     if let Some(cap) = max_resident {
         println!("shard residency capped at {cap} shard(s) per set (LRU eviction)");
     }
@@ -810,19 +804,13 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // server watches each set's manifest and turns every new epoch
     // into a live reload + standing-query evaluation.
     let live_poll: u64 = num(flags, "live-poll-ms", 0)?;
-    let live_sources: Vec<(String, String, std::path::PathBuf, u64)> = match flags.get("store-dir")
-    {
+    let live_sources: Vec<(String, std::path::PathBuf, u64)> = match flags.get("store-dir") {
         Some(dir) if live_poll > 0 => stores
             .iter()
-            .filter_map(|(name, set)| {
-                video_paths.get(name).map(|vp| {
-                    (
-                        name.clone(),
-                        vp.clone(),
-                        Path::new(dir).join(shard_set_dir_name(name)),
-                        set.manifest().epoch,
-                    )
-                })
+            .filter(|(name, _)| video_paths.contains_key(*name))
+            .map(|(name, set)| {
+                let set_dir = Path::new(dir).join(shard_set_dir_name(name));
+                (name.clone(), set_dir, set.manifest().epoch)
             })
             .collect(),
         _ => Vec::new(),
@@ -836,13 +824,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         let path = flags
             .get("slow-query-log")
             .map_or("sketchql-slow.jsonl", String::as_str);
-        let max_bytes = flags
-            .get("slow-query-log-max-bytes")
-            .map(|v| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("--slow-query-log-max-bytes: cannot parse {v:?}"))
-            })
-            .transpose()?;
+        let max_bytes = opt_num::<u64>(flags, "slow-query-log-max-bytes")?;
         telemetry::configure_slow_query_log_path_capped(Path::new(path), threshold, max_bytes)
             .map_err(|e| format!("--slow-query-log {path}: {e}"))?;
         match max_bytes {
@@ -915,75 +897,34 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             }
         );
     }
-    let live_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let poller = if !live_sources.is_empty() {
+    let poller = if live_sources.is_empty() {
+        None
+    } else {
         println!(
             "live ingest poller: checking {} store(s) every {} ms",
             live_sources.len(),
             live_poll
         );
-        let engine = server.engine_handle();
-        let stop = std::sync::Arc::clone(&live_stop);
-        let handle = std::thread::Builder::new()
-            .name("sketchql-live-poll".into())
-            .spawn(move || {
-                let mut sources = live_sources;
-                loop {
-                    // Sleep in short steps so shutdown is prompt.
-                    let mut waited = 0u64;
-                    while waited < live_poll {
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            return;
-                        }
-                        let step = (live_poll - waited).min(100);
-                        std::thread::sleep(Duration::from_millis(step));
-                        waited += step;
-                    }
-                    for (name, video_path, set_dir, last_epoch) in sources.iter_mut() {
-                        // Manifest-only open: cheap enough to poll.
-                        let Ok(mut set) = ShardSet::open(set_dir) else {
-                            continue;
-                        };
-                        let epoch = set.manifest().epoch;
-                        if epoch <= *last_epoch {
-                            continue;
-                        }
-                        let Ok(video) = load_video(video_path) else {
-                            eprintln!(
-                                "live: {name}: store advanced but {video_path} is unreadable"
-                            );
-                            continue;
-                        };
-                        let index = build_index(&video, oracle);
-                        if let Some(np) = nprobe {
-                            set.nprobe = np;
-                        }
-                        set.set_max_resident(max_resident);
-                        match engine.reload_dataset(name, index, set) {
-                            Ok(r) => {
-                                println!(
-                                    "live: {name} advanced to epoch {} ({} frames): \
-                                     {} standing quer(ies) evaluated, {} match(es) queued",
-                                    r.epoch, r.frames, r.evaluated, r.delivered
-                                );
-                                *last_epoch = epoch;
-                            }
-                            Err(e) => eprintln!("live: reload {name}: {e}"),
-                        }
-                    }
-                }
-            })
-            .map_err(|e| format!("spawn live poller: {e}"))?;
-        Some(handle)
-    } else {
-        None
+        let rebuild_index = move |name: &str| {
+            let path = &video_paths[name];
+            let video = load_video(path).map_err(|_| format!("{path} is unreadable"))?;
+            Ok(build_index(&video, oracle))
+        };
+        let poller = LivePoller::spawn(
+            server.engine_handle(),
+            live_sources,
+            Duration::from_millis(live_poll),
+            rebuild_index,
+            configure,
+        )
+        .map_err(|e| format!("spawn live poller: {e}"))?;
+        Some(poller)
     };
 
     server.wait_for_shutdown_request();
     println!("shutdown requested; draining...");
-    live_stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    if let Some(handle) = poller {
-        let _ = handle.join();
+    if let Some(poller) = poller {
+        poller.stop();
     }
     server.shutdown();
     if let Some(listener) = metrics {
@@ -1050,28 +991,9 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
         "query" => {
             let dataset = req(flags, "dataset")?;
             let event = req(flags, "event")?;
-            let top_k = flags
-                .get("top-k")
-                .map(|v| {
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--top-k: cannot parse {v:?}"))
-                })
-                .transpose()?;
-            let deadline = flags
-                .get("deadline-ms")
-                .map(|v| {
-                    v.parse::<u64>()
-                        .map(Duration::from_millis)
-                        .map_err(|_| format!("--deadline-ms: cannot parse {v:?}"))
-                })
-                .transpose()?;
-            let priority = flags
-                .get("priority")
-                .map(|v| {
-                    v.parse::<i32>()
-                        .map_err(|_| format!("--priority: cannot parse {v:?}"))
-                })
-                .transpose()?;
+            let top_k = opt_num::<usize>(flags, "top-k")?;
+            let deadline = opt_num(flags, "deadline-ms")?.map(Duration::from_millis);
+            let priority = opt_num::<i32>(flags, "priority")?;
             let opts = QueryOptions {
                 top_k,
                 deadline,
@@ -1103,13 +1025,7 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
                         .ok_or_else(|| format!("--trace-id: cannot parse {v:?} as a hex id"))
                 })
                 .transpose()?;
-            let limit = flags
-                .get("limit")
-                .map(|v| {
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--limit: cannot parse {v:?}"))
-                })
-                .transpose()?;
+            let limit = opt_num::<usize>(flags, "limit")?;
             let traces = client.trace(trace_id, limit).map_err(|e| e.to_string())?;
             if traces.is_empty() {
                 println!("no matching traces in the flight recorder");
@@ -1122,20 +1038,8 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
             print!("{}", client.metrics_text().map_err(|e| e.to_string())?);
         }
         "profile" => {
-            let seconds = flags
-                .get("seconds")
-                .map(|v| {
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--seconds: cannot parse {v:?}"))
-                })
-                .transpose()?;
-            let hz = flags
-                .get("hz")
-                .map(|v| {
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--hz: cannot parse {v:?}"))
-                })
-                .transpose()?;
+            let seconds = opt_num::<u64>(flags, "seconds")?;
+            let hz = opt_num::<u64>(flags, "hz")?;
             let profile = client.profile(seconds, hz).map_err(|e| e.to_string())?;
             // Summary on stderr so stdout pipes clean into
             // `flamegraph.pl` / `inferno-flamegraph`.
@@ -1178,20 +1082,8 @@ fn cmd_register(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = req(flags, "dataset")?;
     let event = req(flags, "event")?;
     parse_event(event)?; // fail locally with the catalogue message
-    let min_score = flags
-        .get("min-score")
-        .map(|v| {
-            v.parse::<f32>()
-                .map_err(|_| format!("--min-score: cannot parse {v:?}"))
-        })
-        .transpose()?;
-    let top_k = flags
-        .get("top-k")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| format!("--top-k: cannot parse {v:?}"))
-        })
-        .transpose()?;
+    let min_score = opt_num::<f32>(flags, "min-score")?;
+    let top_k = opt_num::<usize>(flags, "top-k")?;
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let reg = client
         .register_event(dataset, event, min_score, top_k)
@@ -1217,13 +1109,7 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|_| "--registration-id: cannot parse".to_string())?;
     let interval = Duration::from_millis(num(flags, "interval-ms", 1000)?);
     let iterations: u64 = num(flags, "iterations", 0)?;
-    let max = flags
-        .get("max")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| format!("--max: cannot parse {v:?}"))
-        })
-        .transpose()?;
+    let max = opt_num::<usize>(flags, "max")?;
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut round = 0u64;
     let mut last_watermark: Option<u32> = None;
