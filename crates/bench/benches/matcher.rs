@@ -33,7 +33,7 @@ fn bench_matcher(h: &mut Harness) {
     }
     group.finish();
 
-    // Per-search embedding cache + batched encoder forwards vs one tape
+    // Per-search embedding cache + batched encoder forwards vs one
     // forward per candidate, on the same multi-scale learned scan
     // (`scripts/bench_matcher.sh` compares these two ids).
     let video = bench_video(1, 46);

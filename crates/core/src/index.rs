@@ -7,17 +7,23 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use sketchql_datasets::SyntheticVideo;
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_tracker::{track_detections, DetectorConfig, DetectorSim, TrackerConfig};
 use sketchql_trajectory::{Clip, ObjectClass, Trajectory};
+use std::sync::OnceLock;
 
 /// Minimum length (observations) for a track to enter the index.
 pub const MIN_TRACK_LEN: usize = 8;
 
 /// Preprocessed form of one video: its tracked object trajectories.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Immutable once built: [`index_fingerprint`](crate::index_fingerprint)
+/// hashes the contents the first time it is asked and answers from
+/// that value afterwards, so changed contents need a new `VideoIndex`
+/// (build one, or deserialize one), not an edited field.
+#[derive(Debug, Clone)]
 pub struct VideoIndex {
     /// Dataset name.
     pub name: String,
@@ -31,6 +37,43 @@ pub struct VideoIndex {
     pub frame_height: f32,
     /// Frames per second.
     pub fps: f32,
+    /// The index fingerprint, once something asked for it. Lazy because
+    /// [`VideoIndex::build_with_postprocess`] rewrites `tracks` after
+    /// [`VideoIndex::build`] returns; a clone carries it along.
+    pub(crate) fingerprint: OnceLock<u64>,
+}
+
+// Hand-written because the vendored `serde_derive` has no field skip
+// and rejects a missing field: the persisted JSON is the six data
+// fields in declaration order, as the derive wrote them, and never the
+// cached fingerprint.
+impl Serialize for VideoIndex {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("name".to_string(), self.name.to_value()),
+            ("tracks".to_string(), self.tracks.to_value()),
+            ("frames".to_string(), self.frames.to_value()),
+            ("frame_width".to_string(), self.frame_width.to_value()),
+            ("frame_height".to_string(), self.frame_height.to_value()),
+            ("fps".to_string(), self.fps.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for VideoIndex {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        use serde::__private::{as_obj, obj_get};
+        let fields = as_obj(v, "struct VideoIndex")?;
+        Ok(VideoIndex {
+            name: Deserialize::from_value(obj_get(fields, "name")?)?,
+            tracks: Deserialize::from_value(obj_get(fields, "tracks")?)?,
+            frames: Deserialize::from_value(obj_get(fields, "frames")?)?,
+            frame_width: Deserialize::from_value(obj_get(fields, "frame_width")?)?,
+            frame_height: Deserialize::from_value(obj_get(fields, "frame_height")?)?,
+            fps: Deserialize::from_value(obj_get(fields, "fps")?)?,
+            fingerprint: OnceLock::new(),
+        })
+    }
 }
 
 impl VideoIndex {
@@ -56,6 +99,7 @@ impl VideoIndex {
             frame_width: video.truth.frame_width,
             frame_height: video.truth.frame_height,
             fps: video.fps,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -92,6 +136,7 @@ impl VideoIndex {
             frame_width: video.truth.frame_width,
             frame_height: video.truth.frame_height,
             fps: video.fps,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -104,6 +149,7 @@ impl VideoIndex {
             frame_width: clip.frame_width,
             frame_height: clip.frame_height,
             fps,
+            fingerprint: OnceLock::new(),
         }
     }
 

@@ -123,29 +123,55 @@ pub trait Similarity: Send + Sync {
     }
 }
 
+/// Extracts `clip`'s features and embeds them with `encoder` over the
+/// weights in `store` — borrowed, so callers that own a model embed
+/// without first cloning it into a [`LearnedSimilarity`].
+pub(crate) fn embed_clip(
+    encoder: &TrajectoryEncoder,
+    store: &ParamStore,
+    clip: &Clip,
+) -> Result<Vec<f32>, FeatureError> {
+    let steps = encoder.config.steps;
+    let feats = extract_features(clip, steps)?;
+    let t = sketchql_nn::Tensor::from_vec(steps, feats.data.len() / steps, feats.data);
+    embeds_counter().inc();
+    Ok(encoder.embed(store, &t))
+}
+
 /// The paper's learned similarity: transformer embeddings + cosine.
+///
+/// Immutable once built: [`model_fingerprint`](crate::model_fingerprint)
+/// hashes `encoder` and `store` the first time it is asked and answers
+/// from that value afterwards, so a changed weight needs a new
+/// `LearnedSimilarity`.
 pub struct LearnedSimilarity {
     /// The trained encoder (architecture + hyper-parameters).
     pub encoder: TrajectoryEncoder,
     /// The encoder's trained weights.
     pub store: ParamStore,
+    /// The model fingerprint, once something asked for it. Lazy, so
+    /// wrapping a model ([`TrainedModel::similarity`]) costs no weight
+    /// hash unless a store is consulted.
+    ///
+    /// [`TrainedModel::similarity`]: crate::training::TrainedModel::similarity
+    pub(crate) fingerprint: OnceLock<u64>,
 }
 
 impl LearnedSimilarity {
     /// Wraps a trained encoder.
     pub fn new(encoder: TrajectoryEncoder, store: ParamStore) -> Self {
-        LearnedSimilarity { encoder, store }
+        LearnedSimilarity {
+            encoder,
+            store,
+            fingerprint: OnceLock::new(),
+        }
     }
 
     /// Embeds a clip into the encoder's unit-norm embedding space, or the
     /// reason the feature extractor rejected it (empty clip, too many
     /// objects).
     pub fn try_embed(&self, clip: &Clip) -> Result<Vec<f32>, FeatureError> {
-        let steps = self.encoder.config.steps;
-        let feats = extract_features(clip, steps)?;
-        let t = sketchql_nn::Tensor::from_vec(steps, feats.data.len() / steps, feats.data);
-        embeds_counter().inc();
-        Ok(self.encoder.embed(&self.store, &t))
+        embed_clip(&self.encoder, &self.store, clip)
     }
 
     /// Embeds a clip into the encoder's unit-norm embedding space.

@@ -22,7 +22,7 @@ use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{extract_features, Clip, TOKEN_DIM};
 use std::path::Path;
 
-use crate::similarity::LearnedSimilarity;
+use crate::similarity::{embed_clip, LearnedSimilarity};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -137,7 +137,7 @@ impl TrainedModel {
     /// Extracts features and embeds a clip (`None` if the clip is empty or
     /// exceeds the object limit).
     pub fn embed(&self, clip: &Clip) -> Option<Vec<f32>> {
-        self.similarity().embed(clip)
+        embed_clip(&self.encoder, &self.store, clip).ok()
     }
 
     /// Saves the model as JSON.

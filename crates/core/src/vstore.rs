@@ -39,7 +39,26 @@ const PROBE_BOUNDS: &[f64] = &[8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0];
 /// hyper-parameters plus every weight, bit-exact. Two models fingerprint
 /// equal iff they embed every clip identically, which is exactly when a
 /// store built by one can serve the other.
+///
+/// Hashed once per [`LearnedSimilarity`], on first call; every later
+/// call on the same value (one per store query, in the planner) reads
+/// the cached `u64`.
 pub fn model_fingerprint(sim: &LearnedSimilarity) -> u64 {
+    *sim.fingerprint.get_or_init(|| hash_model(sim))
+}
+
+/// Fingerprints a video index: dimensions plus every track's identity and
+/// full point data, bit-exact. A store only serves an index whose
+/// fingerprint matches the one it was ingested from.
+///
+/// Hashed once per [`VideoIndex`], on first call (so after
+/// `build_with_postprocess` has rewritten its tracks); clones share
+/// the value, a deserialized index hashes afresh.
+pub fn index_fingerprint(index: &VideoIndex) -> u64 {
+    *index.fingerprint.get_or_init(|| hash_index(index))
+}
+
+fn hash_model(sim: &LearnedSimilarity) -> u64 {
     let mut h = Fnv64::new();
     let c = &sim.encoder.config;
     for v in [
@@ -66,10 +85,7 @@ pub fn model_fingerprint(sim: &LearnedSimilarity) -> u64 {
     h.finish()
 }
 
-/// Fingerprints a video index: dimensions plus every track's identity and
-/// full point data, bit-exact. A store only serves an index whose
-/// fingerprint matches the one it was ingested from.
-pub fn index_fingerprint(index: &VideoIndex) -> u64 {
+fn hash_index(index: &VideoIndex) -> u64 {
     let mut h = Fnv64::new();
     h.write_u32(index.frames);
     h.write_f32(index.fps);
@@ -142,18 +158,24 @@ pub struct StoreSearch {
     /// The retrieved moments (ranked, NMS'd, refined — same pipeline as
     /// the full scan).
     pub moments: Vec<RetrievedMoment>,
-    /// Whether the store served the query (`false` = full-scan fallback).
+    /// Whether the store served the query.
     pub from_store: bool,
-    /// Store rows probed and re-ranked (0 on fallback).
+    /// Whether a store was offered, could not serve the query, and the
+    /// full scan answered instead — what `sketchql.store.fallbacks`
+    /// counts. A degenerate query is settled before the store is
+    /// consulted: neither served nor fallen back.
+    pub fallback: bool,
+    /// Store rows probed and re-ranked (0 unless served).
     pub probed: u64,
 }
 
 impl StoreSearch {
     /// A result the store did not serve.
-    fn unserved(moments: Vec<RetrievedMoment>) -> Self {
+    fn unserved(moments: Vec<RetrievedMoment>, fallback: bool) -> Self {
         StoreSearch {
             moments,
             from_store: false,
+            fallback,
             probed: 0,
         }
     }
@@ -217,7 +239,7 @@ impl Matcher<LearnedSimilarity> {
             let mut probes: Vec<(usize, PreparedQuery)> = Vec::new();
             for (i, &(query, cancel)) in queries.iter().enumerate() {
                 if self.is_degenerate(index, query) {
-                    results[i] = Some(Ok(StoreSearch::unserved(Vec::new())));
+                    results[i] = Some(Ok(StoreSearch::unserved(Vec::new(), false)));
                 } else if self.meta_serves(index, set, query) {
                     match cancel.check().map_err(MatchError::from).and_then(|()| {
                         let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
@@ -263,7 +285,8 @@ impl Matcher<LearnedSimilarity> {
             .filter(|&i| results[i].is_none())
             .collect();
         if !unserved.is_empty() {
-            if set.is_some() {
+            let fallback = set.is_some();
+            if fallback {
                 telemetry::counter(names::STORE_FALLBACKS).add(unserved.len() as u64);
             }
             let members: Vec<_> = unserved.iter().map(|&i| queries[i]).collect();
@@ -271,7 +294,7 @@ impl Matcher<LearnedSimilarity> {
                 .into_iter()
                 .zip(self.scan(index, &members, min_end))
             {
-                results[i] = Some(moments.map(StoreSearch::unserved));
+                results[i] = Some(moments.map(|m| StoreSearch::unserved(m, fallback)));
             }
         }
         results
@@ -401,6 +424,7 @@ impl Matcher<LearnedSimilarity> {
         Ok(StoreSearch {
             moments: self.rank(index, scored),
             from_store: true,
+            fallback: false,
             probed: candidates.len() as u64,
         })
     }
@@ -408,6 +432,19 @@ impl Matcher<LearnedSimilarity> {
     /// Whether `set` can serve this query over this index with results
     /// the full scan would also produce.
     fn meta_serves(&self, index: &VideoIndex, set: &ShardSet, query: &Clip) -> bool {
+        // The fingerprints below are cached identities; every debug-build
+        // search checks that nothing edited a model or index after its
+        // first fingerprint.
+        debug_assert_eq!(
+            model_fingerprint(&self.sim),
+            hash_model(&self.sim),
+            "model edited after its fingerprint was cached"
+        );
+        debug_assert_eq!(
+            index_fingerprint(index),
+            hash_index(index),
+            "index edited after its fingerprint was cached"
+        );
         let c = &self.config;
         let manifest = set.manifest();
         if query.num_objects() != 1

@@ -19,6 +19,7 @@ use sketchql::vstore::IngestConfig;
 use sketchql::VideoIndex;
 use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
 use sketchql_telemetry::{self as telemetry, names};
+use sketchql_trajectory::Clip;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -107,14 +108,20 @@ fn unserved_members_of_a_stored_dataset_share_one_scan() {
         .map(|q| m.search(&index, q).unwrap())
         .collect();
 
+    // A degenerate member is settled before the store is consulted:
+    // not served, and not a fallback either.
+    let empty = Clip::new(640.0, 480.0, vec![]);
     let none = CancelToken::none();
-    let members: Vec<_> = queries.iter().map(|q| (q, &none)).collect();
+    let mut members: Vec<_> = queries.iter().map(|q| (q, &none)).collect();
+    members.push((&empty, &none));
     let fallbacks = telemetry::counter(names::STORE_FALLBACKS).get();
     let hits = telemetry::counter(names::EMBED_CACHE_HITS).get();
-    let results = m.search_stored(&index, Some(&set), &members, None);
+    let mut results = m.search_stored(&index, Some(&set), &members, None);
+    let settled = results.pop().unwrap().unwrap();
+    assert!(settled.moments.is_empty() && !settled.from_store && !settled.fallback);
     for (got, want) in results.into_iter().zip(solo) {
         let got = got.unwrap();
-        assert!(!got.from_store);
+        assert!(!got.from_store && got.fallback);
         assert!(!want.is_empty());
         assert_eq!(got.moments, want, "fused fallback diverged from solo");
     }

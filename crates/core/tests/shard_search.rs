@@ -17,7 +17,11 @@ use sketchql::vshard::{
 };
 use sketchql::vstore::{index_fingerprint, model_fingerprint, IngestConfig};
 use sketchql::VideoIndex;
-use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
+use sketchql_datasets::{
+    generate_video, query_clip, EventKind, SceneFamily, SyntheticVideo, VideoConfig,
+};
+use sketchql_tracker::{DetectorConfig, StitchConfig, TrackerConfig};
+use sketchql_trajectory::{Clip, Trajectory};
 use std::path::PathBuf;
 
 fn model_with_steps(steps: usize) -> sketchql::training::TrainedModel {
@@ -30,14 +34,18 @@ fn tiny_model() -> sketchql::training::TrainedModel {
     model_with_steps(8)
 }
 
-fn test_index(seed: u64) -> VideoIndex {
+fn test_video(seed: u64) -> SyntheticVideo {
     let cfg = VideoConfig {
         family: SceneFamily::UrbanIntersection,
         events_per_kind: 1,
         distractors: 2,
         fps: 30.0,
     };
-    VideoIndex::from_truth(&generate_video(cfg, seed, &mut StdRng::seed_from_u64(seed)))
+    generate_video(cfg, seed, &mut StdRng::seed_from_u64(seed))
+}
+
+fn test_index(seed: u64) -> VideoIndex {
+    VideoIndex::from_truth(&test_video(seed))
 }
 
 fn matcher(model: &sketchql::training::TrainedModel) -> Matcher<LearnedSimilarity> {
@@ -259,6 +267,137 @@ fn index_mismatch_and_config_mismatch_fall_back() {
         assert!(!r.from_store);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An index equal to `index` in every field, built afresh — so its
+/// fingerprint is hashed from the contents, not carried over.
+fn rebuilt(index: &VideoIndex) -> VideoIndex {
+    let clip = Clip::new(index.frame_width, index.frame_height, index.tracks.clone());
+    VideoIndex::from_clip(&index.name, &clip, index.frames, index.fps)
+}
+
+/// Fingerprints are cached identities, so the cache must never stand in
+/// for contents it was not hashed from: one bbox coordinate or one
+/// weight apart is a different identity, and the set built from the
+/// originals refuses both and the scan answers.
+#[test]
+fn one_coordinate_or_one_weight_apart_is_refused() {
+    let model = tiny_model();
+    let index = test_index(20);
+    let m = matcher(&model);
+    let query = query_clip(EventKind::LeftTurn);
+    let dir = temp_dir("one-apart");
+    let set = exhaustive_set(&m, &index, &[query.span()], index.frames, &dir);
+    let none = CancelToken::none();
+    // Both fingerprints are cached by now; the set serves its own pair.
+    let served = m.search_with_shards(&index, &set, &query, &none).unwrap();
+    assert!(served.from_store && !served.fallback);
+
+    let mut nudged = rebuilt(&index);
+    let track = &index.tracks[0];
+    let mut points = track.points().to_vec();
+    points[3].bbox.cx += 0.5;
+    nudged.tracks[0] = Trajectory::from_points(track.id, track.class, points);
+    assert!(!set.matches_index(&nudged));
+    let r = m.search_with_shards(&nudged, &set, &query, &none).unwrap();
+    assert!(!r.from_store && r.fallback, "a nudged index must fall back");
+    assert_eq!(r.moments, m.search(&nudged, &query).unwrap());
+
+    let mut weights = model.store.clone();
+    let name = weights.names().into_iter().next().unwrap();
+    weights.get_mut(&name).data[0] += 1e-3;
+    let tweaked = Matcher::with_config(
+        LearnedSimilarity::new(model.encoder.clone(), weights),
+        MatcherConfig::default(),
+    );
+    assert!(!set.matches_model(&tweaked.sim));
+    let r = tweaked
+        .search_with_shards(&index, &set, &query, &none)
+        .unwrap();
+    assert!(
+        !r.from_store && r.fallback,
+        "a tweaked model must fall back"
+    );
+    assert_eq!(r.moments, tweaked.search(&index, &query).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// However a `VideoIndex` came to be — cloned (carrying the cached
+/// value), read back from JSON, or post-processed after `build` — its
+/// fingerprint is the hash of the contents it holds now.
+#[test]
+fn cached_index_fingerprint_equals_a_fresh_hash() {
+    let index = test_index(21);
+    let fp = index_fingerprint(&index);
+    assert_eq!(fp, index_fingerprint(&rebuilt(&index)));
+    assert_eq!(fp, index_fingerprint(&index.clone()));
+    let json = serde_json::to_string(&index).unwrap();
+    let back: VideoIndex = serde_json::from_str(&json).unwrap();
+    assert_eq!(fp, index_fingerprint(&back));
+
+    let video = test_video(42);
+    let (detector, tracker) = (
+        DetectorConfig::at_noise_level(2.0),
+        TrackerConfig::default(),
+    );
+    let plain = VideoIndex::build(&video, detector, tracker, 7);
+    let post =
+        VideoIndex::build_with_postprocess(&video, detector, tracker, StitchConfig::default(), 7);
+    assert_ne!(
+        plain.tracks, post.tracks,
+        "fixture: post-processing changed nothing"
+    );
+    assert_eq!(index_fingerprint(&post), index_fingerprint(&rebuilt(&post)));
+    assert_ne!(index_fingerprint(&post), index_fingerprint(&plain));
+}
+
+/// The cache's one rule — build a new index, do not edit one — is
+/// policed by every debug-build store search.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "index edited after its fingerprint was cached")]
+fn editing_a_fingerprinted_index_is_caught_in_debug() {
+    let model = tiny_model();
+    let index = test_index(23);
+    let m = matcher(&model);
+    let query = query_clip(EventKind::LeftTurn);
+    let dir = temp_dir("edited");
+    let set = exhaustive_set(&m, &index, &[query.span()], index.frames, &dir);
+    let mut edited = index.clone();
+    edited.tracks.pop();
+    let _ = m.search_with_shards(&edited, &set, &query, &CancelToken::none());
+}
+
+/// The index cache files a session writes hold the six data fields in
+/// declaration order and nothing else — what the derived serializer
+/// wrote before the fingerprint cell existed — whether or not the
+/// fingerprint has been computed; and such a file still loads.
+#[test]
+fn persisted_index_json_never_carries_the_fingerprint() {
+    #[derive(serde::Serialize)]
+    struct Derived {
+        name: String,
+        tracks: Vec<Trajectory>,
+        frames: u32,
+        frame_width: f32,
+        frame_height: f32,
+        fps: f32,
+    }
+    let index = test_index(22);
+    let want = serde_json::to_string(&Derived {
+        name: index.name.clone(),
+        tracks: index.tracks.clone(),
+        frames: index.frames,
+        frame_width: index.frame_width,
+        frame_height: index.frame_height,
+        fps: index.fps,
+    })
+    .unwrap();
+    assert_eq!(serde_json::to_string(&index).unwrap(), want);
+    index_fingerprint(&index);
+    assert_eq!(serde_json::to_string(&index).unwrap(), want);
+    let back: VideoIndex = serde_json::from_str(&want).unwrap();
+    assert_eq!(serde_json::to_string(&back).unwrap(), want);
 }
 
 /// Stores hold single-track rows, so a multi-object query scans.

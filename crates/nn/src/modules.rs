@@ -648,12 +648,14 @@ impl TrajectoryEncoder {
         g.tape.l2_normalize_rows(out)
     }
 
-    /// Inference helper: embeds a raw feature matrix, returning the vector.
+    /// Inference helper: embeds a raw feature matrix, returning the
+    /// vector. This is [`embed_batch`](Self::embed_batch) of one — the
+    /// only inference forward pass; the tape [`forward`](Self::forward)
+    /// is training's, and yields the same bits.
     pub fn embed(&self, store: &ParamStore, features: &Tensor) -> Vec<f32> {
-        let mut g = Graph::new(store);
-        let f = g.input(features.clone());
-        let e = self.forward(&mut g, f);
-        g.tape.value(e).data.clone()
+        self.embed_batch(store, &[features])
+            .pop()
+            .expect("one embedding per input")
     }
 
     /// Embeds a batch of `steps x input_dim` feature matrices in one
@@ -664,8 +666,9 @@ impl TrajectoryEncoder {
     /// batched matmul over all rows; attention and pooling are computed
     /// per sequence block. No autograd tape is built. Because every
     /// underlying op is row-local (or block-local) with the same
-    /// arithmetic order as the tape ops, the result is **bit-identical**
-    /// to calling [`embed`](Self::embed) per item — the matcher's
+    /// arithmetic order as the tape ops, each row is **bit-identical**
+    /// to the tape [`forward`](Self::forward) of that item alone, and
+    /// so independent of what else is in the batch — the matcher's
     /// embedding cache relies on this to keep cached search results
     /// byte-identical to the uncached path.
     pub fn embed_batch(&self, store: &ParamStore, batch: &[&Tensor]) -> Vec<Vec<f32>> {
@@ -994,11 +997,20 @@ mod tests {
         assert!((b.iter().map(|x| x * x).sum::<f32>().sqrt() - 1.0).abs() < 1e-4);
     }
 
+    /// Training's path: the tape `forward` through a `Graph`.
+    fn tape_embed(enc: &TrajectoryEncoder, store: &ParamStore, features: &Tensor) -> Vec<f32> {
+        let mut g = Graph::new(store);
+        let f = g.input(features.clone());
+        let e = enc.forward(&mut g, f);
+        g.tape.value(e).data.clone()
+    }
+
     #[test]
     fn embed_batch_matches_embed_exactly() {
         // The cached matcher path depends on bit-identical agreement, so
         // this asserts exact equality, not approximate closeness — across
-        // pooling modes and with positions on and off.
+        // pooling modes and with positions on and off. The reference is
+        // the tape forward, not `embed`, which is `embed_batch` of one.
         let mut r = rng();
         for (pooling, positional) in [
             (Pooling::Mean, true),
@@ -1023,6 +1035,7 @@ mod tests {
             let batched = enc.embed_batch(&store, &refs);
             assert_eq!(batched.len(), feats.len());
             for (f, b) in feats.iter().zip(&batched) {
+                assert_eq!(&tape_embed(&enc, &store, f), b, "{pooling:?}/{positional}");
                 assert_eq!(&enc.embed(&store, f), b, "{pooling:?}/{positional}");
             }
         }
@@ -1045,7 +1058,10 @@ mod tests {
         let enc = TrajectoryEncoder::new(&mut store, &mut r, "enc", cfg);
         assert!(enc.embed_batch(&store, &[]).is_empty());
         let f = Tensor::xavier(5, 6, &mut r);
-        assert_eq!(enc.embed_batch(&store, &[&f]), vec![enc.embed(&store, &f)]);
+        assert_eq!(
+            enc.embed_batch(&store, &[&f]),
+            vec![tape_embed(&enc, &store, &f)]
+        );
     }
 
     #[test]

@@ -203,9 +203,14 @@ proptest! {
         let refs: Vec<&Tensor> = feats.iter().collect();
         let batched = enc.embed_batch(&store, &refs);
         prop_assert_eq!(batched.len(), feats.len());
+        // Against training's tape forward and against `embed` (the
+        // batch of one): a row depends on neither path nor batch-mates.
         for (f, b) in feats.iter().zip(&batched) {
-            let solo = enc.embed(&store, f);
-            prop_assert_eq!(&solo, b);
+            let mut g = Graph::new(&store);
+            let input = g.input(f.clone());
+            let e = enc.forward(&mut g, input);
+            prop_assert_eq!(&g.tape.value(e).data, b);
+            prop_assert_eq!(&enc.embed(&store, f), b);
         }
     }
 }

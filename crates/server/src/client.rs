@@ -5,7 +5,7 @@
 //! [`Client::query_event`], …) wrap it and turn server-side
 //! [`Response::Error`]s into [`ClientError::Server`].
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -14,7 +14,7 @@ use sketchql_telemetry::mint_trace_id;
 use sketchql_trajectory::Clip;
 
 use crate::engine::{DatasetInfo, EngineStats};
-use crate::protocol::{ErrorKind, Request, Response, WireTrace};
+use crate::protocol::{write_line, ErrorKind, Request, Response, WireTrace};
 
 /// Client-side failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,9 +74,7 @@ impl Client {
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
         let json = serde_json::to_string(request)
             .map_err(|e| ClientError::Protocol(format!("encode: {e}")))?;
-        self.writer.write_all(json.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, json)?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(ClientError::Io("server closed the connection".into()));

@@ -466,7 +466,8 @@ pub struct EngineStats {
     pub store_hits: u64,
     /// Queries against a stored dataset that the store could not serve
     /// (multi-object sketch, window-grid mismatch) and that fell back to
-    /// a full scan.
+    /// a full scan. A degenerate sketch is settled without consulting
+    /// the store and counts as neither a hit nor a fallback.
     pub store_fallbacks: u64,
     /// Total stored rows scored across all store-served queries.
     pub store_probed: u64,
@@ -1652,7 +1653,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, guard: &BatchGuard) {
                 if search.from_store {
                     c.store_hits.fetch_add(1, Ordering::Relaxed);
                     c.store_probed.fetch_add(search.probed, Ordering::Relaxed);
-                } else if store.is_some() {
+                } else if search.fallback {
                     c.store_fallbacks.fetch_add(1, Ordering::Relaxed);
                 }
                 finish_ok(shared, &member, search.moments, wait, execute, batch_size);

@@ -1,6 +1,10 @@
 //! The wire protocol: line-delimited JSON over TCP.
 //!
-//! One request per line, one response line per request, in order. Both
+//! One request per line, one response line per request, in order. A
+//! line is one `write` on a socket with `TCP_NODELAY` set, on both
+//! ends (`write_line`): a closed loop waits for every reply before
+//! sending again, so a line split across two small segments is parked
+//! by Nagle's algorithm until the peer's delayed ACK (~40 ms). Both
 //! sides are plain externally-tagged serde enums, so a session looks
 //! like:
 //!
@@ -27,6 +31,8 @@
 //! [`sketchql_telemetry::mint_trace_id`]) so they survive JSON numbers
 //! stored as `f64`.
 
+use std::io::Write;
+
 use serde::{Deserialize, Serialize};
 use sketchql::RetrievedMoment;
 use sketchql_trajectory::Clip;
@@ -40,6 +46,14 @@ use crate::engine::{DatasetInfo, EngineError, EngineStats};
 /// `Query` field, never sends the new requests and never provokes the
 /// new responses, so it still round-trips.
 pub const PROTOCOL_VERSION: u32 = 6;
+
+/// Sends one protocol line: `json` and its terminating `\n` in a single
+/// `write_all`. Every line either end sends goes through here; the
+/// socket must have `TCP_NODELAY` set (see the module docs).
+pub(crate) fn write_line(writer: &mut impl Write, mut json: String) -> std::io::Result<()> {
+    json.push('\n');
+    writer.write_all(json.as_bytes())
+}
 
 /// A client request: one JSON value per line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

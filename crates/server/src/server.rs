@@ -15,7 +15,7 @@
 //! query is answered before the process exits.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -26,7 +26,7 @@ use sketchql_datasets::{query_clip, EventKind};
 use sketchql_telemetry::{self as telemetry, names, TraceContext};
 
 use crate::engine::{Engine, QuerySpec};
-use crate::protocol::{ErrorKind, Request, Response, WireTrace, PROTOCOL_VERSION};
+use crate::protocol::{write_line, ErrorKind, Request, Response, WireTrace, PROTOCOL_VERSION};
 
 /// How often an idle connection thread re-checks the running flag.
 const READ_POLL: Duration = Duration::from_millis(100);
@@ -93,7 +93,11 @@ impl Server {
                                 handle_connection(stream, &engine, &running, &shutdown_signal)
                             });
                         if let Ok(handle) = handle {
-                            connections.lock().unwrap().push(handle);
+                            // Reap on accept, so the list tracks open
+                            // connections, not every connection ever made.
+                            let mut connections = connections.lock().unwrap();
+                            connections.retain(|h: &JoinHandle<()>| !h.is_finished());
+                            connections.push(handle);
                         }
                     }
                 })?
@@ -182,6 +186,11 @@ fn handle_connection(
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
+    // Replies are single small writes a closed-loop client is waiting
+    // on; without this Nagle holds each one for the peer's delayed ACK.
+    // Best effort, as in `Client::connect`: a socket that refuses the
+    // option still answers, only slower.
+    stream.set_nodelay(true).ok();
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -241,11 +250,7 @@ fn handle_connection(
 
 /// Writes one response line; `false` if the peer is gone.
 fn write_response(writer: &mut TcpStream, response: &Response) -> bool {
-    serde_json::to_string(response).is_ok_and(|json| {
-        writer.write_all(json.as_bytes()).is_ok()
-            && writer.write_all(b"\n").is_ok()
-            && writer.flush().is_ok()
-    })
+    serde_json::to_string(response).is_ok_and(|json| write_line(writer, json).is_ok())
 }
 
 /// Serves one parsed request line. The bool asks the connection loop to
@@ -493,4 +498,43 @@ where
         }
     }
     Ok(map)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, EngineConfig};
+    use sketchql::training::{train, TrainingConfig};
+    use std::time::Instant;
+
+    /// A long-lived server tracks the connections that are open, not
+    /// one join handle per connection ever made.
+    #[test]
+    fn finished_connections_are_reaped_on_accept() {
+        let mut cfg = TrainingConfig::tiny();
+        cfg.steps = 1;
+        let engine = Engine::start(train(cfg), BTreeMap::new(), EngineConfig::default());
+        let server = Server::start(engine, "127.0.0.1:0").unwrap();
+        let knock = || {
+            Client::connect(server.local_addr())
+                .unwrap()
+                .ping()
+                .unwrap();
+            server.connections.lock().unwrap().len()
+        };
+        let peak = (0..200).map(|_| knock()).max().unwrap();
+        assert!(peak < 100, "{peak} handles tracked for 200 connections");
+        // A closed connection's thread exits on its own schedule and is
+        // reaped by the next accept: knock until the list has settled
+        // at the knocking connection plus at most one straggler.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let tracked = knock();
+            if tracked <= 2 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{tracked} handles still tracked");
+        }
+        server.shutdown();
+    }
 }

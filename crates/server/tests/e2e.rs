@@ -5,7 +5,7 @@ mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sketchql_datasets::{query_clip, EventKind};
 use sketchql_server::{
@@ -100,11 +100,61 @@ fn error_responses_keep_the_connection_usable() {
     server.shutdown();
 }
 
+/// A closed loop — each request waits for the previous reply — must not
+/// pay a Nagle / delayed-ACK stall per round trip: every line is one
+/// write on a no-delay socket, on both ends. With the reply split in
+/// two writes these 250 round trips took ~11 s (44 ms each).
+#[test]
+fn closed_loop_round_trips_do_not_stall_on_the_wire() {
+    use sketchql::{ingest_sharded, IngestConfig, MatcherConfig};
+
+    let model = tiny_model();
+    let datasets = two_datasets();
+    let sketch = query_clip(EventKind::LeftTurn);
+    let dir = std::env::temp_dir().join(format!("skql-e2e-wire-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let set = ingest_sharded(
+        &model.similarity(),
+        &datasets["alpha"],
+        "alpha",
+        &IngestConfig::from_matcher(&MatcherConfig::default(), &[sketch.span()]),
+        datasets["alpha"].frames,
+        &dir,
+        &|_| {},
+    )
+    .unwrap();
+    let stores = std::collections::BTreeMap::from([("alpha".to_string(), set)]);
+    let engine = Engine::start_with_stores(model, datasets, stores, EngineConfig::default());
+    let server = Server::start(engine, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // Fault the shard in before the clock starts.
+    client
+        .query_event("alpha", "left_turn", None, None)
+        .unwrap();
+
+    let started = Instant::now();
+    for _ in 0..200 {
+        client.ping().unwrap();
+    }
+    for _ in 0..50 {
+        let outcome = client
+            .query_event("alpha", "left_turn", None, None)
+            .unwrap();
+        assert!(!outcome.moments.is_empty());
+    }
+    let took = started.elapsed();
+    assert_eq!(server.engine().stats().store_hits, 51, "not store-served");
+    assert!(
+        took < Duration::from_secs(2),
+        "250 closed-loop round trips took {took:?}"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Writes one raw request line and reads the one response line back.
 fn raw_round_trip(stream: &mut TcpStream, line: &str) -> Response {
-    stream.write_all(line.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    stream.flush().unwrap();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
     let mut reply = String::new();
     BufReader::new(stream.try_clone().unwrap())
         .read_line(&mut reply)

@@ -13,6 +13,7 @@ use sketchql::{ingest_sharded, IngestConfig, MatcherConfig, ShardSet};
 use sketchql_datasets::{query_clip, EventKind};
 use sketchql_server::{Engine, EngineConfig, QuerySpec};
 use sketchql_telemetry::{self as telemetry, names};
+use sketchql_trajectory::Clip;
 
 use common::{small_index, tiny_model, two_datasets};
 
@@ -167,7 +168,9 @@ fn mismatched_store_is_dropped_at_startup() {
 }
 
 /// A multi-object sketch against a stored dataset is answered correctly
-/// by falling back to the scan, and the fallback is counted.
+/// by falling back to the scan, and the fallback is counted. Degenerate
+/// sketches (empty, shorter than `min_window`) are settled before the
+/// store is consulted: neither a hit nor a fallback.
 #[test]
 fn multi_object_query_on_stored_dataset_falls_back() {
     let model = tiny_model();
@@ -190,6 +193,22 @@ fn multi_object_query_on_stored_dataset_falls_back() {
     assert_eq!(got.moments, want);
     let stats = engine.stats();
     assert_eq!(stats.store_fallbacks, 1);
+    assert_eq!(stats.store_hits, 0);
+
+    let sketch = query_clip(EventKind::LeftTurn);
+    let too_short = Clip::new(
+        sketch.frame_width,
+        sketch.frame_height,
+        vec![sketch.objects[0].slice(0, MatcherConfig::default().min_window - 2)],
+    );
+    let empty = Clip::new(sketch.frame_width, sketch.frame_height, vec![]);
+    for degenerate in [too_short, empty] {
+        let got = engine.execute(QuerySpec::new("alpha", degenerate)).unwrap();
+        assert!(got.moments.is_empty());
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.completed, 3);
+    assert_eq!(stats.store_fallbacks, 1, "a degenerate sketch fell back");
     assert_eq!(stats.store_hits, 0);
     engine.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -1,10 +1,17 @@
 #!/usr/bin/env bash
-# Matcher hot-path speedup check: runs the matcher bench and compares the
+# Matcher hot-path check: runs the matcher bench and compares the
 # multi-scale learned-similarity scan with the per-search embedding cache
-# and batched encoder disabled ("uncached", the per-candidate tape path)
-# against the default cached+batched scan ("cached"). Writes the wall
-# times and the speedup to BENCH_matcher.json and exits non-zero if the
-# speedup falls below $SKETCHQL_MATCHER_SPEEDUP_MIN (default 3).
+# and batched encoder disabled ("uncached": one encoder forward per
+# candidate) against the default cached+batched scan ("cached"). Writes
+# the wall times and the ratio to BENCH_matcher.json and exits non-zero
+# if it falls below $SKETCHQL_MATCHER_SPEEDUP_MIN (default 0.9).
+#
+# The bar was 3x while "uncached" ran every candidate through the
+# autograd tape. Since PR 16 `TrajectoryEncoder::embed` is `embed_batch`
+# of one — there is no tape inference path left to beat — so both scans
+# run the same forward pass and the cached one keeps only its dedupe and
+# batching edge (~1.1x). What is gated now is that the default path is
+# not the slower one, with room for timing noise.
 #
 #   scripts/bench_matcher.sh                              # full samples
 #   SKETCHQL_BENCH_QUICK=1 scripts/bench_matcher.sh       # fast smoke run
@@ -14,7 +21,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MIN_SPEEDUP="${SKETCHQL_MATCHER_SPEEDUP_MIN:-3}"
+MIN_SPEEDUP="${SKETCHQL_MATCHER_SPEEDUP_MIN:-0.9}"
 OUT_JSON="${SKETCHQL_MATCHER_BENCH_JSON:-BENCH_matcher.json}"
 log="$(mktemp)"
 trap 'rm -f "$log"' EXIT

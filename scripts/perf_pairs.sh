@@ -1,0 +1,131 @@
+#!/usr/bin/env bash
+# The ROADMAP's claim protocol for a performance change: perfbench on a
+# parent commit and on this checkout, in alternating order, N pairs per
+# workload, and per end-to-end metric the two medians, their ratio, the
+# bound from BENCHMARK.json and a verdict.
+#
+#   scripts/perf_pairs.sh <parent-ref> [workload...]   # default: all four
+#   SKETCHQL_PERF_PAIRS=10 scripts/perf_pairs.sh HEAD~1 sharded
+#
+# The parent's committed files are unpacked (`git archive`) into
+# target/perf_pairs/parent-<sha>/ and built there, so each side has its
+# own target dir and nothing is registered in .git; the change is this
+# working tree, committed or not. Pair i runs both sides on seed i; odd
+# pairs run the parent first, even pairs the change. A run that exits
+# non-zero (a failed operation or output check) stops the script.
+#
+# Verdicts: `improved` / `worse` = the medians differ by more than the
+# metric's bound in that direction, otherwise `within bound`; `wins` is
+# the number of pairs in which the change read better and `p.iqr` the
+# distance between the quartiles of the parent's runs. A claim wants
+# `improved`, wins in at least nine tenths of the pairs, and medians
+# further apart than `p.iqr`.
+#
+# ~45 s per pair and workload (two 20 s runs plus set-up): about 15
+# minutes for the default five pairs of all four workloads. Not part of
+# scripts/check.sh.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -lt 1 ]; then
+    echo "usage: scripts/perf_pairs.sh <parent-ref> [workload...]" >&2
+    exit 2
+fi
+parent_ref="$1"
+shift
+if [ $# -gt 0 ]; then workloads=("$@"); else workloads=(scan sharded ingest live); fi
+pairs="${SKETCHQL_PERF_PAIRS:-5}"
+
+sha="$(git rev-parse --short "$parent_ref^{commit}")"
+parent="target/perf_pairs/parent-$sha"
+# A commit's files never change, so an earlier unpack (and its build) is reused.
+if [ ! -d "$parent/perfbench" ]; then
+    mkdir -p "$parent"
+    git archive "$sha" | tar -x -C "$parent"
+fi
+
+bench=(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --)
+echo "== build perfbench: parent $sha, then this checkout" >&2
+(cd "$parent" && cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml)
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+
+samples="$(mktemp)"
+trap 'rm -f "$samples"' EXIT
+
+# run_side <side> <dir> <workload> <pair>: one perfbench run, its METRIC
+# lines and failed count appended to $samples as "side workload pair name value".
+run_side() {
+    local side="$1" dir="$2" workload="$3" pair="$4" out
+    if ! out="$(cd "$dir" && "${bench[@]}" --workload "$workload" --seed "$pair" --trace 0 2>/dev/null)"; then
+        echo "perfbench $workload (seed $pair) failed on the $side side; rerun it in $dir to see why" >&2
+        exit 1
+    fi
+    awk -v side="$side" -v workload="$workload" -v pair="$pair" \
+        '$1 == "METRIC" { print side, workload, pair, $2, $3 }' <<<"$out" >>"$samples"
+    echo "$side $workload $pair failed $(tail -n 1 <<<"$out" | sed 's/.*"failed": \([0-9]*\).*/\1/')" >>"$samples"
+}
+
+for workload in "${workloads[@]}"; do
+    for pair in $(seq 1 "$pairs"); do
+        echo "== $workload pair $pair/$pairs" >&2
+        if [ $((pair % 2)) -eq 1 ]; then
+            run_side parent "$parent" "$workload" "$pair"
+            run_side change . "$workload" "$pair"
+        else
+            run_side change . "$workload" "$pair"
+            run_side parent "$parent" "$workload" "$pair"
+        fi
+    done
+done
+
+echo
+echo "parent $sha vs this checkout, $pairs pairs per workload, $(nproc) cpus"
+# Bounds: the end_to_end entries are the lines of BENCHMARK.json that
+# carry a "bound".
+awk '
+function sort(arr, n,    i, j, t) {
+    for (i = 2; i <= n; i++)
+        for (j = i; j > 1 && arr[j - 1] > arr[j]; j--) { t = arr[j]; arr[j] = arr[j - 1]; arr[j - 1] = t }
+}
+# The q-quantile of sorted arr[1..n], interpolating between ranks.
+function quantile(arr, n, q,    pos, lo) {
+    pos = 1 + (n - 1) * q; lo = int(pos)
+    return lo >= n ? arr[n] : arr[lo] + (pos - lo) * (arr[lo + 1] - arr[lo])
+}
+FNR == NR {
+    if ($0 ~ /"bound"/) {
+        name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name)
+        better = $0; sub(/.*"better": *"/, "", better); sub(/".*/, "", better)
+        bound = $0; sub(/.*"bound": */, "", bound); sub(/[^0-9.].*/, "", bound)
+        metrics[++nmetrics] = name; lower[name] = (better == "lower"); bounds[name] = bound
+    }
+    next
+}
+{
+    if (!($2 in seen)) { seen[$2] = 1; workloads[++nworkloads] = $2 }
+    value[$1, $2, $3, $4] = $5
+    if ($3 > npairs[$2]) npairs[$2] = $3
+}
+END {
+    printf "%-9s %-17s %12s %12s %8s %6s %10s %6s  %s\n", "workload", "metric", "parent", "change", "ratio", "bound", "p.iqr", "wins", "verdict"
+    for (w = 1; w <= nworkloads; w++) {
+        wl = workloads[w]; n = npairs[wl]
+        for (m = 1; m <= nmetrics; m++) {
+            name = metrics[m]; wins = 0
+            for (p = 1; p <= n; p++) {
+                a[p] = value["parent", wl, p, name]; b[p] = value["change", wl, p, name]
+                if (lower[name] ? b[p] < a[p] : b[p] > a[p]) wins++
+            }
+            sort(a, n); sort(b, n)
+            pm = quantile(a, n, 0.5); cm = quantile(b, n, 0.5)
+            iqr = quantile(a, n, 0.75) - quantile(a, n, 0.25)
+            ratio = pm != 0 ? cm / pm : 0
+            gain = lower[name] ? 1 - ratio : ratio - 1
+            verdict = gain > bounds[name] ? "improved" : (gain < -bounds[name] ? "worse" : "within bound")
+            printf "%-9s %-17s %12.4g %12.4g %8.3f %6s %10.3g %4d/%d  %s\n", wl, name, pm, cm, ratio, bounds[name], iqr, wins, n, verdict
+        }
+        fp = 0; fc = 0
+        for (p = 1; p <= n; p++) { fp += value["parent", wl, p, "failed"]; fc += value["change", wl, p, "failed"] }
+        printf "%-9s %-17s %12d %12d\n", wl, "failed operations", fp, fc
+    }
+}' BENCHMARK.json "$samples"
