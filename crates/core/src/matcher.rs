@@ -67,11 +67,6 @@ pub struct MatcherConfig {
     /// tracks (drops parked lead-in/lead-out frames a sliding window
     /// inevitably includes).
     pub refine_boundaries: bool,
-    /// Memoize candidate-segment embeddings for the duration of one
-    /// search and batch them through the encoder (embedding-based
-    /// similarities only). Results are identical either way; disabling
-    /// falls back to one encoder forward per candidate.
-    pub embed_cache: bool,
 }
 
 impl Default for MatcherConfig {
@@ -86,7 +81,6 @@ impl Default for MatcherConfig {
             max_combos_per_window: 64,
             threads: 1,
             refine_boundaries: true,
-            embed_cache: true,
         }
     }
 }
@@ -255,8 +249,8 @@ impl<S: Similarity> Matcher<S> {
     /// A member's result does not depend on what else is in the batch: it
     /// is byte-identical to the member running alone, and one member's
     /// failure (a tripped token, a query the similarity rejects) is
-    /// reported in its own slot. Similarities that do not use embeddings,
-    /// and `embed_cache: false`, score each member's windows directly
+    /// reported in its own slot. Similarities that do not use embeddings
+    /// score each member's windows directly
     /// ([`scan_direct`](Self::scan_direct)) in phase 1 and skip phase 2.
     pub(crate) fn scan(
         &self,
@@ -270,7 +264,6 @@ impl<S: Similarity> Matcher<S> {
         }
         let _search_span = telemetry::span(names::MATCHER_SEARCH);
         let _scan_span = telemetry::span(names::MATCHER_SCAN);
-        let use_cache = self.config.embed_cache && self.sim.uses_embeddings();
         let mut cache = EmbedCache::new();
         // The tokens of the members whose candidates await the encoder pass.
         let mut waiting: Vec<&CancelToken> = Vec::new();
@@ -294,7 +287,7 @@ impl<S: Similarity> Matcher<S> {
                     windows.retain(|&(_, end, _)| end >= min_end);
                 }
                 telemetry::counter(names::WINDOWS_ENUMERATED).add(windows.len() as u64);
-                let candidates = if use_cache {
+                let candidates = if self.sim.uses_embeddings() {
                     let per_window =
                         self.enumerate_candidates(index, &classes, &windows, &mut cache, cancel)?;
                     waiting.push(cancel);
@@ -333,11 +326,9 @@ impl<S: Similarity> Matcher<S> {
                     }
                 };
                 telemetry::counter(names::WINDOWS_PRUNED).add((windows - scored.len()) as u64);
-                if telemetry::is_enabled() {
-                    let hist = telemetry::histogram(names::WINDOW_SCORE, SCORE_BOUNDS);
-                    for m in &scored {
-                        hist.observe(m.score as f64);
-                    }
+                let hist = telemetry::histogram(names::WINDOW_SCORE, SCORE_BOUNDS);
+                for m in &scored {
+                    hist.observe(m.score as f64);
                 }
                 Ok(self.rank(index, scored))
             })

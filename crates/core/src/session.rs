@@ -386,8 +386,7 @@ impl SketchQL {
 
     /// The [`QueryReport`] of the most recent `run_query` /
     /// `run_query_with` / `run_sketch` call on this session, or `None`
-    /// before the first query. When the `telemetry` feature is disabled
-    /// the report carries only the label, with all counters zero.
+    /// before the first query.
     ///
     /// ```
     /// use sketchql::prelude::*;
@@ -415,10 +414,8 @@ impl SketchQL {
     ///
     /// let stats = sq.last_query_stats().unwrap();
     /// assert_eq!(stats.label, "v");
-    /// if sketchql::telemetry::is_enabled() {
-    ///     assert!(stats.windows_enumerated > 0);
-    ///     assert!(stats.similarity_evals > 0);
-    /// }
+    /// assert!(stats.windows_enumerated > 0);
+    /// assert!(stats.similarity_evals > 0);
     /// ```
     pub fn last_query_stats(&self) -> Option<QueryReport> {
         self.last_report.lock().unwrap().clone()
@@ -859,11 +856,9 @@ mod tests {
             scan_results,
             "restored store must answer identically to the scan"
         );
-        if telemetry::is_enabled() {
-            let report = back.last_query_stats().unwrap();
-            assert_eq!(report.store_hits, 1, "query should be served by the store");
-            assert!(report.store_probed > 0);
-        }
+        let report = back.last_query_stats().unwrap();
+        assert_eq!(report.store_hits, 1, "query should be served by the store");
+        assert!(report.store_probed > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -417,10 +417,8 @@ impl Matcher<LearnedSimilarity> {
 
         telemetry::counter(names::STORE_HITS).inc();
         telemetry::counter(names::STORE_PROBED).add(candidates.len() as u64);
-        if telemetry::is_enabled() {
-            telemetry::histogram(names::STORE_PROBE_ROWS, PROBE_BOUNDS)
-                .observe(candidates.len() as f64);
-        }
+        telemetry::histogram(names::STORE_PROBE_ROWS, PROBE_BOUNDS)
+            .observe(candidates.len() as f64);
         Ok(StoreSearch {
             moments: self.rank(index, scored),
             from_store: true,

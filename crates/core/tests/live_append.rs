@@ -4,6 +4,8 @@
 //! from-scratch sharded ingest of the full dataset — across several
 //! split points and shard widths — and epoch-scoped search must agree
 //! between the two sets while only reporting windows inside the scope.
+//! An append also pays for the frames it adds, not for the set: a short
+//! tail behind a long prefix embeds a small fraction of the rows.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,8 +41,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A base video plus three streamed continuations: four stages, three
-/// split points.
+/// A base video plus four streamed continuations: five stages, four
+/// split points. The last continuation is a short tail (no events, one
+/// distractor) behind the long prefix the first three built.
 fn streaming_stages(seed: u64) -> Vec<SyntheticVideo> {
     let cfg = VideoConfig {
         family: SceneFamily::UrbanIntersection,
@@ -53,8 +56,12 @@ fn streaming_stages(seed: u64) -> Vec<SyntheticVideo> {
         events_per_kind: 1,
         distractors: 1,
     };
+    let tail = ExtendConfig {
+        events_per_kind: 0,
+        distractors: 1,
+    };
     let mut stages = vec![base];
-    for k in 1..=3u64 {
+    for (k, ext) in (1u64..).zip([ext, ext, ext, tail]) {
         let next = extend_video(
             stages.last().unwrap(),
             ext,
@@ -123,7 +130,7 @@ fn append_equals_from_scratch_ingest_across_splits_and_widths() {
 
     for shard_frames in [25u32, 60] {
         // Incremental: ingest the base, then commit one append per
-        // continuation (three split points).
+        // continuation (four split points).
         let dir_inc = temp_dir(&format!("inc-{shard_frames}"));
         let set = ingest_sharded(
             &m.sim,
@@ -138,6 +145,7 @@ fn append_equals_from_scratch_ingest_across_splits_and_widths() {
         assert_eq!(set.manifest().epoch, 0);
         drop(set);
         let mut total_reused = 0usize;
+        let mut short_appends = 0;
         for (k, index) in indexes.iter().enumerate().skip(1) {
             // The first append also runs on one thread over a copy: the
             // thread count must not change a byte.
@@ -164,8 +172,22 @@ fn append_equals_from_scratch_ingest_across_splits_and_widths() {
             assert!(out.embedded_rows > 0, "appended frames own new windows");
             assert!(out.rewritten_shards >= 1);
             total_reused += out.reused_rows;
+            // An append of at most a tenth of the frames embeds at most
+            // a fifth of the rows a re-ingest of the grown set would.
+            if (out.new_frames - out.old_frames) * 10 <= out.new_frames {
+                short_appends += 1;
+                assert!(
+                    out.embedded_rows as u64 * 5 <= out.set.total_rows(),
+                    "width {shard_frames}: appending frames {}..{} embedded {} of {} rows",
+                    out.old_frames,
+                    out.new_frames,
+                    out.embedded_rows,
+                    out.set.total_rows()
+                );
+            }
             drop(out);
         }
+        assert_eq!(short_appends, 1, "test premise: the tail is a short append");
         assert!(
             total_reused > 0,
             "width {shard_frames}: appends never reused a row"

@@ -2,8 +2,9 @@
 //! under its own token, so one member's tripped token is reported in
 //! its own slot while its peers come back byte-identical to solo
 //! searches; the shared encoder pass runs only while somebody is still
-//! waiting for it; and the store planner sends all of its unserved
-//! members through one fused scan.
+//! waiting for it; the store planner sends all of its unserved
+//! members through one fused scan; and a fused scan pays for the
+//! encoder once, whatever the number of members.
 //!
 //! These tests read process-global counters, so they live in their own
 //! binary and take a lock: nothing else may embed while they measure.
@@ -19,7 +20,7 @@ use sketchql::vstore::IngestConfig;
 use sketchql::VideoIndex;
 use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
 use sketchql_telemetry::{self as telemetry, names};
-use sketchql_trajectory::Clip;
+use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -125,15 +126,64 @@ fn unserved_members_of_a_stored_dataset_share_one_scan() {
         assert!(!want.is_empty());
         assert_eq!(got.moments, want, "fused fallback diverged from solo");
     }
-    if telemetry::is_enabled() {
+    assert_eq!(
+        telemetry::counter(names::STORE_FALLBACKS).get() - fallbacks,
+        3
+    );
+    assert!(
+        telemetry::counter(names::EMBED_CACHE_HITS).get() > hits,
+        "the repeated member must find its segments already interned"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Fusion pays for the encoder once: candidate embeddings depend on the
+/// index and the window grid, not on the sketch, so four equal-span
+/// sketches in one batch embed what one of them embeds alone plus their
+/// own three queries — with every reply byte-identical to solo.
+#[test]
+fn equal_span_members_share_one_encoder_pass() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let m = matcher();
+    let index = test_index(44);
+    let straight = {
+        let pts = (0..90)
+            .map(|f| TrajPoint::new(f, BBox::new(100.0 + f as f32 * 6.0, 300.0, 80.0, 45.0)))
+            .collect();
+        let car = Trajectory::from_points(0, ObjectClass::Car, pts);
+        Clip::new(1000.0, 600.0, vec![car])
+    };
+    let queries = [
+        query_clip(EventKind::LeftTurn),
+        query_clip(EventKind::RightTurn),
+        query_clip(EventKind::StopAndGo),
+        straight,
+    ];
+    for q in &queries {
         assert_eq!(
-            telemetry::counter(names::STORE_FALLBACKS).get() - fallbacks,
-            3
-        );
-        assert!(
-            telemetry::counter(names::EMBED_CACHE_HITS).get() > hits,
-            "the repeated member must find its segments already interned"
+            (q.span(), q.classes()),
+            (queries[0].span(), queries[0].classes()),
+            "test premise: one window grid, one candidate set"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
+
+    let embedded = || telemetry::counter(names::EMBEDDINGS_COMPUTED).get();
+    let before = embedded();
+    let first = m.search(&index, &queries[0]).unwrap();
+    let solo_embeds = embedded() - before;
+    assert!(!first.is_empty() && solo_embeds > 1);
+    let mut solo = vec![first];
+    solo.extend(queries[1..].iter().map(|q| m.search(&index, q).unwrap()));
+
+    let members: Vec<&Clip> = queries.iter().collect();
+    let before = embedded();
+    let fused = m.search_batch(&index, &members, &CancelToken::none());
+    let fused_embeds = embedded() - before;
+    assert!(
+        fused_embeds <= solo_embeds + 3,
+        "four fused members embedded {fused_embeds} clips; one alone embeds {solo_embeds}"
+    );
+    for (got, want) in fused.into_iter().zip(solo) {
+        assert_eq!(got.unwrap(), want, "fused reply diverged from solo");
+    }
 }

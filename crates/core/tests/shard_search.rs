@@ -575,14 +575,12 @@ fn eviction_reloads_shards_with_identical_scores() {
             set.resident_shards()
         );
     }
-    if sketchql_telemetry::is_enabled() {
-        let evictions_after =
-            sketchql_telemetry::counter(sketchql_telemetry::names::SHARD_EVICTIONS).get();
-        assert!(
-            evictions_after > evictions_before,
-            "probing several shards under a cap of 1 must evict"
-        );
-    }
+    let evictions_after =
+        sketchql_telemetry::counter(sketchql_telemetry::names::SHARD_EVICTIONS).get();
+    assert!(
+        evictions_after > evictions_before,
+        "probing several shards under a cap of 1 must evict"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -19,14 +19,13 @@
 //!   rejected with [`EngineError::Overloaded`]) and a token-bucket rate
 //!   limit (rejected with [`EngineError::RateLimited`]), so one noisy
 //!   tenant can't crowd out the rest.
-//! - **Priority with starvation protection**: under
-//!   [`SchedMode::Deadline`] workers dequeue the highest *effective*
-//!   priority — the class/query base priority plus one promotion credit
-//!   per [`SchedPolicy::aging_ms`] waited — with earliest-deadline-first
-//!   tie-breaks and FIFO order after that. Aging bounds starvation: any
-//!   query's effective priority eventually passes any fixed base.
-//!   [`SchedMode::Fifo`] preserves strict arrival order (the pre-policy
-//!   engine behavior; admission classes still apply).
+//! - **Priority with starvation protection**: workers dequeue the
+//!   highest *effective* priority — the class/query base priority plus
+//!   one promotion credit per [`SchedPolicy::aging_ms`] waited — with
+//!   earliest-deadline-first tie-breaks and FIFO order after that. Aging
+//!   bounds starvation: any query's effective priority eventually passes
+//!   any fixed base. With no priorities or deadlines declared this is
+//!   exact arrival order.
 //!
 //! ## Deadlines and cancellation
 //!
@@ -58,9 +57,9 @@
 //! across up to 8 concurrent queries — which is what makes a wider pool
 //! faster even on a single core.
 //!
-//! Batch formation is deadline-aware under [`SchedMode::Deadline`]: a
-//! queued peer with a deadline joins a batch only if its remaining
-//! margin covers the dataset's estimated scan time (the running mean of
+//! Batch formation is deadline-aware: a queued peer with a deadline
+//! joins a batch only if its remaining margin covers the dataset's
+//! estimated scan time (the running mean of
 //! the same per-dataset execute-stage observations that feed the
 //! `sketchql.server.execute_ms` histogram), so a tight-deadline query is
 //! never fused into a scan it can't survive. Every member runs under its
@@ -79,8 +78,8 @@
 //! it must name a loaded dataset and carry the model's and index's
 //! fingerprints — and mismatches are dropped so every query against
 //! that dataset takes the scan. Store effectiveness is mirrored in plain
-//! atomics ([`EngineStats::store_hits`] and friends), so the numbers
-//! survive builds with telemetry compiled out.
+//! atomics ([`EngineStats::store_hits`] and friends): those are per
+//! engine, where the telemetry registry is one per process.
 //!
 //! ## Live ingest and standing queries
 //!
@@ -119,9 +118,10 @@ use crate::live::{
 };
 
 /// Bucket bounds (milliseconds) for the queue-wait and execute
-/// latency histograms.
+/// latency histograms. The sub-millisecond bounds resolve store-served
+/// queries (~0.3 ms); scans land in the upper buckets.
 const LATENCY_MS_BOUNDS: &[f64] = &[
-    1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
+    0.05, 0.1, 0.25, 0.5, 1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
 ];
 
 /// Bucket bounds for the fused-batch-size histogram.
@@ -137,18 +137,6 @@ const DEADLINE_MARGIN_MS_BOUNDS: &[f64] = &[
 /// The class queries resolve to when they name no class (or name one
 /// the policy doesn't declare). Always present in the class table.
 pub const DEFAULT_CLASS: &str = "default";
-
-/// How the engine orders its admission queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Strict arrival order with greedy same-dataset fusion — the
-    /// pre-policy engine behavior. Admission classes (quotas, rate
-    /// limits) still apply; priorities and deadlines don't affect order.
-    Fifo,
-    /// Effective-priority dequeue (base + aging credit), earliest
-    /// -deadline-first tie-breaks, and deadline-aware batch formation.
-    Deadline,
-}
 
 /// Admission and priority settings for one class of clients.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -179,8 +167,6 @@ impl ClassConfig {
 /// the [module docs](self).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedPolicy {
-    /// Queue ordering discipline.
-    pub mode: SchedMode,
     /// Declared admission classes. Queries naming no class (or an
     /// undeclared one) fall into [`DEFAULT_CLASS`], which may itself be
     /// declared here to give it quotas or a base priority.
@@ -197,20 +183,9 @@ pub struct SchedPolicy {
 impl Default for SchedPolicy {
     fn default() -> Self {
         SchedPolicy {
-            mode: SchedMode::Deadline,
             classes: BTreeMap::new(),
             aging_ms: 100,
             poll_interval: Duration::from_millis(2),
-        }
-    }
-}
-
-impl SchedPolicy {
-    /// The pre-policy engine behavior: strict FIFO, no classes.
-    pub fn fifo() -> Self {
-        SchedPolicy {
-            mode: SchedMode::Fifo,
-            ..SchedPolicy::default()
         }
     }
 }
@@ -601,7 +576,8 @@ struct Counters {
     timed_out: AtomicU64,
     failed: AtomicU64,
     // Store effectiveness lives in plain atomics (not only telemetry
-    // counters) so `stats()` keeps working with telemetry compiled out.
+    // counters) because `stats()` is per engine and the telemetry
+    // registry is one per process.
     store_hits: AtomicU64,
     store_fallbacks: AtomicU64,
     store_probed: AtomicU64,
@@ -1283,14 +1259,7 @@ fn worker_loop(shared: &Shared) {
                 if let Some(i) = pick_index(&st.queue, &shared.policy, now) {
                     let head = st.queue.remove(i).expect("picked index in bounds");
                     let est = estimate_scan(shared, &head.dataset);
-                    let batch = form_batch(
-                        &mut st.queue,
-                        head,
-                        shared.fused_batch,
-                        &shared.policy,
-                        est,
-                        now,
-                    );
+                    let batch = form_batch(&mut st.queue, head, shared.fused_batch, est, now);
                     for job in &batch {
                         let cq = st
                             .classes
@@ -1361,9 +1330,6 @@ fn pick_index(queue: &VecDeque<Job>, policy: &SchedPolicy, now: Instant) -> Opti
     if queue.is_empty() {
         return None;
     }
-    if policy.mode == SchedMode::Fifo {
-        return Some(0);
-    }
     let mut best = 0;
     for i in 1..queue.len() {
         if sched_before(&queue[i], &queue[best], now, policy.aging_ms) {
@@ -1373,15 +1339,12 @@ fn pick_index(queue: &VecDeque<Job>, policy: &SchedPolicy, now: Instant) -> Opti
     Some(best)
 }
 
-/// Whether a queued peer may join `head`'s batch: under deadline-aware
-/// formation, a peer with a deadline joins only if its remaining margin
+/// Whether a queued peer may join `head`'s batch: a peer with a
+/// deadline joins only if its remaining margin
 /// covers the estimated scan time. No estimate yet (cold dataset) or no
 /// deadline means fuse freely; an already-expired peer stays queued and
 /// is shed when it is next picked.
-fn fusable(job: &Job, policy: &SchedPolicy, est_scan: Option<Duration>, now: Instant) -> bool {
-    if policy.mode == SchedMode::Fifo {
-        return true;
-    }
+fn fusable(job: &Job, est_scan: Option<Duration>, now: Instant) -> bool {
     let (Some(deadline), Some(est)) = (job.cancel.deadline(), est_scan) else {
         return true;
     };
@@ -1399,7 +1362,6 @@ fn form_batch(
     queue: &mut VecDeque<Job>,
     head: Job,
     fused_batch: usize,
-    policy: &SchedPolicy,
     est_scan: Option<Duration>,
     now: Instant,
 ) -> Vec<Job> {
@@ -1415,7 +1377,7 @@ fn form_batch(
         if batch.len() < fused_batch
             && job.dataset == batch[0].dataset
             && job.min_end == batch[0].min_end
-            && fusable(&job, policy, est_scan, now)
+            && fusable(&job, est_scan, now)
         {
             batch.push(job);
         } else {
@@ -1666,9 +1628,6 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, guard: &BatchGuard) {
 /// Records how much deadline headroom `member` ended with (negative
 /// when it ended past its deadline). No-op without a deadline.
 fn observe_deadline_margin(member: &Member) {
-    if !telemetry::is_enabled() {
-        return;
-    }
     let Some(deadline) = member.cancel.deadline() else {
         return;
     };
@@ -1830,17 +1789,9 @@ mod sched_tests {
     }
 
     #[test]
-    fn fifo_mode_ignores_priorities() {
-        let policy = SchedPolicy::fifo();
-        let queue: VecDeque<Job> = [job("a", 0, 1, None), job("a", 99, 2, None)].into();
-        assert_eq!(pick_index(&queue, &policy, Instant::now()), Some(0));
-    }
-
-    #[test]
     fn form_batch_preserves_leftover_order() {
         // Mixed datasets: the batch takes a's in order, leaves b's (and
         // the overflow a) in their original relative order.
-        let policy = SchedPolicy::fifo();
         let mut queue: VecDeque<Job> = [
             job("b", 0, 2, None),
             job("a", 0, 3, None),
@@ -1851,7 +1802,7 @@ mod sched_tests {
         ]
         .into();
         let head = job("a", 0, 1, None);
-        let batch = form_batch(&mut queue, head, 3, &policy, None, Instant::now());
+        let batch = form_batch(&mut queue, head, 3, None, Instant::now());
         assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [1, 3, 5]);
         assert_eq!(
             queue.iter().map(|j| j.seq).collect::<Vec<_>>(),
@@ -1862,23 +1813,14 @@ mod sched_tests {
 
     #[test]
     fn form_batch_respects_fused_limit() {
-        let policy = SchedPolicy::fifo();
         let mut queue: VecDeque<Job> = (2..10).map(|s| job("a", 0, s, None)).collect();
-        let batch = form_batch(
-            &mut queue,
-            job("a", 0, 1, None),
-            4,
-            &policy,
-            None,
-            Instant::now(),
-        );
+        let batch = form_batch(&mut queue, job("a", 0, 1, None), 4, None, Instant::now());
         assert_eq!(batch.len(), 4);
         assert_eq!(queue.len(), 5);
     }
 
     #[test]
     fn deadline_aware_formation_skips_tight_margins() {
-        let policy = SchedPolicy::default();
         let mut queue: VecDeque<Job> = [
             job("a", 0, 2, Some(Duration::from_millis(5))),
             job("a", 0, 3, Some(Duration::from_secs(120))),
@@ -1888,21 +1830,13 @@ mod sched_tests {
         // Estimated scan of 1s: the 5ms-margin job must not fuse; the
         // 120s-margin and deadline-less jobs may.
         let est = Some(Duration::from_secs(1));
-        let batch = form_batch(
-            &mut queue,
-            job("a", 0, 1, None),
-            8,
-            &policy,
-            est,
-            Instant::now(),
-        );
+        let batch = form_batch(&mut queue, job("a", 0, 1, None), 8, est, Instant::now());
         assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [1, 3, 4]);
         assert_eq!(queue.iter().map(|j| j.seq).collect::<Vec<_>>(), [2]);
     }
 
     #[test]
     fn scoped_jobs_only_fuse_with_equal_scopes() {
-        let policy = SchedPolicy::fifo();
         let mut j2 = job("a", 0, 2, None);
         j2.min_end = Some(100);
         let mut j3 = job("a", 0, 3, None);
@@ -1911,28 +1845,12 @@ mod sched_tests {
         let mut queue: VecDeque<Job> = [j2, j3, j4].into();
         let mut head = job("a", 0, 1, None);
         head.min_end = Some(100);
-        let batch = form_batch(&mut queue, head, 8, &policy, None, Instant::now());
+        let batch = form_batch(&mut queue, head, 8, None, Instant::now());
         assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(
             queue.iter().map(|j| j.seq).collect::<Vec<_>>(),
             [3, 4],
             "different or absent scopes stay queued"
         );
-    }
-
-    #[test]
-    fn fifo_mode_fuses_regardless_of_margin() {
-        let policy = SchedPolicy::fifo();
-        let mut queue: VecDeque<Job> = [job("a", 0, 2, Some(Duration::from_millis(5)))].into();
-        let est = Some(Duration::from_secs(1));
-        let batch = form_batch(
-            &mut queue,
-            job("a", 0, 1, None),
-            8,
-            &policy,
-            est,
-            Instant::now(),
-        );
-        assert_eq!(batch.len(), 2);
     }
 }

@@ -58,7 +58,7 @@ pub use client::{
 };
 pub use engine::{
     ClassConfig, ClassStats, DatasetInfo, DatasetTraffic, Engine, EngineConfig, EngineError,
-    EngineStats, QueryHandle, QueryResult, QuerySpec, SchedMode, SchedPolicy, DEFAULT_CLASS,
+    EngineStats, QueryHandle, QueryResult, QuerySpec, SchedPolicy, DEFAULT_CLASS,
 };
 pub use live::{
     LiveMatch, LiveNotifications, LivePoller, LiveRegistration, LiveReload, LIVE_CLASS,

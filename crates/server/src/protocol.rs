@@ -166,7 +166,7 @@ pub struct WireTrace {
     pub batch_size: usize,
     /// Wall time from admission to finalization, nanoseconds.
     pub total_nanos: u64,
-    /// Heap bytes attributed to the query (0 without telemetry).
+    /// Heap bytes attributed to the query.
     pub alloc_bytes: u64,
     /// Heap allocations attributed to the query.
     pub alloc_count: u64,
@@ -231,8 +231,7 @@ pub enum Response {
         /// Queries that shared the scan (1 = ran alone).
         batch_size: usize,
         /// The trace id the query ran under (the client's id if it sent
-        /// one); fetchable via [`Request::Trace`]. 0 when the server
-        /// was built without telemetry.
+        /// one); fetchable via [`Request::Trace`].
         trace_id: u64,
     },
     /// Answer to [`Request::Trace`].
@@ -248,9 +247,8 @@ pub enum Response {
     /// Answer to [`Request::Profile`].
     Profile {
         /// Folded stacks, one `thread;span;...;span count` line each —
-        /// flamegraph-compatible. Empty when the server was built
-        /// without telemetry (or the continuous profiler is off and a
-        /// snapshot was requested).
+        /// flamegraph-compatible. Empty when the continuous profiler
+        /// is off and a snapshot was requested.
         folded: String,
         /// Total per-thread samples behind the profile.
         samples: u64,

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use sketchql_server::{Client, Engine, EngineConfig, Server};
-use sketchql_telemetry::{self as telemetry, names};
+use sketchql_telemetry::names;
 
 use common::{tiny_model, two_datasets};
 
@@ -28,9 +28,6 @@ fn start_server(workers: usize) -> Server {
 
 #[test]
 fn queries_carry_resource_attribution_end_to_end() {
-    if !telemetry::is_enabled() {
-        return;
-    }
     let server = start_server(2);
     let mut client = Client::connect(server.local_addr()).unwrap();
 
@@ -60,9 +57,6 @@ fn queries_carry_resource_attribution_end_to_end() {
 
 #[test]
 fn profile_request_names_matcher_stages_under_load() {
-    if !telemetry::is_enabled() {
-        return;
-    }
     let server = start_server(2);
     let addr = server.local_addr();
     let stop = Arc::new(AtomicBool::new(false));

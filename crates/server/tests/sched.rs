@@ -1,6 +1,7 @@
 //! Scheduler-policy integration tests: admission classes (quotas, rate
-//! limits), starvation protection, the mid-batch deadline-inversion
-//! regression, the submit/shutdown race, and worker-panic containment.
+//! limits), starvation protection, an interactive query overtaking a
+//! bulk backlog, the mid-batch deadline-inversion regression, the
+//! submit/shutdown race, and worker-panic containment.
 
 mod common;
 
@@ -238,39 +239,102 @@ fn token_bucket_rejects_burst_past_capacity() {
     engine.shutdown();
 }
 
+/// The scheduling contract in one queue: an interactive query (high
+/// priority, with a deadline) submitted behind a backlog of bulk
+/// queries runs ahead of that backlog, and reordering changes no
+/// answer — every reply equals the same query on a fresh engine.
+#[test]
+fn interactive_query_overtakes_a_bulk_backlog() {
+    let config = || EngineConfig {
+        workers: 1,
+        fused_batch: 1,
+        ..Default::default()
+    };
+    let model = tiny_model();
+    let engine = Engine::start(model.clone(), two_datasets(), config());
+    // The blocker holds the only worker while the rest queue up: six
+    // bulk queries first, the interactive one last.
+    const BULK_EVENTS: [EventKind; 3] =
+        [EventKind::LeftTurn, EventKind::RightTurn, EventKind::UTurn];
+    let mut specs = vec![spec("alpha", EventKind::LaneChange)];
+    specs.extend((0..6).map(|i| classed("alpha", BULK_EVENTS[i % 3], "bulk")));
+    let mut tight = spec("beta", EventKind::LeftTurn);
+    tight.priority = Some(10);
+    tight.deadline = Some(Duration::from_secs(60));
+    specs.push(tight);
+    let handles: Vec<_> = specs
+        .iter()
+        .map(|q| engine.submit(q.clone()).unwrap())
+        .collect();
+
+    // One waiter per handle stamps when its reply arrived.
+    let replies: Vec<_> = std::thread::scope(|scope| {
+        let waiters: Vec<_> = handles
+            .into_iter()
+            .map(|h| scope.spawn(move || (h.wait().unwrap().moments, Instant::now())))
+            .collect();
+        waiters.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    engine.shutdown();
+
+    let tight_at = replies[7].1;
+    let overtaken = replies[1..7]
+        .iter()
+        .filter(|(_, at)| *at > tight_at)
+        .count();
+    assert!(
+        overtaken >= 5,
+        "the interactive query must finish before the bulk backlog queued \
+         ahead of it (overtook {overtaken} of 6)"
+    );
+    let fresh = Engine::start(model, two_datasets(), config());
+    for (q, (moments, _)) in specs.iter().zip(&replies) {
+        assert_eq!(
+            &fresh.execute(q.clone()).unwrap().moments,
+            moments,
+            "reordering changed the answer of a {:?} query",
+            q.class
+        );
+    }
+    fresh.shutdown();
+}
+
 /// The deadline-inversion regression: a fused member whose deadline
 /// expires mid-scan is answered `DeadlineExceeded` by the monitor while
-/// the shared scan is still running — not after it completes. Uses FIFO
-/// mode so formation deterministically fuses the tight query (the
-/// deadline monitor is mode-independent).
+/// the shared scan is still running — not after it completes. The
+/// deadline is sized on a scratch engine and the blocker runs on the
+/// other dataset, so the engine under test has no scan estimate for
+/// "alpha" and formation fuses the tight query whichever member heads
+/// the batch.
 #[test]
 fn mid_batch_expiry_is_answered_before_the_scan_finishes() {
-    let engine = Arc::new(Engine::start(
-        tiny_model(),
-        two_datasets(),
-        EngineConfig {
-            workers: 1,
-            fused_batch: 4,
-            sched: SchedPolicy::fifo(),
-            ..Default::default()
-        },
-    ));
+    let config = || EngineConfig {
+        workers: 1,
+        fused_batch: 4,
+        ..Default::default()
+    };
     // Measure one solo scan to size the deadline.
-    let warmup = Instant::now();
-    engine.execute(spec("alpha", EventKind::LeftTurn)).unwrap();
-    let scan = warmup.elapsed();
+    let model = tiny_model();
+    let scratch = Engine::start(model.clone(), two_datasets(), config());
+    scratch.execute(spec("beta", EventKind::LeftTurn)).unwrap();
+    let warm = Instant::now();
+    scratch.execute(spec("beta", EventKind::RightTurn)).unwrap();
+    let scan = warm.elapsed();
+    scratch.shutdown();
 
-    // Occupy the single worker, then queue a no-deadline query and a
-    // tight-deadline query on the same dataset: they fuse into one
-    // batch whose scan outlives the tight member's margin.
-    let blocker = engine.submit(spec("alpha", EventKind::RightTurn)).unwrap();
-    std::thread::sleep((scan / 10).max(Duration::from_millis(1)));
+    // Hold the single worker while a no-deadline query and a
+    // tight-deadline query queue up on the other dataset, then release
+    // it: the two fuse into one batch whose scan outlives the tight
+    // member's margin.
+    let engine = Engine::start(model, two_datasets(), config());
+    let blocker = engine.submit(spec("beta", EventKind::RightTurn)).unwrap();
     let patient = engine.submit(spec("alpha", EventKind::LeftTurn)).unwrap();
     let mut tight_spec = spec("alpha", EventKind::UTurn);
-    // A hair past the queue wait (the blocker's remaining scan), so the
-    // queue-expiry check passes but the fused scan outlives the margin.
-    tight_spec.deadline = Some(scan + scan / 10);
+    // A third of a solo scan: well past the queue wait (the blocker is
+    // cancelled at once), well short of the fused scan.
+    tight_spec.deadline = Some(scan / 3);
     let tight = engine.submit(tight_spec).unwrap();
+    blocker.cancel();
 
     let ((tight_result, tight_at), (patient_result, patient_at)) = std::thread::scope(|scope| {
         let tight_waiter = scope.spawn(move || {
@@ -283,7 +347,10 @@ fn mid_batch_expiry_is_answered_before_the_scan_finishes() {
         });
         (tight_waiter.join().unwrap(), patient_waiter.join().unwrap())
     });
-    blocker.wait().unwrap();
+    assert_eq!(
+        blocker.wait().map(|r| r.moments),
+        Err(EngineError::Cancelled)
+    );
 
     assert_eq!(tight_result, Err(EngineError::DeadlineExceeded));
     let patient = patient_result.expect("the surviving member still gets its answer");

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use sketchql::{ingest_sharded, IngestConfig, MatcherConfig};
 use sketchql_datasets::query_clip;
 use sketchql_server::{Client, Engine, EngineConfig, Server};
-use sketchql_telemetry as telemetry;
 
 use common::{small_index, tiny_model, two_datasets};
 
@@ -40,9 +39,6 @@ fn sample_value(prometheus: &str, name: &str) -> Option<f64> {
 /// concurrently: no torn lines, no half-updated families.
 #[test]
 fn concurrent_scrapes_during_queries_stay_consistent() {
-    if !telemetry::is_enabled() {
-        return;
-    }
     let server = start_server(2);
     let addr = server.local_addr();
     let stop = Arc::new(AtomicBool::new(false));
@@ -110,9 +106,6 @@ fn concurrent_scrapes_during_queries_stay_consistent() {
 /// family is live on the scrape and linted with everything else.
 #[test]
 fn prometheus_exposition_is_well_formed() {
-    if !telemetry::is_enabled() {
-        return;
-    }
     let model = tiny_model();
     let alpha = small_index(11);
     let event = "left_turn";

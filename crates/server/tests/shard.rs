@@ -109,13 +109,11 @@ fn store_backed_engine_is_lazy_and_matches_plain_engine() {
         let infos = engine.datasets();
         assert!(infos.iter().any(|d| d.name == "alpha" && d.stored));
         assert!(infos.iter().any(|d| d.name == "beta" && !d.stored));
-        if telemetry::is_enabled() {
-            assert_eq!(
-                telemetry::gauge(names::SHARD_RESIDENT).get(),
-                resident_before,
-                "engine startup must not fault in any shard"
-            );
-        }
+        assert_eq!(
+            telemetry::gauge(names::SHARD_RESIDENT).get(),
+            resident_before,
+            "engine startup must not fault in any shard"
+        );
 
         for ((dataset, event), want) in &expected {
             let got = engine.execute(spec(dataset, *event)).unwrap();
@@ -135,12 +133,10 @@ fn store_backed_engine_is_lazy_and_matches_plain_engine() {
         );
         assert_eq!(stats.store_fallbacks, 0);
         assert!(stats.store_probed > 0);
-        if telemetry::is_enabled() {
-            assert!(
-                telemetry::gauge(names::SHARD_RESIDENT).get() > resident_before,
-                "traffic must fault shards in"
-            );
-        }
+        assert!(
+            telemetry::gauge(names::SHARD_RESIDENT).get() > resident_before,
+            "traffic must fault shards in"
+        );
         engine.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

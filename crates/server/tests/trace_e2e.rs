@@ -42,11 +42,6 @@ fn wire_query_yields_a_fetchable_span_tree() {
     assert_ne!(outcome.trace_id, 0, "server must echo a trace id");
 
     let traces = client.trace(Some(outcome.trace_id), None).unwrap();
-    if !tel::is_enabled() {
-        assert!(traces.is_empty());
-        server.shutdown();
-        return;
-    }
     assert_eq!(traces.len(), 1, "exactly one trace under the client's id");
     let trace = &traces[0];
     assert_eq!(trace.trace_id, outcome.trace_id);
@@ -159,13 +154,11 @@ fn shed_queries_leave_a_trace_with_a_shed_outcome() {
     spec.trace = Some(shed_id);
     let err = engine.execute(spec);
     assert!(err.is_err(), "zero-depth queue must shed the query");
-    if tel::is_enabled() {
-        let trace = tel::flight_recorder()
-            .find(shed_id)
-            .expect("shed query must still reach the flight recorder");
-        assert_eq!(trace.outcome, tel::TraceOutcome::Shed);
-        assert_eq!(trace.label, "alpha");
-    }
+    let trace = tel::flight_recorder()
+        .find(shed_id)
+        .expect("shed query must still reach the flight recorder");
+    assert_eq!(trace.outcome, tel::TraceOutcome::Shed);
+    assert_eq!(trace.label, "alpha");
     engine.shutdown();
 }
 
@@ -199,9 +192,5 @@ fn scrape_listener_serves_prometheus_text() {
         .split_once("\r\n\r\n")
         .map(|(_, b)| b)
         .unwrap_or("");
-    if tel::is_enabled() {
-        assert!(body.contains("test_scrape_touch"));
-    } else {
-        assert!(body.is_empty());
-    }
+    assert!(body.contains("test_scrape_touch"));
 }

@@ -13,10 +13,8 @@
 //! lookup plus a few `Cell` bumps per allocation; the process-wide
 //! atomics are only touched every [`FLUSH_EVERY`] allocations per thread
 //! (batched flush), keeping contended cache-line traffic off the alloc
-//! fast path. That is cheap enough to leave on in production (the
-//! `bench_overhead.sh` gate holds the whole telemetry stack under 2%).
-//! It is only installed when the `enabled` feature is compiled in; a
-//! `--no-default-features` build uses the system allocator untouched.
+//! fast path. That is cheap enough to leave on in production (perfbench's
+//! `bench.trace_overhead_ratio` holds the whole telemetry stack under 2%).
 //!
 //! Frees are intentionally not tracked: the interesting per-query number
 //! is allocation *pressure* (how much the query churned), not live heap,
@@ -26,8 +24,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The counting allocator. Installed as the `#[global_allocator]` when
-/// the `enabled` feature is on; inert (never receives calls) otherwise.
+/// The counting allocator, installed as the `#[global_allocator]` of
+/// every binary that links this crate.
 pub struct CountingAlloc;
 
 static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -118,13 +116,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-#[cfg(feature = "enabled")]
 #[global_allocator]
 static GLOBAL_COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
 /// `(bytes, allocations)` performed by the current thread since it
 /// started. Monotonic per thread; diffs of successive calls measure the
-/// traffic in between. Both zero when telemetry is compiled out.
+/// traffic in between.
 pub fn thread_allocated() -> (u64, u64) {
     THREAD_ALLOC
         .try_with(|s| (s.bytes.get(), s.count.get()))
@@ -134,8 +131,7 @@ pub fn thread_allocated() -> (u64, u64) {
 /// `(bytes, allocations)` performed process-wide since start. Monotonic;
 /// this is cumulative allocation pressure, not the live heap size, and
 /// it may lag the per-thread truth by up to [`FLUSH_EVERY`] allocations
-/// per live thread (batched flush). Both zero when telemetry is
-/// compiled out.
+/// per live thread (batched flush).
 pub fn process_allocated() -> (u64, u64) {
     (
         TOTAL_BYTES.load(Ordering::Relaxed),

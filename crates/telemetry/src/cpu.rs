@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-#[cfg(all(feature = "enabled", any(target_os = "linux", target_os = "android")))]
+#[cfg(any(target_os = "linux", target_os = "android"))]
 mod imp {
     #[repr(C)]
     struct Timespec {
@@ -73,7 +73,7 @@ mod imp {
     }
 }
 
-#[cfg(not(all(feature = "enabled", any(target_os = "linux", target_os = "android"))))]
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
 mod imp {
     pub fn thread_cpu_nanos() -> Option<u64> {
         None
@@ -114,13 +114,11 @@ pub fn tid_cpu_nanos(tid: u64) -> Option<u64> {
 /// scope exit with [`nanos_since`]. Falls back to wall clock where no
 /// thread CPU clock exists, so the delta is then an upper bound.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 pub(crate) enum CpuStamp {
     Cpu(u64),
     Wall(Instant),
 }
 
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 pub(crate) fn stamp() -> CpuStamp {
     match thread_cpu_nanos() {
         Some(ns) => CpuStamp::Cpu(ns),
@@ -128,7 +126,6 @@ pub(crate) fn stamp() -> CpuStamp {
     }
 }
 
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 pub(crate) fn nanos_since(stamp: &CpuStamp) -> u64 {
     match stamp {
         CpuStamp::Cpu(base) => thread_cpu_nanos().unwrap_or(*base).saturating_sub(*base),

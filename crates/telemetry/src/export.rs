@@ -9,9 +9,6 @@ use std::fmt::Write;
 
 /// Serializes the full metric registry as a JSON object:
 /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
-///
-/// With telemetry disabled this returns the same shape with empty maps —
-/// still valid JSON, so downstream consumers need no special case.
 pub fn snapshot_json() -> String {
     publish_process_gauges();
     let snap = MetricsSnapshot::capture();
@@ -54,15 +51,11 @@ pub fn snapshot_json() -> String {
 }
 
 /// Refreshes the process-level resource gauges from the counting
-/// allocator so every export carries current numbers. No-op (gauges
-/// stay 0 and are absent from the registry) when telemetry is disabled.
+/// allocator so every export carries current numbers.
 fn publish_process_gauges() {
-    #[cfg(feature = "enabled")]
-    {
-        let (bytes, count) = crate::alloc::process_allocated();
-        crate::metrics::gauge(crate::names::RESOURCE_PROCESS_ALLOC_BYTES).set(bytes as f64);
-        crate::metrics::gauge(crate::names::RESOURCE_PROCESS_ALLOC_COUNT).set(count as f64);
-    }
+    let (bytes, count) = crate::alloc::process_allocated();
+    crate::metrics::gauge(crate::names::RESOURCE_PROCESS_ALLOC_BYTES).set(bytes as f64);
+    crate::metrics::gauge(crate::names::RESOURCE_PROCESS_ALLOC_COUNT).set(count as f64);
 }
 
 /// One-line `# HELP` text for a metric family, keyed by the dotted

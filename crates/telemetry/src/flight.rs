@@ -41,8 +41,7 @@ pub struct QueryTrace {
     /// Wall time from trace creation to finalization, nanoseconds.
     pub total_nanos: u64,
     /// Heap bytes allocated inside the query's attribution scopes (all
-    /// threads that entered the trace, summed). 0 when the counting
-    /// allocator is compiled out.
+    /// threads that entered the trace, summed).
     pub alloc_bytes: u64,
     /// Heap allocations inside the query's attribution scopes.
     pub alloc_count: u64,

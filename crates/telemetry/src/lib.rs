@@ -31,10 +31,6 @@
 //! Registry-wide state exports as JSON ([`snapshot_json`]) or Prometheus
 //! text format ([`snapshot_prometheus`]).
 //!
-//! Everything is gated on the `enabled` cargo feature (on by default).
-//! With the feature off the same API exists but every operation compiles
-//! to a no-op, so instrumented code needs no `cfg` of its own.
-//!
 //! Metric and span names follow a dotted convention, `sketchql.<stage>.
 //! <what>`; the canonical names live in [`names`].
 
@@ -293,12 +289,4 @@ pub mod names {
     pub const RESOURCE_PROCESS_ALLOC_COUNT: &str = "sketchql.resource.process_alloc_count";
     /// Counter: sampling ticks taken by the cooperative profiler.
     pub const RESOURCE_PROFILE_SAMPLES: &str = "sketchql.resource.profile_samples";
-}
-
-/// Whether the `enabled` feature is compiled in.
-///
-/// Lets callers skip work that only feeds telemetry (building label
-/// strings, for instance) without `cfg` attributes of their own.
-pub const fn is_enabled() -> bool {
-    cfg!(feature = "enabled")
 }

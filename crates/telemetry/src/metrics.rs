@@ -6,16 +6,12 @@
 //! so lookups (which take a mutex) can be hoisted out of hot loops while
 //! updates stay single relaxed atomic operations.
 
-#[cfg(feature = "enabled")]
 use std::collections::BTreeMap;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Mutex, OnceLock};
 
 /// Monotonically increasing event count.
 pub struct Counter {
-    #[cfg(feature = "enabled")]
     value: AtomicU64,
 }
 
@@ -23,7 +19,6 @@ impl Counter {
     /// A zeroed counter.
     pub const fn new() -> Self {
         Counter {
-            #[cfg(feature = "enabled")]
             value: AtomicU64::new(0),
         }
     }
@@ -31,10 +26,7 @@ impl Counter {
     /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Adds one event.
@@ -43,19 +35,11 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current count (0 when telemetry is disabled).
+    /// Current count.
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.value.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.value.load(Ordering::Relaxed)
     }
 
-    #[cfg(feature = "enabled")]
     fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
     }
@@ -69,7 +53,6 @@ impl Default for Counter {
 
 /// A value that can go up and down, stored as an `f64`.
 pub struct Gauge {
-    #[cfg(feature = "enabled")]
     bits: AtomicU64,
 }
 
@@ -77,7 +60,6 @@ impl Gauge {
     /// A gauge reading 0.
     pub const fn new() -> Self {
         Gauge {
-            #[cfg(feature = "enabled")]
             bits: AtomicU64::new(0),
         }
     }
@@ -85,26 +67,14 @@ impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        #[cfg(feature = "enabled")]
         self.bits.store(v.to_bits(), Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
-    /// Current reading (0.0 when telemetry is disabled; note a gauge
-    /// explicitly `set` to 0.0 reads back as `f64::to_bits(0.0)` too).
+    /// Current reading (0.0 until first `set`).
     pub fn get(&self) -> f64 {
-        #[cfg(feature = "enabled")]
-        {
-            f64::from_bits(self.bits.load(Ordering::Relaxed))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0.0
-        }
+        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 
-    #[cfg(feature = "enabled")]
     fn reset(&self) {
         self.bits.store(0, Ordering::Relaxed);
     }
@@ -122,18 +92,13 @@ impl Default for Gauge {
 /// in the first bucket whose bound is `>=` the value, or in the implicit
 /// `+Inf` bucket past the last bound.
 pub struct Histogram {
-    #[cfg(feature = "enabled")]
     bounds: Vec<f64>,
-    #[cfg(feature = "enabled")]
     buckets: Vec<AtomicU64>, // bounds.len() + 1 (last is +Inf)
-    #[cfg(feature = "enabled")]
     sum_bits: AtomicU64,
-    #[cfg(feature = "enabled")]
     count: AtomicU64,
 }
 
 impl Histogram {
-    #[cfg(feature = "enabled")]
     fn with_bounds(bounds: &[f64]) -> Self {
         debug_assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -149,71 +114,44 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&self, v: f64) {
-        #[cfg(feature = "enabled")]
-        {
-            let idx = self
-                .bounds
-                .iter()
-                .position(|&b| v <= b)
-                .unwrap_or(self.bounds.len());
-            self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            // f64 sum via CAS on the bit pattern.
-            let _ = self
-                .sum_bits
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                    Some((f64::from_bits(bits) + v).to_bits())
-                });
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
+        let idx = self
+            .bounds
+            .iter()
+            .position(|&b| v <= b)
+            .unwrap_or(self.bounds.len());
+        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        // f64 sum via CAS on the bit pattern.
+        let _ = self
+            .sum_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + v).to_bits())
+            });
     }
 
-    /// Number of observations (0 when telemetry is disabled).
+    /// Number of observations.
     pub fn count(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.count.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of observations (0.0 when telemetry is disabled).
+    /// Sum of observations.
     pub fn sum(&self) -> f64 {
-        #[cfg(feature = "enabled")]
-        {
-            f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0.0
-        }
+        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
     /// Cumulative bucket counts as `(upper_bound, count)` pairs; the final
-    /// pair has bound `f64::INFINITY`. Empty when telemetry is disabled.
+    /// pair has bound `f64::INFINITY`.
     pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        #[cfg(feature = "enabled")]
-        {
-            let mut acc = 0;
-            let mut out = Vec::with_capacity(self.buckets.len());
-            for (i, b) in self.buckets.iter().enumerate() {
-                acc += b.load(Ordering::Relaxed);
-                let bound = self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-                out.push((bound, acc));
-            }
-            out
+        let mut acc = 0;
+        let mut out = Vec::with_capacity(self.buckets.len());
+        for (i, b) in self.buckets.iter().enumerate() {
+            acc += b.load(Ordering::Relaxed);
+            let bound = self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
+            out.push((bound, acc));
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Vec::new()
-        }
+        out
     }
 
-    #[cfg(feature = "enabled")]
     fn reset(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
@@ -223,14 +161,12 @@ impl Histogram {
     }
 }
 
-#[cfg(feature = "enabled")]
 struct Registry {
     counters: Mutex<BTreeMap<String, &'static Counter>>,
     gauges: Mutex<BTreeMap<String, &'static Gauge>>,
     histograms: Mutex<BTreeMap<String, &'static Histogram>>,
 }
 
-#[cfg(feature = "enabled")]
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| Registry {
@@ -242,67 +178,37 @@ fn registry() -> &'static Registry {
 
 /// Returns the named counter, registering it on first use.
 pub fn counter(name: &str) -> &'static Counter {
-    #[cfg(feature = "enabled")]
-    {
-        let mut map = registry().counters.lock().unwrap();
-        map.entry(name.to_string())
-            .or_insert_with(|| Box::leak(Box::new(Counter::new())))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        static NOOP: Counter = Counter::new();
-        &NOOP
-    }
+    let mut map = registry().counters.lock().unwrap();
+    map.entry(name.to_string())
+        .or_insert_with(|| Box::leak(Box::new(Counter::new())))
 }
 
 /// Returns the named gauge, registering it on first use.
 pub fn gauge(name: &str) -> &'static Gauge {
-    #[cfg(feature = "enabled")]
-    {
-        let mut map = registry().gauges.lock().unwrap();
-        map.entry(name.to_string())
-            .or_insert_with(|| Box::leak(Box::new(Gauge::new())))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        static NOOP: Gauge = Gauge::new();
-        &NOOP
-    }
+    let mut map = registry().gauges.lock().unwrap();
+    map.entry(name.to_string())
+        .or_insert_with(|| Box::leak(Box::new(Gauge::new())))
 }
 
 /// Returns the named histogram, registering it with `bounds` on first
 /// use (later calls keep the original bounds).
 pub fn histogram(name: &str, bounds: &[f64]) -> &'static Histogram {
-    #[cfg(feature = "enabled")]
-    {
-        let mut map = registry().histograms.lock().unwrap();
-        map.entry(name.to_string())
-            .or_insert_with(|| Box::leak(Box::new(Histogram::with_bounds(bounds))))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (name, bounds);
-        static NOOP: Histogram = Histogram {};
-        &NOOP
-    }
+    let mut map = registry().histograms.lock().unwrap();
+    map.entry(name.to_string())
+        .or_insert_with(|| Box::leak(Box::new(Histogram::with_bounds(bounds))))
 }
 
 /// Zeroes every registered metric. Intended for tests and benchmarks.
 pub fn reset() {
-    #[cfg(feature = "enabled")]
-    {
-        let reg = registry();
-        for c in reg.counters.lock().unwrap().values() {
-            c.reset();
-        }
-        for g in reg.gauges.lock().unwrap().values() {
-            g.reset();
-        }
-        for h in reg.histograms.lock().unwrap().values() {
-            h.reset();
-        }
+    let reg = registry();
+    for c in reg.counters.lock().unwrap().values() {
+        c.reset();
+    }
+    for g in reg.gauges.lock().unwrap().values() {
+        g.reset();
+    }
+    for h in reg.histograms.lock().unwrap().values() {
+        h.reset();
     }
 }
 
@@ -329,47 +235,40 @@ pub struct HistogramSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Captures the current registry state (empty when disabled).
+    /// Captures the current registry state.
     pub fn capture() -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            let reg = registry();
-            MetricsSnapshot {
-                counters: reg
-                    .counters
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.get()))
-                    .collect(),
-                gauges: reg
-                    .gauges
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.get()))
-                    .collect(),
-                histograms: reg
-                    .histograms
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .map(|(k, v)| {
-                        (
-                            k.clone(),
-                            HistogramSnapshot {
-                                buckets: v.cumulative_buckets(),
-                                sum: v.sum(),
-                                count: v.count(),
-                            },
-                        )
-                    })
-                    .collect(),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            MetricsSnapshot::default()
+        let reg = registry();
+        MetricsSnapshot {
+            counters: reg
+                .counters
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            gauges: reg
+                .gauges
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect(),
+            histograms: reg
+                .histograms
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| {
+                    (
+                        k.clone(),
+                        HistogramSnapshot {
+                            buckets: v.cumulative_buckets(),
+                            sum: v.sum(),
+                            count: v.count(),
+                        },
+                    )
+                })
+                .collect(),
         }
     }
 }

@@ -19,12 +19,9 @@
 //! platform, in release builds, with no signal handlers or unwinding.
 
 use std::collections::BTreeMap;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Duration;
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 /// Aggregated samples for one folded stack.
@@ -84,20 +81,17 @@ impl ProfileReport {
 /// span-name stack. Registered on the thread's first span (or trace
 /// entry) and unregistered implicitly when the thread exits (the
 /// registry holds `Weak`s; the thread-local owns the only `Arc`).
-#[cfg(feature = "enabled")]
 pub(crate) struct StackSlot {
     name: String,
     tid: u64,
     stack: Mutex<Vec<&'static str>>,
 }
 
-#[cfg(feature = "enabled")]
 fn registry() -> &'static Mutex<Vec<Weak<StackSlot>>> {
     static REGISTRY: OnceLock<Mutex<Vec<Weak<StackSlot>>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-#[cfg(feature = "enabled")]
 thread_local! {
     static SLOT: std::cell::RefCell<Option<Arc<StackSlot>>> =
         const { std::cell::RefCell::new(None) };
@@ -105,7 +99,6 @@ thread_local! {
 
 /// Returns the calling thread's slot, registering one on first use.
 /// `None` during TLS teardown.
-#[cfg(feature = "enabled")]
 fn with_slot<R>(f: impl FnOnce(&Arc<StackSlot>) -> R) -> Option<R> {
     SLOT.try_with(|cell| {
         let mut cell = cell.borrow_mut();
@@ -137,24 +130,17 @@ fn with_slot<R>(f: impl FnOnce(&Arc<StackSlot>) -> R) -> Option<R> {
 /// Registers the calling thread with the profiler without touching its
 /// span stack — pool threads call this (via `TraceContext::enter`) so
 /// the sampler sees them even before their first span.
-#[cfg(feature = "enabled")]
 pub(crate) fn ensure_registered() {
     let _ = with_slot(|_| ());
 }
 
-#[cfg(not(feature = "enabled"))]
-#[allow(dead_code)]
-pub(crate) fn ensure_registered() {}
-
 /// Pushes a span name onto the calling thread's published stack.
 /// Called from [`span`](crate::span); must mirror [`pop_span`].
-#[cfg(feature = "enabled")]
 pub(crate) fn push_span(name: &'static str) {
     let _ = with_slot(|slot| slot.stack.lock().unwrap().push(name));
 }
 
 /// Pops the calling thread's published stack (on `SpanGuard` drop).
-#[cfg(feature = "enabled")]
 pub(crate) fn pop_span() {
     let _ = with_slot(|slot| {
         slot.stack.lock().unwrap().pop();
@@ -164,7 +150,6 @@ pub(crate) fn pop_span() {
 /// One sampling tick: fold every registered thread's current stack into
 /// `report`, weighting by the CPU each thread burned since its last
 /// observation (tracked in `cpu_last`).
-#[cfg(feature = "enabled")]
 fn sample_once(cpu_last: &mut BTreeMap<u64, u64>, report: &mut ProfileReport) {
     let slots: Vec<Arc<StackSlot>> = {
         let mut reg = registry().lock().unwrap();
@@ -199,7 +184,6 @@ fn sample_once(cpu_last: &mut BTreeMap<u64, u64>, report: &mut ProfileReport) {
 
 /// Primes per-tid CPU baselines so the first counted tick measures a
 /// real delta instead of each thread's lifetime CPU.
-#[cfg(feature = "enabled")]
 fn prime_cpu(cpu_last: &mut BTreeMap<u64, u64>) {
     let slots: Vec<Arc<StackSlot>> = registry()
         .lock()
@@ -216,93 +200,66 @@ fn prime_cpu(cpu_last: &mut BTreeMap<u64, u64>) {
 
 /// Samples every registered thread at `hz` (clamped to 1..=1000) for
 /// `duration`, blocking the calling thread, and returns the aggregate.
-/// Empty when telemetry is compiled out.
 pub fn collect_profile(duration: Duration, hz: u32) -> ProfileReport {
-    #[cfg(feature = "enabled")]
-    {
-        let hz = hz.clamp(1, 1000);
-        let interval = Duration::from_nanos(1_000_000_000 / hz as u64);
-        let start = Instant::now();
-        let mut cpu_last = BTreeMap::new();
-        prime_cpu(&mut cpu_last);
-        let mut report = ProfileReport::default();
-        while start.elapsed() < duration {
-            std::thread::sleep(interval);
-            sample_once(&mut cpu_last, &mut report);
-        }
-        report.duration_nanos = start.elapsed().as_nanos() as u64;
-        report
+    let hz = hz.clamp(1, 1000);
+    let interval = Duration::from_nanos(1_000_000_000 / hz as u64);
+    let start = Instant::now();
+    let mut cpu_last = BTreeMap::new();
+    prime_cpu(&mut cpu_last);
+    let mut report = ProfileReport::default();
+    while start.elapsed() < duration {
+        std::thread::sleep(interval);
+        sample_once(&mut cpu_last, &mut report);
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (duration, hz);
-        ProfileReport::default()
-    }
+    report.duration_nanos = start.elapsed().as_nanos() as u64;
+    report
 }
 
-#[cfg(feature = "enabled")]
 fn continuous() -> &'static Mutex<ProfileReport> {
     static CONTINUOUS: OnceLock<Mutex<ProfileReport>> = OnceLock::new();
     CONTINUOUS.get_or_init(|| Mutex::new(ProfileReport::default()))
 }
 
-#[cfg(feature = "enabled")]
 static CONTINUOUS_RUNNING: AtomicBool = AtomicBool::new(false);
 
 /// Starts the process-lifetime continuous profiler: a background thread
 /// sampling at `hz` (clamped to 1..=1000) into a global aggregate that
 /// [`continuous_profile_snapshot`] reads. Returns `false` (and does
-/// nothing) if it is already running or telemetry is compiled out.
+/// nothing) if it is already running.
 ///
 /// Off-beat rates (19, 97, …) avoid aliasing with periodic work.
 pub fn start_continuous_profiler(hz: u32) -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        if CONTINUOUS_RUNNING.swap(true, Ordering::AcqRel) {
-            return false;
-        }
-        let hz = hz.clamp(1, 1000);
-        let interval = Duration::from_nanos(1_000_000_000 / hz as u64);
-        std::thread::Builder::new()
-            .name("sketchql-profiler".to_string())
-            .spawn(move || {
-                let mut cpu_last = BTreeMap::new();
-                prime_cpu(&mut cpu_last);
-                let start = Instant::now();
-                let mut last_flush = start;
-                loop {
-                    std::thread::sleep(interval);
-                    let mut tick = ProfileReport::default();
-                    sample_once(&mut cpu_last, &mut tick);
-                    let now = Instant::now();
-                    tick.duration_nanos = now.duration_since(last_flush).as_nanos() as u64;
-                    last_flush = now;
-                    continuous().lock().unwrap().merge(&tick);
-                }
-            })
-            .expect("spawn profiler thread");
-        true
+    if CONTINUOUS_RUNNING.swap(true, Ordering::AcqRel) {
+        return false;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = hz;
-        false
-    }
+    let hz = hz.clamp(1, 1000);
+    let interval = Duration::from_nanos(1_000_000_000 / hz as u64);
+    std::thread::Builder::new()
+        .name("sketchql-profiler".to_string())
+        .spawn(move || {
+            let mut cpu_last = BTreeMap::new();
+            prime_cpu(&mut cpu_last);
+            let start = Instant::now();
+            let mut last_flush = start;
+            loop {
+                std::thread::sleep(interval);
+                let mut tick = ProfileReport::default();
+                sample_once(&mut cpu_last, &mut tick);
+                let now = Instant::now();
+                tick.duration_nanos = now.duration_since(last_flush).as_nanos() as u64;
+                last_flush = now;
+                continuous().lock().unwrap().merge(&tick);
+            }
+        })
+        .expect("spawn profiler thread");
+    true
 }
 
 /// A snapshot of the continuous profiler's aggregate since it started,
-/// or `None` if [`start_continuous_profiler`] was never called (or
-/// telemetry is compiled out).
+/// or `None` if [`start_continuous_profiler`] was never called.
 pub fn continuous_profile_snapshot() -> Option<ProfileReport> {
-    #[cfg(feature = "enabled")]
-    {
-        if !CONTINUOUS_RUNNING.load(Ordering::Acquire) {
-            return None;
-        }
-        Some(continuous().lock().unwrap().clone())
+    if !CONTINUOUS_RUNNING.load(Ordering::Acquire) {
+        return None;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        None
-    }
+    Some(continuous().lock().unwrap().clone())
 }

@@ -1,20 +1,15 @@
 //! Per-query reporting: a [`Recorder`] brackets one `run_query` and
 //! produces a [`QueryReport`] from counter deltas and top-level spans.
 
-#[cfg(feature = "enabled")]
 use crate::metrics::counter;
 use crate::names;
-#[cfg(feature = "enabled")]
 use crate::span::take_finished_spans;
 use crate::span::SpanRecord;
-#[cfg(feature = "enabled")]
 use crate::trace::{TraceContext, TraceGuard};
 
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 /// The pipeline counters a [`Recorder`] tracks, in report order.
-#[cfg(feature = "enabled")]
 const REPORT_COUNTERS: &[&str] = &[
     names::FRAMES_PREPROCESSED,
     names::TRACKS_BUILT,
@@ -43,9 +38,8 @@ const REPORT_COUNTERS: &[&str] = &[
 pub struct QueryReport {
     /// Label for the run, usually `<dataset>/<query>`.
     pub label: String,
-    /// The trace id the run was recorded under (0 when telemetry is
-    /// compiled out). The same trace is retained in the flight
-    /// recorder.
+    /// The trace id the run was recorded under. The same trace is
+    /// retained in the flight recorder.
     pub trace_id: u64,
     /// Frames run through detection + preprocessing while building
     /// indexes inside the bracketed region (0 for pre-built indexes).
@@ -77,7 +71,7 @@ pub struct QueryReport {
     /// Total wall time of the bracketed region, nanoseconds.
     pub total_nanos: u64,
     /// Heap bytes attributed to the query's trace (all threads that
-    /// entered it). 0 when telemetry is compiled out.
+    /// entered it).
     pub alloc_bytes: u64,
     /// Heap allocations attributed to the query's trace.
     pub alloc_count: u64,
@@ -143,7 +137,7 @@ impl QueryReport {
 
     /// Fraction of candidate-segment lookups served from the per-search
     /// embedding cache, or `None` when the query never consulted it
-    /// (classical similarity, or the cache disabled).
+    /// (classical similarity).
     pub fn embed_cache_hit_rate(&self) -> Option<f64> {
         let total = self.embed_cache_hits + self.embed_cache_misses;
         if total == 0 {
@@ -165,16 +159,10 @@ impl QueryReport {
 /// the flight recorder under [`QueryReport::trace_id`]. Not `Send`: a
 /// recorder must finish on the thread that began it.
 pub struct Recorder {
-    #[cfg(feature = "enabled")]
     start: Instant,
-    #[cfg(feature = "enabled")]
     base: Vec<u64>,
-    #[cfg(feature = "enabled")]
     ctx: TraceContext,
-    #[cfg(feature = "enabled")]
     guard: TraceGuard,
-    #[cfg(not(feature = "enabled"))]
-    _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl Recorder {
@@ -182,21 +170,11 @@ impl Recorder {
     /// stale finished spans on this thread so pre-bracket leftovers
     /// cannot bleed into later reports.
     pub fn begin() -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            Self::begin_with_trace(TraceContext::new())
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Recorder {
-                _not_send: std::marker::PhantomData,
-            }
-        }
+        Self::begin_with_trace(TraceContext::new())
     }
 
     /// Starts recording into an existing trace (one whose id arrived
     /// over the wire, for instance).
-    #[cfg(feature = "enabled")]
     pub fn begin_with_trace(ctx: TraceContext) -> Self {
         let _ = take_finished_spans();
         let guard = ctx.enter();
@@ -208,64 +186,53 @@ impl Recorder {
         }
     }
 
-    /// Stops recording and builds the report. When telemetry is disabled
-    /// this returns a default (all-zero) report carrying only the label.
+    /// Stops recording and builds the report.
     pub fn finish(self, label: impl Into<String>) -> QueryReport {
-        #[cfg(feature = "enabled")]
-        {
-            let Recorder {
-                start,
-                base,
-                ctx,
-                guard,
-            } = self;
-            drop(guard); // stop collecting before snapshotting
-            let deltas: Vec<u64> = REPORT_COUNTERS
-                .iter()
-                .zip(&base)
-                .map(|(n, base)| counter(n).get().saturating_sub(*base))
-                .collect();
-            let label = label.into();
-            ctx.set_label(label.clone());
-            // The guard dropped above already attributed this thread's
-            // alloc/CPU deltas into the trace; finalize snapshots them.
-            let (spans, alloc_bytes, alloc_count, cpu_nanos) = match ctx.finalize() {
-                Some(trace) => (
-                    trace.spans.clone(),
-                    trace.alloc_bytes,
-                    trace.alloc_count,
-                    trace.cpu_nanos,
-                ),
-                None => (Vec::new(), 0, 0, 0),
-            };
-            QueryReport {
-                label,
-                trace_id: ctx.id(),
-                frames_preprocessed: deltas[0],
-                tracks_built: deltas[1],
-                windows_enumerated: deltas[2],
-                windows_pruned: deltas[3],
-                embeddings_computed: deltas[4],
-                embed_cache_hits: deltas[5],
-                embed_cache_misses: deltas[6],
-                similarity_evals: deltas[7],
-                topk_heap_ops: deltas[8],
-                store_hits: deltas[9],
-                store_fallbacks: deltas[10],
-                store_probed: deltas[11],
-                spans,
-                total_nanos: start.elapsed().as_nanos() as u64,
-                alloc_bytes,
-                alloc_count,
-                cpu_nanos,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            QueryReport {
-                label: label.into(),
-                ..QueryReport::default()
-            }
+        let Recorder {
+            start,
+            base,
+            ctx,
+            guard,
+        } = self;
+        drop(guard); // stop collecting before snapshotting
+        let deltas: Vec<u64> = REPORT_COUNTERS
+            .iter()
+            .zip(&base)
+            .map(|(n, base)| counter(n).get().saturating_sub(*base))
+            .collect();
+        let label = label.into();
+        ctx.set_label(label.clone());
+        // The guard dropped above already attributed this thread's
+        // alloc/CPU deltas into the trace; finalize snapshots them.
+        let (spans, alloc_bytes, alloc_count, cpu_nanos) = match ctx.finalize() {
+            Some(trace) => (
+                trace.spans.clone(),
+                trace.alloc_bytes,
+                trace.alloc_count,
+                trace.cpu_nanos,
+            ),
+            None => (Vec::new(), 0, 0, 0),
+        };
+        QueryReport {
+            label,
+            trace_id: ctx.id(),
+            frames_preprocessed: deltas[0],
+            tracks_built: deltas[1],
+            windows_enumerated: deltas[2],
+            windows_pruned: deltas[3],
+            embeddings_computed: deltas[4],
+            embed_cache_hits: deltas[5],
+            embed_cache_misses: deltas[6],
+            similarity_evals: deltas[7],
+            topk_heap_ops: deltas[8],
+            store_hits: deltas[9],
+            store_fallbacks: deltas[10],
+            store_probed: deltas[11],
+            spans,
+            total_nanos: start.elapsed().as_nanos() as u64,
+            alloc_bytes,
+            alloc_count,
+            cpu_nanos,
         }
     }
 }

@@ -143,7 +143,6 @@ pub fn disable_slow_query_log() {
 
 /// Offers a finalized trace to the log; writes one JSON line if the
 /// trace qualifies. Called from trace finalization.
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 pub(crate) fn observe_trace(trace: &QueryTrace) {
     let mut guard = sink().lock().unwrap();
     let Some(slow) = guard.as_mut() else {

@@ -19,11 +19,8 @@
 //! [`TraceContext`]: crate::TraceContext
 //! [`TraceContext::enter`]: crate::TraceContext::enter
 
-#[cfg(feature = "enabled")]
 use std::cell::RefCell;
-#[cfg(feature = "enabled")]
 use std::sync::OnceLock;
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 /// One completed span on the thread that created it.
@@ -41,13 +38,11 @@ pub struct SpanRecord {
     pub nanos: u64,
 }
 
-#[cfg(feature = "enabled")]
 struct ThreadSpans {
     depth: usize,
     finished: Vec<SpanRecord>,
 }
 
-#[cfg(feature = "enabled")]
 thread_local! {
     static SPANS: RefCell<ThreadSpans> = const {
         RefCell::new(ThreadSpans { depth: 0, finished: Vec::new() })
@@ -55,7 +50,6 @@ thread_local! {
 }
 
 /// The per-process telemetry epoch: fixed at the first telemetry event.
-#[cfg(feature = "enabled")]
 pub(crate) fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -63,7 +57,6 @@ pub(crate) fn epoch() -> Instant {
 
 /// Nanoseconds between the process epoch and `at` (0 if `at` precedes
 /// the epoch, which can only happen for the instant that seeded it).
-#[cfg(feature = "enabled")]
 pub(crate) fn nanos_since_epoch(at: Instant) -> u64 {
     at.saturating_duration_since(epoch()).as_nanos() as u64
 }
@@ -83,57 +76,44 @@ pub(crate) fn nanos_since_epoch(at: Instant) -> u64 {
 /// ```
 #[must_use = "a span measures the scope holding its guard; binding it to _ drops it immediately"]
 pub struct SpanGuard {
-    #[cfg(feature = "enabled")]
     name: &'static str,
-    #[cfg(feature = "enabled")]
     start: Instant,
 }
 
 /// Opens a span on the current thread.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    #[cfg(feature = "enabled")]
-    {
-        epoch(); // pin the epoch no later than the first span
-        SPANS.with(|s| s.borrow_mut().depth += 1);
-        // Publish the name on this thread's profiler stack so the
-        // sampling profiler can fold it; popped when the guard drops.
-        crate::profiler::push_span(name);
-        SpanGuard {
-            name,
-            start: Instant::now(),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        SpanGuard {}
+    epoch(); // pin the epoch no later than the first span
+    SPANS.with(|s| s.borrow_mut().depth += 1);
+    // Publish the name on this thread's profiler stack so the
+    // sampling profiler can fold it; popped when the guard drops.
+    crate::profiler::push_span(name);
+    SpanGuard {
+        name,
+        start: Instant::now(),
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        {
-            crate::profiler::pop_span();
-            let nanos = self.start.elapsed().as_nanos() as u64;
-            let start_nanos = nanos_since_epoch(self.start);
-            let depth = SPANS.with(|s| {
-                let mut s = s.borrow_mut();
-                s.depth = s.depth.saturating_sub(1);
-                s.depth
-            });
-            let record = SpanRecord {
-                name: self.name,
-                depth,
-                start_nanos,
-                nanos,
-            };
-            // Deliver to the traces this thread has entered; fall back
-            // to the legacy per-thread buffer when none are active.
-            if let Some(record) = crate::trace::deliver(record) {
-                SPANS.with(|s| s.borrow_mut().finished.push(record));
-            }
+        crate::profiler::pop_span();
+        let nanos = self.start.elapsed().as_nanos() as u64;
+        let start_nanos = nanos_since_epoch(self.start);
+        let depth = SPANS.with(|s| {
+            let mut s = s.borrow_mut();
+            s.depth = s.depth.saturating_sub(1);
+            s.depth
+        });
+        let record = SpanRecord {
+            name: self.name,
+            depth,
+            start_nanos,
+            nanos,
+        };
+        // Deliver to the traces this thread has entered; fall back
+        // to the legacy per-thread buffer when none are active.
+        if let Some(record) = crate::trace::deliver(record) {
+            SPANS.with(|s| s.borrow_mut().finished.push(record));
         }
     }
 }
@@ -141,15 +121,7 @@ impl Drop for SpanGuard {
 /// Drains the current thread's finished spans, in completion order
 /// (children precede their parents). Spans completed while a
 /// [`TraceContext`](crate::TraceContext) was entered on this thread are
-/// owned by that trace and never show up here. Empty when telemetry is
-/// disabled.
+/// owned by that trace and never show up here.
 pub fn take_finished_spans() -> Vec<SpanRecord> {
-    #[cfg(feature = "enabled")]
-    {
-        SPANS.with(|s| std::mem::take(&mut s.borrow_mut().finished))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
+    SPANS.with(|s| std::mem::take(&mut s.borrow_mut().finished))
 }

@@ -22,25 +22,16 @@
 //! Trace ids are 48-bit so they survive JSON transports that store
 //! numbers as `f64` (exact only up to 2^53).
 
-#[cfg(feature = "enabled")]
 use std::cell::RefCell;
 use std::marker::PhantomData;
-#[cfg(feature = "enabled")]
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-#[cfg(not(feature = "enabled"))]
-use crate::flight::QueryTrace;
-#[cfg(feature = "enabled")]
 use crate::flight::{flight_recorder, QueryTrace};
-#[cfg(feature = "enabled")]
 use crate::slowlog;
-#[cfg(feature = "enabled")]
 use crate::span::nanos_since_epoch;
-#[cfg(feature = "enabled")]
 use crate::span::SpanRecord;
 
 /// How a traced query ended.
@@ -73,8 +64,7 @@ impl TraceOutcome {
 
 /// Mints a fresh 48-bit trace id: unique within a process, very likely
 /// unique across the processes of one deployment. Never 0 (`0` means
-/// "no trace"). Available even when telemetry is compiled out, so wire
-/// semantics don't change between builds.
+/// "no trace").
 pub fn mint_trace_id() -> u64 {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let seq = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -117,18 +107,15 @@ pub fn parse_trace_id(s: &str) -> Option<u64> {
 }
 
 /// Buckets for the per-query attributed-allocation histogram, KiB.
-#[cfg(feature = "enabled")]
 const QUERY_ALLOC_KB_BOUNDS: &[f64] = &[
     16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0,
 ];
 
 /// Buckets for the per-query attributed-CPU histogram, milliseconds.
-#[cfg(feature = "enabled")]
 const QUERY_CPU_MS_BOUNDS: &[f64] = &[
     0.1, 0.5, 1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0, 5000.0,
 ];
 
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 struct TraceMeta {
     label: String,
@@ -136,7 +123,6 @@ struct TraceMeta {
     batch_size: usize,
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Debug)]
 pub(crate) struct TraceInner {
     id: u64,
@@ -152,7 +138,6 @@ pub(crate) struct TraceInner {
     finalized: AtomicBool,
 }
 
-#[cfg(feature = "enabled")]
 impl TraceInner {
     /// Snapshots this trace into a [`QueryTrace`] and publishes it to
     /// the flight recorder and the slow-query log. Idempotent: the
@@ -195,7 +180,6 @@ impl TraceInner {
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for TraceInner {
     fn drop(&mut self) {
         // Safety net for abandoned queries (shed at admission, handle
@@ -208,19 +192,14 @@ impl Drop for TraceInner {
 /// A handle on one query's trace: its id plus the span sink that
 /// travels with the query. Cheap to clone (an `Arc` bump); all clones
 /// share the same span buffer and finalize at most once.
-///
-/// With telemetry compiled out this is just the id — every operation is
-/// a no-op but the id still propagates, so wire behavior is identical.
 #[derive(Clone, Debug)]
 pub struct TraceContext {
-    id: u64,
-    #[cfg(feature = "enabled")]
-    inner: Option<Arc<TraceInner>>,
+    inner: Arc<TraceInner>,
 }
 
 impl PartialEq for TraceContext {
     fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
+        self.id() == other.id()
     }
 }
 
@@ -233,50 +212,29 @@ impl TraceContext {
     /// Starts a new trace under an externally minted id (the id a wire
     /// client sent along with its query).
     pub fn with_id(id: u64) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            let started = Instant::now();
-            TraceContext {
-                id,
-                inner: Some(Arc::new(TraceInner {
-                    id,
-                    started,
-                    start_nanos: nanos_since_epoch(started),
-                    meta: Mutex::new(TraceMeta {
-                        label: String::new(),
-                        outcome: TraceOutcome::Completed,
-                        batch_size: 1,
-                    }),
-                    spans: Mutex::new(Vec::new()),
-                    alloc_bytes: AtomicU64::new(0),
-                    alloc_count: AtomicU64::new(0),
-                    cpu_nanos: AtomicU64::new(0),
-                    finalized: AtomicBool::new(false),
-                })),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            TraceContext { id }
-        }
-    }
-
-    /// A context that only carries an id: spans entered under it are
-    /// discarded and nothing is flight-recorded. What [`with_id`]
-    /// returns when telemetry is compiled out.
-    ///
-    /// [`with_id`]: TraceContext::with_id
-    pub fn inert(id: u64) -> Self {
+        let started = Instant::now();
         TraceContext {
-            id,
-            #[cfg(feature = "enabled")]
-            inner: None,
+            inner: Arc::new(TraceInner {
+                id,
+                started,
+                start_nanos: nanos_since_epoch(started),
+                meta: Mutex::new(TraceMeta {
+                    label: String::new(),
+                    outcome: TraceOutcome::Completed,
+                    batch_size: 1,
+                }),
+                spans: Mutex::new(Vec::new()),
+                alloc_bytes: AtomicU64::new(0),
+                alloc_count: AtomicU64::new(0),
+                cpu_nanos: AtomicU64::new(0),
+                finalized: AtomicBool::new(false),
+            }),
         }
     }
 
-    /// The trace id (0 only for inert contexts created with id 0).
+    /// The trace id.
     pub fn id(&self) -> u64 {
-        self.id
+        self.inner.id
     }
 
     /// Registers this trace as a span sink on the current thread; while
@@ -288,27 +246,15 @@ impl TraceContext {
     /// trace's `alloc_bytes` / `alloc_count` / `cpu_nanos` on drop.
     #[must_use = "spans are only delivered to the trace while the guard is alive"]
     pub fn enter(&self) -> TraceGuard {
-        #[cfg(feature = "enabled")]
-        {
-            crate::profiler::ensure_registered();
-            let entered = self.inner.as_ref().map(|inner| {
-                ACTIVE.with(|a| a.borrow_mut().push(Arc::clone(inner)));
-                Arc::clone(inner)
-            });
-            let (base_alloc_bytes, base_alloc_count) = crate::alloc::thread_allocated();
-            TraceGuard {
-                entered,
-                base_alloc_bytes,
-                base_alloc_count,
-                base_cpu: crate::cpu::stamp(),
-                _not_send: PhantomData,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            TraceGuard {
-                _not_send: PhantomData,
-            }
+        crate::profiler::ensure_registered();
+        ACTIVE.with(|a| a.borrow_mut().push(Arc::clone(&self.inner)));
+        let (base_alloc_bytes, base_alloc_count) = crate::alloc::thread_allocated();
+        TraceGuard {
+            entered: Arc::clone(&self.inner),
+            base_alloc_bytes,
+            base_alloc_count,
+            base_cpu: crate::cpu::stamp(),
+            _not_send: PhantomData,
         }
     }
 
@@ -316,91 +262,51 @@ impl TraceContext {
     /// contexts — what a worker captures right before handing work to a
     /// helper thread, so the helper can `enter()` them too and its
     /// spans and resources attribute to the same queries. Empty when no
-    /// trace is active or telemetry is compiled out.
+    /// trace is active.
     pub fn entered() -> Vec<TraceContext> {
-        #[cfg(feature = "enabled")]
-        {
-            ACTIVE.with(|a| {
-                a.borrow()
-                    .iter()
-                    .map(|inner| TraceContext {
-                        id: inner.id,
-                        inner: Some(Arc::clone(inner)),
-                    })
-                    .collect()
-            })
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Vec::new()
-        }
+        ACTIVE.with(|a| {
+            a.borrow()
+                .iter()
+                .map(|inner| TraceContext {
+                    inner: Arc::clone(inner),
+                })
+                .collect()
+        })
     }
 
     /// Sets the human-readable label (usually `dataset/query`).
     pub fn set_label(&self, label: impl Into<String>) {
-        #[cfg(feature = "enabled")]
-        if let Some(inner) = &self.inner {
-            inner.meta.lock().unwrap().label = label.into();
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = label.into();
-        }
+        self.inner.meta.lock().unwrap().label = label.into();
     }
 
     /// Sets how the query ended (defaults to [`TraceOutcome::Completed`]).
     pub fn set_outcome(&self, outcome: TraceOutcome) {
-        #[cfg(feature = "enabled")]
-        if let Some(inner) = &self.inner {
-            inner.meta.lock().unwrap().outcome = outcome;
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = outcome;
+        self.inner.meta.lock().unwrap().outcome = outcome;
     }
 
     /// Sets the fused batch size the query executed under (default 1).
     pub fn set_batch_size(&self, batch_size: usize) {
-        #[cfg(feature = "enabled")]
-        if let Some(inner) = &self.inner {
-            inner.meta.lock().unwrap().batch_size = batch_size;
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = batch_size;
+        self.inner.meta.lock().unwrap().batch_size = batch_size;
     }
 
     /// Records a span directly into this trace, for intervals measured
     /// outside any thread's RAII scope (e.g. time spent in the
     /// admission queue, timed between two threads).
     pub fn record_span(&self, name: &'static str, depth: usize, start: Instant, nanos: u64) {
-        #[cfg(feature = "enabled")]
-        if let Some(inner) = &self.inner {
-            inner.spans.lock().unwrap().push(SpanRecord {
-                name,
-                depth,
-                start_nanos: nanos_since_epoch(start),
-                nanos,
-            });
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, depth, start, nanos);
-        }
+        self.inner.spans.lock().unwrap().push(SpanRecord {
+            name,
+            depth,
+            start_nanos: nanos_since_epoch(start),
+            nanos,
+        });
     }
 
     /// Closes the trace: snapshots its spans into a [`QueryTrace`],
     /// records it in the global flight recorder, and offers it to the
     /// slow-query log. Returns the snapshot, or `None` if the trace was
-    /// already finalized (by another clone or the `Drop` safety net) or
-    /// telemetry is compiled out.
+    /// already finalized (by another clone or the `Drop` safety net).
     pub fn finalize(&self) -> Option<std::sync::Arc<QueryTrace>> {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.as_ref().and_then(|inner| inner.do_finalize())
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            None
-        }
+        self.inner.do_finalize()
     }
 }
 
@@ -412,7 +318,6 @@ impl Default for TraceContext {
 
 // The traces the current thread has entered, innermost last. Spans
 // completed on this thread are delivered to all of them.
-#[cfg(feature = "enabled")]
 thread_local! {
     static ACTIVE: RefCell<Vec<Arc<TraceInner>>> = const { RefCell::new(Vec::new()) };
 }
@@ -420,7 +325,6 @@ thread_local! {
 /// Delivers a completed span to every trace entered on this thread.
 /// Returns the record back if no trace is active (caller keeps it in
 /// the thread-local buffer).
-#[cfg(feature = "enabled")]
 pub(crate) fn deliver(record: SpanRecord) -> Option<SpanRecord> {
     ACTIVE.with(|a| {
         let active = a.borrow();
@@ -440,43 +344,37 @@ pub(crate) fn deliver(record: SpanRecord) -> Option<SpanRecord> {
 /// guard must drop on the thread that entered.
 #[must_use = "spans are only delivered to the trace while the guard is alive"]
 pub struct TraceGuard {
-    #[cfg(feature = "enabled")]
-    entered: Option<Arc<TraceInner>>,
-    #[cfg(feature = "enabled")]
+    entered: Arc<TraceInner>,
     base_alloc_bytes: u64,
-    #[cfg(feature = "enabled")]
     base_alloc_count: u64,
-    #[cfg(feature = "enabled")]
     base_cpu: crate::cpu::CpuStamp,
     _not_send: PhantomData<*const ()>,
 }
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        if let Some(inner) = self.entered.take() {
-            // Attribute this thread's consumption over the guard's
-            // lifetime. A fused batch enters all member traces, so each
-            // member sees the full cost of the shared scan — the same
-            // semantics spans already have.
-            let (bytes, count) = crate::alloc::thread_allocated();
-            inner
-                .alloc_bytes
-                .fetch_add(bytes.wrapping_sub(self.base_alloc_bytes), Ordering::Relaxed);
-            inner
-                .alloc_count
-                .fetch_add(count.wrapping_sub(self.base_alloc_count), Ordering::Relaxed);
-            inner
-                .cpu_nanos
-                .fetch_add(crate::cpu::nanos_since(&self.base_cpu), Ordering::Relaxed);
-            ACTIVE.with(|a| {
-                let mut active = a.borrow_mut();
-                // Remove the most recent matching entry (guards usually
-                // drop LIFO, but a fused batch drops a whole set).
-                if let Some(pos) = active.iter().rposition(|s| Arc::ptr_eq(s, &inner)) {
-                    active.remove(pos);
-                }
-            });
-        }
+        let inner = &self.entered;
+        // Attribute this thread's consumption over the guard's
+        // lifetime. A fused batch enters all member traces, so each
+        // member sees the full cost of the shared scan — the same
+        // semantics spans already have.
+        let (bytes, count) = crate::alloc::thread_allocated();
+        inner
+            .alloc_bytes
+            .fetch_add(bytes.wrapping_sub(self.base_alloc_bytes), Ordering::Relaxed);
+        inner
+            .alloc_count
+            .fetch_add(count.wrapping_sub(self.base_alloc_count), Ordering::Relaxed);
+        inner
+            .cpu_nanos
+            .fetch_add(crate::cpu::nanos_since(&self.base_cpu), Ordering::Relaxed);
+        ACTIVE.with(|a| {
+            let mut active = a.borrow_mut();
+            // Remove the most recent matching entry (guards usually
+            // drop LIFO, but a fused batch drops a whole set).
+            if let Some(pos) = active.iter().rposition(|s| Arc::ptr_eq(s, inner)) {
+                active.remove(pos);
+            }
+        });
     }
 }

@@ -26,9 +26,6 @@ fn busy(wall: Duration) -> u64 {
 /// against a second trace with a much smaller pattern).
 #[test]
 fn allocations_inside_a_scope_attribute_to_the_right_trace() {
-    if !tel::is_enabled() {
-        return;
-    }
     const BIG: usize = 1 << 20;
     const SMALL: usize = 1 << 14;
 
@@ -77,9 +74,6 @@ fn allocations_inside_a_scope_attribute_to_the_right_trace() {
 /// use) attributes its allocations to the same trace.
 #[test]
 fn helper_threads_attribute_through_the_entered_handoff() {
-    if !tel::is_enabled() {
-        return;
-    }
     const BLOCK: usize = 1 << 20;
     let ctx = tel::TraceContext::new();
     ctx.set_label("resource/handoff");
@@ -107,9 +101,6 @@ fn helper_threads_attribute_through_the_entered_handoff() {
 /// flows into the `sketchql.resource.*` series at finalization.
 #[test]
 fn cpu_inside_a_scope_attributes_to_the_trace() {
-    if !tel::is_enabled() {
-        return;
-    }
     let before = tel::counter(names::RESOURCE_CPU_NANOS).get();
     let ctx = tel::TraceContext::new();
     ctx.set_label("resource/spin");
@@ -135,9 +126,6 @@ fn cpu_inside_a_scope_attributes_to_the_trace() {
 /// flamegraph-compatible lines naming the stage.
 #[test]
 fn profiler_folds_live_span_stacks() {
-    if !tel::is_enabled() {
-        return;
-    }
     let stop = Arc::new(AtomicBool::new(false));
     let worker_stop = Arc::clone(&stop);
     let worker = std::thread::Builder::new()

@@ -8,9 +8,6 @@ use sketchql_telemetry as tel;
 
 #[test]
 fn slow_query_log_rotates_at_the_size_cap() {
-    if !tel::is_enabled() {
-        return;
-    }
     let dir = std::env::temp_dir().join(format!("sketchql-slowlog-rot-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("slow.jsonl");

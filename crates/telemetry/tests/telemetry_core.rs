@@ -1,9 +1,5 @@
 //! Unit-style tests for the telemetry crate, run as an integration test
 //! so metrics registered here don't leak into other tests' snapshots.
-//!
-//! Written to pass in both feature configurations: assertions about
-//! observed values are gated on `sketchql_telemetry::is_enabled()`,
-//! while API-shape assertions (valid JSON, no panics) always run.
 
 use sketchql_telemetry as tel;
 use std::sync::Mutex;
@@ -18,24 +14,16 @@ fn counters_accumulate_and_reset() {
     let before = c.get();
     c.inc();
     c.add(4);
-    if tel::is_enabled() {
-        assert_eq!(c.get(), before + 5);
-    } else {
-        assert_eq!(c.get(), 0);
-    }
+    assert_eq!(c.get(), before + 5);
 }
 
 #[test]
 fn gauges_hold_last_value() {
     let g = tel::gauge("test.gauges.hold");
     g.set(2.5);
-    if tel::is_enabled() {
-        assert_eq!(g.get(), 2.5);
-        g.set(-1.0);
-        assert_eq!(g.get(), -1.0);
-    } else {
-        assert_eq!(g.get(), 0.0);
-    }
+    assert_eq!(g.get(), 2.5);
+    g.set(-1.0);
+    assert_eq!(g.get(), -1.0);
 }
 
 #[test]
@@ -44,20 +32,15 @@ fn histograms_bucket_cumulatively() {
     for v in [0.5, 1.5, 1.6, 3.0, 100.0] {
         h.observe(v);
     }
-    if tel::is_enabled() {
-        assert_eq!(h.count(), 5);
-        assert!((h.sum() - 106.6).abs() < 1e-9);
-        let buckets = h.cumulative_buckets();
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(buckets[0], (1.0, 1));
-        assert_eq!(buckets[1], (2.0, 3));
-        assert_eq!(buckets[2], (4.0, 4));
-        assert_eq!(buckets[3].1, 5);
-        assert!(buckets[3].0.is_infinite());
-    } else {
-        assert_eq!(h.count(), 0);
-        assert!(h.cumulative_buckets().is_empty());
-    }
+    assert_eq!(h.count(), 5);
+    assert!((h.sum() - 106.6).abs() < 1e-9);
+    let buckets = h.cumulative_buckets();
+    assert_eq!(buckets.len(), 4);
+    assert_eq!(buckets[0], (1.0, 1));
+    assert_eq!(buckets[1], (2.0, 3));
+    assert_eq!(buckets[2], (4.0, 4));
+    assert_eq!(buckets[3].1, 5);
+    assert!(buckets[3].0.is_infinite());
 }
 
 #[test]
@@ -71,17 +54,13 @@ fn spans_nest_by_depth() {
         }
     }
     let spans = tel::take_finished_spans();
-    if tel::is_enabled() {
-        assert_eq!(spans.len(), 2);
-        // Completion order: inner finishes first, at depth 1.
-        assert_eq!(spans[0].name, "test.spans.inner");
-        assert_eq!(spans[0].depth, 1);
-        assert_eq!(spans[1].name, "test.spans.outer");
-        assert_eq!(spans[1].depth, 0);
-        assert!(spans[1].nanos >= spans[0].nanos);
-    } else {
-        assert!(spans.is_empty());
-    }
+    assert_eq!(spans.len(), 2);
+    // Completion order: inner finishes first, at depth 1.
+    assert_eq!(spans[0].name, "test.spans.inner");
+    assert_eq!(spans[0].depth, 1);
+    assert_eq!(spans[1].name, "test.spans.outer");
+    assert_eq!(spans[1].depth, 0);
+    assert!(spans[1].nanos >= spans[0].nanos);
 }
 
 #[test]
@@ -96,16 +75,11 @@ fn recorder_reports_counter_deltas_and_stages() {
     }
     let report = rec.finish("unit/query");
     assert_eq!(report.label, "unit/query");
-    if tel::is_enabled() {
-        assert_eq!(report.windows_enumerated, 7);
-        assert_eq!(report.similarity_evals, 3);
-        assert_eq!(report.stages().len(), 1);
-        assert_eq!(report.stages()[0].0, tel::names::MATCHER_SCAN);
-        assert!(report.stage_nanos_sum() > 0);
-    } else {
-        assert_eq!(report.windows_enumerated, 0);
-        assert!(report.stages().is_empty());
-    }
+    assert_eq!(report.windows_enumerated, 7);
+    assert_eq!(report.similarity_evals, 3);
+    assert_eq!(report.stages().len(), 1);
+    assert_eq!(report.stages()[0].0, tel::names::MATCHER_SCAN);
+    assert!(report.stage_nanos_sum() > 0);
 }
 
 #[test]
@@ -117,10 +91,8 @@ fn recorder_isolates_consecutive_queries() {
     let rec2 = tel::Recorder::begin();
     tel::counter(tel::names::EMBEDDINGS_COMPUTED).add(2);
     let r2 = rec2.finish("q2");
-    if tel::is_enabled() {
-        assert_eq!(r1.embeddings_computed, 10);
-        assert_eq!(r2.embeddings_computed, 2);
-    }
+    assert_eq!(r1.embeddings_computed, 10);
+    assert_eq!(r2.embeddings_computed, 2);
 }
 
 #[test]
@@ -151,23 +123,19 @@ fn prometheus_export_is_well_formed() {
     tel::counter("test.prom.hits").add(2);
     tel::histogram("test.prom.lat", &[0.5]).observe(0.1);
     let text = tel::snapshot_prometheus();
-    if tel::is_enabled() {
-        assert!(text.contains("# TYPE test_prom_hits counter"));
-        assert!(text.lines().any(|l| l.starts_with("test_prom_hits ")));
-        assert!(text.contains("test_prom_lat_bucket{le=\"+Inf\"}"));
-        assert!(text.contains("test_prom_lat_sum"));
-        assert!(text.contains("test_prom_lat_count"));
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#')
-                    || line
-                        .split_once(' ')
-                        .is_some_and(|(name, val)| !name.is_empty() && !val.is_empty()),
-                "malformed exposition line: {line:?}"
-            );
-        }
-    } else {
-        assert!(text.is_empty());
+    assert!(text.contains("# TYPE test_prom_hits counter"));
+    assert!(text.lines().any(|l| l.starts_with("test_prom_hits ")));
+    assert!(text.contains("test_prom_lat_bucket{le=\"+Inf\"}"));
+    assert!(text.contains("test_prom_lat_sum"));
+    assert!(text.contains("test_prom_lat_count"));
+    for line in text.lines() {
+        assert!(
+            line.starts_with('#')
+                || line
+                    .split_once(' ')
+                    .is_some_and(|(name, val)| !name.is_empty() && !val.is_empty()),
+            "malformed exposition line: {line:?}"
+        );
     }
 }
 
@@ -183,7 +151,5 @@ fn table_renderer_includes_stages_and_counters() {
     let table = report.render_table();
     assert!(table.contains("query report: table/check"));
     assert!(table.contains(tel::names::TOPK_HEAP_OPS));
-    if tel::is_enabled() {
-        assert!(table.contains(tel::names::MATCHER_PREPARE));
-    }
+    assert!(table.contains(tel::names::MATCHER_PREPARE));
 }

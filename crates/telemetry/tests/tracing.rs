@@ -1,10 +1,6 @@
 //! Integration tests for the tracing layer: trace-scoped span
 //! attribution, flight-recorder retention, slow-query logging, and the
 //! stage-union math behind stage percentages.
-//!
-//! Like `telemetry_core`, these run in both feature configurations:
-//! assertions about observed values are gated on
-//! `sketchql_telemetry::is_enabled()`; API-shape assertions always run.
 
 use sketchql_telemetry as tel;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,19 +34,15 @@ fn concurrent_queries_keep_their_own_spans() {
         .collect();
     for handle in handles {
         let (i, id, trace) = handle.join().unwrap();
-        if tel::is_enabled() {
-            let trace = trace.expect("first finalize returns the trace");
-            assert_eq!(trace.trace_id, id);
-            assert_eq!(
-                trace.spans.len(),
-                1,
-                "trace {i} must hold exactly its own span, got {:?}",
-                trace.spans
-            );
-            assert_eq!(trace.spans[0].name, NAMES[i]);
-        } else {
-            assert!(trace.is_none());
-        }
+        let trace = trace.expect("first finalize returns the trace");
+        assert_eq!(trace.trace_id, id);
+        assert_eq!(
+            trace.spans.len(),
+            1,
+            "trace {i} must hold exactly its own span, got {:?}",
+            trace.spans
+        );
+        assert_eq!(trace.spans[0].name, NAMES[i]);
     }
 }
 
@@ -70,11 +62,9 @@ fn fused_entry_delivers_shared_spans_to_every_member() {
     drop(guard_a);
     let trace_a = a.finalize();
     let trace_b = b.finalize();
-    if tel::is_enabled() {
-        for trace in [trace_a.unwrap(), trace_b.unwrap()] {
-            assert_eq!(trace.spans.len(), 1);
-            assert_eq!(trace.spans[0].name, "test.fused.scan");
-        }
+    for trace in [trace_a.unwrap(), trace_b.unwrap()] {
+        assert_eq!(trace.spans.len(), 1);
+        assert_eq!(trace.spans[0].name, "test.fused.scan");
     }
 }
 
@@ -93,19 +83,14 @@ fn traced_spans_do_not_leak_into_the_thread_buffer() {
     }
     let leftovers = tel::take_finished_spans();
     ctx.finalize();
-    if tel::is_enabled() {
-        assert_eq!(leftovers.len(), 1);
-        assert_eq!(leftovers[0].name, "test.leak.untraced");
-    } else {
-        assert!(leftovers.is_empty());
-    }
+    assert_eq!(leftovers.len(), 1);
+    assert_eq!(leftovers[0].name, "test.leak.untraced");
 }
 
 /// `stage_nanos_sum` is the union of the depth-0 intervals: exact
 /// duplicates collapse, partial overlaps merge, and nested (depth > 0)
 /// spans are ignored — so stage coverage can never exceed 100% of the
-/// wall clock. Built directly from public fields so the math is checked
-/// in both feature configurations.
+/// wall clock.
 #[test]
 fn stage_sum_is_an_interval_union_not_a_plain_sum() {
     let ms = 1_000_000u64;
@@ -147,18 +132,15 @@ fn stage_sum_is_an_interval_union_not_a_plain_sum() {
 /// larger than the report's wall clock.
 #[test]
 fn recorder_stage_percentages_cannot_exceed_total() {
-    #[cfg(feature = "enabled")]
-    {
-        let ctx = tel::TraceContext::new();
-        let t0 = Instant::now();
-        ctx.record_span("test.pct.a", 0, t0, 2_000_000);
-        ctx.record_span("test.pct.dup", 0, t0, 2_000_000);
-        let rec = tel::Recorder::begin_with_trace(ctx);
-        std::thread::sleep(Duration::from_millis(5));
-        let report = rec.finish("pct/check");
-        assert_eq!(report.stage_nanos_sum(), 2_000_000);
-        assert!(report.stage_nanos_sum() <= report.total_nanos);
-    }
+    let ctx = tel::TraceContext::new();
+    let t0 = Instant::now();
+    ctx.record_span("test.pct.a", 0, t0, 2_000_000);
+    ctx.record_span("test.pct.dup", 0, t0, 2_000_000);
+    let rec = tel::Recorder::begin_with_trace(ctx);
+    std::thread::sleep(Duration::from_millis(5));
+    let report = rec.finish("pct/check");
+    assert_eq!(report.stage_nanos_sum(), 2_000_000);
+    assert!(report.stage_nanos_sum() <= report.total_nanos);
 }
 
 /// Ring-buffer semantics of a private [`tel::FlightRecorder`]: oldest
@@ -231,30 +213,25 @@ fn stress_counters_histograms_and_ring_from_eight_threads() {
         handle.join().unwrap();
     }
     let total = (THREADS * PER_THREAD) as u64;
-    if tel::is_enabled() {
-        assert_eq!(tel::counter("test.stress.ops").get(), total);
-        assert_eq!(
-            tel::histogram("test.stress.lat", &[1.0, 10.0]).count(),
-            total
-        );
-        assert_eq!(misattributed.load(Ordering::Relaxed), 0);
-        assert_eq!(ring.recorded(), total);
-        // No lost or duplicated trace records: the ring holds every id
-        // exactly once.
-        let mut expected = ids.lock().unwrap().clone();
-        let mut held: Vec<u64> = ring
-            .recent(THREADS * PER_THREAD)
-            .iter()
-            .map(|t| t.trace_id)
-            .collect();
-        expected.sort_unstable();
-        held.sort_unstable();
-        assert_eq!(held.len(), THREADS * PER_THREAD);
-        assert_eq!(held, expected);
-    } else {
-        assert_eq!(tel::counter("test.stress.ops").get(), 0);
-        assert_eq!(ring.recorded(), 0);
-    }
+    assert_eq!(tel::counter("test.stress.ops").get(), total);
+    assert_eq!(
+        tel::histogram("test.stress.lat", &[1.0, 10.0]).count(),
+        total
+    );
+    assert_eq!(misattributed.load(Ordering::Relaxed), 0);
+    assert_eq!(ring.recorded(), total);
+    // No lost or duplicated trace records: the ring holds every id
+    // exactly once.
+    let mut expected = ids.lock().unwrap().clone();
+    let mut held: Vec<u64> = ring
+        .recent(THREADS * PER_THREAD)
+        .iter()
+        .map(|t| t.trace_id)
+        .collect();
+    expected.sort_unstable();
+    held.sort_unstable();
+    assert_eq!(held.len(), THREADS * PER_THREAD);
+    assert_eq!(held, expected);
 }
 
 /// A writer that appends into a shared buffer, so the test can read back
@@ -306,26 +283,22 @@ fn slow_query_log_captures_slow_and_shed_queries() {
 
     tel::disable_slow_query_log();
     let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-    if tel::is_enabled() {
-        assert!(
-            text.contains(&tel::format_trace_id(shed_id)),
-            "shed query must be logged despite the huge threshold: {text}"
-        );
-        assert!(
-            !text.contains(&tel::format_trace_id(fast_id)),
-            "fast completed query must not be logged under a huge threshold"
-        );
-        assert!(
-            text.contains(&tel::format_trace_id(slow_id)),
-            "over-threshold query must be logged"
-        );
-        // Every line the sink wrote is standalone valid JSON.
-        for line in text.lines() {
-            let parsed: serde::Value = serde_json::from_str(line).expect("slow log line is JSON");
-            assert!(matches!(parsed, serde::Value::Obj(_)));
-        }
-    } else {
-        assert!(text.is_empty());
+    assert!(
+        text.contains(&tel::format_trace_id(shed_id)),
+        "shed query must be logged despite the huge threshold: {text}"
+    );
+    assert!(
+        !text.contains(&tel::format_trace_id(fast_id)),
+        "fast completed query must not be logged under a huge threshold"
+    );
+    assert!(
+        text.contains(&tel::format_trace_id(slow_id)),
+        "over-threshold query must be logged"
+    );
+    // Every line the sink wrote is standalone valid JSON.
+    for line in text.lines() {
+        let parsed: serde::Value = serde_json::from_str(line).expect("slow log line is JSON");
+        assert!(matches!(parsed, serde::Value::Obj(_)));
     }
 }
 

@@ -97,7 +97,7 @@ FNR == NR {
         name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name)
         better = $0; sub(/.*"better": *"/, "", better); sub(/".*/, "", better)
         bound = $0; sub(/.*"bound": */, "", bound); sub(/[^0-9.].*/, "", bound)
-        metrics[++nmetrics] = name; lower[name] = (better == "lower"); bounds[name] = bound
+        metrics[++nmetrics] = name; lower[name] = (better == "lower"); bounds[name] = bound + 0
     }
     next
 }

@@ -675,7 +675,7 @@ fn exp_t4() {
 // ---------------------------------------------------------------------
 
 fn exp_t5() {
-    println!("T5. Latency (wall clock, this machine; see also `cargo bench`)");
+    println!("T5. Latency (wall clock, this machine; see also `perfbench/`)");
     println!("----------------------------------------------------------------");
     let model = sketchql_suite::demo_model();
 

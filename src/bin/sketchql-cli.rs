@@ -7,7 +7,7 @@
 //! sketchql-cli ingest --video video.json --model model.json --dataset traffic --store-dir stores
 //! sketchql-cli append --video grown.json --model model.json --dataset traffic --store-dir stores
 //! sketchql-cli stats --video video.json --model model.json --event left_turn [--format json|prometheus]
-//! sketchql-cli render --video video.json --start 100 --end 199 [--track 3]
+//! sketchql-cli render --video video.json --start 100 --end 199
 //! sketchql-cli info --video video.json
 //! sketchql-cli serve --model model.json --videos traffic=video.json [--store-dir stores] [--addr 127.0.0.1:7878] [--workers 4]
 //! sketchql-cli client --addr 127.0.0.1:7878 --action query --dataset traffic --event left_turn
@@ -36,7 +36,7 @@ use sketchql_datasets::{
 };
 use sketchql_server::{
     ClassConfig, Client, Engine, EngineConfig, LivePoller, MetricsListener, QueryOptions,
-    SchedMode, SchedPolicy, Server,
+    SchedPolicy, Server,
 };
 use sketchql_tracker::{DetectorConfig, TrackerConfig};
 use sketchql_trajectory::{render_storyboard, DistanceKind};
@@ -52,24 +52,13 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let flags = parse_flags(&args[1..]);
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "train" => cmd_train(&flags),
-        "query" => cmd_query(&flags),
-        "ingest" => cmd_ingest(&flags),
-        "append" => cmd_append(&flags),
-        "stats" => cmd_stats(&flags),
-        "render" => cmd_render(&flags),
-        "info" => cmd_info(&flags),
-        "serve" => cmd_serve(&flags),
-        "client" => cmd_client(&flags),
-        "register" => cmd_register(&flags),
-        "watch" => cmd_watch(&flags),
-        "help" | "--help" | "-h" => {
+    let result = match COMMANDS.iter().find(|(name, ..)| name == cmd) {
+        Some((_, run, known)) => check_flags(cmd, known, &flags).and_then(|()| run(&flags)),
+        None if matches!(cmd.as_str(), "help" | "--help" | "-h") => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        None => Err(format!("unknown command {cmd:?}\n{USAGE}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -78,6 +67,67 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+type Command = (
+    &'static str,
+    fn(&HashMap<String, String>) -> Result<(), String>,
+    &'static [&'static str],
+);
+
+/// Every subcommand: its name, its handler, and the flags the handler
+/// reads. `main` rejects a flag outside its command's list, so a typo
+/// or a removed flag fails loudly instead of running the defaults.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("generate", cmd_generate, &["out", "family", "seed", "events", "distractors", "extend"]),
+    ("train", cmd_train, &["out", "steps", "seed"]),
+    ("query", cmd_query, &[
+        "video", "event", "model", "baseline", "rules", "top-k", "oracle-tracks", "stats",
+        "store-dir", "nprobe",
+    ]),
+    ("stats", cmd_stats, &[
+        "video", "event", "model", "baseline", "rules", "top-k", "oracle-tracks", "store-dir",
+        "nprobe", "format",
+    ]),
+    ("ingest", cmd_ingest, &[
+        "video", "model", "dataset", "store-dir", "events", "threads", "oracle-tracks", "verify",
+        "shard-frames",
+    ]),
+    ("append", cmd_append, &[
+        "video", "model", "dataset", "store-dir", "threads", "oracle-tracks", "verify",
+    ]),
+    ("render", cmd_render, &["video", "start", "end"]),
+    ("info", cmd_info, &["video", "model"]),
+    ("serve", cmd_serve, &[
+        "model", "videos", "store-dir", "nprobe", "addr", "workers", "queue-depth", "deadline-ms",
+        "fused-batch", "top-k", "oracle-tracks", "aging-ms", "classes", "metrics-addr",
+        "slow-query-ms", "slow-query-log", "slow-query-log-max-bytes", "flight-traces",
+        "profile-hz", "max-resident-shards", "registry", "live-poll-ms",
+    ]),
+    ("client", cmd_client, &[
+        "addr", "action", "dataset", "event", "top-k", "deadline-ms", "class", "priority",
+        "trace-id", "limit", "seconds", "hz", "interval-ms", "iterations",
+    ]),
+    ("register", cmd_register, &["addr", "dataset", "event", "min-score", "top-k"]),
+    ("watch", cmd_watch, &["addr", "registration-id", "interval-ms", "iterations", "max"]),
+];
+
+/// Errors on the flags `cmd` does not read, naming each and the command.
+fn check_flags(cmd: &str, known: &[&str], flags: &HashMap<String, String>) -> Result<(), String> {
+    let mut unknown: Vec<&str> = flags
+        .keys()
+        .map(String::as_str)
+        .filter(|name| !known.contains(name))
+        .collect();
+    if unknown.is_empty() {
+        return Ok(());
+    }
+    unknown.sort_unstable();
+    Err(format!(
+        "`{cmd}` does not take --{} (see `sketchql-cli help`)",
+        unknown.join(", --")
+    ))
 }
 
 const USAGE: &str = "\
@@ -89,7 +139,7 @@ commands:
            frames carry over verbatim, new events play out after them
   train    --out <file> [--steps <n>] [--seed <n>]
   query    --video <file> --event <kind> [--model <file>] [--baseline <dtw|frechet|...>]
-           [--rules] [--top-k <n>] [--oracle-tracks] [--stats] [--no-embed-cache]
+           [--rules] [--top-k <n>] [--oracle-tracks] [--stats]
            [--store-dir <dir>] [--nprobe <n>]
   ingest   --video <file> --model <file> [--dataset <name>] [--store-dir <dir>]
            [--events <a,b,...>] [--threads <n>] [--oracle-tracks] [--verify]
@@ -106,15 +156,14 @@ commands:
            <dir>/<dataset>.skset/ — the result is byte-identical to a
            from-scratch ingest of the grown video, published by one
            atomic manifest rename
-  stats    same flags as query; runs it quietly and dumps the metric
-           registry [--format <json|prometheus>]
+  stats    same flags as query (bar --stats); runs it quietly and dumps
+           the metric registry [--format <json|prometheus>]
   render   --video <file> [--start <frame>] [--end <frame>]
   info     --video <file> | --model <file>
   serve    --model <file> --videos <name=file,name=file,...>
            [--store-dir <dir>] [--nprobe <n>]
            [--addr 127.0.0.1:7878] [--workers <n>] [--queue-depth <n>]
            [--deadline-ms <n>] [--fused-batch <n>] [--top-k <n>] [--oracle-tracks]
-           [--sched <fifo|deadline>] queue discipline (default deadline)
            [--aging-ms <n>] queue-wait ms per +1 priority promotion credit
            [--classes <name[:prio[:rate[:burst[:quota]]]],...>] admission
            classes: base priority, token-bucket rate (q/s) and burst,
@@ -344,9 +393,6 @@ fn execute_query(
         let mut m = Matcher::new(model.similarity());
         m.config.top_k = top_k;
         m.config.threads = 4;
-        // Escape hatch for A/B timing: one encoder forward per candidate
-        // instead of the memoized batched path (results are identical).
-        m.config.embed_cache = !flags.contains_key("no-embed-cache");
         // Index-backed path: pick the attached shard set whose model and
         // video fingerprints match what we just built. Attach validates
         // headers/manifests only; payloads load on probe.
@@ -415,9 +461,6 @@ fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
         );
     }
     if flags.contains_key("stats") {
-        if !telemetry::is_enabled() {
-            eprintln!("note: built without the `telemetry` feature; counters are all zero");
-        }
         println!();
         print!("{}", report.render_table());
     }
@@ -668,17 +711,12 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<(), String> {
     Err("info needs --video or --model".into())
 }
 
-/// Builds the scheduler policy from `--sched`, `--aging-ms`, and
-/// `--classes`. The class spec is one comma-separated flag value
+/// Builds the scheduler policy from `--aging-ms` and `--classes`. The
+/// class spec is one comma-separated flag value
 /// (`name[:prio[:rate[:burst[:quota]]]],...`) because repeated flags
 /// overwrite each other in this parser.
 fn parse_sched_policy(flags: &HashMap<String, String>) -> Result<SchedPolicy, String> {
     let mut policy = SchedPolicy::default();
-    match flags.get("sched").map(String::as_str) {
-        None | Some("deadline") => policy.mode = SchedMode::Deadline,
-        Some("fifo") => policy.mode = SchedMode::Fifo,
-        Some(other) => return Err(format!("--sched: expected fifo or deadline, got {other:?}")),
-    }
     policy.aging_ms = num(flags, "aging-ms", policy.aging_ms)?;
     if let Some(spec) = flags.get("classes") {
         for entry in spec.split(',').filter(|e| !e.is_empty()) {
@@ -720,7 +758,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(n) = opt_num::<usize>(flags, "flight-traces")? {
         if telemetry::configure_flight_capacity(n) {
             println!("flight recorder: keeping the last {n} traces");
-        } else if telemetry::is_enabled() {
+        } else {
             eprintln!("warning: flight recorder already in use; --flight-traces ignored");
         }
     }
@@ -845,7 +883,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     // wakes `--profile-hz` times a second and walks live span stacks),
     // and it is what `client --action profile` answers from.
     let profile_hz: u32 = num(flags, "profile-hz", 19)?;
-    if profile_hz > 0 && telemetry::is_enabled() {
+    if profile_hz > 0 {
         telemetry::start_continuous_profiler(profile_hz);
         println!("continuous profiler sampling at {profile_hz} Hz");
     }
@@ -870,14 +908,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let server = Server::start(engine, addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let sched = &server.engine().config().sched;
     println!(
-        "serving on {} ({} workers, queue depth {}, {} scheduling, {} classes)",
+        "serving on {} ({} workers, queue depth {}, {} classes)",
         server.local_addr(),
         server.engine().config().workers,
         server.engine().config().queue_depth,
-        match sched.mode {
-            SchedMode::Fifo => "fifo",
-            SchedMode::Deadline => "deadline",
-        },
         sched.classes.len().max(1)
     );
     for (name, cfg) in &sched.classes {
@@ -1418,7 +1452,75 @@ fn render_top(prev: &TopSample, cur: &TopSample, traces: &[sketchql_server::Wire
 
 #[cfg(test)]
 mod tests {
-    use super::{bucket_window_delta, parse_execute_buckets, percentile_from_buckets};
+    use super::{
+        bucket_window_delta, check_flags, parse_execute_buckets, parse_flags,
+        percentile_from_buckets, COMMANDS, USAGE,
+    };
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// What `main` does with `cmd`'s arguments before dispatching.
+    fn checked(cmd: &str, args: &[&str]) -> Result<(), String> {
+        let (_, _, known) = COMMANDS.iter().find(|(name, ..)| *name == cmd).unwrap();
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        check_flags(cmd, known, &parse_flags(&args))
+    }
+
+    #[test]
+    fn a_mistyped_flag_is_rejected_by_name() {
+        let err = checked("query", &["--video", "v.json", "--nprob", "2"]).unwrap_err();
+        assert!(err.contains("--nprob") && err.contains("`query`"), "{err}");
+        checked("query", &["--video", "v.json", "--nprobe", "2", "--stats"]).unwrap();
+        // A flag another command reads is still unknown to this one.
+        let err = checked("append", &["--shard-frames", "64", "--bogus"]).unwrap_err();
+        assert!(err.contains("--bogus, --shard-frames"), "{err}");
+    }
+
+    #[test]
+    fn removed_flags_are_rejected() {
+        let err = checked("serve", &["--model", "m.json", "--sched", "fifo"]).unwrap_err();
+        assert!(err.contains("--sched") && err.contains("`serve`"), "{err}");
+        let err = checked("query", &["--event", "left_turn", "--no-embed-cache"]).unwrap_err();
+        assert!(
+            err.contains("--no-embed-cache") && err.contains("`query`"),
+            "{err}"
+        );
+    }
+
+    /// USAGE documents exactly the flags the table accepts: a flag can
+    /// be neither advertised but rejected nor accepted but hidden.
+    #[test]
+    fn usage_documents_exactly_the_accepted_flags() {
+        let commands = USAGE.split_once("commands:\n").unwrap().1;
+        let commands = commands.split_once("\n\nfamilies:").unwrap().0;
+        // A command's paragraph starts at a two-space indent and
+        // continues on deeper-indented lines.
+        let mut documented: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut current = "";
+        for line in commands.lines() {
+            if let Some(head) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+                current = head.split_whitespace().next().unwrap();
+            }
+            let flags = documented.entry(current).or_default();
+            for (at, _) in line.match_indices("--") {
+                let name = &line[at + 2..];
+                let end = name
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(name.len());
+                flags.insert(&name[..end]);
+            }
+        }
+        // `stats` is documented as "query's flags bar --stats".
+        let mut stats = documented["query"].clone();
+        stats.remove("stats");
+        stats.insert("format");
+        documented.insert("stats", stats);
+
+        assert_eq!(documented.len(), COMMANDS.len());
+        for (cmd, _, known) in COMMANDS {
+            let known: BTreeSet<&str> = known.iter().copied().collect();
+            assert_eq!(documented[cmd], known, "`{cmd}`");
+        }
+    }
 
     #[test]
     fn zero_traffic_window_yields_no_percentiles() {
@@ -1459,6 +1561,24 @@ mod tests {
         // The open +Inf bucket never reports an unbounded value.
         let p99 = percentile_from_buckets(&window, 0.99).expect("p99");
         assert!(p99.is_finite() && p99 <= 10.0, "p99 = {p99}");
+
+        // A store-served window: 100 queries at ~0.3 ms resolve inside
+        // the sub-millisecond buckets instead of smearing over 0..1.
+        let served = vec![
+            (0.05, 0),
+            (0.1, 0),
+            (0.25, 10),
+            (0.5, 98),
+            (1.0, 100),
+            (f64::INFINITY, 100),
+        ];
+        let p50 = percentile_from_buckets(&served, 0.50).expect("p50");
+        assert!(
+            (p50 - (0.25 + 40.0 / 88.0 * 0.25)).abs() < 1e-9,
+            "p50 = {p50}"
+        );
+        let p99 = percentile_from_buckets(&served, 0.99).expect("p99");
+        assert!((p99 - 0.75).abs() < 1e-9, "p99 = {p99}");
     }
 
     #[test]

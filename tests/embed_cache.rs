@@ -1,14 +1,17 @@
-//! The cached + batched matcher path is an optimization, not a behavior
+//! The interned + batched matcher path is an optimization, not a behavior
 //! change: for any thread count it must return byte-identical results to
-//! the direct (uncached, sequential) scan. Possible because every encoder
-//! op is row/block-local, so batched forwards reproduce `embed()` exactly
-//! in f32 — see DESIGN.md §7.
+//! the direct (per-candidate, sequential) scan. Possible because every
+//! encoder op is row/block-local, so batched forwards reproduce `embed()`
+//! exactly in f32 — see DESIGN.md §7.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sketchql::telemetry::{self, Recorder};
+use sketchql::telemetry::Recorder;
 use sketchql::training::{train, TrainingConfig};
-use sketchql::{Matcher, MatcherConfig, VideoIndex};
+use sketchql::{
+    LearnedSimilarity, Matcher, MatcherConfig, PreparedQuery, Similarity, SimilarityError,
+    VideoIndex,
+};
 use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
 use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
 use std::sync::Mutex;
@@ -16,6 +19,25 @@ use std::sync::Mutex;
 /// Counters are process-global; tests that bracket them with a
 /// [`Recorder`] must not interleave with other counter traffic.
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
+
+/// The learned similarity with `uses_embeddings()` left at its `false`
+/// default, so the Matcher scores every candidate through `score` on
+/// its direct scan: the reference the interned path is compared against.
+struct PerCandidate(LearnedSimilarity);
+
+impl Similarity for PerCandidate {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn prepare(&self, query: &Clip) -> Result<PreparedQuery, SimilarityError> {
+        self.0.prepare(query)
+    }
+
+    fn score(&self, prepared: &PreparedQuery, candidate: &Clip) -> f32 {
+        self.0.score(prepared, candidate)
+    }
+}
 
 fn tiny_model() -> sketchql::TrainedModel {
     let mut cfg = TrainingConfig::tiny();
@@ -39,23 +61,15 @@ fn cached_search_matches_uncached_exactly() {
     // Single-object and multi-object (combinatorial) queries.
     for &kind in &[EventKind::LeftTurn, EventKind::PerpendicularCrossing] {
         let query = query_clip(kind);
-        let baseline = Matcher::with_config(
-            model.similarity(),
-            MatcherConfig {
-                embed_cache: false,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .search(&idx, &query)
-        .unwrap();
+        let baseline = Matcher::new(PerCandidate(model.similarity()))
+            .search(&idx, &query)
+            .unwrap();
         assert!(!baseline.is_empty(), "{kind:?} must retrieve moments");
 
         for threads in [1usize, 4] {
             let cached = Matcher::with_config(
                 model.similarity(),
                 MatcherConfig {
-                    embed_cache: true,
                     threads,
                     ..Default::default()
                 },
@@ -107,12 +121,6 @@ fn overlapping_clamped_windows_hit_the_cache() {
     let results = matcher.search(&idx, &query).unwrap();
     let report = recorder.finish("embed_cache/hits");
     assert!(!results.is_empty());
-
-    if !telemetry::is_enabled() {
-        assert_eq!(report.embed_cache_hits, 0);
-        assert_eq!(report.embed_cache_hit_rate(), None);
-        return;
-    }
 
     // 22 windows on the 16-grid + 22 on the 18-grid, sharing one segment.
     assert_eq!(report.embed_cache_hits, 1);

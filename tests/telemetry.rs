@@ -1,9 +1,5 @@
 //! Telemetry counter correctness: one query over a fully-known synthetic
 //! video must produce exactly the analytically expected counter values.
-//!
-//! The same test compiles and passes with the `telemetry` feature disabled
-//! (`cargo test --no-default-features`): the recorder then reports all-zero
-//! counters and the assertions switch to the no-op expectations.
 
 use sketchql::telemetry::{self, Recorder};
 use sketchql::training::{train, TrainingConfig};
@@ -81,14 +77,6 @@ fn counters_match_analytic_expectations() {
     assert!(!results.is_empty());
     assert_eq!(report.label, "analytic/car_query");
 
-    if !telemetry::is_enabled() {
-        // Feature off: the API exists but every counter reads zero.
-        assert_eq!(report.windows_enumerated, 0);
-        assert_eq!(report.embeddings_computed, 0);
-        assert_eq!(report.similarity_evals, 0);
-        return;
-    }
-
     let expected = expected_windows(&matcher.config, QUERY_SPAN, FRAMES);
     assert!(expected > 0);
     assert_eq!(report.windows_enumerated, expected);
@@ -135,11 +123,6 @@ fn clamped_scales_enumerate_each_window_once() {
     let report = recorder.finish("analytic/clamped_scales");
     assert!(!results.is_empty());
 
-    if !telemetry::is_enabled() {
-        assert_eq!(report.windows_enumerated, 0);
-        return;
-    }
-
     // Deduplicated grids: 16-frame windows (stride 4, starts 0..=84) give
     // 22, 24-frame windows (stride 6) give ceil(76/6) + 1 = 14.
     let expected = 22 + 14;
@@ -160,12 +143,6 @@ fn stage_spans_cover_the_query() {
     let recorder = Recorder::begin();
     let _ = matcher.search(&idx, &q).unwrap();
     let report = recorder.finish("analytic/stages");
-
-    if !telemetry::is_enabled() {
-        assert_eq!(report.total_nanos, 0);
-        assert!(report.stages().is_empty());
-        return;
-    }
 
     assert!(report.total_nanos > 0);
     let stages = report.stages();
@@ -209,9 +186,5 @@ fn report_exports_are_well_formed() {
     let snap = telemetry::snapshot_json();
     assert!(snap.starts_with('{') && snap.ends_with('}'));
     let prom = telemetry::snapshot_prometheus();
-    if telemetry::is_enabled() {
-        assert!(prom.contains("# TYPE"));
-    } else {
-        assert!(prom.is_empty());
-    }
+    assert!(prom.contains("# TYPE"));
 }
