@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 use sketchql_datasets::SyntheticVideo;
-use sketchql_telemetry::{self as telemetry, names, QueryReport, Recorder};
+use sketchql_telemetry::{self as telemetry, QueryReport, Recorder};
 use sketchql_tracker::{DetectorConfig, TrackerConfig};
 use sketchql_trajectory::{Clip, ObjectClass, TrajPoint, Trajectory};
 use std::collections::BTreeMap;
@@ -193,10 +193,13 @@ pub struct DatasetSummary {
 
 /// A SketchQL session: a trained model plus uploaded datasets.
 pub struct SketchQL {
-    /// The similarity model executing queries.
-    pub model: TrainedModel,
-    /// Matcher search parameters.
-    pub matcher_config: MatcherConfig,
+    model: TrainedModel,
+    /// `model` wrapped for search, built once per model: a store-backed
+    /// query checks the similarity's fingerprint against the store's,
+    /// and the similarity hashes its weights once, on first use — a
+    /// fresh wrapper per query would re-hash them every time. Its
+    /// `config` is the session's search parameters.
+    matcher: Matcher<LearnedSimilarity>,
     /// Preprocessing settings for future uploads.
     pub preprocess: PreprocessConfig,
     datasets: BTreeMap<String, VideoIndex>,
@@ -208,13 +211,23 @@ impl SketchQL {
     /// Starts a session with a trained similarity model.
     pub fn new(model: TrainedModel) -> Self {
         SketchQL {
+            matcher: Matcher::new(model.similarity()),
             model,
-            matcher_config: MatcherConfig::default(),
             preprocess: PreprocessConfig::default(),
             datasets: BTreeMap::new(),
             stores: BTreeMap::new(),
             last_report: Mutex::new(None),
         }
+    }
+
+    /// The similarity model executing queries.
+    pub fn model(&self) -> &TrainedModel {
+        &self.model
+    }
+
+    /// Matcher search parameters; an edit applies from the next query.
+    pub fn matcher_config_mut(&mut self) -> &mut MatcherConfig {
+        &mut self.matcher.config
     }
 
     /// Step 1: uploads a video and initializes it (detector + tracker
@@ -277,7 +290,7 @@ impl SketchQL {
         let set = {
             let index = self.dataset(name)?;
             ingest_sharded(
-                &self.model.similarity(),
+                &self.matcher.sim,
                 index,
                 name,
                 config,
@@ -344,15 +357,13 @@ impl SketchQL {
         query: &Clip,
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, SessionError> {
-        let sim = LearnedSimilarity::new(self.model.encoder.clone(), self.model.store.clone());
         let index = self.dataset(dataset)?;
-        let matcher = Matcher::with_config(sim, self.matcher_config.clone());
         let recorder = Recorder::begin();
-        let result = matcher
+        let result = self
+            .matcher
             .search_stored(index, self.stores.get(dataset), &[(query, cancel)], None)
             .pop()
             .expect("one result per query");
-        telemetry::counter(names::SESSION_QUERY).inc();
         *self.last_report.lock().unwrap() = Some(recorder.finish(dataset));
         result.map(|s| s.moments).map_err(SessionError::from)
     }
@@ -376,10 +387,9 @@ impl SketchQL {
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, SessionError> {
         let index = self.dataset(dataset)?;
-        let matcher = Matcher::with_config(sim, self.matcher_config.clone());
+        let matcher = Matcher::with_config(sim, self.matcher.config.clone());
         let recorder = Recorder::begin();
         let results = matcher.search_with_cancel(index, query, cancel);
-        telemetry::counter(names::SESSION_QUERY).inc();
         *self.last_report.lock().unwrap() = Some(recorder.finish(dataset));
         results.map_err(SessionError::from)
     }
@@ -497,6 +507,9 @@ impl SketchQL {
     ) -> usize {
         let usable = feedback.len();
         self.model = fine_tune(&self.model, query, feedback, config);
+        // New weights, new fingerprint: a store ingested under the old
+        // model is refused from here on and its queries take the scan.
+        self.matcher.sim = self.model.similarity();
         usable
     }
 
@@ -836,7 +849,7 @@ mod tests {
         let query = sketchql_datasets::query_clip(EventKind::LeftTurn);
         let scan_results = sq.run_query("v", &query).unwrap();
 
-        let cfg = IngestConfig::from_matcher(&sq.matcher_config, &[query.span()]);
+        let cfg = IngestConfig::from_matcher(&sq.matcher.config, &[query.span()]);
         let dir = std::env::temp_dir().join(format!("sketchql-store-rt-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let n = sq.ingest_dataset("v", &cfg, &dir.join("ingest")).unwrap();
@@ -859,6 +872,59 @@ mod tests {
         let report = back.last_query_stats().unwrap();
         assert_eq!(report.store_hits, 1, "query should be served by the store");
         assert!(report.store_probed > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The session searches through one matcher per model: a stored
+    /// dataset is served by its store, `apply_feedback` swaps the matcher's
+    /// similarity with the model (the stale store is refused and the
+    /// query equals a scan), and the matcher's config is still the
+    /// session's live search parameters.
+    #[test]
+    fn session_matcher_follows_the_model_and_its_config() {
+        let mut sq = tiny_session();
+        sq.upload_index("v", VideoIndex::from_truth(&small_video(24)));
+        let query = sketchql_datasets::query_clip(EventKind::LeftTurn);
+        let cfg = IngestConfig::from_matcher(&sq.matcher.config, &[query.span()]);
+        let dir = std::env::temp_dir().join(format!("sketchql-matcher-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        sq.ingest_dataset("v", &cfg, &dir).unwrap();
+
+        let results = sq.run_query("v", &query).unwrap();
+        let report = sq.last_query_stats().unwrap();
+        assert_eq!((report.store_hits, report.store_fallbacks), (1, 0));
+
+        let judged = |m: &RetrievedMoment, relevant| Feedback {
+            clip: sq.moment_clip("v", m).unwrap(),
+            relevant,
+        };
+        let feedback = [
+            judged(&results[0], true),
+            judged(results.last().unwrap(), false),
+        ];
+        let tuner = TunerConfig {
+            epochs: 2,
+            ..Default::default()
+        };
+        sq.apply_feedback(&query, &feedback, &tuner);
+        let tuned = sq.run_query("v", &query).unwrap();
+        let report = sq.last_query_stats().unwrap();
+        assert_eq!(
+            (report.store_hits, report.store_fallbacks),
+            (0, 1),
+            "a store ingested under the old weights must be refused"
+        );
+        let scan = Matcher::with_config(sq.model().similarity(), sq.matcher.config.clone())
+            .search(sq.dataset("v").unwrap(), &query)
+            .unwrap();
+        assert_eq!(
+            tuned, scan,
+            "the fallback answers like a scan of the new model"
+        );
+
+        assert!(tuned.len() > 1, "fixture should retrieve several moments");
+        sq.matcher_config_mut().top_k = 1;
+        assert_eq!(sq.run_query("v", &query).unwrap(), tuned[..1]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -212,17 +212,11 @@ pub fn train_with_schedule(
     let steps = config.encoder.steps;
 
     let _run_span = telemetry::span(names::TRAINING_RUN);
-    let steps_counter = telemetry::counter(names::TRAINING_STEPS);
-    let examples_counter = telemetry::counter(names::TRAINING_EXAMPLES);
-    let last_loss = telemetry::gauge(names::TRAINING_LAST_LOSS);
-    let throughput = telemetry::gauge(names::TRAINING_EXAMPLES_PER_SEC);
     // Per-step wall time, 1ms..10s.
     let step_ms = telemetry::histogram(
         names::TRAINING_STEP_MS,
         &[1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0, 10000.0],
     );
-    let run_start = std::time::Instant::now();
-    let mut examples_total = 0u64;
 
     let mut loss_history = Vec::with_capacity(config.steps);
     for step in 0..config.steps {
@@ -272,16 +266,7 @@ pub fn train_with_schedule(
         adam.step_scaled(&mut store, &grads, schedule.multiplier(step));
         loss_history.push(loss_val);
 
-        steps_counter.inc();
-        let batch_examples = 2 * anchor_ids.len() as u64; // anchors + positives
-        examples_counter.add(batch_examples);
-        examples_total += batch_examples;
-        last_loss.set(loss_val as f64);
         step_ms.observe(step_start.elapsed().as_secs_f64() * 1e3);
-        let elapsed = run_start.elapsed().as_secs_f64();
-        if elapsed > 0.0 {
-            throughput.set(examples_total as f64 / elapsed);
-        }
 
         progress(step, loss_val);
     }

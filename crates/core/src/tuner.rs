@@ -183,7 +183,7 @@ pub struct FeedbackRound {
 ///
 /// `judge` plays the user: given a retrieved clip and its frame range it
 /// returns whether the user would mark it relevant. Returns the per-round
-/// summaries and leaves `session.model` fine-tuned in place. Rounds where
+/// summaries and leaves the session's model fine-tuned in place. Rounds where
 /// no *new* results surface stop the loop early.
 pub fn active_feedback_loop(
     session: &mut crate::session::SketchQL,

@@ -292,7 +292,6 @@ fn write_shards(
         }
         columns.push((kept, vectors));
     }
-    telemetry::counter(names::STORE_VECTORS).add(embedded_rows as u64);
 
     let quantizer = base.quantizer.unwrap_or_else(|| {
         let total_rows: usize = columns.iter().map(|(rows, _)| rows.len()).sum();
@@ -588,9 +587,6 @@ pub fn append_frames(
         ..manifest
     };
     new_manifest.save(dir)?;
-    telemetry::counter(names::LIVE_APPENDS).inc();
-    telemetry::counter(names::LIVE_ROWS_APPENDED).add(written.embedded_rows as u64);
-    telemetry::counter(names::LIVE_ROWS_REUSED).add(written.reused_rows as u64);
     Ok(AppendOutcome {
         set: ShardSet::open(dir)?,
         epoch,

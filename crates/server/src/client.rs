@@ -9,12 +9,14 @@ use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use sketchql::RetrievedMoment;
 use sketchql_telemetry::mint_trace_id;
 use sketchql_trajectory::Clip;
 
 use crate::engine::{DatasetInfo, EngineStats};
-use crate::protocol::{write_line, ErrorKind, Request, Response, WireTrace};
+use crate::live::LiveNotifications;
+use crate::protocol::{
+    write_line, ErrorKind, ProfileOutcome, QueryOutcome, Registered, Request, Response, WireTrace,
+};
 
 /// Client-side failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,16 +139,7 @@ impl Client {
         event: &str,
         opts: &QueryOptions,
     ) -> Result<QueryOutcome, ClientError> {
-        self.run_query(Request::Query {
-            dataset: dataset.to_string(),
-            event: Some(event.to_string()),
-            clip: None,
-            top_k: opts.top_k,
-            deadline_ms: opts.deadline.map(|d| d.as_millis() as u64),
-            trace_id: Some(opts.trace_id.unwrap_or_else(mint_trace_id)),
-            class: opts.class.clone(),
-            priority: opts.priority,
-        })
+        self.run_query(dataset, Some(event), None, opts)
     }
 
     /// Runs an inline sketch clip on `dataset`.
@@ -175,34 +168,28 @@ impl Client {
         clip: Clip,
         opts: &QueryOptions,
     ) -> Result<QueryOutcome, ClientError> {
-        self.run_query(Request::Query {
+        self.run_query(dataset, None, Some(clip), opts)
+    }
+
+    fn run_query(
+        &mut self,
+        dataset: &str,
+        event: Option<&str>,
+        clip: Option<Clip>,
+        opts: &QueryOptions,
+    ) -> Result<QueryOutcome, ClientError> {
+        let request = Request::Query {
             dataset: dataset.to_string(),
-            event: None,
-            clip: Some(clip),
+            event: event.map(str::to_string),
+            clip,
             top_k: opts.top_k,
             deadline_ms: opts.deadline.map(|d| d.as_millis() as u64),
             trace_id: Some(opts.trace_id.unwrap_or_else(mint_trace_id)),
             class: opts.class.clone(),
             priority: opts.priority,
-        })
-    }
-
-    fn run_query(&mut self, request: Request) -> Result<QueryOutcome, ClientError> {
+        };
         match self.request(&request)? {
-            Response::Moments {
-                moments,
-                queue_wait_ms,
-                execute_ms,
-                batch_size,
-                trace_id,
-            } => Ok(QueryOutcome {
-                moments,
-                queue_wait_ms,
-                execute_ms,
-                batch_size,
-                trace_id,
-            }),
-            Response::Error { kind, message } => Err(ClientError::Server { kind, message }),
+            Response::Moments(outcome) => Ok(outcome),
             other => Err(unexpected("Moments", &other)),
         }
     }
@@ -232,15 +219,7 @@ impl Client {
         hz: Option<u64>,
     ) -> Result<ProfileOutcome, ClientError> {
         match self.request(&Request::Profile { seconds, hz })? {
-            Response::Profile {
-                folded,
-                samples,
-                duration_ms,
-            } => Ok(ProfileOutcome {
-                folded,
-                samples,
-                duration_ms,
-            }),
+            Response::Profile(profile) => Ok(profile),
             other => Err(unexpected("Profile", &other)),
         }
     }
@@ -256,13 +235,7 @@ impl Client {
         min_score: Option<f32>,
         top_k: Option<usize>,
     ) -> Result<Registered, ClientError> {
-        self.run_register(Request::Register {
-            dataset: dataset.to_string(),
-            event: Some(event.to_string()),
-            clip: None,
-            min_score,
-            top_k,
-        })
+        self.run_register(dataset, Some(event), None, min_score, top_k)
     }
 
     /// Like [`Client::register_event`], with an inline sketch clip.
@@ -273,24 +246,26 @@ impl Client {
         min_score: Option<f32>,
         top_k: Option<usize>,
     ) -> Result<Registered, ClientError> {
-        self.run_register(Request::Register {
-            dataset: dataset.to_string(),
-            event: None,
-            clip: Some(clip),
-            min_score,
-            top_k,
-        })
+        self.run_register(dataset, None, Some(clip), min_score, top_k)
     }
 
-    fn run_register(&mut self, request: Request) -> Result<Registered, ClientError> {
+    fn run_register(
+        &mut self,
+        dataset: &str,
+        event: Option<&str>,
+        clip: Option<Clip>,
+        min_score: Option<f32>,
+        top_k: Option<usize>,
+    ) -> Result<Registered, ClientError> {
+        let request = Request::Register {
+            dataset: dataset.to_string(),
+            event: event.map(str::to_string),
+            clip,
+            min_score,
+            top_k,
+        };
         match self.request(&request)? {
-            Response::Registered {
-                registration_id,
-                watermark,
-            } => Ok(Registered {
-                registration_id,
-                watermark,
-            }),
+            Response::Registered(registered) => Ok(registered),
             other => Err(unexpected("Registered", &other)),
         }
     }
@@ -310,24 +285,12 @@ impl Client {
         &mut self,
         registration_id: u64,
         max: Option<usize>,
-    ) -> Result<LiveFeed, ClientError> {
+    ) -> Result<LiveNotifications, ClientError> {
         match self.request(&Request::Notifications {
             registration_id,
             max,
         })? {
-            Response::Notifications {
-                registration_id,
-                epoch,
-                watermark,
-                dropped,
-                matches,
-            } => Ok(LiveFeed {
-                registration_id,
-                epoch,
-                watermark,
-                dropped,
-                matches,
-            }),
+            Response::Notifications(drained) => Ok(drained),
             other => Err(unexpected("Notifications", &other)),
         }
     }
@@ -366,59 +329,6 @@ pub struct QueryOptions {
     pub priority: Option<i32>,
     /// Caller-minted 48-bit trace id (minted for you when `None`).
     pub trace_id: Option<u64>,
-}
-
-/// A successful query as seen by the client.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryOutcome {
-    /// Retrieved moments, best first.
-    pub moments: Vec<RetrievedMoment>,
-    /// Milliseconds the query waited for a worker.
-    pub queue_wait_ms: u64,
-    /// Milliseconds the (possibly fused) scan took.
-    pub execute_ms: u64,
-    /// Queries that shared the scan (1 = ran alone).
-    pub batch_size: usize,
-    /// The trace id the query ran under (the client-minted id, echoed
-    /// by the server); fetch the span tree with [`Client::trace`].
-    pub trace_id: u64,
-}
-
-/// A standing-query registration as seen by the client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Registered {
-    /// Handle for [`Client::unregister`] / [`Client::notifications`].
-    pub registration_id: u64,
-    /// Frame the standing query starts watching from: only epochs
-    /// appended after this point produce notifications.
-    pub watermark: u32,
-}
-
-/// One drain of a standing query's notification queue.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LiveFeed {
-    /// The standing query drained.
-    pub registration_id: u64,
-    /// Latest ingest epoch the query has been evaluated against.
-    pub epoch: u64,
-    /// Frames evaluated through.
-    pub watermark: u32,
-    /// Matches shed to queue overflow, cumulative since registration.
-    pub dropped: u64,
-    /// Queued matches, oldest first.
-    pub matches: Vec<crate::live::LiveMatch>,
-}
-
-/// A server CPU profile as seen by the client.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileOutcome {
-    /// Folded stacks, one `thread;span;...;span count` line each —
-    /// feed directly to `flamegraph.pl` / `inferno-flamegraph`.
-    pub folded: String,
-    /// Stack samples aggregated into the report.
-    pub samples: u64,
-    /// Wall-clock span of the sampling window, milliseconds.
-    pub duration_ms: u64,
 }
 
 fn unexpected(wanted: &str, got: &Response) -> ClientError {

@@ -31,12 +31,18 @@
 //!
 //! Every admitted query carries a [`CancelToken`]. Its deadline is the
 //! per-query deadline if given, else [`EngineConfig::default_deadline`].
-//! The token is checked when the query leaves the queue (a query whose
-//! deadline passed while waiting is answered
-//! [`EngineError::DeadlineExceeded`] without running) and polled
+//! Two parties read the token. The *caller*, blocked in
+//! [`QueryHandle::wait`], sleeps no longer than its own deadline and
+//! answers itself [`EngineError::DeadlineExceeded`] the moment it passes
+//! — whether the query is still queued behind a backlog or already in
+//! flight — so a deadline is honoured when it expires, not when a worker
+//! next frees up. The *work* stops on its own: the token is checked when
+//! the query leaves the queue (an expired one never runs) and polled
 //! cooperatively inside the Matcher's scan, so a deadline that trips
-//! mid-search aborts the remaining work promptly. Callers can also cancel
-//! explicitly through the [`QueryHandle`].
+//! mid-search aborts the remaining work promptly. Caller and worker race
+//! through one claim (`Member::claim`); exactly one of them answers and
+//! is counted. Callers can also cancel explicitly through the
+//! [`QueryHandle`].
 //!
 //! ## One executor, fused batches
 //!
@@ -64,11 +70,17 @@
 //! `sketchql.server.execute_ms` histogram), so a tight-deadline query is
 //! never fused into a scan it can't survive. Every member runs under its
 //! own token: the search stops working for a member whose token trips,
-//! and stops altogether once no member is live. A dedicated deadline
-//! monitor polls the same tokens while the search runs, so a member
-//! whose deadline expires (or that is cancelled) *mid-batch* is answered
-//! `DeadlineExceeded`/`Cancelled` within one
-//! [`SchedPolicy::poll_interval`] — not when the worker next reaches it.
+//! and stops altogether once no member is live — while that member's
+//! waiter has already answered itself (see above), not when the worker
+//! next reaches it.
+//!
+//! ## One tally
+//!
+//! Every traffic event — admitted, completed, timed out, cancelled,
+//! failed, drained at shutdown, shed at admission — is counted by one
+//! function (`tally`): the per-engine atomics behind [`EngineStats`], the
+//! process-wide `sketchql.server.*` counters and the trace's outcome all
+//! move there and nowhere else, so the three views cannot drift apart.
 //!
 //! ## Index-backed datasets
 //!
@@ -108,7 +120,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use sketchql::{
     CancelReason, CancelToken, LearnedSimilarity, MatchError, Matcher, MatcherConfig,
-    RetrievedMoment, ShardSet, SimilarityError, TrainedModel, VideoIndex,
+    RetrievedMoment, ShardSet, SimilarityError, StoreSearch, TrainedModel, VideoIndex,
 };
 use sketchql_telemetry::{self as telemetry, names, TraceContext, TraceOutcome};
 use sketchql_trajectory::Clip;
@@ -174,10 +186,6 @@ pub struct SchedPolicy {
     /// Milliseconds of queue wait per +1 effective-priority promotion
     /// credit (starvation protection). `0` disables aging.
     pub aging_ms: u64,
-    /// How often the deadline monitor polls the member tokens of
-    /// in-flight batches; the bound on how late after its own deadline
-    /// a member is answered.
-    pub poll_interval: Duration,
 }
 
 impl Default for SchedPolicy {
@@ -185,7 +193,6 @@ impl Default for SchedPolicy {
         SchedPolicy {
             classes: BTreeMap::new(),
             aging_ms: 100,
-            poll_interval: Duration::from_millis(2),
         }
     }
 }
@@ -468,64 +475,66 @@ pub struct DatasetInfo {
 }
 
 /// Handle to an admitted query: wait for the answer or cancel it.
-#[derive(Debug)]
 pub struct QueryHandle {
     rx: mpsc::Receiver<Result<QueryResult, EngineError>>,
-    cancel: CancelToken,
+    member: Arc<Member>,
+    shared: Arc<Shared>,
+}
+
+impl fmt::Debug for QueryHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QueryHandle").finish_non_exhaustive()
+    }
 }
 
 impl QueryHandle {
-    /// Blocks until the query is answered.
+    /// Blocks until the query is answered — at the latest, until its own
+    /// deadline. The waiter is the one party that is always there when
+    /// the deadline passes, so it enforces it: a token already tripped
+    /// (cancelled before the wait) or a deadline that runs out during it
+    /// is answered here, through the same claim the worker uses, whether
+    /// the query is still queued or mid-scan. The loser of the claim is a
+    /// no-op, so exactly one answer is in the channel afterwards.
+    /// Without a deadline this is a plain `recv`.
     pub fn wait(self) -> Result<QueryResult, EngineError> {
+        let token = &self.member.cancel;
+        while let (Ok(()), Some(at)) = (token.check(), token.deadline()) {
+            let left = at.saturating_duration_since(Instant::now());
+            if let Ok(answer) = self.rx.recv_timeout(left) {
+                return answer;
+            }
+        }
+        if let Err(reason) = token.check() {
+            finish_err(&self.shared, &self.member, reason.into());
+        }
+        // Every admitted member is answered (worker, batch guard or
+        // shutdown drain), and this handle keeps its own sender alive.
         self.rx.recv().unwrap_or(Err(EngineError::WorkerLost))
     }
 
     /// Requests cancellation; the query answers [`EngineError::Cancelled`]
-    /// once the scan observes the token (immediately if still queued).
+    /// at the next [`wait`](Self::wait), and its scan stops once it
+    /// observes the token.
     pub fn cancel(&self) {
-        self.cancel.cancel();
+        self.member.cancel.cancel();
     }
 }
 
+/// A queued query: what ordering reads (`priority`, `seq`), what only the
+/// executing worker reads (`query`), and the record everyone who may
+/// answer it shares.
 struct Job {
-    dataset: String,
-    class: String,
     priority: i32,
     seq: u64,
     query: Clip,
-    top_k: Option<usize>,
-    min_end: Option<u32>,
-    cancel: CancelToken,
-    enqueued_at: Instant,
-    trace: TraceContext,
-    tx: mpsc::Sender<Result<QueryResult, EngineError>>,
+    member: Arc<Member>,
 }
 
-impl Job {
-    /// Splits into the query clip (only the executing worker needs it)
-    /// and the shared answer-side record the deadline monitor and the
-    /// batch guard can also reach.
-    fn into_pair(self) -> (Clip, Arc<Member>) {
-        (
-            self.query,
-            Arc::new(Member {
-                dataset: self.dataset,
-                class: self.class,
-                top_k: self.top_k,
-                min_end: self.min_end,
-                cancel: self.cancel,
-                enqueued_at: self.enqueued_at,
-                trace: self.trace,
-                tx: self.tx,
-                claimed: AtomicBool::new(false),
-            }),
-        )
-    }
-}
-
-/// The answer-side half of a dequeued query. A member is answered
-/// exactly once: the worker, the deadline monitor, and the batch guard
-/// all race through [`Member::claim`], and only the winner sends.
+/// The one record of an admitted query, built at admission and shared by
+/// its queue entry, its [`QueryHandle`] and the batch guard. A member is
+/// answered exactly once: the worker, the waiter (on a tripped token)
+/// and the guard (on a panic) all race through [`Member::claim`], and
+/// only the winner counts the outcome and sends.
 struct Member {
     dataset: String,
     class: String,
@@ -548,9 +557,6 @@ impl Member {
     }
 }
 
-/// A live query executing alongside its original clip and queue wait.
-type LiveMember = (Clip, Arc<Member>, Duration);
-
 /// Per-class queue occupancy and token bucket, under the state lock.
 struct ClassQueue {
     queued: usize,
@@ -567,14 +573,56 @@ struct QueueState {
     next_seq: u64,
 }
 
+impl QueueState {
+    /// The admission decision for one query of `class`, in the order the
+    /// rejections are documented: shutdown, the global queue bound, the
+    /// class's queue quota, the class's token bucket. On success the
+    /// class's queue slot (and rate token) is taken and its new queue
+    /// occupancy returned.
+    fn admit(
+        &mut self,
+        class: &str,
+        cfg: ClassConfig,
+        queue_depth: usize,
+        now: Instant,
+    ) -> Result<usize, EngineError> {
+        if !self.accepting {
+            return Err(EngineError::ShuttingDown);
+        }
+        if self.queue.len() >= queue_depth {
+            return Err(EngineError::Overloaded { queue_depth });
+        }
+        let cq = self.classes.get_mut(class).expect("class table is fixed");
+        // Per-class queue quota: this class's slice of the queue.
+        if cfg.queue_quota > 0 && cq.queued >= cfg.queue_quota {
+            return Err(EngineError::Overloaded {
+                queue_depth: cfg.queue_quota,
+            });
+        }
+        // Token-bucket rate limit: refill lazily, spend one per query.
+        if cfg.rate_per_sec > 0.0 {
+            let dt = now.duration_since(cq.last_refill).as_secs_f64();
+            cq.tokens = (cq.tokens + dt * cfg.rate_per_sec).min(cfg.effective_burst());
+            cq.last_refill = now;
+            if cq.tokens < 1.0 {
+                return Err(EngineError::RateLimited {
+                    class: class.to_string(),
+                });
+            }
+            cq.tokens -= 1.0;
+        }
+        cq.queued += 1;
+        Ok(cq.queued)
+    }
+}
+
+/// Engine-wide counters with no per-dataset / per-class breakdown to be
+/// derived from (the other [`EngineStats`] totals are sums of those
+/// tables).
 #[derive(Default)]
 struct Counters {
     accepted: AtomicU64,
-    completed: AtomicU64,
     rejected: AtomicU64,
-    rate_limited: AtomicU64,
-    timed_out: AtomicU64,
-    failed: AtomicU64,
     // Store effectiveness lives in plain atomics (not only telemetry
     // counters) because `stats()` is per engine and the telemetry
     // registry is one per process.
@@ -597,25 +645,37 @@ struct DatasetCounters {
 }
 
 /// Per-class slice of the traffic counters; same fixed-key scheme as
-/// [`DatasetCounters`].
-#[derive(Default)]
+/// [`DatasetCounters`]. The class table being fixed, the class's
+/// `sketchql.server.class.<class>.*` registry handles are resolved once
+/// here instead of formatting a name per event.
 struct ClassCounters {
     completed: AtomicU64,
     rate_limited: AtomicU64,
     shed: AtomicU64,
+    completed_metric: &'static telemetry::Counter,
+    rate_limited_metric: &'static telemetry::Counter,
+    shed_metric: &'static telemetry::Counter,
+    queue_depth: &'static telemetry::Gauge,
+    queue_wait_ms: &'static telemetry::Histogram,
 }
 
-/// One in-flight batch the deadline monitor watches: it polls the
-/// members' own tokens while the worker searches.
-struct Watch {
-    id: u64,
-    members: Vec<Arc<Member>>,
-}
-
-struct MonitorState {
-    watches: Vec<Watch>,
-    next_id: u64,
-    stop: bool,
+impl ClassCounters {
+    fn resolve(class: &str) -> Self {
+        let counter = |metric| telemetry::counter(&names::server_class_metric(class, metric));
+        ClassCounters {
+            completed: AtomicU64::new(0),
+            rate_limited: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            completed_metric: counter("completed"),
+            rate_limited_metric: counter("rate_limited"),
+            shed_metric: counter("shed"),
+            queue_depth: telemetry::gauge(&names::server_class_metric(class, "queue_depth")),
+            queue_wait_ms: telemetry::histogram(
+                &names::server_class_metric(class, "queue_wait_ms"),
+                LATENCY_MS_BOUNDS,
+            ),
+        }
+    }
 }
 
 /// The engine's swappable dataset view. Readers grab one `Arc` snapshot
@@ -632,8 +692,6 @@ struct LiveData {
 struct Shared {
     state: Mutex<QueueState>,
     work_ready: Condvar,
-    monitor: Mutex<MonitorState>,
-    monitor_signal: Condvar,
     matcher: Matcher<LearnedSimilarity>,
     data: Mutex<Arc<LiveData>>,
     live: LiveRegistry,
@@ -641,6 +699,8 @@ struct Shared {
     per_dataset: BTreeMap<String, DatasetCounters>,
     per_class: BTreeMap<String, ClassCounters>,
     fused_batch: usize,
+    /// The configured policy with [`DEFAULT_CLASS`] declared: its
+    /// `classes` is the whole fixed class table.
     policy: SchedPolicy,
 }
 
@@ -669,7 +729,6 @@ impl Shared {
 pub struct Engine {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    monitor: Mutex<Option<JoinHandle<()>>>,
     config: EngineConfig,
 }
 
@@ -712,9 +771,7 @@ impl Engine {
             .entry(LIVE_CLASS.to_string())
             .or_insert(ClassConfig {
                 priority: live::LIVE_PRIORITY,
-                rate_per_sec: 0.0,
-                burst: 0.0,
-                queue_quota: 0,
+                ..Default::default()
             });
         let matcher = Matcher::with_config(model.similarity(), config.matcher.clone());
         let datasets: BTreeMap<String, Arc<VideoIndex>> = datasets
@@ -734,32 +791,27 @@ impl Engine {
             .map(|name| (name.clone(), DatasetCounters::default()))
             .collect();
         // The class table is fixed at start: every declared class plus
-        // the default class every unmatched query resolves to.
-        let class_names: Vec<String> = config
-            .sched
-            .classes
-            .keys()
-            .cloned()
-            .chain(std::iter::once(DEFAULT_CLASS.to_string()))
-            .collect();
+        // the default class every unmatched query resolves to (at
+        // `ClassConfig::default()` unless the policy declares it).
+        let mut policy = config.sched.clone();
+        policy.classes.entry(DEFAULT_CLASS.to_string()).or_default();
         let now = Instant::now();
-        let class_queues = class_names
+        let class_queues = policy
+            .classes
             .iter()
-            .map(|name| {
-                let cfg = config.sched.classes.get(name).copied().unwrap_or_default();
-                (
-                    name.clone(),
-                    ClassQueue {
-                        queued: 0,
-                        tokens: cfg.effective_burst(),
-                        last_refill: now,
-                    },
-                )
+            .map(|(name, cfg)| {
+                let queue = ClassQueue {
+                    queued: 0,
+                    tokens: cfg.effective_burst(),
+                    last_refill: now,
+                };
+                (name.clone(), queue)
             })
             .collect();
-        let per_class = class_names
-            .iter()
-            .map(|name| (name.clone(), ClassCounters::default()))
+        let per_class = policy
+            .classes
+            .keys()
+            .map(|name| (name.clone(), ClassCounters::resolve(name)))
             .collect();
         let registry = LiveRegistry::new(config.registry_path.clone());
         telemetry::gauge(names::LIVE_REGISTRATIONS).set(registry.count() as f64);
@@ -772,12 +824,6 @@ impl Engine {
                 next_seq: 0,
             }),
             work_ready: Condvar::new(),
-            monitor: Mutex::new(MonitorState {
-                watches: Vec::new(),
-                next_id: 0,
-                stop: false,
-            }),
-            monitor_signal: Condvar::new(),
             matcher,
             data: Mutex::new(Arc::new(LiveData { datasets, stores })),
             live: registry,
@@ -785,7 +831,7 @@ impl Engine {
             per_dataset,
             per_class,
             fused_batch: config.fused_batch,
-            policy: config.sched.clone(),
+            policy,
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -796,17 +842,9 @@ impl Engine {
                     .expect("failed to spawn engine worker")
             })
             .collect();
-        let monitor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("sketchql-sched".to_string())
-                .spawn(move || monitor_loop(&shared))
-                .expect("failed to spawn deadline monitor")
-        };
         let engine = Engine {
             shared,
             workers: Mutex::new(workers),
-            monitor: Mutex::new(Some(monitor)),
             config,
         };
         // Catch up restored registrations whose watermark trails a
@@ -831,17 +869,10 @@ impl Engine {
         }
         // Undeclared wire classes collapse into the default class: the
         // class table (and stats/metric cardinality) stays fixed.
-        let class = match spec.class.as_deref() {
-            Some(c) if self.shared.policy.classes.contains_key(c) => c.to_string(),
-            _ => DEFAULT_CLASS.to_string(),
-        };
-        let cfg = self
-            .shared
-            .policy
-            .classes
-            .get(&class)
-            .copied()
-            .unwrap_or_default();
+        let classes = &self.shared.policy.classes;
+        let declared = spec.class.as_deref().filter(|c| classes.contains_key(*c));
+        let class = declared.unwrap_or(DEFAULT_CLASS).to_string();
+        let cfg = classes[&class];
         let priority = spec.priority.unwrap_or(cfg.priority).clamp(-1000, 1000);
         // The trace is born at admission; shed queries finalize it via
         // its drop safety net (after the queue lock below releases), so
@@ -852,110 +883,48 @@ impl Engine {
         };
         trace.set_label(spec.dataset.as_str());
         let deadline = spec.deadline.or(self.config.default_deadline);
-        let cancel = match deadline {
-            Some(d) => CancelToken::with_timeout(d),
-            None => CancelToken::new(),
-        };
         let (tx, rx) = mpsc::channel();
         let now = Instant::now();
-        let mut st = self.shared.state.lock().unwrap();
-        if !st.accepting {
-            trace.set_outcome(TraceOutcome::Shed);
-            telemetry::counter(names::SERVER_SHED_SHUTDOWN).inc();
-            self.shed_at_admission(&spec.dataset, &class);
-            return Err(EngineError::ShuttingDown);
-        }
-        if st.queue.len() >= self.config.queue_depth {
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
-            telemetry::counter(names::SERVER_REJECTED_OVERLOAD).inc();
-            trace.set_outcome(TraceOutcome::Shed);
-            telemetry::counter(names::SERVER_SHED_QUEUE_FULL).inc();
-            self.shed_at_admission(&spec.dataset, &class);
-            return Err(EngineError::Overloaded {
-                queue_depth: self.config.queue_depth,
-            });
-        }
-        let cq = st.classes.get_mut(&class).expect("class table is fixed");
-        // Per-class queue quota: this class's slice of the queue.
-        if cfg.queue_quota > 0 && cq.queued >= cfg.queue_quota {
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
-            telemetry::counter(names::SERVER_REJECTED_OVERLOAD).inc();
-            trace.set_outcome(TraceOutcome::Shed);
-            telemetry::counter(names::SERVER_SHED_QUEUE_FULL).inc();
-            self.shed_at_admission(&spec.dataset, &class);
-            return Err(EngineError::Overloaded {
-                queue_depth: cfg.queue_quota,
-            });
-        }
-        // Token-bucket rate limit: refill lazily, spend one per query.
-        if cfg.rate_per_sec > 0.0 {
-            let dt = now.duration_since(cq.last_refill).as_secs_f64();
-            cq.tokens = (cq.tokens + dt * cfg.rate_per_sec).min(cfg.effective_burst());
-            cq.last_refill = now;
-            if cq.tokens < 1.0 {
-                self.shared
-                    .counters
-                    .rate_limited
-                    .fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .class_counters(&class)
-                    .rate_limited
-                    .fetch_add(1, Ordering::Relaxed);
-                telemetry::counter(names::SERVER_SHED_RATE_LIMITED).inc();
-                telemetry::counter(&names::server_class_metric(&class, "rate_limited")).inc();
-                trace.set_outcome(TraceOutcome::Shed);
-                self.shared
-                    .dataset_counters(&spec.dataset)
-                    .shed
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(EngineError::RateLimited { class });
-            }
-            cq.tokens -= 1.0;
-        }
-        cq.queued += 1;
-        telemetry::gauge(&names::server_class_metric(&class, "queue_depth")).set(cq.queued as f64);
-        st.next_seq += 1;
-        let seq = st.next_seq;
-        st.queue.push_back(Job {
+        let member = Arc::new(Member {
             dataset: spec.dataset,
             class,
-            priority,
-            seq,
-            query: spec.query,
             top_k: spec.top_k,
             min_end: spec.min_end,
-            cancel: cancel.clone(),
+            cancel: match deadline {
+                Some(d) => CancelToken::with_timeout(d),
+                None => CancelToken::new(),
+            },
             enqueued_at: now,
             trace,
             tx,
+            claimed: AtomicBool::new(false),
+        });
+        let mut st = self.shared.state.lock().unwrap();
+        let queued = match st.admit(&member.class, cfg, self.config.queue_depth, now) {
+            Ok(queued) => queued,
+            Err(err) => {
+                tally(&self.shared, &member, Event::Shed(&err));
+                return Err(err);
+            }
+        };
+        let class_counters = self.shared.class_counters(&member.class);
+        class_counters.queue_depth.set(queued as f64);
+        st.next_seq += 1;
+        let seq = st.next_seq;
+        st.queue.push_back(Job {
+            priority,
+            seq,
+            query: spec.query,
+            member: Arc::clone(&member),
         });
         telemetry::gauge(names::SERVER_QUEUE_DEPTH).set(st.queue.len() as f64);
-        self.shared
-            .counters
-            .accepted
-            .fetch_add(1, Ordering::Relaxed);
-        telemetry::counter(names::SERVER_ACCEPTED).inc();
+        tally(&self.shared, &member, Event::Accepted);
         self.shared.work_ready.notify_one();
-        Ok(QueryHandle { rx, cancel })
-    }
-
-    /// Shared bookkeeping for a query shed at admission.
-    fn shed_at_admission(&self, dataset: &str, class: &str) {
-        self.shared
-            .dataset_counters(dataset)
-            .shed
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .class_counters(class)
-            .shed
-            .fetch_add(1, Ordering::Relaxed);
-        telemetry::counter(&names::server_class_metric(class, "shed")).inc();
+        Ok(QueryHandle {
+            rx,
+            member,
+            shared: Arc::clone(&self.shared),
+        })
     }
 
     /// Submits and waits: the blocking convenience path.
@@ -967,7 +936,7 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         let st = self.shared.state.lock().unwrap();
         let c = &self.shared.counters;
-        let classes = self
+        let classes: Vec<ClassStats> = self
             .shared
             .per_class
             .iter()
@@ -976,19 +945,13 @@ impl Engine {
                 let oldest_wait_ms = st
                     .queue
                     .iter()
-                    .filter(|j| j.class == *name)
-                    .map(|j| j.enqueued_at.elapsed().as_millis() as u64)
+                    .filter(|j| j.member.class == *name)
+                    .map(|j| j.member.enqueued_at.elapsed().as_millis() as u64)
                     .max()
                     .unwrap_or(0);
                 ClassStats {
                     name: name.clone(),
-                    priority: self
-                        .shared
-                        .policy
-                        .classes
-                        .get(name)
-                        .map(|cfg| cfg.priority)
-                        .unwrap_or(0),
+                    priority: self.shared.policy.classes[name].priority,
                     queued,
                     oldest_wait_ms,
                     completed: cc.completed.load(Ordering::Relaxed),
@@ -997,31 +960,35 @@ impl Engine {
                 }
             })
             .collect();
+        let datasets: Vec<DatasetTraffic> = self
+            .shared
+            .per_dataset
+            .iter()
+            .map(|(name, d)| DatasetTraffic {
+                name: name.clone(),
+                completed: d.completed.load(Ordering::Relaxed),
+                failed: d.failed.load(Ordering::Relaxed),
+                timed_out: d.timed_out.load(Ordering::Relaxed),
+                shed: d.shed.load(Ordering::Relaxed),
+            })
+            .collect();
+        // Every answered query belongs to one dataset and every
+        // rate-limited one to one class, so the totals are sums of the
+        // tables rather than a second set of counters.
         EngineStats {
             workers: self.config.workers,
             queued: st.queue.len(),
             in_flight: st.in_flight,
             accepted: c.accepted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
+            completed: datasets.iter().map(|d| d.completed).sum(),
             rejected_overload: c.rejected.load(Ordering::Relaxed),
-            timed_out: c.timed_out.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
+            timed_out: datasets.iter().map(|d| d.timed_out).sum(),
+            failed: datasets.iter().map(|d| d.failed).sum(),
             store_hits: c.store_hits.load(Ordering::Relaxed),
             store_fallbacks: c.store_fallbacks.load(Ordering::Relaxed),
             store_probed: c.store_probed.load(Ordering::Relaxed),
-            rate_limited: c.rate_limited.load(Ordering::Relaxed),
-            datasets: self
-                .shared
-                .per_dataset
-                .iter()
-                .map(|(name, d)| DatasetTraffic {
-                    name: name.clone(),
-                    completed: d.completed.load(Ordering::Relaxed),
-                    failed: d.failed.load(Ordering::Relaxed),
-                    timed_out: d.timed_out.load(Ordering::Relaxed),
-                    shed: d.shed.load(Ordering::Relaxed),
-                })
-                .collect(),
+            rate_limited: classes.iter().map(|c| c.rate_limited).sum(),
+            datasets,
             classes,
         }
     }
@@ -1174,14 +1141,10 @@ impl Engine {
                 .get(&d.dataset)
                 .map_or(0, |set| set.manifest().epoch);
             let spec = QuerySpec {
-                dataset: d.dataset.clone(),
-                query: d.query,
                 top_k: d.top_k,
-                deadline: None,
-                trace: None,
                 class: Some(LIVE_CLASS.to_string()),
-                priority: None,
                 min_end: Some(d.watermark),
+                ..QuerySpec::new(d.dataset.clone(), d.query)
             };
             let Ok(handle) = self.submit(spec) else {
                 continue;
@@ -1220,24 +1183,14 @@ impl Engine {
             let mut st = self.shared.state.lock().unwrap();
             let drained: Vec<Job> = std::mem::take(&mut st.queue).into();
             for job in &drained {
-                if let Some(cq) = st.classes.get_mut(&job.class) {
+                if let Some(cq) = st.classes.get_mut(&job.member.class) {
                     cq.queued -= 1;
                 }
             }
             drained
         };
         for job in leftovers {
-            let (_, member) = job.into_pair();
-            finish_err(&self.shared, &member, EngineError::ShuttingDown);
-        }
-        // Stop the deadline monitor last: no scans remain to watch.
-        {
-            let mut mon = self.shared.monitor.lock().unwrap();
-            mon.stop = true;
-            self.shared.monitor_signal.notify_all();
-        }
-        if let Some(handle) = self.monitor.lock().unwrap().take() {
-            let _ = handle.join();
+            finish_err(&self.shared, &job.member, EngineError::ShuttingDown);
         }
     }
 }
@@ -1258,16 +1211,14 @@ fn worker_loop(shared: &Shared) {
                 let now = Instant::now();
                 if let Some(i) = pick_index(&st.queue, &shared.policy, now) {
                     let head = st.queue.remove(i).expect("picked index in bounds");
-                    let est = estimate_scan(shared, &head.dataset);
+                    let est = estimate_scan(shared, &head.member.dataset);
                     let batch = form_batch(&mut st.queue, head, shared.fused_batch, est, now);
                     for job in &batch {
-                        let cq = st
-                            .classes
-                            .get_mut(&job.class)
-                            .expect("class table is fixed");
+                        let class = &job.member.class;
+                        let cq = st.classes.get_mut(class).expect("class table is fixed");
                         cq.queued -= 1;
-                        telemetry::gauge(&names::server_class_metric(&job.class, "queue_depth"))
-                            .set(cq.queued as f64);
+                        let depth = shared.class_counters(class).queue_depth;
+                        depth.set(cq.queued as f64);
                     }
                     st.in_flight += batch.len();
                     telemetry::gauge(names::SERVER_QUEUE_DEPTH).set(st.queue.len() as f64);
@@ -1284,14 +1235,16 @@ fn worker_loop(shared: &Shared) {
         // batch never answered — on the normal path *and* when
         // `run_batch` panics, so a panicking worker can't leak the
         // count or leave a caller hanging. The worker itself survives.
-        let guard = BatchGuard::new(shared, batch.len());
-        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_batch(shared, batch, &guard)
-        }));
-        drop(guard);
+        let guard = BatchGuard {
+            shared,
+            members: batch.iter().map(|j| Arc::clone(&j.member)).collect(),
+        };
+        let ran =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_batch(shared, batch)));
         if ran.is_err() {
-            telemetry::counter(names::SERVER_WORKER_PANICS).inc();
+            tally(shared, &guard.members[0], Event::WorkerPanic);
         }
+        drop(guard);
     }
 }
 
@@ -1299,7 +1252,8 @@ fn worker_loop(shared: &Shared) {
 /// plus one promotion credit per `aging_ms` of queue wait.
 fn effective_priority(job: &Job, now: Instant, aging_ms: u64) -> i64 {
     // aging_ms == 0 disables aging (no credit), not instant promotion.
-    let wait_ms = now.saturating_duration_since(job.enqueued_at).as_millis() as u64;
+    let waited = now.saturating_duration_since(job.member.enqueued_at);
+    let wait_ms = waited.as_millis() as u64;
     let credit = wait_ms.checked_div(aging_ms).unwrap_or(0) as i64;
     job.priority as i64 + credit
 }
@@ -1315,7 +1269,7 @@ fn sched_before(a: &Job, b: &Job, now: Instant, aging_ms: u64) -> bool {
     if pa != pb {
         return pa > pb;
     }
-    match (a.cancel.deadline(), b.cancel.deadline()) {
+    match (a.member.cancel.deadline(), b.member.cancel.deadline()) {
         (Some(da), Some(db)) if da != db => da < db,
         (Some(_), None) => true,
         (None, Some(_)) => false,
@@ -1345,7 +1299,7 @@ fn pick_index(queue: &VecDeque<Job>, policy: &SchedPolicy, now: Instant) -> Opti
 /// deadline means fuse freely; an already-expired peer stays queued and
 /// is shed when it is next picked.
 fn fusable(job: &Job, est_scan: Option<Duration>, now: Instant) -> bool {
-    let (Some(deadline), Some(est)) = (job.cancel.deadline(), est_scan) else {
+    let (Some(deadline), Some(est)) = (job.member.cancel.deadline(), est_scan) else {
         return true;
     };
     deadline
@@ -1374,9 +1328,10 @@ fn form_batch(
         // Only jobs sharing the head's epoch scope may fuse: the scope
         // prunes the shared candidate set, so mixing scopes would
         // change peers' answers.
+        let (member, head) = (&job.member, &batch[0].member);
         if batch.len() < fused_batch
-            && job.dataset == batch[0].dataset
-            && job.min_end == batch[0].min_end
+            && member.dataset == head.dataset
+            && member.min_end == head.min_end
             && fusable(&job, est_scan, now)
         {
             batch.push(job);
@@ -1410,97 +1365,24 @@ fn record_scan_estimate(shared: &Shared, dataset: &str, execute: Duration) {
     d.scans.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Registers a batch with the deadline monitor; the returned id
-/// unregisters it.
-fn register_watch(shared: &Shared, members: Vec<Arc<Member>>) -> u64 {
-    let mut mon = shared.monitor.lock().unwrap();
-    mon.next_id += 1;
-    let id = mon.next_id;
-    mon.watches.push(Watch { id, members });
-    shared.monitor_signal.notify_all();
-    id
-}
-
-fn unregister_watch(shared: &Shared, id: u64) {
-    let mut mon = shared.monitor.lock().unwrap();
-    mon.watches.retain(|w| w.id != id);
-}
-
-/// Deadline monitor body: while any batch is in flight, poll its
-/// members' own tokens every [`SchedPolicy::poll_interval`]. A member
-/// whose deadline trips (or that is cancelled) mid-batch is answered
-/// immediately — not when the worker next looks at it. The search holds
-/// the same tokens, so it stops working for that member (and stops
-/// altogether once no member is live) on its own. Sleeps on the condvar
-/// whenever nothing is in flight.
-fn monitor_loop(shared: &Shared) {
-    let mut mon = shared.monitor.lock().unwrap();
-    loop {
-        if mon.stop {
-            return;
-        }
-        if mon.watches.is_empty() {
-            mon = shared.monitor_signal.wait(mon).unwrap();
-            continue;
-        }
-        mon = shared
-            .monitor_signal
-            .wait_timeout(mon, shared.policy.poll_interval)
-            .unwrap()
-            .0;
-        if mon.stop {
-            return;
-        }
-        for member in mon.watches.iter().flat_map(|w| &w.members) {
-            if let Err(reason) = member.cancel.check() {
-                finish_err(shared, member, reason.into());
-            }
-        }
-    }
-}
-
 /// Restores `in_flight` and answers unanswered members when a batch
 /// ends — normally or by panic. Created before `run_batch`, dropped
 /// after `catch_unwind` resolves.
 struct BatchGuard<'a> {
     shared: &'a Shared,
-    n: usize,
-    members: Mutex<Vec<Arc<Member>>>,
-    watch: Mutex<Option<u64>>,
-}
-
-impl<'a> BatchGuard<'a> {
-    fn new(shared: &'a Shared, n: usize) -> Self {
-        BatchGuard {
-            shared,
-            n,
-            members: Mutex::new(Vec::new()),
-            watch: Mutex::new(None),
-        }
-    }
-
-    fn register_members(&self, members: Vec<Arc<Member>>) {
-        *self.members.lock().unwrap() = members;
-    }
-
-    fn set_watch(&self, id: u64) {
-        *self.watch.lock().unwrap() = Some(id);
-    }
+    members: Vec<Arc<Member>>,
 }
 
 impl Drop for BatchGuard<'_> {
     fn drop(&mut self) {
-        if let Some(id) = self.watch.lock().unwrap().take() {
-            unregister_watch(self.shared, id);
-        }
         // Restore the count *before* answering: a waiter woken by its
         // answer must already observe the batch gone from `in_flight`.
         {
             let mut st = self.shared.state.lock().unwrap();
-            st.in_flight -= self.n;
+            st.in_flight -= self.members.len();
             telemetry::gauge(names::SERVER_IN_FLIGHT).set(st.in_flight as f64);
         }
-        for member in self.members.lock().unwrap().iter() {
+        for member in &self.members {
             // No-op for members the batch answered; a panic's survivors
             // get `WorkerLost` (a `Failed` outcome) instead of hanging.
             finish_err(self.shared, member, EngineError::WorkerLost);
@@ -1511,33 +1393,31 @@ impl Drop for BatchGuard<'_> {
 /// The executor: runs one same-dataset batch as one
 /// [`Matcher::search_stored`] call — store or no store, one member or
 /// many — and answers every member.
-fn run_batch(shared: &Shared, batch: Vec<Job>, guard: &BatchGuard) {
-    // Register every member with the guard before any fallible work:
-    // a panic anywhere below still answers them all.
-    let pairs: Vec<(Clip, Arc<Member>)> = batch.into_iter().map(Job::into_pair).collect();
-    guard.register_members(pairs.iter().map(|(_, m)| Arc::clone(m)).collect());
-
+fn run_batch(shared: &Shared, batch: Vec<Job>) {
+    // What a batch shares is read off its head: `form_batch` only fuses
+    // members of one dataset and one epoch scope.
+    let head = Arc::clone(&batch[0].member);
+    let dataset = &head.dataset;
     // Test-only fault injection (debug builds): panic mid-batch when the
     // dataset matches, exercising the guard's unwind path.
     #[cfg(debug_assertions)]
     if let Ok(target) = std::env::var("SKETCHQL_TEST_PANIC_DATASET") {
-        if !target.is_empty() && pairs.first().is_some_and(|(_, m)| m.dataset == target) {
+        if !target.is_empty() && *dataset == target {
             panic!("test-injected worker panic for dataset {target:?}");
         }
     }
 
-    // Queue-expiry check: answer members whose token already tripped
-    // without running them.
-    let mut live: Vec<LiveMember> = Vec::with_capacity(pairs.len());
-    for (query, member) in pairs {
+    // Queue-expiry check: a member whose token already tripped never
+    // runs (its waiter has usually answered it by now; the claim makes
+    // the answer here a no-op then).
+    let mut live: Vec<(Job, Duration)> = Vec::with_capacity(batch.len());
+    for job in batch {
+        let member = &job.member;
         let wait = member.enqueued_at.elapsed();
-        telemetry::histogram(names::SERVER_QUEUE_WAIT_MS, LATENCY_MS_BOUNDS)
-            .observe(wait.as_secs_f64() * 1e3);
-        telemetry::histogram(
-            &names::server_class_metric(&member.class, "queue_wait_ms"),
-            LATENCY_MS_BOUNDS,
-        )
-        .observe(wait.as_secs_f64() * 1e3);
+        let wait_ms = wait.as_secs_f64() * 1e3;
+        telemetry::histogram(names::SERVER_QUEUE_WAIT_MS, LATENCY_MS_BOUNDS).observe(wait_ms);
+        let class_counters = shared.class_counters(&member.class);
+        class_counters.queue_wait_ms.observe(wait_ms);
         // The queue wait happened between threads, outside any RAII
         // scope — record it straight into the trace.
         member.trace.record_span(
@@ -1547,55 +1427,47 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, guard: &BatchGuard) {
             wait.as_nanos() as u64,
         );
         match member.cancel.check() {
-            Ok(()) => live.push((query, member, wait)),
+            Ok(()) => live.push((job, wait)),
             Err(reason) => {
                 if reason == CancelReason::DeadlineExceeded {
-                    telemetry::counter(names::SERVER_SHED_DEADLINE_QUEUE).inc();
+                    tally(shared, member, Event::ExpiredInQueue);
                 }
-                finish_err(shared, &member, reason.into());
+                finish_err(shared, member, reason.into());
             }
         }
     }
     if live.is_empty() {
         return;
     }
-    let dataset = live[0].1.dataset.clone();
     // One snapshot for the whole batch: a reload committing mid-scan
     // swaps the engine's view, not this batch's.
     let data = shared.data();
     let index = data
         .datasets
-        .get(&dataset)
+        .get(dataset)
         .expect("dataset validated at submit")
         .as_ref();
-
-    let store = data.stores.get(&dataset).map(Arc::as_ref);
+    let store = data.stores.get(dataset).map(Arc::as_ref);
 
     let batch_size = live.len();
     telemetry::histogram(names::SERVER_FUSED_BATCH, BATCH_BOUNDS).observe(batch_size as f64);
-    for (_, member, _) in &live {
-        member.trace.set_batch_size(batch_size);
+    for (job, _) in &live {
+        job.member.trace.set_batch_size(batch_size);
     }
     // Enter every member's trace: the shared work's spans (probe, embed,
     // scan, rank) are delivered to each member, so every fused query
     // still carries a complete span tree of the work done on its behalf.
-    let trace_guards: Vec<_> = live.iter().map(|(_, m, _)| m.trace.enter()).collect();
+    let trace_guards: Vec<_> = live.iter().map(|(j, _)| j.member.trace.enter()).collect();
     let exec_span = telemetry::span(names::SERVER_EXECUTE);
     let fusion_span = (batch_size > 1).then(|| telemetry::span(names::SERVER_FUSION));
-    // While the search runs, the deadline monitor answers any member
-    // whose own token trips; the guard unregisters the watch.
-    guard.set_watch(register_watch(
-        shared,
-        live.iter().map(|(_, m, _)| Arc::clone(m)).collect(),
-    ));
     let started = Instant::now();
-    let queries: Vec<(&Clip, &CancelToken)> = live.iter().map(|(q, m, _)| (q, &m.cancel)).collect();
-    // Batch members all share one epoch scope (form_batch only fuses
-    // equal scopes).
-    let min_end = live[0].1.min_end;
+    let queries: Vec<(&Clip, &CancelToken)> = live
+        .iter()
+        .map(|(j, _)| (&j.query, &j.member.cancel))
+        .collect();
     let results = shared
         .matcher
-        .search_stored(index, store, &queries, min_end);
+        .search_stored(index, store, &queries, head.min_end);
     let execute = started.elapsed();
     drop(fusion_span);
     drop(exec_span);
@@ -1605,22 +1477,14 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, guard: &BatchGuard) {
     if results.iter().any(|r| r.is_ok()) {
         // Only searches that ran to completion feed the fusion estimate;
         // aborted ones would bias it low and over-fuse.
-        record_scan_estimate(shared, &dataset, execute);
+        record_scan_estimate(shared, dataset, execute);
     }
-    for ((_, member, wait), result) in live.into_iter().zip(results) {
-        observe_deadline_margin(&member);
+    for ((job, wait), result) in live.into_iter().zip(results) {
+        let member = &job.member;
+        observe_deadline_margin(member);
         match result {
-            Ok(search) => {
-                let c = &shared.counters;
-                if search.from_store {
-                    c.store_hits.fetch_add(1, Ordering::Relaxed);
-                    c.store_probed.fetch_add(search.probed, Ordering::Relaxed);
-                } else if search.fallback {
-                    c.store_fallbacks.fetch_add(1, Ordering::Relaxed);
-                }
-                finish_ok(shared, &member, search.moments, wait, execute, batch_size);
-            }
-            Err(e) => finish_err(shared, &member, e.into()),
+            Ok(search) => finish_ok(shared, member, search, wait, execute, batch_size),
+            Err(e) => finish_err(shared, member, e.into()),
         }
     }
 }
@@ -1632,21 +1496,19 @@ fn observe_deadline_margin(member: &Member) {
         return;
     };
     let now = Instant::now();
-    let margin_ms = if deadline >= now {
-        deadline.duration_since(now).as_secs_f64() * 1e3
-    } else {
-        -(now.duration_since(deadline).as_secs_f64() * 1e3)
-    };
+    // One of the two differences saturates to zero.
+    let margin = deadline.saturating_duration_since(now).as_secs_f64()
+        - now.saturating_duration_since(deadline).as_secs_f64();
     telemetry::histogram(names::SERVER_DEADLINE_MARGIN_MS, DEADLINE_MARGIN_MS_BOUNDS)
-        .observe(margin_ms);
+        .observe(margin * 1e3);
 }
 
-/// Answers `member` successfully — unless someone (the deadline
-/// monitor) already answered it, in which case this is a no-op.
+/// Answers `member` successfully — unless its waiter already answered
+/// it (its token tripped mid-scan), in which case this is a no-op.
 fn finish_ok(
     shared: &Shared,
     member: &Member,
-    mut moments: Vec<RetrievedMoment>,
+    search: StoreSearch,
     queue_wait: Duration,
     execute: Duration,
     batch_size: usize,
@@ -1654,20 +1516,11 @@ fn finish_ok(
     if !member.claim() {
         return;
     }
+    tally(shared, member, Event::Completed(&search));
+    let mut moments = search.moments;
     if let Some(k) = member.top_k {
         moments.truncate(k);
     }
-    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-    telemetry::counter(names::SERVER_COMPLETED).inc();
-    shared
-        .dataset_counters(&member.dataset)
-        .completed
-        .fetch_add(1, Ordering::Relaxed);
-    shared
-        .class_counters(&member.class)
-        .completed
-        .fetch_add(1, Ordering::Relaxed);
-    telemetry::counter(&names::server_class_metric(&member.class, "completed")).inc();
     let _ = member.tx.send(Ok(QueryResult {
         moments,
         queue_wait,
@@ -1677,44 +1530,107 @@ fn finish_ok(
     }));
 }
 
-/// Answers `member` with `err`, stamps the trace's outcome, and bumps
-/// the matching failure counter. No-op if already answered; safe to
-/// call from the worker, the deadline monitor, or the batch guard.
+/// Answers `member` with `err`. No-op if already answered; safe to call
+/// from the worker, the member's waiter, or the batch guard.
 fn finish_err(shared: &Shared, member: &Member, err: EngineError) {
     if !member.claim() {
         return;
     }
-    let per_dataset = shared.dataset_counters(&member.dataset);
-    match &err {
-        EngineError::DeadlineExceeded => {
-            shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-            per_dataset.timed_out.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter(names::SERVER_TIMED_OUT).inc();
-            member.trace.set_outcome(TraceOutcome::DeadlineExceeded);
-        }
-        EngineError::Cancelled => {
-            shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-            per_dataset.failed.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter(names::SERVER_FAILED).inc();
-            telemetry::counter(names::SERVER_SHED_CANCELLED).inc();
-            member.trace.set_outcome(TraceOutcome::Cancelled);
-        }
-        EngineError::ShuttingDown => {
-            // A query drained at shutdown after admission.
-            shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-            per_dataset.failed.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter(names::SERVER_FAILED).inc();
-            telemetry::counter(names::SERVER_SHED_SHUTDOWN).inc();
-            member.trace.set_outcome(TraceOutcome::Shed);
-        }
-        _ => {
-            shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-            per_dataset.failed.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter(names::SERVER_FAILED).inc();
-            member.trace.set_outcome(TraceOutcome::Failed);
-        }
-    }
+    tally(shared, member, Event::Answered(&err));
     let _ = member.tx.send(Err(err));
+}
+
+/// A traffic event in the life of one query, as [`tally`] counts it.
+enum Event<'a> {
+    /// Passed admission and was queued.
+    Accepted,
+    /// Refused at admission with this error (shutdown, queue full, class
+    /// quota, class rate limit); never queued.
+    Shed(&'a EngineError),
+    /// Left the queue with its deadline already passed; never ran
+    /// (counted beside the claim winner's `Answered(DeadlineExceeded)`).
+    ExpiredInQueue,
+    /// Answered successfully by this search.
+    Completed(&'a StoreSearch),
+    /// Answered with this error after admission.
+    Answered(&'a EngineError),
+    /// The worker running this member's batch panicked (once a batch).
+    WorkerPanic,
+}
+
+/// The one place a traffic event is counted: the only code that touches
+/// the engine's atomics, the `sketchql.server.*` counters and
+/// `trace.set_outcome`. Callers that answer a member hold its claim, so
+/// each query is counted once per event however many parties raced.
+fn tally(shared: &Shared, member: &Member, event: Event) {
+    let c = &shared.counters;
+    let dataset = shared.dataset_counters(&member.dataset);
+    let class = shared.class_counters(&member.class);
+    let bump = |slot: &AtomicU64| {
+        slot.fetch_add(1, Ordering::Relaxed);
+    };
+    let count = |name: &str| telemetry::counter(name).inc();
+    match event {
+        Event::Accepted => {
+            bump(&c.accepted);
+            count(names::SERVER_ACCEPTED);
+        }
+        Event::Shed(err) => {
+            bump(&dataset.shed);
+            member.trace.set_outcome(TraceOutcome::Shed);
+            if let EngineError::RateLimited { .. } = err {
+                bump(&class.rate_limited);
+                class.rate_limited_metric.inc();
+                return count(names::SERVER_SHED_RATE_LIMITED);
+            }
+            bump(&class.shed);
+            class.shed_metric.inc();
+            // `Overloaded` is the global queue bound or the class's
+            // quota; the only other refusal is shutdown.
+            if let EngineError::Overloaded { .. } = err {
+                bump(&c.rejected);
+                count(names::SERVER_REJECTED_OVERLOAD);
+                count(names::SERVER_SHED_QUEUE_FULL);
+            } else {
+                count(names::SERVER_SHED_SHUTDOWN);
+            }
+        }
+        Event::ExpiredInQueue => count(names::SERVER_SHED_DEADLINE_QUEUE),
+        Event::Completed(search) => {
+            bump(&dataset.completed);
+            bump(&class.completed);
+            class.completed_metric.inc();
+            count(names::SERVER_COMPLETED);
+            if search.from_store {
+                bump(&c.store_hits);
+                c.store_probed.fetch_add(search.probed, Ordering::Relaxed);
+            } else if search.fallback {
+                bump(&c.store_fallbacks);
+            }
+        }
+        Event::Answered(err) => {
+            let (slot, total) = match err {
+                EngineError::DeadlineExceeded => (&dataset.timed_out, names::SERVER_TIMED_OUT),
+                _ => (&dataset.failed, names::SERVER_FAILED),
+            };
+            bump(slot);
+            count(total);
+            member.trace.set_outcome(match err {
+                EngineError::DeadlineExceeded => TraceOutcome::DeadlineExceeded,
+                EngineError::Cancelled => {
+                    count(names::SERVER_SHED_CANCELLED);
+                    TraceOutcome::Cancelled
+                }
+                // A query drained at shutdown after admission.
+                EngineError::ShuttingDown => {
+                    count(names::SERVER_SHED_SHUTDOWN);
+                    TraceOutcome::Shed
+                }
+                _ => TraceOutcome::Failed,
+            });
+        }
+        Event::WorkerPanic => count(names::SERVER_WORKER_PANICS),
+    }
 }
 
 #[cfg(test)]
@@ -1730,18 +1646,27 @@ mod sched_tests {
         // executed or answered.
         let (tx, _) = mpsc::channel();
         Job {
-            dataset: dataset.to_string(),
-            class: DEFAULT_CLASS.to_string(),
             priority,
             seq,
             query: Clip::new(640.0, 480.0, Vec::new()),
-            top_k: None,
-            min_end: None,
-            cancel,
-            enqueued_at: Instant::now(),
-            trace: TraceContext::new(),
-            tx,
+            member: Arc::new(Member {
+                dataset: dataset.to_string(),
+                class: DEFAULT_CLASS.to_string(),
+                top_k: None,
+                min_end: None,
+                cancel,
+                enqueued_at: Instant::now(),
+                trace: TraceContext::new(),
+                tx,
+                claimed: AtomicBool::new(false),
+            }),
         }
+    }
+
+    /// The freshly built (unshared) member of `job`, for tests that
+    /// adjust a field the builder has no parameter for.
+    fn member_mut(job: &mut Job) -> &mut Member {
+        Arc::get_mut(&mut job.member).expect("unshared")
     }
 
     #[test]
@@ -1782,7 +1707,7 @@ mod sched_tests {
             ..Default::default()
         };
         let mut old = job("a", 0, 1, None);
-        old.enqueued_at = Instant::now() - Duration::from_millis(200);
+        member_mut(&mut old).enqueued_at = Instant::now() - Duration::from_millis(200);
         let queue: VecDeque<Job> = [job("a", 5, 2, None), old].into();
         // 200ms / 10ms = +20 credit beats base priority 5.
         assert_eq!(pick_index(&queue, &policy, Instant::now()), Some(1));
@@ -1838,13 +1763,13 @@ mod sched_tests {
     #[test]
     fn scoped_jobs_only_fuse_with_equal_scopes() {
         let mut j2 = job("a", 0, 2, None);
-        j2.min_end = Some(100);
+        member_mut(&mut j2).min_end = Some(100);
         let mut j3 = job("a", 0, 3, None);
-        j3.min_end = Some(200);
+        member_mut(&mut j3).min_end = Some(200);
         let j4 = job("a", 0, 4, None);
         let mut queue: VecDeque<Job> = [j2, j3, j4].into();
         let mut head = job("a", 0, 1, None);
-        head.min_end = Some(100);
+        member_mut(&mut head).min_end = Some(100);
         let batch = form_batch(&mut queue, head, 8, None, Instant::now());
         assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(

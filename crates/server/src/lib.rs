@@ -53,9 +53,7 @@ pub mod protocol;
 pub mod scrape;
 pub mod server;
 
-pub use client::{
-    Client, ClientError, LiveFeed, ProfileOutcome, QueryOptions, QueryOutcome, Registered,
-};
+pub use client::{Client, ClientError, QueryOptions};
 pub use engine::{
     ClassConfig, ClassStats, DatasetInfo, DatasetTraffic, Engine, EngineConfig, EngineError,
     EngineStats, QueryHandle, QueryResult, QuerySpec, SchedPolicy, DEFAULT_CLASS,
@@ -64,6 +62,9 @@ pub use live::{
     LiveMatch, LiveNotifications, LivePoller, LiveRegistration, LiveReload, LIVE_CLASS,
     NOTIFY_QUEUE_CAP,
 };
-pub use protocol::{ErrorKind, Request, Response, WireSpan, WireTrace, PROTOCOL_VERSION};
+pub use protocol::{
+    ErrorKind, ProfileOutcome, QueryOutcome, Registered, Request, Response, WireSpan, WireTrace,
+    PROTOCOL_VERSION,
+};
 pub use scrape::MetricsListener;
 pub use server::{named_datasets, Server, MAX_REQUEST_BYTES};

@@ -74,8 +74,11 @@ pub struct LiveMatch {
     pub epoch: u64,
 }
 
-/// A drained batch of notifications for one registration.
-#[derive(Debug, Clone, PartialEq)]
+/// A drained batch of notifications for one registration — what
+/// [`Engine::notifications`](crate::Engine::notifications) returns, what
+/// [`Response::Notifications`](crate::Response) carries and what
+/// [`Client::notifications`](crate::Client::notifications) hands back.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LiveNotifications {
     /// The registration polled.
     pub registration_id: u64,
@@ -188,25 +191,11 @@ impl LivePoller {
     }
 }
 
-/// One evaluation the registry owes: registration `id` has only been
-/// evaluated through `watermark` on a dataset that has since grown.
-pub(crate) struct DueEval {
-    pub id: u64,
-    pub dataset: String,
-    pub query: Clip,
-    pub top_k: Option<usize>,
-    pub watermark: u32,
-}
-
+/// One live registration: the half `save` writes, plus its queue.
 struct RegEntry {
-    dataset: String,
-    query: Clip,
-    min_score: Option<f32>,
-    top_k: Option<usize>,
-    watermark: u32,
-    epoch: u64,
+    saved: SavedRegistration,
+    /// Delivery state, not history: a restart starts it empty.
     queue: VecDeque<LiveMatch>,
-    dropped: u64,
 }
 
 struct RegistryState {
@@ -214,21 +203,23 @@ struct RegistryState {
     regs: BTreeMap<u64, RegEntry>,
 }
 
-/// Durable mirror of one registration (queues are delivery state and
-/// deliberately not persisted).
+/// The durable half of one registration (queues are delivery state and
+/// deliberately not persisted). `watermark` is how far it has been
+/// evaluated; a copy handed out by [`LiveRegistry::due`] is one
+/// evaluation the registry owes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct SavedRegistration {
-    id: u64,
-    dataset: String,
-    query: Clip,
+pub(crate) struct SavedRegistration {
+    pub id: u64,
+    pub dataset: String,
+    pub query: Clip,
     min_score: Option<f32>,
-    top_k: Option<usize>,
-    watermark: u32,
+    pub top_k: Option<usize>,
+    pub watermark: u32,
     epoch: u64,
     dropped: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct SavedRegistry {
     next_id: u64,
     registrations: Vec<SavedRegistration>,
@@ -253,32 +244,19 @@ impl LiveRegistry {
             regs: BTreeMap::new(),
         };
         if let Some(p) = &path {
-            match std::fs::read_to_string(p) {
-                Ok(text) => match serde_json::from_str::<SavedRegistry>(&text) {
-                    Ok(saved) => {
-                        state.next_id = saved.next_id;
-                        for r in saved.registrations {
-                            state.regs.insert(
-                                r.id,
-                                RegEntry {
-                                    dataset: r.dataset,
-                                    query: r.query,
-                                    min_score: r.min_score,
-                                    top_k: r.top_k,
-                                    watermark: r.watermark,
-                                    epoch: r.epoch,
-                                    queue: VecDeque::new(),
-                                    dropped: r.dropped,
-                                },
-                            );
-                        }
+            let restored = match std::fs::read_to_string(p) {
+                Ok(text) => serde_json::from_str::<SavedRegistry>(&text).map_err(|e| e.to_string()),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(SavedRegistry::default()),
+                Err(e) => Err(e.to_string()),
+            };
+            match restored {
+                Ok(saved) => {
+                    state.next_id = saved.next_id;
+                    for saved in saved.registrations {
+                        let queue = VecDeque::new();
+                        state.regs.insert(saved.id, RegEntry { saved, queue });
                     }
-                    Err(e) => eprintln!(
-                        "live registry {} unreadable, starting empty: {e}",
-                        p.display()
-                    ),
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                }
                 Err(e) => eprintln!(
                     "live registry {} unreadable, starting empty: {e}",
                     p.display()
@@ -305,19 +283,18 @@ impl LiveRegistry {
         let mut st = self.state.lock().unwrap();
         st.next_id += 1;
         let id = st.next_id;
-        st.regs.insert(
+        let saved = SavedRegistration {
             id,
-            RegEntry {
-                dataset,
-                query,
-                min_score,
-                top_k,
-                watermark,
-                epoch,
-                queue: VecDeque::new(),
-                dropped: 0,
-            },
-        );
+            dataset,
+            query,
+            min_score,
+            top_k,
+            watermark,
+            epoch,
+            dropped: 0,
+        };
+        let queue = VecDeque::new();
+        st.regs.insert(id, RegEntry { saved, queue });
         LiveRegistration { id, watermark }
     }
 
@@ -340,9 +317,9 @@ impl LiveRegistry {
         let matches: Vec<LiveMatch> = e.queue.drain(..n).collect();
         Some(LiveNotifications {
             registration_id: id,
-            epoch: e.epoch,
-            watermark: e.watermark,
-            dropped: e.dropped,
+            epoch: e.saved.epoch,
+            watermark: e.saved.watermark,
+            dropped: e.saved.dropped,
             matches,
         })
     }
@@ -353,23 +330,14 @@ impl LiveRegistry {
         &self,
         only: Option<&str>,
         frames_of: F,
-    ) -> Vec<DueEval> {
+    ) -> Vec<SavedRegistration> {
         let st = self.state.lock().unwrap();
         st.regs
-            .iter()
-            .filter_map(|(id, e)| {
-                if only.is_some_and(|d| d != e.dataset) {
-                    return None;
-                }
-                let frames = frames_of(&e.dataset)?;
-                (e.watermark < frames).then(|| DueEval {
-                    id: *id,
-                    dataset: e.dataset.clone(),
-                    query: e.query.clone(),
-                    top_k: e.top_k,
-                    watermark: e.watermark,
-                })
-            })
+            .values()
+            .map(|e| &e.saved)
+            .filter(|r| only.is_none_or(|d| d == r.dataset))
+            .filter(|r| frames_of(&r.dataset).is_some_and(|frames| r.watermark < frames))
+            .cloned()
             .collect()
     }
 
@@ -388,7 +356,7 @@ impl LiveRegistry {
         moments: Vec<RetrievedMoment>,
     ) -> usize {
         let mut st = self.state.lock().unwrap();
-        let Some(e) = st.regs.get_mut(&id) else {
+        let Some(RegEntry { saved: e, queue }) = st.regs.get_mut(&id) else {
             return 0;
         };
         if e.watermark != expect_watermark {
@@ -399,12 +367,12 @@ impl LiveRegistry {
             if e.min_score.is_some_and(|s| m.score < s) {
                 continue;
             }
-            if e.queue.len() >= NOTIFY_QUEUE_CAP {
-                e.queue.pop_front();
+            if queue.len() >= NOTIFY_QUEUE_CAP {
+                queue.pop_front();
                 e.dropped += 1;
                 telemetry::counter(names::LIVE_DROPPED).inc();
             }
-            e.queue.push_back(LiveMatch {
+            queue.push_back(LiveMatch {
                 start: m.start,
                 end: m.end,
                 score: m.score,
@@ -427,20 +395,7 @@ impl LiveRegistry {
             let st = self.state.lock().unwrap();
             SavedRegistry {
                 next_id: st.next_id,
-                registrations: st
-                    .regs
-                    .iter()
-                    .map(|(id, e)| SavedRegistration {
-                        id: *id,
-                        dataset: e.dataset.clone(),
-                        query: e.query.clone(),
-                        min_score: e.min_score,
-                        top_k: e.top_k,
-                        watermark: e.watermark,
-                        epoch: e.epoch,
-                        dropped: e.dropped,
-                    })
-                    .collect(),
+                registrations: st.regs.values().map(|e| e.saved.clone()).collect(),
             }
         };
         let json = match serde_json::to_string(&saved) {
@@ -492,6 +447,12 @@ mod tests {
             reg.complete(a.id, 900, 1200, 3, vec![moment(950, 1000, 0.9)]);
             reg.save();
         }
+        // Golden bytes: the file a previous build wrote (captured before
+        // `RegEntry` wrapped `SavedRegistration`) is what this one writes.
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            r#"{"next_id":2,"registrations":[{"id":1,"dataset":"traffic","query":{"frame_width":640,"frame_height":480,"objects":[]},"min_score":0.5,"top_k":3,"watermark":1200,"epoch":3,"dropped":0},{"id":2,"dataset":"plaza","query":{"frame_width":640,"frame_height":480,"objects":[]},"min_score":null,"top_k":null,"watermark":300,"epoch":0,"dropped":0}]}"#
+        );
         let reg = LiveRegistry::new(Some(path.clone()));
         assert_eq!(reg.count(), 2);
         // Watermarks survive; queued-but-unpolled matches deliberately

@@ -18,6 +18,11 @@
 //! Both directions use the derived (de)serializers: a request carries
 //! every field of its variant (absent options are `null`; a missing
 //! field is a parse error naming it), and unknown fields are ignored.
+//! A reply with a body of its own is one struct from the server to
+//! the client's caller: `Moments`, `Profile`, `Registered` and
+//! `Notifications` are newtype variants, and a one-field tuple variant
+//! serializes as `{"Tag": <inner>}` — the bytes of a struct variant
+//! with the inner struct's fields.
 //! A request the server cannot parse is answered with
 //! [`Response::Error`] of kind [`ErrorKind::BadRequest`] — the
 //! connection stays usable.
@@ -37,7 +42,8 @@ use serde::{Deserialize, Serialize};
 use sketchql::RetrievedMoment;
 use sketchql_trajectory::Clip;
 
-use crate::engine::{DatasetInfo, EngineError, EngineStats};
+use crate::engine::{DatasetInfo, EngineError, EngineStats, QueryResult};
+use crate::live::LiveNotifications;
 
 /// Bumped on incompatible wire changes; echoed by [`Response::Pong`].
 /// Compatibility is kept with the current and the previous version
@@ -202,6 +208,60 @@ impl WireTrace {
     }
 }
 
+/// A successful query, as [`Response::Moments`] carries it and
+/// [`Client`](crate::Client) hands it to its caller.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct QueryOutcome {
+    /// Retrieved moments, best first.
+    pub moments: Vec<RetrievedMoment>,
+    /// Milliseconds the query waited for a worker.
+    pub queue_wait_ms: u64,
+    /// Milliseconds the (possibly fused) scan took.
+    pub execute_ms: u64,
+    /// Queries that shared the scan (1 = ran alone).
+    pub batch_size: usize,
+    /// The trace id the query ran under (the client-minted id if it sent
+    /// one, echoed by the server); fetch the span tree with
+    /// [`Request::Trace`] / [`Client::trace`](crate::Client::trace).
+    pub trace_id: u64,
+}
+
+impl From<QueryResult> for QueryOutcome {
+    fn from(r: QueryResult) -> Self {
+        QueryOutcome {
+            moments: r.moments,
+            queue_wait_ms: r.queue_wait.as_millis() as u64,
+            execute_ms: r.execute.as_millis() as u64,
+            batch_size: r.batch_size,
+            trace_id: r.trace.id(),
+        }
+    }
+}
+
+/// A server CPU profile, as [`Response::Profile`] carries it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ProfileOutcome {
+    /// Folded stacks, one `thread;span;...;span count` line each —
+    /// feed directly to `flamegraph.pl` / `inferno-flamegraph`. Empty
+    /// when the continuous profiler is off and a snapshot was requested.
+    pub folded: String,
+    /// Total per-thread samples behind the profile.
+    pub samples: u64,
+    /// Wall milliseconds the profile covers.
+    pub duration_ms: u64,
+}
+
+/// A standing-query registration, as [`Response::Registered`] carries it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Registered {
+    /// Handle for `Unregister` / `Notifications`.
+    pub registration_id: u64,
+    /// Frame the standing query starts watching from: frames already
+    /// ingested are *not* re-reported, only epochs appended after this
+    /// point produce notifications.
+    pub watermark: u32,
+}
+
 /// A server response: one JSON value per line, matching request order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Response {
@@ -221,19 +281,7 @@ pub enum Response {
         stats: EngineStats,
     },
     /// Successful answer to [`Request::Query`].
-    Moments {
-        /// Retrieved moments, best first.
-        moments: Vec<RetrievedMoment>,
-        /// Milliseconds the query waited for a worker.
-        queue_wait_ms: u64,
-        /// Milliseconds the (possibly fused) scan took.
-        execute_ms: u64,
-        /// Queries that shared the scan (1 = ran alone).
-        batch_size: usize,
-        /// The trace id the query ran under (the client's id if it sent
-        /// one); fetchable via [`Request::Trace`].
-        trace_id: u64,
-    },
+    Moments(QueryOutcome),
     /// Answer to [`Request::Trace`].
     Traces {
         /// Matching traces, newest first.
@@ -245,45 +293,17 @@ pub enum Response {
         prometheus: String,
     },
     /// Answer to [`Request::Profile`].
-    Profile {
-        /// Folded stacks, one `thread;span;...;span count` line each —
-        /// flamegraph-compatible. Empty when the continuous profiler
-        /// is off and a snapshot was requested.
-        folded: String,
-        /// Total per-thread samples behind the profile.
-        samples: u64,
-        /// Wall milliseconds the profile covers.
-        duration_ms: u64,
-    },
+    Profile(ProfileOutcome),
     /// Answer to [`Request::Register`].
-    Registered {
-        /// Handle for `Unregister`/`Notifications`.
-        registration_id: u64,
-        /// Frame the standing query starts watching from: frames
-        /// already ingested are *not* re-reported, only epochs appended
-        /// after this point are.
-        watermark: u32,
-    },
+    Registered(Registered),
     /// Answer to [`Request::Unregister`].
     Unregistered {
         /// The id that was removed.
         registration_id: u64,
     },
-    /// Answer to [`Request::Notifications`].
-    Notifications {
-        /// The standing query drained.
-        registration_id: u64,
-        /// Latest ingest epoch the query has been evaluated against.
-        epoch: u64,
-        /// Frames evaluated through (exclusive end of the last window
-        /// range examined).
-        watermark: u32,
-        /// Matches shed because the queue overflowed, cumulative since
-        /// registration.
-        dropped: u64,
-        /// Queued matches, oldest first; drained (at-most-once).
-        matches: Vec<crate::live::LiveMatch>,
-    },
+    /// Answer to [`Request::Notifications`]: one drain of the standing
+    /// query's queue (at-most-once delivery).
+    Notifications(LiveNotifications),
     /// Answer to [`Request::Shutdown`]; the server stops accepting work.
     ShutdownAck,
     /// Any request that could not be served.
@@ -403,9 +423,74 @@ mod tests {
         }
     }
 
+    /// The four replies that are one struct end to end, each beside the
+    /// exact line the struct-variant `Response` of the previous commit
+    /// (fields spelled out in the enum) put on the wire for it.
+    fn body_replies() -> Vec<(Response, &'static str)> {
+        vec![
+            (
+                Response::Moments(QueryOutcome {
+                    moments: vec![RetrievedMoment {
+                        start: 10,
+                        end: 90,
+                        score: 0.625,
+                        track_ids: vec![3],
+                    }],
+                    queue_wait_ms: 0,
+                    execute_ms: 41,
+                    batch_size: 2,
+                    trace_id: 0x00ab_cdef_0123,
+                }),
+                r#"{"Moments":{"moments":[{"start":10,"end":90,"score":0.625,"track_ids":[3]}],"queue_wait_ms":0,"execute_ms":41,"batch_size":2,"trace_id":737894400291}}"#,
+            ),
+            (
+                Response::Profile(ProfileOutcome {
+                    folded: "worker-0;sketchql.server.execute;sketchql.matcher.scan 41\n".into(),
+                    samples: 120,
+                    duration_ms: 2_000,
+                }),
+                r#"{"Profile":{"folded":"worker-0;sketchql.server.execute;sketchql.matcher.scan 41\n","samples":120,"duration_ms":2000}}"#,
+            ),
+            (
+                Response::Registered(Registered {
+                    registration_id: 3,
+                    watermark: 900,
+                }),
+                r#"{"Registered":{"registration_id":3,"watermark":900}}"#,
+            ),
+            (
+                Response::Notifications(LiveNotifications {
+                    registration_id: 3,
+                    epoch: 2,
+                    watermark: 1100,
+                    dropped: 1,
+                    matches: vec![crate::live::LiveMatch {
+                        start: 930,
+                        end: 1010,
+                        score: 0.75,
+                        track_ids: vec![4, 9],
+                        epoch: 2,
+                    }],
+                }),
+                r#"{"Notifications":{"registration_id":3,"epoch":2,"watermark":1100,"dropped":1,"matches":[{"start":930,"end":1010,"score":0.75,"track_ids":[4,9],"epoch":2}]}}"#,
+            ),
+        ]
+    }
+
+    /// Golden lines: the newtype variants serialize to, and parse from,
+    /// byte-for-byte what the struct variants they replaced did — which
+    /// is why `PROTOCOL_VERSION` did not move.
+    #[test]
+    fn reply_structs_keep_their_wire_bytes() {
+        for (resp, golden) in body_replies() {
+            assert_eq!(serde_json::to_string(&resp).unwrap(), golden);
+            assert_eq!(serde_json::from_str::<Response>(golden).unwrap(), resp);
+        }
+    }
+
     #[test]
     fn responses_round_trip_through_json() {
-        let resps = vec![
+        let mut resps = vec![
             Response::Pong {
                 version: PROTOCOL_VERSION,
             },
@@ -416,18 +501,6 @@ mod tests {
                     tracks: 12,
                     stored: true,
                 }],
-            },
-            Response::Moments {
-                moments: vec![RetrievedMoment {
-                    start: 10,
-                    end: 90,
-                    score: 0.625,
-                    track_ids: vec![3],
-                }],
-                queue_wait_ms: 0,
-                execute_ms: 41,
-                batch_size: 2,
-                trace_id: 0x00ab_cdef_0123,
             },
             Response::Traces {
                 traces: vec![WireTrace {
@@ -450,35 +523,14 @@ mod tests {
             Response::MetricsText {
                 prometheus: "# TYPE x counter\nx 1\n".into(),
             },
-            Response::Profile {
-                folded: "worker-0;sketchql.server.execute;sketchql.matcher.scan 41\n".into(),
-                samples: 120,
-                duration_ms: 2_000,
-            },
-            Response::Registered {
-                registration_id: 3,
-                watermark: 900,
-            },
             Response::Unregistered { registration_id: 3 },
-            Response::Notifications {
-                registration_id: 3,
-                epoch: 2,
-                watermark: 1100,
-                dropped: 1,
-                matches: vec![crate::live::LiveMatch {
-                    start: 930,
-                    end: 1010,
-                    score: 0.75,
-                    track_ids: vec![4, 9],
-                    epoch: 2,
-                }],
-            },
             Response::ShutdownAck,
             Response::Error {
                 kind: ErrorKind::Overloaded,
                 message: "overloaded".into(),
             },
         ];
+        resps.extend(body_replies().into_iter().map(|(resp, _)| resp));
         for resp in resps {
             let line = serde_json::to_string(&resp).unwrap();
             let back: Response = serde_json::from_str(&line).unwrap();

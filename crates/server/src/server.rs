@@ -7,8 +7,8 @@
 //! not socket buffering.
 //!
 //! Shutdown is cooperative. A wire [`Request::Shutdown`] (or
-//! [`Server::request_shutdown`]) flips the running flag and wakes
-//! [`Server::wait_for_shutdown_request`]; the owner then calls
+//! [`Server::request_shutdown`]) raises the server's one shutdown flag
+//! and wakes [`Server::wait_for_shutdown_request`]; the owner then calls
 //! [`Server::shutdown`], which unblocks the accept loop by connecting to
 //! itself, joins the connection threads (they poll the flag on a short
 //! read timeout), and finally drains the engine — every already-admitted
@@ -17,7 +17,6 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -26,9 +25,12 @@ use sketchql_datasets::{query_clip, EventKind};
 use sketchql_telemetry::{self as telemetry, names, TraceContext};
 
 use crate::engine::{Engine, QuerySpec};
-use crate::protocol::{write_line, ErrorKind, Request, Response, WireTrace, PROTOCOL_VERSION};
+use crate::protocol::{
+    write_line, ErrorKind, ProfileOutcome, Registered, Request, Response, WireTrace,
+    PROTOCOL_VERSION,
+};
 
-/// How often an idle connection thread re-checks the running flag.
+/// How often an idle connection thread re-checks the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Longest request line a connection may send. The largest legitimate
@@ -49,12 +51,37 @@ const MAX_PROFILE_SECONDS: u64 = 60;
 /// Sampling rate used when a `Profile` request names none.
 const DEFAULT_PROFILE_HZ: u64 = 97;
 
+/// The server's one shutdown flag: connection threads and the accept
+/// loop poll it, [`Server::wait_for_shutdown_request`] sleeps on it.
+#[derive(Default)]
+struct Shutdown {
+    requested: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Shutdown {
+    fn request(&self) {
+        *self.requested.lock().unwrap() = true;
+        self.wake.notify_all();
+    }
+
+    fn requested(&self) -> bool {
+        *self.requested.lock().unwrap()
+    }
+
+    fn wait(&self) {
+        let mut requested = self.requested.lock().unwrap();
+        while !*requested {
+            requested = self.wake.wait(requested).unwrap();
+        }
+    }
+}
+
 /// A running TCP server wrapping an [`Engine`].
 pub struct Server {
     engine: Arc<Engine>,
     local_addr: SocketAddr,
-    running: Arc<AtomicBool>,
-    shutdown_signal: Arc<(Mutex<bool>, Condvar)>,
+    shutdown: Arc<Shutdown>,
     accept_thread: Option<JoinHandle<()>>,
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -66,32 +93,27 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let engine = Arc::new(engine);
-        let running = Arc::new(AtomicBool::new(true));
-        let shutdown_signal = Arc::new((Mutex::new(false), Condvar::new()));
+        let shutdown = Arc::new(Shutdown::default());
         let connections = Arc::new(Mutex::new(Vec::new()));
 
         let accept_thread = {
             let engine = Arc::clone(&engine);
-            let running = Arc::clone(&running);
-            let shutdown_signal = Arc::clone(&shutdown_signal);
+            let shutdown = Arc::clone(&shutdown);
             let connections = Arc::clone(&connections);
             std::thread::Builder::new()
                 .name("sketchql-accept".into())
                 .spawn(move || {
                     for stream in listener.incoming() {
-                        if !running.load(Ordering::SeqCst) {
+                        if shutdown.requested() {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
                         telemetry::counter(names::SERVER_CONNECTIONS).inc();
                         let engine = Arc::clone(&engine);
-                        let running = Arc::clone(&running);
-                        let shutdown_signal = Arc::clone(&shutdown_signal);
+                        let shutdown = Arc::clone(&shutdown);
                         let handle = std::thread::Builder::new()
                             .name("sketchql-conn".into())
-                            .spawn(move || {
-                                handle_connection(stream, &engine, &running, &shutdown_signal)
-                            });
+                            .spawn(move || handle_connection(stream, &engine, &shutdown));
                         if let Ok(handle) = handle {
                             // Reap on accept, so the list tracks open
                             // connections, not every connection ever made.
@@ -106,8 +128,7 @@ impl Server {
         Ok(Server {
             engine,
             local_addr,
-            running,
-            shutdown_signal,
+            shutdown,
             accept_thread: Some(accept_thread),
             connections,
         })
@@ -134,17 +155,13 @@ impl Server {
     /// [`Server::request_shutdown`]). The caller should then call
     /// [`Server::shutdown`].
     pub fn wait_for_shutdown_request(&self) {
-        let (flag, condvar) = &*self.shutdown_signal;
-        let mut requested = flag.lock().unwrap();
-        while !*requested {
-            requested = condvar.wait(requested).unwrap();
-        }
+        self.shutdown.wait();
     }
 
     /// Requests shutdown from the owning process (equivalent to a wire
     /// [`Request::Shutdown`]).
     pub fn request_shutdown(&self) {
-        signal_shutdown(&self.running, &self.shutdown_signal);
+        self.shutdown.request();
     }
 
     /// Stops accepting, joins every connection thread, and drains the
@@ -152,7 +169,7 @@ impl Server {
     pub fn shutdown(mut self) {
         self.request_shutdown();
         // The accept loop blocks in `accept`; a throwaway connection
-        // wakes it so it can observe the cleared running flag.
+        // wakes it so it can observe the raised flag.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
@@ -165,24 +182,11 @@ impl Server {
     }
 }
 
-/// Flips the running flag and wakes `wait_for_shutdown_request`.
-fn signal_shutdown(running: &AtomicBool, signal: &(Mutex<bool>, Condvar)) {
-    running.store(false, Ordering::SeqCst);
-    let (flag, condvar) = signal;
-    *flag.lock().unwrap() = true;
-    condvar.notify_all();
-}
-
 /// One connection: read request lines, answer each, until EOF,
 /// shutdown, or a line longer than [`MAX_REQUEST_BYTES`]. A read timeout
-/// keeps idle connections responsive to the running flag;
+/// keeps idle connections responsive to the shutdown flag;
 /// partially-read lines survive the timeout because `read_line` appends.
-fn handle_connection(
-    stream: TcpStream,
-    engine: &Engine,
-    running: &AtomicBool,
-    shutdown_signal: &(Mutex<bool>, Condvar),
-) {
+fn handle_connection(stream: TcpStream, engine: &Engine, shutdown: &Shutdown) {
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
@@ -203,21 +207,15 @@ fn handle_connection(
         match reader.by_ref().take(budget).read_line(&mut line) {
             Ok(0) => break,
             Ok(_) if line.len() > MAX_REQUEST_BYTES => {
-                let _ = write_response(
-                    &mut writer,
-                    &Response::Error {
-                        kind: ErrorKind::BadRequest,
-                        message: format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                    },
-                );
+                let message = format!("request exceeds {MAX_REQUEST_BYTES} bytes");
+                let _ = write_response(&mut writer, &error(ErrorKind::BadRequest, message));
                 break;
             }
             Ok(_) => {
                 let trimmed = line.trim();
                 if !trimmed.is_empty() {
                     telemetry::counter(names::SERVER_REQUESTS).inc();
-                    let (response, stop, trace) =
-                        handle_request(trimmed, engine, running, shutdown_signal);
+                    let (response, trace) = handle_request(trimmed, engine, shutdown);
                     // Serialization + write happen inside the query's
                     // trace so the span tree covers the response too;
                     // the trace is then complete and finalized into the
@@ -232,14 +230,16 @@ fn handle_connection(
                     if let Some(trace) = trace {
                         trace.finalize();
                     }
-                    if !write_ok || stop {
+                    // The acknowledged shutdown is the one reply the
+                    // connection closes after.
+                    if !write_ok || matches!(response, Response::ShutdownAck) {
                         break;
                     }
                 }
                 line.clear();
             }
             Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
-                if !running.load(Ordering::SeqCst) {
+                if shutdown.requested() {
                     break;
                 }
             }
@@ -253,74 +253,64 @@ fn write_response(writer: &mut TcpStream, response: &Response) -> bool {
     serde_json::to_string(response).is_ok_and(|json| write_line(writer, json).is_ok())
 }
 
-/// Serves one parsed request line. The bool asks the connection loop to
-/// close after writing the response; the [`TraceContext`] (queries
-/// only) lets the loop time serialization inside the trace before
-/// finalizing it.
+fn error(kind: ErrorKind, message: impl Into<String>) -> Response {
+    Response::Error {
+        kind,
+        message: message.into(),
+    }
+}
+
+/// Serves one parsed request line. The [`TraceContext`] (successful
+/// queries only) lets the connection loop time serialization inside the
+/// trace before finalizing it.
 fn handle_request(
     line: &str,
     engine: &Engine,
-    running: &AtomicBool,
-    shutdown_signal: &(Mutex<bool>, Condvar),
-) -> (Response, bool, Option<TraceContext>) {
+    shutdown: &Shutdown,
+) -> (Response, Option<TraceContext>) {
     let request: Request = match serde_json::from_str(line) {
         Ok(r) => r,
         Err(e) => {
-            return (
-                Response::Error {
-                    kind: ErrorKind::BadRequest,
-                    message: format!("unparseable request: {e}"),
-                },
-                false,
-                None,
-            )
+            let message = format!("unparseable request: {e}");
+            return (error(ErrorKind::BadRequest, message), None);
         }
     };
-    match request {
-        Request::Ping => (
-            Response::Pong {
-                version: PROTOCOL_VERSION,
-            },
-            false,
-            None,
-        ),
-        Request::ListDatasets => (
-            Response::Datasets {
-                datasets: engine.datasets(),
-            },
-            false,
-            None,
-        ),
-        Request::Stats => (
-            Response::Stats {
-                stats: engine.stats(),
-            },
-            false,
-            None,
-        ),
+    // Requests that would start new work are refused once shutdown is
+    // requested; everything else is still answered while draining.
+    let starts_work = matches!(request, Request::Query { .. } | Request::Register { .. });
+    if starts_work && shutdown.requested() {
+        let refused = error(ErrorKind::ShuttingDown, "server is shutting down");
+        return (refused, None);
+    }
+    let unknown_registration = |id: u64| {
+        let message = format!("unknown registration id {id}");
+        error(ErrorKind::BadRequest, message)
+    };
+    let response = match request {
+        Request::Ping => Response::Pong {
+            version: PROTOCOL_VERSION,
+        },
+        Request::ListDatasets => Response::Datasets {
+            datasets: engine.datasets(),
+        },
+        Request::Stats => Response::Stats {
+            stats: engine.stats(),
+        },
         Request::Trace { trace_id, limit } => {
             let recorder = telemetry::flight_recorder();
-            let traces: Vec<WireTrace> = match trace_id {
-                Some(id) => recorder
-                    .find(id)
-                    .iter()
-                    .map(|t| WireTrace::from_query_trace(t))
-                    .collect(),
-                None => recorder
-                    .recent(limit.unwrap_or(DEFAULT_TRACE_LIMIT))
-                    .iter()
-                    .map(|t| WireTrace::from_query_trace(t))
-                    .collect(),
+            let found = match trace_id {
+                Some(id) => recorder.find(id).into_iter().collect(),
+                None => recorder.recent(limit.unwrap_or(DEFAULT_TRACE_LIMIT)),
             };
-            (Response::Traces { traces }, false, None)
+            let traces = found
+                .iter()
+                .map(|t| WireTrace::from_query_trace(t))
+                .collect();
+            Response::Traces { traces }
         }
-        Request::Metrics => (
-            Response::MetricsText {
-                prometheus: telemetry::snapshot_prometheus(),
-            },
-            false,
-            None,
-        ),
+        Request::Metrics => Response::MetricsText {
+            prometheus: telemetry::snapshot_prometheus(),
+        },
         Request::Profile { seconds, hz } => {
             // seconds = 0 (or absent) answers from the continuous
             // profiler's running aggregate without blocking; a positive
@@ -332,15 +322,11 @@ fn handle_request(
                     hz.unwrap_or(DEFAULT_PROFILE_HZ).min(1000) as u32,
                 ),
             };
-            (
-                Response::Profile {
-                    folded: report.folded(),
-                    samples: report.samples,
-                    duration_ms: report.duration_nanos / 1_000_000,
-                },
-                false,
-                None,
-            )
+            Response::Profile(ProfileOutcome {
+                folded: report.folded(),
+                samples: report.samples,
+                duration_ms: report.duration_nanos / 1_000_000,
+            })
         }
         Request::Query {
             dataset,
@@ -352,19 +338,9 @@ fn handle_request(
             class,
             priority,
         } => {
-            if !running.load(Ordering::SeqCst) {
-                return (
-                    Response::Error {
-                        kind: ErrorKind::ShuttingDown,
-                        message: "server is shutting down".into(),
-                    },
-                    false,
-                    None,
-                );
-            }
             let query = match resolve_sketch(clip, event) {
                 Ok(clip) => clip,
-                Err(response) => return (*response, false, None),
+                Err(response) => return (*response, None),
             };
             let spec = QuerySpec {
                 dataset,
@@ -376,23 +352,13 @@ fn handle_request(
                 priority,
                 min_end: None,
             };
-            match engine.execute(spec) {
+            return match engine.execute(spec) {
                 Ok(result) => {
                     let trace = result.trace.clone();
-                    (
-                        Response::Moments {
-                            moments: result.moments,
-                            queue_wait_ms: result.queue_wait.as_millis() as u64,
-                            execute_ms: result.execute.as_millis() as u64,
-                            batch_size: result.batch_size,
-                            trace_id: trace.id(),
-                        },
-                        false,
-                        Some(trace),
-                    )
+                    (Response::Moments(result.into()), Some(trace))
                 }
-                Err(e) => (Response::from_engine_error(&e), false, None),
-            }
+                Err(e) => (Response::from_engine_error(&e), None),
+            };
         }
         Request::Register {
             dataset,
@@ -401,64 +367,38 @@ fn handle_request(
             min_score,
             top_k,
         } => {
-            if !running.load(Ordering::SeqCst) {
-                return (
-                    Response::Error {
-                        kind: ErrorKind::ShuttingDown,
-                        message: "server is shutting down".into(),
-                    },
-                    false,
-                    None,
-                );
-            }
             let query = match resolve_sketch(clip, event) {
                 Ok(clip) => clip,
-                Err(response) => return (*response, false, None),
+                Err(response) => return (*response, None),
             };
-            let response = match engine.register(&dataset, query, min_score, top_k) {
-                Ok(reg) => Response::Registered {
+            match engine.register(&dataset, query, min_score, top_k) {
+                Ok(reg) => Response::Registered(Registered {
                     registration_id: reg.id,
                     watermark: reg.watermark,
-                },
+                }),
                 Err(e) => Response::from_engine_error(&e),
-            };
-            (response, false, None)
+            }
         }
         Request::Unregister { registration_id } => {
-            let response = if engine.unregister(registration_id) {
+            if engine.unregister(registration_id) {
                 Response::Unregistered { registration_id }
             } else {
-                Response::Error {
-                    kind: ErrorKind::BadRequest,
-                    message: format!("unknown registration id {registration_id}"),
-                }
-            };
-            (response, false, None)
+                unknown_registration(registration_id)
+            }
         }
         Request::Notifications {
             registration_id,
             max,
-        } => {
-            let response = match engine.notifications(registration_id, max) {
-                Some(n) => Response::Notifications {
-                    registration_id: n.registration_id,
-                    epoch: n.epoch,
-                    watermark: n.watermark,
-                    dropped: n.dropped,
-                    matches: n.matches,
-                },
-                None => Response::Error {
-                    kind: ErrorKind::BadRequest,
-                    message: format!("unknown registration id {registration_id}"),
-                },
-            };
-            (response, false, None)
-        }
+        } => match engine.notifications(registration_id, max) {
+            Some(drained) => Response::Notifications(drained),
+            None => unknown_registration(registration_id),
+        },
         Request::Shutdown => {
-            signal_shutdown(running, shutdown_signal);
-            (Response::ShutdownAck, true, None)
+            shutdown.request();
+            Response::ShutdownAck
         }
-    }
+    };
+    (response, None)
 }
 
 /// Resolves a request's `clip`/`event` pair into the sketch to run,
@@ -473,15 +413,15 @@ fn resolve_sketch(
         (Some(clip), _) => Ok(clip),
         (None, Some(name)) => match EventKind::ALL.iter().find(|k| k.name() == name) {
             Some(kind) => Ok(query_clip(*kind)),
-            None => Err(Box::new(Response::Error {
-                kind: ErrorKind::UnknownEvent,
-                message: format!("unknown event {name:?}"),
-            })),
+            None => Err(Box::new(error(
+                ErrorKind::UnknownEvent,
+                format!("unknown event {name:?}"),
+            ))),
         },
-        (None, None) => Err(Box::new(Response::Error {
-            kind: ErrorKind::BadRequest,
-            message: "query needs an event name or an inline clip".into(),
-        })),
+        (None, None) => Err(Box::new(error(
+            ErrorKind::BadRequest,
+            "query needs an event name or an inline clip",
+        ))),
     }
 }
 

@@ -10,7 +10,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::training::{train, TrainedModel, TrainingConfig};
 use sketchql::VideoIndex;
-use sketchql_datasets::{generate_video, SceneFamily, VideoConfig};
+use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
+use sketchql_server::{Engine, QuerySpec};
 
 pub fn tiny_model() -> TrainedModel {
     let mut cfg = TrainingConfig::tiny();
@@ -33,4 +34,19 @@ pub fn two_datasets() -> BTreeMap<String, VideoIndex> {
     map.insert("alpha".to_string(), small_index(11));
     map.insert("beta".to_string(), small_index(12));
     map
+}
+
+/// Wall times of `n` solo scans of `beta` on `engine` after one warm-up
+/// scan, sorted — what the deadline tests size their deadlines from.
+pub fn timed_scans(engine: &Engine, n: usize) -> Vec<std::time::Duration> {
+    let scan = || {
+        let started = std::time::Instant::now();
+        let spec = QuerySpec::new("beta", query_clip(EventKind::LeftTurn));
+        engine.execute(spec).unwrap();
+        started.elapsed()
+    };
+    scan();
+    let mut scans: Vec<_> = (0..n).map(|_| scan()).collect();
+    scans.sort();
+    scans
 }

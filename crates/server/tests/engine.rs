@@ -11,7 +11,7 @@ use sketchql_datasets::{query_clip, EventKind};
 use sketchql_server::{Engine, EngineConfig, EngineError, QuerySpec};
 use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
 
-use common::{tiny_model, two_datasets};
+use common::{timed_scans, tiny_model, two_datasets};
 
 /// Every (dataset, event) pair the identity tests query.
 const EVENTS: &[EventKind] = &[
@@ -199,6 +199,75 @@ fn handle_cancel_is_reported() {
     victim.cancel();
     assert_eq!(victim.wait(), Err(EngineError::Cancelled));
     busy.wait().unwrap();
+}
+
+/// The waiter and the worker race for every answer when the deadline
+/// sits at the median scan time: whichever wins, the handle hears
+/// exactly one answer, and it is the one the engine counted.
+#[test]
+fn deadline_at_the_scan_time_is_answered_and_counted_once() {
+    let engine = Engine::start(
+        tiny_model(),
+        two_datasets(),
+        EngineConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    );
+    let deadline = timed_scans(&engine, 5)[2];
+    let before = engine.stats();
+    let (mut completed, mut timed_out) = (0, 0);
+    for _ in 0..50 {
+        let mut q = spec("beta", EventKind::LeftTurn);
+        q.deadline = Some(deadline);
+        match engine.submit(q).unwrap().wait() {
+            Ok(_) => completed += 1,
+            Err(EngineError::DeadlineExceeded) => timed_out += 1,
+            Err(other) => panic!("unexpected answer: {other:?}"),
+        }
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.accepted - before.accepted, 50);
+    assert_eq!(stats.completed - before.completed, completed);
+    assert_eq!(stats.timed_out - before.timed_out, timed_out);
+    assert_eq!(
+        stats.accepted,
+        stats.completed + stats.timed_out + stats.failed,
+        "every admitted query is tallied exactly once"
+    );
+    engine.shutdown();
+}
+
+/// Nobody has to be waiting for a deadline to count: a handle dropped
+/// without `wait` whose deadline trips mid-scan is answered by the
+/// worker and lands in `timed_out` exactly once.
+#[test]
+fn dropped_handle_still_times_out_exactly_once() {
+    let engine = Engine::start(
+        tiny_model(),
+        two_datasets(),
+        EngineConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    );
+    let scan = timed_scans(&engine, 1)[0];
+    let before = engine.stats();
+    let mut q = spec("beta", EventKind::LeftTurn);
+    q.deadline = Some(scan / 3);
+    drop(engine.submit(q).unwrap());
+    // The next query queues behind the doomed scan, so by the time it
+    // is answered the worker has finished with the dropped one.
+    engine.execute(spec("beta", EventKind::UTurn)).unwrap();
+    let stats = engine.stats();
+    assert_eq!(stats.timed_out - before.timed_out, 1);
+    assert_eq!(stats.completed - before.completed, 1);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(
+        stats.accepted,
+        stats.completed + stats.timed_out + stats.failed
+    );
+    engine.shutdown();
 }
 
 /// Unknown datasets are rejected at submit, before consuming a queue slot.

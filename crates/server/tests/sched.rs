@@ -1,7 +1,8 @@
 //! Scheduler-policy integration tests: admission classes (quotas, rate
 //! limits), starvation protection, an interactive query overtaking a
-//! bulk backlog, the mid-batch deadline-inversion regression, the
-//! submit/shutdown race, and worker-panic containment.
+//! bulk backlog, the mid-batch deadline-inversion regression, a queued
+//! deadline honoured on time, the submit/shutdown race, and worker-panic
+//! containment.
 
 mod common;
 
@@ -15,7 +16,7 @@ use sketchql_server::{
     ClassConfig, Engine, EngineConfig, EngineError, QuerySpec, SchedPolicy, DEFAULT_CLASS,
 };
 
-use common::{small_index, tiny_model, two_datasets};
+use common::{small_index, timed_scans, tiny_model, two_datasets};
 
 fn spec(dataset: &str, event: EventKind) -> QuerySpec {
     QuerySpec::new(dataset, query_clip(event))
@@ -130,7 +131,6 @@ fn aging_promotes_past_a_high_priority_stream() {
             sched: SchedPolicy {
                 classes,
                 aging_ms: 5,
-                ..Default::default()
             },
             ..Default::default()
         },
@@ -366,6 +366,59 @@ fn mid_batch_expiry_is_answered_before_the_scan_finishes() {
         patient_at.saturating_duration_since(tight_at)
     );
     assert_eq!(engine.stats().timed_out, 1);
+    engine.shutdown();
+}
+
+/// A deadline that expires in the queue is honoured when it expires,
+/// not when the backlog clears: with the only worker mid-scan, a query
+/// queued behind it on a tenth of a scan's deadline hears
+/// `DeadlineExceeded` from its own waiter long before that scan ends.
+/// The worker discards the expired job when it reaches it and keeps
+/// serving.
+#[test]
+fn queued_query_is_answered_at_its_deadline() {
+    let config = || EngineConfig {
+        workers: 1,
+        fused_batch: 1,
+        ..Default::default()
+    };
+    // Measure one warm solo scan on a scratch engine to size the deadline.
+    let model = tiny_model();
+    let scratch = Engine::start(model.clone(), two_datasets(), config());
+    let scan = timed_scans(&scratch, 1)[0];
+    scratch.shutdown();
+
+    let engine = Engine::start(model, two_datasets(), config());
+    let blocker = engine.submit(spec("beta", EventKind::RightTurn)).unwrap();
+    // The victim must find the worker busy: were both still queued, EDF
+    // would dequeue the deadlined query first and nothing would wait.
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while engine.stats().in_flight != 1 {
+        assert!(Instant::now() < give_up, "the blocker never started");
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    let mut victim = spec("beta", EventKind::LeftTurn);
+    victim.deadline = Some(scan / 10);
+    let submitted = Instant::now();
+    let victim = engine.submit(victim).unwrap();
+    assert_eq!(victim.wait(), Err(EngineError::DeadlineExceeded));
+    let heard = submitted.elapsed();
+    assert!(
+        heard < scan / 2,
+        "a queued deadline of {:?} was answered after {heard:?} — the scan \
+         it was queued behind takes {scan:?}",
+        scan / 10
+    );
+
+    blocker.wait().expect("the blocker is unaffected");
+    engine.execute(spec("beta", EventKind::UTurn)).unwrap();
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.accepted, stats.completed, stats.timed_out),
+        (3, 2, 1),
+        "the expired job is counted once and never runs"
+    );
+    assert_eq!(stats.queued, 0);
     engine.shutdown();
 }
 

@@ -115,28 +115,11 @@ pub mod names {
 
     /// Span: one ByteTrack association run over a full detection stream.
     pub const TRACKER_ASSOCIATE: &str = "sketchql.tracker.associate";
-    /// Counter: detection-to-track associations performed.
-    pub const TRACKER_ASSOCIATIONS: &str = "sketchql.tracker.associations";
-    /// Counter: Kalman predict steps.
-    pub const KALMAN_PREDICTS: &str = "sketchql.tracker.kalman_predicts";
-    /// Counter: Kalman update steps.
-    pub const KALMAN_UPDATES: &str = "sketchql.tracker.kalman_updates";
 
     /// Span: one full training run.
     pub const TRAINING_RUN: &str = "sketchql.training.run";
-    /// Counter: optimizer steps taken.
-    pub const TRAINING_STEPS: &str = "sketchql.training.steps";
-    /// Counter: training examples consumed.
-    pub const TRAINING_EXAMPLES: &str = "sketchql.training.examples";
-    /// Gauge: most recent training loss.
-    pub const TRAINING_LAST_LOSS: &str = "sketchql.training.last_loss";
-    /// Gauge: training throughput, examples per second.
-    pub const TRAINING_EXAMPLES_PER_SEC: &str = "sketchql.training.examples_per_sec";
     /// Histogram: per-step wall time in milliseconds.
     pub const TRAINING_STEP_MS: &str = "sketchql.training.step_ms";
-
-    /// Counter: queries executed through the session façade.
-    pub const SESSION_QUERY: &str = "sketchql.session.queries";
 
     /// Gauge: queries waiting in the server's admission queue.
     pub const SERVER_QUEUE_DEPTH: &str = "sketchql.server.queue_depth";
@@ -206,8 +189,6 @@ pub mod names {
     /// Span: one offline store ingest (window enumeration + embedding +
     /// persistence).
     pub const STORE_BUILD: &str = "sketchql.store.build";
-    /// Counter: window embeddings persisted into stores at ingest.
-    pub const STORE_VECTORS: &str = "sketchql.store.vectors_ingested";
     /// Counter: queries answered from a persistent store (index-backed
     /// path taken end to end).
     pub const STORE_HITS: &str = "sketchql.store.hits";
@@ -248,13 +229,6 @@ pub mod names {
     /// (LRU; the shard reloads transparently on its next probe).
     pub const SHARD_EVICTIONS: &str = "sketchql.shard.evictions";
 
-    /// Counter: committed `append_frames` epochs across all datasets.
-    pub const LIVE_APPENDS: &str = "sketchql.live.appends";
-    /// Counter: rows embedded by incremental appends (fresh windows).
-    pub const LIVE_ROWS_APPENDED: &str = "sketchql.live.rows_appended";
-    /// Counter: rows reused verbatim by incremental appends (windows
-    /// untouched by the new frames, copied from the old shards).
-    pub const LIVE_ROWS_REUSED: &str = "sketchql.live.rows_reused";
     /// Span: one `append_frames` call (enumerate + embed + commit).
     pub const LIVE_APPEND: &str = "sketchql.live.append";
     /// Gauge: standing queries currently registered.

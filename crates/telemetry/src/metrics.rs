@@ -176,26 +176,38 @@ fn registry() -> &'static Registry {
     })
 }
 
+/// Looks `name` up by `&str`; only a first registration allocates (the
+/// key and the leaked metric), so a hit costs the lock and a map walk.
+fn get_or_register<T>(
+    map: &Mutex<BTreeMap<String, &'static T>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> &'static T {
+    let mut map = map.lock().unwrap();
+    if let Some(&metric) = map.get(name) {
+        return metric;
+    }
+    let metric: &'static T = Box::leak(Box::new(make()));
+    map.insert(name.to_string(), metric);
+    metric
+}
+
 /// Returns the named counter, registering it on first use.
 pub fn counter(name: &str) -> &'static Counter {
-    let mut map = registry().counters.lock().unwrap();
-    map.entry(name.to_string())
-        .or_insert_with(|| Box::leak(Box::new(Counter::new())))
+    get_or_register(&registry().counters, name, Counter::new)
 }
 
 /// Returns the named gauge, registering it on first use.
 pub fn gauge(name: &str) -> &'static Gauge {
-    let mut map = registry().gauges.lock().unwrap();
-    map.entry(name.to_string())
-        .or_insert_with(|| Box::leak(Box::new(Gauge::new())))
+    get_or_register(&registry().gauges, name, Gauge::new)
 }
 
 /// Returns the named histogram, registering it with `bounds` on first
 /// use (later calls keep the original bounds).
 pub fn histogram(name: &str, bounds: &[f64]) -> &'static Histogram {
-    let mut map = registry().histograms.lock().unwrap();
-    map.entry(name.to_string())
-        .or_insert_with(|| Box::leak(Box::new(Histogram::with_bounds(bounds))))
+    get_or_register(&registry().histograms, name, || {
+        Histogram::with_bounds(bounds)
+    })
 }
 
 /// Zeroes every registered metric. Intended for tests and benchmarks.

@@ -21,6 +21,29 @@ fn busy(wall: Duration) -> u64 {
     acc
 }
 
+/// Touching a registered metric allocates nothing: the registry is
+/// looked up by `&str`, and only a first registration builds a key.
+#[test]
+fn metric_lookups_do_not_allocate_after_registration() {
+    const BOUNDS: &[f64] = &[1.0, 10.0];
+    let touch = || {
+        tel::counter("resource.lookup.counter").inc();
+        tel::gauge("resource.lookup.gauge").set(1.0);
+        tel::histogram("resource.lookup.histogram", BOUNDS).observe(2.0);
+    };
+    touch();
+    let before = tel::thread_allocated();
+    for _ in 0..100 {
+        touch();
+    }
+    let after = tel::thread_allocated();
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (0, 0),
+        "(bytes, allocations) across 100 look-ups of each kind"
+    );
+}
+
 /// A known allocation pattern inside an attribution scope lands on that
 /// trace — and only allocations inside the scope count (differential
 /// against a second trace with a much smaller pattern).

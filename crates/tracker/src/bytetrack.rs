@@ -12,29 +12,10 @@ use sketchql_telemetry::{self as telemetry, names};
 #[cfg(test)]
 use sketchql_trajectory::BBox;
 use sketchql_trajectory::{ObjectClass, TrackId, TrajPoint, Trajectory};
-use std::sync::OnceLock;
 
 use crate::detection::Detection;
 use crate::hungarian::assign;
 use crate::kalman::KalmanBoxTracker;
-
-/// Per-frame tracker counters, registry-looked-up once per process:
-/// `step` runs once per video frame, so the mutex-guarded name lookup
-/// must not sit on that path.
-struct StepCounters {
-    associations: &'static telemetry::Counter,
-    kalman_predicts: &'static telemetry::Counter,
-    kalman_updates: &'static telemetry::Counter,
-}
-
-fn step_counters() -> &'static StepCounters {
-    static C: OnceLock<StepCounters> = OnceLock::new();
-    C.get_or_init(|| StepCounters {
-        associations: telemetry::counter(names::TRACKER_ASSOCIATIONS),
-        kalman_predicts: telemetry::counter(names::KALMAN_PREDICTS),
-        kalman_updates: telemetry::counter(names::KALMAN_UPDATES),
-    })
-}
 
 /// Tracker thresholds. Defaults follow the ByteTrack paper.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -200,7 +181,6 @@ impl ByteTracker {
 
     /// Processes one frame of detections.
     pub fn step(&mut self, detections: &[Detection]) {
-        let counters = step_counters();
         let frame = self.frame;
         self.frame += 1;
         let cfg = self.config;
@@ -208,7 +188,6 @@ impl ByteTracker {
         for t in &mut self.active {
             t.predict();
         }
-        counters.kalman_predicts.add(self.active.len() as u64);
 
         let high: Vec<&Detection> = detections
             .iter()
@@ -259,9 +238,6 @@ impl ByteTracker {
             t.mark_matched(low[di], frame, cfg.min_hits);
             matched_track_flags[rescue_idx[ti]] = true;
         }
-        let matched = (pairs.len() + pairs2.len()) as u64;
-        counters.associations.add(matched);
-        counters.kalman_updates.add(matched);
 
         // --- Miss handling.
         for (i, t) in self.active.iter_mut().enumerate() {

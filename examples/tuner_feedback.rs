@@ -74,7 +74,7 @@ fn main() {
         if let Some(e) = sq
             .moment_clip("traffic", m)
             .ok()
-            .and_then(|c| sq.model.embed(&c))
+            .and_then(|c| sq.model().embed(&c))
         {
             m.score = reranker.adjust(m.score, &e);
         }

@@ -15,11 +15,15 @@
 # non-zero (a failed operation or output check) stops the script.
 #
 # Verdicts: `improved` / `worse` = the medians differ by more than the
-# metric's bound in that direction, otherwise `within bound`; `wins` is
-# the number of pairs in which the change read better and `p.iqr` the
-# distance between the quartiles of the parent's runs. A claim wants
-# `improved`, wins in at least nine tenths of the pairs, and medians
-# further apart than `p.iqr`.
+# metric's bound in that direction, otherwise `within bound` — or
+# `unresolved` when the parent's own runs spread (`p.iqr` over their
+# median) wider than the bound and the change did not win every pair:
+# such a row cannot tell "unchanged" from "moved". `wins` is the number
+# of pairs in which the change read better and `p.iqr` the distance
+# between the quartiles of the parent's runs. A claim wants `improved`,
+# wins in at least nine tenths of the pairs, and medians further apart
+# than `p.iqr`. The script exits non-zero when any row reads `worse` or
+# the change failed more operations than the parent on some workload.
 #
 # ~45 s per pair and workload (two 20 s runs plus set-up): about 15
 # minutes for the default five pairs of all four workloads. Not part of
@@ -121,11 +125,15 @@ END {
             iqr = quantile(a, n, 0.75) - quantile(a, n, 0.25)
             ratio = pm != 0 ? cm / pm : 0
             gain = lower[name] ? 1 - ratio : ratio - 1
-            verdict = gain > bounds[name] ? "improved" : (gain < -bounds[name] ? "worse" : "within bound")
+            noisy = pm != 0 && iqr / pm > bounds[name] && wins < n
+            verdict = gain > bounds[name] ? "improved" : (gain < -bounds[name] ? "worse" : (noisy ? "unresolved" : "within bound"))
+            if (verdict == "worse") bad = 1
             printf "%-9s %-17s %12.4g %12.4g %8.3f %6s %10.3g %4d/%d  %s\n", wl, name, pm, cm, ratio, bounds[name], iqr, wins, n, verdict
         }
         fp = 0; fc = 0
         for (p = 1; p <= n; p++) { fp += value["parent", wl, p, "failed"]; fc += value["change", wl, p, "failed"] }
         printf "%-9s %-17s %12d %12d\n", wl, "failed operations", fp, fc
+        if (fc > fp) bad = 1
     }
+    exit bad
 }' BENCHMARK.json "$samples"

@@ -647,7 +647,11 @@ fn exp_t4() {
         let reranker = sq.feedback_reranker(&feedback, &cfg);
         let mut reranked = zero.clone();
         for m in &mut reranked {
-            if let Some(e) = sq.moment_clip("v", m).ok().and_then(|c| sq.model.embed(&c)) {
+            if let Some(e) = sq
+                .moment_clip("v", m)
+                .ok()
+                .and_then(|c| sq.model().embed(&c))
+            {
                 m.score = reranker.adjust(m.score, &e);
             }
         }
