@@ -28,7 +28,7 @@
 
 use serde::{Deserialize, Serialize};
 use sketchql_telemetry::{self as telemetry, names};
-use sketchql_trajectory::{Clip, TrackId, TrajPoint, Trajectory};
+use sketchql_trajectory::{Clip, TrackId, Trajectory};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -697,16 +697,7 @@ pub(crate) fn window_clip(
     let objects = combo
         .iter()
         .enumerate()
-        .map(|(slot, &i)| {
-            let t = per_slot[slot][i];
-            let pts = t
-                .points()
-                .iter()
-                .filter(|p| p.frame >= start && p.frame <= end)
-                .map(|p| TrajPoint::new(p.frame - start, p.bbox))
-                .collect();
-            Trajectory::from_points(t.id, t.class, pts)
-        })
+        .map(|(slot, &i)| per_slot[slot][i].window(start, end))
         .collect();
     Clip::new(index.frame_width, index.frame_height, objects)
 }
@@ -715,7 +706,7 @@ pub(crate) fn window_clip(
 mod tests {
     use super::*;
     use crate::similarity::ClassicalSimilarity;
-    use sketchql_trajectory::{BBox, DistanceKind, ObjectClass};
+    use sketchql_trajectory::{BBox, DistanceKind, ObjectClass, TrajPoint};
 
     /// A synthetic index: one car doing a "left turn on screen" (right then
     /// up) during frames 100..190, plus a straight-moving car elsewhere.

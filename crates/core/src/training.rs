@@ -426,6 +426,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A model file is outside input: a weight whose data is shorter than
+    /// its shape must fail the load, not reach the kernels.
+    #[test]
+    fn load_rejects_a_model_with_a_truncated_weight() {
+        use serde::{Serialize, Value};
+        fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+            let Value::Obj(fields) = v else {
+                panic!("{key}: not an object");
+            };
+            let (_, value) = fields.iter_mut().find(|(k, _)| k == key).expect(key);
+            value
+        }
+        let mut cfg = TrainingConfig::tiny();
+        cfg.steps = 1;
+        let model = train(cfg);
+        let name = model.store.names().swap_remove(0);
+        let mut tree = model.to_value();
+        let weight = field(field(field(&mut tree, "store"), "params"), &name);
+        let Value::Arr(data) = field(weight, "data") else {
+            panic!("data: not an array");
+        };
+        data.pop();
+        let dir = std::env::temp_dir().join(format!("sketchql-truncated-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        std::fs::write(&path, serde_json::to_string(&tree).unwrap()).unwrap();
+        let err = TrainedModel::load(&path).expect_err("truncated weight");
+        assert!(err.to_string().contains("tensor data holds"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn load_or_train_uses_cache() {
         let mut cfg = TrainingConfig::tiny();

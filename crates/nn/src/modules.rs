@@ -7,7 +7,20 @@
 //! A forward pass binds store values onto a fresh [`Tape`] through a
 //! [`Graph`], which lets one training step build the whole batch graph and
 //! read per-parameter gradients back out by name.
+//!
+//! Inference builds no tape. [`TrajectoryEncoder::embed_batch`] stacks a
+//! batch of sequences and runs the same arithmetic, in the same order,
+//! through [`crate::kernels`]: each linear layer is one register-tiled
+//! matmul with the bias as its epilogue, attention is one
+//! `kernels::attention_block` per sequence, and the row kernels do layer
+//! norm and GELU. The instruction set is picked once per call
+//! (`kernels::Isa::best`) and handed down, so one call never mixes
+//! variants and tests can run the whole encoder on each. Every buffer of
+//! the pass belongs to a `BatchWorkspace` parked per thread and re-shaped
+//! per call, so in steady state a call allocates only the embeddings it
+//! returns. The result is `==`-equal to the tape forward, row by row.
 
+use crate::kernels::{self, AttnShape, Isa};
 use crate::tape::{Gradients, NodeId, Tape};
 use crate::tensor::Tensor;
 use rand::Rng;
@@ -150,18 +163,12 @@ impl Linear {
         g.tape.add_row_broadcast(xw, b)
     }
 
-    /// Tape-free inference forward into `out`: `x @ W + b`, replicating
-    /// the tape ops' per-row arithmetic exactly. Every output row depends
-    /// only on its input row, so stacked batches produce bit-identical
-    /// rows.
-    fn forward_tensor_into(&self, store: &ParamStore, x: &Tensor, out: &mut Tensor) {
-        crate::kernels::matmul_into(x, store.get(&self.w), out);
-        let b = store.get(&self.b);
-        for r in 0..out.rows {
-            for (o, bv) in out.row_mut(r).iter_mut().zip(&b.data) {
-                *o += *bv;
-            }
-        }
+    /// Tape-free inference forward into `out`: `x @ W + b` in one pass
+    /// (the bias is the matmul's epilogue), replicating the tape ops'
+    /// per-row arithmetic exactly. Every output row depends only on its
+    /// input row, so stacked batches produce bit-identical rows.
+    fn forward_tensor_into(&self, isa: Isa, store: &ParamStore, x: &Tensor, out: &mut Tensor) {
+        kernels::matmul_bias_into(isa, x, store.get(&self.w), Some(store.get(&self.b)), out);
     }
 }
 
@@ -195,11 +202,11 @@ impl LayerNorm {
     /// through the vectorized kernel, which is bit-identical to the
     /// tape op (both share the strided-summation semantics in
     /// [`crate::kernels`]).
-    fn normalize_rows(&self, store: &ParamStore, x: &mut Tensor) {
+    fn normalize_rows(&self, isa: Isa, store: &ParamStore, x: &mut Tensor) {
         let g = store.get(&self.gamma);
         let b = store.get(&self.beta);
         for r in 0..x.rows {
-            crate::kernels::layer_norm_row(x.row_mut(r), &g.data, &b.data, crate::tape::LN_EPS);
+            kernels::layer_norm_row_on(isa, x.row_mut(r), &g.data, &b.data, crate::tape::LN_EPS);
         }
     }
 }
@@ -264,15 +271,20 @@ impl MultiHeadSelfAttention {
     /// one batched matmul against the column-concatenated `[Wq|Wk|Wv]`
     /// weight (each output column accumulates independently in the same
     /// ascending-`k` order, so fusion is value-transparent); the attention
-    /// itself is computed per sequence block, so tokens never attend
-    /// across batch items and each block's output is bit-identical to a
-    /// solo [`forward`] pass. All intermediates live in the workspace —
-    /// the whole pass allocates nothing.
+    /// itself is one [`kernels::attention_block`] per sequence, so tokens
+    /// never attend across batch items and each block's output is
+    /// bit-identical to a solo [`forward`] pass. All intermediates live in
+    /// the workspace — the whole pass allocates nothing.
     ///
     /// [`forward`]: MultiHeadSelfAttention::forward
-    fn forward_blocks_into(&self, store: &ParamStore, seq: usize, ws: &mut BatchWorkspace) {
+    fn forward_blocks_into(
+        &self,
+        isa: Isa,
+        store: &ParamStore,
+        seq: usize,
+        ws: &mut BatchWorkspace,
+    ) {
         debug_assert_eq!(ws.norm.rows % seq, 0, "rows must stack whole sequences");
-        let blocks = ws.norm.rows / seq;
         let d = self.d_model;
         // Assemble the fused weight and bias (a copy ~300x smaller than
         // the matmul it fuses, so rebuilding per call is in the noise).
@@ -289,54 +301,39 @@ impl MultiHeadSelfAttention {
         ws.bqkv.data[..d].copy_from_slice(&store.get(&self.wq.b).data);
         ws.bqkv.data[d..2 * d].copy_from_slice(&store.get(&self.wk.b).data);
         ws.bqkv.data[2 * d..].copy_from_slice(&store.get(&self.wv.b).data);
-        crate::kernels::matmul_into(&ws.norm, &ws.wqkv, &mut ws.qkv);
-        for r in 0..ws.qkv.rows {
-            for (o, bv) in ws.qkv.row_mut(r).iter_mut().zip(&ws.bqkv.data) {
-                *o += *bv;
-            }
+        kernels::matmul_bias_into(isa, &ws.norm, &ws.wqkv, Some(&ws.bqkv), &mut ws.qkv);
+        let shape = AttnShape {
+            seq,
+            d,
+            heads: self.heads,
+        };
+        let scale = 1.0 / ((d / self.heads) as f32).sqrt();
+        let blocks = ws
+            .qkv
+            .data
+            .chunks_exact(seq * 3 * d)
+            .zip(ws.concat.data.chunks_exact_mut(seq * d));
+        for (qkv, concat) in blocks {
+            kernels::attention_block(isa, qkv, shape, scale, &mut ws.attn, concat);
         }
-        let dh = self.d_model / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        // K is copied out pre-transposed so the score matmul streams both
-        // operands row-major.
-        for b in 0..blocks {
-            let r0 = b * seq;
-            for h in 0..self.heads {
-                let c0 = h * dh;
-                for r in 0..seq {
-                    let row = ws.qkv.row(r0 + r);
-                    ws.qh.row_mut(r).copy_from_slice(&row[c0..c0 + dh]);
-                    ws.vh
-                        .row_mut(r)
-                        .copy_from_slice(&row[2 * d + c0..2 * d + c0 + dh]);
-                    let krow = &row[d + c0..d + c0 + dh];
-                    for (c, &kv) in krow.iter().enumerate() {
-                        ws.kt.data[c * seq + r] = kv;
-                    }
-                }
-                crate::kernels::matmul_into(&ws.qh, &ws.kt, &mut ws.attn);
-                for e in ws.attn.data.iter_mut() {
-                    *e *= scale;
-                }
-                for r in 0..seq {
-                    crate::kernels::softmax_row(ws.attn.row_mut(r));
-                }
-                crate::kernels::matmul_into(&ws.attn, &ws.vh, &mut ws.head_out);
-                for r in 0..seq {
-                    ws.concat.row_mut(r0 + r)[c0..c0 + dh].copy_from_slice(ws.head_out.row(r));
-                }
-            }
-        }
-        self.wo.forward_tensor_into(store, &ws.concat, &mut ws.sub);
+        self.wo
+            .forward_tensor_into(isa, store, &ws.concat, &mut ws.sub);
     }
 }
 
-/// Scratch buffers for one batched tape-free forward pass, reused across
-/// every layer so the per-layer loop allocates nothing, and parked in a
-/// thread-local between [`TrajectoryEncoder::embed_batch`] calls so
-/// steady-state scans (many same-shaped batches) skip the multi-megabyte
-/// allocation entirely.
+/// Every buffer of one batched tape-free forward pass, input stack to
+/// output embeddings, parked in a thread-local between
+/// [`TrajectoryEncoder::embed_batch`] calls. Buffers keep their
+/// allocation and are re-shaped per call, so once a thread has embedded
+/// its largest batch, every later call — a scan's ragged last batch and
+/// the full one after it included — allocates only the vectors it
+/// returns. Every buffer is fully overwritten before it is read, so
+/// stale contents are harmless.
 struct BatchWorkspace {
+    /// The batch's feature matrices, stacked (`rows x input_dim`).
+    stacked: Tensor,
+    /// The residual stream (`rows x d_model`).
+    x: Tensor,
     /// Layer-norm output feeding attention / feed-forward (`rows x d_model`).
     norm: Tensor,
     /// Fused Q/K/V projection output (`rows x 3*d_model`).
@@ -351,41 +348,65 @@ struct BatchWorkspace {
     sub: Tensor,
     /// Feed-forward hidden activations (`rows x ff_hidden`).
     hidden: Tensor,
-    /// One head's queries (`seq x dh`).
-    qh: Tensor,
-    /// One head's keys, pre-transposed (`dh x seq`).
-    kt: Tensor,
-    /// One head's values (`seq x dh`).
-    vh: Tensor,
-    /// One head's attention weights (`seq x seq`).
-    attn: Tensor,
-    /// One head's output (`seq x dh`).
-    head_out: Tensor,
+    /// One sequence's attention scratch ([`kernels::attention_scratch_len`]).
+    attn: Vec<f32>,
+    /// Pooled sequences (`batch x d_model`).
+    pooled: Tensor,
+    /// Output projections, normalized in place (`batch x embed_dim`).
+    out: Tensor,
 }
 
 thread_local! {
-    /// Workspace parked between [`TrajectoryEncoder::embed_batch`] calls;
-    /// reused when the next call has the same shape.
+    /// Workspace parked between [`TrajectoryEncoder::embed_batch`] calls.
     static PARKED_WORKSPACE: std::cell::RefCell<Option<BatchWorkspace>> =
         const { std::cell::RefCell::new(None) };
 }
 
 impl BatchWorkspace {
-    fn new(rows: usize, d_model: usize, ff_hidden: usize, seq: usize, dh: usize) -> Self {
+    /// A workspace that owns no memory yet.
+    fn empty() -> Self {
+        let none = || Tensor::zeros(0, 0);
         BatchWorkspace {
-            norm: Tensor::zeros(rows, d_model),
-            qkv: Tensor::zeros(rows, 3 * d_model),
-            wqkv: Tensor::zeros(d_model, 3 * d_model),
-            bqkv: Tensor::zeros(1, 3 * d_model),
-            concat: Tensor::zeros(rows, d_model),
-            sub: Tensor::zeros(rows, d_model),
-            hidden: Tensor::zeros(rows, ff_hidden),
-            qh: Tensor::zeros(seq, dh),
-            kt: Tensor::zeros(dh, seq),
-            vh: Tensor::zeros(seq, dh),
-            attn: Tensor::zeros(seq, seq),
-            head_out: Tensor::zeros(seq, dh),
+            stacked: none(),
+            x: none(),
+            norm: none(),
+            qkv: none(),
+            wqkv: none(),
+            bqkv: none(),
+            concat: none(),
+            sub: none(),
+            hidden: none(),
+            attn: Vec::new(),
+            pooled: none(),
+            out: none(),
         }
+    }
+
+    /// Shapes every buffer for `batch` sequences through an encoder of
+    /// `config` with `ff_hidden`-wide feed-forward blocks; allocates only
+    /// where a buffer's capacity falls short.
+    fn shape(&mut self, batch: usize, config: &EncoderConfig, ff_hidden: usize) {
+        fn reshape(t: &mut Tensor, rows: usize, cols: usize) {
+            t.rows = rows;
+            t.cols = cols;
+            t.data.resize(rows * cols, 0.0);
+        }
+        let (rows, d) = (batch * config.steps, config.d_model);
+        reshape(&mut self.stacked, rows, config.input_dim);
+        reshape(&mut self.x, rows, d);
+        reshape(&mut self.norm, rows, d);
+        reshape(&mut self.qkv, rows, 3 * d);
+        reshape(&mut self.wqkv, d, 3 * d);
+        reshape(&mut self.bqkv, 1, 3 * d);
+        reshape(&mut self.concat, rows, d);
+        reshape(&mut self.sub, rows, d);
+        reshape(&mut self.hidden, rows, ff_hidden);
+        self.attn.resize(
+            kernels::attention_scratch_len(config.steps, d / config.heads),
+            0.0,
+        );
+        reshape(&mut self.pooled, batch, d);
+        reshape(&mut self.out, batch, config.embed_dim);
     }
 }
 
@@ -420,12 +441,12 @@ impl FeedForward {
 
     /// Tape-free inference forward reading `ws.norm`, writing `ws.sub`,
     /// with the GELU applied in place by the vectorized kernel.
-    fn forward_tensor_into(&self, store: &ParamStore, ws: &mut BatchWorkspace) {
+    fn forward_tensor_into(&self, isa: Isa, store: &ParamStore, ws: &mut BatchWorkspace) {
         self.lin1
-            .forward_tensor_into(store, &ws.norm, &mut ws.hidden);
-        crate::kernels::gelu_inplace(&mut ws.hidden.data);
+            .forward_tensor_into(isa, store, &ws.norm, &mut ws.hidden);
+        kernels::gelu_inplace_on(isa, &mut ws.hidden.data);
         self.lin2
-            .forward_tensor_into(store, &ws.hidden, &mut ws.sub);
+            .forward_tensor_into(isa, store, &ws.hidden, &mut ws.sub);
     }
 }
 
@@ -474,25 +495,25 @@ impl EncoderLayer {
     }
 
     /// Tape-free in-place inference forward over stacked sequences (see
-    /// [`MultiHeadSelfAttention::forward_blocks_into`]); `x` is updated
+    /// [`MultiHeadSelfAttention::forward_blocks_into`]); `ws.x` is updated
     /// through both residual additions.
     fn forward_tensor_blocks(
         &self,
+        isa: Isa,
         store: &ParamStore,
-        x: &mut Tensor,
         seq: usize,
         ws: &mut BatchWorkspace,
     ) {
-        ws.norm.data.copy_from_slice(&x.data);
-        self.ln1.normalize_rows(store, &mut ws.norm);
-        self.attn.forward_blocks_into(store, seq, ws);
-        for (xi, ai) in x.data.iter_mut().zip(&ws.sub.data) {
+        ws.norm.data.copy_from_slice(&ws.x.data);
+        self.ln1.normalize_rows(isa, store, &mut ws.norm);
+        self.attn.forward_blocks_into(isa, store, seq, ws);
+        for (xi, ai) in ws.x.data.iter_mut().zip(&ws.sub.data) {
             *xi += *ai;
         }
-        ws.norm.data.copy_from_slice(&x.data);
-        self.ln2.normalize_rows(store, &mut ws.norm);
-        self.ff.forward_tensor_into(store, ws);
-        for (xi, fi) in x.data.iter_mut().zip(&ws.sub.data) {
+        ws.norm.data.copy_from_slice(&ws.x.data);
+        self.ln2.normalize_rows(isa, store, &mut ws.norm);
+        self.ff.forward_tensor_into(isa, store, ws);
+        for (xi, fi) in ws.x.data.iter_mut().zip(&ws.sub.data) {
             *xi += *fi;
         }
     }
@@ -672,6 +693,12 @@ impl TrajectoryEncoder {
     /// embedding cache relies on this to keep cached search results
     /// byte-identical to the uncached path.
     pub fn embed_batch(&self, store: &ParamStore, batch: &[&Tensor]) -> Vec<Vec<f32>> {
+        self.embed_batch_on(Isa::best(), store, batch)
+    }
+
+    /// [`embed_batch`](Self::embed_batch) on a chosen instruction set
+    /// (tests run every one the CPU has).
+    fn embed_batch_on(&self, isa: Isa, store: &ParamStore, batch: &[&Tensor]) -> Vec<Vec<f32>> {
         if batch.is_empty() {
             return Vec::new();
         }
@@ -682,50 +709,38 @@ impl TrajectoryEncoder {
             assert_eq!(f.rows, t, "feature steps mismatch");
         }
         let n = batch.len();
-        let mut stacked = Tensor::zeros(n * t, d_in);
-        for (b, f) in batch.iter().enumerate() {
-            stacked.data[b * t * d_in..(b + 1) * t * d_in].copy_from_slice(&f.data);
-        }
         let d = self.config.d_model;
-        let mut x = Tensor::zeros(n * t, d);
-        self.input_proj.forward_tensor_into(store, &stacked, &mut x);
+        let ff_hidden = self.layers.first().map_or(0, |l| l.ff.lin1.out_dim);
+        let mut ws = PARKED_WORKSPACE
+            .with(|cell| cell.borrow_mut().take())
+            .unwrap_or_else(BatchWorkspace::empty);
+        ws.shape(n, &self.config, ff_hidden);
+        for (f, rows) in batch.iter().zip(ws.stacked.data.chunks_exact_mut(t * d_in)) {
+            rows.copy_from_slice(&f.data);
+        }
+        self.input_proj
+            .forward_tensor_into(isa, store, &ws.stacked, &mut ws.x);
         if self.config.positional {
             for b in 0..n {
                 for r in 0..t {
-                    let row = x.row_mut(b * t + r);
+                    let row = ws.x.row_mut(b * t + r);
                     for (xi, pi) in row.iter_mut().zip(self.positions.row(r)) {
                         *xi += *pi;
                     }
                 }
             }
         }
-        let ff_hidden = self.layers.first().map_or(0, |l| l.ff.lin1.out_dim);
-        let dh = d / self.config.heads;
-        // Reuse the workspace parked by a previous same-shaped call on
-        // this thread; every buffer is fully overwritten before it is
-        // read, so stale contents are harmless.
-        let mut ws = PARKED_WORKSPACE
-            .with(|cell| cell.borrow_mut().take())
-            .filter(|w| {
-                w.norm.rows == n * t
-                    && w.norm.cols == d
-                    && w.hidden.cols == ff_hidden
-                    && w.attn.rows == t
-                    && w.qh.cols == dh
-            })
-            .unwrap_or_else(|| BatchWorkspace::new(n * t, d, ff_hidden, t, dh));
         for layer in &self.layers {
-            layer.forward_tensor_blocks(store, &mut x, t, &mut ws);
+            layer.forward_tensor_blocks(isa, store, t, &mut ws);
         }
-        PARKED_WORKSPACE.with(|cell| *cell.borrow_mut() = Some(ws));
-        self.final_ln.normalize_rows(store, &mut x);
-        let mut pooled = Tensor::zeros(n, d);
+        self.final_ln.normalize_rows(isa, store, &mut ws.x);
         match self.config.pooling {
             Pooling::Mean => {
                 for b in 0..n {
-                    let out = pooled.row_mut(b);
+                    let out = ws.pooled.row_mut(b);
+                    out.fill(0.0);
                     for r in 0..t {
-                        let row = &x.data[(b * t + r) * d..(b * t + r + 1) * d];
+                        let row = &ws.x.data[(b * t + r) * d..(b * t + r + 1) * d];
                         for (o, v) in out.iter_mut().zip(row) {
                             *o += *v;
                         }
@@ -737,20 +752,24 @@ impl TrajectoryEncoder {
             }
             Pooling::Last => {
                 for b in 0..n {
-                    pooled.row_mut(b).copy_from_slice(x.row(b * t + t - 1));
+                    ws.pooled
+                        .row_mut(b)
+                        .copy_from_slice(ws.x.row(b * t + t - 1));
                 }
             }
         }
-        let mut out = Tensor::zeros(n, self.config.embed_dim);
-        self.out_proj.forward_tensor_into(store, &pooled, &mut out);
-        for r in 0..out.rows {
-            let row = out.row_mut(r);
+        self.out_proj
+            .forward_tensor_into(isa, store, &ws.pooled, &mut ws.out);
+        for r in 0..n {
+            let row = ws.out.row_mut(r);
             let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-8);
             for v in row.iter_mut() {
                 *v /= norm;
             }
         }
-        (0..n).map(|r| out.row(r).to_vec()).collect()
+        let embeddings = (0..n).map(|r| ws.out.row(r).to_vec()).collect();
+        PARKED_WORKSPACE.with(|cell| *cell.borrow_mut() = Some(ws));
+        embeddings
     }
 }
 
@@ -1037,6 +1056,68 @@ mod tests {
             for (f, b) in feats.iter().zip(&batched) {
                 assert_eq!(&tape_embed(&enc, &store, f), b, "{pooling:?}/{positional}");
                 assert_eq!(&enc.embed(&store, f), b, "{pooling:?}/{positional}");
+            }
+        }
+    }
+
+    /// `steps x 32` features as the extractor writes them for a clip of
+    /// `objects` objects: that many 8-column slots occupied, the rest of
+    /// the row exactly zero.
+    fn slot_features(r: &mut StdRng, steps: usize, objects: usize) -> Tensor {
+        let mut t = Tensor::xavier(steps, 32, r);
+        for row in 0..steps {
+            t.row_mut(row)[8 * objects..].fill(0.0);
+        }
+        t
+    }
+
+    /// The small-shape test above never fills a vector tile. This one runs
+    /// the encoders that ship — `TrainingConfig::default()`'s,
+    /// `EncoderConfig::default()` and `TrainingConfig::tiny()`'s — on every
+    /// instruction set the CPU has, with batches that shrink and grow one
+    /// parked workspace (a scan's ragged tail, a full batch, more than a
+    /// full batch, a lone query), against the tape forward.
+    #[test]
+    fn embed_batch_matches_the_tape_at_the_shapes_that_ship() {
+        let training_default = EncoderConfig {
+            d_model: 48,
+            heads: 4,
+            layers: 3,
+            ff_hidden: 96,
+            embed_dim: 48,
+            ..Default::default()
+        };
+        let training_tiny = EncoderConfig {
+            d_model: 16,
+            heads: 2,
+            layers: 1,
+            ff_hidden: 32,
+            embed_dim: 16,
+            steps: 16,
+            ..Default::default()
+        };
+        let mut r = rng();
+        for cfg in [training_default, EncoderConfig::default(), training_tiny] {
+            let mut store = ParamStore::new();
+            let enc = TrajectoryEncoder::new(&mut store, &mut r, "enc", cfg.clone());
+            for objects in [1, 2] {
+                let feats: Vec<Tensor> = (0..67)
+                    .map(|_| slot_features(&mut r, cfg.steps, objects))
+                    .collect();
+                let want: Vec<Vec<f32>> =
+                    feats.iter().map(|f| tape_embed(&enc, &store, f)).collect();
+                let refs: Vec<&Tensor> = feats.iter().collect();
+                for isa in Isa::supported() {
+                    for n in [64, 53, 67, 1, 64] {
+                        assert_eq!(
+                            enc.embed_batch_on(isa, &store, &refs[..n]),
+                            want[..n],
+                            "d_model {} x {objects} objects, batch {n}, {isa:?}",
+                            cfg.d_model
+                        );
+                    }
+                }
+                assert_eq!(enc.embed_batch(&store, &refs), want);
             }
         }
     }

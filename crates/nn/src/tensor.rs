@@ -6,10 +6,10 @@
 //! autograd op set small and every backward rule easy to verify.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A dense row-major 2D tensor of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tensor {
     /// Number of rows.
     pub rows: usize,
@@ -17,6 +17,27 @@ pub struct Tensor {
     pub cols: usize,
     /// Row-major data; `data.len() == rows * cols`.
     pub data: Vec<f32>,
+}
+
+/// Hand-written because the vendored derive has no validation hook:
+/// tensors are read from model files, and a shape that disagrees with the
+/// data (or whose product overflows) must be an error here, not a tensor
+/// for [`crate::kernels`] to refuse later.
+impl Deserialize for Tensor {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        use serde::__private::{as_obj, obj_get};
+        let fields = as_obj(v, "struct Tensor")?;
+        let rows: usize = Deserialize::from_value(obj_get(fields, "rows")?)?;
+        let cols: usize = Deserialize::from_value(obj_get(fields, "cols")?)?;
+        let data: Vec<f32> = Deserialize::from_value(obj_get(fields, "data")?)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(DeError(format!(
+                "tensor data holds {} values but its shape is {rows}x{cols}",
+                data.len()
+            )));
+        }
+        Ok(Tensor { rows, cols, data })
+    }
 }
 
 impl Tensor {
@@ -248,6 +269,22 @@ mod tests {
         let mut rng2 = StdRng::seed_from_u64(42);
         let t2 = Tensor::xavier(16, 16, &mut rng2);
         assert_eq!(t, t2);
+    }
+
+    #[test]
+    fn deserialize_checks_the_shape_against_the_data() {
+        let t = Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let json = serde_json::to_string(&t).unwrap();
+        assert_eq!(serde_json::from_str::<Tensor>(&json).unwrap(), t);
+        for (json, why) in [
+            (r#"{"rows":2,"cols":64,"data":[1.0]}"#, "1 values"),
+            (r#"{"rows":1,"cols":1,"data":[1.0,2.0]}"#, "2 values"),
+            (r#"{"rows":1e19,"cols":1e19,"data":[]}"#, "0 values"),
+            (r#"{"rows":2,"data":[1.0,2.0]}"#, "missing field"),
+        ] {
+            let err = serde_json::from_str::<Tensor>(json).expect_err(json);
+            assert!(err.to_string().contains(why), "{json}: {err}");
+        }
     }
 
     #[test]

@@ -69,21 +69,9 @@ impl Clip {
 
     /// Restricts every trajectory to `[start, end]` and rebases frames to 0.
     pub fn window(&self, start: u32, end: u32) -> Clip {
-        let objects = self
-            .objects
-            .iter()
-            .map(|t| {
-                let s = t.slice(start, end);
-                // Rebase against the *window* start so cross-object timing
-                // inside the window is preserved.
-                let pts = s
-                    .points()
-                    .iter()
-                    .map(|p| crate::trajectory::TrajPoint::new(p.frame - start, p.bbox))
-                    .collect();
-                Trajectory::from_points(t.id, t.class, pts)
-            })
-            .collect();
+        // Each track rebases against the *window* start, so cross-object
+        // timing inside the window is preserved.
+        let objects = self.objects.iter().map(|t| t.window(start, end)).collect();
         Clip {
             frame_width: self.frame_width,
             frame_height: self.frame_height,

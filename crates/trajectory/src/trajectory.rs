@@ -140,19 +140,39 @@ impl Trajectory {
         }
     }
 
+    /// The observations inside `[start, end]` (inclusive; empty when
+    /// `end < start`): both bounds by binary search on the sorted frames.
+    fn range(&self, start: u32, end: u32) -> &[TrajPoint] {
+        let lo = self.points.partition_point(|p| p.frame < start);
+        let hi = self.points.partition_point(|p| p.frame <= end);
+        &self.points[lo..hi.max(lo)]
+    }
+
     /// Extracts the sub-trajectory overlapping `[start, end]` (inclusive),
     /// keeping original frame numbers.
     pub fn slice(&self, start: u32, end: u32) -> Trajectory {
-        let pts = self
-            .points
+        Trajectory {
+            id: self.id,
+            class: self.class,
+            points: self.range(start, end).to_vec(),
+        }
+    }
+
+    /// Extracts the sub-trajectory overlapping `[start, end]` (inclusive)
+    /// with frames counted from `start` — rebased against the *window*,
+    /// not the first observation, so objects windowed together keep their
+    /// relative timing. This is the one slicer behind every candidate
+    /// clip of a scan.
+    pub fn window(&self, start: u32, end: u32) -> Trajectory {
+        let points = self
+            .range(start, end)
             .iter()
-            .filter(|p| p.frame >= start && p.frame <= end)
-            .copied()
+            .map(|p| TrajPoint::new(p.frame - start, p.bbox))
             .collect();
         Trajectory {
             id: self.id,
             class: self.class,
-            points: pts,
+            points,
         }
     }
 
@@ -353,6 +373,20 @@ mod tests {
         let r = s.rebase(0);
         assert_eq!(r.start_frame(), Some(0));
         assert_eq!(r.end_frame(), Some(1));
+    }
+
+    #[test]
+    fn window_rebases_against_the_window_start() {
+        let t = traj(&[(5, 0.0, 0.0), (6, 1.0, 0.0), (9, 2.0, 0.0), (12, 3.0, 0.0)]);
+        let w = t.window(4, 9);
+        let frames: Vec<u32> = w.points().iter().map(|p| p.frame).collect();
+        assert_eq!(frames, [1, 2, 5]);
+        assert_eq!((w.id, w.class), (t.id, t.class));
+        assert_eq!(w.points()[2].bbox, t.points()[2].bbox);
+        assert!(t.window(7, 8).is_empty()); // inside a gap
+        assert!(t.window(13, 20).is_empty());
+        assert!(t.window(9, 6).is_empty()); // inverted bounds
+        assert_eq!(t.window(0, u32::MAX).len(), 4);
     }
 
     #[test]

@@ -28,7 +28,42 @@ fn arb_trajectory() -> impl Strategy<Value = Trajectory> {
     })
 }
 
+/// A trajectory with gaps: strictly increasing frames, 1 to 6 apart.
+fn arb_gappy_trajectory() -> impl Strategy<Value = Trajectory> {
+    prop::collection::vec((1u32..7, arb_bbox()), 0..40).prop_map(|steps| {
+        let mut frame = 0;
+        let pts = steps
+            .into_iter()
+            .map(|(gap, b)| {
+                frame += gap;
+                TrajPoint::new(frame, b)
+            })
+            .collect();
+        Trajectory::from_points(7, ObjectClass::Car, pts)
+    })
+}
+
 proptest! {
+    #[test]
+    fn window_and_slice_equal_the_filter_form(
+        t in arb_gappy_trajectory(),
+        start in 0u32..260,
+        len in 0u32..260,
+        inverted in 0u32..8,
+    ) {
+        // Mostly `start <= end`; one case in eight has the bounds inverted.
+        let (start, end) = if inverted == 0 { (start + len, start) } else { (start, start + len) };
+        let inside = |p: &&TrajPoint| p.frame >= start && p.frame <= end;
+        let kept: Vec<TrajPoint> = t.points().iter().filter(inside).copied().collect();
+        prop_assert_eq!(t.slice(start, end), Trajectory::from_points(t.id, t.class, kept.clone()));
+        let rebased = kept.iter().map(|p| TrajPoint::new(p.frame - start, p.bbox)).collect();
+        prop_assert_eq!(t.window(start, end), Trajectory::from_points(t.id, t.class, rebased));
+        let clip = Clip::new(100.0, 100.0, vec![t.clone(), t.slice(0, 20)]);
+        let windowed = clip.window(start, end);
+        prop_assert_eq!(&windowed.objects[0], &t.window(start, end));
+        prop_assert_eq!(&windowed.objects[1], &t.slice(0, 20).window(start, end));
+    }
+
     #[test]
     fn iou_in_unit_interval(a in arb_bbox(), b in arb_bbox()) {
         let v = a.iou(&b);

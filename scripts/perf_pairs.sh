@@ -4,8 +4,9 @@
 # workload, and per end-to-end metric the two medians, their ratio, the
 # bound from BENCHMARK.json and a verdict.
 #
-#   scripts/perf_pairs.sh <parent-ref> [workload...]   # default: all four
+#   scripts/perf_pairs.sh <parent-ref> [--ledger] [workload...]   # default: all four
 #   SKETCHQL_PERF_PAIRS=10 scripts/perf_pairs.sh HEAD~1 sharded
+#   scripts/perf_pairs.sh HEAD~1 --ledger scan     # ... and name the layer that moved
 #
 # The parent's committed files are unpacked (`git archive`) into
 # target/perf_pairs/parent-<sha>/ and built there, so each side has its
@@ -25,19 +26,33 @@
 # than `p.iqr`. The script exits non-zero when any row reads `worse` or
 # the change failed more operations than the parent on some workload.
 #
+# With `--ledger`, one `--trace 1` run per side and workload follows the
+# pairs (seed 1, parent first) and a second table prints parent -> change
+# -> ratio for every `per_layer` metric `BENCHMARK.json` declares that the
+# workload reports, marking the rows that moved by more than 10% in either
+# direction, under both sides' `bench.yardstick_slowdown` (the machine's
+# speed during that run: a ledger row means little when the yardsticks
+# differ by as much as the row does). One run a side is a pointer to the
+# layer, not a measurement of it; the claim rests on the pairs.
+#
 # ~45 s per pair and workload (two 20 s runs plus set-up): about 15
-# minutes for the default five pairs of all four workloads. Not part of
-# scripts/check.sh.
+# minutes for the default five pairs of all four workloads, and about 2
+# minutes more per workload with `--ledger`. Not part of scripts/check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 1 ]; then
-    echo "usage: scripts/perf_pairs.sh <parent-ref> [workload...]" >&2
+    echo "usage: scripts/perf_pairs.sh <parent-ref> [--ledger] [workload...]" >&2
     exit 2
 fi
 parent_ref="$1"
 shift
-if [ $# -gt 0 ]; then workloads=("$@"); else workloads=(scan sharded ingest live); fi
+ledger=0
+workloads=()
+for arg in "$@"; do
+    if [ "$arg" = "--ledger" ]; then ledger=1; else workloads+=("$arg"); fi
+done
+if [ ${#workloads[@]} -eq 0 ]; then workloads=(scan sharded ingest live); fi
 pairs="${SKETCHQL_PERF_PAIRS:-5}"
 
 sha="$(git rev-parse --short "$parent_ref^{commit}")"
@@ -54,7 +69,8 @@ echo "== build perfbench: parent $sha, then this checkout" >&2
 cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
 
 samples="$(mktemp)"
-trap 'rm -f "$samples"' EXIT
+layers="$(mktemp)"
+trap 'rm -f "$samples" "$layers"' EXIT
 
 # run_side <side> <dir> <workload> <pair>: one perfbench run, its METRIC
 # lines and failed count appended to $samples as "side workload pair name value".
@@ -69,6 +85,18 @@ run_side() {
     echo "$side $workload $pair failed $(tail -n 1 <<<"$out" | sed 's/.*"failed": \([0-9]*\).*/\1/')" >>"$samples"
 }
 
+# trace_side <side> <dir> <workload>: one traced run, every METRIC line
+# appended to $layers as "side workload name value unit".
+trace_side() {
+    local side="$1" dir="$2" workload="$3" out
+    if ! out="$(cd "$dir" && "${bench[@]}" --workload "$workload" --seed 1 --trace 1 2>/dev/null)"; then
+        echo "perfbench $workload --trace 1 failed on the $side side; rerun it in $dir to see why" >&2
+        exit 1
+    fi
+    awk -v side="$side" -v workload="$workload" \
+        '$1 == "METRIC" { print side, workload, $2, $3, $4 }' <<<"$out" >>"$layers"
+}
+
 for workload in "${workloads[@]}"; do
     for pair in $(seq 1 "$pairs"); do
         echo "== $workload pair $pair/$pairs" >&2
@@ -81,6 +109,13 @@ for workload in "${workloads[@]}"; do
         fi
     done
 done
+if [ "$ledger" -eq 1 ]; then
+    for workload in "${workloads[@]}"; do
+        echo "== $workload ledger (--trace 1, one run a side)" >&2
+        trace_side parent "$parent" "$workload"
+        trace_side change . "$workload"
+    done
+fi
 
 echo
 echo "parent $sha vs this checkout, $pairs pairs per workload, $(nproc) cpus"
@@ -136,4 +171,44 @@ END {
         if (fc > fp) bad = 1
     }
     exit bad
-}' BENCHMARK.json "$samples"
+}' BENCHMARK.json "$samples" || status=$?
+
+if [ "$ledger" -eq 1 ]; then
+    echo
+    echo "per-layer ledger, one --trace 1 run a side on seed 1 (* = moved by more than 10%)"
+    # The per_layer entries are the lines of BENCHMARK.json that carry a
+    # "better" and no "bound"; a workload reports only some of them.
+    awk '
+    FNR == NR {
+        if ($0 ~ /"better"/ && $0 !~ /"bound"/) {
+            name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name)
+            better = $0; sub(/.*"better": *"/, "", better); sub(/".*/, "", better)
+            metrics[++nmetrics] = name; lower[name] = (better == "lower")
+        }
+        next
+    }
+    {
+        if (!($2 in seen)) { seen[$2] = 1; workloads[++nworkloads] = $2 }
+        value[$1, $2, $3] = $4; have[$1, $2, $3] = 1; unit[$3] = $5
+    }
+    END {
+        for (w = 1; w <= nworkloads; w++) {
+            wl = workloads[w]
+            printf "%-9s bench.yardstick_slowdown: parent %.3f, change %.3f\n", wl, value["parent", wl, "bench.yardstick_slowdown"], value["change", wl, "bench.yardstick_slowdown"]
+            printf "%-9s %-34s %12s %12s %8s  %s\n", "workload", "layer metric", "parent", "change", "ratio", "unit"
+            for (m = 1; m <= nmetrics; m++) {
+                name = metrics[m]
+                if (!have["parent", wl, name] || !have["change", wl, name]) continue
+                p = value["parent", wl, name]; c = value["change", wl, name]
+                # A ratio needs two positive readings (a residual can be negative).
+                if (p <= 0 || c <= 0) { ratio = "-"; mark = (p == c) ? "" : "* sign or zero" }
+                else {
+                    r = c / p; ratio = sprintf("%.3f", r); mark = ""
+                    if (r > 1.1 || r < 0.9) mark = ((r < 1) == lower[name]) ? "* better" : "* worse"
+                }
+                printf "%-9s %-34s %12.4g %12.4g %8s  %-8s %s\n", wl, name, p, c, ratio, unit[name], mark
+            }
+        }
+    }' BENCHMARK.json "$layers"
+fi
+exit "${status:-0}"
