@@ -75,6 +75,9 @@ pub use similarity::{
 pub use sketcher::{
     CanvasObject, MouseMode, ObjectId, SegmentId, SketchError, Sketcher, TrajectoryPanel,
 };
+/// What [`ShardSet::manifest`] returns; loading it alone reads a set's
+/// epoch without attaching the set.
+pub use sketchql_store::Manifest;
 pub use training::{train, train_with_schedule, PairEval, TrainedModel, TrainingConfig};
 pub use tuner::{active_feedback_loop, fine_tune, Feedback, FeedbackRound, Reranker, TunerConfig};
 pub use vshard::{

@@ -11,8 +11,6 @@
 //!   (query, positive, negative) triplets built from the feedback, for
 //!   queries where re-ranking is not enough.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use sketchql_nn::{cosine_similarity, triplet, Adam, AdamConfig, Graph};
 use sketchql_trajectory::Clip;
@@ -143,8 +141,6 @@ pub fn fine_tune(
         lr: config.lr,
         ..Default::default()
     });
-    // Seeded for the (currently unused) possibility of dropout masks.
-    let _rng = StdRng::seed_from_u64(model.config.seed ^ 0x7e_u64);
 
     for _ in 0..config.epochs {
         let mut g = Graph::new(&tuned.store);

@@ -1,5 +1,6 @@
 //! The shard-set store: one writer behind ingest and incremental append,
-//! and lazy shard loading. (The search side is
+//! and a reader that maps at attach and verifies on first probe. (The
+//! search side is
 //! [`Matcher::search_stored`](crate::matcher::Matcher::search_stored).)
 //!
 //! **Ingest is append from the empty set.** `write_shards` is the only
@@ -32,22 +33,27 @@
 //!   owning rows under the top lists, and re-ranks them with the same
 //!   `score_embedding` the scan uses. Scores can never differ from the
 //!   scan; probing fewer lists only omits windows.
-//! - **Lazy residency.** Attaching a [`ShardSet`] reads the manifest and
-//!   each shard's 64-byte header. Shard payloads are memory-mapped,
-//!   checksummed, and decoded on *first probe* — and a shard whose
-//!   manifest row counts are zero under every probed centroid is never
-//!   touched at all. Resident memory follows traffic, not corpus size.
+//! - **Pinned maps, one-time verification.** Attaching a [`ShardSet`]
+//!   reads the manifest and maps every shard it names, checking each
+//!   64-byte header and file length from the mapped bytes; no payload page
+//!   is touched. A mapping holds its file's inode, so an attached set
+//!   *owns its epoch*: later appends may unlink whatever they supersede.
+//!   A shard is checksummed and decoded once, on *first probe* — and a
+//!   shard whose manifest row counts are zero under every probed centroid
+//!   is never read at all. Which pages stay in memory is the kernel's
+//!   page cache's business: clean file-backed pages are reclaimed under
+//!   pressure and faulted back on the next touch.
 
 use sketchql_store::{
-    hex_u64, read_shard_header, AnnConfig, CoarseQuantizer, LoadedShard, Manifest, ManifestShard,
-    ShardData, StoreError, StoreRow, MANIFEST_FILE, SHARD_EXT, SHARD_SET_EXT,
+    hex_u64, AnnConfig, CoarseQuantizer, LoadedShard, Manifest, ManifestShard, Mmap, ShardData,
+    StoreError, StoreRow, MANIFEST_FILE, SHARD_EXT, SHARD_SET_EXT,
 };
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{Clip, ObjectClass, TrackId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::embed_cache::embed_clips_parallel;
 use crate::grid;
@@ -61,8 +67,9 @@ use crate::vstore::{self, index_fingerprint, model_fingerprint, IngestConfig};
 /// so the same corpus always trains the same centroids.
 const QUANTIZER_SAMPLE_MAX: usize = 4096;
 
-/// Process-wide residency accounting backing the `sketchql.shard.*`
-/// gauges (gauges are set-valued, so the running totals live here).
+/// Process-wide accounting backing the `sketchql.shard.*` gauges (gauges
+/// are set-valued, so the running totals live here): shards verified and
+/// decoded, and bytes mapped, across every live [`ShardSet`].
 static RESIDENT_SHARDS: AtomicI64 = AtomicI64::new(0);
 static MAPPED_BYTES: AtomicI64 = AtomicI64::new(0);
 
@@ -204,7 +211,7 @@ struct Written {
 }
 
 /// File name of shard `i` as written under `epoch`. Appends never
-/// overwrite the files a reader of the previous epoch may still open.
+/// overwrite a file a reader of the previous epoch has mapped.
 fn shard_file_name(i: usize, epoch: u64) -> String {
     match epoch {
         0 => format!("shard-{i:04}.skshard"),
@@ -494,10 +501,10 @@ fn harvest(dir: &Path, shards: &[ManifestShard]) -> Result<HashMap<RowKey, Vec<f
 ///
 /// Commit is atomic: rewritten shards land under next-epoch names
 /// (current-epoch files are never overwritten), then one
-/// `manifest.json` rename publishes the new epoch. A reader holding the
-/// old manifest keeps a complete old-epoch set; a crash before the
-/// rename leaves the old epoch intact, and the next append sweeps the
-/// orphans.
+/// `manifest.json` rename publishes the new epoch. A reader attached to
+/// an older epoch keeps a complete set whatever later appends sweep —
+/// its maps hold the files, not their names; a crash before the rename
+/// leaves the old epoch intact, and the next append sweeps the orphans.
 ///
 /// `threads` sizes the embedding pass. Re-calling with an index the set
 /// already covers is a no-op (same epoch returned).
@@ -598,71 +605,34 @@ pub fn append_frames(
     })
 }
 
-/// One shard's residency slot. `loaded` is the cached payload (shared
-/// with in-flight probes through the `Arc`, so eviction can never
-/// invalidate a gather in progress), `error` is the sticky load
-/// failure, and `last_used` orders slots for LRU eviction.
-struct ShardSlot {
-    loaded: Option<Arc<LoadedShard>>,
-    error: Option<Arc<StoreError>>,
-    last_used: u64,
-}
-
-/// One shard's attach-time state: validated header + path, with the
-/// payload faulted in on first probe (and possibly evicted again under
-/// a residency cap).
-struct LazyShard {
+/// One shard as attach leaves it: mapped and header-checked, with the
+/// checksum + decode deferred to first probe and run once.
+struct PinnedShard {
     path: PathBuf,
     checksum: u64,
-    slot: Mutex<ShardSlot>,
+    map: Arc<Mmap>,
+    /// The verified shard, or the sticky error verification ended in.
+    loaded: OnceLock<Result<LoadedShard, Arc<StoreError>>>,
 }
 
-impl LazyShard {
-    fn new(path: PathBuf, checksum: u64) -> Self {
-        LazyShard {
-            path,
-            checksum,
-            slot: Mutex::new(ShardSlot {
-                loaded: None,
-                error: None,
-                last_used: 0,
-            }),
+impl PinnedShard {
+    fn verify(&self) -> Result<LoadedShard, StoreError> {
+        LoadedShard::verify(&self.path, Arc::clone(&self.map), Some(self.checksum))
+    }
+
+    /// What this shard adds to `sketchql.shard.bytes_mapped` (nothing on
+    /// the owned-read fallback, which maps nothing).
+    fn mapped_bytes(&self) -> i64 {
+        if self.map.is_mapped() {
+            self.map.len() as i64
+        } else {
+            0
         }
     }
 }
 
-/// The candidate rows gathered by one probe, owning `Arc` handles to
-/// every shard they came from. Eviction only drops the set's cached
-/// handle; the vectors behind a `Gathered` stay mapped until it drops,
-/// so candidate slices can never dangle mid-search.
-pub struct Gathered {
-    shards: Vec<Arc<LoadedShard>>,
-    rows: Vec<(StoreRow, u32, u32)>,
-}
-
-impl Gathered {
-    /// Number of candidate rows gathered.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the probe gathered nothing.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The candidates as `(row, vector)` pairs borrowing from the held
-    /// shards — the shape the exact re-rank consumes.
-    pub fn candidates(&self) -> Vec<(StoreRow, &[f32])> {
-        self.rows
-            .iter()
-            .map(|&(row, shard, r)| (row, self.shards[shard as usize].vector(r as usize)))
-            .collect()
-    }
-}
-
-/// An attached store: manifest + shared quantizer resident, shard
-/// payloads lazy.
+/// An attached store: manifest + shared quantizer resident, every shard
+/// mapped, payloads verified on first probe.
 pub struct ShardSet {
     dir: PathBuf,
     manifest: Manifest,
@@ -673,29 +643,23 @@ pub struct ShardSet {
     /// How many shared-quantizer lists a query probes (defaults to
     /// [`AnnConfig::nprobe`]; at `nlist` the probe is exhaustive).
     pub nprobe: usize,
-    /// Residency cap: at most this many shards stay loaded at once
-    /// (`None` = unbounded, the historical grow-only behaviour). When a
-    /// load would exceed the cap, the least-recently-used resident
-    /// shard is evicted — dropped from the cache, not from disk — and
-    /// reloads transparently on its next probe.
-    max_resident: Option<usize>,
-    /// Monotonic use clock ordering slots for LRU eviction.
-    use_tick: AtomicU64,
-    shards: Vec<LazyShard>,
+    shards: Vec<PinnedShard>,
 }
 
 impl ShardSet {
     /// Attaches a shard-set directory: parses + validates the manifest,
-    /// validates every shard's header (magic, version, length) and its
-    /// consistency with the manifest entry, and rebuilds the shared
-    /// quantizer from the persisted centroid bits. No shard payload is
-    /// read — attach cost is O(manifest + one header per shard).
+    /// maps every shard it names and validates its header (magic, version,
+    /// length) and its consistency with the manifest entry, and rebuilds
+    /// the shared quantizer from the persisted centroid bits. No shard
+    /// payload is read — attach cost is O(manifest + one map per shard) —
+    /// and from here on the set needs no file name: its maps pin the
+    /// epoch it attached.
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
         let manifest = Manifest::load(dir)?;
         let mut shards = Vec::with_capacity(manifest.shards.len());
         for entry in &manifest.shards {
             let path = dir.join(&entry.file);
-            let header = read_shard_header(&path)?;
+            let (map, header) = LoadedShard::map(&path)?;
             let consistent = header.shard_id == entry.shard_id
                 && header.frame_start == entry.frame_start
                 && header.frame_end == entry.frame_end
@@ -720,10 +684,18 @@ impl ShardSet {
             }
             let checksum = sketchql_store::manifest::parse_hex_u64(&entry.checksum)
                 .expect("manifest validation checked checksum hex");
-            shards.push(LazyShard::new(path, checksum));
+            shards.push(PinnedShard {
+                path,
+                checksum,
+                map,
+                loaded: OnceLock::new(),
+            });
         }
         let quantizer =
             CoarseQuantizer::from_centroids(manifest.centroids(), manifest.dim as usize);
+        let mapped: i64 = shards.iter().map(PinnedShard::mapped_bytes).sum();
+        MAPPED_BYTES.fetch_add(mapped, Ordering::Relaxed);
+        publish_residency();
         Ok(ShardSet {
             dir: dir.to_path_buf(),
             model_fingerprint: manifest.model_fp().expect("validated hex"),
@@ -731,25 +703,8 @@ impl ShardSet {
             manifest,
             quantizer,
             nprobe: AnnConfig::default().nprobe,
-            max_resident: None,
-            use_tick: AtomicU64::new(0),
             shards,
         })
-    }
-
-    /// Caps how many shards stay resident at once (LRU eviction beyond
-    /// the cap; `None` removes the cap). A cap of 0 is treated as 1 —
-    /// the shard being probed is always allowed to stay.
-    pub fn set_max_resident(&mut self, cap: Option<usize>) {
-        self.max_resident = cap.map(|c| c.max(1));
-        if self.max_resident.is_some() {
-            self.evict_over_cap(None);
-        }
-    }
-
-    /// The configured residency cap, if any.
-    pub fn max_resident(&self) -> Option<usize> {
-        self.max_resident
     }
 
     /// The directory this set was attached from.
@@ -787,102 +742,37 @@ impl ShardSet {
         &self.quantizer
     }
 
-    /// Shards currently faulted in (loaded successfully).
+    /// Shards verified and decoded so far (every shard is *mapped* from
+    /// attach on; a shard becomes resident at its first probe).
     pub fn resident_shards(&self) -> usize {
         self.shards
             .iter()
-            .filter(|s| s.slot.lock().unwrap().loaded.is_some())
+            .filter(|s| matches!(s.loaded.get(), Some(Ok(_))))
             .count()
     }
 
-    /// The loaded payload of shard `i`, faulting it in (map, checksum,
-    /// decode) if evicted or never touched. Load errors are sticky.
-    /// A successful load that pushes residency past the cap evicts the
-    /// least-recently-used *other* shard before returning.
-    fn load_shard(&self, i: usize) -> Result<Arc<LoadedShard>, Arc<StoreError>> {
-        let lazy = &self.shards[i];
-        let tick = self.use_tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let result = {
-            let mut slot = lazy.slot.lock().unwrap();
-            slot.last_used = tick;
-            if let Some(shard) = &slot.loaded {
-                return Ok(Arc::clone(shard));
-            }
-            if let Some(err) = &slot.error {
-                return Err(Arc::clone(err));
-            }
+    /// Shard `i`, verified: the first call checksums and decodes it, every
+    /// later one is a `OnceLock::get`. A verification error is sticky.
+    fn loaded(&self, i: usize) -> Result<&LoadedShard, Arc<StoreError>> {
+        let shard = &self.shards[i];
+        let loaded = shard.loaded.get_or_init(|| {
             let _span = telemetry::span(names::SHARD_LOAD);
-            match LoadedShard::open(&lazy.path, Some(lazy.checksum)) {
-                Ok(shard) => {
-                    let shard = Arc::new(shard);
+            match shard.verify() {
+                Ok(loaded) => {
                     telemetry::counter(names::SHARD_LOADS).inc();
                     RESIDENT_SHARDS.fetch_add(1, Ordering::Relaxed);
-                    if shard.is_mapped() {
-                        MAPPED_BYTES.fetch_add(shard.bytes() as i64, Ordering::Relaxed);
-                    }
                     publish_residency();
-                    slot.loaded = Some(Arc::clone(&shard));
-                    Ok(shard)
+                    Ok(loaded)
                 }
                 Err(e) => {
                     // The error is sticky, so this logs once per attach.
                     eprintln!("shard load failed; queries that need it fall back to scan: {e}");
                     telemetry::counter(names::SHARD_LOAD_ERRORS).inc();
-                    let err = Arc::new(e);
-                    slot.error = Some(Arc::clone(&err));
-                    Err(err)
+                    Err(Arc::new(e))
                 }
             }
-        };
-        if result.is_ok() {
-            self.evict_over_cap(Some(i));
-        }
-        result
-    }
-
-    /// Evicts least-recently-used shards until residency fits the cap.
-    /// `keep` (the shard a probe is actively using) is never evicted.
-    /// In-flight gathers keep their `Arc` handles, so eviction only
-    /// drops the cache entry; memory is released once the last handle
-    /// goes away.
-    fn evict_over_cap(&self, keep: Option<usize>) {
-        let Some(cap) = self.max_resident else {
-            return;
-        };
-        loop {
-            let mut resident = 0usize;
-            let mut victim: Option<(usize, u64)> = None;
-            for (i, lazy) in self.shards.iter().enumerate() {
-                let slot = lazy.slot.lock().unwrap();
-                if slot.loaded.is_none() {
-                    continue;
-                }
-                resident += 1;
-                if Some(i) == keep {
-                    continue;
-                }
-                if victim.is_none_or(|(_, t)| slot.last_used < t) {
-                    victim = Some((i, slot.last_used));
-                }
-            }
-            if resident <= cap {
-                return;
-            }
-            let Some((i, _)) = victim else {
-                return;
-            };
-            let mut slot = self.shards[i].slot.lock().unwrap();
-            // Re-check under the lock: a racing probe may have bumped
-            // or reloaded the slot since we scanned.
-            if let Some(shard) = slot.loaded.take() {
-                telemetry::counter(names::SHARD_EVICTIONS).inc();
-                RESIDENT_SHARDS.fetch_sub(1, Ordering::Relaxed);
-                if shard.is_mapped() {
-                    MAPPED_BYTES.fetch_sub(shard.bytes() as i64, Ordering::Relaxed);
-                }
-                publish_residency();
-            }
-        }
+        });
+        loaded.as_ref().map_err(Arc::clone)
     }
 
     /// Copies the set into `dest` — every shard file the manifest names,
@@ -918,49 +808,44 @@ impl ShardSet {
     }
 
     /// Gathers the candidate rows of every probed centroid across all
-    /// shards, loading only the shards that own rows under a probed
-    /// list. `probe` is the (already truncated) centroid ranking.
-    /// Fails with the first shard load error — callers fall back to the
-    /// scan, which preserves results at the cost of speed.
-    pub fn gather(&self, probe: &[usize]) -> Result<Gathered, Arc<StoreError>> {
-        let mut gathered = Gathered {
-            shards: Vec::new(),
-            rows: Vec::new(),
-        };
+    /// shards as `(row, vector)` pairs borrowed from the set — the shape
+    /// the exact re-rank consumes — verifying only the shards that own
+    /// rows under a probed list. `probe` is the (already truncated)
+    /// centroid ranking. Fails with the first shard load error — callers
+    /// fall back to the scan, which preserves results at the cost of
+    /// speed.
+    pub fn gather(&self, probe: &[usize]) -> Result<Vec<(StoreRow, &[f32])>, Arc<StoreError>> {
+        let mut candidates = Vec::new();
         for (i, entry) in self.manifest.shards.iter().enumerate() {
-            let has_rows = probe
+            let rows: u32 = probe
                 .iter()
-                .any(|&c| entry.list_rows.get(c).copied().unwrap_or(0) > 0);
-            if !has_rows {
+                .map(|&c| entry.list_rows.get(c).copied().unwrap_or(0))
+                .sum();
+            if rows == 0 {
                 telemetry::counter(names::SHARD_SKIPPED).inc();
                 continue;
             }
-            let shard = self.load_shard(i)?;
+            let shard = self.loaded(i)?;
             telemetry::counter(names::SHARD_PROBES).inc();
-            let held = gathered.shards.len() as u32;
+            candidates.reserve(rows as usize);
             for &c in probe {
                 for &r in shard.list(c) {
-                    gathered.rows.push((shard.row(r as usize), held, r));
+                    candidates.push((shard.row(r as usize), shard.vector(r as usize)));
                 }
             }
-            gathered.shards.push(shard);
         }
-        Ok(gathered)
+        Ok(candidates)
     }
 
-    /// Loads and verifies every shard (mapping + checksum + manifest
-    /// cross-check). This is `ingest --verify` and the loud-failure
-    /// path for corruption tests: the returned error names the broken
-    /// shard file.
+    /// Verifies every shard (checksum + manifest cross-check + decode).
+    /// This is `ingest --verify` and the loud-failure path for corruption
+    /// tests: the returned error names the broken shard file.
     pub fn verify(&self) -> Result<(), StoreError> {
-        for (i, lazy) in self.shards.iter().enumerate() {
-            if self.load_shard(i).is_err() {
-                // Re-open to hand the caller an owned error (the cached
-                // one stays sticky behind the shared reference).
-                return Err(match LoadedShard::open(&lazy.path, Some(lazy.checksum)) {
-                    Err(e) => e,
-                    Ok(_) => unreachable!("cached load error reproduces"),
-                });
+        for (i, shard) in self.shards.iter().enumerate() {
+            if self.loaded(i).is_err() {
+                // Check the held map again to hand the caller an owned
+                // error (the cached one stays sticky behind its `Arc`).
+                return Err(shard.verify().expect_err("cached load error reproduces"));
             }
         }
         Ok(())
@@ -969,21 +854,10 @@ impl ShardSet {
 
 impl Drop for ShardSet {
     fn drop(&mut self) {
-        let mut dropped_shards = 0i64;
-        let mut dropped_bytes = 0i64;
-        for lazy in &self.shards {
-            if let Some(shard) = &lazy.slot.lock().unwrap().loaded {
-                dropped_shards += 1;
-                if shard.is_mapped() {
-                    dropped_bytes += shard.bytes() as i64;
-                }
-            }
-        }
-        if dropped_shards > 0 || dropped_bytes > 0 {
-            RESIDENT_SHARDS.fetch_sub(dropped_shards, Ordering::Relaxed);
-            MAPPED_BYTES.fetch_sub(dropped_bytes, Ordering::Relaxed);
-            publish_residency();
-        }
+        let mapped: i64 = self.shards.iter().map(PinnedShard::mapped_bytes).sum();
+        RESIDENT_SHARDS.fetch_sub(self.resident_shards() as i64, Ordering::Relaxed);
+        MAPPED_BYTES.fetch_sub(mapped, Ordering::Relaxed);
+        publish_residency();
     }
 }
 

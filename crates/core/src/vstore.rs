@@ -271,10 +271,15 @@ impl Matcher<LearnedSimilarity> {
                     set.gather(&ranked[..nprobe])
                 };
                 // A load error was logged where it was first recorded
-                // (`ShardSet::load_shard`); the member is left unserved.
-                if let Ok(gathered) = gathered {
+                // (`ShardSet::loaded`); the member is left unserved.
+                if let Ok(mut candidates) = gathered {
+                    // The live epoch scope, applied before ranking so
+                    // `top_k` acts within it: only windows ending at or
+                    // after `min_end`.
+                    if let Some(m) = min_end {
+                        candidates.retain(|(row, _)| row.end >= m);
+                    }
                     results[*i] = Some(cancel.check().map_err(MatchError::from).and_then(|()| {
-                        let candidates = scope_candidates(gathered.candidates(), min_end);
                         self.finish_store_search(index, query, prepared, candidates, cancel)
                     }));
                 }
@@ -459,19 +464,6 @@ impl Matcher<LearnedSimilarity> {
             let len = grid::window_len(query.span(), scale, c.min_window);
             len > index.frames || manifest.window_lens.contains(&len)
         })
-    }
-}
-
-/// Restricts store candidates to windows ending at or after `min_end`
-/// (the live epoch scope); `None` keeps everything. Applied before
-/// ranking, so `top_k` acts within the scope.
-fn scope_candidates(
-    candidates: Vec<(StoreRow, &[f32])>,
-    min_end: Option<u32>,
-) -> Vec<(StoreRow, &[f32])> {
-    match min_end {
-        None => candidates,
-        Some(m) => candidates.into_iter().filter(|(r, _)| r.end >= m).collect(),
     }
 }
 

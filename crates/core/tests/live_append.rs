@@ -5,7 +5,8 @@
 //! split points and shard widths — and epoch-scoped search must agree
 //! between the two sets while only reporting windows inside the scope.
 //! An append also pays for the frames it adds, not for the set: a short
-//! tail behind a long prefix embeds a small fraction of the rows.
+//! tail behind a long prefix embeds a small fraction of the rows. And a
+//! reader attached before the appends keeps the epoch it attached.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -362,4 +363,56 @@ fn append_sweeps_what_a_crashed_append_left_behind() {
     assert_same_rows_and_vectors(&set, &scratch);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&dir_full).ok();
+}
+
+/// A reader owns the epoch it attached. It has probed nothing when two
+/// appends land behind it — and the second one's sweep unlinks the tail
+/// files the first superseded, which this reader's manifest still names.
+/// Its maps were taken at attach, so its first probe finds every shard:
+/// the query is served from the store with the answer the epoch gave
+/// before the appends, not silently handed to the scan.
+#[test]
+fn a_lazy_reader_keeps_its_epoch_across_two_appends() {
+    let model = tiny_model();
+    let m = matcher(&model);
+    let query = query_clip(EventKind::LeftTurn);
+    let ingest_cfg = IngestConfig::from_matcher(&m.config, &[query.span()]);
+    let stages = streaming_stages(67);
+    let indexes: Vec<VideoIndex> = stages[..3].iter().map(VideoIndex::from_truth).collect();
+    let dir = temp_dir("pinned");
+    let none = CancelToken::none();
+
+    let mut reference =
+        ingest_sharded(&m.sim, &indexes[0], "v", &ingest_cfg, 25, &dir, &|_| {}).unwrap();
+    reference.nprobe = reference.nlist();
+    let want = m
+        .search_with_shards(&indexes[0], &reference, &query, &none)
+        .unwrap();
+    assert!(want.from_store && !want.moments.is_empty());
+    drop(reference);
+
+    let mut old = ShardSet::open(&dir).unwrap();
+    old.nprobe = old.nlist();
+    assert!(old.shard_count() > 2, "fixture needs several shards");
+    assert_eq!(old.resident_shards(), 0, "attach must not load any shard");
+    let old_tail = dir.join(&old.manifest().shards.last().unwrap().file);
+
+    append_frames(&m.sim, &indexes[1], &dir, 2, &|_| {}).unwrap();
+    append_frames(&m.sim, &indexes[2], &dir, 2, &|_| {}).unwrap();
+    assert!(
+        !old_tail.exists(),
+        "fixture: the second append must sweep epoch 0's superseded tail"
+    );
+
+    let got = m
+        .search_with_shards(&indexes[0], &old, &query, &none)
+        .unwrap();
+    assert!(got.from_store, "the old epoch's reader lost a shard");
+    assert!(!got.fallback);
+    assert_eq!(got.moments, want.moments);
+    for (a, b) in got.moments.iter().zip(&want.moments) {
+        assert_eq!(a.score.to_bits(), b.score.to_bits());
+    }
+    old.verify().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

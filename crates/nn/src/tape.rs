@@ -43,8 +43,6 @@ enum Op {
     Gelu(NodeId),
     /// ReLU activation.
     Relu(NodeId),
-    /// Hyperbolic tangent activation.
-    Tanh(NodeId),
     /// Mean over rows: `RxC -> 1xC` (sequence pooling).
     MeanRows(NodeId),
     /// Mean over all elements: `RxC -> 1x1`.
@@ -60,8 +58,6 @@ enum Op {
     /// Mean cross-entropy of row `i` of the logits against class
     /// `targets[i]`; produces a `1x1` loss.
     CrossEntropyRows(NodeId, Vec<usize>),
-    /// Element-wise product with a fixed 0/`1/keep` mask (inverted dropout).
-    Dropout(NodeId, Vec<f32>),
 }
 
 pub(crate) const LN_EPS: f32 = 1e-5;
@@ -214,12 +210,6 @@ impl Tape {
         self.push(Op::Relu(a), v)
     }
 
-    /// Tanh activation.
-    pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.values[a].map(f32::tanh);
-        self.push(Op::Tanh(a), v)
-    }
-
     /// Mean over rows (`R x C -> 1 x C`).
     pub fn mean_rows(&mut self, a: NodeId) -> NodeId {
         let va = &self.values[a];
@@ -315,16 +305,6 @@ impl Tape {
         }
         let v = Tensor::scalar(loss / targets.len() as f32);
         self.push(Op::CrossEntropyRows(logits, targets), v)
-    }
-
-    /// Inverted dropout with the given keep mask (entries are `0` or
-    /// `1/keep_prob`). The caller samples the mask so training is seedable.
-    pub fn dropout(&mut self, a: NodeId, mask: Vec<f32>) -> NodeId {
-        let va = &self.values[a];
-        assert_eq!(mask.len(), va.len(), "mask size mismatch");
-        let data = va.data.iter().zip(&mask).map(|(x, m)| x * m).collect();
-        let v = Tensor::from_vec(va.rows, va.cols, data);
-        self.push(Op::Dropout(a, mask), v)
     }
 
     /// Runs reverse-mode differentiation from `loss` (must be `1 x 1`).
@@ -476,19 +456,6 @@ impl Tape {
                 );
                 Self::accum(grads, *a, ga);
             }
-            Op::Tanh(a) => {
-                let y = &self.values[id];
-                let ga = Tensor::from_vec(
-                    g.rows,
-                    g.cols,
-                    g.data
-                        .iter()
-                        .zip(&y.data)
-                        .map(|(gv, &yv)| gv * (1.0 - yv * yv))
-                        .collect(),
-                );
-                Self::accum(grads, *a, ga);
-            }
             Op::MeanRows(a) => {
                 let va = &self.values[*a];
                 let mut ga = Tensor::zeros(va.rows, va.cols);
@@ -566,14 +533,6 @@ impl Tape {
                     }
                 }
                 Self::accum(grads, *logits, gl);
-            }
-            Op::Dropout(a, mask) => {
-                let ga = Tensor::from_vec(
-                    g.rows,
-                    g.cols,
-                    g.data.iter().zip(mask).map(|(gv, m)| gv * m).collect(),
-                );
-                Self::accum(grads, *a, ga);
             }
         }
     }
@@ -704,8 +663,7 @@ mod tests {
         grad_check(&[randt(2, 4, 12)], |t, ids| {
             let g = t.gelu(ids[0]);
             let r = t.relu(g);
-            let th = t.tanh(r);
-            t.mean_all(th)
+            t.mean_all(r)
         });
     }
 
@@ -754,26 +712,6 @@ mod tests {
         grad_check(&[randt(3, 4, 19)], |t, ids| {
             t.cross_entropy_rows(ids[0], vec![0, 2, 3])
         });
-    }
-
-    #[test]
-    fn grad_dropout_mask_applied() {
-        let mask = vec![0.0, 2.0, 2.0, 0.0, 2.0, 2.0];
-        let mask2 = mask.clone();
-        grad_check(&[randt(2, 3, 20)], move |t, ids| {
-            let d = t.dropout(ids[0], mask2.clone());
-            t.mean_all(d)
-        });
-        // Zeroed positions get zero gradient.
-        let mut tape = Tape::new();
-        let x = tape.leaf(randt(2, 3, 21));
-        let d = tape.dropout(x, mask);
-        let l = tape.mean_all(d);
-        let g = tape.backward(l);
-        let gx = g.get(x).unwrap();
-        assert_eq!(gx.data[0], 0.0);
-        assert_eq!(gx.data[3], 0.0);
-        assert!(gx.data[1] > 0.0);
     }
 
     #[test]

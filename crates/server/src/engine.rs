@@ -1239,11 +1239,7 @@ fn worker_loop(shared: &Shared) {
             shared,
             members: batch.iter().map(|j| Arc::clone(&j.member)).collect(),
         };
-        let ran =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_batch(shared, batch)));
-        if ran.is_err() {
-            tally(shared, &guard.members[0], Event::WorkerPanic);
-        }
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_batch(shared, batch)));
         drop(guard);
     }
 }
@@ -1554,8 +1550,6 @@ enum Event<'a> {
     Completed(&'a StoreSearch),
     /// Answered with this error after admission.
     Answered(&'a EngineError),
-    /// The worker running this member's batch panicked (once a batch).
-    WorkerPanic,
 }
 
 /// The one place a traffic event is counted: the only code that touches
@@ -1581,7 +1575,7 @@ fn tally(shared: &Shared, member: &Member, event: Event) {
             if let EngineError::RateLimited { .. } = err {
                 bump(&class.rate_limited);
                 class.rate_limited_metric.inc();
-                return count(names::SERVER_SHED_RATE_LIMITED);
+                return;
             }
             bump(&class.shed);
             class.shed_metric.inc();
@@ -1629,7 +1623,6 @@ fn tally(shared: &Shared, member: &Member, event: Event) {
                 _ => TraceOutcome::Failed,
             });
         }
-        Event::WorkerPanic => count(names::SERVER_WORKER_PANICS),
     }
 }
 

@@ -38,7 +38,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use sketchql::{RetrievedMoment, ShardSet, VideoIndex};
+use sketchql::{Manifest, RetrievedMoment, ShardSet, VideoIndex};
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{Clip, TrackId};
 
@@ -119,11 +119,12 @@ pub struct LiveReload {
 }
 
 /// The live-epoch poller: a thread that, every `interval`, re-reads the
-/// manifest of each watched shard set (a manifest-only open — cheap
-/// enough to poll) and, when its epoch has advanced past the one the
-/// engine serves, rebuilds the dataset's index, reopens the set and
-/// hands both to [`Engine::reload_dataset`]. A set that cannot be opened
-/// or reloaded is reported on stderr and retried on the next tick.
+/// manifest of each watched shard set (one small JSON file — nothing is
+/// attached, so polling costs the same however many shards a set has)
+/// and, when its epoch has advanced past the one the engine serves,
+/// rebuilds the dataset's index, attaches the set and hands both to
+/// [`Engine::reload_dataset`]. A set that cannot be opened or reloaded
+/// is reported on stderr and retried on the next tick.
 pub struct LivePoller {
     /// Dropping the sender is the stop signal.
     stop: mpsc::Sender<()>,
@@ -132,18 +133,17 @@ pub struct LivePoller {
 
 impl LivePoller {
     /// Starts polling `sources` — `(dataset, shard-set directory, epoch
-    /// the engine already serves)` — every `interval`. The two things
-    /// only the caller knows come as closures: `rebuild_index` produces
-    /// the dataset's grown [`VideoIndex`] (its error completes the line
-    /// "store advanced but ..."), and `configure` sets up a freshly
-    /// opened [`ShardSet`] the way the caller set up the ones it attached
-    /// at startup.
+    /// the engine already serves)` — every `interval`. `rebuild_index`
+    /// produces the dataset's grown [`VideoIndex`] (its error completes
+    /// the line "store advanced but ..."); `nprobe`, when given, is set on
+    /// every set the poller attaches, as the caller set it on the ones it
+    /// attached at startup.
     pub fn spawn(
         engine: Arc<Engine>,
         mut sources: Vec<(String, PathBuf, u64)>,
         interval: Duration,
         rebuild_index: impl Fn(&str) -> Result<VideoIndex, String> + Send + 'static,
-        configure: impl Fn(&mut ShardSet) + Send + 'static,
+        nprobe: Option<usize>,
     ) -> std::io::Result<LivePoller> {
         let (stop, stopped) = mpsc::channel::<()>();
         let thread = std::thread::Builder::new()
@@ -151,13 +151,17 @@ impl LivePoller {
             .spawn(move || {
                 while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                     for (name, set_dir, served_epoch) in sources.iter_mut() {
+                        let advanced =
+                            Manifest::load(set_dir).is_ok_and(|m| m.epoch > *served_epoch);
+                        if !advanced {
+                            continue;
+                        }
                         let Ok(mut set) = ShardSet::open(set_dir) else {
                             continue;
                         };
+                        // The epoch attached — an append may have landed
+                        // since the manifest was read above.
                         let epoch = set.manifest().epoch;
-                        if epoch <= *served_epoch {
-                            continue;
-                        }
                         let index = match rebuild_index(name) {
                             Ok(index) => index,
                             Err(e) => {
@@ -165,7 +169,9 @@ impl LivePoller {
                                 continue;
                             }
                         };
-                        configure(&mut set);
+                        if let Some(nprobe) = nprobe {
+                            set.nprobe = nprobe;
+                        }
                         match engine.reload_dataset(name, index, set) {
                             Ok(r) => {
                                 println!(

@@ -376,7 +376,7 @@ fn poller_turns_an_appended_epoch_into_notifications() {
         vec![("alpha".to_string(), dir.clone(), 0)],
         Duration::from_millis(20),
         move |_| Ok(rebuilt.clone()),
-        |set| set.nprobe = set.nlist(),
+        Some(usize::MAX), // clamped to the set's list count: exhaustive
     )
     .unwrap();
     let reg = engine.register("alpha", query.clone(), None, None).unwrap();

@@ -43,9 +43,7 @@ pub use manifest::{
     hex_u64, parse_hex_u64, Manifest, ManifestShard, MANIFEST_FILE, MANIFEST_VERSION, SHARD_SET_EXT,
 };
 pub use mmap::Mmap;
-pub use shard::{
-    read_shard_header, LoadedShard, ShardData, ShardHeader, SHARD_EXT, SHARD_MAGIC, SHARD_VERSION,
-};
+pub use shard::{LoadedShard, ShardData, ShardHeader, SHARD_EXT, SHARD_MAGIC, SHARD_VERSION};
 
 /// Incremental FNV-1a 64-bit hasher.
 ///

@@ -1,8 +1,10 @@
 //! A minimal read-only memory-map wrapper.
 //!
-//! Shards are mapped, not read: attaching a sharded store touches only
-//! headers, and the kernel pages vector data in on first probe. This is
-//! the one place in the workspace that calls `mmap` directly — no
+//! Shards are mapped, not read: attaching a sharded store maps every
+//! shard and touches only its header page, the kernel pages vector data
+//! in on first probe, and — the file descriptor being closed again — the
+//! mapping is what keeps an unlinked shard readable. This is the one
+//! place in the workspace that calls `mmap` directly — no
 //! external crate, just the two libc symbols declared here (the process
 //! already links libc on every supported unix target).
 //!
@@ -16,7 +18,9 @@
 //!
 //! Non-unix targets (and empty files, for which `mmap` is ill-defined)
 //! fall back to reading the file into an owned buffer; callers see the
-//! same `&[u8]` either way.
+//! same `&[u8]` either way. That is the one path such a host has: the
+//! whole file is read where a unix host maps it — at attach — and
+//! nothing is deferred.
 
 use std::fs::File;
 use std::io::Read;

@@ -5,10 +5,12 @@
 //! rows, vectors, posting lists (against the shard set's *shared*
 //! coarse quantizer), and trailing checksum. The set-level metadata —
 //! dataset identity, fingerprints, quantizer centroids, per-shard
-//! checksums — lives in the manifest ([`crate::manifest`]), so opening a
-//! shard set touches only the manifest and each shard's fixed-size
-//! header; shard payloads are memory-mapped and first read (and checksum
-//! verified) on first probe.
+//! checksums — lives in the manifest ([`crate::manifest`]). Reading a
+//! shard is two steps: [`LoadedShard::map`] maps the file and checks its
+//! fixed-size header and its length (attach: no payload page is touched),
+//! and [`LoadedShard::verify`] checksums and decodes the mapped bytes
+//! (first probe). A mapping pins the file's inode, so a mapped shard
+//! stays readable after its name is unlinked.
 //!
 //! Layout (all little-endian; floats by bit pattern):
 //!
@@ -41,6 +43,7 @@
 //! into an owned buffer — same values, same bits.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use sketchql_trajectory::{ObjectClass, TrackId};
 
@@ -170,30 +173,6 @@ impl ShardHeader {
     }
 }
 
-/// Reads and validates a shard's header without touching the payload:
-/// magic, version, and that the file length is exactly what the header
-/// implies. This is the whole cost of attaching a shard at server start.
-pub fn read_shard_header(path: &Path) -> Result<ShardHeader, StoreError> {
-    let io = |source| StoreError::Io {
-        path: path.to_path_buf(),
-        source,
-    };
-    let mut file = std::fs::File::open(path).map_err(io)?;
-    let file_len = file.metadata().map_err(io)?.len();
-    let mut buf = [0u8; SHARD_HEADER_LEN];
-    let take = (file_len as usize).min(SHARD_HEADER_LEN);
-    std::io::Read::read_exact(&mut file, &mut buf[..take]).map_err(io)?;
-    let header = ShardHeader::from_bytes(path, &buf[..take])?;
-    let expected = header.expected_len() as u64;
-    if file_len != expected {
-        return Err(StoreError::Truncated {
-            path: path.to_path_buf(),
-            detail: format!("shard payload (header implies {expected} bytes, file has {file_len})"),
-        });
-    }
-    Ok(header)
-}
-
 /// An in-memory shard being built: rows + vectors + posting lists.
 /// Serialize with [`ShardData::save`].
 #[derive(Debug, Clone, PartialEq)]
@@ -287,14 +266,14 @@ impl ShardData {
     }
 }
 
-/// A shard faulted into memory: the mapping plus decoded metadata
-/// columns and posting lists. The vector column stays in the mapping
-/// (zero-copy) on little-endian hosts with an aligned base; otherwise it
-/// is decoded once into `vectors_owned`.
+/// A verified shard: the mapping (shared with whoever mapped it at
+/// attach) plus decoded metadata columns and posting lists. The vector
+/// column stays in the mapping (zero-copy) on little-endian hosts with an
+/// aligned base; otherwise it is decoded once into `vectors_owned`.
 #[derive(Debug)]
 pub struct LoadedShard {
     path: PathBuf,
-    map: Mmap,
+    map: Arc<Mmap>,
     header: ShardHeader,
     track_ids: Vec<TrackId>,
     classes: Vec<ObjectClass>,
@@ -306,27 +285,50 @@ pub struct LoadedShard {
 }
 
 impl LoadedShard {
-    /// Maps `path`, verifies its full checksum (this is the deferred
-    /// integrity pass — a flipped byte anywhere in the file fails here,
-    /// naming the shard), optionally cross-checks the checksum recorded
-    /// in the manifest, and decodes the metadata columns.
-    pub fn open(path: &Path, manifest_checksum: Option<u64>) -> Result<Self, StoreError> {
+    /// Step one, attach: maps `path` and validates the 64-byte header
+    /// (magic, version) and that the file is exactly as long as the
+    /// header implies — from the mapped bytes, touching no payload page.
+    /// The file is closed again; the mapping keeps its inode alive. (On a
+    /// host without `mmap`, [`Mmap`]'s owned fallback reads the whole file
+    /// here instead.)
+    pub fn map(path: &Path) -> Result<(Arc<Mmap>, ShardHeader), StoreError> {
         let map = Mmap::open(path).map_err(|source| StoreError::Io {
             path: path.to_path_buf(),
             source,
         })?;
-        let header = ShardHeader::from_bytes(path, &map)?;
-        let off = header.offsets();
-        if map.len() != off.total {
+        let header = Self::checked_header(path, &map)?;
+        Ok((Arc::new(map), header))
+    }
+
+    /// The header of a mapped shard whose length is what it implies.
+    fn checked_header(path: &Path, map: &Mmap) -> Result<ShardHeader, StoreError> {
+        let header = ShardHeader::from_bytes(path, map)?;
+        let expected = header.expected_len();
+        if map.len() != expected {
             return Err(StoreError::Truncated {
                 path: path.to_path_buf(),
                 detail: format!(
-                    "shard payload (header implies {} bytes, file has {})",
-                    off.total,
+                    "shard payload (header implies {expected} bytes, file has {})",
                     map.len()
                 ),
             });
         }
+        Ok(header)
+    }
+
+    /// Step two, first probe: verifies the full checksum of a mapped shard
+    /// (this is the deferred integrity pass — a flipped byte anywhere in
+    /// the file fails here, naming the shard), optionally cross-checks the
+    /// checksum recorded in the manifest, and decodes the metadata
+    /// columns. `path` only names the shard in errors: the bytes are the
+    /// map's, so this works after the file is unlinked.
+    pub fn verify(
+        path: &Path,
+        map: Arc<Mmap>,
+        manifest_checksum: Option<u64>,
+    ) -> Result<Self, StoreError> {
+        let header = Self::checked_header(path, &map)?;
+        let off = header.offsets();
         let payload = &map[..off.total - 8];
         let stored = u64::from_le_bytes(map[off.total - 8..].try_into().unwrap());
         let mut h = Fnv64::new();
@@ -437,6 +439,13 @@ impl LoadedShard {
         })
     }
 
+    /// [`map`](Self::map) then [`verify`](Self::verify): the whole read
+    /// in one call, for readers with nothing to defer.
+    pub fn open(path: &Path, manifest_checksum: Option<u64>) -> Result<Self, StoreError> {
+        let (map, _) = Self::map(path)?;
+        Self::verify(path, map, manifest_checksum)
+    }
+
     /// The shard's header.
     pub fn header(&self) -> &ShardHeader {
         &self.header
@@ -487,16 +496,6 @@ impl LoadedShard {
     /// range — a shard never has rows for a centroid it never saw).
     pub fn list(&self, c: usize) -> &[u32] {
         self.lists.get(c).map_or(&[], Vec::as_slice)
-    }
-
-    /// Bytes this shard keeps resident (the mapping itself).
-    pub fn bytes(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the shard payload is memory-mapped (vs owned fallback).
-    pub fn is_mapped(&self) -> bool {
-        self.map.is_mapped()
     }
 }
 
@@ -562,7 +561,7 @@ mod tests {
         let path = temp_dir().join("rt.skshard");
         let checksum = shard.save(&path).unwrap();
 
-        let header = read_shard_header(&path).unwrap();
+        let (_, header) = LoadedShard::map(&path).unwrap();
         assert_eq!(header.shard_id, 2);
         assert_eq!(header.rows, 3);
         assert_eq!(header.nlist, 3);
@@ -614,7 +613,9 @@ mod tests {
         let dir = temp_dir();
         let path = dir.join("trunc.skshard");
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        let err = read_shard_header(&path).unwrap_err();
+        // The attach step alone — map, header, length; the checksum pass
+        // that would read the payload never runs.
+        let err = LoadedShard::map(&path).unwrap_err();
         assert!(matches!(err, StoreError::Truncated { .. }), "{err}");
         assert!(err.to_string().contains("trunc.skshard"));
     }

@@ -167,12 +167,6 @@ pub mod names {
     pub const SERVER_SHED_DEADLINE_QUEUE: &str = "sketchql.server.shed_deadline_queue";
     /// Counter: queries abandoned because the caller cancelled them.
     pub const SERVER_SHED_CANCELLED: &str = "sketchql.server.shed_cancelled";
-    /// Counter: queries rejected at admission by a class token-bucket
-    /// rate limit.
-    pub const SERVER_SHED_RATE_LIMITED: &str = "sketchql.server.shed_rate_limited";
-    /// Counter: worker panics survived (the batch was answered `Failed`
-    /// and the worker kept running).
-    pub const SERVER_WORKER_PANICS: &str = "sketchql.server.worker_panics";
 
     /// Per-admission-class metric family name:
     /// `sketchql.server.class.<class>.<metric>`. The class is sanitized
@@ -204,12 +198,12 @@ pub mod names {
     /// Span: one ANN probe + exact re-rank against a persistent store.
     pub const STORE_PROBE: &str = "sketchql.store.probe";
 
-    /// Gauge: shards currently resident (mapped, checksummed, decoded)
-    /// across every attached shard set. Starts at 0 on attach — shards
-    /// fault in on first probe.
+    /// Gauge: shards currently resident (checksummed and decoded) across
+    /// every attached shard set. Starts at 0 on attach — a shard is
+    /// mapped there and verified on first probe.
     pub const SHARD_RESIDENT: &str = "sketchql.shard.resident";
-    /// Counter: shard load events (first-probe faults that mapped and
-    /// verified a shard file).
+    /// Counter: shard load events (first probes that verified and
+    /// decoded a mapped shard).
     pub const SHARD_LOADS: &str = "sketchql.shard.loads";
     /// Counter: shard loads that failed (corrupt, truncated, or
     /// unreadable shard files discovered at first probe).
@@ -220,14 +214,12 @@ pub mod names {
     /// Counter: shards skipped by probes without loading because the
     /// manifest showed no rows under any probed centroid.
     pub const SHARD_SKIPPED: &str = "sketchql.shard.skipped";
-    /// Gauge: bytes of shard payload currently memory-mapped across
-    /// every attached shard set.
+    /// Gauge: bytes of shard files currently memory-mapped across every
+    /// attached shard set (published at attach and on drop).
     pub const SHARD_BYTES_MAPPED: &str = "sketchql.shard.bytes_mapped";
-    /// Span: faulting one shard in (map + checksum + column decode).
+    /// Span: verifying one shard on first probe (checksum + column
+    /// decode).
     pub const SHARD_LOAD: &str = "sketchql.shard.load";
-    /// Counter: resident shards evicted under `--max-resident-shards`
-    /// (LRU; the shard reloads transparently on its next probe).
-    pub const SHARD_EVICTIONS: &str = "sketchql.shard.evictions";
 
     /// Span: one `append_frames` call (enumerate + embed + commit).
     pub const LIVE_APPEND: &str = "sketchql.live.append";

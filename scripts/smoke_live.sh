@@ -5,7 +5,10 @@
 # streamed continuation and require the standing query to fire exactly
 # on the new epoch — matches arrive once (watch), a second poll drains
 # nothing, and after a server restart the registration is restored
-# from the registry file without re-delivering old matches.
+# from the registry file without re-delivering old matches. A last
+# stage serves the base epoch *without* the poller, appends twice behind
+# it (the second append sweeps files the server's manifest still names)
+# and requires the server's first query to be served from its store.
 #
 #   scripts/smoke_live.sh                       # uses target/release
 #   SKETCHQL_CLI=target/debug/sketchql-cli scripts/smoke_live.sh
@@ -27,11 +30,15 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# start_serve <log> [serve flags...]; no flags = the live server.
 start_serve() {
     local log="$1"
-    "$CLI" serve --model "$work/model.json" --videos "traffic=$work/live.json" \
-        --store-dir "$work/stores" --addr "$ADDR" --workers 2 --oracle-tracks \
-        --registry "$work/registry.json" --live-poll-ms 200 \
+    shift
+    if [ $# -eq 0 ]; then
+        set -- --videos "traffic=$work/live.json" --store-dir "$work/stores" \
+            --registry "$work/registry.json" --live-poll-ms 200
+    fi
+    "$CLI" serve --model "$work/model.json" --addr "$ADDR" --workers 2 --oracle-tracks "$@" \
         >"$log" 2>&1 &
     serve_pid=$!
     for _ in $(seq 1 50); do
@@ -133,6 +140,33 @@ start_serve "$work/serve2.log"
 if grep -Eq '^epoch +[0-9]+ +frames' "$work/watch3.out"; then
     echo "restart re-delivered already-seen matches" >&2
     cat "$work/watch3.out" >&2
+    exit 1
+fi
+stop_serve
+
+echo "== live smoke: a server without the poller keeps the epoch it attached"
+# A fresh store at the base epoch, served as it is: no --live-poll-ms, so
+# the server never reloads, and --nprobe above any list count, so its
+# first query touches every shard — the tail shards included, whose
+# epoch-0 files the second append below unlinks.
+"$CLI" generate --out "$work/grown2.json" --extend "$work/grown.json" \
+    --events 1 --distractors 2 --seed 11 >/dev/null
+"$CLI" ingest --video "$work/base.json" --model "$work/model.json" \
+    --dataset traffic --store-dir "$work/pinned" --oracle-tracks \
+    --shard-frames 64 --threads 2 >/dev/null
+start_serve "$work/serve3.log" --videos "traffic=$work/base.json" \
+    --store-dir "$work/pinned" --nprobe 100000
+for video in grown grown2; do
+    "$CLI" append --video "$work/$video.json" --model "$work/model.json" \
+        --dataset traffic --store-dir "$work/pinned" --oracle-tracks --threads 2 >/dev/null
+done
+"$CLI" client --addr "$ADDR" --action query --dataset traffic --event left_turn >/dev/null
+"$CLI" client --addr "$ADDR" --action stats > "$work/stats.out"
+if ! grep -Eq '^store hits +1$' "$work/stats.out" \
+    || ! grep -Eq '^store fallbacks +0$' "$work/stats.out" \
+    || grep -q "shard load failed" "$work/serve3.log"; then
+    echo "a query on the attached epoch was not served from its store" >&2
+    cat "$work/stats.out" "$work/serve3.log" >&2
     exit 1
 fi
 stop_serve

@@ -103,7 +103,7 @@ const COMMANDS: &[Command] = &[
         "model", "videos", "store-dir", "nprobe", "addr", "workers", "queue-depth", "deadline-ms",
         "fused-batch", "top-k", "oracle-tracks", "aging-ms", "classes", "metrics-addr",
         "slow-query-ms", "slow-query-log", "slow-query-log-max-bytes", "flight-traces",
-        "profile-hz", "max-resident-shards", "registry", "live-poll-ms",
+        "profile-hz", "registry", "live-poll-ms",
     ]),
     ("client", cmd_client, &[
         "addr", "action", "dataset", "event", "top-k", "deadline-ms", "class", "priority",
@@ -144,9 +144,9 @@ commands:
   ingest   --video <file> --model <file> [--dataset <name>] [--store-dir <dir>]
            [--events <a,b,...>] [--threads <n>] [--oracle-tracks] [--verify]
            precompute window embeddings into <dir>/<dataset>.skset/
-           (shards + manifest), served memory-mapped with lazy shard
-           loading; --verify re-opens the written output and checks
-           every checksum
+           (shards + manifest), served memory-mapped: attach maps, the
+           first probe of a shard verifies it; --verify re-opens the
+           written output and checks every checksum
            [--shard-frames <n>] frame-range width of each shard, embedded
            in parallel (default: the whole video in one shard)
   append   --video <file> --model <file> --dataset <name> [--store-dir <dir>]
@@ -173,7 +173,6 @@ commands:
            [--slow-query-log-max-bytes <n>] rotate the slow log at this size
            [--flight-traces <n>] flight-recorder capacity (default 256)
            [--profile-hz <n>] continuous profiler rate (default 19, 0 = off)
-           [--max-resident-shards <n>] LRU-evict mapped shards beyond n
            [--registry <file>] persist standing queries across restarts
            [--live-poll-ms <n>] poll stores for appended epochs
            and evaluate standing queries against each new epoch
@@ -801,30 +800,20 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         println!("standing-query registry: {}", path.display());
     }
     // Attach ingested embedding stores (`.skset/` directories). Attach
-    // validates manifests and shard headers only — payloads and their
-    // checksums are deferred to first probe, so startup cost does not
-    // scale with store size.
+    // maps every shard and validates manifests and shard headers only —
+    // payloads and their checksums are deferred to first probe, so
+    // startup cost does not scale with store size.
     // Engine::start_with_stores validates fingerprints and silently
     // drops mismatches, so a stale store degrades that dataset to the
     // scan path instead of failing.
     let attach_started = std::time::Instant::now();
     let nprobe: Option<usize> = opt_num(flags, "nprobe")?;
-    let max_resident: Option<usize> = opt_num(flags, "max-resident-shards")?;
-    // How an attached set is set up — at startup and, by the live
-    // poller, on every epoch.
-    let configure = move |set: &mut ShardSet| {
-        if let Some(np) = nprobe {
-            set.nprobe = np;
-        }
-        set.set_max_resident(max_resident);
-    };
     let mut stores = match flags.get("store-dir") {
         Some(dir) => load_store_tier_dir(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?,
         None => std::collections::BTreeMap::new(),
     };
-    stores.values_mut().for_each(configure);
-    if let Some(cap) = max_resident {
-        println!("shard residency capped at {cap} shard(s) per set (LRU eviction)");
+    if let Some(np) = nprobe {
+        stores.values_mut().for_each(|set| set.nprobe = np);
     }
     if !stores.is_empty() {
         let shards: usize = stores.values().map(|s| s.shard_count()).sum();
@@ -949,7 +938,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             live_sources,
             Duration::from_millis(live_poll),
             rebuild_index,
-            configure,
+            nprobe,
         )
         .map_err(|e| format!("spawn live poller: {e}"))?;
         Some(poller)
