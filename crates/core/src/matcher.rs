@@ -343,7 +343,6 @@ impl<S: Similarity> Matcher<S> {
     ) -> Vec<RetrievedMoment> {
         let _rank_span = telemetry::span(names::MATCHER_RANK);
         let mut kept = nms_top_k(scored, self.config.top_k, self.config.nms_tiou);
-        telemetry::counter(names::TOPK_HEAP_OPS).add(kept.len() as u64);
         if self.config.refine_boundaries {
             for m in &mut kept {
                 refine_boundaries(index, m);
@@ -441,6 +440,7 @@ impl<S: Similarity> Matcher<S> {
         }
 
         let mut best: Option<RetrievedMoment> = None;
+        let mut evals = 0u64;
         for_each_distinct_combo(
             &per_slot,
             self.config.max_combos_per_window,
@@ -449,6 +449,7 @@ impl<S: Similarity> Matcher<S> {
                 if candidate.is_empty() {
                     return;
                 }
+                evals += 1;
                 // A non-finite score (a degenerate candidate under a
                 // classical distance) is treated as "no match" so NaN
                 // never reaches the ranking stage.
@@ -464,6 +465,7 @@ impl<S: Similarity> Matcher<S> {
                 }
             },
         );
+        telemetry::counter(names::SIMILARITY_EVALS).add(evals);
         best
     }
 
@@ -522,6 +524,9 @@ impl<S: Similarity> Matcher<S> {
         embeddings: &[Option<Vec<f32>>],
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, MatchError> {
+        // Counted once for the loop, not once per candidate.
+        let evals: usize = per_window.iter().map(|(_, _, c)| c.len()).sum();
+        telemetry::counter(names::SIMILARITY_EVALS).add(evals as u64);
         let mut scored: Vec<RetrievedMoment> = Vec::new();
         for (start, end, candidates) in per_window {
             cancel.check().map_err(MatchError::from)?;

@@ -14,12 +14,12 @@
 
 use serde::{Deserialize, Serialize};
 use sketchql_datasets::SyntheticVideo;
-use sketchql_telemetry::{self as telemetry, QueryReport, Recorder};
+use sketchql_telemetry::{self as telemetry, QueryTrace, TraceContext};
 use sketchql_tracker::{DetectorConfig, TrackerConfig};
 use sketchql_trajectory::{Clip, ObjectClass, TrajPoint, Trajectory};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::index::VideoIndex;
@@ -204,7 +204,7 @@ pub struct SketchQL {
     pub preprocess: PreprocessConfig,
     datasets: BTreeMap<String, VideoIndex>,
     stores: BTreeMap<String, ShardSet>,
-    last_report: Mutex<Option<QueryReport>>,
+    last_trace: Mutex<Option<Arc<QueryTrace>>>,
 }
 
 impl SketchQL {
@@ -216,7 +216,7 @@ impl SketchQL {
             preprocess: PreprocessConfig::default(),
             datasets: BTreeMap::new(),
             stores: BTreeMap::new(),
-            last_report: Mutex::new(None),
+            last_trace: Mutex::new(None),
         }
     }
 
@@ -358,14 +358,27 @@ impl SketchQL {
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, SessionError> {
         let index = self.dataset(dataset)?;
-        let recorder = Recorder::begin();
-        let result = self
-            .matcher
-            .search_stored(index, self.stores.get(dataset), &[(query, cancel)], None)
-            .pop()
-            .expect("one result per query");
-        *self.last_report.lock().unwrap() = Some(recorder.finish(dataset));
+        let result = self.traced(dataset, || {
+            self.matcher
+                .search_stored(index, self.stores.get(dataset), &[(query, cancel)], None)
+                .pop()
+                .expect("one result per query")
+        });
         result.map(|s| s.moments).map_err(SessionError::from)
+    }
+
+    /// Runs `search` on this thread under a fresh trace labelled
+    /// `dataset`, and keeps the finished trace for
+    /// [`last_query_stats`](Self::last_query_stats).
+    fn traced<T>(&self, dataset: &str, search: impl FnOnce() -> T) -> T {
+        let trace = TraceContext::new();
+        trace.set_label(dataset);
+        let result = {
+            let _entered = trace.enter();
+            search()
+        };
+        *self.last_trace.lock().unwrap() = trace.finalize();
+        result
     }
 
     /// Step 5 with an arbitrary similarity function (baseline experiments).
@@ -388,15 +401,16 @@ impl SketchQL {
     ) -> Result<Vec<RetrievedMoment>, SessionError> {
         let index = self.dataset(dataset)?;
         let matcher = Matcher::with_config(sim, self.matcher.config.clone());
-        let recorder = Recorder::begin();
-        let results = matcher.search_with_cancel(index, query, cancel);
-        *self.last_report.lock().unwrap() = Some(recorder.finish(dataset));
-        results.map_err(SessionError::from)
+        self.traced(dataset, || matcher.search_with_cancel(index, query, cancel))
+            .map_err(SessionError::from)
     }
 
-    /// The [`QueryReport`] of the most recent `run_query` /
+    /// The [`QueryTrace`] of the most recent `run_query` /
     /// `run_query_with` / `run_sketch` call on this session, or `None`
-    /// before the first query.
+    /// before the first query: its stage spans, the counters it moved
+    /// and what it cost — that query's alone, whatever else the process
+    /// was running (the same trace is in the flight recorder under its
+    /// `trace_id`).
     ///
     /// ```
     /// use sketchql::prelude::*;
@@ -424,11 +438,12 @@ impl SketchQL {
     ///
     /// let stats = sq.last_query_stats().unwrap();
     /// assert_eq!(stats.label, "v");
-    /// assert!(stats.windows_enumerated > 0);
-    /// assert!(stats.similarity_evals > 0);
+    /// assert!(stats.count(sketchql::telemetry::names::WINDOWS_ENUMERATED) > 0);
+    /// assert!(stats.count(sketchql::telemetry::names::SIMILARITY_EVALS) > 0);
+    /// assert!(!stats.stages().is_empty());
     /// ```
-    pub fn last_query_stats(&self) -> Option<QueryReport> {
-        self.last_report.lock().unwrap().clone()
+    pub fn last_query_stats(&self) -> Option<Arc<QueryTrace>> {
+        self.last_trace.lock().unwrap().clone()
     }
 
     /// A point-in-time copy of every telemetry metric in the process
@@ -612,6 +627,7 @@ mod tests {
     use rand::SeedableRng;
     use sketchql_datasets::{generate_video, EventKind, SceneFamily, VideoConfig};
     use sketchql_trajectory::Point2;
+    use telemetry::names;
 
     fn tiny_session() -> SketchQL {
         let mut cfg = TrainingConfig::tiny();
@@ -870,8 +886,12 @@ mod tests {
             "restored store must answer identically to the scan"
         );
         let report = back.last_query_stats().unwrap();
-        assert_eq!(report.store_hits, 1, "query should be served by the store");
-        assert!(report.store_probed > 0);
+        assert_eq!(
+            report.count(names::STORE_HITS),
+            1,
+            "query should be served by the store"
+        );
+        assert!(report.count(names::STORE_PROBED) > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -891,8 +911,15 @@ mod tests {
         sq.ingest_dataset("v", &cfg, &dir).unwrap();
 
         let results = sq.run_query("v", &query).unwrap();
-        let report = sq.last_query_stats().unwrap();
-        assert_eq!((report.store_hits, report.store_fallbacks), (1, 0));
+        let hits_and_fallbacks = |sq: &SketchQL| {
+            let report = sq.last_query_stats().unwrap();
+            (
+                report.count(names::STORE_HITS),
+                report.count(names::STORE_FALLBACKS),
+                report.count(names::STORE_FALLBACK_MODEL_FINGERPRINT),
+            )
+        };
+        assert_eq!(hits_and_fallbacks(&sq), (1, 0, 0));
 
         let judged = |m: &RetrievedMoment, relevant| Feedback {
             clip: sq.moment_clip("v", m).unwrap(),
@@ -908,10 +935,9 @@ mod tests {
         };
         sq.apply_feedback(&query, &feedback, &tuner);
         let tuned = sq.run_query("v", &query).unwrap();
-        let report = sq.last_query_stats().unwrap();
         assert_eq!(
-            (report.store_hits, report.store_fallbacks),
-            (0, 1),
+            hits_and_fallbacks(&sq),
+            (0, 1, 1),
             "a store ingested under the old weights must be refused"
         );
         let scan = Matcher::with_config(sq.model().similarity(), sq.matcher.config.clone())

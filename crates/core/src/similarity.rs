@@ -27,15 +27,9 @@ const MAX_EMBED_BATCH: usize = 64;
 /// Bucket bounds for the embed-batch-size histogram.
 const BATCH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
-/// Cached handle for the similarity-eval counter: `score` runs once per
-/// candidate combination, so the registry lookup is paid only once per
-/// process instead of per call.
-fn evals_counter() -> &'static telemetry::Counter {
-    static C: OnceLock<&'static telemetry::Counter> = OnceLock::new();
-    C.get_or_init(|| telemetry::counter(names::SIMILARITY_EVALS))
-}
-
-/// Cached handle for the embedding counter (see [`evals_counter`]).
+/// Cached handle for the embedding counter: `embed_candidates` adds to
+/// it once per batch, so the registry lookup is paid once per process
+/// instead of per batch.
 fn embeds_counter() -> &'static telemetry::Counter {
     static C: OnceLock<&'static telemetry::Counter> = OnceLock::new();
     C.get_or_init(|| telemetry::counter(names::EMBEDDINGS_COMPUTED))
@@ -194,7 +188,6 @@ impl Similarity for LearnedSimilarity {
     }
 
     fn score(&self, prepared: &PreparedQuery, candidate: &Clip) -> f32 {
-        evals_counter().inc();
         let PreparedQuery::Embedding(qe) = prepared else {
             return 0.0;
         };
@@ -244,7 +237,6 @@ impl Similarity for LearnedSimilarity {
     }
 
     fn score_embedding(&self, prepared: &PreparedQuery, embedding: Option<&[f32]>) -> f32 {
-        evals_counter().inc();
         let PreparedQuery::Embedding(qe) = prepared else {
             return 0.0;
         };
@@ -284,7 +276,6 @@ impl Similarity for ClassicalSimilarity {
     }
 
     fn score(&self, prepared: &PreparedQuery, candidate: &Clip) -> f32 {
-        evals_counter().inc();
         let PreparedQuery::Clip(q) = prepared else {
             return 0.0;
         };

@@ -190,19 +190,22 @@ impl Matcher<LearnedSimilarity> {
     ///
     /// 1. **Classify.** A degenerate query (empty, shorter than
     ///    `min_window`, or over an empty index) settles to an empty
-    ///    result. A query `set` cannot serve is left for the scan:
+    ///    result. A query `set` cannot serve is left for the scan and
+    ///    counted under its reason (`sketchql.store.fallback.<reason>`):
     ///    it binds more than one object (stores hold single-track
-    ///    rows); the set's model or index fingerprint differs from the
-    ///    live model/index; or the matcher's stride or overlap
+    ///    rows) — `multi_object`; the set's model or index fingerprint
+    ///    differs from the live model/index — `model_fingerprint`,
+    ///    `index_fingerprint`; or the matcher's stride or overlap
     ///    fractions differ from the set's, or a window length the query
-    ///    derives was not ingested. Everything else embeds its query.
+    ///    derives was not ingested — `window_grid`. Everything else
+    ///    embeds its query.
     /// 2. **Rank.** One [`CoarseQuantizer::rank_batch`] pass over the
     ///    shared centroid table for every served member.
     /// 3. **Gather and re-rank**, per member under its own token: the
     ///    rows under the top `nprobe` lists, scored exactly and run
     ///    through the usual ranking pipeline. A shard that fails to
     ///    load (corruption discovered at first probe) leaves its member
-    ///    for the scan, so results stay correct.
+    ///    for the scan (`shard_load`), so results stay correct.
     /// 4. **Scan** every member the store did not serve in one fused
     ///    `Matcher::scan` (one shared embedding cache and encoder
     ///    pass, per-member tokens) — each counted as a store fallback
@@ -240,7 +243,9 @@ impl Matcher<LearnedSimilarity> {
             for (i, &(query, cancel)) in queries.iter().enumerate() {
                 if self.is_degenerate(index, query) {
                     results[i] = Some(Ok(StoreSearch::unserved(Vec::new(), false)));
-                } else if self.meta_serves(index, set, query) {
+                } else if let Err(reason) = self.meta_serves(index, set, query) {
+                    count_fallback(reason);
+                } else {
                     match cancel.check().map_err(MatchError::from).and_then(|()| {
                         let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
                         self.sim.prepare(query).map_err(MatchError::from)
@@ -272,17 +277,18 @@ impl Matcher<LearnedSimilarity> {
                 };
                 // A load error was logged where it was first recorded
                 // (`ShardSet::loaded`); the member is left unserved.
-                if let Ok(mut candidates) = gathered {
-                    // The live epoch scope, applied before ranking so
-                    // `top_k` acts within it: only windows ending at or
-                    // after `min_end`.
-                    if let Some(m) = min_end {
-                        candidates.retain(|(row, _)| row.end >= m);
-                    }
-                    results[*i] = Some(cancel.check().map_err(MatchError::from).and_then(|()| {
-                        self.finish_store_search(index, query, prepared, candidates, cancel)
-                    }));
+                let Ok(mut candidates) = gathered else {
+                    count_fallback(names::STORE_FALLBACK_SHARD_LOAD);
+                    continue;
+                };
+                // The live epoch scope, applied before ranking so `top_k`
+                // acts within it: only windows ending at or after `min_end`.
+                if let Some(m) = min_end {
+                    candidates.retain(|(row, _)| row.end >= m);
                 }
+                results[*i] = Some(cancel.check().map_err(MatchError::from).and_then(|()| {
+                    self.finish_store_search(index, query, prepared, candidates, cancel)
+                }));
             }
         }
 
@@ -290,10 +296,8 @@ impl Matcher<LearnedSimilarity> {
             .filter(|&i| results[i].is_none())
             .collect();
         if !unserved.is_empty() {
+            // Each was counted, with its reason, where it was refused.
             let fallback = set.is_some();
-            if fallback {
-                telemetry::counter(names::STORE_FALLBACKS).add(unserved.len() as u64);
-            }
             let members: Vec<_> = unserved.iter().map(|&i| queries[i]).collect();
             for (i, moments) in unserved
                 .into_iter()
@@ -374,6 +378,7 @@ impl Matcher<LearnedSimilarity> {
 
         // Best candidate per (start, end, overlap-floor) slot.
         let mut best: HashMap<(u32, u32, u32), (f32, usize, TrackId)> = HashMap::new();
+        let mut evals = 0u64;
         for (k, &(row, vector)) in candidates.iter().enumerate() {
             if k % 1024 == 1023 {
                 cancel.check().map_err(MatchError::from)?;
@@ -388,6 +393,7 @@ impl Matcher<LearnedSimilarity> {
                 continue;
             };
             let overlap = overlap_frames(&index.tracks[pos], row.start, row.end);
+            evals += 1;
             let score = self.sim.score_embedding(prepared, Some(vector));
             let score = if score.is_finite() { score } else { 0.0 };
             for &floor in floors {
@@ -404,6 +410,8 @@ impl Matcher<LearnedSimilarity> {
                 }
             }
         }
+
+        telemetry::counter(names::SIMILARITY_EVALS).add(evals);
 
         // Emit in window-enumeration order, the order the scan scores in.
         let mut scored: Vec<RetrievedMoment> = Vec::new();
@@ -433,8 +441,14 @@ impl Matcher<LearnedSimilarity> {
     }
 
     /// Whether `set` can serve this query over this index with results
-    /// the full scan would also produce.
-    fn meta_serves(&self, index: &VideoIndex, set: &ShardSet, query: &Clip) -> bool {
+    /// the full scan would also produce; if not, why not, as the
+    /// `names::STORE_FALLBACK_*` counter the refusal is counted under.
+    fn meta_serves(
+        &self,
+        index: &VideoIndex,
+        set: &ShardSet,
+        query: &Clip,
+    ) -> Result<(), &'static str> {
         // The fingerprints below are cached identities; every debug-build
         // search checks that nothing edited a model or index after its
         // first fingerprint.
@@ -450,21 +464,35 @@ impl Matcher<LearnedSimilarity> {
         );
         let c = &self.config;
         let manifest = set.manifest();
-        if query.num_objects() != 1
-            || !set.matches_model(&self.sim)
-            || !set.matches_index(index)
-            || manifest.stride_frac_bits != c.stride_frac.to_bits()
-            || manifest.min_overlap_frac_bits != c.min_overlap_frac.to_bits()
-        {
-            return false;
+        if query.num_objects() != 1 {
+            return Err(names::STORE_FALLBACK_MULTI_OBJECT);
+        }
+        if !set.matches_model(&self.sim) {
+            return Err(names::STORE_FALLBACK_MODEL_FINGERPRINT);
+        }
+        if !set.matches_index(index) {
+            return Err(names::STORE_FALLBACK_INDEX_FINGERPRINT);
         }
         // Every window length this query derives (and that fits the
-        // video) must have been ingested.
-        c.window_scales.iter().all(|&scale| {
-            let len = grid::window_len(query.span(), scale, c.min_window);
-            len > index.frames || manifest.window_lens.contains(&len)
-        })
+        // video) must have been ingested, on the same stride and floor.
+        let grid_matches = manifest.stride_frac_bits == c.stride_frac.to_bits()
+            && manifest.min_overlap_frac_bits == c.min_overlap_frac.to_bits()
+            && c.window_scales.iter().all(|&scale| {
+                let len = grid::window_len(query.span(), scale, c.min_window);
+                len > index.frames || manifest.window_lens.contains(&len)
+            });
+        grid_matches
+            .then_some(())
+            .ok_or(names::STORE_FALLBACK_WINDOW_GRID)
     }
+}
+
+/// Counts one query the store refused: the `sketchql.store.fallbacks`
+/// total and the reason beside it, at the decision site, so both land
+/// in the trace of the query that fell back.
+fn count_fallback(reason: &'static str) {
+    telemetry::counter(names::STORE_FALLBACKS).inc();
+    telemetry::counter(reason).inc();
 }
 
 /// Filesystem-safe store directory name for a dataset, mirroring the

@@ -20,6 +20,7 @@ use sketchql::VideoIndex;
 use sketchql_datasets::{
     generate_video, query_clip, EventKind, SceneFamily, SyntheticVideo, VideoConfig,
 };
+use sketchql_telemetry::names;
 use sketchql_tracker::{DetectorConfig, StitchConfig, TrackerConfig};
 use sketchql_trajectory::{Clip, Trajectory};
 use std::path::PathBuf;
@@ -57,6 +58,35 @@ fn temp_dir(tag: &str) -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Runs one search under its own trace and returns the result beside
+/// the counters that search moved: the store-path counters are
+/// process-wide and this file's tests run side by side, so exact counts
+/// are read from a trace only this search enters.
+fn traced<T>(search: impl FnOnce() -> T) -> (T, std::sync::Arc<sketchql_telemetry::QueryTrace>) {
+    let trace = sketchql_telemetry::TraceContext::new();
+    let out = {
+        let _entered = trace.enter();
+        search()
+    };
+    (out, trace.finalize().unwrap())
+}
+
+/// Asserts `trace` holds one store fallback, counted under `reason`
+/// alone, and no store hit.
+fn assert_fell_back_for(trace: &sketchql_telemetry::QueryTrace, reason: &str) {
+    use sketchql_telemetry::names;
+    let store_counts: Vec<_> = trace
+        .counts
+        .iter()
+        .filter(|(name, _)| name.starts_with("sketchql.store."))
+        .collect();
+    assert_eq!(
+        store_counts,
+        [&(reason, 1), &(names::STORE_FALLBACKS, 1)],
+        "expected one fallback for {reason}"
+    );
 }
 
 /// Ingests `index` into `dir` for the window grid `spans` need, probing
@@ -225,10 +255,12 @@ fn model_mismatch_falls_back_to_scan() {
     // must differ.
     let m2 = matcher(&model_with_steps(10));
     assert_ne!(model_fingerprint(&m.sim), model_fingerprint(&m2.sim));
-    let r = m2
-        .search_with_shards(&index, &set, &query, &CancelToken::none())
-        .unwrap();
+    let (r, trace) = traced(|| {
+        m2.search_with_shards(&index, &set, &query, &CancelToken::none())
+            .unwrap()
+    });
     assert!(!r.from_store, "mismatched model must fall back");
+    assert_fell_back_for(&trace, names::STORE_FALLBACK_MODEL_FINGERPRINT);
     assert_eq!(r.moments, m2.search(&index, &query).unwrap());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -247,24 +279,30 @@ fn index_mismatch_and_config_mismatch_fall_back() {
 
     let other_index = test_index(15);
     assert_ne!(index_fingerprint(&index), index_fingerprint(&other_index));
-    let r = m
-        .search_with_shards(&other_index, &set, &query, &none)
-        .unwrap();
+    let (r, trace) = traced(|| {
+        m.search_with_shards(&other_index, &set, &query, &none)
+            .unwrap()
+    });
     assert!(!r.from_store);
+    assert_fell_back_for(&trace, names::STORE_FALLBACK_INDEX_FINGERPRINT);
 
     let mut strided = matcher(&model);
     strided.config.stride_frac = 0.5;
-    let r = strided
-        .search_with_shards(&index, &set, &query, &none)
-        .unwrap();
+    let (r, trace) = traced(|| {
+        strided
+            .search_with_shards(&index, &set, &query, &none)
+            .unwrap()
+    });
     assert!(!r.from_store);
+    assert_fell_back_for(&trace, names::STORE_FALLBACK_WINDOW_GRID);
 
     let unseen = query_clip(EventKind::UTurn);
     if IngestConfig::from_matcher(&m.config, &[unseen.span()]).window_lens
         != set.manifest().window_lens
     {
-        let r = m.search_with_shards(&index, &set, &unseen, &none).unwrap();
+        let (r, trace) = traced(|| m.search_with_shards(&index, &set, &unseen, &none).unwrap());
         assert!(!r.from_store);
+        assert_fell_back_for(&trace, names::STORE_FALLBACK_WINDOW_GRID);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -410,10 +448,12 @@ fn multi_object_query_falls_back() {
     assert!(query.num_objects() > 1);
     let dir = temp_dir("multi-object");
     let set = exhaustive_set(&m, &index, &[query.span()], index.frames, &dir);
-    let r = m
-        .search_with_shards(&index, &set, &query, &CancelToken::none())
-        .unwrap();
+    let (r, trace) = traced(|| {
+        m.search_with_shards(&index, &set, &query, &CancelToken::none())
+            .unwrap()
+    });
     assert!(!r.from_store, "multi-object queries must fall back");
+    assert_fell_back_for(&trace, names::STORE_FALLBACK_MULTI_OBJECT);
     assert_eq!(r.moments, m.search(&index, &query).unwrap());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -536,7 +576,7 @@ fn shards_load_lazily_and_only_when_probed() {
 /// and every reply is bit-identical to a solo probe of a fresh attach.
 #[test]
 fn concurrent_first_probes_verify_each_shard_once() {
-    use sketchql_telemetry::{counter, names, TraceContext};
+    use sketchql_telemetry::{counter, TraceContext};
     const THREADS: usize = 8;
     let model = tiny_model();
     let index = test_index(38);
@@ -618,7 +658,7 @@ fn corrupt_shard_fails_loudly_and_queries_fall_back() {
 
     // No other test in this file makes a shard fail to load, so the
     // process-wide counter moves for this attach alone.
-    let load_errors = sketchql_telemetry::counter(sketchql_telemetry::names::SHARD_LOAD_ERRORS);
+    let load_errors = sketchql_telemetry::counter(names::SHARD_LOAD_ERRORS);
     let errors_before = load_errors.get();
     let mut set = ShardSet::open(&dir).unwrap();
     set.nprobe = set.nlist();
@@ -633,11 +673,13 @@ fn corrupt_shard_fails_loudly_and_queries_fall_back() {
 
     let scan = m.search(&index, &query).unwrap();
     for round in 0..2 {
-        let r = m
-            .search_with_shards(&index, &set, &query, &CancelToken::none())
-            .unwrap();
+        let (r, trace) = traced(|| {
+            m.search_with_shards(&index, &set, &query, &CancelToken::none())
+                .unwrap()
+        });
         assert!(!r.from_store, "corrupt shard must force scan fallback");
         assert!(r.fallback);
+        assert_fell_back_for(&trace, names::STORE_FALLBACK_SHARD_LOAD);
         assert_eq!(r.moments, scan, "round {round}");
     }
     names_the_victim(set.verify().unwrap_err());

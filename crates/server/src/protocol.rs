@@ -13,6 +13,8 @@
 //! ← {"Pong":{"version":6}}
 //! → {"Query":{"dataset":"traffic","event":"left_turn","clip":null,"top_k":5,"deadline_ms":2000,"trace_id":181696028373,"class":null,"priority":null}}
 //! ← {"Moments":{"moments":[...],"queue_wait_ms":0,"execute_ms":41,"batch_size":1,"trace_id":181696028373}}
+//! → {"Trace":{"trace_id":181696028373,"limit":null}}
+//! ← {"Traces":{"traces":[{"trace_id":181696028373,"label":"traffic","outcome":"completed","batch_size":1,"total_nanos":1234567,"alloc_bytes":52480,"alloc_count":120,"cpu_nanos":1100000,"counts":{"sketchql.store.hits":1,"sketchql.store.rows_probed":266,...},"spans":[...]}]}}
 //! ```
 //!
 //! Both directions use the derived (de)serializers: a request carries
@@ -36,6 +38,7 @@
 //! [`sketchql_telemetry::mint_trace_id`]) so they survive JSON numbers
 //! stored as `f64`.
 
+use std::collections::BTreeMap;
 use std::io::Write;
 
 use serde::{Deserialize, Serialize};
@@ -178,6 +181,11 @@ pub struct WireTrace {
     pub alloc_count: u64,
     /// CPU nanoseconds attributed to the query.
     pub cpu_nanos: u64,
+    /// The counters the query moved, by name — e.g.
+    /// `sketchql.store.hits`, `sketchql.store.rows_probed`,
+    /// `sketchql.store.fallback.<reason>`. Added without a version bump:
+    /// a client that predates it ignores the unknown field.
+    pub counts: BTreeMap<String, u64>,
     /// Spans sorted by start offset.
     pub spans: Vec<WireSpan>,
 }
@@ -194,6 +202,11 @@ impl WireTrace {
             alloc_bytes: t.alloc_bytes,
             alloc_count: t.alloc_count,
             cpu_nanos: t.cpu_nanos,
+            counts: t
+                .counts
+                .iter()
+                .map(|&(name, n)| (name.to_string(), n))
+                .collect(),
             spans: t
                 .waterfall()
                 .into_iter()
@@ -512,6 +525,10 @@ mod tests {
                     alloc_bytes: 52_480,
                     alloc_count: 120,
                     cpu_nanos: 1_100_000,
+                    counts: BTreeMap::from([
+                        ("sketchql.store.hits".to_string(), 1),
+                        ("sketchql.store.rows_probed".to_string(), 266),
+                    ]),
                     spans: vec![WireSpan {
                         name: "sketchql.server.queue_wait".into(),
                         depth: 0,
@@ -536,6 +553,46 @@ mod tests {
             let back: Response = serde_json::from_str(&line).unwrap();
             assert_eq!(back, resp);
         }
+    }
+
+    /// A trace reply's exact line, and proof that `counts` is additive:
+    /// a client built before the field existed (a mirror struct without
+    /// it) parses the same line, which is why `PROTOCOL_VERSION` stayed.
+    #[test]
+    fn trace_reply_keeps_its_wire_bytes_and_counts_are_additive() {
+        let trace = WireTrace {
+            trace_id: 7,
+            label: "traffic".into(),
+            outcome: "completed".into(),
+            batch_size: 1,
+            total_nanos: 1_234_567,
+            alloc_bytes: 52_480,
+            alloc_count: 120,
+            cpu_nanos: 1_100_000,
+            counts: BTreeMap::from([
+                ("sketchql.store.hits".to_string(), 1),
+                ("sketchql.store.rows_probed".to_string(), 266),
+            ]),
+            spans: vec![WireSpan {
+                name: "sketchql.server.queue_wait".into(),
+                depth: 0,
+                start_nanos: 0,
+                nanos: 2_000,
+            }],
+        };
+        let golden = r#"{"trace_id":7,"label":"traffic","outcome":"completed","batch_size":1,"total_nanos":1234567,"alloc_bytes":52480,"alloc_count":120,"cpu_nanos":1100000,"counts":{"sketchql.store.hits":1,"sketchql.store.rows_probed":266},"spans":[{"name":"sketchql.server.queue_wait","depth":0,"start_nanos":0,"nanos":2000}]}"#;
+        assert_eq!(serde_json::to_string(&trace).unwrap(), golden);
+        assert_eq!(serde_json::from_str::<WireTrace>(golden).unwrap(), trace);
+
+        #[derive(Debug, Deserialize)]
+        struct PreCountsTrace {
+            trace_id: u64,
+            cpu_nanos: u64,
+            spans: Vec<WireSpan>,
+        }
+        let old: PreCountsTrace = serde_json::from_str(golden).unwrap();
+        assert_eq!((old.trace_id, old.cpu_nanos), (7, 1_100_000));
+        assert_eq!(old.spans, trace.spans);
     }
 
     #[test]

@@ -40,6 +40,12 @@ const READ_POLL: Duration = Duration::from_millis(100);
 /// buffer without bound.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
+/// Most connections served at once (each holds a thread). A connection
+/// accepted past the cap is answered one [`ErrorKind::Overloaded`]
+/// error line and closed, so a flood of sockets costs the server a
+/// bounded number of threads.
+pub const MAX_CONNECTIONS: usize = 512;
+
 /// Traces returned by a `Trace` request that names no id and no limit.
 const DEFAULT_TRACE_LIMIT: usize = 16;
 
@@ -107,18 +113,24 @@ impl Server {
                         if shutdown.requested() {
                             break;
                         }
-                        let Ok(stream) = stream else { continue };
+                        let Ok(mut stream) = stream else { continue };
                         telemetry::counter(names::SERVER_CONNECTIONS).inc();
+                        // Reap on accept, so the list tracks open
+                        // connections, not every connection ever made.
+                        let mut connections = connections.lock().unwrap();
+                        connections.retain(|h: &JoinHandle<()>| !h.is_finished());
+                        if connections.len() >= MAX_CONNECTIONS {
+                            let message = format!("{MAX_CONNECTIONS} connections already open");
+                            let _ =
+                                write_response(&mut stream, &error(ErrorKind::Overloaded, message));
+                            continue; // dropping the stream closes it
+                        }
                         let engine = Arc::clone(&engine);
                         let shutdown = Arc::clone(&shutdown);
                         let handle = std::thread::Builder::new()
                             .name("sketchql-conn".into())
                             .spawn(move || handle_connection(stream, &engine, &shutdown));
                         if let Ok(handle) = handle {
-                            // Reap on accept, so the list tracks open
-                            // connections, not every connection ever made.
-                            let mut connections = connections.lock().unwrap();
-                            connections.retain(|h: &JoinHandle<()>| !h.is_finished());
                             connections.push(handle);
                         }
                     }
@@ -475,6 +487,52 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "{tracked} handles still tracked");
         }
+        server.shutdown();
+    }
+
+    /// The connection cap: with [`MAX_CONNECTIONS`] idle sockets held,
+    /// the next connection is answered one typed `Overloaded` line and
+    /// closed; once some of the held sockets go, new ones are served.
+    #[test]
+    fn a_connection_past_the_cap_is_refused_with_a_typed_reply() {
+        use std::io::BufRead;
+        let mut cfg = TrainingConfig::tiny();
+        cfg.steps = 1;
+        let engine = Engine::start(train(cfg), BTreeMap::new(), EngineConfig::default());
+        let server = Server::start(engine, "127.0.0.1:0").unwrap();
+        let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
+            .map(|_| Client::connect(server.local_addr()).unwrap())
+            .collect();
+        // A ping round trip proves the last held connection has its thread.
+        held.last_mut().unwrap().ping().unwrap();
+
+        let refused = TcpStream::connect(server.local_addr()).unwrap();
+        let mut lines = BufReader::new(refused).lines();
+        let reply: Response = serde_json::from_str(&lines.next().unwrap().unwrap()).unwrap();
+        assert!(
+            matches!(
+                reply,
+                Response::Error {
+                    kind: ErrorKind::Overloaded,
+                    ..
+                }
+            ),
+            "{reply:?}"
+        );
+        assert!(lines.next().is_none(), "the refused socket must be closed");
+
+        // A dropped socket's thread exits on its own schedule: retry
+        // until the accept loop has reaped one.
+        held.truncate(MAX_CONNECTIONS - 8);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Client::connect(server.local_addr())
+            .and_then(|mut c| c.ping())
+            .is_err()
+        {
+            assert!(Instant::now() < deadline, "no slot freed after 8 hang-ups");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        drop(held);
         server.shutdown();
     }
 }

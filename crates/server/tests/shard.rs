@@ -11,7 +11,7 @@ use std::path::PathBuf;
 
 use sketchql::{ingest_sharded, IngestConfig, MatcherConfig, ShardSet};
 use sketchql_datasets::{query_clip, EventKind};
-use sketchql_server::{Engine, EngineConfig, QuerySpec};
+use sketchql_server::{Client, Engine, EngineConfig, QuerySpec, Server};
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::Clip;
 
@@ -207,5 +207,42 @@ fn multi_object_query_on_stored_dataset_falls_back() {
     assert_eq!(stats.store_fallbacks, 1, "a degenerate sketch fell back");
     assert_eq!(stats.store_hits, 0);
     engine.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// "Did it hit the store?" is answered by the query's own trace, over
+/// the wire: a served query's counts read one store hit and the rows it
+/// probed; a two-object sketch against the same stored dataset reads
+/// one fallback under its reason and no hit.
+#[test]
+fn wire_trace_counts_say_store_hit_or_why_not() {
+    let model = tiny_model();
+    let dir = temp_dir("wire-counts");
+    let alpha = small_index(11);
+    let set = exhaustive_set(&model, &alpha, alpha.frames, &dir);
+    let stores = BTreeMap::from([("alpha".to_string(), set)]);
+    let engine = Engine::start_with_stores(model, two_datasets(), stores, EngineConfig::default());
+    let server = Server::start(engine, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut counts_of = |event: &str| {
+        let outcome = client.query_event("alpha", event, None, None).unwrap();
+        let mut traces = client.trace(Some(outcome.trace_id), None).unwrap();
+        assert_eq!(traces.len(), 1);
+        traces.remove(0).counts
+    };
+
+    let served = counts_of("left_turn");
+    assert_eq!(served.get(names::STORE_HITS), Some(&1));
+    assert!(served[names::STORE_PROBED] > 0);
+    assert!(served[names::WINDOWS_ENUMERATED] > 0);
+    assert!(!served.contains_key(names::STORE_FALLBACKS));
+
+    let fell_back = counts_of("perpendicular_crossing");
+    assert_eq!(fell_back.get(names::STORE_FALLBACK_MULTI_OBJECT), Some(&1));
+    assert_eq!(fell_back.get(names::STORE_FALLBACKS), Some(&1));
+    assert!(!fell_back.contains_key(names::STORE_HITS));
+    assert!(fell_back[names::EMBEDDINGS_COMPUTED] > 0);
+
+    server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

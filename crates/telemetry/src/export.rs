@@ -1,9 +1,8 @@
-//! Exporters: JSON snapshot, Prometheus text format, and a
-//! human-readable table for query reports.
+//! Exporters: JSON snapshot, Prometheus text format, and the JSON line
+//! and human-readable table of one query's trace.
 
 use crate::flight::QueryTrace;
 use crate::metrics::MetricsSnapshot;
-use crate::report::QueryReport;
 use crate::trace::format_trace_id;
 use std::fmt::Write;
 
@@ -137,111 +136,6 @@ pub fn snapshot_prometheus() -> String {
     out
 }
 
-impl QueryReport {
-    /// Serializes this report as one JSON object (valid JSON whether or
-    /// not telemetry was enabled when it was recorded).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"label\":{}", json_string(&self.label));
-        if self.trace_id != 0 {
-            let _ = write!(
-                out,
-                ",\"trace_id\":{}",
-                json_string(&format_trace_id(self.trace_id))
-            );
-        }
-        for (name, v) in self.counter_values() {
-            let _ = write!(out, ",{}:{}", json_string(name), v);
-        }
-        if let Some(rate) = self.embed_cache_hit_rate() {
-            let _ = write!(out, ",\"embed_cache_hit_rate\":{}", json_number(rate));
-        }
-        let _ = write!(out, ",\"total_nanos\":{}", self.total_nanos);
-        let _ = write!(
-            out,
-            ",\"alloc_bytes\":{},\"alloc_count\":{},\"cpu_nanos\":{}",
-            self.alloc_bytes, self.alloc_count, self.cpu_nanos
-        );
-        out.push_str(",\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"depth\":{},\"nanos\":{}}}",
-                json_string(s.name),
-                s.depth,
-                s.nanos
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Renders this report as an aligned, human-readable table.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "query report: {}", self.label);
-        if self.trace_id != 0 {
-            let _ = writeln!(out, "  trace id: {}", format_trace_id(self.trace_id));
-        }
-        let _ = writeln!(
-            out,
-            "  total wall time: {:.3} ms",
-            self.total_nanos as f64 / 1e6
-        );
-        if self.cpu_nanos > 0 {
-            let pct = if self.total_nanos > 0 {
-                100.0 * self.cpu_nanos as f64 / self.total_nanos as f64
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                out,
-                "  cpu time: {:.3} ms ({pct:.0}% of wall)",
-                self.cpu_nanos as f64 / 1e6
-            );
-        }
-        if self.alloc_count > 0 {
-            let _ = writeln!(
-                out,
-                "  allocated: {:.1} KiB in {} allocations",
-                self.alloc_bytes as f64 / 1024.0,
-                self.alloc_count
-            );
-        }
-        let stages = self.stages();
-        if !stages.is_empty() {
-            let _ = writeln!(out, "  stages:");
-            let width = stages.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-            for (name, nanos) in &stages {
-                let ms = *nanos as f64 / 1e6;
-                let pct = if self.total_nanos > 0 {
-                    100.0 * *nanos as f64 / self.total_nanos as f64
-                } else {
-                    0.0
-                };
-                let _ = writeln!(out, "    {name:<width$}  {ms:>10.3} ms  {pct:>5.1}%");
-            }
-        }
-        let _ = writeln!(out, "  counters:");
-        let width = self
-            .counter_values()
-            .iter()
-            .map(|(n, _)| n.len())
-            .max()
-            .unwrap_or(0);
-        for (name, v) in self.counter_values() {
-            let _ = writeln!(out, "    {name:<width$}  {v:>12}");
-        }
-        if let Some(rate) = self.embed_cache_hit_rate() {
-            let _ = writeln!(out, "  embed cache hit rate: {:.1}%", rate * 100.0);
-        }
-        out
-    }
-}
-
 impl QueryTrace {
     /// Serializes this trace as one JSON object — the slow-query log
     /// line format. Span `start` offsets are nanoseconds relative to
@@ -251,6 +145,7 @@ impl QueryTrace {
     /// {"trace_id":"00a1b2c3d4e5","label":"traffic/left_turn",
     ///  "outcome":"completed","batch_size":1,"total_nanos":1234567,
     ///  "alloc_bytes":52480,"alloc_count":120,"cpu_nanos":1100000,
+    ///  "counts":{"sketchql.store.hits":1,"sketchql.store.rows_probed":266},
     ///  "spans":[{"name":"sketchql.server.queue_wait","depth":0,
     ///            "start_nanos":0,"nanos":2000}, ...]}
     /// ```
@@ -270,7 +165,14 @@ impl QueryTrace {
             ",\"alloc_bytes\":{},\"alloc_count\":{},\"cpu_nanos\":{}",
             self.alloc_bytes, self.alloc_count, self.cpu_nanos
         );
-        out.push_str(",\"spans\":[");
+        out.push_str(",\"counts\":{");
+        for (i, (name, v)) in self.counts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{}:{}", json_string(name), v);
+        }
+        out.push_str("},\"spans\":[");
         for (i, (name, depth, offset, nanos)) in self.waterfall().iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -285,6 +187,64 @@ impl QueryTrace {
             );
         }
         out.push_str("]}");
+        out
+    }
+
+    /// Renders this trace as an aligned, human-readable table: wall,
+    /// CPU and heap totals, the depth-0 stages with their share of the
+    /// wall clock, and every counter the query moved.
+    pub fn render_table(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "query report: {}", self.label);
+        let _ = writeln!(out, "  trace id: {}", format_trace_id(self.trace_id));
+        let _ = writeln!(
+            out,
+            "  total wall time: {:.3} ms",
+            self.total_nanos as f64 / 1e6
+        );
+        let pct_of_total = |nanos: u64| {
+            if self.total_nanos > 0 {
+                100.0 * nanos as f64 / self.total_nanos as f64
+            } else {
+                0.0
+            }
+        };
+        if self.cpu_nanos > 0 {
+            let _ = writeln!(
+                out,
+                "  cpu time: {:.3} ms ({:.0}% of wall)",
+                self.cpu_nanos as f64 / 1e6,
+                pct_of_total(self.cpu_nanos)
+            );
+        }
+        if self.alloc_count > 0 {
+            let _ = writeln!(
+                out,
+                "  allocated: {:.1} KiB in {} allocations",
+                self.alloc_bytes as f64 / 1024.0,
+                self.alloc_count
+            );
+        }
+        let stages = self.stages();
+        if !stages.is_empty() {
+            let _ = writeln!(out, "  stages:");
+            let width = stages.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+            for (name, nanos) in &stages {
+                let ms = *nanos as f64 / 1e6;
+                let pct = pct_of_total(*nanos);
+                let _ = writeln!(out, "    {name:<width$}  {ms:>10.3} ms  {pct:>5.1}%");
+            }
+        }
+        if !self.counts.is_empty() {
+            let _ = writeln!(out, "  counters:");
+            let width = self.counts.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+            for (name, v) in &self.counts {
+                let _ = writeln!(out, "    {name:<width$}  {v:>12}");
+            }
+        }
+        if let Some(rate) = self.embed_cache_hit_rate() {
+            let _ = writeln!(out, "  embed cache hit rate: {:.1}%", rate * 100.0);
+        }
         out
     }
 }

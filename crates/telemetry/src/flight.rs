@@ -15,6 +15,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::names;
 use crate::span::SpanRecord;
 use crate::trace::TraceOutcome;
 
@@ -22,8 +23,14 @@ use crate::trace::TraceOutcome;
 /// before first use with [`configure_flight_capacity`].
 pub const FLIGHT_CAPACITY: usize = 256;
 
-/// An immutable snapshot of one finished query trace.
-#[derive(Debug, Clone, PartialEq)]
+/// An immutable snapshot of one finished query trace: the one record
+/// of what a query did and cost. Everything in it was attributed
+/// through the threads that [entered](crate::TraceContext::enter) the
+/// trace, so it is exact per query whatever else the process is
+/// running. A query that ran in a fused batch carries the whole batch's
+/// spans, counts and resources ([`batch_size`](Self::batch_size) says
+/// how many queries shared them).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryTrace {
     /// The trace id minted at the query's origin.
     pub trace_id: u64,
@@ -48,11 +55,69 @@ pub struct QueryTrace {
     /// CPU nanoseconds burned inside the query's attribution scopes
     /// (wall-clock upper bound on platforms without a thread CPU clock).
     pub cpu_nanos: u64,
-    /// Completed spans, in completion order.
+    /// What the query's threads added to the registry's counters while
+    /// inside the trace: `(counter name, count)` in name order, only
+    /// the counters that moved.
+    pub counts: Vec<(&'static str, u64)>,
+    /// Completed spans, in completion order (children precede parents).
     pub spans: Vec<SpanRecord>,
 }
 
 impl QueryTrace {
+    /// How much the query added to the counter `name` (0 if it never
+    /// touched it), e.g. `trace.count(names::WINDOWS_ENUMERATED)`.
+    pub fn count(&self, name: &str) -> u64 {
+        self.counts
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |&(_, v)| v)
+    }
+
+    /// Fraction of candidate-segment lookups served from the per-search
+    /// embedding cache, or `None` when the query never consulted it
+    /// (classical similarity, store-served).
+    pub fn embed_cache_hit_rate(&self) -> Option<f64> {
+        let hits = self.count(names::EMBED_CACHE_HITS);
+        let total = hits + self.count(names::EMBED_CACHE_MISSES);
+        (total > 0).then(|| hits as f64 / total as f64)
+    }
+
+    /// Per-stage wall times: the depth-0 spans, in completion order.
+    pub fn stages(&self) -> Vec<(&'static str, u64)> {
+        self.spans
+            .iter()
+            .filter(|s| s.depth == 0)
+            .map(|s| (s.name, s.nanos))
+            .collect()
+    }
+
+    /// Wall-clock nanoseconds covered by the depth-0 spans: the length
+    /// of the *union* of their intervals, not the plain sum. Nested or
+    /// overlapping top-level spans (a fused batch delivers the shared
+    /// scan to several traces; concurrent threads can both be at depth
+    /// 0) therefore never push stage coverage past 100% of
+    /// [`total_nanos`](Self::total_nanos). For a fully instrumented
+    /// query this lands within a few percent of the total.
+    pub fn stage_nanos_sum(&self) -> u64 {
+        let mut intervals: Vec<(u64, u64)> = self
+            .spans
+            .iter()
+            .filter(|s| s.depth == 0)
+            .map(|s| (s.start_nanos, s.start_nanos.saturating_add(s.nanos)))
+            .collect();
+        intervals.sort_unstable();
+        let mut covered = 0u64;
+        let mut cursor = 0u64;
+        for (start, end) in intervals {
+            let start = start.max(cursor);
+            if end > start {
+                covered += end - start;
+                cursor = end;
+            }
+        }
+        covered
+    }
+
     /// The spans as `(name, depth, offset_nanos, nanos)` sorted by
     /// start offset — the waterfall view. Offsets are relative to the
     /// trace start (saturating at 0 for spans recorded before it).

@@ -1,23 +1,24 @@
 //! Telemetry for the SketchQL query pipeline.
 //!
 //! Zero external dependencies; everything is built on `std` atomics,
-//! thread-locals, and the monotonic clock. Three layers:
+//! thread-locals, and the monotonic clock. Four layers:
 //!
 //! - [`span`] / [`SpanGuard`]: RAII wall-clock timers with hierarchical
 //!   parent/child nesting per thread. Dropping the guard records a
 //!   [`SpanRecord`] (name, depth, duration).
 //! - [`counter`] / [`gauge`] / [`histogram`]: lock-cheap metrics in a
-//!   global named registry. Handles are `&'static`; increments are single
-//!   relaxed atomic ops, so hot loops can update them directly (or batch
-//!   locally and flush once, as `Matcher::search` does).
-//! - [`Recorder`] / [`QueryReport`]: a recorder snapshots the pipeline
-//!   counters before a query and turns the deltas plus the top-level spans
-//!   into a per-query report with [`QueryReport::to_json`] and
-//!   [`QueryReport::render_table`].
-//! - [`TraceContext`] / [`QueryTrace`]: a per-query trace that travels
-//!   with the query across threads (admission queue, workers, fused
-//!   batches); threads [`enter`](TraceContext::enter) it to route their
-//!   spans into it. Finalized traces land in the global
+//!   global named registry. Handles are `&'static`; an increment is one
+//!   relaxed atomic op (plus, for a counter, a thread-local add that
+//!   per-query attribution reads), so loops can update them directly —
+//!   or count locally and add once per loop, as the Matcher does.
+//! - [`TraceContext`] / [`QueryTrace`]: the one per-query record. A
+//!   trace travels with the query across threads (admission queue,
+//!   workers, fused batches); threads [`enter`](TraceContext::enter) it
+//!   to route their spans into it and to attribute what they count,
+//!   allocate and burn to it. [`TraceContext::finalize`] snapshots it
+//!   into a [`QueryTrace`] — spans, [`counts`](QueryTrace::counts),
+//!   resources — with [`QueryTrace::to_json`] and
+//!   [`QueryTrace::render_table`]; finalized traces land in the global
 //!   [`flight_recorder`] ring buffer, and — when configured — in the
 //!   slow-query log ([`configure_slow_query_log`]).
 //! - Resource attribution and profiling: a counting global allocator
@@ -42,7 +43,6 @@ mod export;
 mod flight;
 mod metrics;
 mod profiler;
-mod report;
 mod slowlog;
 mod span;
 mod trace;
@@ -60,12 +60,11 @@ pub use profiler::{
     collect_profile, continuous_profile_snapshot, start_continuous_profiler, ProfileEntry,
     ProfileReport,
 };
-pub use report::{QueryReport, Recorder};
 pub use slowlog::{
     configure_slow_query_log, configure_slow_query_log_path, configure_slow_query_log_path_capped,
     disable_slow_query_log,
 };
-pub use span::{span, take_finished_spans, SpanGuard, SpanRecord};
+pub use span::{span, SpanGuard, SpanRecord};
 pub use trace::{
     format_trace_id, mint_trace_id, parse_trace_id, TraceContext, TraceGuard, TraceOutcome,
 };
@@ -95,8 +94,6 @@ pub mod names {
     pub const WINDOWS_ENUMERATED: &str = "sketchql.matcher.windows_enumerated";
     /// Counter: windows discarded before scoring (no eligible tracks).
     pub const WINDOWS_PRUNED: &str = "sketchql.matcher.windows_pruned";
-    /// Counter: pushes into the candidate ranking structure.
-    pub const TOPK_HEAP_OPS: &str = "sketchql.matcher.topk_heap_ops";
     /// Histogram: similarity score of each scored window.
     pub const WINDOW_SCORE: &str = "sketchql.matcher.window_score";
     /// Counter: candidate segments served from the per-search embedding
@@ -187,9 +184,21 @@ pub mod names {
     /// path taken end to end).
     pub const STORE_HITS: &str = "sketchql.store.hits";
     /// Counter: queries that had a store available but fell back to the
-    /// full scan (fingerprint or window-config mismatch, multi-object
-    /// query, …).
+    /// full scan; each is also counted under one of the
+    /// `sketchql.store.fallback.<reason>` names below.
     pub const STORE_FALLBACKS: &str = "sketchql.store.fallbacks";
+    /// Counter: fallbacks because the sketch has more than one object
+    /// (stores hold single-track rows).
+    pub const STORE_FALLBACK_MULTI_OBJECT: &str = "sketchql.store.fallback.multi_object";
+    /// Counter: fallbacks because the store was embedded by another model.
+    pub const STORE_FALLBACK_MODEL_FINGERPRINT: &str = "sketchql.store.fallback.model_fingerprint";
+    /// Counter: fallbacks because the store was built from other tracks.
+    pub const STORE_FALLBACK_INDEX_FINGERPRINT: &str = "sketchql.store.fallback.index_fingerprint";
+    /// Counter: fallbacks because the store's window grid (stride,
+    /// overlap floor, ingested window lengths) does not cover the query's.
+    pub const STORE_FALLBACK_WINDOW_GRID: &str = "sketchql.store.fallback.window_grid";
+    /// Counter: fallbacks because a probed shard failed to load.
+    pub const STORE_FALLBACK_SHARD_LOAD: &str = "sketchql.store.fallback.shard_load";
     /// Counter: store rows probed (retrieved from inverted lists and
     /// exactly re-ranked).
     pub const STORE_PROBED: &str = "sketchql.store.rows_probed";

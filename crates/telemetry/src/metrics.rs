@@ -5,28 +5,47 @@
 //! `&'static`: the registry leaks each metric once on first registration
 //! so lookups (which take a mutex) can be hoisted out of hot loops while
 //! updates stay single relaxed atomic operations.
+//!
+//! A counter update also lands in the calling thread's *tally* (one
+//! plain `u64` per counter). Nothing reads the tally but a
+//! [`TraceGuard`](crate::TraceGuard), which snapshots it on enter and
+//! attributes the difference to its trace on drop — the same bracket it
+//! puts around the thread's heap and CPU clocks — so a finished
+//! [`QueryTrace`](crate::QueryTrace) carries exactly the counts made on
+//! its behalf, whatever other queries the process is running.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Monotonically increasing event count.
+/// Monotonically increasing event count, handed out by [`counter`].
 pub struct Counter {
     value: AtomicU64,
+    /// This counter's index in every thread's tally (registration order).
+    slot: usize,
+}
+
+thread_local! {
+    /// What this thread has added to each counter, by slot. Only ever
+    /// grows; trace guards read differences of it.
+    static TALLY: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        Counter {
-            value: AtomicU64::new(0),
-        }
-    }
-
     /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
+        // `try_with`: a count made while the thread's locals are being
+        // torn down still reaches the registry, just no trace.
+        let _ = TALLY.try_with(|t| {
+            let mut t = t.borrow_mut();
+            if t.len() <= self.slot {
+                t.resize(self.slot + 1, 0);
+            }
+            t[self.slot] += n;
+        });
     }
 
     /// Adds one event.
@@ -45,10 +64,34 @@ impl Counter {
     }
 }
 
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::new()
-    }
+/// The calling thread's tally, for a trace guard to diff against later.
+pub(crate) fn thread_tally() -> Vec<u64> {
+    TALLY.with(|t| t.borrow().clone())
+}
+
+/// Adds what the calling thread has counted since `base` was taken (by
+/// [`thread_tally`], on this thread) into `into`, slot by slot.
+pub(crate) fn add_tally_since(base: &[u64], into: &mut Vec<u64>) {
+    // Runs in a guard's drop: must not panic if the thread is exiting.
+    let _ = TALLY.try_with(|t| {
+        let t = t.borrow();
+        into.resize(into.len().max(t.len()), 0);
+        for (slot, now) in t.iter().enumerate() {
+            into[slot] += now - base.get(slot).copied().unwrap_or(0);
+        }
+    });
+}
+
+/// The non-zero entries of a by-slot tally as `(name, count)`, name order.
+pub(crate) fn named_counts(by_slot: &[u64]) -> Vec<(&'static str, u64)> {
+    let counters = registry().counters.lock().unwrap();
+    counters
+        .iter()
+        .filter_map(|(&name, c)| match by_slot.get(c.slot) {
+            Some(&n) if n > 0 => Some((name, n)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// A value that can go up and down, stored as an `f64`.
@@ -162,9 +205,9 @@ impl Histogram {
 }
 
 struct Registry {
-    counters: Mutex<BTreeMap<String, &'static Counter>>,
-    gauges: Mutex<BTreeMap<String, &'static Gauge>>,
-    histograms: Mutex<BTreeMap<String, &'static Histogram>>,
+    counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
+    gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
+    histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
 }
 
 fn registry() -> &'static Registry {
@@ -177,35 +220,39 @@ fn registry() -> &'static Registry {
 }
 
 /// Looks `name` up by `&str`; only a first registration allocates (the
-/// key and the leaked metric), so a hit costs the lock and a map walk.
+/// leaked key and metric), so a hit costs the lock and a map walk.
+/// `make` is told how many metrics of the kind were registered before.
 fn get_or_register<T>(
-    map: &Mutex<BTreeMap<String, &'static T>>,
+    map: &Mutex<BTreeMap<&'static str, &'static T>>,
     name: &str,
-    make: impl FnOnce() -> T,
+    make: impl FnOnce(usize) -> T,
 ) -> &'static T {
     let mut map = map.lock().unwrap();
     if let Some(&metric) = map.get(name) {
         return metric;
     }
-    let metric: &'static T = Box::leak(Box::new(make()));
-    map.insert(name.to_string(), metric);
+    let metric: &'static T = Box::leak(Box::new(make(map.len())));
+    map.insert(Box::leak(name.into()), metric);
     metric
 }
 
 /// Returns the named counter, registering it on first use.
 pub fn counter(name: &str) -> &'static Counter {
-    get_or_register(&registry().counters, name, Counter::new)
+    get_or_register(&registry().counters, name, |slot| Counter {
+        value: AtomicU64::new(0),
+        slot,
+    })
 }
 
 /// Returns the named gauge, registering it on first use.
 pub fn gauge(name: &str) -> &'static Gauge {
-    get_or_register(&registry().gauges, name, Gauge::new)
+    get_or_register(&registry().gauges, name, |_| Gauge::new())
 }
 
 /// Returns the named histogram, registering it with `bounds` on first
 /// use (later calls keep the original bounds).
 pub fn histogram(name: &str, bounds: &[f64]) -> &'static Histogram {
-    get_or_register(&registry().histograms, name, || {
+    get_or_register(&registry().histograms, name, |_| {
         Histogram::with_bounds(bounds)
     })
 }
@@ -256,14 +303,14 @@ impl MetricsSnapshot {
                 .lock()
                 .unwrap()
                 .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
+                .map(|(k, v)| (k.to_string(), v.get()))
                 .collect(),
             gauges: reg
                 .gauges
                 .lock()
                 .unwrap()
                 .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
+                .map(|(k, v)| (k.to_string(), v.get()))
                 .collect(),
             histograms: reg
                 .histograms
@@ -272,7 +319,7 @@ impl MetricsSnapshot {
                 .iter()
                 .map(|(k, v)| {
                     (
-                        k.clone(),
+                        k.to_string(),
                         HistogramSnapshot {
                             buckets: v.cumulative_buckets(),
                             sum: v.sum(),

@@ -5,10 +5,9 @@
 //! [`SpanRecord`] with the span's depth relative to its enclosing spans.
 //!
 //! Completed spans are delivered to every [`TraceContext`] the current
-//! thread has entered (see [`TraceContext::enter`]); when no trace is
-//! active they accumulate per thread until [`take_finished_spans`]
-//! drains them, which keeps span collection working for callers that
-//! never mint a trace.
+//! thread has entered (see [`TraceContext::enter`]); a span that
+//! completes while no trace is entered is timed for the profiler and
+//! then dropped.
 //!
 //! Durations come from [`std::time::Instant`], the monotonic clock, so
 //! they are immune to wall-clock adjustments. Span start times are
@@ -19,7 +18,7 @@
 //! [`TraceContext`]: crate::TraceContext
 //! [`TraceContext::enter`]: crate::TraceContext::enter
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -38,15 +37,9 @@ pub struct SpanRecord {
     pub nanos: u64,
 }
 
-struct ThreadSpans {
-    depth: usize,
-    finished: Vec<SpanRecord>,
-}
-
 thread_local! {
-    static SPANS: RefCell<ThreadSpans> = const {
-        RefCell::new(ThreadSpans { depth: 0, finished: Vec::new() })
-    };
+    /// How many spans are open on this thread.
+    static DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The per-process telemetry epoch: fixed at the first telemetry event.
@@ -84,7 +77,7 @@ pub struct SpanGuard {
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     epoch(); // pin the epoch no later than the first span
-    SPANS.with(|s| s.borrow_mut().depth += 1);
+    DEPTH.with(|d| d.set(d.get() + 1));
     // Publish the name on this thread's profiler stack so the
     // sampling profiler can fold it; popped when the guard drops.
     crate::profiler::push_span(name);
@@ -99,29 +92,15 @@ impl Drop for SpanGuard {
         crate::profiler::pop_span();
         let nanos = self.start.elapsed().as_nanos() as u64;
         let start_nanos = nanos_since_epoch(self.start);
-        let depth = SPANS.with(|s| {
-            let mut s = s.borrow_mut();
-            s.depth = s.depth.saturating_sub(1);
-            s.depth
+        let depth = DEPTH.with(|d| {
+            d.set(d.get().saturating_sub(1));
+            d.get()
         });
-        let record = SpanRecord {
+        crate::trace::deliver(SpanRecord {
             name: self.name,
             depth,
             start_nanos,
             nanos,
-        };
-        // Deliver to the traces this thread has entered; fall back
-        // to the legacy per-thread buffer when none are active.
-        if let Some(record) = crate::trace::deliver(record) {
-            SPANS.with(|s| s.borrow_mut().finished.push(record));
-        }
+        });
     }
-}
-
-/// Drains the current thread's finished spans, in completion order
-/// (children precede their parents). Spans completed while a
-/// [`TraceContext`](crate::TraceContext) was entered on this thread are
-/// owned by that trace and never show up here.
-pub fn take_finished_spans() -> Vec<SpanRecord> {
-    SPANS.with(|s| std::mem::take(&mut s.borrow_mut().finished))
 }

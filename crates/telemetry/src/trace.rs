@@ -1,16 +1,17 @@
 //! Per-query trace contexts: the spine of end-to-end query tracing.
 //!
 //! A [`TraceContext`] is minted where a query is born (the wire client,
-//! or [`Recorder::begin`](crate::Recorder::begin) for in-process
-//! sessions) and handed along the query path — wire protocol, admission
-//! queue, worker thread, fusion batch. Any thread that is about to do
-//! work on behalf of the query calls [`TraceContext::enter`]; while the
-//! returned guard lives, every span completed on that thread is
-//! delivered into the trace instead of the thread-local buffer. A
-//! thread may enter several contexts at once (a fused batch executes
-//! one shared scan for many queries), in which case each completed span
-//! is delivered to *all* of them — every member query still gets a
-//! complete span tree.
+//! the engine, or an in-process session's `run_query`) and handed along
+//! the query path — wire protocol, admission queue, worker thread,
+//! fusion batch. Any thread that is about to do work on behalf of the
+//! query calls [`TraceContext::enter`]; while the returned guard lives,
+//! every span completed on that thread is delivered into the trace, and
+//! when it drops, the counts, heap and CPU the thread spent inside it
+//! are added to the trace. A thread may enter several contexts at once
+//! (a fused batch executes one shared scan for many queries), in which
+//! case each completed span and every count is attributed to *all* of
+//! them — every member query still gets a complete record of the work
+//! done on its behalf (`batch_size` says how many shared it).
 //!
 //! When the query is done, [`TraceContext::finalize`] snapshots the
 //! spans into an immutable [`QueryTrace`], records it in the global
@@ -35,9 +36,10 @@ use crate::span::nanos_since_epoch;
 use crate::span::SpanRecord;
 
 /// How a traced query ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TraceOutcome {
     /// The query ran to completion and returned moments.
+    #[default]
     Completed,
     /// The query's deadline expired (in queue or mid-search).
     DeadlineExceeded,
@@ -130,8 +132,10 @@ pub(crate) struct TraceInner {
     start_nanos: u64,
     meta: Mutex<TraceMeta>,
     spans: Mutex<Vec<SpanRecord>>,
-    // Resources attributed by TraceGuard drops: every thread that
-    // entered the trace adds the heap and CPU it consumed while inside.
+    // Attributed by TraceGuard drops: every thread that entered the
+    // trace adds what it counted (by counter slot) and the heap and CPU
+    // it consumed while inside.
+    counts: Mutex<Vec<u64>>,
     alloc_bytes: AtomicU64,
     alloc_count: AtomicU64,
     cpu_nanos: AtomicU64,
@@ -149,6 +153,7 @@ impl TraceInner {
         }
         let total_nanos = self.started.elapsed().as_nanos() as u64;
         let spans = std::mem::take(&mut *self.spans.lock().unwrap());
+        let counts = crate::metrics::named_counts(&self.counts.lock().unwrap());
         let alloc_bytes = self.alloc_bytes.load(Ordering::Relaxed);
         let alloc_count = self.alloc_count.load(Ordering::Relaxed);
         let cpu_nanos = self.cpu_nanos.load(Ordering::Relaxed);
@@ -164,6 +169,7 @@ impl TraceInner {
                 alloc_bytes,
                 alloc_count,
                 cpu_nanos,
+                counts,
                 spans,
             })
         };
@@ -224,6 +230,7 @@ impl TraceContext {
                     batch_size: 1,
                 }),
                 spans: Mutex::new(Vec::new()),
+                counts: Mutex::new(Vec::new()),
                 alloc_bytes: AtomicU64::new(0),
                 alloc_count: AtomicU64::new(0),
                 cpu_nanos: AtomicU64::new(0),
@@ -241,16 +248,20 @@ impl TraceContext {
     /// the returned guard lives, spans completed on this thread are
     /// delivered into this trace (and into any other traces the thread
     /// has entered — fused batches enter all their members). The guard
-    /// also scopes resource attribution: the heap the thread allocates
-    /// and the CPU it burns while the guard lives are added to the
-    /// trace's `alloc_bytes` / `alloc_count` / `cpu_nanos` on drop.
+    /// also scopes attribution: what the thread adds to any
+    /// [`Counter`](crate::Counter), the heap it allocates and the CPU it
+    /// burns while the guard lives are added to the trace's `counts` /
+    /// `alloc_bytes` / `alloc_count` / `cpu_nanos` on drop.
     #[must_use = "spans are only delivered to the trace while the guard is alive"]
     pub fn enter(&self) -> TraceGuard {
         crate::profiler::ensure_registered();
         ACTIVE.with(|a| a.borrow_mut().push(Arc::clone(&self.inner)));
+        // The tally copy allocates, so it is taken before the heap base.
+        let base_tally = crate::metrics::thread_tally();
         let (base_alloc_bytes, base_alloc_count) = crate::alloc::thread_allocated();
         TraceGuard {
             entered: Arc::clone(&self.inner),
+            base_tally,
             base_alloc_bytes,
             base_alloc_count,
             base_cpu: crate::cpu::stamp(),
@@ -261,7 +272,7 @@ impl TraceContext {
     /// The traces the current thread has entered, as independent
     /// contexts — what a worker captures right before handing work to a
     /// helper thread, so the helper can `enter()` them too and its
-    /// spans and resources attribute to the same queries. Empty when no
+    /// spans, counts and resources attribute to the same queries. Empty when no
     /// trace is active.
     pub fn entered() -> Vec<TraceContext> {
         ACTIVE.with(|a| {
@@ -322,29 +333,24 @@ thread_local! {
     static ACTIVE: RefCell<Vec<Arc<TraceInner>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Delivers a completed span to every trace entered on this thread.
-/// Returns the record back if no trace is active (caller keeps it in
-/// the thread-local buffer).
-pub(crate) fn deliver(record: SpanRecord) -> Option<SpanRecord> {
+/// Delivers a completed span to every trace entered on this thread
+/// (none entered: the span is dropped).
+pub(crate) fn deliver(record: SpanRecord) {
     ACTIVE.with(|a| {
-        let active = a.borrow();
-        if active.is_empty() {
-            return Some(record);
-        }
-        for sink in active.iter() {
+        for sink in a.borrow().iter() {
             sink.spans.lock().unwrap().push(record.clone());
         }
-        None
     })
 }
 
 /// RAII guard from [`TraceContext::enter`]; leaving the scope stops
-/// delivering this thread's spans to the trace and attributes the heap
-/// and CPU the thread consumed inside the scope to it. Not `Send`: the
-/// guard must drop on the thread that entered.
+/// delivering this thread's spans to the trace and attributes the
+/// counts, heap and CPU the thread spent inside the scope to it. Not
+/// `Send`: the guard must drop on the thread that entered.
 #[must_use = "spans are only delivered to the trace while the guard is alive"]
 pub struct TraceGuard {
     entered: Arc<TraceInner>,
+    base_tally: Vec<u64>,
     base_alloc_bytes: u64,
     base_alloc_count: u64,
     base_cpu: crate::cpu::CpuStamp,
@@ -356,8 +362,8 @@ impl Drop for TraceGuard {
         let inner = &self.entered;
         // Attribute this thread's consumption over the guard's
         // lifetime. A fused batch enters all member traces, so each
-        // member sees the full cost of the shared scan — the same
-        // semantics spans already have.
+        // member sees the full cost and counts of the shared scan — the
+        // same semantics spans already have.
         let (bytes, count) = crate::alloc::thread_allocated();
         inner
             .alloc_bytes
@@ -368,6 +374,7 @@ impl Drop for TraceGuard {
         inner
             .cpu_nanos
             .fetch_add(crate::cpu::nanos_since(&self.base_cpu), Ordering::Relaxed);
+        crate::metrics::add_tally_since(&self.base_tally, &mut inner.counts.lock().unwrap());
         ACTIVE.with(|a| {
             let mut active = a.borrow_mut();
             // Remove the most recent matching entry (guards usually

@@ -27,10 +27,7 @@ fn configured_capacity_applies_before_first_use() {
             batch_size: 1,
             start_nanos: id,
             total_nanos: 1,
-            alloc_bytes: 0,
-            alloc_count: 0,
-            cpu_nanos: 0,
-            spans: Vec::new(),
+            ..Default::default()
         }));
     }
     let recent = tel::flight_recorder().recent(100);

@@ -2,11 +2,19 @@
 //! so metrics registered here don't leak into other tests' snapshots.
 
 use sketchql_telemetry as tel;
-use std::sync::Mutex;
+use std::sync::Arc;
 
-/// Serializes tests that assert on deltas of the shared pipeline
-/// counters; without this, parallel tests inflate each other's numbers.
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
+/// Runs `work` on this thread inside a fresh trace labelled `label` and
+/// returns the finished trace: the three lines every caller writes.
+fn traced(label: &str, work: impl FnOnce()) -> Arc<tel::QueryTrace> {
+    let ctx = tel::TraceContext::new();
+    ctx.set_label(label);
+    {
+        let _entered = ctx.enter();
+        work();
+    }
+    ctx.finalize().expect("first finalize returns the trace")
+}
 
 #[test]
 fn counters_accumulate_and_reset() {
@@ -45,15 +53,14 @@ fn histograms_bucket_cumulatively() {
 
 #[test]
 fn spans_nest_by_depth() {
-    let _ = tel::take_finished_spans();
-    {
+    let trace = traced("spans/nest", || {
         let _outer = tel::span("test.spans.outer");
         {
             let _inner = tel::span("test.spans.inner");
             std::hint::black_box(0u64);
         }
-    }
-    let spans = tel::take_finished_spans();
+    });
+    let spans = &trace.spans;
     assert_eq!(spans.len(), 2);
     // Completion order: inner finishes first, at depth 1.
     assert_eq!(spans[0].name, "test.spans.inner");
@@ -65,18 +72,24 @@ fn spans_nest_by_depth() {
 
 #[test]
 fn recorder_reports_counter_deltas_and_stages() {
-    let _serial = RECORDER_LOCK.lock().unwrap();
-    let rec = tel::Recorder::begin();
-    tel::counter(tel::names::WINDOWS_ENUMERATED).add(7);
-    tel::counter(tel::names::SIMILARITY_EVALS).add(3);
-    {
+    let report = traced("unit/query", || {
+        tel::counter(tel::names::WINDOWS_ENUMERATED).add(7);
+        tel::counter(tel::names::SIMILARITY_EVALS).add(3);
         let _stage = tel::span(tel::names::MATCHER_SCAN);
         std::hint::black_box(0u64);
-    }
-    let report = rec.finish("unit/query");
+    });
     assert_eq!(report.label, "unit/query");
-    assert_eq!(report.windows_enumerated, 7);
-    assert_eq!(report.similarity_evals, 3);
+    assert_eq!(report.count(tel::names::WINDOWS_ENUMERATED), 7);
+    assert_eq!(report.count(tel::names::SIMILARITY_EVALS), 3);
+    // Only the counters that moved, in name order.
+    assert_eq!(
+        report.counts,
+        [
+            (tel::names::WINDOWS_ENUMERATED, 7),
+            (tel::names::SIMILARITY_EVALS, 3)
+        ]
+    );
+    assert_eq!(report.count(tel::names::EMBEDDINGS_COMPUTED), 0);
     assert_eq!(report.stages().len(), 1);
     assert_eq!(report.stages()[0].0, tel::names::MATCHER_SCAN);
     assert!(report.stage_nanos_sum() > 0);
@@ -84,15 +97,12 @@ fn recorder_reports_counter_deltas_and_stages() {
 
 #[test]
 fn recorder_isolates_consecutive_queries() {
-    let _serial = RECORDER_LOCK.lock().unwrap();
-    let rec1 = tel::Recorder::begin();
-    tel::counter(tel::names::EMBEDDINGS_COMPUTED).add(10);
-    let r1 = rec1.finish("q1");
-    let rec2 = tel::Recorder::begin();
-    tel::counter(tel::names::EMBEDDINGS_COMPUTED).add(2);
-    let r2 = rec2.finish("q2");
-    assert_eq!(r1.embeddings_computed, 10);
-    assert_eq!(r2.embeddings_computed, 2);
+    let embeds = tel::counter(tel::names::EMBEDDINGS_COMPUTED);
+    let r1 = traced("q1", || embeds.add(10));
+    embeds.add(100); // between queries: nobody's
+    let r2 = traced("q2", || embeds.add(2));
+    assert_eq!(r1.count(tel::names::EMBEDDINGS_COMPUTED), 10);
+    assert_eq!(r2.count(tel::names::EMBEDDINGS_COMPUTED), 2);
 }
 
 #[test]
@@ -110,12 +120,25 @@ fn json_exports_parse() {
     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(keys, ["counters", "gauges", "histograms"]);
 
-    let rec = tel::Recorder::begin();
-    tel::counter(tel::names::WINDOWS_ENUMERATED).inc();
-    let report = rec.finish("json/check");
+    let report = traced("json/check", || {
+        tel::counter(tel::names::WINDOWS_ENUMERATED).inc();
+        let _stage = tel::span(tel::names::MATCHER_SCAN);
+    });
     let parsed: serde::Value =
-        serde_json::from_str(&report.to_json()).expect("QueryReport::to_json must be valid JSON");
-    assert!(matches!(parsed, serde::Value::Obj(_)));
+        serde_json::from_str(&report.to_json()).expect("QueryTrace::to_json must be valid JSON");
+    let serde::Value::Obj(fields) = parsed else {
+        panic!("a trace must be a JSON object");
+    };
+    let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
+    assert_eq!(get("label"), Some(serde::Value::Str("json/check".into())));
+    assert_eq!(
+        get("counts"),
+        Some(serde::Value::Obj(vec![(
+            tel::names::WINDOWS_ENUMERATED.to_string(),
+            serde::Value::Num(1.0)
+        )]))
+    );
+    assert!(matches!(get("spans"), Some(serde::Value::Arr(a)) if a.len() == 1));
 }
 
 #[test]
@@ -141,15 +164,21 @@ fn prometheus_export_is_well_formed() {
 
 #[test]
 fn table_renderer_includes_stages_and_counters() {
-    let rec = tel::Recorder::begin();
-    {
-        let _s = tel::span(tel::names::MATCHER_PREPARE);
-        std::hint::black_box(0u64);
-    }
-    tel::counter(tel::names::TOPK_HEAP_OPS).add(5);
-    let report = rec.finish("table/check");
+    let report = traced("table/check", || {
+        {
+            let _s = tel::span(tel::names::MATCHER_PREPARE);
+            std::hint::black_box(0u64);
+        }
+        tel::counter(tel::names::WINDOWS_PRUNED).add(5);
+        tel::counter(tel::names::EMBED_CACHE_HITS).add(1);
+        tel::counter(tel::names::EMBED_CACHE_MISSES).add(3);
+    });
     let table = report.render_table();
     assert!(table.contains("query report: table/check"));
-    assert!(table.contains(tel::names::TOPK_HEAP_OPS));
+    assert!(table.contains(&tel::format_trace_id(report.trace_id)));
+    assert!(table.contains(tel::names::WINDOWS_PRUNED));
     assert!(table.contains(tel::names::MATCHER_PREPARE));
+    assert!(table.contains("embed cache hit rate: 25.0%"), "{table}");
+    // A counter the query never touched has no row.
+    assert!(!table.contains(tel::names::STORE_HITS));
 }

@@ -68,23 +68,50 @@ fn fused_entry_delivers_shared_spans_to_every_member() {
     }
 }
 
-/// Spans completed while a trace is entered belong to the trace; the
-/// legacy thread-local buffer only sees spans from untraced stretches.
+/// Counts travel the same road as spans: what a thread adds to a
+/// counter while it has several traces entered is attributed to every
+/// one of them (each fused member sees the batch's counts), and a count
+/// made outside any trace is nobody's.
 #[test]
-fn traced_spans_do_not_leak_into_the_thread_buffer() {
-    let _ = tel::take_finished_spans();
+fn fused_entry_attributes_shared_counts_to_every_member() {
+    let shared = tel::counter("test.fused.count");
+    let a = tel::TraceContext::new();
+    let b = tel::TraceContext::new();
+    shared.add(100); // before either trace is entered
+    let guard_a = a.enter();
+    shared.add(1); // a alone
+    let guard_b = b.enter();
+    shared.add(7); // the fused stretch
+    drop(guard_b);
+    drop(guard_a);
+    shared.add(100);
+    assert_eq!(a.finalize().unwrap().count("test.fused.count"), 8);
+    assert_eq!(b.finalize().unwrap().count("test.fused.count"), 7);
+}
+
+/// A helper thread that enters the traces its spawner captured with
+/// `TraceContext::entered()` attributes its counts to the same query —
+/// the hand-off the parallel encoder pass and the direct scan make.
+#[test]
+fn helper_threads_attribute_their_counts_to_the_spawning_query() {
+    let work = tel::counter("test.helper.count");
     let ctx = tel::TraceContext::new();
     {
-        let _guard = ctx.enter();
-        let _span = tel::span("test.leak.traced");
+        let _entered = ctx.enter();
+        work.add(1);
+        let entered = tel::TraceContext::entered();
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    let _attribution: Vec<_> = entered.iter().map(|t| t.enter()).collect();
+                    work.add(10);
+                });
+            }
+            // A helper that never enters counts for the process only.
+            scope.spawn(|| work.add(1000));
+        });
     }
-    {
-        let _span = tel::span("test.leak.untraced");
-    }
-    let leftovers = tel::take_finished_spans();
-    ctx.finalize();
-    assert_eq!(leftovers.len(), 1);
-    assert_eq!(leftovers[0].name, "test.leak.untraced");
+    assert_eq!(ctx.finalize().unwrap().count("test.helper.count"), 31);
 }
 
 /// `stage_nanos_sum` is the union of the depth-0 intervals: exact
@@ -100,7 +127,7 @@ fn stage_sum_is_an_interval_union_not_a_plain_sum() {
         start_nanos: start,
         nanos,
     };
-    let report = tel::QueryReport {
+    let report = tel::QueryTrace {
         label: "union/check".into(),
         total_nanos: 10 * ms,
         spans: vec![
@@ -116,7 +143,7 @@ fn stage_sum_is_an_interval_union_not_a_plain_sum() {
     assert!(report.stage_nanos_sum() <= report.total_nanos);
 
     // Disjoint intervals still add up exactly.
-    let disjoint = tel::QueryReport {
+    let disjoint = tel::QueryTrace {
         total_nanos: 10 * ms,
         spans: vec![
             span("test.union.a", 0, 0, 2 * ms),
@@ -129,16 +156,18 @@ fn stage_sum_is_an_interval_union_not_a_plain_sum() {
 
 /// The same property through the live path: a trace fed overlapping
 /// depth-0 spans (as a fused batch produces) reports a stage union no
-/// larger than the report's wall clock.
+/// larger than its wall clock.
 #[test]
 fn recorder_stage_percentages_cannot_exceed_total() {
     let ctx = tel::TraceContext::new();
     let t0 = Instant::now();
     ctx.record_span("test.pct.a", 0, t0, 2_000_000);
     ctx.record_span("test.pct.dup", 0, t0, 2_000_000);
-    let rec = tel::Recorder::begin_with_trace(ctx);
-    std::thread::sleep(Duration::from_millis(5));
-    let report = rec.finish("pct/check");
+    {
+        let _entered = ctx.enter();
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let report = ctx.finalize().unwrap();
     assert_eq!(report.stage_nanos_sum(), 2_000_000);
     assert!(report.stage_nanos_sum() <= report.total_nanos);
 }
@@ -157,10 +186,7 @@ fn flight_recorder_retains_the_newest_traces() {
             batch_size: 1,
             start_nanos: id,
             total_nanos: 1,
-            alloc_bytes: 0,
-            alloc_count: 0,
-            cpu_nanos: 0,
-            spans: Vec::new(),
+            ..Default::default()
         }));
     }
     assert_eq!(recorder.recorded(), 10);
@@ -316,6 +342,7 @@ fn finalized_traces_export_ordered_waterfalls() {
         alloc_bytes: 4_096,
         alloc_count: 7,
         cpu_nanos: 3_000,
+        counts: vec![("test.wf.rows", 9)],
         spans: vec![
             tel::SpanRecord {
                 name: "test.wf.late",
@@ -350,6 +377,13 @@ fn finalized_traces_export_ordered_waterfalls() {
         Some(serde::Value::Str("deadline_exceeded".into()))
     );
     assert_eq!(get("batch_size"), Some(serde::Value::Num(3.0)));
+    assert_eq!(
+        get("counts"),
+        Some(serde::Value::Obj(vec![(
+            "test.wf.rows".into(),
+            serde::Value::Num(9.0)
+        )]))
+    );
     assert!(matches!(get("spans"), Some(serde::Value::Arr(a)) if a.len() == 2));
 }
 

@@ -77,6 +77,11 @@ serve_round_trip() {
         --dataset traffic --event left_turn --top-k 3 --deadline-ms 30000 \
         | tee "$work/query.out"
     grep -q "^1 " "$work/query.out" || { echo "query returned no moments" >&2; exit 1; }
+    # The query's own trace says it was served by the store.
+    trace_id="$(sed -n 's/.*trace \([0-9a-f]\{12\}\)).*/\1/p' "$work/query.out")"
+    "$CLI" client --addr "$ADDR" --action trace --trace-id "$trace_id" | tee "$work/trace.out"
+    grep -q "^    sketchql.store.hits 1$" "$work/trace.out" \
+        || { echo "served query's trace does not read sketchql.store.hits 1" >&2; exit 1; }
     "$CLI" client --addr "$ADDR" --action stats | tee "$work/stats.out"
     hits="$(awk '/^store hits/ { print $3 }' "$work/stats.out")"
     [ "${hits:-0}" -ge 1 ] || { echo "expected >=1 store hit, got ${hits:-none}" >&2; exit 1; }

@@ -2,7 +2,8 @@
 # End-to-end tracing smoke: serve with the observability side channels
 # on, run a query, and verify every output the tracing layer promises —
 # the client-visible trace id, a flight-recorder span tree covering
-# queue wait / embed / probe-or-scan / rank, the Prometheus scrape
+# queue wait / embed / probe-or-scan / rank with the query's own counts
+# under it, the Prometheus scrape
 # endpoint (including the queue-wait and fused-batch-size series), and
 # the slow-query log.
 #
@@ -75,6 +76,17 @@ done
 grep -Eq "sketchql\.(matcher\.scan|store\.probe)" "$work/trace.out" \
     || { echo "span tree has neither a scan nor a store probe stage" >&2; exit 1; }
 
+# The trace carries its own counts: the counters this query moved.
+grep -q "^  counts:" "$work/trace.out" \
+    || { echo "trace output has no counts block" >&2; exit 1; }
+for counter in \
+    sketchql.matcher.windows_enumerated \
+    sketchql.similarity.embeddings_computed; do
+    n="$(awk -v name="$counter" '$1 == name { print $2 }' "$work/trace.out")"
+    [ "${n:-0}" -gt 0 ] \
+        || { echo "trace counts: expected positive $counter, got ${n:-none}" >&2; exit 1; }
+done
+
 echo "== trace smoke: scrape $METRICS_ADDR"
 exec 3<>"/dev/tcp/$METRICS_HOST/$METRICS_PORT"
 printf 'GET /metrics HTTP/1.0\r\n\r\n' >&3
@@ -92,8 +104,8 @@ for series in \
 done
 
 echo "== trace smoke: slow-query log (threshold 0 logs every query)"
-grep -q "$trace_id" "$work/slow.jsonl" \
-    || { echo "slow-query log is missing trace $trace_id" >&2; cat "$work/slow.jsonl" >&2; exit 1; }
+grep "$trace_id" "$work/slow.jsonl" | grep -q '"counts":{"sketchql' \
+    || { echo "slow-query log has no line with counts for trace $trace_id" >&2; cat "$work/slow.jsonl" >&2; exit 1; }
 
 "$CLI" client --addr "$ADDR" --action metrics | grep -q sketchql_server_requests \
     || { echo "wire metrics request failed" >&2; exit 1; }

@@ -23,7 +23,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sketchql::telemetry::{self, Recorder};
+use sketchql::telemetry::{self, QueryTrace, TraceContext};
 use sketchql::training::{train_with_callback, TrainedModel, TrainingConfig};
 use sketchql::{
     append_frames, ingest_sharded, load_store_tier_dir, shard_set_dir_name, CancelToken,
@@ -43,6 +43,7 @@ use sketchql_trajectory::{render_storyboard, DistanceKind};
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> ExitCode {
@@ -337,8 +338,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// The `query`/`stats` pipeline: load the video, build an index, and run
-/// the selected matcher. The whole run is bracketed by a [`Recorder`] so
-/// the caller gets a per-query report alongside the results.
+/// the selected matcher. The whole run happens inside one trace, so the
+/// caller gets the query's [`QueryTrace`] alongside the results.
 fn execute_query(
     flags: &HashMap<String, String>,
     quiet: bool,
@@ -347,7 +348,7 @@ fn execute_query(
         SyntheticVideo,
         EventKind,
         Vec<RetrievedMoment>,
-        telemetry::QueryReport,
+        Arc<QueryTrace>,
     ),
     String,
 > {
@@ -356,7 +357,9 @@ fn execute_query(
     let top_k: usize = num(flags, "top-k", 5)?;
     let query = query_clip(kind);
 
-    let recorder = Recorder::begin();
+    let trace = TraceContext::new();
+    trace.set_label(format!("{}/{}", video.name, kind.name()));
+    let entered = trace.enter();
     let index = build_index(&video, flags.contains_key("oracle-tracks"));
     if !quiet {
         println!(
@@ -434,7 +437,8 @@ fn execute_query(
         }
         search.moments
     };
-    let report = recorder.finish(format!("{}/{}", video.name, kind.name()));
+    drop(entered);
+    let report = trace.finalize().expect("finalized once, here");
 
     Ok((video, kind, results, report))
 }
@@ -1174,7 +1178,8 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
 /// spans in start order, indented by nesting depth, with each span's
 /// offset into the query and its duration. A resource line (attributed
 /// CPU and heap traffic) follows the header when the server recorded
-/// any.
+/// any, and the counters the query moved — store hit or fallback
+/// reason, rows probed, windows, embeddings — follow the spans.
 fn print_waterfall(trace: &sketchql_server::WireTrace) {
     println!(
         "trace {}  [{}]  outcome {}  batch {}  total {:.3} ms",
@@ -1200,6 +1205,19 @@ fn print_waterfall(trace: &sketchql_server::WireTrace) {
             "  ".repeat(span.depth),
             span.name
         );
+    }
+    if !trace.counts.is_empty() {
+        println!("  counts:");
+        for (name, n) in &trace.counts {
+            println!("    {name} {n}");
+        }
+        let count = |name: &str| trace.counts.get(name).copied().unwrap_or(0);
+        let hits = count(telemetry::names::EMBED_CACHE_HITS);
+        let lookups = hits + count(telemetry::names::EMBED_CACHE_MISSES);
+        if lookups > 0 {
+            let rate = 100.0 * hits as f64 / lookups as f64;
+            println!("  embed cache hit rate: {rate:.1}%");
+        }
     }
 }
 

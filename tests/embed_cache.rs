@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sketchql::telemetry::Recorder;
+use sketchql::telemetry::{names, TraceContext};
 use sketchql::training::{train, TrainingConfig};
 use sketchql::{
     LearnedSimilarity, Matcher, MatcherConfig, PreparedQuery, Similarity, SimilarityError,
@@ -14,11 +14,6 @@ use sketchql::{
 };
 use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
 use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
-use std::sync::Mutex;
-
-/// Counters are process-global; tests that bracket them with a
-/// [`Recorder`] must not interleave with other counter traffic.
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 /// The learned similarity with `uses_embeddings()` left at its `false`
 /// default, so the Matcher scores every candidate through `score` on
@@ -47,7 +42,6 @@ fn tiny_model() -> sketchql::TrainedModel {
 
 #[test]
 fn cached_search_matches_uncached_exactly() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let model = tiny_model();
     let cfg = VideoConfig {
         family: SceneFamily::UrbanIntersection,
@@ -87,7 +81,6 @@ fn cached_search_matches_uncached_exactly() {
 /// segment, the second lookup must hit the cache instead of re-embedding.
 #[test]
 fn overlapping_clamped_windows_hit_the_cache() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let model = tiny_model();
     // Scales 1.0 and 1.125 of a 16-frame query give 16- and 18-frame
     // windows; both grids end with the truncated segment (84, 99) over a
@@ -117,16 +110,19 @@ fn overlapping_clamped_windows_hit_the_cache() {
         vec![Trajectory::from_points(0, ObjectClass::Car, q_pts)],
     );
 
-    let recorder = Recorder::begin();
-    let results = matcher.search(&idx, &query).unwrap();
-    let report = recorder.finish("embed_cache/hits");
+    let trace = TraceContext::new();
+    let results = {
+        let _entered = trace.enter();
+        matcher.search(&idx, &query).unwrap()
+    };
+    let report = trace.finalize().unwrap();
     assert!(!results.is_empty());
 
     // 22 windows on the 16-grid + 22 on the 18-grid, sharing one segment.
-    assert_eq!(report.embed_cache_hits, 1);
-    assert_eq!(report.embed_cache_misses, 43);
+    assert_eq!(report.count(names::EMBED_CACHE_HITS), 1);
+    assert_eq!(report.count(names::EMBED_CACHE_MISSES), 43);
     let rate = report.embed_cache_hit_rate().unwrap();
     assert!(rate > 0.0 && rate < 1.0, "hit rate {rate}");
     // The repeated segment was embedded once: query + unique candidates.
-    assert_eq!(report.embeddings_computed, 43 + 1);
+    assert_eq!(report.count(names::EMBEDDINGS_COMPUTED), 43 + 1);
 }

@@ -1,15 +1,24 @@
 //! Telemetry counter correctness: one query over a fully-known synthetic
 //! video must produce exactly the analytically expected counter values.
 
-use sketchql::telemetry::{self, Recorder};
+use sketchql::telemetry::{self, names, QueryTrace, TraceContext};
 use sketchql::training::{train, TrainingConfig};
 use sketchql::{Matcher, MatcherConfig, VideoIndex};
 use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
-use std::sync::Mutex;
+use std::sync::Arc;
 
-/// Counters are process-global, so tests that bracket them with a
-/// [`Recorder`] must not interleave.
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
+/// Runs `work` on this thread inside a fresh trace labelled `label`;
+/// returns its result and the finished trace. Counts are attributed
+/// per trace, so these tests need no lock against each other.
+fn traced<T>(label: &str, work: impl FnOnce() -> T) -> (T, Arc<QueryTrace>) {
+    let ctx = TraceContext::new();
+    ctx.set_label(label);
+    let out = {
+        let _entered = ctx.enter();
+        work()
+    };
+    (out, ctx.finalize().expect("finalized once, here"))
+}
 
 const FRAMES: u32 = 100;
 const QUERY_SPAN: u32 = 40;
@@ -61,7 +70,6 @@ fn expected_windows(cfg: &MatcherConfig, q_span: u32, frames: u32) -> u64 {
 
 #[test]
 fn counters_match_analytic_expectations() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let mut cfg = TrainingConfig::tiny();
     cfg.steps = 2;
     let matcher = Matcher::new(train(cfg).similarity());
@@ -70,31 +78,73 @@ fn counters_match_analytic_expectations() {
     assert_eq!(q.span(), QUERY_SPAN);
     assert_eq!(idx.frames, FRAMES);
 
-    let recorder = Recorder::begin();
-    let results = matcher.search(&idx, &q).unwrap();
-    let report = recorder.finish("analytic/car_query");
+    let (results, report) = traced("analytic/car_query", || matcher.search(&idx, &q).unwrap());
 
     assert!(!results.is_empty());
     assert_eq!(report.label, "analytic/car_query");
 
     let expected = expected_windows(&matcher.config, QUERY_SPAN, FRAMES);
     assert!(expected > 0);
-    assert_eq!(report.windows_enumerated, expected);
+    assert_eq!(report.count(names::WINDOWS_ENUMERATED), expected);
     // The single full-coverage track gives one combination per window, so
     // every window is scored exactly once and none are pruned.
-    assert_eq!(report.similarity_evals, expected);
-    assert_eq!(report.windows_pruned, 0);
+    assert_eq!(report.count(names::SIMILARITY_EVALS), expected);
+    assert_eq!(report.count(names::WINDOWS_PRUNED), 0);
     // One embedding per scored candidate plus one for the query itself.
     // (The window scales here map to distinct lengths, so the per-search
     // embedding cache sees only distinct segments: every lookup misses.)
-    assert_eq!(report.embeddings_computed, expected + 1);
-    assert_eq!(report.embed_cache_misses, expected);
-    assert_eq!(report.embed_cache_hits, 0);
+    assert_eq!(report.count(names::EMBEDDINGS_COMPUTED), expected + 1);
+    assert_eq!(report.count(names::EMBED_CACHE_MISSES), expected);
+    assert_eq!(report.count(names::EMBED_CACHE_HITS), 0);
     assert_eq!(report.embed_cache_hit_rate(), Some(0.0));
-    // The index was pre-built outside the bracket.
-    assert_eq!(report.frames_preprocessed, 0);
-    assert_eq!(report.tracks_built, 0);
-    assert_eq!(report.topk_heap_ops, results.len() as u64);
+    // The index was pre-built outside the trace.
+    assert_eq!(report.count(names::FRAMES_PREPROCESSED), 0);
+    assert_eq!(report.count(names::TRACKS_BUILT), 0);
+}
+
+/// Per-query counts are exact under concurrency: two threads run two
+/// different queries at the same moment, round after round, each under
+/// its own trace, and every trace reads exactly what the same query
+/// reads when it runs alone. (A difference of process-wide counters
+/// around each query would hand each the other's windows.)
+#[test]
+fn concurrent_queries_count_only_their_own_work() {
+    const ROUNDS: usize = 4;
+    const COUNTED: [&str; 3] = [
+        names::WINDOWS_ENUMERATED,
+        names::EMBEDDINGS_COMPUTED,
+        names::SIMILARITY_EVALS,
+    ];
+    let mut cfg = TrainingConfig::tiny();
+    cfg.steps = 2;
+    let matcher = Matcher::new(train(cfg).similarity());
+    let idx = single_track_index();
+    let short = Clip::new(
+        1000.0,
+        600.0,
+        vec![query().objects[0].slice(0, QUERY_SPAN / 2)],
+    );
+    let queries = [query(), short];
+    let counts_of = |q: &Clip| {
+        let (_, trace) = traced("concurrent", || matcher.search(&idx, q).unwrap());
+        COUNTED.map(|name| trace.count(name))
+    };
+    let alone = [counts_of(&queries[0]), counts_of(&queries[1])];
+    assert_ne!(alone[0], alone[1], "fixture needs two different queries");
+    assert!(alone.iter().flatten().all(|&n| n > 0));
+
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for (q, want) in queries.iter().zip(alone) {
+            let (barrier, counts_of) = (&barrier, &counts_of);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    assert_eq!(counts_of(q), want, "round {round}");
+                }
+            });
+        }
+    });
 }
 
 /// Regression: scales `0.75` and `1.0` of a 16-frame query both clamp to
@@ -103,7 +153,6 @@ fn counters_match_analytic_expectations() {
 /// the scoring work).
 #[test]
 fn clamped_scales_enumerate_each_window_once() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let matcher = Matcher::new(sketchql::ClassicalSimilarity::new(
         sketchql_trajectory::DistanceKind::Dtw,
     ));
@@ -118,31 +167,28 @@ fn clamped_scales_enumerate_each_window_once() {
     );
     assert_eq!(q.span(), 16);
 
-    let recorder = Recorder::begin();
-    let results = matcher.search(&idx, &q).unwrap();
-    let report = recorder.finish("analytic/clamped_scales");
+    let (results, report) = traced("analytic/clamped_scales", || {
+        matcher.search(&idx, &q).unwrap()
+    });
     assert!(!results.is_empty());
 
     // Deduplicated grids: 16-frame windows (stride 4, starts 0..=84) give
     // 22, 24-frame windows (stride 6) give ceil(76/6) + 1 = 14.
     let expected = 22 + 14;
-    assert_eq!(report.windows_enumerated, expected);
+    assert_eq!(report.count(names::WINDOWS_ENUMERATED), expected);
     // One candidate combination per window: scoring work shrinks with it.
-    assert_eq!(report.similarity_evals, expected);
+    assert_eq!(report.count(names::SIMILARITY_EVALS), expected);
 }
 
 #[test]
 fn stage_spans_cover_the_query() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let mut cfg = TrainingConfig::tiny();
     cfg.steps = 2;
     let matcher = Matcher::new(train(cfg).similarity());
     let idx = single_track_index();
     let q = query();
 
-    let recorder = Recorder::begin();
-    let _ = matcher.search(&idx, &q).unwrap();
-    let report = recorder.finish("analytic/stages");
+    let (_, report) = traced("analytic/stages", || matcher.search(&idx, &q).unwrap());
 
     assert!(report.total_nanos > 0);
     let stages = report.stages();
@@ -152,7 +198,7 @@ fn stage_spans_cover_the_query() {
             .any(|(name, _)| *name == "sketchql.matcher.search"),
         "depth-0 stages: {stages:?}"
     );
-    // The stage spans account for (nearly) all of the bracketed wall time.
+    // The stage spans account for (nearly) all of the traced wall time.
     let sum = report.stage_nanos_sum();
     assert!(sum <= report.total_nanos);
     assert!(
@@ -164,14 +210,13 @@ fn stage_spans_cover_the_query() {
 
 #[test]
 fn report_exports_are_well_formed() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
-    let recorder = Recorder::begin();
     let idx = single_track_index();
     let matcher = Matcher::new(sketchql::ClassicalSimilarity::new(
         sketchql_trajectory::DistanceKind::Dtw,
     ));
-    let _ = matcher.search(&idx, &query()).unwrap();
-    let report = recorder.finish("analytic/export");
+    let (_, report) = traced("analytic/export", || {
+        matcher.search(&idx, &query()).unwrap()
+    });
 
     let json = report.to_json();
     assert!(json.starts_with('{') && json.ends_with('}'));
