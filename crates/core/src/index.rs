@@ -12,7 +12,9 @@ use sketchql_datasets::SyntheticVideo;
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_tracker::{track_detections, DetectorConfig, DetectorSim, TrackerConfig};
 use sketchql_trajectory::{Clip, ObjectClass, Trajectory};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+
+use crate::embed_cache::{MemoStats, SegmentMemo};
 
 /// Minimum length (observations) for a track to enter the index.
 pub const MIN_TRACK_LEN: usize = 8;
@@ -21,8 +23,10 @@ pub const MIN_TRACK_LEN: usize = 8;
 ///
 /// Immutable once built: [`index_fingerprint`](crate::index_fingerprint)
 /// hashes the contents the first time it is asked and answers from
-/// that value afterwards, so changed contents need a new `VideoIndex`
-/// (build one, or deserialize one), not an edited field.
+/// that value afterwards, and the scans that run fill a memo of
+/// candidate-segment embeddings keyed on track ids and frame ranges, so
+/// changed contents need a new `VideoIndex` (build one, or deserialize
+/// one), not an edited field.
 #[derive(Debug, Clone)]
 pub struct VideoIndex {
     /// Dataset name.
@@ -41,12 +45,17 @@ pub struct VideoIndex {
     /// [`VideoIndex::build_with_postprocess`] rewrites `tracks` after
     /// [`VideoIndex::build`] returns; a clone carries it along.
     pub(crate) fingerprint: OnceLock<u64>,
+    /// Candidate-segment embeddings the scans over this index have
+    /// computed, per model (see [`embed_cache`](crate::embed_cache)).
+    /// Derived like the fingerprint — never serialized, empty in a
+    /// freshly built or deserialized index — and shared by clones.
+    pub(crate) memo: Arc<SegmentMemo>,
 }
 
 // Hand-written because the vendored `serde_derive` has no field skip
 // and rejects a missing field: the persisted JSON is the six data
 // fields in declaration order, as the derive wrote them, and never the
-// cached fingerprint.
+// cached fingerprint or the embedding memo.
 impl Serialize for VideoIndex {
     fn to_value(&self) -> Value {
         Value::Obj(vec![
@@ -72,6 +81,7 @@ impl Deserialize for VideoIndex {
             frame_height: Deserialize::from_value(obj_get(fields, "frame_height")?)?,
             fps: Deserialize::from_value(obj_get(fields, "fps")?)?,
             fingerprint: OnceLock::new(),
+            memo: Arc::default(),
         })
     }
 }
@@ -100,6 +110,7 @@ impl VideoIndex {
             frame_height: video.truth.frame_height,
             fps: video.fps,
             fingerprint: OnceLock::new(),
+            memo: Arc::default(),
         }
     }
 
@@ -137,6 +148,7 @@ impl VideoIndex {
             frame_height: video.truth.frame_height,
             fps: video.fps,
             fingerprint: OnceLock::new(),
+            memo: Arc::default(),
         }
     }
 
@@ -150,7 +162,22 @@ impl VideoIndex {
             frame_height: clip.frame_height,
             fps,
             fingerprint: OnceLock::new(),
+            memo: Arc::default(),
         }
+    }
+
+    /// What this index's embedding memo holds right now: segments,
+    /// payload bytes, and how often it was emptied at its budget.
+    pub fn embed_memo_stats(&self) -> MemoStats {
+        self.memo.stats()
+    }
+
+    /// This index with its (empty) memo bounded by `budget` bytes, so a
+    /// test can force a reset with a handful of segments.
+    #[cfg(test)]
+    pub(crate) fn with_memo_budget(mut self, budget: usize) -> Self {
+        self.memo = Arc::new(SegmentMemo::with_budget(budget));
+        self
     }
 
     /// Tracks whose class is accepted by `query_class` (`Any` accepts all)

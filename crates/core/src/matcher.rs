@@ -19,24 +19,28 @@
 //! over it, and the store planner
 //! (`Matcher::search_stored`, in [`vstore`](crate::vstore)) sends every member it
 //! cannot serve through it. For embedding-based similarities the scan
-//! (1) enumerates every member's candidates, interning each distinct
-//! segment once in an [`EmbedCache`] shared by the batch; (2) embeds the
-//! unique segments in batched encoder forwards across worker threads;
-//! (3) scores every member's candidates from the cached embeddings. This
-//! returns byte-identical moments to the direct per-candidate path while
-//! embedding each distinct segment exactly once per batch.
+//! (1) enumerates every member's candidates, resolving each segment
+//! against the index's embedding memo ([`embed_cache`](crate::embed_cache))
+//! and queueing the ones it does not know, each once for the batch; (2)
+//! embeds those in batched encoder forwards across worker threads and
+//! publishes them to the memo; (3) scores every member's candidates from
+//! their slots. This returns byte-identical moments to the direct
+//! per-candidate path while embedding each distinct segment once per
+//! index and model — a window grid asked a second time costs look-ups.
 
 use serde::{Deserialize, Serialize};
 use sketchql_telemetry::{self as telemetry, names};
+use sketchql_trajectory::features::MAX_OBJECTS;
 use sketchql_trajectory::{Clip, TrackId, Trajectory};
 use std::collections::HashSet;
 use std::fmt;
 
 use crate::cancel::{CancelReason, CancelToken};
-use crate::embed_cache::{try_embed_clips_parallel, EmbedCache};
+use crate::embed_cache::{try_embed_clips_parallel, ScanSlots, SegmentKey, Slot};
 use crate::grid;
 use crate::index::VideoIndex;
 use crate::similarity::{PreparedQuery, Similarity, SimilarityError};
+use crate::vstore::{hash_index, index_fingerprint};
 
 /// Bucket bounds for the window-score histogram (scores live in `[0, 1]`).
 const SCORE_BOUNDS: &[f64] = &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
@@ -234,23 +238,27 @@ impl<S: Similarity> Matcher<S> {
     /// 1. **Set up**, per member under its own token: settle degenerate
     ///    queries to an empty result, prepare the query, enumerate its
     ///    windows, drop those ending before `min_end` (the epoch scope —
-    ///    applied before scoring, so `top_k` acts within it), and intern
-    ///    every candidate segment into one [`EmbedCache`] shared by the
-    ///    whole batch.
-    /// 2. **Embed** the cache's distinct segments in one batched encoder
-    ///    pass. Candidate embeddings depend only on the index and the
-    ///    model, not on the query, so K look-alike members pay for the
-    ///    encoder roughly once. The pass stops only when no member still
-    ///    waiting for it has a live token.
-    /// 3. **Score** each member's candidates from the shared embeddings,
-    ///    under its own token.
+    ///    applied before scoring, so `top_k` acts within it), and resolve
+    ///    every candidate segment to a slot of one [`ScanSlots`] shared
+    ///    by the whole batch: a row the index's memo already holds, or a
+    ///    clip queued for the encoder.
+    /// 2. **Embed** the queued segments in one batched encoder pass and
+    ///    publish them to the memo. Candidate embeddings depend only on
+    ///    the index and the model, not on the query, so K look-alike
+    ///    members — in this batch or in any later scan — pay for the
+    ///    encoder once. The pass stops only when no member still waiting
+    ///    for it has a live token, and then publishes nothing.
+    /// 3. **Score** each member's candidates from their slots, under its
+    ///    own token.
     /// 4. **Rank** them (sort, NMS, top-k, refinement).
     ///
     /// A member's result does not depend on what else is in the batch: it
     /// is byte-identical to the member running alone, and one member's
     /// failure (a tripped token, a query the similarity rejects) is
-    /// reported in its own slot. Similarities that do not use embeddings
-    /// score each member's windows directly
+    /// reported in its own slot; nor does it depend on what the memo held
+    /// when it ran. Similarities without an
+    /// [`embedding_identity`](Similarity::embedding_identity) score each
+    /// member's windows directly
     /// ([`scan_direct`](Self::scan_direct)) in phase 1 and skip phase 2.
     pub(crate) fn scan(
         &self,
@@ -264,7 +272,15 @@ impl<S: Similarity> Matcher<S> {
         }
         let _search_span = telemetry::span(names::MATCHER_SEARCH);
         let _scan_span = telemetry::span(names::MATCHER_SCAN);
-        let mut cache = EmbedCache::new();
+        let model = self.sim.embedding_identity();
+        // The memo describes the index as it was when first scanned, and
+        // clones share it: debug builds pin that identity here and check
+        // it at every later scan, as store searches do.
+        debug_assert!(
+            model.is_none() || index_fingerprint(index) == hash_index(index),
+            "index edited after its fingerprint was cached"
+        );
+        let mut slots = ScanSlots::default();
         // The tokens of the members whose candidates await the encoder pass.
         let mut waiting: Vec<&CancelToken> = Vec::new();
 
@@ -287,26 +303,32 @@ impl<S: Similarity> Matcher<S> {
                     windows.retain(|&(_, end, _)| end >= min_end);
                 }
                 telemetry::counter(names::WINDOWS_ENUMERATED).add(windows.len() as u64);
-                let candidates = if self.sim.uses_embeddings() {
-                    let per_window =
-                        self.enumerate_candidates(index, &classes, &windows, &mut cache, cancel)?;
-                    waiting.push(cancel);
-                    Candidates::Interned(per_window)
-                } else {
-                    Candidates::Scored(
+                let candidates = match model {
+                    // A segment key holds what the encoder can take.
+                    Some(model) if classes.len() <= MAX_OBJECTS => {
+                        let per_window = self.enumerate_candidates(
+                            index, model, &classes, &windows, &mut slots, cancel,
+                        )?;
+                        waiting.push(cancel);
+                        Candidates::Interned(per_window)
+                    }
+                    _ => Candidates::Scored(
                         self.scan_direct(index, &classes, &prepared, &windows, cancel)?,
-                    )
+                    ),
                 };
                 Ok(Some((prepared, windows.len(), candidates)))
             })
             .collect();
-        telemetry::counter(names::EMBED_CACHE_HITS).add(cache.hits());
-        telemetry::counter(names::EMBED_CACHE_MISSES).add(cache.misses());
+        telemetry::counter(names::EMBED_CACHE_HITS).add(slots.hits());
+        telemetry::counter(names::EMBED_CACHE_MISSES).add(slots.misses());
 
-        let embeddings = {
+        let fresh = {
             let _embed_span = telemetry::span(names::MATCHER_EMBED);
-            try_embed_clips_parallel(&self.sim, cache.clips(), self.config.threads, &waiting)
+            try_embed_clips_parallel(&self.sim, slots.clips(), self.config.threads, &waiting)
         };
+        if let (Some(model), Some(fresh)) = (model, &fresh) {
+            slots.publish(&index.memo, model, fresh);
+        }
 
         setups
             .into_iter()
@@ -319,10 +341,10 @@ impl<S: Similarity> Matcher<S> {
                     Candidates::Scored(scored) => scored,
                     Candidates::Interned(per_window) => {
                         cancel.check()?;
-                        let embeddings = embeddings
+                        let fresh = fresh
                             .as_ref()
                             .expect("the pass stops only once every waiting token has tripped");
-                        self.score_candidates(&prepared, per_window, embeddings, cancel)?
+                        self.score_candidates(&prepared, per_window, &slots, fresh, cancel)?
                     }
                 };
                 telemetry::counter(names::WINDOWS_PRUNED).add((windows - scored.len()) as u64);
@@ -351,7 +373,7 @@ impl<S: Similarity> Matcher<S> {
         kept
     }
 
-    /// The direct (no embedding cache) scan: score every window's best
+    /// The direct (no embeddings) scan: score every window's best
     /// candidate, sequentially or across worker threads. Polls `cancel`
     /// between windows.
     fn scan_direct(
@@ -469,19 +491,21 @@ impl<S: Similarity> Matcher<S> {
         best
     }
 
-    /// Phase 1 of the cached scan: enumerate every window's candidates,
-    /// interning each distinct segment once in `cache`. A window's
-    /// candidate list holds the bound track ids (slot order) and the
-    /// segment's embedding slot, in combination order, for every distinct
-    /// non-empty candidate. The cache is shared across the batch's
-    /// members: interning is keyed purely on `(track_ids, start, end)`,
-    /// which is query-independent.
+    /// Phase 1 of the embedding scan: enumerate every window's candidates,
+    /// resolving each segment to a slot of `slots` — from the index's
+    /// memo under `model`, or queued for the encoder. A window's
+    /// candidate list holds the segment (bound track ids in slot order)
+    /// and its slot, in combination order, for every distinct non-empty
+    /// candidate. `slots` is shared across the batch's members: a
+    /// segment is `(track_ids, start, end)`, which is query-independent.
+    /// The memo's read lock is taken per window.
     fn enumerate_candidates(
         &self,
         index: &VideoIndex,
+        model: u64,
         classes: &[sketchql_trajectory::ObjectClass],
         windows: &[(u32, u32, u32)],
-        cache: &mut EmbedCache,
+        slots: &mut ScanSlots,
         cancel: &CancelToken,
     ) -> Result<Vec<WindowCandidates>, MatchError> {
         let mut per_window: Vec<WindowCandidates> = Vec::new();
@@ -494,26 +518,31 @@ impl<S: Similarity> Matcher<S> {
             if per_slot.iter().any(Vec::is_empty) {
                 continue;
             }
-            let mut candidates: Vec<(Vec<TrackId>, u32)> = Vec::new();
+            let combos: usize = per_slot.iter().map(Vec::len).product();
+            let mut candidates: Vec<(SegmentKey, Slot)> =
+                Vec::with_capacity(combos.min(self.config.max_combos_per_window));
+            let memo = index.memo.reader(model);
             for_each_distinct_combo(
                 &per_slot,
                 self.config.max_combos_per_window,
                 |combo, ids| {
-                    let slot = cache.intern(ids, start, end, || {
+                    let key = SegmentKey::new(ids, start, end);
+                    let slot = slots.resolve(&memo, key, || {
                         window_clip(index, combo, &per_slot, start, end)
                     });
                     if let Some(slot) = slot {
-                        candidates.push((ids.to_vec(), slot));
+                        candidates.push((key, slot));
                     }
                 },
             );
+            drop(memo);
             per_window.push((start, end, candidates));
         }
         Ok(per_window)
     }
 
-    /// Phase 3 of the cached scan: score every candidate from its cached
-    /// embedding, preserving the per-window combination order (same
+    /// Phase 3 of the embedding scan: score every candidate from its
+    /// slot, preserving the per-window combination order (same
     /// strict-greater best and finite-score rules as the direct path).
     /// Byte-identical to running [`best_in_window`](Self::best_in_window)
     /// per window.
@@ -521,7 +550,8 @@ impl<S: Similarity> Matcher<S> {
         &self,
         prepared: &PreparedQuery,
         per_window: Vec<WindowCandidates>,
-        embeddings: &[Option<Vec<f32>>],
+        slots: &ScanSlots,
+        fresh: &[Option<Vec<f32>>],
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, MatchError> {
         // Counted once for the loop, not once per candidate.
@@ -530,29 +560,31 @@ impl<S: Similarity> Matcher<S> {
         let mut scored: Vec<RetrievedMoment> = Vec::new();
         for (start, end, candidates) in per_window {
             cancel.check().map_err(MatchError::from)?;
-            let mut best: Option<RetrievedMoment> = None;
-            for (ids, slot) in candidates {
-                let embedding = embeddings[slot as usize].as_deref();
-                let score = self.sim.score_embedding(prepared, embedding);
+            // Strictly greater wins, so the first of equals is kept.
+            let mut best: Option<(f32, SegmentKey)> = None;
+            for (key, slot) in candidates {
+                let score = self
+                    .sim
+                    .score_embedding(prepared, slots.embedding(slot, fresh));
                 let score = if score.is_finite() { score } else { 0.0 };
-                if best.as_ref().is_none_or(|b| score > b.score) {
-                    best = Some(RetrievedMoment {
-                        start,
-                        end,
-                        score,
-                        track_ids: ids,
-                    });
+                if best.is_none_or(|(b, _)| score > b) {
+                    best = Some((score, key));
                 }
             }
-            scored.extend(best);
+            scored.extend(best.map(|(score, key)| RetrievedMoment {
+                start,
+                end,
+                score,
+                track_ids: key.track_ids().to_vec(),
+            }));
         }
         Ok(scored)
     }
 }
 
-/// One window's candidates for the cached scan: `(start, end)` plus each
-/// distinct candidate's bound track ids (slot order) and embedding slot.
-type WindowCandidates = (u32, u32, Vec<(Vec<TrackId>, u32)>);
+/// One window's candidates for the embedding scan: `(start, end)` plus
+/// each distinct candidate's segment and embedding slot.
+type WindowCandidates = (u32, u32, Vec<(SegmentKey, Slot)>);
 
 /// Sorts by score (ties broken deterministically on start, then bound
 /// tracks, so parallel and sequential runs agree), drops a moment whose
@@ -601,11 +633,7 @@ pub(crate) fn for_each_distinct_combo(
         for (slot, &i) in combo.iter().enumerate() {
             ids[slot] = per_slot[slot][i].id;
         }
-        let distinct = {
-            let mut sorted = ids.clone();
-            sorted.sort_unstable();
-            sorted.windows(2).all(|w| w[0] != w[1])
-        };
+        let distinct = (1..ids.len()).all(|i| !ids[..i].contains(&ids[i]));
         if distinct {
             tried += 1;
             visit(&combo, &ids);
@@ -766,6 +794,21 @@ mod tests {
 
     fn matcher() -> Matcher<ClassicalSimilarity> {
         Matcher::new(ClassicalSimilarity::new(DistanceKind::Dtw))
+    }
+
+    /// A matcher over an untrained encoder: the embedding scan proper.
+    fn learned_matcher() -> Matcher<crate::similarity::LearnedSimilarity> {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut store = sketchql_nn::ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let cfg = sketchql_nn::EncoderConfig {
+            input_dim: sketchql_trajectory::TOKEN_DIM,
+            steps: 16,
+            ..Default::default()
+        };
+        let enc = sketchql_nn::TrajectoryEncoder::new(&mut store, &mut rng, "enc", cfg);
+        Matcher::new(crate::similarity::LearnedSimilarity::new(enc, store))
     }
 
     #[test]
@@ -1214,23 +1257,12 @@ mod tests {
         assert_eq!(batch[1], Ok(matcher().search(&idx, &q).unwrap()));
     }
 
-    /// The fused path proper (shared cache + one encoder pass) only runs
+    /// The fused path proper (shared slots + one encoder pass) only runs
     /// for embedding-based similarities; verify byte-identity there too.
     #[test]
     fn fused_batch_with_learned_similarity_is_byte_identical() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut store = sketchql_nn::ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        let cfg = sketchql_nn::EncoderConfig {
-            input_dim: sketchql_trajectory::TOKEN_DIM,
-            steps: 16,
-            ..Default::default()
-        };
-        let enc = sketchql_nn::TrajectoryEncoder::new(&mut store, &mut rng, "enc", cfg);
-        let sim = crate::similarity::LearnedSimilarity::new(enc, store);
-        assert!(sim.uses_embeddings());
-        let m = Matcher::new(sim);
+        let m = learned_matcher();
+        assert!(m.sim.embedding_identity().is_some());
 
         let idx = test_index();
         let q1 = left_turn_query();
@@ -1255,6 +1287,50 @@ mod tests {
         let batch = m.search_batch(&idx, &[&q1, &q2, &q1], &CancelToken::none());
         for (b, s) in batch.into_iter().zip(solo) {
             assert_eq!(b.unwrap(), s, "fused learned result diverged from solo");
+        }
+    }
+
+    /// The memo's budget forced small (each of two sketches fits alone,
+    /// both together do not): alternating them resets the memo every
+    /// time, and every answer still equals the one from an index that
+    /// remembers everything — a reset costs encoder rows, never bits.
+    #[test]
+    fn a_memo_at_its_budget_resets_without_changing_results() {
+        let m = learned_matcher();
+
+        let long = left_turn_query();
+        let short = Clip::new(1000.0, 600.0, vec![long.objects[0].slice(0, 40)]);
+        let queries = [long, short];
+        // What each leaves behind alone, and its answer.
+        let (alone, want): (Vec<u64>, Vec<_>) = queries
+            .iter()
+            .map(|q| {
+                let idx = test_index();
+                let got = m.search(&idx, q).unwrap();
+                (idx.embed_memo_stats().bytes, got)
+            })
+            .unzip();
+        assert!(alone.iter().all(|&b| b > 0) && want.iter().all(|w| !w.is_empty()));
+        let budget = alone[0].max(alone[1]) + alone[0].min(alone[1]) / 2;
+
+        let idx = test_index().with_memo_budget(budget as usize);
+        for round in 0..3u64 {
+            for (i, q) in queries.iter().enumerate() {
+                let trace = telemetry::TraceContext::new();
+                let got = {
+                    let _entered = trace.enter();
+                    m.search(&idx, q).unwrap()
+                };
+                assert_eq!(got, want[i], "round {round}");
+                let stats = idx.embed_memo_stats();
+                assert!(stats.bytes > 0 && stats.bytes <= budget, "{stats:?}");
+                // One reset per switch, counted on the index and in the
+                // trace of the query whose publish caused it.
+                let switched = u64::from(round + i as u64 > 0);
+                assert_eq!(stats.resets, 2 * round + i as u64);
+                let trace = trace.finalize().unwrap();
+                assert_eq!(trace.count(names::EMBED_MEMO_RESETS), switched);
+            }
         }
     }
 

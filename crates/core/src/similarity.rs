@@ -9,8 +9,10 @@
 //!
 //! Embedding-based similarities additionally expose a *batched* candidate
 //! path ([`Similarity::embed_candidates`] + [`Similarity::score_embedding`])
-//! so the Matcher can embed each distinct candidate segment exactly once
-//! per search and push whole batches through the encoder in one forward.
+//! so the Matcher can embed each distinct candidate segment once per
+//! index and model ([`Similarity::embedding_identity`] keys the index's
+//! segment memo) and push whole batches through the encoder in one
+//! forward.
 
 use sketchql_nn::{cosine_similarity, ParamStore, TrajectoryEncoder};
 use sketchql_telemetry::{self as telemetry, names};
@@ -94,12 +96,18 @@ pub trait Similarity: Send + Sync {
         }
     }
 
-    /// Whether candidates can be scored from precomputed embeddings via
+    /// The identity under which candidate embeddings of this similarity
+    /// may be remembered: two similarities that answer the same value
+    /// must embed every clip to the same bits (for the learned
+    /// similarity, the model fingerprint). `Some` means candidates are
+    /// scored from embeddings via
     /// [`embed_candidates`](Self::embed_candidates) +
-    /// [`score_embedding`](Self::score_embedding). When `false` the
-    /// Matcher's per-search embedding cache is bypassed.
-    fn uses_embeddings(&self) -> bool {
-        false
+    /// [`score_embedding`](Self::score_embedding) and the index's
+    /// segment memo keeps them under this key; `None` (the default)
+    /// means the Matcher scores every candidate directly with
+    /// [`score`](Self::score).
+    fn embedding_identity(&self) -> Option<u64> {
+        None
     }
 
     /// Embeds a batch of candidate clips, one `Option` per input clip
@@ -198,8 +206,8 @@ impl Similarity for LearnedSimilarity {
         }
     }
 
-    fn uses_embeddings(&self) -> bool {
-        true
+    fn embedding_identity(&self) -> Option<u64> {
+        Some(crate::vstore::model_fingerprint(self))
     }
 
     fn embed_candidates(&self, clips: &[Clip]) -> Vec<Option<Vec<f32>>> {

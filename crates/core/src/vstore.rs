@@ -85,7 +85,7 @@ fn hash_model(sim: &LearnedSimilarity) -> u64 {
     h.finish()
 }
 
-fn hash_index(index: &VideoIndex) -> u64 {
+pub(crate) fn hash_index(index: &VideoIndex) -> u64 {
     let mut h = Fnv64::new();
     h.write_u32(index.frames);
     h.write_f32(index.fps);

@@ -2,6 +2,9 @@
 //! the tape forward, and — once a thread has embedded its largest batch —
 //! allocating only the vectors it returns, whatever the batch size.
 //!
+//! And the scan above it: once an index remembers a sketch's segment
+//! embeddings, a scan of them allocates per window, not per candidate.
+//!
 //! The allocation counts come from the telemetry crate's counting global
 //! allocator, which `sketchql-nn` does not link; that is why this test
 //! lives here. The counters are per thread and each test runs on its own
@@ -10,9 +13,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::training::TrainingConfig;
+use sketchql::{LearnedSimilarity, Matcher, VideoIndex};
 use sketchql_nn::{EncoderConfig, Graph, ParamStore, Tensor, TrajectoryEncoder};
-use sketchql_telemetry::thread_allocated;
+use sketchql_telemetry::{names, thread_allocated, TraceContext};
 use sketchql_trajectory::features::{SLOT_DIM, TOKEN_DIM};
+use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
 
 /// Features as the extractor writes them for a clip of `objects`
 /// objects: that many slots occupied, the rest of each row exactly zero.
@@ -69,4 +74,69 @@ fn steady_state_embed_batch_allocates_only_what_it_returns() {
             assert_eq!(got, want[..n], "d_model {} batch {n}", config.d_model);
         }
     }
+}
+
+/// With the encoder off the warm path, enumeration *is* the scan: a
+/// segment key is a fixed array, a candidate a key and a slot, and
+/// distinctness is checked in place, so what is left to allocate is per
+/// window (the eligible-track lists, the pre-sized candidate list, the
+/// window's best moment) plus a constant for the query's own embedding
+/// and the ranking. Thirty-two tracks cover every window here, so
+/// per-candidate allocation would cost 32 per window and the ceiling
+/// would not hold.
+#[test]
+fn a_fully_warm_scan_allocates_per_window_not_per_candidate() {
+    const TRACKS: u64 = 32;
+    const FRAMES: u32 = 300;
+    let tracks = (0..TRACKS)
+        .map(|id| {
+            let pts = (0..FRAMES)
+                .map(|f| {
+                    let (x, y) = (40.0 + f as f32 * 3.5, 60.0 + id as f32 * 18.0);
+                    TrajPoint::new(
+                        f,
+                        BBox::new(x, y + (f as f32 * 0.05 * id as f32), 50.0, 30.0),
+                    )
+                })
+                .collect();
+            Trajectory::from_points(id + 1, ObjectClass::Car, pts)
+        })
+        .collect();
+    let index = VideoIndex::from_clip("crowd", &Clip::new(1280.0, 720.0, tracks), FRAMES, 30.0);
+    let q_pts = (0..40)
+        .map(|i| TrajPoint::new(i, BBox::new(100.0 + i as f32 * 10.0, 400.0, 80.0, 45.0)))
+        .collect();
+    let query = Clip::new(
+        1000.0,
+        600.0,
+        vec![Trajectory::from_points(0, ObjectClass::Car, q_pts)],
+    );
+    let mut store = ParamStore::new();
+    let config = TrainingConfig::tiny().encoder;
+    let encoder = TrajectoryEncoder::new(&mut store, &mut StdRng::seed_from_u64(3), "enc", config);
+    let matcher = Matcher::new(LearnedSimilarity::new(encoder, store));
+
+    let cold = matcher.search(&index, &query).unwrap();
+    let trace = TraceContext::new();
+    let warm = {
+        let _entered = trace.enter();
+        matcher.search(&index, &query).unwrap()
+    };
+    let trace = trace.finalize().unwrap();
+    assert_eq!(warm, cold);
+    assert_eq!(trace.count(names::EMBED_CACHE_MISSES), 0, "fully warm");
+    let windows = trace.count(names::WINDOWS_ENUMERATED);
+    let candidates = trace.count(names::SIMILARITY_EVALS);
+    assert_eq!(candidates, TRACKS * windows, "every track in every window");
+
+    let (_, before) = thread_allocated();
+    let again = matcher.search(&index, &query).unwrap();
+    let (_, after) = thread_allocated();
+    assert_eq!(again, cold);
+    let allocations = after - before;
+    assert!(
+        allocations <= 12 * windows + 128,
+        "{allocations} allocations for {windows} windows / {candidates} candidates"
+    );
+    assert!(allocations < candidates / 2);
 }

@@ -406,6 +406,22 @@ fn editing_a_fingerprinted_index_is_caught_in_debug() {
     let _ = m.search_with_shards(&edited, &set, &query, &CancelToken::none());
 }
 
+/// The embedding memo lives under the same rule, and clones share it:
+/// every debug-build scan pins the index's identity and checks it.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "index edited after its fingerprint was cached")]
+fn editing_a_scanned_index_is_caught_in_debug() {
+    let model = tiny_model();
+    let index = test_index(23);
+    let m = matcher(&model);
+    let query = query_clip(EventKind::LeftTurn);
+    m.search(&index, &query).unwrap();
+    let mut edited = index.clone();
+    edited.tracks.pop();
+    let _ = m.search(&edited, &query);
+}
+
 /// The index cache files a session writes hold the six data fields in
 /// declaration order and nothing else — what the derived serializer
 /// wrote before the fingerprint cell existed — whether or not the

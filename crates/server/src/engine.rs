@@ -65,9 +65,10 @@
 //!
 //! Batch formation is deadline-aware: a queued peer with a deadline
 //! joins a batch only if its remaining margin covers the dataset's
-//! estimated scan time (the running mean of
+//! estimated scan time (a recency-weighted mean of
 //! the same per-dataset execute-stage observations that feed the
-//! `sketchql.server.execute_ms` histogram), so a tight-deadline query is
+//! `sketchql.server.execute_ms` histogram — it follows a dataset whose
+//! scans turned warm within a few queries), so a tight-deadline query is
 //! never fused into a scan it can't survive. Every member runs under its
 //! own token: the search stops working for a member whose token trips,
 //! and stops altogether once no member is live — while that member's
@@ -400,6 +401,14 @@ pub struct DatasetTraffic {
     pub timed_out: u64,
     /// Queries against this dataset shed at admission.
     pub shed: u64,
+    /// Candidate segments whose embeddings the dataset's index
+    /// remembers, so scans re-use them instead of re-embedding.
+    pub memo_segments: u64,
+    /// Payload bytes that memo holds.
+    pub memo_bytes: u64,
+    /// Times the memo was emptied at its byte budget (the scans that
+    /// follow a reset run cold).
+    pub memo_resets: u64,
 }
 
 /// Per-admission-class queue position and traffic, served inside
@@ -632,16 +641,50 @@ struct Counters {
 }
 
 /// Per-dataset slice of the traffic counters. The dataset set is fixed
-/// at start, so the map never grows and lookups are lock-free. The scan
-/// observations feed the deadline-aware fusion estimate.
+/// at start, so the map never grows and lookups are lock-free.
 #[derive(Default)]
 struct DatasetCounters {
     completed: AtomicU64,
     failed: AtomicU64,
     timed_out: AtomicU64,
     shed: AtomicU64,
-    scan_nanos: AtomicU64,
-    scans: AtomicU64,
+    scan_estimate: ScanEstimate,
+}
+
+/// How long a batch against one dataset is expected to execute: an
+/// exponentially weighted mean of the completed executions (each new
+/// one counts a quarter), so the estimate follows the dataset's recent
+/// traffic — a warmed embedding memo, a shift between store hits and
+/// scans — within a handful of queries instead of averaging over the
+/// engine's whole life. Feeds the deadline-aware fusion test.
+#[derive(Default)]
+struct ScanEstimate {
+    /// Nanoseconds; 0 = no execution completed yet.
+    nanos: AtomicU64,
+}
+
+impl ScanEstimate {
+    /// `None` until the dataset's first execution completes.
+    fn get(&self) -> Option<Duration> {
+        match self.nanos.load(Ordering::Relaxed) {
+            0 => None,
+            nanos => Some(Duration::from_nanos(nanos)),
+        }
+    }
+
+    /// Feeds one completed execution into the estimate. Two workers
+    /// recording at once each fold into the value the other left.
+    fn record(&self, execute: Duration) {
+        let sample = (execute.as_nanos() as u64).max(1);
+        let _ = self
+            .nanos
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+                Some(match old {
+                    0 => sample,
+                    old => (old - old / 4 + sample / 4).max(1),
+                })
+            });
+    }
 }
 
 /// Per-class slice of the traffic counters; same fixed-key scheme as
@@ -934,6 +977,7 @@ impl Engine {
 
     /// Current queue/traffic statistics.
     pub fn stats(&self) -> EngineStats {
+        let data = self.shared.data();
         let st = self.shared.state.lock().unwrap();
         let c = &self.shared.counters;
         let classes: Vec<ClassStats> = self
@@ -964,12 +1008,18 @@ impl Engine {
             .shared
             .per_dataset
             .iter()
-            .map(|(name, d)| DatasetTraffic {
-                name: name.clone(),
-                completed: d.completed.load(Ordering::Relaxed),
-                failed: d.failed.load(Ordering::Relaxed),
-                timed_out: d.timed_out.load(Ordering::Relaxed),
-                shed: d.shed.load(Ordering::Relaxed),
+            .map(|(name, d)| {
+                let memo = data.datasets[name].embed_memo_stats();
+                DatasetTraffic {
+                    name: name.clone(),
+                    completed: d.completed.load(Ordering::Relaxed),
+                    failed: d.failed.load(Ordering::Relaxed),
+                    timed_out: d.timed_out.load(Ordering::Relaxed),
+                    shed: d.shed.load(Ordering::Relaxed),
+                    memo_segments: memo.segments,
+                    memo_bytes: memo.bytes,
+                    memo_resets: memo.resets,
+                }
             })
             .collect();
         // Every answered query belongs to one dataset and every
@@ -1104,6 +1154,7 @@ impl Engine {
             };
             next.datasets.insert(name.to_string(), Arc::new(index));
             next.stores.insert(name.to_string(), Arc::new(set));
+            publish_memo_gauges(&next);
             *data = Arc::new(next);
         }
         let (evaluated, delivered) = self.evaluate_live(Some(name));
@@ -1211,7 +1262,10 @@ fn worker_loop(shared: &Shared) {
                 let now = Instant::now();
                 if let Some(i) = pick_index(&st.queue, &shared.policy, now) {
                     let head = st.queue.remove(i).expect("picked index in bounds");
-                    let est = estimate_scan(shared, &head.member.dataset);
+                    let est = shared
+                        .dataset_counters(&head.member.dataset)
+                        .scan_estimate
+                        .get();
                     let batch = form_batch(&mut st.queue, head, shared.fused_batch, est, now);
                     for job in &batch {
                         let class = &job.member.class;
@@ -1338,29 +1392,6 @@ fn form_batch(
     batch
 }
 
-/// Mean observed scan time for `dataset` — the running mean of the same
-/// per-dataset execute-stage observations that feed the
-/// `sketchql.server.execute_ms` histogram. `None` until the dataset's
-/// first scan completes.
-fn estimate_scan(shared: &Shared, dataset: &str) -> Option<Duration> {
-    let d = shared.dataset_counters(dataset);
-    let n = d.scans.load(Ordering::Relaxed);
-    if n == 0 {
-        return None;
-    }
-    Some(Duration::from_nanos(
-        d.scan_nanos.load(Ordering::Relaxed) / n,
-    ))
-}
-
-/// Feeds one completed scan into the per-dataset estimate.
-fn record_scan_estimate(shared: &Shared, dataset: &str, execute: Duration) {
-    let d = shared.dataset_counters(dataset);
-    d.scan_nanos
-        .fetch_add(execute.as_nanos() as u64, Ordering::Relaxed);
-    d.scans.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Restores `in_flight` and answers unanswered members when a batch
 /// ends — normally or by panic. Created before `run_batch`, dropped
 /// after `catch_unwind` resolves.
@@ -1468,12 +1499,16 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
     drop(fusion_span);
     drop(exec_span);
     drop(trace_guards);
+    publish_memo_gauges(&data);
     telemetry::histogram(names::SERVER_EXECUTE_MS, LATENCY_MS_BOUNDS)
         .observe(execute.as_secs_f64() * 1e3);
     if results.iter().any(|r| r.is_ok()) {
         // Only searches that ran to completion feed the fusion estimate;
         // aborted ones would bias it low and over-fuse.
-        record_scan_estimate(shared, dataset, execute);
+        shared
+            .dataset_counters(dataset)
+            .scan_estimate
+            .record(execute);
     }
     for ((job, wait), result) in live.into_iter().zip(results) {
         let member = &job.member;
@@ -1483,6 +1518,19 @@ fn run_batch(shared: &Shared, batch: Vec<Job>) {
             Err(e) => finish_err(shared, member, e.into()),
         }
     }
+}
+
+/// Sets the `sketchql.matcher.embed_memo_*` gauges to what the indexes of
+/// `data` remember, summed — the same per-index figures
+/// [`Engine::stats`] reports per dataset.
+fn publish_memo_gauges(data: &LiveData) {
+    let (bytes, segments) = data
+        .datasets
+        .values()
+        .map(|index| index.embed_memo_stats())
+        .fold((0, 0), |(b, s), memo| (b + memo.bytes, s + memo.segments));
+    telemetry::gauge(names::EMBED_MEMO_BYTES).set(bytes as f64);
+    telemetry::gauge(names::EMBED_MEMO_SEGMENTS).set(segments as f64);
 }
 
 /// Records how much deadline headroom `member` ended with (negative
@@ -1751,6 +1799,52 @@ mod sched_tests {
         let batch = form_batch(&mut queue, job("a", 0, 1, None), 8, est, Instant::now());
         assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [1, 3, 4]);
         assert_eq!(queue.iter().map(|j| j.seq).collect::<Vec<_>>(), [2]);
+    }
+
+    /// The estimate follows recent executions: one slow (cold) scan
+    /// followed by fast (warm) ones must stop refusing a peer whose
+    /// margin covers a warm scan many times over. (A lifetime mean of
+    /// these nine would still read ~20 ms after them and ~160 ms / n
+    /// forever after.)
+    #[test]
+    fn estimate_recovers_after_a_slow_scan_so_a_tight_peer_fuses() {
+        let estimate = ScanEstimate::default();
+        assert_eq!(estimate.get(), None, "no estimate before the first scan");
+        estimate.record(Duration::from_millis(160));
+        assert_eq!(estimate.get(), Some(Duration::from_millis(160)));
+        let peer = || -> VecDeque<Job> { [job("a", 0, 2, Some(Duration::from_millis(20)))].into() };
+        let mut queue = peer();
+        let batch = form_batch(
+            &mut queue,
+            job("a", 0, 1, None),
+            8,
+            estimate.get(),
+            Instant::now(),
+        );
+        assert_eq!(
+            batch.len(),
+            1,
+            "a 20 ms margin does not cover a 160 ms scan"
+        );
+
+        for _ in 0..8 {
+            estimate.record(Duration::from_millis(3));
+        }
+        let est = estimate.get().unwrap();
+        assert!(
+            est > Duration::from_millis(3) && est < Duration::from_millis(20),
+            "estimate {est:?} after eight 3 ms scans"
+        );
+        let mut queue = peer();
+        let batch = form_batch(
+            &mut queue,
+            job("a", 0, 1, None),
+            8,
+            Some(est),
+            Instant::now(),
+        );
+        assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [1, 2]);
+        assert!(queue.is_empty());
     }
 
     #[test]

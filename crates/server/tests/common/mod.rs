@@ -11,7 +11,8 @@ use rand::SeedableRng;
 use sketchql::training::{train, TrainedModel, TrainingConfig};
 use sketchql::VideoIndex;
 use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
-use sketchql_server::{Engine, QuerySpec};
+use sketchql_server::{Engine, EngineConfig, QuerySpec};
+use std::time::Duration;
 
 pub fn tiny_model() -> TrainedModel {
     let mut cfg = TrainingConfig::tiny();
@@ -36,9 +37,29 @@ pub fn two_datasets() -> BTreeMap<String, VideoIndex> {
     map
 }
 
+/// Wall time of one *cold* solo scan: `event` over `beta` on a scratch
+/// engine whose `beta` index has never been scanned (an index remembers
+/// the segment embeddings of the scans it served, so only a first scan
+/// pays the encoder), after a scan of `alpha` has warmed the process.
+/// What a test sizes a deadline from when the scan it races runs on a
+/// fresh engine.
+pub fn cold_scan(model: &TrainedModel, config: EngineConfig, event: EventKind) -> Duration {
+    let scratch = Engine::start(model.clone(), two_datasets(), config);
+    let alpha = QuerySpec::new("alpha", query_clip(EventKind::LeftTurn));
+    scratch.execute(alpha).unwrap();
+    let started = std::time::Instant::now();
+    let beta = QuerySpec::new("beta", query_clip(event));
+    scratch.execute(beta).unwrap();
+    let scan = started.elapsed();
+    scratch.shutdown();
+    scan
+}
+
 /// Wall times of `n` solo scans of `beta` on `engine` after one warm-up
-/// scan, sorted — what the deadline tests size their deadlines from.
-pub fn timed_scans(engine: &Engine, n: usize) -> Vec<std::time::Duration> {
+/// scan (so all of them find `beta`'s segment embeddings remembered),
+/// sorted — what the deadline tests that race the same scan on the same
+/// engine size their deadlines from.
+pub fn timed_scans(engine: &Engine, n: usize) -> Vec<Duration> {
     let scan = || {
         let started = std::time::Instant::now();
         let spec = QuerySpec::new("beta", query_clip(EventKind::LeftTurn));

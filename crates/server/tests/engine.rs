@@ -11,7 +11,7 @@ use sketchql_datasets::{query_clip, EventKind};
 use sketchql_server::{Engine, EngineConfig, EngineError, QuerySpec};
 use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
 
-use common::{timed_scans, tiny_model, two_datasets};
+use common::{cold_scan, timed_scans, tiny_model, two_datasets};
 
 /// Every (dataset, event) pair the identity tests query.
 const EVENTS: &[EventKind] = &[
@@ -27,7 +27,11 @@ fn spec(dataset: &str, event: EventKind) -> QuerySpec {
 
 /// The acceptance property: eight client threads hammering an 8-worker
 /// engine (with shared-scan fusion active) get byte-identical answers to
-/// a 1-worker engine executing the same queries one at a time.
+/// a 1-worker engine executing the same queries one at a time. The
+/// workers share each dataset's embedding memo: every thread asks every
+/// sketch, so the first laps race cold misses on shared segments (left
+/// and right turn have one window grid) and the later ones read what
+/// other workers published — neither changes a bit, and nothing waits.
 #[test]
 fn eight_worker_engine_matches_single_worker_byte_for_byte() {
     let model = tiny_model();
@@ -47,6 +51,7 @@ fn eight_worker_engine_matches_single_worker_byte_for_byte() {
             expected.push(((dataset, event), result.moments));
         }
     }
+    let serial_datasets = serial.stats().datasets;
     serial.shutdown();
 
     let concurrent = Arc::new(Engine::start(
@@ -87,6 +92,16 @@ fn eight_worker_engine_matches_single_worker_byte_for_byte() {
                 "concurrent result for {key:?} diverged from the serial engine"
             );
         }
+    }
+    // What the workers remembered is reported per dataset.
+    let serial_memo: Vec<_> = serial_datasets.iter().map(|d| d.memo_segments).collect();
+    for (d, want) in concurrent.stats().datasets.iter().zip(serial_memo) {
+        assert_eq!(
+            d.memo_segments, want,
+            "{}: same sketches, same segments",
+            d.name
+        );
+        assert!(d.memo_bytes > 0 && d.memo_resets == 0, "{d:?}");
     }
     concurrent.shutdown();
 }
@@ -243,15 +258,15 @@ fn deadline_at_the_scan_time_is_answered_and_counted_once() {
 /// worker and lands in `timed_out` exactly once.
 #[test]
 fn dropped_handle_still_times_out_exactly_once() {
-    let engine = Engine::start(
-        tiny_model(),
-        two_datasets(),
-        EngineConfig {
-            workers: 1,
-            ..Default::default()
-        },
-    );
-    let scan = timed_scans(&engine, 1)[0];
+    let config = || EngineConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    // The doomed scan is the first of its dataset, so it runs cold (its
+    // index remembers nothing yet): size its deadline from a cold scan.
+    let model = tiny_model();
+    let scan = cold_scan(&model, config(), EventKind::LeftTurn);
+    let engine = Engine::start(model, two_datasets(), config());
     let before = engine.stats();
     let mut q = spec("beta", EventKind::LeftTurn);
     q.deadline = Some(scan / 3);

@@ -192,6 +192,63 @@ fn standing_query_matches_offline_scoped_query_per_epoch() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// What an index remembers of its scans leaves with the index: after a
+/// reload the engine answers a scanning (two-object) sketch exactly like
+/// an engine freshly started on the extended video, and the dataset's
+/// memo starts from nothing — there is no invalidation to get wrong.
+#[test]
+fn a_reloaded_dataset_answers_like_a_freshly_started_engine() {
+    let model = tiny_model();
+    let stages = streaming_stages(67, 1);
+    let dir = temp_dir("reload-memo");
+    let cfg = ingest_cfg(&query_clip(EventKind::LeftTurn));
+    let base = sketchql::VideoIndex::from_truth(&stages[0]);
+    ingest_sharded(&model.similarity(), &base, "alpha", &cfg, 25, &dir, &|_| {}).unwrap();
+    let start = |index: sketchql::VideoIndex| {
+        let datasets = BTreeMap::from([("alpha".to_string(), index)]);
+        let stores = BTreeMap::from([("alpha".to_string(), exhaustive_set(&dir))]);
+        Engine::start_with_stores(model.clone(), datasets, stores, EngineConfig::default())
+    };
+    let memo_segments = |engine: &Engine| engine.stats().datasets[0].memo_segments;
+    let crossing = || QuerySpec::new("alpha", query_clip(EventKind::PerpendicularCrossing));
+
+    let engine = start(base);
+    let before = engine.execute(crossing()).unwrap();
+    let remembered = memo_segments(&engine);
+    assert!(remembered > 0, "two-object sketches scan");
+    assert_eq!(engine.execute(crossing()).unwrap().moments, before.moments);
+    assert_eq!(
+        memo_segments(&engine),
+        remembered,
+        "the second scan added nothing"
+    );
+
+    let extended = || sketchql::VideoIndex::from_truth(&stages[1]);
+    drop(append_frames(&model.similarity(), &extended(), &dir, 2, &|_| {}).unwrap());
+    engine
+        .reload_dataset("alpha", extended(), exhaustive_set(&dir))
+        .unwrap();
+    assert_eq!(memo_segments(&engine), 0, "a new index remembers nothing");
+    let after = engine.execute(crossing()).unwrap();
+
+    let fresh = start(extended());
+    let want = fresh.execute(crossing()).unwrap();
+    assert_eq!(after.moments, want.moments);
+    assert_ne!(
+        after.moments, before.moments,
+        "fixture: the appended frames matter"
+    );
+    assert_eq!(memo_segments(&engine), memo_segments(&fresh));
+    assert!(
+        memo_segments(&engine) > remembered,
+        "a longer video, more segments"
+    );
+
+    engine.shutdown();
+    fresh.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Registrations survive a restart through the durable registry, and
 /// appends committed while the server was down are evaluated at
 /// startup (catch-up), so matches are delayed — never lost.

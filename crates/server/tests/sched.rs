@@ -16,7 +16,7 @@ use sketchql_server::{
     ClassConfig, Engine, EngineConfig, EngineError, QuerySpec, SchedPolicy, DEFAULT_CLASS,
 };
 
-use common::{small_index, timed_scans, tiny_model, two_datasets};
+use common::{cold_scan, small_index, tiny_model, two_datasets};
 
 fn spec(dataset: &str, event: EventKind) -> QuerySpec {
     QuerySpec::new(dataset, query_clip(event))
@@ -313,14 +313,10 @@ fn mid_batch_expiry_is_answered_before_the_scan_finishes() {
         fused_batch: 4,
         ..Default::default()
     };
-    // Measure one solo scan to size the deadline.
+    // Measure one solo scan to size the deadline: cold, like the fused
+    // scan below on its fresh engine.
     let model = tiny_model();
-    let scratch = Engine::start(model.clone(), two_datasets(), config());
-    scratch.execute(spec("beta", EventKind::LeftTurn)).unwrap();
-    let warm = Instant::now();
-    scratch.execute(spec("beta", EventKind::RightTurn)).unwrap();
-    let scan = warm.elapsed();
-    scratch.shutdown();
+    let scan = cold_scan(&model, config(), EventKind::RightTurn);
 
     // Hold the single worker while a no-deadline query and a
     // tight-deadline query queue up on the other dataset, then release
@@ -382,11 +378,10 @@ fn queued_query_is_answered_at_its_deadline() {
         fused_batch: 1,
         ..Default::default()
     };
-    // Measure one warm solo scan on a scratch engine to size the deadline.
+    // Measure one cold solo scan on a scratch engine to size the
+    // deadline: the blocker below runs cold too.
     let model = tiny_model();
-    let scratch = Engine::start(model.clone(), two_datasets(), config());
-    let scan = timed_scans(&scratch, 1)[0];
-    scratch.shutdown();
+    let scan = cold_scan(&model, config(), EventKind::RightTurn);
 
     let engine = Engine::start(model, two_datasets(), config());
     let blocker = engine.submit(spec("beta", EventKind::RightTurn)).unwrap();

@@ -143,6 +143,9 @@ fn prometheus_exposition_is_well_formed() {
     // resource series, shard loads/probes) and an unknown dataset
     // (error path).
     client.query_event("alpha", event, Some(3), None).unwrap();
+    // `beta` has no store: a scan, whose segment embeddings its index
+    // remembers from here on.
+    client.query_event("beta", event, Some(3), None).unwrap();
     let _ = client.query_event("nope", event, None, None);
     let text = client.metrics_text().unwrap();
     assert!(!text.is_empty());
@@ -233,6 +236,17 @@ fn prometheus_exposition_is_well_formed() {
         let v = sample_value(&text, family)
             .unwrap_or_else(|| panic!("shard family {family} missing from the exposition"));
         assert!(v > 0.0, "{family} must be positive after sharded traffic");
+    }
+
+    // The scanned dataset's index remembers its segments; the engine
+    // totals its datasets' memos into the gauges after every batch.
+    for family in [
+        "sketchql_matcher_embed_memo_bytes",
+        "sketchql_matcher_embed_memo_segments",
+    ] {
+        let v = sample_value(&text, family)
+            .unwrap_or_else(|| panic!("memo family {family} missing from the exposition"));
+        assert!(v > 0.0, "{family} must be positive after a scan");
     }
 
     assert!(!buckets.is_empty(), "traffic must populate histograms");

@@ -85,6 +85,9 @@ fn prom_help(name: &str) -> &'static str {
         names::TRAINING_STEP_MS => "Per-training-step wall time, milliseconds.",
         names::SERVER_FUSED_BATCH => "Queries fused into one shared engine scan.",
         names::STORE_PROBE_ROWS => "Rows returned per ANN probe.",
+        names::EMBED_MEMO_BYTES => "Payload bytes held by per-index embedding memos.",
+        names::EMBED_MEMO_SEGMENTS => "Segments remembered by per-index embedding memos.",
+        names::EMBED_MEMO_RESETS => "Embedding memos emptied on passing their byte budget.",
         names::SHARD_RESIDENT => "Shards currently resident across attached shard sets.",
         names::SHARD_LOADS => "Shard files faulted in on first probe.",
         names::SHARD_LOAD_ERRORS => "Shard loads that failed (corrupt or unreadable shards).",

@@ -73,9 +73,10 @@ impl QueryTrace {
             .map_or(0, |&(_, v)| v)
     }
 
-    /// Fraction of candidate-segment lookups served from the per-search
-    /// embedding cache, or `None` when the query never consulted it
-    /// (classical similarity, store-served).
+    /// Fraction of candidate-segment look-ups that paid no encoder row
+    /// (served by the index's embedding memo or already queued by the
+    /// same scan), or `None` when the query never looked one up
+    /// (classical similarity, store-served). 0 of N = a cold memo.
     pub fn embed_cache_hit_rate(&self) -> Option<f64> {
         let hits = self.count(names::EMBED_CACHE_HITS);
         let total = hits + self.count(names::EMBED_CACHE_MISSES);

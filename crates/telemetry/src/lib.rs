@@ -96,12 +96,22 @@ pub mod names {
     pub const WINDOWS_PRUNED: &str = "sketchql.matcher.windows_pruned";
     /// Histogram: similarity score of each scored window.
     pub const WINDOW_SCORE: &str = "sketchql.matcher.window_score";
-    /// Counter: candidate segments served from the per-search embedding
-    /// cache (a duplicate `(track_ids, start, end)` segment re-used).
+    /// Counter: candidate-segment look-ups that paid no encoder row — the
+    /// `(track_ids, start, end)` segment was in the index's embedding
+    /// memo (an earlier scan embedded it) or already queued by this scan.
     pub const EMBED_CACHE_HITS: &str = "sketchql.matcher.embed_cache_hits";
-    /// Counter: distinct candidate segments the per-search embedding cache
-    /// had to embed (one batched encoder pass each).
+    /// Counter: distinct candidate segments neither the index's embedding
+    /// memo nor the scan had seen: one encoder row each.
     pub const EMBED_CACHE_MISSES: &str = "sketchql.matcher.embed_cache_misses";
+    /// Gauge: payload bytes held by the embedding memos of a serving
+    /// engine's datasets, as of its last executed batch or reload.
+    pub const EMBED_MEMO_BYTES: &str = "sketchql.matcher.embed_memo_bytes";
+    /// Gauge: segments remembered by the embedding memos of a serving
+    /// engine's datasets, as of its last executed batch or reload.
+    pub const EMBED_MEMO_SEGMENTS: &str = "sketchql.matcher.embed_memo_segments";
+    /// Counter: times an index's embedding memo was emptied because a
+    /// publish would have passed its byte budget.
+    pub const EMBED_MEMO_RESETS: &str = "sketchql.matcher.embed_memo_resets";
 
     /// Counter: clip embeddings computed by the learned encoder.
     pub const EMBEDDINGS_COMPUTED: &str = "sketchql.similarity.embeddings_computed";

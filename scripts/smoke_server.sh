@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end CLI smoke for the query service: generate a small video,
 # train a throwaway model, start `sketchql-cli serve`, and drive it with
-# `sketchql-cli client` (ping, list, query, stats, shutdown). Verifies
-# the wire round trip and the graceful drain from the shipped binary, not
-# just from the crate's integration tests.
+# `sketchql-cli client` (ping, list, query, the same query again, stats,
+# shutdown). Verifies the wire round trip, that a repeated scan is served
+# from the index's embedding memo with byte-identical moments, and the
+# graceful drain from the shipped binary, not just from the crate's
+# integration tests.
 #
 #   scripts/smoke_server.sh                     # uses target/release
 #   SKETCHQL_CLI=target/debug/sketchql-cli scripts/smoke_server.sh
@@ -48,6 +50,26 @@ echo "== server smoke: client round trip"
     --dataset traffic --event left_turn --top-k 3 --deadline-ms 30000 \
     | tee "$work/query.out"
 grep -q "^1 " "$work/query.out" || { echo "query returned no moments" >&2; exit 1; }
+
+echo "== server smoke: the same sketch again costs look-ups, not encoder passes"
+# The dataset's index remembers the segment embeddings of the scans it
+# served: the first trace pays one encoder row per candidate segment,
+# the second finds every one of them and pays none (its one embedding
+# is the sketch itself) — and the moments are the same bytes.
+"$CLI" client --addr "$ADDR" --action query \
+    --dataset traffic --event left_turn --top-k 3 --deadline-ms 30000 >"$work/again.out"
+trace_of() { grep -o 'trace [0-9a-f]\{12\}' "$1" | cut -d' ' -f2; }
+count_of() { awk -v name="$2" '$1 == name { print $2 }' "$1"; }
+"$CLI" client --addr "$ADDR" --action trace --trace-id "$(trace_of "$work/query.out")" >"$work/cold.trace"
+"$CLI" client --addr "$ADDR" --action trace --trace-id "$(trace_of "$work/again.out")" | tee "$work/warm.trace"
+segments="$(count_of "$work/cold.trace" sketchql.matcher.embed_cache_misses)"
+[ "${segments:-0}" -gt 0 ] || { echo "the first scan embedded no segment" >&2; cat "$work/cold.trace" >&2; exit 1; }
+[ -z "$(count_of "$work/warm.trace" sketchql.matcher.embed_cache_misses)" ] \
+    && [ "$(count_of "$work/warm.trace" sketchql.matcher.embed_cache_hits)" = "$segments" ] \
+    && [ "$(count_of "$work/warm.trace" sketchql.similarity.embeddings_computed)" = 1 ] \
+    || { echo "the second scan paid encoder rows (first: $segments segments)" >&2; exit 1; }
+cmp <(tail -n +2 "$work/query.out") <(tail -n +2 "$work/again.out") \
+    || { echo "the warm scan's moments differ from the cold scan's" >&2; exit 1; }
 "$CLI" client --addr "$ADDR" --action stats
 "$CLI" client --addr "$ADDR" --action shutdown
 

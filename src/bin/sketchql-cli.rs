@@ -1401,16 +1401,35 @@ fn render_top(prev: &TopSample, cur: &TopSample, traces: &[sketchql_server::Wire
 
     if !s.datasets.is_empty() {
         println!();
+        // `memo` is what the dataset's index remembers of its scans'
+        // segment embeddings; a scan that finds them there pays no
+        // encoder pass, and one that follows a reset runs cold.
         println!(
-            "{:<20} {:>9} {:>10} {:>8} {:>10} {:>6}",
-            "dataset", "qps", "completed", "failed", "timed_out", "shed"
+            "{:<20} {:>9} {:>10} {:>8} {:>10} {:>6} {:>10} {:>9} {:>6}",
+            "dataset",
+            "qps",
+            "completed",
+            "failed",
+            "timed_out",
+            "shed",
+            "memo",
+            "segments",
+            "resets"
         );
         for d in &s.datasets {
             let before = p.datasets.iter().find(|b| b.name == d.name);
             let qps = rate(d.completed, before.map_or(0, |b| b.completed));
             println!(
-                "{:<20} {:>8.1}/s {:>10} {:>8} {:>10} {:>6}",
-                d.name, qps, d.completed, d.failed, d.timed_out, d.shed
+                "{:<20} {:>8.1}/s {:>10} {:>8} {:>10} {:>6} {:>10} {:>9} {:>6}",
+                d.name,
+                qps,
+                d.completed,
+                d.failed,
+                d.timed_out,
+                d.shed,
+                fmt_bytes(d.memo_bytes),
+                d.memo_segments,
+                d.memo_resets
             );
         }
     }

@@ -1,23 +1,29 @@
-//! The interned + batched matcher path is an optimization, not a behavior
-//! change: for any thread count it must return byte-identical results to
-//! the direct (per-candidate, sequential) scan. Possible because every
-//! encoder op is row/block-local, so batched forwards reproduce `embed()`
-//! exactly in f32 — see DESIGN.md §7.
+//! The embedding scan — candidates resolved against the index's segment
+//! memo, the rest embedded in batches and published — is an
+//! optimization, not a behavior change: for any thread count, any batch
+//! composition and whatever the memo holds (nothing, everything, another
+//! model's rows, the leftovers of a cancelled pass) it must return
+//! byte-identical results to the direct (per-candidate, sequential)
+//! scan. Possible because every encoder op is row/block-local, so batched
+//! forwards reproduce `embed()` exactly in f32 — see DESIGN.md §7.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sketchql::telemetry::{names, TraceContext};
+use sketchql::telemetry::{names, QueryTrace, TraceContext};
 use sketchql::training::{train, TrainingConfig};
 use sketchql::{
-    LearnedSimilarity, Matcher, MatcherConfig, PreparedQuery, Similarity, SimilarityError,
-    VideoIndex,
+    CancelReason, CancelToken, LearnedSimilarity, MatchError, Matcher, MatcherConfig,
+    PreparedQuery, Similarity, SimilarityError, VideoIndex,
 };
 use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
 use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// The learned similarity with `uses_embeddings()` left at its `false`
+/// The learned similarity with `embedding_identity()` left at its `None`
 /// default, so the Matcher scores every candidate through `score` on
-/// its direct scan: the reference the interned path is compared against.
+/// its direct scan and never consults the index's memo: the reference
+/// the embedding scan is compared against, cold or warm.
 struct PerCandidate(LearnedSimilarity);
 
 impl Similarity for PerCandidate {
@@ -40,17 +46,32 @@ fn tiny_model() -> sketchql::TrainedModel {
     train(cfg)
 }
 
-#[test]
-fn cached_search_matches_uncached_exactly() {
-    let model = tiny_model();
+/// A freshly built index (nothing remembered) of the same small video.
+fn fresh_index() -> VideoIndex {
     let cfg = VideoConfig {
         family: SceneFamily::UrbanIntersection,
         events_per_kind: 1,
         distractors: 3,
         fps: 30.0,
     };
-    let v = generate_video(cfg, 31, &mut StdRng::seed_from_u64(31));
-    let idx = VideoIndex::from_truth(&v);
+    VideoIndex::from_truth(&generate_video(cfg, 31, &mut StdRng::seed_from_u64(31)))
+}
+
+/// Runs `work` on this thread under a fresh trace; returns its result
+/// and the finished trace (counts are per trace, so no lock is needed).
+fn traced<T>(work: impl FnOnce() -> T) -> (T, Arc<QueryTrace>) {
+    let trace = TraceContext::new();
+    let out = {
+        let _entered = trace.enter();
+        work()
+    };
+    (out, trace.finalize().unwrap())
+}
+
+#[test]
+fn cached_search_matches_uncached_exactly() {
+    let model = tiny_model();
+    let idx = fresh_index();
 
     // Single-object and multi-object (combinatorial) queries.
     for &kind in &[EventKind::LeftTurn, EventKind::PerpendicularCrossing] {
@@ -77,8 +98,217 @@ fn cached_search_matches_uncached_exactly() {
     }
 }
 
+/// Cold, warm, through a second `Matcher` of the same model, and through
+/// fused batches in either member order: one answer, the referee's —
+/// single- and two-object sketches, one and two embedding threads.
+#[test]
+fn cold_warm_and_fresh_matcher_agree_with_the_per_candidate_scan() {
+    let model = tiny_model();
+    let queries = [
+        query_clip(EventKind::LeftTurn),
+        query_clip(EventKind::PerpendicularCrossing),
+    ];
+    let referee = Matcher::new(PerCandidate(model.similarity()));
+    let want: Vec<_> = queries
+        .iter()
+        .map(|q| referee.search(&fresh_index(), q).unwrap())
+        .collect();
+    assert!(want.iter().all(|w| !w.is_empty()));
+
+    for threads in [1usize, 2] {
+        let config = MatcherConfig {
+            threads,
+            ..Default::default()
+        };
+        let matcher = Matcher::with_config(model.similarity(), config.clone());
+        let idx = fresh_index();
+        for (q, want) in queries.iter().zip(&want) {
+            let (cold, trace) = traced(|| matcher.search(&idx, q).unwrap());
+            assert_eq!(trace.count(names::EMBED_CACHE_HITS), 0, "first of its span");
+            let (warm, trace) = traced(|| matcher.search(&idx, q).unwrap());
+            assert_eq!(trace.count(names::EMBED_CACHE_MISSES), 0);
+            // A throw-away matcher finds the rows by the model's
+            // fingerprint, not by who computed them.
+            let other = Matcher::with_config(model.similarity(), config.clone());
+            let (fresh, trace) = traced(|| other.search(&idx, q).unwrap());
+            assert_eq!(trace.count(names::EMBED_CACHE_MISSES), 0);
+            for got in [&cold, &warm, &fresh] {
+                assert_eq!(got, want, "{threads} threads");
+            }
+        }
+        // Fused, on the warm index and on a cold one, in both orders.
+        for idx in [idx, fresh_index()] {
+            for order in [[0usize, 1], [1, 0]] {
+                let members: Vec<_> = order.iter().map(|&i| &queries[i]).collect();
+                let got = matcher.search_batch(&idx, &members, &CancelToken::none());
+                for (got, &i) in got.into_iter().zip(&order) {
+                    assert_eq!(got.unwrap(), want[i], "{threads} threads, order {order:?}");
+                }
+            }
+        }
+    }
+}
+
+/// Two models over one index: each finds only its own rows. The second
+/// model's first search pays exactly what it pays on an index nobody
+/// scanned, and answers the same.
+#[test]
+fn two_models_over_one_index_never_read_each_others_rows() {
+    let a = Matcher::new(tiny_model().similarity());
+    let b = {
+        let mut cfg = TrainingConfig::tiny();
+        cfg.steps = 3;
+        Matcher::new(train(cfg).similarity())
+    };
+    let q = query_clip(EventKind::LeftTurn);
+    let (b_alone, alone) = traced(|| b.search(&fresh_index(), &q).unwrap());
+    let a_alone = a.search(&fresh_index(), &q).unwrap();
+    assert_ne!(a_alone, b_alone, "fixture needs two different models");
+
+    let idx = fresh_index();
+    assert_eq!(a.search(&idx, &q).unwrap(), a_alone);
+    let (b_after_a, after) = traced(|| b.search(&idx, &q).unwrap());
+    assert_eq!(b_after_a, b_alone);
+    for name in [names::EMBEDDINGS_COMPUTED, names::EMBED_CACHE_MISSES] {
+        assert_eq!(after.count(name), alone.count(name), "{name}");
+    }
+    assert_eq!(after.count(names::EMBED_CACHE_HITS), 0);
+    // Both stay remembered side by side.
+    let (a_again, trace) = traced(|| a.search(&idx, &q).unwrap());
+    assert_eq!(a_again, a_alone);
+    assert_eq!(trace.count(names::EMBED_CACHE_MISSES), 0);
+    let (b_again, trace) = traced(|| b.search(&idx, &q).unwrap());
+    assert_eq!(b_again, b_alone);
+    assert_eq!(trace.count(names::EMBED_CACHE_MISSES), 0);
+}
+
+/// Four threads, one index, overlapping sketches (two share a window
+/// grid, one is two-object), started together round after round: every
+/// answer equals the sequential one, and nobody deadlocks — a racing
+/// miss is embedded twice, it never waits.
+#[test]
+fn concurrent_scans_of_one_index_agree_with_sequential_ones() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 3;
+    let matcher = Matcher::new(tiny_model().similarity());
+    let queries = [
+        query_clip(EventKind::LeftTurn),
+        query_clip(EventKind::RightTurn),
+        query_clip(EventKind::UTurn),
+        query_clip(EventKind::PerpendicularCrossing),
+    ];
+    let want: Vec<_> = queries
+        .iter()
+        .map(|q| matcher.search(&fresh_index(), q).unwrap())
+        .collect();
+
+    let idx = fresh_index();
+    let barrier = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (matcher, idx, barrier, queries, want) =
+                (&matcher, &idx, &barrier, &queries, &want);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    // Each thread starts on a different sketch, so the
+                    // first round races cold misses on shared segments.
+                    for k in 0..queries.len() {
+                        let i = (t + k) % queries.len();
+                        let got = matcher.search(idx, &queries[i]).unwrap();
+                        assert_eq!(got, want[i], "thread {t} round {round} sketch {i}");
+                    }
+                }
+            });
+        }
+    });
+    let (_, trace) = traced(|| matcher.search(&idx, &queries[3]).unwrap());
+    assert_eq!(
+        trace.count(names::EMBED_CACHE_MISSES),
+        0,
+        "all of it remembered"
+    );
+}
+
+/// The learned similarity, tripping `token` once its encoder has been
+/// handed `after` candidate batches — a deadline that expires mid-embed.
+struct TripsMidEmbed {
+    inner: LearnedSimilarity,
+    token: CancelToken,
+    after: AtomicUsize,
+}
+
+impl Similarity for TripsMidEmbed {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn prepare(&self, query: &Clip) -> Result<PreparedQuery, SimilarityError> {
+        self.inner.prepare(query)
+    }
+
+    fn score(&self, prepared: &PreparedQuery, candidate: &Clip) -> f32 {
+        self.inner.score(prepared, candidate)
+    }
+
+    fn embedding_identity(&self) -> Option<u64> {
+        self.inner.embedding_identity()
+    }
+
+    fn embed_candidates(&self, clips: &[Clip]) -> Vec<Option<Vec<f32>>> {
+        if self.after.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.token.cancel();
+        }
+        self.inner.embed_candidates(clips)
+    }
+
+    fn score_embedding(&self, prepared: &PreparedQuery, embedding: Option<&[f32]>) -> f32 {
+        self.inner.score_embedding(prepared, embedding)
+    }
+}
+
+/// A pass abandoned half-way publishes nothing: the index remembers no
+/// more than before, and the next search — same model, same index —
+/// pays the whole count and answers bit-identically.
+#[test]
+fn a_token_tripped_mid_embed_leaves_the_memo_consistent() {
+    let model = tiny_model();
+    let q = query_clip(EventKind::LeftTurn);
+    let matcher = Matcher::new(model.similarity());
+    let (want, alone) = traced(|| matcher.search(&fresh_index(), &q).unwrap());
+    assert!(
+        alone.count(names::EMBED_CACHE_MISSES) > 2 * 64,
+        "fixture needs a pass of several encoder batches"
+    );
+
+    let idx = fresh_index();
+    let token = CancelToken::new();
+    let tripping = Matcher::new(TripsMidEmbed {
+        inner: model.similarity(),
+        token: token.clone(),
+        after: AtomicUsize::new(2),
+    });
+    let (got, abandoned) = traced(|| tripping.search_with_cancel(&idx, &q, &token));
+    assert_eq!(got, Err(MatchError::Cancelled(CancelReason::Cancelled)));
+    let paid = abandoned.count(names::EMBEDDINGS_COMPUTED);
+    assert!(
+        paid > 1 && paid < alone.count(names::EMBEDDINGS_COMPUTED),
+        "the pass must stop part-way ({paid} rows)"
+    );
+    assert_eq!(idx.embed_memo_stats().segments, 0, "no partial publish");
+
+    let (after, trace) = traced(|| matcher.search(&idx, &q).unwrap());
+    assert_eq!(after, want);
+    assert_eq!(
+        trace.count(names::EMBEDDINGS_COMPUTED),
+        alone.count(names::EMBEDDINGS_COMPUTED)
+    );
+    assert_eq!(matcher.search(&idx, &q).unwrap(), want, "and warm");
+}
+
 /// When two window scales clamp to grids that share a tail-truncated
-/// segment, the second lookup must hit the cache instead of re-embedding.
+/// segment, the second lookup must be a hit instead of a second
+/// embedding — within one cold scan, before anything is remembered.
 #[test]
 fn overlapping_clamped_windows_hit_the_cache() {
     let model = tiny_model();

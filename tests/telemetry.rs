@@ -91,8 +91,9 @@ fn counters_match_analytic_expectations() {
     assert_eq!(report.count(names::SIMILARITY_EVALS), expected);
     assert_eq!(report.count(names::WINDOWS_PRUNED), 0);
     // One embedding per scored candidate plus one for the query itself.
-    // (The window scales here map to distinct lengths, so the per-search
-    // embedding cache sees only distinct segments: every lookup misses.)
+    // (The index is fresh, so its embedding memo is cold, and the window
+    // scales here map to distinct lengths, so the scan sees only
+    // distinct segments: every look-up misses.)
     assert_eq!(report.count(names::EMBEDDINGS_COMPUTED), expected + 1);
     assert_eq!(report.count(names::EMBED_CACHE_MISSES), expected);
     assert_eq!(report.count(names::EMBED_CACHE_HITS), 0);
@@ -100,6 +101,18 @@ fn counters_match_analytic_expectations() {
     // The index was pre-built outside the trace.
     assert_eq!(report.count(names::FRAMES_PREPROCESSED), 0);
     assert_eq!(report.count(names::TRACKS_BUILT), 0);
+
+    // Asked again, the index remembers every segment: the same windows
+    // and evaluations, one embedding (the query's own), no miss.
+    let (again, report) = traced("analytic/car_query", || matcher.search(&idx, &q).unwrap());
+    assert_eq!(again, results);
+    assert_eq!(report.count(names::WINDOWS_ENUMERATED), expected);
+    assert_eq!(report.count(names::SIMILARITY_EVALS), expected);
+    assert_eq!(report.count(names::EMBEDDINGS_COMPUTED), 1);
+    assert_eq!(report.count(names::EMBED_CACHE_MISSES), 0);
+    assert_eq!(report.count(names::EMBED_CACHE_HITS), expected);
+    assert_eq!(report.embed_cache_hit_rate(), Some(1.0));
+    assert_eq!(idx.embed_memo_stats().segments, expected);
 }
 
 /// Per-query counts are exact under concurrency: two threads run two
@@ -118,14 +131,17 @@ fn concurrent_queries_count_only_their_own_work() {
     let mut cfg = TrainingConfig::tiny();
     cfg.steps = 2;
     let matcher = Matcher::new(train(cfg).similarity());
-    let idx = single_track_index();
     let short = Clip::new(
         1000.0,
         600.0,
         vec![query().objects[0].slice(0, QUERY_SPAN / 2)],
     );
     let queries = [query(), short];
+    // A fresh index per search: an index remembers the segment
+    // embeddings its scans computed, and every run here must pay what
+    // the query pays alone.
     let counts_of = |q: &Clip| {
+        let idx = single_track_index();
         let (_, trace) = traced("concurrent", || matcher.search(&idx, q).unwrap());
         COUNTED.map(|name| trace.count(name))
     };
