@@ -15,11 +15,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use sketchql_nn::{
-    nt_xent, Adam, AdamConfig, EncoderConfig, Graph, ParamStore, Tensor, TrajectoryEncoder,
+    nt_xent, Adam, AdamConfig, EncoderConfig, Graph, NodeId, ParamStore, Tensor, TrajectoryEncoder,
 };
 use sketchql_simulator::{PairGenConfig, PairGenerator, RandomSceneSampler, SamplerConfig};
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{extract_features, Clip, TOKEN_DIM};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::path::Path;
 
 use crate::similarity::{embed_clip, LearnedSimilarity};
@@ -115,8 +117,18 @@ impl TrainingConfig {
     }
 }
 
+/// Version of everything that shapes a model besides its
+/// [`TrainingConfig`]: **bump when the sampler, pair generator or features
+/// change** (`simulator/sampler.rs`, `simulator/pairs.rs`,
+/// `trajectory/features.rs`, the batch assembly below), i.e. whenever the
+/// same config would now train different weights. It is stored in every
+/// model file, and [`TrainedModel::load_or_train`] retrains a cached model
+/// whose version differs, so an edit to the recipe is never evaluated on
+/// weights from before it.
+pub const RECIPE_VERSION: u32 = 1;
+
 /// A trained encoder: architecture + weights + training record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TrainedModel {
     /// The encoder (architecture and parameter names).
     pub encoder: TrajectoryEncoder,
@@ -126,6 +138,29 @@ pub struct TrainedModel {
     pub config: TrainingConfig,
     /// Per-step training loss.
     pub loss_history: Vec<f32>,
+    /// The [`RECIPE_VERSION`] it was trained under (0 in a model file
+    /// from before the field existed).
+    pub recipe_version: u32,
+}
+
+/// Hand-written because the vendored derive has no field defaults: a
+/// model file without `recipe_version` is still a model (`query --model`
+/// serves it), just never a current cache entry.
+impl Deserialize for TrainedModel {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        use serde::__private::{as_obj, obj_get};
+        let fields = as_obj(v, "struct TrainedModel")?;
+        Ok(TrainedModel {
+            encoder: Deserialize::from_value(obj_get(fields, "encoder")?)?,
+            store: Deserialize::from_value(obj_get(fields, "store")?)?,
+            config: Deserialize::from_value(obj_get(fields, "config")?)?,
+            loss_history: Deserialize::from_value(obj_get(fields, "loss_history")?)?,
+            recipe_version: match obj_get(fields, "recipe_version") {
+                Ok(version) => Deserialize::from_value(version)?,
+                Err(_) => 0,
+            },
+        })
+    }
 }
 
 impl TrainedModel {
@@ -155,11 +190,13 @@ impl TrainedModel {
         serde_json::from_str(&json).map_err(std::io::Error::other)
     }
 
-    /// Loads a cached model if `path` exists and matches `config`;
-    /// otherwise trains and caches.
+    /// Loads a cached model if `path` exists and was trained with this
+    /// `config` under the current [`RECIPE_VERSION`]; otherwise trains and
+    /// caches. (A run that diverges panics in [`train`], so a non-finite
+    /// model is never cached.)
     pub fn load_or_train(path: &Path, config: TrainingConfig) -> Self {
         if let Ok(m) = TrainedModel::load(path) {
-            if m.config == config {
+            if m.config == config && m.recipe_version == RECIPE_VERSION {
                 return m;
             }
         }
@@ -178,6 +215,9 @@ pub fn clip_features_tensor(clip: &Clip, steps: usize) -> Option<Tensor> {
 }
 
 /// Trains an encoder from scratch on simulator-generated contrastive pairs.
+///
+/// # Panics
+/// If the loss stops being finite (see [`train_with_schedule`]).
 pub fn train(config: TrainingConfig) -> TrainedModel {
     train_with_callback(config, |_, _| {})
 }
@@ -191,10 +231,33 @@ pub fn train_with_callback(
 }
 
 /// Like [`train`] with a learning-rate schedule (warmup/cosine/step decay)
-/// applied on top of the config's base learning rate.
+/// applied on top of the config's base learning rate. Each step's clips
+/// are differentiated on every core ([`training_threads`]); the model is
+/// the same bits at any core count.
+///
+/// # Panics
+/// If a step's loss is not finite — the run has diverged (a learning rate
+/// too high for the recipe), every later step would train on NaN, and the
+/// result must never reach a cache. The message names the step.
 pub fn train_with_schedule(
     config: TrainingConfig,
     schedule: sketchql_nn::LrSchedule,
+    progress: impl FnMut(usize, f32),
+) -> TrainedModel {
+    train_on(config, schedule, training_threads(), progress)
+}
+
+/// The worker threads training and fine-tuning fan a step out to: one per
+/// core. Not a setting — the trained bits do not depend on it.
+pub fn training_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The training loop, on `threads` worker threads.
+fn train_on(
+    config: TrainingConfig,
+    schedule: sketchql_nn::LrSchedule,
+    threads: usize,
     mut progress: impl FnMut(usize, f32),
 ) -> TrainedModel {
     assert_eq!(
@@ -222,10 +285,10 @@ pub fn train_with_schedule(
     for step in 0..config.steps {
         let step_start = std::time::Instant::now();
         // Sample a batch of (anchor, positive) views, skipping the rare
-        // degenerate pair the featurizer rejects.
-        let mut anchors_t = Vec::with_capacity(config.batch_size);
-        let mut positives_t = Vec::with_capacity(config.batch_size);
-        while anchors_t.len() < config.batch_size {
+        // degenerate pair the featurizer rejects. Clip `2i` is pair `i`'s
+        // anchor and clip `2i + 1` its positive.
+        let mut clips = Vec::with_capacity(2 * config.batch_size);
+        while clips.len() < 2 * config.batch_size {
             let pair = generator.sample_pair(&mut rng);
             let (Some(a), Some(p)) = (
                 clip_features_tensor(&pair.anchor, steps),
@@ -233,42 +296,36 @@ pub fn train_with_schedule(
             ) else {
                 continue;
             };
-            anchors_t.push(a);
-            positives_t.push(p);
+            clips.extend([a, p]);
             // Mirror hard negatives: the mirrored pair is a *different*
             // event (opposite chirality), entering the batch as its own
             // positive pair and everyone else's negative.
-            if config.mirror_negatives && anchors_t.len() < config.batch_size {
+            if config.mirror_negatives && clips.len() < 2 * config.batch_size {
                 let ma = pair.anchor.mirrored_x();
                 let mp = pair.positive.mirrored_x();
                 if let (Some(a), Some(p)) = (
                     clip_features_tensor(&ma, steps),
                     clip_features_tensor(&mp, steps),
                 ) {
-                    anchors_t.push(a);
-                    positives_t.push(p);
+                    clips.extend([a, p]);
                 }
             }
         }
 
-        let mut g = Graph::new(&store);
-        let mut anchor_ids = Vec::with_capacity(config.batch_size);
-        let mut positive_ids = Vec::with_capacity(config.batch_size);
-        for (a, p) in anchors_t.into_iter().zip(positives_t) {
-            let ai = g.input(a);
-            let pi = g.input(p);
-            anchor_ids.push(encoder.forward(&mut g, ai));
-            positive_ids.push(encoder.forward(&mut g, pi));
-        }
-        let loss = nt_xent(&mut g, &anchor_ids, &positive_ids, config.temperature);
-        let loss_val = g.tape.value(loss).item();
-        let grads = g.grads_by_name(loss);
+        let clips: Vec<&Tensor> = clips.iter().collect();
+        let (loss, grads) = step_gradients(&encoder, &store, &clips, threads, |g, embeddings| {
+            pair_loss(g, embeddings, config.temperature)
+        });
+        assert!(
+            loss.is_finite(),
+            "training diverged at step {step}: the loss is {loss}"
+        );
         adam.step_scaled(&mut store, &grads, schedule.multiplier(step));
-        loss_history.push(loss_val);
+        loss_history.push(loss);
 
         step_ms.observe(step_start.elapsed().as_secs_f64() * 1e3);
 
-        progress(step, loss_val);
+        progress(step, loss);
     }
 
     TrainedModel {
@@ -276,7 +333,120 @@ pub fn train_with_schedule(
         store,
         config,
         loss_history,
+        recipe_version: RECIPE_VERSION,
     }
+}
+
+/// NT-Xent over a batch laid out anchor, positive, anchor, positive, ...
+fn pair_loss(g: &mut Graph<'_>, embeddings: &[NodeId], temperature: f32) -> NodeId {
+    let anchors: Vec<NodeId> = embeddings.iter().copied().step_by(2).collect();
+    let positives: Vec<NodeId> = embeddings.iter().copied().skip(1).step_by(2).collect();
+    nt_xent(g, &anchors, &positives, temperature)
+}
+
+/// The loss of one optimisation step and its gradient per parameter name:
+/// `loss` over the encoder's embeddings of `clips`.
+///
+/// Clip `i`'s sub-graph shares nothing with clip `j`'s but the weights, so
+/// the step is cut at the embeddings, and every part runs per clip on
+/// `threads` workers:
+///
+/// 1. the embeddings come from the inference path ([`TrajectoryEncoder::embed`],
+///    bit-identical to the tape forward at a fraction of its cost);
+/// 2. `loss` is built over one differentiable leaf per embedding, in clip
+///    order, and its backward yields the loss value and `dL/d embedding`;
+/// 3. each clip gets a small tape of its own (weights borrowed), run
+///    forward and at once backward from its embedding, seeded with that
+///    gradient, then dropped — a step holds `threads` tapes, warm in
+///    cache, never the 48 of the batch;
+/// 4. the per-clip parameter gradients are folded **last clip first**.
+///
+/// That order is the point. Every weight is used exactly once per clip, so
+/// one graph over the whole batch — what a step used to be, and what the
+/// tests still referee against — walked in reverse accumulates each
+/// parameter's gradient as `((g[n-1] + g[n-2]) + ...) + g[0]`, one addend
+/// per clip in reverse forward order. Reproducing exactly that sum makes
+/// the result bit-identical to the single graph's, whatever `threads` is.
+pub(crate) fn step_gradients(
+    encoder: &TrajectoryEncoder,
+    store: &ParamStore,
+    clips: &[&Tensor],
+    threads: usize,
+    loss: impl FnOnce(&mut Graph<'_>, &[NodeId]) -> NodeId,
+) -> (f32, HashMap<String, Tensor>) {
+    let embeddings = fan_out(clips.to_vec(), threads, |features| {
+        encoder.embed(store, features)
+    });
+
+    // The loss graph binds no parameter; the store is there for the type.
+    let mut head = Graph::new(store);
+    let leaves: Vec<NodeId> = embeddings
+        .into_iter()
+        .map(|e| head.tape.leaf(Tensor::from_vec(1, e.len(), e)))
+        .collect();
+    let loss = loss(&mut head, &leaves);
+    let loss_value = head.tape.value(loss).item();
+    let mut seeds = head.tape.backward(loss);
+
+    // A clip whose embedding the loss never read has no gradient to add,
+    // as its nodes had none in the single graph.
+    let seeded: Vec<_> = clips
+        .iter()
+        .zip(leaves)
+        .map(|(&features, leaf)| (features, seeds.take(leaf)))
+        .collect();
+    let per_clip = fan_out(seeded, threads, |(features, seed)| {
+        seed.map(|seed| {
+            let mut g = Graph::new(store);
+            let input = g.input(features.clone());
+            let embedding = encoder.forward(&mut g, input);
+            g.grads_by_name_from(embedding, seed)
+        })
+    });
+
+    let mut grads: HashMap<String, Tensor> = HashMap::new();
+    for clip_grads in per_clip.into_iter().rev().flatten() {
+        for (name, g) in clip_grads {
+            match grads.entry(name) {
+                Entry::Occupied(mut sum) => sum.get_mut().add_scaled(&g, 1.0),
+                Entry::Vacant(slot) => {
+                    slot.insert(g);
+                }
+            }
+        }
+    }
+    (loss_value, grads)
+}
+
+/// `items` through `f`, in order, on up to `threads` scoped worker threads
+/// (contiguous pieces, as [`crate::try_embed_clips_parallel`] splits a
+/// scan); inline when there are fewer than two items per thread.
+fn fan_out<T: Send, R: Send>(items: Vec<T>, threads: usize, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let threads = threads.max(1);
+    if threads == 1 || items.len() < 2 * threads {
+        return items.into_iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(threads);
+    // Hand the calling thread's live traces to the workers so a
+    // fine-tune's CPU and allocations attribute to its query.
+    let entered = telemetry::TraceContext::entered();
+    let mut items = items.into_iter();
+    std::thread::scope(|scope| {
+        let (f, entered) = (&f, &entered);
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let piece: Vec<T> = items.by_ref().take(chunk).collect();
+                scope.spawn(move || {
+                    let _attribution: Vec<_> = entered.iter().map(|t| t.enter()).collect();
+                    piece.into_iter().map(f).collect::<Vec<R>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("training worker panicked"))
+            .collect()
+    })
 }
 
 /// Separation statistics of a model on freshly generated pairs.
@@ -402,14 +572,135 @@ mod tests {
         assert!(warm.loss_history.iter().all(|l| l.is_finite()));
     }
 
+    /// A seed is a model: run to run, and at any thread count — with
+    /// clip counts that split evenly, raggedly, into more pieces than a
+    /// piece holds, or not at all.
     #[test]
     fn training_is_deterministic() {
+        for batch_size in [8, 5] {
+            let mut cfg = TrainingConfig::tiny();
+            cfg.steps = 5;
+            cfg.batch_size = batch_size;
+            let constant = sketchql_nn::LrSchedule::Constant;
+            let a = train_on(cfg.clone(), constant, 1, |_, _| {});
+            let again = train(cfg.clone());
+            assert_eq!(a.loss_history, again.loss_history);
+            assert_eq!(a.store, again.store);
+            for threads in [2, 3, 7] {
+                let b = train_on(cfg.clone(), constant, threads, |_, _| {});
+                assert_eq!(a.loss_history, b.loss_history, "{threads} threads");
+                assert_eq!(a.store, b.store, "{threads} threads");
+            }
+        }
+    }
+
+    /// `n` pairs of the default recipe's training clips, featurized, in
+    /// batch order (anchor, positive, anchor, ...).
+    fn sample_clips(config: &TrainingConfig, pairs: usize) -> Vec<Tensor> {
+        let mut rng = StdRng::seed_from_u64(5);
+        let generator = PairGenerator::new(RandomSceneSampler::new(config.sampler), config.pairgen);
+        let mut clips = Vec::new();
+        while clips.len() < 2 * pairs {
+            let pair = generator.sample_pair(&mut rng);
+            if let (Some(a), Some(p)) = (
+                clip_features_tensor(&pair.anchor, config.encoder.steps),
+                clip_features_tensor(&pair.positive, config.encoder.steps),
+            ) {
+                clips.extend([a, p]);
+            }
+        }
+        clips
+    }
+
+    /// Loss and every gradient tensor, bit for bit.
+    #[track_caller]
+    fn assert_same_bits(
+        got: &(f32, HashMap<String, Tensor>),
+        want: &(f32, HashMap<String, Tensor>),
+        what: &str,
+    ) {
+        assert_eq!(got.0.to_bits(), want.0.to_bits(), "{what}: loss");
+        assert_eq!(got.1.len(), want.1.len(), "{what}: parameters");
+        for (name, w) in &want.1 {
+            let g = &got.1[name];
+            assert_eq!((g.rows, g.cols), (w.rows, w.cols), "{what}: {name}");
+            let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w), "{what}: {name}");
+        }
+    }
+
+    /// The referee: one graph over the whole batch, as a step used to be.
+    fn single_graph_gradients(
+        encoder: &TrajectoryEncoder,
+        store: &ParamStore,
+        clips: &[&Tensor],
+        loss: impl FnOnce(&mut Graph<'_>, &[NodeId]) -> NodeId,
+    ) -> (f32, HashMap<String, Tensor>) {
+        let mut g = Graph::new(store);
+        let embeddings: Vec<NodeId> = clips
+            .iter()
+            .map(|&features| {
+                let input = g.input(features.clone());
+                encoder.forward(&mut g, input)
+            })
+            .collect();
+        let loss = loss(&mut g, &embeddings);
+        (g.tape.value(loss).item(), g.grads_by_name(loss))
+    }
+
+    /// The step's contract: per-clip tapes, folded last clip first, are
+    /// the single graph — loss and every gradient tensor bit for bit —
+    /// for both objectives (in the Tuner's, embeddings are read by several
+    /// triplets and one clip appears twice) and any thread count.
+    #[test]
+    fn folded_per_clip_gradients_are_the_single_graphs() {
+        let config = TrainingConfig::default();
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let encoder = TrajectoryEncoder::new(&mut store, &mut rng, "enc", config.encoder.clone());
+        let owned = sample_clips(&config, 6);
+        let mut clips: Vec<&Tensor> = owned.iter().collect();
+
+        let contrastive = |g: &mut Graph<'_>, e: &[NodeId]| pair_loss(g, e, config.temperature);
+        let want = single_graph_gradients(&encoder, &store, &clips, contrastive);
+        assert_eq!(want.1.len(), store.names().len(), "every parameter trained");
+        for threads in [1, 2, 3, 7] {
+            let got = step_gradients(&encoder, &store, &clips, threads, contrastive);
+            assert_same_bits(&got, &want, &format!("nt_xent, {threads} threads"));
+        }
+
+        // Query 0, positives 1 and 4, negatives 2/3 embedded once per
+        // positive — and a last clip no triplet reads.
+        clips.truncate(8);
+        (clips[5], clips[6]) = (clips[2], clips[3]);
+        let feedback = |g: &mut Graph<'_>, e: &[NodeId]| {
+            let at = |q: usize, p: usize, n: usize| (e[q], e[p], e[n]);
+            let triplets = [at(0, 1, 2), at(0, 1, 3), at(0, 4, 5), at(0, 4, 6)];
+            sketchql_nn::triplet(g, &triplets, 0.9)
+        };
+        let want = single_graph_gradients(&encoder, &store, &clips, feedback);
+        assert!(want.0 > 0.0, "an active hinge, or the gradients are zero");
+        for threads in [1, 2, 3] {
+            let got = step_gradients(&encoder, &store, &clips, threads, feedback);
+            assert_same_bits(&got, &want, &format!("triplet, {threads} threads"));
+        }
+    }
+
+    /// A diverged run fails at the step that shows it, in any build, and
+    /// nothing of it reaches the model cache.
+    #[test]
+    fn a_non_finite_loss_fails_the_step_and_is_never_cached() {
         let mut cfg = TrainingConfig::tiny();
-        cfg.steps = 5;
-        let a = train(cfg.clone());
-        let b = train(cfg);
-        assert_eq!(a.loss_history, b.loss_history);
-        assert_eq!(a.store, b.store);
+        cfg.steps = 3;
+        cfg.lr = f32::INFINITY;
+        let dir = std::env::temp_dir().join(format!("sketchql-diverged-{}", std::process::id()));
+        let path = dir.join("m.json");
+        let panic = std::panic::catch_unwind(|| TrainedModel::load_or_train(&path, cfg))
+            .expect_err("an infinite learning rate diverges");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("training diverged at step 1"), "{message}");
+        assert!(!path.exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -472,6 +763,51 @@ mod tests {
         cfg2.seed += 1;
         let c = TrainedModel::load_or_train(&path, cfg2);
         assert_ne!(a.store, c.store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The cache key is config + recipe version: a cached model from
+    /// another `RECIPE_VERSION` — or from before model files carried one —
+    /// is retrained, not served, though its config is equal.
+    #[test]
+    fn load_or_train_retrains_a_model_from_another_recipe_version() {
+        use serde::{Serialize, Value};
+        let mut cfg = TrainingConfig::tiny();
+        cfg.steps = 2;
+        let fresh = train(cfg.clone());
+        assert_eq!(fresh.recipe_version, RECIPE_VERSION);
+        // Recognisably not what training yields.
+        let mut stale = fresh.clone();
+        stale.loss_history.clear();
+        let dir = std::env::temp_dir().join(format!("sketchql-recipe-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.json");
+
+        // Control: under the current version the file is a cache hit.
+        stale.save(&path).unwrap();
+        let hit = TrainedModel::load_or_train(&path, cfg.clone());
+        assert!(hit.loss_history.is_empty());
+
+        stale.recipe_version = RECIPE_VERSION + 1;
+        stale.save(&path).unwrap();
+        let retrained = TrainedModel::load_or_train(&path, cfg.clone());
+        assert_eq!(retrained.loss_history, fresh.loss_history);
+        assert_eq!(retrained.store, fresh.store);
+        assert_eq!(
+            TrainedModel::load(&path).unwrap().recipe_version,
+            RECIPE_VERSION,
+            "the retrained model replaced the stale file"
+        );
+
+        // A file with no version still loads as a model, and is stale.
+        let Value::Obj(mut fields) = stale.to_value() else {
+            panic!("a model serialises as an object");
+        };
+        fields.retain(|(key, _)| key != "recipe_version");
+        std::fs::write(&path, serde_json::to_string(&Value::Obj(fields)).unwrap()).unwrap();
+        assert_eq!(TrainedModel::load(&path).unwrap().recipe_version, 0);
+        let retrained = TrainedModel::load_or_train(&path, cfg);
+        assert_eq!(retrained.loss_history, fresh.loss_history);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -12,10 +12,10 @@
 //!   queries where re-ranking is not enough.
 
 use serde::{Deserialize, Serialize};
-use sketchql_nn::{cosine_similarity, triplet, Adam, AdamConfig, Graph};
+use sketchql_nn::{cosine_similarity, triplet, Adam, AdamConfig};
 use sketchql_trajectory::Clip;
 
-use crate::training::{clip_features_tensor, TrainedModel};
+use crate::training::{clip_features_tensor, step_gradients, training_threads, TrainedModel};
 
 /// One piece of user feedback on a retrieved clip.
 #[derive(Debug, Clone)]
@@ -136,28 +136,43 @@ pub fn fine_tune(
         return model.clone();
     }
 
+    // One step's clips in forward order: the query, then each positive
+    // followed by every negative, and the triplets over their positions.
+    // A negative is embedded once per positive although its embedding is
+    // the same each time: embedding it once would add its triplets'
+    // gradients in another order and so tune different bits, which belongs
+    // with the other results-changing decisions (ROADMAP item 3).
+    let mut clips = vec![&query_t];
+    let mut triplets = Vec::with_capacity(pos_t.len() * neg_t.len());
+    for p in &pos_t {
+        let positive = clips.len();
+        clips.push(p);
+        for n in &neg_t {
+            triplets.push((0, positive, clips.len()));
+            clips.push(n);
+        }
+    }
+
     let mut tuned = model.clone();
     let mut adam = Adam::new(AdamConfig {
         lr: config.lr,
         ..Default::default()
     });
-
+    let threads = training_threads();
     for _ in 0..config.epochs {
-        let mut g = Graph::new(&tuned.store);
-        let q_in = g.input(query_t.clone());
-        let q_emb = tuned.encoder.forward(&mut g, q_in);
-        let mut triplets = Vec::new();
-        for p in &pos_t {
-            let p_in = g.input(p.clone());
-            let p_emb = tuned.encoder.forward(&mut g, p_in);
-            for n in &neg_t {
-                let n_in = g.input(n.clone());
-                let n_emb = tuned.encoder.forward(&mut g, n_in);
-                triplets.push((q_emb, p_emb, n_emb));
-            }
-        }
-        let loss = triplet(&mut g, &triplets, config.margin);
-        let grads = g.grads_by_name(loss);
+        let (_, grads) = step_gradients(
+            &tuned.encoder,
+            &tuned.store,
+            &clips,
+            threads,
+            |g, embeddings| {
+                let nodes: Vec<_> = triplets
+                    .iter()
+                    .map(|&(q, p, n)| (embeddings[q], embeddings[p], embeddings[n]))
+                    .collect();
+                triplet(g, &nodes, config.margin)
+            },
+        );
         adam.step(&mut tuned.store, &grads);
     }
     tuned

@@ -1,15 +1,15 @@
-//! SIMD kernels for the tape-free inference path.
+//! SIMD kernels: the one matmul and the row kernels of the encoder.
 //!
-//! [`Tensor::matmul`] keeps the readable scalar ikj loop: it runs inside
-//! the autograd tape, where clarity and an obvious correspondence with the
-//! backward rules matter more than throughput, and it doubles as the
-//! reference oracle the kernels here are differentially tested against.
-//! Inference (`TrajectoryEncoder::embed_batch` and the matcher's cached
-//! scan built on it) is throughput-bound on the encoder's arithmetic, so it
-//! routes through [`matmul`] / [`matmul_into`] and the fused attention
-//! block below, which run on the widest instruction set the CPU has
-//! (`Isa`: AVX-512, AVX2 or portable scalar code — chosen by CPU feature
-//! detection only).
+//! [`Tensor::matmul`] *is* [`matmul`]: the autograd tape (its forward and
+//! both products of its backward), the losses, the Tuner and the tape-free
+//! inference path (`TrajectoryEncoder::embed_batch` and the matcher's scan
+//! built on it) all run the register-tiled kernels below on the widest
+//! instruction set the CPU has (`Isa`: AVX-512, AVX2 or portable scalar
+//! code — chosen by CPU feature detection only). The readable scalar ikj
+//! loop, `matmul_scalar`, is the single reference: it is what `Isa::Scalar`
+//! runs and the oracle the vector kernels are differentially tested
+//! against, bit for bit — which is why a model trained on one host is the
+//! model trained on any other.
 //!
 //! ## Register tiles
 //!
@@ -61,9 +61,10 @@
 //! approximations evaluated in a pinned operation order), the GELU /
 //! softmax / layer-norm row kernels built on them, and the fixed
 //! 16-bucket strided summation ([`strided_sum`]) used for every row
-//! reduction. Each kernel comes in a scalar form (used by the autograd
-//! tape ops) and a vectorized form (used by the batched tape-free
-//! inference path); the pairs are differentially tested to produce
+//! reduction. Each kernel comes in a scalar form — the reference — and a
+//! dispatching form that runs the vector code where the CPU has it (used
+//! by the autograd tape's forward ops and by the batched tape-free
+//! inference path alike); the pairs are differentially tested to produce
 //! bit-identical outputs. The bucket count is 16 on every ISA — the
 //! summation order is part of the semantics, not an artifact of the
 //! vector width — so `TrajectoryEncoder::embed_batch` stays `==`-equal
@@ -154,7 +155,8 @@ fn assert_len(what: &str, len: usize, rows: usize, cols: usize) {
     );
 }
 
-/// `a (R x K) @ b (K x C) -> R x C`, `==`-equal to [`Tensor::matmul`].
+/// `a (R x K) @ b (K x C) -> R x C` on the widest instruction set the CPU
+/// has; `==`-equal to the scalar reference loop on every one.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(a.rows, b.cols);
     matmul_into(a, b, &mut out);
@@ -235,7 +237,7 @@ fn gemm(
     }
 }
 
-/// The reference loop, identical to [`Tensor::matmul`]'s body, with the
+/// The reference loop — the only scalar matmul in the crate — with the
 /// bias added in a second pass.
 fn matmul_scalar(
     a: &[f32],
@@ -607,7 +609,7 @@ pub(crate) fn gelu_inplace_on(isa: Isa, v: &mut [f32]) {
 
 /// In-place numerically stabilized softmax over one row: subtract the
 /// [`strided_max`], [`fast_exp`], [`strided_sum`], divide. Scalar reference for
-/// [`softmax_row`], and the forward used by the tape's softmax op.
+/// [`softmax_row`].
 pub fn softmax_row_scalar(row: &mut [f32]) {
     let max = strided_max(row);
     for x in row.iter_mut() {
@@ -643,7 +645,7 @@ pub(crate) fn softmax_row_on(isa: Isa, row: &mut [f32]) {
 /// In-place layer norm over one row with gain `gamma` and bias `beta`:
 /// mean and variance via the strided sums, then
 /// `(x - mean) * inv_std * gamma + beta` per element. Scalar reference
-/// for [`layer_norm_row`], and the forward used by the tape's op.
+/// for [`layer_norm_row`].
 pub fn layer_norm_row_scalar(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
     let n = row.len() as f32;
     let mean = strided_sum(row) / n;
@@ -1355,12 +1357,20 @@ mod tests {
         }
     }
 
+    /// `a @ b` by the scalar reference loop. (`Tensor::matmul` dispatches
+    /// to the vector kernels, so it cannot referee them.)
+    fn reference_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::ones(a.rows, b.cols);
+        matmul_bias_into(Isa::Scalar, a, b, None, &mut out);
+        out
+    }
+
     /// `a @ b` on every available instruction set — with and without a
-    /// bias epilogue, into stale output — against [`Tensor::matmul`].
+    /// bias epilogue, into stale output — against the scalar reference.
     #[track_caller]
     fn check_matmul_everywhere(a: &Tensor, b: &Tensor, rng: &mut StdRng) {
         let what = format!("{}x{}x{}", a.rows, a.cols, b.cols);
-        let reference = a.matmul(b);
+        let reference = reference_matmul(a, b);
         let bias = Tensor::xavier(1, b.cols, rng);
         let mut biased = reference.clone();
         for r in 0..biased.rows {
@@ -1421,8 +1431,9 @@ mod tests {
                     *v = 0.0;
                 }
             }
-            let reference = a.matmul(&b);
+            let reference = reference_matmul(&a, &b);
             assert_eq!(matmul(&a, &b), reference, "{r}x{k}x{c}");
+            assert_eq!(a.matmul(&b), reference, "{r}x{k}x{c} (Tensor::matmul)");
             let mut out = Tensor::ones(r, c); // stale contents must be overwritten
             matmul_into(&a, &b, &mut out);
             assert_eq!(out, reference, "{r}x{k}x{c} (into)");

@@ -128,7 +128,8 @@ mod tests {
     fn nt_xent_is_differentiable() {
         let store = ParamStore::new();
         let mut g = Graph::new(&store);
-        let a = g.input(unit(vec![0.8, 0.2, 0.1]));
+        // A differentiable leaf: `g.input` is a constant to backward.
+        let a = g.tape.leaf(unit(vec![0.8, 0.2, 0.1]));
         let p = g.input(unit(vec![0.7, 0.3, 0.0]));
         let n = g.input(unit(vec![-0.5, 0.5, 0.7]));
         let loss = nt_xent(&mut g, &[a, n], &[p, n], 0.5);

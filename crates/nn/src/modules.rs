@@ -4,9 +4,9 @@
 //!
 //! Modules are *stateless descriptions*: they own parameter **names** and
 //! hyper-parameters, while the parameter **values** live in a [`ParamStore`].
-//! A forward pass binds store values onto a fresh [`Tape`] through a
-//! [`Graph`], which lets one training step build the whole batch graph and
-//! read per-parameter gradients back out by name.
+//! A forward pass binds store values (borrowed, not copied) onto a fresh
+//! [`Tape`] through a [`Graph`] and reads per-parameter gradients back out
+//! by name; a training step builds one small graph per clip.
 //!
 //! Inference builds no tape. [`TrajectoryEncoder::embed_batch`] stacks a
 //! batch of sequences and runs the same arithmetic, in the same order,
@@ -80,10 +80,11 @@ impl ParamStore {
 }
 
 /// A forward-pass context: a tape plus the binding of parameter names to
-/// tape nodes.
+/// tape nodes. Parameters are borrowed from the store, never copied, so a
+/// graph per clip is as cheap as its activations.
 pub struct Graph<'s> {
     /// The underlying autograd tape; modules may record extra ops directly.
-    pub tape: Tape,
+    pub tape: Tape<'s>,
     store: &'s ParamStore,
     bound: HashMap<String, NodeId>,
 }
@@ -103,22 +104,33 @@ impl<'s> Graph<'s> {
         if let Some(&id) = self.bound.get(name) {
             return id;
         }
-        let id = self.tape.leaf(self.store.get(name).clone());
+        let id = self.tape.leaf_ref(self.store.get(name));
         self.bound.insert(name.to_string(), id);
         id
     }
 
-    /// Inserts a non-trainable input tensor.
+    /// Inserts a non-trainable input tensor; backward computes no gradient
+    /// for it (differentiate w.r.t. an input with [`Tape::leaf`]).
     pub fn input(&mut self, t: Tensor) -> NodeId {
-        self.tape.leaf(t)
+        self.tape.constant(t)
     }
 
-    /// Runs backward from `loss` and collects gradients per parameter name.
+    /// Runs backward from the scalar `loss` and collects gradients per
+    /// parameter name.
     pub fn grads_by_name(&self, loss: NodeId) -> HashMap<String, Tensor> {
-        let grads: Gradients = self.tape.backward(loss);
+        self.by_name(self.tape.backward(loss))
+    }
+
+    /// [`Graph::grads_by_name`] from a root of any shape, seeded with a
+    /// downstream scalar's gradient w.r.t. it ([`Tape::backward_from`]).
+    pub fn grads_by_name_from(&self, root: NodeId, seed: Tensor) -> HashMap<String, Tensor> {
+        self.by_name(self.tape.backward_from(root, seed))
+    }
+
+    fn by_name(&self, mut grads: Gradients) -> HashMap<String, Tensor> {
         self.bound
             .iter()
-            .filter_map(|(name, &id)| grads.get(id).map(|g| (name.clone(), g.clone())))
+            .filter_map(|(name, &id)| grads.take(id).map(|g| (name.clone(), g)))
             .collect()
     }
 }

@@ -11,6 +11,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::tensor::Tensor;
+use std::borrow::Cow;
 
 /// Index of a node on the tape.
 pub type NodeId = usize;
@@ -62,27 +63,69 @@ enum Op {
 
 pub(crate) const LN_EPS: f32 = 1e-5;
 
+impl Op {
+    /// Whether `f` holds for any operand.
+    fn any_operand(&self, mut f: impl FnMut(NodeId) -> bool) -> bool {
+        match self {
+            Op::Leaf => false,
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b) => f(*a) || f(*b),
+            Op::Transpose(a)
+            | Op::Scale(a, _)
+            | Op::SoftmaxRows(a)
+            | Op::Gelu(a)
+            | Op::Relu(a)
+            | Op::MeanRows(a)
+            | Op::MeanAll(a)
+            | Op::SliceCols(a, _, _)
+            | Op::L2NormalizeRows(a)
+            | Op::CrossEntropyRows(a, _) => f(*a),
+            Op::LayerNormRows(x, gamma, beta) => f(*x) || f(*gamma) || f(*beta),
+            Op::ConcatCols(parts) | Op::ConcatRows(parts) => parts.iter().any(|&p| f(p)),
+        }
+    }
+}
+
 /// Gradients produced by [`Tape::backward`], indexed by [`NodeId`].
+///
+/// They are the gradients of the tape's differentiable leaves
+/// ([`Tape::leaf`], [`Tape::leaf_ref`]). An interior node's gradient is
+/// dropped as soon as it has been propagated to its operands, so a
+/// backward pass holds one frontier of the graph, not a second copy of it.
 pub struct Gradients {
     grads: Vec<Option<Tensor>>,
 }
 
 impl Gradients {
-    /// The gradient of the loss w.r.t. node `id`, if that node influenced
-    /// the loss.
+    /// The gradient of the root w.r.t. leaf `id`, if that leaf influenced
+    /// it.
     pub fn get(&self, id: NodeId) -> Option<&Tensor> {
         self.grads.get(id).and_then(|g| g.as_ref())
     }
+
+    /// Moves the gradient of leaf `id` out.
+    pub fn take(&mut self, id: NodeId) -> Option<Tensor> {
+        self.grads.get_mut(id).and_then(|g| g.take())
+    }
 }
 
-/// A recorded forward computation.
+/// A recorded forward computation. Leaf values are owned or borrowed for
+/// `'v` (a model's weights are borrowed, so a tape per clip costs no copy
+/// of them).
 #[derive(Default)]
-pub struct Tape {
+pub struct Tape<'v> {
     ops: Vec<Op>,
-    values: Vec<Tensor>,
+    values: Vec<Cow<'v, Tensor>>,
+    /// Per node: whether a differentiable leaf lies beneath it. Backward
+    /// computes no gradient for the others — constants and whatever is
+    /// built from constants alone.
+    needs_grad: Vec<bool>,
 }
 
-impl Tape {
+impl<'v> Tape<'v> {
     /// Creates an empty tape.
     pub fn new() -> Self {
         Tape::default()
@@ -103,33 +146,50 @@ impl Tape {
         &self.values[id]
     }
 
-    fn push(&mut self, op: Op, value: Tensor) -> NodeId {
-        debug_assert!(value.is_finite(), "non-finite forward value from {op:?}");
+    fn push_node(&mut self, op: Op, value: Cow<'v, Tensor>, needs_grad: bool) -> NodeId {
         self.ops.push(op);
         self.values.push(value);
+        self.needs_grad.push(needs_grad);
         self.ops.len() - 1
     }
 
-    /// Inserts an input or parameter tensor.
+    fn push(&mut self, op: Op, value: Tensor) -> NodeId {
+        let needs_grad = op.any_operand(|id| self.needs_grad[id]);
+        self.push_node(op, Cow::Owned(value), needs_grad)
+    }
+
+    /// Inserts a differentiable leaf: [`Tape::backward`] reports its
+    /// gradient.
     pub fn leaf(&mut self, t: Tensor) -> NodeId {
-        self.push(Op::Leaf, t)
+        self.push_node(Op::Leaf, Cow::Owned(t), true)
+    }
+
+    /// [`Tape::leaf`] over a borrowed tensor.
+    pub fn leaf_ref(&mut self, t: &'v Tensor) -> NodeId {
+        self.push_node(Op::Leaf, Cow::Borrowed(t), true)
+    }
+
+    /// Inserts a leaf the caller wants no gradient for (an input, a fixed
+    /// table); backward spends nothing on it.
+    pub fn constant(&mut self, t: Tensor) -> NodeId {
+        self.push_node(Op::Leaf, Cow::Owned(t), false)
     }
 
     /// `a @ b`.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.values[a].matmul(&self.values[b]);
+        let v = self.value(a).matmul(self.value(b));
         self.push(Op::MatMul(a, b), v)
     }
 
     /// Matrix transpose.
     pub fn transpose(&mut self, a: NodeId) -> NodeId {
-        let v = self.values[a].transposed();
+        let v = self.value(a).transposed();
         self.push(Op::Transpose(a), v)
     }
 
     /// Element-wise sum (same shapes).
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (va, vb) = (&self.values[a], &self.values[b]);
+        let (va, vb) = (self.value(a), self.value(b));
         assert_eq!((va.rows, va.cols), (vb.rows, vb.cols), "add shape mismatch");
         let data = va.data.iter().zip(&vb.data).map(|(x, y)| x + y).collect();
         let v = Tensor::from_vec(va.rows, va.cols, data);
@@ -138,7 +198,7 @@ impl Tape {
 
     /// Adds a `1 x C` bias to every row of an `R x C` tensor.
     pub fn add_row_broadcast(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (va, vb) = (&self.values[a], &self.values[b]);
+        let (va, vb) = (self.value(a), self.value(b));
         assert_eq!(vb.rows, 1, "bias must be 1 x C");
         assert_eq!(va.cols, vb.cols, "bias width mismatch");
         let mut v = va.clone();
@@ -152,7 +212,7 @@ impl Tape {
 
     /// Element-wise difference (same shapes).
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (va, vb) = (&self.values[a], &self.values[b]);
+        let (va, vb) = (self.value(a), self.value(b));
         assert_eq!((va.rows, va.cols), (vb.rows, vb.cols), "sub shape mismatch");
         let data = va.data.iter().zip(&vb.data).map(|(x, y)| x - y).collect();
         let v = Tensor::from_vec(va.rows, va.cols, data);
@@ -161,7 +221,7 @@ impl Tape {
 
     /// Element-wise product (same shapes).
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let (va, vb) = (&self.values[a], &self.values[b]);
+        let (va, vb) = (self.value(a), self.value(b));
         assert_eq!((va.rows, va.cols), (vb.rows, vb.cols), "mul shape mismatch");
         let data = va.data.iter().zip(&vb.data).map(|(x, y)| x * y).collect();
         let v = Tensor::from_vec(va.rows, va.cols, data);
@@ -170,49 +230,50 @@ impl Tape {
 
     /// Multiplies by a constant.
     pub fn scale(&mut self, a: NodeId, s: f32) -> NodeId {
-        let v = self.values[a].map(|x| x * s);
+        let v = self.value(a).map(|x| x * s);
         self.push(Op::Scale(a, s), v)
     }
 
     /// Row-wise softmax (numerically stabilized).
     pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
-        let va = &self.values[a];
+        let va = self.value(a);
         let mut v = va.clone();
         for r in 0..v.rows {
-            crate::kernels::softmax_row_scalar(v.row_mut(r));
+            crate::kernels::softmax_row(v.row_mut(r));
         }
         self.push(Op::SoftmaxRows(a), v)
     }
 
     /// Row-wise layer norm with learned `gamma` (gain) and `beta` (bias).
     pub fn layer_norm_rows(&mut self, x: NodeId, gamma: NodeId, beta: NodeId) -> NodeId {
-        let (vx, vg, vb) = (&self.values[x], &self.values[gamma], &self.values[beta]);
+        let (vx, vg, vb) = (self.value(x), self.value(gamma), self.value(beta));
         assert_eq!(vg.rows, 1);
         assert_eq!(vb.rows, 1);
         assert_eq!(vg.cols, vx.cols);
         assert_eq!(vb.cols, vx.cols);
         let mut v = vx.clone();
         for r in 0..v.rows {
-            crate::kernels::layer_norm_row_scalar(v.row_mut(r), &vg.data, &vb.data, LN_EPS);
+            crate::kernels::layer_norm_row(v.row_mut(r), &vg.data, &vb.data, LN_EPS);
         }
         self.push(Op::LayerNormRows(x, gamma, beta), v)
     }
 
     /// GELU activation (tanh approximation).
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
-        let v = self.values[a].map(gelu_fwd);
+        let mut v = self.value(a).clone();
+        crate::kernels::gelu_inplace(&mut v.data);
         self.push(Op::Gelu(a), v)
     }
 
     /// ReLU activation.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.values[a].map(|x| x.max(0.0));
+        let v = self.value(a).map(|x| x.max(0.0));
         self.push(Op::Relu(a), v)
     }
 
     /// Mean over rows (`R x C -> 1 x C`).
     pub fn mean_rows(&mut self, a: NodeId) -> NodeId {
-        let va = &self.values[a];
+        let va = self.value(a);
         let mut v = Tensor::zeros(1, va.cols);
         for r in 0..va.rows {
             for c in 0..va.cols {
@@ -227,14 +288,14 @@ impl Tape {
 
     /// Mean over all elements (`R x C -> 1 x 1`).
     pub fn mean_all(&mut self, a: NodeId) -> NodeId {
-        let va = &self.values[a];
+        let va = self.value(a);
         let m = va.data.iter().sum::<f32>() / va.len() as f32;
         self.push(Op::MeanAll(a), Tensor::scalar(m))
     }
 
     /// Column slice `[start, start+len)`.
     pub fn slice_cols(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
-        let va = &self.values[a];
+        let va = self.value(a);
         assert!(start + len <= va.cols, "slice out of range");
         let mut v = Tensor::zeros(va.rows, len);
         for r in 0..va.rows {
@@ -246,12 +307,12 @@ impl Tape {
     /// Column-wise concatenation of same-height tensors.
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty());
-        let rows = self.values[parts[0]].rows;
-        let total: usize = parts.iter().map(|&p| self.values[p].cols).sum();
+        let rows = self.value(parts[0]).rows;
+        let total: usize = parts.iter().map(|&p| self.value(p).cols).sum();
         let mut v = Tensor::zeros(rows, total);
         let mut off = 0;
         for &p in parts {
-            let vp = &self.values[p];
+            let vp = self.value(p);
             assert_eq!(vp.rows, rows, "concat_cols row mismatch");
             for r in 0..rows {
                 v.row_mut(r)[off..off + vp.cols].copy_from_slice(vp.row(r));
@@ -264,12 +325,12 @@ impl Tape {
     /// Row-wise concatenation of same-width tensors.
     pub fn concat_rows(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty());
-        let cols = self.values[parts[0]].cols;
-        let total: usize = parts.iter().map(|&p| self.values[p].rows).sum();
+        let cols = self.value(parts[0]).cols;
+        let total: usize = parts.iter().map(|&p| self.value(p).rows).sum();
         let mut v = Tensor::zeros(total, cols);
         let mut off = 0;
         for &p in parts {
-            let vp = &self.values[p];
+            let vp = self.value(p);
             assert_eq!(vp.cols, cols, "concat_rows col mismatch");
             v.data[off..off + vp.len()].copy_from_slice(&vp.data);
             off += vp.len();
@@ -279,7 +340,7 @@ impl Tape {
 
     /// Row-wise L2 normalization.
     pub fn l2_normalize_rows(&mut self, a: NodeId) -> NodeId {
-        let va = &self.values[a];
+        let va = self.value(a);
         let mut v = va.clone();
         for r in 0..v.rows {
             let row = v.row_mut(r);
@@ -293,7 +354,7 @@ impl Tape {
 
     /// Mean cross-entropy of each logit row against its target class.
     pub fn cross_entropy_rows(&mut self, logits: NodeId, targets: Vec<usize>) -> NodeId {
-        let vl = &self.values[logits];
+        let vl = self.value(logits);
         assert_eq!(vl.rows, targets.len(), "one target per row");
         let mut loss = 0.0;
         for (r, &t) in targets.iter().enumerate() {
@@ -310,28 +371,55 @@ impl Tape {
     /// Runs reverse-mode differentiation from `loss` (must be `1 x 1`).
     pub fn backward(&self, loss: NodeId) -> Gradients {
         assert_eq!(
-            (self.values[loss].rows, self.values[loss].cols),
+            (self.value(loss).rows, self.value(loss).cols),
             (1, 1),
             "backward() expects a scalar loss"
         );
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.ops.len()];
-        grads[loss] = Some(Tensor::scalar(1.0));
+        self.backward_from(loss, Tensor::scalar(1.0))
+    }
 
-        for id in (0..=loss).rev() {
-            let Some(g) = grads[id].take() else {
+    /// Reverse-mode differentiation from a root of any shape, given the
+    /// gradient `seed` of some downstream scalar w.r.t. `root` (same shape
+    /// as `root`): the result is that scalar's gradient w.r.t. the leaves.
+    /// This is how a graph cut in two is differentiated — the upper half's
+    /// gradient at the cut seeds the lower half — and it yields the bits
+    /// the uncut graph would, because a node's gradient is complete before
+    /// the walk reaches it either way.
+    pub fn backward_from(&self, root: NodeId, seed: Tensor) -> Gradients {
+        let v = self.value(root);
+        assert_eq!(
+            (seed.rows, seed.cols),
+            (v.rows, v.cols),
+            "seed gradient must have the root's shape"
+        );
+        let mut grads: Vec<Option<Tensor>> = vec![None; self.ops.len()];
+        if self.needs_grad[root] {
+            grads[root] = Some(seed);
+        }
+        for id in (0..=root).rev() {
+            // A leaf's gradient is the result; anything else is dropped
+            // once its operands have received their share.
+            if matches!(self.ops[id], Op::Leaf) {
                 continue;
-            };
-            self.backprop_node(id, &g, &mut grads);
-            grads[id] = Some(g);
+            }
+            if let Some(g) = grads[id].take() {
+                self.backprop_node(id, &g, &mut grads);
+            }
         }
         Gradients { grads }
     }
 
-    /// Accumulates `delta` into `grads[target]`.
-    fn accum(grads: &mut [Option<Tensor>], target: NodeId, delta: Tensor) {
+    /// Accumulates `delta()` into `grads[target]`, if `target` wants a
+    /// gradient at all. (A node that has a gradient has an operand that
+    /// wants one, so the closure only ever saves work on ops with several
+    /// operands: `features @ W` skips `g @ Wᵀ`, `x + positions` a copy.)
+    fn accum(&self, grads: &mut [Option<Tensor>], target: NodeId, delta: impl FnOnce() -> Tensor) {
+        if !self.needs_grad[target] {
+            return;
+        }
         match &mut grads[target] {
-            Some(g) => g.add_scaled(&delta, 1.0),
-            slot @ None => *slot = Some(delta),
+            Some(g) => g.add_scaled(&delta(), 1.0),
+            slot @ None => *slot = Some(delta()),
         }
     }
 
@@ -339,51 +427,47 @@ impl Tape {
         match &self.ops[id] {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
-                let (va, vb) = (&self.values[*a], &self.values[*b]);
-                Self::accum(grads, *a, g.matmul(&vb.transposed()));
-                Self::accum(grads, *b, va.transposed().matmul(g));
+                let (va, vb) = (self.value(*a), self.value(*b));
+                self.accum(grads, *a, || g.matmul(&vb.transposed()));
+                self.accum(grads, *b, || va.transposed().matmul(g));
             }
             Op::Transpose(a) => {
-                Self::accum(grads, *a, g.transposed());
+                self.accum(grads, *a, || g.transposed());
             }
             Op::Add(a, b) => {
-                Self::accum(grads, *a, g.clone());
-                Self::accum(grads, *b, g.clone());
+                self.accum(grads, *a, || g.clone());
+                self.accum(grads, *b, || g.clone());
             }
             Op::AddRowBroadcast(a, b) => {
-                Self::accum(grads, *a, g.clone());
-                let mut gb = Tensor::zeros(1, g.cols);
-                for r in 0..g.rows {
-                    for c in 0..g.cols {
-                        gb.data[c] += g.data[r * g.cols + c];
+                self.accum(grads, *a, || g.clone());
+                self.accum(grads, *b, || {
+                    let mut gb = Tensor::zeros(1, g.cols);
+                    for r in 0..g.rows {
+                        for c in 0..g.cols {
+                            gb.data[c] += g.data[r * g.cols + c];
+                        }
                     }
-                }
-                Self::accum(grads, *b, gb);
+                    gb
+                });
             }
             Op::Sub(a, b) => {
-                Self::accum(grads, *a, g.clone());
-                Self::accum(grads, *b, g.map(|x| -x));
+                self.accum(grads, *a, || g.clone());
+                self.accum(grads, *b, || g.map(|x| -x));
             }
             Op::Mul(a, b) => {
-                let (va, vb) = (&self.values[*a], &self.values[*b]);
-                let ga = Tensor::from_vec(
-                    g.rows,
-                    g.cols,
-                    g.data.iter().zip(&vb.data).map(|(x, y)| x * y).collect(),
-                );
-                let gb = Tensor::from_vec(
-                    g.rows,
-                    g.cols,
-                    g.data.iter().zip(&va.data).map(|(x, y)| x * y).collect(),
-                );
-                Self::accum(grads, *a, ga);
-                Self::accum(grads, *b, gb);
+                let (va, vb) = (self.value(*a), self.value(*b));
+                let times = |v: &Tensor| {
+                    let data = g.data.iter().zip(&v.data).map(|(x, y)| x * y).collect();
+                    Tensor::from_vec(g.rows, g.cols, data)
+                };
+                self.accum(grads, *a, || times(vb));
+                self.accum(grads, *b, || times(va));
             }
             Op::Scale(a, s) => {
-                Self::accum(grads, *a, g.map(|x| x * s));
+                self.accum(grads, *a, || g.map(|x| x * s));
             }
             Op::SoftmaxRows(a) => {
-                let y = &self.values[id];
+                let y = self.value(id);
                 let mut ga = Tensor::zeros(g.rows, g.cols);
                 for r in 0..g.rows {
                     let yr = y.row(r);
@@ -393,11 +477,11 @@ impl Tape {
                         ga.data[r * g.cols + c] = yr[c] * (gr[c] - dot);
                     }
                 }
-                Self::accum(grads, *a, ga);
+                self.accum(grads, *a, || ga);
             }
             Op::LayerNormRows(x, gamma, beta) => {
-                let vx = &self.values[*x];
-                let vg = &self.values[*gamma];
+                let vx = self.value(*x);
+                let vg = self.value(*gamma);
                 let n = vx.cols as f32;
                 let mut gx = Tensor::zeros(vx.rows, vx.cols);
                 let mut ggamma = Tensor::zeros(1, vx.cols);
@@ -426,12 +510,12 @@ impl Tape {
                         gbeta.data[c] += gr[c];
                     }
                 }
-                Self::accum(grads, *x, gx);
-                Self::accum(grads, *gamma, ggamma);
-                Self::accum(grads, *beta, gbeta);
+                self.accum(grads, *x, || gx);
+                self.accum(grads, *gamma, || ggamma);
+                self.accum(grads, *beta, || gbeta);
             }
             Op::Gelu(a) => {
-                let va = &self.values[*a];
+                let va = self.value(*a);
                 let ga = Tensor::from_vec(
                     g.rows,
                     g.cols,
@@ -441,10 +525,10 @@ impl Tape {
                         .map(|(gv, &x)| gv * gelu_bwd(x))
                         .collect(),
                 );
-                Self::accum(grads, *a, ga);
+                self.accum(grads, *a, || ga);
             }
             Op::Relu(a) => {
-                let va = &self.values[*a];
+                let va = self.value(*a);
                 let ga = Tensor::from_vec(
                     g.rows,
                     g.cols,
@@ -454,10 +538,10 @@ impl Tape {
                         .map(|(gv, &x)| if x > 0.0 { *gv } else { 0.0 })
                         .collect(),
                 );
-                Self::accum(grads, *a, ga);
+                self.accum(grads, *a, || ga);
             }
             Op::MeanRows(a) => {
-                let va = &self.values[*a];
+                let va = self.value(*a);
                 let mut ga = Tensor::zeros(va.rows, va.cols);
                 let inv = 1.0 / va.rows as f32;
                 for r in 0..va.rows {
@@ -465,46 +549,48 @@ impl Tape {
                         ga.data[r * va.cols + c] = g.data[c] * inv;
                     }
                 }
-                Self::accum(grads, *a, ga);
+                self.accum(grads, *a, || ga);
             }
             Op::MeanAll(a) => {
-                let va = &self.values[*a];
+                let va = self.value(*a);
                 let inv = g.item() / va.len() as f32;
-                Self::accum(grads, *a, Tensor::full(va.rows, va.cols, inv));
+                self.accum(grads, *a, || Tensor::full(va.rows, va.cols, inv));
             }
             Op::SliceCols(a, start, len) => {
-                let va = &self.values[*a];
+                let va = self.value(*a);
                 let mut ga = Tensor::zeros(va.rows, va.cols);
                 for r in 0..va.rows {
                     ga.row_mut(r)[*start..*start + *len].copy_from_slice(g.row(r));
                 }
-                Self::accum(grads, *a, ga);
+                self.accum(grads, *a, || ga);
             }
             Op::ConcatCols(parts) => {
                 let mut off = 0;
                 for &p in parts {
-                    let vp = &self.values[p];
-                    let mut gp = Tensor::zeros(vp.rows, vp.cols);
-                    for r in 0..vp.rows {
-                        gp.row_mut(r).copy_from_slice(&g.row(r)[off..off + vp.cols]);
-                    }
+                    let vp = self.value(p);
+                    self.accum(grads, p, || {
+                        let mut gp = Tensor::zeros(vp.rows, vp.cols);
+                        for r in 0..vp.rows {
+                            gp.row_mut(r).copy_from_slice(&g.row(r)[off..off + vp.cols]);
+                        }
+                        gp
+                    });
                     off += vp.cols;
-                    Self::accum(grads, p, gp);
                 }
             }
             Op::ConcatRows(parts) => {
                 let mut off = 0;
                 for &p in parts {
-                    let vp = &self.values[p];
-                    let gp =
-                        Tensor::from_vec(vp.rows, vp.cols, g.data[off..off + vp.len()].to_vec());
+                    let vp = self.value(p);
+                    self.accum(grads, p, || {
+                        Tensor::from_vec(vp.rows, vp.cols, g.data[off..off + vp.len()].to_vec())
+                    });
                     off += vp.len();
-                    Self::accum(grads, p, gp);
                 }
             }
             Op::L2NormalizeRows(a) => {
-                let va = &self.values[*a];
-                let y = &self.values[id];
+                let va = self.value(*a);
+                let y = self.value(id);
                 let mut ga = Tensor::zeros(va.rows, va.cols);
                 for r in 0..va.rows {
                     let xr = va.row(r);
@@ -516,10 +602,10 @@ impl Tape {
                         ga.data[r * va.cols + c] = (gr[c] - yr[c] * dot) / n;
                     }
                 }
-                Self::accum(grads, *a, ga);
+                self.accum(grads, *a, || ga);
             }
             Op::CrossEntropyRows(logits, targets) => {
-                let vl = &self.values[*logits];
+                let vl = self.value(*logits);
                 let scale = g.item() / targets.len() as f32;
                 let mut gl = Tensor::zeros(vl.rows, vl.cols);
                 for (r, &t) in targets.iter().enumerate() {
@@ -532,15 +618,13 @@ impl Tape {
                         gl.data[r * vl.cols + c] = scale * (p - if c == t { 1.0 } else { 0.0 });
                     }
                 }
-                Self::accum(grads, *logits, gl);
+                self.accum(grads, *logits, || gl);
             }
         }
     }
 }
 
 use crate::kernels::{GELU_A, GELU_C};
-
-pub(crate) use crate::kernels::gelu_scalar as gelu_fwd;
 
 fn gelu_bwd(x: f32) -> f32 {
     let u = GELU_C * (x + GELU_A * x * x * x);
@@ -748,6 +832,92 @@ mod tests {
             tape.backward(x);
         }));
         assert!(result.is_err());
+    }
+
+    /// `backward_from` a matrix root with seed `S` is the gradient of
+    /// `sum(root * S)`: checked against finite differences of exactly that
+    /// scalar, and against `backward` of the same graph closed with it.
+    #[test]
+    fn grad_seeded_backward_from_a_matrix_root() {
+        let build = |t: &mut Tape, ids: &[NodeId]| {
+            let xw = t.matmul(ids[0], ids[1]);
+            let h = t.gelu(xw);
+            let n = t.layer_norm_rows(h, ids[2], ids[3]);
+            t.l2_normalize_rows(n)
+        };
+        let inputs = [
+            randt(3, 4, 40),
+            randt(4, 5, 41),
+            randt(1, 5, 42),
+            randt(1, 5, 43),
+        ];
+        let seed = randt(3, 5, 44);
+
+        let mut tape = Tape::new();
+        let ids: Vec<NodeId> = inputs.iter().map(|t| tape.leaf_ref(t)).collect();
+        let root = build(&mut tape, &ids);
+        let seeded = tape.backward_from(root, seed.clone());
+
+        let closed = |t: &mut Tape, ids: &[NodeId]| {
+            let root = build(t, ids);
+            let s = t.constant(seed.clone());
+            let weighted = t.mul(root, s);
+            let mean = t.mean_all(weighted);
+            t.scale(mean, seed.len() as f32)
+        };
+        grad_check(&inputs, closed);
+        let mut tape = Tape::new();
+        let closed_ids: Vec<NodeId> = inputs.iter().map(|t| tape.leaf_ref(t)).collect();
+        let loss = closed(&mut tape, &closed_ids);
+        let whole = tape.backward(loss);
+        for (k, (&a, &b)) in ids.iter().zip(&closed_ids).enumerate() {
+            let (a, b) = (seeded.get(a).unwrap(), whole.get(b).unwrap());
+            for (x, y) in a.data.iter().zip(&b.data) {
+                assert!((x - y).abs() < 1e-5, "input {k}: seeded {x} vs closed {y}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "seed gradient must have the root's shape")]
+    fn backward_from_checks_the_seed_shape() {
+        let mut tape = Tape::new();
+        let x = tape.leaf(randt(2, 3, 45));
+        let y = tape.scale(x, 2.0);
+        tape.backward_from(y, randt(3, 2, 46));
+    }
+
+    /// Backward keeps what the caller can use — the gradients of
+    /// differentiable leaves — and spends nothing on constants, on nodes
+    /// built from constants alone, or on keeping interior gradients.
+    #[test]
+    fn backward_keeps_leaf_gradients_only() {
+        let mut tape = Tape::new();
+        let x = tape.constant(randt(4, 3, 47));
+        let w = tape.leaf(randt(3, 2, 48));
+        let table = tape.constant(randt(4, 2, 49));
+        let doubled = tape.scale(table, 2.0); // constants only beneath it
+        let xw = tape.matmul(x, w);
+        let sum = tape.add(xw, doubled);
+        let loss = tape.mean_all(sum);
+        assert!(!tape.needs_grad[doubled] && tape.needs_grad[xw]);
+        let grads = tape.backward(loss);
+        assert!(grads.get(w).is_some());
+        for (id, what) in [
+            (x, "a constant"),
+            (table, "a constant"),
+            (doubled, "a node over constants"),
+            (xw, "an interior node"),
+            (sum, "an interior node"),
+            (loss, "the root"),
+        ] {
+            assert!(grads.get(id).is_none(), "{what} kept a gradient");
+        }
+        // A root with nothing differentiable beneath it has no gradients.
+        assert!(tape
+            .backward_from(doubled, randt(4, 2, 50))
+            .get(table)
+            .is_none());
     }
 
     #[test]

@@ -142,28 +142,14 @@ impl Tensor {
         self.data[0]
     }
 
-    /// Matrix multiplication `self (R x K) @ other (K x C) -> R x C`.
-    ///
-    /// Straightforward ikj-ordered triple loop — cache-friendly on row-major
-    /// data and fast enough for the model sizes SketchQL trains.
+    /// Matrix multiplication `self (R x K) @ other (K x C) -> R x C`:
+    /// [`crate::kernels::matmul`], the register-tiled kernel on the widest
+    /// instruction set the CPU has, so the autograd tape (forward and
+    /// both products of its backward) and inference share one matmul.
+    /// Every variant is `==`-equal to the scalar reference loop, so
+    /// trained weights do not depend on the host.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols, other.rows, "matmul inner dim mismatch");
-        let (r, k, c) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(r, c);
-        for i in 0..r {
-            let out_row = &mut out.data[i * c..(i + 1) * c];
-            for kk in 0..k {
-                let a = self.data[i * k + kk];
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[kk * c..(kk + 1) * c];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += a * bv;
-                }
-            }
-        }
-        out
+        crate::kernels::matmul(self, other)
     }
 
     /// Transposed copy.

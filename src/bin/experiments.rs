@@ -70,7 +70,17 @@ fn main() {
 /// tables): learned-model F1 on four queries over one oracle-track video.
 fn exp_probe() {
     println!("PROBE. learned-model F1, one video, oracle tracks");
+    let started = Instant::now();
     let model = sketchql_suite::demo_model();
+    // Nearly all of the 218 s ROADMAP item 1 quotes for this probe was
+    // this call, training on one core with a scalar tape.
+    println!(
+        "  model ready in {:.1} s ({} steps on {} threads unless cached under {}; 218 s quoted for the whole probe on one core)",
+        started.elapsed().as_secs_f64(),
+        model.config.steps,
+        sketchql::training::training_threads(),
+        sketchql_suite::cache_dir().display()
+    );
     let video = generate_video(
         VideoConfig::standard(SceneFamily::UrbanIntersection),
         101,

@@ -24,7 +24,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::telemetry::{self, QueryTrace, TraceContext};
-use sketchql::training::{train_with_callback, TrainedModel, TrainingConfig};
+use sketchql::training::{train_with_callback, training_threads, TrainedModel, TrainingConfig};
 use sketchql::{
     append_frames, ingest_sharded, load_store_tier_dir, shard_set_dir_name, CancelToken,
     ClassicalSimilarity, IngestConfig, IngestProgress, Matcher, MatcherConfig, RetrievedMoment,
@@ -327,13 +327,21 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
         cfg.encoder.d_model, cfg.encoder.layers, cfg.steps
     );
     let every = (cfg.steps / 10).max(1);
+    let start = std::time::Instant::now();
     let model = train_with_callback(cfg, |step, loss| {
         if step % every == 0 {
             println!("  step {step:>5}  loss {loss:.3}");
         }
     });
+    let elapsed = start.elapsed().as_secs_f64();
     model.save(Path::new(out)).map_err(|e| e.to_string())?;
     println!("wrote {out} ({} parameters)", model.store.num_scalars());
+    println!(
+        "trained {} steps in {elapsed:.1} s ({:.1} steps/s) on {} threads",
+        model.config.steps,
+        model.config.steps as f64 / elapsed.max(1e-9),
+        training_threads()
+    );
     Ok(())
 }
 
