@@ -42,9 +42,6 @@ use crate::index::VideoIndex;
 use crate::similarity::{PreparedQuery, Similarity, SimilarityError};
 use crate::vstore::{hash_index, index_fingerprint};
 
-/// Bucket bounds for the window-score histogram (scores live in `[0, 1]`).
-const SCORE_BOUNDS: &[f64] = &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9];
-
 /// Matcher search parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatcherConfig {
@@ -348,10 +345,6 @@ impl<S: Similarity> Matcher<S> {
                     }
                 };
                 telemetry::counter(names::WINDOWS_PRUNED).add((windows - scored.len()) as u64);
-                let hist = telemetry::histogram(names::WINDOW_SCORE, SCORE_BOUNDS);
-                for m in &scored {
-                    hist.observe(m.score as f64);
-                }
                 Ok(self.rank(index, scored))
             })
             .collect()

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use sketchql_datasets::SyntheticVideo;
 use sketchql_telemetry::{self as telemetry, QueryTrace, TraceContext};
 use sketchql_tracker::{DetectorConfig, TrackerConfig};
-use sketchql_trajectory::{Clip, ObjectClass, TrajPoint, Trajectory};
+use sketchql_trajectory::{Clip, ObjectClass};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -499,15 +499,7 @@ impl SketchQL {
             .track_ids
             .iter()
             .filter_map(|id| index.tracks.iter().find(|t| t.id == *id))
-            .map(|t| {
-                let pts = t
-                    .points()
-                    .iter()
-                    .filter(|p| p.frame >= moment.start && p.frame <= moment.end)
-                    .map(|p| TrajPoint::new(p.frame - moment.start, p.bbox))
-                    .collect();
-                Trajectory::from_points(t.id, t.class, pts)
-            })
+            .map(|t| t.window(moment.start, moment.end))
             .collect();
         Ok(Clip::new(index.frame_width, index.frame_height, objects))
     }
@@ -626,7 +618,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sketchql_datasets::{generate_video, EventKind, SceneFamily, VideoConfig};
-    use sketchql_trajectory::Point2;
+    use sketchql_trajectory::{Point2, Trajectory};
     use telemetry::names;
 
     fn tiny_session() -> SketchQL {

@@ -26,21 +26,12 @@ use std::sync::OnceLock;
 /// forward. Bounds peak memory of the stacked activation tensors.
 const MAX_EMBED_BATCH: usize = 64;
 
-/// Bucket bounds for the embed-batch-size histogram.
-const BATCH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-
 /// Cached handle for the embedding counter: `embed_candidates` adds to
 /// it once per batch, so the registry lookup is paid once per process
 /// instead of per batch.
 fn embeds_counter() -> &'static telemetry::Counter {
     static C: OnceLock<&'static telemetry::Counter> = OnceLock::new();
     C.get_or_init(|| telemetry::counter(names::EMBEDDINGS_COMPUTED))
-}
-
-/// Cached handle for the embed-batch-size histogram.
-fn batch_histogram() -> &'static telemetry::Histogram {
-    static H: OnceLock<&'static telemetry::Histogram> = OnceLock::new();
-    H.get_or_init(|| telemetry::histogram(names::EMBED_BATCH_SIZE, BATCH_BOUNDS))
 }
 
 /// Errors from preparing a query for similarity search.
@@ -234,7 +225,6 @@ impl Similarity for LearnedSimilarity {
                 .iter()
                 .map(|&i| feats[i].as_ref().expect("chunk holds embeddable indices"))
                 .collect();
-            batch_histogram().observe(refs.len() as f64);
             let embeddings = self.encoder.embed_batch(&self.store, &refs);
             embeds_counter().add(refs.len() as u64);
             for (&i, e) in chunk.iter().zip(embeddings) {

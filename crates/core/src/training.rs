@@ -275,15 +275,9 @@ fn train_on(
     let steps = config.encoder.steps;
 
     let _run_span = telemetry::span(names::TRAINING_RUN);
-    // Per-step wall time, 1ms..10s.
-    let step_ms = telemetry::histogram(
-        names::TRAINING_STEP_MS,
-        &[1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0, 10000.0],
-    );
 
     let mut loss_history = Vec::with_capacity(config.steps);
     for step in 0..config.steps {
-        let step_start = std::time::Instant::now();
         // Sample a batch of (anchor, positive) views, skipping the rare
         // degenerate pair the featurizer rejects. Clip `2i` is pair `i`'s
         // anchor and clip `2i + 1` its positive.
@@ -322,9 +316,6 @@ fn train_on(
         );
         adam.step_scaled(&mut store, &grads, schedule.multiplier(step));
         loss_history.push(loss);
-
-        step_ms.observe(step_start.elapsed().as_secs_f64() * 1e3);
-
         progress(step, loss);
     }
 

@@ -822,7 +822,6 @@ impl ShardSet {
                 .map(|&c| entry.list_rows.get(c).copied().unwrap_or(0))
                 .sum();
             if rows == 0 {
-                telemetry::counter(names::SHARD_SKIPPED).inc();
                 continue;
             }
             let shard = self.loaded(i)?;

@@ -32,9 +32,6 @@ use crate::matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment};
 use crate::similarity::{LearnedSimilarity, PreparedQuery, Similarity};
 use crate::vshard::ShardSet;
 
-/// Bucket bounds for the rows-per-probe histogram.
-const PROBE_BOUNDS: &[f64] = &[8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0];
-
 /// Fingerprints a trained similarity model: the encoder's
 /// hyper-parameters plus every weight, bit-exact. Two models fingerprint
 /// equal iff they embed every clip identically, which is exactly when a
@@ -430,8 +427,6 @@ impl Matcher<LearnedSimilarity> {
 
         telemetry::counter(names::STORE_HITS).inc();
         telemetry::counter(names::STORE_PROBED).add(candidates.len() as u64);
-        telemetry::histogram(names::STORE_PROBE_ROWS, PROBE_BOUNDS)
-            .observe(candidates.len() as f64);
         Ok(StoreSearch {
             moments: self.rank(index, scored),
             from_store: true,

@@ -1276,7 +1276,6 @@ fn worker_loop(shared: &Shared) {
                     }
                     st.in_flight += batch.len();
                     telemetry::gauge(names::SERVER_QUEUE_DEPTH).set(st.queue.len() as f64);
-                    telemetry::gauge(names::SERVER_IN_FLIGHT).set(st.in_flight as f64);
                     break batch;
                 }
                 if !st.accepting {
@@ -1407,7 +1406,6 @@ impl Drop for BatchGuard<'_> {
         {
             let mut st = self.shared.state.lock().unwrap();
             st.in_flight -= self.members.len();
-            telemetry::gauge(names::SERVER_IN_FLIGHT).set(st.in_flight as f64);
         }
         for member in &self.members {
             // No-op for members the batch answered; a panic's survivors
@@ -1631,7 +1629,6 @@ fn tally(shared: &Shared, member: &Member, event: Event) {
             // quota; the only other refusal is shutdown.
             if let EngineError::Overloaded { .. } = err {
                 bump(&c.rejected);
-                count(names::SERVER_REJECTED_OVERLOAD);
                 count(names::SERVER_SHED_QUEUE_FULL);
             } else {
                 count(names::SERVER_SHED_SHUTDOWN);

@@ -67,4 +67,4 @@ pub use protocol::{
     PROTOCOL_VERSION,
 };
 pub use scrape::MetricsListener;
-pub use server::{named_datasets, Server, MAX_CONNECTIONS, MAX_REQUEST_BYTES};
+pub use server::{Server, MAX_CONNECTIONS, MAX_REQUEST_BYTES};

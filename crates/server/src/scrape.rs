@@ -3,8 +3,9 @@
 //! Serves the telemetry registry in Prometheus text exposition format
 //! over minimal HTTP/1.0, so a scraper (or `curl`) can poll the server
 //! without speaking the SketchQL wire protocol. One thread accepts, one
-//! short-lived thread per scrape; every request path answers with the
-//! full registry snapshot — there is nothing else to route.
+//! short-lived thread per scrape, at most `MAX_SCRAPES` at once; every
+//! request path answers with the full registry snapshot — there is
+//! nothing else to route.
 //!
 //! The listener is independent of [`Server`](crate::Server): it can run
 //! next to a wire server, next to a bare [`Engine`](crate::Engine), or
@@ -12,7 +13,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -23,6 +24,26 @@ use sketchql_telemetry as telemetry;
 /// up on it. Scrapers send one short request line; anything slower is
 /// not worth a thread.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Most scrapes served at once. Each holds a thread for up to one
+/// [`SCRAPE_TIMEOUT`] reading and one writing, so a connection accepted
+/// past the cap is answered `503` and closed: a socket flood costs the
+/// process a bounded number of threads.
+const MAX_SCRAPES: usize = 32;
+
+/// The reply to a connection past [`MAX_SCRAPES`].
+const BUSY_REPLY: &[u8] =
+    b"HTTP/1.0 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n";
+
+/// One in-flight scrape's share of the count; gives it back on drop —
+/// when the scrape ends, panics, or its thread never spawned.
+struct ScrapeSlot(Arc<AtomicUsize>);
+
+impl Drop for ScrapeSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
 
 /// A running metrics scrape endpoint.
 ///
@@ -44,6 +65,7 @@ impl MetricsListener {
         let running = Arc::new(AtomicBool::new(true));
         let accept_thread = {
             let running = Arc::clone(&running);
+            let in_flight = Arc::new(AtomicUsize::new(0));
             std::thread::Builder::new()
                 .name("sketchql-scrape".into())
                 .spawn(move || {
@@ -51,10 +73,21 @@ impl MetricsListener {
                         if !running.load(Ordering::SeqCst) {
                             break;
                         }
-                        let Ok(stream) = stream else { continue };
+                        let Ok(mut stream) = stream else { continue };
+                        // This loop is the only place the count grows, so
+                        // a check-then-add cannot overshoot the cap.
+                        if in_flight.load(Ordering::SeqCst) >= MAX_SCRAPES {
+                            let _ = stream.write_all(BUSY_REPLY);
+                            continue; // dropping the stream closes it
+                        }
+                        in_flight.fetch_add(1, Ordering::SeqCst);
+                        let slot = ScrapeSlot(Arc::clone(&in_flight));
                         let _ = std::thread::Builder::new()
                             .name("sketchql-scrape-conn".into())
-                            .spawn(move || serve_scrape(stream));
+                            .spawn(move || {
+                                let _slot = slot;
+                                serve_scrape(stream);
+                            });
                     }
                 })?
         };
@@ -117,4 +150,57 @@ fn serve_scrape(stream: TcpStream) {
         body
     );
     let _ = writer.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::time::Instant;
+
+    /// Everything `stream` receives until the listener closes it (or
+    /// resets it: a refused scraper that already sent its request may see
+    /// a reset instead of the reply, which reads as "not served").
+    fn read_reply(mut stream: TcpStream) -> String {
+        stream.set_read_timeout(Some(4 * SCRAPE_TIMEOUT)).unwrap();
+        let mut reply = String::new();
+        let _ = stream.read_to_string(&mut reply);
+        reply
+    }
+
+    /// The scrape cap: with [`MAX_SCRAPES`] idle sockets held, the next
+    /// connection is answered `503` at once and closed; once the held
+    /// sockets time out, a scrape is served again.
+    #[test]
+    fn a_scrape_past_the_cap_is_answered_503() {
+        let listener = MetricsListener::start("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr();
+        let held: Vec<TcpStream> = (0..MAX_SCRAPES)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+
+        let started = Instant::now();
+        let reply = read_reply(TcpStream::connect(addr).unwrap());
+        assert!(reply.starts_with("HTTP/1.0 503 "), "{reply:?}");
+        assert!(
+            started.elapsed() < SCRAPE_TIMEOUT,
+            "the refusal waited on a scrape timeout"
+        );
+
+        let deadline = Instant::now() + 5 * SCRAPE_TIMEOUT;
+        loop {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let _ = stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n");
+            if read_reply(stream).starts_with("HTTP/1.0 200 OK") {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "no slot freed by timed-out sockets"
+            );
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        drop(held);
+        listener.shutdown();
+    }
 }

@@ -14,7 +14,6 @@
 //! read timeout), and finally drains the engine — every already-admitted
 //! query is answered before the process exits.
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
@@ -114,7 +113,6 @@ impl Server {
                             break;
                         }
                         let Ok(mut stream) = stream else { continue };
-                        telemetry::counter(names::SERVER_CONNECTIONS).inc();
                         // Reap on accept, so the list tracks open
                         // connections, not every connection ever made.
                         let mut connections = connections.lock().unwrap();
@@ -437,26 +435,12 @@ fn resolve_sketch(
     }
 }
 
-/// Loads named [`VideoIndex`]es for [`Engine::start`] from `(name, index)`
-/// pairs, rejecting duplicate names.
-pub fn named_datasets<I>(pairs: I) -> Result<BTreeMap<String, sketchql::VideoIndex>, String>
-where
-    I: IntoIterator<Item = (String, sketchql::VideoIndex)>,
-{
-    let mut map = BTreeMap::new();
-    for (name, index) in pairs {
-        if map.insert(name.clone(), index).is_some() {
-            return Err(format!("duplicate dataset name {name:?}"));
-        }
-    }
-    Ok(map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Client, EngineConfig};
     use sketchql::training::{train, TrainingConfig};
+    use std::collections::BTreeMap;
     use std::time::Instant;
 
     /// A long-lived server tracks the connections that are open, not

@@ -42,6 +42,12 @@ fn concurrent_scrapes_during_queries_stay_consistent() {
     let server = start_server(2);
     let addr = server.local_addr();
     let stop = Arc::new(AtomicBool::new(false));
+    // One query completes before the first scrape, so the watched
+    // counter is on every scrape and must read positive by the last.
+    Client::connect(addr)
+        .unwrap()
+        .query_event("beta", "u_turn", Some(3), None)
+        .unwrap();
 
     std::thread::scope(|scope| {
         for _ in 0..2 {
@@ -57,8 +63,6 @@ fn concurrent_scrapes_during_queries_stay_consistent() {
             .map(|_| {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
-                    // Counters register lazily, so early scrapes may not
-                    // export `completed` yet — treat absent as 0.
                     let mut last_completed = 0.0f64;
                     for _ in 0..10 {
                         let text = client.metrics_text().unwrap();
@@ -74,7 +78,7 @@ fn concurrent_scrapes_during_queries_stay_consistent() {
                             );
                         }
                         let completed =
-                            sample_value(&text, "sketchql_server_completed").unwrap_or(0.0);
+                            sample_value(&text, "sketchql_server_queries_completed").unwrap_or(0.0);
                         assert!(
                             completed >= last_completed,
                             "counter went backwards: {completed} < {last_completed}"
@@ -82,6 +86,10 @@ fn concurrent_scrapes_during_queries_stay_consistent() {
                         last_completed = completed;
                         std::thread::sleep(std::time::Duration::from_millis(50));
                     }
+                    assert!(
+                        last_completed > 0.0,
+                        "sketchql_server_queries_completed never read positive"
+                    );
                 })
             })
             .collect();

@@ -9,7 +9,6 @@ use std::fmt::Write;
 /// Serializes the full metric registry as a JSON object:
 /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
 pub fn snapshot_json() -> String {
-    publish_process_gauges();
     let snap = MetricsSnapshot::capture();
     let mut out = String::new();
     out.push_str("{\"counters\":{");
@@ -49,42 +48,20 @@ pub fn snapshot_json() -> String {
     out
 }
 
-/// Refreshes the process-level resource gauges from the counting
-/// allocator so every export carries current numbers.
-fn publish_process_gauges() {
-    let (bytes, count) = crate::alloc::process_allocated();
-    crate::metrics::gauge(crate::names::RESOURCE_PROCESS_ALLOC_BYTES).set(bytes as f64);
-    crate::metrics::gauge(crate::names::RESOURCE_PROCESS_ALLOC_COUNT).set(count as f64);
-}
-
 /// One-line `# HELP` text for a metric family, keyed by the dotted
 /// (unsanitized) name. Families without a curated line get a generic
 /// one so the exposition is still well-formed.
 fn prom_help(name: &str) -> &'static str {
     use crate::names;
     match name {
-        names::RESOURCE_ALLOC_BYTES => "Heap bytes attributed to finalized query traces.",
-        names::RESOURCE_ALLOC_COUNT => "Heap allocations attributed to finalized query traces.",
         names::RESOURCE_CPU_NANOS => "CPU nanoseconds attributed to finalized query traces.",
-        names::RESOURCE_QUERY_ALLOC_KB => "Per-query attributed heap allocation, KiB.",
-        names::RESOURCE_QUERY_CPU_MS => "Per-query attributed CPU time, milliseconds.",
-        names::RESOURCE_PROCESS_ALLOC_BYTES => {
-            "Cumulative heap bytes allocated by the process (not live heap)."
-        }
-        names::RESOURCE_PROCESS_ALLOC_COUNT => "Cumulative heap allocations by the process.",
-        names::RESOURCE_PROFILE_SAMPLES => "Sampling ticks taken by the cooperative profiler.",
         names::SERVER_QUEUE_DEPTH => "Queries waiting in the admission queue.",
-        names::SERVER_IN_FLIGHT => "Queries currently executing on workers.",
         names::SERVER_QUEUE_WAIT_MS => "Milliseconds queries waited in the admission queue.",
         names::SERVER_EXECUTE_MS => "Milliseconds queries spent executing on a worker.",
         names::SERVER_DEADLINE_MARGIN_MS => {
             "Milliseconds between query completion and its deadline (negative = late)."
         }
-        names::WINDOW_SCORE => "Similarity score of each scored window.",
-        names::EMBED_BATCH_SIZE => "Clips per batched encoder forward pass.",
-        names::TRAINING_STEP_MS => "Per-training-step wall time, milliseconds.",
         names::SERVER_FUSED_BATCH => "Queries fused into one shared engine scan.",
-        names::STORE_PROBE_ROWS => "Rows returned per ANN probe.",
         names::EMBED_MEMO_BYTES => "Payload bytes held by per-index embedding memos.",
         names::EMBED_MEMO_SEGMENTS => "Segments remembered by per-index embedding memos.",
         names::EMBED_MEMO_RESETS => "Embedding memos emptied on passing their byte budget.",
@@ -92,7 +69,6 @@ fn prom_help(name: &str) -> &'static str {
         names::SHARD_LOADS => "Shard files faulted in on first probe.",
         names::SHARD_LOAD_ERRORS => "Shard loads that failed (corrupt or unreadable shards).",
         names::SHARD_PROBES => "Shards consulted (loaded and gathered) by probes.",
-        names::SHARD_SKIPPED => "Shards skipped by probes via manifest list counts.",
         names::SHARD_BYTES_MAPPED => "Bytes of shard payload currently memory-mapped.",
         _ => "SketchQL metric; see the names module in crates/telemetry.",
     }
@@ -103,7 +79,6 @@ fn prom_help(name: &str) -> &'static str {
 /// family gets one `# HELP` and one `# TYPE` line; histogram buckets
 /// use cumulative `le` labels, ending with `le="+Inf"`.
 pub fn snapshot_prometheus() -> String {
-    publish_process_gauges();
     let snap = MetricsSnapshot::capture();
     let mut out = String::new();
     for (name, v) in &snap.counters {

@@ -47,7 +47,7 @@ mod slowlog;
 mod span;
 mod trace;
 
-pub use alloc::{process_allocated, thread_allocated, CountingAlloc};
+pub use alloc::{thread_allocated, CountingAlloc};
 pub use cpu::{current_tid, thread_cpu_nanos, tid_cpu_nanos};
 pub use export::{snapshot_json, snapshot_prometheus};
 pub use flight::{
@@ -61,8 +61,7 @@ pub use profiler::{
     ProfileReport,
 };
 pub use slowlog::{
-    configure_slow_query_log, configure_slow_query_log_path, configure_slow_query_log_path_capped,
-    disable_slow_query_log,
+    configure_slow_query_log, configure_slow_query_log_path_capped, disable_slow_query_log,
 };
 pub use span::{span, SpanGuard, SpanRecord};
 pub use trace::{
@@ -94,8 +93,6 @@ pub mod names {
     pub const WINDOWS_ENUMERATED: &str = "sketchql.matcher.windows_enumerated";
     /// Counter: windows discarded before scoring (no eligible tracks).
     pub const WINDOWS_PRUNED: &str = "sketchql.matcher.windows_pruned";
-    /// Histogram: similarity score of each scored window.
-    pub const WINDOW_SCORE: &str = "sketchql.matcher.window_score";
     /// Counter: candidate-segment look-ups that paid no encoder row — the
     /// `(track_ids, start, end)` segment was in the index's embedding
     /// memo (an earlier scan embedded it) or already queued by this scan.
@@ -117,37 +114,27 @@ pub mod names {
     pub const EMBEDDINGS_COMPUTED: &str = "sketchql.similarity.embeddings_computed";
     /// Counter: similarity evaluations (query vs. candidate).
     pub const SIMILARITY_EVALS: &str = "sketchql.similarity.evals";
-    /// Histogram: clips per batched encoder forward pass.
-    pub const EMBED_BATCH_SIZE: &str = "sketchql.similarity.embed_batch_size";
 
     /// Span: one ByteTrack association run over a full detection stream.
     pub const TRACKER_ASSOCIATE: &str = "sketchql.tracker.associate";
 
     /// Span: one full training run.
     pub const TRAINING_RUN: &str = "sketchql.training.run";
-    /// Histogram: per-step wall time in milliseconds.
-    pub const TRAINING_STEP_MS: &str = "sketchql.training.step_ms";
 
     /// Gauge: queries waiting in the server's admission queue.
     pub const SERVER_QUEUE_DEPTH: &str = "sketchql.server.queue_depth";
-    /// Gauge: queries currently executing on server workers.
-    pub const SERVER_IN_FLIGHT: &str = "sketchql.server.in_flight";
     /// Histogram: milliseconds a query waited in the admission queue.
     pub const SERVER_QUEUE_WAIT_MS: &str = "sketchql.server.queue_wait_ms";
     /// Histogram: milliseconds a query spent executing on a worker.
     pub const SERVER_EXECUTE_MS: &str = "sketchql.server.execute_ms";
     /// Counter: queries admitted into the queue.
     pub const SERVER_ACCEPTED: &str = "sketchql.server.queries_accepted";
-    /// Counter: queries rejected at admission because the queue was full.
-    pub const SERVER_REJECTED_OVERLOAD: &str = "sketchql.server.queries_rejected_overload";
     /// Counter: queries whose deadline expired (in queue or mid-search).
     pub const SERVER_TIMED_OUT: &str = "sketchql.server.queries_timed_out";
     /// Counter: queries completed successfully.
     pub const SERVER_COMPLETED: &str = "sketchql.server.queries_completed";
     /// Counter: queries that failed with a non-deadline error.
     pub const SERVER_FAILED: &str = "sketchql.server.queries_failed";
-    /// Counter: TCP connections accepted by the wire server.
-    pub const SERVER_CONNECTIONS: &str = "sketchql.server.connections";
     /// Counter: wire requests handled (any type, any outcome).
     pub const SERVER_REQUESTS: &str = "sketchql.server.requests";
     /// Histogram: queries fused into one shared engine scan.
@@ -165,7 +152,8 @@ pub mod names {
     /// Histogram: milliseconds between a query finishing and its
     /// deadline (negative = the deadline had already passed).
     pub const SERVER_DEADLINE_MARGIN_MS: &str = "sketchql.server.deadline_margin_ms";
-    /// Counter: queries shed at admission because the queue was full.
+    /// Counter: queries shed at admission because the queue, or the
+    /// query's class quota, was full.
     pub const SERVER_SHED_QUEUE_FULL: &str = "sketchql.server.shed_queue_full";
     /// Counter: queries shed at admission during shutdown.
     pub const SERVER_SHED_SHUTDOWN: &str = "sketchql.server.shed_shutdown";
@@ -212,8 +200,6 @@ pub mod names {
     /// Counter: store rows probed (retrieved from inverted lists and
     /// exactly re-ranked).
     pub const STORE_PROBED: &str = "sketchql.store.rows_probed";
-    /// Histogram: rows returned per ANN probe.
-    pub const STORE_PROBE_ROWS: &str = "sketchql.store.probe_rows";
     /// Span: one ANN probe + exact re-rank against a persistent store.
     pub const STORE_PROBE: &str = "sketchql.store.probe";
 
@@ -230,9 +216,6 @@ pub mod names {
     /// Counter: shards consulted by probes (loaded and their posting
     /// lists gathered).
     pub const SHARD_PROBES: &str = "sketchql.shard.probes";
-    /// Counter: shards skipped by probes without loading because the
-    /// manifest showed no rows under any probed centroid.
-    pub const SHARD_SKIPPED: &str = "sketchql.shard.skipped";
     /// Gauge: bytes of shard files currently memory-mapped across every
     /// attached shard set (published at attach and on drop).
     pub const SHARD_BYTES_MAPPED: &str = "sketchql.shard.bytes_mapped";
@@ -257,21 +240,6 @@ pub mod names {
     /// possibly parallel encoder pass).
     pub const MATCHER_EMBED: &str = "sketchql.matcher.embed";
 
-    /// Counter: heap bytes attributed to finalized query traces.
-    pub const RESOURCE_ALLOC_BYTES: &str = "sketchql.resource.alloc_bytes";
-    /// Counter: heap allocations attributed to finalized query traces.
-    pub const RESOURCE_ALLOC_COUNT: &str = "sketchql.resource.alloc_count";
     /// Counter: CPU nanoseconds attributed to finalized query traces.
     pub const RESOURCE_CPU_NANOS: &str = "sketchql.resource.cpu_nanos";
-    /// Histogram: per-query attributed heap allocation, KiB.
-    pub const RESOURCE_QUERY_ALLOC_KB: &str = "sketchql.resource.query_alloc_kb";
-    /// Histogram: per-query attributed CPU time, milliseconds.
-    pub const RESOURCE_QUERY_CPU_MS: &str = "sketchql.resource.query_cpu_ms";
-    /// Gauge: cumulative heap bytes allocated by the process (pressure,
-    /// not live heap).
-    pub const RESOURCE_PROCESS_ALLOC_BYTES: &str = "sketchql.resource.process_alloc_bytes";
-    /// Gauge: cumulative heap allocations made by the process.
-    pub const RESOURCE_PROCESS_ALLOC_COUNT: &str = "sketchql.resource.process_alloc_count";
-    /// Counter: sampling ticks taken by the cooperative profiler.
-    pub const RESOURCE_PROFILE_SAMPLES: &str = "sketchql.resource.profile_samples";
 }

@@ -179,7 +179,6 @@ fn sample_once(cpu_last: &mut BTreeMap<u64, u64>, report: &mut ProfileReport) {
         entry.cpu_nanos += cpu_delta;
         report.samples += 1;
     }
-    crate::metrics::counter(crate::names::RESOURCE_PROFILE_SAMPLES).add(1);
 }
 
 /// Primes per-tid CPU baselines so the first counted tick measures a

@@ -96,12 +96,6 @@ pub fn configure_slow_query_log(writer: Box<dyn Write + Send>, threshold: Durati
     });
 }
 
-/// Routes the slow-query log to a file (created or appended to),
-/// unbounded.
-pub fn configure_slow_query_log_path(path: &Path, threshold: Duration) -> io::Result<()> {
-    configure_slow_query_log_path_capped(path, threshold, None)
-}
-
 /// Routes the slow-query log to a file (created or appended to). With
 /// `max_bytes` set, the file rotates to `<path>.1` once a write would
 /// push it past the cap, keeping exactly one predecessor.

@@ -108,16 +108,6 @@ pub fn parse_trace_id(s: &str) -> Option<u64> {
     }
 }
 
-/// Buckets for the per-query attributed-allocation histogram, KiB.
-const QUERY_ALLOC_KB_BOUNDS: &[f64] = &[
-    16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0,
-];
-
-/// Buckets for the per-query attributed-CPU histogram, milliseconds.
-const QUERY_CPU_MS_BOUNDS: &[f64] = &[
-    0.1, 0.5, 1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0, 5000.0,
-];
-
 #[derive(Debug)]
 struct TraceMeta {
     label: String,
@@ -173,13 +163,7 @@ impl TraceInner {
                 spans,
             })
         };
-        crate::metrics::counter(crate::names::RESOURCE_ALLOC_BYTES).add(alloc_bytes);
-        crate::metrics::counter(crate::names::RESOURCE_ALLOC_COUNT).add(alloc_count);
         crate::metrics::counter(crate::names::RESOURCE_CPU_NANOS).add(cpu_nanos);
-        crate::metrics::histogram(crate::names::RESOURCE_QUERY_ALLOC_KB, QUERY_ALLOC_KB_BOUNDS)
-            .observe(alloc_bytes as f64 / 1024.0);
-        crate::metrics::histogram(crate::names::RESOURCE_QUERY_CPU_MS, QUERY_CPU_MS_BOUNDS)
-            .observe(cpu_nanos as f64 / 1e6);
         flight_recorder().record(Arc::clone(&trace));
         slowlog::observe_trace(&trace);
         Some(trace)

@@ -182,3 +182,57 @@ fn table_renderer_includes_stages_and_counters() {
     // A counter the query never touched has no row.
     assert!(!table.contains(tel::names::STORE_HITS));
 }
+
+/// README cites only names that exist: every dotted `sketchql.<a>.<b>`
+/// name in it is a `pub const` of the `names` module. An abbreviated
+/// `` `.suffix` `` code span names a sibling of the last full name before
+/// it in the same paragraph (its last segment swapped for the suffix);
+/// the per-class `sketchql.server.class.<class>.*` family is built at
+/// run time and allowed as a family.
+#[test]
+fn readme_cites_only_names_that_exist() {
+    let consts: std::collections::BTreeSet<&str> = include_str!("../src/lib.rs")
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("pub const "))
+        .filter_map(|l| l.split_once(" = \"")?.1.strip_suffix("\";"))
+        .collect();
+    let is_name_char = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || "_.".contains(c);
+    let mut cited = Vec::new();
+    let mut last_full = String::new();
+    for line in include_str!("../../../README.md").lines() {
+        if line.trim().is_empty() {
+            last_full.clear();
+        }
+        // Odd pieces of a backtick split are code spans.
+        for (i, piece) in line.split('`').enumerate() {
+            if i % 2 == 1 && piece.starts_with('.') && piece[1..].chars().all(is_name_char) {
+                if let Some((family, _)) = last_full.rsplit_once('.') {
+                    cited.push(format!("{family}{piece}"));
+                }
+                continue;
+            }
+            for (at, _) in piece.match_indices("sketchql.") {
+                let rest = &piece[at..];
+                let end = rest.find(|c| !is_name_char(c)).unwrap_or(rest.len());
+                // `sketchql.server.class.<class>` keeps its dot: a family.
+                let name = match rest[end..].starts_with('<') {
+                    true => &rest[..end],
+                    false => rest[..end].trim_end_matches('.'),
+                };
+                if name.matches('.').count() >= 2 {
+                    last_full = name.to_string();
+                    cited.push(last_full.clone());
+                }
+            }
+        }
+    }
+    assert!(cited.len() > 50, "the lint must see README's names");
+    let unknown: Vec<&String> = cited
+        .iter()
+        .filter(|n| !consts.contains(n.as_str()) && !n.starts_with("sketchql.server.class."))
+        .collect();
+    assert!(
+        unknown.is_empty(),
+        "README cites unknown names: {unknown:?}"
+    );
+}
