@@ -123,15 +123,24 @@ fn write_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array / object nesting the parser accepts (upstream
+/// serde_json's default). The parser recurses once per level, so without
+/// a cap one line of `[`s overflows a thread's stack; the cap also bounds
+/// the recursive drop of the parsed [`Value`].
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 fn parse_value_complete(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -206,14 +215,29 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(c) => Err(Error::new(format!(
                 "unexpected character {:?} at offset {}",
                 c as char, self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper; past
+    /// [`MAX_DEPTH`] levels it is an error instead.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -324,6 +348,9 @@ impl<'a> Parser<'a> {
                                     return Err(Error::new("unpaired surrogate"));
                                 }
                                 let lo = self.parse_hex4()?;
+                                if !(0xDC00..=0xDFFF).contains(&lo) {
+                                    return Err(Error::new("unpaired surrogate"));
+                                }
                                 let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(combined)
                                     .ok_or_else(|| Error::new("invalid surrogate pair"))?
@@ -411,6 +438,44 @@ mod tests {
         };
         let back = parse_value_complete(&text).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn a_high_surrogate_joins_only_a_low_one() {
+        let parse = |s: &str| parse_value_complete(s);
+        assert_eq!(
+            parse("\"\\uD83D\\uDE00\""),
+            Ok(Value::Str("\u{1F600}".into()))
+        );
+        assert_eq!(
+            parse("\"\\uDBFF\\uDFFF\""),
+            Ok(Value::Str("\u{10FFFF}".into()))
+        );
+        // A second high surrogate, or a code point past the low range,
+        // once decoded silently to U+FFFF / U+10400.
+        for bad in [
+            "\"\\uD800\\uDBFF\"",
+            "\"\\uD800\\uE000\"",
+            "\"\\uD800\\u0041\"",
+            "\"\\uD800x\"",
+        ] {
+            assert_eq!(parse(bad), Err(Error::new("unpaired surrogate")), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value_complete(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_value_complete(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse_value_complete(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse_value_complete(&objects(MAX_DEPTH + 1)).is_err());
+        // Far past the cap: an error, not a stack overflow.
+        assert!(parse_value_complete(&"[".repeat(100_000)).is_err());
+        // Depth is nesting, not count: many siblings at one level are fine.
+        let wide = format!("[{}[]]", "[],".repeat(10 * MAX_DEPTH));
+        assert!(parse_value_complete(&wide).is_ok());
     }
 
     #[test]

@@ -19,14 +19,16 @@
 //! over it, and the store planner
 //! (`Matcher::search_stored`, in [`vstore`](crate::vstore)) sends every member it
 //! cannot serve through it. For embedding-based similarities the scan
-//! (1) enumerates every member's candidates, resolving each segment
-//! against the index's embedding memo ([`embed_cache`](crate::embed_cache))
-//! and queueing the ones it does not know, each once for the batch; (2)
-//! embeds those in batched encoder forwards across worker threads and
-//! publishes them to the memo; (3) scores every member's candidates from
-//! their slots. This returns byte-identical moments to the direct
-//! per-candidate path while embedding each distinct segment once per
-//! index and model — a window grid asked a second time costs look-ups.
+//! (1) looks every member's windows up in the index's window memo
+//! ([`embed_cache`](crate::embed_cache)), scoring a remembered window's
+//! rows in place, eight candidates at a time, and enumerating the others
+//! — each once for the batch, each new segment queued once; (2) embeds
+//! the queued segments in batched encoder forwards across worker threads
+//! and publishes the enumerated windows to the memo; (3) scores those
+//! windows the same way. This returns byte-identical moments to the
+//! direct per-candidate path while embedding each distinct segment once
+//! per index and model — a window grid asked a second time costs one
+//! look-up per window.
 
 use serde::{Deserialize, Serialize};
 use sketchql_telemetry::{self as telemetry, names};
@@ -36,7 +38,9 @@ use std::collections::HashSet;
 use std::fmt;
 
 use crate::cancel::{CancelReason, CancelToken};
-use crate::embed_cache::{try_embed_clips_parallel, ScanSlots, SegmentKey, Slot};
+use crate::embed_cache::{
+    try_embed_clips_parallel, Lookup, ScanSlots, SegmentKey, Window, WindowBatch, WindowKey,
+};
 use crate::grid;
 use crate::index::VideoIndex;
 use crate::similarity::{PreparedQuery, Similarity, SimilarityError};
@@ -235,18 +239,20 @@ impl<S: Similarity> Matcher<S> {
     /// 1. **Set up**, per member under its own token: settle degenerate
     ///    queries to an empty result, prepare the query, enumerate its
     ///    windows, drop those ending before `min_end` (the epoch scope —
-    ///    applied before scoring, so `top_k` acts within it), and resolve
-    ///    every candidate segment to a slot of one [`ScanSlots`] shared
-    ///    by the whole batch: a row the index's memo already holds, or a
-    ///    clip queued for the encoder.
+    ///    applied before scoring, so `top_k` acts within it), and look
+    ///    each window up: a window the index's memo remembers is scored
+    ///    there and then; any other is enumerated into one [`ScanSlots`]
+    ///    shared by the whole batch, its new segments queued for the
+    ///    encoder.
     /// 2. **Embed** the queued segments in one batched encoder pass and
-    ///    publish them to the memo. Candidate embeddings depend only on
-    ///    the index and the model, not on the query, so K look-alike
-    ///    members — in this batch or in any later scan — pay for the
-    ///    encoder once. The pass stops only when no member still waiting
-    ///    for it has a live token, and then publishes nothing.
-    /// 3. **Score** each member's candidates from their slots, under its
-    ///    own token.
+    ///    publish the enumerated windows to the memo. A window's
+    ///    candidates depend only on the index, the model and its key, not
+    ///    on the query, so K look-alike members — in this batch or in any
+    ///    later scan — pay for the encoder once. The pass stops only when
+    ///    no member still waiting for it has a live token, and then
+    ///    publishes nothing.
+    /// 3. **Score** each member's enumerated windows from the pass, under
+    ///    its own token.
     /// 4. **Rank** them (sort, NMS, top-k, refinement).
     ///
     /// A member's result does not depend on what else is in the batch: it
@@ -264,7 +270,7 @@ impl<S: Similarity> Matcher<S> {
         min_end: Option<u32>,
     ) -> Vec<Result<Vec<RetrievedMoment>, MatchError>> {
         enum Candidates {
-            Interned(Vec<WindowCandidates>),
+            Windows(Vec<Scored>),
             Scored(Vec<RetrievedMoment>),
         }
         let _search_span = telemetry::span(names::MATCHER_SEARCH);
@@ -280,6 +286,8 @@ impl<S: Similarity> Matcher<S> {
         let mut slots = ScanSlots::default();
         // The tokens of the members whose candidates await the encoder pass.
         let mut waiting: Vec<&CancelToken> = Vec::new();
+        // Lane-scoring scratch, one window's worth, reused by every window.
+        let mut scores: Vec<f32> = Vec::new();
 
         // `None` settles a degenerate member to an empty result.
         type Setup = Option<(PreparedQuery, usize, Candidates)>;
@@ -301,13 +309,20 @@ impl<S: Similarity> Matcher<S> {
                 }
                 telemetry::counter(names::WINDOWS_ENUMERATED).add(windows.len() as u64);
                 let candidates = match model {
-                    // A segment key holds what the encoder can take.
+                    // A window key holds what the encoder can take.
                     Some(model) if classes.len() <= MAX_OBJECTS => {
-                        let per_window = self.enumerate_candidates(
-                            index, model, &classes, &windows, &mut slots, cancel,
+                        let per_window = self.resolve_windows(
+                            index,
+                            model,
+                            &classes,
+                            &prepared,
+                            &windows,
+                            &mut slots,
+                            &mut scores,
+                            cancel,
                         )?;
                         waiting.push(cancel);
-                        Candidates::Interned(per_window)
+                        Candidates::Windows(per_window)
                     }
                     _ => Candidates::Scored(
                         self.scan_direct(index, &classes, &prepared, &windows, cancel)?,
@@ -323,8 +338,9 @@ impl<S: Similarity> Matcher<S> {
             let _embed_span = telemetry::span(names::MATCHER_EMBED);
             try_embed_clips_parallel(&self.sim, slots.clips(), self.config.threads, &waiting)
         };
-        if let (Some(model), Some(fresh)) = (model, &fresh) {
-            slots.publish(&index.memo, model, fresh);
+        let batch = fresh.map(|fresh| slots.finish(&fresh));
+        if let (Some(model), Some(batch)) = (model, &batch) {
+            index.memo.publish(model, batch);
         }
 
         setups
@@ -336,12 +352,12 @@ impl<S: Similarity> Matcher<S> {
                 };
                 let scored = match candidates {
                     Candidates::Scored(scored) => scored,
-                    Candidates::Interned(per_window) => {
+                    Candidates::Windows(per_window) => {
                         cancel.check()?;
-                        let fresh = fresh
+                        let batch = batch
                             .as_ref()
                             .expect("the pass stops only once every waiting token has tripped");
-                        self.score_candidates(&prepared, per_window, &slots, fresh, cancel)?
+                        self.score_pending(&prepared, per_window, batch, &mut scores, cancel)?
                     }
                 };
                 telemetry::counter(names::WINDOWS_PRUNED).add((windows - scored.len()) as u64);
@@ -484,100 +500,140 @@ impl<S: Similarity> Matcher<S> {
         best
     }
 
-    /// Phase 1 of the embedding scan: enumerate every window's candidates,
-    /// resolving each segment to a slot of `slots` — from the index's
-    /// memo under `model`, or queued for the encoder. A window's
-    /// candidate list holds the segment (bound track ids in slot order)
-    /// and its slot, in combination order, for every distinct non-empty
-    /// candidate. `slots` is shared across the batch's members: a
-    /// segment is `(track_ids, start, end)`, which is query-independent.
-    /// The memo's read lock is taken per window.
-    fn enumerate_candidates(
+    /// Phase 1 of the embedding scan: every window of `windows`, in
+    /// order, under its [`WindowKey`] for `classes`. A window the index's
+    /// memo remembers under `model` is scored on the spot, its rows in
+    /// place while the memo's read lock is held; one this scan already
+    /// enumerated for another member is referenced; any other is
+    /// enumerated — eligible tracks per slot, distinct combinations, each
+    /// segment resolved against `slots`, which queues the ones it has not
+    /// seen for the encoder pass. `slots` is shared across the batch's
+    /// members: a window's candidates are query-independent.
+    #[allow(clippy::too_many_arguments)]
+    fn resolve_windows(
         &self,
         index: &VideoIndex,
         model: u64,
         classes: &[sketchql_trajectory::ObjectClass],
+        prepared: &PreparedQuery,
         windows: &[(u32, u32, u32)],
         slots: &mut ScanSlots,
+        scores: &mut Vec<f32>,
         cancel: &CancelToken,
-    ) -> Result<Vec<WindowCandidates>, MatchError> {
-        let mut per_window: Vec<WindowCandidates> = Vec::new();
+    ) -> Result<Vec<Scored>, MatchError> {
+        let max_combos = self.config.max_combos_per_window;
+        let mut out = Vec::with_capacity(windows.len());
+        let mut evals = 0;
         for &(start, end, min_overlap) in windows {
             cancel.check().map_err(MatchError::from)?;
-            let per_slot: Vec<Vec<&Trajectory>> = classes
-                .iter()
-                .map(|c| index.tracks_in_window(*c, start, end, min_overlap))
-                .collect();
-            if per_slot.iter().any(Vec::is_empty) {
-                continue;
-            }
-            let combos: usize = per_slot.iter().map(Vec::len).product();
-            let mut candidates: Vec<(SegmentKey, Slot)> =
-                Vec::with_capacity(combos.min(self.config.max_combos_per_window));
+            let key = WindowKey::new(classes, (start, end, min_overlap), max_combos);
             let memo = index.memo.reader(model);
-            for_each_distinct_combo(
-                &per_slot,
-                self.config.max_combos_per_window,
-                |combo, ids| {
-                    let key = SegmentKey::new(ids, start, end);
-                    let slot = slots.resolve(&memo, key, || {
-                        window_clip(index, combo, &per_slot, start, end)
-                    });
-                    if let Some(slot) = slot {
-                        candidates.push((key, slot));
+            let at = match slots.lookup(&memo, &key) {
+                Lookup::Remembered(window) => {
+                    evals += window.candidates();
+                    out.extend(
+                        self.best_of(prepared, start, end, window, scores)
+                            .map(Scored::Best),
+                    );
+                    continue;
+                }
+                Lookup::Pending(at) => at,
+                Lookup::Unknown => {
+                    drop(memo);
+                    let at = slots.open(key);
+                    let per_slot: Vec<Vec<&Trajectory>> = classes
+                        .iter()
+                        .map(|c| index.tracks_in_window(*c, start, end, min_overlap))
+                        .collect();
+                    if !per_slot.iter().any(Vec::is_empty) {
+                        for_each_distinct_combo(&per_slot, max_combos, |combo, ids| {
+                            slots.resolve(SegmentKey::new(ids, start, end), || {
+                                window_clip(index, combo, &per_slot, start, end)
+                            });
+                        });
                     }
-                },
-            );
-            drop(memo);
-            per_window.push((start, end, candidates));
+                    at
+                }
+            };
+            out.push(Scored::Pending { at, start, end });
         }
-        Ok(per_window)
+        telemetry::counter(names::SIMILARITY_EVALS).add(evals as u64);
+        Ok(out)
     }
 
-    /// Phase 3 of the embedding scan: score every candidate from its
-    /// slot, preserving the per-window combination order (same
-    /// strict-greater best and finite-score rules as the direct path).
-    /// Byte-identical to running [`best_in_window`](Self::best_in_window)
-    /// per window.
-    fn score_candidates(
+    /// Phase 3 of the embedding scan: the windows phase 1 left pending
+    /// are scored from `batch`, this scan's encoder pass, in window order
+    /// beside the ones phase 1 scored.
+    fn score_pending(
         &self,
         prepared: &PreparedQuery,
-        per_window: Vec<WindowCandidates>,
-        slots: &ScanSlots,
-        fresh: &[Option<Vec<f32>>],
+        windows: Vec<Scored>,
+        batch: &WindowBatch,
+        scores: &mut Vec<f32>,
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, MatchError> {
-        // Counted once for the loop, not once per candidate.
-        let evals: usize = per_window.iter().map(|(_, _, c)| c.len()).sum();
-        telemetry::counter(names::SIMILARITY_EVALS).add(evals as u64);
-        let mut scored: Vec<RetrievedMoment> = Vec::new();
-        for (start, end, candidates) in per_window {
-            cancel.check().map_err(MatchError::from)?;
-            // Strictly greater wins, so the first of equals is kept.
-            let mut best: Option<(f32, SegmentKey)> = None;
-            for (key, slot) in candidates {
-                let score = self
-                    .sim
-                    .score_embedding(prepared, slots.embedding(slot, fresh));
-                let score = if score.is_finite() { score } else { 0.0 };
-                if best.is_none_or(|(b, _)| score > b) {
-                    best = Some((score, key));
+        let mut scored = Vec::with_capacity(windows.len());
+        let mut evals = 0;
+        for window in windows {
+            match window {
+                Scored::Best(moment) => scored.push(moment),
+                Scored::Pending { at, start, end } => {
+                    cancel.check().map_err(MatchError::from)?;
+                    let window = batch.window(at);
+                    evals += window.candidates();
+                    scored.extend(self.best_of(prepared, start, end, window, scores));
                 }
             }
-            scored.extend(best.map(|(score, key)| RetrievedMoment {
-                start,
-                end,
-                score,
-                track_ids: key.track_ids().to_vec(),
-            }));
         }
+        telemetry::counter(names::SIMILARITY_EVALS).add(evals as u64);
         Ok(scored)
+    }
+
+    /// The best candidate of one window: all its rows scored in one
+    /// [`Similarity::score_embeddings`] call (`scores` is scratch), then
+    /// the direct path's rules in combination order — a non-finite score
+    /// counts as 0 and the first strictly greatest wins. Byte-identical
+    /// to [`best_in_window`](Self::best_in_window).
+    fn best_of(
+        &self,
+        prepared: &PreparedQuery,
+        start: u32,
+        end: u32,
+        window: Window<'_>,
+        scores: &mut Vec<f32>,
+    ) -> Option<RetrievedMoment> {
+        scores.clear();
+        scores.resize(window.candidates() - window.unembeddable.len(), 0.0);
+        self.sim.score_embeddings(prepared, window.rows, scores);
+        let mut rows = scores.iter();
+        let mut skip = window.unembeddable.iter().peekable();
+        let mut best: Option<(f32, &[TrackId])> = None;
+        for (k, ids) in window.ids.chunks_exact(window.arity).enumerate() {
+            let score = match skip.next_if_eq(&&(k as u32)) {
+                Some(_) => self.sim.score_embedding(prepared, None),
+                None => *rows.next().expect("a row per embedded candidate"),
+            };
+            let score = if score.is_finite() { score } else { 0.0 };
+            if best.is_none_or(|(b, _)| score > b) {
+                best = Some((score, ids));
+            }
+        }
+        best.map(|(score, ids)| RetrievedMoment {
+            start,
+            end,
+            score,
+            track_ids: ids.to_vec(),
+        })
     }
 }
 
-/// One window's candidates for the embedding scan: `(start, end)` plus
-/// each distinct candidate's segment and embedding slot.
-type WindowCandidates = (u32, u32, Vec<(SegmentKey, Slot)>);
+/// One window of a member's embedding scan, in enumeration order:
+/// scored already, or waiting for the encoder pass as window `at` of the
+/// scan's [`WindowBatch`]. A window without candidates has no entry.
+enum Scored {
+    Best(RetrievedMoment),
+    Pending { at: usize, start: u32, end: u32 },
+}
 
 /// Sorts by score (ties broken deterministically on start, then bound
 /// tracks, so parallel and sequential runs agree), drops a moment whose
@@ -1287,6 +1343,8 @@ mod tests {
     /// both together do not): alternating them resets the memo every
     /// time, and every answer still equals the one from an index that
     /// remembers everything — a reset costs encoder rows, never bits.
+    /// After a reset the other sketch's scan is cold again: it pays what
+    /// it paid on a fresh index, and leaves exactly what it left there.
     #[test]
     fn a_memo_at_its_budget_resets_without_changing_results() {
         let m = learned_matcher();
@@ -1294,17 +1352,23 @@ mod tests {
         let long = left_turn_query();
         let short = Clip::new(1000.0, 600.0, vec![long.objects[0].slice(0, 40)]);
         let queries = [long, short];
-        // What each leaves behind alone, and its answer.
-        let (alone, want): (Vec<u64>, Vec<_>) = queries
+        // What each leaves behind alone, what it misses, and its answer.
+        let alone: Vec<(u64, u64, Vec<RetrievedMoment>)> = queries
             .iter()
             .map(|q| {
                 let idx = test_index();
-                let got = m.search(&idx, q).unwrap();
-                (idx.embed_memo_stats().bytes, got)
+                let trace = telemetry::TraceContext::new();
+                let got = {
+                    let _entered = trace.enter();
+                    m.search(&idx, q).unwrap()
+                };
+                let misses = trace.finalize().unwrap().count(names::EMBED_CACHE_MISSES);
+                (idx.embed_memo_stats().bytes, misses, got)
             })
-            .unzip();
-        assert!(alone.iter().all(|&b| b > 0) && want.iter().all(|w| !w.is_empty()));
-        let budget = alone[0].max(alone[1]) + alone[0].min(alone[1]) / 2;
+            .collect();
+        let (bytes, want): (Vec<u64>, Vec<_>) = alone.iter().map(|a| (a.0, &a.2)).unzip();
+        assert!(bytes.iter().all(|&b| b > 0) && want.iter().all(|w| !w.is_empty()));
+        let budget = bytes[0].max(bytes[1]) + bytes[0].min(bytes[1]) / 2;
 
         let idx = test_index().with_memo_budget(budget as usize);
         for round in 0..3u64 {
@@ -1314,15 +1378,16 @@ mod tests {
                     let _entered = trace.enter();
                     m.search(&idx, q).unwrap()
                 };
-                assert_eq!(got, want[i], "round {round}");
+                assert_eq!(&got, want[i], "round {round}");
                 let stats = idx.embed_memo_stats();
-                assert!(stats.bytes > 0 && stats.bytes <= budget, "{stats:?}");
+                assert_eq!(stats.bytes, bytes[i], "only this sketch's windows");
                 // One reset per switch, counted on the index and in the
                 // trace of the query whose publish caused it.
                 let switched = u64::from(round + i as u64 > 0);
                 assert_eq!(stats.resets, 2 * round + i as u64);
                 let trace = trace.finalize().unwrap();
                 assert_eq!(trace.count(names::EMBED_MEMO_RESETS), switched);
+                assert_eq!(trace.count(names::EMBED_CACHE_MISSES), alone[i].1, "cold");
             }
         }
     }

@@ -8,13 +8,13 @@
 //! candidate windows.
 //!
 //! Embedding-based similarities additionally expose a *batched* candidate
-//! path ([`Similarity::embed_candidates`] + [`Similarity::score_embedding`])
+//! path ([`Similarity::embed_candidates`] + [`Similarity::score_embeddings`])
 //! so the Matcher can embed each distinct candidate segment once per
 //! index and model ([`Similarity::embedding_identity`] keys the index's
-//! segment memo) and push whole batches through the encoder in one
-//! forward.
+//! window memo), push whole batches through the encoder in one forward,
+//! and score a window's rows in one call.
 
-use sketchql_nn::{cosine_similarity, ParamStore, TrajectoryEncoder};
+use sketchql_nn::{cosine_scores, cosine_similarity, ParamStore, TrajectoryEncoder};
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{
     clip_distance, distance_to_similarity, extract_features, Clip, DistanceKind, FeatureError,
@@ -93,8 +93,8 @@ pub trait Similarity: Send + Sync {
     /// similarity, the model fingerprint). `Some` means candidates are
     /// scored from embeddings via
     /// [`embed_candidates`](Self::embed_candidates) +
-    /// [`score_embedding`](Self::score_embedding) and the index's
-    /// segment memo keeps them under this key; `None` (the default)
+    /// [`score_embeddings`](Self::score_embeddings) and the index's
+    /// window memo keeps them under this key; `None` (the default)
     /// means the Matcher scores every candidate directly with
     /// [`score`](Self::score).
     fn embedding_identity(&self) -> Option<u64> {
@@ -113,6 +113,18 @@ pub trait Similarity: Send + Sync {
     /// [`score`](Self::score) on the same candidate.
     fn score_embedding(&self, _prepared: &PreparedQuery, _embedding: Option<&[f32]>) -> f32 {
         0.0
+    }
+
+    /// Scores `scores.len()` precomputed embeddings of one width, laid
+    /// back to back in `rows`: `scores[i]` is
+    /// [`score_embedding`](Self::score_embedding) of row `i`, which stays
+    /// the contract. The default makes exactly those calls; an override
+    /// may only be faster.
+    fn score_embeddings(&self, prepared: &PreparedQuery, rows: &[f32], scores: &mut [f32]) {
+        let dim = rows.len() / scores.len().max(1);
+        for (i, score) in scores.iter_mut().enumerate() {
+            *score = self.score_embedding(prepared, Some(&rows[i * dim..][..dim]));
+        }
     }
 }
 
@@ -241,6 +253,13 @@ impl Similarity for LearnedSimilarity {
         match embedding {
             Some(ce) => (cosine_similarity(qe, ce) + 1.0) * 0.5,
             None => 0.0,
+        }
+    }
+
+    fn score_embeddings(&self, prepared: &PreparedQuery, rows: &[f32], scores: &mut [f32]) {
+        match prepared {
+            PreparedQuery::Embedding(qe) => cosine_scores(qe, rows, scores),
+            PreparedQuery::Clip(_) => scores.fill(0.0),
         }
     }
 }
@@ -392,6 +411,18 @@ mod tests {
             assert_eq!(sim.score(&p, c), sim.score_embedding(&p, e.as_deref()));
         }
         assert_eq!(sim.score_embedding(&p, None), 0.0);
+
+        // The batched form, over enough rows to fill a lane block and
+        // leave a tail, gives every row the per-row score.
+        let rows: Vec<f32> = (0..11)
+            .flat_map(|i| embeddings[i % 3].clone().unwrap())
+            .collect();
+        let mut scores = vec![f32::NAN; 11];
+        sim.score_embeddings(&p, &rows, &mut scores);
+        for (i, score) in scores.iter().enumerate() {
+            let want = sim.score_embedding(&p, embeddings[i % 3].as_deref());
+            assert_eq!(score.to_bits(), want.to_bits(), "row {i}");
+        }
     }
 
     #[test]

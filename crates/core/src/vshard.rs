@@ -31,7 +31,7 @@
 //! - **Bit-identical scores.** Probing ranks the *shared* quantizer's
 //!   centroids once per query, gathers candidates from the shards
 //!   owning rows under the top lists, and re-ranks them with the same
-//!   `score_embedding` the scan uses. Scores can never differ from the
+//!   `score_embeddings` the scan uses. Scores can never differ from the
 //!   scan; probing fewer lists only omits windows.
 //! - **Pinned maps, one-time verification.** Attaching a [`ShardSet`]
 //!   reads the manifest and maps every shard it names, checking each
@@ -96,8 +96,7 @@ fn publish_residency() {
 /// length with a laxer overlap floor can still add the tracks the
 /// stricter one rejected. Segments that produce an empty clip (a track
 /// whose frame range brushes a window it has no points in) are skipped
-/// — the matcher's embedding cache excludes exactly the same
-/// candidates.
+/// — the matcher's scan excludes exactly the same candidates.
 ///
 /// Returns the rows plus the matching window clips (the embedder's
 /// input), in enumeration order.

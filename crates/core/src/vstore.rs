@@ -8,7 +8,7 @@
 //! once into a [`ShardSet`]; [`Matcher::search_stored`] then embeds only
 //! the query, ranks the set's coarse-quantizer centroids, gathers the
 //! rows under the best lists, and re-ranks them with the *exact* same
-//! `score_embedding` call the full scan uses, so every moment the store
+//! `score_embeddings` call the full scan uses, so every moment the store
 //! path reports carries a bit-identical score.
 //!
 //! Stores are strictly a cache: when one does not match the live model
@@ -204,12 +204,12 @@ impl Matcher<LearnedSimilarity> {
     ///    load (corruption discovered at first probe) leaves its member
     ///    for the scan (`shard_load`), so results stay correct.
     /// 4. **Scan** every member the store did not serve in one fused
-    ///    `Matcher::scan` (one shared embedding cache and encoder
-    ///    pass, per-member tokens) — each counted as a store fallback
-    ///    when there was a store to fall back from.
+    ///    `Matcher::scan` (one enumeration of each window the index's
+    ///    memo lacks, one encoder pass, per-member tokens) — each counted
+    ///    as a store fallback when there was a store to fall back from.
     ///
     /// Every moment the store path reports scores bit-identically to the
-    /// full scan (the same `score_embedding` over the same vector bits);
+    /// full scan (the same `score_embeddings` over the same vector bits);
     /// probing fewer than all lists can only *omit* windows, never change
     /// a reported score. Per-member results do not depend on what else
     /// is in the batch.
@@ -373,9 +373,11 @@ impl Matcher<LearnedSimilarity> {
             .map(|(i, t)| (t.id, i))
             .collect();
 
-        // Best candidate per (start, end, overlap-floor) slot.
-        let mut best: HashMap<(u32, u32, u32), (f32, usize, TrackId)> = HashMap::new();
-        let mut evals = 0u64;
+        // Filter first (class, range, track position), gathering the
+        // survivors' rows back to back; score them in one call; then pick
+        // the best per slot in the original order.
+        let mut kept: Vec<(StoreRow, usize, u32, &[u32])> = Vec::new();
+        let mut rows: Vec<f32> = Vec::new();
         for (k, &(row, vector)) in candidates.iter().enumerate() {
             if k % 1024 == 1023 {
                 cancel.check().map_err(MatchError::from)?;
@@ -390,8 +392,16 @@ impl Matcher<LearnedSimilarity> {
                 continue;
             };
             let overlap = overlap_frames(&index.tracks[pos], row.start, row.end);
-            evals += 1;
-            let score = self.sim.score_embedding(prepared, Some(vector));
+            kept.push((row, pos, overlap, floors));
+            rows.extend_from_slice(vector);
+        }
+        let mut scores = vec![0.0; kept.len()];
+        self.sim.score_embeddings(prepared, &rows, &mut scores);
+        telemetry::counter(names::SIMILARITY_EVALS).add(kept.len() as u64);
+
+        // Best candidate per (start, end, overlap-floor) slot.
+        let mut best: HashMap<(u32, u32, u32), (f32, usize, TrackId)> = HashMap::new();
+        for (&(row, pos, overlap, floors), score) in kept.iter().zip(scores) {
             let score = if score.is_finite() { score } else { 0.0 };
             for &floor in floors {
                 if overlap < floor {
@@ -407,8 +417,6 @@ impl Matcher<LearnedSimilarity> {
                 }
             }
         }
-
-        telemetry::counter(names::SIMILARITY_EVALS).add(evals);
 
         // Emit in window-enumeration order, the order the scan scores in.
         let mut scored: Vec<RetrievedMoment> = Vec::new();

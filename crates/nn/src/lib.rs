@@ -24,8 +24,9 @@ pub mod tensor;
 
 pub use loss::{mse, nt_xent, triplet};
 pub use modules::{
-    cosine_similarity, sinusoidal_positions, EncoderConfig, EncoderLayer, FeedForward, Graph,
-    LayerNorm, Linear, MultiHeadSelfAttention, ParamStore, Pooling, TrajectoryEncoder,
+    cosine_scores, cosine_similarity, sinusoidal_positions, EncoderConfig, EncoderLayer,
+    FeedForward, Graph, LayerNorm, Linear, MultiHeadSelfAttention, ParamStore, Pooling,
+    TrajectoryEncoder,
 };
 pub use optim::{Adam, AdamConfig};
 pub use schedule::LrSchedule;

@@ -798,6 +798,64 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
+/// Rows [`cosine_scores`] scores side by side.
+const SCORE_LANES: usize = 8;
+
+/// `(cosine_similarity(query, row) + 1) / 2` — cosine mapped to `[0, 1]`
+/// — for each of the `scores.len()` rows of `query.len()` floats laid
+/// back to back in `rows`, bit for bit (a NaN score stays NaN, though
+/// which NaN may differ: when two NaNs meet, the compiler's operand order
+/// picks the payload).
+///
+/// Eight rows run side by side, one lane each: a lane sums its own
+/// products in index order from `-0.0` (where `Iterator::sum` over `f32`
+/// starts), exactly as the scalar form does, so no score moves by a bit;
+/// the eight independent chains just stop waiting on each other's adds.
+/// The query's norm is summed once per call.
+pub fn cosine_scores(query: &[f32], rows: &[f32], scores: &mut [f32]) {
+    let dim = query.len();
+    assert_eq!(rows.len(), scores.len() * dim, "cosine on unequal lengths");
+    let norm_q = query.iter().map(|x| x * x).sum::<f32>().sqrt();
+    let score = |dot: f32, squares: f32| {
+        let norm = squares.sqrt();
+        let cosine = if norm_q <= 1e-12 || norm <= 1e-12 {
+            0.0
+        } else {
+            dot / (norm_q * norm)
+        };
+        (cosine + 1.0) * 0.5
+    };
+    if dim == 0 {
+        scores.fill(score(-0.0, -0.0));
+        return;
+    }
+    for (block, out) in rows
+        .chunks(SCORE_LANES * dim)
+        .zip(scores.chunks_mut(SCORE_LANES))
+    {
+        if let Ok(out) = <&mut [f32; SCORE_LANES]>::try_from(&mut *out) {
+            let row: [&[f32]; SCORE_LANES] = std::array::from_fn(|l| &block[l * dim..][..dim]);
+            let (mut dot, mut squares) = ([-0.0f32; SCORE_LANES], [-0.0f32; SCORE_LANES]);
+            for (i, &q) in query.iter().enumerate() {
+                for l in 0..SCORE_LANES {
+                    let x = row[l][i];
+                    dot[l] += q * x;
+                    squares[l] += x * x;
+                }
+            }
+            for l in 0..SCORE_LANES {
+                out[l] = score(dot[l], squares[l]);
+            }
+        } else {
+            // The ragged last block: the same sums, a row at a time.
+            for (out, row) in out.iter_mut().zip(block.chunks_exact(dim)) {
+                let dot = query.iter().zip(row).map(|(q, x)| q * x).sum();
+                *out = score(dot, row.iter().map(|x| x * x).sum());
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1165,6 +1223,65 @@ mod tests {
         assert!((cosine_similarity(&a, &b) + 1.0).abs() < 1e-6);
         let zero = vec![0.0; 3];
         assert_eq!(cosine_similarity(&a, &zero), 0.0);
+    }
+
+    /// The lane scorer against the scalar form it replaces, bit for bit:
+    /// every width 1..=70 (lane multiples and not), every batch size
+    /// 0..=17 (empty, ragged, two full blocks and a tail), and rows that
+    /// hold ±0.0, NaN, ±∞ and subnormals, all-zero rows, and an all-zero
+    /// query.
+    #[test]
+    fn cosine_scores_equal_the_scalar_cosine_bit_for_bit() {
+        use rand::Rng;
+        let mut r = rng();
+        let special = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 3.0,
+            f32::MAX,
+        ];
+        let value = |r: &mut StdRng| {
+            if r.gen_bool(0.05) {
+                special[r.gen_range(0..special.len())]
+            } else {
+                r.gen_range(-1.0f32..1.0)
+            }
+        };
+        let mut compared = 0;
+        for dim in 1..=70 {
+            for n in 0..=17 {
+                let mut rows: Vec<f32> = (0..n * dim).map(|_| value(&mut r)).collect();
+                if n > 2 {
+                    rows[dim..2 * dim].fill(0.0);
+                    rows[2 * dim..3 * dim].fill(-0.0);
+                }
+                let random: Vec<f32> = (0..dim).map(|_| r.gen_range(-1.0f32..1.0)).collect();
+                let tiny = vec![f32::MIN_POSITIVE / 8.0; dim];
+                for query in [random, vec![0.0; dim], tiny] {
+                    let mut got = vec![f32::NAN; n];
+                    cosine_scores(&query, &rows, &mut got);
+                    for (i, row) in rows.chunks_exact(dim).enumerate() {
+                        let want = (cosine_similarity(&query, row) + 1.0) * 0.5;
+                        // NaN payloads are the one thing the compiler's
+                        // choice of operand order may change, so a NaN
+                        // need only stay a NaN.
+                        let same = if want.is_nan() {
+                            got[i].is_nan()
+                        } else {
+                            got[i].to_bits() == want.to_bits()
+                        };
+                        assert!(same, "dim {dim} rows {n} row {i}: {} vs {want}", got[i]);
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared > 10_000);
+        cosine_scores(&[], &[], &mut []);
     }
 
     #[test]

@@ -53,9 +53,12 @@
 //! makes, whether or not the dataset has a store and whether the batch
 //! has one member or many. Members the store can serve share one pass
 //! over its centroid table; members it cannot (or all of them, with no
-//! store) share one scan: candidate-segment embeddings depend only on
-//! `(index, model, tracks, frame range)`, not on the query, so the
-//! batch shares one embedding cache and one batched encoder pass.
+//! store) share one scan: a window's candidates and their embeddings
+//! depend only on the index, the model and the window, not on the
+//! query, so the batch enumerates each window its index's memo lacks
+//! once and pays one batched encoder pass for all of them. (The memo
+//! itself belongs to the index, and every query shares it, fused or
+//! not.)
 //! Per-query results are bit-identical to running each query alone (see
 //! the core matcher tests), so fusion changes throughput, never
 //! answers. `fused_batch` defaults to the worker count: a 1-worker engine

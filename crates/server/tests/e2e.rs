@@ -270,6 +270,42 @@ fn oversized_request_line_is_rejected_and_the_server_stays_healthy() {
     server.shutdown();
 }
 
+/// A line well under `MAX_REQUEST_BYTES` can still nest deeper than any
+/// request does: 100 000 `[`s once overflowed the connection thread's
+/// stack and took the whole process down. Now it is a bad request (or a
+/// closed connection), and the server keeps serving.
+#[test]
+fn a_deeply_nested_line_is_refused_without_killing_the_server() {
+    let server = start_server(1);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let line = "[".repeat(100_000);
+    assert!(line.len() < MAX_REQUEST_BYTES);
+    if stream.write_all(format!("{line}\n").as_bytes()).is_ok() {
+        let mut reply = String::new();
+        let read = BufReader::new(stream.try_clone().unwrap()).read_line(&mut reply);
+        if read.is_ok_and(|n| n > 0) {
+            let response: Response = serde_json::from_str(reply.trim()).unwrap();
+            assert!(
+                matches!(
+                    response,
+                    Response::Error {
+                        kind: ErrorKind::BadRequest,
+                        ..
+                    }
+                ),
+                "expected a bad request, got {response:?}"
+            );
+        }
+    }
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.ping().unwrap(), PROTOCOL_VERSION);
+    server.shutdown();
+}
+
 #[test]
 fn concurrent_wire_clients_get_identical_answers() {
     let server = start_server(4);

@@ -22,8 +22,9 @@
 # such a row cannot tell "unchanged" from "moved". `wins` is the number
 # of pairs in which the change read better and `p.iqr` the distance
 # between the quartiles of the parent's runs. A claim wants `improved`,
-# wins in at least nine tenths of the pairs, and medians further apart
-# than `p.iqr`. The script exits non-zero when any row reads `worse` or
+# wins in at least nine tenths of the pairs (ceil(0.9 n)), and medians
+# further apart than `p.iqr`; the `claim` column reads `yes` exactly
+# then. The script exits non-zero when any row reads `worse` or
 # the change failed more operations than the parent on some workload.
 #
 # With `--ledger`, one `--trace 1` run per side and workload follows the
@@ -146,7 +147,7 @@ FNR == NR {
     if ($3 > npairs[$2]) npairs[$2] = $3
 }
 END {
-    printf "%-9s %-17s %12s %12s %8s %6s %10s %6s  %s\n", "workload", "metric", "parent", "change", "ratio", "bound", "p.iqr", "wins", "verdict"
+    printf "%-9s %-17s %12s %12s %8s %6s %10s %6s  %-12s  %s\n", "workload", "metric", "parent", "change", "ratio", "bound", "p.iqr", "wins", "verdict", "claim"
     for (w = 1; w <= nworkloads; w++) {
         wl = workloads[w]; n = npairs[wl]
         for (m = 1; m <= nmetrics; m++) {
@@ -163,7 +164,10 @@ END {
             noisy = pm != 0 && iqr / pm > bounds[name] && wins < n
             verdict = gain > bounds[name] ? "improved" : (gain < -bounds[name] ? "worse" : (noisy ? "unresolved" : "within bound"))
             if (verdict == "worse") bad = 1
-            printf "%-9s %-17s %12.4g %12.4g %8.3f %6s %10.3g %4d/%d  %s\n", wl, name, pm, cm, ratio, bounds[name], iqr, wins, n, verdict
+            # The claim rule above: improved, at least ceil(0.9 n) wins,
+            # and medians further apart than the parent IQR.
+            claim = (verdict == "improved" && wins * 10 >= 9 * n && (cm > pm ? cm - pm : pm - cm) > iqr) ? "yes" : "no"
+            printf "%-9s %-17s %12.4g %12.4g %8.3f %6s %10.3g %4d/%d  %-12s  %s\n", wl, name, pm, cm, ratio, bounds[name], iqr, wins, n, verdict, claim
         }
         fp = 0; fc = 0
         for (p = 1; p <= n; p++) { fp += value["parent", wl, p, "failed"]; fc += value["change", wl, p, "failed"] }

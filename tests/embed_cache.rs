@@ -230,6 +230,61 @@ fn concurrent_scans_of_one_index_agree_with_sequential_ones() {
     );
 }
 
+/// The memo's unit is the window *as one query shape sees it*: the same
+/// frame range under another class list, or under another cap on
+/// combinations, holds other candidates, so it is another key. A `Car`
+/// and an `Any` sketch of one span, and two matchers that differ only in
+/// `max_combos_per_window`, share one index here — cold and warm, in
+/// both orders — and each answers exactly what its own direct scan does.
+#[test]
+fn window_keys_keep_class_lists_and_combination_caps_apart() {
+    let model = tiny_model();
+    let car = query_clip(EventKind::LeftTurn);
+    let any = Clip::new(
+        car.frame_width,
+        car.frame_height,
+        vec![Trajectory::from_points(
+            car.objects[0].id,
+            ObjectClass::Any,
+            car.objects[0].points().to_vec(),
+        )],
+    );
+    let capped = MatcherConfig {
+        max_combos_per_window: 1,
+        ..Default::default()
+    };
+    let sketches = [
+        (MatcherConfig::default(), &car),
+        (MatcherConfig::default(), &any),
+        (capped, &car),
+    ];
+    let want: Vec<_> = sketches
+        .iter()
+        .map(|(config, q)| {
+            Matcher::with_config(PerCandidate(model.similarity()), config.clone())
+                .search(&fresh_index(), q)
+                .unwrap()
+        })
+        .collect();
+    assert_ne!(want[0], want[1], "fixture: `Any` must bind other tracks");
+    assert_ne!(want[0], want[2], "fixture: the cap must change answers");
+
+    for pair in [[0usize, 1], [1, 0], [0, 2], [2, 0]] {
+        let idx = fresh_index();
+        for round in ["cold", "warm"] {
+            for &i in &pair {
+                let (config, q) = &sketches[i];
+                let matcher = Matcher::with_config(model.similarity(), config.clone());
+                let (got, trace) = traced(|| matcher.search(&idx, q).unwrap());
+                assert_eq!(got, want[i], "sketch {i} {round}, order {pair:?}");
+                if round == "warm" {
+                    assert_eq!(trace.count(names::EMBED_CACHE_MISSES), 0, "sketch {i}");
+                }
+            }
+        }
+    }
+}
+
 /// The learned similarity, tripping `token` once its encoder has been
 /// handed `after` candidate batches — a deadline that expires mid-embed.
 struct TripsMidEmbed {
