@@ -34,17 +34,17 @@
 //! **Concurrency.** The memo sits behind a read-mostly lock that a scan
 //! holds while it scores one window's rows in place, or for one
 //! publish, never across an encoder pass; a reset waits for the window
-//! being scored, so it cannot change an answer. Within one scan (and one
-//! fused batch) the windows the memo lacks are enumerated once each, and
-//! their segments queued in [`ScanSlots`] — each segment once, whatever
-//! the number of windows, scales or members that bind it. Two scans
+//! being scored, so it cannot change an answer. Within one scan the
+//! windows the memo lacks are enumerated once each, and their segments
+//! queued in [`ScanSlots`] — each segment once, whatever the number of
+//! windows, scales or queries that bind it. Two scans
 //! that miss the same window at the same moment both embed it
 //! (identical bits — the encoder is deterministic) and the second
 //! publish is a no-op; neither waits for the other. A scan publishes
 //! only after its whole encoder pass finished, so a cancelled pass
 //! publishes nothing.
 //!
-//! Results are bit-identical whatever the memo holds: a member's answer
+//! Results are bit-identical whatever the memo holds: a query's answer
 //! does not depend on its batch, its thread, or what ran before it
 //! (`tests/embed_cache.rs` referees against the per-candidate scan).
 
@@ -440,7 +440,7 @@ impl MemoReader<'_> {
 pub(crate) enum Lookup<'m> {
     /// The memo holds it: score these rows in place.
     Remembered(Window<'m>),
-    /// This scan already enumerated it (for another member): the
+    /// This scan already enumerated it (for another query): the
     /// [`WindowBatch`] window it will be.
     Pending(usize),
     /// Nobody has: enumerate it with [`ScanSlots::open`] and
@@ -603,27 +603,25 @@ pub fn embed_clips_parallel<S: Similarity>(
     clips: &[Clip],
     threads: usize,
 ) -> Vec<Option<Vec<f32>>> {
-    try_embed_clips_parallel(sim, clips, threads, &[&CancelToken::none()])
+    try_embed_clips_parallel(sim, clips, threads, &CancelToken::none())
         .expect("null token never cancels")
 }
 
-/// [`embed_clips_parallel`] on behalf of the searches holding the
-/// `waiting` tokens: between encoder batches (on every worker thread)
-/// the pass checks whether any of them is still live, and once none is
-/// — every token tripped, or nobody waiting at all — it abandons the
-/// remaining batches and returns `None`. Embedding values are unchanged:
-/// batched encoder forwards are bit-identical regardless of how the
-/// input is chunked.
+/// [`embed_clips_parallel`] on behalf of a search under `cancel`:
+/// between encoder batches (on every worker thread) the pass polls the
+/// token, and once it has tripped it abandons the remaining batches and
+/// returns `None`. Embedding values are unchanged: batched encoder
+/// forwards are bit-identical regardless of how the input is chunked.
 pub fn try_embed_clips_parallel<S: Similarity>(
     sim: &S,
     clips: &[Clip],
     threads: usize,
-    waiting: &[&CancelToken],
+    cancel: &CancelToken,
 ) -> Option<Vec<Option<Vec<f32>>>> {
     let embed_piece = |piece: &[Clip]| -> Option<Vec<Option<Vec<f32>>>> {
         let mut out = Vec::with_capacity(piece.len());
         for sub in piece.chunks(CANCEL_POLL_CLIPS) {
-            if waiting.iter().all(|t| t.is_cancelled()) {
+            if cancel.is_cancelled() {
                 return None;
             }
             out.extend(sim.embed_candidates(sub));

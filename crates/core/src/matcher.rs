@@ -13,22 +13,22 @@
 //! baseline ([`rules`](crate::rules)) walk the same two, and the rule
 //! baseline also shares `for_each_distinct_combo` and `nms_top_k` below.
 //!
-//! There is one scan, `Matcher::scan`, and its unit of work is a batch
-//! of `(query, token)` members over one index under one optional epoch
-//! scope; `search`, `search_with_cancel` and `search_batch` are fronts
-//! over it, and the store planner
-//! (`Matcher::search_stored`, in [`vstore`](crate::vstore)) sends every member it
-//! cannot serve through it. For embedding-based similarities the scan
-//! (1) looks every member's windows up in the index's window memo
-//! ([`embed_cache`](crate::embed_cache)), scoring a remembered window's
-//! rows in place, eight candidates at a time, and enumerating the others
-//! — each once for the batch, each new segment queued once; (2) embeds
-//! the queued segments in batched encoder forwards across worker threads
-//! and publishes the enumerated windows to the memo; (3) scores those
-//! windows the same way. This returns byte-identical moments to the
-//! direct per-candidate path while embedding each distinct segment once
-//! per index and model — a window grid asked a second time costs one
-//! look-up per window.
+//! There is one scan, `Matcher::scan`, and its unit of work is a list of
+//! queries over one index under one [`CancelToken`] and one optional
+//! epoch scope; `search` and `search_with_cancel` are fronts over it
+//! with one query, `search_batch` with several, and the store planner
+//! (`Matcher::search_stored`, in [`vstore`](crate::vstore)) sends the
+//! query it cannot serve through it. For embedding-based similarities
+//! the scan (1) looks every query's windows up in the index's window
+//! memo ([`embed_cache`](crate::embed_cache)), scoring a remembered
+//! window's rows in place, eight candidates at a time, and enumerating
+//! the others — each once per scan, each new segment queued once; (2)
+//! embeds the queued segments in batched encoder forwards across worker
+//! threads and publishes the enumerated windows to the memo; (3) scores
+//! those windows the same way. This returns byte-identical moments to
+//! the direct per-candidate path while embedding each distinct segment
+//! once per index and model — a window grid asked a second time costs
+//! one look-up per window.
 
 use serde::{Deserialize, Serialize};
 use sketchql_telemetry::{self as telemetry, names};
@@ -203,22 +203,21 @@ impl<S: Similarity> Matcher<S> {
         query: &Clip,
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, MatchError> {
-        self.scan(index, &[(query, cancel)], None)
+        self.scan(index, &[query], cancel, None)
             .pop()
-            .expect("one result per member")
+            .expect("one result per query")
     }
 
-    /// Several queries against one index in a single fused scan, all
-    /// under one `cancel` token: when it trips, every query that has not
-    /// finished reports [`MatchError::Cancelled`].
+    /// Several queries against one index in a single scan, all under one
+    /// `cancel` token: when it trips, every query that has not finished
+    /// reports [`MatchError::Cancelled`].
     pub fn search_batch(
         &self,
         index: &VideoIndex,
         queries: &[&Clip],
         cancel: &CancelToken,
     ) -> Vec<Result<Vec<RetrievedMoment>, MatchError>> {
-        let members: Vec<_> = queries.iter().map(|&q| (q, cancel)).collect();
-        self.scan(index, &members, None)
+        self.scan(index, queries, cancel, None)
     }
 
     /// Whether `query` can match nothing in `index` by construction:
@@ -232,41 +231,38 @@ impl<S: Similarity> Matcher<S> {
             || index.frames == 0
     }
 
-    /// The scan — the only one there is. Every member of `members`
-    /// (concurrent queries over one index, each with its own token; a
-    /// batch of one is the solo case) goes through the same four phases:
+    /// The scan — the only one there is. Every query of `queries` (a
+    /// list of one is the solo case) goes through the same four phases,
+    /// all under `cancel`:
     ///
-    /// 1. **Set up**, per member under its own token: settle degenerate
-    ///    queries to an empty result, prepare the query, enumerate its
-    ///    windows, drop those ending before `min_end` (the epoch scope —
-    ///    applied before scoring, so `top_k` acts within it), and look
-    ///    each window up: a window the index's memo remembers is scored
-    ///    there and then; any other is enumerated into one [`ScanSlots`]
-    ///    shared by the whole batch, its new segments queued for the
-    ///    encoder.
+    /// 1. **Set up**: settle a degenerate query to an empty result,
+    ///    prepare the query, enumerate its windows, drop those ending
+    ///    before `min_end` (the epoch scope — applied before scoring, so
+    ///    `top_k` acts within it), and look each window up: a window the
+    ///    index's memo remembers is scored there and then; any other is
+    ///    enumerated into one [`ScanSlots`] shared by the whole scan, its
+    ///    new segments queued for the encoder.
     /// 2. **Embed** the queued segments in one batched encoder pass and
     ///    publish the enumerated windows to the memo. A window's
     ///    candidates depend only on the index, the model and its key, not
-    ///    on the query, so K look-alike members — in this batch or in any
-    ///    later scan — pay for the encoder once. The pass stops only when
-    ///    no member still waiting for it has a live token, and then
-    ///    publishes nothing.
-    /// 3. **Score** each member's enumerated windows from the pass, under
-    ///    its own token.
+    ///    on the query, so look-alike queries — in this scan or in any
+    ///    later one — pay for the encoder once. A tripped token stops the
+    ///    pass, which then publishes nothing.
+    /// 3. **Score** each query's enumerated windows from the pass.
     /// 4. **Rank** them (sort, NMS, top-k, refinement).
     ///
-    /// A member's result does not depend on what else is in the batch: it
-    /// is byte-identical to the member running alone, and one member's
-    /// failure (a tripped token, a query the similarity rejects) is
-    /// reported in its own slot; nor does it depend on what the memo held
-    /// when it ran. Similarities without an
+    /// A query's result does not depend on what else is in the list: it
+    /// is byte-identical to the query running alone, and a query the
+    /// similarity rejects is reported in its own slot; nor does it depend
+    /// on what the memo held when it ran. Similarities without an
     /// [`embedding_identity`](Similarity::embedding_identity) score each
-    /// member's windows directly
-    /// ([`scan_direct`](Self::scan_direct)) in phase 1 and skip phase 2.
+    /// query's windows directly ([`scan_direct`](Self::scan_direct)) in
+    /// phase 1 and skip phase 2.
     pub(crate) fn scan(
         &self,
         index: &VideoIndex,
-        members: &[(&Clip, &CancelToken)],
+        queries: &[&Clip],
+        cancel: &CancelToken,
         min_end: Option<u32>,
     ) -> Vec<Result<Vec<RetrievedMoment>, MatchError>> {
         enum Candidates {
@@ -284,16 +280,14 @@ impl<S: Similarity> Matcher<S> {
             "index edited after its fingerprint was cached"
         );
         let mut slots = ScanSlots::default();
-        // The tokens of the members whose candidates await the encoder pass.
-        let mut waiting: Vec<&CancelToken> = Vec::new();
         // Lane-scoring scratch, one window's worth, reused by every window.
         let mut scores: Vec<f32> = Vec::new();
 
-        // `None` settles a degenerate member to an empty result.
+        // `None` settles a degenerate query to an empty result.
         type Setup = Option<(PreparedQuery, usize, Candidates)>;
-        let setups: Vec<Result<Setup, MatchError>> = members
+        let setups: Vec<Result<Setup, MatchError>> = queries
             .iter()
-            .map(|&(query, cancel)| {
+            .map(|&query| {
                 if self.is_degenerate(index, query) {
                     return Ok(None);
                 }
@@ -311,7 +305,7 @@ impl<S: Similarity> Matcher<S> {
                 let candidates = match model {
                     // A window key holds what the encoder can take.
                     Some(model) if classes.len() <= MAX_OBJECTS => {
-                        let per_window = self.resolve_windows(
+                        Candidates::Windows(self.resolve_windows(
                             index,
                             model,
                             &classes,
@@ -320,9 +314,7 @@ impl<S: Similarity> Matcher<S> {
                             &mut slots,
                             &mut scores,
                             cancel,
-                        )?;
-                        waiting.push(cancel);
-                        Candidates::Windows(per_window)
+                        )?)
                     }
                     _ => Candidates::Scored(
                         self.scan_direct(index, &classes, &prepared, &windows, cancel)?,
@@ -336,7 +328,7 @@ impl<S: Similarity> Matcher<S> {
 
         let fresh = {
             let _embed_span = telemetry::span(names::MATCHER_EMBED);
-            try_embed_clips_parallel(&self.sim, slots.clips(), self.config.threads, &waiting)
+            try_embed_clips_parallel(&self.sim, slots.clips(), self.config.threads, cancel)
         };
         let batch = fresh.map(|fresh| slots.finish(&fresh));
         if let (Some(model), Some(batch)) = (model, &batch) {
@@ -345,8 +337,7 @@ impl<S: Similarity> Matcher<S> {
 
         setups
             .into_iter()
-            .zip(members)
-            .map(|(setup, &(_, cancel))| {
+            .map(|setup| {
                 let Some((prepared, windows, candidates)) = setup? else {
                     return Ok(Vec::new());
                 };
@@ -356,7 +347,7 @@ impl<S: Similarity> Matcher<S> {
                         cancel.check()?;
                         let batch = batch
                             .as_ref()
-                            .expect("the pass stops only once every waiting token has tripped");
+                            .expect("the pass stops only once the token has tripped");
                         self.score_pending(&prepared, per_window, batch, &mut scores, cancel)?
                     }
                 };
@@ -504,11 +495,11 @@ impl<S: Similarity> Matcher<S> {
     /// order, under its [`WindowKey`] for `classes`. A window the index's
     /// memo remembers under `model` is scored on the spot, its rows in
     /// place while the memo's read lock is held; one this scan already
-    /// enumerated for another member is referenced; any other is
+    /// enumerated for another query is referenced; any other is
     /// enumerated — eligible tracks per slot, distinct combinations, each
     /// segment resolved against `slots`, which queues the ones it has not
-    /// seen for the encoder pass. `slots` is shared across the batch's
-    /// members: a window's candidates are query-independent.
+    /// seen for the encoder pass. `slots` is shared across the scan's
+    /// queries: a window's candidates are query-independent.
     #[allow(clippy::too_many_arguments)]
     fn resolve_windows(
         &self,
@@ -627,7 +618,7 @@ impl<S: Similarity> Matcher<S> {
     }
 }
 
-/// One window of a member's embedding scan, in enumeration order:
+/// One window of a query's embedding scan, in enumeration order:
 /// scored already, or waiting for the encoder pass as window `at` of the
 /// scan's [`WindowBatch`]. A window without candidates has no entry.
 enum Scored {
@@ -1292,7 +1283,7 @@ mod tests {
         let batch = m.search_batch(&idx, &[&q1, &q2, &q1], &CancelToken::none());
         assert_eq!(batch.len(), 3);
         for (b, s) in batch.into_iter().zip(solo) {
-            assert_eq!(b.unwrap(), s, "fused result diverged from solo run");
+            assert_eq!(b.unwrap(), s, "batched result diverged from solo run");
         }
     }
 
@@ -1306,10 +1297,10 @@ mod tests {
         assert_eq!(batch[1], Ok(matcher().search(&idx, &q).unwrap()));
     }
 
-    /// The fused path proper (shared slots + one encoder pass) only runs
+    /// The batch path proper (shared slots + one encoder pass) only runs
     /// for embedding-based similarities; verify byte-identity there too.
     #[test]
-    fn fused_batch_with_learned_similarity_is_byte_identical() {
+    fn batch_search_with_learned_similarity_is_byte_identical() {
         let m = learned_matcher();
         assert!(m.sim.embedding_identity().is_some());
 
@@ -1335,7 +1326,7 @@ mod tests {
             .collect();
         let batch = m.search_batch(&idx, &[&q1, &q2, &q1], &CancelToken::none());
         for (b, s) in batch.into_iter().zip(solo) {
-            assert_eq!(b.unwrap(), s, "fused learned result diverged from solo");
+            assert_eq!(b.unwrap(), s, "batched learned result diverged from solo");
         }
     }
 

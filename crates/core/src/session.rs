@@ -360,9 +360,7 @@ impl SketchQL {
         let index = self.dataset(dataset)?;
         let result = self.traced(dataset, || {
             self.matcher
-                .search_stored(index, self.stores.get(dataset), &[(query, cancel)], None)
-                .pop()
-                .expect("one result per query")
+                .search_stored(index, self.stores.get(dataset), query, cancel, None)
         });
         result.map(|s| s.moments).map_err(SessionError::from)
     }

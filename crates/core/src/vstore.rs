@@ -149,7 +149,7 @@ impl IngestConfig {
     }
 }
 
-/// Outcome of one [`Matcher::search_stored`] member.
+/// Outcome of one [`Matcher::search_stored`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreSearch {
     /// The retrieved moments (ranked, NMS'd, refined — same pipeline as
@@ -180,133 +180,111 @@ impl StoreSearch {
 
 impl Matcher<LearnedSimilarity> {
     /// The search planner — the one call every query goes through.
-    /// Every member of `queries` (concurrent queries over one dataset,
-    /// each under its own token; a batch of one is the solo case) is
-    /// answered from `set` when it can be and from the scan when it
-    /// cannot; with no `set` every member scans:
+    /// `query` is answered from `set` when it can be and from the scan
+    /// when it cannot; with no `set` it scans:
     ///
     /// 1. **Classify.** A degenerate query (empty, shorter than
     ///    `min_window`, or over an empty index) settles to an empty
-    ///    result. A query `set` cannot serve is left for the scan and
-    ///    counted under its reason (`sketchql.store.fallback.<reason>`):
-    ///    it binds more than one object (stores hold single-track
-    ///    rows) — `multi_object`; the set's model or index fingerprint
-    ///    differs from the live model/index — `model_fingerprint`,
+    ///    result. A query `set` cannot serve goes to the scan, counted
+    ///    under its reason (`sketchql.store.fallback.<reason>`): it
+    ///    binds more than one object (stores hold single-track rows) —
+    ///    `multi_object`; the set's model or index fingerprint differs
+    ///    from the live model/index — `model_fingerprint`,
     ///    `index_fingerprint`; or the matcher's stride or overlap
     ///    fractions differ from the set's, or a window length the query
-    ///    derives was not ingested — `window_grid`. Everything else
-    ///    embeds its query.
-    /// 2. **Rank.** One [`CoarseQuantizer::rank_batch`] pass over the
-    ///    shared centroid table for every served member.
-    /// 3. **Gather and re-rank**, per member under its own token: the
-    ///    rows under the top `nprobe` lists, scored exactly and run
-    ///    through the usual ranking pipeline. A shard that fails to
-    ///    load (corruption discovered at first probe) leaves its member
-    ///    for the scan (`shard_load`), so results stay correct.
-    /// 4. **Scan** every member the store did not serve in one fused
-    ///    `Matcher::scan` (one enumeration of each window the index's
-    ///    memo lacks, one encoder pass, per-member tokens) — each counted
-    ///    as a store fallback when there was a store to fall back from.
+    ///    derives was not ingested — `window_grid`. Anything else embeds
+    ///    its query.
+    /// 2. **Rank** the set's centroids for the query embedding
+    ///    ([`CoarseQuantizer::rank`]).
+    /// 3. **Gather and re-rank**: the rows under the top `nprobe` lists,
+    ///    scored exactly and run through the usual ranking pipeline. A
+    ///    shard that fails to load (corruption discovered at first
+    ///    probe) sends the query to the scan (`shard_load`), so results
+    ///    stay correct.
+    /// 4. **Scan** (`Matcher::scan`) a query the store did not serve —
+    ///    counted as a store fallback when there was a store to fall
+    ///    back from.
     ///
-    /// Every moment the store path reports scores bit-identically to the
-    /// full scan (the same `score_embeddings` over the same vector bits);
-    /// probing fewer than all lists can only *omit* windows, never change
-    /// a reported score. Per-member results do not depend on what else
-    /// is in the batch.
+    /// `cancel` is polled throughout. Every moment the store path
+    /// reports scores bit-identically to the full scan (the same
+    /// `score_embeddings` over the same vector bits); probing fewer than
+    /// all lists can only *omit* windows, never change a reported score.
     ///
-    /// `min_end` is the epoch scope shared by every member (the
-    /// scheduler only fuses equal scopes): only windows whose **end**
-    /// frame is at least `min_end` are considered. A window fires in the
-    /// epoch that first covers its last frame, so scoping by end makes
-    /// epochs partition the windows: no window is delivered twice, none
-    /// is skipped. Windows are filtered before scoring on both the store
+    /// `min_end` is the epoch scope: only windows whose **end** frame is
+    /// at least `min_end` are considered. A window fires in the epoch
+    /// that first covers its last frame, so scoping by end makes epochs
+    /// partition the windows: no window is delivered twice, none is
+    /// skipped. Windows are filtered before scoring on both the store
     /// path and the scan, so `top_k` applies *within* the scope and
     /// scores stay bit-identical to an unscoped query.
     ///
-    /// [`CoarseQuantizer::rank_batch`]: sketchql_store::CoarseQuantizer::rank_batch
+    /// [`CoarseQuantizer::rank`]: sketchql_store::CoarseQuantizer::rank
     pub fn search_stored(
         &self,
         index: &VideoIndex,
         set: Option<&ShardSet>,
-        queries: &[(&Clip, &CancelToken)],
+        query: &Clip,
+        cancel: &CancelToken,
         min_end: Option<u32>,
-    ) -> Vec<Result<StoreSearch, MatchError>> {
+    ) -> Result<StoreSearch, MatchError> {
         let _search_span = telemetry::span(names::MATCHER_SEARCH);
-        // `None` = not served by the store (yet): phase 4 scans it.
-        let mut results: Vec<Option<Result<StoreSearch, MatchError>>> =
-            queries.iter().map(|_| None).collect();
         if let Some(set) = set {
-            let mut probes: Vec<(usize, PreparedQuery)> = Vec::new();
-            for (i, &(query, cancel)) in queries.iter().enumerate() {
-                if self.is_degenerate(index, query) {
-                    results[i] = Some(Ok(StoreSearch::unserved(Vec::new(), false)));
-                } else if let Err(reason) = self.meta_serves(index, set, query) {
-                    count_fallback(reason);
-                } else {
-                    match cancel.check().map_err(MatchError::from).and_then(|()| {
-                        let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
-                        self.sim.prepare(query).map_err(MatchError::from)
-                    }) {
-                        Ok(prepared) => probes.push((i, prepared)),
-                        Err(e) => results[i] = Some(Err(e)),
-                    }
-                }
+            if self.is_degenerate(index, query) {
+                return Ok(StoreSearch::unserved(Vec::new(), false));
             }
-            let rankings = if probes.is_empty() {
-                Vec::new()
-            } else {
-                let embeddings: Vec<&[f32]> = probes
-                    .iter()
-                    .map(|(_, prepared)| match prepared {
-                        PreparedQuery::Embedding(qe) => qe.as_slice(),
-                        _ => unreachable!("learned similarity always prepares an embedding"),
-                    })
-                    .collect();
-                let _probe_span = telemetry::span(names::STORE_PROBE);
-                set.quantizer().rank_batch(&embeddings)
-            };
-            for ((i, prepared), ranked) in probes.iter().zip(rankings) {
-                let (query, cancel) = queries[*i];
-                let nprobe = set.nprobe.max(1).min(ranked.len());
-                let gathered = {
-                    let _probe_span = telemetry::span(names::STORE_PROBE);
-                    set.gather(&ranked[..nprobe])
-                };
-                // A load error was logged where it was first recorded
-                // (`ShardSet::loaded`); the member is left unserved.
-                let Ok(mut candidates) = gathered else {
-                    count_fallback(names::STORE_FALLBACK_SHARD_LOAD);
-                    continue;
-                };
-                // The live epoch scope, applied before ranking so `top_k`
-                // acts within it: only windows ending at or after `min_end`.
-                if let Some(m) = min_end {
-                    candidates.retain(|(row, _)| row.end >= m);
-                }
-                results[*i] = Some(cancel.check().map_err(MatchError::from).and_then(|()| {
-                    self.finish_store_search(index, query, prepared, candidates, cancel)
-                }));
+            if let Some(served) = self.probe_store(index, set, query, cancel, min_end)? {
+                return Ok(served);
             }
         }
+        // A refusal was counted, with its reason, where it was made.
+        let scanned = self.scan(index, &[query], cancel, min_end).pop();
+        let moments = scanned.expect("one result per query")?;
+        Ok(StoreSearch::unserved(moments, set.is_some()))
+    }
 
-        let unserved: Vec<usize> = (0..queries.len())
-            .filter(|&i| results[i].is_none())
-            .collect();
-        if !unserved.is_empty() {
-            // Each was counted, with its reason, where it was refused.
-            let fallback = set.is_some();
-            let members: Vec<_> = unserved.iter().map(|&i| queries[i]).collect();
-            for (i, moments) in unserved
-                .into_iter()
-                .zip(self.scan(index, &members, min_end))
-            {
-                results[i] = Some(moments.map(|m| StoreSearch::unserved(m, fallback)));
-            }
+    /// Steps 1-3 of [`search_stored`](Self::search_stored) for a
+    /// non-degenerate `query`: its answer from `set`, or `None` (counted
+    /// under its reason) when the set cannot serve it.
+    fn probe_store(
+        &self,
+        index: &VideoIndex,
+        set: &ShardSet,
+        query: &Clip,
+        cancel: &CancelToken,
+        min_end: Option<u32>,
+    ) -> Result<Option<StoreSearch>, MatchError> {
+        if let Err(reason) = self.meta_serves(index, set, query) {
+            count_fallback(reason);
+            return Ok(None);
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("every member is served or scanned"))
-            .collect()
+        cancel.check()?;
+        let prepared = {
+            let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
+            self.sim.prepare(query)?
+        };
+        let PreparedQuery::Embedding(embedding) = &prepared else {
+            unreachable!("learned similarity always prepares an embedding")
+        };
+        let gathered = {
+            let _probe_span = telemetry::span(names::STORE_PROBE);
+            let ranked = set.quantizer().rank(embedding);
+            let nprobe = set.nprobe.max(1).min(ranked.len());
+            set.gather(&ranked[..nprobe])
+        };
+        // A load error was logged where it was first recorded
+        // (`ShardSet::loaded`); the query goes to the scan.
+        let Ok(mut candidates) = gathered else {
+            count_fallback(names::STORE_FALLBACK_SHARD_LOAD);
+            return Ok(None);
+        };
+        // The live epoch scope, applied before ranking so `top_k` acts
+        // within it: only windows ending at or after `min_end`.
+        if let Some(m) = min_end {
+            candidates.retain(|(row, _)| row.end >= m);
+        }
+        cancel.check()?;
+        self.finish_store_search(index, query, &prepared, candidates, cancel)
+            .map(Some)
     }
 
     /// [`search_stored`](Self::search_stored) for one unscoped query.
@@ -317,7 +295,7 @@ impl Matcher<LearnedSimilarity> {
         query: &Clip,
         cancel: &CancelToken,
     ) -> Result<StoreSearch, MatchError> {
-        self.search_with_shards_scoped(index, set, query, cancel, None)
+        self.search_stored(index, Some(set), query, cancel, None)
     }
 
     /// [`search_stored`](Self::search_stored) for one query under an
@@ -330,9 +308,7 @@ impl Matcher<LearnedSimilarity> {
         cancel: &CancelToken,
         min_end: Option<u32>,
     ) -> Result<StoreSearch, MatchError> {
-        self.search_stored(index, Some(set), &[(query, cancel)], min_end)
-            .pop()
-            .expect("one result per query")
+        self.search_stored(index, Some(set), query, cancel, min_end)
     }
 
     /// The served path's tail: window enumeration, exact re-rank of the

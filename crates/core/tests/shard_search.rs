@@ -190,56 +190,6 @@ fn sharded_search_matches_scan_exactly() {
     }
 }
 
-/// The planner differential: for a one-shard and a multi-shard set at
-/// `nprobe = nlist`, one `search_stored` call over N queries, N
-/// single-query calls, and `Matcher::search` all agree — moments and
-/// score bits — for served members and for the member that falls back.
-#[test]
-fn planner_batch_equals_solo_equals_scan() {
-    let model = tiny_model();
-    let index = test_index(33);
-    let m = matcher(&model);
-    let queries = [
-        query_clip(EventKind::LeftTurn),
-        query_clip(EventKind::PerpendicularCrossing),
-        query_clip(EventKind::StopAndGo),
-        query_clip(EventKind::LaneChange),
-    ];
-    let spans: Vec<u32> = queries.iter().map(|q| q.span()).collect();
-    let none = CancelToken::none();
-    let batch: Vec<_> = queries.iter().map(|q| (q, &none)).collect();
-
-    for shard_frames in [index.frames, 40] {
-        let dir = temp_dir(&format!("planner-{shard_frames}"));
-        let set = exhaustive_set(&m, &index, &spans, shard_frames, &dir);
-        let batched = m.search_stored(&index, Some(&set), &batch, None);
-        assert_eq!(batched.len(), queries.len());
-        for (q, batched) in queries.iter().zip(batched) {
-            let batched = batched.unwrap();
-            let solo = m
-                .search_stored(&index, Some(&set), &[(q, &none)], None)
-                .pop()
-                .unwrap()
-                .unwrap();
-            let scan = m.search(&index, q).unwrap();
-            assert_eq!(batched, solo, "{shard_frames}: batch diverged from solo");
-            assert_eq!(
-                solo.moments, scan,
-                "{shard_frames}: solo diverged from scan"
-            );
-            for (a, b) in batched.moments.iter().zip(&scan) {
-                assert_eq!(a.score.to_bits(), b.score.to_bits());
-            }
-            assert_eq!(
-                solo.from_store,
-                q.num_objects() == 1,
-                "{shard_frames}: only the multi-object member may fall back"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
 /// A set built by another model must refuse to serve (the vectors would
 /// score differently) and the query must come back from the scan.
 #[test]

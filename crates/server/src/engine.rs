@@ -44,39 +44,18 @@
 //! is counted. Callers can also cancel explicitly through the
 //! [`QueryHandle`].
 //!
-//! ## One executor, fused batches
+//! ## One query, one execution
 //!
-//! When a worker dequeues a query it also drains up to
-//! [`EngineConfig::fused_batch`] − 1 queued queries against the *same*
-//! dataset (and the same epoch scope) and executes the batch as one
-//! [`Matcher::search_stored`] call — the only search call the engine
-//! makes, whether or not the dataset has a store and whether the batch
-//! has one member or many. Members the store can serve share one pass
-//! over its centroid table; members it cannot (or all of them, with no
-//! store) share one scan: a window's candidates and their embeddings
-//! depend only on the index, the model and the window, not on the
-//! query, so the batch enumerates each window its index's memo lacks
-//! once and pays one batched encoder pass for all of them. (The memo
-//! itself belongs to the index, and every query shares it, fused or
-//! not.)
-//! Per-query results are bit-identical to running each query alone (see
-//! the core matcher tests), so fusion changes throughput, never
-//! answers. `fused_batch` defaults to the worker count: a 1-worker engine
-//! executes query-at-a-time, an 8-worker engine amortizes encoder work
-//! across up to 8 concurrent queries — which is what makes a wider pool
-//! faster even on a single core.
-//!
-//! Batch formation is deadline-aware: a queued peer with a deadline
-//! joins a batch only if its remaining margin covers the dataset's
-//! estimated scan time (a recency-weighted mean of
-//! the same per-dataset execute-stage observations that feed the
-//! `sketchql.server.execute_ms` histogram — it follows a dataset whose
-//! scans turned warm within a few queries), so a tight-deadline query is
-//! never fused into a scan it can't survive. Every member runs under its
-//! own token: the search stops working for a member whose token trips,
-//! and stops altogether once no member is live — while that member's
-//! waiter has already answered itself (see above), not when the worker
-//! next reaches it.
+//! A worker dequeues one query and executes it as one
+//! [`Matcher::search_stored`] call under that query's own token and
+//! trace — the only search call the engine makes, whether or not the
+//! dataset has a store. Queries never fuse. What concurrent queries of
+//! one dataset share is the index's window memo: a window's candidates
+//! and their embeddings depend only on the index, the model and the
+//! window, not on the query, so a window grid any query has scanned
+//! costs every later query look-ups, not encoder rows. Every trace
+//! therefore records exactly one query's work, and
+//! [`QueryResult::batch_size`] is always 1.
 //!
 //! ## One tally
 //!
@@ -99,10 +78,10 @@
 //!
 //! ## Live ingest and standing queries
 //!
-//! Datasets and their stores live behind a swappable snapshot:
-//! every query (and every fused batch) works against one `Arc`'d view
-//! for its whole run, and [`Engine::reload_dataset`] replaces the view
-//! wholesale — readers never observe a half-swapped dataset. A reload
+//! Datasets and their stores live behind a swappable snapshot: every
+//! query works against one `Arc`'d view for its whole run, and
+//! [`Engine::reload_dataset`] replaces the view wholesale — readers
+//! never observe a half-swapped dataset. A reload
 //! also drives the standing-query registry (see the [`live`](crate::live)
 //! module): each registration behind the new frame count is evaluated
 //! as one epoch-scoped query (`min_end` = its watermark) submitted
@@ -139,9 +118,6 @@ use crate::live::{
 const LATENCY_MS_BOUNDS: &[f64] = &[
     0.05, 0.1, 0.25, 0.5, 1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
 ];
-
-/// Bucket bounds for the fused-batch-size histogram.
-const BATCH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 
 /// Bucket bounds (milliseconds) for the deadline-margin histogram:
 /// how much headroom a deadlined query finished with (negative = it
@@ -211,9 +187,6 @@ pub struct EngineConfig {
     pub queue_depth: usize,
     /// Deadline applied to queries that don't carry their own.
     pub default_deadline: Option<Duration>,
-    /// Maximum same-dataset queries fused into one shared scan.
-    /// `0` means "same as `workers`".
-    pub fused_batch: usize,
     /// Matcher search parameters shared by every query. Per-query `top_k`
     /// requests at or below `matcher.top_k` are served by truncating the
     /// ranked list (NMS keeps a greedy prefix, so the truncation is
@@ -234,7 +207,6 @@ impl Default for EngineConfig {
             workers: 4,
             queue_depth: 64,
             default_deadline: None,
-            fused_batch: 0,
             matcher: MatcherConfig::default(),
             sched: SchedPolicy::default(),
             registry_path: None,
@@ -348,9 +320,7 @@ pub struct QuerySpec {
     pub priority: Option<i32>,
     /// Epoch scope: only windows ending at or after this frame are
     /// considered (the standing-query evaluation range). `None` searches
-    /// the whole dataset. Scoped and unscoped jobs never fuse, and
-    /// scoped jobs only fuse with jobs carrying the same scope, so
-    /// per-member results stay bit-identical to running alone.
+    /// the whole dataset.
     pub min_end: Option<u32>,
 }
 
@@ -379,9 +349,11 @@ pub struct QueryResult {
     pub moments: Vec<RetrievedMoment>,
     /// Time spent waiting for a worker.
     pub queue_wait: Duration,
-    /// Time spent executing (shared across a fused batch).
+    /// Time spent executing.
     pub execute: Duration,
-    /// How many queries shared the scan (1 = ran alone).
+    /// Always 1: every query executes alone. Kept because the wire's
+    /// `Moments` reply carries it for v5 and v6 clients, and the
+    /// benchmark reads it.
     pub batch_size: usize,
     /// The live trace the query ran under. The wire server enters it
     /// once more to time response serialization, then finalizes it;
@@ -519,8 +491,8 @@ impl QueryHandle {
         if let Err(reason) = token.check() {
             finish_err(&self.shared, &self.member, reason.into());
         }
-        // Every admitted member is answered (worker, batch guard or
-        // shutdown drain), and this handle keeps its own sender alive.
+        // Every admitted query is answered (worker or shutdown drain),
+        // and this handle keeps its own sender alive.
         self.rx.recv().unwrap_or(Err(EngineError::WorkerLost))
     }
 
@@ -543,9 +515,9 @@ struct Job {
 }
 
 /// The one record of an admitted query, built at admission and shared by
-/// its queue entry, its [`QueryHandle`] and the batch guard. A member is
-/// answered exactly once: the worker, the waiter (on a tripped token)
-/// and the guard (on a panic) all race through [`Member::claim`], and
+/// its queue entry and its [`QueryHandle`]. A member is answered exactly
+/// once: the worker (with its answer, or `WorkerLost` after a panic) and
+/// the waiter (on a tripped token) race through [`Member::claim`], and
 /// only the winner counts the outcome and sends.
 struct Member {
     dataset: String,
@@ -651,43 +623,6 @@ struct DatasetCounters {
     failed: AtomicU64,
     timed_out: AtomicU64,
     shed: AtomicU64,
-    scan_estimate: ScanEstimate,
-}
-
-/// How long a batch against one dataset is expected to execute: an
-/// exponentially weighted mean of the completed executions (each new
-/// one counts a quarter), so the estimate follows the dataset's recent
-/// traffic — a warmed embedding memo, a shift between store hits and
-/// scans — within a handful of queries instead of averaging over the
-/// engine's whole life. Feeds the deadline-aware fusion test.
-#[derive(Default)]
-struct ScanEstimate {
-    /// Nanoseconds; 0 = no execution completed yet.
-    nanos: AtomicU64,
-}
-
-impl ScanEstimate {
-    /// `None` until the dataset's first execution completes.
-    fn get(&self) -> Option<Duration> {
-        match self.nanos.load(Ordering::Relaxed) {
-            0 => None,
-            nanos => Some(Duration::from_nanos(nanos)),
-        }
-    }
-
-    /// Feeds one completed execution into the estimate. Two workers
-    /// recording at once each fold into the value the other left.
-    fn record(&self, execute: Duration) {
-        let sample = (execute.as_nanos() as u64).max(1);
-        let _ = self
-            .nanos
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
-                Some(match old {
-                    0 => sample,
-                    old => (old - old / 4 + sample / 4).max(1),
-                })
-            });
-    }
 }
 
 /// Per-class slice of the traffic counters; same fixed-key scheme as
@@ -725,7 +660,7 @@ impl ClassCounters {
 }
 
 /// The engine's swappable dataset view. Readers grab one `Arc` snapshot
-/// and work against it for a whole query (or fused batch), so a live
+/// and work against it for a whole query, so a live
 /// reload never tears a scan: [`Engine::reload_dataset`] builds a new
 /// `LiveData` and swaps the `Arc` wholesale. The dataset *name set* is
 /// fixed at start — reload replaces content, never adds or removes
@@ -744,7 +679,6 @@ struct Shared {
     counters: Counters,
     per_dataset: BTreeMap<String, DatasetCounters>,
     per_class: BTreeMap<String, ClassCounters>,
-    fused_batch: usize,
     /// The configured policy with [`DEFAULT_CLASS`] declared: its
     /// `classes` is the whole fixed class table.
     policy: SchedPolicy,
@@ -794,7 +728,7 @@ impl Engine {
     /// payload reads, no checksums): it must name a loaded dataset and
     /// carry both the model's and that index's fingerprints. Sets
     /// that don't match are dropped, and queries against their dataset
-    /// simply take the fused-scan path — per-dataset fallback, never a
+    /// simply take the scan — per-dataset fallback, never a
     /// startup failure. Payloads (and their deferred checksums) load on
     /// first probe, so startup cost is independent of store size.
     pub fn start_with_stores(
@@ -805,9 +739,6 @@ impl Engine {
     ) -> Engine {
         let mut config = config;
         config.workers = config.workers.max(1);
-        if config.fused_batch == 0 {
-            config.fused_batch = config.workers;
-        }
         // Standing-query evaluation always has a class to run under:
         // auto-declare the live class (far below interactive priority)
         // unless the policy configured it explicitly.
@@ -876,7 +807,6 @@ impl Engine {
             counters: Counters::default(),
             per_dataset,
             per_class,
-            fused_batch: config.fused_batch,
             policy,
         });
         let workers = (0..config.workers)
@@ -900,7 +830,8 @@ impl Engine {
         engine
     }
 
-    /// The engine's effective configuration (zeros resolved to defaults).
+    /// The engine's effective configuration (`workers` at least 1, the
+    /// live class declared).
     pub fn config(&self) -> &EngineConfig {
         &self.config
     }
@@ -1255,31 +1186,25 @@ impl Drop for Engine {
     }
 }
 
-/// Worker thread body: pick, fuse, execute, answer — until shutdown
-/// with an empty queue.
+/// Worker thread body: pick, execute, answer — until shutdown with an
+/// empty queue.
 fn worker_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let job = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                let now = Instant::now();
-                if let Some(i) = pick_index(&st.queue, &shared.policy, now) {
-                    let head = st.queue.remove(i).expect("picked index in bounds");
-                    let est = shared
-                        .dataset_counters(&head.member.dataset)
-                        .scan_estimate
-                        .get();
-                    let batch = form_batch(&mut st.queue, head, shared.fused_batch, est, now);
-                    for job in &batch {
-                        let class = &job.member.class;
-                        let cq = st.classes.get_mut(class).expect("class table is fixed");
-                        cq.queued -= 1;
-                        let depth = shared.class_counters(class).queue_depth;
-                        depth.set(cq.queued as f64);
-                    }
-                    st.in_flight += batch.len();
+                if let Some(i) = pick_index(&st.queue, &shared.policy, Instant::now()) {
+                    let job = st.queue.remove(i).expect("picked index in bounds");
+                    let class = &job.member.class;
+                    let cq = st.classes.get_mut(class).expect("class table is fixed");
+                    cq.queued -= 1;
+                    shared
+                        .class_counters(class)
+                        .queue_depth
+                        .set(cq.queued as f64);
+                    st.in_flight += 1;
                     telemetry::gauge(names::SERVER_QUEUE_DEPTH).set(st.queue.len() as f64);
-                    break batch;
+                    break job;
                 }
                 if !st.accepting {
                     return;
@@ -1287,16 +1212,19 @@ fn worker_loop(shared: &Shared) {
                 st = shared.work_ready.wait(st).unwrap();
             }
         };
-        // The guard restores `in_flight` and answers any member the
-        // batch never answered — on the normal path *and* when
-        // `run_batch` panics, so a panicking worker can't leak the
-        // count or leave a caller hanging. The worker itself survives.
-        let guard = BatchGuard {
-            shared,
-            members: batch.iter().map(|j| Arc::clone(&j.member)).collect(),
-        };
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_batch(shared, batch)));
-        drop(guard);
+        // A panicking search answers `WorkerLost` instead of leaving its
+        // caller hanging, and the worker itself survives.
+        let member = Arc::clone(&job.member);
+        let answer =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(shared, job)))
+                .unwrap_or(Err(EngineError::WorkerLost));
+        // Restore the count *before* answering: a waiter woken by its
+        // answer must already observe the query gone from `in_flight`.
+        shared.state.lock().unwrap().in_flight -= 1;
+        match answer {
+            Ok(done) => finish_ok(shared, &member, done),
+            Err(err) => finish_err(shared, &member, err),
+        }
     }
 }
 
@@ -1345,180 +1273,77 @@ fn pick_index(queue: &VecDeque<Job>, policy: &SchedPolicy, now: Instant) -> Opti
     Some(best)
 }
 
-/// Whether a queued peer may join `head`'s batch: a peer with a
-/// deadline joins only if its remaining margin
-/// covers the estimated scan time. No estimate yet (cold dataset) or no
-/// deadline means fuse freely; an already-expired peer stays queued and
-/// is shed when it is next picked.
-fn fusable(job: &Job, est_scan: Option<Duration>, now: Instant) -> bool {
-    let (Some(deadline), Some(est)) = (job.member.cancel.deadline(), est_scan) else {
-        return true;
-    };
-    deadline
-        .checked_duration_since(now)
-        .is_some_and(|margin| margin >= est)
+/// A query's successful execution, as [`finish_ok`] answers it.
+struct Done {
+    search: StoreSearch,
+    queue_wait: Duration,
+    execute: Duration,
 }
 
-/// Drains fusable same-dataset peers of `head` out of `queue` in one
-/// pass — O(n) with no per-removal shifting, unlike the old
-/// `queue.remove(i)` sweep — preserving the relative order of every
-/// job left behind. Batch members keep their arrival order after the
-/// head.
-fn form_batch(
-    queue: &mut VecDeque<Job>,
-    head: Job,
-    fused_batch: usize,
-    est_scan: Option<Duration>,
-    now: Instant,
-) -> Vec<Job> {
-    let mut batch = vec![head];
-    if fused_batch <= 1 || queue.is_empty() {
-        return batch;
-    }
-    let pending = std::mem::take(queue);
-    for job in pending {
-        // Only jobs sharing the head's epoch scope may fuse: the scope
-        // prunes the shared candidate set, so mixing scopes would
-        // change peers' answers.
-        let (member, head) = (&job.member, &batch[0].member);
-        if batch.len() < fused_batch
-            && member.dataset == head.dataset
-            && member.min_end == head.min_end
-            && fusable(&job, est_scan, now)
-        {
-            batch.push(job);
-        } else {
-            queue.push_back(job);
-        }
-    }
-    batch
-}
-
-/// Restores `in_flight` and answers unanswered members when a batch
-/// ends — normally or by panic. Created before `run_batch`, dropped
-/// after `catch_unwind` resolves.
-struct BatchGuard<'a> {
-    shared: &'a Shared,
-    members: Vec<Arc<Member>>,
-}
-
-impl Drop for BatchGuard<'_> {
-    fn drop(&mut self) {
-        // Restore the count *before* answering: a waiter woken by its
-        // answer must already observe the batch gone from `in_flight`.
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.in_flight -= self.members.len();
-        }
-        for member in &self.members {
-            // No-op for members the batch answered; a panic's survivors
-            // get `WorkerLost` (a `Failed` outcome) instead of hanging.
-            finish_err(self.shared, member, EngineError::WorkerLost);
-        }
-    }
-}
-
-/// The executor: runs one same-dataset batch as one
-/// [`Matcher::search_stored`] call — store or no store, one member or
-/// many — and answers every member.
-fn run_batch(shared: &Shared, batch: Vec<Job>) {
-    // What a batch shares is read off its head: `form_batch` only fuses
-    // members of one dataset and one epoch scope.
-    let head = Arc::clone(&batch[0].member);
-    let dataset = &head.dataset;
-    // Test-only fault injection (debug builds): panic mid-batch when the
-    // dataset matches, exercising the guard's unwind path.
+/// The executor: runs one query as one [`Matcher::search_stored`] call
+/// under its own token and trace, and returns its answer.
+fn run_job(shared: &Shared, job: Job) -> Result<Done, EngineError> {
+    let member = &job.member;
+    // Test-only fault injection (debug builds): panic mid-query when the
+    // dataset matches, exercising the worker's unwind path.
     #[cfg(debug_assertions)]
     if let Ok(target) = std::env::var("SKETCHQL_TEST_PANIC_DATASET") {
-        if !target.is_empty() && *dataset == target {
+        if !target.is_empty() && member.dataset == target {
             panic!("test-injected worker panic for dataset {target:?}");
         }
     }
 
-    // Queue-expiry check: a member whose token already tripped never
-    // runs (its waiter has usually answered it by now; the claim makes
-    // the answer here a no-op then).
-    let mut live: Vec<(Job, Duration)> = Vec::with_capacity(batch.len());
-    for job in batch {
-        let member = &job.member;
-        let wait = member.enqueued_at.elapsed();
-        let wait_ms = wait.as_secs_f64() * 1e3;
-        telemetry::histogram(names::SERVER_QUEUE_WAIT_MS, LATENCY_MS_BOUNDS).observe(wait_ms);
-        let class_counters = shared.class_counters(&member.class);
-        class_counters.queue_wait_ms.observe(wait_ms);
-        // The queue wait happened between threads, outside any RAII
-        // scope — record it straight into the trace.
-        member.trace.record_span(
-            names::SERVER_QUEUE_WAIT,
-            0,
-            member.enqueued_at,
-            wait.as_nanos() as u64,
-        );
-        match member.cancel.check() {
-            Ok(()) => live.push((job, wait)),
-            Err(reason) => {
-                if reason == CancelReason::DeadlineExceeded {
-                    tally(shared, member, Event::ExpiredInQueue);
-                }
-                finish_err(shared, member, reason.into());
-            }
+    let queue_wait = member.enqueued_at.elapsed();
+    let wait_ms = queue_wait.as_secs_f64() * 1e3;
+    telemetry::histogram(names::SERVER_QUEUE_WAIT_MS, LATENCY_MS_BOUNDS).observe(wait_ms);
+    shared
+        .class_counters(&member.class)
+        .queue_wait_ms
+        .observe(wait_ms);
+    // The queue wait happened between threads, outside any RAII scope —
+    // record it straight into the trace.
+    member.trace.record_span(
+        names::SERVER_QUEUE_WAIT,
+        0,
+        member.enqueued_at,
+        queue_wait.as_nanos() as u64,
+    );
+    // Queue-expiry check: a query whose token already tripped never runs
+    // (its waiter has usually answered it by now; the claim makes the
+    // worker's answer a no-op then).
+    if let Err(reason) = member.cancel.check() {
+        if reason == CancelReason::DeadlineExceeded {
+            tally(shared, member, Event::ExpiredInQueue);
         }
+        return Err(reason.into());
     }
-    if live.is_empty() {
-        return;
-    }
-    // One snapshot for the whole batch: a reload committing mid-scan
-    // swaps the engine's view, not this batch's.
+    // One snapshot for the whole query: a reload committing mid-scan
+    // swaps the engine's view, not this query's.
     let data = shared.data();
     let index = data
         .datasets
-        .get(dataset)
-        .expect("dataset validated at submit")
-        .as_ref();
-    let store = data.stores.get(dataset).map(Arc::as_ref);
+        .get(&member.dataset)
+        .expect("dataset validated at submit");
+    let store = data.stores.get(&member.dataset).map(Arc::as_ref);
 
-    let batch_size = live.len();
-    telemetry::histogram(names::SERVER_FUSED_BATCH, BATCH_BOUNDS).observe(batch_size as f64);
-    for (job, _) in &live {
-        job.member.trace.set_batch_size(batch_size);
-    }
-    // Enter every member's trace: the shared work's spans (probe, embed,
-    // scan, rank) are delivered to each member, so every fused query
-    // still carries a complete span tree of the work done on its behalf.
-    let trace_guards: Vec<_> = live.iter().map(|(j, _)| j.member.trace.enter()).collect();
-    let exec_span = telemetry::span(names::SERVER_EXECUTE);
-    let fusion_span = (batch_size > 1).then(|| telemetry::span(names::SERVER_FUSION));
     let started = Instant::now();
-    let queries: Vec<(&Clip, &CancelToken)> = live
-        .iter()
-        .map(|(j, _)| (&j.query, &j.member.cancel))
-        .collect();
-    let results = shared
-        .matcher
-        .search_stored(index, store, &queries, head.min_end);
+    let search = {
+        let _entered = member.trace.enter();
+        let _exec_span = telemetry::span(names::SERVER_EXECUTE);
+        shared
+            .matcher
+            .search_stored(index, store, &job.query, &member.cancel, member.min_end)
+    };
     let execute = started.elapsed();
-    drop(fusion_span);
-    drop(exec_span);
-    drop(trace_guards);
     publish_memo_gauges(&data);
     telemetry::histogram(names::SERVER_EXECUTE_MS, LATENCY_MS_BOUNDS)
         .observe(execute.as_secs_f64() * 1e3);
-    if results.iter().any(|r| r.is_ok()) {
-        // Only searches that ran to completion feed the fusion estimate;
-        // aborted ones would bias it low and over-fuse.
-        shared
-            .dataset_counters(dataset)
-            .scan_estimate
-            .record(execute);
-    }
-    for ((job, wait), result) in live.into_iter().zip(results) {
-        let member = &job.member;
-        observe_deadline_margin(member);
-        match result {
-            Ok(search) => finish_ok(shared, member, search, wait, execute, batch_size),
-            Err(e) => finish_err(shared, member, e.into()),
-        }
-    }
+    observe_deadline_margin(member);
+    Ok(Done {
+        search: search?,
+        queue_wait,
+        execute,
+    })
 }
 
 /// Sets the `sketchql.matcher.embed_memo_*` gauges to what the indexes of
@@ -1550,33 +1375,26 @@ fn observe_deadline_margin(member: &Member) {
 
 /// Answers `member` successfully — unless its waiter already answered
 /// it (its token tripped mid-scan), in which case this is a no-op.
-fn finish_ok(
-    shared: &Shared,
-    member: &Member,
-    search: StoreSearch,
-    queue_wait: Duration,
-    execute: Duration,
-    batch_size: usize,
-) {
+fn finish_ok(shared: &Shared, member: &Member, done: Done) {
     if !member.claim() {
         return;
     }
-    tally(shared, member, Event::Completed(&search));
-    let mut moments = search.moments;
+    tally(shared, member, Event::Completed(&done.search));
+    let mut moments = done.search.moments;
     if let Some(k) = member.top_k {
         moments.truncate(k);
     }
     let _ = member.tx.send(Ok(QueryResult {
         moments,
-        queue_wait,
-        execute,
-        batch_size,
+        queue_wait: done.queue_wait,
+        execute: done.execute,
+        batch_size: 1,
         trace: member.trace.clone(),
     }));
 }
 
 /// Answers `member` with `err`. No-op if already answered; safe to call
-/// from the worker, the member's waiter, or the batch guard.
+/// from the worker, the member's waiter, or the shutdown drain.
 fn finish_err(shared: &Shared, member: &Member, err: EngineError) {
     if !member.claim() {
         return;
@@ -1752,117 +1570,5 @@ mod sched_tests {
         let queue: VecDeque<Job> = [job("a", 5, 2, None), old].into();
         // 200ms / 10ms = +20 credit beats base priority 5.
         assert_eq!(pick_index(&queue, &policy, Instant::now()), Some(1));
-    }
-
-    #[test]
-    fn form_batch_preserves_leftover_order() {
-        // Mixed datasets: the batch takes a's in order, leaves b's (and
-        // the overflow a) in their original relative order.
-        let mut queue: VecDeque<Job> = [
-            job("b", 0, 2, None),
-            job("a", 0, 3, None),
-            job("b", 0, 4, None),
-            job("a", 0, 5, None),
-            job("a", 0, 6, None),
-            job("b", 0, 7, None),
-        ]
-        .into();
-        let head = job("a", 0, 1, None);
-        let batch = form_batch(&mut queue, head, 3, None, Instant::now());
-        assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [1, 3, 5]);
-        assert_eq!(
-            queue.iter().map(|j| j.seq).collect::<Vec<_>>(),
-            [2, 4, 6, 7],
-            "non-members keep their relative order"
-        );
-    }
-
-    #[test]
-    fn form_batch_respects_fused_limit() {
-        let mut queue: VecDeque<Job> = (2..10).map(|s| job("a", 0, s, None)).collect();
-        let batch = form_batch(&mut queue, job("a", 0, 1, None), 4, None, Instant::now());
-        assert_eq!(batch.len(), 4);
-        assert_eq!(queue.len(), 5);
-    }
-
-    #[test]
-    fn deadline_aware_formation_skips_tight_margins() {
-        let mut queue: VecDeque<Job> = [
-            job("a", 0, 2, Some(Duration::from_millis(5))),
-            job("a", 0, 3, Some(Duration::from_secs(120))),
-            job("a", 0, 4, None),
-        ]
-        .into();
-        // Estimated scan of 1s: the 5ms-margin job must not fuse; the
-        // 120s-margin and deadline-less jobs may.
-        let est = Some(Duration::from_secs(1));
-        let batch = form_batch(&mut queue, job("a", 0, 1, None), 8, est, Instant::now());
-        assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [1, 3, 4]);
-        assert_eq!(queue.iter().map(|j| j.seq).collect::<Vec<_>>(), [2]);
-    }
-
-    /// The estimate follows recent executions: one slow (cold) scan
-    /// followed by fast (warm) ones must stop refusing a peer whose
-    /// margin covers a warm scan many times over. (A lifetime mean of
-    /// these nine would still read ~20 ms after them and ~160 ms / n
-    /// forever after.)
-    #[test]
-    fn estimate_recovers_after_a_slow_scan_so_a_tight_peer_fuses() {
-        let estimate = ScanEstimate::default();
-        assert_eq!(estimate.get(), None, "no estimate before the first scan");
-        estimate.record(Duration::from_millis(160));
-        assert_eq!(estimate.get(), Some(Duration::from_millis(160)));
-        let peer = || -> VecDeque<Job> { [job("a", 0, 2, Some(Duration::from_millis(20)))].into() };
-        let mut queue = peer();
-        let batch = form_batch(
-            &mut queue,
-            job("a", 0, 1, None),
-            8,
-            estimate.get(),
-            Instant::now(),
-        );
-        assert_eq!(
-            batch.len(),
-            1,
-            "a 20 ms margin does not cover a 160 ms scan"
-        );
-
-        for _ in 0..8 {
-            estimate.record(Duration::from_millis(3));
-        }
-        let est = estimate.get().unwrap();
-        assert!(
-            est > Duration::from_millis(3) && est < Duration::from_millis(20),
-            "estimate {est:?} after eight 3 ms scans"
-        );
-        let mut queue = peer();
-        let batch = form_batch(
-            &mut queue,
-            job("a", 0, 1, None),
-            8,
-            Some(est),
-            Instant::now(),
-        );
-        assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [1, 2]);
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn scoped_jobs_only_fuse_with_equal_scopes() {
-        let mut j2 = job("a", 0, 2, None);
-        member_mut(&mut j2).min_end = Some(100);
-        let mut j3 = job("a", 0, 3, None);
-        member_mut(&mut j3).min_end = Some(200);
-        let j4 = job("a", 0, 4, None);
-        let mut queue: VecDeque<Job> = [j2, j3, j4].into();
-        let mut head = job("a", 0, 1, None);
-        member_mut(&mut head).min_end = Some(100);
-        let batch = form_batch(&mut queue, head, 8, None, Instant::now());
-        assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [1, 2]);
-        assert_eq!(
-            queue.iter().map(|j| j.seq).collect::<Vec<_>>(),
-            [3, 4],
-            "different or absent scopes stay queued"
-        );
     }
 }

@@ -38,9 +38,10 @@
 //! - **Deadlines end work, not just waits**: an expired
 //!   [`CancelToken`](sketchql::CancelToken) stops the sliding-window scan
 //!   between windows and encoder batches.
-//! - **Fusion, not just fan-out**: a worker drains same-dataset queries
-//!   and executes them as one shared scan with bit-identical per-query
-//!   results — concurrency pays off even on one core.
+//! - **One query, one execution**: a worker runs each query alone under
+//!   its own token and trace; what concurrent queries share is each
+//!   index's window memo, so a window grid any query scanned costs the
+//!   next one look-ups, not encoder rows.
 //! - **Graceful drain**: shutdown answers every admitted query before
 //!   returning.
 

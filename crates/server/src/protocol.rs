@@ -171,7 +171,8 @@ pub struct WireTrace {
     /// Outcome name: `completed`, `deadline_exceeded`, `cancelled`,
     /// `shed`, or `failed`.
     pub outcome: String,
-    /// Fused batch size the query executed under (1 = ran alone).
+    /// Always 1: a trace records exactly one query's work. Kept on the
+    /// wire because v5 and v6 clients parse it.
     pub batch_size: usize,
     /// Wall time from admission to finalization, nanoseconds.
     pub total_nanos: u64,
@@ -197,7 +198,7 @@ impl WireTrace {
             trace_id: t.trace_id,
             label: t.label.clone(),
             outcome: t.outcome.as_str().to_string(),
-            batch_size: t.batch_size,
+            batch_size: 1,
             total_nanos: t.total_nanos,
             alloc_bytes: t.alloc_bytes,
             alloc_count: t.alloc_count,
@@ -229,9 +230,10 @@ pub struct QueryOutcome {
     pub moments: Vec<RetrievedMoment>,
     /// Milliseconds the query waited for a worker.
     pub queue_wait_ms: u64,
-    /// Milliseconds the (possibly fused) scan took.
+    /// Milliseconds the search took.
     pub execute_ms: u64,
-    /// Queries that shared the scan (1 = ran alone).
+    /// Always 1: every query executes alone. Kept on the wire because
+    /// v5 and v6 clients parse it.
     pub batch_size: usize,
     /// The trace id the query ran under (the client-minted id if it sent
     /// one, echoed by the server); fetch the span tree with
@@ -377,9 +379,9 @@ impl Response {
 mod tests {
     use super::*;
 
-    #[test]
-    fn requests_round_trip_through_json() {
-        let reqs = vec![
+    /// Every request variant, as the round-trip and mutation tests send it.
+    fn golden_requests() -> Vec<Request> {
+        vec![
             Request::Ping,
             Request::ListDatasets,
             Request::Stats,
@@ -427,8 +429,12 @@ mod tests {
                 max: None,
             },
             Request::Shutdown,
-        ];
-        for req in reqs {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip_through_json() {
+        for req in golden_requests() {
             let line = serde_json::to_string(&req).unwrap();
             assert!(!line.contains('\n'), "wire lines must be single-line");
             let back: Request = serde_json::from_str(&line).unwrap();
@@ -501,8 +507,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn responses_round_trip_through_json() {
+    /// Every response variant, as the round-trip and mutation tests send
+    /// it.
+    fn golden_responses() -> Vec<Response> {
         let mut resps = vec![
             Response::Pong {
                 version: PROTOCOL_VERSION,
@@ -548,7 +555,12 @@ mod tests {
             },
         ];
         resps.extend(body_replies().into_iter().map(|(resp, _)| resp));
-        for resp in resps {
+        resps
+    }
+
+    #[test]
+    fn responses_round_trip_through_json() {
+        for resp in golden_responses() {
             let line = serde_json::to_string(&resp).unwrap();
             let back: Response = serde_json::from_str(&line).unwrap();
             assert_eq!(back, resp);
@@ -580,7 +592,7 @@ mod tests {
                 nanos: 2_000,
             }],
         };
-        let golden = r#"{"trace_id":7,"label":"traffic","outcome":"completed","batch_size":1,"total_nanos":1234567,"alloc_bytes":52480,"alloc_count":120,"cpu_nanos":1100000,"counts":{"sketchql.store.hits":1,"sketchql.store.rows_probed":266},"spans":[{"name":"sketchql.server.queue_wait","depth":0,"start_nanos":0,"nanos":2000}]}"#;
+        let golden = TRACE_LINE;
         assert_eq!(serde_json::to_string(&trace).unwrap(), golden);
         assert_eq!(serde_json::from_str::<WireTrace>(golden).unwrap(), trace);
 
@@ -595,21 +607,94 @@ mod tests {
         assert_eq!(old.spans, trace.spans);
     }
 
+    /// Garbage never panics the decoder. Beyond two hand-written lines,
+    /// every golden line of this module — each request and response
+    /// variant, the v5 query, the trace reply — is truncated at every
+    /// byte and then mutated 10 000 times by a seeded generator: one to
+    /// three edits per mutant, each a byte overwrite, an inserted or
+    /// removed `[`, `{`, `"` or `\`, or a number swapped for `1e999`,
+    /// `-0` or a 30-digit integer. Every mutant must decode as both a
+    /// `Request` and a `Response` to `Ok` or `Err`.
     #[test]
     fn garbage_line_is_a_parse_error_not_a_panic() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
         assert!(serde_json::from_str::<Request>("{\"nope\"").is_err());
         assert!(serde_json::from_str::<Request>("{\"Frobnicate\":{}}").is_err());
+
+        const MUTANTS_PER_LINE: usize = 10_000;
+        const STRUCTURAL: [u8; 4] = [b'[', b'{', b'"', b'\\'];
+        const NUMBERS: [&str; 3] = ["1e999", "-0", "123456789012345678901234567890"];
+        let mut lines: Vec<String> = golden_requests()
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap())
+            .chain(
+                golden_responses()
+                    .iter()
+                    .map(|r| serde_json::to_string(r).unwrap()),
+            )
+            .collect();
+        lines.extend([V5_QUERY_LINE, TRACE_LINE].map(String::from));
+
+        let decode = |line: &str| {
+            let outcome = std::panic::catch_unwind(|| {
+                let _ = serde_json::from_str::<Request>(line);
+                let _ = serde_json::from_str::<Response>(line);
+            });
+            assert!(outcome.is_ok(), "decoding panicked on {line:?}");
+        };
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for line in &lines {
+            for cut in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
+                decode(&line[..cut]);
+            }
+            for _ in 0..MUTANTS_PER_LINE {
+                let mut bytes = line.clone().into_bytes();
+                for _ in 0..rng.gen_range(1..=3) {
+                    let at = rng.gen_range(0..=bytes.len());
+                    match rng.gen_range(0..4) {
+                        0 if at < bytes.len() => bytes[at] = rng.gen_range(0..=255u8),
+                        1 => bytes.insert(at, STRUCTURAL[rng.gen_range(0..4)]),
+                        2 => {
+                            let found = bytes[at..].iter().position(|b| STRUCTURAL.contains(b));
+                            if let Some(k) = found {
+                                bytes.remove(at + k);
+                            }
+                        }
+                        _ => {
+                            let found = bytes[at..].iter().position(u8::is_ascii_digit);
+                            if let Some(k) = found {
+                                let start = at + k;
+                                let end = bytes[start..]
+                                    .iter()
+                                    .position(|b| !b.is_ascii_digit())
+                                    .map_or(bytes.len(), |n| start + n);
+                                let number = NUMBERS[rng.gen_range(0..NUMBERS.len())];
+                                bytes.splice(start..end, number.bytes());
+                            }
+                        }
+                    }
+                }
+                decode(&String::from_utf8_lossy(&bytes));
+            }
+        }
     }
 
-    /// The exact bytes a protocol-version-5 client puts on the wire
-    /// still parse under this v6 server — the live bump adds request
-    /// variants but changes nothing about existing ones.
+    /// The exact bytes a protocol-version-5 client puts on the wire.
+    const V5_QUERY_LINE: &str = "{\"Query\":{\"dataset\":\"traffic\",\"event\":\"left_turn\",\
+                                 \"clip\":null,\"top_k\":5,\"deadline_ms\":2000,\
+                                 \"trace_id\":42,\"class\":\"batch\",\"priority\":-5}}";
+
+    /// A trace reply's exact line.
+    const TRACE_LINE: &str = r#"{"trace_id":7,"label":"traffic","outcome":"completed","batch_size":1,"total_nanos":1234567,"alloc_bytes":52480,"alloc_count":120,"cpu_nanos":1100000,"counts":{"sketchql.store.hits":1,"sketchql.store.rows_probed":266},"spans":[{"name":"sketchql.server.queue_wait","depth":0,"start_nanos":0,"nanos":2000}]}"#;
+
+    /// A v5 query line still parses under this v6 server — the live
+    /// bump adds request variants but changes nothing about existing
+    /// ones.
     #[test]
     fn v5_query_still_parses_under_v6() {
-        let v5_line = "{\"Query\":{\"dataset\":\"traffic\",\"event\":\"left_turn\",\
-                       \"clip\":null,\"top_k\":5,\"deadline_ms\":2000,\
-                       \"trace_id\":42,\"class\":\"batch\",\"priority\":-5}}";
-        let req: Request = serde_json::from_str(v5_line).unwrap();
+        let req: Request = serde_json::from_str(V5_QUERY_LINE).unwrap();
         assert_eq!(
             req,
             Request::Query {

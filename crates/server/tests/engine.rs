@@ -26,7 +26,7 @@ fn spec(dataset: &str, event: EventKind) -> QuerySpec {
 }
 
 /// The acceptance property: eight client threads hammering an 8-worker
-/// engine (with shared-scan fusion active) get byte-identical answers to
+/// engine get byte-identical answers to
 /// a 1-worker engine executing the same queries one at a time. The
 /// workers share each dataset's embedding memo: every thread asks every
 /// sketch, so the first laps race cold misses on shared segments (left
@@ -47,7 +47,7 @@ fn eight_worker_engine_matches_single_worker_byte_for_byte() {
     for dataset in ["alpha", "beta"] {
         for &event in EVENTS {
             let result = serial.execute(spec(dataset, event)).unwrap();
-            assert_eq!(result.batch_size, 1, "1-worker engine must not fuse");
+            assert_eq!(result.batch_size, 1, "every query executes alone");
             expected.push(((dataset, event), result.moments));
         }
     }
@@ -414,14 +414,7 @@ fn scoped_query_on_a_scan_only_dataset_ranks_within_the_scope() {
     assert!(!reply.is_empty(), "the scope's own windows must be ranked");
     assert!(reply.iter().all(|m| m.track_ids == [3]));
     let want = Matcher::with_config(model.similarity(), matcher)
-        .search_stored(
-            &index,
-            None,
-            &[(&query, &CancelToken::none())],
-            Some(min_end),
-        )
-        .pop()
-        .unwrap()
+        .search_stored(&index, None, &query, &CancelToken::none(), Some(min_end))
         .unwrap();
     assert_eq!(reply, want.moments);
     engine.shutdown();

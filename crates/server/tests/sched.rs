@@ -1,8 +1,7 @@
 //! Scheduler-policy integration tests: admission classes (quotas, rate
 //! limits), starvation protection, an interactive query overtaking a
-//! bulk backlog, the mid-batch deadline-inversion regression, a queued
-//! deadline honoured on time, the submit/shutdown race, and worker-panic
-//! containment.
+//! bulk backlog, in-flight and queued deadlines honoured on time, the
+//! submit/shutdown race, and worker-panic containment.
 
 mod common;
 
@@ -247,7 +246,6 @@ fn token_bucket_rejects_burst_past_capacity() {
 fn interactive_query_overtakes_a_bulk_backlog() {
     let config = || EngineConfig {
         workers: 1,
-        fused_batch: 1,
         ..Default::default()
     };
     let model = tiny_model();
@@ -299,69 +297,58 @@ fn interactive_query_overtakes_a_bulk_backlog() {
     fresh.shutdown();
 }
 
-/// The deadline-inversion regression: a fused member whose deadline
-/// expires mid-scan is answered `DeadlineExceeded` by the monitor while
-/// the shared scan is still running — not after it completes. The
-/// deadline is sized on a scratch engine and the blocker runs on the
-/// other dataset, so the engine under test has no scan estimate for
-/// "alpha" and formation fuses the tight query whichever member heads
-/// the batch.
+/// A deadline that expires mid-search is honoured when it expires, not
+/// when the search ends: a cold query on the only worker, on a third of
+/// a cold scan's deadline, hears `DeadlineExceeded` from its own waiter
+/// well before that scan could finish. The search stops on the tripped
+/// token, the timeout is counted once, and the worker serves the next
+/// query.
 #[test]
-fn mid_batch_expiry_is_answered_before_the_scan_finishes() {
+fn in_flight_query_is_answered_at_its_deadline() {
     let config = || EngineConfig {
         workers: 1,
-        fused_batch: 4,
         ..Default::default()
     };
-    // Measure one solo scan to size the deadline: cold, like the fused
-    // scan below on its fresh engine.
+    // Measure one cold solo scan on a scratch engine to size the
+    // deadline: the query below runs cold too, on a fresh engine.
     let model = tiny_model();
     let scan = cold_scan(&model, config(), EventKind::RightTurn);
 
-    // Hold the single worker while a no-deadline query and a
-    // tight-deadline query queue up on the other dataset, then release
-    // it: the two fuse into one batch whose scan outlives the tight
-    // member's margin.
     let engine = Engine::start(model, two_datasets(), config());
-    let blocker = engine.submit(spec("beta", EventKind::RightTurn)).unwrap();
-    let patient = engine.submit(spec("alpha", EventKind::LeftTurn)).unwrap();
-    let mut tight_spec = spec("alpha", EventKind::UTurn);
-    // A third of a solo scan: well past the queue wait (the blocker is
-    // cancelled at once), well short of the fused scan.
-    tight_spec.deadline = Some(scan / 3);
-    let tight = engine.submit(tight_spec).unwrap();
-    blocker.cancel();
-
-    let ((tight_result, tight_at), (patient_result, patient_at)) = std::thread::scope(|scope| {
-        let tight_waiter = scope.spawn(move || {
-            let r = tight.wait();
-            (r, Instant::now())
-        });
-        let patient_waiter = scope.spawn(move || {
-            let r = patient.wait();
-            (r, Instant::now())
-        });
-        (tight_waiter.join().unwrap(), patient_waiter.join().unwrap())
-    });
+    let mut tight = spec("beta", EventKind::RightTurn);
+    tight.deadline = Some(scan / 3);
+    let submitted = Instant::now();
+    let tight = engine.submit(tight).unwrap();
+    // The query must have left the queue: its deadline trips in flight.
+    let give_up = submitted + Duration::from_secs(10);
+    while engine.stats().in_flight != 1 && engine.stats().timed_out == 0 {
+        assert!(Instant::now() < give_up, "the query never started");
+        std::thread::sleep(Duration::from_micros(100));
+    }
     assert_eq!(
-        blocker.wait().map(|r| r.moments),
-        Err(EngineError::Cancelled)
+        engine.stats().queued,
+        0,
+        "test premise: the query is in flight"
+    );
+    assert_eq!(tight.wait(), Err(EngineError::DeadlineExceeded));
+    let heard = submitted.elapsed();
+    assert!(
+        heard < scan * 2 / 3,
+        "an in-flight deadline of {:?} was answered after {heard:?} — a cold \
+         scan takes {scan:?}",
+        scan / 3
     );
 
-    assert_eq!(tight_result, Err(EngineError::DeadlineExceeded));
-    let patient = patient_result.expect("the surviving member still gets its answer");
-    assert!(
-        patient.batch_size >= 2,
-        "test premise: the two queries must have fused (batch {})",
-        patient.batch_size
+    engine
+        .execute(spec("alpha", EventKind::UTurn))
+        .expect("the worker serves the next query");
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.accepted, stats.completed, stats.timed_out),
+        (2, 1, 1),
+        "the timeout is counted once"
     );
-    assert!(
-        patient_at > tight_at + Duration::from_millis(2),
-        "tight member must be answered mid-scan, not after it \
-         (gap {:?})",
-        patient_at.saturating_duration_since(tight_at)
-    );
-    assert_eq!(engine.stats().timed_out, 1);
+    assert_eq!((stats.queued, stats.in_flight), (0, 0));
     engine.shutdown();
 }
 
@@ -375,7 +362,6 @@ fn mid_batch_expiry_is_answered_before_the_scan_finishes() {
 fn queued_query_is_answered_at_its_deadline() {
     let config = || EngineConfig {
         workers: 1,
-        fused_batch: 1,
         ..Default::default()
     };
     // Measure one cold solo scan on a scratch engine to size the
@@ -427,7 +413,6 @@ fn submit_shutdown_race_always_answers() {
             two_datasets(),
             EngineConfig {
                 workers: 2,
-                fused_batch: 4,
                 ..Default::default()
             },
         ));
@@ -477,7 +462,7 @@ fn submit_shutdown_race_always_answers() {
     }
 }
 
-/// A worker panic mid-batch is contained: the members are answered
+/// A worker panic mid-query is contained: the query is answered
 /// `WorkerLost` (not left hanging), `in_flight` returns to zero, and
 /// the pool keeps serving other datasets.
 #[test]

@@ -247,7 +247,7 @@ fn prometheus_exposition_is_well_formed() {
     }
 
     // The scanned dataset's index remembers its segments; the engine
-    // totals its datasets' memos into the gauges after every batch.
+    // totals its datasets' memos into the gauges after every query.
     for family in [
         "sketchql_matcher_embed_memo_bytes",
         "sketchql_matcher_embed_memo_segments",

@@ -3,11 +3,16 @@
 //! answers byte-identical to a plain (scan-only) engine, per-query
 //! fallback, and the store-effectiveness counters surfaced through
 //! `stats()`.
+//!
+//! The shard gauges are process-wide and most tests here fault shards
+//! in or drop sets, so every test takes `GAUGE_LOCK`: while one reads a
+//! gauge, no other test of this binary moves it.
 
 mod common;
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 
 use sketchql::{ingest_sharded, IngestConfig, MatcherConfig, ShardSet};
 use sketchql_datasets::{query_clip, EventKind};
@@ -23,6 +28,15 @@ const SINGLE_OBJECT: &[EventKind] = &[
     EventKind::StopAndGo,
     EventKind::LaneChange,
 ];
+
+static GAUGE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Serializes this binary's tests; a failed test does not fail the rest.
+fn serial() -> MutexGuard<'static, ()> {
+    GAUGE_LOCK
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn spec(dataset: &str, event: EventKind) -> QuerySpec {
     QuerySpec::new(dataset, query_clip(event))
@@ -65,12 +79,13 @@ fn exhaustive_set(
 }
 
 /// One test drives the whole lifecycle so the process-wide residency
-/// gauge is observed without interference (the other tests here never
-/// fault a shard in): for a many-shard and a one-shard set of `alpha`,
-/// attach it cold, check nothing is resident, then compare every answer
-/// against a plain engine and watch residency rise.
+/// gauge is observed without interference (the lock keeps every other
+/// test of this binary still): for a many-shard and a one-shard set of
+/// `alpha`, attach it cold, check nothing is resident, then compare
+/// every answer against a plain engine and watch residency rise.
 #[test]
 fn store_backed_engine_is_lazy_and_matches_plain_engine() {
+    let _serial = serial();
     let model = tiny_model();
     let alpha = small_index(11);
 
@@ -147,6 +162,7 @@ fn store_backed_engine_is_lazy_and_matches_plain_engine() {
 /// queries through the ordinary scan path.
 #[test]
 fn mismatched_store_is_dropped_at_startup() {
+    let _serial = serial();
     let model = tiny_model();
     let dir = temp_dir("mismatch");
     // Named "alpha" but embedded from a different video.
@@ -169,6 +185,7 @@ fn mismatched_store_is_dropped_at_startup() {
 /// store is consulted: neither a hit nor a fallback.
 #[test]
 fn multi_object_query_on_stored_dataset_falls_back() {
+    let _serial = serial();
     let model = tiny_model();
     let dir = temp_dir("multi-object");
     let alpha = small_index(11);
@@ -216,6 +233,7 @@ fn multi_object_query_on_stored_dataset_falls_back() {
 /// one fallback under its reason and no hit.
 #[test]
 fn wire_trace_counts_say_store_hit_or_why_not() {
+    let _serial = serial();
     let model = tiny_model();
     let dir = temp_dir("wire-counts");
     let alpha = small_index(11);

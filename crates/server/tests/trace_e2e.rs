@@ -47,7 +47,7 @@ fn wire_query_yields_a_fetchable_span_tree() {
     assert_eq!(trace.trace_id, outcome.trace_id);
     assert_eq!(trace.label, "alpha");
     assert_eq!(trace.outcome, "completed");
-    assert!(trace.batch_size >= 1);
+    assert_eq!(trace.batch_size, 1, "a trace is one query's work");
     assert!(trace.total_nanos > 0);
 
     // The span tree covers the whole query path.
@@ -130,7 +130,7 @@ fn wire_query_yields_a_fetchable_span_tree() {
     // And the wire metrics snapshot carries the new series.
     let prom = client.metrics_text().unwrap();
     assert!(prom.contains("sketchql_server_queue_wait_ms_bucket"));
-    assert!(prom.contains("sketchql_server_fused_batch_size"));
+    assert!(prom.contains("sketchql_server_execute_ms_bucket"));
     assert!(prom.contains("sketchql_server_queue_depth"));
 
     server.shutdown();

@@ -61,7 +61,6 @@ fn prom_help(name: &str) -> &'static str {
         names::SERVER_DEADLINE_MARGIN_MS => {
             "Milliseconds between query completion and its deadline (negative = late)."
         }
-        names::SERVER_FUSED_BATCH => "Queries fused into one shared engine scan.",
         names::EMBED_MEMO_BYTES => "Payload bytes held by per-index embedding memos.",
         names::EMBED_MEMO_SEGMENTS => "Segments remembered by per-index embedding memos.",
         names::EMBED_MEMO_RESETS => "Embedding memos emptied on passing their byte budget.",
@@ -121,7 +120,7 @@ impl QueryTrace {
     ///
     /// ```json
     /// {"trace_id":"00a1b2c3d4e5","label":"traffic/left_turn",
-    ///  "outcome":"completed","batch_size":1,"total_nanos":1234567,
+    ///  "outcome":"completed","total_nanos":1234567,
     ///  "alloc_bytes":52480,"alloc_count":120,"cpu_nanos":1100000,
     ///  "counts":{"sketchql.store.hits":1,"sketchql.store.rows_probed":266},
     ///  "spans":[{"name":"sketchql.server.queue_wait","depth":0,
@@ -131,11 +130,10 @@ impl QueryTrace {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"trace_id\":{},\"label\":{},\"outcome\":{},\"batch_size\":{},\"total_nanos\":{}",
+            "{{\"trace_id\":{},\"label\":{},\"outcome\":{},\"total_nanos\":{}",
             json_string(&format_trace_id(self.trace_id)),
             json_string(&self.label),
             json_string(self.outcome.as_str()),
-            self.batch_size,
             self.total_nanos
         );
         let _ = write!(

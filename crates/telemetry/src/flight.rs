@@ -27,9 +27,7 @@ pub const FLIGHT_CAPACITY: usize = 256;
 /// of what a query did and cost. Everything in it was attributed
 /// through the threads that [entered](crate::TraceContext::enter) the
 /// trace, so it is exact per query whatever else the process is
-/// running. A query that ran in a fused batch carries the whole batch's
-/// spans, counts and resources ([`batch_size`](Self::batch_size) says
-/// how many queries shared them).
+/// running.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryTrace {
     /// The trace id minted at the query's origin.
@@ -38,8 +36,6 @@ pub struct QueryTrace {
     pub label: String,
     /// How the query ended.
     pub outcome: TraceOutcome,
-    /// Fused batch size the query executed under (1 = ran alone).
-    pub batch_size: usize,
     /// When the trace started, nanoseconds since the process telemetry
     /// epoch. Span `start_nanos` values share the same epoch, so
     /// `span.start_nanos - trace.start_nanos` is the span's offset into
@@ -94,9 +90,9 @@ impl QueryTrace {
 
     /// Wall-clock nanoseconds covered by the depth-0 spans: the length
     /// of the *union* of their intervals, not the plain sum. Nested or
-    /// overlapping top-level spans (a fused batch delivers the shared
-    /// scan to several traces; concurrent threads can both be at depth
-    /// 0) therefore never push stage coverage past 100% of
+    /// overlapping top-level spans (concurrent threads inside one trace
+    /// can both be at depth 0) therefore never push stage coverage past
+    /// 100% of
     /// [`total_nanos`](Self::total_nanos). For a fully instrumented
     /// query this lands within a few percent of the total.
     pub fn stage_nanos_sum(&self) -> u64 {

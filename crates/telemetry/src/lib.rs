@@ -13,7 +13,7 @@
 //!   or count locally and add once per loop, as the Matcher does.
 //! - [`TraceContext`] / [`QueryTrace`]: the one per-query record. A
 //!   trace travels with the query across threads (admission queue,
-//!   workers, fused batches); threads [`enter`](TraceContext::enter) it
+//!   worker, search helpers); threads [`enter`](TraceContext::enter) it
 //!   to route their spans into it and to attribute what they count,
 //!   allocate and burn to it. [`TraceContext::finalize`] snapshots it
 //!   into a [`QueryTrace`] — spans, [`counts`](QueryTrace::counts),
@@ -101,10 +101,10 @@ pub mod names {
     /// memo nor the scan had seen: one encoder row each.
     pub const EMBED_CACHE_MISSES: &str = "sketchql.matcher.embed_cache_misses";
     /// Gauge: payload bytes held by the embedding memos of a serving
-    /// engine's datasets, as of its last executed batch or reload.
+    /// engine's datasets, as of its last executed query or reload.
     pub const EMBED_MEMO_BYTES: &str = "sketchql.matcher.embed_memo_bytes";
     /// Gauge: segments remembered by the embedding memos of a serving
-    /// engine's datasets, as of its last executed batch or reload.
+    /// engine's datasets, as of its last executed query or reload.
     pub const EMBED_MEMO_SEGMENTS: &str = "sketchql.matcher.embed_memo_segments";
     /// Counter: times an index's embedding memo was emptied because a
     /// publish would have passed its byte budget.
@@ -137,16 +137,11 @@ pub mod names {
     pub const SERVER_FAILED: &str = "sketchql.server.queries_failed";
     /// Counter: wire requests handled (any type, any outcome).
     pub const SERVER_REQUESTS: &str = "sketchql.server.requests";
-    /// Histogram: queries fused into one shared engine scan.
-    pub const SERVER_FUSED_BATCH: &str = "sketchql.server.fused_batch_size";
     /// Span: time a query spent in the admission queue (recorded into
     /// its trace by the worker that dequeued it).
     pub const SERVER_QUEUE_WAIT: &str = "sketchql.server.queue_wait";
-    /// Span: a worker executing a query (or a fused batch of queries).
+    /// Span: a worker executing a query.
     pub const SERVER_EXECUTE: &str = "sketchql.server.execute";
-    /// Span: shared-scan fusion — present in each member query's trace
-    /// when the query executed as part of a fused batch.
-    pub const SERVER_FUSION: &str = "sketchql.server.fusion";
     /// Span: serializing and writing a query's wire response.
     pub const SERVER_SERIALIZE: &str = "sketchql.server.serialize";
     /// Histogram: milliseconds between a query finishing and its

@@ -2,16 +2,16 @@
 //!
 //! A [`TraceContext`] is minted where a query is born (the wire client,
 //! the engine, or an in-process session's `run_query`) and handed along
-//! the query path — wire protocol, admission queue, worker thread,
-//! fusion batch. Any thread that is about to do work on behalf of the
-//! query calls [`TraceContext::enter`]; while the returned guard lives,
-//! every span completed on that thread is delivered into the trace, and
-//! when it drops, the counts, heap and CPU the thread spent inside it
-//! are added to the trace. A thread may enter several contexts at once
-//! (a fused batch executes one shared scan for many queries), in which
-//! case each completed span and every count is attributed to *all* of
-//! them — every member query still gets a complete record of the work
-//! done on its behalf (`batch_size` says how many shared it).
+//! the query path — wire protocol, admission queue, worker thread, and
+//! the helper threads a search fans out to. Any thread that is about to
+//! do work on behalf of the query calls [`TraceContext::enter`]; while
+//! the returned guard lives, every span completed on that thread is
+//! delivered into the trace, and when it drops, the counts, heap and CPU
+//! the thread spent inside it are added to the trace. A thread may enter
+//! several contexts at once, in which case each completed span and every
+//! count is attributed to *all* of them; a helper thread enters what its
+//! spawner had entered ([`TraceContext::entered`]), so its work lands in
+//! the same trace.
 //!
 //! When the query is done, [`TraceContext::finalize`] snapshots the
 //! spans into an immutable [`QueryTrace`], records it in the global
@@ -112,7 +112,6 @@ pub fn parse_trace_id(s: &str) -> Option<u64> {
 struct TraceMeta {
     label: String,
     outcome: TraceOutcome,
-    batch_size: usize,
 }
 
 #[derive(Debug)]
@@ -153,7 +152,6 @@ impl TraceInner {
                 trace_id: self.id,
                 label: meta.label.clone(),
                 outcome: meta.outcome,
-                batch_size: meta.batch_size,
                 start_nanos: self.start_nanos,
                 total_nanos,
                 alloc_bytes,
@@ -211,7 +209,6 @@ impl TraceContext {
                 meta: Mutex::new(TraceMeta {
                     label: String::new(),
                     outcome: TraceOutcome::Completed,
-                    batch_size: 1,
                 }),
                 spans: Mutex::new(Vec::new()),
                 counts: Mutex::new(Vec::new()),
@@ -231,7 +228,7 @@ impl TraceContext {
     /// Registers this trace as a span sink on the current thread; while
     /// the returned guard lives, spans completed on this thread are
     /// delivered into this trace (and into any other traces the thread
-    /// has entered — fused batches enter all their members). The guard
+    /// has entered). The guard
     /// also scopes attribution: what the thread adds to any
     /// [`Counter`](crate::Counter), the heap it allocates and the CPU it
     /// burns while the guard lives are added to the trace's `counts` /
@@ -277,11 +274,6 @@ impl TraceContext {
     /// Sets how the query ended (defaults to [`TraceOutcome::Completed`]).
     pub fn set_outcome(&self, outcome: TraceOutcome) {
         self.inner.meta.lock().unwrap().outcome = outcome;
-    }
-
-    /// Sets the fused batch size the query executed under (default 1).
-    pub fn set_batch_size(&self, batch_size: usize) {
-        self.inner.meta.lock().unwrap().batch_size = batch_size;
     }
 
     /// Records a span directly into this trace, for intervals measured
@@ -345,9 +337,8 @@ impl Drop for TraceGuard {
     fn drop(&mut self) {
         let inner = &self.entered;
         // Attribute this thread's consumption over the guard's
-        // lifetime. A fused batch enters all member traces, so each
-        // member sees the full cost and counts of the shared scan — the
-        // same semantics spans already have.
+        // lifetime; a thread inside several traces charges each of them
+        // the full amount — the same semantics spans already have.
         let (bytes, count) = crate::alloc::thread_allocated();
         inner
             .alloc_bytes
@@ -362,7 +353,7 @@ impl Drop for TraceGuard {
         ACTIVE.with(|a| {
             let mut active = a.borrow_mut();
             // Remove the most recent matching entry (guards usually
-            // drop LIFO, but a fused batch drops a whole set).
+            // drop LIFO, but nothing forces them to).
             if let Some(pos) = active.iter().rposition(|s| Arc::ptr_eq(s, inner)) {
                 active.remove(pos);
             }

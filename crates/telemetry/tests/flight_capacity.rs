@@ -24,7 +24,6 @@ fn configured_capacity_applies_before_first_use() {
             trace_id: id,
             label: format!("cap/{id}"),
             outcome: tel::TraceOutcome::Completed,
-            batch_size: 1,
             start_nanos: id,
             total_nanos: 1,
             ..Default::default()

@@ -46,8 +46,8 @@ fn concurrent_queries_keep_their_own_spans() {
     }
 }
 
-/// A thread that entered several traces (a fused batch executing one
-/// shared scan) delivers each completed span to all of them.
+/// A thread that entered several traces delivers each completed span
+/// to all of them.
 #[test]
 fn fused_entry_delivers_shared_spans_to_every_member() {
     let a = tel::TraceContext::new();
@@ -70,8 +70,7 @@ fn fused_entry_delivers_shared_spans_to_every_member() {
 
 /// Counts travel the same road as spans: what a thread adds to a
 /// counter while it has several traces entered is attributed to every
-/// one of them (each fused member sees the batch's counts), and a count
-/// made outside any trace is nobody's.
+/// one of them, and a count made outside any trace is nobody's.
 #[test]
 fn fused_entry_attributes_shared_counts_to_every_member() {
     let shared = tel::counter("test.fused.count");
@@ -155,8 +154,8 @@ fn stage_sum_is_an_interval_union_not_a_plain_sum() {
 }
 
 /// The same property through the live path: a trace fed overlapping
-/// depth-0 spans (as a fused batch produces) reports a stage union no
-/// larger than its wall clock.
+/// depth-0 spans (as two threads inside one trace produce) reports a
+/// stage union no larger than its wall clock.
 #[test]
 fn recorder_stage_percentages_cannot_exceed_total() {
     let ctx = tel::TraceContext::new();
@@ -183,7 +182,6 @@ fn flight_recorder_retains_the_newest_traces() {
             trace_id: id,
             label: format!("q{id}"),
             outcome: tel::TraceOutcome::Completed,
-            batch_size: 1,
             start_nanos: id,
             total_nanos: 1,
             ..Default::default()
@@ -336,7 +334,6 @@ fn finalized_traces_export_ordered_waterfalls() {
         trace_id: 0xabc,
         label: "wf/check".into(),
         outcome: tel::TraceOutcome::DeadlineExceeded,
-        batch_size: 3,
         start_nanos: 100,
         total_nanos: 5_000,
         alloc_bytes: 4_096,
@@ -376,7 +373,7 @@ fn finalized_traces_export_ordered_waterfalls() {
         get("outcome"),
         Some(serde::Value::Str("deadline_exceeded".into()))
     );
-    assert_eq!(get("batch_size"), Some(serde::Value::Num(3.0)));
+    assert_eq!(get("batch_size"), None, "a trace is one query's work");
     assert_eq!(
         get("counts"),
         Some(serde::Value::Obj(vec![(

@@ -18,6 +18,12 @@ echo "== tier-1 verify: cargo build --release && cargo test -q (whole workspace)
 cargo build --release
 cargo test -q
 
+echo "== release lane: the bit-pinned tests under the optimiser"
+# The kernel differential tests, the cosine bit pins and model_bits.rs
+# hold arithmetic the optimiser may reorder; tier-1 builds tests in
+# debug only, so run the two crates that own them again in release.
+cargo test --release -q -p sketchql-nn -p sketchql
+
 echo "== frozen benchmark: perfbench builds untouched and every workload passes its output checks"
 # perfbench/ pins public API names and compares served replies against
 # direct Matcher calls; a failed check is a `FAILED:` line on stderr.

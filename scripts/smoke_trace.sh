@@ -4,7 +4,7 @@
 # the client-visible trace id, a flight-recorder span tree covering
 # queue wait / embed / probe-or-scan / rank with the query's own counts
 # under it, the Prometheus scrape
-# endpoint (including the queue-wait and fused-batch-size series), and
+# endpoint (including the queue-wait and execute-time series), and
 # the slow-query log.
 #
 #   scripts/smoke_trace.sh                     # uses target/release
@@ -96,7 +96,7 @@ head -1 "$work/scrape.out" | grep -q "200 OK" \
     || { echo "scrape endpoint did not answer 200" >&2; head -5 "$work/scrape.out" >&2; exit 1; }
 for series in \
     sketchql_server_queue_wait_ms_bucket \
-    sketchql_server_fused_batch_size \
+    sketchql_server_execute_ms_bucket \
     sketchql_server_queue_depth \
     sketchql_server_queries_completed; do
     grep -q "$series" "$work/scrape.out" \

@@ -102,9 +102,9 @@ const COMMANDS: &[Command] = &[
     ("info", cmd_info, &["video", "model"]),
     ("serve", cmd_serve, &[
         "model", "videos", "store-dir", "nprobe", "addr", "workers", "queue-depth", "deadline-ms",
-        "fused-batch", "top-k", "oracle-tracks", "aging-ms", "classes", "metrics-addr",
-        "slow-query-ms", "slow-query-log", "slow-query-log-max-bytes", "flight-traces",
-        "profile-hz", "registry", "live-poll-ms",
+        "top-k", "oracle-tracks", "aging-ms", "classes", "metrics-addr", "slow-query-ms",
+        "slow-query-log", "slow-query-log-max-bytes", "flight-traces", "profile-hz", "registry",
+        "live-poll-ms",
     ]),
     ("client", cmd_client, &[
         "addr", "action", "dataset", "event", "top-k", "deadline-ms", "class", "priority",
@@ -164,7 +164,7 @@ commands:
   serve    --model <file> --videos <name=file,name=file,...>
            [--store-dir <dir>] [--nprobe <n>]
            [--addr 127.0.0.1:7878] [--workers <n>] [--queue-depth <n>]
-           [--deadline-ms <n>] [--fused-batch <n>] [--top-k <n>] [--oracle-tracks]
+           [--deadline-ms <n>] [--top-k <n>] [--oracle-tracks]
            [--aging-ms <n>] queue-wait ms per +1 priority promotion credit
            [--classes <name[:prio[:rate[:burst[:quota]]]],...>] admission
            classes: base priority, token-bucket rate (q/s) and burst,
@@ -422,14 +422,7 @@ fn execute_query(
             }
         };
         let search = m
-            .search_stored(
-                &index,
-                set.as_ref(),
-                &[(&query, &CancelToken::none())],
-                None,
-            )
-            .pop()
-            .expect("one result per query")
+            .search_stored(&index, set.as_ref(), &query, &CancelToken::none(), None)
             .map_err(|e| e.to_string())?;
         if let (Some(set), false) = (&set, quiet) {
             if search.from_store {
@@ -803,7 +796,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         workers: num(flags, "workers", 4)?,
         queue_depth: num(flags, "queue-depth", 64)?,
         default_deadline: opt_num(flags, "deadline-ms")?.map(Duration::from_millis),
-        fused_batch: num(flags, "fused-batch", 0)?,
         sched: parse_sched_policy(flags)?,
         matcher,
         registry_path: flags.get("registry").map(std::path::PathBuf::from),
@@ -1040,11 +1032,10 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
                 .query_event_with(dataset, event, &opts)
                 .map_err(|e| e.to_string())?;
             println!(
-                "{} moments (waited {} ms, ran {} ms, batch of {}, trace {})",
+                "{} moments (waited {} ms, ran {} ms, trace {})",
                 outcome.moments.len(),
                 outcome.queue_wait_ms,
                 outcome.execute_ms,
-                outcome.batch_size,
                 telemetry::format_trace_id(outcome.trace_id)
             );
             println!("#  frames            score");
@@ -1190,11 +1181,10 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
 /// reason, rows probed, windows, embeddings — follow the spans.
 fn print_waterfall(trace: &sketchql_server::WireTrace) {
     println!(
-        "trace {}  [{}]  outcome {}  batch {}  total {:.3} ms",
+        "trace {}  [{}]  outcome {}  total {:.3} ms",
         telemetry::format_trace_id(trace.trace_id),
         trace.label,
         trace.outcome,
-        trace.batch_size,
         trace.total_nanos as f64 / 1e6
     );
     if trace.cpu_nanos > 0 || trace.alloc_count > 0 {
