@@ -213,7 +213,7 @@ pub mod prop {
         use rand::Rng;
         use std::ops::{Range, RangeInclusive};
 
-        /// Lengths acceptable to [`vec`]: an exact size or a size range.
+        /// Lengths acceptable to [`vec()`]: an exact size or a size range.
         pub trait VecLen: Clone {
             /// Picks the length for one generated vector.
             fn pick(&self, rng: &mut StdRng) -> usize;
@@ -237,7 +237,7 @@ pub mod prop {
             }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         #[derive(Clone)]
         pub struct VecStrategy<S, L> {
             element: S,

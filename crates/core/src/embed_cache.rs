@@ -5,7 +5,7 @@
 //! embedding of its *segment* — the bound tracks sliced to the window's
 //! frame range. Which candidates a window has, in which order, and what
 //! each embeds to depend only on the index, the model and the window's
-//! [`WindowKey`] — the query's classes in slot order, `(start, end,
+//! `WindowKey` — the query's classes in slot order, `(start, end,
 //! min_overlap)` and `max_combos_per_window` — never on the sketch. So
 //! the index remembers whole windows: a [`SegmentMemo`] lives in every
 //! [`VideoIndex`](crate::VideoIndex) beside its fingerprint, under the
@@ -34,18 +34,18 @@
 //! **Concurrency.** The memo sits behind a read-mostly lock that a scan
 //! holds while it scores one window's rows in place, or for one
 //! publish, never across an encoder pass; a reset waits for the window
-//! being scored, so it cannot change an answer. Within one scan the
-//! windows the memo lacks are enumerated once each, and their segments
-//! queued in [`ScanSlots`] — each segment once, whatever the number of
-//! windows, scales or queries that bind it. Two scans
-//! that miss the same window at the same moment both embed it
-//! (identical bits — the encoder is deterministic) and the second
-//! publish is a no-op; neither waits for the other. A scan publishes
-//! only after its whole encoder pass finished, so a cancelled pass
-//! publishes nothing.
+//! being scored, so it cannot change an answer. A scan is one query,
+//! whose windows are distinct, so it meets each window once: the ones
+//! the memo lacks are enumerated and their segments queued in
+//! `ScanSlots` — each segment once, however many of the scan's windows
+//! bind it. Two scans that miss the same window at the same moment both
+//! embed it (identical bits — the encoder is deterministic) and the
+//! second publish is a no-op; neither waits for the other. A scan
+//! publishes only after its whole encoder pass finished, so a cancelled
+//! pass publishes nothing.
 //!
 //! Results are bit-identical whatever the memo holds: a query's answer
-//! does not depend on its batch, its thread, or what ran before it
+//! does not depend on its thread count or on what ran before it
 //! (`tests/embed_cache.rs` referees against the per-candidate scan).
 
 use std::collections::HashMap;
@@ -436,18 +436,6 @@ impl MemoReader<'_> {
     }
 }
 
-/// What a scan knows of a window before it scores it.
-pub(crate) enum Lookup<'m> {
-    /// The memo holds it: score these rows in place.
-    Remembered(Window<'m>),
-    /// This scan already enumerated it (for another query): the
-    /// [`WindowBatch`] window it will be.
-    Pending(usize),
-    /// Nobody has: enumerate it with [`ScanSlots::open`] and
-    /// [`ScanSlots::resolve`].
-    Unknown,
-}
-
 /// A window this scan enumerated, awaiting the encoder pass.
 struct PendingWindow {
     key: WindowKey,
@@ -460,8 +448,9 @@ struct PendingWindow {
 }
 
 /// One scan's windows the memo did not know, and their segments — each
-/// once, whatever the number of windows, scales or batch members that
-/// bind it — waiting for the scan's encoder pass.
+/// once, whatever the number of the scan's windows that bind it (a
+/// clamped tail under two overlap floors, say) — waiting for the scan's
+/// encoder pass.
 #[derive(Default)]
 pub(crate) struct ScanSlots {
     /// First-seen segments of this scan: the index of their clip, or
@@ -469,9 +458,8 @@ pub(crate) struct ScanSlots {
     pending: HashMap<SegmentKey, Option<u32>>,
     /// The non-empty pending segments' clips, in first-seen order.
     clips: Vec<Clip>,
-    /// Enumerated windows, in first-seen order, and where each key is.
+    /// Enumerated windows, in enumeration order.
     windows: Vec<PendingWindow>,
-    window_at: HashMap<WindowKey, usize>,
     /// The candidates of `windows`: bound track ids, and the clip each
     /// embeds.
     ids: Vec<TrackId>,
@@ -481,28 +469,24 @@ pub(crate) struct ScanSlots {
 }
 
 impl ScanSlots {
-    /// What is known of window `key`: remembered in `memo`, or already
-    /// enumerated by this scan. Either way every segment look-up the
-    /// window stands for counts as a hit.
-    pub(crate) fn lookup<'m>(&mut self, memo: &'m MemoReader<'_>, key: &WindowKey) -> Lookup<'m> {
-        if let Some(window) = memo.window(key) {
-            self.hits += u64::from(window.visited);
-            return Lookup::Remembered(window);
-        }
-        match self.window_at.get(key) {
-            Some(&at) => {
-                self.hits += u64::from(self.windows[at].visited);
-                Lookup::Pending(at)
-            }
-            None => Lookup::Unknown,
-        }
+    /// Window `key` as `memo` remembers it, if it does; every segment
+    /// look-up a remembered window stands for counts as a hit. A scan
+    /// meets each of its windows once, so any other window is enumerated
+    /// with [`open`](Self::open) and [`resolve`](Self::resolve).
+    pub(crate) fn lookup<'m>(
+        &mut self,
+        memo: &'m MemoReader<'_>,
+        key: &WindowKey,
+    ) -> Option<Window<'m>> {
+        let window = memo.window(key)?;
+        self.hits += u64::from(window.visited);
+        Some(window)
     }
 
-    /// Starts enumerating window `key`, which [`lookup`](Self::lookup)
-    /// found [`Unknown`](Lookup::Unknown); [`resolve`](Self::resolve)
-    /// adds its candidates. Returns the [`WindowBatch`] window it will be.
+    /// Starts enumerating window `key`, which the memo does not hold;
+    /// [`resolve`](Self::resolve) adds its candidates. Returns the
+    /// [`WindowBatch`] window it will be.
     pub(crate) fn open(&mut self, key: WindowKey) -> usize {
-        self.window_at.insert(key, self.windows.len());
         self.windows.push(PendingWindow {
             key,
             visited: 0,
@@ -618,7 +602,7 @@ pub fn try_embed_clips_parallel<S: Similarity>(
     threads: usize,
     cancel: &CancelToken,
 ) -> Option<Vec<Option<Vec<f32>>>> {
-    let embed_piece = |piece: &[Clip]| -> Option<Vec<Option<Vec<f32>>>> {
+    let pieces = crate::fan_out(clips, threads, |piece| {
         let mut out = Vec::with_capacity(piece.len());
         for sub in piece.chunks(CANCEL_POLL_CLIPS) {
             if cancel.is_cancelled() {
@@ -627,31 +611,6 @@ pub fn try_embed_clips_parallel<S: Similarity>(
             out.extend(sim.embed_candidates(sub));
         }
         Some(out)
-    };
-    let threads = threads.max(1);
-    if threads == 1 || clips.len() < 2 * threads {
-        return embed_piece(clips);
-    }
-    let chunk = clips.len().div_ceil(threads);
-    // Hand the calling thread's live traces to the workers so encoder
-    // CPU and allocations attribute to the query being embedded.
-    let entered = sketchql_telemetry::TraceContext::entered();
-    let pieces: Vec<Option<Vec<Option<Vec<f32>>>>> = std::thread::scope(|scope| {
-        let embed_piece = &embed_piece;
-        let entered = &entered;
-        let handles: Vec<_> = clips
-            .chunks(chunk)
-            .map(|piece| {
-                scope.spawn(move || {
-                    let _attribution: Vec<_> = entered.iter().map(|t| t.enter()).collect();
-                    embed_piece(piece)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("embedding worker panicked"))
-            .collect()
     });
     let mut out = Vec::with_capacity(clips.len());
     for piece in pieces {
@@ -727,7 +686,7 @@ mod tests {
         let k = key(&[1, 2], 0, 10);
         for floor in [4, 5] {
             let w = WindowKey::new(&[ObjectClass::Car; 2], (0, 10, floor), 64);
-            assert!(matches!(slots.lookup(&memo.reader(7), &w), Lookup::Unknown));
+            assert!(slots.lookup(&memo.reader(7), &w).is_none());
             slots.open(w);
             slots.resolve(k, || {
                 builds += 1;
@@ -781,7 +740,7 @@ mod tests {
         assert_eq!(memo.stats().segments, 0);
         let mut later = ScanSlots::default();
         let reader = memo.reader(7);
-        let Lookup::Remembered(got) = later.lookup(&reader, &w) else {
+        let Some(got) = later.lookup(&reader, &w) else {
             panic!("remembered");
         };
         assert_eq!((got.visited, got.candidates()), (2, 0));
@@ -828,7 +787,7 @@ mod tests {
 
         let mut slots = ScanSlots::default();
         let reader = memo.reader(7);
-        let Lookup::Remembered(got) = slots.lookup(&reader, &single) else {
+        let Some(got) = slots.lookup(&reader, &single) else {
             panic!("remembered");
         };
         assert_eq!((got.visited, got.arity), (4, 1));
@@ -839,18 +798,15 @@ mod tests {
             bits(got.rows),
             bits(&[0.25, -1.5, 3.0, -0.0, f32::MIN_POSITIVE, 1.0])
         );
-        let Lookup::Remembered(got) = slots.lookup(&reader, &pair) else {
+        let Some(got) = slots.lookup(&reader, &pair) else {
             panic!("remembered");
         };
         assert_eq!((got.ids, got.rows), (&[1, 2][..], &[7.0f32, 8.0, 9.0][..]));
         assert_eq!((slots.hits(), slots.misses()), (5, 0));
         // Another model, or another key, sees none of it.
-        assert!(matches!(
-            slots.lookup(&memo.reader(8), &single),
-            Lookup::Unknown
-        ));
+        assert!(slots.lookup(&memo.reader(8), &single).is_none());
         let wider = WindowKey::new(&[ObjectClass::Car], (0, 9, 4), 65);
-        assert!(matches!(slots.lookup(&reader, &wider), Lookup::Unknown));
+        assert!(slots.lookup(&reader, &wider).is_none());
     }
 
     #[test]
@@ -887,16 +843,10 @@ mod tests {
         );
         // The reset dropped the windows with their rows, across models.
         let mut slots = ScanSlots::default();
-        assert!(matches!(
-            slots.lookup(&memo.reader(1), &a.0),
-            Lookup::Unknown
-        ));
-        assert!(matches!(
-            slots.lookup(&memo.reader(2), &c.0),
-            Lookup::Unknown
-        ));
+        assert!(slots.lookup(&memo.reader(1), &a.0).is_none());
+        assert!(slots.lookup(&memo.reader(2), &c.0).is_none());
         let reader = memo.reader(2);
-        let Lookup::Remembered(got) = slots.lookup(&reader, &d.0) else {
+        let Some(got) = slots.lookup(&reader, &d.0) else {
             panic!("the publish that reset is remembered");
         };
         assert_eq!((got.ids, got.rows), (&[4][..], &[4.0; 8][..]));

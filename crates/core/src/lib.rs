@@ -86,6 +86,43 @@ pub use vshard::{
 };
 pub use vstore::{index_fingerprint, model_fingerprint, IngestConfig, StoreSearch};
 
+/// `items` cut into at most `threads` contiguous pieces, each run through
+/// `f` on a scoped worker thread that has entered the caller's live
+/// traces (so its CPU and allocations attribute to the caller's query);
+/// the per-piece results come back in piece order. With fewer than two
+/// items per thread the whole slice is one piece, run inline. A worker's
+/// panic resumes on the caller.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&[T]) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.max(1);
+    if threads == 1 || items.len() < 2 * threads {
+        return vec![f(items)];
+    }
+    let entered = telemetry::TraceContext::entered();
+    std::thread::scope(|scope| {
+        let (f, entered) = (&f, &entered);
+        let handles: Vec<_> = items
+            .chunks(items.len().div_ceil(threads))
+            .map(|piece| {
+                scope.spawn(move || {
+                    let _attribution: Vec<_> = entered.iter().map(|t| t.enter()).collect();
+                    f(piece)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
 /// Convenient re-exports for application code.
 pub mod prelude {
     pub use crate::session::SketchQL;

@@ -13,22 +13,21 @@
 //! baseline ([`rules`](crate::rules)) walk the same two, and the rule
 //! baseline also shares `for_each_distinct_combo` and `nms_top_k` below.
 //!
-//! There is one scan, `Matcher::scan`, and its unit of work is a list of
-//! queries over one index under one [`CancelToken`] and one optional
-//! epoch scope; `search` and `search_with_cancel` are fronts over it
-//! with one query, `search_batch` with several, and the store planner
-//! (`Matcher::search_stored`, in [`vstore`](crate::vstore)) sends the
-//! query it cannot serve through it. For embedding-based similarities
-//! the scan (1) looks every query's windows up in the index's window
-//! memo ([`embed_cache`](crate::embed_cache)), scoring a remembered
-//! window's rows in place, eight candidates at a time, and enumerating
-//! the others — each once per scan, each new segment queued once; (2)
-//! embeds the queued segments in batched encoder forwards across worker
-//! threads and publishes the enumerated windows to the memo; (3) scores
-//! those windows the same way. This returns byte-identical moments to
-//! the direct per-candidate path while embedding each distinct segment
-//! once per index and model — a window grid asked a second time costs
-//! one look-up per window.
+//! There is one scan, `Matcher::scan`, and its unit of work is one query
+//! over one index under one [`CancelToken`] and one optional epoch
+//! scope; `search` and `search_with_cancel` are fronts over it, and the
+//! store planner (`Matcher::search_stored`, in [`vstore`](crate::vstore))
+//! sends the query it cannot serve through it. For embedding-based
+//! similarities the scan (1) looks the query's windows up in the index's
+//! window memo ([`embed_cache`](crate::embed_cache)), scoring a
+//! remembered window's rows in place, eight candidates at a time, and
+//! enumerating the others — each new segment queued once; (2) embeds the
+//! queued segments in batched encoder forwards across worker threads and
+//! publishes the enumerated windows to the memo; (3) scores those
+//! windows the same way. This returns byte-identical moments to the
+//! direct per-candidate path while embedding each distinct segment once
+//! per index and model — a window grid asked a second time costs one
+//! look-up per window.
 
 use serde::{Deserialize, Serialize};
 use sketchql_telemetry::{self as telemetry, names};
@@ -39,7 +38,7 @@ use std::fmt;
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::embed_cache::{
-    try_embed_clips_parallel, Lookup, ScanSlots, SegmentKey, Window, WindowBatch, WindowKey,
+    try_embed_clips_parallel, ScanSlots, SegmentKey, Window, WindowBatch, WindowKey,
 };
 use crate::grid;
 use crate::index::VideoIndex;
@@ -118,7 +117,7 @@ impl RetrievedMoment {
     }
 }
 
-/// Errors from a cancellable or batched search.
+/// Errors from a cancellable search.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MatchError {
     /// The similarity rejected the query itself (see [`SimilarityError`]).
@@ -203,21 +202,25 @@ impl<S: Similarity> Matcher<S> {
         query: &Clip,
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, MatchError> {
-        self.scan(index, &[query], cancel, None)
-            .pop()
-            .expect("one result per query")
+        let _search_span = telemetry::span(names::MATCHER_SEARCH);
+        self.scan(index, query, cancel, None)
     }
 
-    /// Several queries against one index in a single scan, all under one
-    /// `cancel` token: when it trips, every query that has not finished
-    /// reports [`MatchError::Cancelled`].
+    /// [`search_with_cancel`](Self::search_with_cancel) for each of
+    /// `queries` in turn, all under one `cancel` token. Each answer is
+    /// the solo one; a later query finds the windows an earlier one
+    /// scanned in the index's memo. Kept only because the frozen
+    /// benchmark ledger calls it (ROADMAP 3(v)).
     pub fn search_batch(
         &self,
         index: &VideoIndex,
         queries: &[&Clip],
         cancel: &CancelToken,
     ) -> Vec<Result<Vec<RetrievedMoment>, MatchError>> {
-        self.scan(index, queries, cancel, None)
+        queries
+            .iter()
+            .map(|q| self.search_with_cancel(index, q, cancel))
+            .collect()
     }
 
     /// Whether `query` can match nothing in `index` by construction:
@@ -231,130 +234,109 @@ impl<S: Similarity> Matcher<S> {
             || index.frames == 0
     }
 
-    /// The scan — the only one there is. Every query of `queries` (a
-    /// list of one is the solo case) goes through the same four phases,
-    /// all under `cancel`:
-    ///
-    /// 1. **Set up**: settle a degenerate query to an empty result,
-    ///    prepare the query, enumerate its windows, drop those ending
-    ///    before `min_end` (the epoch scope — applied before scoring, so
-    ///    `top_k` acts within it), and look each window up: a window the
-    ///    index's memo remembers is scored there and then; any other is
-    ///    enumerated into one [`ScanSlots`] shared by the whole scan, its
-    ///    new segments queued for the encoder.
-    /// 2. **Embed** the queued segments in one batched encoder pass and
-    ///    publish the enumerated windows to the memo. A window's
-    ///    candidates depend only on the index, the model and its key, not
-    ///    on the query, so look-alike queries — in this scan or in any
-    ///    later one — pay for the encoder once. A tripped token stops the
-    ///    pass, which then publishes nothing.
-    /// 3. **Score** each query's enumerated windows from the pass.
-    /// 4. **Rank** them (sort, NMS, top-k, refinement).
-    ///
-    /// A query's result does not depend on what else is in the list: it
-    /// is byte-identical to the query running alone, and a query the
-    /// similarity rejects is reported in its own slot; nor does it depend
-    /// on what the memo held when it ran. Similarities without an
-    /// [`embedding_identity`](Similarity::embedding_identity) score each
-    /// query's windows directly ([`scan_direct`](Self::scan_direct)) in
-    /// phase 1 and skip phase 2.
+    /// The scan — the only one there is — of one query, under `cancel`:
+    /// settle a degenerate query to an empty result, prepare the query,
+    /// enumerate its windows and drop those ending before `min_end` (the
+    /// epoch scope — applied before scoring, so `top_k` acts within it);
+    /// score them on the memo path ([`scan_memo`](Self::scan_memo)) or,
+    /// for a similarity without an
+    /// [`embedding_identity`](Similarity::embedding_identity) or a query
+    /// wider than a window key holds, directly
+    /// ([`scan_direct`](Self::scan_direct)); then rank them (sort, NMS,
+    /// top-k, refinement). The answer does not depend on the path, nor
+    /// on what the memo held when it ran.
     pub(crate) fn scan(
         &self,
         index: &VideoIndex,
-        queries: &[&Clip],
+        query: &Clip,
         cancel: &CancelToken,
         min_end: Option<u32>,
-    ) -> Vec<Result<Vec<RetrievedMoment>, MatchError>> {
-        enum Candidates {
-            Windows(Vec<Scored>),
-            Scored(Vec<RetrievedMoment>),
-        }
-        let _search_span = telemetry::span(names::MATCHER_SEARCH);
+    ) -> Result<Vec<RetrievedMoment>, MatchError> {
         let _scan_span = telemetry::span(names::MATCHER_SCAN);
-        let model = self.sim.embedding_identity();
+        if self.is_degenerate(index, query) {
+            return Ok(Vec::new());
+        }
+        cancel.check()?;
+        let prepared = {
+            let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
+            self.sim.prepare(query)?
+        };
+        let classes = query.classes();
+        let mut windows = self.enumerate_windows(query.span(), index.frames);
+        if let Some(min_end) = min_end {
+            windows.retain(|&(_, end, _)| end >= min_end);
+        }
+        telemetry::counter(names::WINDOWS_ENUMERATED).add(windows.len() as u64);
+        let scored = match self.sim.embedding_identity() {
+            // A window key holds what the encoder can take.
+            Some(model) if classes.len() <= MAX_OBJECTS => {
+                self.scan_memo(index, model, &classes, &prepared, &windows, cancel)?
+            }
+            _ => self.scan_direct(index, &classes, &prepared, &windows, cancel)?,
+        };
+        telemetry::counter(names::WINDOWS_PRUNED).add((windows.len() - scored.len()) as u64);
+        Ok(self.rank(index, scored))
+    }
+
+    /// The embedding scan of `windows` for a query of `classes`, in three
+    /// steps:
+    ///
+    /// 1. **Look up** every window in the index's memo under `model`
+    ///    ([`resolve_windows`](Self::resolve_windows)): a remembered one
+    ///    is scored there and then, any other enumerated and its new
+    ///    segments queued for the encoder.
+    /// 2. **Embed** the queued segments in one batched encoder pass and
+    ///    publish the enumerated windows to the memo. A window's
+    ///    candidates depend only on the index, the model and its key, not
+    ///    on the query, so every later look-alike query pays for the
+    ///    encoder once. A tripped token stops the pass, which then
+    ///    publishes nothing.
+    /// 3. **Score** the enumerated windows from the pass
+    ///    ([`score_pending`](Self::score_pending)).
+    fn scan_memo(
+        &self,
+        index: &VideoIndex,
+        model: u64,
+        classes: &[sketchql_trajectory::ObjectClass],
+        prepared: &PreparedQuery,
+        windows: &[(u32, u32, u32)],
+        cancel: &CancelToken,
+    ) -> Result<Vec<RetrievedMoment>, MatchError> {
         // The memo describes the index as it was when first scanned, and
         // clones share it: debug builds pin that identity here and check
         // it at every later scan, as store searches do.
         debug_assert!(
-            model.is_none() || index_fingerprint(index) == hash_index(index),
+            index_fingerprint(index) == hash_index(index),
             "index edited after its fingerprint was cached"
         );
         let mut slots = ScanSlots::default();
         // Lane-scoring scratch, one window's worth, reused by every window.
         let mut scores: Vec<f32> = Vec::new();
-
-        // `None` settles a degenerate query to an empty result.
-        type Setup = Option<(PreparedQuery, usize, Candidates)>;
-        let setups: Vec<Result<Setup, MatchError>> = queries
-            .iter()
-            .map(|&query| {
-                if self.is_degenerate(index, query) {
-                    return Ok(None);
-                }
-                cancel.check()?;
-                let prepared = {
-                    let _prepare_span = telemetry::span(names::MATCHER_PREPARE);
-                    self.sim.prepare(query)?
-                };
-                let classes = query.classes();
-                let mut windows = self.enumerate_windows(query.span(), index.frames);
-                if let Some(min_end) = min_end {
-                    windows.retain(|&(_, end, _)| end >= min_end);
-                }
-                telemetry::counter(names::WINDOWS_ENUMERATED).add(windows.len() as u64);
-                let candidates = match model {
-                    // A window key holds what the encoder can take.
-                    Some(model) if classes.len() <= MAX_OBJECTS => {
-                        Candidates::Windows(self.resolve_windows(
-                            index,
-                            model,
-                            &classes,
-                            &prepared,
-                            &windows,
-                            &mut slots,
-                            &mut scores,
-                            cancel,
-                        )?)
-                    }
-                    _ => Candidates::Scored(
-                        self.scan_direct(index, &classes, &prepared, &windows, cancel)?,
-                    ),
-                };
-                Ok(Some((prepared, windows.len(), candidates)))
-            })
-            .collect();
+        let resolved = self.resolve_windows(
+            index,
+            model,
+            classes,
+            prepared,
+            windows,
+            &mut slots,
+            &mut scores,
+            cancel,
+        );
         telemetry::counter(names::EMBED_CACHE_HITS).add(slots.hits());
         telemetry::counter(names::EMBED_CACHE_MISSES).add(slots.misses());
+        let resolved = resolved?;
 
         let fresh = {
             let _embed_span = telemetry::span(names::MATCHER_EMBED);
             try_embed_clips_parallel(&self.sim, slots.clips(), self.config.threads, cancel)
         };
         let batch = fresh.map(|fresh| slots.finish(&fresh));
-        if let (Some(model), Some(batch)) = (model, &batch) {
+        if let Some(batch) = &batch {
             index.memo.publish(model, batch);
         }
-
-        setups
-            .into_iter()
-            .map(|setup| {
-                let Some((prepared, windows, candidates)) = setup? else {
-                    return Ok(Vec::new());
-                };
-                let scored = match candidates {
-                    Candidates::Scored(scored) => scored,
-                    Candidates::Windows(per_window) => {
-                        cancel.check()?;
-                        let batch = batch
-                            .as_ref()
-                            .expect("the pass stops only once the token has tripped");
-                        self.score_pending(&prepared, per_window, batch, &mut scores, cancel)?
-                    }
-                };
-                telemetry::counter(names::WINDOWS_PRUNED).add((windows - scored.len()) as u64);
-                Ok(self.rank(index, scored))
-            })
-            .collect()
+        cancel.check()?;
+        let batch = batch.expect("the pass stops only once the token has tripped");
+        self.score_pending(prepared, resolved, &batch, &mut scores, cancel)
     }
 
     /// Final ranking: [`nms_top_k`], then optional boundary refinement.
@@ -374,8 +356,8 @@ impl<S: Similarity> Matcher<S> {
     }
 
     /// The direct (no embeddings) scan: score every window's best
-    /// candidate, sequentially or across worker threads. Polls `cancel`
-    /// between windows.
+    /// candidate, in window order, on up to `threads` workers. Polls
+    /// `cancel` between windows.
     fn scan_direct(
         &self,
         index: &VideoIndex,
@@ -384,41 +366,19 @@ impl<S: Similarity> Matcher<S> {
         windows: &[(u32, u32, u32)],
         cancel: &CancelToken,
     ) -> Result<Vec<RetrievedMoment>, MatchError> {
-        let threads = self.config.threads.max(1);
-        if threads == 1 || windows.len() < 2 * threads {
+        let pieces = crate::fan_out(windows, self.config.threads, |piece| {
             let mut out = Vec::new();
-            for &(s, e, o) in windows {
-                cancel.check().map_err(MatchError::from)?;
+            for &(s, e, o) in piece {
+                cancel.check()?;
                 out.extend(self.best_in_window(index, classes, prepared, s, e, o));
             }
-            return Ok(out);
-        }
-        let results = std::sync::Mutex::new(Vec::with_capacity(windows.len()));
-        let chunk = windows.len().div_ceil(threads);
-        // Hand the calling thread's live traces to the workers so their
-        // CPU and allocations attribute to the query being scanned.
-        let entered = telemetry::TraceContext::entered();
-        std::thread::scope(|scope| {
-            for piece in windows.chunks(chunk) {
-                let results = &results;
-                let entered = &entered;
-                scope.spawn(move || {
-                    let _attribution: Vec<_> = entered.iter().map(|t| t.enter()).collect();
-                    let mut local: Vec<RetrievedMoment> = Vec::new();
-                    for &(s, e, o) in piece {
-                        // Workers drop out at the first tripped poll; the
-                        // partial results are discarded below.
-                        if cancel.check().is_err() {
-                            return;
-                        }
-                        local.extend(self.best_in_window(index, classes, prepared, s, e, o));
-                    }
-                    results.lock().unwrap().extend(local);
-                });
-            }
+            Ok::<_, MatchError>(out)
         });
-        cancel.check().map_err(MatchError::from)?;
-        Ok(results.into_inner().unwrap())
+        let mut out = Vec::with_capacity(windows.len());
+        for piece in pieces {
+            out.extend(piece?);
+        }
+        Ok(out)
     }
 
     /// Enumerates every `(start, end, min_overlap)` window across the
@@ -491,15 +451,13 @@ impl<S: Similarity> Matcher<S> {
         best
     }
 
-    /// Phase 1 of the embedding scan: every window of `windows`, in
-    /// order, under its [`WindowKey`] for `classes`. A window the index's
-    /// memo remembers under `model` is scored on the spot, its rows in
-    /// place while the memo's read lock is held; one this scan already
-    /// enumerated for another query is referenced; any other is
-    /// enumerated — eligible tracks per slot, distinct combinations, each
-    /// segment resolved against `slots`, which queues the ones it has not
-    /// seen for the encoder pass. `slots` is shared across the scan's
-    /// queries: a window's candidates are query-independent.
+    /// Step 1 of [`scan_memo`](Self::scan_memo): every window of
+    /// `windows`, in order, under its `WindowKey` for `classes`. A
+    /// window the index's memo remembers under `model` is scored on the
+    /// spot, its rows in place while the memo's read lock is held; any
+    /// other is enumerated into `slots` — eligible tracks per slot,
+    /// distinct combinations, each segment resolved against `slots`,
+    /// which queues the ones it has not seen for the encoder pass.
     #[allow(clippy::too_many_arguments)]
     fn resolve_windows(
         &self,
@@ -519,42 +477,36 @@ impl<S: Similarity> Matcher<S> {
             cancel.check().map_err(MatchError::from)?;
             let key = WindowKey::new(classes, (start, end, min_overlap), max_combos);
             let memo = index.memo.reader(model);
-            let at = match slots.lookup(&memo, &key) {
-                Lookup::Remembered(window) => {
-                    evals += window.candidates();
-                    out.extend(
-                        self.best_of(prepared, start, end, window, scores)
-                            .map(Scored::Best),
-                    );
-                    continue;
-                }
-                Lookup::Pending(at) => at,
-                Lookup::Unknown => {
-                    drop(memo);
-                    let at = slots.open(key);
-                    let per_slot: Vec<Vec<&Trajectory>> = classes
-                        .iter()
-                        .map(|c| index.tracks_in_window(*c, start, end, min_overlap))
-                        .collect();
-                    if !per_slot.iter().any(Vec::is_empty) {
-                        for_each_distinct_combo(&per_slot, max_combos, |combo, ids| {
-                            slots.resolve(SegmentKey::new(ids, start, end), || {
-                                window_clip(index, combo, &per_slot, start, end)
-                            });
-                        });
-                    }
-                    at
-                }
-            };
+            if let Some(window) = slots.lookup(&memo, &key) {
+                evals += window.candidates();
+                out.extend(
+                    self.best_of(prepared, start, end, window, scores)
+                        .map(Scored::Best),
+                );
+                continue;
+            }
+            drop(memo);
+            let at = slots.open(key);
+            let per_slot: Vec<Vec<&Trajectory>> = classes
+                .iter()
+                .map(|c| index.tracks_in_window(*c, start, end, min_overlap))
+                .collect();
+            if !per_slot.iter().any(Vec::is_empty) {
+                for_each_distinct_combo(&per_slot, max_combos, |combo, ids| {
+                    slots.resolve(SegmentKey::new(ids, start, end), || {
+                        window_clip(index, combo, &per_slot, start, end)
+                    });
+                });
+            }
             out.push(Scored::Pending { at, start, end });
         }
         telemetry::counter(names::SIMILARITY_EVALS).add(evals as u64);
         Ok(out)
     }
 
-    /// Phase 3 of the embedding scan: the windows phase 1 left pending
-    /// are scored from `batch`, this scan's encoder pass, in window order
-    /// beside the ones phase 1 scored.
+    /// Step 3 of [`scan_memo`](Self::scan_memo): the windows step 1 left
+    /// pending are scored from `batch`, this scan's encoder pass, in
+    /// window order beside the ones step 1 scored.
     fn score_pending(
         &self,
         prepared: &PreparedQuery,
@@ -1297,8 +1249,9 @@ mod tests {
         assert_eq!(batch[1], Ok(matcher().search(&idx, &q).unwrap()));
     }
 
-    /// The batch path proper (shared slots + one encoder pass) only runs
-    /// for embedding-based similarities; verify byte-identity there too.
+    /// The memo path only runs for embedding-based similarities, where a
+    /// later member finds an earlier one's windows remembered; verify
+    /// byte-identity there too.
     #[test]
     fn batch_search_with_learned_similarity_is_byte_identical() {
         let m = learned_matcher();

@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 use sketchql_datasets::SyntheticVideo;
-use sketchql_telemetry::{self as telemetry, QueryTrace, TraceContext};
+use sketchql_telemetry::{QueryTrace, TraceContext};
 use sketchql_tracker::{DetectorConfig, TrackerConfig};
 use sketchql_trajectory::{Clip, ObjectClass};
 use std::collections::BTreeMap;
@@ -305,14 +305,6 @@ impl SketchQL {
         Ok(n)
     }
 
-    /// Attaches an already-built store (e.g. opened from a store
-    /// directory) to a dataset. Queries verify the store's model and
-    /// index fingerprints at search time and fall back to the full scan
-    /// on any mismatch, so attaching a stale store is safe, just useless.
-    pub fn attach_store(&mut self, name: &str, store: ShardSet) {
-        self.stores.insert(name.to_string(), store);
-    }
-
     /// The store attached to a dataset, if any.
     pub fn store(&self, name: &str) -> Option<&ShardSet> {
         self.stores.get(name)
@@ -442,15 +434,6 @@ impl SketchQL {
     /// ```
     pub fn last_query_stats(&self) -> Option<Arc<QueryTrace>> {
         self.last_trace.lock().unwrap().clone()
-    }
-
-    /// A point-in-time copy of every telemetry metric in the process
-    /// (counters, gauges, histograms) — cumulative across all queries, not
-    /// just this session's. Render it with
-    /// [`telemetry::snapshot_json`](sketchql_telemetry::snapshot_json) or
-    /// [`telemetry::snapshot_prometheus`](sketchql_telemetry::snapshot_prometheus).
-    pub fn telemetry_snapshot(&self) -> telemetry::MetricsSnapshot {
-        telemetry::MetricsSnapshot::capture()
     }
 
     /// Step 6 ("Display Videos"): formats moments for display, sorted by
@@ -616,8 +599,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sketchql_datasets::{generate_video, EventKind, SceneFamily, VideoConfig};
+    use sketchql_telemetry::names;
     use sketchql_trajectory::{Point2, Trajectory};
-    use telemetry::names;
 
     fn tiny_session() -> SketchQL {
         let mut cfg = TrainingConfig::tiny();

@@ -79,14 +79,6 @@ pub trait Similarity: Send + Sync {
     /// Scores a candidate clip against a prepared query.
     fn score(&self, prepared: &PreparedQuery, candidate: &Clip) -> f32;
 
-    /// Convenience: prepare + score in one call (0.0 when prepare fails).
-    fn score_pair(&self, query: &Clip, candidate: &Clip) -> f32 {
-        match self.prepare(query) {
-            Ok(p) => self.score(&p, candidate),
-            Err(_) => 0.0,
-        }
-    }
-
     /// The identity under which candidate embeddings of this similarity
     /// may be remembered: two similarities that answer the same value
     /// must embed every clip to the same bits (for the learned
@@ -430,7 +422,7 @@ mod tests {
         for &k in DistanceKind::ALL {
             let sim = ClassicalSimilarity::new(k);
             let a = clip_line(2.0);
-            let s = sim.score_pair(&a, &a);
+            let s = sim.score(&sim.prepare(&a).unwrap(), &a);
             assert!((s - 1.0).abs() < 1e-3, "{k:?} self-score {s}");
         }
     }
@@ -454,7 +446,7 @@ mod tests {
             480.0,
             vec![one.objects[0].clone(), one.objects[0].clone()],
         );
-        assert_eq!(sim.score_pair(&one, &two), 0.0);
+        assert_eq!(sim.score(&sim.prepare(&one).unwrap(), &two), 0.0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! programmatically exactly the way a user composes them interactively
 //! (§2.1 of the demo paper):
 //!
-//! * a [`Canvas`] where typed objects are created, edited, deleted, and
-//!   dragged (mouse modes: create / edit / delete / drag),
+//! * a canvas ([`Sketcher`]) where typed objects are created, edited,
+//!   deleted, and dragged (mouse modes: create / edit / delete / drag),
 //! * drag-and-drop **trajectory segments** recorded per object, each
 //!   appearing as a box in the [`TrajectoryPanel`],
 //! * panel operations — delete, reorder, stretch (speed up / slow down),

@@ -365,14 +365,16 @@ pub(crate) fn step_gradients(
     threads: usize,
     loss: impl FnOnce(&mut Graph<'_>, &[NodeId]) -> NodeId,
 ) -> (f32, HashMap<String, Tensor>) {
-    let embeddings = fan_out(clips.to_vec(), threads, |features| {
-        encoder.embed(store, features)
+    let embeddings = crate::fan_out(clips, threads, |piece| {
+        let embed = |features| encoder.embed(store, features);
+        piece.iter().copied().map(embed).collect::<Vec<_>>()
     });
 
     // The loss graph binds no parameter; the store is there for the type.
     let mut head = Graph::new(store);
     let leaves: Vec<NodeId> = embeddings
         .into_iter()
+        .flatten()
         .map(|e| head.tape.leaf(Tensor::from_vec(1, e.len(), e)))
         .collect();
     let loss = loss(&mut head, &leaves);
@@ -386,17 +388,19 @@ pub(crate) fn step_gradients(
         .zip(leaves)
         .map(|(&features, leaf)| (features, seeds.take(leaf)))
         .collect();
-    let per_clip = fan_out(seeded, threads, |(features, seed)| {
-        seed.map(|seed| {
+    let per_clip = crate::fan_out(&seeded, threads, |piece| {
+        let backward = |(features, seed): &(&Tensor, Option<Tensor>)| {
+            let seed = seed.clone()?;
             let mut g = Graph::new(store);
-            let input = g.input(features.clone());
+            let input = g.input((*features).clone());
             let embedding = encoder.forward(&mut g, input);
-            g.grads_by_name_from(embedding, seed)
-        })
+            Some(g.grads_by_name_from(embedding, seed))
+        };
+        piece.iter().map(backward).collect::<Vec<_>>()
     });
 
     let mut grads: HashMap<String, Tensor> = HashMap::new();
-    for clip_grads in per_clip.into_iter().rev().flatten() {
+    for clip_grads in per_clip.into_iter().flatten().rev().flatten() {
         for (name, g) in clip_grads {
             match grads.entry(name) {
                 Entry::Occupied(mut sum) => sum.get_mut().add_scaled(&g, 1.0),
@@ -407,37 +411,6 @@ pub(crate) fn step_gradients(
         }
     }
     (loss_value, grads)
-}
-
-/// `items` through `f`, in order, on up to `threads` scoped worker threads
-/// (contiguous pieces, as [`crate::try_embed_clips_parallel`] splits a
-/// scan); inline when there are fewer than two items per thread.
-fn fan_out<T: Send, R: Send>(items: Vec<T>, threads: usize, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let threads = threads.max(1);
-    if threads == 1 || items.len() < 2 * threads {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    // Hand the calling thread's live traces to the workers so a
-    // fine-tune's CPU and allocations attribute to its query.
-    let entered = telemetry::TraceContext::entered();
-    let mut items = items.into_iter();
-    std::thread::scope(|scope| {
-        let (f, entered) = (&f, &entered);
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let piece: Vec<T> = items.by_ref().take(chunk).collect();
-                scope.spawn(move || {
-                    let _attribution: Vec<_> = entered.iter().map(|t| t.enter()).collect();
-                    piece.into_iter().map(f).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("training worker panicked"))
-            .collect()
-    })
 }
 
 /// Separation statistics of a model on freshly generated pairs.
@@ -506,6 +479,10 @@ pub fn evaluate_pairs(
         top1_accuracy: top1 as f32 / n as f32,
     }
 }
+
+#[cfg(test)]
+#[path = "../../../tests/support/mutants.rs"]
+mod mutants;
 
 #[cfg(test)]
 mod tests {
@@ -811,5 +788,18 @@ mod tests {
         let e = model.embed(&q).unwrap();
         let norm: f32 = e.iter().map(|x| x * x).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-3);
+    }
+
+    /// Hostile model files never panic the loader: a
+    /// `TrainingConfig::tiny()` model file cut at every byte, then 2 000
+    /// seeded mutants, each decoded to `Ok` or `Err`.
+    #[test]
+    fn damaged_model_file_is_an_error_not_a_panic() {
+        let mut cfg = TrainingConfig::tiny();
+        cfg.steps = 1;
+        let golden = serde_json::to_string(&train(cfg)).unwrap();
+        super::mutants::never_panics(golden.as_bytes(), 2_000, 0x30de1, |bytes| {
+            let _ = serde_json::from_str::<TrainedModel>(&String::from_utf8_lossy(bytes));
+        });
     }
 }

@@ -87,7 +87,7 @@ fn publish_residency() {
 /// the unrestricted enumeration, row for row.
 ///
 /// Rows are enumerated exactly as the matcher enumerates candidates —
-/// through the same [`grid`] and the same
+/// through the same `grid` module and the same
 /// [`VideoIndex::tracks_in_window`]: per length that fits the video, the
 /// strided window grid with tail clamping; per window, every
 /// overlap-eligible track in index order. A `(track, start, end)`
@@ -370,7 +370,7 @@ fn write_shards(
     })
 }
 
-/// Builds a sharded store on disk — [`write_shards`] from the empty set
+/// Builds a sharded store on disk — `write_shards` from the empty set
 /// (every shard, nothing to reuse, a freshly trained quantizer, epoch 0)
 /// followed by a fresh manifest — and returns the freshly opened (cold,
 /// nothing resident) [`ShardSet`].
@@ -484,10 +484,10 @@ fn harvest(dir: &Path, shards: &[ManifestShard]) -> Result<HashMap<RowKey, Vec<f
 /// appended span, not the corpus.
 ///
 /// This is validation, a sweep of what a crashed append left behind,
-/// and then [`write_shards`] from the previous epoch instead of from the
+/// and then `write_shards` from the previous epoch instead of from the
 /// empty set. Because shard `i` owns windows by *start frame*, a window
 /// can only change if its start is at least
-/// [`grid::first_touched_start`] of the old frame count and the longest
+/// `grid::first_touched_start` of the old frame count and the longest
 /// configured window. The rewrite therefore begins at the shard owning
 /// that start (never later than the old tail shard, whose frame range
 /// itself grows), harvests the vectors of the shards it is about to

@@ -237,8 +237,7 @@ impl Matcher<LearnedSimilarity> {
             }
         }
         // A refusal was counted, with its reason, where it was made.
-        let scanned = self.scan(index, &[query], cancel, min_end).pop();
-        let moments = scanned.expect("one result per query")?;
+        let moments = self.scan(index, query, cancel, min_end)?;
         Ok(StoreSearch::unserved(moments, set.is_some()))
     }
 

@@ -1,6 +1,8 @@
-//! The one scan over several queries (`Matcher::search_batch`): a batch
-//! under a tripped token embeds nothing, and a batch pays for the
-//! encoder once, whatever the number of queries.
+//! The `Matcher::search_batch` front — one solo scan per query, in
+//! order, under one token: a batch under a tripped token embeds nothing,
+//! and a batch pays for the encoder once, whatever the number of queries,
+//! because each member finds the windows the ones before it scanned in
+//! the index's memo.
 //!
 //! These tests read process-global counters, so they live in their own
 //! binary and take a lock: nothing else may embed while they measure.
@@ -102,13 +104,13 @@ fn equal_span_members_share_one_encoder_pass() {
 
     let members: Vec<&Clip> = queries.iter().collect();
     let before = embedded();
-    let fused = m.search_batch(&index, &members, &CancelToken::none());
-    let fused_embeds = embedded() - before;
+    let batch = m.search_batch(&index, &members, &CancelToken::none());
+    let batch_embeds = embedded() - before;
     assert!(
-        fused_embeds <= solo_embeds + 3,
-        "four fused members embedded {fused_embeds} clips; one alone embeds {solo_embeds}"
+        batch_embeds <= solo_embeds + 3,
+        "four batch members embedded {batch_embeds} clips; one alone embeds {solo_embeds}"
     );
-    for (got, want) in fused.into_iter().zip(solo) {
-        assert_eq!(got.unwrap(), want, "fused reply diverged from solo");
+    for (got, want) in batch.into_iter().zip(solo) {
+        assert_eq!(got.unwrap(), want, "batch reply diverged from solo");
     }
 }

@@ -1,7 +1,7 @@
 //! Synthetic surveillance-video generation.
 //!
 //! Stands in for the real-world traffic surveillance dataset (VIRAT,
-//! reference [7]) the demonstration runs on. A generated "video" is a long
+//! reference \[7\]) the demonstration runs on. A generated "video" is a long
 //! ground-truth bounding box stream recorded by one fixed (possibly shaky)
 //! camera over a world containing scheduled ground-truth events and
 //! distractor traffic, plus the frame-accurate event annotations needed to

@@ -1,7 +1,7 @@
 //! # sketchql-datasets
 //!
 //! Synthetic evaluation datasets standing in for the real-world surveillance
-//! videos (VIRAT [7]) the demo runs on. Provides:
+//! videos (VIRAT \[7\]) the demo runs on. Provides:
 //!
 //! * an event vocabulary ([`EventKind`]) covering the demo's queries — Q1
 //!   (left turn) and Q2 (car/person perpendicular crossing) — plus six more,

@@ -505,7 +505,7 @@ fn tree_combine(mut acc: [f32; SUM_LANES]) -> f32 {
 
 /// Strided 16-bucket sum: bucket `l` accumulates elements `l`, `l+16`, …
 /// (a partial trailing chunk contributes `+0.0` to the other buckets),
-/// then buckets combine by the [`tree_combine`] halving tree. This fixed
+/// then buckets combine by the `tree_combine` halving tree. This fixed
 /// order is the crate's summation semantics for layer-norm and softmax
 /// rows; the AVX-512 form reproduces it exactly.
 pub fn strided_sum(v: &[f32]) -> f32 {

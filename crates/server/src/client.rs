@@ -235,32 +235,10 @@ impl Client {
         min_score: Option<f32>,
         top_k: Option<usize>,
     ) -> Result<Registered, ClientError> {
-        self.run_register(dataset, Some(event), None, min_score, top_k)
-    }
-
-    /// Like [`Client::register_event`], with an inline sketch clip.
-    pub fn register_clip(
-        &mut self,
-        dataset: &str,
-        clip: Clip,
-        min_score: Option<f32>,
-        top_k: Option<usize>,
-    ) -> Result<Registered, ClientError> {
-        self.run_register(dataset, None, Some(clip), min_score, top_k)
-    }
-
-    fn run_register(
-        &mut self,
-        dataset: &str,
-        event: Option<&str>,
-        clip: Option<Clip>,
-        min_score: Option<f32>,
-        top_k: Option<usize>,
-    ) -> Result<Registered, ClientError> {
         let request = Request::Register {
             dataset: dataset.to_string(),
-            event: event.map(str::to_string),
-            clip,
+            event: Some(event.to_string()),
+            clip: None,
             min_score,
             top_k,
         };

@@ -82,7 +82,7 @@
 //! query works against one `Arc`'d view for its whole run, and
 //! [`Engine::reload_dataset`] replaces the view wholesale — readers
 //! never observe a half-swapped dataset. A reload
-//! also drives the standing-query registry (see the [`live`](crate::live)
+//! also drives the standing-query registry (see the [`live`]
 //! module): each registration behind the new frame count is evaluated
 //! as one epoch-scoped query (`min_end` = its watermark) submitted
 //! through normal admission under the auto-declared [`LIVE_CLASS`]

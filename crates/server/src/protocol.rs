@@ -376,6 +376,10 @@ impl Response {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/mutants.rs"]
+mod mutants;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -610,22 +614,14 @@ mod tests {
     /// Garbage never panics the decoder. Beyond two hand-written lines,
     /// every golden line of this module — each request and response
     /// variant, the v5 query, the trace reply — is truncated at every
-    /// byte and then mutated 10 000 times by a seeded generator: one to
-    /// three edits per mutant, each a byte overwrite, an inserted or
-    /// removed `[`, `{`, `"` or `\`, or a number swapped for `1e999`,
-    /// `-0` or a 30-digit integer. Every mutant must decode as both a
+    /// byte and then mutated 10 000 times by a seeded generator
+    /// (`tests/support/mutants.rs`). Every mutant must decode as both a
     /// `Request` and a `Response` to `Ok` or `Err`.
     #[test]
     fn garbage_line_is_a_parse_error_not_a_panic() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
         assert!(serde_json::from_str::<Request>("{\"nope\"").is_err());
         assert!(serde_json::from_str::<Request>("{\"Frobnicate\":{}}").is_err());
 
-        const MUTANTS_PER_LINE: usize = 10_000;
-        const STRUCTURAL: [u8; 4] = [b'[', b'{', b'"', b'\\'];
-        const NUMBERS: [&str; 3] = ["1e999", "-0", "123456789012345678901234567890"];
         let mut lines: Vec<String> = golden_requests()
             .iter()
             .map(|r| serde_json::to_string(r).unwrap())
@@ -636,48 +632,12 @@ mod tests {
             )
             .collect();
         lines.extend([V5_QUERY_LINE, TRACE_LINE].map(String::from));
-
-        let decode = |line: &str| {
-            let outcome = std::panic::catch_unwind(|| {
-                let _ = serde_json::from_str::<Request>(line);
-                let _ = serde_json::from_str::<Response>(line);
+        for (seed, line) in (0x5eed..).zip(&lines) {
+            super::mutants::never_panics(line.as_bytes(), 10_000, seed, |bytes| {
+                let line = String::from_utf8_lossy(bytes);
+                let _ = serde_json::from_str::<Request>(&line);
+                let _ = serde_json::from_str::<Response>(&line);
             });
-            assert!(outcome.is_ok(), "decoding panicked on {line:?}");
-        };
-        let mut rng = StdRng::seed_from_u64(0x5eed);
-        for line in &lines {
-            for cut in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
-                decode(&line[..cut]);
-            }
-            for _ in 0..MUTANTS_PER_LINE {
-                let mut bytes = line.clone().into_bytes();
-                for _ in 0..rng.gen_range(1..=3) {
-                    let at = rng.gen_range(0..=bytes.len());
-                    match rng.gen_range(0..4) {
-                        0 if at < bytes.len() => bytes[at] = rng.gen_range(0..=255u8),
-                        1 => bytes.insert(at, STRUCTURAL[rng.gen_range(0..4)]),
-                        2 => {
-                            let found = bytes[at..].iter().position(|b| STRUCTURAL.contains(b));
-                            if let Some(k) = found {
-                                bytes.remove(at + k);
-                            }
-                        }
-                        _ => {
-                            let found = bytes[at..].iter().position(u8::is_ascii_digit);
-                            if let Some(k) = found {
-                                let start = at + k;
-                                let end = bytes[start..]
-                                    .iter()
-                                    .position(|b| !b.is_ascii_digit())
-                                    .map_or(bytes.len(), |n| start + n);
-                                let number = NUMBERS[rng.gen_range(0..NUMBERS.len())];
-                                bytes.splice(start..end, number.bytes());
-                            }
-                        }
-                    }
-                }
-                decode(&String::from_utf8_lossy(&bytes));
-            }
         }
     }
 

@@ -9,11 +9,13 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use sketchql::{ClassicalSimilarity, Matcher};
 use sketchql_datasets::{query_clip, EventKind};
 use sketchql_server::{Client, Engine, EngineConfig, MetricsListener, QuerySpec, Server};
 use sketchql_telemetry as tel;
+use sketchql_trajectory::DistanceKind;
 
-use common::{tiny_model, two_datasets};
+use common::{small_index, tiny_model, two_datasets};
 
 fn start_server(workers: usize) -> Server {
     let engine = Engine::start(
@@ -81,6 +83,27 @@ fn wire_query_yields_a_fetchable_span_tree() {
         .find(|s| s.name == tel::names::MATCHER_SEARCH)
         .unwrap();
     assert!(search.depth > execute.depth);
+    // One search span per query, and the scan directly under it.
+    let searches = names
+        .iter()
+        .filter(|&&n| n == tel::names::MATCHER_SEARCH)
+        .count();
+    assert_eq!(searches, 1, "one search span per query: {names:?}");
+    let scan = trace
+        .spans
+        .iter()
+        .find(|s| s.name == tel::names::MATCHER_SCAN)
+        .unwrap();
+    assert_eq!(scan.depth, search.depth + 1, "scan nests under search");
+    assert!(
+        scan.start_nanos >= search.start_nanos
+            && scan.start_nanos + scan.nanos <= search.start_nanos + search.nanos,
+        "scan [{}, +{}] escapes search [{}, +{}]",
+        scan.start_nanos,
+        scan.nanos,
+        search.start_nanos,
+        search.nanos
+    );
     for span in &trace.spans {
         assert!(
             span.start_nanos + span.nanos <= trace.total_nanos + trace.total_nanos / 10,
@@ -134,6 +157,27 @@ fn wire_query_yields_a_fetchable_span_tree() {
     assert!(prom.contains("sketchql_server_queue_depth"));
 
     server.shutdown();
+}
+
+/// A similarity without embeddings scans directly: one search span over
+/// the scan, and no encoder (`embed`) span.
+#[test]
+fn a_classical_search_opens_no_embed_span() {
+    let index = small_index(11);
+    let matcher = Matcher::new(ClassicalSimilarity::new(DistanceKind::Dtw));
+    let trace = tel::TraceContext::new();
+    {
+        let _entered = trace.enter();
+        matcher
+            .search(&index, &query_clip(EventKind::LeftTurn))
+            .unwrap();
+    }
+    let trace = trace.finalize().unwrap();
+    let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
+    let count = |name| names.iter().filter(|&&n| n == name).count();
+    assert_eq!(count(tel::names::MATCHER_SEARCH), 1, "{names:?}");
+    assert_eq!(count(tel::names::MATCHER_SCAN), 1, "{names:?}");
+    assert_eq!(count(tel::names::MATCHER_EMBED), 0, "{names:?}");
 }
 
 /// A query shed at admission (queue full) still finalizes its trace —

@@ -210,40 +210,10 @@ impl CoarseQuantizer {
         ranked.into_iter().map(|(c, _)| c).collect()
     }
 
-    /// [`CoarseQuantizer::rank`] for many queries at once: one pass over
-    /// the centroid table scores every query per centroid, then each
-    /// query sorts exactly as a solo rank would. Per-query results are
-    /// bit-identical to [`CoarseQuantizer::rank`].
+    /// [`CoarseQuantizer::rank`] of each of `queries`. Kept only because
+    /// the frozen benchmark ledger calls it.
     pub fn rank_batch(&self, queries: &[&[f32]]) -> Vec<Vec<usize>> {
-        if self.centroids.is_empty() {
-            return queries.iter().map(|_| Vec::new()).collect();
-        }
-        let unit: Vec<Vec<f32>> = queries
-            .iter()
-            .map(|q| {
-                let mut q = q.to_vec();
-                normalize(&mut q);
-                q
-            })
-            .collect();
-        let mut ranked: Vec<Vec<(usize, f32)>> =
-            vec![Vec::with_capacity(self.nlist()); queries.len()];
-        for (c, cent) in self.centroids.chunks(self.dim).enumerate() {
-            for (qi, q) in unit.iter().enumerate() {
-                ranked[qi].push((c, dot(cent, q)));
-            }
-        }
-        ranked
-            .into_iter()
-            .map(|mut ranked| {
-                ranked.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                ranked.into_iter().map(|(c, _)| c).collect()
-            })
-            .collect()
+        queries.iter().map(|q| self.rank(q)).collect()
     }
 }
 

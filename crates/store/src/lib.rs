@@ -22,8 +22,8 @@
 //!   callers re-rank the probed rows with the *exact* cosine, so any
 //!   moment the index-backed path reports scores bit-identically to the
 //!   full-scan path.
-//! - [`format`]: the types every file shares — the typed [`StoreError`],
-//!   [`StoreRow`], and the class-code table.
+//! - [`format`](mod@format): the types every file shares — the typed
+//!   [`StoreError`], [`StoreRow`], and the class-code table.
 //!
 //! The ingest pipeline itself (sliding-window enumeration + batched
 //! embedding) lives in the core crate, which owns the window semantics;
@@ -125,3 +125,7 @@ mod tests {
         assert_ne!(a.finish(), b.finish());
     }
 }
+
+#[cfg(test)]
+#[path = "../../../tests/support/mutants.rs"]
+mod mutants;

@@ -192,7 +192,11 @@ impl Manifest {
                     s.frame_start, s.frame_end
                 )));
             }
-            next_frame = s.frame_end + 1;
+            next_frame = s.frame_end.checked_add(1).ok_or_else(|| {
+                bad(format!(
+                    "shard {i} ends past the last frame a manifest can count"
+                ))
+            })?;
         }
         if self.frames > 0 && next_frame != self.frames {
             return Err(bad(format!(
@@ -400,5 +404,25 @@ mod tests {
             m.validate(path),
             Err(StoreError::UnsupportedVersion { .. })
         ));
+    }
+
+    /// Hostile manifests never panic the loader: the golden manifest cut
+    /// at every byte, then 2 000 seeded mutants, each parsed and
+    /// validated to `Ok` or `Err`.
+    #[test]
+    fn damaged_manifest_is_an_error_not_a_panic() {
+        // Found by the loop below: a 30-digit `frame_end` saturates to
+        // `u32::MAX`, the one end the coverage walk cannot step past.
+        let mut m = sample();
+        m.shards[1].frame_end = u32::MAX;
+        assert!(Manifest::from_json(Path::new("m"), &m.to_json()).is_err());
+
+        let golden = sample().to_json();
+        crate::mutants::never_panics(golden.as_bytes(), 2_000, 0x3a11, |bytes| {
+            let json = String::from_utf8_lossy(bytes);
+            if let Ok(m) = Manifest::from_json(Path::new("m"), &json) {
+                m.validate(Path::new("m")).unwrap();
+            }
+        });
     }
 }

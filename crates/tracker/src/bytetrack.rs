@@ -1,7 +1,7 @@
 //! ByteTrack-style multi-object tracking.
 //!
 //! ByteTrack's core insight ("associating every detection box", ECCV 2022,
-//! reference [13] of the demo paper) is a **two-stage** association: match
+//! reference \[13\] of the demo paper) is a **two-stage** association: match
 //! high-confidence detections to tracks first, then try to rescue the
 //! remaining tracks with *low*-confidence detections (usually occluded or
 //! blurred objects that a score threshold would have discarded). Tracks

@@ -187,12 +187,6 @@ impl Point3 {
             Point3::new(self.x / n, self.y / n, self.z / n)
         }
     }
-
-    /// Projection onto the ground plane, discarding `z`.
-    #[inline]
-    pub fn xy(&self) -> Point2 {
-        Point2::new(self.x, self.y)
-    }
 }
 
 impl std::ops::Add for Point3 {

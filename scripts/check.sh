@@ -14,6 +14,11 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc: RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+# Broken, ambiguous or private intra-doc links fail here, including
+# links to items a change deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1 verify: cargo build --release && cargo test -q (whole workspace)"
 cargo build --release
 cargo test -q

@@ -99,7 +99,7 @@ fn cached_search_matches_uncached_exactly() {
 }
 
 /// Cold, warm, through a second `Matcher` of the same model, and through
-/// fused batches in either member order: one answer, the referee's —
+/// `search_batch` in either member order: one answer, the referee's —
 /// single- and two-object sketches, one and two embedding threads.
 #[test]
 fn cold_warm_and_fresh_matcher_agree_with_the_per_candidate_scan() {
@@ -136,7 +136,7 @@ fn cold_warm_and_fresh_matcher_agree_with_the_per_candidate_scan() {
                 assert_eq!(got, want, "{threads} threads");
             }
         }
-        // Fused, on the warm index and on a cold one, in both orders.
+        // Batched, on the warm index and on a cold one, in both orders.
         for idx in [idx, fresh_index()] {
             for order in [[0usize, 1], [1, 0]] {
                 let members: Vec<_> = order.iter().map(|&i| &queries[i]).collect();
