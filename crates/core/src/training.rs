@@ -597,6 +597,21 @@ mod tests {
         }
     }
 
+    /// FNV-64 over the bit patterns of the loss, then of every gradient
+    /// tensor in name order.
+    fn gradient_hash((loss, grads): &(f32, HashMap<String, Tensor>)) -> u64 {
+        let mut h = sketchql_store::Fnv64::new();
+        h.write_f32(*loss);
+        let mut names: Vec<&String> = grads.keys().collect();
+        names.sort();
+        for name in names {
+            for &v in &grads[name].data {
+                h.write_f32(v);
+            }
+        }
+        h.finish()
+    }
+
     /// The referee: one graph over the whole batch, as a step used to be.
     fn single_graph_gradients(
         encoder: &TrajectoryEncoder,
@@ -632,6 +647,7 @@ mod tests {
         let contrastive = |g: &mut Graph<'_>, e: &[NodeId]| pair_loss(g, e, config.temperature);
         let want = single_graph_gradients(&encoder, &store, &clips, contrastive);
         assert_eq!(want.1.len(), store.names().len(), "every parameter trained");
+        assert_eq!(gradient_hash(&want), 0x7b34_3387_aae2_69b4, "nt_xent hash");
         for threads in [1, 2, 3, 7] {
             let got = step_gradients(&encoder, &store, &clips, threads, contrastive);
             assert_same_bits(&got, &want, &format!("nt_xent, {threads} threads"));
@@ -648,6 +664,7 @@ mod tests {
         };
         let want = single_graph_gradients(&encoder, &store, &clips, feedback);
         assert!(want.0 > 0.0, "an active hinge, or the gradients are zero");
+        assert_eq!(gradient_hash(&want), 0x5e31_16f7_c41b_8e78, "triplet hash");
         for threads in [1, 2, 3] {
             let got = step_gradients(&encoder, &store, &clips, threads, feedback);
             assert_same_bits(&got, &want, &format!("triplet, {threads} threads"));

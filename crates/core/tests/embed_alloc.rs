@@ -15,6 +15,7 @@ use rand::SeedableRng;
 use sketchql::training::TrainingConfig;
 use sketchql::{LearnedSimilarity, Matcher, VideoIndex};
 use sketchql_nn::{EncoderConfig, Graph, ParamStore, Tensor, TrajectoryEncoder};
+use sketchql_store::Fnv64;
 use sketchql_telemetry::{names, thread_allocated, TraceContext};
 use sketchql_trajectory::features::{SLOT_DIM, TOKEN_DIM};
 use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
@@ -29,6 +30,22 @@ fn features(rng: &mut StdRng, steps: usize, objects: usize) -> Tensor {
     t
 }
 
+/// FNV-64 over the bit patterns of every embedding, in order.
+fn embedding_hash(embeddings: &[Vec<f32>]) -> u64 {
+    let mut h = Fnv64::new();
+    for &v in embeddings.iter().flatten() {
+        h.write_f32(v);
+    }
+    h.finish()
+}
+
+/// `embedding_hash` of the 64 clips' embeddings, per encoder.
+const EMBEDDINGS: [u64; 3] = [
+    0x0748_9281_21bb_c632,
+    0x9bad_00ad_71de_9083,
+    0x3186_39cb_75a4_cb4d,
+];
+
 /// Training's path: the tape `forward`, which no inference change touches.
 fn tape_embed(encoder: &TrajectoryEncoder, store: &ParamStore, features: &Tensor) -> Vec<f32> {
     let mut g = Graph::new(store);
@@ -40,11 +57,14 @@ fn tape_embed(encoder: &TrajectoryEncoder, store: &ParamStore, features: &Tensor
 #[test]
 fn steady_state_embed_batch_allocates_only_what_it_returns() {
     let mut rng = StdRng::seed_from_u64(19);
-    for config in [
+    for (config, pinned) in [
         TrainingConfig::default().encoder,
         EncoderConfig::default(),
         TrainingConfig::tiny().encoder,
-    ] {
+    ]
+    .into_iter()
+    .zip(EMBEDDINGS)
+    {
         let mut store = ParamStore::new();
         let encoder = TrajectoryEncoder::new(&mut store, &mut rng, "enc", config.clone());
         let clips: Vec<Tensor> = (0..64)
@@ -55,6 +75,7 @@ fn steady_state_embed_batch_allocates_only_what_it_returns() {
             .iter()
             .map(|f| tape_embed(&encoder, &store, f))
             .collect();
+        assert_eq!(embedding_hash(&want), pinned, "d_model {}", config.d_model);
 
         // The first call sizes this thread's workspace.
         assert_eq!(encoder.embed_batch(&store, &refs), want);

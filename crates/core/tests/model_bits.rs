@@ -11,6 +11,7 @@
 
 use sketchql::training::{train, TrainedModel, TrainingConfig};
 use sketchql::tuner::{fine_tune, Feedback, TunerConfig};
+use sketchql_nn::Pooling;
 use sketchql_store::Fnv64;
 use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
 
@@ -54,6 +55,22 @@ fn default_recipe_bits() {
     assert_eq!(model_hash(&model), DEFAULT_3);
 }
 
+/// The `experiments` ablation without positional encodings.
+#[test]
+fn no_positions_recipe_bits() {
+    let mut config = at_steps(TrainingConfig::small(), 3);
+    config.encoder.positional = false;
+    assert_eq!(model_hash(&train(config)), NO_POSITIONS_3);
+}
+
+/// The `experiments` ablation that pools the last time step.
+#[test]
+fn last_pooling_recipe_bits() {
+    let mut config = at_steps(TrainingConfig::small(), 3);
+    config.encoder.pooling = Pooling::Last;
+    assert_eq!(model_hash(&train(config)), LAST_POOLING_3);
+}
+
 fn clip_with_slope(slope: f32) -> Clip {
     let points = (0..30)
         .map(|f| {
@@ -93,3 +110,5 @@ const TINY_40: u64 = 0x5b25_ed01_f44e_8064;
 const SMALL_5: u64 = 0xacd2_ab71_472b_b5f9;
 const DEFAULT_3: u64 = 0x9696_1611_0ead_6e4e;
 const FINE_TUNE_2X2: u64 = 0x1948_78ea_8220_0087;
+const NO_POSITIONS_3: u64 = 0x8b46_a4d2_cec8_557a;
+const LAST_POOLING_3: u64 = 0x04a7_6aef_fe6e_df1a;

@@ -1086,6 +1086,39 @@ mod tests {
         assert!((b.iter().map(|x| x * x).sum::<f32>().sqrt() - 1.0).abs() < 1e-4);
     }
 
+    /// FNV-1a over the bit patterns of every embedding, in order.
+    fn embedding_hash(embeddings: &[Vec<f32>]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in embeddings
+            .iter()
+            .flatten()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+        {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// `embedding_hash` of the tape forward's embeddings in
+    /// `embed_batch_matches_embed_exactly`, one per configuration.
+    const SMALL_EMBEDDINGS: [u64; 3] = [
+        0x504a_d7f7_589e_1598,
+        0x0286_97bd_e06f_1fd5,
+        0x6afa_c83b_fc40_7541,
+    ];
+    /// The same in `embed_batch_matches_the_tape_at_the_shapes_that_ship`,
+    /// per encoder and object count.
+    const SHIPPED_EMBEDDINGS: [u64; 6] = [
+        0xf7c4_dd17_4fc7_1070,
+        0x26b1_26bc_8297_7b69,
+        0x68c8_7cbe_c532_3ef0,
+        0xb825_970d_a2cc_48c1,
+        0x34e1_7b89_48eb_0849,
+        0xa642_3717_2f2c_80d0,
+    ];
+    /// The same for `embed_batch_of_empty_and_one`'s one clip.
+    const ONE_EMBEDDING: u64 = 0x7b86_3632_1a63_4021;
+
     /// Training's path: the tape `forward` through a `Graph`.
     fn tape_embed(enc: &TrajectoryEncoder, store: &ParamStore, features: &Tensor) -> Vec<f32> {
         let mut g = Graph::new(store);
@@ -1101,11 +1134,14 @@ mod tests {
         // pooling modes and with positions on and off. The reference is
         // the tape forward, not `embed`, which is `embed_batch` of one.
         let mut r = rng();
-        for (pooling, positional) in [
+        for ((pooling, positional), pinned) in [
             (Pooling::Mean, true),
             (Pooling::Mean, false),
             (Pooling::Last, true),
-        ] {
+        ]
+        .into_iter()
+        .zip(SMALL_EMBEDDINGS)
+        {
             let mut store = ParamStore::new();
             let cfg = EncoderConfig {
                 input_dim: 6,
@@ -1123,6 +1159,8 @@ mod tests {
             let refs: Vec<&Tensor> = feats.iter().collect();
             let batched = enc.embed_batch(&store, &refs);
             assert_eq!(batched.len(), feats.len());
+            let tape: Vec<Vec<f32>> = feats.iter().map(|f| tape_embed(&enc, &store, f)).collect();
+            assert_eq!(embedding_hash(&tape), pinned, "{pooling:?}/{positional}");
             for (f, b) in feats.iter().zip(&batched) {
                 assert_eq!(&tape_embed(&enc, &store, f), b, "{pooling:?}/{positional}");
                 assert_eq!(&enc.embed(&store, f), b, "{pooling:?}/{positional}");
@@ -1167,6 +1205,7 @@ mod tests {
             ..Default::default()
         };
         let mut r = rng();
+        let mut pinned = SHIPPED_EMBEDDINGS.into_iter();
         for cfg in [training_default, EncoderConfig::default(), training_tiny] {
             let mut store = ParamStore::new();
             let enc = TrajectoryEncoder::new(&mut store, &mut r, "enc", cfg.clone());
@@ -1176,6 +1215,12 @@ mod tests {
                     .collect();
                 let want: Vec<Vec<f32>> =
                     feats.iter().map(|f| tape_embed(&enc, &store, f)).collect();
+                assert_eq!(
+                    embedding_hash(&want),
+                    pinned.next().unwrap(),
+                    "d_model {} x {objects} objects",
+                    cfg.d_model
+                );
                 let refs: Vec<&Tensor> = feats.iter().collect();
                 for isa in Isa::supported() {
                     for n in [64, 53, 67, 1, 64] {
@@ -1209,6 +1254,10 @@ mod tests {
         let enc = TrajectoryEncoder::new(&mut store, &mut r, "enc", cfg);
         assert!(enc.embed_batch(&store, &[]).is_empty());
         let f = Tensor::xavier(5, 6, &mut r);
+        assert_eq!(
+            embedding_hash(&[tape_embed(&enc, &store, &f)]),
+            ONE_EMBEDDING
+        );
         assert_eq!(
             enc.embed_batch(&store, &[&f]),
             vec![tape_embed(&enc, &store, &f)]
