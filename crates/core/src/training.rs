@@ -15,13 +15,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use sketchql_nn::{
-    nt_xent, Adam, AdamConfig, EncoderConfig, Graph, NodeId, ParamStore, Tensor, TrajectoryEncoder,
+    nt_xent, Adam, AdamConfig, EncoderConfig, ParamStore, Tensor, TrajectoryEncoder,
 };
 use sketchql_simulator::{PairGenConfig, PairGenerator, RandomSceneSampler, SamplerConfig};
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{extract_features, Clip, TOKEN_DIM};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::similarity::{embed_clip, LearnedSimilarity};
@@ -145,12 +145,16 @@ pub struct TrainedModel {
 
 /// Hand-written because the vendored derive has no field defaults: a
 /// model file without `recipe_version` is still a model (`query --model`
-/// serves it), just never a current cache entry.
+/// serves it), just never a current cache entry. And a model file is
+/// outside input: one whose weights are not exactly the ones its encoder
+/// reads ([`TrajectoryEncoder::check_params`]), whose encoder disagrees
+/// with its training config, or that does not take this build's feature
+/// tokens is an error here, not a panic at the first embed.
 impl Deserialize for TrainedModel {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         use serde::__private::{as_obj, obj_get};
         let fields = as_obj(v, "struct TrainedModel")?;
-        Ok(TrainedModel {
+        let model = TrainedModel {
             encoder: Deserialize::from_value(obj_get(fields, "encoder")?)?,
             store: Deserialize::from_value(obj_get(fields, "store")?)?,
             config: Deserialize::from_value(obj_get(fields, "config")?)?,
@@ -159,7 +163,24 @@ impl Deserialize for TrainedModel {
                 Ok(version) => Deserialize::from_value(version)?,
                 Err(_) => 0,
             },
-        })
+        };
+        let encoder = &model.encoder.config;
+        if encoder.input_dim != TOKEN_DIM {
+            return Err(serde::DeError(format!(
+                "model encoder takes {}-wide tokens, features are {TOKEN_DIM} wide",
+                encoder.input_dim
+            )));
+        }
+        if *encoder != model.config.encoder {
+            return Err(serde::DeError(
+                "model encoder differs from the encoder its training config describes".into(),
+            ));
+        }
+        model
+            .encoder
+            .check_params(&model.store)
+            .map_err(|mismatch| serde::DeError(format!("model {mismatch}")))?;
+        Ok(model)
     }
 }
 
@@ -307,8 +328,8 @@ fn train_on(
         }
 
         let clips: Vec<&Tensor> = clips.iter().collect();
-        let (loss, grads) = step_gradients(&encoder, &store, &clips, threads, |g, embeddings| {
-            pair_loss(g, embeddings, config.temperature)
+        let (loss, grads) = step_gradients(&encoder, &store, &clips, threads, |embeddings| {
+            pair_loss(embeddings, config.temperature)
         });
         assert!(
             loss.is_finite(),
@@ -329,77 +350,62 @@ fn train_on(
 }
 
 /// NT-Xent over a batch laid out anchor, positive, anchor, positive, ...
-fn pair_loss(g: &mut Graph<'_>, embeddings: &[NodeId], temperature: f32) -> NodeId {
-    let anchors: Vec<NodeId> = embeddings.iter().copied().step_by(2).collect();
-    let positives: Vec<NodeId> = embeddings.iter().copied().skip(1).step_by(2).collect();
-    nt_xent(g, &anchors, &positives, temperature)
+fn pair_loss(embeddings: &[Tensor], temperature: f32) -> (f32, Vec<Option<Tensor>>) {
+    let pairs: Vec<(usize, usize)> = (0..embeddings.len() / 2)
+        .map(|i| (2 * i, 2 * i + 1))
+        .collect();
+    nt_xent(embeddings, &pairs, temperature)
 }
 
 /// The loss of one optimisation step and its gradient per parameter name:
-/// `loss` over the encoder's embeddings of `clips`.
+/// `loss` over the encoder's embeddings of `clips`, which returns the loss
+/// value and `dL/d embedding` per clip (`None` for a clip it never read).
 ///
-/// Clip `i`'s sub-graph shares nothing with clip `j`'s but the weights, so
-/// the step is cut at the embeddings, and every part runs per clip on
+/// Clip `i`'s computation shares nothing with clip `j`'s but the weights,
+/// so the step is cut at the embeddings, and every part runs per clip on
 /// `threads` workers:
 ///
-/// 1. the embeddings come from the inference path ([`TrajectoryEncoder::embed`],
-///    bit-identical to the tape forward at a fraction of its cost);
-/// 2. `loss` is built over one differentiable leaf per embedding, in clip
-///    order, and its backward yields the loss value and `dL/d embedding`;
-/// 3. each clip gets a small tape of its own (weights borrowed), run
-///    forward and at once backward from its embedding, seeded with that
-///    gradient, then dropped — a step holds `threads` tapes, warm in
-///    cache, never the 48 of the batch;
+/// 1. the embeddings come from the inference path ([`TrajectoryEncoder::embed`]);
+/// 2. `loss` turns them into the loss value and each clip's seed;
+/// 3. each seeded clip runs [`TrajectoryEncoder::backward`] — its forward
+///    again, activations kept, then the backward from its embedding — on a
+///    worker that reuses one workspace for clip after clip;
 /// 4. the per-clip parameter gradients are folded **last clip first**.
 ///
 /// That order is the point. Every weight is used exactly once per clip, so
-/// one graph over the whole batch — what a step used to be, and what the
-/// tests still referee against — walked in reverse accumulates each
-/// parameter's gradient as `((g[n-1] + g[n-2]) + ...) + g[0]`, one addend
-/// per clip in reverse forward order. Reproducing exactly that sum makes
-/// the result bit-identical to the single graph's, whatever `threads` is.
+/// one reverse-mode graph over the whole batch — how a step was first
+/// computed, whose bits `folded_per_clip_gradients_are_the_single_graphs`
+/// pins — accumulates each parameter's gradient as
+/// `((g[n-1] + g[n-2]) + ...) + g[0]`, one addend per clip in reverse
+/// forward order. Reproducing exactly that sum keeps the result
+/// bit-identical to it, whatever `threads` is.
 pub(crate) fn step_gradients(
     encoder: &TrajectoryEncoder,
     store: &ParamStore,
     clips: &[&Tensor],
     threads: usize,
-    loss: impl FnOnce(&mut Graph<'_>, &[NodeId]) -> NodeId,
-) -> (f32, HashMap<String, Tensor>) {
-    let embeddings = crate::fan_out(clips, threads, |piece| {
+    loss: impl FnOnce(&[Tensor]) -> (f32, Vec<Option<Tensor>>),
+) -> (f32, BTreeMap<String, Tensor>) {
+    let embeddings: Vec<Tensor> = crate::fan_out(clips, threads, |piece| {
         let embed = |features| encoder.embed(store, features);
         piece.iter().copied().map(embed).collect::<Vec<_>>()
-    });
+    })
+    .into_iter()
+    .flatten()
+    .map(|e| Tensor::from_vec(1, e.len(), e))
+    .collect();
+    let (loss_value, seeds) = loss(&embeddings);
+    assert_eq!(seeds.len(), clips.len(), "one seed per clip");
 
-    // The loss graph binds no parameter; the store is there for the type.
-    let mut head = Graph::new(store);
-    let leaves: Vec<NodeId> = embeddings
-        .into_iter()
-        .flatten()
-        .map(|e| head.tape.leaf(Tensor::from_vec(1, e.len(), e)))
-        .collect();
-    let loss = loss(&mut head, &leaves);
-    let loss_value = head.tape.value(loss).item();
-    let mut seeds = head.tape.backward(loss);
-
-    // A clip whose embedding the loss never read has no gradient to add,
-    // as its nodes had none in the single graph.
-    let seeded: Vec<_> = clips
-        .iter()
-        .zip(leaves)
-        .map(|(&features, leaf)| (features, seeds.take(leaf)))
-        .collect();
+    let seeded: Vec<_> = clips.iter().copied().zip(seeds).collect();
     let per_clip = crate::fan_out(&seeded, threads, |piece| {
         let backward = |(features, seed): &(&Tensor, Option<Tensor>)| {
-            let seed = seed.clone()?;
-            let mut g = Graph::new(store);
-            let input = g.input((*features).clone());
-            let embedding = encoder.forward(&mut g, input);
-            Some(g.grads_by_name_from(embedding, seed))
+            Some(encoder.backward(store, features, seed.as_ref()?))
         };
         piece.iter().map(backward).collect::<Vec<_>>()
     });
 
-    let mut grads: HashMap<String, Tensor> = HashMap::new();
+    let mut grads: BTreeMap<String, Tensor> = BTreeMap::new();
     for clip_grads in per_clip.into_iter().flatten().rev().flatten() {
         for (name, g) in clip_grads {
             match grads.entry(name) {
@@ -580,61 +586,25 @@ mod tests {
         clips
     }
 
-    /// Loss and every gradient tensor, bit for bit.
-    #[track_caller]
-    fn assert_same_bits(
-        got: &(f32, HashMap<String, Tensor>),
-        want: &(f32, HashMap<String, Tensor>),
-        what: &str,
-    ) {
-        assert_eq!(got.0.to_bits(), want.0.to_bits(), "{what}: loss");
-        assert_eq!(got.1.len(), want.1.len(), "{what}: parameters");
-        for (name, w) in &want.1 {
-            let g = &got.1[name];
-            assert_eq!((g.rows, g.cols), (w.rows, w.cols), "{what}: {name}");
-            let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(g), bits(w), "{what}: {name}");
-        }
-    }
-
     /// FNV-64 over the bit patterns of the loss, then of every gradient
     /// tensor in name order.
-    fn gradient_hash((loss, grads): &(f32, HashMap<String, Tensor>)) -> u64 {
+    fn gradient_hash((loss, grads): &(f32, BTreeMap<String, Tensor>)) -> u64 {
         let mut h = sketchql_store::Fnv64::new();
         h.write_f32(*loss);
-        let mut names: Vec<&String> = grads.keys().collect();
-        names.sort();
-        for name in names {
-            for &v in &grads[name].data {
+        for g in grads.values() {
+            for &v in &g.data {
                 h.write_f32(v);
             }
         }
         h.finish()
     }
 
-    /// The referee: one graph over the whole batch, as a step used to be.
-    fn single_graph_gradients(
-        encoder: &TrajectoryEncoder,
-        store: &ParamStore,
-        clips: &[&Tensor],
-        loss: impl FnOnce(&mut Graph<'_>, &[NodeId]) -> NodeId,
-    ) -> (f32, HashMap<String, Tensor>) {
-        let mut g = Graph::new(store);
-        let embeddings: Vec<NodeId> = clips
-            .iter()
-            .map(|&features| {
-                let input = g.input(features.clone());
-                encoder.forward(&mut g, input)
-            })
-            .collect();
-        let loss = loss(&mut g, &embeddings);
-        (g.tape.value(loss).item(), g.grads_by_name(loss))
-    }
-
-    /// The step's contract: per-clip tapes, folded last clip first, are
-    /// the single graph — loss and every gradient tensor bit for bit —
-    /// for both objectives (in the Tuner's, embeddings are read by several
-    /// triplets and one clip appears twice) and any thread count.
+    /// The step's contract: per-clip backwards, folded last clip first,
+    /// are the single reverse-mode graph over the whole batch this
+    /// repository first trained with — loss and every gradient tensor bit
+    /// for bit, by hashes captured from that graph before it was deleted
+    /// — for both objectives (in the Tuner's, embeddings are read by
+    /// several triplets and one clip appears twice) and any thread count.
     #[test]
     fn folded_per_clip_gradients_are_the_single_graphs() {
         let config = TrainingConfig::default();
@@ -644,32 +614,40 @@ mod tests {
         let owned = sample_clips(&config, 6);
         let mut clips: Vec<&Tensor> = owned.iter().collect();
 
-        let contrastive = |g: &mut Graph<'_>, e: &[NodeId]| pair_loss(g, e, config.temperature);
-        let want = single_graph_gradients(&encoder, &store, &clips, contrastive);
-        assert_eq!(want.1.len(), store.names().len(), "every parameter trained");
-        assert_eq!(gradient_hash(&want), 0x7b34_3387_aae2_69b4, "nt_xent hash");
+        let contrastive = |e: &[Tensor]| pair_loss(e, config.temperature);
         for threads in [1, 2, 3, 7] {
             let got = step_gradients(&encoder, &store, &clips, threads, contrastive);
-            assert_same_bits(&got, &want, &format!("nt_xent, {threads} threads"));
+            assert_eq!(got.1.len(), store.names().len(), "every parameter trained");
+            assert_eq!(
+                gradient_hash(&got),
+                NT_XENT_STEP,
+                "nt_xent, {threads} threads"
+            );
         }
 
         // Query 0, positives 1 and 4, negatives 2/3 embedded once per
         // positive — and a last clip no triplet reads.
         clips.truncate(8);
         (clips[5], clips[6]) = (clips[2], clips[3]);
-        let feedback = |g: &mut Graph<'_>, e: &[NodeId]| {
-            let at = |q: usize, p: usize, n: usize| (e[q], e[p], e[n]);
-            let triplets = [at(0, 1, 2), at(0, 1, 3), at(0, 4, 5), at(0, 4, 6)];
-            sketchql_nn::triplet(g, &triplets, 0.9)
+        let feedback = |e: &[Tensor]| {
+            let triplets = [(0, 1, 2), (0, 1, 3), (0, 4, 5), (0, 4, 6)];
+            sketchql_nn::triplet(e, &triplets, 0.9)
         };
-        let want = single_graph_gradients(&encoder, &store, &clips, feedback);
-        assert!(want.0 > 0.0, "an active hinge, or the gradients are zero");
-        assert_eq!(gradient_hash(&want), 0x5e31_16f7_c41b_8e78, "triplet hash");
-        for threads in [1, 2, 3] {
+        for threads in [1, 2, 3, 7] {
             let got = step_gradients(&encoder, &store, &clips, threads, feedback);
-            assert_same_bits(&got, &want, &format!("triplet, {threads} threads"));
+            assert!(got.0 > 0.0, "an active hinge, or the gradients are zero");
+            assert_eq!(
+                gradient_hash(&got),
+                TRIPLET_STEP,
+                "triplet, {threads} threads"
+            );
         }
     }
+
+    /// `gradient_hash` of the single graph's step over six pairs of the
+    /// default recipe's clips, under NT-Xent and under the Tuner's triplets.
+    const NT_XENT_STEP: u64 = 0x7b34_3387_aae2_69b4;
+    const TRIPLET_STEP: u64 = 0x5e31_16f7_c41b_8e78;
 
     /// A diverged run fails at the step that shows it, in any build, and
     /// nothing of it reaches the model cache.
@@ -807,16 +785,78 @@ mod tests {
         assert!((norm - 1.0).abs() < 1e-3);
     }
 
-    /// Hostile model files never panic the loader: a
-    /// `TrainingConfig::tiny()` model file cut at every byte, then 2 000
-    /// seeded mutants, each decoded to `Ok` or `Err`.
+    /// Hostile model files never panic the loader, nor a model it lets
+    /// through: a `TrainingConfig::tiny()` model file cut at every byte,
+    /// then 2 000 seeded mutants, each decoded to `Ok` or `Err` — and
+    /// every one that decodes embeds a clip.
     #[test]
     fn damaged_model_file_is_an_error_not_a_panic() {
         let mut cfg = TrainingConfig::tiny();
         cfg.steps = 1;
         let golden = serde_json::to_string(&train(cfg)).unwrap();
+        let clip = sketchql_datasets::query_clip(sketchql_datasets::EventKind::LeftTurn);
+        let decoded = std::sync::atomic::AtomicUsize::new(0);
         super::mutants::never_panics(golden.as_bytes(), 2_000, 0x30de1, |bytes| {
-            let _ = serde_json::from_str::<TrainedModel>(&String::from_utf8_lossy(bytes));
+            let text = String::from_utf8_lossy(bytes);
+            if let Ok(model) = serde_json::from_str::<TrainedModel>(&text) {
+                model.embed(&clip);
+                decoded.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
         });
+        assert!(
+            decoded.into_inner() > 100,
+            "mutants of weight values still decode"
+        );
+    }
+
+    /// Two model files that decode as JSON but name the wrong weights — a
+    /// renamed parameter, and a self-consistent shape that is not the
+    /// encoder's — are load errors naming the parameter.
+    #[test]
+    fn load_rejects_a_model_that_names_the_wrong_weights() {
+        use serde::{Serialize, Value};
+        fn params(v: &mut Value) -> &mut Vec<(String, Value)> {
+            let mut v = v;
+            for key in ["store", "params"] {
+                let Value::Obj(fields) = v else {
+                    panic!("{key}: not an object");
+                };
+                v = &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1;
+            }
+            let Value::Obj(params) = v else {
+                panic!("params: not an object");
+            };
+            params
+        }
+        let mut cfg = TrainingConfig::tiny();
+        cfg.steps = 1;
+        let model = train(cfg);
+        let dir = std::env::temp_dir().join(format!("sketchql-misnamed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        let load_error = |tree: &Value| {
+            std::fs::write(&path, serde_json::to_string(tree).unwrap()).unwrap();
+            TrainedModel::load(&path).expect_err("a model naming the wrong weights")
+        };
+
+        let mut renamed = model.to_value();
+        let entry = params(&mut renamed)
+            .iter_mut()
+            .find(|(k, _)| k == "enc.in.w");
+        entry.unwrap().0 = "enc.in.v".to_string();
+        let err = load_error(&renamed).to_string();
+        assert!(err.contains("parameter \"enc.in.w\" is missing"), "{err}");
+
+        let mut reshaped = model.to_value();
+        let entry = params(&mut reshaped)
+            .iter_mut()
+            .find(|(k, _)| k == "enc.in.w");
+        entry.unwrap().1 = Tensor::zeros(3, 3).to_value();
+        let err = load_error(&reshaped).to_string();
+        assert!(
+            err.contains("\"enc.in.w\" is 3x3, the encoder needs 32x16"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -141,7 +141,7 @@ pub fn fine_tune(
     // A negative is embedded once per positive although its embedding is
     // the same each time: embedding it once would add its triplets'
     // gradients in another order and so tune different bits, which belongs
-    // with the other results-changing decisions (ROADMAP item 3).
+    // with the other results-changing decisions (ROADMAP item 4).
     let mut clips = vec![&query_t];
     let mut triplets = Vec::with_capacity(pos_t.len() * neg_t.len());
     for p in &pos_t {
@@ -165,13 +165,7 @@ pub fn fine_tune(
             &tuned.store,
             &clips,
             threads,
-            |g, embeddings| {
-                let nodes: Vec<_> = triplets
-                    .iter()
-                    .map(|&(q, p, n)| (embeddings[q], embeddings[p], embeddings[n]))
-                    .collect();
-                triplet(g, &nodes, config.margin)
-            },
+            |embeddings| triplet(embeddings, &triplets, config.margin),
         );
         adam.step(&mut tuned.store, &grads);
     }

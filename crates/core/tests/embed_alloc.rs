@@ -1,5 +1,6 @@
 //! `TrajectoryEncoder::embed_batch` at the encoders that ship: equal to
-//! the tape forward, and — once a thread has embedded its largest batch —
+//! the bits the encoder's first forward (a reverse-mode tape, since
+//! deleted) computed, and — once a thread has embedded its largest batch —
 //! allocating only the vectors it returns, whatever the batch size.
 //!
 //! And the scan above it: once an index remembers a sketch's windows, a
@@ -14,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::training::TrainingConfig;
 use sketchql::{LearnedSimilarity, Matcher, VideoIndex};
-use sketchql_nn::{EncoderConfig, Graph, ParamStore, Tensor, TrajectoryEncoder};
+use sketchql_nn::{EncoderConfig, ParamStore, Tensor, TrajectoryEncoder};
 use sketchql_store::Fnv64;
 use sketchql_telemetry::{names, thread_allocated, TraceContext};
 use sketchql_trajectory::features::{SLOT_DIM, TOKEN_DIM};
@@ -39,20 +40,13 @@ fn embedding_hash(embeddings: &[Vec<f32>]) -> u64 {
     h.finish()
 }
 
-/// `embedding_hash` of the 64 clips' embeddings, per encoder.
+/// `embedding_hash` of the 64 clips' embeddings, per encoder, captured
+/// from the tape forward.
 const EMBEDDINGS: [u64; 3] = [
     0x0748_9281_21bb_c632,
     0x9bad_00ad_71de_9083,
     0x3186_39cb_75a4_cb4d,
 ];
-
-/// Training's path: the tape `forward`, which no inference change touches.
-fn tape_embed(encoder: &TrajectoryEncoder, store: &ParamStore, features: &Tensor) -> Vec<f32> {
-    let mut g = Graph::new(store);
-    let f = g.input(features.clone());
-    let e = encoder.forward(&mut g, f);
-    g.tape.value(e).data.clone()
-}
 
 #[test]
 fn steady_state_embed_batch_allocates_only_what_it_returns() {
@@ -71,14 +65,9 @@ fn steady_state_embed_batch_allocates_only_what_it_returns() {
             .map(|i| features(&mut rng, config.steps, 1 + i % 2))
             .collect();
         let refs: Vec<&Tensor> = clips.iter().collect();
-        let want: Vec<Vec<f32>> = clips
-            .iter()
-            .map(|f| tape_embed(&encoder, &store, f))
-            .collect();
-        assert_eq!(embedding_hash(&want), pinned, "d_model {}", config.d_model);
-
         // The first call sizes this thread's workspace.
-        assert_eq!(encoder.embed_batch(&store, &refs), want);
+        let want = encoder.embed_batch(&store, &refs);
+        assert_eq!(embedding_hash(&want), pinned, "d_model {}", config.d_model);
         // A scan's ragged last batch, the full batch after it, a lone
         // query embed, and the full batch again.
         for n in [53, 64, 1, 64] {

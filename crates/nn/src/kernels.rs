@@ -1,9 +1,9 @@
 //! SIMD kernels: the one matmul and the row kernels of the encoder.
 //!
-//! [`Tensor::matmul`] *is* [`matmul`]: the autograd tape (its forward and
-//! both products of its backward), the losses, the Tuner and the tape-free
-//! inference path (`TrajectoryEncoder::embed_batch` and the matcher's scan
-//! built on it) all run the register-tiled kernels below on the widest
+//! [`Tensor::matmul`] *is* [`matmul`]: the encoder's forward
+//! (`TrajectoryEncoder::embed_batch`, the matcher's scan built on it, and
+//! training's per-clip forward), both products of every matmul in its
+//! backward, and the losses all run the register-tiled kernels below on the widest
 //! instruction set the CPU has (`Isa`: AVX-512, AVX2 or portable scalar
 //! code — chosen by CPU feature detection only). The readable scalar ikj
 //! loop, `matmul_scalar`, is the single reference: it is what `Isa::Scalar`
@@ -62,9 +62,8 @@
 //! softmax / layer-norm row kernels built on them, and the fixed
 //! 16-bucket strided summation ([`strided_sum`]) used for every row
 //! reduction. Each kernel comes in a scalar form — the reference — and a
-//! dispatching form that runs the vector code where the CPU has it (used
-//! by the autograd tape's forward ops and by the batched tape-free
-//! inference path alike); the pairs are differentially tested to produce
+//! dispatching form that runs the vector code where the CPU has it (the
+//! one the encoder's forward calls); the pairs are differentially tested to produce
 //! bit-identical outputs. The bucket count is 16 on every ISA — the
 //! summation order is part of the semantics, not an artifact of the
 //! vector width — so `TrajectoryEncoder::embed_batch` stays `==`-equal
@@ -88,7 +87,9 @@
 //! unchanged. CPUs without AVX-512 run the per-head composition (copy
 //! head, [`matmul_into`], scale pass, [`softmax_row`], [`matmul_into`],
 //! copy back) — same values, and the reference the fused kernel is
-//! differentially tested against.
+//! differentially tested against. Training's forward runs the
+//! composition on every CPU, because the backward reads each head's
+//! softmax and the fused kernel keeps none.
 //!
 //! ## Safety boundary
 //!
@@ -479,7 +480,7 @@ pub(crate) const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 pub(crate) const GELU_A: f32 = 0.044_715;
 
 /// GELU (tanh approximation) on one value; the scalar reference for
-/// [`gelu_inplace`] and the forward used by the tape's GELU op.
+/// [`gelu_inplace`].
 pub fn gelu_scalar(x: f32) -> f32 {
     0.5 * x * (1.0 + fast_tanh(GELU_C * (x + GELU_A * x * x * x)))
 }
@@ -707,7 +708,10 @@ pub(crate) fn attention_scratch_len(seq: usize, dh: usize) -> usize {
 /// is `softmax_rows((Q_h @ K_h^T) * scale) @ V_h` with exactly the
 /// arithmetic of [`matmul_into`] and [`softmax_row`], so the result is
 /// the same on every instruction set; AVX-512 runs it as one fused
-/// kernel, anything else as the per-head composition.
+/// kernel, anything else as the per-head composition. With `probs` it is
+/// the composition on every instruction set, which also writes head `h`'s
+/// `seq x seq` softmax to `probs[h * seq * seq..]` — what training's
+/// backward reads, and what the fused kernel never materializes.
 pub(crate) fn attention_block(
     isa: Isa,
     qkv: &[f32],
@@ -715,6 +719,7 @@ pub(crate) fn attention_block(
     scale: f32,
     scratch: &mut [f32],
     concat: &mut [f32],
+    probs: Option<&mut [f32]>,
 ) {
     let AttnShape { seq, d, heads } = shape;
     assert!(
@@ -738,11 +743,14 @@ pub(crate) fn attention_block(
         scratch.len(),
         attention_scratch_len(seq, d / heads)
     );
+    if let Some(probs) = &probs {
+        assert_len("attention probabilities", probs.len(), heads * seq, seq);
+    }
     if concat.is_empty() {
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx512 {
+    if isa == Isa::Avx512 && probs.is_none() {
         assert!(isa.available(), "{isa:?} kernels need CPU support");
         // SAFETY: the CPU feature was asserted, and the asserts above pin
         // `concat` to seq*d values, `qkv` to three times that and
@@ -760,14 +768,15 @@ pub(crate) fn attention_block(
         };
         return;
     }
-    attention_block_composed(isa, qkv, shape, scale, scratch, concat);
+    attention_block_composed(isa, qkv, shape, scale, scratch, concat, probs);
 }
 
 /// [`attention_block`] as the per-head composition of the row and matmul
 /// kernels: copy the head's Q and V out (K pre-transposed, so the score
 /// matmul streams both operands row-major), scores, scale pass, softmax
 /// per row, `P @ V`, copy the head back. The only path on CPUs without
-/// AVX-512 and the reference the fused kernel is tested against.
+/// AVX-512 and the reference the fused kernel is tested against. With
+/// `probs`, each head's `P` is copied there too.
 fn attention_block_composed(
     isa: Isa,
     qkv: &[f32],
@@ -775,6 +784,7 @@ fn attention_block_composed(
     scale: f32,
     scratch: &mut [f32],
     concat: &mut [f32],
+    mut probs: Option<&mut [f32]>,
 ) {
     let dh = d / heads;
     let (qh, rest) = scratch.split_at_mut(seq * dh);
@@ -797,6 +807,9 @@ fn attention_block_composed(
         }
         for row in attn.chunks_exact_mut(seq) {
             softmax_row_on(isa, row);
+        }
+        if let Some(probs) = probs.as_deref_mut() {
+            probs[h * seq * seq..(h + 1) * seq * seq].copy_from_slice(attn);
         }
         gemm(isa, attn, vh, None, head_out, (seq, seq, dh));
         for (r, out) in head_out.chunks_exact(dh).enumerate() {
@@ -1657,15 +1670,15 @@ mod tests {
                 let gamma: Vec<f32> = (0..len).map(|_| rng.gen_range(0.5..1.5f32)).collect();
                 let beta: Vec<f32> = (0..len).map(|_| rng.gen_range(-0.5..0.5f32)).collect();
                 let mut vectored = base.clone();
-                layer_norm_row(&mut vectored, &gamma, &beta, crate::tape::LN_EPS);
+                layer_norm_row(&mut vectored, &gamma, &beta, crate::modules::LN_EPS);
                 let mut scalar = base.clone();
-                layer_norm_row_scalar(&mut scalar, &gamma, &beta, crate::tape::LN_EPS);
+                layer_norm_row_scalar(&mut scalar, &gamma, &beta, crate::modules::LN_EPS);
                 for (c, (&g, &w)) in vectored.iter().zip(&scalar).enumerate() {
                     assert_eq!(g.to_bits(), w.to_bits(), "layer_norm len={len} idx={c}");
                 }
                 for isa in Isa::supported() {
                     let mut vectored = base.clone();
-                    layer_norm_row_on(isa, &mut vectored, &gamma, &beta, crate::tape::LN_EPS);
+                    layer_norm_row_on(isa, &mut vectored, &gamma, &beta, crate::modules::LN_EPS);
                     assert_same_bits(&vectored, &scalar, &format!("layer_norm len={len} {isa:?}"));
                 }
             }
@@ -1711,6 +1724,7 @@ mod tests {
                         scale,
                         &mut scratch,
                         &mut reference,
+                        None,
                     );
                     if flavour != "special" {
                         assert!(reference.iter().all(|x| x.is_finite()), "{what}");
@@ -1718,18 +1732,23 @@ mod tests {
                     for isa in Isa::supported() {
                         let mut concat = vec![f32::NAN; seq * d];
                         let mut scratch = vec![f32::NAN; len];
-                        attention_block(isa, &qkv, shape, scale, &mut scratch, &mut concat);
+                        attention_block(isa, &qkv, shape, scale, &mut scratch, &mut concat, None);
                         assert_same_bits(&concat, &reference, &format!("{what} {isa:?}"));
                         let mut concat = vec![f32::NAN; seq * d];
-                        attention_block_composed(
+                        let mut probs = vec![f32::NAN; heads * seq * seq];
+                        attention_block(
                             isa,
                             &qkv,
                             shape,
                             scale,
                             &mut scratch,
                             &mut concat,
+                            Some(&mut probs),
                         );
                         assert_same_bits(&concat, &reference, &format!("{what} {isa:?} composed"));
+                        if flavour != "special" {
+                            assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)), "{what}");
+                        }
                     }
                 }
             }
@@ -1753,7 +1772,7 @@ mod tests {
                 let message = panic_message(move || {
                     let (qkv, mut scratch, mut concat) =
                         (vec![0.5; qkv], vec![0.0; scratch], vec![0.0; concat]);
-                    attention_block(isa, &qkv, shape, 0.5, &mut scratch, &mut concat);
+                    attention_block(isa, &qkv, shape, 0.5, &mut scratch, &mut concat, None);
                 });
                 assert!(message.contains(expected), "{isa:?}: {message:?}");
             }

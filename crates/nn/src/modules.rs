@@ -1,32 +1,46 @@
-//! Neural network modules: parameter store, graph binding, linear layers,
-//! multi-head self-attention, transformer encoder blocks, and the
-//! trajectory encoder itself.
+//! Neural network modules: parameter store, linear layers, multi-head
+//! self-attention, transformer encoder blocks, and the trajectory encoder
+//! itself — its one forward pass and the backward written against it.
 //!
 //! Modules are *stateless descriptions*: they own parameter **names** and
 //! hyper-parameters, while the parameter **values** live in a [`ParamStore`].
-//! A forward pass binds store values (borrowed, not copied) onto a fresh
-//! [`Tape`] through a [`Graph`] and reads per-parameter gradients back out
-//! by name; a training step builds one small graph per clip.
 //!
-//! Inference builds no tape. [`TrajectoryEncoder::embed_batch`] stacks a
-//! batch of sequences and runs the same arithmetic, in the same order,
-//! through [`crate::kernels`]: each linear layer is one register-tiled
-//! matmul with the bias as its epilogue, attention is one
-//! `kernels::attention_block` per sequence, and the row kernels do layer
-//! norm and GELU. The instruction set is picked once per call
-//! (`kernels::Isa::best`) and handed down, so one call never mixes
-//! variants and tests can run the whole encoder on each. Every buffer of
-//! the pass belongs to a `BatchWorkspace` parked per thread and re-shaped
-//! per call, so in steady state a call allocates only the embeddings it
-//! returns. The result is `==`-equal to the tape forward, row by row.
+//! There is one forward. [`TrajectoryEncoder::embed_batch`] stacks a
+//! batch of sequences and runs them through [`crate::kernels`]: each
+//! linear layer is one register-tiled matmul with the bias as its
+//! epilogue, attention is one `kernels::attention_block` per sequence,
+//! and the row kernels do layer norm and GELU. The instruction set is
+//! picked once per call (`kernels::Isa::best`) and handed down, so one
+//! call never mixes variants and tests can run the whole encoder on each.
+//! Every buffer of the pass belongs to a `BatchWorkspace` parked per
+//! thread and re-shaped per call, so in steady state a call allocates
+//! only the embeddings it returns.
+//!
+//! Training runs the same layer code on one clip at a time and copies out
+//! every activation its backward reads ([`TrajectoryEncoder::backward`]);
+//! attention then takes the per-head composition, which hands back each
+//! head's softmax and is bit-identical to the fused kernel. Each module's
+//! backward sits beside its forward and is a port of the reverse-mode
+//! rules the encoder was first trained with: every matmul's `g·Wᵀ` and
+//! `Xᵀ·g` through [`Tensor::matmul`], the bias column sums, and the
+//! layer-norm, softmax, GELU and L2 formulas. Where an activation feeds
+//! several consumers its gradient adds up in the reverse of the order the
+//! forward used it: a residual's skip before its branch, and the attention
+//! input's V, K, Q shares in that order. So a seed trains the same bits
+//! it always has (`crates/core/tests/model_bits.rs`).
+
+// Index arithmetic is clearer than iterator adapters in the backward
+// rules.
+#![allow(clippy::needless_range_loop)]
 
 use crate::kernels::{self, AttnShape, Isa};
-use crate::tape::{Gradients, NodeId, Tape};
-use crate::tensor::Tensor;
+use crate::tensor::{accumulate, Tensor};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::collections::HashMap;
+
+/// The layer norm's variance epsilon.
+pub(crate) const LN_EPS: f32 = 1e-5;
 
 /// Named parameter tensors. `BTreeMap` keeps iteration order deterministic,
 /// which keeps training runs bit-reproducible for a fixed seed.
@@ -79,60 +93,23 @@ impl ParamStore {
     }
 }
 
-/// A forward-pass context: a tape plus the binding of parameter names to
-/// tape nodes. Parameters are borrowed from the store, never copied, so a
-/// graph per clip is as cheap as its activations.
-pub struct Graph<'s> {
-    /// The underlying autograd tape; modules may record extra ops directly.
-    pub tape: Tape<'s>,
-    store: &'s ParamStore,
-    bound: HashMap<String, NodeId>,
+/// Per-parameter gradients, in name order (the [`ParamStore`]'s).
+type Grads = BTreeMap<String, Tensor>;
+
+/// Columns `[start, start + len)` of `t`, as a tensor of their own.
+fn columns(t: &Tensor, start: usize, len: usize) -> Tensor {
+    let mut out = Tensor::zeros(t.rows, len);
+    for r in 0..t.rows {
+        out.row_mut(r)
+            .copy_from_slice(&t.row(r)[start..start + len]);
+    }
+    out
 }
 
-impl<'s> Graph<'s> {
-    /// Starts a fresh graph over a parameter store.
-    pub fn new(store: &'s ParamStore) -> Self {
-        Graph {
-            tape: Tape::new(),
-            store,
-            bound: HashMap::new(),
-        }
-    }
-
-    /// Binds (or reuses) the node holding parameter `name`.
-    pub fn param(&mut self, name: &str) -> NodeId {
-        if let Some(&id) = self.bound.get(name) {
-            return id;
-        }
-        let id = self.tape.leaf_ref(self.store.get(name));
-        self.bound.insert(name.to_string(), id);
-        id
-    }
-
-    /// Inserts a non-trainable input tensor; backward computes no gradient
-    /// for it (differentiate w.r.t. an input with [`Tape::leaf`]).
-    pub fn input(&mut self, t: Tensor) -> NodeId {
-        self.tape.constant(t)
-    }
-
-    /// Runs backward from the scalar `loss` and collects gradients per
-    /// parameter name.
-    pub fn grads_by_name(&self, loss: NodeId) -> HashMap<String, Tensor> {
-        self.by_name(self.tape.backward(loss))
-    }
-
-    /// [`Graph::grads_by_name`] from a root of any shape, seeded with a
-    /// downstream scalar's gradient w.r.t. it ([`Tape::backward_from`]).
-    pub fn grads_by_name_from(&self, root: NodeId, seed: Tensor) -> HashMap<String, Tensor> {
-        self.by_name(self.tape.backward_from(root, seed))
-    }
-
-    fn by_name(&self, mut grads: Gradients) -> HashMap<String, Tensor> {
-        self.bound
-            .iter()
-            .filter_map(|(name, &id)| grads.take(id).map(|g| (name.clone(), g)))
-            .collect()
-    }
+/// Overwrites `dst` with a copy of `src`, keeping `dst`'s allocation.
+fn keep(dst: &mut Tensor, src: &Tensor) {
+    (dst.rows, dst.cols) = (src.rows, src.cols);
+    dst.data.clone_from(&src.data);
 }
 
 /// A fully connected layer `y = x @ W + b`.
@@ -167,20 +144,35 @@ impl Linear {
         }
     }
 
-    /// `x (T x in) -> T x out`.
-    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let w = g.param(&self.w);
-        let b = g.param(&self.b);
-        let xw = g.tape.matmul(x, w);
-        g.tape.add_row_broadcast(xw, b)
-    }
-
-    /// Tape-free inference forward into `out`: `x @ W + b` in one pass
-    /// (the bias is the matmul's epilogue), replicating the tape ops'
-    /// per-row arithmetic exactly. Every output row depends only on its
-    /// input row, so stacked batches produce bit-identical rows.
+    /// The forward into `out`: `x @ W + b` in one pass (the bias is the
+    /// matmul's epilogue). Every output row depends only on its input
+    /// row, so stacked batches produce bit-identical rows.
     fn forward_tensor_into(&self, isa: Isa, store: &ParamStore, x: &Tensor, out: &mut Tensor) {
         kernels::matmul_bias_into(isa, x, store.get(&self.w), Some(store.get(&self.b)), out);
+    }
+
+    /// The weight's and the bias's `(name, rows, cols)` for an `in x out`
+    /// layer.
+    fn param_shapes(&self, rows: usize, cols: usize) -> [(&str, usize, usize); 2] {
+        [(&self.w, rows, cols), (&self.b, 1, cols)]
+    }
+
+    /// Records `dL/dW = xᵀ·g` and `dL/db`, the column sums of `g`, given
+    /// the layer's input `x` and `g = dL/dy`.
+    fn backward_params(&self, x: &Tensor, g: &Tensor, grads: &mut Grads) {
+        let mut gb = Tensor::zeros(1, g.cols);
+        for r in 0..g.rows {
+            for c in 0..g.cols {
+                gb.data[c] += g.data[r * g.cols + c];
+            }
+        }
+        grads.insert(self.b.clone(), gb);
+        grads.insert(self.w.clone(), x.transposed().matmul(g));
+    }
+
+    /// `dL/dx = g·Wᵀ`.
+    fn backward_input(&self, store: &ParamStore, g: &Tensor) -> Tensor {
+        g.matmul(&store.get(&self.w).transposed())
     }
 }
 
@@ -203,23 +195,57 @@ impl LayerNorm {
         LayerNorm { gamma, beta, dim }
     }
 
-    /// Row-wise layer norm.
-    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let gamma = g.param(&self.gamma);
-        let beta = g.param(&self.beta);
-        g.tape.layer_norm_rows(x, gamma, beta)
-    }
-
-    /// Tape-free in-place inference forward: normalizes every row of `x`
-    /// through the vectorized kernel, which is bit-identical to the
-    /// tape op (both share the strided-summation semantics in
+    /// The in-place forward: normalizes every row of `x` through the
+    /// vectorized kernel (the strided-summation semantics of
     /// [`crate::kernels`]).
     fn normalize_rows(&self, isa: Isa, store: &ParamStore, x: &mut Tensor) {
         let g = store.get(&self.gamma);
         let b = store.get(&self.beta);
         for r in 0..x.rows {
-            kernels::layer_norm_row_on(isa, x.row_mut(r), &g.data, &b.data, crate::tape::LN_EPS);
+            kernels::layer_norm_row_on(isa, x.row_mut(r), &g.data, &b.data, LN_EPS);
         }
+    }
+
+    /// Gamma's and beta's `(name, rows, cols)` over `dim` columns.
+    fn param_shapes(&self, dim: usize) -> [(&str, usize, usize); 2] {
+        [(&self.gamma, 1, dim), (&self.beta, 1, dim)]
+    }
+
+    /// The layer-norm backward over the forward's input `x` given
+    /// `g = dL/dy`: records `dL/dgamma` and `dL/dbeta`, returns `dL/dx`.
+    /// Mean and variance are recomputed in plain iterator order.
+    fn backward(&self, store: &ParamStore, x: &Tensor, g: &Tensor, grads: &mut Grads) -> Tensor {
+        let vg = store.get(&self.gamma);
+        let n = x.cols as f32;
+        let mut gx = Tensor::zeros(x.rows, x.cols);
+        let mut ggamma = Tensor::zeros(1, x.cols);
+        let mut gbeta = Tensor::zeros(1, x.cols);
+        for r in 0..x.rows {
+            let row = x.row(r);
+            let mean = row.iter().sum::<f32>() / n;
+            let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
+            let inv_std = 1.0 / (var + LN_EPS).sqrt();
+            let gr = g.row(r);
+            // xhat and the two reduction terms of the standard layer-norm
+            // backward.
+            let xhat: Vec<f32> = row.iter().map(|v| (v - mean) * inv_std).collect();
+            let dxhat: Vec<f32> = gr
+                .iter()
+                .enumerate()
+                .map(|(c, gv)| gv * vg.data[c])
+                .collect();
+            let mean_dxhat = dxhat.iter().sum::<f32>() / n;
+            let mean_dxhat_xhat = dxhat.iter().zip(&xhat).map(|(a, b)| a * b).sum::<f32>() / n;
+            for c in 0..x.cols {
+                gx.data[r * x.cols + c] =
+                    inv_std * (dxhat[c] - mean_dxhat - xhat[c] * mean_dxhat_xhat);
+                ggamma.data[c] += gr[c] * xhat[c];
+                gbeta.data[c] += gr[c];
+            }
+        }
+        grads.insert(self.gamma.clone(), ggamma);
+        grads.insert(self.beta.clone(), gbeta);
+        gx
     }
 }
 
@@ -256,45 +282,25 @@ impl MultiHeadSelfAttention {
         }
     }
 
-    /// `x (T x d_model) -> T x d_model`.
-    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let q = self.wq.forward(g, x);
-        let k = self.wk.forward(g, x);
-        let v = self.wv.forward(g, x);
-        let dh = self.d_model / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut head_outs = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let qh = g.tape.slice_cols(q, h * dh, dh);
-            let kh = g.tape.slice_cols(k, h * dh, dh);
-            let vh = g.tape.slice_cols(v, h * dh, dh);
-            let kt = g.tape.transpose(kh);
-            let scores = g.tape.matmul(qh, kt);
-            let scaled = g.tape.scale(scores, scale);
-            let attn = g.tape.softmax_rows(scaled);
-            head_outs.push(g.tape.matmul(attn, vh));
-        }
-        let concat = g.tape.concat_cols(&head_outs);
-        self.wo.forward(g, concat)
-    }
-
-    /// Tape-free inference forward over stacked sequence blocks, reading
-    /// `ws.norm` and writing `ws.sub`. The Q/K/V projections run fused as
-    /// one batched matmul against the column-concatenated `[Wq|Wk|Wv]`
-    /// weight (each output column accumulates independently in the same
-    /// ascending-`k` order, so fusion is value-transparent); the attention
-    /// itself is one [`kernels::attention_block`] per sequence, so tokens
-    /// never attend across batch items and each block's output is
-    /// bit-identical to a solo [`forward`] pass. All intermediates live in
-    /// the workspace — the whole pass allocates nothing.
-    ///
-    /// [`forward`]: MultiHeadSelfAttention::forward
+    /// The forward over stacked sequence blocks, reading `ws.norm` and
+    /// writing `ws.sub`. The Q/K/V projections run fused as one batched
+    /// matmul against the column-concatenated `[Wq|Wk|Wv]` weight (each
+    /// output column accumulates independently in the same ascending-`k`
+    /// order, so fusion is value-transparent); the attention itself is one
+    /// [`kernels::attention_block`] per sequence, so tokens never attend
+    /// across batch items and each block's output is bit-identical to the
+    /// sequence's alone. All intermediates live in the workspace — the
+    /// whole pass allocates nothing. With `kept` (one sequence) the
+    /// attention is the per-head composition, which writes each head's
+    /// softmax there, and the projections and concatenated heads are
+    /// copied there too.
     fn forward_blocks_into(
         &self,
         isa: Isa,
         store: &ParamStore,
         seq: usize,
         ws: &mut BatchWorkspace,
+        mut kept: Option<&mut LayerActivations>,
     ) {
         debug_assert_eq!(ws.norm.rows % seq, 0, "rows must stack whole sequences");
         let d = self.d_model;
@@ -320,21 +326,116 @@ impl MultiHeadSelfAttention {
             heads: self.heads,
         };
         let scale = 1.0 / ((d / self.heads) as f32).sqrt();
+        if let Some(kept) = kept.as_deref_mut() {
+            kept.probs.resize(self.heads * seq * seq, 0.0);
+        }
         let blocks = ws
             .qkv
             .data
             .chunks_exact(seq * 3 * d)
             .zip(ws.concat.data.chunks_exact_mut(seq * d));
         for (qkv, concat) in blocks {
-            kernels::attention_block(isa, qkv, shape, scale, &mut ws.attn, concat);
+            let probs = kept.as_deref_mut().map(|k| &mut k.probs[..]);
+            kernels::attention_block(isa, qkv, shape, scale, &mut ws.attn, concat, probs);
+        }
+        if let Some(kept) = kept {
+            keep(&mut kept.qkv, &ws.qkv);
+            keep(&mut kept.concat, &ws.concat);
         }
         self.wo
             .forward_tensor_into(isa, store, &ws.concat, &mut ws.sub);
     }
+
+    /// The backward of one sequence's attention given `g = dL/d output`
+    /// and the input `n1`: records the four projections' gradients and
+    /// returns `dL/d n1`. Heads are walked last first, each head's share
+    /// of the Q, K and V gradients widened to full width and added up.
+    fn backward(
+        &self,
+        store: &ParamStore,
+        n1: &Tensor,
+        kept: &LayerActivations,
+        g: &Tensor,
+        grads: &mut Grads,
+    ) -> Tensor {
+        let (seq, d, heads) = (n1.rows, self.d_model, self.heads);
+        let dh = d / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        self.wo.backward_params(&kept.concat, g, grads);
+        let g_concat = self.wo.backward_input(store, g);
+        let mut g_qkv: [Option<Tensor>; 3] = [None, None, None];
+        for h in (0..heads).rev() {
+            let c0 = h * dh;
+            let qh = columns(&kept.qkv, c0, dh);
+            let kh = columns(&kept.qkv, d + c0, dh);
+            let vh = columns(&kept.qkv, 2 * d + c0, dh);
+            let p = Tensor::from_vec(seq, seq, kept.probs[h * seq * seq..][..seq * seq].to_vec());
+            let g_head = columns(&g_concat, c0, dh);
+            // head = P·V, P = softmax(scores * scale), scores = Q·Kᵀ.
+            let g_p = g_head.matmul(&vh.transposed());
+            let g_vh = p.transposed().matmul(&g_head);
+            let g_scores = softmax_backward(&p, &g_p).map(|x| x * scale);
+            let g_qh = g_scores.matmul(&kh);
+            let g_kh = qh.transposed().matmul(&g_scores).transposed();
+            for (slot, g_part) in g_qkv.iter_mut().zip([g_qh, g_kh, g_vh]) {
+                let mut wide = Tensor::zeros(seq, d);
+                for r in 0..seq {
+                    wide.row_mut(r)[c0..c0 + dh].copy_from_slice(g_part.row(r));
+                }
+                accumulate(slot, wide);
+            }
+        }
+        let [g_q, g_k, g_v] = g_qkv.map(|g| g.expect("an attention block has a head"));
+        let mut g_n1 = None;
+        for (proj, g) in [(&self.wv, g_v), (&self.wk, g_k), (&self.wq, g_q)] {
+            proj.backward_params(n1, &g, grads);
+            accumulate(&mut g_n1, proj.backward_input(store, &g));
+        }
+        g_n1.expect("three projections")
+    }
 }
 
-/// Every buffer of one batched tape-free forward pass, input stack to
-/// output embeddings, parked in a thread-local between
+/// `dL/dx` of a row-wise softmax from its output `y` and `g = dL/dy`.
+fn softmax_backward(y: &Tensor, g: &Tensor) -> Tensor {
+    let mut ga = Tensor::zeros(g.rows, g.cols);
+    for r in 0..g.rows {
+        let yr = y.row(r);
+        let gr = g.row(r);
+        let dot: f32 = yr.iter().zip(gr).map(|(yv, gv)| yv * gv).sum();
+        for c in 0..g.cols {
+            ga.data[r * g.cols + c] = yr[c] * (gr[c] - dot);
+        }
+    }
+    ga
+}
+
+/// GELU's derivative (of the tanh approximation).
+fn gelu_bwd(x: f32) -> f32 {
+    use kernels::{GELU_A, GELU_C};
+    let u = GELU_C * (x + GELU_A * x * x * x);
+    let t = kernels::fast_tanh(u);
+    let du = GELU_C * (1.0 + 3.0 * GELU_A * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+}
+
+/// `dL/dx` of row-wise L2 normalization `y = x / |x|` given `g = dL/dy`.
+fn l2_backward(x: &Tensor, y: &Tensor, g: &Tensor) -> Tensor {
+    let mut ga = Tensor::zeros(x.rows, x.cols);
+    for r in 0..x.rows {
+        let xr = x.row(r);
+        let yr = y.row(r);
+        let gr = g.row(r);
+        let n = xr.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-8);
+        let dot: f32 = yr.iter().zip(gr).map(|(yv, gv)| yv * gv).sum();
+        for c in 0..x.cols {
+            ga.data[r * x.cols + c] = (gr[c] - yr[c] * dot) / n;
+        }
+    }
+    ga
+}
+
+/// Every buffer of one batched forward pass, input stack to output
+/// embeddings, parked in a thread-local between
 /// [`TrajectoryEncoder::embed_batch`] calls. Buffers keep their
 /// allocation and are re-shaped per call, so once a thread has embedded
 /// its largest batch, every later call — a scan's ragged last batch and
@@ -372,6 +473,10 @@ thread_local! {
     /// Workspace parked between [`TrajectoryEncoder::embed_batch`] calls.
     static PARKED_WORKSPACE: std::cell::RefCell<Option<BatchWorkspace>> =
         const { std::cell::RefCell::new(None) };
+    /// Training's one-clip workspace and kept activations, parked between
+    /// [`TrajectoryEncoder::backward`] calls.
+    static PARKED_TRAINING: std::cell::RefCell<Option<(BatchWorkspace, Activations)>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 impl BatchWorkspace {
@@ -395,9 +500,8 @@ impl BatchWorkspace {
     }
 
     /// Shapes every buffer for `batch` sequences through an encoder of
-    /// `config` with `ff_hidden`-wide feed-forward blocks; allocates only
-    /// where a buffer's capacity falls short.
-    fn shape(&mut self, batch: usize, config: &EncoderConfig, ff_hidden: usize) {
+    /// `config`; allocates only where a buffer's capacity falls short.
+    fn shape(&mut self, batch: usize, config: &EncoderConfig) {
         fn reshape(t: &mut Tensor, rows: usize, cols: usize) {
             t.rows = rows;
             t.cols = cols;
@@ -412,13 +516,60 @@ impl BatchWorkspace {
         reshape(&mut self.bqkv, 1, 3 * d);
         reshape(&mut self.concat, rows, d);
         reshape(&mut self.sub, rows, d);
-        reshape(&mut self.hidden, rows, ff_hidden);
+        reshape(&mut self.hidden, rows, config.ff_hidden);
         self.attn.resize(
             kernels::attention_scratch_len(config.steps, d / config.heads),
             0.0,
         );
         reshape(&mut self.pooled, batch, d);
         reshape(&mut self.out, batch, config.embed_dim);
+    }
+}
+
+/// What one clip's forward leaves for [`TrajectoryEncoder::backward`]:
+/// every activation a backward rule reads that the workspace overwrites.
+/// (The pooled row and the embedding stay in the workspace.)
+struct Activations {
+    layers: Vec<LayerActivations>,
+    /// The final layer norm's input.
+    last: Tensor,
+    /// The output projection before L2 normalization.
+    out: Tensor,
+}
+
+/// One encoder layer's kept activations.
+struct LayerActivations {
+    /// `ln1`'s input (the layer's input) and output.
+    x: Tensor,
+    n1: Tensor,
+    /// The fused `[Q|K|V]` projection.
+    qkv: Tensor,
+    /// Head `h`'s softmax at `h * seq * seq`.
+    probs: Vec<f32>,
+    /// The concatenated head outputs, `wo`'s input.
+    concat: Tensor,
+    /// `ln2`'s input (after the attention residual) and output.
+    mid: Tensor,
+    n2: Tensor,
+    /// `lin1`'s output before and after GELU.
+    pre: Tensor,
+    hidden: Tensor,
+}
+
+impl LayerActivations {
+    fn empty() -> Self {
+        let none = || Tensor::zeros(0, 0);
+        LayerActivations {
+            x: none(),
+            n1: none(),
+            qkv: none(),
+            probs: Vec::new(),
+            concat: none(),
+            mid: none(),
+            n2: none(),
+            pre: none(),
+            hidden: none(),
+        }
     }
 }
 
@@ -444,21 +595,53 @@ impl FeedForward {
         }
     }
 
-    /// `x -> lin2(gelu(lin1(x)))`.
-    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let h = self.lin1.forward(g, x);
-        let a = g.tape.gelu(h);
-        self.lin2.forward(g, a)
-    }
-
-    /// Tape-free inference forward reading `ws.norm`, writing `ws.sub`,
-    /// with the GELU applied in place by the vectorized kernel.
-    fn forward_tensor_into(&self, isa: Isa, store: &ParamStore, ws: &mut BatchWorkspace) {
+    /// The forward `lin2(gelu(lin1(x)))` reading `ws.norm`, writing
+    /// `ws.sub`, with the GELU applied in place by the vectorized kernel;
+    /// with `kept`, the hidden layer before and after GELU is copied there.
+    fn forward_tensor_into(
+        &self,
+        isa: Isa,
+        store: &ParamStore,
+        ws: &mut BatchWorkspace,
+        mut kept: Option<&mut LayerActivations>,
+    ) {
         self.lin1
             .forward_tensor_into(isa, store, &ws.norm, &mut ws.hidden);
+        if let Some(kept) = kept.as_deref_mut() {
+            keep(&mut kept.pre, &ws.hidden);
+        }
         kernels::gelu_inplace_on(isa, &mut ws.hidden.data);
+        if let Some(kept) = kept {
+            keep(&mut kept.hidden, &ws.hidden);
+        }
         self.lin2
             .forward_tensor_into(isa, store, &ws.hidden, &mut ws.sub);
+    }
+
+    /// The backward given `g = dL/d output` and the input `n2`: records
+    /// both projections' gradients and returns `dL/d n2`.
+    fn backward(
+        &self,
+        store: &ParamStore,
+        n2: &Tensor,
+        kept: &LayerActivations,
+        g: &Tensor,
+        grads: &mut Grads,
+    ) -> Tensor {
+        self.lin2.backward_params(&kept.hidden, g, grads);
+        let g_hidden = self.lin2.backward_input(store, g);
+        let g_pre = Tensor::from_vec(
+            g_hidden.rows,
+            g_hidden.cols,
+            g_hidden
+                .data
+                .iter()
+                .zip(&kept.pre.data)
+                .map(|(gv, &x)| gv * gelu_bwd(x))
+                .collect(),
+        );
+        self.lin1.backward_params(n2, &g_pre, grads);
+        self.lin1.backward_input(store, &g_pre)
     }
 }
 
@@ -496,38 +679,58 @@ impl EncoderLayer {
         }
     }
 
-    /// Applies the layer to a `T x d_model` sequence.
-    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId) -> NodeId {
-        let n1 = self.ln1.forward(g, x);
-        let a = self.attn.forward(g, n1);
-        let x = g.tape.add(x, a);
-        let n2 = self.ln2.forward(g, x);
-        let f = self.ff.forward(g, n2);
-        g.tape.add(x, f)
-    }
-
-    /// Tape-free in-place inference forward over stacked sequences (see
+    /// The in-place forward over stacked sequences (see
     /// [`MultiHeadSelfAttention::forward_blocks_into`]); `ws.x` is updated
-    /// through both residual additions.
+    /// through both residual additions. With `kept` (one sequence), every
+    /// activation the backward reads is copied there.
     fn forward_tensor_blocks(
         &self,
         isa: Isa,
         store: &ParamStore,
         seq: usize,
         ws: &mut BatchWorkspace,
+        mut kept: Option<&mut LayerActivations>,
     ) {
         ws.norm.data.copy_from_slice(&ws.x.data);
         self.ln1.normalize_rows(isa, store, &mut ws.norm);
-        self.attn.forward_blocks_into(isa, store, seq, ws);
+        if let Some(kept) = kept.as_deref_mut() {
+            keep(&mut kept.x, &ws.x);
+            keep(&mut kept.n1, &ws.norm);
+        }
+        self.attn
+            .forward_blocks_into(isa, store, seq, ws, kept.as_deref_mut());
         for (xi, ai) in ws.x.data.iter_mut().zip(&ws.sub.data) {
             *xi += *ai;
         }
         ws.norm.data.copy_from_slice(&ws.x.data);
         self.ln2.normalize_rows(isa, store, &mut ws.norm);
-        self.ff.forward_tensor_into(isa, store, ws);
+        if let Some(kept) = kept.as_deref_mut() {
+            keep(&mut kept.mid, &ws.x);
+            keep(&mut kept.n2, &ws.norm);
+        }
+        self.ff.forward_tensor_into(isa, store, ws, kept);
         for (xi, fi) in ws.x.data.iter_mut().zip(&ws.sub.data) {
             *xi += *fi;
         }
+    }
+
+    /// The backward given `g = dL/d output`: records every parameter's
+    /// gradient and returns `dL/d input`. A residual's input gradient is
+    /// its skip share plus its branch's, added in that order.
+    fn backward(
+        &self,
+        store: &ParamStore,
+        kept: &LayerActivations,
+        g: Tensor,
+        grads: &mut Grads,
+    ) -> Tensor {
+        let g_n2 = self.ff.backward(store, &kept.n2, kept, &g, grads);
+        let mut g_mid = g;
+        g_mid.add_scaled(&self.ln2.backward(store, &kept.mid, &g_n2, grads), 1.0);
+        let g_n1 = self.attn.backward(store, &kept.n1, kept, &g_mid, grads);
+        let mut g_x = g_mid;
+        g_x.add_scaled(&self.ln1.backward(store, &kept.x, &g_n1, grads), 1.0);
+        g_x
     }
 }
 
@@ -592,6 +795,20 @@ impl Default for EncoderConfig {
     }
 }
 
+/// Why a [`ParamStore`] cannot drive a [`TrajectoryEncoder`]
+/// ([`TrajectoryEncoder::check_params`]): the message names the parameter,
+/// or the setting, that disagrees.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParamMismatch(pub String);
+
+impl std::fmt::Display for ParamMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ParamMismatch {}
+
 /// The SketchQL trajectory encoder: a transformer that embeds a multi-object
 /// bounding box clip (as a `steps x input_dim` feature matrix) into a single
 /// L2-normalized vector. Cosine similarity between two embeddings is the
@@ -653,38 +870,92 @@ impl TrajectoryEncoder {
         }
     }
 
-    /// Embeds a `steps x input_dim` feature matrix into a `1 x embed_dim`
-    /// unit vector (as a tape node, so it is differentiable).
-    pub fn forward(&self, g: &mut Graph<'_>, features: NodeId) -> NodeId {
-        let v = g.tape.value(features);
-        assert_eq!(v.cols, self.config.input_dim, "feature width mismatch");
-        assert_eq!(v.rows, self.config.steps, "feature steps mismatch");
-        let mut x = self.input_proj.forward(g, features);
-        if self.config.positional {
-            let pos = g.input(self.positions.clone());
-            x = g.tape.add(x, pos);
-        }
+    /// Every parameter the encoder reads, as `(name, rows, cols)`: the
+    /// names its modules hold, in forward order, at the shapes its
+    /// configuration implies.
+    pub(crate) fn param_shapes(&self) -> Vec<(&str, usize, usize)> {
+        let c = &self.config;
+        let (d, ff) = (c.d_model, c.ff_hidden);
+        let mut shapes = Vec::from(self.input_proj.param_shapes(c.input_dim, d));
         for layer in &self.layers {
-            x = layer.forward(g, x);
-        }
-        let x = self.final_ln.forward(g, x);
-        let pooled = match self.config.pooling {
-            Pooling::Mean => g.tape.mean_rows(x),
-            Pooling::Last => {
-                // Select the last row via transpose+slice: rows are time.
-                let xt = g.tape.transpose(x);
-                let last = g.tape.slice_cols(xt, self.config.steps - 1, 1);
-                g.tape.transpose(last)
+            let attn = &layer.attn;
+            for proj in [&attn.wq, &attn.wk, &attn.wv, &attn.wo] {
+                shapes.extend(proj.param_shapes(d, d));
             }
-        };
-        let out = self.out_proj.forward(g, pooled);
-        g.tape.l2_normalize_rows(out)
+            shapes.extend(layer.ff.lin1.param_shapes(d, ff));
+            shapes.extend(layer.ff.lin2.param_shapes(ff, d));
+            shapes.extend(layer.ln1.param_shapes(d));
+            shapes.extend(layer.ln2.param_shapes(d));
+        }
+        shapes.extend(self.final_ln.param_shapes(d));
+        shapes.extend(self.out_proj.param_shapes(d, c.embed_dim));
+        shapes
+    }
+
+    /// Checks that this encoder can run over `store`: its configuration
+    /// is runnable and agrees with its layers and positional table, and
+    /// the store holds exactly the parameters it reads, each at the shape
+    /// the configuration implies. A model read from a file passes this
+    /// before anything embeds with it, so a renamed or mis-shaped weight
+    /// is an error naming it, not a panic at the first query.
+    pub fn check_params(&self, store: &ParamStore) -> Result<(), ParamMismatch> {
+        let c = &self.config;
+        let fail = |why: String| Err(ParamMismatch(why));
+        if c.steps == 0 || c.heads == 0 || !c.d_model.is_multiple_of(c.heads) {
+            return fail(format!(
+                "encoder config is not runnable: {} steps, {} heads over width {}",
+                c.steps, c.heads, c.d_model
+            ));
+        }
+        if self.layers.len() != c.layers {
+            return fail(format!(
+                "encoder has {} layers, its config says {}",
+                self.layers.len(),
+                c.layers
+            ));
+        }
+        for (i, layer) in self.layers.iter().enumerate() {
+            if (layer.attn.heads, layer.attn.d_model) != (c.heads, c.d_model) {
+                return fail(format!(
+                    "layer {i} attends with {} heads over width {}, the config says {} over {}",
+                    layer.attn.heads, layer.attn.d_model, c.heads, c.d_model
+                ));
+            }
+        }
+        if (self.positions.rows, self.positions.cols) != (c.steps, c.d_model) {
+            return fail(format!(
+                "positional table is {}x{}, the config needs {}x{}",
+                self.positions.rows, self.positions.cols, c.steps, c.d_model
+            ));
+        }
+        let shapes = self.param_shapes();
+        for &(name, rows, cols) in &shapes {
+            match store.params.get(name) {
+                None => return fail(format!("parameter {name:?} is missing")),
+                Some(t) if (t.rows, t.cols) != (rows, cols) => {
+                    return fail(format!(
+                        "parameter {name:?} is {}x{}, the encoder needs {rows}x{cols}",
+                        t.rows, t.cols
+                    ))
+                }
+                Some(_) => {}
+            }
+        }
+        if let Some(name) = store
+            .params
+            .keys()
+            .find(|k| shapes.iter().all(|s| s.0 != *k))
+        {
+            return fail(format!("parameter {name:?} is not one the encoder reads"));
+        }
+        if store.params.len() != shapes.len() {
+            return fail("the encoder names one parameter twice".to_string());
+        }
+        Ok(())
     }
 
     /// Inference helper: embeds a raw feature matrix, returning the
-    /// vector. This is [`embed_batch`](Self::embed_batch) of one — the
-    /// only inference forward pass; the tape [`forward`](Self::forward)
-    /// is training's, and yields the same bits.
+    /// vector. This is [`embed_batch`](Self::embed_batch) of one.
     pub fn embed(&self, store: &ParamStore, features: &Tensor) -> Vec<f32> {
         self.embed_batch(store, &[features])
             .pop()
@@ -697,13 +968,11 @@ impl TrajectoryEncoder {
     /// All N sequences are stacked into a single `(N * steps) x input_dim`
     /// matrix, so every linear projection in every layer runs as one
     /// batched matmul over all rows; attention and pooling are computed
-    /// per sequence block. No autograd tape is built. Because every
-    /// underlying op is row-local (or block-local) with the same
-    /// arithmetic order as the tape ops, each row is **bit-identical**
-    /// to the tape [`forward`](Self::forward) of that item alone, and
-    /// so independent of what else is in the batch — the matcher's
-    /// embedding cache relies on this to keep cached search results
-    /// byte-identical to the uncached path.
+    /// per sequence block. Because every underlying op is row-local (or
+    /// block-local), each row is **bit-identical** to embedding that item
+    /// alone, and so independent of what else is in the batch — the
+    /// matcher's embedding cache relies on this to keep cached search
+    /// results byte-identical to the uncached path.
     pub fn embed_batch(&self, store: &ParamStore, batch: &[&Tensor]) -> Vec<Vec<f32>> {
         self.embed_batch_on(Isa::best(), store, batch)
     }
@@ -714,22 +983,42 @@ impl TrajectoryEncoder {
         if batch.is_empty() {
             return Vec::new();
         }
-        let t = self.config.steps;
-        let d_in = self.config.input_dim;
+        let mut ws = PARKED_WORKSPACE
+            .with(|cell| cell.borrow_mut().take())
+            .unwrap_or_else(BatchWorkspace::empty);
+        self.stack(&mut ws, batch);
+        self.forward_on(isa, store, &mut ws, None);
+        let embeddings = (0..batch.len()).map(|r| ws.out.row(r).to_vec()).collect();
+        PARKED_WORKSPACE.with(|cell| *cell.borrow_mut() = Some(ws));
+        embeddings
+    }
+
+    /// Shapes `ws` for `batch` and stacks its feature matrices into
+    /// `ws.stacked`.
+    fn stack(&self, ws: &mut BatchWorkspace, batch: &[&Tensor]) {
+        let (t, d_in) = (self.config.steps, self.config.input_dim);
         for f in batch {
             assert_eq!(f.cols, d_in, "feature width mismatch");
             assert_eq!(f.rows, t, "feature steps mismatch");
         }
-        let n = batch.len();
-        let d = self.config.d_model;
-        let ff_hidden = self.layers.first().map_or(0, |l| l.ff.lin1.out_dim);
-        let mut ws = PARKED_WORKSPACE
-            .with(|cell| cell.borrow_mut().take())
-            .unwrap_or_else(BatchWorkspace::empty);
-        ws.shape(n, &self.config, ff_hidden);
+        ws.shape(batch.len(), &self.config);
         for (f, rows) in batch.iter().zip(ws.stacked.data.chunks_exact_mut(t * d_in)) {
             rows.copy_from_slice(&f.data);
         }
+    }
+
+    /// The encoder's one forward pass, from the sequences stacked in
+    /// `ws.stacked` to their unit embeddings in `ws.out` (the pooled rows
+    /// stay in `ws.pooled`). With `kept` (one sequence), every activation
+    /// the backward reads and the workspace overwrites is copied there.
+    fn forward_on(
+        &self,
+        isa: Isa,
+        store: &ParamStore,
+        ws: &mut BatchWorkspace,
+        mut kept: Option<&mut Activations>,
+    ) {
+        let (t, d, n) = (self.config.steps, self.config.d_model, ws.out.rows);
         self.input_proj
             .forward_tensor_into(isa, store, &ws.stacked, &mut ws.x);
         if self.config.positional {
@@ -742,8 +1031,16 @@ impl TrajectoryEncoder {
                 }
             }
         }
-        for layer in &self.layers {
-            layer.forward_tensor_blocks(isa, store, t, &mut ws);
+        if let Some(kept) = kept.as_deref_mut() {
+            kept.layers
+                .resize_with(self.layers.len(), LayerActivations::empty);
+        }
+        for (i, layer) in self.layers.iter().enumerate() {
+            let layer_kept = kept.as_deref_mut().map(|k| &mut k.layers[i]);
+            layer.forward_tensor_blocks(isa, store, t, ws, layer_kept);
+        }
+        if let Some(kept) = kept.as_deref_mut() {
+            keep(&mut kept.last, &ws.x);
         }
         self.final_ln.normalize_rows(isa, store, &mut ws.x);
         match self.config.pooling {
@@ -772,6 +1069,9 @@ impl TrajectoryEncoder {
         }
         self.out_proj
             .forward_tensor_into(isa, store, &ws.pooled, &mut ws.out);
+        if let Some(kept) = kept {
+            keep(&mut kept.out, &ws.out);
+        }
         for r in 0..n {
             let row = ws.out.row_mut(r);
             let norm = row.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-8);
@@ -779,9 +1079,62 @@ impl TrajectoryEncoder {
                 *v /= norm;
             }
         }
-        let embeddings = (0..n).map(|r| ws.out.row(r).to_vec()).collect();
-        PARKED_WORKSPACE.with(|cell| *cell.borrow_mut() = Some(ws));
-        embeddings
+    }
+
+    /// Training's backward for one clip: runs the forward on `features`
+    /// keeping its activations, then returns `d_embedding`'s gradient —
+    /// `dL/d embedding`, `1 x embed_dim` — with respect to every
+    /// parameter, in name order. The workspace and the kept activations
+    /// are parked per thread, so a thread differentiating clip after clip
+    /// reuses them. Features and positions are constants: no gradient.
+    pub fn backward(
+        &self,
+        store: &ParamStore,
+        features: &Tensor,
+        d_embedding: &Tensor,
+    ) -> BTreeMap<String, Tensor> {
+        let (mut ws, mut kept) = PARKED_TRAINING
+            .with(|cell| cell.borrow_mut().take())
+            .unwrap_or_else(|| {
+                let none = || Tensor::zeros(0, 0);
+                let kept = Activations {
+                    layers: Vec::new(),
+                    last: none(),
+                    out: none(),
+                };
+                (BatchWorkspace::empty(), kept)
+            });
+        self.stack(&mut ws, &[features]);
+        self.forward_on(Isa::best(), store, &mut ws, Some(&mut kept));
+
+        let mut grads = Grads::new();
+        let g_out = l2_backward(&kept.out, &ws.out, d_embedding);
+        self.out_proj
+            .backward_params(&ws.pooled, &g_out, &mut grads);
+        let g_pooled = self.out_proj.backward_input(store, &g_out);
+        let (t, d) = (self.config.steps, self.config.d_model);
+        let mut g = Tensor::zeros(t, d);
+        match self.config.pooling {
+            Pooling::Mean => {
+                let inv = 1.0 / t as f32;
+                for r in 0..t {
+                    for c in 0..d {
+                        g.data[r * d + c] = g_pooled.data[c] * inv;
+                    }
+                }
+            }
+            Pooling::Last => g.row_mut(t - 1).copy_from_slice(&g_pooled.data),
+        }
+        let mut g = self.final_ln.backward(store, &kept.last, &g, &mut grads);
+        for (layer, layer_kept) in self.layers.iter().zip(&kept.layers).rev() {
+            g = layer.backward(store, layer_kept, g, &mut grads);
+        }
+        self.input_proj.backward_params(features, &g, &mut grads);
+        debug_assert!(self.param_shapes().iter().all(|&(name, rows, cols)| grads
+            .get(name)
+            .is_some_and(|g| (g.rows, g.cols) == (rows, cols))));
+        PARKED_TRAINING.with(|cell| *cell.borrow_mut() = Some((ws, kept)));
+        grads
     }
 }
 
@@ -890,31 +1243,12 @@ mod tests {
         let mut store = ParamStore::new();
         let mut r = rng();
         let lin = Linear::new(&mut store, &mut r, "l", 3, 2);
-        let mut g = Graph::new(&store);
-        let x = g.input(Tensor::ones(5, 3));
-        let y = lin.forward(&mut g, x);
-        let v = g.tape.value(y);
-        assert_eq!((v.rows, v.cols), (5, 2));
+        let mut v = Tensor::zeros(5, 2);
+        lin.forward_tensor_into(Isa::best(), &store, &Tensor::ones(5, 3), &mut v);
         // y = 1-vector @ W + b = column sums of W (b = 0).
         let w = store.get("l.w");
-        let expect0: f32 = (0..3).map(|i| w.get(i, 0)).sum();
-        assert!((v.get(0, 0) - expect0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn param_binding_is_shared_within_graph() {
-        let mut store = ParamStore::new();
-        let mut r = rng();
-        let lin = Linear::new(&mut store, &mut r, "l", 3, 3);
-        let mut g = Graph::new(&store);
-        let x = g.input(Tensor::ones(2, 3));
-        let y1 = lin.forward(&mut g, x);
-        let before = g.tape.len();
-        let _y2 = lin.forward(&mut g, y1);
-        // Second call must not re-leaf the params (2 new nodes per matmul +
-        // broadcast only).
-        let grown = g.tape.len() - before;
-        assert_eq!(grown, 2, "params should be bound once");
+        let expect0: f32 = (0..3).map(|i| w.row(i)[0]).sum();
+        assert!((v.row(0)[0] - expect0).abs() < 1e-5);
     }
 
     #[test]
@@ -922,11 +1256,11 @@ mod tests {
         let mut store = ParamStore::new();
         let mut r = rng();
         let attn = MultiHeadSelfAttention::new(&mut store, &mut r, "a", 8, 2);
-        let mut g = Graph::new(&store);
-        let x = g.input(Tensor::xavier(6, 8, &mut r));
-        let y = attn.forward(&mut g, x);
-        let v = g.tape.value(y);
-        assert_eq!((v.rows, v.cols), (6, 8));
+        let mut ws = workspace(&block_config());
+        ws.norm = Tensor::xavier(5, 8, &mut r);
+        attn.forward_blocks_into(Isa::best(), &store, 5, &mut ws, None);
+        assert_eq!((ws.sub.rows, ws.sub.cols), (5, 8));
+        assert!(ws.sub.data.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -942,8 +1276,8 @@ mod tests {
         let p = sinusoidal_positions(16, 8);
         assert_eq!((p.rows, p.cols), (16, 8));
         // Row 0: sin(0)=0 on even dims, cos(0)=1 on odd dims.
-        assert_eq!(p.get(0, 0), 0.0);
-        assert_eq!(p.get(0, 1), 1.0);
+        assert_eq!(p.row(0)[0], 0.0);
+        assert_eq!(p.row(0)[1], 1.0);
         // Values bounded by 1.
         assert!(p.data.iter().all(|x| x.abs() <= 1.0));
         // Distinct rows differ.
@@ -1099,8 +1433,10 @@ mod tests {
         h
     }
 
-    /// `embedding_hash` of the tape forward's embeddings in
-    /// `embed_batch_matches_embed_exactly`, one per configuration.
+    /// `embedding_hash` of `embed_batch_matches_embed_exactly`'s
+    /// embeddings, one per configuration. These and the two below were
+    /// captured from the reverse-mode tape's forward before it was
+    /// deleted; the forward has not moved a bit since.
     const SMALL_EMBEDDINGS: [u64; 3] = [
         0x504a_d7f7_589e_1598,
         0x0286_97bd_e06f_1fd5,
@@ -1119,20 +1455,12 @@ mod tests {
     /// The same for `embed_batch_of_empty_and_one`'s one clip.
     const ONE_EMBEDDING: u64 = 0x7b86_3632_1a63_4021;
 
-    /// Training's path: the tape `forward` through a `Graph`.
-    fn tape_embed(enc: &TrajectoryEncoder, store: &ParamStore, features: &Tensor) -> Vec<f32> {
-        let mut g = Graph::new(store);
-        let f = g.input(features.clone());
-        let e = enc.forward(&mut g, f);
-        g.tape.value(e).data.clone()
-    }
-
     #[test]
     fn embed_batch_matches_embed_exactly() {
         // The cached matcher path depends on bit-identical agreement, so
         // this asserts exact equality, not approximate closeness — across
-        // pooling modes and with positions on and off. The reference is
-        // the tape forward, not `embed`, which is `embed_batch` of one.
+        // pooling modes and with positions on and off, and against bits
+        // pinned from the first forward this encoder had.
         let mut r = rng();
         for ((pooling, positional), pinned) in [
             (Pooling::Mean, true),
@@ -1159,10 +1487,8 @@ mod tests {
             let refs: Vec<&Tensor> = feats.iter().collect();
             let batched = enc.embed_batch(&store, &refs);
             assert_eq!(batched.len(), feats.len());
-            let tape: Vec<Vec<f32>> = feats.iter().map(|f| tape_embed(&enc, &store, f)).collect();
-            assert_eq!(embedding_hash(&tape), pinned, "{pooling:?}/{positional}");
+            assert_eq!(embedding_hash(&batched), pinned, "{pooling:?}/{positional}");
             for (f, b) in feats.iter().zip(&batched) {
-                assert_eq!(&tape_embed(&enc, &store, f), b, "{pooling:?}/{positional}");
                 assert_eq!(&enc.embed(&store, f), b, "{pooling:?}/{positional}");
             }
         }
@@ -1184,7 +1510,8 @@ mod tests {
     /// `EncoderConfig::default()` and `TrainingConfig::tiny()`'s — on every
     /// instruction set the CPU has, with batches that shrink and grow one
     /// parked workspace (a scan's ragged tail, a full batch, more than a
-    /// full batch, a lone query), against the tape forward.
+    /// full batch, a lone query), against bits pinned from the tape
+    /// forward the encoder was first trained with.
     #[test]
     fn embed_batch_matches_the_tape_at_the_shapes_that_ship() {
         let training_default = EncoderConfig {
@@ -1213,15 +1540,14 @@ mod tests {
                 let feats: Vec<Tensor> = (0..67)
                     .map(|_| slot_features(&mut r, cfg.steps, objects))
                     .collect();
-                let want: Vec<Vec<f32>> =
-                    feats.iter().map(|f| tape_embed(&enc, &store, f)).collect();
+                let refs: Vec<&Tensor> = feats.iter().collect();
+                let want = enc.embed_batch_on(Isa::Scalar, &store, &refs);
                 assert_eq!(
                     embedding_hash(&want),
                     pinned.next().unwrap(),
                     "d_model {} x {objects} objects",
                     cfg.d_model
                 );
-                let refs: Vec<&Tensor> = feats.iter().collect();
                 for isa in Isa::supported() {
                     for n in [64, 53, 67, 1, 64] {
                         assert_eq!(
@@ -1255,12 +1581,8 @@ mod tests {
         assert!(enc.embed_batch(&store, &[]).is_empty());
         let f = Tensor::xavier(5, 6, &mut r);
         assert_eq!(
-            embedding_hash(&[tape_embed(&enc, &store, &f)]),
+            embedding_hash(&enc.embed_batch(&store, &[&f])),
             ONE_EMBEDDING
-        );
-        assert_eq!(
-            enc.embed_batch(&store, &[&f]),
-            vec![tape_embed(&enc, &store, &f)]
         );
     }
 
@@ -1348,19 +1670,289 @@ mod tests {
             ..Default::default()
         };
         let enc = TrajectoryEncoder::new(&mut store, &mut r, "enc", cfg);
-        let mut g = Graph::new(&store);
-        let f = g.input(Tensor::xavier(5, 6, &mut r));
-        let e = enc.forward(&mut g, f);
-        let sq = g.tape.mul(e, e);
-        // Use a weighted mean so the loss is not constant (|e| = 1).
-        let w = g.input(Tensor::from_vec(4, 1, vec![1.0, -2.0, 0.5, 3.0]));
-        let proj = g.tape.matmul(sq, w);
-        let loss = g.tape.mean_all(proj);
-        let grads = g.grads_by_name(loss);
-        for name in store.names() {
-            assert!(grads.contains_key(&name), "no gradient for {name}");
-            assert!(grads[&name].is_finite(), "non-finite grad for {name}");
+        let features = Tensor::xavier(5, 6, &mut r);
+        // A seed that is not parallel to the embedding, so the L2
+        // backward does not cancel it.
+        let seed = Tensor::from_vec(1, 4, vec![1.0, -2.0, 0.5, 3.0]);
+        let grads = enc.backward(&store, &features, &seed);
+        assert_eq!(grads.keys().cloned().collect::<Vec<_>>(), store.names());
+        for (name, g) in &grads {
+            assert_eq!(
+                (g.rows, g.cols),
+                (store.get(name).rows, store.get(name).cols)
+            );
+            assert!(
+                g.data.iter().all(|v| v.is_finite()),
+                "non-finite grad for {name}"
+            );
+            assert!(g.data.iter().any(|&v| v != 0.0), "zero grad for {name}");
         }
+    }
+
+    /// The backward's shapes: one sequence of 5 steps at width 8 over 2
+    /// heads, feed-forward width 16.
+    fn block_config() -> EncoderConfig {
+        EncoderConfig {
+            input_dim: 6,
+            d_model: 8,
+            heads: 2,
+            layers: 1,
+            ff_hidden: 16,
+            embed_dim: 4,
+            steps: 5,
+            ..Default::default()
+        }
+    }
+
+    fn workspace(config: &EncoderConfig) -> BatchWorkspace {
+        let mut ws = BatchWorkspace::empty();
+        ws.shape(1, config);
+        ws
+    }
+
+    /// `sum(y * seed)` in `f64`: the scalar every finite-difference check
+    /// differentiates, so `seed` is `dL/dy`.
+    fn weighted(y: &Tensor, seed: &Tensor) -> f64 {
+        assert_eq!((y.rows, y.cols), (seed.rows, seed.cols));
+        y.data
+            .iter()
+            .zip(&seed.data)
+            .map(|(&a, &b)| f64::from(a) * f64::from(b))
+            .sum()
+    }
+
+    /// Central differences of `loss` at every element of every parameter
+    /// in `store` and of `x`, against the analytic `grads` (which must
+    /// name every parameter) and `g_x`.
+    #[track_caller]
+    fn check_against_finite_differences(
+        what: &str,
+        store: &ParamStore,
+        x: &Tensor,
+        grads: &Grads,
+        g_x: Option<&Tensor>,
+        loss: impl Fn(&ParamStore, &Tensor) -> f64,
+    ) {
+        assert_eq!(
+            grads.keys().cloned().collect::<Vec<_>>(),
+            store.names(),
+            "{what}"
+        );
+        let eps = 1e-3f32;
+        let check = |label: &str, analytic: &Tensor, eval: &mut dyn FnMut(usize, f32) -> f64| {
+            for i in 0..analytic.len() {
+                let plus = eval(i, eps);
+                let minus = eval(i, -eps);
+                let numeric = ((plus - minus) / f64::from(2.0 * eps)) as f32;
+                let a = analytic.data[i];
+                let tol = 1e-2 * (1.0 + a.abs().max(numeric.abs()));
+                assert!(
+                    (a - numeric).abs() < tol,
+                    "{what}: {label}[{i}] analytic {a} vs numeric {numeric}"
+                );
+            }
+        };
+        let mut s = store.clone();
+        for (name, g) in grads {
+            check(name, g, &mut |i, delta| {
+                let original = s.get(name).data[i];
+                s.get_mut(name).data[i] = original + delta;
+                let l = loss(&s, x);
+                s.get_mut(name).data[i] = original;
+                l
+            });
+        }
+        if let Some(g_x) = g_x {
+            let mut x = x.clone();
+            check("input", g_x, &mut |i, delta| {
+                let original = x.data[i];
+                x.data[i] = original + delta;
+                let l = loss(store, &x);
+                x.data[i] = original;
+                l
+            });
+        }
+    }
+
+    #[test]
+    fn grad_linear() {
+        let mut r = rng();
+        let mut store = ParamStore::new();
+        let lin = Linear::new(&mut store, &mut r, "l", 6, 4);
+        store.get_mut("l.b").data = vec![0.3, -0.2, 0.1, 0.5];
+        let (x, seed) = (Tensor::xavier(5, 6, &mut r), Tensor::xavier(5, 4, &mut r));
+        let mut grads = Grads::new();
+        lin.backward_params(&x, &seed, &mut grads);
+        let g_x = lin.backward_input(&store, &seed);
+        check_against_finite_differences("linear", &store, &x, &grads, Some(&g_x), |s, x| {
+            let mut y = Tensor::zeros(5, 4);
+            lin.forward_tensor_into(Isa::Scalar, s, x, &mut y);
+            weighted(&y, &seed)
+        });
+    }
+
+    #[test]
+    fn grad_layer_norm() {
+        let mut r = rng();
+        let mut store = ParamStore::new();
+        let ln = LayerNorm::new(&mut store, "n", 8);
+        store.get_mut("n.gamma").data = Tensor::xavier(1, 8, &mut r).data;
+        store.get_mut("n.beta").data = Tensor::xavier(1, 8, &mut r).data;
+        let (x, seed) = (Tensor::xavier(5, 8, &mut r), Tensor::xavier(5, 8, &mut r));
+        let mut grads = Grads::new();
+        let g_x = ln.backward(&store, &x, &seed, &mut grads);
+        check_against_finite_differences("layer norm", &store, &x, &grads, Some(&g_x), |s, x| {
+            let mut y = x.clone();
+            ln.normalize_rows(Isa::Scalar, s, &mut y);
+            weighted(&y, &seed)
+        });
+    }
+
+    /// Attention's backward, softmax included, through the per-head
+    /// composition the training forward runs.
+    #[test]
+    fn grad_attention() {
+        let mut r = rng();
+        let cfg = block_config();
+        let mut store = ParamStore::new();
+        let attn = MultiHeadSelfAttention::new(&mut store, &mut r, "a", cfg.d_model, cfg.heads);
+        let (x, seed) = (Tensor::xavier(5, 8, &mut r), Tensor::xavier(5, 8, &mut r));
+        let forward = |s: &ParamStore, x: &Tensor, kept: Option<&mut LayerActivations>| {
+            let mut ws = workspace(&cfg);
+            ws.norm = x.clone();
+            attn.forward_blocks_into(Isa::Scalar, s, cfg.steps, &mut ws, kept);
+            ws.sub
+        };
+        let mut kept = LayerActivations::empty();
+        forward(&store, &x, Some(&mut kept));
+        let mut grads = Grads::new();
+        let g_x = attn.backward(&store, &x, &kept, &seed, &mut grads);
+        check_against_finite_differences("attention", &store, &x, &grads, Some(&g_x), |s, x| {
+            weighted(&forward(s, x, None), &seed)
+        });
+    }
+
+    /// The feed-forward block's backward, GELU included.
+    #[test]
+    fn grad_feed_forward() {
+        let mut r = rng();
+        let cfg = block_config();
+        let mut store = ParamStore::new();
+        let ff = FeedForward::new(&mut store, &mut r, "f", cfg.d_model, cfg.ff_hidden);
+        let (x, seed) = (Tensor::xavier(5, 8, &mut r), Tensor::xavier(5, 8, &mut r));
+        let forward = |s: &ParamStore, x: &Tensor, kept: Option<&mut LayerActivations>| {
+            let mut ws = workspace(&cfg);
+            ws.norm = x.clone();
+            ff.forward_tensor_into(Isa::Scalar, s, &mut ws, kept);
+            ws.sub
+        };
+        let mut kept = LayerActivations::empty();
+        forward(&store, &x, Some(&mut kept));
+        let mut grads = Grads::new();
+        let g_x = ff.backward(&store, &x, &kept, &seed, &mut grads);
+        check_against_finite_differences("feed-forward", &store, &x, &grads, Some(&g_x), |s, x| {
+            weighted(&forward(s, x, None), &seed)
+        });
+    }
+
+    /// A whole layer: both residuals, both layer norms.
+    #[test]
+    fn grad_encoder_layer() {
+        let mut r = rng();
+        let cfg = block_config();
+        let mut store = ParamStore::new();
+        let layer = EncoderLayer::new(&mut store, &mut r, "e", 8, cfg.heads, cfg.ff_hidden);
+        let (x, seed) = (Tensor::xavier(5, 8, &mut r), Tensor::xavier(5, 8, &mut r));
+        let forward = |s: &ParamStore, x: &Tensor, kept: Option<&mut LayerActivations>| {
+            let mut ws = workspace(&cfg);
+            ws.x = x.clone();
+            layer.forward_tensor_blocks(Isa::Scalar, s, cfg.steps, &mut ws, kept);
+            ws.x
+        };
+        let mut kept = LayerActivations::empty();
+        forward(&store, &x, Some(&mut kept));
+        let mut grads = Grads::new();
+        let g_x = layer.backward(&store, &kept, seed.clone(), &mut grads);
+        check_against_finite_differences("layer", &store, &x, &grads, Some(&g_x), |s, x| {
+            weighted(&forward(s, x, None), &seed)
+        });
+    }
+
+    /// [`TrajectoryEncoder::backward`] end to end — input projection,
+    /// positions, two layers, final norm, pooling, output projection and
+    /// L2 — with positions on and off, under both poolings.
+    #[test]
+    fn grad_whole_encoder() {
+        let mut r = rng();
+        for positional in [true, false] {
+            for pooling in [Pooling::Mean, Pooling::Last] {
+                let cfg = EncoderConfig {
+                    layers: 2,
+                    positional,
+                    pooling,
+                    ..block_config()
+                };
+                let mut store = ParamStore::new();
+                let enc = TrajectoryEncoder::new(&mut store, &mut r, "enc", cfg);
+                let features = Tensor::xavier(5, 6, &mut r);
+                let seed = Tensor::xavier(1, 4, &mut r);
+                let grads = enc.backward(&store, &features, &seed);
+                let what = format!("encoder, positional {positional}, {pooling:?}");
+                check_against_finite_differences(&what, &store, &features, &grads, None, |s, f| {
+                    let e = enc.embed_batch_on(Isa::Scalar, s, &[f]).remove(0);
+                    weighted(&Tensor::from_vec(1, 4, e), &seed)
+                });
+            }
+        }
+    }
+
+    /// A store that does not fit the encoder is an error naming what
+    /// disagrees: a renamed parameter, a self-consistent but wrong shape,
+    /// a parameter no layer reads, a config the layers contradict.
+    #[test]
+    fn check_params_names_the_parameter_that_disagrees() {
+        let mut store = ParamStore::new();
+        let enc = TrajectoryEncoder::new(&mut store, &mut rng(), "enc", block_config());
+        assert_eq!(enc.check_params(&store), Ok(()));
+        assert_eq!(enc.param_shapes().len(), store.names().len());
+        let fails = |enc: &TrajectoryEncoder, store: &ParamStore, why: &str| {
+            let err = enc.check_params(store).expect_err(why).to_string();
+            assert!(err.contains(why), "{err:?} does not say {why:?}");
+        };
+
+        let mut renamed = store.clone();
+        let w = renamed.params.remove("enc.in.w").unwrap();
+        renamed.insert("enc.in.x", w);
+        fails(&enc, &renamed, "parameter \"enc.in.w\" is missing");
+
+        let mut reshaped = store.clone();
+        *reshaped.get_mut("enc.in.w") = Tensor::zeros(3, 3);
+        fails(
+            &enc,
+            &reshaped,
+            "\"enc.in.w\" is 3x3, the encoder needs 6x8",
+        );
+
+        let mut extra = store.clone();
+        extra.insert("enc.spare", Tensor::zeros(1, 1));
+        fails(&enc, &extra, "\"enc.spare\" is not one the encoder reads");
+
+        let mut wide = enc.clone();
+        wide.config.d_model = 16;
+        fails(&wide, &store, "layer 0 attends with 2 heads over width 8");
+        let mut odd = enc.clone();
+        odd.config.heads = 3;
+        fails(&odd, &store, "3 heads over width 8");
+        let mut long = enc.clone();
+        long.config.steps = 6;
+        fails(
+            &long,
+            &store,
+            "positional table is 5x8, the config needs 6x8",
+        );
+        let mut deep = enc;
+        deep.config.layers = 2;
+        fails(&deep, &store, "encoder has 1 layers, its config says 2");
     }
 
     #[test]

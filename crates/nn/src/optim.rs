@@ -5,7 +5,6 @@ use crate::modules::ParamStore;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 /// Adam hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,8 +63,10 @@ impl Adam {
     }
 
     /// Applies one update. Parameters without a gradient entry are left
-    /// untouched. Returns the (pre-clip) global gradient norm.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &HashMap<String, Tensor>) -> f32 {
+    /// untouched. Returns the (pre-clip) global gradient norm. `grads` is
+    /// name-ordered, so the norm's sum and the updates run in one fixed
+    /// order, the [`ParamStore`]'s.
+    pub fn step(&mut self, store: &mut ParamStore, grads: &BTreeMap<String, Tensor>) -> f32 {
         self.step_scaled(store, grads, 1.0)
     }
 
@@ -74,7 +75,7 @@ impl Adam {
     pub fn step_scaled(
         &mut self,
         store: &mut ParamStore,
-        grads: &HashMap<String, Tensor>,
+        grads: &BTreeMap<String, Tensor>,
         lr_scale: f32,
     ) -> f32 {
         self.step += 1;
@@ -100,11 +101,7 @@ impl Adam {
         let bias1 = 1.0 - c.beta1.powf(t);
         let bias2 = 1.0 - c.beta2.powf(t);
 
-        // Deterministic order: iterate names sorted.
-        let mut names: Vec<&String> = grads.keys().collect();
-        names.sort();
-        for name in names {
-            let g = &grads[name];
+        for (name, g) in grads {
             let p = store.get_mut(name);
             let m = self
                 .m
@@ -134,7 +131,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modules::{Graph, Linear, ParamStore};
+    use crate::modules::{Linear, ParamStore};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -148,18 +145,18 @@ mod tests {
             ..Default::default()
         });
         for _ in 0..400 {
-            let mut g = Graph::new(&store);
-            let x = g.param("x");
-            let sq = g.tape.mul(x, x);
-            let loss = g.tape.mean_all(sq);
-            let grads = g.grads_by_name(loss);
-            adam.step(&mut store, &grads);
+            // d mean(x²) / dx = 2x / 4.
+            let grad = store.get("x").map(|x| x / 2.0);
+            adam.step(&mut store, &BTreeMap::from([("x".to_string(), grad)]));
         }
-        assert!(
-            store.get("x").norm() < 0.05,
-            "norm {}",
-            store.get("x").norm()
-        );
+        let norm = store
+            .get("x")
+            .data
+            .iter()
+            .map(|x| x * x)
+            .sum::<f32>()
+            .sqrt();
+        assert!(norm < 0.05, "norm {norm}");
         assert_eq!(adam.steps(), 400);
     }
 
@@ -168,31 +165,32 @@ mod tests {
         // y = x @ W* ; recover W* from noisy-free samples.
         let mut rng = StdRng::seed_from_u64(3);
         let w_star = Tensor::from_vec(3, 1, vec![0.5, -1.0, 2.0]);
-        let xs: Vec<Tensor> = (0..32).map(|_| Tensor::xavier(1, 3, &mut rng)).collect();
-        let ys: Vec<Tensor> = xs.iter().map(|x| x.matmul(&w_star)).collect();
+        let xs = Tensor::xavier(32, 3, &mut rng);
+        let ys = xs.matmul(&w_star);
 
         let mut store = ParamStore::new();
-        let lin = Linear::new(&mut store, &mut rng, "fit", 3, 1);
+        Linear::new(&mut store, &mut rng, "fit", 3, 1);
         let mut adam = Adam::new(AdamConfig {
             lr: 0.05,
             ..Default::default()
         });
         let mut last_loss = f32::INFINITY;
         for _ in 0..300 {
-            let mut g = Graph::new(&store);
-            let mut per_sample = Vec::new();
-            for (x, y) in xs.iter().zip(&ys) {
-                let xi = g.input(x.clone());
-                let yi = g.input(y.clone());
-                let pred = lin.forward(&mut g, xi);
-                let diff = g.tape.sub(pred, yi);
-                let sq = g.tape.mul(diff, diff);
-                per_sample.push(sq);
+            // loss = mean((x·W + b - y)²) over the 32 samples.
+            let mut diff = xs.matmul(store.get("fit.w"));
+            let b = store.get("fit.b").data[0];
+            for (d, y) in diff.data.iter_mut().zip(&ys.data) {
+                *d += b - y;
             }
-            let all = g.tape.concat_rows(&per_sample);
-            let loss = g.tape.mean_all(all);
-            last_loss = g.tape.value(loss).item();
-            let grads = g.grads_by_name(loss);
+            last_loss = diff.data.iter().map(|d| d * d).sum::<f32>() / 32.0;
+            let g = diff.map(|d| d / 16.0);
+            let grads = BTreeMap::from([
+                (
+                    "fit.b".to_string(),
+                    Tensor::from_vec(1, 1, vec![g.data.iter().sum()]),
+                ),
+                ("fit.w".to_string(), xs.transposed().matmul(&g)),
+            ]);
             adam.step(&mut store, &grads);
         }
         assert!(last_loss < 1e-3, "regression did not converge: {last_loss}");
@@ -211,7 +209,7 @@ mod tests {
             grad_clip: 0.001,
             ..Default::default()
         });
-        let mut grads = HashMap::new();
+        let mut grads = BTreeMap::new();
         grads.insert("x".to_string(), Tensor::from_vec(1, 2, vec![1e6, -1e6]));
         let norm = adam.step(&mut store, &grads);
         assert!(norm > 1e5);
@@ -230,7 +228,7 @@ mod tests {
             grad_clip: 0.0,
             ..Default::default()
         });
-        let mut grads = HashMap::new();
+        let mut grads = BTreeMap::new();
         grads.insert("x".to_string(), Tensor::zeros(1, 2));
         for _ in 0..10 {
             adam.step(&mut store, &grads);
@@ -243,7 +241,7 @@ mod tests {
         let mut store = ParamStore::new();
         store.insert("x", Tensor::ones(1, 2));
         let mut adam = Adam::new(AdamConfig::default());
-        let mut grads = HashMap::new();
+        let mut grads = BTreeMap::new();
         grads.insert("x".to_string(), Tensor::ones(1, 2));
         adam.step_scaled(&mut store, &grads, 0.0);
         assert_eq!(store.get("x").data, vec![1.0, 1.0]);
@@ -257,7 +255,7 @@ mod tests {
         store.insert("a", Tensor::ones(1, 1));
         store.insert("b", Tensor::ones(1, 1));
         let mut adam = Adam::new(AdamConfig::default());
-        let mut grads = HashMap::new();
+        let mut grads = BTreeMap::new();
         grads.insert("a".to_string(), Tensor::ones(1, 1));
         adam.step(&mut store, &grads);
         assert_ne!(store.get("a").data[0], 1.0);

@@ -2,8 +2,8 @@
 //!
 //! Everything in the encoder is expressible with rank-2 tensors: a token
 //! sequence is `T x D`, a weight matrix is `In x Out`, a bias or an embedding
-//! is `1 x D`, and a scalar loss is `1 x 1`. Keeping the rank fixed makes the
-//! autograd op set small and every backward rule easy to verify.
+//! is `1 x D`, and a scalar loss is `1 x 1`. Keeping the rank fixed keeps
+//! every forward and backward rule a plain loop over rows.
 
 use rand::Rng;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -103,20 +103,6 @@ impl Tensor {
         self.data.is_empty()
     }
 
-    /// Element accessor.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f32 {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c]
-    }
-
-    /// Mutable element accessor.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
-    }
-
     /// A view of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
@@ -144,8 +130,8 @@ impl Tensor {
 
     /// Matrix multiplication `self (R x K) @ other (K x C) -> R x C`:
     /// [`crate::kernels::matmul`], the register-tiled kernel on the widest
-    /// instruction set the CPU has, so the autograd tape (forward and
-    /// both products of its backward) and inference share one matmul.
+    /// instruction set the CPU has, so the encoder's backward (both
+    /// products of every matmul) and the losses share inference's matmul.
     /// Every variant is `==`-equal to the scalar reference loop, so
     /// trained weights do not depend on the host.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
@@ -179,15 +165,15 @@ impl Tensor {
             *a += b * scale;
         }
     }
+}
 
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Whether all elements are finite.
-    pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+/// Adds `delta` into a gradient `slot` as reverse-mode accumulation does:
+/// the first share is stored as it is (a `-0.0` stays `-0.0`), each later
+/// one added to the sum.
+pub(crate) fn accumulate(slot: &mut Option<Tensor>, delta: Tensor) {
+    match slot {
+        Some(sum) => sum.add_scaled(&delta, 1.0),
+        None => *slot = Some(delta),
     }
 }
 
@@ -200,8 +186,7 @@ mod tests {
     #[test]
     fn construction_and_access() {
         let mut t = Tensor::zeros(2, 3);
-        t.set(1, 2, 5.0);
-        assert_eq!(t.get(1, 2), 5.0);
+        t.row_mut(1)[2] = 5.0;
         assert_eq!(t.row(1), &[0.0, 0.0, 5.0]);
         assert_eq!(t.len(), 6);
     }
@@ -242,7 +227,7 @@ mod tests {
         let a = Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let t = a.transposed();
         assert_eq!(t.rows, 3);
-        assert_eq!(t.get(2, 1), 6.0);
+        assert_eq!(t.row(2)[1], 6.0);
         assert_eq!(t.transposed(), a);
     }
 
@@ -290,6 +275,5 @@ mod tests {
         let b = Tensor::full(1, 4, 2.0);
         a.add_scaled(&b, 0.5);
         assert_eq!(a.data, vec![2.0; 4]);
-        assert_eq!(a.norm(), 4.0);
     }
 }

@@ -1,7 +1,30 @@
-//! Property-based tests for tensor algebra and autograd invariants.
+//! Property-based tests for tensor algebra, the row kernels, the losses
+//! and the encoder.
 
 use proptest::prelude::*;
-use sketchql_nn::{cosine_similarity, Graph, ParamStore, Tape, Tensor};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sketchql_nn::{
+    cosine_similarity, kernels, triplet, EncoderConfig, ParamStore, Tensor, TrajectoryEncoder,
+};
+
+/// A two-layer encoder over `6 x 8` features, weights drawn from `seed`.
+fn small_encoder(seed: u64) -> (TrajectoryEncoder, ParamStore) {
+    let mut store = ParamStore::new();
+    let cfg = EncoderConfig {
+        input_dim: 8,
+        d_model: 8,
+        heads: 2,
+        layers: 2,
+        ff_hidden: 16,
+        embed_dim: 4,
+        steps: 6,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let enc = TrajectoryEncoder::new(&mut store, &mut rng, "enc", cfg);
+    (enc, store)
+}
 
 fn arb_tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-3.0f32..3.0, rows * cols)
@@ -55,11 +78,9 @@ proptest! {
 
     #[test]
     fn softmax_rows_are_distributions(a in arb_tensor(4, 6)) {
-        let mut tape = Tape::new();
-        let x = tape.leaf(a);
-        let s = tape.softmax_rows(x);
-        let v = tape.value(s);
+        let mut v = a;
         for r in 0..v.rows {
+            kernels::softmax_row(v.row_mut(r));
             let row = v.row(r);
             let sum: f32 = row.iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4, "row sum {sum}");
@@ -69,26 +90,21 @@ proptest! {
 
     #[test]
     fn softmax_is_shift_invariant(a in arb_tensor(2, 5), shift in -5.0f32..5.0) {
-        let mut t1 = Tape::new();
-        let x1 = t1.leaf(a.clone());
-        let s1 = t1.softmax_rows(x1);
-        let mut t2 = Tape::new();
-        let x2 = t2.leaf(a.map(|v| v + shift));
-        let s2 = t2.softmax_rows(x2);
-        for (p, q) in t1.value(s1).data.iter().zip(&t2.value(s2).data) {
+        let (mut s1, mut s2) = (a.clone(), a.map(|v| v + shift));
+        for r in 0..a.rows {
+            kernels::softmax_row(s1.row_mut(r));
+            kernels::softmax_row(s2.row_mut(r));
+        }
+        for (p, q) in s1.data.iter().zip(&s2.data) {
             prop_assert!((p - q).abs() < 1e-4);
         }
     }
 
     #[test]
     fn layer_norm_standardizes_rows(a in arb_tensor(3, 8)) {
-        let mut tape = Tape::new();
-        let x = tape.leaf(a);
-        let gamma = tape.leaf(Tensor::ones(1, 8));
-        let beta = tape.leaf(Tensor::zeros(1, 8));
-        let ln = tape.layer_norm_rows(x, gamma, beta);
-        let v = tape.value(ln);
+        let mut v = a;
         for r in 0..v.rows {
+            kernels::layer_norm_row(v.row_mut(r), &[1.0; 8], &[0.0; 8], 1e-5);
             let row = v.row(r);
             let mean: f32 = row.iter().sum::<f32>() / 8.0;
             let var: f32 = row.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / 8.0;
@@ -98,18 +114,22 @@ proptest! {
         }
     }
 
+    /// The encoder's last step, L2 normalization, makes every embedding a
+    /// unit row.
     #[test]
-    fn l2_normalize_yields_unit_rows(a in arb_tensor(4, 5)) {
-        let mut tape = Tape::new();
-        let x = tape.leaf(a.clone());
-        let n = tape.l2_normalize_rows(x);
-        let v = tape.value(n);
-        for r in 0..v.rows {
-            let norm: f32 = v.row(r).iter().map(|x| x * x).sum::<f32>().sqrt();
-            let input_norm: f32 = a.row(r).iter().map(|x| x * x).sum::<f32>().sqrt();
-            if input_norm > 1e-3 {
-                prop_assert!((norm - 1.0).abs() < 1e-4, "norm {norm}");
-            }
+    fn l2_normalize_yields_unit_rows(
+        seed in 0u64..1000,
+        batch in prop::collection::vec(prop::collection::vec(-3.0f32..3.0, 6 * 8), 1..6),
+    ) {
+        let (enc, store) = small_encoder(seed);
+        let feats: Vec<Tensor> = batch
+            .into_iter()
+            .map(|data| Tensor::from_vec(6, 8, data))
+            .collect();
+        let refs: Vec<&Tensor> = feats.iter().collect();
+        for e in enc.embed_batch(&store, &refs) {
+            let norm: f32 = e.iter().map(|x| x * x).sum::<f32>().sqrt();
+            prop_assert!((norm - 1.0).abs() < 1e-4, "norm {norm}");
         }
     }
 
@@ -124,52 +144,22 @@ proptest! {
         prop_assert!((s - r).abs() < 1e-5);
     }
 
+    /// With its hinge active, one triplet's loss is linear in the anchor,
+    /// `margin - a·pos + a·neg`: the anchor's gradient is `neg - pos`
+    /// exactly.
     #[test]
-    fn gradient_of_linear_functional_is_weights(a in arb_tensor(1, 6), w in arb_tensor(6, 1)) {
-        // loss = a @ w (scalar): d loss / d a = w^T exactly.
-        let mut tape = Tape::new();
-        let x = tape.leaf(a);
-        let wn = tape.leaf(w.clone());
-        let y = tape.matmul(x, wn);
-        let grads = tape.backward(y);
-        let ga = grads.get(x).unwrap();
-        for (g, expect) in ga.data.iter().zip(&w.data) {
-            prop_assert!((g - expect).abs() < 1e-5);
+    fn gradient_of_linear_functional_is_weights(
+        a in arb_tensor(1, 6),
+        pos in arb_tensor(1, 6),
+        neg in arb_tensor(1, 6),
+    ) {
+        let e = [a, pos.clone(), neg.clone()];
+        let (loss, grads) = triplet(&e, &[(0, 1, 2)], 1000.0);
+        prop_assert!(loss > 0.0);
+        let ga = grads[0].as_ref().unwrap();
+        for ((g, n), p) in ga.data.iter().zip(&neg.data).zip(&pos.data) {
+            prop_assert_eq!(*g, n - p);
         }
-    }
-
-    #[test]
-    fn mean_all_gradient_is_uniform(a in arb_tensor(3, 4)) {
-        let mut tape = Tape::new();
-        let x = tape.leaf(a);
-        let m = tape.mean_all(x);
-        let grads = tape.backward(m);
-        let g = grads.get(x).unwrap();
-        for v in &g.data {
-            prop_assert!((v - 1.0 / 12.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn concat_then_slice_round_trips(a in arb_tensor(3, 4), b in arb_tensor(3, 2)) {
-        let mut tape = Tape::new();
-        let xa = tape.leaf(a.clone());
-        let xb = tape.leaf(b.clone());
-        let cat = tape.concat_cols(&[xa, xb]);
-        let sa = tape.slice_cols(cat, 0, 4);
-        let sb = tape.slice_cols(cat, 4, 2);
-        prop_assert_eq!(tape.value(sa), &a);
-        prop_assert_eq!(tape.value(sb), &b);
-    }
-
-    #[test]
-    fn graph_param_binding_is_stable(v in arb_tensor(2, 2)) {
-        let mut store = ParamStore::new();
-        store.insert("p", v);
-        let mut g = Graph::new(&store);
-        let a = g.param("p");
-        let b = g.param("p");
-        prop_assert_eq!(a, b);
     }
 
     #[test]
@@ -180,22 +170,7 @@ proptest! {
         // The matcher's per-search embedding cache scores candidates from
         // batched embeddings and promises byte-identical search results,
         // so the equivalence must be exact, not approximate.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use sketchql_nn::{EncoderConfig, TrajectoryEncoder};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut store = ParamStore::new();
-        let cfg = EncoderConfig {
-            input_dim: 8,
-            d_model: 8,
-            heads: 2,
-            layers: 2,
-            ff_hidden: 16,
-            embed_dim: 4,
-            steps: 6,
-            ..Default::default()
-        };
-        let enc = TrajectoryEncoder::new(&mut store, &mut rng, "enc", cfg);
+        let (enc, store) = small_encoder(seed);
         let feats: Vec<Tensor> = batch
             .into_iter()
             .map(|data| Tensor::from_vec(6, 8, data))
@@ -203,13 +178,9 @@ proptest! {
         let refs: Vec<&Tensor> = feats.iter().collect();
         let batched = enc.embed_batch(&store, &refs);
         prop_assert_eq!(batched.len(), feats.len());
-        // Against training's tape forward and against `embed` (the
-        // batch of one): a row depends on neither path nor batch-mates.
+        // Against `embed` (the batch of one): a row does not depend on
+        // its batch-mates.
         for (f, b) in feats.iter().zip(&batched) {
-            let mut g = Graph::new(&store);
-            let input = g.input(f.clone());
-            let e = enc.forward(&mut g, input);
-            prop_assert_eq!(&g.tape.value(e).data, b);
             prop_assert_eq!(&enc.embed(&store, f), b);
         }
     }

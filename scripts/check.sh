@@ -24,9 +24,11 @@ cargo build --release
 cargo test -q
 
 echo "== release lane: the bit-pinned tests under the optimiser"
-# The kernel differential tests, the cosine bit pins and model_bits.rs
-# hold arithmetic the optimiser may reorder; tier-1 builds tests in
-# debug only, so run the two crates that own them again in release.
+# The kernel differential tests, the cosine bit pins, model_bits.rs,
+# the pinned step-gradient hashes (training.rs) and the encoder's
+# finite-difference checks (modules.rs, loss.rs) hold arithmetic the
+# optimiser may reorder; tier-1 builds tests in debug only, so run the
+# two crates that own them again in release.
 cargo test --release -q -p sketchql-nn -p sketchql
 
 echo "== frozen benchmark: perfbench builds untouched and every workload passes its output checks"
