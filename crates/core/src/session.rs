@@ -336,23 +336,11 @@ impl SketchQL {
         dataset: &str,
         query: &Clip,
     ) -> Result<Vec<RetrievedMoment>, SessionError> {
-        self.run_query_cancellable(dataset, query, &CancelToken::none())
-    }
-
-    /// [`run_query`](Self::run_query) under a [`CancelToken`]: the search
-    /// polls the token and returns [`SessionError::Cancelled`] promptly
-    /// once it trips (explicit cancel or deadline). This is the entry
-    /// point query services use to enforce per-query deadlines.
-    pub fn run_query_cancellable(
-        &self,
-        dataset: &str,
-        query: &Clip,
-        cancel: &CancelToken,
-    ) -> Result<Vec<RetrievedMoment>, SessionError> {
         let index = self.dataset(dataset)?;
+        let store = self.stores.get(dataset);
         let result = self.traced(dataset, || {
             self.matcher
-                .search_stored(index, self.stores.get(dataset), query, cancel, None)
+                .search_stored(index, store, query, &CancelToken::none(), None)
         });
         result.map(|s| s.moments).map_err(SessionError::from)
     }
@@ -378,25 +366,14 @@ impl SketchQL {
         query: &Clip,
         sim: S,
     ) -> Result<Vec<RetrievedMoment>, SessionError> {
-        self.run_query_with_cancel(dataset, query, sim, &CancelToken::none())
-    }
-
-    /// [`run_query_with`](Self::run_query_with) under a [`CancelToken`].
-    pub fn run_query_with_cancel<S: Similarity>(
-        &self,
-        dataset: &str,
-        query: &Clip,
-        sim: S,
-        cancel: &CancelToken,
-    ) -> Result<Vec<RetrievedMoment>, SessionError> {
         let index = self.dataset(dataset)?;
         let matcher = Matcher::with_config(sim, self.matcher.config.clone());
-        self.traced(dataset, || matcher.search_with_cancel(index, query, cancel))
+        self.traced(dataset, || matcher.search(index, query))
             .map_err(SessionError::from)
     }
 
-    /// The [`QueryTrace`] of the most recent `run_query` /
-    /// `run_query_with` / `run_sketch` call on this session, or `None`
+    /// The [`QueryTrace`] of the most recent query on this session (its
+    /// three fronts: `run_query`, `run_query_with`, `run_sketch`), or `None`
     /// before the first query: its stage spans, the counters it moved
     /// and what it cost — that query's alone, whatever else the process
     /// was running (the same trace is in the flight recorder under its
@@ -970,8 +947,12 @@ mod tests {
         let query = sketchql_datasets::query_clip(EventKind::LeftTurn);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let err = sq.run_query_cancellable("v", &query, &cancel).unwrap_err();
-        assert_eq!(err, SessionError::Cancelled(CancelReason::Cancelled));
+        let index = sq.dataset("v").unwrap();
+        let result = sq.matcher.search_with_cancel(index, &query, &cancel);
+        assert_eq!(
+            result.map_err(SessionError::from).unwrap_err(),
+            SessionError::Cancelled(CancelReason::Cancelled)
+        );
     }
 
     #[test]

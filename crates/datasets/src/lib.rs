@@ -13,6 +13,7 @@
 //! * retrieval metrics ([`evaluate_retrieval`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod events;
 pub mod generator;

@@ -93,10 +93,20 @@
 //!
 //! ## Safety boundary
 //!
-//! The vector kernels take raw pointers. Every safe entry point
-//! (`gemm`, `attention_block`, the row kernels) asserts its operand
-//! lengths against the shape once, with `assert!`, before the `unsafe`
-//! call; the kernels index only inside those lengths.
+//! The vector kernels are safe `#[target_feature]` functions over
+//! slices. Memory is touched only by a few helpers per ISA module, each
+//! wrapping one pointer-taking intrinsic around a slice it checks
+//! itself: `load_tail` / `store_tail` take their lane mask from the
+//! slice's length (so they cannot reach past it, and panic on a slice
+//! longer than a vector), `loadu` / `storeu` are those two on the first
+//! `LANES` values (panicking on a shorter slice; the constant mask
+//! compiles to a plain load or store), and AVX-512's `gather` asserts
+//! that its band holds the last row it reads. A wrong index in a kernel
+//! is a panic, never a stray access. The only other `unsafe` is the
+//! call into a kernel from a safe entry point (`gemm`, `attention_block`,
+//! the row kernels), made after `isa.available()` has asserted the CPU
+//! feature; the entries still assert their operand lengths against the
+//! shape first, so a lying `Tensor` is refused with a message.
 
 use crate::tensor::Tensor;
 
@@ -197,9 +207,8 @@ pub(crate) fn matmul_bias_into(
     );
 }
 
-/// The matmul on slices: `out (r x c) = a (r x k) @ b (k x c) [+ bias]`.
-/// This is the safe boundary of the vector kernels: every operand's
-/// length is asserted against `(r, k, c)` here, once.
+/// The matmul on slices: `out (r x c) = a (r x k) @ b (k x c) [+ bias]`,
+/// every operand's length asserted against `(r, k, c)` first.
 fn gemm(
     isa: Isa,
     a: &[f32],
@@ -217,22 +226,12 @@ fn gemm(
     assert!(isa.available(), "{isa:?} kernels need CPU support");
     match isa {
         Isa::Scalar => matmul_scalar(a, b, bias, out, (r, k, c)),
+        // SAFETY: `isa.available()` asserted the CPU has AVX-512F.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 | Isa::Avx512 => {
-            let bias = bias.map_or(std::ptr::null(), <[f32]>::as_ptr);
-            let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-            // SAFETY: the CPU feature was asserted by `isa.available()`, and
-            // the four `assert_len` calls above pin `a`, `b`, `out` and
-            // `bias` (when non-null) to exactly r*k, k*c, r*c and c values,
-            // which is all the kernel indexes.
-            unsafe {
-                if isa == Isa::Avx512 {
-                    avx512::gemm(a, b, bias, out, r, k, c)
-                } else {
-                    avx2::gemm(a, b, bias, out, r, k, c)
-                }
-            }
-        }
+        Isa::Avx512 => unsafe { avx512::gemm(a, b, bias, out, (r, k, c)) },
+        // SAFETY: `isa.available()` asserted the CPU has AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { avx2::gemm(a, b, bias, out, (r, k, c)) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("no vector kernels on this architecture"),
     }
@@ -270,9 +269,9 @@ fn matmul_scalar(
 
 /// Emits the register-tile matmul for the ISA module it is invoked in,
 /// which supplies the vector vocabulary: `V` / `LANES`, `zero` / `splat` /
-/// `loadu` / `storeu` / `add` / `mul`, the column-remainder mask (`Tail`,
-/// `tail_mask`, `load_tail`, `store_tail`) and the zero-skip mask (`Keep`,
-/// `nonzero`, `add_where`).
+/// `add` / `mul`, the slice-checked `loadu` / `storeu` (one whole vector)
+/// and `load_tail` / `store_tail` (the lanes a shorter slice holds), and
+/// the zero-skip mask (`Keep`, `nonzero`, `add_where`).
 macro_rules! simd_gemm {
     ($feature:literal) => {
         /// Output rows per full tile.
@@ -280,53 +279,52 @@ macro_rules! simd_gemm {
         /// Column vectors per full tile.
         const NR: usize = 3;
 
-        /// One `ROWS x NV` tile: `ROWS` output rows by `NV` column
-        /// vectors starting at `out`, the last vector masked by `tail`.
-        /// `a` points at the tile's first row, `b` and `bias` (null for
-        /// none) at its first column. Each accumulator starts at `+0.0`
-        /// and takes one rounded multiply and one rounded add per
+        /// One `ROWS x NV` tile: `ROWS` rows of `out` (row stride `c`)
+        /// over the columns `cols`, in `NV` vectors of which the last is
+        /// masked to the columns left. `a` and `out` start at the tile's
+        /// first row; `b` and `bias` are whole. Each accumulator starts at
+        /// `+0.0` and takes one rounded multiply and one rounded add per
         /// ascending `k`, the add masked off where the `a` value is zero.
-        ///
-        /// # Safety
-        /// The CPU must support `$feature`; `a` must be readable for
-        /// `ROWS` rows of `k`, `b` for `k` rows of stride `c`, and `out`
-        /// writable for `ROWS` rows of stride `c`, each over the tile's
-        /// columns (`(NV - 1) * LANES` plus the lanes set in `tail`), as
-        /// must `bias` when non-null.
         #[inline]
         #[target_feature(enable = $feature)]
-        #[allow(clippy::needless_range_loop)]
-        unsafe fn tile<const ROWS: usize, const NV: usize>(
-            a: *const f32,
-            b: *const f32,
-            bias: *const f32,
-            out: *mut f32,
-            k: usize,
-            c: usize,
-            tail: Tail,
+        fn tile<const ROWS: usize, const NV: usize>(
+            a: &[f32],
+            b: &[f32],
+            bias: Option<&[f32]>,
+            mut out: &mut [f32],
+            (k, c): (usize, usize),
+            cols: std::ops::Range<usize>,
         ) {
+            let last = (NV - 1) * LANES;
+            // Lets the compiler drop the per-vector checks inside the loop.
+            assert!(last < cols.len() && cols.len() <= NV * LANES && cols.end <= c);
+            let (mut a_rows, mut rest) = ([&a[..0]; ROWS], a);
+            for row in &mut a_rows {
+                (*row, rest) = rest.split_at(k);
+            }
             let mut acc = [[zero(); NV]; ROWS];
             for kk in 0..k {
-                let b_row = b.add(kk * c);
+                let b_row = &b[kk * c..][cols.clone()];
                 let mut vb = [zero(); NV];
                 for v in 0..NV - 1 {
-                    vb[v] = loadu(b_row.add(v * LANES));
+                    vb[v] = loadu(&b_row[v * LANES..]);
                 }
-                vb[NV - 1] = load_tail(b_row.add((NV - 1) * LANES), tail);
+                vb[NV - 1] = load_tail(&b_row[last..]);
                 for m in 0..ROWS {
-                    let va = splat(*a.add(m * k + kk));
+                    let va = splat(a_rows[m][kk]);
                     let keep = nonzero(va);
                     for v in 0..NV {
                         acc[m][v] = add_where(keep, acc[m][v], mul(va, vb[v]));
                     }
                 }
             }
-            if !bias.is_null() {
+            if let Some(bias) = bias {
+                let bias = &bias[cols.clone()];
                 for v in 0..NV {
                     let vbias = if v == NV - 1 {
-                        load_tail(bias.add(v * LANES), tail)
+                        load_tail(&bias[last..])
                     } else {
-                        loadu(bias.add(v * LANES))
+                        loadu(&bias[v * LANES..])
                     };
                     for m in 0..ROWS {
                         acc[m][v] = add(acc[m][v], vbias);
@@ -334,11 +332,13 @@ macro_rules! simd_gemm {
                 }
             }
             for m in 0..ROWS {
-                let o = out.add(m * c);
+                let out_row;
+                (out_row, out) = out.split_at_mut(c);
+                let o = &mut out_row[cols.clone()];
                 for v in 0..NV - 1 {
-                    storeu(o.add(v * LANES), acc[m][v]);
+                    storeu(&mut o[v * LANES..], acc[m][v]);
                 }
-                store_tail(o.add((NV - 1) * LANES), tail, acc[m][NV - 1]);
+                store_tail(&mut o[last..], acc[m][NV - 1]);
             }
         }
 
@@ -346,42 +346,30 @@ macro_rules! simd_gemm {
         /// outermost so `a` streams once and the `b` panel stays cached,
         /// `MR`-row tiles then 1-row tiles for the remainder, column
         /// blocks of up to `NR` vectors with the last one masked.
-        ///
-        /// # Safety
-        /// The CPU must support `$feature`; `a`, `b` and `out` must be
-        /// valid for `r * k`, `k * c` and `r * c` values, and `bias`
-        /// either null or valid for `c`.
         #[target_feature(enable = $feature)]
-        pub(super) unsafe fn gemm(
-            a: *const f32,
-            b: *const f32,
-            bias: *const f32,
-            out: *mut f32,
-            r: usize,
-            k: usize,
-            c: usize,
+        pub(super) fn gemm(
+            a: &[f32],
+            b: &[f32],
+            bias: Option<&[f32]>,
+            out: &mut [f32],
+            (r, k, c): (usize, usize, usize),
         ) {
             let mut i = 0;
             while i < r {
                 let full = r - i >= MR;
+                let (a, out) = (&a[i * k..], &mut out[i * c..]);
                 let mut j = 0;
                 while j < c {
-                    let cols = (c - j).min(NR * LANES);
-                    let nv = cols.div_ceil(LANES);
-                    let tail = tail_mask(cols - (nv - 1) * LANES);
-                    let a = a.add(i * k);
-                    let b = b.add(j);
-                    let bias = if bias.is_null() { bias } else { bias.add(j) };
-                    let out = out.add(i * c + j);
-                    match (full, nv) {
-                        (true, 1) => tile::<MR, 1>(a, b, bias, out, k, c, tail),
-                        (true, 2) => tile::<MR, 2>(a, b, bias, out, k, c, tail),
-                        (true, _) => tile::<MR, NR>(a, b, bias, out, k, c, tail),
-                        (false, 1) => tile::<1, 1>(a, b, bias, out, k, c, tail),
-                        (false, 2) => tile::<1, 2>(a, b, bias, out, k, c, tail),
-                        (false, _) => tile::<1, NR>(a, b, bias, out, k, c, tail),
+                    let cols = j..c.min(j + NR * LANES);
+                    j = cols.end;
+                    match (full, cols.len().div_ceil(LANES)) {
+                        (true, 1) => tile::<MR, 1>(a, b, bias, out, (k, c), cols),
+                        (true, 2) => tile::<MR, 2>(a, b, bias, out, (k, c), cols),
+                        (true, _) => tile::<MR, NR>(a, b, bias, out, (k, c), cols),
+                        (false, 1) => tile::<1, 1>(a, b, bias, out, (k, c), cols),
+                        (false, 2) => tile::<1, 2>(a, b, bias, out, (k, c), cols),
+                        (false, _) => tile::<1, NR>(a, b, bias, out, (k, c), cols),
                     }
-                    j += cols;
                 }
                 i += if full { MR } else { 1 };
             }
@@ -598,8 +586,7 @@ pub(crate) fn gelu_inplace_on(isa: Isa, v: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if isa == Isa::Avx512 {
         assert!(isa.available(), "{isa:?} kernels need CPU support");
-        // SAFETY: the CPU feature was asserted; the kernel indexes only
-        // inside `v`.
+        // SAFETY: `isa.available()` asserted the CPU has AVX-512F.
         unsafe { avx512::gelu_slice(v) };
         return;
     }
@@ -635,8 +622,7 @@ pub(crate) fn softmax_row_on(isa: Isa, row: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if isa == Isa::Avx512 {
         assert!(isa.available(), "{isa:?} kernels need CPU support");
-        // SAFETY: the CPU feature was asserted; the kernel indexes only
-        // inside `row`.
+        // SAFETY: `isa.available()` asserted the CPU has AVX-512F.
         unsafe { avx512::softmax_row(row) };
         return;
     }
@@ -670,9 +656,7 @@ pub(crate) fn layer_norm_row_on(isa: Isa, row: &mut [f32], gamma: &[f32], beta: 
     #[cfg(target_arch = "x86_64")]
     if isa == Isa::Avx512 {
         assert!(isa.available(), "{isa:?} kernels need CPU support");
-        // SAFETY: the CPU feature was asserted, and the two `assert_len`
-        // calls above make `gamma` and `beta` exactly as long as `row`,
-        // which is as far as the kernel reads them.
+        // SAFETY: `isa.available()` asserted the CPU has AVX-512F.
         unsafe { avx512::layer_norm_row(row, gamma, beta, eps) };
         return;
     }
@@ -732,11 +716,6 @@ pub(crate) fn attention_block(
         "attention input holds {} values but its shape is {seq}x3*{d}",
         qkv.len()
     );
-    // The fused kernel gathers K columns with 32-bit row offsets.
-    assert!(
-        d <= i32::MAX as usize / (3 * SUM_LANES),
-        "attention width {d} is too large"
-    );
     assert!(
         scratch.len() >= attention_scratch_len(seq, d / heads),
         "attention scratch holds {} values, {seq}x{d}/{heads} needs {}",
@@ -752,20 +731,8 @@ pub(crate) fn attention_block(
     #[cfg(target_arch = "x86_64")]
     if isa == Isa::Avx512 && probs.is_none() {
         assert!(isa.available(), "{isa:?} kernels need CPU support");
-        // SAFETY: the CPU feature was asserted, and the asserts above pin
-        // `concat` to seq*d values, `qkv` to three times that and
-        // `scratch` to at least `attention_scratch_len`, which covers the
-        // kernel's `K^T` and score rows; `seq > 0`, `d > 0`, `heads | d`,
-        // and 16 rows of `3 * d` floats fit the gather's `i32` offsets.
-        unsafe {
-            avx512::attention_block(
-                qkv.as_ptr(),
-                shape,
-                scale,
-                scratch.as_mut_ptr(),
-                concat.as_mut_ptr(),
-            )
-        };
+        // SAFETY: `isa.available()` asserted the CPU has AVX-512F.
+        unsafe { avx512::attention_block(qkv, shape, scale, scratch, concat) };
         return;
     }
     attention_block_composed(isa, qkv, shape, scale, scratch, concat, probs);
@@ -831,11 +798,9 @@ mod avx512 {
     use std::arch::x86_64::*;
 
     type V = __m512;
-    /// Lanes of a column block's last vector that exist.
-    type Tail = __mmask16;
     /// All lanes set where a broadcast `a` value is non-zero.
     type Keep = __mmask16;
-    const LANES: usize = 16;
+    pub(super) const LANES: usize = 16;
 
     #[inline]
     #[target_feature(enable = "avx512f")]
@@ -845,20 +810,8 @@ mod avx512 {
 
     #[inline]
     #[target_feature(enable = "avx512f")]
-    fn splat(x: f32) -> V {
+    pub(super) fn splat(x: f32) -> V {
         _mm512_set1_ps(x)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn loadu(p: *const f32) -> V {
-        _mm512_loadu_ps(p)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn storeu(p: *mut f32, v: V) {
-        _mm512_storeu_ps(p, v)
     }
 
     #[inline]
@@ -873,23 +826,74 @@ mod avx512 {
         _mm512_mul_ps(a, b)
     }
 
-    /// The first `n` lanes, `1 <= n <= LANES`.
+    /// The first `n` lanes; panics past `LANES`.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    fn tail_mask(n: usize) -> Tail {
+    fn tail_mask(n: usize) -> __mmask16 {
+        assert!(n <= LANES, "{n} values do not fit one vector");
         (0xFFFFu32 >> (LANES - n)) as u16
     }
 
+    /// `s` in the first `s.len()` lanes, `+0.0` in the rest; panics when
+    /// `s` is longer than a vector.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn load_tail(p: *const f32, tail: Tail) -> V {
-        _mm512_maskz_loadu_ps(tail, p)
+    pub(super) fn load_tail(s: &[f32]) -> V {
+        let lanes = tail_mask(s.len());
+        // SAFETY: the masked load reads only the lanes set in `lanes`,
+        // which are the `s.len()` values `s` holds.
+        unsafe { _mm512_maskz_loadu_ps(lanes, s.as_ptr()) }
     }
 
+    /// Writes the first `s.len()` lanes of `v` to `s`; panics when `s`
+    /// is longer than a vector.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn store_tail(p: *mut f32, tail: Tail, v: V) {
-        _mm512_mask_storeu_ps(p, tail, v)
+    pub(super) fn store_tail(s: &mut [f32], v: V) {
+        let lanes = tail_mask(s.len());
+        // SAFETY: the masked store writes only the lanes set in `lanes`,
+        // which are the `s.len()` values `s` holds.
+        unsafe { _mm512_mask_storeu_ps(s.as_mut_ptr(), lanes, v) }
+    }
+
+    /// The first `LANES` values of `s`; panics when `s` is shorter. (The
+    /// constant full mask compiles to a plain load.)
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn loadu(s: &[f32]) -> V {
+        load_tail(&s[..LANES])
+    }
+
+    /// Writes `v` to the first `LANES` values of `s`; panics when `s` is
+    /// shorter.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn storeu(s: &mut [f32], v: V) {
+        store_tail(&mut s[..LANES], v)
+    }
+
+    /// Lane `l < rows` reads `band[l * stride]`, the rest are `+0.0`: one
+    /// column of a `rows`-row band. Panics unless the last row read is
+    /// inside `band` and the stride fits the gather's `i32` offsets.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gather(band: &[f32], stride: usize, rows: usize) -> V {
+        let lanes = tail_mask(rows);
+        assert!(
+            stride <= i32::MAX as usize / LANES && (rows == 0 || (rows - 1) * stride < band.len()),
+            "{rows} rows of stride {stride} do not fit a band of {}",
+            band.len()
+        );
+        let offsets = _mm512_mullo_epi32(
+            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+            _mm512_set1_epi32(stride as i32),
+        );
+        let (src, base) = (zero(), band.as_ptr().cast());
+        // SAFETY: the gather reads `band[l * stride]` for the lanes `l`
+        // set in `lanes`, all below `rows`, and the assert above put the
+        // last of those inside `band`; `LANES * stride` fits an `i32`, so
+        // no offset wraps.
+        unsafe { _mm512_mask_i32gather_ps::<4>(src, lanes, offsets, base) }
     }
 
     /// `!(a == 0.0)` per lane: unordered-or-not-equal, so NaN is kept.
@@ -917,7 +921,9 @@ mod avx512 {
     /// 1. scores — a `ATTN_ROWS x 1` matmul tile per score vector (lanes
     ///    across keys, ascending head column, zero-skip mask on the
     ///    broadcast Q value), times `scale`, stored to the score rows in
-    ///    scratch while the 16-bucket running maximum is updated;
+    ///    scratch (key block by key block, so a key's `ATTN_ROWS`
+    ///    probabilities are one stride apart for step 3) while the
+    ///    16-bucket running maximum is updated;
     /// 2. the maximum's halving tree, `exp_v(x - max)` and the 16-bucket
     ///    sum (lanes past `seq` add `+0.0`), its halving tree, one scalar
     ///    reciprocal, one multiply per element — [`softmax_row`]'s
@@ -929,121 +935,109 @@ mod avx512 {
     ///
     /// A short final group repeats its last row, recomputing and
     /// re-storing identical values, so every group runs the same code.
-    /// Any `seq` and head width work: `ceil(seq / 16)` score vectors and
-    /// `ceil(dh / 16)` output vectors, the last of each masked.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F; `qkv` must be valid for
-    /// `seq * 3 * d` values, `concat` for `seq * d`, `scratch` for
-    /// [`attention_scratch_len`]`(seq, d / heads)`; `seq > 0`, `heads > 0`,
-    /// `heads` divides `d > 0`, and `16 * 3 * d` fits an `i32`.
+    /// Any `seq > 0` and head width work: `ceil(seq / 16)` score vectors
+    /// and `ceil(dh / 16)` output vectors, the last of each masked.
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::needless_range_loop)]
-    pub(super) unsafe fn attention_block(
-        qkv: *const f32,
+    pub(super) fn attention_block(
+        qkv: &[f32],
         AttnShape { seq, d, heads }: AttnShape,
         scale: f32,
-        scratch: *mut f32,
-        concat: *mut f32,
+        scratch: &mut [f32],
+        concat: &mut [f32],
     ) {
         const R: usize = ATTN_ROWS;
         let dh = d / heads;
         let ld = 3 * d;
         let score_vecs = seq.div_ceil(LANES);
         let padded = score_vecs * LANES;
-        let seq_tail = tail_mask(seq - (score_vecs - 1) * LANES);
-        let out_vecs = dh.div_ceil(LANES);
-        let dh_tail = tail_mask(dh - (out_vecs - 1) * LANES);
-        let kt = scratch;
-        let scores = scratch.add(dh * padded);
+        // Keys held by score vector `v`.
+        let keys = |v: usize| (seq - v * LANES).min(LANES);
+        let (kt, scores) = scratch.split_at_mut(dh * padded);
+        // Key block `v` of the group's score rows: row `r`'s vector is
+        // `blocks[v][r * LANES..][..LANES]`, so a key's `R` probabilities
+        // sit at one stride from one base.
+        let blocks = &mut scores[..R * padded];
         let vscale = splat(scale);
-        // Lane `l` of a gather reads row `l` of a 16-row band of `qkv`.
-        let row_stride = _mm512_mullo_epi32(
-            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
-            _mm512_set1_epi32(ld as i32),
-        );
         for h in 0..heads {
             let c0 = h * dh;
             for v in 0..score_vecs {
-                let lanes = if v + 1 == score_vecs { seq_tail } else { !0 };
-                let k_rows = qkv.add(v * LANES * ld + d + c0);
-                for c in 0..dh {
-                    let column = _mm512_mask_i32gather_ps::<4>(
-                        zero(),
-                        lanes,
-                        row_stride,
-                        k_rows.add(c).cast(),
-                    );
-                    storeu(kt.add(c * padded + v * LANES), column);
+                let band = &qkv[v * LANES * ld + d + c0..];
+                for (c, kt_row) in kt.chunks_mut(padded).take(dh).enumerate() {
+                    storeu(&mut kt_row[v * LANES..], gather(&band[c..], ld, keys(v)));
                 }
             }
             for i0 in (0..seq).step_by(R) {
-                let mut rows = [0; R];
+                let (mut rows, mut q) = ([0; R], [&qkv[..0]; R]);
                 for r in 0..R {
                     rows[r] = (i0 + r).min(seq - 1);
+                    q[r] = &qkv[rows[r] * ld + c0..][..dh];
                 }
 
                 let mut max = [splat(f32::NEG_INFINITY); R];
-                for v in 0..score_vecs {
-                    let lanes = if v + 1 == score_vecs { seq_tail } else { !0 };
+                for (v, block) in blocks.chunks_exact_mut(R * LANES).enumerate() {
+                    let kv = v * LANES..v * LANES + keys(v);
                     let mut acc = [zero(); R];
-                    for c in 0..dh {
-                        let vk = load_tail(kt.add(c * padded + v * LANES), lanes);
+                    for (c, kt_row) in kt.chunks(padded).take(dh).enumerate() {
+                        let vk = load_tail(&kt_row[kv.clone()]);
                         for r in 0..R {
-                            let vq = splat(*qkv.add(rows[r] * ld + c0 + c));
+                            let vq = splat(q[r][c]);
                             acc[r] = add_where(nonzero(vq), acc[r], mul(vq, vk));
                         }
                     }
-                    for r in 0..R {
+                    let lanes = tail_mask(keys(v));
+                    for (r, x) in block.chunks_exact_mut(LANES).enumerate() {
                         let scaled = mul(acc[r], vscale);
-                        storeu(scores.add(r * padded + v * LANES), scaled);
+                        storeu(x, scaled);
                         max[r] = _mm512_mask_max_ps(max[r], lanes, max[r], scaled);
                     }
                 }
 
                 let mut sum = [zero(); R];
-                for r in 0..R {
-                    max[r] = splat(tree_max_v(max[r]));
+                for m in &mut max {
+                    *m = splat(tree_max_v(*m));
                 }
-                for v in 0..score_vecs {
-                    let lanes = if v + 1 == score_vecs { seq_tail } else { !0 };
-                    for r in 0..R {
-                        let p = scores.add(r * padded + v * LANES);
-                        let e = exp_v(_mm512_sub_ps(loadu(p), max[r]));
-                        storeu(p, e);
+                for (v, block) in blocks.chunks_exact_mut(R * LANES).enumerate() {
+                    let lanes = tail_mask(keys(v));
+                    for (r, x) in block.chunks_exact_mut(LANES).enumerate() {
+                        let e = exp_v(_mm512_sub_ps(loadu(x), max[r]));
+                        storeu(x, e);
                         sum[r] = add(sum[r], _mm512_maskz_mov_ps(lanes, e));
                     }
                 }
-                for r in 0..R {
-                    sum[r] = splat(1.0 / tree_combine_v(sum[r]));
+                for s in &mut sum {
+                    *s = splat(1.0 / tree_combine_v(*s));
                 }
-                for v in 0..score_vecs {
-                    for r in 0..R {
-                        let p = scores.add(r * padded + v * LANES);
-                        storeu(p, mul(loadu(p), sum[r]));
+                for block in blocks.chunks_exact_mut(R * LANES) {
+                    for (x, &inv) in block.chunks_exact_mut(LANES).zip(&sum) {
+                        storeu(x, mul(loadu(x), inv));
                     }
                 }
 
-                for v in 0..out_vecs {
-                    let lanes = if v + 1 == out_vecs { dh_tail } else { !0 };
+                for v in 0..dh.div_ceil(LANES) {
+                    let cols = c0 + v * LANES..c0 + dh.min((v + 1) * LANES);
+                    let v_cols = 2 * d + cols.start..2 * d + cols.end;
                     let mut acc = [zero(); R];
-                    for j in 0..seq {
-                        let vv = load_tail(qkv.add(j * ld + 2 * d + c0 + v * LANES), lanes);
-                        for r in 0..R {
-                            let vp = splat(*scores.add(r * padded + j));
-                            acc[r] = add_where(nonzero(vp), acc[r], mul(vp, vv));
+                    let mut qkv_rows = qkv.chunks(ld).take(seq);
+                    for block in blocks.chunks_exact(R * LANES) {
+                        for (j, qkv_row) in (&mut qkv_rows).take(LANES).enumerate() {
+                            let vv = load_tail(&qkv_row[v_cols.clone()]);
+                            for r in 0..R {
+                                let vp = splat(block[r * LANES + j]);
+                                acc[r] = add_where(nonzero(vp), acc[r], mul(vp, vv));
+                            }
                         }
                     }
                     for r in 0..R {
-                        store_tail(concat.add(rows[r] * d + c0 + v * LANES), lanes, acc[r]);
+                        store_tail(&mut concat[rows[r] * d..][cols.clone()], acc[r]);
                     }
                 }
             }
         }
     }
 
+    #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn tanh_v(x: __m512) -> __m512 {
+    fn tanh_v(x: V) -> V {
         let x = _mm512_max_ps(_mm512_set1_ps(-TANH_CLAMP), x);
         let x = _mm512_min_ps(_mm512_set1_ps(TANH_CLAMP), x);
         let x2 = _mm512_mul_ps(x, x);
@@ -1064,7 +1058,7 @@ mod avx512 {
 
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn exp_v(x: __m512) -> __m512 {
+    fn exp_v(x: V) -> V {
         let x = _mm512_max_ps(_mm512_set1_ps(EXP_LO), x);
         let x = _mm512_min_ps(_mm512_set1_ps(EXP_HI), x);
         let z = _mm512_add_ps(
@@ -1090,29 +1084,38 @@ mod avx512 {
         _mm512_mul_ps(y, _mm512_castsi512_ps(bits))
     }
 
+    /// `f` over `v` in place: whole vectors, then the remainder as one
+    /// masked vector (whose spare lanes compute on `+0.0` and are never
+    /// stored). An empty remainder is skipped: a masked store, even of no
+    /// lanes, stalls the next row's loads that overlap its 64 bytes, and
+    /// the row kernels run row after row.
+    #[inline]
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn gelu_slice(v: &mut [f32]) {
-        let n = v.len();
-        let p = v.as_mut_ptr();
-        let mut i = 0;
-        while i + 16 <= n {
-            let x = _mm512_loadu_ps(p.add(i));
+    fn map_inplace(v: &mut [f32], f: impl Fn(V) -> V) {
+        let mut chunks = v.chunks_exact_mut(LANES);
+        for ch in &mut chunks {
+            storeu(ch, f(loadu(ch)));
+        }
+        let rem = chunks.into_remainder();
+        if !rem.is_empty() {
+            store_tail(rem, f(load_tail(rem)));
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gelu_slice(v: &mut [f32]) {
+        map_inplace(v, |x| {
             let x3 = _mm512_mul_ps(
                 _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(GELU_A), x), x),
                 x,
             );
             let inner = _mm512_mul_ps(_mm512_set1_ps(GELU_C), _mm512_add_ps(x, x3));
             let t = tanh_v(inner);
-            let y = _mm512_mul_ps(
+            _mm512_mul_ps(
                 _mm512_mul_ps(_mm512_set1_ps(0.5), x),
                 _mm512_add_ps(_mm512_set1_ps(1.0), t),
-            );
-            _mm512_storeu_ps(p.add(i), y);
-            i += 16;
-        }
-        for x in &mut v[i..] {
-            *x = gelu_scalar(*x);
-        }
+            )
+        });
     }
 
     /// In-register halving tree, lane-for-lane the same adds as the
@@ -1122,7 +1125,7 @@ mod avx512 {
     /// tree's.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn tree_combine_v(acc: __m512) -> f32 {
+    fn tree_combine_v(acc: V) -> f32 {
         // 0xEE selects 128-bit chunks [2,3,2,3]: lane i gets lane i+8.
         let acc = _mm512_add_ps(acc, _mm512_shuffle_f32x4::<0xEE>(acc, acc));
         // 0x55 selects chunks [1,1,1,1]: lane i gets lane i+4.
@@ -1133,17 +1136,20 @@ mod avx512 {
         _mm512_cvtss_f32(acc)
     }
 
+    /// Vector [`strided_sum`]: a partial trailing chunk is one masked
+    /// load, its missing lanes adding `+0.0`. (This and the other
+    /// reductions skip an empty one, which would only lengthen the
+    /// add chain.)
     #[target_feature(enable = "avx512f")]
-    unsafe fn strided_sum_v(v: &[f32]) -> f32 {
-        let mut acc = _mm512_setzero_ps();
-        let mut chunks = v.chunks_exact(16);
+    fn strided_sum_v(v: &[f32]) -> f32 {
+        let mut acc = zero();
+        let mut chunks = v.chunks_exact(LANES);
         for ch in &mut chunks {
-            acc = _mm512_add_ps(acc, _mm512_loadu_ps(ch.as_ptr()));
+            acc = add(acc, loadu(ch));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
-            let mask: u16 = (1u16 << rem.len()) - 1;
-            acc = _mm512_add_ps(acc, _mm512_maskz_loadu_ps(mask, rem.as_ptr()));
+            acc = add(acc, load_tail(rem));
         }
         tree_combine_v(acc)
     }
@@ -1152,7 +1158,7 @@ mod avx512 {
     /// shuffles as [`tree_combine_v`] with `_mm512_max_ps` for the add.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    fn tree_max_v(acc: __m512) -> f32 {
+    fn tree_max_v(acc: V) -> f32 {
         let acc = _mm512_max_ps(acc, _mm512_shuffle_f32x4::<0xEE>(acc, acc));
         let acc = _mm512_max_ps(acc, _mm512_shuffle_f32x4::<0x55>(acc, acc));
         let acc = _mm512_max_ps(acc, _mm512_shuffle_ps::<0x0E>(acc, acc));
@@ -1165,92 +1171,62 @@ mod avx512 {
     /// and the halving tree map to it directly. The partial trailing
     /// chunk uses a masked max so untouched lanes keep their bucket.
     #[target_feature(enable = "avx512f")]
-    unsafe fn strided_max_v(v: &[f32]) -> f32 {
-        let mut acc = _mm512_set1_ps(f32::NEG_INFINITY);
-        let mut chunks = v.chunks_exact(16);
+    fn strided_max_v(v: &[f32]) -> f32 {
+        let mut acc = splat(f32::NEG_INFINITY);
+        let mut chunks = v.chunks_exact(LANES);
         for ch in &mut chunks {
-            acc = _mm512_max_ps(acc, _mm512_loadu_ps(ch.as_ptr()));
+            acc = _mm512_max_ps(acc, loadu(ch));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
-            let mask: u16 = (1u16 << rem.len()) - 1;
-            let x = _mm512_maskz_loadu_ps(mask, rem.as_ptr());
-            acc = _mm512_mask_max_ps(acc, mask, acc, x);
+            acc = _mm512_mask_max_ps(acc, tail_mask(rem.len()), acc, load_tail(rem));
         }
         tree_max_v(acc)
     }
 
     #[target_feature(enable = "avx512f")]
-    unsafe fn strided_sum_sq_dev_v(v: &[f32], mean: f32) -> f32 {
-        let vm = _mm512_set1_ps(mean);
-        let mut acc = _mm512_setzero_ps();
-        let mut chunks = v.chunks_exact(16);
+    fn strided_sum_sq_dev_v(v: &[f32], mean: f32) -> f32 {
+        let vm = splat(mean);
+        let mut acc = zero();
+        let mut chunks = v.chunks_exact(LANES);
         for ch in &mut chunks {
-            let d = _mm512_sub_ps(_mm512_loadu_ps(ch.as_ptr()), vm);
-            acc = _mm512_add_ps(acc, _mm512_mul_ps(d, d));
+            let d = _mm512_sub_ps(loadu(ch), vm);
+            acc = add(acc, mul(d, d));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
-            let mask: u16 = (1u16 << rem.len()) - 1;
-            let d = _mm512_sub_ps(_mm512_maskz_loadu_ps(mask, rem.as_ptr()), vm);
-            let sq = _mm512_maskz_mov_ps(mask, _mm512_mul_ps(d, d));
-            acc = _mm512_add_ps(acc, sq);
+            let d = _mm512_sub_ps(load_tail(rem), vm);
+            acc = add(acc, _mm512_maskz_mov_ps(tail_mask(rem.len()), mul(d, d)));
         }
         tree_combine_v(acc)
     }
 
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn softmax_row(row: &mut [f32]) {
-        let max = strided_max_v(row);
-        let n = row.len();
-        let p = row.as_mut_ptr();
-        let vmax = _mm512_set1_ps(max);
-        let mut i = 0;
-        while i + 16 <= n {
-            let x = _mm512_sub_ps(_mm512_loadu_ps(p.add(i)), vmax);
-            _mm512_storeu_ps(p.add(i), exp_v(x));
-            i += 16;
-        }
-        for x in &mut row[i..] {
-            *x = fast_exp(*x - max);
-        }
-        let inv = 1.0 / strided_sum_v(row);
-        let p = row.as_mut_ptr();
-        let vs = _mm512_set1_ps(inv);
-        let mut i = 0;
-        while i + 16 <= n {
-            _mm512_storeu_ps(p.add(i), _mm512_mul_ps(_mm512_loadu_ps(p.add(i)), vs));
-            i += 16;
-        }
-        for x in &mut row[i..] {
-            *x *= inv;
-        }
+    pub(super) fn softmax_row(row: &mut [f32]) {
+        let vmax = splat(strided_max_v(row));
+        map_inplace(row, |x| exp_v(_mm512_sub_ps(x, vmax)));
+        let vs = splat(1.0 / strided_sum_v(row));
+        map_inplace(row, |x| mul(x, vs));
     }
 
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn layer_norm_row(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
+    pub(super) fn layer_norm_row(row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
         let n = row.len() as f32;
         let mean = strided_sum_v(row) / n;
         let var = strided_sum_sq_dev_v(row, mean) / n;
         let inv_std = 1.0 / (var + eps).sqrt();
-        let len = row.len();
-        let p = row.as_mut_ptr();
-        let gp = gamma.as_ptr();
-        let bp = beta.as_ptr();
-        let vmean = _mm512_set1_ps(mean);
-        let vinv = _mm512_set1_ps(inv_std);
-        let mut i = 0;
-        while i + 16 <= len {
-            let x = _mm512_sub_ps(_mm512_loadu_ps(p.add(i)), vmean);
-            let y = _mm512_add_ps(
-                _mm512_mul_ps(_mm512_mul_ps(x, vinv), _mm512_loadu_ps(gp.add(i))),
-                _mm512_loadu_ps(bp.add(i)),
-            );
-            _mm512_storeu_ps(p.add(i), y);
-            i += 16;
+        let (vmean, vinv) = (splat(mean), splat(inv_std));
+        let norm = |x, g, b| add(mul(mul(_mm512_sub_ps(x, vmean), vinv), g), b);
+        let (gamma, beta) = (&gamma[..row.len()], &beta[..row.len()]);
+        let mut xs = row.chunks_exact_mut(LANES);
+        let (mut gs, mut bs) = (gamma.chunks_exact(LANES), beta.chunks_exact(LANES));
+        for ((x, g), b) in (&mut xs).zip(&mut gs).zip(&mut bs) {
+            storeu(x, norm(loadu(x), loadu(g), loadu(b)));
         }
-        for (c, x) in row.iter_mut().enumerate().skip(i) {
-            *x = (*x - mean) * inv_std * gamma[c] + beta[c];
+        let x = xs.into_remainder();
+        if !x.is_empty() {
+            let (g, b) = (load_tail(gs.remainder()), load_tail(bs.remainder()));
+            store_tail(x, norm(load_tail(x), g, b));
         }
     }
 }
@@ -1263,11 +1239,9 @@ mod avx2 {
     use std::arch::x86_64::*;
 
     type V = __m256;
-    /// Lanes of a column block's last vector that exist (sign bit set).
-    type Tail = __m256i;
     /// All bits set where a broadcast `a` value is non-zero.
     type Keep = __m256;
-    const LANES: usize = 8;
+    pub(super) const LANES: usize = 8;
 
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -1277,20 +1251,8 @@ mod avx2 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn splat(x: f32) -> V {
+    pub(super) fn splat(x: f32) -> V {
         _mm256_set1_ps(x)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn loadu(p: *const f32) -> V {
-        _mm256_loadu_ps(p)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn storeu(p: *mut f32, v: V) {
-        _mm256_storeu_ps(p, v)
     }
 
     #[inline]
@@ -1305,24 +1267,51 @@ mod avx2 {
         _mm256_mul_ps(a, b)
     }
 
-    /// The first `n` lanes, `1 <= n <= LANES`.
+    /// The first `n` lanes (sign bit set); panics past `LANES`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn tail_mask(n: usize) -> Tail {
+    fn tail_mask(n: usize) -> __m256i {
+        assert!(n <= LANES, "{n} values do not fit one vector");
         let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lane)
     }
 
+    /// `s` in the first `s.len()` lanes, `+0.0` in the rest; panics when
+    /// `s` is longer than a vector.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn load_tail(p: *const f32, tail: Tail) -> V {
-        _mm256_maskload_ps(p, tail)
+    pub(super) fn load_tail(s: &[f32]) -> V {
+        let lanes = tail_mask(s.len());
+        // SAFETY: the masked load reads only the lanes set in `lanes`,
+        // which are the `s.len()` values `s` holds.
+        unsafe { _mm256_maskload_ps(s.as_ptr(), lanes) }
     }
 
+    /// Writes the first `s.len()` lanes of `v` to `s`; panics when `s`
+    /// is longer than a vector.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn store_tail(p: *mut f32, tail: Tail, v: V) {
-        _mm256_maskstore_ps(p, tail, v)
+    pub(super) fn store_tail(s: &mut [f32], v: V) {
+        let lanes = tail_mask(s.len());
+        // SAFETY: the masked store writes only the lanes set in `lanes`,
+        // which are the `s.len()` values `s` holds.
+        unsafe { _mm256_maskstore_ps(s.as_mut_ptr(), lanes, v) }
+    }
+
+    /// The first `LANES` values of `s`; panics when `s` is shorter. (The
+    /// constant full mask compiles to a plain load.)
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) fn loadu(s: &[f32]) -> V {
+        load_tail(&s[..LANES])
+    }
+
+    /// Writes `v` to the first `LANES` values of `s`; panics when `s` is
+    /// shorter.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) fn storeu(s: &mut [f32], v: V) {
+        store_tail(&mut s[..LANES], v)
     }
 
     /// `!(a == 0.0)` per lane: unordered-or-not-equal, so NaN is kept.
@@ -1775,6 +1764,114 @@ mod tests {
                     attention_block(isa, &qkv, shape, 0.5, &mut scratch, &mut concat, None);
                 });
                 assert!(message.contains(expected), "{isa:?}: {message:?}");
+            }
+        }
+    }
+
+    /// One ISA module's loads and stores, run with its CPU feature on: a
+    /// whole-vector access reaches the first `LANES` values of a longer
+    /// slice and nothing past them, a masked one exactly the values its
+    /// slice holds (its spare lanes read `+0.0`, not the memory behind
+    /// the slice), and each panics on a slice it cannot fit.
+    #[cfg(target_arch = "x86_64")]
+    macro_rules! check_slice_helpers {
+        ($isa:ident) => {{
+            use $isa::{load_tail, loadu, splat, store_tail, storeu, LANES};
+            const GUARD: f32 = -7.0;
+            let src: Vec<f32> = (1..=LANES + 2).map(|i| i as f32).collect();
+            let mut out = vec![GUARD; LANES + 2];
+            storeu(&mut out[1..], loadu(&src[1..]));
+            assert_eq!(out[1..=LANES], src[1..=LANES]);
+            assert_eq!([out[0], out[LANES + 1]], [GUARD; 2]);
+            for n in 0..=LANES {
+                let mut out = vec![GUARD; LANES + 2];
+                storeu(&mut out[1..], load_tail(&src[1..=n]));
+                let mut want = vec![0.0; LANES + 2];
+                want[1..=n].copy_from_slice(&src[1..=n]);
+                (want[0], want[LANES + 1]) = (GUARD, GUARD);
+                assert_eq!(out, want, "load_tail of {n}");
+                let mut out = vec![GUARD; LANES + 2];
+                store_tail(&mut out[1..=n], splat(0.5));
+                let written = out.iter().filter(|&&x| x == 0.5).count();
+                assert!(out[1..=n].iter().all(|&x| x == 0.5), "store_tail of {n}");
+                assert_eq!(written, n, "store_tail of {n} wrote past its slice");
+            }
+            let mut buf = vec![0.0; LANES + 1];
+            let message = panic_message(|| {
+                let _ = loadu(&src[..LANES - 1]);
+            });
+            assert!(message.contains("range end"), "{message:?}");
+            let message = panic_message(std::panic::AssertUnwindSafe(|| {
+                storeu(&mut buf[..LANES - 1], splat(1.0))
+            }));
+            assert!(message.contains("range end"), "{message:?}");
+            let message = panic_message(|| {
+                let _ = load_tail(&src[..LANES + 1]);
+            });
+            assert!(message.contains("do not fit one vector"), "{message:?}");
+            let message = panic_message(std::panic::AssertUnwindSafe(|| {
+                store_tail(&mut buf, splat(1.0))
+            }));
+            assert!(message.contains("do not fit one vector"), "{message:?}");
+            assert_eq!(buf, vec![0.0; LANES + 1], "a refused store wrote");
+        }};
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn avx2_helpers_stay_inside_their_slices() {
+        check_slice_helpers!(avx2);
+    }
+
+    /// The AVX-512 set, plus the K-column gather: it reads `band[l *
+    /// stride]` for its first `rows` lanes only, and panics on a band
+    /// whose last row runs past the slice or a stride past `i32`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn avx512_helpers_stay_inside_their_slices() {
+        use avx512::{gather, storeu, LANES};
+        check_slice_helpers!(avx512);
+        let stride = 5;
+        let qkv: Vec<f32> = (1..=LANES * stride).map(|i| i as f32).collect();
+        for rows in 0..=LANES {
+            for c in [0, stride - 1] {
+                // Exactly the band `rows` rows need, from column `c`.
+                let band = &qkv[c..c + rows.saturating_sub(1) * stride + 1];
+                let mut out = [f32::NAN; LANES];
+                storeu(&mut out, gather(band, stride, rows));
+                for (l, &x) in out.iter().enumerate() {
+                    let want = if l < rows { band[l * stride] } else { 0.0 };
+                    assert_eq!(x, want, "rows {rows} column {c} lane {l}");
+                }
+                if rows > 0 {
+                    let short = &band[..band.len() - 1];
+                    let message = panic_message(|| {
+                        let _ = gather(short, stride, rows);
+                    });
+                    assert!(message.contains("do not fit a band"), "{message:?}");
+                }
+            }
+        }
+        let message = panic_message(|| {
+            let _ = gather(&qkv, i32::MAX as usize, 2);
+        });
+        assert!(message.contains("do not fit a band"), "{message:?}");
+        let message = panic_message(|| {
+            let _ = gather(&qkv, 1, LANES + 1);
+        });
+        assert!(message.contains("do not fit one vector"), "{message:?}");
+    }
+
+    #[test]
+    fn load_store_helpers_stay_inside_their_slices() {
+        #[cfg(target_arch = "x86_64")]
+        for isa in Isa::supported() {
+            match isa {
+                Isa::Scalar => {}
+                // SAFETY: `Isa::supported` lists only what the CPU runs.
+                Isa::Avx2 => unsafe { avx2_helpers_stay_inside_their_slices() },
+                // SAFETY: `Isa::supported` lists only what the CPU runs.
+                Isa::Avx512 => unsafe { avx512_helpers_stay_inside_their_slices() },
             }
         }
     }

@@ -14,6 +14,10 @@
 //! → cosine similarity search — runs in pure Rust.
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::multiple_unsafe_ops_per_block
+)]
 
 pub mod kernels;
 pub mod loss;

@@ -46,6 +46,7 @@
 //!   returning.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod engine;

@@ -9,6 +9,7 @@
 //! negatives ([`pairs`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod agent;
 pub mod camera;

@@ -30,6 +30,10 @@
 //! this crate only persists and retrieves what ingest produces.
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::multiple_unsafe_ops_per_block
+)]
 
 pub mod ann;
 pub mod format;

@@ -66,6 +66,8 @@ enum State {
 // of immutable pages are safe to share and send across threads.
 #[cfg(unix)]
 unsafe impl Send for Mmap {}
+// SAFETY: as for `Send`: nothing writes through the pointer, so shared
+// `&[u8]` views from several threads never race.
 #[cfg(unix)]
 unsafe impl Sync for Mmap {}
 

@@ -39,6 +39,9 @@ mod imp {
             tv_sec: 0,
             tv_nsec: 0,
         };
+        // SAFETY: `ts` is a live, writable `#[repr(C)]` struct at least as
+        // large as the C `struct timespec` on every Linux target, and the
+        // call writes nothing but that struct.
         let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
         if rc == 0 {
             Some((ts.tv_sec as u64).saturating_mul(1_000_000_000) + ts.tv_nsec as u64)

@@ -36,6 +36,10 @@
 //! <what>`; the canonical names live in [`names`].
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::multiple_unsafe_ops_per_block
+)]
 
 mod alloc;
 mod cpu;

@@ -12,6 +12,7 @@
 //! Matcher must be robust to.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bytetrack;
 pub mod detection;

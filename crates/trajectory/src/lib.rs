@@ -10,6 +10,7 @@
 //! sliding windows — speaks the types defined here.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bbox;
 pub mod clip;
