@@ -5,8 +5,8 @@
 //! embedding of its *segment* — the bound tracks sliced to the window's
 //! frame range. Which candidates a window has, in which order, and what
 //! each embeds to depend only on the index, the model and the window's
-//! `WindowKey` — the query's classes in slot order, `(start, end,
-//! min_overlap)` and `max_combos_per_window` — never on the sketch. So
+//! `WindowKey` — the query's classes in slot order and `(start, end,
+//! min_overlap)` — never on the sketch. So
 //! the index remembers whole windows: a [`SegmentMemo`] lives in every
 //! [`VideoIndex`](crate::VideoIndex) beside its fingerprint, under the
 //! same contract — derived, filled lazily by the scans that run, never
@@ -64,7 +64,7 @@ use crate::similarity::Similarity;
 /// one fixture there is to size it from — perfbench's `scan` workload: a
 /// single-object sketch over a 1 800-frame, ~30-track video holds 1 652
 /// candidates in 118 windows (48-float rows: 192 B + an 8 B track id per
-/// candidate, 65 B per window entry; 0.34 MB), a two-object one 12 020
+/// candidate, 57 B per window entry; 0.34 MB), a two-object one 12 020
 /// in 192 windows (2.5 MB); the workload's whole warm state — three
 /// single-object and one two-object grid per index — is 2.4-3.4 MB per
 /// index. 16 MiB therefore holds some forty-nine single-object or six
@@ -114,10 +114,10 @@ impl SegmentKey {
 }
 
 /// Everything that decides which candidates a window holds and in which
-/// order: the query's classes in slot order (at most [`MAX_OBJECTS`]),
-/// the window's `(start, end, min_overlap)`, and the matcher's cap on
-/// combinations. Fixed-size, like [`SegmentKey`]; unused class slots are
-/// `Any`.
+/// order: the query's classes in slot order (at most [`MAX_OBJECTS`])
+/// and the window's `(start, end, min_overlap)`. (The cap on
+/// combinations is one constant, so it is no part of the key.)
+/// Fixed-size, like [`SegmentKey`]; unused class slots are `Any`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct WindowKey {
     classes: [ObjectClass; MAX_OBJECTS],
@@ -125,17 +125,12 @@ pub(crate) struct WindowKey {
     start: u32,
     end: u32,
     min_overlap: u32,
-    max_combos: u64,
 }
 
 impl WindowKey {
     /// The key of window `(start, end, min_overlap)` for a query of
-    /// `classes` under a cap of `max_combos` combinations.
-    pub(crate) fn new(
-        classes: &[ObjectClass],
-        (start, end, min_overlap): (u32, u32, u32),
-        max_combos: usize,
-    ) -> Self {
+    /// `classes`.
+    pub(crate) fn new(classes: &[ObjectClass], (start, end, min_overlap): (u32, u32, u32)) -> Self {
         let mut slots = [ObjectClass::Any; MAX_OBJECTS];
         slots[..classes.len()].copy_from_slice(classes);
         WindowKey {
@@ -144,7 +139,6 @@ impl WindowKey {
             start,
             end,
             min_overlap,
-            max_combos: max_combos as u64,
         }
     }
 
@@ -645,11 +639,7 @@ mod tests {
 
     /// Window `(start, end, 4)` of a query of `arity` cars.
     fn window(arity: usize, start: u32, end: u32) -> WindowKey {
-        WindowKey::new(
-            &[ObjectClass::Car; MAX_OBJECTS][..arity],
-            (start, end, 4),
-            64,
-        )
+        WindowKey::new(&[ObjectClass::Car; MAX_OBJECTS][..arity], (start, end, 4))
     }
 
     /// A scan that enumerates each of `windows` — its key and the
@@ -685,7 +675,7 @@ mod tests {
         let mut builds = 0usize;
         let k = key(&[1, 2], 0, 10);
         for floor in [4, 5] {
-            let w = WindowKey::new(&[ObjectClass::Car; 2], (0, 10, floor), 64);
+            let w = WindowKey::new(&[ObjectClass::Car; 2], (0, 10, floor));
             assert!(slots.lookup(&memo.reader(7), &w).is_none());
             slots.open(w);
             slots.resolve(k, || {
@@ -803,10 +793,8 @@ mod tests {
         };
         assert_eq!((got.ids, got.rows), (&[1, 2][..], &[7.0f32, 8.0, 9.0][..]));
         assert_eq!((slots.hits(), slots.misses()), (5, 0));
-        // Another model, or another key, sees none of it.
+        // Another model sees none of it.
         assert!(slots.lookup(&memo.reader(8), &single).is_none());
-        let wider = WindowKey::new(&[ObjectClass::Car], (0, 9, 4), 65);
-        assert!(slots.lookup(&reader, &wider).is_none());
     }
 
     #[test]

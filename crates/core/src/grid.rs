@@ -1,12 +1,44 @@
 //! The sliding-window grid: the one place that decides which windows
 //! exist. The scan, the store writer, the planner's serve check and the
-//! rule baseline all go through these three functions, so the windows
-//! ingest persists are the windows a query asks for by construction.
+//! rule baseline all go through these constants and functions, so the
+//! windows ingest persists are the windows a query asks for by
+//! construction.
 
-/// The window length a query of `span` frames derives at `scale`,
-/// clamped up to `min_window`.
-pub(crate) fn window_len(span: u32, scale: f32, min_window: u32) -> u32 {
-    ((span as f32 * scale) as u32).max(min_window)
+use sketchql_store::Manifest;
+use std::collections::HashSet;
+
+/// Window lengths, as multiples of the query's duration.
+const WINDOW_SCALES: [f32; 3] = [0.75, 1.0, 1.5];
+
+/// Window stride, as a fraction of the window length.
+pub(crate) const STRIDE_FRAC: f32 = 0.25;
+
+/// A track must cover at least this fraction of a window to be one of
+/// its candidates.
+pub(crate) const MIN_OVERLAP_FRAC: f32 = 0.5;
+
+/// The smallest window (frames): a shorter derived length is clamped up
+/// to it, and a query shorter than it matches nothing.
+pub const MIN_WINDOW: u32 = 16;
+
+/// The window lengths a query of `span` frames derives, one per scale in
+/// scale order, each clamped up to [`MIN_WINDOW`] (so two can coincide).
+pub(crate) fn window_lens(span: u32) -> [u32; 3] {
+    WINDOW_SCALES.map(|scale| ((span as f32 * scale) as u32).max(MIN_WINDOW))
+}
+
+/// Every `(start, end, min_overlap)` window a query of `span` frames
+/// scans over a video of `frames` frames: each length's grid in scale
+/// order, a length longer than the video skipped, a window two lengths
+/// share (clamped lengths, clamped tails) kept at its first occurrence.
+pub(crate) fn query_windows(span: u32, frames: u32) -> Vec<(u32, u32, u32)> {
+    let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
+    window_lens(span)
+        .into_iter()
+        .filter(|&len| len <= frames)
+        .flat_map(|len| windows(len, frames, None))
+        .filter(|&w| seen.insert(w))
+        .collect()
 }
 
 /// The `(start, end, min_overlap)` windows of one length over a video of
@@ -23,12 +55,10 @@ pub(crate) fn window_len(span: u32, scale: f32, min_window: u32) -> u32 {
 pub(crate) fn windows(
     len: u32,
     frames: u32,
-    stride_frac: f32,
-    min_overlap_frac: f32,
     starts: Option<(u32, u32)>,
 ) -> impl Iterator<Item = (u32, u32, u32)> {
-    let stride = ((len as f32 * stride_frac) as u32).max(1);
-    let min_overlap = ((len as f32 * min_overlap_frac) as u32).max(1);
+    let stride = ((len as f32 * STRIDE_FRAC) as u32).max(1);
+    let min_overlap = ((len as f32 * MIN_OVERLAP_FRAC) as u32).max(1);
     let last_frame = frames.saturating_sub(1);
     let last_start = frames.saturating_sub(len).div_ceil(stride) * stride;
     let (lo, hi) = starts.unwrap_or((0, u32::MAX));
@@ -47,6 +77,14 @@ pub(crate) fn windows(
     })
 }
 
+/// Whether a manifest records this grid's stride and overlap floor (by
+/// bit pattern, as ingest writes them). Every set this crate ingests
+/// does; a set from outside may not.
+pub(crate) fn is_recorded_in(manifest: &Manifest) -> bool {
+    manifest.stride_frac_bits == STRIDE_FRAC.to_bits()
+        && manifest.min_overlap_frac_bits == MIN_OVERLAP_FRAC.to_bits()
+}
+
 /// The first start frame whose window can change when a video of
 /// `old_frames` frames grows: a window of at most `max_len` frames
 /// starting earlier ended inside the old video, unclamped, and is
@@ -60,7 +98,7 @@ mod tests {
     use super::*;
 
     fn all(len: u32, frames: u32, starts: Option<(u32, u32)>) -> Vec<(u32, u32, u32)> {
-        windows(len, frames, 0.25, 0.5, starts).collect()
+        windows(len, frames, starts).collect()
     }
 
     #[test]

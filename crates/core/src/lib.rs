@@ -61,11 +61,11 @@ pub mod vstore;
 
 pub use cancel::{CancelReason, CancelToken};
 pub use embed_cache::{embed_clips_parallel, try_embed_clips_parallel, MemoStats};
+pub use grid::MIN_WINDOW;
 pub use index::VideoIndex;
 pub use matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment};
 pub use rules::{
     evaluate_rule, expert_rule, motion_stats, MotionStats, Predicate, Relation, RuleQuery,
-    RuleSearchConfig,
 };
 pub use session::{
     DatasetSummary, LoadError, MomentView, PreprocessConfig, SessionError, SketchQL,

@@ -33,7 +33,6 @@ use serde::{Deserialize, Serialize};
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::features::MAX_OBJECTS;
 use sketchql_trajectory::{Clip, TrackId, Trajectory};
-use std::collections::HashSet;
 use std::fmt;
 
 use crate::cancel::{CancelReason, CancelToken};
@@ -45,46 +44,31 @@ use crate::index::VideoIndex;
 use crate::similarity::{PreparedQuery, Similarity, SimilarityError};
 use crate::vstore::{hash_index, index_fingerprint};
 
-/// Matcher search parameters.
+/// Temporal-IoU threshold for non-maximum suppression: a moment this
+/// close to a better-ranked one over the same tracks is dropped.
+const NMS_TIOU: f32 = 0.45;
+
+/// Cap on object combinations scored per window (guards the
+/// multi-object cartesian product). The scan, the rule baseline and the
+/// window memo's keys all assume this one value.
+const MAX_COMBOS_PER_WINDOW: usize = 64;
+
+/// Matcher search parameters. Which windows a query scans is the
+/// crate's window grid, not a setting.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MatcherConfig {
-    /// Window lengths to try, as multiples of the query's duration.
-    pub window_scales: Vec<f32>,
-    /// Window stride as a fraction of the window length.
-    pub stride_frac: f32,
     /// Number of moments to return.
     pub top_k: usize,
-    /// Temporal-IoU threshold for non-maximum suppression.
-    pub nms_tiou: f32,
-    /// Smallest window considered (frames).
-    pub min_window: u32,
-    /// A track must cover at least this fraction of a window to be a
-    /// candidate participant.
-    pub min_overlap_frac: f32,
-    /// Cap on object combinations scored per window (guards the
-    /// multi-object cartesian product).
-    pub max_combos_per_window: usize,
     /// Worker threads for window scoring (1 = sequential). Windows are
     /// independent, so search parallelizes embarrassingly well.
     pub threads: usize,
-    /// Trim each returned moment to the active-motion extent of its bound
-    /// tracks (drops parked lead-in/lead-out frames a sliding window
-    /// inevitably includes).
-    pub refine_boundaries: bool,
 }
 
 impl Default for MatcherConfig {
     fn default() -> Self {
         MatcherConfig {
-            window_scales: vec![0.75, 1.0, 1.5],
-            stride_frac: 0.25,
             top_k: 10,
-            nms_tiou: 0.45,
-            min_window: 16,
-            min_overlap_frac: 0.5,
-            max_combos_per_window: 64,
             threads: 1,
-            refine_boundaries: true,
         }
     }
 }
@@ -175,10 +159,10 @@ impl<S: Similarity> Matcher<S> {
     ///
     /// Degenerate inputs return an empty result set rather than panic: an
     /// empty index, an empty query, a query shorter than
-    /// [`MatcherConfig::min_window`], or window scales that all exceed the
-    /// video's length. A query the similarity itself cannot score (e.g.
-    /// more objects than the learned encoder supports) is an error — every
-    /// candidate would silently score 0.0 otherwise.
+    /// [`MIN_WINDOW`](crate::MIN_WINDOW), or window lengths that all
+    /// exceed the video's length. A query the similarity itself cannot
+    /// score (e.g. more objects than the learned encoder supports) is an
+    /// error — every candidate would silently score 0.0 otherwise.
     pub fn search(
         &self,
         index: &VideoIndex,
@@ -224,14 +208,10 @@ impl<S: Similarity> Matcher<S> {
     }
 
     /// Whether `query` can match nothing in `index` by construction:
-    /// empty, shorter than [`MatcherConfig::min_window`], or searched
-    /// over an empty index.
+    /// empty, shorter than [`MIN_WINDOW`](crate::MIN_WINDOW), or
+    /// searched over an empty index.
     pub(crate) fn is_degenerate(&self, index: &VideoIndex, query: &Clip) -> bool {
-        let q_span = query.span();
-        q_span == 0
-            || q_span < self.config.min_window
-            || query.num_objects() == 0
-            || index.frames == 0
+        query.span() < grid::MIN_WINDOW || query.num_objects() == 0 || index.frames == 0
     }
 
     /// The scan — the only one there is — of one query, under `cancel`:
@@ -262,7 +242,7 @@ impl<S: Similarity> Matcher<S> {
             self.sim.prepare(query)?
         };
         let classes = query.classes();
-        let mut windows = self.enumerate_windows(query.span(), index.frames);
+        let mut windows = grid::query_windows(query.span(), index.frames);
         if let Some(min_end) = min_end {
             windows.retain(|&(_, end, _)| end >= min_end);
         }
@@ -339,18 +319,17 @@ impl<S: Similarity> Matcher<S> {
         self.score_pending(prepared, resolved, &batch, &mut scores, cancel)
     }
 
-    /// Final ranking: [`nms_top_k`], then optional boundary refinement.
+    /// Final ranking: [`nms_top_k`], then boundary refinement of each
+    /// moment kept.
     pub(crate) fn rank(
         &self,
         index: &VideoIndex,
         scored: Vec<RetrievedMoment>,
     ) -> Vec<RetrievedMoment> {
         let _rank_span = telemetry::span(names::MATCHER_RANK);
-        let mut kept = nms_top_k(scored, self.config.top_k, self.config.nms_tiou);
-        if self.config.refine_boundaries {
-            for m in &mut kept {
-                refine_boundaries(index, m);
-            }
+        let mut kept = nms_top_k(scored, self.config.top_k);
+        for m in &mut kept {
+            refine_boundaries(index, m);
         }
         kept
     }
@@ -381,26 +360,6 @@ impl<S: Similarity> Matcher<S> {
         Ok(out)
     }
 
-    /// Enumerates every `(start, end, min_overlap)` window across the
-    /// configured scales, first occurrence order, duplicates dropped.
-    /// Scales whose window would not fit in the video are skipped. (Two
-    /// scales can clamp to one length, e.g. under
-    /// [`MatcherConfig::min_window`]; their windows are scored once.)
-    pub(crate) fn enumerate_windows(&self, q_span: u32, frames: u32) -> Vec<(u32, u32, u32)> {
-        let c = &self.config;
-        let mut windows: Vec<(u32, u32, u32)> = Vec::new();
-        let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
-        for &scale in &c.window_scales {
-            let len = grid::window_len(q_span, scale, c.min_window);
-            if len > frames {
-                continue;
-            }
-            let of_len = grid::windows(len, frames, c.stride_frac, c.min_overlap_frac, None);
-            windows.extend(of_len.filter(|&w| seen.insert(w)));
-        }
-        windows
-    }
-
     /// Scores all candidate object combinations in one window; returns the
     /// best moment, if any candidate exists.
     fn best_in_window(
@@ -423,30 +382,26 @@ impl<S: Similarity> Matcher<S> {
 
         let mut best: Option<RetrievedMoment> = None;
         let mut evals = 0u64;
-        for_each_distinct_combo(
-            &per_slot,
-            self.config.max_combos_per_window,
-            |combo, ids| {
-                let candidate = window_clip(index, combo, &per_slot, start, end);
-                if candidate.is_empty() {
-                    return;
-                }
-                evals += 1;
-                // A non-finite score (a degenerate candidate under a
-                // classical distance) is treated as "no match" so NaN
-                // never reaches the ranking stage.
-                let score = self.sim.score(prepared, &candidate);
-                let score = if score.is_finite() { score } else { 0.0 };
-                if best.as_ref().is_none_or(|b| score > b.score) {
-                    best = Some(RetrievedMoment {
-                        start,
-                        end,
-                        score,
-                        track_ids: ids.to_vec(),
-                    });
-                }
-            },
-        );
+        for_each_distinct_combo(&per_slot, |combo, ids| {
+            let candidate = window_clip(index, combo, &per_slot, start, end);
+            if candidate.is_empty() {
+                return;
+            }
+            evals += 1;
+            // A non-finite score (a degenerate candidate under a
+            // classical distance) is treated as "no match" so NaN never
+            // reaches the ranking stage.
+            let score = self.sim.score(prepared, &candidate);
+            let score = if score.is_finite() { score } else { 0.0 };
+            if best.as_ref().is_none_or(|b| score > b.score) {
+                best = Some(RetrievedMoment {
+                    start,
+                    end,
+                    score,
+                    track_ids: ids.to_vec(),
+                });
+            }
+        });
         telemetry::counter(names::SIMILARITY_EVALS).add(evals);
         best
     }
@@ -470,12 +425,11 @@ impl<S: Similarity> Matcher<S> {
         scores: &mut Vec<f32>,
         cancel: &CancelToken,
     ) -> Result<Vec<Scored>, MatchError> {
-        let max_combos = self.config.max_combos_per_window;
         let mut out = Vec::with_capacity(windows.len());
         let mut evals = 0;
         for &(start, end, min_overlap) in windows {
             cancel.check().map_err(MatchError::from)?;
-            let key = WindowKey::new(classes, (start, end, min_overlap), max_combos);
+            let key = WindowKey::new(classes, (start, end, min_overlap));
             let memo = index.memo.reader(model);
             if let Some(window) = slots.lookup(&memo, &key) {
                 evals += window.candidates();
@@ -492,7 +446,7 @@ impl<S: Similarity> Matcher<S> {
                 .map(|c| index.tracks_in_window(*c, start, end, min_overlap))
                 .collect();
             if !per_slot.iter().any(Vec::is_empty) {
-                for_each_distinct_combo(&per_slot, max_combos, |combo, ids| {
+                for_each_distinct_combo(&per_slot, |combo, ids| {
                     slots.resolve(SegmentKey::new(ids, start, end), || {
                         window_clip(index, combo, &per_slot, start, end)
                     });
@@ -581,12 +535,8 @@ enum Scored {
 /// Sorts by score (ties broken deterministically on start, then bound
 /// tracks, so parallel and sequential runs agree), drops a moment whose
 /// temporal IoU with a better-ranked moment over the same tracks reaches
-/// `nms_tiou`, and keeps the best `top_k`.
-pub(crate) fn nms_top_k(
-    mut scored: Vec<RetrievedMoment>,
-    top_k: usize,
-    nms_tiou: f32,
-) -> Vec<RetrievedMoment> {
+/// [`NMS_TIOU`], and keeps the best `top_k`.
+pub(crate) fn nms_top_k(mut scored: Vec<RetrievedMoment>, top_k: usize) -> Vec<RetrievedMoment> {
     scored.sort_by(|a, b| {
         b.score
             .partial_cmp(&a.score)
@@ -601,7 +551,7 @@ pub(crate) fn nms_top_k(
         }
         let overlaps = kept
             .iter()
-            .any(|k| k.temporal_iou(&m) >= nms_tiou && k.track_ids == m.track_ids);
+            .any(|k| k.temporal_iou(&m) >= NMS_TIOU && k.track_ids == m.track_ids);
         if !overlaps {
             kept.push(m);
         }
@@ -610,12 +560,11 @@ pub(crate) fn nms_top_k(
 }
 
 /// Visits every combination of one track per slot where all chosen tracks
-/// are distinct, in mixed-radix order, stopping after `max_combos` visits.
-/// The callback receives the per-slot indices and the chosen track ids in
-/// slot order.
+/// are distinct, in mixed-radix order, stopping after
+/// [`MAX_COMBOS_PER_WINDOW`] visits. The callback receives the per-slot
+/// indices and the chosen track ids in slot order.
 pub(crate) fn for_each_distinct_combo(
     per_slot: &[Vec<&Trajectory>],
-    max_combos: usize,
     mut visit: impl FnMut(&[usize], &[TrackId]),
 ) {
     let mut combo = vec![0usize; per_slot.len()];
@@ -629,7 +578,7 @@ pub(crate) fn for_each_distinct_combo(
         if distinct {
             tried += 1;
             visit(&combo, &ids);
-            if tried >= max_combos {
+            if tried >= MAX_COMBOS_PER_WINDOW {
                 break 'combos;
             }
         }
@@ -732,6 +681,7 @@ mod tests {
     use super::*;
     use crate::similarity::ClassicalSimilarity;
     use sketchql_trajectory::{BBox, DistanceKind, ObjectClass, TrajPoint};
+    use std::collections::HashSet;
 
     /// A synthetic index: one car doing a "left turn on screen" (right then
     /// up) during frames 100..190, plus a straight-moving car elsewhere.
@@ -855,25 +805,23 @@ mod tests {
 
     #[test]
     fn nms_suppresses_same_track_overlaps() {
-        let idx = test_index();
         // Refinement legitimately re-overlaps trimmed moments, so check the
-        // NMS invariant on raw windows.
-        let m = Matcher::with_config(
-            ClassicalSimilarity::new(DistanceKind::Dtw),
-            MatcherConfig {
-                refine_boundaries: false,
-                ..Default::default()
-            },
-        );
-        let results = m.search(&idx, &left_turn_query()).unwrap();
-        for i in 0..results.len() {
-            for j in i + 1..results.len() {
-                if results[i].track_ids == results[j].track_ids {
+        // NMS invariant on the raw scored windows of a direct scan.
+        let (m, idx, query) = (matcher(), test_index(), left_turn_query());
+        let prepared = m.sim.prepare(&query).unwrap();
+        let windows = grid::query_windows(query.span(), idx.frames);
+        let none = CancelToken::none();
+        let scored = m
+            .scan_direct(&idx, &query.classes(), &prepared, &windows, &none)
+            .unwrap();
+        let kept = nms_top_k(scored.clone(), usize::MAX);
+        assert!(kept.len() < scored.len(), "the fixture must overlap");
+        for (i, a) in kept.iter().enumerate() {
+            for b in &kept[i + 1..] {
+                if a.track_ids == b.track_ids {
                     assert!(
-                        results[i].temporal_iou(&results[j]) < m.config.nms_tiou,
-                        "overlapping moments on same track survived NMS: {:?} {:?}",
-                        results[i],
-                        results[j]
+                        a.temporal_iou(b) < NMS_TIOU,
+                        "overlapping moments on same track survived NMS: {a:?} {b:?}"
                     );
                 }
             }
@@ -913,7 +861,7 @@ mod tests {
             600.0,
             vec![Trajectory::from_points(0, ObjectClass::Car, pts)],
         );
-        assert!(q.span() < MatcherConfig::default().min_window);
+        assert!(q.span() < grid::MIN_WINDOW);
         assert!(matcher().search(&idx, &q).unwrap().is_empty());
     }
 
@@ -939,10 +887,10 @@ mod tests {
     #[test]
     fn clamped_scales_do_not_duplicate_windows() {
         // A 16-frame query: scales 0.75 and 1.0 both clamp to
-        // min_window = 16, so naive enumeration would emit every window
+        // MIN_WINDOW = 16, so naive enumeration would emit every window
         // of that length twice.
-        let m = matcher();
-        let windows = m.enumerate_windows(16, 100);
+        assert_eq!(grid::window_lens(16), [16, 16, 24]);
+        let windows = grid::query_windows(16, 100);
         let distinct: HashSet<_> = windows.iter().collect();
         assert_eq!(
             distinct.len(),
@@ -957,31 +905,6 @@ mod tests {
         // the last frame: starts 0, 4, ..., 84.
         let len16 = windows.iter().filter(|&&(s, e, _)| e - s == 15).count();
         assert_eq!(len16, (0..=84).step_by(4).count());
-    }
-
-    #[test]
-    fn duplicate_scales_match_single_scale_results() {
-        let idx = test_index();
-        let query = left_turn_query();
-        let single = Matcher::with_config(
-            ClassicalSimilarity::new(DistanceKind::Dtw),
-            MatcherConfig {
-                window_scales: vec![1.0],
-                ..Default::default()
-            },
-        )
-        .search(&idx, &query)
-        .unwrap();
-        let duplicated = Matcher::with_config(
-            ClassicalSimilarity::new(DistanceKind::Dtw),
-            MatcherConfig {
-                window_scales: vec![1.0, 1.0, 1.0],
-                ..Default::default()
-            },
-        )
-        .search(&idx, &query)
-        .unwrap();
-        assert_eq!(single, duplicated);
     }
 
     #[test]

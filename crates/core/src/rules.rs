@@ -313,47 +313,15 @@ pub struct RuleQuery {
     pub window: u32,
 }
 
-/// Search parameters for rule evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RuleSearchConfig {
-    /// Window stride as a fraction of the window.
-    pub stride_frac: f32,
-    /// Moments returned.
-    pub top_k: usize,
-    /// NMS temporal-IoU threshold.
-    pub nms_tiou: f32,
-    /// Minimum coverage of the window by each bound track.
-    pub min_overlap_frac: f32,
-}
-
-impl Default for RuleSearchConfig {
-    fn default() -> Self {
-        RuleSearchConfig {
-            stride_frac: 0.25,
-            top_k: 10,
-            nms_tiou: 0.45,
-            min_overlap_frac: 0.5,
-        }
-    }
-}
-
-/// Cap on object combinations scored per window (the matcher's default
-/// `max_combos_per_window`).
-const MAX_COMBOS_PER_WINDOW: usize = 64;
-
-/// Evaluates a rule query over an indexed video, returning ranked moments.
-/// The score of a moment is the fraction of satisfied atomic predicates
-/// and relations (1.0 = rule fully satisfied), so partially matching
-/// windows still rank.
+/// Evaluates a rule query over an indexed video, returning its `top_k`
+/// ranked moments. The score of a moment is the fraction of satisfied
+/// atomic predicates and relations (1.0 = rule fully satisfied), so
+/// partially matching windows still rank.
 ///
 /// The search skeleton is the matcher's: the same window grid, track
 /// eligibility, distinct-combination walk and NMS + top-k — only the
 /// scoring of a bound combination is the rule's own.
-pub fn evaluate_rule(
-    index: &VideoIndex,
-    rule: &RuleQuery,
-    config: &RuleSearchConfig,
-) -> Vec<RetrievedMoment> {
+pub fn evaluate_rule(index: &VideoIndex, rule: &RuleQuery, top_k: usize) -> Vec<RetrievedMoment> {
     if rule.objects.is_empty() {
         return Vec::new();
     }
@@ -362,13 +330,7 @@ pub fn evaluate_rule(
         rule.objects.iter().map(|(_, p)| p.atoms()).sum::<usize>() + rule.relations.len();
 
     let mut scored = Vec::new();
-    for (start, end, min_overlap) in grid::windows(
-        len,
-        index.frames,
-        config.stride_frac,
-        config.min_overlap_frac,
-        None,
-    ) {
+    for (start, end, min_overlap) in grid::windows(len, index.frames, None) {
         let per_slot: Vec<Vec<&Trajectory>> = rule
             .objects
             .iter()
@@ -378,7 +340,7 @@ pub fn evaluate_rule(
             continue;
         }
         let mut best: Option<RetrievedMoment> = None;
-        for_each_distinct_combo(&per_slot, MAX_COMBOS_PER_WINDOW, |combo, ids| {
+        for_each_distinct_combo(&per_slot, |combo, ids| {
             let tracks: Vec<&Trajectory> = combo
                 .iter()
                 .enumerate()
@@ -407,7 +369,7 @@ pub fn evaluate_rule(
         });
         scored.extend(best);
     }
-    nms_top_k(scored, config.top_k, config.nms_tiou)
+    nms_top_k(scored, top_k)
 }
 
 /// The rule an expert user would hand-write for each evaluation event.
@@ -691,11 +653,7 @@ mod tests {
     fn left_turn_rule_selects_turner_not_straight() {
         let clip = Clip::new(1280.0, 720.0, vec![left_turn_track(1), straight_track(2)]);
         let idx = VideoIndex::from_clip("r", &clip, 90, 30.0);
-        let results = evaluate_rule(
-            &idx,
-            &expert_rule(EventKind::LeftTurn),
-            &RuleSearchConfig::default(),
-        );
+        let results = evaluate_rule(&idx, &expert_rule(EventKind::LeftTurn), 10);
         assert!(!results.is_empty());
         assert_eq!(results[0].track_ids, vec![1]);
         assert!(
@@ -709,11 +667,7 @@ mod tests {
     fn right_turn_rule_rejects_left_turner() {
         let clip = Clip::new(1280.0, 720.0, vec![left_turn_track(1)]);
         let idx = VideoIndex::from_clip("r", &clip, 90, 30.0);
-        let results = evaluate_rule(
-            &idx,
-            &expert_rule(EventKind::RightTurn),
-            &RuleSearchConfig::default(),
-        );
+        let results = evaluate_rule(&idx, &expert_rule(EventKind::RightTurn), 10);
         // Partial scores allowed, but nothing should fully satisfy.
         for m in &results {
             assert!(m.score < 0.99, "{m:?}");
@@ -733,11 +687,7 @@ mod tests {
         );
         let clip = Clip::new(1280.0, 720.0, vec![car, person]);
         let idx = VideoIndex::from_clip("r", &clip, 90, 30.0);
-        let results = evaluate_rule(
-            &idx,
-            &expert_rule(EventKind::PerpendicularCrossing),
-            &RuleSearchConfig::default(),
-        );
+        let results = evaluate_rule(&idx, &expert_rule(EventKind::PerpendicularCrossing), 10);
         assert!(!results.is_empty());
         let top = &results[0];
         assert_eq!(top.track_ids.len(), 2);
@@ -760,11 +710,6 @@ mod tests {
     #[test]
     fn empty_index_returns_nothing() {
         let idx = VideoIndex::from_clip("e", &Clip::new(10.0, 10.0, vec![]), 0, 30.0);
-        assert!(evaluate_rule(
-            &idx,
-            &expert_rule(EventKind::LeftTurn),
-            &RuleSearchConfig::default()
-        )
-        .is_empty());
+        assert!(evaluate_rule(&idx, &expert_rule(EventKind::LeftTurn), 10).is_empty());
     }
 }

@@ -310,6 +310,67 @@ mod tests {
         assert_eq!(rr.adjust(0.42, &e), 0.42);
     }
 
+    /// With unit embeddings and `score = (cos + 1) / 2`, the re-ranker is
+    /// one shifted query vector (Rocchio): `adjust(score, c)` equals
+    /// `clamp(1/2 + 1/2 · dot(c, q + w·(mean⁺ − mean⁻)))`.
+    #[test]
+    fn reranker_is_rocchio_on_unit_embeddings() {
+        use crate::similarity::Similarity;
+        let model = tiny_model();
+        let cfg = TunerConfig::default();
+        let judged = [
+            (0.0, true),
+            (2.0, true),
+            (4.0, true),
+            (10.0, false),
+            (-6.0, false),
+        ];
+        let feedback: Vec<Feedback> = judged
+            .iter()
+            .map(|&(slope, relevant)| Feedback {
+                clip: clip_with_slope(slope),
+                relevant,
+            })
+            .collect();
+        let rr = Reranker::new(&model, &feedback, &cfg);
+        assert_eq!(rr.prototype_counts(), (3, 2));
+
+        let embed = |slope: f32| model.embed(&clip_with_slope(slope)).unwrap();
+        let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f32>();
+        let mean = |relevant: bool| {
+            let picked: Vec<Vec<f32>> = judged
+                .iter()
+                .filter(|j| j.1 == relevant)
+                .map(|j| embed(j.0))
+                .collect();
+            let n = picked.len() as f32;
+            (0..picked[0].len())
+                .map(|i| picked.iter().map(|e| e[i]).sum::<f32>() / n)
+                .collect::<Vec<f32>>()
+        };
+        let (pos, neg) = (mean(true), mean(false));
+        let q = embed(1.0);
+        let shifted: Vec<f32> = (0..q.len())
+            .map(|i| q[i] + cfg.proto_weight * (pos[i] - neg[i]))
+            .collect();
+
+        let sim = model.similarity();
+        let prepared = sim.prepare(&clip_with_slope(1.0)).unwrap();
+        for slope in [-3.0, 0.5, 5.0, 12.0] {
+            let c = embed(slope);
+            for v in [&q, &c] {
+                assert!((dot(v, v) - 1.0).abs() < 1e-5, "not a unit embedding");
+            }
+            let score = sim.score(&prepared, &clip_with_slope(slope));
+            let rocchio = (0.5 + 0.5 * dot(&c, &shifted)).clamp(0.0, 1.0);
+            let adjusted = rr.adjust(score, &c);
+            assert!(
+                (adjusted - rocchio).abs() < 1e-5,
+                "slope {slope}: adjust {adjusted} vs Rocchio {rocchio}"
+            );
+        }
+    }
+
     #[test]
     fn fine_tune_moves_positive_closer_than_negative() {
         let model = tiny_model();

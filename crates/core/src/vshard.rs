@@ -45,8 +45,8 @@
 //!   pressure and faulted back on the next touch.
 
 use sketchql_store::{
-    hex_u64, AnnConfig, CoarseQuantizer, LoadedShard, Manifest, ManifestShard, Mmap, ShardData,
-    StoreError, StoreRow, MANIFEST_FILE, SHARD_EXT, SHARD_SET_EXT,
+    hex_u64, CoarseQuantizer, LoadedShard, Manifest, ManifestShard, Mmap, ShardData, StoreError,
+    StoreRow, MANIFEST_FILE, SHARD_EXT, SHARD_SET_EXT,
 };
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{Clip, ObjectClass, TrackId};
@@ -112,13 +112,7 @@ pub fn enumerate_store_rows(
         if len > index.frames {
             continue;
         }
-        for (start, end, min_overlap) in grid::windows(
-            len,
-            index.frames,
-            config.stride_frac,
-            config.min_overlap_frac,
-            start_range,
-        ) {
+        for (start, end, min_overlap) in grid::windows(len, index.frames, start_range) {
             for t in index.tracks_in_window(ObjectClass::Any, start, end, min_overlap) {
                 if seen.contains(&(t.id, start, end)) {
                     continue;
@@ -230,8 +224,9 @@ fn shard_file_name(i: usize, epoch: u64) -> String {
 ///    Embeddings are batch-invariant, so neither threads nor layout
 ///    change a vector. A non-empty single-track clip always embeds; a row
 ///    that did not would be unservable, and is dropped.
-/// 3. **Quantize**: take `base.quantizer`, or train one over every k-th
-///    vector in shard-major order (at most [`QUANTIZER_SAMPLE_MAX`]).
+/// 3. **Quantize**: take `base.quantizer`, or train `ceil(sqrt(rows))`
+///    centroids over every k-th vector in shard-major order (at most
+///    [`QUANTIZER_SAMPLE_MAX`]).
 /// 4. **Assign and write** each shard under [`shard_file_name`].
 fn write_shards(
     sim: &LearnedSimilarity,
@@ -309,21 +304,9 @@ fn write_shards(
             .flatten()
             .copied()
             .collect();
-        let sample_n = sample.len() / dim.max(1);
-        let nlist = match config.ann.nlist {
-            0 => (total_rows as f64).sqrt().ceil() as usize,
-            n => n,
-        }
-        .clamp(1, sample_n.max(1));
+        let nlist = (total_rows as f64).sqrt().ceil() as usize;
         let sample_dim = if sample.is_empty() { 0 } else { dim };
-        CoarseQuantizer::train(
-            &sample,
-            sample_dim,
-            &AnnConfig {
-                nlist,
-                ..config.ann
-            },
-        )
+        CoarseQuantizer::train(&sample, sample_dim, nlist)
     });
 
     let mut shards: Vec<ManifestShard> = Vec::with_capacity(ranges.len());
@@ -403,8 +386,8 @@ pub fn ingest_sharded(
         fps_bits: index.fps.to_bits(),
         frame_width_bits: index.frame_width.to_bits(),
         frame_height_bits: index.frame_height.to_bits(),
-        stride_frac_bits: config.stride_frac.to_bits(),
-        min_overlap_frac_bits: config.min_overlap_frac.to_bits(),
+        stride_frac_bits: grid::STRIDE_FRAC.to_bits(),
+        min_overlap_frac_bits: grid::MIN_OVERLAP_FRAC.to_bits(),
         window_lens: sorted_lens(config),
         dim: sim.encoder.config.embed_dim as u32,
         shard_frames,
@@ -492,11 +475,11 @@ fn harvest(dir: &Path, shards: &[ManifestShard]) -> Result<HashMap<RowKey, Vec<f
 /// that start (never later than the old tail shard, whose frame range
 /// itself grows), harvests the vectors of the shards it is about to
 /// rewrite for reuse, and runs the exact from-scratch pipeline over
-/// those ranges with the manifest's grid — the resulting row/vector
-/// columns are byte-identical to a full re-ingest. Rows are assigned to
-/// the **existing** shared quantizer (centroids are never retrained), so
-/// query results are bit-identical to a from-scratch ingest under exact
-/// re-rank even though the coarse lists may differ.
+/// those ranges with the manifest's window lengths — the resulting
+/// row/vector columns are byte-identical to a full re-ingest. Rows are
+/// assigned to the **existing** shared quantizer (centroids are never
+/// retrained), so query results are bit-identical to a from-scratch
+/// ingest under exact re-rank even though the coarse lists may differ.
 ///
 /// Commit is atomic: rewritten shards land under next-epoch names
 /// (current-epoch files are never overwritten), then one
@@ -506,7 +489,10 @@ fn harvest(dir: &Path, shards: &[ManifestShard]) -> Result<HashMap<RowKey, Vec<f
 /// leaves the old epoch intact, and the next append sweeps the orphans.
 ///
 /// `threads` sizes the embedding pass. Re-calling with an index the set
-/// already covers is a no-op (same epoch returned).
+/// already covers is a no-op (same epoch returned). A set whose manifest
+/// records another stride or overlap floor than the window grid's was
+/// not ingested here and is refused with [`StoreError::BadHeader`],
+/// before anything in `dir` is touched.
 pub fn append_frames(
     sim: &LearnedSimilarity,
     index: &VideoIndex,
@@ -522,6 +508,9 @@ pub fn append_frames(
     };
     if manifest.model_fp() != Some(model_fingerprint(sim)) {
         return Err(bad("append with a different model than ingest".into()));
+    }
+    if !grid::is_recorded_in(&manifest) {
+        return Err(bad("set was ingested on another window grid".into()));
     }
     if index.fps.to_bits() != manifest.fps_bits
         || index.frame_width.to_bits() != manifest.frame_width_bits
@@ -555,13 +544,10 @@ pub fn append_frames(
     }
     sweep_unclaimed(dir, &manifest);
 
-    // The exact ingest grid, rebuilt from the manifest.
+    // The window lengths ingest persisted, on the one grid.
     let config = IngestConfig {
         window_lens: manifest.window_lens.clone(),
-        stride_frac: f32::from_bits(manifest.stride_frac_bits),
-        min_overlap_frac: f32::from_bits(manifest.min_overlap_frac_bits),
         threads,
-        ann: AnnConfig::default(), // unused: the quantizer is never retrained
     };
     let shard_frames = manifest.shard_frames.max(1);
     let max_len = manifest.window_lens.iter().copied().max().unwrap_or(1);
@@ -639,8 +625,9 @@ pub struct ShardSet {
     model_fingerprint: u64,
     index_fingerprint: u64,
     quantizer: CoarseQuantizer,
-    /// How many shared-quantizer lists a query probes (defaults to
-    /// [`AnnConfig::nprobe`]; at `nlist` the probe is exhaustive).
+    /// How many shared-quantizer lists a query probes: 8 at attach,
+    /// which already recalls the top rows on small sets; at `nlist` the
+    /// probe is exhaustive.
     pub nprobe: usize,
     shards: Vec<PinnedShard>,
 }
@@ -701,7 +688,7 @@ impl ShardSet {
             index_fingerprint: manifest.index_fp().expect("validated hex"),
             manifest,
             quantizer,
-            nprobe: AnnConfig::default().nprobe,
+            nprobe: 8,
             shards,
         })
     }

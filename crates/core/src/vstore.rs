@@ -13,14 +13,14 @@
 //!
 //! Stores are strictly a cache: when one does not match the live model
 //! (fingerprint), the live index (fingerprint), or the query's window
-//! configuration (compared through the same `grid` functions ingest
-//! enumerated with), the planner hands the query to the scan
+//! lengths (derived by the same `grid` functions ingest enumerated
+//! with), the planner hands the query to the scan
 //! (`Matcher::scan`, the same call it makes when there is no store at
 //! all) and the results are what they always were. Multi-object queries
 //! always scan — the store persists one track per row, not track
 //! combinations.
 
-use sketchql_store::{AnnConfig, Fnv64, StoreRow};
+use sketchql_store::{Fnv64, StoreRow};
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{Clip, TrackId};
 use std::collections::HashMap;
@@ -104,47 +104,33 @@ pub(crate) fn hash_index(index: &VideoIndex) -> u64 {
     h.finish()
 }
 
-/// Ingest parameters: the window grid to enumerate plus embedding and
-/// ANN settings.
+/// Ingest parameters: which window lengths to persist and how many
+/// threads embed them. Stride and overlap floor are the crate's window
+/// grid, as for every query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestConfig {
-    /// Window lengths (frames) to enumerate. Build this from the matcher
-    /// configuration with [`IngestConfig::from_matcher`] so the grids the
-    /// store persists are exactly the grids queries will ask for.
+    /// Window lengths (frames) to enumerate. Build this with
+    /// [`IngestConfig::from_matcher`] so the lengths the store persists
+    /// are exactly the lengths queries will ask for.
     pub window_lens: Vec<u32>,
-    /// Window stride as a fraction of the window length; must match the
-    /// matcher's [`MatcherConfig::stride_frac`] or queries fall back.
-    pub stride_frac: f32,
-    /// Track-eligibility overlap fraction; must match the matcher's
-    /// [`MatcherConfig::min_overlap_frac`] or queries fall back.
-    pub min_overlap_frac: f32,
     /// Worker threads for the batched embedding pass.
     pub threads: usize,
-    /// ANN build parameters.
-    pub ann: AnnConfig,
 }
 
 impl IngestConfig {
-    /// Derives the ingest grid from a matcher configuration and the query
-    /// spans (frames) expected at serving time: every `span × scale`
-    /// window length the matcher would enumerate for those spans, clamped
-    /// to `min_window` exactly as the matcher clamps, deduplicated and
-    /// sorted.
+    /// The ingest grid for the query spans (frames) expected at serving
+    /// time: every window length a query of those spans derives,
+    /// deduplicated and sorted, embedded on `config`'s thread count.
     pub fn from_matcher(config: &MatcherConfig, query_spans: &[u32]) -> Self {
-        let mut lens: Vec<u32> = Vec::new();
-        for &span in query_spans {
-            for &scale in &config.window_scales {
-                lens.push(grid::window_len(span, scale, config.min_window));
-            }
-        }
+        let mut lens: Vec<u32> = query_spans
+            .iter()
+            .flat_map(|&span| grid::window_lens(span))
+            .collect();
         lens.sort_unstable();
         lens.dedup();
         IngestConfig {
             window_lens: lens,
-            stride_frac: config.stride_frac,
-            min_overlap_frac: config.min_overlap_frac,
             threads: config.threads,
-            ann: AnnConfig::default(),
         }
     }
 }
@@ -184,16 +170,17 @@ impl Matcher<LearnedSimilarity> {
     /// when it cannot; with no `set` it scans:
     ///
     /// 1. **Classify.** A degenerate query (empty, shorter than
-    ///    `min_window`, or over an empty index) settles to an empty
-    ///    result. A query `set` cannot serve goes to the scan, counted
-    ///    under its reason (`sketchql.store.fallback.<reason>`): it
-    ///    binds more than one object (stores hold single-track rows) —
-    ///    `multi_object`; the set's model or index fingerprint differs
-    ///    from the live model/index — `model_fingerprint`,
-    ///    `index_fingerprint`; or the matcher's stride or overlap
-    ///    fractions differ from the set's, or a window length the query
-    ///    derives was not ingested — `window_grid`. Anything else embeds
-    ///    its query.
+    ///    [`MIN_WINDOW`](crate::MIN_WINDOW), or over an empty index)
+    ///    settles to an empty result. A query `set` cannot serve goes to
+    ///    the scan, counted under its reason
+    ///    (`sketchql.store.fallback.<reason>`): it binds more than one
+    ///    object (stores hold single-track rows) — `multi_object`; the
+    ///    set's model or index fingerprint differs from the live
+    ///    model/index — `model_fingerprint`, `index_fingerprint`; or the
+    ///    set's manifest records another stride or overlap floor than
+    ///    the window grid's (a set from outside), or a window length the
+    ///    query derives was not ingested — `window_grid`. Anything else
+    ///    embeds its query.
     /// 2. **Rank** the set's centroids for the query embedding
     ///    ([`CoarseQuantizer::rank`]).
     /// 3. **Gather and re-rank**: the rows under the top `nprobe` lists,
@@ -329,7 +316,7 @@ impl Matcher<LearnedSimilarity> {
         let qclass = query.classes()[0];
 
         let scan_span = telemetry::span(names::MATCHER_SCAN);
-        let windows = self.enumerate_windows(q_span, index.frames);
+        let windows = grid::query_windows(q_span, index.frames);
         telemetry::counter(names::WINDOWS_ENUMERATED).add(windows.len() as u64);
 
         // The overlap floors in play per (start, end) range: clamped tail
@@ -440,7 +427,6 @@ impl Matcher<LearnedSimilarity> {
             hash_index(index),
             "index edited after its fingerprint was cached"
         );
-        let c = &self.config;
         let manifest = set.manifest();
         if query.num_objects() != 1 {
             return Err(names::STORE_FALLBACK_MULTI_OBJECT);
@@ -453,12 +439,10 @@ impl Matcher<LearnedSimilarity> {
         }
         // Every window length this query derives (and that fits the
         // video) must have been ingested, on the same stride and floor.
-        let grid_matches = manifest.stride_frac_bits == c.stride_frac.to_bits()
-            && manifest.min_overlap_frac_bits == c.min_overlap_frac.to_bits()
-            && c.window_scales.iter().all(|&scale| {
-                let len = grid::window_len(query.span(), scale, c.min_window);
-                len > index.frames || manifest.window_lens.contains(&len)
-            });
+        let grid_matches = grid::is_recorded_in(manifest)
+            && grid::window_lens(query.span())
+                .iter()
+                .all(|&len| len > index.frames || manifest.window_lens.contains(&len));
         grid_matches
             .then_some(())
             .ok_or(names::STORE_FALLBACK_WINDOW_GRID)

@@ -21,7 +21,7 @@ use sketchql_datasets::{
     extend_video, generate_video, query_clip, EventKind, ExtendConfig, SceneFamily, SyntheticVideo,
     VideoConfig,
 };
-use sketchql_store::LoadedShard;
+use sketchql_store::{LoadedShard, Manifest, StoreError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -321,6 +321,40 @@ fn append_guards_provenance_and_is_idempotent() {
         panic!("shrinking append must fail");
     };
     assert!(err.to_string().contains("shrink"), "got: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A set whose manifest records another stride than the window grid's
+/// came from outside: an append must refuse it with a typed error
+/// before it sweeps, embeds or writes anything.
+#[test]
+fn append_refuses_a_set_on_another_grid() {
+    let model = tiny_model();
+    let m = matcher(&model);
+    let ingest_cfg = IngestConfig::from_matcher(&m.config, &[48]);
+    let stages = streaming_stages(54);
+    let base = VideoIndex::from_truth(&stages[0]);
+    let grown = VideoIndex::from_truth(&stages[1]);
+    let dir = temp_dir("foreign-grid");
+    ingest_sharded(&m.sim, &base, "v", &ingest_cfg, 30, &dir, &|_| {}).unwrap();
+    let mut manifest = Manifest::load(&dir).unwrap();
+    manifest.stride_frac_bits = 0.5f32.to_bits();
+    manifest.save(&dir).unwrap();
+    // An orphan a sweep would remove: refusing comes before the sweep.
+    std::fs::write(dir.join("shard-0001.tmp"), b"torn write").unwrap();
+    let before = dir_files(&dir);
+
+    let Err(err) = append_frames(&m.sim, &grown, &dir, 1, &|_| {}) else {
+        panic!("append onto another grid must fail");
+    };
+    assert!(
+        matches!(&err, StoreError::BadHeader { detail, .. } if detail.contains("window grid")),
+        "got: {err}"
+    );
+    assert!(
+        dir_files(&dir) == before,
+        "the refused append touched the set"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -16,7 +16,7 @@ use sketchql::vshard::{
     enumerate_store_rows, ingest_sharded, load_store_tier_dir, IngestProgress, ShardSet,
 };
 use sketchql::vstore::{index_fingerprint, model_fingerprint, IngestConfig};
-use sketchql::VideoIndex;
+use sketchql::{Manifest, VideoIndex};
 use sketchql_datasets::{
     generate_video, query_clip, EventKind, SceneFamily, SyntheticVideo, VideoConfig,
 };
@@ -215,8 +215,9 @@ fn model_mismatch_falls_back_to_scan() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Different video contents, a different matcher stride, and a query
-/// whose window lengths were never ingested all fall back.
+/// Different video contents, a set from outside whose manifest records
+/// another stride, and a query whose window lengths were never ingested
+/// all fall back.
 #[test]
 fn index_mismatch_and_config_mismatch_fall_back() {
     let model = tiny_model();
@@ -236,15 +237,20 @@ fn index_mismatch_and_config_mismatch_fall_back() {
     assert!(!r.from_store);
     assert_fell_back_for(&trace, names::STORE_FALLBACK_INDEX_FINGERPRINT);
 
-    let mut strided = matcher(&model);
-    strided.config.stride_frac = 0.5;
+    let foreign = temp_dir("config-mismatch-foreign");
+    set.copy_to(&foreign).unwrap();
+    let mut manifest = Manifest::load(&foreign).unwrap();
+    manifest.stride_frac_bits = 0.5f32.to_bits();
+    manifest.save(&foreign).unwrap();
+    let mut strided = ShardSet::open(&foreign).unwrap();
+    strided.nprobe = strided.nlist();
     let (r, trace) = traced(|| {
-        strided
-            .search_with_shards(&index, &set, &query, &none)
+        m.search_with_shards(&index, &strided, &query, &none)
             .unwrap()
     });
     assert!(!r.from_store);
     assert_fell_back_for(&trace, names::STORE_FALLBACK_WINDOW_GRID);
+    std::fs::remove_dir_all(&foreign).ok();
 
     let unseen = query_clip(EventKind::UTurn);
     if IngestConfig::from_matcher(&m.config, &[unseen.span()]).window_lens

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
-use sketchql::{ingest_sharded, IngestConfig, MatcherConfig, ShardSet};
+use sketchql::{ingest_sharded, IngestConfig, MatcherConfig, ShardSet, MIN_WINDOW};
 use sketchql_datasets::{query_clip, EventKind};
 use sketchql_server::{Client, Engine, EngineConfig, QuerySpec, Server};
 use sketchql_telemetry::{self as telemetry, names};
@@ -212,7 +212,7 @@ fn multi_object_query_on_stored_dataset_falls_back() {
     let too_short = Clip::new(
         sketch.frame_width,
         sketch.frame_height,
-        vec![sketch.objects[0].slice(0, MatcherConfig::default().min_window - 2)],
+        vec![sketch.objects[0].slice(0, MIN_WINDOW - 2)],
     );
     let empty = Clip::new(sketch.frame_width, sketch.frame_height, vec![]);
     for degenerate in [too_short, empty] {

@@ -8,45 +8,25 @@
 //! the *score* of any row it returns.
 //!
 //! Everything here is deterministic: initialization is seeded (a
-//! splitmix64 stream over `AnnConfig::seed`), ties break toward the
-//! lower centroid index, and no wall-clock or thread-order dependence
-//! exists anywhere, so the same vectors + config always train the same
+//! splitmix64 stream over `SEED`), ties break toward the lower
+//! centroid index, and no wall-clock or thread-order dependence exists
+//! anywhere, so the same vectors and `nlist` always train the same
 //! centroids.
 
-/// Configuration for [`CoarseQuantizer::train`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnnConfig {
-    /// Number of inverted lists (k-means centroids). `0` picks
-    /// `ceil(sqrt(n))`, clamped to `[1, n]`.
-    pub nlist: usize,
-    /// Default number of lists a query probes (callers may override per
-    /// probe call).
-    pub nprobe: usize,
-    /// k-means refinement iterations.
-    pub iters: usize,
-    /// Seed for deterministic centroid initialization.
-    pub seed: u64,
-}
+/// k-means refinement rounds.
+const ITERS: usize = 8;
 
-impl Default for AnnConfig {
-    fn default() -> Self {
-        AnnConfig {
-            nlist: 0,
-            nprobe: 8,
-            iters: 8,
-            seed: 0x534b_4554_4348_514c, // "SKETCHQL" in ASCII
-        }
-    }
-}
+/// Seed of the centroid initialization: "SKETCHQL" in ASCII.
+const SEED: u64 = 0x534b_4554_4348_514c;
 
 /// The k-means refinement loop behind [`CoarseQuantizer::train`]: seeded
-/// distinct-row initialization, then `iters` rounds of assign +
+/// distinct-row initialization, then `ITERS` rounds of assign +
 /// renormalized-mean update with deterministic empty-cluster reseeding.
 /// `unit` must already be row-normalized.
-fn train_centroids(unit: &[f32], dim: usize, nlist: usize, iters: usize, seed: u64) -> Vec<f32> {
+fn train_centroids(unit: &[f32], dim: usize, nlist: usize) -> Vec<f32> {
     let n = unit.len() / dim;
     // Seeded distinct-row initialization.
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = SplitMix64::new(SEED);
     let mut chosen: Vec<usize> = Vec::with_capacity(nlist);
     while chosen.len() < nlist {
         let r = (rng.next() % n as u64) as usize;
@@ -60,7 +40,7 @@ fn train_centroids(unit: &[f32], dim: usize, nlist: usize, iters: usize, seed: u
     }
 
     let mut assign = vec![0usize; n];
-    for _ in 0..iters.max(1) {
+    for _ in 0..ITERS {
         // Assign each row to its most-aligned centroid.
         for (i, row) in unit.chunks(dim).enumerate() {
             assign[i] = nearest(&centroids, dim, row).0;
@@ -118,14 +98,15 @@ pub struct CoarseQuantizer {
 }
 
 impl CoarseQuantizer {
-    /// Trains centroids over `vectors` (row-major, `len / dim` rows):
-    /// rows are unit-normalized once so assignment by dot product is
-    /// assignment by cosine, then refined by `train_centroids`.
+    /// Trains `nlist` centroids (clamped to `[1, n]`) over `vectors`
+    /// (row-major, `n = len / dim` rows): rows are unit-normalized once
+    /// so assignment by dot product is assignment by cosine, then
+    /// refined by `train_centroids`.
     ///
     /// # Panics
     /// If `dim == 0` while `vectors` is non-empty, or `vectors.len()` is
     /// not a multiple of `dim`.
-    pub fn train(vectors: &[f32], dim: usize, cfg: &AnnConfig) -> Self {
+    pub fn train(vectors: &[f32], dim: usize, nlist: usize) -> Self {
         if vectors.is_empty() {
             return CoarseQuantizer {
                 dim,
@@ -134,20 +115,14 @@ impl CoarseQuantizer {
         }
         assert!(dim > 0, "dim must be positive for non-empty vectors");
         assert_eq!(vectors.len() % dim, 0, "vectors not a multiple of dim");
-        let n = vectors.len() / dim;
-        let nlist = if cfg.nlist == 0 {
-            (n as f64).sqrt().ceil() as usize
-        } else {
-            cfg.nlist
-        }
-        .clamp(1, n);
+        let nlist = nlist.clamp(1, vectors.len() / dim);
         let mut unit = vectors.to_vec();
         for row in unit.chunks_mut(dim) {
             normalize(row);
         }
         CoarseQuantizer {
             dim,
-            centroids: train_centroids(&unit, dim, nlist, cfg.iters, cfg.seed),
+            centroids: train_centroids(&unit, dim, nlist),
         }
     }
 
@@ -280,14 +255,7 @@ mod tests {
 
     fn toy_quantizer() -> CoarseQuantizer {
         let (v, dim) = toy_vectors();
-        CoarseQuantizer::train(
-            &v,
-            dim,
-            &AnnConfig {
-                nlist: 3,
-                ..AnnConfig::default()
-            },
-        )
+        CoarseQuantizer::train(&v, dim, 3)
     }
 
     #[test]
@@ -332,7 +300,7 @@ mod tests {
 
     #[test]
     fn empty_quantizer_is_inert() {
-        let q = CoarseQuantizer::train(&[], 0, &AnnConfig::default());
+        let q = CoarseQuantizer::train(&[], 0, 1);
         assert_eq!(q.nlist(), 0);
         assert!(q.rank(&[1.0]).is_empty());
         assert_eq!(q.assign(&[1.0]), 0);

@@ -41,7 +41,7 @@ pub mod manifest;
 pub mod mmap;
 pub mod shard;
 
-pub use ann::{AnnConfig, CoarseQuantizer};
+pub use ann::CoarseQuantizer;
 pub use format::{StoreError, StoreRow};
 pub use manifest::{
     hex_u64, parse_hex_u64, Manifest, ManifestShard, MANIFEST_FILE, MANIFEST_VERSION, SHARD_SET_EXT,

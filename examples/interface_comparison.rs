@@ -14,8 +14,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::{
-    evaluate_rule, expert_rule, ClassicalSimilarity, Matcher, Predicate, RuleSearchConfig,
-    VideoIndex,
+    evaluate_rule, expert_rule, ClassicalSimilarity, Matcher, MatcherConfig, Predicate, VideoIndex,
 };
 use sketchql_datasets::{
     evaluate_retrieval, generate_video, query_clip, EventKind, PredictedMoment, SceneFamily,
@@ -80,7 +79,7 @@ fn main() {
                     .search(idx, &query)
                     .expect("classical prepare is infallible"),
             );
-            ap[2] += eval(&evaluate_rule(idx, &rule, &RuleSearchConfig::default()));
+            ap[2] += eval(&evaluate_rule(idx, &rule, MatcherConfig::default().top_k));
         }
         let n = videos.len() as f32;
         let thresholds: usize = rule

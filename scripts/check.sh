@@ -28,8 +28,11 @@ echo "== release lane: the bit-pinned tests under the optimiser"
 # the pinned step-gradient hashes (training.rs) and the encoder's
 # finite-difference checks (modules.rs, loss.rs) hold arithmetic the
 # optimiser may reorder; tier-1 builds tests in debug only, so run the
-# two crates that own them again in release.
+# two crates that own them again in release. The memo-vs-direct
+# referee (tests/embed_cache.rs) lives in the root package; the memo's
+# window key relies on it, so it runs under the optimiser too.
 cargo test --release -q -p sketchql-nn -p sketchql
+cargo test --release -q -p sketchql-suite --test embed_cache
 
 echo "== frozen benchmark: perfbench builds untouched and every workload passes its output checks"
 # perfbench/ pins public API names and compares served replies against

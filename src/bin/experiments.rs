@@ -188,7 +188,7 @@ impl Method {
             Method::ExpertRules => sketchql::evaluate_rule(
                 index,
                 &sketchql::expert_rule(kind),
-                &sketchql::RuleSearchConfig::default(),
+                sketchql::MatcherConfig::default().top_k,
             ),
         }
     }
@@ -601,7 +601,7 @@ fn exp_t3() {
             &sketchql::evaluate_rule(
                 &idx,
                 &sketchql::expert_rule(EventKind::LeftTurn),
-                &sketchql::RuleSearchConfig::default(),
+                sketchql::MatcherConfig::default().top_k,
             ),
             &truth,
         )

@@ -383,11 +383,7 @@ fn execute_query(
     }
 
     let results = if flags.contains_key("rules") {
-        let cfg = sketchql::RuleSearchConfig {
-            top_k,
-            ..Default::default()
-        };
-        sketchql::evaluate_rule(&index, &sketchql::expert_rule(kind), &cfg)
+        sketchql::evaluate_rule(&index, &sketchql::expert_rule(kind), top_k)
     } else if let Some(baseline) = flags.get("baseline") {
         let kind = DistanceKind::ALL
             .iter()

@@ -231,13 +231,12 @@ fn concurrent_scans_of_one_index_agree_with_sequential_ones() {
 }
 
 /// The memo's unit is the window *as one query shape sees it*: the same
-/// frame range under another class list, or under another cap on
-/// combinations, holds other candidates, so it is another key. A `Car`
-/// and an `Any` sketch of one span, and two matchers that differ only in
-/// `max_combos_per_window`, share one index here — cold and warm, in
-/// both orders — and each answers exactly what its own direct scan does.
+/// frame range under another class list holds other candidates, so it
+/// is another key. A `Car` and an `Any` sketch of one span share one
+/// index here — cold and warm, in both orders — and each answers exactly
+/// what its own direct scan does.
 #[test]
-fn window_keys_keep_class_lists_and_combination_caps_apart() {
+fn window_keys_keep_class_lists_apart() {
     let model = tiny_model();
     let car = query_clip(EventKind::LeftTurn);
     let any = Clip::new(
@@ -249,33 +248,23 @@ fn window_keys_keep_class_lists_and_combination_caps_apart() {
             car.objects[0].points().to_vec(),
         )],
     );
-    let capped = MatcherConfig {
-        max_combos_per_window: 1,
-        ..Default::default()
-    };
-    let sketches = [
-        (MatcherConfig::default(), &car),
-        (MatcherConfig::default(), &any),
-        (capped, &car),
-    ];
+    let sketches = [&car, &any];
     let want: Vec<_> = sketches
         .iter()
-        .map(|(config, q)| {
-            Matcher::with_config(PerCandidate(model.similarity()), config.clone())
+        .map(|q| {
+            Matcher::new(PerCandidate(model.similarity()))
                 .search(&fresh_index(), q)
                 .unwrap()
         })
         .collect();
     assert_ne!(want[0], want[1], "fixture: `Any` must bind other tracks");
-    assert_ne!(want[0], want[2], "fixture: the cap must change answers");
 
-    for pair in [[0usize, 1], [1, 0], [0, 2], [2, 0]] {
+    let matcher = Matcher::new(model.similarity());
+    for pair in [[0usize, 1], [1, 0]] {
         let idx = fresh_index();
         for round in ["cold", "warm"] {
             for &i in &pair {
-                let (config, q) = &sketches[i];
-                let matcher = Matcher::with_config(model.similarity(), config.clone());
-                let (got, trace) = traced(|| matcher.search(&idx, q).unwrap());
+                let (got, trace) = traced(|| matcher.search(&idx, sketches[i]).unwrap());
                 assert_eq!(got, want[i], "sketch {i} {round}, order {pair:?}");
                 if round == "warm" {
                     assert_eq!(trace.count(names::EMBED_CACHE_MISSES), 0, "sketch {i}");
@@ -361,23 +350,19 @@ fn a_token_tripped_mid_embed_leaves_the_memo_consistent() {
     assert_eq!(matcher.search(&idx, &q).unwrap(), want, "and warm");
 }
 
-/// When two window scales clamp to grids that share a tail-truncated
+/// When two window lengths have grids that share a tail-truncated
 /// segment, the second lookup must be a hit instead of a second
 /// embedding — within one cold scan, before anything is remembered.
 #[test]
 fn overlapping_clamped_windows_hit_the_cache() {
     let model = tiny_model();
-    // Scales 1.0 and 1.125 of a 16-frame query give 16- and 18-frame
-    // windows; both grids end with the truncated segment (84, 99) over a
-    // 100-frame video, so exactly one candidate repeats.
-    let matcher = Matcher::with_config(
-        model.similarity(),
-        MatcherConfig {
-            window_scales: vec![1.0, 1.125],
-            ..Default::default()
-        },
-    );
-    let pts = (0..100)
+    // A 20-frame query over a 96-frame video derives 16-, 20- and
+    // 30-frame windows (strides 4, 5 and 7). The 16- and 20-frame grids
+    // both end with the truncated segment (80, 95) (under different
+    // overlap floors, so as two windows), so exactly one candidate
+    // repeats; the 30-frame grid ends at (70, 95).
+    let matcher = Matcher::new(model.similarity());
+    let pts = (0..96)
         .map(|f| TrajPoint::new(f, BBox::new(50.0 + f as f32 * 8.0, 360.0, 60.0, 35.0)))
         .collect();
     let clip = Clip::new(
@@ -385,8 +370,8 @@ fn overlapping_clamped_windows_hit_the_cache() {
         720.0,
         vec![Trajectory::from_points(1, ObjectClass::Car, pts)],
     );
-    let idx = VideoIndex::from_clip("cache_hits", &clip, 100, 30.0);
-    let q_pts = (0..16)
+    let idx = VideoIndex::from_clip("cache_hits", &clip, 96, 30.0);
+    let q_pts = (0..20)
         .map(|i| TrajPoint::new(i, BBox::new(100.0 + i as f32 * 10.0, 400.0, 80.0, 45.0)))
         .collect();
     let query = Clip::new(
@@ -403,11 +388,13 @@ fn overlapping_clamped_windows_hit_the_cache() {
     let report = trace.finalize().unwrap();
     assert!(!results.is_empty());
 
-    // 22 windows on the 16-grid + 22 on the 18-grid, sharing one segment.
+    // 21 windows on the 16-grid + 17 on the 20-grid + 11 on the 30-grid,
+    // two of them sharing one segment.
+    assert_eq!(report.count(names::WINDOWS_ENUMERATED), 21 + 17 + 11);
     assert_eq!(report.count(names::EMBED_CACHE_HITS), 1);
-    assert_eq!(report.count(names::EMBED_CACHE_MISSES), 43);
+    assert_eq!(report.count(names::EMBED_CACHE_MISSES), 48);
     let rate = report.embed_cache_hit_rate().unwrap();
     assert!(rate > 0.0 && rate < 1.0, "hit rate {rate}");
     // The repeated segment was embedded once: query + unique candidates.
-    assert_eq!(report.count(names::EMBEDDINGS_COMPUTED), 43 + 1);
+    assert_eq!(report.count(names::EMBEDDINGS_COMPUTED), 48 + 1);
 }

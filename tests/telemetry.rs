@@ -3,7 +3,7 @@
 
 use sketchql::telemetry::{self, names, QueryTrace, TraceContext};
 use sketchql::training::{train, TrainingConfig};
-use sketchql::{Matcher, MatcherConfig, VideoIndex};
+use sketchql::{Matcher, VideoIndex};
 use sketchql_trajectory::{BBox, Clip, ObjectClass, TrajPoint, Trajectory};
 use std::sync::Arc;
 
@@ -56,21 +56,23 @@ fn query() -> Clip {
     )
 }
 
-/// Closed-form window count: per scale, `window = max(round_down(q_span *
-/// scale), min_window)`; scales whose window exceeds the video are skipped;
-/// start positions advance by `stride = max(round_down(window * stride_frac),
-/// 1)` until a window reaches the final frame, giving
-/// `ceil((frames - window) / stride) + 1` windows. Assumes every scale maps
-/// to a distinct window length (true for the default config at
-/// `QUERY_SPAN = 40`); the matcher deduplicates clamped scales otherwise.
-fn expected_windows(cfg: &MatcherConfig, q_span: u32, frames: u32) -> u64 {
+/// Closed-form window count, written out independently of the crate's
+/// grid: per scale `0.75`, `1.0`, `1.5`,
+/// `window = max(round_down(q_span * scale), 16)`; scales whose window
+/// exceeds the video are skipped; start positions advance by
+/// `stride = max(round_down(window / 4), 1)` until a window reaches the
+/// final frame, giving `ceil((frames - window) / stride) + 1` windows.
+/// Assumes every scale maps to a distinct window length (true at
+/// `QUERY_SPAN = 40`: 30, 40 and 60); the matcher deduplicates clamped
+/// scales otherwise.
+fn expected_windows(q_span: u32, frames: u32) -> u64 {
     let mut count = 0u64;
-    for &scale in &cfg.window_scales {
-        let window = ((q_span as f32 * scale) as u32).max(cfg.min_window);
+    for scale in [0.75f32, 1.0, 1.5] {
+        let window = ((q_span as f32 * scale) as u32).max(16);
         if window > frames {
             continue;
         }
-        let stride = ((window as f32 * cfg.stride_frac) as u32).max(1);
+        let stride = (window / 4).max(1);
         count += ((frames - window) as u64).div_ceil(stride as u64) + 1;
     }
     count
@@ -91,7 +93,7 @@ fn counters_match_analytic_expectations() {
     assert!(!results.is_empty());
     assert_eq!(report.label, "analytic/car_query");
 
-    let expected = expected_windows(&matcher.config, QUERY_SPAN, FRAMES);
+    let expected = expected_windows(QUERY_SPAN, FRAMES);
     assert!(expected > 0);
     assert_eq!(report.count(names::WINDOWS_ENUMERATED), expected);
     // The single full-coverage track gives one combination per window, so
@@ -172,7 +174,7 @@ fn concurrent_queries_count_only_their_own_work() {
 }
 
 /// Regression: scales `0.75` and `1.0` of a 16-frame query both clamp to
-/// `min_window = 16`; enumeration must emit that window grid once, not
+/// the 16-frame minimum window; enumeration must emit that window grid once, not
 /// once per scale (the duplicate-window bug doubled both the counter and
 /// the scoring work).
 #[test]
