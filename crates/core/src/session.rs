@@ -613,6 +613,27 @@ mod tests {
         assert!(views[0].start_seconds <= views[0].end_seconds);
     }
 
+    /// Upload preprocesses with the default detector and tracker under
+    /// detector seed 1234: a session's index is exactly that build.
+    #[test]
+    fn upload_preprocesses_with_default_detector_tracker_and_seed_1234() {
+        use crate::vstore::index_fingerprint;
+        let mut sq = tiny_session();
+        let video = small_video(11);
+        sq.upload_dataset("v", &video);
+        let build = |seed| {
+            VideoIndex::build(
+                &video,
+                sketchql_tracker::DetectorConfig::default(),
+                sketchql_tracker::TrackerConfig::default(),
+                seed,
+            )
+        };
+        let uploaded = index_fingerprint(sq.dataset("v").unwrap());
+        assert_eq!(uploaded, index_fingerprint(&build(1234)));
+        assert_ne!(uploaded, index_fingerprint(&build(1)), "the seed is pinned");
+    }
+
     #[test]
     fn unknown_dataset_is_error() {
         let sq = tiny_session();
