@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{DeError, Deserialize, Serialize, Value};
 use sketchql_datasets::SyntheticVideo;
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_tracker::{track_detections, DetectorConfig, DetectorSim, TrackerConfig};
@@ -25,8 +24,8 @@ pub const MIN_TRACK_LEN: usize = 8;
 /// hashes the contents the first time it is asked and answers from
 /// that value afterwards, and the scans that run fill a memo of
 /// candidate-segment embeddings keyed on track ids and frame ranges, so
-/// changed contents need a new `VideoIndex` (build one, or deserialize
-/// one), not an edited field.
+/// changed contents need a new `VideoIndex` (build one), not an edited
+/// field.
 #[derive(Debug, Clone)]
 pub struct VideoIndex {
     /// Dataset name.
@@ -47,43 +46,9 @@ pub struct VideoIndex {
     pub(crate) fingerprint: OnceLock<u64>,
     /// Candidate-segment embeddings the scans over this index have
     /// computed, per model (see [`embed_cache`](crate::embed_cache)).
-    /// Derived like the fingerprint — never serialized, empty in a
-    /// freshly built or deserialized index — and shared by clones.
+    /// Derived like the fingerprint — empty in a freshly built index —
+    /// and shared by clones.
     pub(crate) memo: Arc<SegmentMemo>,
-}
-
-// Hand-written because the vendored `serde_derive` has no field skip
-// and rejects a missing field: the persisted JSON is the six data
-// fields in declaration order, as the derive wrote them, and never the
-// cached fingerprint or the embedding memo.
-impl Serialize for VideoIndex {
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("name".to_string(), self.name.to_value()),
-            ("tracks".to_string(), self.tracks.to_value()),
-            ("frames".to_string(), self.frames.to_value()),
-            ("frame_width".to_string(), self.frame_width.to_value()),
-            ("frame_height".to_string(), self.frame_height.to_value()),
-            ("fps".to_string(), self.fps.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for VideoIndex {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        use serde::__private::{as_obj, obj_get};
-        let fields = as_obj(v, "struct VideoIndex")?;
-        Ok(VideoIndex {
-            name: Deserialize::from_value(obj_get(fields, "name")?)?,
-            tracks: Deserialize::from_value(obj_get(fields, "tracks")?)?,
-            frames: Deserialize::from_value(obj_get(fields, "frames")?)?,
-            frame_width: Deserialize::from_value(obj_get(fields, "frame_width")?)?,
-            frame_height: Deserialize::from_value(obj_get(fields, "frame_height")?)?,
-            fps: Deserialize::from_value(obj_get(fields, "fps")?)?,
-            fingerprint: OnceLock::new(),
-            memo: Arc::default(),
-        })
-    }
 }
 
 impl VideoIndex {

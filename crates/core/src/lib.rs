@@ -67,9 +67,7 @@ pub use matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment};
 pub use rules::{
     evaluate_rule, expert_rule, motion_stats, MotionStats, Predicate, Relation, RuleQuery,
 };
-pub use session::{
-    DatasetSummary, LoadError, MomentView, PreprocessConfig, SessionError, SketchQL,
-};
+pub use session::{DatasetSummary, MomentView, SessionError, SketchQL};
 pub use similarity::{
     ClassicalSimilarity, LearnedSimilarity, PreparedQuery, Similarity, SimilarityError,
 };

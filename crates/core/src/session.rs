@@ -21,37 +21,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use crate::cancel::{CancelReason, CancelToken};
+use crate::cancel::CancelReason;
 use crate::index::VideoIndex;
 use crate::matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment};
 use crate::similarity::{LearnedSimilarity, Similarity, SimilarityError};
 use crate::sketcher::{SketchError, Sketcher};
 use crate::training::TrainedModel;
-use crate::tuner::{fine_tune, Feedback, Reranker, TunerConfig};
-use crate::vshard::{ingest_sharded, load_store_tier_dir, shard_set_dir_name, ShardSet};
-use crate::vstore::{sanitize, IngestConfig};
-use sketchql_store::{StoreError, SHARD_SET_EXT};
-
-/// Preprocessing settings applied at upload time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PreprocessConfig {
-    /// Detector noise model.
-    pub detector: DetectorConfig,
-    /// Tracker thresholds.
-    pub tracker: TrackerConfig,
-    /// Seed for the detector simulation.
-    pub seed: u64,
-}
-
-impl Default for PreprocessConfig {
-    fn default() -> Self {
-        PreprocessConfig {
-            detector: DetectorConfig::default(),
-            tracker: TrackerConfig::default(),
-            seed: 1234,
-        }
-    }
-}
+use crate::tuner::{fine_tune_counted, Feedback, Reranker, TunerConfig};
 
 /// Errors from session-level operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,9 +42,6 @@ pub enum SessionError {
     Similarity(SimilarityError),
     /// The query was cancelled or its deadline passed mid-search.
     Cancelled(CancelReason),
-    /// Writing a dataset's embedding store failed (the message is the
-    /// store error's, which names the file).
-    Store(String),
 }
 
 impl fmt::Display for SessionError {
@@ -78,67 +51,11 @@ impl fmt::Display for SessionError {
             SessionError::Sketch(e) => write!(f, "sketch error: {e}"),
             SessionError::Similarity(e) => write!(f, "similarity error: {e}"),
             SessionError::Cancelled(r) => write!(f, "query {r}"),
-            SessionError::Store(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for SessionError {}
-
-/// Errors restoring a saved session. Every variant names the file that
-/// failed, so a corrupt member of a many-file session directory is
-/// identifiable from the error alone.
-#[derive(Debug)]
-pub enum LoadError {
-    /// A filesystem read failed.
-    Io {
-        /// The file (or directory) being read.
-        path: std::path::PathBuf,
-        /// The originating I/O error.
-        source: std::io::Error,
-    },
-    /// A file existed but did not parse — truncated, half-written, or
-    /// hand-edited JSON.
-    Corrupt {
-        /// The unparseable file.
-        path: std::path::PathBuf,
-        /// What the parser reported.
-        detail: String,
-    },
-    /// An embedding store under `stores/` failed to load (its own error
-    /// names the file and the corruption kind).
-    Store(StoreError),
-}
-
-impl fmt::Display for LoadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LoadError::Io { path, source } => {
-                write!(f, "session file {}: {source}", path.display())
-            }
-            LoadError::Corrupt { path, detail } => {
-                write!(f, "session file {} is corrupt: {detail}", path.display())
-            }
-            LoadError::Store(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for LoadError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            LoadError::Io { source, .. } => Some(source),
-            LoadError::Store(e) => Some(e),
-            LoadError::Corrupt { .. } => None,
-        }
-    }
-}
-
-impl From<StoreError> for LoadError {
-    fn from(e: StoreError) -> Self {
-        LoadError::Store(e)
-    }
-}
 
 impl From<SketchError> for SessionError {
     fn from(e: SketchError) -> Self {
@@ -191,19 +108,19 @@ pub struct DatasetSummary {
     pub num_tracks: usize,
 }
 
+/// Detector seed of [`SketchQL::upload_dataset`]'s preprocessing.
+const UPLOAD_SEED: u64 = 1234;
+
 /// A SketchQL session: a trained model plus uploaded datasets.
 pub struct SketchQL {
     model: TrainedModel,
-    /// `model` wrapped for search, built once per model: a store-backed
-    /// query checks the similarity's fingerprint against the store's,
-    /// and the similarity hashes its weights once, on first use — a
-    /// fresh wrapper per query would re-hash them every time. Its
-    /// `config` is the session's search parameters.
+    /// `model` wrapped for search, built once per model: the embedding
+    /// memo keys its rows on the similarity's fingerprint, and the
+    /// similarity hashes its weights once, on first use — a fresh
+    /// wrapper per query would re-hash them every time. Its `config` is
+    /// the session's search parameters.
     matcher: Matcher<LearnedSimilarity>,
-    /// Preprocessing settings for future uploads.
-    pub preprocess: PreprocessConfig,
     datasets: BTreeMap<String, VideoIndex>,
-    stores: BTreeMap<String, ShardSet>,
     last_trace: Mutex<Option<Arc<QueryTrace>>>,
 }
 
@@ -213,9 +130,7 @@ impl SketchQL {
         SketchQL {
             matcher: Matcher::new(model.similarity()),
             model,
-            preprocess: PreprocessConfig::default(),
             datasets: BTreeMap::new(),
-            stores: BTreeMap::new(),
             last_trace: Mutex::new(None),
         }
     }
@@ -235,9 +150,9 @@ impl SketchQL {
     pub fn upload_dataset(&mut self, name: &str, video: &SyntheticVideo) -> DatasetSummary {
         let idx = VideoIndex::build(
             video,
-            self.preprocess.detector,
-            self.preprocess.tracker,
-            self.preprocess.seed,
+            DetectorConfig::default(),
+            TrackerConfig::default(),
+            UPLOAD_SEED,
         );
         let summary = DatasetSummary {
             name: name.to_string(),
@@ -245,9 +160,6 @@ impl SketchQL {
             num_tracks: idx.tracks.len(),
         };
         self.datasets.insert(name.to_string(), idx);
-        // Any previously attached store was built from the old contents;
-        // its fingerprint would force fallbacks anyway, so drop it.
-        self.stores.remove(name);
         summary
     }
 
@@ -260,7 +172,6 @@ impl SketchQL {
             num_tracks: index.tracks.len(),
         };
         self.datasets.insert(name.to_string(), index);
-        self.stores.remove(name);
         summary
     }
 
@@ -274,45 +185,6 @@ impl SketchQL {
         self.datasets
             .get(name)
             .ok_or_else(|| SessionError::UnknownDataset(name.to_string()))
-    }
-
-    /// Builds a persistent embedding store for an uploaded dataset: every
-    /// sliding window the matcher would enumerate is embedded once and
-    /// written as a one-shard set under `dir`, so subsequent queries on
-    /// this dataset take the index-backed path instead of re-embedding
-    /// the whole video. Returns the number of vectors ingested.
-    pub fn ingest_dataset(
-        &mut self,
-        name: &str,
-        config: &IngestConfig,
-        dir: &std::path::Path,
-    ) -> Result<usize, SessionError> {
-        let set = {
-            let index = self.dataset(name)?;
-            ingest_sharded(
-                &self.matcher.sim,
-                index,
-                name,
-                config,
-                index.frames.max(1),
-                &dir.join(shard_set_dir_name(name)),
-                &|_| {},
-            )
-            .map_err(|e| SessionError::Store(e.to_string()))?
-        };
-        let n = set.total_rows() as usize;
-        self.stores.insert(name.to_string(), set);
-        Ok(n)
-    }
-
-    /// The store attached to a dataset, if any.
-    pub fn store(&self, name: &str) -> Option<&ShardSet> {
-        self.stores.get(name)
-    }
-
-    /// Names of datasets with an attached store.
-    pub fn stored_datasets(&self) -> Vec<&str> {
-        self.stores.keys().map(String::as_str).collect()
     }
 
     /// Steps 2-4: a fresh sketcher canvas to compose a query on.
@@ -337,12 +209,8 @@ impl SketchQL {
         query: &Clip,
     ) -> Result<Vec<RetrievedMoment>, SessionError> {
         let index = self.dataset(dataset)?;
-        let store = self.stores.get(dataset);
-        let result = self.traced(dataset, || {
-            self.matcher
-                .search_stored(index, store, query, &CancelToken::none(), None)
-        });
-        result.map(|s| s.moments).map_err(SessionError::from)
+        self.traced(dataset, || self.matcher.search(index, query))
+            .map_err(SessionError::from)
     }
 
     /// Runs `search` on this thread under a fresh trace labelled
@@ -463,19 +331,18 @@ impl SketchQL {
     }
 
     /// Applies Tuner feedback by fine-tuning the session's model in place.
-    /// Returns the number of usable feedback items.
+    /// Returns the number of feedback items tuned on: 0 when the feedback
+    /// lacks a usable positive or negative and the model is unchanged.
     pub fn apply_feedback(
         &mut self,
         query: &Clip,
         feedback: &[Feedback],
         config: &TunerConfig,
     ) -> usize {
-        let usable = feedback.len();
-        self.model = fine_tune(&self.model, query, feedback, config);
-        // New weights, new fingerprint: a store ingested under the old
-        // model is refused from here on and its queries take the scan.
+        let (model, used) = fine_tune_counted(&self.model, query, feedback, config);
+        self.model = model;
         self.matcher.sim = self.model.similarity();
-        usable
+        used
     }
 
     /// Builds a training-free re-ranker from feedback (the lighter Tuner
@@ -483,100 +350,17 @@ impl SketchQL {
     pub fn feedback_reranker(&self, feedback: &[Feedback], config: &TunerConfig) -> Reranker {
         Reranker::new(&self.model, feedback, config)
     }
-
-    /// Persists the whole session (model + every preprocessed dataset
-    /// index + every embedding store) under `dir`, so preprocessing and
-    /// ingest are paid once across process restarts — a video database,
-    /// not a per-run cache.
-    pub fn save(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        let idx_dir = dir.join("indexes");
-        std::fs::create_dir_all(&idx_dir)?;
-        self.model.save(&dir.join("model.json"))?;
-        let mut names = Vec::new();
-        // The manifest records the actual file each dataset landed in.
-        let mut used = std::collections::HashSet::new();
-        for (name, index) in &self.datasets {
-            let file = unique_name(&mut used, &sanitize(name), ".json");
-            let json = serde_json::to_string(index).map_err(std::io::Error::other)?;
-            std::fs::write(idx_dir.join(&file), json)?;
-            names.push((name.clone(), file));
-        }
-        let manifest = serde_json::to_string(&names).map_err(std::io::Error::other)?;
-        std::fs::write(dir.join("manifest.json"), manifest)?;
-        // Each set travels as a directory under `stores/`; its real
-        // dataset name is inside its manifest, so loading never depends
-        // on the directory name.
-        let mut used = std::collections::HashSet::new();
-        for (name, set) in &self.stores {
-            let set_dir = unique_name(&mut used, &sanitize(name), &format!(".{SHARD_SET_EXT}"));
-            set.copy_to(&dir.join("stores").join(set_dir))
-                .map_err(std::io::Error::other)?;
-        }
-        Ok(())
-    }
-
-    /// Restores a session saved with [`SketchQL::save`]. Truncated or
-    /// corrupt members fail with a [`LoadError`] naming the offending
-    /// file rather than an opaque parse error.
-    pub fn load(dir: &std::path::Path) -> Result<Self, LoadError> {
-        let read = |path: std::path::PathBuf| -> Result<(String, std::path::PathBuf), LoadError> {
-            match std::fs::read_to_string(&path) {
-                Ok(s) => Ok((s, path)),
-                Err(source) => Err(LoadError::Io { path, source }),
-            }
-        };
-        let (model_json, model_path) = read(dir.join("model.json"))?;
-        let model: TrainedModel =
-            serde_json::from_str(&model_json).map_err(|e| LoadError::Corrupt {
-                path: model_path,
-                detail: e.to_string(),
-            })?;
-        let (manifest_json, manifest_path) = read(dir.join("manifest.json"))?;
-        let manifest: Vec<(String, String)> =
-            serde_json::from_str(&manifest_json).map_err(|e| LoadError::Corrupt {
-                path: manifest_path,
-                detail: e.to_string(),
-            })?;
-        let mut session = SketchQL::new(model);
-        for (name, file) in manifest {
-            let (json, path) = read(dir.join("indexes").join(&file))?;
-            let index: VideoIndex =
-                serde_json::from_str(&json).map_err(|e| LoadError::Corrupt {
-                    path,
-                    detail: e.to_string(),
-                })?;
-            session.datasets.insert(name, index);
-        }
-        let stores_dir = dir.join("stores");
-        if stores_dir.is_dir() {
-            session.stores = load_store_tier_dir(&stores_dir)?;
-        }
-        Ok(session)
-    }
-}
-
-/// `{base}{ext}`, or `{base}_2{ext}`, `{base}_3{ext}`, … — the first not
-/// yet in `used`. Distinct dataset names can sanitize to the same file
-/// name ("a/b" and "a_b" both become "a_b"); suffixing on collision
-/// means no dataset silently overwrites another.
-fn unique_name(used: &mut std::collections::HashSet<String>, base: &str, ext: &str) -> String {
-    let mut file = format!("{base}{ext}");
-    let mut k = 2;
-    while !used.insert(file.clone()) {
-        file = format!("{base}_{k}{ext}");
-        k += 1;
-    }
-    file
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::training::{train, TrainingConfig};
+    use crate::vstore::model_fingerprint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sketchql_datasets::{generate_video, EventKind, SceneFamily, VideoConfig};
-    use sketchql_telemetry::names;
     use sketchql_trajectory::{Point2, Trajectory};
 
     fn tiny_session() -> SketchQL {
@@ -748,149 +532,59 @@ mod tests {
         assert_ne!(sq.model.store, before, "feedback should update weights");
     }
 
+    /// `apply_feedback` counts the items the Tuner used: none when every
+    /// item is relevant (no triplet forms and the weights stay put), and
+    /// only the clips that featurize when the feedback is mixed.
     #[test]
-    fn session_save_load_round_trip() {
+    fn apply_feedback_counts_the_items_it_tuned_on() {
         let mut sq = tiny_session();
-        let video = small_video(9);
-        sq.upload_index("v/one", VideoIndex::from_truth(&video));
-        let dir = std::env::temp_dir().join(format!("sketchql-session-{}", std::process::id()));
-        sq.save(&dir).unwrap();
-        let back = SketchQL::load(&dir).unwrap();
-        assert_eq!(back.datasets(), vec!["v/one"]);
-        assert_eq!(back.model.store, sq.model.store);
-        // The restored session answers queries identically.
-        let q = sketchql_datasets::query_clip(EventKind::LeftTurn);
-        assert_eq!(
-            sq.run_query("v/one", &q).unwrap(),
-            back.run_query("v/one", &q).unwrap()
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn colliding_sanitized_names_do_not_overwrite_each_other() {
-        // "a/b" and "a_b" both sanitize to "a_b"; before the collision fix
-        // the second index file silently overwrote the first and both
-        // manifest entries pointed at the survivor.
-        let mut sq = tiny_session();
-        sq.upload_index("a/b", VideoIndex::from_truth(&small_video(21)));
-        sq.upload_index("a_b", VideoIndex::from_truth(&small_video(22)));
-        let expect_slash = sq.dataset("a/b").unwrap().tracks.len();
-        let expect_under = sq.dataset("a_b").unwrap().tracks.len();
-        let dir = std::env::temp_dir().join(format!("sketchql-collide-{}", std::process::id()));
-        sq.save(&dir).unwrap();
-        let back = SketchQL::load(&dir).unwrap();
-        assert_eq!(back.datasets(), vec!["a/b", "a_b"]);
-        assert_eq!(back.dataset("a/b").unwrap().tracks.len(), expect_slash);
-        assert_eq!(back.dataset("a_b").unwrap().tracks.len(), expect_under);
-        assert_ne!(
-            serde_json::to_string(back.dataset("a/b").unwrap()).unwrap(),
-            serde_json::to_string(back.dataset("a_b").unwrap()).unwrap(),
-            "collision fix must keep both indexes distinct on disk"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_session_files_fail_with_a_path_naming_error() {
-        let mut sq = tiny_session();
-        sq.upload_index("v", VideoIndex::from_truth(&small_video(23)));
-        let dir = std::env::temp_dir().join(format!("sketchql-corrupt-{}", std::process::id()));
-        sq.save(&dir).unwrap();
-
-        // Truncate the model file mid-JSON: a half-written save.
-        let model_path = dir.join("model.json");
-        let bytes = std::fs::read(&model_path).unwrap();
-        std::fs::write(&model_path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = SketchQL::load(&dir).err().expect("load should fail");
-        assert!(
-            matches!(&err, LoadError::Corrupt { path, .. } if path.ends_with("model.json")),
-            "expected Corrupt naming model.json, got {err:?}"
-        );
-        assert!(err.to_string().contains("model.json"), "{err}");
-
-        // Restore the model, corrupt an index file instead.
-        std::fs::write(&model_path, &bytes).unwrap();
-        let idx_file = dir.join("indexes").join("v.json");
-        std::fs::write(&idx_file, "{not json").unwrap();
-        let err = SketchQL::load(&dir).err().expect("load should fail");
-        assert!(
-            matches!(&err, LoadError::Corrupt { path, .. } if path.ends_with("v.json")),
-            "expected Corrupt naming v.json, got {err:?}"
-        );
-
-        // A missing file is Io, also path-named.
-        std::fs::remove_file(&idx_file).unwrap();
-        let err = SketchQL::load(&dir).err().expect("load should fail");
-        assert!(
-            matches!(&err, LoadError::Io { path, .. } if path.ends_with("v.json")),
-            "expected Io naming v.json, got {err:?}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn ingested_store_survives_save_load_and_serves_queries() {
-        let mut sq = tiny_session();
-        sq.upload_index("v", VideoIndex::from_truth(&small_video(24)));
+        sq.upload_index("v", VideoIndex::from_truth(&small_video(5)));
         let query = sketchql_datasets::query_clip(EventKind::LeftTurn);
-        let scan_results = sq.run_query("v", &query).unwrap();
+        let results = sq.run_query("v", &query).unwrap();
+        assert!(results.len() >= 3);
+        let judged = |m: &RetrievedMoment, relevant| Feedback {
+            clip: sq.moment_clip("v", m).unwrap(),
+            relevant,
+        };
+        let all_relevant = [judged(&results[0], true), judged(&results[1], true)];
+        // Five objects exceed the encoder's slot budget: that clip is dropped.
+        let t = &query.objects[0];
+        let crowd = (0..5)
+            .map(|i| Trajectory::from_points(i, t.class, t.points().to_vec()))
+            .collect();
+        let mixed = [
+            judged(&results[0], true),
+            judged(&results[1], false),
+            judged(results.last().unwrap(), false),
+            Feedback {
+                clip: Clip::new(1000.0, 600.0, crowd),
+                relevant: false,
+            },
+        ];
+        let tuner = TunerConfig {
+            epochs: 1,
+            ..Default::default()
+        };
 
-        let cfg = IngestConfig::from_matcher(&sq.matcher.config, &[query.span()]);
-        let dir = std::env::temp_dir().join(format!("sketchql-store-rt-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let n = sq.ingest_dataset("v", &cfg, &dir.join("ingest")).unwrap();
-        assert!(n > 0, "ingest produced no vectors");
-        // Exhaustive probe so the store path must agree exactly.
-        let nlist = sq.store("v").unwrap().nlist();
-        sq.stores.get_mut("v").unwrap().nprobe = nlist;
-        assert_eq!(sq.run_query("v", &query).unwrap(), scan_results);
-
-        sq.save(&dir.join("session")).unwrap();
-        std::fs::remove_dir_all(dir.join("ingest")).unwrap();
-        let mut back = SketchQL::load(&dir.join("session")).unwrap();
-        assert_eq!(back.stored_datasets(), vec!["v"]);
-        back.stores.get_mut("v").unwrap().nprobe = nlist;
-        assert_eq!(
-            back.run_query("v", &query).unwrap(),
-            scan_results,
-            "restored store must answer identically to the scan"
-        );
-        let report = back.last_query_stats().unwrap();
-        assert_eq!(
-            report.count(names::STORE_HITS),
-            1,
-            "query should be served by the store"
-        );
-        assert!(report.count(names::STORE_PROBED) > 0);
-        std::fs::remove_dir_all(&dir).ok();
+        let before = sq.model.store.clone();
+        assert_eq!(sq.apply_feedback(&query, &all_relevant, &tuner), 0);
+        assert_eq!(sq.model.store, before, "no triplet, no weight change");
+        assert_eq!(sq.apply_feedback(&query, &mixed, &tuner), 3);
+        assert_ne!(sq.model.store, before);
     }
 
-    /// The session searches through one matcher per model: a stored
-    /// dataset is served by its store, `apply_feedback` swaps the matcher's
-    /// similarity with the model (the stale store is refused and the
-    /// query equals a scan), and the matcher's config is still the
-    /// session's live search parameters.
+    /// The session searches through one matcher per model:
+    /// `apply_feedback` swaps the matcher's similarity with the model (a
+    /// new fingerprint, and a query equal to a fresh matcher's scan), and
+    /// the matcher's config is still the session's live search
+    /// parameters.
     #[test]
     fn session_matcher_follows_the_model_and_its_config() {
         let mut sq = tiny_session();
         sq.upload_index("v", VideoIndex::from_truth(&small_video(24)));
         let query = sketchql_datasets::query_clip(EventKind::LeftTurn);
-        let cfg = IngestConfig::from_matcher(&sq.matcher.config, &[query.span()]);
-        let dir = std::env::temp_dir().join(format!("sketchql-matcher-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        sq.ingest_dataset("v", &cfg, &dir).unwrap();
-
         let results = sq.run_query("v", &query).unwrap();
-        let hits_and_fallbacks = |sq: &SketchQL| {
-            let report = sq.last_query_stats().unwrap();
-            (
-                report.count(names::STORE_HITS),
-                report.count(names::STORE_FALLBACKS),
-                report.count(names::STORE_FALLBACK_MODEL_FINGERPRINT),
-            )
-        };
-        assert_eq!(hits_and_fallbacks(&sq), (1, 0, 0));
+        let before = model_fingerprint(&sq.matcher.sim);
 
         let judged = |m: &RetrievedMoment, relevant| Feedback {
             clip: sq.moment_clip("v", m).unwrap(),
@@ -905,24 +599,20 @@ mod tests {
             ..Default::default()
         };
         sq.apply_feedback(&query, &feedback, &tuner);
-        let tuned = sq.run_query("v", &query).unwrap();
-        assert_eq!(
-            hits_and_fallbacks(&sq),
-            (0, 1, 1),
-            "a store ingested under the old weights must be refused"
+        assert_ne!(
+            model_fingerprint(&sq.matcher.sim),
+            before,
+            "new weights, new fingerprint"
         );
+        let tuned = sq.run_query("v", &query).unwrap();
         let scan = Matcher::with_config(sq.model().similarity(), sq.matcher.config.clone())
             .search(sq.dataset("v").unwrap(), &query)
             .unwrap();
-        assert_eq!(
-            tuned, scan,
-            "the fallback answers like a scan of the new model"
-        );
+        assert_eq!(tuned, scan, "the session answers like the new model");
 
         assert!(tuned.len() > 1, "fixture should retrieve several moments");
         sq.matcher_config_mut().top_k = 1;
         assert_eq!(sq.run_query("v", &query).unwrap(), tuned[..1]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The whole query path must be usable from a shared reference across

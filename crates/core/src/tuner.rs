@@ -118,9 +118,21 @@ pub fn fine_tune(
     feedback: &[Feedback],
     config: &TunerConfig,
 ) -> TrainedModel {
+    fine_tune_counted(model, query, feedback, config).0
+}
+
+/// [`fine_tune`], and how many feedback items it tuned on: the positives
+/// and negatives whose clips featurize, or 0 when the model came back
+/// unchanged.
+pub(crate) fn fine_tune_counted(
+    model: &TrainedModel,
+    query: &Clip,
+    feedback: &[Feedback],
+    config: &TunerConfig,
+) -> (TrainedModel, usize) {
     let steps = model.config.encoder.steps;
     let Some(query_t) = clip_features_tensor(query, steps) else {
-        return model.clone();
+        return (model.clone(), 0);
     };
     let pos_t: Vec<_> = feedback
         .iter()
@@ -133,7 +145,7 @@ pub fn fine_tune(
         .filter_map(|f| clip_features_tensor(&f.clip, steps))
         .collect();
     if pos_t.is_empty() || neg_t.is_empty() {
-        return model.clone();
+        return (model.clone(), 0);
     }
 
     // One step's clips in forward order: the query, then each positive
@@ -169,7 +181,7 @@ pub fn fine_tune(
         );
         adam.step(&mut tuned.store, &grads);
     }
-    tuned
+    (tuned, pos_t.len() + neg_t.len())
 }
 
 /// One round of the interactive feedback loop.

@@ -761,28 +761,6 @@ impl ShardSet {
         loaded.as_ref().map_err(Arc::clone)
     }
 
-    /// Copies the set into `dest` — every shard file the manifest names,
-    /// then the manifest, so a reader never finds a manifest without its
-    /// shards. A no-op when `dest` is where the set already lives.
-    pub fn copy_to(&self, dest: &Path) -> Result<(), StoreError> {
-        let io = |path: &Path| {
-            let path = path.to_path_buf();
-            move |source| StoreError::Io { path, source }
-        };
-        std::fs::create_dir_all(dest).map_err(io(dest))?;
-        let same = std::fs::canonicalize(dest).map_err(io(dest))?
-            == std::fs::canonicalize(&self.dir).map_err(io(&self.dir))?;
-        if same {
-            return Ok(());
-        }
-        let shard_files = self.manifest.shards.iter().map(|s| s.file.as_str());
-        for file in shard_files.chain([MANIFEST_FILE]) {
-            let to = dest.join(file);
-            std::fs::copy(self.dir.join(file), &to).map_err(io(&to))?;
-        }
-        Ok(())
-    }
-
     /// Whether this set was built from exactly this index's contents.
     pub fn matches_index(&self, index: &VideoIndex) -> bool {
         self.manifest.frames == index.frames && self.index_fingerprint == index_fingerprint(index)

@@ -238,7 +238,10 @@ fn index_mismatch_and_config_mismatch_fall_back() {
     assert_fell_back_for(&trace, names::STORE_FALLBACK_INDEX_FINGERPRINT);
 
     let foreign = temp_dir("config-mismatch-foreign");
-    set.copy_to(&foreign).unwrap();
+    let shard_files = set.manifest().shards.iter().map(|s| s.file.as_str());
+    for file in shard_files.chain([sketchql_store::MANIFEST_FILE]) {
+        std::fs::copy(set.dir().join(file), foreign.join(file)).unwrap();
+    }
     let mut manifest = Manifest::load(&foreign).unwrap();
     manifest.stride_frac_bits = 0.5f32.to_bits();
     manifest.save(&foreign).unwrap();
@@ -317,17 +320,14 @@ fn one_coordinate_or_one_weight_apart_is_refused() {
 }
 
 /// However a `VideoIndex` came to be — cloned (carrying the cached
-/// value), read back from JSON, or post-processed after `build` — its
-/// fingerprint is the hash of the contents it holds now.
+/// value) or post-processed after `build` — its fingerprint is the hash
+/// of the contents it holds now.
 #[test]
 fn cached_index_fingerprint_equals_a_fresh_hash() {
     let index = test_index(21);
     let fp = index_fingerprint(&index);
     assert_eq!(fp, index_fingerprint(&rebuilt(&index)));
     assert_eq!(fp, index_fingerprint(&index.clone()));
-    let json = serde_json::to_string(&index).unwrap();
-    let back: VideoIndex = serde_json::from_str(&json).unwrap();
-    assert_eq!(fp, index_fingerprint(&back));
 
     let video = test_video(42);
     let (detector, tracker) = (
@@ -376,38 +376,6 @@ fn editing_a_scanned_index_is_caught_in_debug() {
     let mut edited = index.clone();
     edited.tracks.pop();
     let _ = m.search(&edited, &query);
-}
-
-/// The index cache files a session writes hold the six data fields in
-/// declaration order and nothing else — what the derived serializer
-/// wrote before the fingerprint cell existed — whether or not the
-/// fingerprint has been computed; and such a file still loads.
-#[test]
-fn persisted_index_json_never_carries_the_fingerprint() {
-    #[derive(serde::Serialize)]
-    struct Derived {
-        name: String,
-        tracks: Vec<Trajectory>,
-        frames: u32,
-        frame_width: f32,
-        frame_height: f32,
-        fps: f32,
-    }
-    let index = test_index(22);
-    let want = serde_json::to_string(&Derived {
-        name: index.name.clone(),
-        tracks: index.tracks.clone(),
-        frames: index.frames,
-        frame_width: index.frame_width,
-        frame_height: index.frame_height,
-        fps: index.fps,
-    })
-    .unwrap();
-    assert_eq!(serde_json::to_string(&index).unwrap(), want);
-    index_fingerprint(&index);
-    assert_eq!(serde_json::to_string(&index).unwrap(), want);
-    let back: VideoIndex = serde_json::from_str(&want).unwrap();
-    assert_eq!(serde_json::to_string(&back).unwrap(), want);
 }
 
 /// Stores hold single-track rows, so a multi-object query scans.

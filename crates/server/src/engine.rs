@@ -103,7 +103,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use sketchql::{
     CancelReason, CancelToken, LearnedSimilarity, MatchError, Matcher, MatcherConfig,
-    RetrievedMoment, ShardSet, SimilarityError, StoreSearch, TrainedModel, VideoIndex,
+    RetrievedMoment, ShardSet, Similarity, SimilarityError, StoreSearch, TrainedModel, VideoIndex,
 };
 use sketchql_telemetry::{self as telemetry, names, TraceContext, TraceOutcome};
 use sketchql_trajectory::Clip;
@@ -1002,7 +1002,9 @@ impl Engine {
     /// it notify). Restricted to store-backed datasets: epoch-scoped
     /// evaluation rides the store's window grid, which is what makes a
     /// standing query's matches bit-identical to offline queries over
-    /// the appended ranges.
+    /// the appended ranges. A query the encoder cannot embed is refused
+    /// with [`EngineError::Similarity`] before anything is registered —
+    /// accepted, it would fail on every epoch.
     pub fn register(
         &self,
         dataset: &str,
@@ -1017,6 +1019,11 @@ impl Engine {
         let Some(set) = data.stores.get(dataset) else {
             return Err(EngineError::NotStored(dataset.to_string()));
         };
+        self.shared
+            .matcher
+            .sim
+            .prepare(&query)
+            .map_err(EngineError::Similarity)?;
         let reg = self.shared.live.register(
             dataset.to_string(),
             query,

@@ -24,7 +24,7 @@ use sketchql_server::{
     Client, ClientError, Engine, EngineConfig, EngineError, ErrorKind, LivePoller, QuerySpec,
     Server, LIVE_CLASS, PROTOCOL_VERSION,
 };
-use sketchql_trajectory::Clip;
+use sketchql_trajectory::{Clip, Trajectory};
 
 use common::tiny_model;
 
@@ -181,6 +181,21 @@ fn standing_query_matches_offline_scoped_query_per_epoch() {
     else {
         panic!("unknown dataset must not register");
     };
+    // Five objects exceed the encoder's slot budget: such a query would
+    // fail on every epoch, so it is refused up front and never saved.
+    let t = &query.objects[0];
+    let crowd = (0..5)
+        .map(|i| Trajectory::from_points(i, t.class, t.points().to_vec()))
+        .collect();
+    let Err(EngineError::Similarity(_)) =
+        engine.register("alpha", Clip::new(1000.0, 600.0, crowd), None, None)
+    else {
+        panic!("an unembeddable query must not register");
+    };
+    assert!(
+        engine.notifications(reg.id + 1, None).is_none(),
+        "the refused query took no registry entry"
+    );
     assert!(!engine.unregister(reg.id + 100));
     assert!(engine.unregister(reg.id));
     assert!(

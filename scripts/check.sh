@@ -66,4 +66,7 @@ scripts/smoke_shard.sh
 echo "== live smoke (append -> standing query fires on the new epoch -> restart)"
 scripts/smoke_live.sh
 
+echo "== non-test lines per crate (printed for the change's report; no threshold)"
+scripts/loc.sh
+
 echo "ok: all checks passed"
