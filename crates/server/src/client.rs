@@ -132,7 +132,7 @@ impl Client {
     }
 
     /// Like [`Client::query_event`], with the full option set
-    /// (admission class, priority, caller-minted trace id).
+    /// (including a caller-minted trace id).
     pub fn query_event_with(
         &mut self,
         dataset: &str,
@@ -185,8 +185,6 @@ impl Client {
             top_k: opts.top_k,
             deadline_ms: opts.deadline.map(|d| d.as_millis() as u64),
             trace_id: Some(opts.trace_id.unwrap_or_else(mint_trace_id)),
-            class: opts.class.clone(),
-            priority: opts.priority,
         };
         match self.request(&request)? {
             Response::Moments(outcome) => Ok(outcome),
@@ -292,19 +290,14 @@ impl Client {
 
 /// Optional knobs for [`Client::query_event_with`] /
 /// [`Client::query_clip_with`]. `Default` leaves every decision to the
-/// server: its configured top-k, no deadline, the default admission
-/// class at its configured priority, and a client-minted trace id.
+/// server: its configured top-k and no deadline; the trace id is minted
+/// by the client.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryOptions {
     /// Truncate results to this many moments.
     pub top_k: Option<usize>,
     /// Per-query deadline.
     pub deadline: Option<Duration>,
-    /// Admission class (server falls back to its default class for
-    /// names it has no config for).
-    pub class: Option<String>,
-    /// Base priority override; higher runs first.
-    pub priority: Option<i32>,
     /// Caller-minted 48-bit trace id (minted for you when `None`).
     pub trace_id: Option<u64>,
 }

@@ -8,24 +8,15 @@
 //! [`EngineConfig::queue_depth`], so an overloaded engine sheds load
 //! instead of accumulating unbounded latency.
 //!
-//! ## Scheduling policy
+//! ## Queue order
 //!
-//! Admission and ordering are governed by an explicit [`SchedPolicy`]:
-//!
-//! - **Admission classes**: every query resolves to a named class
-//!   (undeclared wire classes collapse into `"default"`, keeping the
-//!   class set — and stats/metric cardinality — fixed at start). A class
-//!   can carry a queue quota (its own slice of the admission queue,
-//!   rejected with [`EngineError::Overloaded`]) and a token-bucket rate
-//!   limit (rejected with [`EngineError::RateLimited`]), so one noisy
-//!   tenant can't crowd out the rest.
-//! - **Priority with starvation protection**: workers dequeue the
-//!   highest *effective* priority — the class/query base priority plus
-//!   one promotion credit per [`SchedPolicy::aging_ms`] waited — with
-//!   earliest-deadline-first tie-breaks and FIFO order after that. Aging
-//!   bounds starvation: any query's effective priority eventually passes
-//!   any fixed base. With no priorities or deadlines declared this is
-//!   exact arrival order.
+//! There is one queue and one rule. Interactive queries dequeue in
+//! arrival order. A standing-query evaluation — which only the engine
+//! itself submits, on a live reload — is ordered as if it had arrived
+//! [`LIVE_YIELD`] later: an interactive query arriving within that
+//! window still runs first, and an evaluation that has waited that long
+//! is ahead of every later arrival, so it cannot starve. Deadlines do
+//! not reorder the queue; the waiter enforces them (below).
 //!
 //! ## Deadlines and cancellation
 //!
@@ -82,12 +73,11 @@
 //! query works against one `Arc`'d view for its whole run, and
 //! [`Engine::reload_dataset`] replaces the view wholesale — readers
 //! never observe a half-swapped dataset. A reload
-//! also drives the standing-query registry (see the [`live`]
+//! also drives the standing-query registry (see the [`live`](crate::live)
 //! module): each registration behind the new frame count is evaluated
-//! as one epoch-scoped query (`min_end` = its watermark) submitted
-//! through normal admission under the auto-declared [`LIVE_CLASS`]
-//! (base priority [`live::LIVE_PRIORITY`]), so live evaluation shares
-//! the queue with interactive traffic but never preempts it. Scoped
+//! as one epoch-scoped query (`min_end` = its watermark) admitted to
+//! the same bounded queue as interactive traffic, where it yields to
+//! interactive queries by [`LIVE_YIELD`] (see above). Scoped
 //! queries ride the same store probe + exact re-rank path, so a
 //! standing query's scores are bit-identical to an offline query over
 //! the appended range.
@@ -108,9 +98,7 @@ use sketchql::{
 use sketchql_telemetry::{self as telemetry, names, TraceContext, TraceOutcome};
 use sketchql_trajectory::Clip;
 
-use crate::live::{
-    self, LiveNotifications, LiveRegistration, LiveRegistry, LiveReload, LIVE_CLASS,
-};
+use crate::live::{LiveNotifications, LiveRegistration, LiveRegistry, LiveReload, LIVE_YIELD};
 
 /// Bucket bounds (milliseconds) for the queue-wait and execute
 /// latency histograms. The sub-millisecond bounds resolve store-served
@@ -126,58 +114,7 @@ const DEADLINE_MARGIN_MS_BOUNDS: &[f64] = &[
     -5000.0, -1000.0, -250.0, -50.0, 0.0, 10.0, 50.0, 100.0, 250.0, 1000.0, 5000.0,
 ];
 
-/// The class queries resolve to when they name no class (or name one
-/// the policy doesn't declare). Always present in the class table.
-pub const DEFAULT_CLASS: &str = "default";
-
-/// Admission and priority settings for one class of clients.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ClassConfig {
-    /// Base priority for queries of this class (higher runs first).
-    /// A query's own `priority` field overrides it.
-    pub priority: i32,
-    /// Token-bucket refill rate, queries per second. `0` = unlimited.
-    pub rate_per_sec: f64,
-    /// Token-bucket capacity (burst size). `0` = `max(rate_per_sec, 1)`.
-    pub burst: f64,
-    /// Maximum queries of this class waiting in the queue at once.
-    /// `0` = bounded only by [`EngineConfig::queue_depth`].
-    pub queue_quota: usize,
-}
-
-impl ClassConfig {
-    fn effective_burst(&self) -> f64 {
-        if self.burst > 0.0 {
-            self.burst
-        } else {
-            self.rate_per_sec.max(1.0)
-        }
-    }
-}
-
-/// The scheduling policy: admission classes plus queue ordering. See
-/// the [module docs](self).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchedPolicy {
-    /// Declared admission classes. Queries naming no class (or an
-    /// undeclared one) fall into [`DEFAULT_CLASS`], which may itself be
-    /// declared here to give it quotas or a base priority.
-    pub classes: BTreeMap<String, ClassConfig>,
-    /// Milliseconds of queue wait per +1 effective-priority promotion
-    /// credit (starvation protection). `0` disables aging.
-    pub aging_ms: u64,
-}
-
-impl Default for SchedPolicy {
-    fn default() -> Self {
-        SchedPolicy {
-            classes: BTreeMap::new(),
-            aging_ms: 100,
-        }
-    }
-}
-
-/// Engine sizing and policy.
+/// Engine sizing.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Worker threads executing queries.
@@ -192,8 +129,6 @@ pub struct EngineConfig {
     /// ranked list (NMS keeps a greedy prefix, so the truncation is
     /// identical to searching with the smaller `top_k`).
     pub matcher: MatcherConfig,
-    /// Admission and ordering policy.
-    pub sched: SchedPolicy,
     /// Where the standing-query registry persists (atomic JSON).
     /// `None` keeps registrations in memory only — they die with the
     /// process. Restored registrations whose watermark trails a loaded
@@ -208,7 +143,6 @@ impl Default for EngineConfig {
             queue_depth: 64,
             default_deadline: None,
             matcher: MatcherConfig::default(),
-            sched: SchedPolicy::default(),
             registry_path: None,
         }
     }
@@ -224,12 +158,6 @@ pub enum EngineError {
     },
     /// The engine is shutting down and no longer admits queries.
     ShuttingDown,
-    /// The query's admission class exhausted its token-bucket rate
-    /// limit; the query was never enqueued. Retry after backoff.
-    RateLimited {
-        /// The admission class whose bucket ran dry.
-        class: String,
-    },
     /// No dataset with that name is loaded.
     UnknownDataset(String),
     /// Live registration targets a dataset with no embedding store
@@ -259,9 +187,6 @@ impl fmt::Display for EngineError {
                 )
             }
             EngineError::ShuttingDown => write!(f, "engine is shutting down"),
-            EngineError::RateLimited { class } => {
-                write!(f, "rate limited: class {class:?} exceeded its query rate")
-            }
             EngineError::UnknownDataset(n) => write!(f, "unknown dataset {n:?}"),
             EngineError::NotStored(n) => write!(
                 f,
@@ -311,13 +236,6 @@ pub struct QuerySpec {
     /// Trace id to run under (a wire client's id); `None` mints a fresh
     /// one at admission.
     pub trace: Option<u64>,
-    /// Admission class. `None` (or a class the policy doesn't declare)
-    /// resolves to [`DEFAULT_CLASS`].
-    pub class: Option<String>,
-    /// Priority override; `None` uses the class's base priority.
-    /// Clamped to ±1000 so wire clients can't outrun aging credit
-    /// forever.
-    pub priority: Option<i32>,
     /// Epoch scope: only windows ending at or after this frame are
     /// considered (the standing-query evaluation range). `None` searches
     /// the whole dataset.
@@ -326,8 +244,7 @@ pub struct QuerySpec {
 
 impl QuerySpec {
     /// A query with no top-k override, no per-query deadline, a
-    /// server-minted trace id, default class/priority, and no epoch
-    /// scope.
+    /// server-minted trace id, and no epoch scope.
     pub fn new(dataset: impl Into<String>, query: Clip) -> Self {
         QuerySpec {
             dataset: dataset.into(),
@@ -335,8 +252,6 @@ impl QuerySpec {
             top_k: None,
             deadline: None,
             trace: None,
-            class: None,
-            priority: None,
             min_end: None,
         }
     }
@@ -386,25 +301,24 @@ pub struct DatasetTraffic {
     pub memo_resets: u64,
 }
 
-/// Per-admission-class queue position and traffic, served inside
-/// [`EngineStats`] so fairness is observable from `stats`/`top`.
+/// The element type of [`EngineStats::classes`], which is always
+/// empty: the engine has one queue and no admission classes. Kept only
+/// so the Stats reply keeps the shape v5 and v6 clients parse.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClassStats {
     /// Class name.
     pub name: String,
-    /// Base priority from the policy (0 for an undeclared default).
+    /// Base priority of the class.
     pub priority: i32,
-    /// Queries of this class currently waiting in the queue.
+    /// Queries of the class waiting in the queue.
     pub queued: usize,
-    /// Queue wait of this class's oldest waiting query, milliseconds
-    /// (0 when none are queued).
+    /// Queue wait of the class's oldest waiting query, milliseconds.
     pub oldest_wait_ms: u64,
-    /// Queries of this class answered successfully.
+    /// Queries of the class answered successfully.
     pub completed: u64,
-    /// Queries of this class rejected by its token-bucket rate limit.
+    /// Queries of the class rejected by its rate limit.
     pub rate_limited: u64,
-    /// Queries of this class shed at admission (shutdown, full queue,
-    /// or class quota).
+    /// Queries of the class shed at admission.
     pub shed: u64,
 }
 
@@ -437,11 +351,14 @@ pub struct EngineStats {
     pub store_fallbacks: u64,
     /// Total stored rows scored across all store-served queries.
     pub store_probed: u64,
-    /// Queries rejected at admission by a class rate limit.
+    /// Always 0: nothing is rate limited. Kept because the wire's
+    /// Stats reply carries it for v5 and v6 clients, and the benchmark
+    /// reads it.
     pub rate_limited: u64,
     /// Per-dataset traffic totals, in dataset-name order.
     pub datasets: Vec<DatasetTraffic>,
-    /// Per-class queue position and traffic, in class-name order.
+    /// Always empty: there are no admission classes. Kept because the
+    /// wire's Stats reply carries it for v5 and v6 clients.
     pub classes: Vec<ClassStats>,
 }
 
@@ -504,11 +421,13 @@ impl QueryHandle {
     }
 }
 
-/// A queued query: what ordering reads (`priority`, `seq`), what only the
-/// executing worker reads (`query`), and the record everyone who may
-/// answer it shares.
+/// A queued query: what ordering reads (`standing`, `seq`, the member's
+/// arrival), what only the executing worker reads (`query`), and the
+/// record everyone who may answer it shares.
 struct Job {
-    priority: i32,
+    /// A standing-query evaluation, ordered [`LIVE_YIELD`] after its
+    /// arrival.
+    standing: bool,
     seq: u64,
     query: Clip,
     member: Arc<Member>,
@@ -521,7 +440,6 @@ struct Job {
 /// only the winner counts the outcome and sends.
 struct Member {
     dataset: String,
-    class: String,
     top_k: Option<usize>,
     min_end: Option<u32>,
     cancel: CancelToken,
@@ -541,68 +459,29 @@ impl Member {
     }
 }
 
-/// Per-class queue occupancy and token bucket, under the state lock.
-struct ClassQueue {
-    queued: usize,
-    tokens: f64,
-    last_refill: Instant,
-}
-
 struct QueueState {
     queue: VecDeque<Job>,
     accepting: bool,
     in_flight: usize,
-    /// Keys are fixed at start: declared classes plus [`DEFAULT_CLASS`].
-    classes: BTreeMap<String, ClassQueue>,
     next_seq: u64,
 }
 
 impl QueueState {
-    /// The admission decision for one query of `class`, in the order the
-    /// rejections are documented: shutdown, the global queue bound, the
-    /// class's queue quota, the class's token bucket. On success the
-    /// class's queue slot (and rate token) is taken and its new queue
-    /// occupancy returned.
-    fn admit(
-        &mut self,
-        class: &str,
-        cfg: ClassConfig,
-        queue_depth: usize,
-        now: Instant,
-    ) -> Result<usize, EngineError> {
+    /// The admission decision, in the order the rejections are
+    /// documented: shutdown, then the queue bound.
+    fn admit(&self, queue_depth: usize) -> Result<(), EngineError> {
         if !self.accepting {
             return Err(EngineError::ShuttingDown);
         }
         if self.queue.len() >= queue_depth {
             return Err(EngineError::Overloaded { queue_depth });
         }
-        let cq = self.classes.get_mut(class).expect("class table is fixed");
-        // Per-class queue quota: this class's slice of the queue.
-        if cfg.queue_quota > 0 && cq.queued >= cfg.queue_quota {
-            return Err(EngineError::Overloaded {
-                queue_depth: cfg.queue_quota,
-            });
-        }
-        // Token-bucket rate limit: refill lazily, spend one per query.
-        if cfg.rate_per_sec > 0.0 {
-            let dt = now.duration_since(cq.last_refill).as_secs_f64();
-            cq.tokens = (cq.tokens + dt * cfg.rate_per_sec).min(cfg.effective_burst());
-            cq.last_refill = now;
-            if cq.tokens < 1.0 {
-                return Err(EngineError::RateLimited {
-                    class: class.to_string(),
-                });
-            }
-            cq.tokens -= 1.0;
-        }
-        cq.queued += 1;
-        Ok(cq.queued)
+        Ok(())
     }
 }
 
-/// Engine-wide counters with no per-dataset / per-class breakdown to be
-/// derived from (the other [`EngineStats`] totals are sums of those
-/// tables).
+/// Engine-wide counters with no per-dataset breakdown to be derived
+/// from (the other [`EngineStats`] totals are sums of that table).
 #[derive(Default)]
 struct Counters {
     accepted: AtomicU64,
@@ -625,40 +504,6 @@ struct DatasetCounters {
     shed: AtomicU64,
 }
 
-/// Per-class slice of the traffic counters; same fixed-key scheme as
-/// [`DatasetCounters`]. The class table being fixed, the class's
-/// `sketchql.server.class.<class>.*` registry handles are resolved once
-/// here instead of formatting a name per event.
-struct ClassCounters {
-    completed: AtomicU64,
-    rate_limited: AtomicU64,
-    shed: AtomicU64,
-    completed_metric: &'static telemetry::Counter,
-    rate_limited_metric: &'static telemetry::Counter,
-    shed_metric: &'static telemetry::Counter,
-    queue_depth: &'static telemetry::Gauge,
-    queue_wait_ms: &'static telemetry::Histogram,
-}
-
-impl ClassCounters {
-    fn resolve(class: &str) -> Self {
-        let counter = |metric| telemetry::counter(&names::server_class_metric(class, metric));
-        ClassCounters {
-            completed: AtomicU64::new(0),
-            rate_limited: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            completed_metric: counter("completed"),
-            rate_limited_metric: counter("rate_limited"),
-            shed_metric: counter("shed"),
-            queue_depth: telemetry::gauge(&names::server_class_metric(class, "queue_depth")),
-            queue_wait_ms: telemetry::histogram(
-                &names::server_class_metric(class, "queue_wait_ms"),
-                LATENCY_MS_BOUNDS,
-            ),
-        }
-    }
-}
-
 /// The engine's swappable dataset view. Readers grab one `Arc` snapshot
 /// and work against it for a whole query, so a live
 /// reload never tears a scan: [`Engine::reload_dataset`] builds a new
@@ -678,10 +523,6 @@ struct Shared {
     live: LiveRegistry,
     counters: Counters,
     per_dataset: BTreeMap<String, DatasetCounters>,
-    per_class: BTreeMap<String, ClassCounters>,
-    /// The configured policy with [`DEFAULT_CLASS`] declared: its
-    /// `classes` is the whole fixed class table.
-    policy: SchedPolicy,
 }
 
 impl Shared {
@@ -696,12 +537,6 @@ impl Shared {
         self.per_dataset
             .get(name)
             .expect("dataset validated at submit")
-    }
-
-    /// The per-class counter slice for `name` (always present: the
-    /// class was resolved against the fixed table at submit).
-    fn class_counters(&self, name: &str) -> &ClassCounters {
-        self.per_class.get(name).expect("class resolved at submit")
     }
 }
 
@@ -739,17 +574,6 @@ impl Engine {
     ) -> Engine {
         let mut config = config;
         config.workers = config.workers.max(1);
-        // Standing-query evaluation always has a class to run under:
-        // auto-declare the live class (far below interactive priority)
-        // unless the policy configured it explicitly.
-        config
-            .sched
-            .classes
-            .entry(LIVE_CLASS.to_string())
-            .or_insert(ClassConfig {
-                priority: live::LIVE_PRIORITY,
-                ..Default::default()
-            });
         let matcher = Matcher::with_config(model.similarity(), config.matcher.clone());
         let datasets: BTreeMap<String, Arc<VideoIndex>> = datasets
             .into_iter()
@@ -767,29 +591,6 @@ impl Engine {
             .keys()
             .map(|name| (name.clone(), DatasetCounters::default()))
             .collect();
-        // The class table is fixed at start: every declared class plus
-        // the default class every unmatched query resolves to (at
-        // `ClassConfig::default()` unless the policy declares it).
-        let mut policy = config.sched.clone();
-        policy.classes.entry(DEFAULT_CLASS.to_string()).or_default();
-        let now = Instant::now();
-        let class_queues = policy
-            .classes
-            .iter()
-            .map(|(name, cfg)| {
-                let queue = ClassQueue {
-                    queued: 0,
-                    tokens: cfg.effective_burst(),
-                    last_refill: now,
-                };
-                (name.clone(), queue)
-            })
-            .collect();
-        let per_class = policy
-            .classes
-            .keys()
-            .map(|name| (name.clone(), ClassCounters::resolve(name)))
-            .collect();
         let registry = LiveRegistry::new(config.registry_path.clone());
         telemetry::gauge(names::LIVE_REGISTRATIONS).set(registry.count() as f64);
         let shared = Arc::new(Shared {
@@ -797,7 +598,6 @@ impl Engine {
                 queue: VecDeque::new(),
                 accepting: true,
                 in_flight: 0,
-                classes: class_queues,
                 next_seq: 0,
             }),
             work_ready: Condvar::new(),
@@ -806,8 +606,6 @@ impl Engine {
             live: registry,
             counters: Counters::default(),
             per_dataset,
-            per_class,
-            policy,
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -830,27 +628,25 @@ impl Engine {
         engine
     }
 
-    /// The engine's effective configuration (`workers` at least 1, the
-    /// live class declared).
+    /// The engine's effective configuration (`workers` at least 1).
     pub fn config(&self) -> &EngineConfig {
         &self.config
     }
 
     /// Non-blocking admission. Returns a handle to wait on, or an
     /// immediate rejection ([`EngineError::Overloaded`],
-    /// [`EngineError::RateLimited`], [`EngineError::ShuttingDown`],
-    /// [`EngineError::UnknownDataset`]).
+    /// [`EngineError::ShuttingDown`], [`EngineError::UnknownDataset`]).
     pub fn submit(&self, spec: QuerySpec) -> Result<QueryHandle, EngineError> {
+        self.enqueue(spec, false)
+    }
+
+    /// Admission for [`submit`](Self::submit) and for standing-query
+    /// evaluation (`standing`), which the queue orders [`LIVE_YIELD`]
+    /// after its arrival.
+    fn enqueue(&self, spec: QuerySpec, standing: bool) -> Result<QueryHandle, EngineError> {
         if !self.shared.data().datasets.contains_key(&spec.dataset) {
             return Err(EngineError::UnknownDataset(spec.dataset));
         }
-        // Undeclared wire classes collapse into the default class: the
-        // class table (and stats/metric cardinality) stays fixed.
-        let classes = &self.shared.policy.classes;
-        let declared = spec.class.as_deref().filter(|c| classes.contains_key(*c));
-        let class = declared.unwrap_or(DEFAULT_CLASS).to_string();
-        let cfg = classes[&class];
-        let priority = spec.priority.unwrap_or(cfg.priority).clamp(-1000, 1000);
         // The trace is born at admission; shed queries finalize it via
         // its drop safety net (after the queue lock below releases), so
         // they still reach the flight recorder and slow-query log.
@@ -861,35 +657,28 @@ impl Engine {
         trace.set_label(spec.dataset.as_str());
         let deadline = spec.deadline.or(self.config.default_deadline);
         let (tx, rx) = mpsc::channel();
-        let now = Instant::now();
         let member = Arc::new(Member {
             dataset: spec.dataset,
-            class,
             top_k: spec.top_k,
             min_end: spec.min_end,
             cancel: match deadline {
                 Some(d) => CancelToken::with_timeout(d),
                 None => CancelToken::new(),
             },
-            enqueued_at: now,
+            enqueued_at: Instant::now(),
             trace,
             tx,
             claimed: AtomicBool::new(false),
         });
         let mut st = self.shared.state.lock().unwrap();
-        let queued = match st.admit(&member.class, cfg, self.config.queue_depth, now) {
-            Ok(queued) => queued,
-            Err(err) => {
-                tally(&self.shared, &member, Event::Shed(&err));
-                return Err(err);
-            }
-        };
-        let class_counters = self.shared.class_counters(&member.class);
-        class_counters.queue_depth.set(queued as f64);
+        if let Err(err) = st.admit(self.config.queue_depth) {
+            tally(&self.shared, &member, Event::Shed(&err));
+            return Err(err);
+        }
         st.next_seq += 1;
         let seq = st.next_seq;
         st.queue.push_back(Job {
-            priority,
+            standing,
             seq,
             query: spec.query,
             member: Arc::clone(&member),
@@ -914,30 +703,6 @@ impl Engine {
         let data = self.shared.data();
         let st = self.shared.state.lock().unwrap();
         let c = &self.shared.counters;
-        let classes: Vec<ClassStats> = self
-            .shared
-            .per_class
-            .iter()
-            .map(|(name, cc)| {
-                let queued = st.classes.get(name).map(|cq| cq.queued).unwrap_or(0);
-                let oldest_wait_ms = st
-                    .queue
-                    .iter()
-                    .filter(|j| j.member.class == *name)
-                    .map(|j| j.member.enqueued_at.elapsed().as_millis() as u64)
-                    .max()
-                    .unwrap_or(0);
-                ClassStats {
-                    name: name.clone(),
-                    priority: self.shared.policy.classes[name].priority,
-                    queued,
-                    oldest_wait_ms,
-                    completed: cc.completed.load(Ordering::Relaxed),
-                    rate_limited: cc.rate_limited.load(Ordering::Relaxed),
-                    shed: cc.shed.load(Ordering::Relaxed),
-                }
-            })
-            .collect();
         let datasets: Vec<DatasetTraffic> = self
             .shared
             .per_dataset
@@ -956,9 +721,8 @@ impl Engine {
                 }
             })
             .collect();
-        // Every answered query belongs to one dataset and every
-        // rate-limited one to one class, so the totals are sums of the
-        // tables rather than a second set of counters.
+        // Every answered query belongs to one dataset, so the totals are
+        // sums of the table rather than a second set of counters.
         EngineStats {
             workers: self.config.workers,
             queued: st.queue.len(),
@@ -971,9 +735,9 @@ impl Engine {
             store_hits: c.store_hits.load(Ordering::Relaxed),
             store_fallbacks: c.store_fallbacks.load(Ordering::Relaxed),
             store_probed: c.store_probed.load(Ordering::Relaxed),
-            rate_limited: classes.iter().map(|c| c.rate_limited).sum(),
+            rate_limited: 0,
             datasets,
-            classes,
+            classes: Vec::new(),
         }
     }
 
@@ -1059,8 +823,8 @@ impl Engine {
     /// snapshot; new queries see the new one) and evaluates every
     /// standing query the growth left behind. Evaluation is synchronous
     /// — when this returns, every match for the epoch is queued — but
-    /// flows through normal admission under [`LIVE_CLASS`], so
-    /// concurrent interactive traffic keeps its priority.
+    /// flows through the one admission queue, where it yields to
+    /// concurrent interactive traffic by [`LIVE_YIELD`].
     ///
     /// The reload is validated like a startup store attach, plus: the
     /// dataset name must already be loaded (reload replaces content,
@@ -1110,9 +874,10 @@ impl Engine {
 
     /// Evaluates every registration (optionally: only `only`'s) whose
     /// watermark trails its dataset's current frame count, as
-    /// epoch-scoped queries through normal admission. A failed or shed
-    /// evaluation leaves the watermark where it was — the next epoch
-    /// re-covers the range, so matches are delayed, never lost.
+    /// epoch-scoped standing queries through the admission queue. A
+    /// failed or shed evaluation leaves the watermark where it was — the
+    /// next epoch re-covers the range, so matches are delayed, never
+    /// lost.
     fn evaluate_live(&self, only: Option<&str>) -> (usize, usize) {
         let data = self.shared.data();
         let due = self
@@ -1134,11 +899,10 @@ impl Engine {
                 .map_or(0, |set| set.manifest().epoch);
             let spec = QuerySpec {
                 top_k: d.top_k,
-                class: Some(LIVE_CLASS.to_string()),
                 min_end: Some(d.watermark),
                 ..QuerySpec::new(d.dataset.clone(), d.query)
             };
-            let Ok(handle) = self.submit(spec) else {
+            let Ok(handle) = self.enqueue(spec, true) else {
                 continue;
             };
             telemetry::counter(names::LIVE_EVALUATIONS).inc();
@@ -1171,16 +935,7 @@ impl Engine {
         // belt-and-braces guarantee that a submit racing shutdown either
         // errors at admission or gets an answer here — `wait()` can
         // never hang on an admitted query.
-        let leftovers: Vec<Job> = {
-            let mut st = self.shared.state.lock().unwrap();
-            let drained: Vec<Job> = std::mem::take(&mut st.queue).into();
-            for job in &drained {
-                if let Some(cq) = st.classes.get_mut(&job.member.class) {
-                    cq.queued -= 1;
-                }
-            }
-            drained
-        };
+        let leftovers = std::mem::take(&mut self.shared.state.lock().unwrap().queue);
         for job in leftovers {
             finish_err(&self.shared, &job.member, EngineError::ShuttingDown);
         }
@@ -1200,15 +955,8 @@ fn worker_loop(shared: &Shared) {
         let job = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                if let Some(i) = pick_index(&st.queue, &shared.policy, Instant::now()) {
+                if let Some(i) = pick_index(&st.queue) {
                     let job = st.queue.remove(i).expect("picked index in bounds");
-                    let class = &job.member.class;
-                    let cq = st.classes.get_mut(class).expect("class table is fixed");
-                    cq.queued -= 1;
-                    shared
-                        .class_counters(class)
-                        .queue_depth
-                        .set(cq.queued as f64);
                     st.in_flight += 1;
                     telemetry::gauge(names::SERVER_QUEUE_DEPTH).set(st.queue.len() as f64);
                     break job;
@@ -1235,49 +983,16 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Effective priority after starvation protection: the base priority
-/// plus one promotion credit per `aging_ms` of queue wait.
-fn effective_priority(job: &Job, now: Instant, aging_ms: u64) -> i64 {
-    // aging_ms == 0 disables aging (no credit), not instant promotion.
-    let waited = now.saturating_duration_since(job.member.enqueued_at);
-    let wait_ms = waited.as_millis() as u64;
-    let credit = wait_ms.checked_div(aging_ms).unwrap_or(0) as i64;
-    job.priority as i64 + credit
-}
-
-/// Whether `a` should run strictly before `b`: higher effective
-/// priority, then earlier deadline (EDF; a deadline beats none), then
-/// arrival order.
-fn sched_before(a: &Job, b: &Job, now: Instant, aging_ms: u64) -> bool {
-    let (pa, pb) = (
-        effective_priority(a, now, aging_ms),
-        effective_priority(b, now, aging_ms),
-    );
-    if pa != pb {
-        return pa > pb;
-    }
-    match (a.member.cancel.deadline(), b.member.cancel.deadline()) {
-        (Some(da), Some(db)) if da != db => da < db,
-        (Some(_), None) => true,
-        (None, Some(_)) => false,
-        _ => a.seq < b.seq,
-    }
-}
-
-/// Index of the next job to dequeue under `policy`. With no declared
-/// priorities or deadlines this is always the queue front, so the
-/// default policy degrades to exact FIFO.
-fn pick_index(queue: &VecDeque<Job>, policy: &SchedPolicy, now: Instant) -> Option<usize> {
-    if queue.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for i in 1..queue.len() {
-        if sched_before(&queue[i], &queue[best], now, policy.aging_ms) {
-            best = i;
-        }
-    }
-    Some(best)
+/// Index of the next job to dequeue: the least ordering key, which is
+/// the arrival time — [`LIVE_YIELD`] later for a standing-query
+/// evaluation — with `seq` (arrival order) breaking ties. With no
+/// standing jobs queued this is always the queue front.
+fn pick_index(queue: &VecDeque<Job>) -> Option<usize> {
+    let key = |job: &Job| {
+        let at = job.member.enqueued_at;
+        (if job.standing { at + LIVE_YIELD } else { at }, job.seq)
+    };
+    (0..queue.len()).min_by_key(|&i| key(&queue[i]))
 }
 
 /// A query's successful execution, as [`finish_ok`] answers it.
@@ -1303,10 +1018,6 @@ fn run_job(shared: &Shared, job: Job) -> Result<Done, EngineError> {
     let queue_wait = member.enqueued_at.elapsed();
     let wait_ms = queue_wait.as_secs_f64() * 1e3;
     telemetry::histogram(names::SERVER_QUEUE_WAIT_MS, LATENCY_MS_BOUNDS).observe(wait_ms);
-    shared
-        .class_counters(&member.class)
-        .queue_wait_ms
-        .observe(wait_ms);
     // The queue wait happened between threads, outside any RAII scope —
     // record it straight into the trace.
     member.trace.record_span(
@@ -1414,8 +1125,8 @@ fn finish_err(shared: &Shared, member: &Member, err: EngineError) {
 enum Event<'a> {
     /// Passed admission and was queued.
     Accepted,
-    /// Refused at admission with this error (shutdown, queue full, class
-    /// quota, class rate limit); never queued.
+    /// Refused at admission with this error (shutdown or queue full);
+    /// never queued.
     Shed(&'a EngineError),
     /// Left the queue with its deadline already passed; never ran
     /// (counted beside the claim winner's `Answered(DeadlineExceeded)`).
@@ -1433,7 +1144,6 @@ enum Event<'a> {
 fn tally(shared: &Shared, member: &Member, event: Event) {
     let c = &shared.counters;
     let dataset = shared.dataset_counters(&member.dataset);
-    let class = shared.class_counters(&member.class);
     let bump = |slot: &AtomicU64| {
         slot.fetch_add(1, Ordering::Relaxed);
     };
@@ -1446,15 +1156,8 @@ fn tally(shared: &Shared, member: &Member, event: Event) {
         Event::Shed(err) => {
             bump(&dataset.shed);
             member.trace.set_outcome(TraceOutcome::Shed);
-            if let EngineError::RateLimited { .. } = err {
-                bump(&class.rate_limited);
-                class.rate_limited_metric.inc();
-                return;
-            }
-            bump(&class.shed);
-            class.shed_metric.inc();
-            // `Overloaded` is the global queue bound or the class's
-            // quota; the only other refusal is shutdown.
+            // `Overloaded` is the queue bound; the only other refusal is
+            // shutdown.
             if let EngineError::Overloaded { .. } = err {
                 bump(&c.rejected);
                 count(names::SERVER_SHED_QUEUE_FULL);
@@ -1465,8 +1168,6 @@ fn tally(shared: &Shared, member: &Member, event: Event) {
         Event::ExpiredInQueue => count(names::SERVER_SHED_DEADLINE_QUEUE),
         Event::Completed(search) => {
             bump(&dataset.completed);
-            bump(&class.completed);
-            class.completed_metric.inc();
             count(names::SERVER_COMPLETED);
             if search.from_store {
                 bump(&c.store_hits);
@@ -1503,25 +1204,21 @@ fn tally(shared: &Shared, member: &Member, event: Event) {
 mod sched_tests {
     use super::*;
 
-    fn job(dataset: &str, priority: i32, seq: u64, deadline: Option<Duration>) -> Job {
-        let cancel = match deadline {
-            Some(d) => CancelToken::with_timeout(d),
-            None => CancelToken::new(),
-        };
+    /// A job that arrived at `enqueued_at`, in arrival position `seq`.
+    fn job(standing: bool, seq: u64, enqueued_at: Instant) -> Job {
         // The receiver is dropped: these jobs are only ordered, never
         // executed or answered.
         let (tx, _) = mpsc::channel();
         Job {
-            priority,
+            standing,
             seq,
             query: Clip::new(640.0, 480.0, Vec::new()),
             member: Arc::new(Member {
-                dataset: dataset.to_string(),
-                class: DEFAULT_CLASS.to_string(),
+                dataset: "a".to_string(),
                 top_k: None,
                 min_end: None,
-                cancel,
-                enqueued_at: Instant::now(),
+                cancel: CancelToken::new(),
+                enqueued_at,
                 trace: TraceContext::new(),
                 tx,
                 claimed: AtomicBool::new(false),
@@ -1529,53 +1226,37 @@ mod sched_tests {
         }
     }
 
-    /// The freshly built (unshared) member of `job`, for tests that
-    /// adjust a field the builder has no parameter for.
-    fn member_mut(job: &mut Job) -> &mut Member {
-        Arc::get_mut(&mut job.member).expect("unshared")
-    }
-
+    /// Interactive jobs dequeue in arrival order.
     #[test]
     fn default_policy_picks_fifo_order() {
-        let policy = SchedPolicy::default();
-        let queue: VecDeque<Job> = [job("a", 0, 1, None), job("a", 0, 2, None)].into();
-        assert_eq!(pick_index(&queue, &policy, Instant::now()), Some(0));
-    }
-
-    #[test]
-    fn higher_priority_jumps_the_queue() {
-        let policy = SchedPolicy::default();
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
         let queue: VecDeque<Job> = [
-            job("a", 0, 1, None),
-            job("a", 5, 2, None),
-            job("a", 1, 3, None),
+            job(false, 2, t0 + ms(5)),
+            job(false, 1, t0),
+            job(false, 3, t0 + ms(5)),
         ]
         .into();
-        assert_eq!(pick_index(&queue, &policy, Instant::now()), Some(1));
+        assert_eq!(pick_index(&queue), Some(1));
+        // Equal arrival times fall back to `seq`.
+        let tied: VecDeque<Job> = [job(false, 3, t0), job(false, 2, t0)].into();
+        assert_eq!(pick_index(&tied), Some(1));
+        assert_eq!(pick_index(&VecDeque::new()), None);
     }
 
     #[test]
-    fn earlier_deadline_breaks_priority_ties() {
-        let policy = SchedPolicy::default();
-        let queue: VecDeque<Job> = [
-            job("a", 0, 1, None),
-            job("a", 0, 2, Some(Duration::from_secs(60))),
-            job("a", 0, 3, Some(Duration::from_secs(30))),
-        ]
-        .into();
-        assert_eq!(pick_index(&queue, &policy, Instant::now()), Some(2));
+    fn standing_job_yields_to_interactive_job_within_live_yield() {
+        let t0 = Instant::now();
+        let later = t0 + LIVE_YIELD - Duration::from_millis(1);
+        let queue: VecDeque<Job> = [job(true, 1, t0), job(false, 2, later)].into();
+        assert_eq!(pick_index(&queue), Some(1));
     }
 
     #[test]
-    fn aging_credit_promotes_old_jobs() {
-        let policy = SchedPolicy {
-            aging_ms: 10,
-            ..Default::default()
-        };
-        let mut old = job("a", 0, 1, None);
-        member_mut(&mut old).enqueued_at = Instant::now() - Duration::from_millis(200);
-        let queue: VecDeque<Job> = [job("a", 5, 2, None), old].into();
-        // 200ms / 10ms = +20 credit beats base priority 5.
-        assert_eq!(pick_index(&queue, &policy, Instant::now()), Some(1));
+    fn standing_job_goes_first_past_live_yield() {
+        let t0 = Instant::now();
+        let later = t0 + LIVE_YIELD + Duration::from_millis(1);
+        let queue: VecDeque<Job> = [job(true, 1, t0), job(false, 2, later)].into();
+        assert_eq!(pick_index(&queue), Some(0));
     }
 }

@@ -35,6 +35,9 @@
 //! - **Load shedding, not queue growth**: admission beyond
 //!   [`EngineConfig::queue_depth`] fails fast with
 //!   [`EngineError::Overloaded`].
+//! - **One queue, one rule**: queries dequeue in arrival order, and a
+//!   standing-query evaluation is ordered [`LIVE_YIELD`] after its
+//!   arrival, so it yields to interactive queries without starving.
 //! - **Deadlines end work, not just waits**: an expired
 //!   [`CancelToken`](sketchql::CancelToken) stops the sliding-window scan
 //!   between windows and encoder batches.
@@ -57,11 +60,11 @@ pub mod server;
 
 pub use client::{Client, ClientError, QueryOptions};
 pub use engine::{
-    ClassConfig, ClassStats, DatasetInfo, DatasetTraffic, Engine, EngineConfig, EngineError,
-    EngineStats, QueryHandle, QueryResult, QuerySpec, SchedPolicy, DEFAULT_CLASS,
+    ClassStats, DatasetInfo, DatasetTraffic, Engine, EngineConfig, EngineError, EngineStats,
+    QueryHandle, QueryResult, QuerySpec,
 };
 pub use live::{
-    LiveMatch, LiveNotifications, LivePoller, LiveRegistration, LiveReload, LIVE_CLASS,
+    LiveMatch, LiveNotifications, LivePoller, LiveRegistration, LiveReload, LIVE_YIELD,
     NOTIFY_QUEUE_CAP,
 };
 pub use protocol::{

@@ -44,16 +44,13 @@ use sketchql_trajectory::{Clip, TrackId};
 
 use crate::engine::Engine;
 
-/// Admission class standing-query evaluation runs under. Auto-declared
-/// at engine start (unless the policy declares it itself) with base
-/// priority [`LIVE_PRIORITY`], so evaluation flows through the same
-/// bounded queue as interactive traffic but never jumps ahead of it.
-pub const LIVE_CLASS: &str = "live";
-
-/// Base priority of the auto-declared [`LIVE_CLASS`]: far below any
-/// interactive default, so live evaluation only runs when workers
-/// would otherwise idle (aging still bounds its starvation).
-pub const LIVE_PRIORITY: i32 = -100;
+/// How much later than its arrival a standing-query evaluation is
+/// ordered in the engine's admission queue. Evaluation shares the one
+/// bounded queue with interactive traffic, but an interactive query
+/// that arrives within this long after an evaluation still runs first;
+/// once an evaluation has waited this long it is ahead of every later
+/// arrival, so it cannot starve.
+pub const LIVE_YIELD: Duration = Duration::from_secs(10);
 
 /// Most matches a registration buffers before shedding the oldest.
 pub const NOTIFY_QUEUE_CAP: usize = 256;

@@ -11,7 +11,7 @@
 //! ```text
 //! → "Ping"
 //! ← {"Pong":{"version":6}}
-//! → {"Query":{"dataset":"traffic","event":"left_turn","clip":null,"top_k":5,"deadline_ms":2000,"trace_id":181696028373,"class":null,"priority":null}}
+//! → {"Query":{"dataset":"traffic","event":"left_turn","clip":null,"top_k":5,"deadline_ms":2000,"trace_id":181696028373}}
 //! ← {"Moments":{"moments":[...],"queue_wait_ms":0,"execute_ms":41,"batch_size":1,"trace_id":181696028373}}
 //! → {"Trace":{"trace_id":181696028373,"limit":null}}
 //! ← {"Traces":{"traces":[{"trace_id":181696028373,"label":"traffic","outcome":"completed","batch_size":1,"total_nanos":1234567,"alloc_bytes":52480,"alloc_count":120,"cpu_nanos":1100000,"counts":{"sketchql.store.hits":1,"sketchql.store.rows_probed":266,...},"spans":[...]}]}}
@@ -53,7 +53,10 @@ use crate::live::LiveNotifications;
 /// only. Version 6 added the `Register`/`Unregister`/`Notifications`
 /// requests and their responses; a version-5 client sends every
 /// `Query` field, never sends the new requests and never provokes the
-/// new responses, so it still round-trips.
+/// new responses, so it still round-trips. The `class` and `priority`
+/// fields v5 and v6 clients put on a `Query` line are ignored like any
+/// unknown field, and the Stats reply still carries the `rate_limited`
+/// (always 0) and `classes` (always empty) fields they parse.
 pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Sends one protocol line: `json` and its terminating `\n` in a single
@@ -90,12 +93,6 @@ pub enum Request {
         /// Client-minted trace id (48-bit, nonzero), or null to let the
         /// server mint one.
         trace_id: Option<u64>,
-        /// Admission class (see `SchedPolicy`), or null for the server's
-        /// default class.
-        class: Option<String>,
-        /// Base priority override (higher runs first), or null for the
-        /// class default.
-        priority: Option<i32>,
     },
     /// Fetch query traces from the server's flight recorder.
     Trace {
@@ -335,8 +332,6 @@ pub enum Response {
 pub enum ErrorKind {
     /// Admission queue full; retry with backoff.
     Overloaded,
-    /// The query's class exceeded its token-bucket rate; retry later.
-    RateLimited,
     /// Server is shutting down.
     ShuttingDown,
     /// The query's deadline passed before it finished.
@@ -358,7 +353,6 @@ impl Response {
     pub fn from_engine_error(e: &EngineError) -> Response {
         let kind = match e {
             EngineError::Overloaded { .. } => ErrorKind::Overloaded,
-            EngineError::RateLimited { .. } => ErrorKind::RateLimited,
             EngineError::ShuttingDown => ErrorKind::ShuttingDown,
             EngineError::UnknownDataset(_) => ErrorKind::UnknownDataset,
             EngineError::DeadlineExceeded => ErrorKind::DeadlineExceeded,
@@ -396,8 +390,6 @@ mod tests {
                 top_k: Some(5),
                 deadline_ms: None,
                 trace_id: Some(0x00ab_cdef_0123),
-                class: Some("interactive".into()),
-                priority: Some(10),
             },
             Request::Trace {
                 trace_id: Some(42),
@@ -651,7 +643,8 @@ mod tests {
 
     /// A v5 query line still parses under this v6 server — the live
     /// bump adds request variants but changes nothing about existing
-    /// ones.
+    /// ones, and the line's `class` and `priority` are ignored as
+    /// unknown fields.
     #[test]
     fn v5_query_still_parses_under_v6() {
         let req: Request = serde_json::from_str(V5_QUERY_LINE).unwrap();
@@ -664,10 +657,55 @@ mod tests {
                 top_k: Some(5),
                 deadline_ms: Some(2000),
                 trace_id: Some(42),
-                class: Some("batch".into()),
-                priority: Some(-5),
             }
         );
+    }
+
+    /// A v6 client parses this server's Stats reply with its own derived
+    /// struct: the reply still carries `rate_limited` and `classes`, now
+    /// always 0 and empty.
+    #[test]
+    fn stats_reply_parses_under_a_v6_shaped_client() {
+        // A v6 client's class row; the reply carries none, so no field
+        // of it is ever read.
+        #[allow(dead_code)]
+        #[derive(Debug, Deserialize)]
+        struct V6ClassStats {
+            name: String,
+            priority: i32,
+            queued: usize,
+        }
+        #[derive(Debug, Deserialize)]
+        struct V6Stats {
+            completed: u64,
+            rate_limited: u64,
+            classes: Vec<V6ClassStats>,
+        }
+        #[derive(Debug, Deserialize)]
+        enum V6Response {
+            Stats { stats: V6Stats },
+        }
+
+        let stats = EngineStats {
+            workers: 2,
+            queued: 0,
+            in_flight: 0,
+            accepted: 3,
+            completed: 3,
+            rejected_overload: 0,
+            timed_out: 0,
+            failed: 0,
+            store_hits: 0,
+            store_fallbacks: 0,
+            store_probed: 0,
+            rate_limited: 0,
+            datasets: Vec::new(),
+            classes: Vec::new(),
+        };
+        let line = serde_json::to_string(&Response::Stats { stats }).unwrap();
+        let V6Response::Stats { stats } = serde_json::from_str(&line).unwrap();
+        assert_eq!((stats.completed, stats.rate_limited), (3, 0));
+        assert!(stats.classes.is_empty());
     }
 
     /// A v5 client deserializes v6 responses with its derived enum: the

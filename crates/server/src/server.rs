@@ -345,8 +345,6 @@ fn handle_request(
             top_k,
             deadline_ms,
             trace_id,
-            class,
-            priority,
         } => {
             let query = match resolve_sketch(clip, event) {
                 Ok(clip) => clip,
@@ -358,8 +356,6 @@ fn handle_request(
                 top_k,
                 deadline: deadline_ms.map(Duration::from_millis),
                 trace: trace_id.filter(|id| *id != 0),
-                class,
-                priority,
                 min_end: None,
             };
             return match engine.execute(spec) {

@@ -5,11 +5,12 @@
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::training::{train, TrainedModel, TrainingConfig};
-use sketchql::VideoIndex;
+use sketchql::{ingest_sharded, IngestConfig, MatcherConfig, ShardSet, VideoIndex};
 use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
 use sketchql_server::{Engine, EngineConfig, QuerySpec};
 use std::time::Duration;
@@ -70,4 +71,48 @@ pub fn timed_scans(engine: &Engine, n: usize) -> Vec<Duration> {
     let mut scans: Vec<_> = (0..n).map(|_| scan()).collect();
     scans.sort();
     scans
+}
+
+/// Single-object events (multi-object sketches always fall back).
+pub const SINGLE_OBJECT: &[EventKind] = &[
+    EventKind::LeftTurn,
+    EventKind::StopAndGo,
+    EventKind::LaneChange,
+];
+
+/// A fresh (removed if present) per-process directory for a shard set.
+pub fn shard_temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("skql-server-shards-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Ingests `index` as dataset "alpha" into `dir`, covering the window
+/// grid every `SINGLE_OBJECT` query needs, and reattaches it cold with
+/// an exhaustive probe so answers are provably identical to the scan,
+/// not merely high-recall.
+pub fn exhaustive_set(
+    model: &TrainedModel,
+    index: &VideoIndex,
+    shard_frames: u32,
+    dir: &Path,
+) -> ShardSet {
+    let spans: Vec<u32> = SINGLE_OBJECT
+        .iter()
+        .map(|&k| query_clip(k).span())
+        .collect();
+    let cfg = IngestConfig::from_matcher(&MatcherConfig::default(), &spans);
+    ingest_sharded(
+        &model.similarity(),
+        index,
+        "alpha",
+        &cfg,
+        shard_frames,
+        dir,
+        &|_| {},
+    )
+    .expect("sharded ingest");
+    let mut set = ShardSet::open(dir).expect("reattach shard set");
+    set.nprobe = set.nlist();
+    set
 }

@@ -190,13 +190,13 @@ fn garbage_line_gets_bad_request_not_a_hangup() {
 fn query_missing_a_field_is_a_bad_request_naming_it() {
     let server = start_server(1);
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    let no_class = "{\"Query\":{\"dataset\":\"alpha\",\"event\":\"left_turn\",\"clip\":null,\
-                    \"top_k\":3,\"deadline_ms\":null,\"trace_id\":null,\"priority\":null}}";
-    let Response::Error { kind, message } = raw_round_trip(&mut stream, no_class) else {
-        panic!("a Query without `class` must be refused");
+    let no_trace_id = "{\"Query\":{\"dataset\":\"alpha\",\"event\":\"left_turn\",\"clip\":null,\
+                       \"top_k\":3,\"deadline_ms\":null}}";
+    let Response::Error { kind, message } = raw_round_trip(&mut stream, no_trace_id) else {
+        panic!("a Query without `trace_id` must be refused");
     };
     assert_eq!(kind, ErrorKind::BadRequest);
-    assert!(message.contains("\"class\""), "message was {message:?}");
+    assert!(message.contains("\"trace_id\""), "message was {message:?}");
 
     assert_eq!(
         raw_round_trip(&mut stream, "\"Ping\""),
@@ -224,8 +224,6 @@ fn oversized_request_line_is_rejected_and_the_server_stays_healthy() {
                 top_k: None,
                 deadline_ms: None,
                 trace_id: None,
-                class: None,
-                priority: None,
             };
             serde_json::to_string(&req).unwrap().len()
         })
@@ -334,76 +332,5 @@ fn concurrent_wire_clients_get_identical_answers() {
     for moments in all {
         assert_eq!(moments, expected, "wire client diverged");
     }
-    server.shutdown();
-}
-
-/// Admission class and priority travel the wire: a classed query lands
-/// in its class's stats, and a rate-limited class answers `RateLimited`
-/// without closing the connection.
-#[test]
-fn classed_query_and_rate_limit_over_the_wire() {
-    use sketchql_server::{ClassConfig, QueryOptions, SchedPolicy};
-    use std::collections::BTreeMap;
-
-    let mut classes = BTreeMap::new();
-    classes.insert(
-        "metered".to_string(),
-        ClassConfig {
-            priority: 5,
-            rate_per_sec: 1.0,
-            burst: 1.0,
-            ..Default::default()
-        },
-    );
-    let engine = Engine::start(
-        tiny_model(),
-        two_datasets(),
-        EngineConfig {
-            workers: 1,
-            sched: SchedPolicy {
-                classes,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    let server = Server::start(engine, "127.0.0.1:0").expect("bind ephemeral port");
-    let mut client = Client::connect(server.local_addr()).unwrap();
-
-    let opts = QueryOptions {
-        class: Some("metered".into()),
-        priority: Some(7),
-        ..Default::default()
-    };
-    let outcome = client
-        .query_event_with("alpha", "left_turn", &opts)
-        .unwrap();
-    assert!(!outcome.moments.is_empty());
-
-    // The burst is spent; the immediate second query is rate limited.
-    let err = client
-        .query_event_with("alpha", "left_turn", &opts)
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        ClientError::Server {
-            kind: ErrorKind::RateLimited,
-            ..
-        }
-    ));
-
-    // The connection survives, and the class breakdown is on the wire.
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.rate_limited, 1);
-    let metered = stats
-        .classes
-        .iter()
-        .find(|c| c.name == "metered")
-        .expect("declared class appears in Stats");
-    assert_eq!((metered.completed, metered.rate_limited), (1, 1));
-    assert_eq!(metered.priority, 5);
-
-    // Unclassed queries on the same connection still work.
-    client.query_event("beta", "u_turn", Some(3), None).unwrap();
     server.shutdown();
 }

@@ -216,20 +216,24 @@ fn prometheus_exposition_is_well_formed() {
     }
     assert_eq!(help_seen, type_seen, "every family has both HELP and TYPE");
 
-    // Per-class scheduling families: the completed query above ran in
-    // the default admission class, so its queue-depth gauge, wait
-    // histogram, and completion counter must all be on the scrape (and
-    // have passed the name/HELP/TYPE lint above like any other family).
+    // Queue families: the completed queries above passed through the
+    // one admission queue, so its depth gauge, wait histogram and
+    // completion counter must all be on the scrape, and no per-class
+    // family may be.
     for family in [
-        "sketchql_server_class_default_queue_depth",
-        "sketchql_server_class_default_queue_wait_ms_count",
-        "sketchql_server_class_default_completed",
+        "sketchql_server_queue_depth",
+        "sketchql_server_queue_wait_ms_count",
+        "sketchql_server_queries_completed",
     ] {
         assert!(
             sample_value(&text, family).is_some(),
-            "per-class family {family} missing from the exposition"
+            "queue family {family} missing from the exposition"
         );
     }
+    assert!(
+        !text.contains("sketchql_server_class_"),
+        "the exposition still carries a per-class family"
+    );
 
     // Shard-tier families: the store-served alpha query above loaded
     // and probed at least one shard, so residency, load, probe, and

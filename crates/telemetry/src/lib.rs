@@ -151,8 +151,7 @@ pub mod names {
     /// Histogram: milliseconds between a query finishing and its
     /// deadline (negative = the deadline had already passed).
     pub const SERVER_DEADLINE_MARGIN_MS: &str = "sketchql.server.deadline_margin_ms";
-    /// Counter: queries shed at admission because the queue, or the
-    /// query's class quota, was full.
+    /// Counter: queries shed at admission because the queue was full.
     pub const SERVER_SHED_QUEUE_FULL: &str = "sketchql.server.shed_queue_full";
     /// Counter: queries shed at admission during shutdown.
     pub const SERVER_SHED_SHUTDOWN: &str = "sketchql.server.shed_shutdown";
@@ -161,18 +160,6 @@ pub mod names {
     pub const SERVER_SHED_DEADLINE_QUEUE: &str = "sketchql.server.shed_deadline_queue";
     /// Counter: queries abandoned because the caller cancelled them.
     pub const SERVER_SHED_CANCELLED: &str = "sketchql.server.shed_cancelled";
-
-    /// Per-admission-class metric family name:
-    /// `sketchql.server.class.<class>.<metric>`. The class is sanitized
-    /// to ASCII alphanumerics and underscores so the Prometheus
-    /// exposition stays well formed for any wire-supplied class string.
-    pub fn server_class_metric(class: &str, metric: &str) -> String {
-        let safe: String = class
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-        format!("sketchql.server.class.{safe}.{metric}")
-    }
 
     /// Span: one offline store ingest (window enumeration + embedding +
     /// persistence).

@@ -186,9 +186,7 @@ fn table_renderer_includes_stages_and_counters() {
 /// README cites only names that exist: every dotted `sketchql.<a>.<b>`
 /// name in it is a `pub const` of the `names` module. An abbreviated
 /// `` `.suffix` `` code span names a sibling of the last full name before
-/// it in the same paragraph (its last segment swapped for the suffix);
-/// the per-class `sketchql.server.class.<class>.*` family is built at
-/// run time and allowed as a family.
+/// it in the same paragraph (its last segment swapped for the suffix).
 #[test]
 fn readme_cites_only_names_that_exist() {
     let consts: std::collections::BTreeSet<&str> = include_str!("../src/lib.rs")
@@ -214,11 +212,7 @@ fn readme_cites_only_names_that_exist() {
             for (at, _) in piece.match_indices("sketchql.") {
                 let rest = &piece[at..];
                 let end = rest.find(|c| !is_name_char(c)).unwrap_or(rest.len());
-                // `sketchql.server.class.<class>` keeps its dot: a family.
-                let name = match rest[end..].starts_with('<') {
-                    true => &rest[..end],
-                    false => rest[..end].trim_end_matches('.'),
-                };
+                let name = rest[..end].trim_end_matches('.');
                 if name.matches('.').count() >= 2 {
                     last_full = name.to_string();
                     cited.push(last_full.clone());
@@ -229,7 +223,7 @@ fn readme_cites_only_names_that_exist() {
     assert!(cited.len() > 50, "the lint must see README's names");
     let unknown: Vec<&String> = cited
         .iter()
-        .filter(|n| !consts.contains(n.as_str()) && !n.starts_with("sketchql.server.class."))
+        .filter(|n| !consts.contains(n.as_str()))
         .collect();
     assert!(
         unknown.is_empty(),

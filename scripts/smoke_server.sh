@@ -3,9 +3,10 @@
 # train a throwaway model, start `sketchql-cli serve`, and drive it with
 # `sketchql-cli client` (ping, list, query, the same query again, stats,
 # shutdown). Verifies the wire round trip, that a repeated scan is served
-# from the index's embedding memo with byte-identical moments, and the
-# graceful drain from the shipped binary, not just from the crate's
-# integration tests.
+# from the index's embedding memo with byte-identical moments, that a raw
+# v6 `Query` line still carrying `class` / `priority` is served exactly
+# like the classless query, and the graceful drain from the shipped
+# binary, not just from the crate's integration tests.
 #
 #   scripts/smoke_server.sh                     # uses target/release
 #   SKETCHQL_CLI=target/debug/sketchql-cli scripts/smoke_server.sh
@@ -70,6 +71,37 @@ segments="$(count_of "$work/cold.trace" sketchql.matcher.embed_cache_misses)"
     || { echo "the second scan paid encoder rows (first: $segments segments)" >&2; exit 1; }
 cmp <(tail -n +2 "$work/query.out") <(tail -n +2 "$work/again.out") \
     || { echo "the warm scan's moments differ from the cold scan's" >&2; exit 1; }
+
+echo "== server smoke: a v6 Query line with class and priority is served like one without"
+# Older clients still send the removed scheduling fields; the server
+# ignores them as unknown fields. Both raw lines go over one socket and
+# their moment arrays (everything before "queue_wait_ms") must be the
+# same bytes.
+query_line() {
+    printf '{"Query":{"dataset":"traffic","event":"left_turn","clip":null,"top_k":3,'
+    printf '"deadline_ms":30000,"trace_id":null%s}}\n' "$1"
+}
+exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+query_line ',"class":"bulk","priority":-5' >&3
+IFS= read -r -t 30 classed <&3
+query_line '' >&3
+IFS= read -r -t 30 classless <&3
+exec 3<&-
+moments_of() { sed 's/,"queue_wait_ms".*//' <<<"$1"; }
+case "$classed" in
+    '{"Moments":{"moments":[{'*) ;;
+    *) echo "the classed Query line was not answered with moments: $classed" >&2; exit 1 ;;
+esac
+[ "$(moments_of "$classed")" = "$(moments_of "$classless")" ] \
+    || { echo "class/priority changed the moments:" >&2; echo "$classed" >&2; echo "$classless" >&2; exit 1; }
+"$CLI" client --addr "$ADDR" --action metrics >"$work/metrics.out"
+grep -q "sketchql_server_queue_depth" "$work/metrics.out" \
+    || { echo "the scrape has no queue-depth series" >&2; exit 1; }
+if grep -q "sketchql_server_class_" "$work/metrics.out"; then
+    echo "the scrape still carries per-class series" >&2
+    exit 1
+fi
+
 "$CLI" client --addr "$ADDR" --action stats
 "$CLI" client --addr "$ADDR" --action shutdown
 

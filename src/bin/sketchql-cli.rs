@@ -35,8 +35,7 @@ use sketchql_datasets::{
     VideoConfig,
 };
 use sketchql_server::{
-    ClassConfig, Client, Engine, EngineConfig, LivePoller, MetricsListener, QueryOptions,
-    SchedPolicy, Server,
+    Client, Engine, EngineConfig, LivePoller, MetricsListener, QueryOptions, Server,
 };
 use sketchql_tracker::{DetectorConfig, TrackerConfig};
 use sketchql_trajectory::{render_storyboard, DistanceKind};
@@ -102,13 +101,13 @@ const COMMANDS: &[Command] = &[
     ("info", cmd_info, &["video", "model"]),
     ("serve", cmd_serve, &[
         "model", "videos", "store-dir", "nprobe", "addr", "workers", "queue-depth", "deadline-ms",
-        "top-k", "oracle-tracks", "aging-ms", "classes", "metrics-addr", "slow-query-ms",
+        "top-k", "oracle-tracks", "metrics-addr", "slow-query-ms",
         "slow-query-log", "slow-query-log-max-bytes", "flight-traces", "profile-hz", "registry",
         "live-poll-ms",
     ]),
     ("client", cmd_client, &[
-        "addr", "action", "dataset", "event", "top-k", "deadline-ms", "class", "priority",
-        "trace-id", "limit", "seconds", "hz", "interval-ms", "iterations",
+        "addr", "action", "dataset", "event", "top-k", "deadline-ms", "trace-id", "limit",
+        "seconds", "hz", "interval-ms", "iterations",
     ]),
     ("register", cmd_register, &["addr", "dataset", "event", "min-score", "top-k"]),
     ("watch", cmd_watch, &["addr", "registration-id", "interval-ms", "iterations", "max"]),
@@ -165,10 +164,6 @@ commands:
            [--store-dir <dir>] [--nprobe <n>]
            [--addr 127.0.0.1:7878] [--workers <n>] [--queue-depth <n>]
            [--deadline-ms <n>] [--top-k <n>] [--oracle-tracks]
-           [--aging-ms <n>] queue-wait ms per +1 priority promotion credit
-           [--classes <name[:prio[:rate[:burst[:quota]]]],...>] admission
-           classes: base priority, token-bucket rate (q/s) and burst,
-           per-class queue quota (0 = unlimited)
            [--metrics-addr <host:port>] prometheus scrape endpoint
            [--slow-query-ms <n>] [--slow-query-log <file>] JSON-lines slow log
            [--slow-query-log-max-bytes <n>] rotate the slow log at this size
@@ -180,7 +175,6 @@ commands:
   client   --addr <host:port>
            --action <ping|list|stats|query|trace|metrics|profile|top|shutdown>
            [--dataset <name>] [--event <kind>] [--top-k <n>] [--deadline-ms <n>]
-           [--class <name>] [--priority <n>] admission class / base priority
            [--trace-id <hex>] [--limit <n>] for --action trace
            [--seconds <n>] [--hz <n>] for --action profile (0/absent = the
            server's continuous aggregate; positive = a fresh window)
@@ -711,45 +705,6 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<(), String> {
     Err("info needs --video or --model".into())
 }
 
-/// Builds the scheduler policy from `--aging-ms` and `--classes`. The
-/// class spec is one comma-separated flag value
-/// (`name[:prio[:rate[:burst[:quota]]]],...`) because repeated flags
-/// overwrite each other in this parser.
-fn parse_sched_policy(flags: &HashMap<String, String>) -> Result<SchedPolicy, String> {
-    let mut policy = SchedPolicy::default();
-    policy.aging_ms = num(flags, "aging-ms", policy.aging_ms)?;
-    if let Some(spec) = flags.get("classes") {
-        for entry in spec.split(',').filter(|e| !e.is_empty()) {
-            let mut parts = entry.split(':');
-            let name = parts.next().unwrap_or_default();
-            if name.is_empty() {
-                return Err(format!("--classes: empty class name in {entry:?}"));
-            }
-            let mut cfg = ClassConfig::default();
-            for (i, value) in parts.enumerate() {
-                if value.is_empty() {
-                    continue;
-                }
-                let bad = |what: &str| format!("--classes: bad {what} {value:?} in {entry:?}");
-                match i {
-                    0 => cfg.priority = value.parse().map_err(|_| bad("priority"))?,
-                    1 => cfg.rate_per_sec = value.parse().map_err(|_| bad("rate"))?,
-                    2 => cfg.burst = value.parse().map_err(|_| bad("burst"))?,
-                    3 => cfg.queue_quota = value.parse().map_err(|_| bad("quota"))?,
-                    _ => {
-                        return Err(format!(
-                            "--classes: too many fields in {entry:?} \
-                             (name:prio:rate:burst:quota)"
-                        ))
-                    }
-                }
-            }
-            policy.classes.insert(name.to_string(), cfg);
-        }
-    }
-    Ok(policy)
-}
-
 /// Starts the query service and blocks until a wire `Shutdown` request
 /// arrives, then drains every admitted query before exiting.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -792,7 +747,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         workers: num(flags, "workers", 4)?,
         queue_depth: num(flags, "queue-depth", 64)?,
         default_deadline: opt_num(flags, "deadline-ms")?.map(Duration::from_millis),
-        sched: parse_sched_policy(flags)?,
         matcher,
         registry_path: flags.get("registry").map(std::path::PathBuf::from),
     };
@@ -895,31 +849,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     let server = Server::start(engine, addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    let sched = &server.engine().config().sched;
     println!(
-        "serving on {} ({} workers, queue depth {}, {} classes)",
+        "serving on {} ({} workers, queue depth {})",
         server.local_addr(),
         server.engine().config().workers,
-        server.engine().config().queue_depth,
-        sched.classes.len().max(1)
+        server.engine().config().queue_depth
     );
-    for (name, cfg) in &sched.classes {
-        println!(
-            "class {name:?}: priority {}, rate {}/s burst {}, queue quota {}",
-            cfg.priority,
-            if cfg.rate_per_sec > 0.0 {
-                format!("{}", cfg.rate_per_sec)
-            } else {
-                "unlimited".into()
-            },
-            cfg.burst,
-            if cfg.queue_quota > 0 {
-                format!("{}", cfg.queue_quota)
-            } else {
-                "unlimited".into()
-            }
-        );
-    }
     let poller = if live_sources.is_empty() {
         None
     } else {
@@ -988,40 +923,18 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
             println!("rejected overload  {}", s.rejected_overload);
             println!("timed out          {}", s.timed_out);
             println!("failed             {}", s.failed);
-            println!("rate limited       {}", s.rate_limited);
             println!("store hits         {}", s.store_hits);
             println!("store fallbacks    {}", s.store_fallbacks);
             println!("store rows probed  {}", s.store_probed);
-            if !s.classes.is_empty() {
-                println!(
-                    "{:<16} {:>8} {:>7} {:>12} {:>10} {:>12} {:>6}",
-                    "class", "priority", "queued", "oldest_ms", "completed", "rate_limited", "shed"
-                );
-                for c in &s.classes {
-                    println!(
-                        "{:<16} {:>8} {:>7} {:>12} {:>10} {:>12} {:>6}",
-                        c.name,
-                        c.priority,
-                        c.queued,
-                        c.oldest_wait_ms,
-                        c.completed,
-                        c.rate_limited,
-                        c.shed
-                    );
-                }
-            }
         }
         "query" => {
             let dataset = req(flags, "dataset")?;
             let event = req(flags, "event")?;
             let top_k = opt_num::<usize>(flags, "top-k")?;
             let deadline = opt_num(flags, "deadline-ms")?.map(Duration::from_millis);
-            let priority = opt_num::<i32>(flags, "priority")?;
             let opts = QueryOptions {
                 top_k,
                 deadline,
-                class: flags.get("class").cloned(),
-                priority,
                 trace_id: None,
             };
             let outcome = client
@@ -1373,8 +1286,8 @@ fn render_top(prev: &TopSample, cur: &TopSample, traces: &[sketchql_server::Wire
         s.failed
     );
     println!(
-        "queue     {} waiting, {} in flight, {} rate limited   store: {} hits / {} fallbacks / {} rows probed",
-        s.queued, s.in_flight, s.rate_limited, s.store_hits, s.store_fallbacks, s.store_probed
+        "queue     {} waiting, {} in flight   store: {} hits / {} fallbacks / {} rows probed",
+        s.queued, s.in_flight, s.store_hits, s.store_fallbacks, s.store_probed
     );
 
     // Latency percentiles over just this window. An idle scrape
@@ -1424,24 +1337,6 @@ fn render_top(prev: &TopSample, cur: &TopSample, traces: &[sketchql_server::Wire
                 fmt_bytes(d.memo_bytes),
                 d.memo_segments,
                 d.memo_resets
-            );
-        }
-    }
-
-    // Per-class queue position: who is waiting, how long the oldest has
-    // waited, and each class's completion rate over this window.
-    if !s.classes.is_empty() {
-        println!();
-        println!(
-            "{:<16} {:>8} {:>7} {:>10} {:>9} {:>12} {:>6}",
-            "class", "priority", "queued", "oldest_ms", "qps", "rate_limited", "shed"
-        );
-        for c in &s.classes {
-            let before = p.classes.iter().find(|b| b.name == c.name);
-            let qps = rate(c.completed, before.map_or(0, |b| b.completed));
-            println!(
-                "{:<16} {:>8} {:>7} {:>10} {:>8.1}/s {:>12} {:>6}",
-                c.name, c.priority, c.queued, c.oldest_wait_ms, qps, c.rate_limited, c.shed
             );
         }
     }
