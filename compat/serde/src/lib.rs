@@ -1,18 +1,22 @@
 //! In-tree stand-in for the `serde` crate.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! vendors a minimal serde-shaped serialization layer: data structures
-//! convert to and from a JSON-like [`Value`] tree, and
+//! vendors a minimal serde-shaped layer that speaks JSON only: a
+//! [`Serialize`] type appends its JSON text to a `String`, and a
+//! [`Deserialize`] type takes itself off a [`Deserializer`], a byte
+//! cursor over the document. Neither side builds an intermediate tree;
+//! [`Value`] is only a type a caller can decode into (or encode) when it
+//! wants the document's shape rather than a typed value.
 //! `#[derive(Serialize, Deserialize)]` is provided by the sibling
-//! `serde_derive` proc-macro (re-exported here, as upstream does).
+//! `serde_derive` proc-macro (re-exported here, as upstream does), and
+//! the sibling `serde_json` shim is the `to_string` / `from_str` front.
 //!
 //! The surface intentionally covers only what this workspace uses:
-//! structs with named fields, tuple structs, enums with unit / tuple /
-//! struct variants, the std containers below, and JSON round-trips via
-//! the sibling `serde_json` shim. It is not wire-compatible with real
-//! serde_json output for every corner case (e.g. non-finite floats
-//! serialize as `null`), but it is self-consistent, which is what the
-//! persistence layer and tests require.
+//! structs with named fields, enums with unit, newtype and struct
+//! variants, and the std containers below. The JSON is self-consistent
+//! rather than upstream-identical in every corner (e.g. non-finite
+//! floats serialize as `null`, and every number is written and read as
+//! an `f64`).
 
 #![warn(missing_docs)]
 
@@ -22,7 +26,11 @@ use std::fmt;
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// A JSON-like value tree: the serialization data model.
+mod de;
+
+pub use de::{Deserializer, Variant, MAX_DEPTH};
+
+/// A JSON value tree, for callers that want a document's shape.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -35,28 +43,14 @@ pub enum Value {
     Str(String),
     /// JSON array.
     Arr(Vec<Value>),
-    /// JSON object, in insertion order.
+    /// JSON object, in document order.
     Obj(Vec<(String, Value)>),
 }
 
-/// Deserialization error: a human-readable description of the mismatch.
+/// Deserialization error: a human-readable description of the mismatch
+/// or syntax error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeError(pub String);
-
-impl DeError {
-    /// Builds an error describing an unexpected value shape.
-    pub fn expected(what: &str, got: &Value) -> Self {
-        let kind = match got {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Num(_) => "number",
-            Value::Str(_) => "string",
-            Value::Arr(_) => "array",
-            Value::Obj(_) => "object",
-        };
-        DeError(format!("expected {what}, got {kind}"))
-    }
-}
 
 impl fmt::Display for DeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -66,166 +60,212 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types convertible into a [`Value`].
+/// Types that write themselves as JSON.
 pub trait Serialize {
-    /// Converts `self` into the data model.
-    fn to_value(&self) -> Value;
+    /// Appends `self`'s JSON text to `out`.
+    fn serialize(&self, out: &mut String);
 }
 
-/// Types reconstructible from a [`Value`].
+/// Types that read themselves from JSON.
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from the data model.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
+    /// Takes one value of `Self` off the cursor.
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError>;
+}
+
+/// Writes a JSON number: an integral value under 9e15 without a
+/// fractional part, any other finite value in Rust's shortest
+/// round-trip form (`{:?}`), and a non-finite one as `null`.
+fn write_number(n: f64, out: &mut String) {
+    use fmt::Write;
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n:?}");
+    }
+}
+
+/// Writes a JSON string literal.
+fn write_string(s: &str, out: &mut String) {
+    use fmt::Write;
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Writes `items` as a JSON array.
+fn write_seq<T: Serialize>(items: impl IntoIterator<Item = T>, out: &mut String) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.serialize(out);
+    }
+    out.push(']');
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.serialize(out),
+            Value::Num(n) => write_number(*n, out),
+            Value::Str(s) => write_string(s, out),
+            Value::Arr(items) => write_seq(items, out),
+            Value::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_string(k, out);
+                    out.push(':');
+                    v.serialize(out);
+                }
+                out.push('}');
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        de.value()
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, out: &mut String) {
+        (**self).serialize(out)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::expected("bool", other)),
-        }
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        de.bool()
     }
 }
 
+// Every number goes through `f64` both ways: written from `self as f64`,
+// read as an `f64` and cast (saturating, truncating) to the target. A
+// `null` reads as NaN for a float and is an error for an integer.
 macro_rules! impl_num {
-    ($($t:ty),*) => {$(
+    ($($t:ty: $null:expr),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Num(*self as f64)
+            fn serialize(&self, out: &mut String) {
+                write_number(*self as f64, out)
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Num(n) => Ok(*n as $t),
-                    // Non-finite floats serialize as null; restore NaN for
-                    // float targets, reject for integers.
-                    Value::Null if <$t>::ALLOWS_NULL => Ok(<$t>::NULL_VALUE),
-                    other => Err(DeError::expected("number", other)),
+            fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+                match de.number()? {
+                    Some(n) => Ok(n as $t),
+                    None => $null,
                 }
             }
         }
     )*};
 }
 
-/// Internal: which numeric types accept `null` (as NaN) when deserializing.
-trait NumNull {
-    const ALLOWS_NULL: bool;
-    const NULL_VALUE: Self;
+fn null_number<T>() -> Result<T, DeError> {
+    Err(DeError("expected number, got null".into()))
 }
 
-macro_rules! impl_num_null {
-    (int: $($t:ty),*) => {$(
-        impl NumNull for $t {
-            const ALLOWS_NULL: bool = false;
-            const NULL_VALUE: Self = 0;
-        }
-    )*};
-    (float: $($t:ty),*) => {$(
-        impl NumNull for $t {
-            const ALLOWS_NULL: bool = true;
-            const NULL_VALUE: Self = <$t>::NAN;
-        }
-    )*};
-}
-
-impl_num_null!(int: u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-impl_num_null!(float: f32, f64);
-impl_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+impl_num!(
+    u8: null_number(), u16: null_number(), u32: null_number(), u64: null_number(),
+    usize: null_number(), i8: null_number(), i16: null_number(), i32: null_number(),
+    i64: null_number(), isize: null_number(), f32: Ok(f32::NAN), f64: Ok(f64::NAN)
+);
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, out: &mut String) {
+        write_string(self, out)
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError::expected("string", other)),
-        }
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        de.string().map(|s| s.into_owned())
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, out: &mut String) {
+        write_string(self, out)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, out: &mut String) {
         match self {
-            None => Value::Null,
-            Some(x) => x.to_value(),
+            None => out.push_str("null"),
+            Some(x) => x.serialize(out),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        if de.eat_null()? {
+            Ok(None)
+        } else {
+            T::deserialize(de).map(Some)
         }
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut String) {
+        write_seq(self, out)
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Arr(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError::expected("array", other)),
-        }
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        let mut items = Vec::new();
+        de.array("array", |de| {
+            items.push(T::deserialize(de)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut String) {
+        write_seq(self, out)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut String) {
+        write_seq(self, out)
     }
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let items: Vec<T> = Vec::from_value(v)?;
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        let items: Vec<T> = Vec::deserialize(de)?;
         let len = items.len();
         items
             .try_into()
@@ -234,24 +274,30 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 }
 
 macro_rules! impl_tuple {
-    ($(($($n:tt $t:ident),+))*) => {$(
+    ($(($($n:tt $t:ident $v:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Arr(vec![$(self.$n.to_value()),+])
+            fn serialize(&self, out: &mut String) {
+                let items: [&dyn Serialize; [$(stringify!($n)),+].len()] = [$(&self.$n),+];
+                write_seq(items, out)
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Arr(items) => {
-                        let expect = [$(stringify!($n)),+].len();
-                        if items.len() != expect {
-                            return Err(DeError(format!(
-                                "expected {expect}-tuple, got array of {}", items.len())));
-                        }
-                        Ok(($($t::from_value(&items[$n])?,)+))
+            fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+                const EXPECT: usize = [$(stringify!($n)),+].len();
+                $(let mut $v: Option<$t> = None;)+
+                let mut len = 0usize;
+                de.array("tuple array", |de| {
+                    match len {
+                        $($n => $v = Some($t::deserialize(de)?),)+
+                        _ => de.skip_value()?,
                     }
-                    other => Err(DeError::expected("tuple array", other)),
+                    len += 1;
+                    Ok(())
+                })?;
+                match ($($v,)+) {
+                    ($(Some($v),)+) if len == EXPECT => Ok(($($v,)+)),
+                    _ => Err(DeError(format!(
+                        "expected {EXPECT}-tuple, got array of {len}"))),
                 }
             }
         }
@@ -259,23 +305,21 @@ macro_rules! impl_tuple {
 }
 
 impl_tuple! {
-    (0 A)
-    (0 A, 1 B)
-    (0 A, 1 B, 2 C)
-    (0 A, 1 B, 2 C, 3 D)
-    (0 A, 1 B, 2 C, 3 D, 4 E)
-    (0 A, 1 B, 2 C, 3 D, 4 E, 5 F)
+    (0 A a)
+    (0 A a, 1 B b)
+    (0 A a, 1 B b, 2 C c)
+    (0 A a, 1 B b, 2 C c, 3 D d)
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, out: &mut String) {
+        (**self).serialize(out)
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        T::deserialize(de).map(Box::new)
     }
 }
 
@@ -313,78 +357,74 @@ macro_rules! impl_map_key_int {
 
 impl_map_key_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
+/// Writes `(key, value)` entries as a JSON object, in the given order.
+fn write_map<'a, V: Serialize + 'a>(
+    entries: impl IntoIterator<Item = (String, &'a V)>,
+    out: &mut String,
+) {
+    out.push('{');
+    for (i, (k, v)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_string(&k, out);
+        out.push(':');
+        v.serialize(out);
+    }
+    out.push('}');
+}
+
+/// Reads a JSON object into any map; a repeated key keeps its last value.
+fn read_map<K: MapKey, V: Deserialize, M: Default + Extend<(K, V)>>(
+    de: &mut Deserializer<'_>,
+) -> Result<M, DeError> {
+    let mut map = M::default();
+    de.object("object", |de, key| {
+        let key = K::from_key(key)?;
+        map.extend([(key, V::deserialize(de)?)]);
+        Ok(())
+    })?;
+    Ok(map)
+}
+
 impl<K: MapKey + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Obj(
-            self.iter()
-                .map(|(k, v)| (k.to_key(), v.to_value()))
-                .collect(),
-        )
+    fn serialize(&self, out: &mut String) {
+        write_map(self.iter().map(|(k, v)| (k.to_key(), v)), out)
     }
 }
 
 impl<K: MapKey + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Obj(fields) => fields
-                .iter()
-                .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-                .collect(),
-            other => Err(DeError::expected("object", other)),
-        }
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        read_map(de)
     }
 }
 
 impl<K: MapKey + Eq + std::hash::Hash, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, out: &mut String) {
         // Sort keys so serialization is deterministic.
-        let mut fields: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_key(), v.to_value()))
-            .collect();
-        fields.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Obj(fields)
+        let mut entries: Vec<(String, &V)> = self.iter().map(|(k, v)| (k.to_key(), v)).collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        write_map(entries, out)
     }
 }
 
 impl<K: MapKey + Eq + std::hash::Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Obj(fields) => fields
-                .iter()
-                .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-                .collect(),
-            other => Err(DeError::expected("object", other)),
-        }
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        read_map(de)
     }
 }
 
 /// Support code referenced by `serde_derive` expansions; not public API.
 pub mod __private {
-    use super::{DeError, Value};
+    use super::DeError;
 
-    /// Looks up a field in an object's entry list.
-    pub fn obj_get<'a>(fields: &'a [(String, Value)], key: &str) -> Result<&'a Value, DeError> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| DeError(format!("missing field {key:?}")))
+    /// The error for a struct field the document does not carry.
+    pub fn missing_field(key: &str) -> DeError {
+        DeError(format!("missing field {key:?}"))
     }
 
-    /// Unwraps an object value or errors.
-    pub fn as_obj<'a>(v: &'a Value, ty: &str) -> Result<&'a [(String, Value)], DeError> {
-        match v {
-            Value::Obj(fields) => Ok(fields),
-            other => Err(DeError::expected(ty, other)),
-        }
-    }
-
-    /// Unwraps an array value or errors.
-    pub fn as_arr<'a>(v: &'a Value, ty: &str) -> Result<&'a [Value], DeError> {
-        match v {
-            Value::Arr(items) => Ok(items),
-            other => Err(DeError::expected(ty, other)),
-        }
+    /// The error for a variant name `ty` does not have (in that form).
+    pub fn unknown_variant(tag: &str, ty: &str) -> DeError {
+        DeError(format!("unknown variant {tag:?} of {ty}"))
     }
 }

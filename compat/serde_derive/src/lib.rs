@@ -1,20 +1,23 @@
 //! In-tree stand-in for `serde_derive`.
 //!
 //! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` against the
-//! value-model serde shim in `compat/serde`, with no dependency on `syn` or
+//! JSON-only serde shim in `compat/serde`, with no dependency on `syn` or
 //! `quote` (neither is available offline): the item is parsed directly from
 //! the `proc_macro::TokenStream` and the impl is emitted as a source string.
+//! A derived `Serialize` appends the item's JSON text field by field; a
+//! derived `Deserialize` reads an object's entries off the cursor into one
+//! slot per field (the first occurrence of a key wins, unknown keys are
+//! parsed and dropped, a missing field is an error naming it).
 //!
 //! Supported shapes — the ones this workspace uses:
 //! - structs with named fields;
-//! - tuple structs (newtype serializes transparently, wider ones as arrays);
-//! - unit structs;
-//! - enums with unit, tuple, and struct variants (externally tagged, like
-//!   upstream serde's default).
+//! - enums with unit, newtype, and struct variants (externally tagged,
+//!   like upstream serde's default).
 //!
-//! Not supported: generic types, lifetimes, unions, and `#[serde(...)]`
-//! field attributes (they are accepted and ignored so existing code keeps
-//! compiling, except none remain in-tree).
+//! The one field attribute is `#[serde(default)]`: a missing field takes
+//! its type's `Default` instead of being an error. Not supported: tuple and
+//! unit structs, tuple variants of more than one field, generic types,
+//! lifetimes, unions, and any other `#[serde(...)]` attribute.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -25,10 +28,14 @@ struct Item {
 }
 
 enum Body {
-    NamedStruct(Vec<String>),
-    TupleStruct(usize),
-    UnitStruct,
+    Struct(Vec<Field>),
     Enum(Vec<Variant>),
+}
+
+struct Field {
+    name: String,
+    /// `#[serde(default)]`: absent means `Default::default()`.
+    default: bool,
 }
 
 struct Variant {
@@ -38,8 +45,8 @@ struct Variant {
 
 enum VariantKind {
     Unit,
-    Tuple(usize),
-    Struct(Vec<String>),
+    Newtype,
+    Struct(Vec<Field>),
 }
 
 #[proc_macro_derive(Serialize, attributes(serde))]
@@ -73,35 +80,29 @@ fn parse_item(input: TokenStream) -> Item {
         panic!("serde_derive shim: generic type `{name}` is not supported");
     }
 
-    let body = match keyword.as_str() {
-        "struct" => match toks.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Body::NamedStruct(parse_named_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Body::TupleStruct(count_top_level_segments(g.stream()))
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Body::UnitStruct,
-            other => panic!("serde_derive shim: unexpected struct body: {other:?}"),
-        },
-        "enum" => match toks.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Body::Enum(parse_variants(g.stream()))
-            }
-            other => panic!("serde_derive shim: unexpected enum body: {other:?}"),
-        },
-        other => panic!("serde_derive shim: expected struct or enum, found `{other}`"),
+    let body = match (keyword.as_str(), toks.get(i)) {
+        ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
+            Body::Struct(parse_named_fields(g.stream()))
+        }
+        ("enum", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
+            Body::Enum(parse_variants(g.stream()))
+        }
+        _ => panic!("serde_derive shim: `{name}` is not a struct with named fields or an enum"),
     };
     Item { name, body }
 }
 
-/// Advances past any `#[...]` attributes and a `pub` / `pub(...)` visibility.
-fn skip_attrs_and_vis(toks: &[TokenTree], i: &mut usize) {
+/// Advances past any `#[...]` attributes and a `pub` / `pub(...)`
+/// visibility; returns whether one of the attributes was
+/// `#[serde(default)]`.
+fn skip_attrs_and_vis(toks: &[TokenTree], i: &mut usize) -> bool {
+    let mut default = false;
     loop {
         match toks.get(*i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 *i += 1; // '#'
-                if matches!(toks.get(*i), Some(TokenTree::Group(_))) {
+                if let Some(TokenTree::Group(g)) = toks.get(*i) {
+                    default |= is_serde_default(g.stream());
                     *i += 1; // the [...] group
                 }
             }
@@ -114,8 +115,25 @@ fn skip_attrs_and_vis(toks: &[TokenTree], i: &mut usize) {
                     *i += 1; // pub(crate) etc.
                 }
             }
-            _ => return,
+            _ => return default,
         }
+    }
+}
+
+/// Whether an attribute's `[...]` contents are `serde(default)`; any
+/// other `serde(...)` attribute is refused rather than ignored.
+fn is_serde_default(attr: TokenStream) -> bool {
+    let toks: Vec<TokenTree> = attr.into_iter().collect();
+    match toks.as_slice() {
+        [TokenTree::Ident(id), TokenTree::Group(args)] if id.to_string() == "serde" => {
+            let args = args.stream().to_string();
+            assert!(
+                args == "default",
+                "serde_derive shim: unsupported attribute `serde({args})`"
+            );
+            true
+        }
+        _ => false,
     }
 }
 
@@ -129,15 +147,15 @@ fn expect_ident(toks: &[TokenTree], i: &mut usize) -> String {
     }
 }
 
-/// Parses `a: TypeA, b: TypeB, ...` returning the field names. Commas inside
+/// Parses `a: TypeA, b: TypeB, ...` returning the fields. Commas inside
 /// angle brackets (`BTreeMap<String, Tensor>`) do not split fields; commas
 /// inside `(...)`/`[...]` arrive as opaque groups and need no tracking.
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
+fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
     let toks: Vec<TokenTree> = stream.into_iter().collect();
     let mut i = 0;
     let mut fields = Vec::new();
     while i < toks.len() {
-        skip_attrs_and_vis(&toks, &mut i);
+        let default = skip_attrs_and_vis(&toks, &mut i);
         if i >= toks.len() {
             break;
         }
@@ -161,39 +179,9 @@ fn parse_named_fields(stream: TokenStream) -> Vec<String> {
             i += 1;
         }
         i += 1; // consume the comma (or run off the end)
-        fields.push(name);
+        fields.push(Field { name, default });
     }
     fields
-}
-
-/// Counts comma-separated segments at angle-depth 0 (tuple-struct / tuple-variant arity).
-fn count_top_level_segments(stream: TokenStream) -> usize {
-    let toks: Vec<TokenTree> = stream.into_iter().collect();
-    if toks.is_empty() {
-        return 0;
-    }
-    let mut angle_depth = 0i32;
-    let mut count = 1;
-    let mut saw_tok_since_comma = false;
-    for t in &toks {
-        if let TokenTree::Punct(p) = t {
-            match p.as_char() {
-                '<' => angle_depth += 1,
-                '>' => angle_depth -= 1,
-                ',' if angle_depth == 0 => {
-                    saw_tok_since_comma = false;
-                    count += 1;
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        saw_tok_since_comma = true;
-    }
-    if !saw_tok_since_comma {
-        count -= 1; // trailing comma
-    }
-    count
 }
 
 fn parse_variants(stream: TokenStream) -> Vec<Variant> {
@@ -209,7 +197,7 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
         let kind = match toks.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 i += 1;
-                VariantKind::Tuple(count_top_level_segments(g.stream()))
+                VariantKind::Newtype
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 i += 1;
@@ -219,11 +207,10 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
         };
         // Skip an optional discriminant (`= expr`) and the separating comma.
         while let Some(t) = toks.get(i) {
+            i += 1;
             if matches!(t, TokenTree::Punct(p) if p.as_char() == ',') {
-                i += 1;
                 break;
             }
-            i += 1;
         }
         variants.push(Variant { name, kind });
     }
@@ -234,191 +221,170 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 // Codegen
 // ---------------------------------------------------------------------------
 
+/// `text` as a Rust string literal.
+fn lit(text: &str) -> String {
+    format!("{text:?}")
+}
+
+/// Statements writing `{"a":<a>,"b":<b>}` to `__out`, each field's value
+/// being the expression `value(name)`.
+fn ser_fields(fields: &[Field], value: impl Fn(&str) -> String) -> String {
+    if fields.is_empty() {
+        return "__out.push_str(\"{}\");".to_string();
+    }
+    let mut code = String::new();
+    for (k, f) in fields.iter().enumerate() {
+        let open = if k == 0 { '{' } else { ',' };
+        code += &format!(
+            "__out.push_str({}); ::serde::Serialize::serialize({}, __out);\n",
+            lit(&format!("{open}\"{}\":", f.name)),
+            value(&f.name)
+        );
+    }
+    code + "__out.push('}');"
+}
+
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.body {
-        Body::UnitStruct => "::serde::Value::Null".to_string(),
-        Body::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Body::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                .collect();
-            format!("::serde::Value::Arr(::std::vec![{}])", items.join(", "))
-        }
-        Body::NamedStruct(fields) => {
-            let entries: Vec<String> = fields
+        Body::Struct(fields) => ser_fields(fields, |f| format!("&self.{f}")),
+        Body::Enum(variants) => {
+            let arms: Vec<String> = variants
                 .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from({f:?}), ::serde::Serialize::to_value(&self.{f}))"
-                    )
+                .map(|v| {
+                    let vname = &v.name;
+                    match &v.kind {
+                        VariantKind::Unit => format!(
+                            "{name}::{vname} => __out.push_str({}),",
+                            lit(&format!("\"{vname}\""))
+                        ),
+                        VariantKind::Newtype => format!(
+                            "{name}::{vname}(inner) => {{ __out.push_str({}); \
+                             ::serde::Serialize::serialize(inner, __out); __out.push('}}'); }}",
+                            lit(&format!("{{\"{vname}\":"))
+                        ),
+                        VariantKind::Struct(fields) => {
+                            let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                            format!(
+                                "{name}::{vname} {{ {} }} => {{ __out.push_str({}); {} __out.push('}}'); }}",
+                                binds.join(", "),
+                                lit(&format!("{{\"{vname}\":")),
+                                ser_fields(fields, str::to_string)
+                            )
+                        }
+                    }
                 })
                 .collect();
-            format!("::serde::Value::Obj(::std::vec![{}])", entries.join(", "))
-        }
-        Body::Enum(variants) => {
-            let mut arms = Vec::new();
-            for v in variants {
-                let vname = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => arms.push(format!(
-                        "{name}::{vname} => ::serde::Value::Str(::std::string::String::from({vname:?})),"
-                    )),
-                    VariantKind::Tuple(1) => arms.push(format!(
-                        "{name}::{vname}(f0) => ::serde::Value::Obj(::std::vec![(::std::string::String::from({vname:?}), ::serde::Serialize::to_value(f0))]),"
-                    )),
-                    VariantKind::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|k| format!("f{k}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        arms.push(format!(
-                            "{name}::{vname}({}) => ::serde::Value::Obj(::std::vec![(::std::string::String::from({vname:?}), ::serde::Value::Arr(::std::vec![{}]))]),",
-                            binds.join(", "),
-                            items.join(", ")
-                        ));
-                    }
-                    VariantKind::Struct(fields) => {
-                        let entries: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(::std::string::String::from({f:?}), ::serde::Serialize::to_value({f}))"
-                                )
-                            })
-                            .collect();
-                        arms.push(format!(
-                            "{name}::{vname} {{ {} }} => ::serde::Value::Obj(::std::vec![(::std::string::String::from({vname:?}), ::serde::Value::Obj(::std::vec![{}]))]),",
-                            fields.join(", "),
-                            entries.join(", ")
-                        ));
-                    }
-                }
-            }
-            format!("match self {{ {} }}", arms.join(" "))
+            format!("match self {{ {} }}", arms.join("\n"))
         }
     };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn serialize(&self, __out: &mut ::std::string::String) {{ {body} }}\n\
          }}"
+    )
+}
+
+/// An expression of type `ctor`'s struct that reads an object of `fields`
+/// off `de` (errors leave by `?` / `return`); `what` names it in errors.
+fn de_fields(ctor: &str, what: &str, fields: &[Field]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = Vec::new();
+    for (k, f) in fields.iter().enumerate() {
+        let key = lit(&f.name);
+        slots += &format!("let mut __f{k} = ::std::option::Option::None;\n");
+        arms += &format!(
+            "{key} if __f{k}.is_none() => __f{k} = \
+             ::std::option::Option::Some(::serde::Deserialize::deserialize(de)?),\n"
+        );
+        let absent = if f.default {
+            "::std::default::Default::default()".to_string()
+        } else {
+            format!("return ::std::result::Result::Err(::serde::__private::missing_field({key}))")
+        };
+        inits.push(format!(
+            "{}: match __f{k} {{ ::std::option::Option::Some(v) => v, \
+             ::std::option::Option::None => {absent} }}",
+            f.name
+        ));
+    }
+    format!(
+        "{{\n{slots}\
+         de.object({}, |de, key| {{\n\
+             match key {{\n{arms} _ => de.skip_value()?,\n}}\n\
+             ::std::result::Result::Ok(())\n\
+         }})?;\n\
+         {ctor} {{ {} }}\n\
+         }}",
+        lit(what),
+        inits.join(",\n")
     )
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.body {
-        Body::UnitStruct => format!(
-            "match v {{ ::serde::Value::Null => ::std::result::Result::Ok({name}), \
-             other => ::std::result::Result::Err(::serde::DeError::expected(\"null\", other)) }}"
+        Body::Struct(fields) => format!(
+            "::std::result::Result::Ok({})",
+            de_fields(name, &format!("struct {name}"), fields)
         ),
-        Body::TupleStruct(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Body::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|k| format!("::serde::Deserialize::from_value(&items[{k}])?"))
-                .collect();
-            format!(
-                "let items = ::serde::__private::as_arr(v, \"tuple struct {name}\")?;\n\
-                 if items.len() != {n} {{\n\
-                     return ::std::result::Result::Err(::serde::DeError(::std::format!(\n\
-                         \"expected {n} elements for {name}, got {{}}\", items.len())));\n\
-                 }}\n\
-                 ::std::result::Result::Ok({name}({}))",
-                items.join(", ")
-            )
-        }
-        Body::NamedStruct(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(::serde::__private::obj_get(fields, {f:?})?)?"
-                    )
-                })
-                .collect();
-            format!(
-                "let fields = ::serde::__private::as_obj(v, \"struct {name}\")?;\n\
-                 ::std::result::Result::Ok({name} {{ {} }})",
-                inits.join(", ")
-            )
-        }
         Body::Enum(variants) => {
-            let mut str_arms = Vec::new();
-            let mut obj_arms = Vec::new();
+            let unknown = format!(
+                "::std::result::Result::Err(::serde::__private::unknown_variant(other, {}))",
+                lit(name)
+            );
+            let mut unit_arms = String::new();
+            let mut tagged_arms = String::new();
             for v in variants {
                 let vname = &v.name;
+                let tag = lit(vname);
                 match &v.kind {
-                    VariantKind::Unit => str_arms.push(format!(
-                        "{vname:?} => ::std::result::Result::Ok({name}::{vname}),"
-                    )),
-                    VariantKind::Tuple(1) => obj_arms.push(format!(
-                        "{vname:?} => ::std::result::Result::Ok({name}::{vname}(::serde::Deserialize::from_value(inner)?)),"
-                    )),
-                    VariantKind::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|k| format!("::serde::Deserialize::from_value(&items[{k}])?"))
-                            .collect();
-                        obj_arms.push(format!(
-                            "{vname:?} => {{\n\
-                                 let items = ::serde::__private::as_arr(inner, \"variant {name}::{vname}\")?;\n\
-                                 if items.len() != {n} {{\n\
-                                     return ::std::result::Result::Err(::serde::DeError(::std::format!(\n\
-                                         \"expected {n} elements for {name}::{vname}, got {{}}\", items.len())));\n\
-                                 }}\n\
-                                 ::std::result::Result::Ok({name}::{vname}({}))\n\
-                             }}",
-                            items.join(", ")
-                        ));
+                    VariantKind::Unit => {
+                        unit_arms +=
+                            &format!("{tag} => ::std::result::Result::Ok({name}::{vname}),\n")
+                    }
+                    VariantKind::Newtype => {
+                        tagged_arms += &format!(
+                            "{tag} => {name}::{vname}(::serde::Deserialize::deserialize(de)?),\n"
+                        )
                     }
                     VariantKind::Struct(fields) => {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(::serde::__private::obj_get(fields, {f:?})?)?"
-                                )
-                            })
-                            .collect();
-                        obj_arms.push(format!(
-                            "{vname:?} => {{\n\
-                                 let fields = ::serde::__private::as_obj(inner, \"variant {name}::{vname}\")?;\n\
-                                 ::std::result::Result::Ok({name}::{vname} {{ {} }})\n\
-                             }}",
-                            inits.join(", ")
-                        ));
+                        tagged_arms += &format!(
+                            "{tag} => {},\n",
+                            de_fields(
+                                &format!("{name}::{vname}"),
+                                &format!("variant {name}::{vname}"),
+                                fields
+                            )
+                        )
                     }
                 }
             }
+            let what = lit(&format!("enum {name}"));
             format!(
-                "match v {{\n\
-                     ::serde::Value::Str(s) => match s.as_str() {{\n\
-                         {str_arms}\n\
-                         other => ::std::result::Result::Err(::serde::DeError(::std::format!(\n\
-                             \"unknown variant {{other:?}} of {name}\"))),\n\
+                "match de.variant({what})? {{\n\
+                     ::serde::Variant::Unit(tag) => match &*tag {{\n\
+                         {unit_arms} other => {unknown},\n\
                      }},\n\
-                     ::serde::Value::Obj(fields) if fields.len() == 1 => {{\n\
-                         let (tag, inner) = &fields[0];\n\
-                         match tag.as_str() {{\n\
-                             {obj_arms}\n\
-                             other => ::std::result::Result::Err(::serde::DeError(::std::format!(\n\
-                                 \"unknown variant {{other:?}} of {name}\"))),\n\
-                         }}\n\
+                     ::serde::Variant::Tagged(tag) => {{\n\
+                         let value = match &*tag {{\n\
+                             {tagged_arms} other => return {unknown},\n\
+                         }};\n\
+                         de.end_variant({what})?;\n\
+                         ::std::result::Result::Ok(value)\n\
                      }}\n\
-                     other => ::std::result::Result::Err(::serde::DeError::expected(\"enum {name}\", other)),\n\
-                 }}",
-                str_arms = str_arms.join("\n"),
-                obj_arms = obj_arms.join("\n"),
+                 }}"
             )
         }
     };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+             #[allow(unreachable_code)]\n\
+             fn deserialize(de: &mut ::serde::Deserializer<'_>) \
+                 -> ::std::result::Result<Self, ::serde::DeError> {{\n\
                  {body}\n\
              }}\n\
          }}"

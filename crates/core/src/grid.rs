@@ -5,7 +5,6 @@
 //! construction.
 
 use sketchql_store::Manifest;
-use std::collections::HashSet;
 
 /// Window lengths, as multiples of the query's duration.
 const WINDOW_SCALES: [f32; 3] = [0.75, 1.0, 1.5];
@@ -31,14 +30,29 @@ pub(crate) fn window_lens(span: u32) -> [u32; 3] {
 /// scans over a video of `frames` frames: each length's grid in scale
 /// order, a length longer than the video skipped, a window two lengths
 /// share (clamped lengths, clamped tails) kept at its first occurrence.
+///
+/// Only two kinds of window can repeat. A length equal to an earlier one
+/// repeats its whole grid. Two distinct lengths can share only a window
+/// that ends clamped to the last frame, since an unclamped end fixes the
+/// length; and each grid has exactly one such window, its last.
 pub(crate) fn query_windows(span: u32, frames: u32) -> Vec<(u32, u32, u32)> {
-    let mut seen: HashSet<(u32, u32, u32)> = HashSet::new();
-    window_lens(span)
-        .into_iter()
-        .filter(|&len| len <= frames)
-        .flat_map(|len| windows(len, frames, None))
-        .filter(|&w| seen.insert(w))
-        .collect()
+    let lens = window_lens(span);
+    let mut out = Vec::new();
+    let mut tails = Vec::with_capacity(lens.len());
+    for (k, &len) in lens.iter().enumerate() {
+        if len > frames || lens[..k].contains(&len) {
+            continue;
+        }
+        out.extend(windows(len, frames, None));
+        if let Some(&tail) = out.last() {
+            if tails.contains(&tail) {
+                out.pop();
+            } else {
+                tails.push(tail);
+            }
+        }
+    }
+    out
 }
 
 /// The `(start, end, min_overlap)` windows of one length over a video of
@@ -109,6 +123,31 @@ mod tests {
         assert!(all(40, 0, None).is_empty());
         // A start range keeps exactly the windows that start inside it.
         assert_eq!(all(20, 30, Some((3, 9))), [(5, 24, 10)]);
+    }
+
+    /// The reference: every length's grid in scale order, deduplicated
+    /// by a set of the triples seen so far.
+    fn query_windows_by_set(span: u32, frames: u32) -> Vec<(u32, u32, u32)> {
+        let mut seen = std::collections::HashSet::new();
+        window_lens(span)
+            .into_iter()
+            .filter(|&len| len <= frames)
+            .flat_map(|len| windows(len, frames, None))
+            .filter(|&w| seen.insert(w))
+            .collect()
+    }
+
+    #[test]
+    fn query_windows_equal_the_set_deduplicated_grids_in_order() {
+        for frames in [0u32, 1, 15, 16, 17, 30, 31, 64, 100, 257, 601, 1900] {
+            for span in (0..=600).chain([1_000, 5_000]) {
+                assert_eq!(
+                    query_windows(span, frames),
+                    query_windows_by_set(span, frames),
+                    "span {span}, frames {frames}"
+                );
+            }
+        }
     }
 
     #[test]

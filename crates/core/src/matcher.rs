@@ -617,10 +617,9 @@ fn refine_boundaries(index: &VideoIndex, moment: &mut RetrievedMoment) {
     let n = (moment.end - moment.start) as usize;
     let mut motion = vec![0.0f32; n];
     for t in &tracks {
-        let mut prev = t.bbox_at(moment.start);
-        for (k, m) in motion.iter_mut().enumerate() {
-            let f = moment.start + k as u32 + 1;
-            let cur = t.bbox_at(f);
+        let mut boxes = t.bboxes_over(moment.start..=moment.end);
+        let mut prev = boxes.next().flatten();
+        for (m, cur) in motion.iter_mut().zip(boxes) {
             if let (Some(a), Some(b)) = (prev, cur) {
                 *m += a.center().distance(&b.center());
             }
@@ -680,6 +679,7 @@ pub(crate) fn window_clip(
 mod tests {
     use super::*;
     use crate::similarity::ClassicalSimilarity;
+    use proptest::prelude::*;
     use sketchql_trajectory::{BBox, DistanceKind, ObjectClass, TrajPoint};
     use std::collections::HashSet;
 
@@ -1294,5 +1294,93 @@ mod tests {
         assert!((a.temporal_iou(&b) - 50.0 / 150.0).abs() < 1e-5);
         assert_eq!(a.temporal_iou(&c), 0.0);
         assert!((a.temporal_iou(&a) - 1.0).abs() < 1e-6);
+    }
+
+    /// `refine_boundaries` as it was: a `bbox_at` binary search per frame.
+    fn refine_by_lookup(index: &VideoIndex, moment: &mut RetrievedMoment) {
+        const TRIM_FRAC: f32 = 0.02;
+        const MIN_LEN: u32 = 8;
+        let tracks: Vec<&Trajectory> = moment
+            .track_ids
+            .iter()
+            .filter_map(|id| index.tracks.iter().find(|t| t.id == *id))
+            .collect();
+        if tracks.is_empty() || moment.end <= moment.start + MIN_LEN {
+            return;
+        }
+        let n = (moment.end - moment.start) as usize;
+        let mut motion = vec![0.0f32; n];
+        for t in &tracks {
+            let mut prev = t.bbox_at(moment.start);
+            for (k, m) in motion.iter_mut().enumerate() {
+                let cur = t.bbox_at(moment.start + k as u32 + 1);
+                if let (Some(a), Some(b)) = (prev, cur) {
+                    *m += a.center().distance(&b.center());
+                }
+                prev = cur;
+            }
+        }
+        let total: f32 = motion.iter().sum();
+        if total <= 1e-3 {
+            return;
+        }
+        let budget = total * TRIM_FRAC;
+        let trimmed = |motion: &mut dyn Iterator<Item = &f32>| {
+            let (mut acc, mut count) = (0.0, 0u32);
+            for &m in motion {
+                if acc + m > budget {
+                    break;
+                }
+                acc += m;
+                count += 1;
+            }
+            count
+        };
+        let new_start = moment.start + trimmed(&mut motion.iter());
+        let new_end = moment.end.saturating_sub(trimmed(&mut motion.iter().rev()));
+        if new_end > new_start && new_end - new_start + 1 >= MIN_LEN {
+            moment.start = new_start;
+            moment.end = new_end;
+        }
+    }
+
+    /// A track through `steps` (frame gap, dx, dy) from frame `first`.
+    fn walk(id: u64, first: u32, steps: &[(u32, f32, f32)]) -> Trajectory {
+        let (mut frame, mut x, mut y) = (first, 300.0f32, 200.0f32);
+        let mut points = vec![TrajPoint::new(frame, BBox::new(x, y, 40.0, 30.0))];
+        for &(gap, dx, dy) in steps {
+            frame += gap;
+            x += dx;
+            y += dy;
+            points.push(TrajPoint::new(frame, BBox::new(x, y, 40.0 + dx, 30.0)));
+        }
+        Trajectory::from_points(id, ObjectClass::Car, points)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-walk refinement trims exactly where the per-frame
+        /// lookup did, for moments that start before, inside and past
+        /// gappy tracks, over one track or two.
+        #[test]
+        fn refinement_walk_equals_the_per_frame_lookup(
+            a in prop::collection::vec((1u32..7, -20.0f32..20.0, -20.0f32..20.0), 1..40),
+            b in prop::collection::vec((1u32..4, -9.0f32..9.0, -9.0f32..9.0), 1..30),
+            first in (0u32..60, 0u32..60),
+            start in 0u32..120,
+            len in 0u32..160,
+            both in prop::bool::ANY,
+        ) {
+            let tracks = vec![walk(1, first.0, &a), walk(2, first.1, &b)];
+            let clip = Clip::new(1280.0, 720.0, tracks);
+            let index = VideoIndex::from_clip("walk", &clip, 400, 30.0);
+            let track_ids = if both { vec![1, 2] } else { vec![1] };
+            let moment = RetrievedMoment { start, end: start + len, score: 0.5, track_ids };
+            let (mut walked, mut looked_up) = (moment.clone(), moment);
+            refine_boundaries(&index, &mut walked);
+            refine_by_lookup(&index, &mut looked_up);
+            prop_assert_eq!(walked, looked_up);
+        }
     }
 }

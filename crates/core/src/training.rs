@@ -143,26 +143,37 @@ pub struct TrainedModel {
     pub recipe_version: u32,
 }
 
-/// Hand-written because the vendored derive has no field defaults: a
-/// model file without `recipe_version` is still a model (`query --model`
-/// serves it), just never a current cache entry. And a model file is
-/// outside input: one whose weights are not exactly the ones its encoder
-/// reads ([`TrajectoryEncoder::check_params`]), whose encoder disagrees
-/// with its training config, or that does not take this build's feature
-/// tokens is an error here, not a panic at the first embed.
+/// Hand-written over a derived mirror because a model file is outside
+/// input: one whose weights are not exactly the ones its encoder reads
+/// ([`TrajectoryEncoder::check_params`]), whose encoder disagrees with its
+/// training config, or that does not take this build's feature tokens is
+/// an error here, not a panic at the first embed. A model file without
+/// `recipe_version` is still a model (`query --model` serves it), just
+/// never a current cache entry.
 impl Deserialize for TrainedModel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::__private::{as_obj, obj_get};
-        let fields = as_obj(v, "struct TrainedModel")?;
-        let model = TrainedModel {
-            encoder: Deserialize::from_value(obj_get(fields, "encoder")?)?,
-            store: Deserialize::from_value(obj_get(fields, "store")?)?,
-            config: Deserialize::from_value(obj_get(fields, "config")?)?,
-            loss_history: Deserialize::from_value(obj_get(fields, "loss_history")?)?,
-            recipe_version: match obj_get(fields, "recipe_version") {
-                Ok(version) => Deserialize::from_value(version)?,
-                Err(_) => 0,
-            },
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::DeError> {
+        #[derive(Deserialize)]
+        struct TrainedModel {
+            encoder: TrajectoryEncoder,
+            store: ParamStore,
+            config: TrainingConfig,
+            loss_history: Vec<f32>,
+            #[serde(default)]
+            recipe_version: u32,
+        }
+        let TrainedModel {
+            encoder,
+            store,
+            config,
+            loss_history,
+            recipe_version,
+        } = TrainedModel::deserialize(de)?;
+        let model = Self {
+            encoder,
+            store,
+            config,
+            loss_history,
+            recipe_version,
         };
         let encoder = &model.encoder.config;
         if encoder.input_dim != TOKEN_DIM {
@@ -494,6 +505,11 @@ mod mutants;
 mod tests {
     use super::*;
 
+    /// `value`'s JSON document as a tree, for tests that edit a file.
+    fn tree(value: &impl serde::Serialize) -> serde::Value {
+        serde_json::from_str(&serde_json::to_string(value).unwrap()).unwrap()
+    }
+
     #[test]
     fn training_reduces_loss() {
         let model = train(TrainingConfig::tiny());
@@ -684,7 +700,7 @@ mod tests {
     /// its shape must fail the load, not reach the kernels.
     #[test]
     fn load_rejects_a_model_with_a_truncated_weight() {
-        use serde::{Serialize, Value};
+        use serde::Value;
         fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
             let Value::Obj(fields) = v else {
                 panic!("{key}: not an object");
@@ -696,7 +712,7 @@ mod tests {
         cfg.steps = 1;
         let model = train(cfg);
         let name = model.store.names().swap_remove(0);
-        let mut tree = model.to_value();
+        let mut tree = tree(&model);
         let weight = field(field(field(&mut tree, "store"), "params"), &name);
         let Value::Arr(data) = field(weight, "data") else {
             panic!("data: not an array");
@@ -734,7 +750,7 @@ mod tests {
     /// is retrained, not served, though its config is equal.
     #[test]
     fn load_or_train_retrains_a_model_from_another_recipe_version() {
-        use serde::{Serialize, Value};
+        use serde::Value;
         let mut cfg = TrainingConfig::tiny();
         cfg.steps = 2;
         let fresh = train(cfg.clone());
@@ -763,7 +779,7 @@ mod tests {
         );
 
         // A file with no version still loads as a model, and is stale.
-        let Value::Obj(mut fields) = stale.to_value() else {
+        let Value::Obj(mut fields) = tree(&stale) else {
             panic!("a model serialises as an object");
         };
         fields.retain(|(key, _)| key != "recipe_version");
@@ -814,7 +830,7 @@ mod tests {
     /// encoder's — are load errors naming the parameter.
     #[test]
     fn load_rejects_a_model_that_names_the_wrong_weights() {
-        use serde::{Serialize, Value};
+        use serde::Value;
         fn params(v: &mut Value) -> &mut Vec<(String, Value)> {
             let mut v = v;
             for key in ["store", "params"] {
@@ -839,7 +855,7 @@ mod tests {
             TrainedModel::load(&path).expect_err("a model naming the wrong weights")
         };
 
-        let mut renamed = model.to_value();
+        let mut renamed = tree(&model);
         let entry = params(&mut renamed)
             .iter_mut()
             .find(|(k, _)| k == "enc.in.w");
@@ -847,11 +863,11 @@ mod tests {
         let err = load_error(&renamed).to_string();
         assert!(err.contains("parameter \"enc.in.w\" is missing"), "{err}");
 
-        let mut reshaped = model.to_value();
+        let mut reshaped = tree(&model);
         let entry = params(&mut reshaped)
             .iter_mut()
             .find(|(k, _)| k == "enc.in.w");
-        entry.unwrap().1 = Tensor::zeros(3, 3).to_value();
+        entry.unwrap().1 = tree(&Tensor::zeros(3, 3));
         let err = load_error(&reshaped).to_string();
         assert!(
             err.contains("\"enc.in.w\" is 3x3, the encoder needs 32x16"),

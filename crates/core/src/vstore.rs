@@ -23,7 +23,6 @@
 use sketchql_store::{Fnv64, StoreRow};
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{Clip, TrackId};
-use std::collections::HashMap;
 
 use crate::cancel::CancelToken;
 use crate::grid;
@@ -319,79 +318,98 @@ impl Matcher<LearnedSimilarity> {
         let windows = grid::query_windows(q_span, index.frames);
         telemetry::counter(names::WINDOWS_ENUMERATED).add(windows.len() as u64);
 
-        // The overlap floors in play per (start, end) range: clamped tail
-        // windows of different lengths can share a range while demanding
-        // different floors, and each floor is its own ranking slot.
-        let mut by_range: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-        for &(s, e, o) in &windows {
-            by_range.entry((s, e)).or_default().push(o);
-        }
+        // A window's ranking slot is its ordinal in `windows`. Clamped
+        // tail windows of different lengths can share a (start, end)
+        // range while demanding different floors, so a range resolves to
+        // a run of ordinals: `by_range` sorted by (start, end, ordinal).
+        let mut by_range: Vec<(u32, u32, usize)> = windows
+            .iter()
+            .enumerate()
+            .map(|(k, &(s, e, _))| (s, e, k))
+            .collect();
+        by_range.sort_unstable();
+        // The few frame counts a window spans: a row spanning any other
+        // is no window of this query, whatever its start.
+        let mut spans: Vec<u32> = windows.iter().map(|&(s, e, _)| e - s + 1).collect();
+        spans.sort_unstable();
+        spans.dedup();
         // Track order decides ties exactly as the scan's combination
-        // order does (first strictly-greatest wins).
-        let track_pos: HashMap<TrackId, usize> = index
+        // order does (first strictly-greatest wins). A track id listed
+        // twice resolves to its last position.
+        let mut track_pos: Vec<(TrackId, usize)> = index
             .tracks
             .iter()
             .enumerate()
             .map(|(i, t)| (t.id, i))
             .collect();
+        track_pos.sort_unstable();
 
-        // Filter first (class, range, track position), gathering the
-        // survivors' rows back to back; score them in one call; then pick
-        // the best per slot in the original order.
-        let mut kept: Vec<(StoreRow, usize, u32, &[u32])> = Vec::new();
+        // Filter first (span, class, range, track position), gathering
+        // the survivors' rows back to back; score them in one call; then
+        // pick the best per slot in the original order.
+        let mut kept: Vec<(StoreRow, usize, u32, std::ops::Range<usize>)> = Vec::new();
         let mut rows: Vec<f32> = Vec::new();
         for (k, &(row, vector)) in candidates.iter().enumerate() {
             if k % 1024 == 1023 {
                 cancel.check().map_err(MatchError::from)?;
             }
-            if !qclass.matches(&row.class) {
+            let span = row.end.wrapping_sub(row.start).wrapping_add(1);
+            if !spans.contains(&span) || !qclass.matches(&row.class) {
                 continue;
             }
-            let Some(floors) = by_range.get(&(row.start, row.end)) else {
+            let lo = by_range.partition_point(|&(s, e, _)| (s, e) < (row.start, row.end));
+            let run = by_range[lo..]
+                .iter()
+                .take_while(|&&(s, e, _)| (s, e) == (row.start, row.end))
+                .count();
+            if run == 0 {
+                continue;
+            }
+            let at = track_pos.partition_point(|&(id, _)| id <= row.track_id);
+            let Some(&(id, pos)) = at.checked_sub(1).map(|at| &track_pos[at]) else {
                 continue;
             };
-            let Some(&pos) = track_pos.get(&row.track_id) else {
+            if id != row.track_id {
                 continue;
-            };
+            }
             let overlap = overlap_frames(&index.tracks[pos], row.start, row.end);
-            kept.push((row, pos, overlap, floors));
+            kept.push((row, pos, overlap, lo..lo + run));
             rows.extend_from_slice(vector);
         }
         let mut scores = vec![0.0; kept.len()];
         self.sim.score_embeddings(prepared, &rows, &mut scores);
         telemetry::counter(names::SIMILARITY_EVALS).add(kept.len() as u64);
 
-        // Best candidate per (start, end, overlap-floor) slot.
-        let mut best: HashMap<(u32, u32, u32), (f32, usize, TrackId)> = HashMap::new();
-        for (&(row, pos, overlap, floors), score) in kept.iter().zip(scores) {
+        // Best candidate per slot.
+        let mut best: Vec<Option<(f32, usize, TrackId)>> = vec![None; windows.len()];
+        for ((row, pos, overlap, slots), score) in kept.into_iter().zip(scores) {
             let score = if score.is_finite() { score } else { 0.0 };
-            for &floor in floors {
-                if overlap < floor {
+            for &(_, _, k) in &by_range[slots] {
+                if overlap < windows[k].2 {
                     continue;
                 }
-                let slot = best.entry((row.start, row.end, floor)).or_insert((
-                    f32::NEG_INFINITY,
-                    usize::MAX,
-                    0,
-                ));
-                if score > slot.0 || (score == slot.0 && pos < slot.1) {
-                    *slot = (score, pos, row.track_id);
+                let slot = &mut best[k];
+                if slot.is_none_or(|(best, best_pos, _)| {
+                    score > best || (score == best && pos < best_pos)
+                }) {
+                    *slot = Some((score, pos, row.track_id));
                 }
             }
         }
 
         // Emit in window-enumeration order, the order the scan scores in.
-        let mut scored: Vec<RetrievedMoment> = Vec::new();
-        for &(s, e, o) in &windows {
-            if let Some(&(score, _, track_id)) = best.get(&(s, e, o)) {
-                scored.push(RetrievedMoment {
-                    start: s,
-                    end: e,
+        let scored: Vec<RetrievedMoment> = windows
+            .iter()
+            .zip(&best)
+            .filter_map(|(&(start, end, _), slot)| {
+                slot.map(|(score, _, track_id)| RetrievedMoment {
+                    start,
+                    end,
                     score,
                     track_ids: vec![track_id],
-                });
-            }
-        }
+                })
+            })
+            .collect();
         telemetry::counter(names::WINDOWS_PRUNED).add((windows.len() - scored.len()) as u64);
         drop(scan_span);
 

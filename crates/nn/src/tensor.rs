@@ -6,7 +6,7 @@
 //! every forward and backward rule a plain loop over rows.
 
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Deserializer, Serialize};
 
 /// A dense row-major 2D tensor of `f32`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -19,24 +19,26 @@ pub struct Tensor {
     pub data: Vec<f32>,
 }
 
-/// Hand-written because the vendored derive has no validation hook:
-/// tensors are read from model files, and a shape that disagrees with the
-/// data (or whose product overflows) must be an error here, not a tensor
-/// for [`crate::kernels`] to refuse later.
+/// Hand-written over a derived mirror: tensors are read from model
+/// files, and a shape that disagrees with the data (or whose product
+/// overflows) must be an error here, not a tensor for [`crate::kernels`]
+/// to refuse later.
 impl Deserialize for Tensor {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        use serde::__private::{as_obj, obj_get};
-        let fields = as_obj(v, "struct Tensor")?;
-        let rows: usize = Deserialize::from_value(obj_get(fields, "rows")?)?;
-        let cols: usize = Deserialize::from_value(obj_get(fields, "cols")?)?;
-        let data: Vec<f32> = Deserialize::from_value(obj_get(fields, "data")?)?;
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        #[derive(Deserialize)]
+        struct Tensor {
+            rows: usize,
+            cols: usize,
+            data: Vec<f32>,
+        }
+        let Tensor { rows, cols, data } = Tensor::deserialize(de)?;
         if rows.checked_mul(cols) != Some(data.len()) {
             return Err(DeError(format!(
                 "tensor data holds {} values but its shape is {rows}x{cols}",
                 data.len()
             )));
         }
-        Ok(Tensor { rows, cols, data })
+        Ok(Self { rows, cols, data })
     }
 }
 

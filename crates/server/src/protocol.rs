@@ -613,6 +613,11 @@ mod tests {
     fn garbage_line_is_a_parse_error_not_a_panic() {
         assert!(serde_json::from_str::<Request>("{\"nope\"").is_err());
         assert!(serde_json::from_str::<Request>("{\"Frobnicate\":{}}").is_err());
+        let unordered = serde_json::from_str::<Request>(UNORDERED_CLIP_LINE).unwrap_err();
+        assert!(
+            unordered.to_string().contains("strictly increase"),
+            "{unordered}"
+        );
 
         let mut lines: Vec<String> = golden_requests()
             .iter()
@@ -623,7 +628,7 @@ mod tests {
                     .map(|r| serde_json::to_string(r).unwrap()),
             )
             .collect();
-        lines.extend([V5_QUERY_LINE, TRACE_LINE].map(String::from));
+        lines.extend([V5_QUERY_LINE, TRACE_LINE, UNORDERED_CLIP_LINE].map(String::from));
         for (seed, line) in (0x5eed..).zip(&lines) {
             super::mutants::never_panics(line.as_bytes(), 10_000, seed, |bytes| {
                 let line = String::from_utf8_lossy(bytes);
@@ -637,6 +642,14 @@ mod tests {
     const V5_QUERY_LINE: &str = "{\"Query\":{\"dataset\":\"traffic\",\"event\":\"left_turn\",\
                                  \"clip\":null,\"top_k\":5,\"deadline_ms\":2000,\
                                  \"trace_id\":42,\"class\":\"batch\",\"priority\":-5}}";
+
+    /// A `Query` whose inline clip lists frame 2 after frame 5: the
+    /// decoder refuses it, so no span downstream sees `end < start`.
+    const UNORDERED_CLIP_LINE: &str = "{\"Query\":{\"dataset\":\"traffic\",\"event\":null,\
+        \"clip\":{\"frame_width\":1000,\"frame_height\":600,\"objects\":[{\"id\":0,\
+        \"class\":\"Car\",\"points\":[{\"frame\":5,\"bbox\":{\"cx\":1,\"cy\":2,\"w\":3,\"h\":4}},\
+        {\"frame\":2,\"bbox\":{\"cx\":1,\"cy\":2,\"w\":3,\"h\":4}}]}]},\
+        \"top_k\":5,\"deadline_ms\":null,\"trace_id\":null}}";
 
     /// A trace reply's exact line.
     const TRACE_LINE: &str = r#"{"trace_id":7,"label":"traffic","outcome":"completed","batch_size":1,"total_nanos":1234567,"alloc_bytes":52480,"alloc_count":120,"cpu_nanos":1100000,"counts":{"sketchql.store.hits":1,"sketchql.store.rows_probed":266},"spans":[{"name":"sketchql.server.queue_wait","depth":0,"start_nanos":0,"nanos":2000}]}"#;

@@ -207,6 +207,44 @@ fn query_missing_a_field_is_a_bad_request_naming_it() {
     server.shutdown();
 }
 
+/// A clip whose frames do not strictly increase is refused while the
+/// line is decoded, as a bad request: it never reaches a worker, where
+/// its span (`end - start + 1` with `end < start`) would underflow.
+#[test]
+fn clip_with_frames_out_of_order_is_a_bad_request() {
+    let server = start_server(1);
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let request = sketchql_server::Request::Query {
+        dataset: "alpha".into(),
+        event: None,
+        clip: Some(query_clip(EventKind::LeftTurn)),
+        top_k: Some(3),
+        deadline_ms: None,
+        trace_id: None,
+    };
+    let line = serde_json::to_string(&request).unwrap();
+    // The sketch's frames run 0, 1, 2, ...: make the first one 500, past
+    // the last, so the clip would start after it ends.
+    assert!(line.contains("{\"frame\":0,"));
+    let unordered = line.replacen("{\"frame\":0,", "{\"frame\":500,", 1);
+    let Response::Error { kind, message } = raw_round_trip(&mut stream, &unordered) else {
+        panic!("a clip with frames out of order must be refused");
+    };
+    assert_eq!(kind, ErrorKind::BadRequest);
+    assert!(
+        message.contains("strictly increase"),
+        "message was {message:?}"
+    );
+
+    // The same socket and the worker still serve the ordered clip.
+    let Response::Moments(outcome) = raw_round_trip(&mut stream, &line) else {
+        panic!("the ordered clip must be served");
+    };
+    assert!(!outcome.moments.is_empty());
+    assert_eq!(server.engine().stats().failed, 0);
+    server.shutdown();
+}
+
 /// A client that never sends a newline cannot grow the server's line
 /// buffer without bound: past `MAX_REQUEST_BYTES` it is told so once
 /// and disconnected, and the server keeps serving everyone else.

@@ -125,3 +125,42 @@ fn wire_trace_counts_say_store_hit_or_why_not() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Heap allocations a warm served store query may make, as its trace
+/// counts them: the query embed, the probe, the finish and the ranking.
+/// Measured at 222 on x86-64 (debug and release) over this fixture's 122
+/// windows and 3,060 probed rows; the ceiling leaves ~40% headroom, less
+/// than one allocation per window, so a new per-window or per-row
+/// allocation on the store path fails here.
+const STORE_QUERY_ALLOC_CEILING: u64 = 320;
+
+#[test]
+fn a_served_store_query_stays_under_its_allocation_ceiling() {
+    let model = tiny_model();
+    let dir = shard_temp_dir("alloc-ceiling");
+    let alpha = small_index(11);
+    let set = exhaustive_set(&model, &alpha, alpha.frames, &dir);
+    let stores = BTreeMap::from([("alpha".to_string(), set)]);
+    let engine = Engine::start_with_stores(model, two_datasets(), stores, EngineConfig::default());
+    let server = Server::start(engine, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // The first query also verifies and decodes the shard; the ones after
+    // it are the steady state.
+    for round in 0..3 {
+        let outcome = client
+            .query_event("alpha", "left_turn", None, None)
+            .unwrap();
+        let trace = client
+            .trace(Some(outcome.trace_id), None)
+            .unwrap()
+            .remove(0);
+        assert_eq!(trace.counts.get(names::STORE_HITS), Some(&1));
+        assert!(
+            round == 0 || trace.alloc_count <= STORE_QUERY_ALLOC_CEILING,
+            "a warm served store query made {} allocations (ceiling {STORE_QUERY_ALLOC_CEILING})",
+            trace.alloc_count
+        );
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

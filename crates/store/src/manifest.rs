@@ -62,6 +62,7 @@ pub struct Manifest {
     /// watching this value (together with `frames`) change under the
     /// atomic manifest rename. Manifests written before epochs existed
     /// parse as epoch 0.
+    #[serde(default)]
     pub epoch: u64,
     /// Dataset name the windows were cut from.
     pub dataset: String,
@@ -223,15 +224,8 @@ impl Manifest {
             path: path.to_path_buf(),
             detail,
         };
-        let mut value: serde::Value =
+        let manifest: Manifest =
             serde_json::from_str(json).map_err(|e| bad(format!("manifest parse error: {e}")))?;
-        if let serde::Value::Obj(fields) = &mut value {
-            if !fields.iter().any(|(k, _)| k == "epoch") {
-                fields.push(("epoch".to_string(), serde::Value::Num(0.0)));
-            }
-        }
-        let manifest =
-            Manifest::from_value(&value).map_err(|e| bad(format!("manifest parse error: {e}")))?;
         manifest.validate(path)?;
         Ok(manifest)
     }

@@ -7,7 +7,7 @@
 use crate::bbox::BBox;
 use crate::geom::Point2;
 use crate::object::{ObjectClass, TrackId};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Deserializer, Serialize};
 
 /// A single observation of an object at a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -28,14 +28,36 @@ impl TrajPoint {
 /// One object's bounding box trajectory.
 ///
 /// Invariant: points are sorted by frame with strictly increasing frame
-/// indices. Constructors enforce this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// indices. Constructors enforce this, and so does decoding.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Trajectory {
     /// Track identifier unique within the source video.
     pub id: TrackId,
     /// Object category assigned by the tracker (or the sketcher).
     pub class: ObjectClass,
     points: Vec<TrajPoint>,
+}
+
+/// Hand-written over a derived mirror: a trajectory arrives in query
+/// lines and video files, and one whose frames do not strictly increase
+/// must be an error here, not a span that underflows downstream.
+impl Deserialize for Trajectory {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        #[derive(Deserialize)]
+        struct Trajectory {
+            id: TrackId,
+            class: ObjectClass,
+            points: Vec<TrajPoint>,
+        }
+        let Trajectory { id, class, points } = Trajectory::deserialize(de)?;
+        if let Some(w) = points.windows(2).find(|w| w[0].frame >= w[1].frame) {
+            return Err(DeError(format!(
+                "trajectory {id}: frame {} follows frame {}; frames must strictly increase",
+                w[1].frame, w[0].frame
+            )));
+        }
+        Ok(Self { id, class, points })
+    }
 }
 
 impl Trajectory {
@@ -138,6 +160,30 @@ impl Trajectory {
                 }
             }
         }
+    }
+
+    /// [`Trajectory::bbox_at`] for every frame of `frames`, in one cursor
+    /// walk over the points instead of a binary search per frame (the
+    /// same boxes, bit for bit: the same `lerp` at the same `t`).
+    pub fn bboxes_over(
+        &self,
+        frames: std::ops::RangeInclusive<u32>,
+    ) -> impl Iterator<Item = Option<BBox>> + '_ {
+        let points = &self.points;
+        // First point at or after the frame being read.
+        let mut next = points.partition_point(|p| p.frame < *frames.start());
+        frames.map(move |frame| {
+            while points.get(next).is_some_and(|p| p.frame < frame) {
+                next += 1;
+            }
+            let b = points.get(next)?;
+            if b.frame == frame {
+                return Some(b.bbox);
+            }
+            let a = &points[next.checked_sub(1)?];
+            let t = (frame - a.frame) as f32 / (b.frame - a.frame) as f32;
+            Some(a.bbox.lerp(&b.bbox, t))
+        })
     }
 
     /// The observations inside `[start, end]` (inclusive; empty when
@@ -336,6 +382,25 @@ mod tests {
         assert_eq!(t.points()[1].frame, 3);
         // last observation for frame 3 wins
         assert_eq!(t.points()[1].bbox.cx, 9.0);
+    }
+
+    #[test]
+    fn bboxes_over_is_bbox_at_per_frame() {
+        let t = Trajectory::from_points(
+            1,
+            ObjectClass::Car,
+            [(3u32, 1.0f32), (4, 2.5), (9, -7.25), (10, 0.1), (17, 3.3)]
+                .map(|(f, x)| TrajPoint::new(f, BBox::new(x, x * 0.7, 2.0 + x.abs(), 3.0)))
+                .to_vec(),
+        );
+        for (start, end) in [(0, 25), (3, 17), (5, 5), (9, 16), (17, 30), (20, 19)] {
+            let walked: Vec<Option<BBox>> = t.bboxes_over(start..=end).collect();
+            let looked_up: Vec<Option<BBox>> = (start..=end).map(|f| t.bbox_at(f)).collect();
+            assert_eq!(walked, looked_up, "{start}..={end}");
+        }
+        assert!(Trajectory::new(1, ObjectClass::Car)
+            .bboxes_over(0..=4)
+            .all(|b| b.is_none()));
     }
 
     #[test]

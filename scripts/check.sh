@@ -30,9 +30,11 @@ echo "== release lane: the bit-pinned tests under the optimiser"
 # optimiser may reorder; tier-1 builds tests in debug only, so run the
 # two crates that own them again in release. The memo-vs-direct
 # referee (tests/embed_cache.rs) lives in the root package; the memo's
-# window key relies on it, so it runs under the optimiser too.
+# window key relies on it, so it runs under the optimiser too, as does
+# the JSON codec's golden-bytes referee (tests/wire_golden.rs): number
+# formatting is the codec's arithmetic.
 cargo test --release -q -p sketchql-nn -p sketchql
-cargo test --release -q -p sketchql-suite --test embed_cache
+cargo test --release -q -p sketchql-suite --test embed_cache --test wire_golden
 
 echo "== frozen benchmark: perfbench builds untouched and every workload passes its output checks"
 # perfbench/ pins public API names and compares served replies against
