@@ -75,7 +75,7 @@ use crate::similarity::Similarity;
 /// fixture has none. No benchmark reaches the reset
 /// (only the tests do, with a forced budget), and what share of served
 /// queries repeats a window grid has not been measured (ROADMAP item
-/// 4(i)); revisit the figure when either is known. Allocator slack (a
+/// 3(i)); revisit the figure when either is known. Allocator slack (a
 /// doubling arena, a power-of-two table at <= 7/8 load) is not counted
 /// and can at worst double the footprint.
 pub const MEMO_BUDGET_BYTES: usize = 16 << 20;

@@ -89,15 +89,58 @@ pub struct RetrievedMoment {
 impl RetrievedMoment {
     /// Temporal IoU with another moment.
     pub fn temporal_iou(&self, other: &RetrievedMoment) -> f32 {
-        let inter_start = self.start.max(other.start);
-        let inter_end = self.end.min(other.end);
-        if inter_end < inter_start {
-            return 0.0;
+        span_iou((self.start, self.end), (other.start, other.end))
+    }
+}
+
+/// Temporal IoU of two inclusive frame spans.
+fn span_iou((start, end): (u32, u32), (other_start, other_end): (u32, u32)) -> f32 {
+    let inter_start = start.max(other_start);
+    let inter_end = end.min(other_end);
+    if inter_end < inter_start {
+        return 0.0;
+    }
+    let inter = (inter_end - inter_start + 1) as f32;
+    let union = (end - start + 1) as f32 + (other_end - other_start + 1) as f32 - inter;
+    inter / union
+}
+
+/// What [`nms_top_k`] ranks: a score over a span of frames with the
+/// tracks bound to the query's slots.
+pub(crate) trait Ranked {
+    /// The score, the first and last frame, and the bound tracks.
+    fn ranking(&self) -> (f32, u32, u32, &[TrackId]);
+}
+
+impl Ranked for RetrievedMoment {
+    fn ranking(&self) -> (f32, u32, u32, &[TrackId]) {
+        (self.score, self.start, self.end, &self.track_ids)
+    }
+}
+
+/// A scored window over one track, as the store path scores it: a
+/// [`RetrievedMoment`] waiting to be built, once ranking has kept it.
+pub(crate) struct TrackMoment {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+    pub(crate) score: f32,
+    pub(crate) track: [TrackId; 1],
+}
+
+impl Ranked for TrackMoment {
+    fn ranking(&self) -> (f32, u32, u32, &[TrackId]) {
+        (self.score, self.start, self.end, &self.track)
+    }
+}
+
+impl From<TrackMoment> for RetrievedMoment {
+    fn from(m: TrackMoment) -> Self {
+        RetrievedMoment {
+            start: m.start,
+            end: m.end,
+            score: m.score,
+            track_ids: m.track.to_vec(),
         }
-        let inter = (inter_end - inter_start + 1) as f32;
-        let union =
-            (self.end - self.start + 1) as f32 + (other.end - other.start + 1) as f32 - inter;
-        inter / union
     }
 }
 
@@ -321,17 +364,19 @@ impl<S: Similarity> Matcher<S> {
 
     /// Final ranking: [`nms_top_k`], then boundary refinement of each
     /// moment kept.
-    pub(crate) fn rank(
+    pub(crate) fn rank<T: Ranked + Into<RetrievedMoment>>(
         &self,
         index: &VideoIndex,
-        scored: Vec<RetrievedMoment>,
+        scored: Vec<T>,
     ) -> Vec<RetrievedMoment> {
         let _rank_span = telemetry::span(names::MATCHER_RANK);
-        let mut kept = nms_top_k(scored, self.config.top_k);
-        for m in &mut kept {
-            refine_boundaries(index, m);
-        }
-        kept
+        let kept = nms_top_k(scored, self.config.top_k);
+        let refined = kept.into_iter().map(|m| {
+            let mut m = m.into();
+            refine_boundaries(index, &mut m);
+            m
+        });
+        refined.collect()
     }
 
     /// The direct (no embeddings) scan: score every window's best
@@ -536,22 +581,24 @@ enum Scored {
 /// tracks, so parallel and sequential runs agree), drops a moment whose
 /// temporal IoU with a better-ranked moment over the same tracks reaches
 /// [`NMS_TIOU`], and keeps the best `top_k`.
-pub(crate) fn nms_top_k(mut scored: Vec<RetrievedMoment>, top_k: usize) -> Vec<RetrievedMoment> {
+pub(crate) fn nms_top_k<T: Ranked>(mut scored: Vec<T>, top_k: usize) -> Vec<T> {
     scored.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
+        let (a, b) = (a.ranking(), b.ranking());
+        b.0.partial_cmp(&a.0)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.start.cmp(&b.start))
-            .then(a.track_ids.cmp(&b.track_ids))
+            .then(a.1.cmp(&b.1))
+            .then(a.3.cmp(b.3))
     });
-    let mut kept: Vec<RetrievedMoment> = Vec::new();
+    let mut kept: Vec<T> = Vec::new();
     for m in scored {
         if kept.len() >= top_k {
             break;
         }
-        let overlaps = kept
-            .iter()
-            .any(|k| k.temporal_iou(&m) >= NMS_TIOU && k.track_ids == m.track_ids);
+        let (_, start, end, tracks) = m.ranking();
+        let overlaps = kept.iter().any(|k| {
+            let (_, k_start, k_end, k_tracks) = k.ranking();
+            span_iou((k_start, k_end), (start, end)) >= NMS_TIOU && k_tracks == tracks
+        });
         if !overlaps {
             kept.push(m);
         }

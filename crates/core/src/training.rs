@@ -15,14 +15,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use sketchql_nn::{
-    nt_xent, Adam, AdamConfig, EncoderConfig, ParamStore, Tensor, TrajectoryEncoder,
+    nt_xent, Adam, AdamConfig, EncoderConfig, KeptForward, ParamStore, Tensor, TrajectoryEncoder,
 };
 use sketchql_simulator::{PairGenConfig, PairGenerator, RandomSceneSampler, SamplerConfig};
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{extract_features, Clip, TOKEN_DIM};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::Mutex;
 
 use crate::similarity::{embed_clip, LearnedSimilarity};
 
@@ -308,11 +309,13 @@ fn train_on(
 
     let _run_span = telemetry::span(names::TRAINING_RUN);
 
+    let mut buffers = StepBuffers::default();
     let mut loss_history = Vec::with_capacity(config.steps);
     for step in 0..config.steps {
         // Sample a batch of (anchor, positive) views, skipping the rare
         // degenerate pair the featurizer rejects. Clip `2i` is pair `i`'s
         // anchor and clip `2i + 1` its positive.
+        let sampling = telemetry::span(names::TRAINING_STEP_SAMPLE);
         let mut clips = Vec::with_capacity(2 * config.batch_size);
         while clips.len() < 2 * config.batch_size {
             let pair = generator.sample_pair(&mut rng);
@@ -338,15 +341,19 @@ fn train_on(
             }
         }
 
+        drop(sampling);
         let clips: Vec<&Tensor> = clips.iter().collect();
-        let (loss, grads) = step_gradients(&encoder, &store, &clips, threads, |embeddings| {
+        let (loss, grads) = buffers.gradients(&encoder, &store, &clips, threads, |embeddings| {
             pair_loss(embeddings, config.temperature)
         });
         assert!(
             loss.is_finite(),
             "training diverged at step {step}: the loss is {loss}"
         );
-        adam.step_scaled(&mut store, &grads, schedule.multiplier(step));
+        {
+            let _span = telemetry::span(names::TRAINING_STEP_ADAM);
+            adam.step_scaled(&mut store, &grads, schedule.multiplier(step));
+        }
         loss_history.push(loss);
         progress(step, loss);
     }
@@ -368,66 +375,188 @@ fn pair_loss(embeddings: &[Tensor], temperature: f32) -> (f32, Vec<Option<Tensor
     nt_xent(embeddings, &pairs, temperature)
 }
 
-/// The loss of one optimisation step and its gradient per parameter name:
-/// `loss` over the encoder's embeddings of `clips`, which returns the loss
-/// value and `dL/d embedding` per clip (`None` for a clip it never read).
-///
-/// Clip `i`'s computation shares nothing with clip `j`'s but the weights,
-/// so the step is cut at the embeddings, and every part runs per clip on
-/// `threads` workers:
-///
-/// 1. the embeddings come from the inference path ([`TrajectoryEncoder::embed`]);
-/// 2. `loss` turns them into the loss value and each clip's seed;
-/// 3. each seeded clip runs [`TrajectoryEncoder::backward`] — its forward
-///    again, activations kept, then the backward from its embedding — on a
-///    worker that reuses one workspace for clip after clip;
-/// 4. the per-clip parameter gradients are folded **last clip first**.
-///
-/// That order is the point. Every weight is used exactly once per clip, so
-/// one reverse-mode graph over the whole batch — how a step was first
-/// computed, whose bits `folded_per_clip_gradients_are_the_single_graphs`
-/// pins — accumulates each parameter's gradient as
-/// `((g[n-1] + g[n-2]) + ...) + g[0]`, one addend per clip in reverse
-/// forward order. Reproducing exactly that sum keeps the result
-/// bit-identical to it, whatever `threads` is.
-pub(crate) fn step_gradients(
+/// A training run's step buffers: each clip's forward, kept from the
+/// step's embeddings to its backwards. A run keeps them from step to
+/// step, so they are allocated once, not every step.
+#[derive(Default)]
+pub(crate) struct StepBuffers {
+    kept: Vec<Mutex<KeptForward>>,
+}
+
+impl StepBuffers {
+    /// The loss of one optimisation step and its gradient per parameter
+    /// name: `loss` over the encoder's embeddings of `clips`, which
+    /// returns the loss value and `dL/d embedding` per clip (`None` for a
+    /// clip it never read).
+    ///
+    /// Clip `i`'s computation shares nothing with clip `j`'s but the
+    /// weights, so the step is cut at the embeddings, and every part runs
+    /// per clip on `threads` workers:
+    ///
+    /// 1. each clip's forward ([`TrajectoryEncoder::forward_kept`]) gives
+    ///    its embedding — the inference path's, bit for bit — and keeps
+    ///    its activations;
+    /// 2. `loss` turns the embeddings into the loss value and each clip's
+    ///    seed;
+    /// 3. each seeded clip runs [`TrajectoryEncoder::backward`] from its
+    ///    kept forward into one flat gradient in parameter-name order;
+    /// 4. the per-clip gradients are folded **last clip first**, one
+    ///    vector add per clip, as they come ([`fold_last_first`]), and
+    ///    cut into one tensor per parameter.
+    ///
+    /// That order is the point. Every weight is used exactly once per
+    /// clip, so one reverse-mode graph over the whole batch — how a step
+    /// was first computed, whose bits
+    /// `folded_per_clip_gradients_are_the_single_graphs` pins —
+    /// accumulates each parameter's gradient as
+    /// `((g[n-1] + g[n-2]) + ...) + g[0]`, one addend per clip in
+    /// reverse forward order. Reproducing exactly that sum keeps the
+    /// result bit-identical to it, whatever `threads` is.
+    pub(crate) fn gradients(
+        &mut self,
+        encoder: &TrajectoryEncoder,
+        store: &ParamStore,
+        clips: &[&Tensor],
+        threads: usize,
+        loss: impl FnOnce(&[Tensor]) -> (f32, Vec<Option<Tensor>>),
+    ) -> (f32, BTreeMap<String, Tensor>) {
+        self.kept.resize_with(clips.len(), Default::default);
+        let kept = &self.kept[..clips.len()];
+        let slot = |i: usize| kept[i].lock().expect("no forward panicked");
+        let embeddings: Vec<Tensor> = {
+            let _span = telemetry::span(names::TRAINING_STEP_FORWARD);
+            claim_last_first(clips.len(), threads, |i| {
+                encoder.forward_kept(store, clips[i], &mut slot(i));
+            });
+            let embedding = |i| slot(i).embedding().to_vec();
+            let embeddings = (0..clips.len()).map(embedding);
+            embeddings
+                .map(|e| Tensor::from_vec(1, e.len(), e))
+                .collect()
+        };
+        let (loss_value, seeds) = loss(&embeddings);
+        assert_eq!(seeds.len(), clips.len(), "one seed per clip");
+
+        let sum = {
+            let _span = telemetry::span(names::TRAINING_STEP_BACKWARD);
+            fold_last_first(clips.len(), threads, |i| {
+                Some(encoder.backward(store, clips[i], &slot(i), seeds[i].as_ref()?))
+            })
+        };
+
+        let _span = telemetry::span(names::TRAINING_STEP_FOLD);
+        let mut grads = BTreeMap::new();
+        if let Some(sum) = sum {
+            let mut rest = &sum[..];
+            for (name, rows, cols) in encoder.grad_layout() {
+                let values;
+                (values, rest) = rest.split_at(rows * cols);
+                grads.insert(
+                    name.to_string(),
+                    Tensor::from_vec(rows, cols, values.to_vec()),
+                );
+            }
+        }
+        (loss_value, grads)
+    }
+}
+
+/// One step's [`StepBuffers::gradients`], on buffers of its own.
+#[cfg(test)]
+fn step_gradients(
     encoder: &TrajectoryEncoder,
     store: &ParamStore,
     clips: &[&Tensor],
     threads: usize,
     loss: impl FnOnce(&[Tensor]) -> (f32, Vec<Option<Tensor>>),
 ) -> (f32, BTreeMap<String, Tensor>) {
-    let embeddings: Vec<Tensor> = crate::fan_out(clips, threads, |piece| {
-        let embed = |features| encoder.embed(store, features);
-        piece.iter().copied().map(embed).collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .map(|e| Tensor::from_vec(1, e.len(), e))
-    .collect();
-    let (loss_value, seeds) = loss(&embeddings);
-    assert_eq!(seeds.len(), clips.len(), "one seed per clip");
+    StepBuffers::default().gradients(encoder, store, clips, threads, loss)
+}
 
-    let seeded: Vec<_> = clips.iter().copied().zip(seeds).collect();
-    let per_clip = crate::fan_out(&seeded, threads, |piece| {
-        let backward = |(features, seed): &(&Tensor, Option<Tensor>)| {
-            Some(encoder.backward(store, features, seed.as_ref()?))
-        };
-        piece.iter().map(backward).collect::<Vec<_>>()
+/// `gradient(i)` for every `i < n` on `threads` threads, folded into
+/// `((g[n-1] + g[n-2]) + ...) + g[0]` — one vector add per gradient,
+/// `None`s skipped — or `None` when every one is. Indices are claimed
+/// last first ([`claim_last_first`]), and a gradient is added the moment
+/// every later one has been, by whichever worker completed the sequence;
+/// so at most a few gradients wait at once, hot in cache, the sum is the
+/// same bits at any thread count, and the workers share the folding.
+fn fold_last_first(
+    n: usize,
+    threads: usize,
+    gradient: impl Fn(usize) -> Option<Vec<f32>> + Sync,
+) -> Option<Vec<f32>> {
+    struct Fold {
+        /// Every index at or above this one has been folded.
+        folded: usize,
+        /// Gradients computed ahead of the fold.
+        waiting: BTreeMap<usize, Option<Vec<f32>>>,
+        sum: Option<Vec<f32>>,
+    }
+    let fold = Mutex::new(Fold {
+        folded: n,
+        waiting: BTreeMap::new(),
+        sum: None,
     });
-
-    let mut grads: BTreeMap<String, Tensor> = BTreeMap::new();
-    for clip_grads in per_clip.into_iter().flatten().rev().flatten() {
-        for (name, g) in clip_grads {
-            match grads.entry(name) {
-                Entry::Occupied(mut sum) => sum.get_mut().add_scaled(&g, 1.0),
-                Entry::Vacant(slot) => {
-                    slot.insert(g);
+    claim_last_first(n, threads, |i| {
+        let g = gradient(i);
+        let mut fold = fold.lock().expect("no worker panics while folding");
+        fold.waiting.insert(i, g);
+        while let Some(g) = fold
+            .folded
+            .checked_sub(1)
+            .and_then(|next| fold.waiting.remove(&next))
+        {
+            fold.folded -= 1;
+            match (&mut fold.sum, g) {
+                (Some(sum), Some(g)) => {
+                    for (s, v) in sum.iter_mut().zip(&g) {
+                        *s += *v;
+                    }
                 }
+                (sum @ None, g) => *sum = g,
+                (Some(_), None) => {}
             }
         }
+    });
+    let fold = fold.into_inner().expect("every worker joined");
+    debug_assert_eq!(fold.folded, 0, "every gradient folded");
+    fold.sum
+}
+
+/// Calls `work(i)` for every `i < n` on `threads` threads, the caller's
+/// among them, each claiming the highest index nobody has claimed yet:
+/// a slow clip or a busy core holds up no fixed share of the work.
+/// Spawned workers enter the caller's live traces, as
+/// [`crate::fan_out`]'s do, and a worker's panic resumes on the caller.
+fn claim_last_first(n: usize, threads: usize, work: impl Fn(usize) + Sync) {
+    let unclaimed = AtomicUsize::new(n);
+    let run = || {
+        while let Ok(claimed) = unclaimed.fetch_update(SeqCst, SeqCst, |i| i.checked_sub(1)) {
+            work(claimed - 1);
+        }
+    };
+    let helpers = threads.max(1).min(n).saturating_sub(1);
+    if helpers == 0 {
+        return run();
     }
-    (loss_value, grads)
+    let entered = telemetry::TraceContext::entered();
+    std::thread::scope(|scope| {
+        let (run, entered) = (&run, &entered);
+        let handles: Vec<_> = (0..helpers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let _attribution: Vec<_> = entered.iter().map(|t| t.enter()).collect();
+                    run()
+                })
+            })
+            .collect();
+        run();
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
 }
 
 /// Separation statistics of a model on freshly generated pairs.

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use sketchql_nn::{cosine_similarity, triplet, Adam, AdamConfig};
 use sketchql_trajectory::Clip;
 
-use crate::training::{clip_features_tensor, step_gradients, training_threads, TrainedModel};
+use crate::training::{clip_features_tensor, training_threads, StepBuffers, TrainedModel};
 
 /// One piece of user feedback on a retrieved clip.
 #[derive(Debug, Clone)]
@@ -171,8 +171,9 @@ pub(crate) fn fine_tune_counted(
         ..Default::default()
     });
     let threads = training_threads();
+    let mut buffers = StepBuffers::default();
     for _ in 0..config.epochs {
-        let (_, grads) = step_gradients(
+        let (_, grads) = buffers.gradients(
             &tuned.encoder,
             &tuned.store,
             &clips,

@@ -27,7 +27,7 @@ use sketchql_trajectory::{Clip, TrackId};
 use crate::cancel::CancelToken;
 use crate::grid;
 use crate::index::{overlap_frames, VideoIndex};
-use crate::matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment};
+use crate::matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment, TrackMoment};
 use crate::similarity::{LearnedSimilarity, PreparedQuery, Similarity};
 use crate::vshard::ShardSet;
 
@@ -397,16 +397,17 @@ impl Matcher<LearnedSimilarity> {
             }
         }
 
-        // Emit in window-enumeration order, the order the scan scores in.
-        let scored: Vec<RetrievedMoment> = windows
+        // Emit in window-enumeration order, the order the scan scores in;
+        // ranking builds a `RetrievedMoment` only for the windows it keeps.
+        let scored: Vec<TrackMoment> = windows
             .iter()
             .zip(&best)
             .filter_map(|(&(start, end, _), slot)| {
-                slot.map(|(score, _, track_id)| RetrievedMoment {
+                slot.map(|(score, _, track_id)| TrackMoment {
                     start,
                     end,
                     score,
-                    track_ids: vec![track_id],
+                    track: [track_id],
                 })
             })
             .collect();

@@ -1,7 +1,9 @@
 //! `TrajectoryEncoder::embed_batch` at the encoders that ship: equal to
 //! the bits the encoder's first forward (a reverse-mode tape, since
 //! deleted) computed, and — once a thread has embedded its largest batch —
-//! allocating only the vectors it returns, whatever the batch size.
+//! allocating only the vectors it returns, whatever the batch size. And
+//! training's per-clip backward: once warm, allocating only the gradient
+//! it returns.
 //!
 //! And the scan above it: once an index remembers a sketch's windows, a
 //! scan of them allocates per window, not per candidate.
@@ -15,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::training::TrainingConfig;
 use sketchql::{LearnedSimilarity, Matcher, VideoIndex};
-use sketchql_nn::{EncoderConfig, ParamStore, Tensor, TrajectoryEncoder};
+use sketchql_nn::{EncoderConfig, KeptForward, ParamStore, Tensor, TrajectoryEncoder};
 use sketchql_store::Fnv64;
 use sketchql_telemetry::{names, thread_allocated, TraceContext};
 use sketchql_trajectory::features::{SLOT_DIM, TOKEN_DIM};
@@ -82,6 +84,55 @@ fn steady_state_embed_batch_allocates_only_what_it_returns() {
                 config.d_model
             );
             assert_eq!(got, want[..n], "d_model {} batch {n}", config.d_model);
+        }
+    }
+}
+
+/// Training's per-clip passes at the encoders that ship: once a thread
+/// has differentiated one clip, `forward_kept` into a kept buffer
+/// allocates nothing and `backward` only the flat gradient it returns
+/// (plus at most a small constant), whichever clip comes next.
+#[test]
+fn a_warm_backward_allocates_only_the_gradient_it_returns() {
+    const SLACK_ALLOCATIONS: u64 = 2;
+    const SLACK_BYTES: u64 = 1024;
+    let mut rng = StdRng::seed_from_u64(23);
+    for config in [
+        TrainingConfig::default().encoder,
+        EncoderConfig::default(),
+        TrainingConfig::tiny().encoder,
+    ] {
+        let mut store = ParamStore::new();
+        let encoder = TrajectoryEncoder::new(&mut store, &mut rng, "enc", config.clone());
+        let clips: Vec<Tensor> = (0..4)
+            .map(|i| features(&mut rng, config.steps, 1 + i % 2))
+            .collect();
+        let seed = Tensor::xavier(1, config.embed_dim, &mut rng);
+        let mut kept = KeptForward::new();
+        // The first clip sizes this thread's buffers and `kept`.
+        encoder.forward_kept(&store, &clips[0], &mut kept);
+        let _ = encoder.backward(&store, &clips[0], &kept, &seed);
+        for clip in &clips[1..] {
+            let before = thread_allocated();
+            encoder.forward_kept(&store, clip, &mut kept);
+            let after = thread_allocated();
+            assert_eq!(
+                after, before,
+                "d_model {}: a warm forward_kept",
+                config.d_model
+            );
+            let grads = encoder.backward(&store, clip, &kept, &seed);
+            let (bytes, count) = thread_allocated();
+            let returned = (grads.len() * 4) as u64;
+            assert_eq!(grads.len(), store.num_scalars());
+            assert!(
+                count - after.1 <= 1 + SLACK_ALLOCATIONS
+                    && bytes - after.0 <= returned + SLACK_BYTES,
+                "d_model {}: a warm backward made {} allocations of {} bytes, returning {returned}",
+                config.d_model,
+                count - after.1,
+                bytes - after.0
+            );
         }
     }
 }

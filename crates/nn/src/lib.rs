@@ -29,8 +29,8 @@ pub mod tensor;
 pub use loss::{nt_xent, triplet};
 pub use modules::{
     cosine_scores, cosine_similarity, sinusoidal_positions, EncoderConfig, EncoderLayer,
-    FeedForward, LayerNorm, Linear, MultiHeadSelfAttention, ParamMismatch, ParamStore, Pooling,
-    TrajectoryEncoder,
+    FeedForward, KeptForward, LayerNorm, Linear, MultiHeadSelfAttention, ParamMismatch, ParamStore,
+    Pooling, TrajectoryEncoder,
 };
 pub use optim::{Adam, AdamConfig};
 pub use schedule::LrSchedule;

@@ -16,16 +16,25 @@
 //! thread and re-shaped per call, so in steady state a call allocates
 //! only the embeddings it returns.
 //!
-//! Training runs the same layer code on one clip at a time and copies out
-//! every activation its backward reads ([`TrajectoryEncoder::backward`]);
-//! attention then takes the per-head composition, which hands back each
-//! head's softmax and is bit-identical to the fused kernel. Each module's
-//! backward sits beside its forward and is a port of the reverse-mode
-//! rules the encoder was first trained with: every matmul's `g·Wᵀ` and
-//! `Xᵀ·g` through [`Tensor::matmul`], the bias column sums, and the
-//! layer-norm, softmax, GELU and L2 formulas. Where an activation feeds
-//! several consumers its gradient adds up in the reverse of the order the
-//! forward used it: a residual's skip before its branch, and the attention
+//! Training runs the same layer code on one clip at a time:
+//! [`TrajectoryEncoder::forward_kept`] is the forward with every
+//! activation the backward reads copied into a [`KeptForward`] (attention
+//! then takes the per-head composition, which hands back each head's
+//! softmax and is bit-identical to the fused kernel), and
+//! [`TrajectoryEncoder::backward`] differentiates the clip from it into
+//! one flat gradient, every parameter's values back to back in name
+//! order. Each module's backward sits beside its forward and is a port of
+//! the reverse-mode rules the encoder was first trained with, on the
+//! forward's kernels: every `Xᵀ·G` and `G·Wᵀ` — and each head's products,
+//! over its columns of the fused projection — is one view matmul that
+//! reads the transposed operand where it lies (`kernels::View`), writing
+//! straight into the parameter's slot of the flat gradient; GELU's
+//! derivative is a vector row kernel; and the layer-norm and softmax
+//! reductions run eight rows side by side, each row still one sequential
+//! sum. Every buffer is parked per thread, so a warm backward allocates
+//! only the gradient it returns. Where an activation feeds several
+//! consumers its gradient adds up in the reverse of the order the forward
+//! used it: a residual's skip before its branch, and the attention
 //! input's V, K, Q shares in that order. So a seed trains the same bits
 //! it always has (`crates/core/tests/model_bits.rs`).
 
@@ -33,11 +42,12 @@
 // rules.
 #![allow(clippy::needless_range_loop)]
 
-use crate::kernels::{self, AttnShape, Isa};
-use crate::tensor::{accumulate, Tensor};
+use crate::kernels::{self, AttnShape, Isa, View, ViewMut};
+use crate::tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The layer norm's variance epsilon.
 pub(crate) const LN_EPS: f32 = 1e-5;
@@ -93,23 +103,97 @@ impl ParamStore {
     }
 }
 
-/// Per-parameter gradients, in name order (the [`ParamStore`]'s).
-type Grads = BTreeMap<String, Tensor>;
+/// One clip's flat gradient seen by a module: `ranges[i]` is where the
+/// module's `i`-th parameter (in the order its `param_shapes` lists them)
+/// lies in `flat`. A module's backward writes every value of its ranges.
+struct GradSlots<'a> {
+    flat: &'a mut [f32],
+    ranges: &'a [Range<usize>],
+}
 
-/// Columns `[start, start + len)` of `t`, as a tensor of their own.
-fn columns(t: &Tensor, start: usize, len: usize) -> Tensor {
-    let mut out = Tensor::zeros(t.rows, len);
-    for r in 0..t.rows {
-        out.row_mut(r)
-            .copy_from_slice(&t.row(r)[start..start + len]);
+impl GradSlots<'_> {
+    /// The slots from the `start`-th on: a sub-module's.
+    fn sub(&mut self, start: usize) -> GradSlots<'_> {
+        GradSlots {
+            flat: &mut *self.flat,
+            ranges: &self.ranges[start..],
+        }
     }
-    out
+
+    /// Slots 0 and 1 (a weight and its bias, a gain and its shift).
+    fn pair(&mut self) -> (&mut [f32], &mut [f32]) {
+        let (first, second) = (self.ranges[0].clone(), self.ranges[1].clone());
+        assert!(first.end <= second.start || second.end <= first.start);
+        if first.start < second.start {
+            let (low, high) = self.flat.split_at_mut(second.start);
+            (&mut low[first], &mut high[..second.len()])
+        } else {
+            let (low, high) = self.flat.split_at_mut(first.start);
+            (&mut high[..first.len()], &mut low[second])
+        }
+    }
 }
 
 /// Overwrites `dst` with a copy of `src`, keeping `dst`'s allocation.
 fn keep(dst: &mut Tensor, src: &Tensor) {
     (dst.rows, dst.cols) = (src.rows, src.cols);
     dst.data.clone_from(&src.data);
+}
+
+/// Re-shapes `t` to `rows x cols`, allocating only where its capacity
+/// falls short (the contents are stale until overwritten).
+fn reshape(t: &mut Tensor, rows: usize, cols: usize) {
+    t.rows = rows;
+    t.cols = cols;
+    t.data.resize(rows * cols, 0.0);
+}
+
+/// `out[c]` = the sum of column `c` of `g` over its rows, in row order
+/// from `+0.0`: a bias's gradient.
+fn column_sums(g: View, out: &mut [f32]) {
+    out.fill(0.0);
+    for r in 0..g.rows() {
+        for (o, v) in out.iter_mut().zip(g.row(r)) {
+            *o += *v;
+        }
+    }
+}
+
+/// Rows the row-wise reductions of the backward walk side by side.
+const ROW_LANES: usize = 8;
+
+/// One column of a group of [`ROW_LANES`] rows: lane `l` is row `l`'s.
+type Lanes = [f32; ROW_LANES];
+
+/// Rows `r0..r0 + n` of the `cols`-wide row-major `data` (`n` at most
+/// [`ROW_LANES`]), transposed into `out`: `out[c][l]` is row `r0 + l`'s
+/// column `c`, lanes past `n` are `0.0`.
+fn row_lanes(data: &[f32], cols: usize, (r0, n): (usize, usize), out: &mut Vec<Lanes>) {
+    out.clear();
+    out.resize(cols, [0.0; ROW_LANES]);
+    if cols == 0 {
+        return;
+    }
+    for (l, row) in data[r0 * cols..].chunks_exact(cols).take(n).enumerate() {
+        for (lanes, &v) in out.iter_mut().zip(row) {
+            lanes[l] = v;
+        }
+    }
+}
+
+/// `sum(c -> term(c)[l])` over `cols` columns, for every lane `l` at
+/// once: each lane's one sequential chain from `-0.0` as `Iterator::sum`
+/// adds it, so lane `l` has the bits of `(0..cols).map(..).sum()` over
+/// its row. The lanes are independent, so their adds run side by side.
+fn lane_sums(cols: usize, term: impl Fn(usize) -> Lanes) -> Lanes {
+    let mut acc = [-0.0f32; ROW_LANES];
+    for c in 0..cols {
+        let t = term(c);
+        for l in 0..ROW_LANES {
+            acc[l] += t[l];
+        }
+    }
+    acc
 }
 
 /// A fully connected layer `y = x @ W + b`.
@@ -157,22 +241,18 @@ impl Linear {
         [(&self.w, rows, cols), (&self.b, 1, cols)]
     }
 
-    /// Records `dL/dW = xᵀ·g` and `dL/db`, the column sums of `g`, given
-    /// the layer's input `x` and `g = dL/dy`.
-    fn backward_params(&self, x: &Tensor, g: &Tensor, grads: &mut Grads) {
-        let mut gb = Tensor::zeros(1, g.cols);
-        for r in 0..g.rows {
-            for c in 0..g.cols {
-                gb.data[c] += g.data[r * g.cols + c];
-            }
-        }
-        grads.insert(self.b.clone(), gb);
-        grads.insert(self.w.clone(), x.transposed().matmul(g));
+    /// Writes `dL/dW = xᵀ·g` and `dL/db`, the column sums of `g`, into
+    /// the layer's two slots, given its input `x` and `g = dL/dy`.
+    fn backward_params(&self, isa: Isa, x: View, g: View, grads: &mut GradSlots) {
+        let (gw, gb) = grads.pair();
+        let (rows, cols) = (x.cols(), g.cols());
+        kernels::matmul_view_into(isa, x.t(), g, ViewMut::new(gw, rows, cols, cols));
+        column_sums(g, gb);
     }
 
-    /// `dL/dx = g·Wᵀ`.
-    fn backward_input(&self, store: &ParamStore, g: &Tensor) -> Tensor {
-        g.matmul(&store.get(&self.w).transposed())
+    /// Writes `dL/dx = g·Wᵀ` into `out`.
+    fn backward_input(&self, isa: Isa, store: &ParamStore, g: View, out: ViewMut) {
+        kernels::matmul_view_into(isa, g, View::of(store.get(&self.w)).t(), out);
     }
 }
 
@@ -212,40 +292,59 @@ impl LayerNorm {
     }
 
     /// The layer-norm backward over the forward's input `x` given
-    /// `g = dL/dy`: records `dL/dgamma` and `dL/dbeta`, returns `dL/dx`.
-    /// Mean and variance are recomputed in plain iterator order.
-    fn backward(&self, store: &ParamStore, x: &Tensor, g: &Tensor, grads: &mut Grads) -> Tensor {
-        let vg = store.get(&self.gamma);
-        let n = x.cols as f32;
-        let mut gx = Tensor::zeros(x.rows, x.cols);
-        let mut ggamma = Tensor::zeros(1, x.cols);
-        let mut gbeta = Tensor::zeros(1, x.cols);
-        for r in 0..x.rows {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / n;
-            let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
-            let inv_std = 1.0 / (var + LN_EPS).sqrt();
-            let gr = g.row(r);
-            // xhat and the two reduction terms of the standard layer-norm
-            // backward.
-            let xhat: Vec<f32> = row.iter().map(|v| (v - mean) * inv_std).collect();
-            let dxhat: Vec<f32> = gr
-                .iter()
-                .enumerate()
-                .map(|(c, gv)| gv * vg.data[c])
-                .collect();
-            let mean_dxhat = dxhat.iter().sum::<f32>() / n;
-            let mean_dxhat_xhat = dxhat.iter().zip(&xhat).map(|(a, b)| a * b).sum::<f32>() / n;
-            for c in 0..x.cols {
-                gx.data[r * x.cols + c] =
-                    inv_std * (dxhat[c] - mean_dxhat - xhat[c] * mean_dxhat_xhat);
-                ggamma.data[c] += gr[c] * xhat[c];
-                gbeta.data[c] += gr[c];
+    /// `g = dL/dy`: writes `dL/dgamma` and `dL/dbeta` into the two slots
+    /// and `dL/dx` into `gx` — added to what `gx` holds with `residual`
+    /// (the skip share of a residual, first operand), over it otherwise.
+    /// Each row's mean, variance and two reduction terms are plain
+    /// iterator sums ([`lane_sums`]), its normalized values recomputed
+    /// where they are used rather than kept.
+    #[allow(clippy::too_many_arguments)]
+    fn backward(
+        &self,
+        store: &ParamStore,
+        x: &Tensor,
+        g: &Tensor,
+        gx: &mut Tensor,
+        residual: bool,
+        grads: &mut GradSlots,
+        lanes: &mut [Vec<Lanes>; 2],
+    ) {
+        let gamma = &store.get(&self.gamma).data[..x.cols];
+        let (ggamma, gbeta) = grads.pair();
+        ggamma.fill(0.0);
+        gbeta.fill(0.0);
+        let (rows, cols) = (x.rows, x.cols);
+        let n = cols as f32;
+        let [xt, gt] = lanes;
+        for r0 in (0..rows).step_by(ROW_LANES) {
+            let group = (r0, (rows - r0).min(ROW_LANES));
+            row_lanes(&x.data, cols, group, xt);
+            row_lanes(&g.data, cols, group, gt);
+            let mean = lane_sums(cols, |c| xt[c]).map(|s| s / n);
+            let var = lane_sums(cols, |c| {
+                std::array::from_fn(|l| (xt[c][l] - mean[l]).powi(2))
+            });
+            let inv_std = var.map(|v| 1.0 / (v / n + LN_EPS).sqrt());
+            let dxhat = |c: usize| -> Lanes { std::array::from_fn(|l| gt[c][l] * gamma[c]) };
+            let mean_dxhat = lane_sums(cols, dxhat).map(|s| s / n);
+            let mean_dxhat_xhat = lane_sums(cols, |c| {
+                let d = dxhat(c);
+                std::array::from_fn(|l| d[l] * ((xt[c][l] - mean[l]) * inv_std[l]))
+            })
+            .map(|s| s / n);
+            for l in 0..group.1 {
+                let r = r0 + l;
+                let (xr, gr, gxr) = (x.row(r), g.row(r), &mut gx.row_mut(r)[..cols]);
+                for c in 0..cols {
+                    let xhat = (xr[c] - mean[l]) * inv_std[l];
+                    let dxhat = gr[c] * gamma[c];
+                    let v = inv_std[l] * (dxhat - mean_dxhat[l] - xhat * mean_dxhat_xhat[l]);
+                    gxr[c] = if residual { gxr[c] + v } else { v };
+                    ggamma[c] += gr[c] * xhat;
+                    gbeta[c] += gr[c];
+                }
             }
         }
-        grads.insert(self.gamma.clone(), ggamma);
-        grads.insert(self.beta.clone(), gbeta);
-        gx
     }
 }
 
@@ -291,16 +390,15 @@ impl MultiHeadSelfAttention {
     /// across batch items and each block's output is bit-identical to the
     /// sequence's alone. All intermediates live in the workspace — the
     /// whole pass allocates nothing. With `kept` (one sequence) the
-    /// attention is the per-head composition, which writes each head's
-    /// softmax there, and the projections and concatenated heads are
-    /// copied there too.
+    /// attention is the per-head composition, which keeps each head's
+    /// softmax there ([`heads_kept`](Self::heads_kept)).
     fn forward_blocks_into(
         &self,
         isa: Isa,
         store: &ParamStore,
         seq: usize,
         ws: &mut BatchWorkspace,
-        mut kept: Option<&mut LayerActivations>,
+        kept: Option<&mut LayerActivations>,
     ) {
         debug_assert_eq!(ws.norm.rows % seq, 0, "rows must stack whole sequences");
         let d = self.d_model;
@@ -326,112 +424,169 @@ impl MultiHeadSelfAttention {
             heads: self.heads,
         };
         let scale = 1.0 / ((d / self.heads) as f32).sqrt();
-        if let Some(kept) = kept.as_deref_mut() {
-            kept.probs.resize(self.heads * seq * seq, 0.0);
-        }
-        let blocks = ws
-            .qkv
-            .data
-            .chunks_exact(seq * 3 * d)
-            .zip(ws.concat.data.chunks_exact_mut(seq * d));
-        for (qkv, concat) in blocks {
-            let probs = kept.as_deref_mut().map(|k| &mut k.probs[..]);
-            kernels::attention_block(isa, qkv, shape, scale, &mut ws.attn, concat, probs);
-        }
         if let Some(kept) = kept {
-            keep(&mut kept.qkv, &ws.qkv);
-            keep(&mut kept.concat, &ws.concat);
+            self.heads_kept(isa, seq, scale, ws, kept);
+        } else {
+            let blocks = ws
+                .qkv
+                .data
+                .chunks_exact(seq * 3 * d)
+                .zip(ws.concat.data.chunks_exact_mut(seq * d));
+            for (qkv, concat) in blocks {
+                kernels::attention_block(isa, qkv, shape, scale, &mut ws.attn, concat);
+            }
         }
         self.wo
             .forward_tensor_into(isa, store, &ws.concat, &mut ws.sub);
     }
 
+    /// One sequence's attention with each head's softmax kept: the
+    /// per-head composition of [`kernels::attention_block`] — scores,
+    /// scale pass, softmax per row, `P·V`, the same arithmetic, so the
+    /// same bits — over views of `ws.qkv`, with the scores made in place
+    /// in `kept.probs` and each head's output written into its columns of
+    /// `ws.concat`; the projection and the concatenated heads are copied
+    /// into `kept` after.
+    fn heads_kept(
+        &self,
+        isa: Isa,
+        seq: usize,
+        scale: f32,
+        ws: &mut BatchWorkspace,
+        kept: &mut LayerActivations,
+    ) {
+        let (d, heads) = (self.d_model, self.heads);
+        let dh = d / heads;
+        debug_assert_eq!(ws.qkv.rows, seq, "one sequence");
+        kept.probs.resize(heads * seq * seq, 0.0);
+        for (h, probs) in kept.probs.chunks_exact_mut(seq * seq).enumerate() {
+            let c0 = h * dh;
+            let (qh, kh) = (
+                View::columns(&ws.qkv, c0, dh),
+                View::columns(&ws.qkv, d + c0, dh),
+            );
+            kernels::matmul_view_into(isa, qh, kh.t(), ViewMut::new(probs, seq, seq, seq));
+            for p in probs.iter_mut() {
+                *p *= scale;
+            }
+            for row in probs.chunks_exact_mut(seq) {
+                kernels::softmax_row_on(isa, row);
+            }
+            let (p, vh) = (
+                View::new(probs, seq, seq, seq),
+                View::columns(&ws.qkv, 2 * d + c0, dh),
+            );
+            kernels::matmul_view_into(isa, p, vh, ViewMut::columns(&mut ws.concat, c0, dh));
+        }
+        keep(&mut kept.qkv, &ws.qkv);
+        keep(&mut kept.concat, &ws.concat);
+    }
+
     /// The backward of one sequence's attention given `g = dL/d output`
-    /// and the input `n1`: records the four projections' gradients and
-    /// returns `dL/d n1`. Heads are walked last first, each head's share
-    /// of the Q, K and V gradients widened to full width and added up.
+    /// and the input `n1`: writes the four projections' gradients and
+    /// `dL/d n1` into `g_n1`. Each head's Q, K and V gradients are
+    /// products written straight into its columns of `ws.qkv` (a sum
+    /// from `+0.0` is never `-0.0`, so these are the bits that adding
+    /// zero-padded per-head tensors gave); the three projections' input
+    /// shares are then added V, K, Q.
+    #[allow(clippy::too_many_arguments)]
     fn backward(
         &self,
+        isa: Isa,
         store: &ParamStore,
         n1: &Tensor,
         kept: &LayerActivations,
         g: &Tensor,
-        grads: &mut Grads,
-    ) -> Tensor {
+        g_n1: &mut Tensor,
+        ws: &mut AttnGrads,
+        lanes: &mut [Vec<Lanes>; 2],
+        grads: &mut GradSlots,
+    ) {
         let (seq, d, heads) = (n1.rows, self.d_model, self.heads);
         let dh = d / heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        self.wo.backward_params(&kept.concat, g, grads);
-        let g_concat = self.wo.backward_input(store, g);
-        let mut g_qkv: [Option<Tensor>; 3] = [None, None, None];
-        for h in (0..heads).rev() {
+        let g = View::of(g);
+        self.wo
+            .backward_params(isa, View::of(&kept.concat), g, &mut grads.sub(6));
+        self.wo
+            .backward_input(isa, store, g, ViewMut::of(&mut ws.concat));
+        for h in 0..heads {
             let c0 = h * dh;
-            let qh = columns(&kept.qkv, c0, dh);
-            let kh = columns(&kept.qkv, d + c0, dh);
-            let vh = columns(&kept.qkv, 2 * d + c0, dh);
-            let p = Tensor::from_vec(seq, seq, kept.probs[h * seq * seq..][..seq * seq].to_vec());
-            let g_head = columns(&g_concat, c0, dh);
+            let qh = View::columns(&kept.qkv, c0, dh);
+            let kh = View::columns(&kept.qkv, d + c0, dh);
+            let vh = View::columns(&kept.qkv, 2 * d + c0, dh);
+            let p = View::new(&kept.probs[h * seq * seq..][..seq * seq], seq, seq, seq);
+            let g_head = View::columns(&ws.concat, c0, dh);
             // head = P·V, P = softmax(scores * scale), scores = Q·Kᵀ.
-            let g_p = g_head.matmul(&vh.transposed());
-            let g_vh = p.transposed().matmul(&g_head);
-            let g_scores = softmax_backward(&p, &g_p).map(|x| x * scale);
-            let g_qh = g_scores.matmul(&kh);
-            let g_kh = qh.transposed().matmul(&g_scores).transposed();
-            for (slot, g_part) in g_qkv.iter_mut().zip([g_qh, g_kh, g_vh]) {
-                let mut wide = Tensor::zeros(seq, d);
-                for r in 0..seq {
-                    wide.row_mut(r)[c0..c0 + dh].copy_from_slice(g_part.row(r));
+            let g_p = ViewMut::of(&mut ws.scores);
+            kernels::matmul_view_into(isa, g_head, vh.t(), g_p);
+            let g_vh = ViewMut::columns(&mut ws.qkv, 2 * d + c0, dh);
+            kernels::matmul_view_into(isa, p.t(), g_head, g_vh);
+            let p = &kept.probs[h * seq * seq..][..seq * seq];
+            softmax_backward(p, &mut ws.scores, scale, lanes);
+            let g_scores = View::of(&ws.scores);
+            let g_qh = ViewMut::columns(&mut ws.qkv, c0, dh);
+            kernels::matmul_view_into(isa, g_scores, kh, g_qh);
+            // dL/dK_h = (Q_hᵀ·G)ᵀ: the product, then its transpose into
+            // the head's K columns.
+            kernels::matmul_view_into(isa, qh.t(), g_scores, ViewMut::of(&mut ws.kt));
+            for (i, row) in ws.kt.data.chunks_exact(seq).enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    ws.qkv.data[j * 3 * d + d + c0 + i] = v;
                 }
-                accumulate(slot, wide);
             }
         }
-        let [g_q, g_k, g_v] = g_qkv.map(|g| g.expect("an attention block has a head"));
-        let mut g_n1 = None;
-        for (proj, g) in [(&self.wv, g_v), (&self.wk, g_k), (&self.wq, g_q)] {
-            proj.backward_params(n1, &g, grads);
-            accumulate(&mut g_n1, proj.backward_input(store, &g));
+        let projections = [(&self.wq, 0), (&self.wk, 2), (&self.wv, 4)];
+        for (proj, slot) in projections {
+            let g_proj = View::columns(&ws.qkv, slot / 2 * d, d);
+            proj.backward_params(isa, View::of(n1), g_proj, &mut grads.sub(slot));
         }
-        g_n1.expect("three projections")
+        for (proj, slot) in projections.into_iter().rev() {
+            let g_proj = View::columns(&ws.qkv, slot / 2 * d, d);
+            if slot == 4 {
+                proj.backward_input(isa, store, g_proj, ViewMut::of(g_n1));
+            } else {
+                proj.backward_input(isa, store, g_proj, ViewMut::of(&mut ws.share));
+                for (a, b) in g_n1.data.iter_mut().zip(&ws.share.data) {
+                    *a += *b;
+                }
+            }
+        }
+    }
+}
+
+/// `dL/d scores` of a row-wise softmax times `scale`, in place over
+/// `g = dL/dP` given the softmax `p`: `p * (g - dot(p, g))` per row.
+fn softmax_backward(p: &[f32], g: &mut Tensor, scale: f32, lanes: &mut [Vec<Lanes>; 2]) {
+    let (rows, cols) = (g.rows, g.cols);
+    let [pt, gt] = lanes;
+    for r0 in (0..rows).step_by(ROW_LANES) {
+        let group = (r0, (rows - r0).min(ROW_LANES));
+        row_lanes(p, cols, group, pt);
+        row_lanes(&g.data, cols, group, gt);
+        let dot = lane_sums(cols, |c| std::array::from_fn(|l| pt[c][l] * gt[c][l]));
+        for l in 0..group.1 {
+            let pr = &p[(r0 + l) * cols..][..cols];
+            for (gv, &pv) in g.row_mut(r0 + l).iter_mut().zip(pr) {
+                *gv = pv * (*gv - dot[l]) * scale;
+            }
+        }
     }
 }
 
-/// `dL/dx` of a row-wise softmax from its output `y` and `g = dL/dy`.
-fn softmax_backward(y: &Tensor, g: &Tensor) -> Tensor {
-    let mut ga = Tensor::zeros(g.rows, g.cols);
-    for r in 0..g.rows {
-        let yr = y.row(r);
-        let gr = g.row(r);
-        let dot: f32 = yr.iter().zip(gr).map(|(yv, gv)| yv * gv).sum();
-        for c in 0..g.cols {
-            ga.data[r * g.cols + c] = yr[c] * (gr[c] - dot);
-        }
-    }
-    ga
-}
-
-/// GELU's derivative (of the tanh approximation).
-fn gelu_bwd(x: f32) -> f32 {
-    use kernels::{GELU_A, GELU_C};
-    let u = GELU_C * (x + GELU_A * x * x * x);
-    let t = kernels::fast_tanh(u);
-    let du = GELU_C * (1.0 + 3.0 * GELU_A * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-}
-
-/// `dL/dx` of row-wise L2 normalization `y = x / |x|` given `g = dL/dy`.
-fn l2_backward(x: &Tensor, y: &Tensor, g: &Tensor) -> Tensor {
-    let mut ga = Tensor::zeros(x.rows, x.cols);
+/// `dL/dx` of row-wise L2 normalization `y = x / |x|` given `g = dL/dy`,
+/// written into `out`.
+fn l2_backward(x: &Tensor, y: &Tensor, g: &Tensor, out: &mut Tensor) {
     for r in 0..x.rows {
         let xr = x.row(r);
         let yr = y.row(r);
         let gr = g.row(r);
         let n = xr.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-8);
         let dot: f32 = yr.iter().zip(gr).map(|(yv, gv)| yv * gv).sum();
-        for c in 0..x.cols {
-            ga.data[r * x.cols + c] = (gr[c] - yr[c] * dot) / n;
+        for (c, o) in out.row_mut(r).iter_mut().enumerate() {
+            *o = (gr[c] - yr[c] * dot) / n;
         }
     }
-    ga
 }
 
 /// Every buffer of one batched forward pass, input stack to output
@@ -442,6 +597,7 @@ fn l2_backward(x: &Tensor, y: &Tensor, g: &Tensor) -> Tensor {
 /// the full one after it included — allocates only the vectors it
 /// returns. Every buffer is fully overwritten before it is read, so
 /// stale contents are harmless.
+#[derive(Default)]
 struct BatchWorkspace {
     /// The batch's feature matrices, stacked (`rows x input_dim`).
     stacked: Tensor,
@@ -473,40 +629,16 @@ thread_local! {
     /// Workspace parked between [`TrajectoryEncoder::embed_batch`] calls.
     static PARKED_WORKSPACE: std::cell::RefCell<Option<BatchWorkspace>> =
         const { std::cell::RefCell::new(None) };
-    /// Training's one-clip workspace and kept activations, parked between
+    /// The backward's buffers and gradient layout, parked between
     /// [`TrajectoryEncoder::backward`] calls.
-    static PARKED_TRAINING: std::cell::RefCell<Option<(BatchWorkspace, Activations)>> =
+    static PARKED_BACKWARD: std::cell::RefCell<Option<(GradWorkspace, GradLayout)>> =
         const { std::cell::RefCell::new(None) };
 }
 
 impl BatchWorkspace {
-    /// A workspace that owns no memory yet.
-    fn empty() -> Self {
-        let none = || Tensor::zeros(0, 0);
-        BatchWorkspace {
-            stacked: none(),
-            x: none(),
-            norm: none(),
-            qkv: none(),
-            wqkv: none(),
-            bqkv: none(),
-            concat: none(),
-            sub: none(),
-            hidden: none(),
-            attn: Vec::new(),
-            pooled: none(),
-            out: none(),
-        }
-    }
-
     /// Shapes every buffer for `batch` sequences through an encoder of
     /// `config`; allocates only where a buffer's capacity falls short.
     fn shape(&mut self, batch: usize, config: &EncoderConfig) {
-        fn reshape(t: &mut Tensor, rows: usize, cols: usize) {
-            t.rows = rows;
-            t.cols = cols;
-            t.data.resize(rows * cols, 0.0);
-        }
         let (rows, d) = (batch * config.steps, config.d_model);
         reshape(&mut self.stacked, rows, config.input_dim);
         reshape(&mut self.x, rows, d);
@@ -526,18 +658,143 @@ impl BatchWorkspace {
     }
 }
 
-/// What one clip's forward leaves for [`TrajectoryEncoder::backward`]:
-/// every activation a backward rule reads that the workspace overwrites.
-/// (The pooled row and the embedding stay in the workspace.)
-struct Activations {
+/// The backward's buffers for one clip, re-shaped per call; every one is
+/// written before it is read.
+#[derive(Default)]
+struct GradWorkspace {
+    /// The residual stream's gradient (`steps x d_model`).
+    g: Tensor,
+    /// A layer norm's output gradient, the input gradient of the block
+    /// after it (`steps x d_model`).
+    g_norm: Tensor,
+    /// The feed-forward hidden layer's gradient, before and then after
+    /// GELU (`steps x ff_hidden`).
+    g_hidden: Tensor,
+    /// Attention's buffers.
+    attn: AttnGrads,
+    /// Two groups of rows, transposed for the row reductions of the
+    /// layer-norm and softmax backwards (`d_model` or `steps` columns).
+    lanes: [Vec<Lanes>; 2],
+    /// The gradient of the output projection (`1 x embed_dim`) and of the
+    /// pooled row (`1 x d_model`).
+    g_out: Tensor,
+    g_pooled: Tensor,
+}
+
+/// Attention's backward buffers.
+#[derive(Default)]
+struct AttnGrads {
+    /// The concatenated heads' gradient (`steps x d_model`).
+    concat: Tensor,
+    /// One head's softmax gradient, then its scores' (`steps x steps`).
+    scores: Tensor,
+    /// One head's K gradient, transposed (`head width x steps`).
+    kt: Tensor,
+    /// The fused `[Q|K|V]` projection's gradient (`steps x 3*d_model`).
+    qkv: Tensor,
+    /// One projection's share of the input gradient (`steps x d_model`).
+    share: Tensor,
+}
+
+impl GradWorkspace {
+    /// Shapes every buffer for one sequence through an encoder of
+    /// `config`.
+    fn shape(&mut self, config: &EncoderConfig) {
+        let (t, d) = (config.steps, config.d_model);
+        reshape(&mut self.g, t, d);
+        reshape(&mut self.g_norm, t, d);
+        reshape(&mut self.g_hidden, t, config.ff_hidden);
+        reshape(&mut self.attn.concat, t, d);
+        reshape(&mut self.attn.scores, t, t);
+        reshape(&mut self.attn.kt, d / config.heads, t);
+        reshape(&mut self.attn.qkv, t, 3 * d);
+        reshape(&mut self.attn.share, t, d);
+        reshape(&mut self.g_out, 1, config.embed_dim);
+        reshape(&mut self.g_pooled, 1, d);
+    }
+}
+
+/// Where each of an encoder's parameters lies in its flat gradient (in
+/// name order, [`TrajectoryEncoder::grad_layout`]), listed in the
+/// encoder's forward order, and the parameter list it was worked out
+/// for: re-used while an encoder names the same parameters at the same
+/// shapes, worked out again otherwise.
+#[derive(Default)]
+struct GradLayout {
+    params: Vec<(String, usize, usize)>,
+    ranges: Vec<Range<usize>>,
+    len: usize,
+}
+
+impl GradLayout {
+    /// Makes this the layout of `encoder`'s flat gradient.
+    fn fit(&mut self, encoder: &TrajectoryEncoder) {
+        let mut same = true;
+        let mut count = 0;
+        encoder.visit_params(&mut |name, rows, cols| {
+            same &= self
+                .params
+                .get(count)
+                .is_some_and(|(n, r, c)| (n.as_str(), *r, *c) == (name, rows, cols));
+            count += 1;
+        });
+        if same && count == self.params.len() {
+            return;
+        }
+        let params = encoder.param_shapes();
+        self.ranges = vec![0..0; params.len()];
+        self.len = 0;
+        for i in name_order(&params) {
+            let (_, rows, cols) = params[i];
+            self.ranges[i] = self.len..self.len + rows * cols;
+            self.len += rows * cols;
+        }
+        self.params = params
+            .iter()
+            .map(|&(name, rows, cols)| (name.to_string(), rows, cols))
+            .collect();
+    }
+}
+
+/// The indices of `params` (an encoder's `param_shapes`) in name order:
+/// the order of the parameters in a flat gradient.
+fn name_order(params: &[(&str, usize, usize)]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..params.len()).collect();
+    order.sort_by_key(|&i| params[i].0);
+    order
+}
+
+/// One clip's training forward ([`TrajectoryEncoder::forward_kept`]):
+/// its embedding and every activation [`TrajectoryEncoder::backward`]
+/// reads. Filled again clip after clip, it keeps its allocations.
+#[derive(Default)]
+pub struct KeptForward {
     layers: Vec<LayerActivations>,
     /// The final layer norm's input.
     last: Tensor,
+    /// The pooled row, the output projection's input.
+    pooled: Tensor,
     /// The output projection before L2 normalization.
     out: Tensor,
+    /// The embedding: `out` normalized.
+    embedding: Tensor,
+}
+
+impl KeptForward {
+    /// Nothing kept yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The clip's embedding, bit for bit what
+    /// [`TrajectoryEncoder::embed`] returns.
+    pub fn embedding(&self) -> &[f32] {
+        &self.embedding.data
+    }
 }
 
 /// One encoder layer's kept activations.
+#[derive(Default)]
 struct LayerActivations {
     /// `ln1`'s input (the layer's input) and output.
     x: Tensor,
@@ -554,23 +811,6 @@ struct LayerActivations {
     /// `lin1`'s output before and after GELU.
     pre: Tensor,
     hidden: Tensor,
-}
-
-impl LayerActivations {
-    fn empty() -> Self {
-        let none = || Tensor::zeros(0, 0);
-        LayerActivations {
-            x: none(),
-            n1: none(),
-            qkv: none(),
-            probs: Vec::new(),
-            concat: none(),
-            mid: none(),
-            n2: none(),
-            pre: none(),
-            hidden: none(),
-        }
-    }
 }
 
 /// Position-wise feed-forward block with GELU.
@@ -618,30 +858,31 @@ impl FeedForward {
             .forward_tensor_into(isa, store, &ws.hidden, &mut ws.sub);
     }
 
-    /// The backward given `g = dL/d output` and the input `n2`: records
-    /// both projections' gradients and returns `dL/d n2`.
+    /// The backward given `g = dL/d output` and the input `n2`: writes
+    /// both projections' gradients and `dL/d n2` into `g_n2`.
+    #[allow(clippy::too_many_arguments)]
     fn backward(
         &self,
+        isa: Isa,
         store: &ParamStore,
         n2: &Tensor,
         kept: &LayerActivations,
         g: &Tensor,
-        grads: &mut Grads,
-    ) -> Tensor {
-        self.lin2.backward_params(&kept.hidden, g, grads);
-        let g_hidden = self.lin2.backward_input(store, g);
-        let g_pre = Tensor::from_vec(
-            g_hidden.rows,
-            g_hidden.cols,
-            g_hidden
-                .data
-                .iter()
-                .zip(&kept.pre.data)
-                .map(|(gv, &x)| gv * gelu_bwd(x))
-                .collect(),
-        );
-        self.lin1.backward_params(n2, &g_pre, grads);
-        self.lin1.backward_input(store, &g_pre)
+        g_n2: &mut Tensor,
+        g_hidden: &mut Tensor,
+        grads: &mut GradSlots,
+    ) {
+        let g = View::of(g);
+        self.lin2
+            .backward_params(isa, View::of(&kept.hidden), g, &mut grads.sub(2));
+        self.lin2
+            .backward_input(isa, store, g, ViewMut::of(g_hidden));
+        kernels::gelu_backward_on(isa, &kept.pre.data, &mut g_hidden.data);
+        let g_pre = View::of(g_hidden);
+        self.lin1
+            .backward_params(isa, View::of(n2), g_pre, &mut grads.sub(0));
+        self.lin1
+            .backward_input(isa, store, g_pre, ViewMut::of(g_n2));
     }
 }
 
@@ -656,6 +897,11 @@ pub struct EncoderLayer {
 }
 
 impl EncoderLayer {
+    /// Parameters per layer: four projections and two feed-forward
+    /// layers (a weight and a bias each) and two layer norms (a gain and
+    /// a shift each).
+    const PARAMS: usize = 16;
+
     /// Registers the layer's parameters under `prefix`.
     pub fn new<R: Rng>(
         store: &mut ParamStore,
@@ -714,23 +960,52 @@ impl EncoderLayer {
         }
     }
 
-    /// The backward given `g = dL/d output`: records every parameter's
-    /// gradient and returns `dL/d input`. A residual's input gradient is
-    /// its skip share plus its branch's, added in that order.
+    /// The backward in place: `ws.g` holds `dL/d output` and is left
+    /// holding `dL/d input`, every parameter's gradient written into
+    /// `grads`. A residual's input gradient is its skip share plus its
+    /// branch's, added in that order.
     fn backward(
         &self,
+        isa: Isa,
         store: &ParamStore,
         kept: &LayerActivations,
-        g: Tensor,
-        grads: &mut Grads,
-    ) -> Tensor {
-        let g_n2 = self.ff.backward(store, &kept.n2, kept, &g, grads);
-        let mut g_mid = g;
-        g_mid.add_scaled(&self.ln2.backward(store, &kept.mid, &g_n2, grads), 1.0);
-        let g_n1 = self.attn.backward(store, &kept.n1, kept, &g_mid, grads);
-        let mut g_x = g_mid;
-        g_x.add_scaled(&self.ln1.backward(store, &kept.x, &g_n1, grads), 1.0);
-        g_x
+        ws: &mut GradWorkspace,
+        grads: &mut GradSlots,
+    ) {
+        let (ff, ln1, ln2) = (8, 12, 14);
+        let (g, g_norm, lanes) = (&mut ws.g, &mut ws.g_norm, &mut ws.lanes);
+        self.ff.backward(
+            isa,
+            store,
+            &kept.n2,
+            kept,
+            g,
+            g_norm,
+            &mut ws.g_hidden,
+            &mut grads.sub(ff),
+        );
+        self.ln2.backward(
+            store,
+            &kept.mid,
+            g_norm,
+            g,
+            true,
+            &mut grads.sub(ln2),
+            lanes,
+        );
+        self.attn.backward(
+            isa,
+            store,
+            &kept.n1,
+            kept,
+            g,
+            g_norm,
+            &mut ws.attn,
+            lanes,
+            grads,
+        );
+        self.ln1
+            .backward(store, &kept.x, g_norm, g, true, &mut grads.sub(ln1), lanes);
     }
 }
 
@@ -874,22 +1149,42 @@ impl TrajectoryEncoder {
     /// names its modules hold, in forward order, at the shapes its
     /// configuration implies.
     pub(crate) fn param_shapes(&self) -> Vec<(&str, usize, usize)> {
+        let mut shapes = Vec::new();
+        self.visit_params(&mut |name, rows, cols| shapes.push((name, rows, cols)));
+        shapes
+    }
+
+    /// Calls `f` on each of [`param_shapes`](Self::param_shapes), in
+    /// order, without collecting them.
+    fn visit_params<'a>(&'a self, f: &mut impl FnMut(&'a str, usize, usize)) {
         let c = &self.config;
         let (d, ff) = (c.d_model, c.ff_hidden);
-        let mut shapes = Vec::from(self.input_proj.param_shapes(c.input_dim, d));
+        let mut visit = |shapes: [(&'a str, usize, usize); 2]| {
+            for (name, rows, cols) in shapes {
+                f(name, rows, cols);
+            }
+        };
+        visit(self.input_proj.param_shapes(c.input_dim, d));
         for layer in &self.layers {
             let attn = &layer.attn;
             for proj in [&attn.wq, &attn.wk, &attn.wv, &attn.wo] {
-                shapes.extend(proj.param_shapes(d, d));
+                visit(proj.param_shapes(d, d));
             }
-            shapes.extend(layer.ff.lin1.param_shapes(d, ff));
-            shapes.extend(layer.ff.lin2.param_shapes(ff, d));
-            shapes.extend(layer.ln1.param_shapes(d));
-            shapes.extend(layer.ln2.param_shapes(d));
+            visit(layer.ff.lin1.param_shapes(d, ff));
+            visit(layer.ff.lin2.param_shapes(ff, d));
+            visit(layer.ln1.param_shapes(d));
+            visit(layer.ln2.param_shapes(d));
         }
-        shapes.extend(self.final_ln.param_shapes(d));
-        shapes.extend(self.out_proj.param_shapes(d, c.embed_dim));
-        shapes
+        visit(self.final_ln.param_shapes(d));
+        visit(self.out_proj.param_shapes(d, c.embed_dim));
+    }
+
+    /// The layout of the flat gradient [`backward`](Self::backward)
+    /// returns: the encoder's parameters as `(name, rows, cols)` in name
+    /// order (the [`ParamStore`]'s), their gradients back to back.
+    pub fn grad_layout(&self) -> Vec<(&str, usize, usize)> {
+        let shapes = self.param_shapes();
+        name_order(&shapes).into_iter().map(|i| shapes[i]).collect()
     }
 
     /// Checks that this encoder can run over `store`: its configuration
@@ -985,7 +1280,7 @@ impl TrajectoryEncoder {
         }
         let mut ws = PARKED_WORKSPACE
             .with(|cell| cell.borrow_mut().take())
-            .unwrap_or_else(BatchWorkspace::empty);
+            .unwrap_or_default();
         self.stack(&mut ws, batch);
         self.forward_on(isa, store, &mut ws, None);
         let embeddings = (0..batch.len()).map(|r| ws.out.row(r).to_vec()).collect();
@@ -1016,7 +1311,7 @@ impl TrajectoryEncoder {
         isa: Isa,
         store: &ParamStore,
         ws: &mut BatchWorkspace,
-        mut kept: Option<&mut Activations>,
+        mut kept: Option<&mut KeptForward>,
     ) {
         let (t, d, n) = (self.config.steps, self.config.d_model, ws.out.rows);
         self.input_proj
@@ -1033,7 +1328,7 @@ impl TrajectoryEncoder {
         }
         if let Some(kept) = kept.as_deref_mut() {
             kept.layers
-                .resize_with(self.layers.len(), LayerActivations::empty);
+                .resize_with(self.layers.len(), LayerActivations::default);
         }
         for (i, layer) in self.layers.iter().enumerate() {
             let layer_kept = kept.as_deref_mut().map(|k| &mut k.layers[i]);
@@ -1069,7 +1364,8 @@ impl TrajectoryEncoder {
         }
         self.out_proj
             .forward_tensor_into(isa, store, &ws.pooled, &mut ws.out);
-        if let Some(kept) = kept {
+        if let Some(kept) = kept.as_deref_mut() {
+            keep(&mut kept.pooled, &ws.pooled);
             keep(&mut kept.out, &ws.out);
         }
         for r in 0..n {
@@ -1079,62 +1375,112 @@ impl TrajectoryEncoder {
                 *v /= norm;
             }
         }
+        if let Some(kept) = kept {
+            keep(&mut kept.embedding, &ws.out);
+        }
     }
 
-    /// Training's backward for one clip: runs the forward on `features`
-    /// keeping its activations, then returns `d_embedding`'s gradient —
-    /// `dL/d embedding`, `1 x embed_dim` — with respect to every
-    /// parameter, in name order. The workspace and the kept activations
-    /// are parked per thread, so a thread differentiating clip after clip
-    /// reuses them. Features and positions are constants: no gradient.
+    /// Training's forward for one clip: the forward of
+    /// [`embed`](Self::embed) — the same embedding, bit for bit — keeping
+    /// in `kept` every activation [`backward`](Self::backward) reads.
+    pub fn forward_kept(&self, store: &ParamStore, features: &Tensor, kept: &mut KeptForward) {
+        self.forward_kept_on(Isa::best(), store, features, kept);
+    }
+
+    /// [`forward_kept`](Self::forward_kept) on a chosen instruction set.
+    fn forward_kept_on(
+        &self,
+        isa: Isa,
+        store: &ParamStore,
+        features: &Tensor,
+        kept: &mut KeptForward,
+    ) {
+        let mut ws = PARKED_WORKSPACE
+            .with(|cell| cell.borrow_mut().take())
+            .unwrap_or_default();
+        self.stack(&mut ws, &[features]);
+        self.forward_on(isa, store, &mut ws, Some(kept));
+        PARKED_WORKSPACE.with(|cell| *cell.borrow_mut() = Some(ws));
+    }
+
+    /// Training's backward for one clip: given its `features`, what
+    /// [`forward_kept`](Self::forward_kept) kept of them, and
+    /// `d_embedding = dL/d embedding` (`1 x embed_dim`), the gradient of
+    /// every parameter, flat, laid out by
+    /// [`grad_layout`](Self::grad_layout). Its buffers are parked per
+    /// thread, so a thread differentiating clip after clip allocates only
+    /// what it returns. Features and positions are constants: no
+    /// gradient.
     pub fn backward(
         &self,
         store: &ParamStore,
         features: &Tensor,
+        kept: &KeptForward,
         d_embedding: &Tensor,
-    ) -> BTreeMap<String, Tensor> {
-        let (mut ws, mut kept) = PARKED_TRAINING
-            .with(|cell| cell.borrow_mut().take())
-            .unwrap_or_else(|| {
-                let none = || Tensor::zeros(0, 0);
-                let kept = Activations {
-                    layers: Vec::new(),
-                    last: none(),
-                    out: none(),
-                };
-                (BatchWorkspace::empty(), kept)
-            });
-        self.stack(&mut ws, &[features]);
-        self.forward_on(Isa::best(), store, &mut ws, Some(&mut kept));
+    ) -> Vec<f32> {
+        self.backward_on(Isa::best(), store, features, kept, d_embedding)
+    }
 
-        let mut grads = Grads::new();
-        let g_out = l2_backward(&kept.out, &ws.out, d_embedding);
+    /// [`backward`](Self::backward) on a chosen instruction set.
+    fn backward_on(
+        &self,
+        isa: Isa,
+        store: &ParamStore,
+        features: &Tensor,
+        kept: &KeptForward,
+        d_embedding: &Tensor,
+    ) -> Vec<f32> {
+        let (mut gws, mut layout) = PARKED_BACKWARD
+            .with(|cell| cell.borrow_mut().take())
+            .unwrap_or_default();
+        layout.fit(self);
+        gws.shape(&self.config);
+
+        let mut flat = vec![0.0; layout.len];
+        let mut grads = GradSlots {
+            flat: &mut flat,
+            ranges: &layout.ranges,
+        };
+        let last = layout.ranges.len() - 4;
+        let (final_ln, out_proj) = (last, last + 2);
+        l2_backward(&kept.out, &kept.embedding, d_embedding, &mut gws.g_out);
+        let g_out = View::of(&gws.g_out);
         self.out_proj
-            .backward_params(&ws.pooled, &g_out, &mut grads);
-        let g_pooled = self.out_proj.backward_input(store, &g_out);
-        let (t, d) = (self.config.steps, self.config.d_model);
-        let mut g = Tensor::zeros(t, d);
+            .backward_params(isa, View::of(&kept.pooled), g_out, &mut grads.sub(out_proj));
+        self.out_proj
+            .backward_input(isa, store, g_out, ViewMut::of(&mut gws.g_pooled));
+        let (t, g_pooled) = (self.config.steps, &gws.g_pooled.data);
         match self.config.pooling {
             Pooling::Mean => {
                 let inv = 1.0 / t as f32;
-                for r in 0..t {
-                    for c in 0..d {
-                        g.data[r * d + c] = g_pooled.data[c] * inv;
+                for row in gws.g_norm.data.chunks_exact_mut(g_pooled.len()) {
+                    for (g, p) in row.iter_mut().zip(g_pooled) {
+                        *g = p * inv;
                     }
                 }
             }
-            Pooling::Last => g.row_mut(t - 1).copy_from_slice(&g_pooled.data),
+            Pooling::Last => {
+                gws.g_norm.data.fill(0.0);
+                gws.g_norm.row_mut(t - 1).copy_from_slice(g_pooled);
+            }
         }
-        let mut g = self.final_ln.backward(store, &kept.last, &g, &mut grads);
-        for (layer, layer_kept) in self.layers.iter().zip(&kept.layers).rev() {
-            g = layer.backward(store, layer_kept, g, &mut grads);
+        self.final_ln.backward(
+            store,
+            &kept.last,
+            &gws.g_norm,
+            &mut gws.g,
+            false,
+            &mut grads.sub(final_ln),
+            &mut gws.lanes,
+        );
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            let first = 2 + i * EncoderLayer::PARAMS;
+            layer.backward(isa, store, &kept.layers[i], &mut gws, &mut grads.sub(first));
         }
-        self.input_proj.backward_params(features, &g, &mut grads);
-        debug_assert!(self.param_shapes().iter().all(|&(name, rows, cols)| grads
-            .get(name)
-            .is_some_and(|g| (g.rows, g.cols) == (rows, cols))));
-        PARKED_TRAINING.with(|cell| *cell.borrow_mut() = Some((ws, kept)));
-        grads
+        self.input_proj
+            .backward_params(isa, View::of(features), View::of(&gws.g), &mut grads);
+        PARKED_BACKWARD.with(|cell| *cell.borrow_mut() = Some((gws, layout)));
+        flat
     }
 }
 
@@ -1563,6 +1909,41 @@ mod tests {
         }
     }
 
+    /// Training's forward is the inference forward: `forward_kept`'s
+    /// embedding equals `embed_batch`'s, bit for bit, on every instruction
+    /// set, at the encoders that ship and the small test shape — though
+    /// its attention is the per-head composition over views and keeps
+    /// every head's softmax, where inference runs the fused kernel.
+    #[test]
+    fn forward_kept_embeds_as_embed_batch_does() {
+        let mut r = rng();
+        let training_default = EncoderConfig {
+            d_model: 48,
+            heads: 4,
+            layers: 3,
+            ff_hidden: 96,
+            embed_dim: 48,
+            ..Default::default()
+        };
+        for cfg in [training_default, EncoderConfig::default(), block_config()] {
+            let mut store = ParamStore::new();
+            let enc = TrajectoryEncoder::new(&mut store, &mut r, "enc", cfg.clone());
+            let mut kept = KeptForward::new();
+            for objects in [1, 2] {
+                let f = match cfg.input_dim {
+                    32 => slot_features(&mut r, cfg.steps, objects),
+                    width => Tensor::xavier(cfg.steps, width, &mut r),
+                };
+                for isa in Isa::supported() {
+                    let want = enc.embed_batch_on(isa, &store, &[&f]).remove(0);
+                    enc.forward_kept_on(isa, &store, &f, &mut kept);
+                    assert_eq!(kept.embedding(), want, "d_model {} {isa:?}", cfg.d_model);
+                    assert_eq!(kept.embedding(), enc.embed(&store, &f));
+                }
+            }
+        }
+    }
+
     #[test]
     fn embed_batch_of_empty_and_one() {
         let mut store = ParamStore::new();
@@ -1674,7 +2055,7 @@ mod tests {
         // A seed that is not parallel to the embedding, so the L2
         // backward does not cancel it.
         let seed = Tensor::from_vec(1, 4, vec![1.0, -2.0, 0.5, 3.0]);
-        let grads = enc.backward(&store, &features, &seed);
+        let grads = encoder_grads(&enc, &store, &features, &seed);
         assert_eq!(grads.keys().cloned().collect::<Vec<_>>(), store.names());
         for (name, g) in &grads {
             assert_eq!(
@@ -1705,8 +2086,67 @@ mod tests {
     }
 
     fn workspace(config: &EncoderConfig) -> BatchWorkspace {
-        let mut ws = BatchWorkspace::empty();
+        let mut ws = BatchWorkspace::default();
         ws.shape(1, config);
+        ws
+    }
+
+    /// Per-parameter gradients, by name.
+    type Grads = BTreeMap<String, Tensor>;
+
+    /// Runs `backward` into a flat buffer laid out for `shapes` (a
+    /// module's parameters in its forward order), pre-filled with NaN so
+    /// a value it leaves unwritten fails the check, and returns the
+    /// gradients by name.
+    fn by_name(shapes: &[(&str, usize, usize)], backward: impl FnOnce(&mut GradSlots)) -> Grads {
+        let mut ranges = Vec::new();
+        let mut len = 0;
+        for &(_, rows, cols) in shapes {
+            ranges.push(len..len + rows * cols);
+            len += rows * cols;
+        }
+        let mut flat = vec![f32::NAN; len];
+        backward(&mut GradSlots {
+            flat: &mut flat,
+            ranges: &ranges,
+        });
+        let tensors = shapes.iter().zip(&ranges);
+        tensors
+            .map(|(&(name, rows, cols), range)| {
+                let values = flat[range.clone()].to_vec();
+                (name.to_string(), Tensor::from_vec(rows, cols, values))
+            })
+            .collect()
+    }
+
+    /// [`TrajectoryEncoder::backward`]'s flat gradient, by name.
+    fn encoder_grads(
+        enc: &TrajectoryEncoder,
+        store: &ParamStore,
+        features: &Tensor,
+        seed: &Tensor,
+    ) -> Grads {
+        let mut kept = KeptForward::new();
+        enc.forward_kept(store, features, &mut kept);
+        let flat = enc.backward(store, features, &kept, seed);
+        let mut rest = &flat[..];
+        let grads = enc.grad_layout().into_iter().map(|(name, rows, cols)| {
+            let values;
+            (values, rest) = rest.split_at(rows * cols);
+            (
+                name.to_string(),
+                Tensor::from_vec(rows, cols, values.to_vec()),
+            )
+        });
+        let grads = grads.collect();
+        assert!(rest.is_empty(), "the layout covers the flat gradient");
+        grads
+    }
+
+    /// A fresh backward workspace shaped for `config`.
+    fn grad_workspace(config: &EncoderConfig) -> GradWorkspace {
+        let mut ws = GradWorkspace::default();
+        ws.shape(config);
         ws
     }
 
@@ -1781,9 +2221,12 @@ mod tests {
         let lin = Linear::new(&mut store, &mut r, "l", 6, 4);
         store.get_mut("l.b").data = vec![0.3, -0.2, 0.1, 0.5];
         let (x, seed) = (Tensor::xavier(5, 6, &mut r), Tensor::xavier(5, 4, &mut r));
-        let mut grads = Grads::new();
-        lin.backward_params(&x, &seed, &mut grads);
-        let g_x = lin.backward_input(&store, &seed);
+        let isa = Isa::best();
+        let mut g_x = Tensor::zeros(5, 6);
+        let grads = by_name(&lin.param_shapes(6, 4), |grads| {
+            lin.backward_params(isa, View::of(&x), View::of(&seed), grads);
+            lin.backward_input(isa, &store, View::of(&seed), ViewMut::of(&mut g_x));
+        });
         check_against_finite_differences("linear", &store, &x, &grads, Some(&g_x), |s, x| {
             let mut y = Tensor::zeros(5, 4);
             lin.forward_tensor_into(Isa::Scalar, s, x, &mut y);
@@ -1799,8 +2242,18 @@ mod tests {
         store.get_mut("n.gamma").data = Tensor::xavier(1, 8, &mut r).data;
         store.get_mut("n.beta").data = Tensor::xavier(1, 8, &mut r).data;
         let (x, seed) = (Tensor::xavier(5, 8, &mut r), Tensor::xavier(5, 8, &mut r));
-        let mut grads = Grads::new();
-        let g_x = ln.backward(&store, &x, &seed, &mut grads);
+        let mut g_x = Tensor::zeros(5, 8);
+        let grads = by_name(&ln.param_shapes(8), |grads| {
+            ln.backward(
+                &store,
+                &x,
+                &seed,
+                &mut g_x,
+                false,
+                grads,
+                &mut Default::default(),
+            );
+        });
         check_against_finite_differences("layer norm", &store, &x, &grads, Some(&g_x), |s, x| {
             let mut y = x.clone();
             ln.normalize_rows(Isa::Scalar, s, &mut y);
@@ -1823,10 +2276,21 @@ mod tests {
             attn.forward_blocks_into(Isa::Scalar, s, cfg.steps, &mut ws, kept);
             ws.sub
         };
-        let mut kept = LayerActivations::empty();
+        let mut kept = LayerActivations::default();
         forward(&store, &x, Some(&mut kept));
-        let mut grads = Grads::new();
-        let g_x = attn.backward(&store, &x, &kept, &seed, &mut grads);
+        let mut g_x = Tensor::zeros(5, 8);
+        let shapes: Vec<_> = [&attn.wq, &attn.wk, &attn.wv, &attn.wo]
+            .iter()
+            .flat_map(|proj| proj.param_shapes(8, 8))
+            .collect();
+        let mut ws = grad_workspace(&cfg).attn;
+        let grads = by_name(&shapes, |grads| {
+            let isa = Isa::best();
+            let lanes = &mut Default::default();
+            attn.backward(
+                isa, &store, &x, &kept, &seed, &mut g_x, &mut ws, lanes, grads,
+            );
+        });
         check_against_finite_differences("attention", &store, &x, &grads, Some(&g_x), |s, x| {
             weighted(&forward(s, x, None), &seed)
         });
@@ -1846,10 +2310,24 @@ mod tests {
             ff.forward_tensor_into(Isa::Scalar, s, &mut ws, kept);
             ws.sub
         };
-        let mut kept = LayerActivations::empty();
+        let mut kept = LayerActivations::default();
         forward(&store, &x, Some(&mut kept));
-        let mut grads = Grads::new();
-        let g_x = ff.backward(&store, &x, &kept, &seed, &mut grads);
+        let (mut g_x, mut g_hidden) = (Tensor::zeros(5, 8), Tensor::zeros(5, 16));
+        let mut shapes = Vec::from(ff.lin1.param_shapes(8, 16));
+        shapes.extend(ff.lin2.param_shapes(16, 8));
+        let grads = by_name(&shapes, |grads| {
+            let isa = Isa::best();
+            ff.backward(
+                isa,
+                &store,
+                &x,
+                &kept,
+                &seed,
+                &mut g_x,
+                &mut g_hidden,
+                grads,
+            );
+        });
         check_against_finite_differences("feed-forward", &store, &x, &grads, Some(&g_x), |s, x| {
             weighted(&forward(s, x, None), &seed)
         });
@@ -1869,10 +2347,27 @@ mod tests {
             layer.forward_tensor_blocks(Isa::Scalar, s, cfg.steps, &mut ws, kept);
             ws.x
         };
-        let mut kept = LayerActivations::empty();
+        let mut kept = LayerActivations::default();
         forward(&store, &x, Some(&mut kept));
-        let mut grads = Grads::new();
-        let g_x = layer.backward(&store, &kept, seed.clone(), &mut grads);
+        let mut shapes: Vec<_> = [
+            &layer.attn.wq,
+            &layer.attn.wk,
+            &layer.attn.wv,
+            &layer.attn.wo,
+        ]
+        .iter()
+        .flat_map(|proj| proj.param_shapes(8, 8))
+        .collect();
+        shapes.extend(layer.ff.lin1.param_shapes(8, 16));
+        shapes.extend(layer.ff.lin2.param_shapes(16, 8));
+        shapes.extend(layer.ln1.param_shapes(8));
+        shapes.extend(layer.ln2.param_shapes(8));
+        let mut ws = grad_workspace(&cfg);
+        ws.g = seed.clone();
+        let grads = by_name(&shapes, |grads| {
+            layer.backward(Isa::best(), &store, &kept, &mut ws, grads);
+        });
+        let g_x = ws.g;
         check_against_finite_differences("layer", &store, &x, &grads, Some(&g_x), |s, x| {
             weighted(&forward(s, x, None), &seed)
         });
@@ -1896,7 +2391,7 @@ mod tests {
                 let enc = TrajectoryEncoder::new(&mut store, &mut r, "enc", cfg);
                 let features = Tensor::xavier(5, 6, &mut r);
                 let seed = Tensor::xavier(1, 4, &mut r);
-                let grads = enc.backward(&store, &features, &seed);
+                let grads = encoder_grads(&enc, &store, &features, &seed);
                 let what = format!("encoder, positional {positional}, {pooling:?}");
                 check_against_finite_differences(&what, &store, &features, &grads, None, |s, f| {
                     let e = enc.embed_batch_on(Isa::Scalar, s, &[f]).remove(0);

@@ -8,8 +8,8 @@
 use rand::Rng;
 use serde::{DeError, Deserialize, Deserializer, Serialize};
 
-/// A dense row-major 2D tensor of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// A dense row-major 2D tensor of `f32` (the default is `0 x 0`).
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Tensor {
     /// Number of rows.
     pub rows: usize,
@@ -132,10 +132,9 @@ impl Tensor {
 
     /// Matrix multiplication `self (R x K) @ other (K x C) -> R x C`:
     /// [`crate::kernels::matmul`], the register-tiled kernel on the widest
-    /// instruction set the CPU has, so the encoder's backward (both
-    /// products of every matmul) and the losses share inference's matmul.
-    /// Every variant is `==`-equal to the scalar reference loop, so
-    /// trained weights do not depend on the host.
+    /// instruction set the CPU has, so the losses share inference's
+    /// matmul. Every variant is `==`-equal to the scalar reference loop,
+    /// so trained weights do not depend on the host.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         crate::kernels::matmul(self, other)
     }

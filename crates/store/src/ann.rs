@@ -40,10 +40,12 @@ fn train_centroids(unit: &[f32], dim: usize, nlist: usize) -> Vec<f32> {
     }
 
     let mut assign = vec![0usize; n];
+    let mut lanes = Vec::new();
     for _ in 0..ITERS {
         // Assign each row to its most-aligned centroid.
+        lay_out_lanes(&centroids, dim, &mut lanes);
         for (i, row) in unit.chunks(dim).enumerate() {
-            assign[i] = nearest(&centroids, dim, row).0;
+            assign[i] = nearest(&lanes, dim, nlist, row, None).0;
         }
         // Recompute centroids as renormalized means.
         let mut sums = vec![0.0f32; nlist * dim];
@@ -95,6 +97,8 @@ fn train_centroids(unit: &[f32], dim: usize, nlist: usize) -> Vec<f32> {
 pub struct CoarseQuantizer {
     dim: usize,
     centroids: Vec<f32>,
+    /// `centroids` laid out for [`nearest`] ([`lay_out_lanes`]).
+    lanes: Vec<Lanes>,
 }
 
 impl CoarseQuantizer {
@@ -108,10 +112,7 @@ impl CoarseQuantizer {
     /// not a multiple of `dim`.
     pub fn train(vectors: &[f32], dim: usize, nlist: usize) -> Self {
         if vectors.is_empty() {
-            return CoarseQuantizer {
-                dim,
-                centroids: Vec::new(),
-            };
+            return CoarseQuantizer::from_centroids(Vec::new(), dim);
         }
         assert!(dim > 0, "dim must be positive for non-empty vectors");
         assert_eq!(vectors.len() % dim, 0, "vectors not a multiple of dim");
@@ -120,10 +121,7 @@ impl CoarseQuantizer {
         for row in unit.chunks_mut(dim) {
             normalize(row);
         }
-        CoarseQuantizer {
-            dim,
-            centroids: train_centroids(&unit, dim, nlist),
-        }
+        CoarseQuantizer::from_centroids(train_centroids(&unit, dim, nlist), dim)
     }
 
     /// Rebuilds a quantizer from persisted centroids (the manifest
@@ -134,11 +132,17 @@ impl CoarseQuantizer {
     /// If `centroids.len()` is not a multiple of `dim` (for non-empty
     /// tables).
     pub fn from_centroids(centroids: Vec<f32>, dim: usize) -> Self {
+        let mut lanes = Vec::new();
         if !centroids.is_empty() {
             assert!(dim > 0, "dim must be positive for non-empty centroids");
             assert_eq!(centroids.len() % dim, 0, "centroids not a multiple of dim");
+            lay_out_lanes(&centroids, dim, &mut lanes);
         }
-        CoarseQuantizer { dim, centroids }
+        CoarseQuantizer {
+            dim,
+            centroids,
+            lanes,
+        }
     }
 
     /// Number of centroids.
@@ -157,9 +161,9 @@ impl CoarseQuantizer {
         if self.centroids.is_empty() {
             return 0;
         }
-        let mut r = row.to_vec();
-        normalize(&mut r);
-        nearest(&self.centroids, self.dim, &r).0
+        let norm = dot(row, row).sqrt();
+        let unit = (norm > 0.0 && norm.is_finite()).then_some(norm);
+        nearest(&self.lanes, self.dim, self.nlist(), row, unit).0
     }
 
     /// Every centroid index ranked by alignment with `query`
@@ -205,14 +209,57 @@ fn normalize(v: &mut [f32]) {
     }
 }
 
-/// Index (and alignment) of the centroid most aligned with `row`; ties
-/// break toward the lower index.
-fn nearest(centroids: &[f32], dim: usize, row: &[f32]) -> (usize, f32) {
+/// Centroids [`nearest`] scores side by side.
+const LANES: usize = 8;
+
+/// One dimension of a block of [`LANES`] centroids.
+type Lanes = [f32; LANES];
+
+/// `centroids` (`dim` wide, row-major) as blocks of [`LANES`] stored
+/// dimension-major into `out`: block `b`'s `dim` entries start at
+/// `out[b * dim]`, entry `d` holding dimension `d` of centroids
+/// `8b..8b + 8`. The last block's missing centroids are zeros.
+fn lay_out_lanes(centroids: &[f32], dim: usize, out: &mut Vec<Lanes>) {
+    let blocks = (centroids.len() / dim).div_ceil(LANES);
+    out.clear();
+    out.resize(blocks * dim, [0.0; LANES]);
+    for (c, centroid) in centroids.chunks(dim).enumerate() {
+        let block = &mut out[c / LANES * dim..][..dim];
+        for (lanes, &v) in block.iter_mut().zip(centroid) {
+            lanes[c % LANES] = v;
+        }
+    }
+}
+
+/// Index (and alignment) of the centroid most aligned with `row` — or,
+/// with `norm`, with `row / norm` — among the first `nlist` `dim`-wide
+/// centroids of `lanes` ([`lay_out_lanes`]); ties break toward the lower
+/// index. Each lane sums its centroid's products in dimension order from
+/// `-0.0`, so every alignment is `dot(centroid, row)`'s bits; the eight
+/// lanes' sums just stop waiting on each other.
+fn nearest(
+    lanes: &[Lanes],
+    dim: usize,
+    nlist: usize,
+    row: &[f32],
+    norm: Option<f32>,
+) -> (usize, f32) {
     let mut best = (0usize, f32::NEG_INFINITY);
-    for (c, cent) in centroids.chunks(dim).enumerate() {
-        let d = dot(cent, row);
-        if d > best.1 {
-            best = (c, d);
+    for (b, block) in lanes.chunks_exact(dim).enumerate() {
+        let mut acc = [-0.0f32; LANES];
+        for (cents, &x) in block.iter().zip(row) {
+            let x = match norm {
+                Some(norm) => x / norm,
+                None => x,
+            };
+            for (a, &c) in acc.iter_mut().zip(cents) {
+                *a += c * x;
+            }
+        }
+        for (l, &d) in acc.iter().enumerate().take(nlist - b * LANES) {
+            if d > best.1 {
+                best = (b * LANES + l, d);
+            }
         }
     }
     best
@@ -238,6 +285,7 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn toy_vectors() -> (Vec<f32>, usize) {
         // Three well-separated directions in 2D, several points each.
@@ -295,6 +343,68 @@ mod tests {
         let batched = q.rank_batch(&refs);
         for (query, got) in queries.iter().zip(&batched) {
             assert_eq!(got, &q.rank(query));
+        }
+    }
+
+    /// The scalar form the lane scorer replaced: each centroid's `dot`
+    /// in turn, the first strictly better one winning.
+    fn nearest_scalar(centroids: &[f32], dim: usize, row: &[f32]) -> (usize, f32) {
+        let mut best = (0usize, f32::NEG_INFINITY);
+        for (c, cent) in centroids.chunks(dim).enumerate() {
+            let d = dot(cent, row);
+            if d > best.1 {
+                best = (c, d);
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The lane scorer against the scalar one, alignment bits
+        /// included, through `assign` too (which normalizes without a
+        /// copy): `nlist` of every remainder mod 8, rows that tie exactly
+        /// (a centroid listed twice, so the lower index must win), all-zero
+        /// rows and centroids, and `±0.0` and large values.
+        #[test]
+        fn lane_nearest_is_the_scalar_nearest(
+            dim in 1usize..20,
+            nlist in 1usize..27,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let value = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..10) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => rng.gen_range(-1e30f32..1e30),
+                _ => rng.gen_range(-1.0f32..1.0),
+            };
+            let mut centroids: Vec<f32> = (0..nlist * dim).map(|_| value(&mut rng)).collect();
+            if nlist > 2 {
+                // An exact tie: centroid 2 repeats centroid 0.
+                let first = centroids[..dim].to_vec();
+                centroids[2 * dim..3 * dim].copy_from_slice(&first);
+            }
+            if nlist > 3 {
+                centroids[3 * dim..4 * dim].fill(0.0);
+            }
+            let q = CoarseQuantizer::from_centroids(centroids.clone(), dim);
+            let mut rows: Vec<Vec<f32>> = (0..12)
+                .map(|_| (0..dim).map(|_| value(&mut rng)).collect())
+                .collect();
+            rows.push(vec![0.0; dim]);
+            rows.push(centroids[..dim].to_vec());
+            for row in rows {
+                let want = nearest_scalar(&centroids, dim, &row);
+                let got = nearest(&q.lanes, dim, nlist, &row, None);
+                prop_assert_eq!(got.0, want.0);
+                prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
+                let mut unit = row.clone();
+                normalize(&mut unit);
+                prop_assert_eq!(q.assign(&row), nearest_scalar(&centroids, dim, &unit).0);
+            }
         }
     }
 

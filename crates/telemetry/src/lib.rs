@@ -124,6 +124,20 @@ pub mod names {
 
     /// Span: one full training run.
     pub const TRAINING_RUN: &str = "sketchql.training.run";
+    /// Span: sampling one training step's batch (simulated pairs and
+    /// their features).
+    pub const TRAINING_STEP_SAMPLE: &str = "sketchql.training.step.sample";
+    /// Span: one step's per-clip forwards, activations kept: the
+    /// embeddings the loss reads.
+    pub const TRAINING_STEP_FORWARD: &str = "sketchql.training.step.forward";
+    /// Span: one step's per-clip backwards, each folded into the step's
+    /// gradient as the clips after it have been.
+    pub const TRAINING_STEP_BACKWARD: &str = "sketchql.training.step.backward";
+    /// Span: cutting one step's folded gradient into a tensor per
+    /// parameter.
+    pub const TRAINING_STEP_FOLD: &str = "sketchql.training.step.fold";
+    /// Span: one optimizer update.
+    pub const TRAINING_STEP_ADAM: &str = "sketchql.training.step.adam";
 
     /// Gauge: queries waiting in the server's admission queue.
     pub const SERVER_QUEUE_DEPTH: &str = "sketchql.server.queue_depth";

@@ -321,22 +321,64 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
         cfg.encoder.d_model, cfg.encoder.layers, cfg.steps
     );
     let every = (cfg.steps / 10).max(1);
+    let trace = TraceContext::new();
     let start = std::time::Instant::now();
-    let model = train_with_callback(cfg, |step, loss| {
-        if step % every == 0 {
-            println!("  step {step:>5}  loss {loss:.3}");
-        }
-    });
+    let model = {
+        let _entered = trace.enter();
+        train_with_callback(cfg, |step, loss| {
+            if step % every == 0 {
+                println!("  step {step:>5}  loss {loss:.3}");
+            }
+        })
+    };
     let elapsed = start.elapsed().as_secs_f64();
+    let trace = trace
+        .finalize()
+        .ok_or("the training trace was finalized twice")?;
     model.save(Path::new(out)).map_err(|e| e.to_string())?;
     println!("wrote {out} ({} parameters)", model.store.num_scalars());
+    let steps = model.config.steps;
     println!(
-        "trained {} steps in {elapsed:.1} s ({:.1} steps/s) on {} threads",
-        model.config.steps,
-        model.config.steps as f64 / elapsed.max(1e-9),
+        "trained {steps} steps in {elapsed:.1} s ({:.1} steps/s) on {} threads",
+        steps as f64 / elapsed.max(1e-9),
         training_threads()
     );
+    println!("{}", step_phases(&trace, steps));
     Ok(())
+}
+
+/// Where a training step's wall time went, from the run's trace: the mean
+/// milliseconds per step in each `sketchql.training.step.*` span, and
+/// what no phase covers.
+fn step_phases(trace: &QueryTrace, steps: usize) -> String {
+    use telemetry::names;
+    let phases = [
+        ("sampling", names::TRAINING_STEP_SAMPLE),
+        ("forward", names::TRAINING_STEP_FORWARD),
+        ("backward", names::TRAINING_STEP_BACKWARD),
+        ("fold", names::TRAINING_STEP_FOLD),
+        ("adam", names::TRAINING_STEP_ADAM),
+    ];
+    let per_step = |nanos: u64| nanos as f64 / 1e6 / steps.max(1) as f64;
+    let mut covered = 0;
+    let mut line = String::from("per step:");
+    for (label, name) in phases {
+        let nanos: u64 = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.nanos)
+            .sum();
+        covered += nanos;
+        line += &format!(" {label} {:.2} ms,", per_step(nanos));
+    }
+    let run: u64 = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == names::TRAINING_RUN)
+        .map(|s| s.nanos)
+        .sum();
+    line + &format!(" other {:.2} ms", per_step(run.saturating_sub(covered)))
 }
 
 /// The `query`/`stats` pipeline: load the video, build an index, and run
