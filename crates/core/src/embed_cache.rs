@@ -8,7 +8,7 @@
 //! `WindowKey` — the query's classes in slot order and `(start, end,
 //! min_overlap)` — never on the sketch. So
 //! the index remembers whole windows: a [`SegmentMemo`] lives in every
-//! [`VideoIndex`](crate::VideoIndex) beside its fingerprint, under the
+//! [`VideoIndex`] beside its fingerprint, under the
 //! same contract — derived, filled lazily by the scans that run, never
 //! serialized, shared by clones — and maps a window key to the window's
 //! distinct candidates in combination order (their bound tracks, and
@@ -38,9 +38,13 @@
 //! whose windows are distinct, so it meets each window once: the ones
 //! the memo lacks are enumerated and their segments queued in
 //! `ScanSlots` — each segment once, however many of the scan's windows
-//! bind it. Two scans that miss the same window at the same moment both
-//! embed it (identical bits — the encoder is deterministic) and the
-//! second publish is a no-op; neither waits for the other. A scan
+//! bind it, as a recipe (its bound tracks and window, emptiness decided
+//! by a range check); the segment's clip is built only inside an
+//! embedding worker, so a cold scan holds at most threads × 64 clips at
+//! once, however many segments it queued. Two scans that miss the same
+//! window at the same moment both embed it (identical bits — the
+//! encoder is deterministic) and the second publish is a no-op; neither
+//! waits for the other. A scan
 //! publishes only after its whole encoder pass finished, so a cancelled
 //! pass publishes nothing.
 //!
@@ -54,9 +58,11 @@ use std::sync::{RwLock, RwLockReadGuard};
 
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::features::MAX_OBJECTS;
-use sketchql_trajectory::{Clip, ObjectClass, TrackId};
+use sketchql_trajectory::{Clip, ObjectClass, TrackId, Trajectory};
 
 use crate::cancel::CancelToken;
+use crate::index::VideoIndex;
+use crate::matcher::window_clip;
 use crate::similarity::Similarity;
 
 /// Payload bytes one index's memo may hold, across every model: window
@@ -110,6 +116,76 @@ impl SegmentKey {
     /// The bound tracks, in slot order.
     pub(crate) fn track_ids(&self) -> &[TrackId] {
         &self.ids[..self.arity as usize]
+    }
+
+    /// The window's first and last frame.
+    pub(crate) fn span(&self) -> (u32, u32) {
+        (self.start, self.end)
+    }
+}
+
+/// What one embedding row is made from: the bound tracks in slot order
+/// and the window `[start, end]` they are sliced to — a clip's recipe.
+/// The clip itself is built only inside an embedding worker
+/// ([`embed_segments`]) and dropped once embedded.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segment<'a> {
+    /// `Some` in the first `arity` slots.
+    tracks: [Option<&'a Trajectory>; MAX_OBJECTS],
+    start: u32,
+    end: u32,
+}
+
+impl<'a> Segment<'a> {
+    /// `tracks` (at most [`MAX_OBJECTS`], the encoder's own limit) over
+    /// `[start, end]`.
+    pub(crate) fn new(
+        tracks: impl IntoIterator<Item = &'a Trajectory>,
+        start: u32,
+        end: u32,
+    ) -> Self {
+        let mut slots = [None; MAX_OBJECTS];
+        for (slot, t) in slots.iter_mut().zip(tracks) {
+            *slot = Some(t);
+        }
+        Segment {
+            tracks: slots,
+            start,
+            end,
+        }
+    }
+
+    fn bound(&self) -> impl Iterator<Item = &'a Trajectory> + '_ {
+        self.tracks.iter().map_while(|t| *t)
+    }
+
+    /// The segment's memo key.
+    pub(crate) fn key(&self) -> SegmentKey {
+        let mut ids = [0; MAX_OBJECTS];
+        let mut arity = 0;
+        for (id, t) in ids.iter_mut().zip(self.bound()) {
+            *id = t.id;
+            arity += 1;
+        }
+        SegmentKey {
+            ids,
+            arity,
+            start: self.start,
+            end: self.end,
+        }
+    }
+
+    /// Whether the clip would hold no point — not a candidate at all: no
+    /// bound track has an observation in the window (a range check per
+    /// track, nothing built).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.bound()
+            .all(|t| t.points_in(self.start, self.end).is_empty())
+    }
+
+    /// The candidate clip ([`window_clip`]).
+    pub(crate) fn clip(&self, index: &VideoIndex) -> Clip {
+        window_clip(index, self.bound(), self.start, self.end)
     }
 }
 
@@ -436,7 +512,7 @@ struct PendingWindow {
     visited: u32,
     candidates: u32,
     /// The first candidate's first track id in [`ScanSlots::ids`] and
-    /// its clip in [`ScanSlots::slots`].
+    /// its segment in [`ScanSlots::slots`].
     first_id: u32,
     first_slot: u32,
 }
@@ -444,17 +520,17 @@ struct PendingWindow {
 /// One scan's windows the memo did not know, and their segments — each
 /// once, whatever the number of the scan's windows that bind it (a
 /// clamped tail under two overlap floors, say) — waiting for the scan's
-/// encoder pass.
+/// encoder pass as recipes, not clips.
 #[derive(Default)]
-pub(crate) struct ScanSlots {
-    /// First-seen segments of this scan: the index of their clip, or
-    /// `None` for an empty clip.
+pub(crate) struct ScanSlots<'a> {
+    /// First-seen segments of this scan: their index in `segments`, or
+    /// `None` for an empty one.
     pending: HashMap<SegmentKey, Option<u32>>,
-    /// The non-empty pending segments' clips, in first-seen order.
-    clips: Vec<Clip>,
+    /// The non-empty pending segments, in first-seen order.
+    segments: Vec<Segment<'a>>,
     /// Enumerated windows, in enumeration order.
     windows: Vec<PendingWindow>,
-    /// The candidates of `windows`: bound track ids, and the clip each
+    /// The candidates of `windows`: bound track ids, and the segment each
     /// embeds.
     ids: Vec<TrackId>,
     slots: Vec<u32>,
@@ -462,7 +538,7 @@ pub(crate) struct ScanSlots {
     misses: u64,
 }
 
-impl ScanSlots {
+impl<'a> ScanSlots<'a> {
     /// Window `key` as `memo` remembers it, if it does; every segment
     /// look-up a remembered window stands for counts as a hit. A scan
     /// meets each of its windows once, so any other window is enumerated
@@ -491,13 +567,13 @@ impl ScanSlots {
         self.windows.len() - 1
     }
 
-    /// Adds the next combination of the window last opened: segment
-    /// `key`, whose clip `build` makes. A segment this scan has seen is a
-    /// hit; only a new one is built and, unless its clip is empty (not a
-    /// candidate at all), queued for the encoder.
-    pub(crate) fn resolve(&mut self, key: SegmentKey, build: impl FnOnce() -> Clip) {
+    /// Adds the next combination of the window last opened: `segment`.
+    /// One this scan has seen is a hit; a new one is queued for the
+    /// encoder unless it is empty (not a candidate at all).
+    pub(crate) fn resolve(&mut self, segment: Segment<'a>) {
         let window = self.windows.last_mut().expect("a window is open");
         window.visited += 1;
+        let key = segment.key();
         let slot = match self.pending.get(&key) {
             Some(&slot) => {
                 self.hits += 1;
@@ -505,10 +581,9 @@ impl ScanSlots {
             }
             None => {
                 self.misses += 1;
-                let clip = build();
-                let slot = (!clip.is_empty()).then(|| {
-                    self.clips.push(clip);
-                    (self.clips.len() - 1) as u32
+                let slot = (!segment.is_empty()).then(|| {
+                    self.segments.push(segment);
+                    (self.segments.len() - 1) as u32
                 });
                 self.pending.insert(key, slot);
                 slot
@@ -521,13 +596,13 @@ impl ScanSlots {
         }
     }
 
-    /// The clips this scan must embed, in first-seen order.
-    pub(crate) fn clips(&self) -> &[Clip] {
-        &self.clips
+    /// The segments this scan must embed, in first-seen order.
+    pub(crate) fn segments(&self) -> &[Segment<'a>] {
+        &self.segments
     }
 
     /// Lays out the enumerated windows over the finished pass — `fresh`,
-    /// one entry per clip — ready to score and publish.
+    /// one entry per segment — ready to score and publish.
     pub(crate) fn finish(&self, fresh: &[Option<Vec<f32>>]) -> WindowBatch {
         let mut batch = WindowBatch::default();
         for w in &self.windows {
@@ -567,46 +642,68 @@ impl WindowBatch {
     }
 }
 
-/// Clips fed to the encoder between cancellation polls. Matches the
-/// encoder's internal batch cap, so a tripped token aborts after at most
-/// one batched forward.
-const CANCEL_POLL_CLIPS: usize = 64;
+/// Clips one embedding worker builds, embeds and drops at a time,
+/// between cancellation polls. Matches the encoder's internal batch cap,
+/// so a tripped token aborts after at most one batched forward.
+const WORKER_BATCH: usize = 64;
 
-/// Embeds `clips` via [`Similarity::embed_candidates`], splitting the
-/// batch across `threads` worker threads. Output order matches input
-/// order, and the embeddings are identical regardless of thread count
-/// (batched encoder forwards are bit-identical to scalar ones).
+/// The embedding of each of `segments`' clips, via
+/// [`Similarity::embed_candidates`] on up to `threads` workers, or `None`
+/// once `cancel` tripped (polled between batches on every worker, which
+/// then abandon the rest). A worker builds the clips of its next
+/// `WORKER_BATCH` segments, embeds them and drops them before it builds
+/// more, so at most `threads × WORKER_BATCH` clips exist at once however
+/// many segments there are. Output order is input order, and the bits do
+/// not depend on `threads` (batched encoder forwards are bit-identical to
+/// scalar ones, however the input is chunked).
+pub(crate) fn embed_segments<S: Similarity>(
+    sim: &S,
+    index: &VideoIndex,
+    segments: &[Segment<'_>],
+    threads: usize,
+    cancel: &CancelToken,
+) -> Option<Vec<Option<Vec<f32>>>> {
+    embed_in_batches(segments, threads, cancel, |batch| {
+        let clips: Vec<Clip> = batch.iter().map(|s| s.clip(index)).collect();
+        sim.embed_candidates(&clips)
+    })
+}
+
+/// Embeds built `clips` the way `embed_segments` embeds recipes —
+/// `threads` workers, `WORKER_BATCH` clips a batch, input order. The
+/// scan and the store writer embed segments; this form stays for callers
+/// that hold clips already (the benchmark's ledger).
 pub fn embed_clips_parallel<S: Similarity>(
     sim: &S,
     clips: &[Clip],
     threads: usize,
 ) -> Vec<Option<Vec<f32>>> {
-    try_embed_clips_parallel(sim, clips, threads, &CancelToken::none())
-        .expect("null token never cancels")
+    embed_in_batches(clips, threads, &CancelToken::none(), |batch| {
+        sim.embed_candidates(batch)
+    })
+    .expect("null token never cancels")
 }
 
-/// [`embed_clips_parallel`] on behalf of a search under `cancel`:
-/// between encoder batches (on every worker thread) the pass polls the
-/// token, and once it has tripped it abandons the remaining batches and
-/// returns `None`. Embedding values are unchanged: batched encoder
-/// forwards are bit-identical regardless of how the input is chunked.
-pub fn try_embed_clips_parallel<S: Similarity>(
-    sim: &S,
-    clips: &[Clip],
+/// The worker loop under both: `items` cut into `threads` contiguous
+/// pieces ([`crate::fan_out`]), each embedded `WORKER_BATCH` items at a
+/// time by `embed`, with `cancel` polled before every batch.
+fn embed_in_batches<T: Sync>(
+    items: &[T],
     threads: usize,
     cancel: &CancelToken,
+    embed: impl Fn(&[T]) -> Vec<Option<Vec<f32>>> + Sync,
 ) -> Option<Vec<Option<Vec<f32>>>> {
-    let pieces = crate::fan_out(clips, threads, |piece| {
+    let pieces = crate::fan_out(items, threads, |piece| {
         let mut out = Vec::with_capacity(piece.len());
-        for sub in piece.chunks(CANCEL_POLL_CLIPS) {
+        for batch in piece.chunks(WORKER_BATCH) {
             if cancel.is_cancelled() {
                 return None;
             }
-            out.extend(sim.embed_candidates(sub));
+            out.extend(embed(batch));
         }
         Some(out)
     });
-    let mut out = Vec::with_capacity(clips.len());
+    let mut out = Vec::with_capacity(items.len());
     for piece in pieces {
         out.extend(piece?);
     }
@@ -616,25 +713,41 @@ pub fn try_embed_clips_parallel<S: Similarity>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sketchql_trajectory::{BBox, TrajPoint, Trajectory};
+    use sketchql_trajectory::{BBox, TrajPoint};
 
-    fn clip(seed: f32) -> Clip {
-        let t = Trajectory::from_points(
-            1,
+    /// Track `id` observed at frames `0..20` — inside every window the
+    /// tests open — or, `empty`, at `200..220`, which brushes none of
+    /// them with a point.
+    fn track(id: TrackId, empty: bool) -> Trajectory {
+        let first = if empty { 200 } else { 0 };
+        Trajectory::from_points(
+            id,
             ObjectClass::Car,
-            (0..20)
-                .map(|f| TrajPoint::new(f, BBox::new(f as f32 * seed, 100.0, 30.0, 20.0)))
+            (first..first + 20)
+                .map(|f| TrajPoint::new(f, BBox::new(f as f32, 100.0, 30.0, 20.0)))
                 .collect(),
-        );
-        Clip::new(640.0, 480.0, vec![t])
+        )
     }
 
-    fn empty() -> Clip {
-        Clip::new(10.0, 10.0, vec![])
+    /// Tracks 0..16 that embed, then the same ids that do not.
+    fn tracks() -> Vec<Trajectory> {
+        let ids = 0..16;
+        (ids.clone().map(|id| track(id, false)))
+            .chain(ids.map(|id| track(id, true)))
+            .collect()
     }
 
-    fn key(ids: &[TrackId], start: u32, end: u32) -> SegmentKey {
-        SegmentKey::new(ids, start, end)
+    /// The segment of tracks `ids` of `pool` over `[start, end]`, taken
+    /// from the second half (no point in the window) when `empty`.
+    fn segment<'a>(
+        pool: &'a [Trajectory],
+        ids: &[TrackId],
+        start: u32,
+        end: u32,
+        empty: bool,
+    ) -> Segment<'a> {
+        let at = |id: TrackId| &pool[id as usize + if empty { 16 } else { 0 }];
+        Segment::new(ids.iter().map(|&id| at(id)), start, end)
     }
 
     /// Window `(start, end, 4)` of a query of `arity` cars.
@@ -643,23 +756,24 @@ mod tests {
     }
 
     /// A scan that enumerates each of `windows` — its key and the
-    /// segments it binds, `Some(row)` for one that embeds, `None` for one
-    /// the encoder rejects, and no row at all for an empty clip — then
-    /// finishes over the pass those rows stand for.
-    type Segment = (SegmentKey, Option<Option<Vec<f32>>>);
-    fn scanned(windows: &[(WindowKey, Vec<Segment>)]) -> (ScanSlots, WindowBatch) {
+    /// segments it binds, by track ids and span: `Some(row)` for one that
+    /// embeds, `None` for one the encoder rejects, and no row at all for
+    /// an empty one — then finishes over the pass those rows stand for.
+    type Segmented = (Vec<TrackId>, (u32, u32), Option<Option<Vec<f32>>>);
+    fn scanned<'a>(
+        pool: &'a [Trajectory],
+        windows: &[(WindowKey, Vec<Segmented>)],
+    ) -> (ScanSlots<'a>, WindowBatch) {
         let mut slots = ScanSlots::default();
         let mut fresh = Vec::new();
         for (window, segments) in windows {
             slots.open(*window);
-            for (segment, row) in segments {
-                slots.resolve(*segment, || match row {
-                    Some(row) => {
-                        fresh.push(row.clone());
-                        clip(1.0)
-                    }
-                    None => empty(),
-                });
+            for (ids, (start, end), row) in segments {
+                let queued = slots.segments().len();
+                slots.resolve(segment(pool, ids, *start, *end, row.is_none()));
+                if slots.segments().len() > queued {
+                    fresh.push(row.clone().expect("only a non-empty segment is queued"));
+                }
             }
         }
         let batch = slots.finish(&fresh);
@@ -669,23 +783,22 @@ mod tests {
     #[test]
     fn intern_builds_each_segment_once() {
         // Two windows of one range that differ in their overlap floor
-        // bind the same segment: it is built and queued once.
+        // bind the same segment: it is queued once.
+        let pool = tracks();
         let memo = SegmentMemo::default();
         let mut slots = ScanSlots::default();
-        let mut builds = 0usize;
-        let k = key(&[1, 2], 0, 10);
         for floor in [4, 5] {
             let w = WindowKey::new(&[ObjectClass::Car; 2], (0, 10, floor));
             assert!(slots.lookup(&memo.reader(7), &w).is_none());
             slots.open(w);
-            slots.resolve(k, || {
-                builds += 1;
-                clip(2.0)
-            });
+            slots.resolve(segment(&pool, &[1, 2], 0, 10, false));
         }
-        assert_eq!(builds, 1, "second sight is served by the scan itself");
+        assert_eq!(
+            slots.segments().len(),
+            1,
+            "second sight is served by the scan itself"
+        );
         assert_eq!((slots.hits(), slots.misses()), (1, 1));
-        assert_eq!(slots.clips().len(), 1);
         let batch = slots.finish(&[Some(vec![0.5, 0.25])]);
         for at in 0..2 {
             let w = batch.window(at);
@@ -695,30 +808,59 @@ mod tests {
 
     #[test]
     fn distinct_segments_get_distinct_slots() {
+        let pool = tracks();
         let mut slots = ScanSlots::default();
         slots.open(window(1, 0, 10));
         // Frame range, track set and slot order are all part of the key.
-        let keys = [
-            key(&[1], 0, 10),
-            key(&[1], 5, 15),
-            key(&[2], 0, 10),
-            key(&[2, 1], 0, 10),
-            key(&[1, 2], 0, 10),
+        let keys: [(&[TrackId], u32, u32); 5] = [
+            (&[1], 0, 10),
+            (&[1], 5, 15),
+            (&[2], 0, 10),
+            (&[2, 1], 0, 10),
+            (&[1, 2], 0, 10),
         ];
-        for k in keys {
-            slots.resolve(k, || clip(1.0));
+        for (ids, start, end) in keys {
+            slots.resolve(segment(&pool, ids, start, end, false));
         }
-        assert_eq!(slots.clips().len(), 5);
+        assert_eq!(slots.segments().len(), 5);
         assert_eq!((slots.hits(), slots.misses()), (0, 5));
+    }
+
+    #[test]
+    fn a_segment_is_empty_when_no_bound_track_has_a_point_in_its_window() {
+        let pool = tracks();
+        let index = VideoIndex::from_clip("t", &Clip::new(640.0, 480.0, vec![]), 300, 30.0);
+        // Inside, brushing either edge, astride a gap-free track's end,
+        // beyond it, and a pair of which only one track is inside.
+        let cases: [(&[TrackId], bool, u32, u32); 6] = [
+            (&[1], false, 0, 10),
+            (&[1], false, 19, 40),
+            (&[1], true, 190, 200),
+            (&[1], true, 220, 260),
+            (&[1], false, 20, 60),
+            (&[1, 2], true, 0, 10),
+        ];
+        for (ids, empty, start, end) in cases {
+            let seg = segment(&pool, ids, start, end, empty);
+            assert_eq!(
+                seg.is_empty(),
+                seg.clip(&index).is_empty(),
+                "{ids:?} {start}..={end}"
+            );
+            assert_eq!(seg.key().track_ids(), ids);
+        }
+        let mixed = Segment::new([&pool[16 + 1], &pool[2]], 0, 10);
+        assert!(!mixed.is_empty() && !mixed.clip(&index).is_empty());
     }
 
     #[test]
     fn empty_clips_are_remembered_but_not_stored() {
         let memo = SegmentMemo::default();
         let w = window(1, 0, 5);
-        let segments = vec![(key(&[7], 0, 5), None), (key(&[8], 0, 5), None)];
-        let (slots, batch) = scanned(&[(w, segments)]);
-        assert!(slots.clips().is_empty());
+        let pool = tracks();
+        let segments = vec![(vec![7], (0, 5), None), (vec![8], (0, 5), None)];
+        let (slots, batch) = scanned(&pool, &[(w, segments)]);
+        assert!(slots.segments().is_empty());
         assert_eq!((slots.hits(), slots.misses()), (0, 2));
         assert_eq!(batch.window(0).candidates(), 0);
 
@@ -739,27 +881,29 @@ mod tests {
 
     #[test]
     fn published_rows_come_back_bit_for_bit_under_their_model_only() {
+        let pool = tracks();
         let memo = SegmentMemo::default();
         let (single, pair) = (window(1, 0, 9), window(2, 0, 9));
         let windows = [
             (
                 single,
                 vec![
-                    (key(&[1], 0, 9), Some(Some(vec![0.25f32, -1.5, 3.0]))),
-                    (key(&[2], 0, 9), Some(None)),
-                    (key(&[3], 0, 9), None),
+                    (vec![1], (0, 9), Some(Some(vec![0.25f32, -1.5, 3.0]))),
+                    (vec![2], (0, 9), Some(None)),
+                    (vec![3], (0, 9), None),
                     (
-                        key(&[4], 0, 9),
+                        vec![4],
+                        (0, 9),
                         Some(Some(vec![-0.0, f32::MIN_POSITIVE, 1.0])),
                     ),
                 ],
             ),
             (
                 pair,
-                vec![(key(&[1, 2], 0, 9), Some(Some(vec![7.0, 8.0, 9.0])))],
+                vec![(vec![1, 2], (0, 9), Some(Some(vec![7.0, 8.0, 9.0])))],
             ),
         ];
-        let (_, batch) = scanned(&windows);
+        let (_, batch) = scanned(&pool, &windows);
         memo.publish(7, &batch);
         let stats = memo.stats();
         assert_eq!(stats.segments, 4, "three candidates and one pair");
@@ -799,15 +943,16 @@ mod tests {
 
     #[test]
     fn a_publish_past_the_budget_empties_the_memo_first() {
+        let pool = tracks();
         let row = |v: f32| Some(Some(vec![v; 8]));
         // One single-candidate window: an entry, an id, a row.
         let one = WINDOW_BYTES + 8 + 8 * 4;
         let memo = SegmentMemo::with_budget(3 * one);
-        let of = |id: TrackId, v: f32| (window(1, id as u32, 20), vec![(key(&[id], 0, 9), row(v))]);
+        let of = |id: TrackId, v: f32| (window(1, id as u32, 20), vec![(vec![id], (0, 9), row(v))]);
         let (a, b, c, d) = (of(1, 1.0), of(2, 2.0), of(3, 3.0), of(4, 4.0));
-        memo.publish(1, &scanned(&[a.clone(), b.clone()]).1);
+        memo.publish(1, &scanned(&pool, &[a.clone(), b.clone()]).1);
         // Another model's windows count against the same budget.
-        memo.publish(2, &scanned(std::slice::from_ref(&c)).1);
+        memo.publish(2, &scanned(&pool, std::slice::from_ref(&c)).1);
         assert_eq!(
             memo.stats(),
             MemoStats {
@@ -820,7 +965,7 @@ mod tests {
         // So do a window's entry and ids, not only its rows: a window
         // with no candidates at all still costs an entry.
         let bare = (window(1, 99, 120), vec![]);
-        memo.publish(2, &scanned(&[d.clone(), bare]).1);
+        memo.publish(2, &scanned(&pool, &[d.clone(), bare]).1);
         assert_eq!(
             memo.stats(),
             MemoStats {
@@ -842,7 +987,7 @@ mod tests {
 
         // A pass that could never fit is not remembered and evicts nothing.
         let e = of(5, 5.0);
-        memo.publish(1, &scanned(&[a, b, c, e]).1);
+        memo.publish(1, &scanned(&pool, &[a, b, c, e]).1);
         assert_eq!(
             memo.stats(),
             MemoStats {

@@ -60,7 +60,7 @@ pub mod vshard;
 pub mod vstore;
 
 pub use cancel::{CancelReason, CancelToken};
-pub use embed_cache::{embed_clips_parallel, try_embed_clips_parallel, MemoStats};
+pub use embed_cache::{embed_clips_parallel, MemoStats};
 pub use grid::MIN_WINDOW;
 pub use index::VideoIndex;
 pub use matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment};

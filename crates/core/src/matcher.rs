@@ -37,7 +37,7 @@ use std::fmt;
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::embed_cache::{
-    try_embed_clips_parallel, ScanSlots, SegmentKey, Window, WindowBatch, WindowKey,
+    embed_segments, ScanSlots, Segment, SegmentKey, Window, WindowBatch, WindowKey,
 };
 use crate::grid;
 use crate::index::VideoIndex;
@@ -118,28 +118,30 @@ impl Ranked for RetrievedMoment {
     }
 }
 
-/// A scored window over one track, as the store path scores it: a
-/// [`RetrievedMoment`] waiting to be built, once ranking has kept it.
-pub(crate) struct TrackMoment {
-    pub(crate) start: u32,
-    pub(crate) end: u32,
+/// A window's best candidate as the embedding scan and the store path
+/// keep it: its segment (fixed-size) and score, so scoring a window
+/// allocates nothing; ranking builds a [`RetrievedMoment`] only for the
+/// windows it keeps.
+pub(crate) struct WindowMoment {
+    pub(crate) segment: SegmentKey,
     pub(crate) score: f32,
-    pub(crate) track: [TrackId; 1],
 }
 
-impl Ranked for TrackMoment {
+impl Ranked for WindowMoment {
     fn ranking(&self) -> (f32, u32, u32, &[TrackId]) {
-        (self.score, self.start, self.end, &self.track)
+        let (start, end) = self.segment.span();
+        (self.score, start, end, self.segment.track_ids())
     }
 }
 
-impl From<TrackMoment> for RetrievedMoment {
-    fn from(m: TrackMoment) -> Self {
+impl From<WindowMoment> for RetrievedMoment {
+    fn from(m: WindowMoment) -> Self {
+        let (start, end) = m.segment.span();
         RetrievedMoment {
-            start: m.start,
-            end: m.end,
+            start,
+            end,
             score: m.score,
-            track_ids: m.track.to_vec(),
+            track_ids: m.segment.track_ids().to_vec(),
         }
     }
 }
@@ -290,15 +292,19 @@ impl<S: Similarity> Matcher<S> {
             windows.retain(|&(_, end, _)| end >= min_end);
         }
         telemetry::counter(names::WINDOWS_ENUMERATED).add(windows.len() as u64);
-        let scored = match self.sim.embedding_identity() {
+        let (scored, moments) = match self.sim.embedding_identity() {
             // A window key holds what the encoder can take.
             Some(model) if classes.len() <= MAX_OBJECTS => {
-                self.scan_memo(index, model, &classes, &prepared, &windows, cancel)?
+                let scored = self.scan_memo(index, model, &classes, &prepared, &windows, cancel)?;
+                (scored.len(), self.rank(index, scored))
             }
-            _ => self.scan_direct(index, &classes, &prepared, &windows, cancel)?,
+            _ => {
+                let scored = self.scan_direct(index, &classes, &prepared, &windows, cancel)?;
+                (scored.len(), self.rank(index, scored))
+            }
         };
-        telemetry::counter(names::WINDOWS_PRUNED).add((windows.len() - scored.len()) as u64);
-        Ok(self.rank(index, scored))
+        telemetry::counter(names::WINDOWS_PRUNED).add((windows.len() - scored) as u64);
+        Ok(moments)
     }
 
     /// The embedding scan of `windows` for a query of `classes`, in three
@@ -308,7 +314,9 @@ impl<S: Similarity> Matcher<S> {
     ///    ([`resolve_windows`](Self::resolve_windows)): a remembered one
     ///    is scored there and then, any other enumerated and its new
     ///    segments queued for the encoder.
-    /// 2. **Embed** the queued segments in one batched encoder pass and
+    /// 2. **Embed** the queued segments in one batched encoder pass —
+    ///    each worker builds the clips of its next batch, embeds and drops
+    ///    them ([`embed_segments`]) — and
     ///    publish the enumerated windows to the memo. A window's
     ///    candidates depend only on the index, the model and its key, not
     ///    on the query, so every later look-alike query pays for the
@@ -324,7 +332,7 @@ impl<S: Similarity> Matcher<S> {
         prepared: &PreparedQuery,
         windows: &[(u32, u32, u32)],
         cancel: &CancelToken,
-    ) -> Result<Vec<RetrievedMoment>, MatchError> {
+    ) -> Result<Vec<WindowMoment>, MatchError> {
         // The memo describes the index as it was when first scanned, and
         // clones share it: debug builds pin that identity here and check
         // it at every later scan, as store searches do.
@@ -351,7 +359,8 @@ impl<S: Similarity> Matcher<S> {
 
         let fresh = {
             let _embed_span = telemetry::span(names::MATCHER_EMBED);
-            try_embed_clips_parallel(&self.sim, slots.clips(), self.config.threads, cancel)
+            let threads = self.config.threads;
+            embed_segments(&self.sim, index, slots.segments(), threads, cancel)
         };
         let batch = fresh.map(|fresh| slots.finish(&fresh));
         if let Some(batch) = &batch {
@@ -428,7 +437,7 @@ impl<S: Similarity> Matcher<S> {
         let mut best: Option<RetrievedMoment> = None;
         let mut evals = 0u64;
         for_each_distinct_combo(&per_slot, |combo, ids| {
-            let candidate = window_clip(index, combo, &per_slot, start, end);
+            let candidate = window_clip(index, bound(&per_slot, combo), start, end);
             if candidate.is_empty() {
                 return;
             }
@@ -459,14 +468,14 @@ impl<S: Similarity> Matcher<S> {
     /// distinct combinations, each segment resolved against `slots`,
     /// which queues the ones it has not seen for the encoder pass.
     #[allow(clippy::too_many_arguments)]
-    fn resolve_windows(
+    fn resolve_windows<'a>(
         &self,
-        index: &VideoIndex,
+        index: &'a VideoIndex,
         model: u64,
         classes: &[sketchql_trajectory::ObjectClass],
         prepared: &PreparedQuery,
         windows: &[(u32, u32, u32)],
-        slots: &mut ScanSlots,
+        slots: &mut ScanSlots<'a>,
         scores: &mut Vec<f32>,
         cancel: &CancelToken,
     ) -> Result<Vec<Scored>, MatchError> {
@@ -491,10 +500,8 @@ impl<S: Similarity> Matcher<S> {
                 .map(|c| index.tracks_in_window(*c, start, end, min_overlap))
                 .collect();
             if !per_slot.iter().any(Vec::is_empty) {
-                for_each_distinct_combo(&per_slot, |combo, ids| {
-                    slots.resolve(SegmentKey::new(ids, start, end), || {
-                        window_clip(index, combo, &per_slot, start, end)
-                    });
+                for_each_distinct_combo(&per_slot, |combo, _| {
+                    slots.resolve(Segment::new(bound(&per_slot, combo), start, end));
                 });
             }
             out.push(Scored::Pending { at, start, end });
@@ -513,7 +520,7 @@ impl<S: Similarity> Matcher<S> {
         batch: &WindowBatch,
         scores: &mut Vec<f32>,
         cancel: &CancelToken,
-    ) -> Result<Vec<RetrievedMoment>, MatchError> {
+    ) -> Result<Vec<WindowMoment>, MatchError> {
         let mut scored = Vec::with_capacity(windows.len());
         let mut evals = 0;
         for window in windows {
@@ -535,7 +542,8 @@ impl<S: Similarity> Matcher<S> {
     /// [`Similarity::score_embeddings`] call (`scores` is scratch), then
     /// the direct path's rules in combination order — a non-finite score
     /// counts as 0 and the first strictly greatest wins. Byte-identical
-    /// to [`best_in_window`](Self::best_in_window).
+    /// to [`best_in_window`](Self::best_in_window); allocates nothing
+    /// once `scores` holds the scan's widest window.
     fn best_of(
         &self,
         prepared: &PreparedQuery,
@@ -543,7 +551,7 @@ impl<S: Similarity> Matcher<S> {
         end: u32,
         window: Window<'_>,
         scores: &mut Vec<f32>,
-    ) -> Option<RetrievedMoment> {
+    ) -> Option<WindowMoment> {
         scores.clear();
         scores.resize(window.candidates() - window.unembeddable.len(), 0.0);
         self.sim.score_embeddings(prepared, window.rows, scores);
@@ -560,11 +568,9 @@ impl<S: Similarity> Matcher<S> {
                 best = Some((score, ids));
             }
         }
-        best.map(|(score, ids)| RetrievedMoment {
-            start,
-            end,
+        best.map(|(score, ids)| WindowMoment {
+            segment: SegmentKey::new(ids, start, end),
             score,
-            track_ids: ids.to_vec(),
         })
     }
 }
@@ -573,7 +579,7 @@ impl<S: Similarity> Matcher<S> {
 /// scored already, or waiting for the encoder pass as window `at` of the
 /// scan's [`WindowBatch`]. A window without candidates has no entry.
 enum Scored {
-    Best(RetrievedMoment),
+    Best(WindowMoment),
     Pending { at: usize, start: u32, end: u32 },
 }
 
@@ -704,22 +710,25 @@ fn refine_boundaries(index: &VideoIndex, moment: &mut RetrievedMoment) {
     }
 }
 
-/// Builds the candidate clip for a window: each selected track sliced to
+/// Builds the candidate clip for a window: each of `tracks` sliced to
 /// `[start, end]` and rebased so the window starts at frame 0 (preserving
 /// cross-object timing).
-pub(crate) fn window_clip(
+pub(crate) fn window_clip<'a>(
     index: &VideoIndex,
-    combo: &[usize],
-    per_slot: &[Vec<&Trajectory>],
+    tracks: impl Iterator<Item = &'a Trajectory>,
     start: u32,
     end: u32,
 ) -> Clip {
-    let objects = combo
-        .iter()
-        .enumerate()
-        .map(|(slot, &i)| per_slot[slot][i].window(start, end))
-        .collect();
+    let objects = tracks.map(|t| t.window(start, end)).collect();
     Clip::new(index.frame_width, index.frame_height, objects)
+}
+
+/// The tracks `combo` picks from `per_slot`, in slot order.
+fn bound<'t: 's, 's>(
+    per_slot: &'s [Vec<&'t Trajectory>],
+    combo: &'s [usize],
+) -> impl Iterator<Item = &'t Trajectory> + 's {
+    combo.iter().zip(per_slot).map(|(&i, tracks)| tracks[i])
 }
 
 #[cfg(test)]

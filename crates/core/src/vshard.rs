@@ -55,10 +55,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::embed_cache::embed_clips_parallel;
+use crate::cancel::CancelToken;
+use crate::embed_cache::{embed_segments, Segment};
 use crate::grid;
 use crate::index::VideoIndex;
-use crate::matcher::window_clip;
 use crate::similarity::LearnedSimilarity;
 use crate::vstore::{self, index_fingerprint, model_fingerprint, IngestConfig};
 
@@ -99,14 +99,29 @@ fn publish_residency() {
 /// — the matcher's scan excludes exactly the same candidates.
 ///
 /// Returns the rows plus the matching window clips (the embedder's
-/// input), in enumeration order.
+/// input), in enumeration order. The store writer never holds those
+/// clips: it enumerates the rows alone and builds each clip inside an
+/// embedding worker.
 pub fn enumerate_store_rows(
     index: &VideoIndex,
     config: &IngestConfig,
     start_range: Option<(u32, u32)>,
 ) -> (Vec<StoreRow>, Vec<Clip>) {
-    let mut rows: Vec<StoreRow> = Vec::new();
-    let mut clips: Vec<Clip> = Vec::new();
+    grid_rows(index, config, start_range)
+        .into_iter()
+        .map(|(row, segment)| (row, segment.clip(index)))
+        .unzip()
+}
+
+/// [`enumerate_store_rows`] without the clips: each row with the segment
+/// that embeds to its vector (its track over its window). Emptiness is a
+/// range check on the track's points, so nothing is built.
+fn grid_rows<'a>(
+    index: &'a VideoIndex,
+    config: &IngestConfig,
+    start_range: Option<(u32, u32)>,
+) -> Vec<(StoreRow, Segment<'a>)> {
+    let mut rows = Vec::new();
     let mut seen: HashSet<RowKey> = HashSet::new();
     for len in sorted_lens(config) {
         if len > index.frames {
@@ -114,25 +129,22 @@ pub fn enumerate_store_rows(
         }
         for (start, end, min_overlap) in grid::windows(len, index.frames, start_range) {
             for t in index.tracks_in_window(ObjectClass::Any, start, end, min_overlap) {
-                if seen.contains(&(t.id, start, end)) {
-                    continue;
-                }
-                let clip = window_clip(index, &[0], &[vec![t]], start, end);
-                if clip.is_empty() {
+                let segment = Segment::new([t], start, end);
+                if seen.contains(&(t.id, start, end)) || segment.is_empty() {
                     continue;
                 }
                 seen.insert((t.id, start, end));
-                rows.push(StoreRow {
+                let row = StoreRow {
                     track_id: t.id,
                     class: t.class,
                     start,
                     end,
-                });
-                clips.push(clip);
+                };
+                rows.push((row, segment));
             }
         }
     }
-    (rows, clips)
+    rows
 }
 
 /// The configured window lengths as the manifest records them: sorted,
@@ -217,10 +229,14 @@ fn shard_file_name(i: usize, epoch: u64) -> String {
 /// `shard_frames`-frame ranges (the last takes the remainder); publishing
 /// a manifest over the returned entries is the caller's commit.
 ///
-/// 1. **Enumerate** every shard's rows (cheap; gives progress its totals).
+/// 1. **Enumerate** every shard's rows (cheap; gives progress its totals):
+///    a row and its segment, no clip.
 /// 2. **Embed**, shard by shard: a row in `base.reuse` takes its vector
 ///    from there, the rest are embedded on `config.threads` workers that
-///    split the *clips*, so the count applies whatever the shard count.
+///    split the *rows*, so the count applies whatever the shard count.
+///    A worker builds the clips of its next 64 rows, embeds and drops
+///    them ([`embed_segments`]): at most `threads × 64` clips exist at
+///    once, whatever the shard width or the video length.
 ///    Embeddings are batch-invariant, so neither threads nor layout
 ///    change a vector. A non-empty single-track clip always embeds; a row
 ///    that did not would be unservable, and is dropped.
@@ -245,15 +261,15 @@ fn write_shards(
             (lo, lo.saturating_add(shard_frames - 1).min(last_frame))
         })
         .collect();
-    let enumerated: Vec<(Vec<StoreRow>, Vec<Clip>)> = ranges
+    let enumerated: Vec<Vec<(StoreRow, Segment)>> = ranges
         .iter()
-        .map(|&range| enumerate_store_rows(index, config, Some(range)))
+        .map(|&range| grid_rows(index, config, Some(range)))
         .collect();
     let is_fresh = |row: &StoreRow| !base.reuse.contains_key(&row_key(row));
     let total_fresh = enumerated
         .iter()
-        .flat_map(|(rows, _)| rows)
-        .filter(|row| is_fresh(row))
+        .flatten()
+        .filter(|(row, _)| is_fresh(row))
         .count();
     progress(IngestProgress::Enumerated {
         windows: total_fresh,
@@ -263,14 +279,16 @@ fn write_shards(
     let dim = sim.encoder.config.embed_dim;
     let (mut embedded_rows, mut reused_rows, mut done) = (0usize, 0usize, 0usize);
     let mut columns: Vec<(Vec<StoreRow>, Vec<f32>)> = Vec::with_capacity(ranges.len());
-    for (j, (rows, clips)) in enumerated.into_iter().enumerate() {
-        let fresh: Vec<Clip> = rows
+    for (j, rows) in enumerated.into_iter().enumerate() {
+        let fresh: Vec<Segment> = rows
             .iter()
-            .zip(clips)
             .filter(|(row, _)| is_fresh(row))
-            .map(|(_, clip)| clip)
+            .map(|&(_, segment)| segment)
             .collect();
-        let mut fresh_vectors = embed_clips_parallel(sim, &fresh, config.threads).into_iter();
+        let mut fresh_vectors =
+            embed_segments(sim, index, &fresh, config.threads, &CancelToken::none())
+                .expect("null token never cancels")
+                .into_iter();
         done += fresh.len();
         progress(IngestProgress::ShardEmbedded {
             shard_id: (base.first + j) as u32,
@@ -279,7 +297,7 @@ fn write_shards(
         });
         let mut kept = Vec::with_capacity(rows.len());
         let mut vectors: Vec<f32> = Vec::with_capacity(rows.len() * dim);
-        for row in rows {
+        for (row, _) in rows {
             if let Some(v) = base.reuse.get(&row_key(&row)) {
                 reused_rows += 1;
                 vectors.extend_from_slice(v);

@@ -25,9 +25,10 @@ use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{Clip, TrackId};
 
 use crate::cancel::CancelToken;
+use crate::embed_cache::SegmentKey;
 use crate::grid;
 use crate::index::{overlap_frames, VideoIndex};
-use crate::matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment, TrackMoment};
+use crate::matcher::{MatchError, Matcher, MatcherConfig, RetrievedMoment, WindowMoment};
 use crate::similarity::{LearnedSimilarity, PreparedQuery, Similarity};
 use crate::vshard::ShardSet;
 
@@ -399,15 +400,13 @@ impl Matcher<LearnedSimilarity> {
 
         // Emit in window-enumeration order, the order the scan scores in;
         // ranking builds a `RetrievedMoment` only for the windows it keeps.
-        let scored: Vec<TrackMoment> = windows
+        let scored: Vec<WindowMoment> = windows
             .iter()
             .zip(&best)
             .filter_map(|(&(start, end, _), slot)| {
-                slot.map(|(score, _, track_id)| TrackMoment {
-                    start,
-                    end,
+                slot.map(|(score, _, track_id)| WindowMoment {
+                    segment: SegmentKey::new(&[track_id], start, end),
                     score,
-                    track: [track_id],
                 })
             })
             .collect();

@@ -6,7 +6,7 @@
 //! it returns.
 //!
 //! And the scan above it: once an index remembers a sketch's windows, a
-//! scan of them allocates per window, not per candidate.
+//! scan of them allocates a constant per query, nothing per window.
 //!
 //! The allocation counts come from the telemetry crate's counting global
 //! allocator, which `sketchql-nn` does not link; that is why this test
@@ -140,15 +140,16 @@ fn a_warm_backward_allocates_only_the_gradient_it_returns() {
 /// The first search after a cold one is already fully warm: the scan's
 /// encoder pass published its windows, so each window now costs one
 /// memo look-up and an in-place scoring of its rows — no eligible-track
-/// list per slot, no segment key or copied row per candidate. What is
-/// left to allocate is the window's best moment (its track ids) plus a
-/// constant for the query's own embedding, the member's window list, the
-/// lane scratch and the ranking. Thirty-two tracks cover every window
-/// here, so per-candidate allocation would cost 32 per window and even
-/// one list per slot would cost a second allocation per window; neither
-/// fits under the ceiling.
+/// list per slot, no segment key or copied row per candidate, and no
+/// moment per window (a window's best keeps its track ids in a fixed-size
+/// key; only the moments ranking keeps are built). What is left to
+/// allocate is a constant per query: the query's own embedding, the
+/// window list, the lane scratch, the ranking and the refinement of the
+/// `top_k` moments kept (55 allocations when measured). The ceiling sits
+/// below the window count, so even one allocation per window fails it.
 #[test]
-fn a_fully_warm_scan_allocates_per_window_not_per_candidate() {
+fn a_fully_warm_scan_allocates_per_query_not_per_window() {
+    const PER_QUERY: u64 = 64;
     const TRACKS: u64 = 32;
     const FRAMES: u32 = 300;
     let tracks = (0..TRACKS)
@@ -201,7 +202,11 @@ fn a_fully_warm_scan_allocates_per_window_not_per_candidate() {
     assert_eq!(candidates, TRACKS * windows, "every track in every window");
     assert_eq!(trace.count(names::EMBED_CACHE_HITS), candidates);
     assert!(
-        allocations <= windows + 64,
+        windows > PER_QUERY,
+        "the ceiling must sit below the window count"
+    );
+    assert!(
+        allocations <= PER_QUERY,
         "{allocations} allocations for {windows} windows / {candidates} candidates"
     );
 }

@@ -286,6 +286,53 @@ fn append_equals_from_scratch_ingest_across_splits_and_widths() {
     }
 }
 
+/// The CLI's default layout — the whole base video in one shard — then
+/// one append of everything after it, on two workers: the rows and
+/// vectors equal a from-scratch ingest of the whole video at that shard
+/// width on one worker, bit for bit, and so do the answers.
+#[test]
+fn an_append_onto_a_one_shard_ingest_equals_a_from_scratch_ingest() {
+    let model = tiny_model();
+    let m = matcher(&model);
+    let query = query_clip(EventKind::LeftTurn);
+    let mut cfg = IngestConfig::from_matcher(&m.config, &[query.span()]);
+    let stages = streaming_stages(43);
+    let (base, full) = (
+        VideoIndex::from_truth(&stages[0]),
+        VideoIndex::from_truth(stages.last().unwrap()),
+    );
+    let shard_frames = base.frames;
+
+    let dir_inc = temp_dir("one-shard-inc");
+    cfg.threads = 2;
+    let set = ingest_sharded(&m.sim, &base, "v", &cfg, shard_frames, &dir_inc, &|_| {}).unwrap();
+    assert_eq!(set.shard_count(), 1, "test premise: one whole-video shard");
+    drop(set);
+    let out = append_frames(&m.sim, &full, &dir_inc, 2, &|_| {}).unwrap();
+    assert!(out.embedded_rows > 0 && out.reused_rows > 0);
+    drop(out);
+
+    let dir_full = temp_dir("one-shard-full");
+    cfg.threads = 1;
+    ingest_sharded(&m.sim, &full, "v", &cfg, shard_frames, &dir_full, &|_| {}).unwrap();
+    let (mut inc, mut scratch) = (
+        ShardSet::open(&dir_inc).unwrap(),
+        ShardSet::open(&dir_full).unwrap(),
+    );
+    assert_same_rows_and_vectors(&inc, &scratch);
+    inc.nprobe = inc.nlist();
+    scratch.nprobe = scratch.nlist();
+    let search = |set: &ShardSet| {
+        m.search_with_shards(&full, set, &query, &CancelToken::none())
+            .unwrap()
+    };
+    let (a, b) = (search(&inc), search(&scratch));
+    assert!(a.from_store && b.from_store);
+    assert_eq!(a.moments, b.moments);
+    std::fs::remove_dir_all(&dir_inc).ok();
+    std::fs::remove_dir_all(&dir_full).ok();
+}
+
 #[test]
 fn append_guards_provenance_and_is_idempotent() {
     let model = tiny_model();

@@ -9,6 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::cancel::{CancelReason, CancelToken};
+use sketchql::embed_clips_parallel;
 use sketchql::matcher::{MatchError, Matcher, MatcherConfig};
 use sketchql::similarity::LearnedSimilarity;
 use sketchql::training::{train, TrainingConfig};
@@ -694,6 +695,55 @@ fn parallel_ingest_is_deterministic() {
         std::fs::remove_dir_all(&dir1).ok();
         std::fs::remove_dir_all(&dir3).ok();
     }
+}
+
+/// The store writer never holds a shard's clips: it enumerates rows,
+/// and each embedding worker builds, embeds and drops the clips of its
+/// next batch. That must write exactly what the clip feeders give —
+/// `enumerate_store_rows` over the shard's frame range, then
+/// `embed_clips_parallel` over its clips — row for row and bit for bit:
+/// one whole-video shard (the CLI's default), 512-frame shards and
+/// narrow ones, on one and two workers.
+#[test]
+fn a_streamed_ingest_writes_what_the_clip_feeders_embed() {
+    let model = tiny_model();
+    let index = test_index(37);
+    let m = matcher(&model);
+    let mut cfg = IngestConfig::from_matcher(&m.config, &[40, 64]);
+    let mut widths = vec![index.frames, 512, index.frames / 3];
+    widths.dedup();
+    let mut multi_shard = false;
+    for shard_frames in widths {
+        for threads in [1, 2] {
+            cfg.threads = threads;
+            let dir = temp_dir(&format!("stream-{shard_frames}-{threads}"));
+            let set =
+                ingest_sharded(&m.sim, &index, "v", &cfg, shard_frames, &dir, &|_| {}).unwrap();
+            multi_shard |= set.shard_count() > 1;
+            let mut rows_seen = 0;
+            for entry in &set.manifest().shards {
+                let range = (entry.frame_start, entry.frame_end);
+                let (rows, clips) = enumerate_store_rows(&index, &cfg, Some(range));
+                let vectors = embed_clips_parallel(&m.sim, &clips, 1);
+                let checksum = sketchql_store::manifest::parse_hex_u64(&entry.checksum).unwrap();
+                let shard =
+                    sketchql_store::LoadedShard::open(&dir.join(&entry.file), Some(checksum))
+                        .unwrap();
+                let what = format!("{shard_frames}-frame shard {} on {threads}", entry.shard_id);
+                assert_eq!(entry.rows as usize, rows.len(), "{what}");
+                for (r, (row, vector)) in rows.iter().zip(&vectors).enumerate() {
+                    assert_eq!(shard.row(r), *row, "{what} row {r}");
+                    let vector = vector.as_ref().expect("a non-empty row embeds");
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(shard.vector(r)), bits(vector), "{what} row {r}");
+                }
+                rows_seen += rows.len();
+            }
+            assert_eq!(rows_seen, enumerate_store_rows(&index, &cfg, None).0.len());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+    assert!(multi_shard, "test premise: some width cuts the video");
 }
 
 /// A store directory attaches every shard set in it, keyed by dataset

@@ -394,6 +394,21 @@ impl<'a> ViewMut<'a> {
 /// ascending-`k` sum from `+0.0` with its zero skip on `a`'s element.
 #[track_caller]
 pub(crate) fn matmul_view_into(isa: Isa, a: View, b: View, out: ViewMut) {
+    matmul_bias_view_into(isa, a, b, None, out);
+}
+
+/// [`matmul_view_into`] plus the `b.cols()`-long row `bias` on every
+/// output row, added once each sum is complete — the bits
+/// [`matmul_bias_into`] writes for the same operands, so a layer can
+/// write its output into a column block of a wider buffer.
+#[track_caller]
+pub(crate) fn matmul_bias_view_into(
+    isa: Isa,
+    a: View,
+    b: View,
+    bias: Option<&[f32]>,
+    out: ViewMut,
+) {
     assert_eq!(a.cols, b.rows, "matmul inner dim mismatch");
     assert_eq!(
         (out.rows, out.cols),
@@ -404,15 +419,18 @@ pub(crate) fn matmul_view_into(isa: Isa, a: View, b: View, out: ViewMut) {
         !(a.transposed && b.transposed),
         "matmul reads one transposed operand, not two"
     );
+    if let Some(bias) = bias {
+        assert_len("matmul bias", bias.len(), 1, b.cols);
+    }
     assert!(isa.available(), "{isa:?} kernels need CPU support");
     match isa {
-        Isa::Scalar => matmul_scalar(a, b, None, out),
+        Isa::Scalar => matmul_scalar(a, b, bias, out),
         // SAFETY: `isa.available()` asserted the CPU has AVX-512F.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { avx512::gemm_views(a, b, out) },
+        Isa::Avx512 => unsafe { avx512::gemm_views(a, b, bias, out) },
         // SAFETY: `isa.available()` asserted the CPU has AVX2.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { avx2::gemm_views(a, b, out) },
+        Isa::Avx2 => unsafe { avx2::gemm_views(a, b, bias, out) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("no vector kernels on this architecture"),
     }
@@ -560,19 +578,18 @@ macro_rules! simd_gemm {
         /// `a[m * lda + k]`, or `a[k * lda + m]` under `TA`; `b`'s row `k`
         /// is `b[k * ldb..]`; the tile covers the first `cols` columns
         /// of `b` and `out` (row stride `ldc`), which start at its first
-        /// column, and adds no bias. With `resume` each accumulator starts
+        /// column, and adds `bias` (from the tile's first column) to the
+        /// finished sums. With `resume` each accumulator starts
         /// at the partial sum `out` holds instead of `+0.0`: the same
         /// sequence of adds, continued.
         #[inline]
         #[target_feature(enable = $feature)]
-        #[allow(clippy::too_many_arguments)]
         fn tile_view<const ROWS: usize, const NV: usize, const TA: bool>(
             a: &[f32],
             lda: usize,
-            b: &[f32],
-            ldb: usize,
-            out: &mut [f32],
-            ldc: usize,
+            (b, ldb): (&[f32], usize),
+            bias: Option<&[f32]>,
+            (out, ldc): (&mut [f32], usize),
             (k, cols): (usize, usize),
             resume: bool,
         ) {
@@ -609,6 +626,19 @@ macro_rules! simd_gemm {
                     }
                 }
             }
+            if let Some(bias) = bias {
+                let bias = &bias[..cols];
+                for v in 0..NV {
+                    let vbias = if v == NV - 1 {
+                        load_tail(&bias[last..])
+                    } else {
+                        loadu(&bias[v * LANES..])
+                    };
+                    for m in 0..ROWS {
+                        acc[m][v] = add(acc[m][v], vbias);
+                    }
+                }
+            }
             for m in 0..ROWS {
                 let o = &mut out[m * ldc..][..cols];
                 for v in 0..NV - 1 {
@@ -618,8 +648,9 @@ macro_rules! simd_gemm {
             }
         }
 
-        /// `out = a @ b` over views, one of which may be transposed, in
-        /// [`gemm`]'s tiles and order. A transposed `a` is read by strided
+        /// `out = a @ b [+ bias]` over views, one of which may be
+        /// transposed, in [`gemm`]'s tiles and order, the bias added to
+        /// each finished sum. A transposed `a` is read by strided
         /// broadcasts. A transposed `b` is read `LANES x LANES` values at
         /// a time and transposed in registers into a panel on the stack —
         /// `KC` values of `k` by one column block — which every row tile
@@ -627,7 +658,7 @@ macro_rules! simd_gemm {
         /// outermost there, and a tile continues its sums across panels
         /// from the partial sums stored in `out`.
         #[target_feature(enable = $feature)]
-        pub(super) fn gemm_views(a: View, b: View, out: ViewMut) {
+        pub(super) fn gemm_views(a: View, b: View, bias: Option<&[f32]>, out: ViewMut) {
             let (r, k, c) = (a.rows, a.cols, b.cols);
             let width = NR * LANES;
             let ViewMut {
@@ -640,12 +671,13 @@ macro_rules! simd_gemm {
                 while i < r {
                     let rows = if r - i >= MR { MR } else { 1 };
                     for j in (0..c).step_by(width) {
-                        let (b, ldb) = (b.data.get(j..).unwrap_or(&[]), b.stride);
+                        let b = (b.data.get(j..).unwrap_or(&[]), b.stride);
+                        let bias = bias.map(|bias| &bias[j..]);
                         let cols = (c - j).min(width);
-                        let out = &mut out[i * ldc + j..];
+                        let out = (&mut out[i * ldc + j..], ldc);
                         match a.transposed {
-                            true => view_tile::<true>(a, (i, rows), 0..k, b, ldb, out, ldc, cols),
-                            false => view_tile::<false>(a, (i, rows), 0..k, b, ldb, out, ldc, cols),
+                            true => view_tile::<true>(a, (i, rows), 0..k, b, bias, out, cols),
+                            false => view_tile::<false>(a, (i, rows), 0..k, b, bias, out, cols),
                         }
                     }
                     i += rows;
@@ -672,12 +704,14 @@ macro_rules! simd_gemm {
                             }
                         }
                     }
+                    // The bias joins the sums in their last panel.
+                    let bias = bias.filter(|_| ks.end == k).map(|bias| &bias[j..]);
                     let mut i = 0;
                     while i < r {
                         let rows = if r - i >= MR { MR } else { 1 };
-                        let out = &mut out[i * ldc + j..];
+                        let out = (&mut out[i * ldc + j..], ldc);
                         let (ks, cols) = (ks.clone(), cols.len());
-                        view_tile::<false>(a, (i, rows), ks, &panel, width, out, ldc, cols);
+                        view_tile::<false>(a, (i, rows), ks, (&panel, width), bias, out, cols);
                         i += rows;
                     }
                 }
@@ -686,19 +720,18 @@ macro_rules! simd_gemm {
 
         /// The [`tile_view`] of `rows` (`MR` or 1) output rows from row
         /// `i` and `cols` columns, summing over `ks` of `a`'s columns
-        /// (resuming the sums `out` holds unless `ks` starts at 0); `b`
-        /// and `out` start at the tile's first column.
+        /// (resuming the sums `out` holds unless `ks` starts at 0); `b`,
+        /// `bias` and `out` (each beside its row stride) start at the
+        /// tile's first column.
         #[inline]
         #[target_feature(enable = $feature)]
-        #[allow(clippy::too_many_arguments)]
         fn view_tile<const TA: bool>(
             a: View,
             (i, rows): (usize, usize),
             ks: std::ops::Range<usize>,
-            b: &[f32],
-            ldb: usize,
-            out: &mut [f32],
-            ldc: usize,
+            (b, ldb): (&[f32], usize),
+            bias: Option<&[f32]>,
+            (out, ldc): (&mut [f32], usize),
             cols: usize,
         ) {
             let lda = a.stride;
@@ -709,13 +742,14 @@ macro_rules! simd_gemm {
             };
             let a = a.data.get(first..).unwrap_or(&[]);
             let (run, resume) = ((ks.len(), cols), ks.start > 0);
+            let (b, out) = ((b, ldb), (out, ldc));
             match (rows == MR, cols.div_ceil(LANES)) {
-                (true, 1) => tile_view::<MR, 1, TA>(a, lda, b, ldb, out, ldc, run, resume),
-                (true, 2) => tile_view::<MR, 2, TA>(a, lda, b, ldb, out, ldc, run, resume),
-                (true, _) => tile_view::<MR, NR, TA>(a, lda, b, ldb, out, ldc, run, resume),
-                (false, 1) => tile_view::<1, 1, TA>(a, lda, b, ldb, out, ldc, run, resume),
-                (false, 2) => tile_view::<1, 2, TA>(a, lda, b, ldb, out, ldc, run, resume),
-                (false, _) => tile_view::<1, NR, TA>(a, lda, b, ldb, out, ldc, run, resume),
+                (true, 1) => tile_view::<MR, 1, TA>(a, lda, b, bias, out, run, resume),
+                (true, 2) => tile_view::<MR, 2, TA>(a, lda, b, bias, out, run, resume),
+                (true, _) => tile_view::<MR, NR, TA>(a, lda, b, bias, out, run, resume),
+                (false, 1) => tile_view::<1, 1, TA>(a, lda, b, bias, out, run, resume),
+                (false, 2) => tile_view::<1, 2, TA>(a, lda, b, bias, out, run, resume),
+                (false, _) => tile_view::<1, NR, TA>(a, lda, b, bias, out, run, resume),
             }
         }
     };
@@ -918,6 +952,66 @@ pub fn strided_sum_sq_dev(v: &[f32], mean: f32) -> f32 {
     }
     tree_combine(acc)
 }
+
+/// Rows the portable [`cosine_scores_on`] scores side by side.
+const SCORE_LANES: usize = 8;
+
+/// [`cosine_scores`](crate::cosine_scores) on a chosen instruction set:
+/// AVX-512 scores sixteen rows a vector, the rest eight rows an array.
+pub(crate) fn cosine_scores_on(isa: Isa, query: &[f32], rows: &[f32], scores: &mut [f32]) {
+    let dim = query.len();
+    assert_len("cosine rows", rows.len(), scores.len(), dim);
+    let norm_q = query.iter().map(|x| x * x).sum::<f32>().sqrt();
+    let score = |dot: f32, squares: f32| {
+        let norm = squares.sqrt();
+        let cosine = if norm_q <= COSINE_FLOOR || norm <= COSINE_FLOOR {
+            0.0
+        } else {
+            dot / (norm_q * norm)
+        };
+        (cosine + 1.0) * 0.5
+    };
+    if dim == 0 {
+        scores.fill(score(-0.0, -0.0));
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx512 {
+        assert!(isa.available(), "{isa:?} kernels need CPU support");
+        // SAFETY: `isa.available()` asserted the CPU has AVX-512F.
+        unsafe { avx512::cosine_scores(query, norm_q, rows, scores) };
+        return;
+    }
+    for (block, out) in rows
+        .chunks(SCORE_LANES * dim)
+        .zip(scores.chunks_mut(SCORE_LANES))
+    {
+        if let Ok(out) = <&mut [f32; SCORE_LANES]>::try_from(&mut *out) {
+            let row: [&[f32]; SCORE_LANES] = std::array::from_fn(|l| &block[l * dim..][..dim]);
+            let (mut dot, mut squares) = ([-0.0f32; SCORE_LANES], [-0.0f32; SCORE_LANES]);
+            for (i, &q) in query.iter().enumerate() {
+                for l in 0..SCORE_LANES {
+                    let x = row[l][i];
+                    dot[l] += q * x;
+                    squares[l] += x * x;
+                }
+            }
+            for l in 0..SCORE_LANES {
+                out[l] = score(dot[l], squares[l]);
+            }
+        } else {
+            // The ragged last block: the same sums, a row at a time.
+            for (out, row) in out.iter_mut().zip(block.chunks_exact(dim)) {
+                let dot = query.iter().zip(row).map(|(q, x)| q * x).sum();
+                *out = score(dot, row.iter().map(|x| x * x).sum());
+            }
+        }
+    }
+}
+
+/// A norm at or below this scores a cosine of 0, as
+/// [`cosine_similarity`](crate::cosine_similarity) does.
+const COSINE_FLOOR: f32 = 1e-12;
 
 /// In-place GELU over a slice: vectorized when the CPU has AVX-512,
 /// bit-identical to mapping [`gelu_scalar`] either way.
@@ -1255,6 +1349,32 @@ mod avx512 {
         // last of those inside `band`; `LANES * stride` fits an `i32`, so
         // no offset wraps.
         unsafe { _mm512_mask_i32gather_ps::<4>(src, lanes, offsets, base) }
+    }
+
+    /// The portable form's scores, sixteen rows a vector: lane `l` of
+    /// a block gathers row `l`'s column `i` at step `i`, so each lane
+    /// sums its row's products and squares in index order from `-0.0`
+    /// (one rounded multiply, one rounded add each), then takes the
+    /// square root, the floor test, the divide and the affine map in the
+    /// lane; the ragged last block runs with its missing rows masked off.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn cosine_scores(query: &[f32], norm_q: f32, rows: &[f32], scores: &mut [f32]) {
+        let dim = query.len();
+        let (vq, floor) = (splat(norm_q), splat(COSINE_FLOOR));
+        let q_degenerate = _mm512_cmp_ps_mask::<_CMP_LE_OQ>(vq, floor);
+        for (block, out) in rows.chunks(LANES * dim).zip(scores.chunks_mut(LANES)) {
+            let (mut dot, mut squares) = (splat(-0.0), splat(-0.0));
+            for (i, &q) in query.iter().enumerate() {
+                let x = gather(&block[i..], dim, out.len());
+                dot = add(dot, mul(splat(q), x));
+                squares = add(squares, mul(x, x));
+            }
+            let norm = _mm512_sqrt_ps(squares);
+            let degenerate = q_degenerate | _mm512_cmp_ps_mask::<_CMP_LE_OQ>(norm, floor);
+            let cosine = _mm512_div_ps(dot, mul(vq, norm));
+            let cosine = _mm512_mask_mov_ps(cosine, degenerate, zero());
+            store_tail(out, mul(add(cosine, splat(1.0)), splat(0.5)));
+        }
     }
 
     /// `!(a == 0.0)` per lane: unordered-or-not-equal, so NaN is kept.
@@ -1992,7 +2112,9 @@ mod tests {
     /// plain products over column blocks of wider buffers, on every
     /// instruction set, against the scalar reference over contiguous
     /// copies (`a.transposed().matmul(b)`'s bits), written into a column
-    /// block of a wider output whose other values must stay untouched.
+    /// block of a wider output whose other values must stay untouched —
+    /// and each again with a bias row, against the scalar
+    /// [`matmul_bias_into`] (the Q/K/V projections' bits).
     /// The shapes are the backward's — the per-head `32 x 12 x 32`,
     /// `32 x 32 x 12` and `12 x 32 x 32`, the encoder's `48`- and
     /// `96`-wide projections, a one-row output projection — and ragged
@@ -2039,24 +2161,36 @@ mod tests {
                 let (b_buf, ldb, b) = stored_operand(&mut rng, (k, c), (tb, b_off, zero), values);
                 let av = view_of(&a_buf, a_off, (r, k), lda, ta);
                 let bv = view_of(&b_buf, b_off, (k, c), ldb, tb);
-                let want = reference_matmul(&a, &b);
+                let (_, _, bias) = stored_operand(&mut rng, (1, c), (false, 0, zero), values);
+                let mut with_bias = Tensor::zeros(r, c);
+                matmul_bias_into(Isa::Scalar, &a, &b, Some(&bias), &mut with_bias);
+                let cases = [
+                    (None, reference_matmul(&a, &b)),
+                    (Some(&bias.data[..]), with_bias),
+                ];
                 for isa in Isa::supported() {
-                    let (off, ldc) = (2, c + 5);
-                    let mut out = vec![7.5f32; r * ldc + off];
-                    matmul_view_into(isa, av, bv, ViewMut::new(&mut out[off..], r, c, ldc));
-                    let what = format!("{r}x{k}x{c} ta {ta} tb {tb} {isa:?}");
-                    let mut untouched = out.clone();
-                    for i in 0..r {
-                        let row = off + i * ldc..off + i * ldc + c;
-                        assert_same_bits(&out[row.clone()], want.row(i), &what);
-                        untouched[row].fill(7.5);
+                    for (bias, want) in &cases {
+                        let (off, ldc) = (2, c + 5);
+                        let mut out = vec![7.5f32; r * ldc + off];
+                        let out_view = ViewMut::new(&mut out[off..], r, c, ldc);
+                        matmul_bias_view_into(isa, av, bv, *bias, out_view);
+                        let what = format!(
+                            "{r}x{k}x{c} ta {ta} tb {tb} {isa:?} bias {}",
+                            bias.is_some()
+                        );
+                        let mut untouched = out.clone();
+                        for i in 0..r {
+                            let row = off + i * ldc..off + i * ldc + c;
+                            assert_same_bits(&out[row.clone()], want.row(i), &what);
+                            untouched[row].fill(7.5);
+                        }
+                        assert!(untouched.iter().all(|&v| v == 7.5), "{what}: wrote outside");
+                        compared += 1;
                     }
-                    assert!(untouched.iter().all(|&v| v == 7.5), "{what}: wrote outside");
-                    compared += 1;
                 }
             }
         }
-        assert!(compared >= 3 * shapes.len());
+        assert!(compared >= 6 * shapes.len());
     }
 
     /// A matmul takes one transposed operand at most, and a view must fit

@@ -26,7 +26,7 @@
 //! order. Each module's backward sits beside its forward and is a port of
 //! the reverse-mode rules the encoder was first trained with, on the
 //! forward's kernels: every `Xᵀ·G` and `G·Wᵀ` — and each head's products,
-//! over its columns of the fused projection — is one view matmul that
+//! over its columns of the Q/K/V buffer — is one view matmul that
 //! reads the transposed operand where it lies (`kernels::View`), writing
 //! straight into the parameter's slot of the flat gradient; GELU's
 //! derivative is a vector row kernel; and the layer-norm and softmax
@@ -235,6 +235,13 @@ impl Linear {
         kernels::matmul_bias_into(isa, x, store.get(&self.w), Some(store.get(&self.b)), out);
     }
 
+    /// [`forward_tensor_into`](Self::forward_tensor_into) into a view —
+    /// a column block of a wider buffer — with the same bits.
+    fn forward_view_into(&self, isa: Isa, store: &ParamStore, x: View, out: ViewMut) {
+        let (w, b) = (View::of(store.get(&self.w)), &store.get(&self.b).data);
+        kernels::matmul_bias_view_into(isa, x, w, Some(b), out);
+    }
+
     /// The weight's and the bias's `(name, rows, cols)` for an `in x out`
     /// layer.
     fn param_shapes(&self, rows: usize, cols: usize) -> [(&str, usize, usize); 2] {
@@ -382,10 +389,11 @@ impl MultiHeadSelfAttention {
     }
 
     /// The forward over stacked sequence blocks, reading `ws.norm` and
-    /// writing `ws.sub`. The Q/K/V projections run fused as one batched
-    /// matmul against the column-concatenated `[Wq|Wk|Wv]` weight (each
-    /// output column accumulates independently in the same ascending-`k`
-    /// order, so fusion is value-transparent); the attention itself is one
+    /// writing `ws.sub`. The Q/K/V projections write the three column
+    /// blocks of `ws.qkv` straight from the weights where they lie, one
+    /// bias matmul each (every output element is its own ascending-`k`
+    /// sum plus its bias, so the blocks hold the bits one fused
+    /// `[Wq|Wk|Wv]` matmul would); the attention itself is one
     /// [`kernels::attention_block`] per sequence, so tokens never attend
     /// across batch items and each block's output is bit-identical to the
     /// sequence's alone. All intermediates live in the workspace — the
@@ -402,22 +410,10 @@ impl MultiHeadSelfAttention {
     ) {
         debug_assert_eq!(ws.norm.rows % seq, 0, "rows must stack whole sequences");
         let d = self.d_model;
-        // Assemble the fused weight and bias (a copy ~300x smaller than
-        // the matmul it fuses, so rebuilding per call is in the noise).
-        let (wq, wk, wv) = (
-            store.get(&self.wq.w),
-            store.get(&self.wk.w),
-            store.get(&self.wv.w),
-        );
-        for r in 0..d {
-            ws.wqkv.row_mut(r)[..d].copy_from_slice(wq.row(r));
-            ws.wqkv.row_mut(r)[d..2 * d].copy_from_slice(wk.row(r));
-            ws.wqkv.row_mut(r)[2 * d..].copy_from_slice(wv.row(r));
+        for (block, proj) in [&self.wq, &self.wk, &self.wv].into_iter().enumerate() {
+            let out = ViewMut::columns(&mut ws.qkv, block * d, d);
+            proj.forward_view_into(isa, store, View::of(&ws.norm), out);
         }
-        ws.bqkv.data[..d].copy_from_slice(&store.get(&self.wq.b).data);
-        ws.bqkv.data[d..2 * d].copy_from_slice(&store.get(&self.wk.b).data);
-        ws.bqkv.data[2 * d..].copy_from_slice(&store.get(&self.wv.b).data);
-        kernels::matmul_bias_into(isa, &ws.norm, &ws.wqkv, Some(&ws.bqkv), &mut ws.qkv);
         let shape = AttnShape {
             seq,
             d,
@@ -605,12 +601,8 @@ struct BatchWorkspace {
     x: Tensor,
     /// Layer-norm output feeding attention / feed-forward (`rows x d_model`).
     norm: Tensor,
-    /// Fused Q/K/V projection output (`rows x 3*d_model`).
+    /// The Q, K and V projections side by side (`rows x 3*d_model`).
     qkv: Tensor,
-    /// Column-concatenated `[Wq|Wk|Wv]` (`d_model x 3*d_model`).
-    wqkv: Tensor,
-    /// Concatenated Q/K/V biases (`1 x 3*d_model`).
-    bqkv: Tensor,
     /// Concatenated head outputs (`rows x d_model`).
     concat: Tensor,
     /// Sub-block result: attention or feed-forward output (`rows x d_model`).
@@ -644,8 +636,6 @@ impl BatchWorkspace {
         reshape(&mut self.x, rows, d);
         reshape(&mut self.norm, rows, d);
         reshape(&mut self.qkv, rows, 3 * d);
-        reshape(&mut self.wqkv, d, 3 * d);
-        reshape(&mut self.bqkv, 1, 3 * d);
         reshape(&mut self.concat, rows, d);
         reshape(&mut self.sub, rows, d);
         reshape(&mut self.hidden, rows, config.ff_hidden);
@@ -1497,62 +1487,21 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Rows [`cosine_scores`] scores side by side.
-const SCORE_LANES: usize = 8;
-
 /// `(cosine_similarity(query, row) + 1) / 2` — cosine mapped to `[0, 1]`
 /// — for each of the `scores.len()` rows of `query.len()` floats laid
 /// back to back in `rows`, bit for bit (a NaN score stays NaN, though
 /// which NaN may differ: when two NaNs meet, the compiler's operand order
 /// picks the payload).
 ///
-/// Eight rows run side by side, one lane each: a lane sums its own
-/// products in index order from `-0.0` (where `Iterator::sum` over `f32`
-/// starts), exactly as the scalar form does, so no score moves by a bit;
-/// the eight independent chains just stop waiting on each other's adds.
+/// Rows run side by side, one lane each — sixteen to a vector on
+/// AVX-512, the ragged last block masked, eight to an array elsewhere: a
+/// lane sums its own products in index order from `-0.0` (where
+/// `Iterator::sum` over `f32` starts), exactly as the scalar form does,
+/// and maps the sums to the score in the lane, so no score moves by a
+/// bit; the independent chains just stop waiting on each other's adds.
 /// The query's norm is summed once per call.
 pub fn cosine_scores(query: &[f32], rows: &[f32], scores: &mut [f32]) {
-    let dim = query.len();
-    assert_eq!(rows.len(), scores.len() * dim, "cosine on unequal lengths");
-    let norm_q = query.iter().map(|x| x * x).sum::<f32>().sqrt();
-    let score = |dot: f32, squares: f32| {
-        let norm = squares.sqrt();
-        let cosine = if norm_q <= 1e-12 || norm <= 1e-12 {
-            0.0
-        } else {
-            dot / (norm_q * norm)
-        };
-        (cosine + 1.0) * 0.5
-    };
-    if dim == 0 {
-        scores.fill(score(-0.0, -0.0));
-        return;
-    }
-    for (block, out) in rows
-        .chunks(SCORE_LANES * dim)
-        .zip(scores.chunks_mut(SCORE_LANES))
-    {
-        if let Ok(out) = <&mut [f32; SCORE_LANES]>::try_from(&mut *out) {
-            let row: [&[f32]; SCORE_LANES] = std::array::from_fn(|l| &block[l * dim..][..dim]);
-            let (mut dot, mut squares) = ([-0.0f32; SCORE_LANES], [-0.0f32; SCORE_LANES]);
-            for (i, &q) in query.iter().enumerate() {
-                for l in 0..SCORE_LANES {
-                    let x = row[l][i];
-                    dot[l] += q * x;
-                    squares[l] += x * x;
-                }
-            }
-            for l in 0..SCORE_LANES {
-                out[l] = score(dot[l], squares[l]);
-            }
-        } else {
-            // The ragged last block: the same sums, a row at a time.
-            for (out, row) in out.iter_mut().zip(block.chunks_exact(dim)) {
-                let dot = query.iter().zip(row).map(|(q, x)| q * x).sum();
-                *out = score(dot, row.iter().map(|x| x * x).sum());
-            }
-        }
-    }
+    kernels::cosine_scores_on(Isa::best(), query, rows, scores);
 }
 
 #[cfg(test)]
@@ -1977,11 +1926,12 @@ mod tests {
         assert_eq!(cosine_similarity(&a, &zero), 0.0);
     }
 
-    /// The lane scorer against the scalar form it replaces, bit for bit:
-    /// every width 1..=70 (lane multiples and not), every batch size
-    /// 0..=17 (empty, ragged, two full blocks and a tail), and rows that
-    /// hold ±0.0, NaN, ±∞ and subnormals, all-zero rows, and an all-zero
-    /// query.
+    /// The lane scorer against the scalar form it replaces, bit for bit,
+    /// on every instruction set the CPU has: every width 1..=70 (lane
+    /// multiples and not), every batch size 0..=17 and a few past 32
+    /// (empty, ragged, two full blocks and a tail at both lane counts),
+    /// and rows that hold ±0.0, NaN, ±∞ and subnormals, all-zero rows,
+    /// and an all-zero query.
     #[test]
     fn cosine_scores_equal_the_scalar_cosine_bit_for_bit() {
         use rand::Rng;
@@ -2005,7 +1955,7 @@ mod tests {
         };
         let mut compared = 0;
         for dim in 1..=70 {
-            for n in 0..=17 {
+            for n in (0..=17).chain([31, 32, 33, 37]) {
                 let mut rows: Vec<f32> = (0..n * dim).map(|_| value(&mut r)).collect();
                 if n > 2 {
                     rows[dim..2 * dim].fill(0.0);
@@ -2013,11 +1963,14 @@ mod tests {
                 }
                 let random: Vec<f32> = (0..dim).map(|_| r.gen_range(-1.0f32..1.0)).collect();
                 let tiny = vec![f32::MIN_POSITIVE / 8.0; dim];
-                for query in [random, vec![0.0; dim], tiny] {
+                for (query, isa) in [random, vec![0.0; dim], tiny]
+                    .iter()
+                    .flat_map(|q| Isa::supported().map(move |isa| (q, isa)))
+                {
                     let mut got = vec![f32::NAN; n];
-                    cosine_scores(&query, &rows, &mut got);
+                    kernels::cosine_scores_on(isa, query, &rows, &mut got);
                     for (i, row) in rows.chunks_exact(dim).enumerate() {
-                        let want = (cosine_similarity(&query, row) + 1.0) * 0.5;
+                        let want = (cosine_similarity(query, row) + 1.0) * 0.5;
                         // NaN payloads are the one thing the compiler's
                         // choice of operand order may change, so a NaN
                         // need only stay a NaN.
@@ -2026,7 +1979,11 @@ mod tests {
                         } else {
                             got[i].to_bits() == want.to_bits()
                         };
-                        assert!(same, "dim {dim} rows {n} row {i}: {} vs {want}", got[i]);
+                        assert!(
+                            same,
+                            "{isa:?} dim {dim} rows {n} row {i}: {} vs {want}",
+                            got[i]
+                        );
                         compared += 1;
                     }
                 }
@@ -2034,6 +1991,12 @@ mod tests {
         }
         assert!(compared > 10_000);
         cosine_scores(&[], &[], &mut []);
+        let mut empty_rows = [f32::NAN; 3];
+        cosine_scores(&[], &[], &mut empty_rows);
+        assert_eq!(
+            empty_rows, [0.5; 3],
+            "a zero-width row scores a cosine of 0"
+        );
     }
 
     #[test]

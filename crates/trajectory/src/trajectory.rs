@@ -188,7 +188,9 @@ impl Trajectory {
 
     /// The observations inside `[start, end]` (inclusive; empty when
     /// `end < start`): both bounds by binary search on the sorted frames.
-    fn range(&self, start: u32, end: u32) -> &[TrajPoint] {
+    /// Empty exactly when [`window`](Self::window) over the same range
+    /// would be, so a caller can tell without building it.
+    pub fn points_in(&self, start: u32, end: u32) -> &[TrajPoint] {
         let lo = self.points.partition_point(|p| p.frame < start);
         let hi = self.points.partition_point(|p| p.frame <= end);
         &self.points[lo..hi.max(lo)]
@@ -200,7 +202,7 @@ impl Trajectory {
         Trajectory {
             id: self.id,
             class: self.class,
-            points: self.range(start, end).to_vec(),
+            points: self.points_in(start, end).to_vec(),
         }
     }
 
@@ -211,7 +213,7 @@ impl Trajectory {
     /// clip of a scan.
     pub fn window(&self, start: u32, end: u32) -> Trajectory {
         let points = self
-            .range(start, end)
+            .points_in(start, end)
             .iter()
             .map(|p| TrajPoint::new(p.frame - start, p.bbox))
             .collect();

@@ -149,6 +149,69 @@ fn cold_warm_and_fresh_matcher_agree_with_the_per_candidate_scan() {
     }
 }
 
+/// A track whose frame range spans a window it has no point in — a
+/// detection gap — is an eligible candidate that may bring an empty
+/// object, or an empty clip, to the window. The cold scan decides a
+/// segment's emptiness from a range check on its bound tracks' points,
+/// without building the clip: empty only when every bound track misses
+/// the window. The direct scan builds the clip and finds out. Here each
+/// query object has a track seen only at both ends of the video, and
+/// one track is seen throughout, so inside the gap every pair is half
+/// empty (the only candidates there) or empty. A two-object sketch must
+/// answer the same on the referee, cold and warm, on one and two
+/// threads.
+#[test]
+fn a_cold_scan_over_tracks_with_gaps_agrees_with_the_per_candidate_scan() {
+    const FRAMES: u32 = 400;
+    let model = tiny_model();
+    let query = query_clip(EventKind::PerpendicularCrossing);
+    assert_eq!(query.num_objects(), 2);
+    let at =
+        |f: u32, lane: f32| TrajPoint::new(f, BBox::new(40.0 + f as f32 * 2.5, lane, 50.0, 30.0));
+    let steady = (0..FRAMES).map(|f| at(f, 300.0)).collect();
+    let mut tracks = vec![Trajectory::from_points(1, query.objects[0].class, steady)];
+    for (slot, object) in query.objects.iter().enumerate() {
+        let lane = 80.0 + slot as f32 * 400.0;
+        let ends = (0..6)
+            .chain(FRAMES - 6..FRAMES)
+            .map(|f| at(f, lane))
+            .collect();
+        tracks.push(Trajectory::from_points(
+            10 + slot as u64,
+            object.class,
+            ends,
+        ));
+    }
+    let clip = Clip::new(1280.0, 720.0, tracks);
+    let index = || VideoIndex::from_clip("gaps", &clip, FRAMES, 30.0);
+    let want = Matcher::new(PerCandidate(model.similarity()))
+        .search(&index(), &query)
+        .unwrap();
+    assert!(!want.is_empty());
+    for threads in [1usize, 2] {
+        let config = MatcherConfig {
+            threads,
+            ..Default::default()
+        };
+        let matcher = Matcher::with_config(model.similarity(), config);
+        let idx = index();
+        let (cold, trace) = traced(|| matcher.search(&idx, &query).unwrap());
+        let (misses, computed) = (
+            trace.count(names::EMBED_CACHE_MISSES),
+            trace.count(names::EMBEDDINGS_COMPUTED),
+        );
+        assert!(
+            computed < misses + 1,
+            "test premise: some segment is empty ({misses} new segments, {computed} embeddings \
+             with the query's own)"
+        );
+        let (warm, trace) = traced(|| matcher.search(&idx, &query).unwrap());
+        assert_eq!(trace.count(names::EMBED_CACHE_MISSES), 0);
+        assert_eq!(cold, want, "{threads} threads, cold");
+        assert_eq!(warm, want, "{threads} threads, warm");
+    }
+}
+
 /// Two models over one index: each finds only its own rows. The second
 /// model's first search pays exactly what it pays on an index nobody
 /// scanned, and answers the same.
