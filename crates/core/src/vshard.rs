@@ -1,5 +1,5 @@
 //! The shard-set store: one writer behind ingest and incremental append,
-//! and a reader that maps at attach and verifies on first probe. (The
+//! and a reader that opens at attach and verifies on first probe. (The
 //! search side is
 //! [`Matcher::search_stored`](crate::matcher::Matcher::search_stored).)
 //!
@@ -33,27 +33,29 @@
 //!   owning rows under the top lists, and re-ranks them with the same
 //!   `score_embeddings` the scan uses. Scores can never differ from the
 //!   scan; probing fewer lists only omits windows.
-//! - **Pinned maps, one-time verification.** Attaching a [`ShardSet`]
-//!   reads the manifest and maps every shard it names, checking each
-//!   64-byte header and file length from the mapped bytes; no payload page
-//!   is touched. A mapping holds its file's inode, so an attached set
-//!   *owns its epoch*: later appends may unlink whatever they supersede.
-//!   A shard is checksummed and decoded once, on *first probe* — and a
-//!   shard whose manifest row counts are zero under every probed centroid
-//!   is never read at all. Which pages stay in memory is the kernel's
-//!   page cache's business: clean file-backed pages are reclaimed under
-//!   pressure and faulted back on the next touch.
+//! - **Pinned files, one-time verification.** Attaching a [`ShardSet`]
+//!   reads the manifest and opens every shard it names, checking each
+//!   64-byte header and the file's length; no payload byte is read. An
+//!   open file holds its inode, so an attached set *owns its epoch*: later
+//!   appends may unlink whatever they supersede. A shard is read,
+//!   checksummed and decoded once, on *first probe*, into memory the set
+//!   owns, and its file is closed there — a shard whose manifest row
+//!   counts are zero under every probed centroid is never read at all. A
+//!   verified shard is anonymous memory held until its set drops, not
+//!   page cache the kernel could reclaim; a set holds one descriptor per
+//!   shard it has not verified yet.
 
 use sketchql_store::{
-    hex_u64, CoarseQuantizer, LoadedShard, Manifest, ManifestShard, Mmap, ShardData, StoreError,
+    hex_u64, CoarseQuantizer, LoadedShard, Manifest, ManifestShard, ShardData, StoreError,
     StoreRow, MANIFEST_FILE, SHARD_EXT, SHARD_SET_EXT,
 };
 use sketchql_telemetry::{self as telemetry, names};
 use sketchql_trajectory::{Clip, ObjectClass, TrackId};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use crate::cancel::CancelToken;
 use crate::embed_cache::{embed_segments, Segment};
@@ -67,15 +69,13 @@ use crate::vstore::{self, index_fingerprint, model_fingerprint, IngestConfig};
 /// so the same corpus always trains the same centroids.
 const QUANTIZER_SAMPLE_MAX: usize = 4096;
 
-/// Process-wide accounting backing the `sketchql.shard.*` gauges (gauges
-/// are set-valued, so the running totals live here): shards verified and
-/// decoded, and bytes mapped, across every live [`ShardSet`].
+/// Process-wide accounting backing the `sketchql.shard.resident` gauge
+/// (gauges are set-valued, so the running total lives here): shards
+/// verified and decoded across every live [`ShardSet`].
 static RESIDENT_SHARDS: AtomicI64 = AtomicI64::new(0);
-static MAPPED_BYTES: AtomicI64 = AtomicI64::new(0);
 
 fn publish_residency() {
     telemetry::gauge(names::SHARD_RESIDENT).set(RESIDENT_SHARDS.load(Ordering::Relaxed) as f64);
-    telemetry::gauge(names::SHARD_BYTES_MAPPED).set(MAPPED_BYTES.load(Ordering::Relaxed) as f64);
 }
 
 /// Enumerates the store rows of the matcher's sliding-window grid,
@@ -216,7 +216,7 @@ struct Written {
 }
 
 /// File name of shard `i` as written under `epoch`. Appends never
-/// overwrite a file a reader of the previous epoch has mapped.
+/// overwrite a file a reader of the previous epoch holds open.
 fn shard_file_name(i: usize, epoch: u64) -> String {
     match epoch {
         0 => format!("shard-{i:04}.skshard"),
@@ -503,7 +503,7 @@ fn harvest(dir: &Path, shards: &[ManifestShard]) -> Result<HashMap<RowKey, Vec<f
 /// (current-epoch files are never overwritten), then one
 /// `manifest.json` rename publishes the new epoch. A reader attached to
 /// an older epoch keeps a complete set whatever later appends sweep —
-/// its maps hold the files, not their names; a crash before the rename
+/// it holds the shards, not their names; a crash before the rename
 /// leaves the old epoch intact, and the next append sweeps the orphans.
 ///
 /// `threads` sizes the embedding pass. Re-calling with an index the set
@@ -608,34 +608,28 @@ pub fn append_frames(
     })
 }
 
-/// One shard as attach leaves it: mapped and header-checked, with the
-/// checksum + decode deferred to first probe and run once.
+/// One shard as attach leaves it: open and header-checked, with the
+/// read, checksum and decode deferred to first probe and run once.
 struct PinnedShard {
     path: PathBuf,
     checksum: u64,
-    map: Arc<Mmap>,
+    /// The shard file from attach until its first probe takes and closes
+    /// it; while open, it keeps the attached inode alive.
+    file: Mutex<Option<File>>,
     /// The verified shard, or the sticky error verification ended in.
-    loaded: OnceLock<Result<LoadedShard, Arc<StoreError>>>,
+    loaded: OnceLock<Result<LoadedShard, StoreError>>,
 }
 
 impl PinnedShard {
     fn verify(&self) -> Result<LoadedShard, StoreError> {
-        LoadedShard::verify(&self.path, Arc::clone(&self.map), Some(self.checksum))
-    }
-
-    /// What this shard adds to `sketchql.shard.bytes_mapped` (nothing on
-    /// the owned-read fallback, which maps nothing).
-    fn mapped_bytes(&self) -> i64 {
-        if self.map.is_mapped() {
-            self.map.len() as i64
-        } else {
-            0
-        }
+        let file = self.file.lock().unwrap().take();
+        let file = file.expect("a shard's file is taken by its one verification");
+        LoadedShard::verify(&self.path, file, Some(self.checksum))
     }
 }
 
 /// An attached store: manifest + shared quantizer resident, every shard
-/// mapped, payloads verified on first probe.
+/// open, payloads verified on first probe.
 pub struct ShardSet {
     dir: PathBuf,
     manifest: Manifest,
@@ -652,18 +646,18 @@ pub struct ShardSet {
 
 impl ShardSet {
     /// Attaches a shard-set directory: parses + validates the manifest,
-    /// maps every shard it names and validates its header (magic, version,
-    /// length) and its consistency with the manifest entry, and rebuilds
-    /// the shared quantizer from the persisted centroid bits. No shard
-    /// payload is read — attach cost is O(manifest + one map per shard) —
-    /// and from here on the set needs no file name: its maps pin the
-    /// epoch it attached.
+    /// opens every shard it names and validates its header (magic,
+    /// version, length) and its consistency with the manifest entry, and
+    /// rebuilds the shared quantizer from the persisted centroid bits. No
+    /// shard payload is read — attach cost is O(manifest + one header read
+    /// per shard) — and from here on the set needs no file name: its open
+    /// files pin the epoch it attached.
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
         let manifest = Manifest::load(dir)?;
         let mut shards = Vec::with_capacity(manifest.shards.len());
         for entry in &manifest.shards {
             let path = dir.join(&entry.file);
-            let (map, header) = LoadedShard::map(&path)?;
+            let (file, header) = LoadedShard::attach(&path)?;
             let consistent = header.shard_id == entry.shard_id
                 && header.frame_start == entry.frame_start
                 && header.frame_end == entry.frame_end
@@ -691,15 +685,12 @@ impl ShardSet {
             shards.push(PinnedShard {
                 path,
                 checksum,
-                map,
+                file: Mutex::new(Some(file)),
                 loaded: OnceLock::new(),
             });
         }
         let quantizer =
             CoarseQuantizer::from_centroids(manifest.centroids(), manifest.dim as usize);
-        let mapped: i64 = shards.iter().map(PinnedShard::mapped_bytes).sum();
-        MAPPED_BYTES.fetch_add(mapped, Ordering::Relaxed);
-        publish_residency();
         Ok(ShardSet {
             dir: dir.to_path_buf(),
             model_fingerprint: manifest.model_fp().expect("validated hex"),
@@ -746,7 +737,7 @@ impl ShardSet {
         &self.quantizer
     }
 
-    /// Shards verified and decoded so far (every shard is *mapped* from
+    /// Shards verified and decoded so far (every shard is *open* from
     /// attach on; a shard becomes resident at its first probe).
     pub fn resident_shards(&self) -> usize {
         self.shards
@@ -757,7 +748,7 @@ impl ShardSet {
 
     /// Shard `i`, verified: the first call checksums and decodes it, every
     /// later one is a `OnceLock::get`. A verification error is sticky.
-    fn loaded(&self, i: usize) -> Result<&LoadedShard, Arc<StoreError>> {
+    fn loaded(&self, i: usize) -> Result<&LoadedShard, &StoreError> {
         let shard = &self.shards[i];
         let loaded = shard.loaded.get_or_init(|| {
             let _span = telemetry::span(names::SHARD_LOAD);
@@ -772,11 +763,11 @@ impl ShardSet {
                     // The error is sticky, so this logs once per attach.
                     eprintln!("shard load failed; queries that need it fall back to scan: {e}");
                     telemetry::counter(names::SHARD_LOAD_ERRORS).inc();
-                    Err(Arc::new(e))
+                    Err(e)
                 }
             }
         });
-        loaded.as_ref().map_err(Arc::clone)
+        loaded.as_ref()
     }
 
     /// Whether this set was built from exactly this index's contents.
@@ -796,7 +787,7 @@ impl ShardSet {
     /// centroid ranking. Fails with the first shard load error — callers
     /// fall back to the scan, which preserves results at the cost of
     /// speed.
-    pub fn gather(&self, probe: &[usize]) -> Result<Vec<(StoreRow, &[f32])>, Arc<StoreError>> {
+    pub fn gather(&self, probe: &[usize]) -> Result<Vec<(StoreRow, &[f32])>, &StoreError> {
         let mut candidates = Vec::new();
         for (i, entry) in self.manifest.shards.iter().enumerate() {
             let rows: u32 = probe
@@ -818,16 +809,14 @@ impl ShardSet {
         Ok(candidates)
     }
 
-    /// Verifies every shard (checksum + manifest cross-check + decode).
-    /// This is `ingest --verify` and the loud-failure path for corruption
-    /// tests: the returned error names the broken shard file.
+    /// Verifies every shard (read + checksum + manifest cross-check +
+    /// decode). This is `ingest --verify` and the loud-failure path for
+    /// corruption tests: the returned error names the broken shard file.
+    /// Nothing is read twice: a verified shard is done, and a failed one
+    /// returns the error its one verification recorded.
     pub fn verify(&self) -> Result<(), StoreError> {
-        for (i, shard) in self.shards.iter().enumerate() {
-            if self.loaded(i).is_err() {
-                // Check the held map again to hand the caller an owned
-                // error (the cached one stays sticky behind its `Arc`).
-                return Err(shard.verify().expect_err("cached load error reproduces"));
-            }
+        for i in 0..self.shards.len() {
+            self.loaded(i).map_err(StoreError::clone)?;
         }
         Ok(())
     }
@@ -835,9 +824,7 @@ impl ShardSet {
 
 impl Drop for ShardSet {
     fn drop(&mut self) {
-        let mapped: i64 = self.shards.iter().map(PinnedShard::mapped_bytes).sum();
         RESIDENT_SHARDS.fetch_sub(self.resident_shards() as i64, Ordering::Relaxed);
-        MAPPED_BYTES.fetch_sub(mapped, Ordering::Relaxed);
         publish_residency();
     }
 }
@@ -874,7 +861,7 @@ pub fn load_store_tier_dir(dir: &Path) -> Result<BTreeMap<String, ShardSet>, Sto
     let mut out = BTreeMap::new();
     let entries = std::fs::read_dir(dir).map_err(|source| StoreError::Io {
         path: dir.to_path_buf(),
-        source,
+        source: source.into(),
     })?;
     let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
     paths.sort();

@@ -236,14 +236,13 @@ fn prometheus_exposition_is_well_formed() {
     );
 
     // Shard-tier families: the store-served alpha query above loaded
-    // and probed at least one shard, so residency, load, probe, and
-    // mapped-bytes series must all be on the scrape (and have passed
-    // the name/HELP/TYPE lint above like any other family).
+    // and probed at least one shard, so residency, load and probe series
+    // must all be on the scrape (and have passed the name/HELP/TYPE lint
+    // above like any other family).
     for family in [
         "sketchql_shard_resident",
         "sketchql_shard_loads",
         "sketchql_shard_probes",
-        "sketchql_shard_bytes_mapped",
     ] {
         let v = sample_value(&text, family)
             .unwrap_or_else(|| panic!("shard family {family} missing from the exposition"));

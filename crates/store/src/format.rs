@@ -8,19 +8,21 @@
 
 use sketchql_trajectory::{ObjectClass, TrackId};
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Errors reading or writing a store file. Every variant names the file
 /// it concerns, so a corrupt store in a directory of many is identifiable
-/// from the error alone.
-#[derive(Debug)]
+/// from the error alone. Cloning is cheap (the I/O source is shared), so a
+/// sticky error can be handed to every caller that asks.
+#[derive(Debug, Clone)]
 pub enum StoreError {
     /// The underlying filesystem operation failed.
     Io {
         /// File being read or written.
         path: PathBuf,
         /// The originating I/O error.
-        source: std::io::Error,
+        source: Arc<std::io::Error>,
     },
     /// The file does not start with its format's magic bytes — not a
     /// store file at all.
@@ -71,6 +73,16 @@ pub enum StoreError {
     },
 }
 
+impl StoreError {
+    /// Wraps an I/O error on `path`, for `map_err`.
+    pub(crate) fn io(path: &Path) -> impl Fn(std::io::Error) -> StoreError + Copy + '_ {
+        move |source| StoreError::Io {
+            path: path.to_path_buf(),
+            source: source.into(),
+        }
+    }
+}
+
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -110,7 +122,7 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StoreError::Io { source, .. } => Some(source),
+            StoreError::Io { source, .. } => Some(&**source),
             _ => None,
         }
     }

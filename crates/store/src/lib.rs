@@ -15,8 +15,9 @@
 //!   entry per shard (file, frame range, checksum, rows per centroid).
 //!   It is all a server parses to attach a dataset.
 //! - [`shard`]: the checksummed binary columnar shard file ([`ShardData`]
-//!   to write, [`LoadedShard`] to read through [`mmap`]). A whole video
-//!   in one shard is simply a one-shard set.
+//!   to write, [`LoadedShard`] to read: attach checks the header through
+//!   an open file, verification reads the file once into owned columns).
+//!   A whole video in one shard is simply a one-shard set.
 //! - [`ann`]: the k-means [`CoarseQuantizer`] whose centroids partition
 //!   the vectors into posting lists. Probing narrows the candidate set;
 //!   callers re-rank the probed rows with the *exact* cosine, so any
@@ -30,15 +31,11 @@
 //! this crate only persists and retrieves what ingest produces.
 
 #![warn(missing_docs)]
-#![deny(
-    clippy::undocumented_unsafe_blocks,
-    clippy::multiple_unsafe_ops_per_block
-)]
+#![forbid(unsafe_code)]
 
 pub mod ann;
 pub mod format;
 pub mod manifest;
-pub mod mmap;
 pub mod shard;
 
 pub use ann::CoarseQuantizer;
@@ -46,7 +43,6 @@ pub use format::{StoreError, StoreRow};
 pub use manifest::{
     hex_u64, parse_hex_u64, Manifest, ManifestShard, MANIFEST_FILE, MANIFEST_VERSION, SHARD_SET_EXT,
 };
-pub use mmap::Mmap;
 pub use shard::{LoadedShard, ShardData, ShardHeader, SHARD_EXT, SHARD_MAGIC, SHARD_VERSION};
 
 /// Incremental FNV-1a 64-bit hasher.

@@ -8,7 +8,7 @@
 //! name, frame range, row count, checksum, and the number of rows each
 //! shard holds per centroid. That last column is what
 //! makes lazy probing cheap: a query ranks the shared centroids once
-//! and skips (never maps, never loads) any shard with zero rows across
+//! and skips (never reads, never verifies) any shard with zero rows across
 //! the probed lists.
 //!
 //! Exactness: JSON numbers travel as `f64`, which cannot represent a
@@ -233,10 +233,7 @@ impl Manifest {
     /// Writes the manifest into `dir` (atomically: temp file + rename).
     pub fn save(&self, dir: &Path) -> Result<(), StoreError> {
         let path = dir.join(MANIFEST_FILE);
-        let io = |source| StoreError::Io {
-            path: path.clone(),
-            source,
-        };
+        let io = StoreError::io(&path);
         std::fs::create_dir_all(dir).map_err(io)?;
         let tmp = path.with_extension("json.tmp");
         std::fs::write(&tmp, self.to_json()).map_err(io)?;
@@ -246,10 +243,7 @@ impl Manifest {
     /// Reads and validates the manifest of a shard-set directory.
     pub fn load(dir: &Path) -> Result<Self, StoreError> {
         let path = dir.join(MANIFEST_FILE);
-        let json = std::fs::read_to_string(&path).map_err(|source| StoreError::Io {
-            path: path.clone(),
-            source,
-        })?;
+        let json = std::fs::read_to_string(&path).map_err(StoreError::io(&path))?;
         Self::from_json(&path, &json)
     }
 }

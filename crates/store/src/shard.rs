@@ -6,11 +6,13 @@
 //! coarse quantizer), and trailing checksum. The set-level metadata —
 //! dataset identity, fingerprints, quantizer centroids, per-shard
 //! checksums — lives in the manifest ([`crate::manifest`]). Reading a
-//! shard is two steps: [`LoadedShard::map`] maps the file and checks its
-//! fixed-size header and its length (attach: no payload page is touched),
-//! and [`LoadedShard::verify`] checksums and decodes the mapped bytes
-//! (first probe). A mapping pins the file's inode, so a mapped shard
-//! stays readable after its name is unlinked.
+//! shard is two steps: [`LoadedShard::attach`] opens the file and checks
+//! its fixed-size header and its length (attach: no payload byte is
+//! read), and [`LoadedShard::verify`] reads the whole file through that
+//! handle, checksums it and decodes every column into owned memory
+//! (first probe). The open handle pins the file's inode, so an attached
+//! shard stays readable after its name is unlinked; a verified one holds
+//! no file at all.
 //!
 //! Layout (all little-endian; floats by bit pattern):
 //!
@@ -36,19 +38,17 @@
 //! ```
 //!
 //! Column offsets are a pure function of `(rows, dim, nlist)`, and every
-//! multi-byte column starts aligned to its element size, so a
-//! little-endian host reads the vector column zero-copy straight out of
-//! the mapping. Hosts where that doesn't hold (big-endian, or an owned
-//! fallback buffer that happens to be misaligned) decode the column once
-//! into an owned buffer — same values, same bits.
+//! multi-byte column starts aligned to its element size. Every column is
+//! decoded little-endian into its own `Vec` at verification, so any host
+//! reads the same values, bit for bit.
 
+use std::fs::File;
+use std::io::{Read, Seek};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use sketchql_trajectory::{ObjectClass, TrackId};
 
 use crate::format::{class_code, class_from_code};
-use crate::mmap::Mmap;
 use crate::{Fnv64, StoreError, StoreRow};
 
 /// Magic bytes opening every shard file.
@@ -178,7 +178,7 @@ impl ShardHeader {
             return Err(StoreError::BadHeader {
                 path: path.to_path_buf(),
                 detail: format!(
-                    "{} rows of {} dims cannot be mapped",
+                    "{} rows of {} dims cannot be addressed",
                     header.rows, header.dim
                 ),
             });
@@ -262,10 +262,7 @@ impl ShardData {
     /// Writes the shard to `path` (atomically: temp file + rename) and
     /// returns its checksum for the manifest.
     pub fn save(&self, path: &Path) -> Result<u64, StoreError> {
-        let io = |source| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
+        let io = StoreError::io(path);
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir).map_err(io)?;
@@ -280,71 +277,77 @@ impl ShardData {
     }
 }
 
-/// A verified shard: the mapping (shared with whoever mapped it at
-/// attach) plus decoded metadata columns and posting lists. The vector
-/// column stays in the mapping (zero-copy) on little-endian hosts with an
-/// aligned base; otherwise it is decoded once into `vectors_owned`.
+/// A verified shard: every column decoded from one read of its file into
+/// memory it owns. It holds no file handle.
 #[derive(Debug)]
 pub struct LoadedShard {
     path: PathBuf,
-    map: Arc<Mmap>,
     header: ShardHeader,
     track_ids: Vec<TrackId>,
     classes: Vec<ObjectClass>,
     starts: Vec<u32>,
     ends: Vec<u32>,
     lists: Vec<Vec<u32>>,
-    vectors_off: usize,
-    vectors_owned: Option<Vec<f32>>,
+    /// Flat row-major vectors (`rows × dim`).
+    vectors: Vec<f32>,
 }
 
 impl LoadedShard {
-    /// Step one, attach: maps `path` and validates the 64-byte header
-    /// (magic, version) and that the file is exactly as long as the
-    /// header implies — from the mapped bytes, touching no payload page.
-    /// The file is closed again; the mapping keeps its inode alive. (On a
-    /// host without `mmap`, [`Mmap`]'s owned fallback reads the whole file
-    /// here instead.)
-    pub fn map(path: &Path) -> Result<(Arc<Mmap>, ShardHeader), StoreError> {
-        let map = Mmap::open(path).map_err(|source| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let header = Self::checked_header(path, &map)?;
-        Ok((Arc::new(map), header))
+    /// Step one, attach: opens `path`, reads its 64-byte header (magic,
+    /// version) and checks that the file is exactly as long as the header
+    /// implies — no payload byte is read. The open file goes to
+    /// [`verify`](Self::verify); until then it keeps the shard's inode
+    /// alive, so the shard stays readable after its name is unlinked.
+    pub fn attach(path: &Path) -> Result<(File, ShardHeader), StoreError> {
+        let io = StoreError::io(path);
+        let mut file = File::open(path).map_err(io)?;
+        let len = file.metadata().map_err(io)?.len();
+        let mut head = Vec::with_capacity(SHARD_HEADER_LEN);
+        (&mut file)
+            .take(SHARD_HEADER_LEN as u64)
+            .read_to_end(&mut head)
+            .map_err(io)?;
+        let header = Self::checked_header(path, &head, len)?;
+        Ok((file, header))
     }
 
-    /// The header of a mapped shard whose length is what it implies.
-    fn checked_header(path: &Path, map: &Mmap) -> Result<ShardHeader, StoreError> {
-        let header = ShardHeader::from_bytes(path, map)?;
+    /// The header at the front of `bytes`, checked against `len`, the
+    /// length of the whole file.
+    fn checked_header(path: &Path, bytes: &[u8], len: u64) -> Result<ShardHeader, StoreError> {
+        let header = ShardHeader::from_bytes(path, bytes)?;
         let expected = header.expected_len();
-        if map.len() != expected {
+        if len != expected as u64 {
             return Err(StoreError::Truncated {
                 path: path.to_path_buf(),
-                detail: format!(
-                    "shard payload (header implies {expected} bytes, file has {})",
-                    map.len()
-                ),
+                detail: format!("shard payload (header implies {expected} bytes, file has {len})"),
             });
         }
         Ok(header)
     }
 
-    /// Step two, first probe: verifies the full checksum of a mapped shard
-    /// (this is the deferred integrity pass — a flipped byte anywhere in
-    /// the file fails here, naming the shard), optionally cross-checks the
-    /// checksum recorded in the manifest, and decodes the metadata
-    /// columns. `path` only names the shard in errors: the bytes are the
-    /// map's, so this works after the file is unlinked.
+    /// Step two, first probe: reads the whole of `file` (as
+    /// [`attach`](Self::attach) left it) and closes it, checks the length
+    /// again (a file cut after attach fails here as `Truncated`),
+    /// verifies the full checksum (this is the deferred integrity pass —
+    /// a flipped byte anywhere in the file fails here, naming the shard),
+    /// optionally cross-checks the checksum recorded in the manifest, and
+    /// decodes every column. `path` only names the shard in errors: the
+    /// bytes come through the handle, so this works after the file is
+    /// unlinked.
     pub fn verify(
         path: &Path,
-        map: Arc<Mmap>,
+        mut file: File,
         manifest_checksum: Option<u64>,
     ) -> Result<Self, StoreError> {
-        let header = Self::checked_header(path, &map)?;
+        let io = StoreError::io(path);
+        let mut bytes = Vec::new();
+        file.rewind().map_err(io)?;
+        file.read_to_end(&mut bytes).map_err(io)?;
+        drop(file);
+        let header = Self::checked_header(path, &bytes, bytes.len() as u64)?;
         let off = header.offsets();
-        let payload = &map[..off.total - 8];
-        let stored = u64::from_le_bytes(map[off.total - 8..].try_into().unwrap());
+        let payload = &bytes[..off.total - 8];
+        let stored = u64::from_le_bytes(bytes[off.total - 8..].try_into().unwrap());
         let mut h = Fnv64::new();
         h.write(payload);
         let found = h.finish();
@@ -368,24 +371,19 @@ impl LoadedShard {
 
         let n = header.rows as usize;
         let u32s = |at: usize, count: usize| -> Vec<u32> {
-            (0..count)
-                .map(|i| {
-                    let o = at + i * 4;
-                    u32::from_le_bytes(map[o..o + 4].try_into().unwrap())
-                })
+            bytes[at..at + count * 4]
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
                 .collect()
         };
-        let track_ids: Vec<TrackId> = (0..n)
-            .map(|i| {
-                let o = off.track_ids + i * 8;
-                u64::from_le_bytes(map[o..o + 8].try_into().unwrap())
-            })
+        let track_ids: Vec<TrackId> = bytes[off.track_ids..off.starts]
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
             .collect();
         let starts = u32s(off.starts, n);
         let ends = u32s(off.ends, n);
         let mut classes = Vec::with_capacity(n);
-        for i in 0..n {
-            let code = map[off.classes + i];
+        for &code in &bytes[off.classes..off.classes + n] {
             classes.push(class_from_code(code).ok_or(StoreError::BadClass {
                 path: path.to_path_buf(),
                 code,
@@ -421,43 +419,28 @@ impl LoadedShard {
                 });
             }
         }
-
-        // Zero-copy vector column where bit layout allows; decode once
-        // otherwise. Either way `vector(i)` returns the same bits.
-        let zero_copy = cfg!(target_endian = "little")
-            && (map.as_ptr() as usize + off.vectors).is_multiple_of(std::mem::align_of::<f32>());
-        let vectors_owned = if zero_copy {
-            None
-        } else {
-            Some(
-                (0..n * header.dim as usize)
-                    .map(|i| {
-                        let o = off.vectors + i * 4;
-                        f32::from_bits(u32::from_le_bytes(map[o..o + 4].try_into().unwrap()))
-                    })
-                    .collect(),
-            )
-        };
+        let vectors = bytes[off.vectors..off.total - 8]
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+            .collect();
 
         Ok(LoadedShard {
             path: path.to_path_buf(),
-            map,
             header,
             track_ids,
             classes,
             starts,
             ends,
             lists,
-            vectors_off: off.vectors,
-            vectors_owned,
+            vectors,
         })
     }
 
-    /// [`map`](Self::map) then [`verify`](Self::verify): the whole read
-    /// in one call, for readers with nothing to defer.
+    /// [`attach`](Self::attach) then [`verify`](Self::verify): the whole
+    /// read in one call, for readers with nothing to defer.
     pub fn open(path: &Path, manifest_checksum: Option<u64>) -> Result<Self, StoreError> {
-        let (map, _) = Self::map(path)?;
-        Self::verify(path, map, manifest_checksum)
+        let (file, _) = Self::attach(path)?;
+        Self::verify(path, file, manifest_checksum)
     }
 
     /// The shard's header.
@@ -493,17 +476,7 @@ impl LoadedShard {
     /// Vector of local row `i`, bit-identical to what was ingested.
     pub fn vector(&self, i: usize) -> &[f32] {
         let dim = self.header.dim as usize;
-        match &self.vectors_owned {
-            Some(v) => &v[i * dim..(i + 1) * dim],
-            None => {
-                let start = self.vectors_off + i * dim * 4;
-                let bytes = &self.map[start..start + dim * 4];
-                // SAFETY: offset alignment was checked at load (the
-                // owned fallback handles the misaligned case), the range
-                // is in bounds, and f32 has no invalid bit patterns.
-                unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f32, dim) }
-            }
-        }
+        &self.vectors[i * dim..(i + 1) * dim]
     }
 
     /// Local row ids assigned to centroid `c` (empty when `c` is out of
@@ -575,7 +548,7 @@ mod tests {
         let path = temp_dir().join("rt.skshard");
         let checksum = shard.save(&path).unwrap();
 
-        let (_, header) = LoadedShard::map(&path).unwrap();
+        let (_, header) = LoadedShard::attach(&path).unwrap();
         assert_eq!(header.shard_id, 2);
         assert_eq!(header.rows, 3);
         assert_eq!(header.nlist, 3);
@@ -627,9 +600,9 @@ mod tests {
         let dir = temp_dir();
         let path = dir.join("trunc.skshard");
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        // The attach step alone — map, header, length; the checksum pass
+        // The attach step alone — open, header, length; the checksum pass
         // that would read the payload never runs.
-        let err = LoadedShard::map(&path).unwrap_err();
+        let err = LoadedShard::attach(&path).unwrap_err();
         assert!(matches!(err, StoreError::Truncated { .. }), "{err}");
         assert!(err.to_string().contains("trunc.skshard"));
     }

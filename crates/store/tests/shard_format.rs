@@ -1,6 +1,6 @@
 //! Shard-tier format properties: manifest JSON round trips losslessly
 //! (bit-exact floats, full-range u64 fingerprints), shard files round
-//! trip through the memory-mapped loader, and any truncation of a
+//! trip through the owning loader, and any truncation of a
 //! shard file is rejected at open.
 
 use proptest::prelude::*;
@@ -167,7 +167,7 @@ proptest! {
         prop_assert_eq!(back.to_json(), json);
     }
 
-    /// Shard save → mmap open reproduces every row, vector bit, and
+    /// Shard save → open reproduces every row, vector bit, and
     /// posting list exactly.
     #[test]
     fn shard_round_trips_through_disk(shard in arb_shard(), case in any::<u64>()) {

@@ -65,10 +65,9 @@ fn prom_help(name: &str) -> &'static str {
         names::EMBED_MEMO_SEGMENTS => "Segments remembered by per-index embedding memos.",
         names::EMBED_MEMO_RESETS => "Embedding memos emptied on passing their byte budget.",
         names::SHARD_RESIDENT => "Shards currently resident across attached shard sets.",
-        names::SHARD_LOADS => "Shard files faulted in on first probe.",
+        names::SHARD_LOADS => "Shard files read and verified on first probe.",
         names::SHARD_LOAD_ERRORS => "Shard loads that failed (corrupt or unreadable shards).",
         names::SHARD_PROBES => "Shards consulted (loaded and gathered) by probes.",
-        names::SHARD_BYTES_MAPPED => "Bytes of shard payload currently memory-mapped.",
         _ => "SketchQL metric; see the names module in crates/telemetry.",
     }
 }

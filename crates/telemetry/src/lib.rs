@@ -203,12 +203,13 @@ pub mod names {
     /// Span: one ANN probe + exact re-rank against a persistent store.
     pub const STORE_PROBE: &str = "sketchql.store.probe";
 
-    /// Gauge: shards currently resident (checksummed and decoded) across
-    /// every attached shard set. Starts at 0 on attach — a shard is
-    /// mapped there and verified on first probe.
+    /// Gauge: shards currently resident (read, checksummed and decoded
+    /// into owned memory) across every attached shard set. Starts at 0 on
+    /// attach — a shard's header is checked there and its file read and
+    /// verified on first probe.
     pub const SHARD_RESIDENT: &str = "sketchql.shard.resident";
-    /// Counter: shard load events (first probes that verified and
-    /// decoded a mapped shard).
+    /// Counter: shard load events (first probes that read, verified and
+    /// decoded a shard file).
     pub const SHARD_LOADS: &str = "sketchql.shard.loads";
     /// Counter: shard loads that failed (corrupt, truncated, or
     /// unreadable shard files discovered at first probe).
@@ -216,9 +217,6 @@ pub mod names {
     /// Counter: shards consulted by probes (loaded and their posting
     /// lists gathered).
     pub const SHARD_PROBES: &str = "sketchql.shard.probes";
-    /// Gauge: bytes of shard files currently memory-mapped across every
-    /// attached shard set (published at attach and on drop).
-    pub const SHARD_BYTES_MAPPED: &str = "sketchql.shard.bytes_mapped";
     /// Span: verifying one shard on first probe (checksum + column
     /// decode).
     pub const SHARD_LOAD: &str = "sketchql.shard.load";

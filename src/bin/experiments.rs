@@ -9,6 +9,8 @@
 //!
 //! Experiments: `f1 q1 q2 t1 t2 t3 t4 t5 a1` (or `all`).
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::prelude::*;

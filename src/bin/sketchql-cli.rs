@@ -21,6 +21,8 @@
 //! `append`, and served without re-embedding by `serve --store-dir` /
 //! `query --store-dir`.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::telemetry::{self, QueryTrace, TraceContext};
@@ -144,9 +146,9 @@ commands:
   ingest   --video <file> --model <file> [--dataset <name>] [--store-dir <dir>]
            [--events <a,b,...>] [--threads <n>] [--oracle-tracks] [--verify]
            precompute window embeddings into <dir>/<dataset>.skset/
-           (shards + manifest), served memory-mapped: attach maps, the
-           first probe of a shard verifies it; --verify re-opens the
-           written output and checks every checksum
+           (shards + manifest); serving opens each shard at attach and
+           reads and verifies it at its first probe; --verify re-opens
+           the written output and checks every checksum
            [--shard-frames <n>] frame-range width of each shard, embedded
            in parallel (default: the whole video in one shard)
   append   --video <file> --model <file> --dataset <name> [--store-dir <dir>]
@@ -796,7 +798,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         println!("standing-query registry: {}", path.display());
     }
     // Attach ingested embedding stores (`.skset/` directories). Attach
-    // maps every shard and validates manifests and shard headers only —
+    // opens every shard and validates manifests and shard headers only —
     // payloads and their checksums are deferred to first probe, so
     // startup cost does not scale with store size.
     // Engine::start_with_stores validates fingerprints and silently

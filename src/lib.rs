@@ -2,6 +2,8 @@
 //! experiment harness: a cached demo model and canonical demo videos, so
 //! every binary does not retrain/regenerate from scratch.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::training::{TrainedModel, TrainingConfig};
