@@ -205,18 +205,15 @@ impl Client {
         }
     }
 
-    /// Fetches a CPU profile in folded-stack (flamegraph) format.
-    /// `seconds = None` (or 0) answers instantly from the server's
-    /// continuous profiler; a positive window samples fresh for that
-    /// long (server-capped at 60 s) at `hz` (server default when
-    /// `None`). Note a fresh window blocks this connection until the
-    /// window closes.
-    pub fn profile(
-        &mut self,
-        seconds: Option<u64>,
-        hz: Option<u64>,
-    ) -> Result<ProfileOutcome, ClientError> {
-        match self.request(&Request::Profile { seconds, hz })? {
+    /// Fetches the profile of the server's recent queries in
+    /// folded-stack (flamegraph) format: the traces its flight recorder
+    /// retains, weighted by each span's self time.
+    pub fn profile(&mut self) -> Result<ProfileOutcome, ClientError> {
+        let request = Request::Profile {
+            seconds: None,
+            hz: None,
+        };
+        match self.request(&request)? {
             Response::Profile(profile) => Ok(profile),
             other => Err(unexpected("Profile", &other)),
         }

@@ -103,13 +103,14 @@ pub enum Request {
     },
     /// Fetch the full metric registry in Prometheus text format.
     Metrics,
-    /// Collect a folded-stack profile from the sampling profiler.
+    /// Fold the flight recorder's retained traces into a profile. The
+    /// server answers at once from the traces it already holds.
     Profile {
-        /// Sample for this many seconds (blocking this connection), or
-        /// null/0 for a snapshot of the server's continuous profiler.
-        /// The server caps the window (60 s).
+        /// Parsed and ignored: there is no sampling window. Left on the
+        /// wire until the next protocol version.
         seconds: Option<u64>,
-        /// Sampling rate in Hz, or null for the server default.
+        /// Parsed and ignored: there is no sampling rate. Left on the
+        /// wire until the next protocol version.
         hz: Option<u64>,
     },
     /// Register a standing query: evaluated against every ingest epoch
@@ -250,16 +251,18 @@ impl From<QueryResult> for QueryOutcome {
     }
 }
 
-/// A server CPU profile, as [`Response::Profile`] carries it.
+/// A profile of the server's recent queries, as [`Response::Profile`]
+/// carries it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileOutcome {
-    /// Folded stacks, one `thread;span;...;span count` line each —
-    /// feed directly to `flamegraph.pl` / `inferno-flamegraph`. Empty
-    /// when the continuous profiler is off and a snapshot was requested.
+    /// Folded stacks, one `dataset;span;...;span self_nanos` line each,
+    /// busiest first — feed directly to `flamegraph.pl` /
+    /// `inferno-flamegraph`. Empty when the flight recorder holds no
+    /// trace yet.
     pub folded: String,
-    /// Total per-thread samples behind the profile.
+    /// Traces folded into the profile.
     pub samples: u64,
-    /// Wall milliseconds the profile covers.
+    /// The folded traces' summed wall milliseconds.
     pub duration_ms: u64,
 }
 

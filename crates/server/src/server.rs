@@ -48,14 +48,6 @@ pub const MAX_CONNECTIONS: usize = 512;
 /// Traces returned by a `Trace` request that names no id and no limit.
 const DEFAULT_TRACE_LIMIT: usize = 16;
 
-/// Longest on-demand profiling window a `Profile` request may ask for.
-/// The collection blocks the requesting connection thread, so the cap
-/// keeps a stray request from pinning a thread for minutes.
-const MAX_PROFILE_SECONDS: u64 = 60;
-
-/// Sampling rate used when a `Profile` request names none.
-const DEFAULT_PROFILE_HZ: u64 = 97;
-
 /// The server's one shutdown flag: connection threads and the accept
 /// loop poll it, [`Server::wait_for_shutdown_request`] sleeps on it.
 #[derive(Default)]
@@ -321,21 +313,15 @@ fn handle_request(
         Request::Metrics => Response::MetricsText {
             prometheus: telemetry::snapshot_prometheus(),
         },
-        Request::Profile { seconds, hz } => {
-            // seconds = 0 (or absent) answers from the continuous
-            // profiler's running aggregate without blocking; a positive
-            // window collects fresh samples on this connection thread.
-            let report = match seconds.unwrap_or(0).min(MAX_PROFILE_SECONDS) {
-                0 => telemetry::continuous_profile_snapshot().unwrap_or_default(),
-                secs => telemetry::collect_profile(
-                    Duration::from_secs(secs),
-                    hz.unwrap_or(DEFAULT_PROFILE_HZ).min(1000) as u32,
-                ),
-            };
+        Request::Profile { .. } => {
+            // Folded from every trace the flight recorder retains; the
+            // request's `seconds` / `hz` are ignored (see its doc).
+            let recorder = telemetry::flight_recorder();
+            let traces = recorder.recent(recorder.capacity());
             Response::Profile(ProfileOutcome {
-                folded: report.folded(),
-                samples: report.samples,
-                duration_ms: report.duration_nanos / 1_000_000,
+                folded: telemetry::fold_traces(&traces),
+                samples: traces.len() as u64,
+                duration_ms: traces.iter().map(|t| t.total_nanos).sum::<u64>() / 1_000_000,
             })
         }
         Request::Query {

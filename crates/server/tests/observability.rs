@@ -1,16 +1,12 @@
-//! End-to-end resource attribution and profiling over the wire: a
-//! query run through a real TCP server carries attributed CPU and heap
-//! traffic on its flight-recorder trace, `Profile` answers folded
-//! stacks naming the execution stages, and `Stats` breaks traffic down
-//! per dataset.
+//! End-to-end resource attribution over the wire: a query run through
+//! a real TCP server carries attributed CPU and heap traffic on its
+//! flight-recorder trace, and `Stats` breaks traffic down per dataset.
+//! (`Profile` folds every retained trace, so its test has a binary of
+//! its own: `profile.rs`.)
 
 mod common;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use sketchql_server::{Client, Engine, EngineConfig, Server};
-use sketchql_telemetry::names;
 
 use common::{tiny_model, two_datasets};
 
@@ -50,48 +46,6 @@ fn queries_carry_resource_attribution_end_to_end() {
         "scan allocations must attribute to the query (saw {} bytes / {} allocs)",
         trace.alloc_bytes,
         trace.alloc_count
-    );
-
-    server.shutdown();
-}
-
-#[test]
-fn profile_request_names_matcher_stages_under_load() {
-    let server = start_server(2);
-    let addr = server.local_addr();
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let profile = std::thread::scope(|scope| {
-        // Keep the workers busy with real queries for the whole
-        // sampling window.
-        for _ in 0..2 {
-            let stop = Arc::clone(&stop);
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                while !stop.load(Ordering::Relaxed) {
-                    let _ = client.query_event("alpha", "left_turn", Some(3), None);
-                }
-            });
-        }
-        let mut client = Client::connect(addr).unwrap();
-        let profile = client.profile(Some(1), Some(199));
-        // Release the query threads before unwrapping: a failed profile
-        // must not leave them spinning inside the scope forever.
-        stop.store(true, Ordering::Relaxed);
-        profile.unwrap()
-    });
-
-    assert!(profile.samples > 0, "a 1 s window must collect samples");
-    assert!(profile.duration_ms >= 900, "the window runs its full span");
-    assert!(
-        profile.folded.contains(names::MATCHER_SEARCH),
-        "folded stacks name the matcher stage:\n{}",
-        profile.folded
-    );
-    assert!(
-        profile.folded.contains(names::SERVER_EXECUTE),
-        "folded stacks are rooted in the server execute span:\n{}",
-        profile.folded
     );
 
     server.shutdown();

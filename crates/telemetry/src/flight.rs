@@ -12,6 +12,7 @@
 //! shared lock (two writers only touch the same mutex when the ring
 //! wraps onto a slot mid-read).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -134,6 +135,65 @@ impl QueryTrace {
         rows.sort_by_key(|&(_, depth, offset, _)| (offset, depth));
         rows
     }
+}
+
+/// Folds traces into flamegraph input (`flamegraph.pl`,
+/// `inferno-flamegraph`): one `label;span;…;span weight` line per
+/// distinct stack, summed over the traces, busiest first.
+///
+/// A span's parent is the shortest span one depth up in the same trace
+/// whose interval contains it — on a helper thread that entered the
+/// trace, that is the helper's own enclosing span, not the longer
+/// spawning span that also contains it. Depth-0 spans (including ones
+/// recorded with [`record_span`](crate::TraceContext::record_span)),
+/// and any span whose parent the trace did not keep, hang under a first
+/// frame naming the trace's label, with whitespace and `;` replaced by
+/// `_`. The weight is the span's self time in nanoseconds: its `nanos`
+/// minus its children's, saturating at 0. So a trace's lines sum to
+/// its depth-0 spans' wall time.
+pub fn fold_traces(traces: &[Arc<QueryTrace>]) -> String {
+    let mut weights: BTreeMap<String, u64> = BTreeMap::new();
+    for trace in traces {
+        let spans = &trace.spans;
+        let end = |s: &SpanRecord| s.start_nanos.saturating_add(s.nanos);
+        let parents: Vec<Option<usize>> = spans
+            .iter()
+            .map(|child| {
+                spans
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| {
+                        p.depth + 1 == child.depth
+                            && p.start_nanos <= child.start_nanos
+                            && end(child) <= end(p)
+                    })
+                    .min_by_key(|(_, p)| p.nanos)
+                    .map(|(i, _)| i)
+            })
+            .collect();
+        let mut self_nanos: Vec<u64> = spans.iter().map(|s| s.nanos).collect();
+        for (child, parent) in parents.iter().enumerate() {
+            if let Some(p) = *parent {
+                self_nanos[p] = self_nanos[p].saturating_sub(spans[child].nanos);
+            }
+        }
+        let root = trace
+            .label
+            .replace(|c: char| c.is_whitespace() || c == ';', "_");
+        // Parents sit one depth up, so keys built shallowest first always
+        // find their parent's key ready.
+        let mut order: Vec<usize> = (0..spans.len()).collect();
+        order.sort_by_key(|&i| spans[i].depth);
+        let mut keys = vec![String::new(); spans.len()];
+        for i in order {
+            let prefix = parents[i].map_or(&root, |p| &keys[p]);
+            keys[i] = format!("{prefix};{}", spans[i].name);
+            *weights.entry(keys[i].clone()).or_default() += self_nanos[i];
+        }
+    }
+    let mut rows: Vec<(String, u64)> = weights.into_iter().collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    rows.iter().map(|(key, w)| format!("{key} {w}\n")).collect()
 }
 
 struct Slot {

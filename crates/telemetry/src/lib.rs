@@ -20,14 +20,13 @@
 //!   resources — with [`QueryTrace::to_json`] and
 //!   [`QueryTrace::render_table`]; finalized traces land in the global
 //!   [`flight_recorder`] ring buffer, and — when configured — in the
-//!   slow-query log ([`configure_slow_query_log`]).
-//! - Resource attribution and profiling: a counting global allocator
+//!   slow-query log ([`configure_slow_query_log`]). [`fold_traces`]
+//!   folds the retained traces into flamegraph input weighted by each
+//!   span's self time: the profile is read from the traces, not sampled.
+//! - Resource attribution: a counting global allocator
 //!   ([`thread_allocated`]) and per-thread CPU clocks
 //!   ([`thread_cpu_nanos`]) give every trace `alloc_bytes` /
-//!   `alloc_count` / `cpu_nanos` (attributed over `enter` scopes), and
-//!   a cooperative sampling profiler ([`collect_profile`],
-//!   [`start_continuous_profiler`]) folds live span stacks into
-//!   flamegraph-compatible output.
+//!   `alloc_count` / `cpu_nanos` (attributed over `enter` scopes).
 //!
 //! Registry-wide state exports as JSON ([`snapshot_json`]) or Prometheus
 //! text format ([`snapshot_prometheus`]).
@@ -46,23 +45,19 @@ mod cpu;
 mod export;
 mod flight;
 mod metrics;
-mod profiler;
 mod slowlog;
 mod span;
 mod trace;
 
 pub use alloc::{thread_allocated, CountingAlloc};
-pub use cpu::{current_tid, thread_cpu_nanos, tid_cpu_nanos};
+pub use cpu::thread_cpu_nanos;
 pub use export::{snapshot_json, snapshot_prometheus};
 pub use flight::{
-    configure_flight_capacity, flight_recorder, FlightRecorder, QueryTrace, FLIGHT_CAPACITY,
+    configure_flight_capacity, flight_recorder, fold_traces, FlightRecorder, QueryTrace,
+    FLIGHT_CAPACITY,
 };
 pub use metrics::{
     counter, gauge, histogram, reset, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
-};
-pub use profiler::{
-    collect_profile, continuous_profile_snapshot, start_continuous_profiler, ProfileEntry,
-    ProfileReport,
 };
 pub use slowlog::{
     configure_slow_query_log, configure_slow_query_log_path_capped, disable_slow_query_log,

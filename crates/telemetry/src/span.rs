@@ -6,8 +6,9 @@
 //!
 //! Completed spans are delivered to every [`TraceContext`] the current
 //! thread has entered (see [`TraceContext::enter`]); a span that
-//! completes while no trace is entered is timed for the profiler and
-//! then dropped.
+//! completes while no trace is entered is dropped. Opening and closing
+//! a span touches only thread-locals and the clock: no lock, no
+//! allocation.
 //!
 //! Durations come from [`std::time::Instant`], the monotonic clock, so
 //! they are immune to wall-clock adjustments. Span start times are
@@ -78,9 +79,6 @@ pub struct SpanGuard {
 pub fn span(name: &'static str) -> SpanGuard {
     epoch(); // pin the epoch no later than the first span
     DEPTH.with(|d| d.set(d.get() + 1));
-    // Publish the name on this thread's profiler stack so the
-    // sampling profiler can fold it; popped when the guard drops.
-    crate::profiler::push_span(name);
     SpanGuard {
         name,
         start: Instant::now(),
@@ -89,7 +87,6 @@ pub fn span(name: &'static str) -> SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        crate::profiler::pop_span();
         let nanos = self.start.elapsed().as_nanos() as u64;
         let start_nanos = nanos_since_epoch(self.start);
         let depth = DEPTH.with(|d| {

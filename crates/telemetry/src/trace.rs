@@ -235,7 +235,6 @@ impl TraceContext {
     /// `alloc_bytes` / `alloc_count` / `cpu_nanos` on drop.
     #[must_use = "spans are only delivered to the trace while the guard is alive"]
     pub fn enter(&self) -> TraceGuard {
-        crate::profiler::ensure_registered();
         ACTIVE.with(|a| a.borrow_mut().push(Arc::clone(&self.inner)));
         // The tally copy allocates, so it is taken before the heap base.
         let base_tally = crate::metrics::thread_tally();

@@ -1,8 +1,7 @@
 //! Resource attribution (counting allocator + CPU scopes) and the
-//! cooperative sampling profiler.
+//! profile folded from traces.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use sketchql_telemetry as tel;
@@ -145,48 +144,109 @@ fn cpu_inside_a_scope_attributes_to_the_trace() {
     );
 }
 
-/// The sampling profiler folds a live span stack into
-/// flamegraph-compatible lines naming the stage.
+/// `fold_traces` rebuilds each span's stack from one trace: the
+/// entering thread's nesting, a scoped helper's own depth-0 and depth-1
+/// spans, and a `record_span` queue wait, each weighted by self time.
 #[test]
-fn profiler_folds_live_span_stacks() {
-    let stop = Arc::new(AtomicBool::new(false));
-    let worker_stop = Arc::clone(&stop);
-    let worker = std::thread::Builder::new()
-        .name("prof-worker".to_string())
-        .spawn(move || {
-            let _outer = tel::span(names::MATCHER_SEARCH);
+fn trace_fold_weights_each_stack_by_self_time() {
+    const HELPER: &str = "test.fold.helper";
+    const HELPER_CHILD: &str = "test.fold.helper_child";
+    let ctx = tel::TraceContext::new();
+    ctx.set_label("fold test;one");
+    let queued = Instant::now();
+    std::thread::sleep(Duration::from_millis(2));
+    ctx.record_span(
+        names::SERVER_QUEUE_WAIT,
+        0,
+        queued,
+        queued.elapsed().as_nanos() as u64,
+    );
+    {
+        let _entered = ctx.enter();
+        let _outer = tel::span(names::MATCHER_SEARCH);
+        busy(Duration::from_millis(2));
+        {
             let _inner = tel::span(names::MATCHER_SCAN);
-            while !worker_stop.load(Ordering::Relaxed) {
-                busy(Duration::from_millis(5));
-            }
-        })
-        .unwrap();
+            busy(Duration::from_millis(2));
+            let inherited = tel::TraceContext::entered();
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _guards: Vec<_> = inherited.iter().map(|t| t.enter()).collect();
+                    let _own = tel::span(HELPER);
+                    busy(Duration::from_millis(2));
+                    let _child = tel::span(HELPER_CHILD);
+                    busy(Duration::from_millis(2));
+                });
+            });
+        }
+    }
+    let trace = ctx.finalize().unwrap();
+    let nanos = |name: &str| {
+        let spans: Vec<u64> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.nanos)
+            .collect();
+        assert_eq!(spans.len(), 1, "{name} recorded once");
+        spans[0]
+    };
 
-    let report = tel::collect_profile(Duration::from_millis(400), 97);
-    stop.store(true, Ordering::Relaxed);
-    worker.join().unwrap();
-
-    assert!(report.samples > 0, "sampler must have observed threads");
-    let folded = report.folded();
-    let scan_line = folded
+    let folded = tel::fold_traces(std::slice::from_ref(&trace));
+    let lines: Vec<(&str, u64)> = folded
         .lines()
-        .find(|l| l.contains(names::MATCHER_SCAN))
-        .unwrap_or_else(|| panic!("folded output names the scan stage:\n{folded}"));
-    assert!(
-        scan_line.starts_with("prof-worker;"),
-        "stack is rooted at the thread name: {scan_line}"
+        .map(|line| {
+            let (key, weight) = line.rsplit_once(' ').unwrap();
+            (key, weight.parse().unwrap())
+        })
+        .collect();
+    let weights: BTreeMap<&str, u64> = lines.iter().copied().collect();
+    let weight = |key: String| {
+        *weights
+            .get(key.as_str())
+            .unwrap_or_else(|| panic!("no line {key}:\n{folded}"))
+    };
+    let root = "fold_test_one";
+    let (search, scan) = (names::MATCHER_SEARCH, names::MATCHER_SCAN);
+    assert_eq!(
+        weight(format!("{root};{search}")),
+        nanos(search) - nanos(scan),
+        "outer self time excludes its child"
     );
-    assert!(
-        scan_line.contains(&format!(
-            "{};{}",
-            names::MATCHER_SEARCH,
-            names::MATCHER_SCAN
-        )),
-        "nesting order is outer;inner: {scan_line}"
+    assert_eq!(weight(format!("{root};{search};{scan}")), nanos(scan));
+    assert_eq!(
+        weight(format!("{root};{HELPER}")),
+        nanos(HELPER) - nanos(HELPER_CHILD)
     );
-    let entry = &report.entries[scan_line.rsplit_once(' ').unwrap().0];
-    assert!(
-        entry.cpu_nanos > 0 || tel::tid_cpu_nanos(tel::current_tid()).is_none(),
-        "a spinning thread accrues CPU weight where per-tid CPU exists"
+    assert_eq!(
+        weight(format!("{root};{HELPER};{HELPER_CHILD}")),
+        nanos(HELPER_CHILD),
+        "the helper's child folds under the helper's own span:\n{folded}"
+    );
+    assert_eq!(
+        weight(format!("{root};{}", names::SERVER_QUEUE_WAIT)),
+        nanos(names::SERVER_QUEUE_WAIT)
+    );
+    assert_eq!(weights.len(), 5, "one line per stack:\n{folded}");
+    let depth0: u64 = trace
+        .spans
+        .iter()
+        .filter(|s| s.depth == 0)
+        .map(|s| s.nanos)
+        .sum();
+    assert_eq!(
+        weights.values().sum::<u64>(),
+        depth0,
+        "the lines sum to the depth-0 spans"
+    );
+    assert!(lines.windows(2).all(|w| w[0].1 >= w[1].1), "busiest first");
+    let doubled: String = lines
+        .iter()
+        .map(|(k, w)| format!("{k} {}\n", 2 * w))
+        .collect();
+    assert_eq!(
+        tel::fold_traces(&[trace.clone(), trace]),
+        doubled,
+        "lines sum by key across traces"
     );
 }

@@ -230,3 +230,81 @@ fn readme_cites_only_names_that_exist() {
         "README cites unknown names: {unknown:?}"
     );
 }
+
+/// Every `DESIGN.md §N[.M]` / `DESIGN §N` cite in `crates/`, `src/`,
+/// `tests/`, `scripts/` and README resolves to a `## N.` / `### N.M`
+/// heading of DESIGN.md; a range (`§3.9-3.11`) resolves at both ends. A
+/// cite may wrap onto the next line of a comment.
+#[test]
+fn design_cites_resolve_to_headings() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    let sections: std::collections::BTreeSet<&str> = design
+        .lines()
+        .filter_map(|l| l.strip_prefix("### ").or_else(|| l.strip_prefix("## ")))
+        .filter_map(|heading| heading.split_whitespace().next())
+        .map(|number| number.trim_end_matches('.'))
+        .filter(|number| number.starts_with(|c: char| c.is_ascii_digit()))
+        .collect();
+
+    fn walk(path: &std::path::Path, files: &mut Vec<std::path::PathBuf>) {
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n == "target") {
+                return;
+            }
+            for entry in std::fs::read_dir(path).unwrap() {
+                walk(&entry.unwrap().path(), files);
+            }
+        } else {
+            files.push(path.to_path_buf());
+        }
+    }
+    let mut files = vec![root.join("README.md")];
+    for dir in ["crates", "src", "tests", "scripts"] {
+        walk(&root.join(dir), &mut files);
+    }
+
+    let is_number_char = |c: char| c.is_ascii_digit() || c == '.';
+    let mut cited = 0;
+    let mut unknown = Vec::new();
+    for file in &files {
+        let Ok(text) = std::fs::read_to_string(file) else {
+            continue; // not text
+        };
+        // One line of prose per file: comment markers and indentation
+        // dropped, so a cite split across lines reads whole.
+        let prose: Vec<&str> = text
+            .lines()
+            .map(|l| l.trim_start().trim_start_matches(['/', '!', '#']).trim())
+            .collect();
+        let prose = prose.join(" ");
+        for (at, _) in prose.match_indices("DESIGN") {
+            let rest = &prose[at + "DESIGN".len()..];
+            let rest = rest.strip_prefix(".md").unwrap_or(rest);
+            let rest = rest.strip_prefix('`').unwrap_or(rest).trim_start();
+            let Some(rest) = rest.strip_prefix('§') else {
+                continue;
+            };
+            let first = &rest[..rest.find(|c| !is_number_char(c)).unwrap_or(rest.len())];
+            let mut numbers = vec![first];
+            if let Some(range) = rest[first.len()..].strip_prefix('-') {
+                numbers.push(&range[..range.find(|c| !is_number_char(c)).unwrap_or(range.len())]);
+            }
+            for number in numbers {
+                let number = number.trim_end_matches('.');
+                if number.is_empty() {
+                    continue; // a placeholder such as `§N`
+                }
+                cited += 1;
+                if !sections.contains(number) {
+                    unknown.push(format!("{}: §{number}", file.display()));
+                }
+            }
+        }
+    }
+    assert!(cited >= 10, "the lint must see the cites (saw {cited})");
+    assert!(
+        unknown.is_empty(),
+        "cites of no DESIGN.md heading: {unknown:?}"
+    );
+}

@@ -59,7 +59,7 @@ scripts/smoke_server.sh
 echo "== trace smoke (trace id -> span tree -> scrape -> slow log)"
 scripts/smoke_trace.sh
 
-echo "== profile smoke (folded stacks -> resource waterfall -> top -> rotation)"
+echo "== profile smoke (folded traces -> resource waterfall -> top -> rotation)"
 scripts/smoke_profile.sh
 
 echo "== store smoke (ingest, sharded and one-shard -> restart -> byte-identical query -> serve)"

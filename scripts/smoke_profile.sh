@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Profiling + resource-attribution smoke: serve with the continuous
-# profiler on, drive real queries, and verify the new observability
-# surfaces — folded profile stacks naming the execution stages, the
-# resource line on the trace waterfall, per-dataset stats, and the
-# rotating slow-query log.
+# Profiling + resource-attribution smoke: serve, drive real queries, and
+# verify the observability surfaces — the profile folded from the flight
+# recorder's traces naming the execution stages, the resource line on
+# the trace waterfall, per-dataset stats, and the rotating slow-query
+# log.
 #
 #   scripts/smoke_profile.sh                     # uses target/release
 #   SKETCHQL_CLI=target/debug/sketchql-cli scripts/smoke_profile.sh
@@ -29,10 +29,10 @@ echo "== profile smoke: fixtures"
 "$CLI" generate --out "$work/video.json" --events 1 --distractors 2 --seed 5 >/dev/null
 "$CLI" train --out "$work/model.json" --steps 20 >/dev/null
 
-echo "== profile smoke: serve on $ADDR (profiler at 97 Hz, capped slow log)"
+echo "== profile smoke: serve on $ADDR (64-trace flight recorder, capped slow log)"
 "$CLI" serve --model "$work/model.json" --videos "traffic=$work/video.json" \
     --addr "$ADDR" --workers 2 --oracle-tracks \
-    --profile-hz 97 --flight-traces 64 \
+    --flight-traces 64 \
     --slow-query-ms 0 --slow-query-log "$work/slow.jsonl" \
     --slow-query-log-max-bytes 2000 \
     >"$work/serve.log" 2>&1 &
@@ -42,12 +42,10 @@ for _ in $(seq 1 50); do
     kill -0 "$serve_pid" 2>/dev/null || { cat "$work/serve.log" >&2; exit 1; }
     sleep 0.1
 done
-grep -q "continuous profiler sampling" "$work/serve.log" \
-    || { echo "serve did not start the continuous profiler" >&2; cat "$work/serve.log" >&2; exit 1; }
 grep -q "flight recorder: keeping the last 64 traces" "$work/serve.log" \
     || { echo "serve did not apply --flight-traces" >&2; cat "$work/serve.log" >&2; exit 1; }
 
-echo "== profile smoke: drive queries so the sampler sees real stages"
+echo "== profile smoke: drive queries so the recorder holds real stages"
 for i in 1 2 3 4 5 6; do
     "$CLI" client --addr "$ADDR" --action query \
         --dataset traffic --event left_turn --top-k 3 --deadline-ms 30000 \
@@ -55,13 +53,13 @@ for i in 1 2 3 4 5 6; do
 done
 trace_id="$(sed -n 's/.*trace \([0-9a-f]\{12\}\)).*/\1/p' "$work/query.out")"
 
-echo "== profile smoke: continuous-profiler aggregate names matcher stages"
+echo "== profile smoke: folded traces name matcher stages"
 "$CLI" client --addr "$ADDR" --action profile >"$work/profile.folded" 2>"$work/profile.err"
 [ -s "$work/profile.folded" ] \
-    || { echo "continuous profile came back empty" >&2; cat "$work/profile.err" >&2; exit 1; }
+    || { echo "folded profile came back empty" >&2; cat "$work/profile.err" >&2; exit 1; }
 grep -Eq "sketchql\.(matcher\.(search|scan|embed)|store\.probe)" "$work/profile.folded" \
     || { echo "folded stacks name no matcher/store stage:" >&2; cat "$work/profile.folded" >&2; exit 1; }
-# Folded lines are flamegraph input: "thread;span;...;span <count>".
+# Folded lines are flamegraph input: "dataset;span;...;span <self nanos>".
 grep -Eq '^[^ ]+(;[^ ]+)* [0-9]+$' "$work/profile.folded" \
     || { echo "folded output is not flamegraph-shaped" >&2; cat "$work/profile.folded" >&2; exit 1; }
 

@@ -104,12 +104,11 @@ const COMMANDS: &[Command] = &[
     ("serve", cmd_serve, &[
         "model", "videos", "store-dir", "nprobe", "addr", "workers", "queue-depth", "deadline-ms",
         "top-k", "oracle-tracks", "metrics-addr", "slow-query-ms",
-        "slow-query-log", "slow-query-log-max-bytes", "flight-traces", "profile-hz", "registry",
-        "live-poll-ms",
+        "slow-query-log", "slow-query-log-max-bytes", "flight-traces", "registry", "live-poll-ms",
     ]),
     ("client", cmd_client, &[
         "addr", "action", "dataset", "event", "top-k", "deadline-ms", "trace-id", "limit",
-        "seconds", "hz", "interval-ms", "iterations",
+        "interval-ms", "iterations",
     ]),
     ("register", cmd_register, &["addr", "dataset", "event", "min-score", "top-k"]),
     ("watch", cmd_watch, &["addr", "registration-id", "interval-ms", "iterations", "max"]),
@@ -169,8 +168,8 @@ commands:
            [--metrics-addr <host:port>] prometheus scrape endpoint
            [--slow-query-ms <n>] [--slow-query-log <file>] JSON-lines slow log
            [--slow-query-log-max-bytes <n>] rotate the slow log at this size
-           [--flight-traces <n>] flight-recorder capacity (default 256)
-           [--profile-hz <n>] continuous profiler rate (default 19, 0 = off)
+           [--flight-traces <n>] flight-recorder capacity (default 256):
+           also the queries a profile folds
            [--registry <file>] persist standing queries across restarts
            [--live-poll-ms <n>] poll stores for appended epochs
            and evaluate standing queries against each new epoch
@@ -178,8 +177,7 @@ commands:
            --action <ping|list|stats|query|trace|metrics|profile|top|shutdown>
            [--dataset <name>] [--event <kind>] [--top-k <n>] [--deadline-ms <n>]
            [--trace-id <hex>] [--limit <n>] for --action trace
-           [--seconds <n>] [--hz <n>] for --action profile (0/absent = the
-           server's continuous aggregate; positive = a fresh window)
+           (profile folds the flight recorder's traces by self time)
            [--interval-ms <n>] [--iterations <n>] for --action top
   register --addr <host:port> --dataset <name> --event <kind>
            [--min-score <f>] [--top-k <n>]
@@ -866,14 +864,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             ),
         }
     }
-    // Always-on sampling profiler: cheap enough to leave running (it
-    // wakes `--profile-hz` times a second and walks live span stacks),
-    // and it is what `client --action profile` answers from.
-    let profile_hz: u32 = num(flags, "profile-hz", 19)?;
-    if profile_hz > 0 {
-        telemetry::start_continuous_profiler(profile_hz);
-        println!("continuous profiler sampling at {profile_hz} Hz");
-    }
     let metrics = flags
         .get("metrics-addr")
         .map(|addr| MetricsListener::start(addr).map_err(|e| format!("bind metrics {addr}: {e}")))
@@ -1017,21 +1007,16 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<(), String> {
             print!("{}", client.metrics_text().map_err(|e| e.to_string())?);
         }
         "profile" => {
-            let seconds = opt_num::<u64>(flags, "seconds")?;
-            let hz = opt_num::<u64>(flags, "hz")?;
-            let profile = client.profile(seconds, hz).map_err(|e| e.to_string())?;
+            let profile = client.profile().map_err(|e| e.to_string())?;
             // Summary on stderr so stdout pipes clean into
             // `flamegraph.pl` / `inferno-flamegraph`.
             eprintln!(
-                "{} samples over {:.1} s",
+                "{} traces, {:.1} s of query wall time, weighted by self time",
                 profile.samples,
                 profile.duration_ms as f64 / 1e3
             );
             if profile.samples == 0 {
-                eprintln!(
-                    "hint: start the server with --profile-hz > 0, or pass \
-                     --seconds <n> to sample a fresh window"
-                );
+                eprintln!("hint: the flight recorder holds no trace yet; run a query first");
             }
             print!("{}", profile.folded);
         }
@@ -1438,6 +1423,11 @@ mod tests {
     fn removed_flags_are_rejected() {
         let err = checked("serve", &["--model", "m.json", "--sched", "fifo"]).unwrap_err();
         assert!(err.contains("--sched") && err.contains("`serve`"), "{err}");
+        let err = checked("client", &["--action", "profile", "--seconds", "5"]).unwrap_err();
+        assert!(
+            err.contains("--seconds") && err.contains("`client`"),
+            "{err}"
+        );
         let err = checked("query", &["--event", "left_turn", "--no-embed-cache"]).unwrap_err();
         assert!(
             err.contains("--no-embed-cache") && err.contains("`query`"),

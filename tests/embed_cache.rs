@@ -5,7 +5,7 @@
 //! model's rows, the leftovers of a cancelled pass) it must return
 //! byte-identical results to the direct (per-candidate, sequential)
 //! scan. Possible because every encoder op is row/block-local, so batched
-//! forwards reproduce `embed()` exactly in f32 — see DESIGN.md §7.
+//! forwards reproduce `embed()` exactly in f32 — see DESIGN.md §3.9.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
