@@ -4,11 +4,12 @@
 #   scripts/loc.sh            # the working tree
 #   scripts/loc.sh <rev>      # a commit, unpacked with `git archive`
 #
-# Counts every line of each `.rs` file under `crates/*/src` and
-# `src/bin`, up to the column-0 `#[cfg(test)]` whose item (after any
-# other attributes) is a `mod` — a file's test module. A `#[cfg(test)]`
-# on anything else (a `use`, a helper fn) does not end the count.
-# Prints one row per crate (`src/bin` is its own row) and the total.
+# Counts every line of each `.rs` file under `crates/*/src`, `src` (the
+# root package: its library and binaries) and `examples`, up to the
+# column-0 `#[cfg(test)]` whose item (after any other attributes) is a
+# `mod` — a file's test module. A `#[cfg(test)]` on anything else (a
+# `use`, a helper fn) does not end the count. Prints one row per crate,
+# one for `src`, one for `examples`, and the total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,7 +17,7 @@ root=.
 if [[ $# -gt 0 ]]; then
     root=$(mktemp -d)
     trap 'rm -rf "$root"' EXIT
-    git archive "$1" -- crates src | tar -x -C "$root"
+    git archive "$1" -- crates src examples | tar -x -C "$root"
 fi
 
 count() {
@@ -37,7 +38,7 @@ count() {
 
 total=0
 printf '%-12s %7s\n' crate lines
-for dir in "$root"/crates/*/src "$root"/src/bin; do
+for dir in "$root"/crates/*/src "$root"/src "$root"/examples; do
     [[ -d $dir ]] || continue
     name=${dir#"$root"/}
     name=${name#crates/}

@@ -15,122 +15,71 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::prelude::*;
 use sketchql::training::{evaluate_pairs, train};
-use sketchql::{ClassicalSimilarity, Matcher, RetrievedMoment, Similarity, VideoIndex};
+use sketchql::{ClassicalSimilarity, Matcher, Predicate, RetrievedMoment, Similarity, VideoIndex};
 use sketchql_datasets::{
-    evaluate_retrieval, generate_video, query_clip, EventAnnotation, EventKind, PredictedMoment,
-    RetrievalReport, SceneFamily, VideoConfig,
+    generate_video, query_clip, EventAnnotation, EventKind, SceneFamily, SyntheticVideo,
+    VideoConfig,
 };
-use sketchql_nn::{EncoderConfig, Pooling};
+use sketchql_nn::Pooling;
 use sketchql_simulator::{
     Camera, CameraRig, PairGenerator, RandomSceneSampler, Scene3D, ShakeConfig,
 };
+use sketchql_suite::{evaluate, Judged, RIGHT_OBJECT_IOU};
 use sketchql_tracker::{DetectorConfig, TrackerConfig};
 use sketchql_trajectory::{Clip, DistanceKind, Point3};
 use std::time::Instant;
 
+/// An experiment's command-line name and the function that prints it.
+type Experiment = (&'static str, fn());
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [Experiment; 9] = [
+    ("f1", exp_f1),
+    ("q1", exp_q1),
+    ("q2", exp_q2),
+    ("t1", exp_t1),
+    ("t2", exp_t2),
+    ("t3", exp_t3),
+    ("t4", exp_t4),
+    ("t5", exp_t5),
+    ("a1", exp_a1),
+];
+
+/// The experiments `args` name, in run order (all of them for no
+/// argument or `all`); an unknown name is an error listing the valid ones.
+fn parse(args: &[String]) -> Result<Vec<Experiment>, String> {
+    let known = |a: &String| a == "all" || EXPERIMENTS.iter().any(|(name, _)| a == name);
+    if let Some(unknown) = args.iter().find(|a| !known(a)) {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        return Err(format!(
+            "unknown experiment {unknown:?}; expected {} or all",
+            names.join(" ")
+        ));
+    }
+    let all = args.is_empty() || args.iter().any(|a| a == "all");
+    Ok(EXPERIMENTS
+        .into_iter()
+        .filter(|(name, _)| all || args.iter().any(|a| a == name))
+        .collect())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let run_all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| run_all || args.iter().any(|a| a == name);
+    let chosen = parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
 
     println!("SketchQL experiment harness");
     println!("===========================\n");
-
-    if want("f1") {
-        exp_f1();
-    }
-    if want("q1") {
-        exp_q1();
-    }
-    if want("q2") {
-        exp_q2();
-    }
-    if want("t1") {
-        exp_t1();
-    }
-    if want("t2") {
-        exp_t2();
-    }
-    if want("t3") {
-        exp_t3();
-    }
-    if want("t4") {
-        exp_t4();
-    }
-    if want("t5") {
-        exp_t5();
-    }
-    if want("a1") {
-        exp_a1();
-    }
-    if args.iter().any(|a| a == "probe") {
-        exp_probe();
-    }
-}
-
-/// Fast quality probe used during development (not part of the paper
-/// tables): learned-model F1 on four queries over one oracle-track video.
-fn exp_probe() {
-    println!("PROBE. learned-model F1, one video, oracle tracks");
-    let started = Instant::now();
-    let model = sketchql_suite::demo_model();
-    // Nearly all of the 218 s ROADMAP item 1 quotes for this probe was
-    // this call, training on one core with a scalar tape.
-    println!(
-        "  model ready in {:.1} s ({} steps on {} threads unless cached under {}; 218 s quoted for the whole probe on one core)",
-        started.elapsed().as_secs_f64(),
-        model.config.steps,
-        sketchql::training::training_threads(),
-        sketchql_suite::cache_dir().display()
-    );
-    let video = generate_video(
-        VideoConfig::standard(SceneFamily::UrbanIntersection),
-        101,
-        &mut StdRng::seed_from_u64(101),
-    );
-    let idx = VideoIndex::from_truth(&video);
-    for kind in [
-        EventKind::LeftTurn,
-        EventKind::RightTurn,
-        EventKind::UTurn,
-        EventKind::PerpendicularCrossing,
-    ] {
-        let truth = video.events_of(kind);
-        let results = search_with(&model, None, &idx, &query_clip(kind));
-        let rep = eval_against(&results, &truth);
-        let top: Vec<String> = results
-            .iter()
-            .take(3)
-            .map(|m| format!("[{}..{} {:.3}]", m.start, m.end, m.score))
-            .collect();
-        println!(
-            "  {:<24} F1 {:.2}  P@k {:.2}  rec {:.2}  {}",
-            kind.name(),
-            rep.f1,
-            rep.precision_at_k,
-            rep.recall,
-            top.join(" ")
-        );
+    for (_, run) in chosen {
+        run();
     }
 }
 
 // ---------------------------------------------------------------------
 // Shared plumbing
 // ---------------------------------------------------------------------
-
-fn moments_to_preds(ms: &[RetrievedMoment]) -> Vec<PredictedMoment> {
-    ms.iter()
-        .map(|m| PredictedMoment {
-            start: m.start,
-            end: m.end,
-            score: m.score,
-        })
-        .collect()
-}
-
-fn eval_against(results: &[RetrievedMoment], truth: &[&EventAnnotation]) -> RetrievalReport {
-    evaluate_retrieval(&moments_to_preds(results), truth)
-}
 
 /// The classical baselines compared in the tables.
 fn baseline_kinds() -> Vec<DistanceKind> {
@@ -328,28 +277,9 @@ fn exp_q1() {
         summary.frames, summary.num_tracks
     );
 
-    let mut sketch = sq.new_sketch();
-    let car = sketch
-        .create_object(ObjectClass::Car, Point2::new(150.0, 450.0))
-        .unwrap();
+    let (sketch, car, seg) = sketchql_suite::q1_sketch();
     println!("Step 2  created Car object #{car}");
-    sketch.set_mode(MouseMode::Drag);
-    let seg = sketch
-        .drag_object_along(
-            car,
-            &[
-                Point2::new(280.0, 450.0),
-                Point2::new(430.0, 448.0),
-                Point2::new(570.0, 438.0),
-                Point2::new(640.0, 390.0),
-                Point2::new(658.0, 300.0),
-                Point2::new(662.0, 190.0),
-                Point2::new(664.0, 100.0),
-            ],
-        )
-        .unwrap();
     println!("Step 3  dragged a left turn (segment #{seg})");
-    sketch.stretch_segment(seg, 70).unwrap();
     println!("Step 4  replayed & stretched the segment to 70 ticks");
     let results = sq.run_sketch("traffic", &sketch).unwrap();
     println!("Step 5  executed: {} moments returned", results.len());
@@ -372,11 +302,47 @@ fn exp_q1() {
             if hit { "<-- true left turn" } else { "" }
         );
     }
-    let report = eval_against(&results, &truth);
+    let report = evaluate(&results, &truth);
     println!(
-        "summary  P@{} {:.2}  recall {:.2}  AP {:.2}\n",
+        "summary  P@{} {:.2}  recall {:.2}  AP {:.2}",
         report.num_truth, report.precision_at_k, report.recall, report.average_precision
     );
+    print_right_objects(
+        "summary ",
+        sq.dataset("traffic").unwrap(),
+        &video,
+        &truth,
+        &results,
+    );
+
+    println!("\nQ1's sketch across scene families (tracked input), learned vs DTW:");
+    let query = sketch.compile().expect("Q1 compiles");
+    for (i, family) in SceneFamily::ALL.iter().enumerate() {
+        let video = sketchql_suite::demo_video(*family, 20 + i as u64);
+        sq.upload_dataset(&video.name, &video);
+        let truth = video.events_of(EventKind::LeftTurn);
+        let dtw = ClassicalSimilarity::new(DistanceKind::Dtw);
+        for (method, results) in [
+            ("sketchql", sq.run_query(&video.name, &query).unwrap()),
+            ("dtw", sq.run_query_with(&video.name, &query, dtw).unwrap()),
+        ] {
+            let r = evaluate(&results, &truth);
+            let (right, _) =
+                right_objects(sq.dataset(&video.name).unwrap(), &video, &truth, &results);
+            println!(
+                "  {:<22} {:<9} P@{} {:.2}  recall {:.2}  AP {:.2}  right object P@{} {:.2}",
+                video.name,
+                method,
+                r.num_truth,
+                r.precision_at_k,
+                r.recall,
+                r.average_precision,
+                r.num_truth,
+                right
+            );
+        }
+    }
+    println!();
 }
 
 fn exp_q2() {
@@ -387,58 +353,65 @@ fn exp_q2() {
     let video = sketchql_suite::demo_video(SceneFamily::UrbanIntersection, 31);
     sq.upload_dataset("traffic", &video);
     let truth = video.events_of(EventKind::PerpendicularCrossing);
+    let run = |sketch: &Sketcher, label: &str| {
+        let results = sq.run_sketch("traffic", sketch).unwrap();
+        let r = evaluate(&results, &truth);
+        println!(
+            "{label}: P@{} {:.2}  recall {:.2}",
+            r.num_truth, r.precision_at_k, r.recall
+        );
+        print_right_objects(
+            label,
+            sq.dataset("traffic").unwrap(),
+            &video,
+            &truth,
+            &results,
+        );
+    };
 
-    let mut sketch = sq.new_sketch();
-    let person = sketch
-        .create_object(ObjectClass::Person, Point2::new(200.0, 300.0))
-        .unwrap();
-    let car = sketch
-        .create_object(ObjectClass::Car, Point2::new(500.0, 80.0))
-        .unwrap();
-    sketch.set_mode(MouseMode::Drag);
-    let p_seg = sketch
-        .drag_object_along(
-            person,
-            &[
-                Point2::new(330.0, 300.0),
-                Point2::new(470.0, 300.0),
-                Point2::new(610.0, 300.0),
-                Point2::new(760.0, 300.0),
-            ],
-        )
-        .unwrap();
-    let c_seg = sketch
-        .drag_object_along(
-            car,
-            &[
-                Point2::new(500.0, 190.0),
-                Point2::new(500.0, 300.0),
-                Point2::new(500.0, 410.0),
-                Point2::new(500.0, 520.0),
-            ],
-        )
-        .unwrap();
-    // Stretch the sparse programmatic drags to a realistic ~2.5s duration.
-    sketch.stretch_segment(p_seg, 80).unwrap();
-    sketch.stretch_segment(c_seg, 80).unwrap();
-    let after = sketch.segment(p_seg).unwrap().end_tick();
-    sketch.shift_segment(c_seg, after).unwrap();
-
-    let before = sq.run_sketch("traffic", &sketch).unwrap();
-    let r_before = eval_against(&before, &truth);
-    println!(
-        "before panel sync: P@{} {:.2}  recall {:.2}",
-        r_before.num_truth, r_before.precision_at_k, r_before.recall
-    );
-
+    let (mut sketch, p_seg, c_seg) = sketchql_suite::q2_sketch();
+    run(&sketch, "before panel sync");
     sketch.align_segments(c_seg, p_seg).unwrap();
-    let after_res = sq.run_sketch("traffic", &sketch).unwrap();
-    let r_after = eval_against(&after_res, &truth);
-    println!(
-        "after  panel sync: P@{} {:.2}  recall {:.2}",
-        r_after.num_truth, r_after.precision_at_k, r_after.recall
-    );
+    run(&sketch, "after  panel sync");
     println!("(Figure 4's timing edit: synchronization should help or match.)\n");
+}
+
+/// Right-object precision at k (k = the truth count) of `results`, and
+/// each top-k moment's judgement.
+fn right_objects(
+    index: &VideoIndex,
+    video: &SyntheticVideo,
+    truth: &[&EventAnnotation],
+    results: &[RetrievedMoment],
+) -> (f32, Vec<Option<Judged>>) {
+    let judged = sketchql_suite::judge_top_k(index, video, truth, results);
+    let right = judged.iter().flatten().filter(|j| j.right_object()).count();
+    (right as f32 / truth.len().max(1) as f32, judged)
+}
+
+/// Prints `results`' right-object precision and, per top-k moment, the
+/// tracks it binds and their box IoU with the truth event it matched.
+fn print_right_objects(
+    label: &str,
+    index: &VideoIndex,
+    video: &SyntheticVideo,
+    truth: &[&EventAnnotation],
+    results: &[RetrievedMoment],
+) {
+    let (right, judged) = right_objects(index, video, truth, results);
+    println!(
+        "{label} right object (box IoU >= {RIGHT_OBJECT_IOU} over the truth span): P@{} {right:.2}",
+        truth.len()
+    );
+    for (m, j) in results.iter().zip(&judged) {
+        match j {
+            Some(j) => println!(
+                "        tracks {:?}: box IoU {:.2} with the truth at ({}, {})",
+                m.track_ids, j.box_iou, truth[j.event].start, truth[j.event].end
+            ),
+            None => println!("        tracks {:?}: no truth span", m.track_ids),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -483,7 +456,7 @@ fn exp_t1() {
             for (v, idx) in videos.iter().zip(&indexes) {
                 let truth = v.events_of(kind);
                 let results = method.search(&model, idx, kind);
-                f1 += eval_against(&results, &truth).f1;
+                f1 += evaluate(&results, &truth).f1;
             }
             f1 /= videos.len() as f32;
             totals[mi] += f1;
@@ -497,6 +470,35 @@ fn exp_t1() {
         print!(" | {:>10.2}", t / EventKind::ALL.len() as f32);
     }
     println!("\n");
+
+    // The rules column's cost: what each expert rule needed hand-tuned,
+    // where a sketch is one drag gesture (the paper's §1 comparison).
+    println!(
+        "{:<24} | {:>10} | {:>10}",
+        "expert rule effort", "thresholds", "relations"
+    );
+    println!("{}", "-".repeat(50));
+    for &kind in EventKind::ALL {
+        let rule = sketchql::expert_rule(kind);
+        let object_thresholds: usize = rule.objects.iter().map(|(_, p)| count_thresholds(p)).sum();
+        println!(
+            "{:<24} | {:>10} | {:>10}",
+            kind.name(),
+            object_thresholds + rule.relations.len() * 2,
+            rule.relations.len()
+        );
+    }
+    println!();
+}
+
+/// Counts the hand-tuned numeric thresholds in a rule predicate.
+fn count_thresholds(p: &Predicate) -> usize {
+    match p {
+        Predicate::Not(inner) => count_thresholds(inner),
+        Predicate::All(ps) | Predicate::Any(ps) => ps.iter().map(count_thresholds).sum(),
+        Predicate::NetTurningDeg { .. } | Predicate::WiggleRatio { .. } => 2,
+        _ => 1,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -533,7 +535,7 @@ fn exp_t2() {
             for &kind in &kinds {
                 let truth = v.events_of(kind);
                 let results = search_with(&model, None, &idx, &query_clip(kind));
-                let rep = eval_against(&results, &truth);
+                let rep = evaluate(&results, &truth);
                 p += rep.precision_at_k;
                 r += rep.recall;
                 ap += rep.average_precision;
@@ -575,7 +577,6 @@ fn exp_t3() {
         &mut StdRng::seed_from_u64(401),
     );
     let truth = video.events_of(EventKind::LeftTurn);
-    let query = query_clip(EventKind::LeftTurn);
 
     println!(
         "{:<18} | {:>10} | {:>10} | {:>10} | {:>9}",
@@ -593,27 +594,13 @@ fn exp_t3() {
                 500 + level as u64,
             )
         };
-        let f_learned = eval_against(&search_with(&model, None, &idx, &query), &truth).f1;
-        let f_dtw = eval_against(
-            &search_with(&model, Some(DistanceKind::Dtw), &idx, &query),
-            &truth,
-        )
-        .f1;
-        let f_rules = eval_against(
-            &sketchql::evaluate_rule(
-                &idx,
-                &sketchql::expert_rule(EventKind::LeftTurn),
-                sketchql::MatcherConfig::default().top_k,
-            ),
-            &truth,
-        )
-        .f1;
+        let f1 = |m: Method| evaluate(&m.search(&model, &idx, EventKind::LeftTurn), &truth).f1;
         println!(
             "{:<18} | {:>10.2} | {:>10.2} | {:>10.2} | {:>9}",
             format!("level {level:.1}"),
-            f_learned,
-            f_dtw,
-            f_rules,
+            f1(Method::Learned),
+            f1(Method::Classical(DistanceKind::Dtw)),
+            f1(Method::ExpertRules),
             idx.tracks.len()
         );
     }
@@ -642,7 +629,7 @@ fn exp_t4() {
         let query = query_clip(kind);
 
         let zero = sq.run_query("v", &query).unwrap();
-        let ap_zero = eval_against(&zero, &truth).average_precision;
+        let ap_zero = evaluate(&zero, &truth).average_precision;
 
         // Simulated user labels the top-6.
         let feedback: Vec<Feedback> = zero
@@ -668,12 +655,12 @@ fn exp_t4() {
             }
         }
         reranked.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap());
-        let ap_rerank = eval_against(&reranked, &truth).average_precision;
+        let ap_rerank = evaluate(&reranked, &truth).average_precision;
 
         // Fine-tuning.
         sq.apply_feedback(&query, &feedback, &cfg);
         let tuned = sq.run_query("v", &query).unwrap();
-        let ap_tuned = eval_against(&tuned, &truth).average_precision;
+        let ap_tuned = evaluate(&tuned, &truth).average_precision;
 
         println!(
             "{:<24} | {:>10.2} | {:>10.2} | {:>10.2}",
@@ -824,48 +811,44 @@ fn exp_a1() {
     println!("accuracy after identical short training runs.\n");
 
     let base = TrainingConfig::small();
-    let short = |mut c: TrainingConfig| {
+    let variant = |edit: fn(&mut TrainingConfig)| {
+        let mut c = base.clone();
         c.steps = 120;
+        edit(&mut c);
         c
     };
-
     let variants: Vec<(&str, TrainingConfig)> = vec![
-        ("full model", short(base.clone())),
-        ("no positional encoding", {
-            let mut c = short(base.clone());
-            c.encoder.positional = false;
-            c
-        }),
-        ("last-token pooling", {
-            let mut c = short(base.clone());
-            c.encoder.pooling = Pooling::Last;
-            c
-        }),
-        ("1 encoder layer", {
-            let mut c = short(base.clone());
-            c.encoder = EncoderConfig {
-                layers: 1,
-                ..c.encoder
-            };
-            c
-        }),
-        ("single-camera positives", {
-            let mut c = short(base.clone());
-            c.pairgen.same_camera = true;
-            c
-        }),
-        ("no temporal stretch", {
-            let mut c = short(base.clone());
-            c.pairgen.stretch_prob = 0.0;
-            c
-        }),
+        ("full model", variant(|_| {})),
+        (
+            "no positional encoding",
+            variant(|c| c.encoder.positional = false),
+        ),
+        (
+            "last-token pooling",
+            variant(|c| c.encoder.pooling = Pooling::Last),
+        ),
+        ("1 encoder layer", variant(|c| c.encoder.layers = 1)),
+        (
+            "single-camera positives",
+            variant(|c| c.pairgen.same_camera = true),
+        ),
+        (
+            "no temporal stretch",
+            variant(|c| c.pairgen.stretch_prob = 0.0),
+        ),
+        ("no sketchify", variant(|c| c.pairgen.sketchify_prob = 0.0)),
+        (
+            "no mirror negatives",
+            variant(|c| c.mirror_negatives = false),
+        ),
+        ("no padding", variant(|c| c.pairgen.pad_prob = 0.0)),
     ];
 
     println!(
-        "{:<26} | {:>9} | {:>9} | {:>9} | {:>9}",
-        "variant", "pos", "neg", "sep", "top-1"
+        "{:<26} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10}",
+        "variant", "pos", "neg", "sep", "top-1", "sketch-sep"
     );
-    println!("{}", "-".repeat(74));
+    println!("{}", "-".repeat(87));
     // Held-out evaluation always uses the *full* multi-camera generator:
     // that is the deployment condition (arbitrary viewpoints).
     let eval_gen = PairGenerator::new(RandomSceneSampler::new(base.sampler), base.pairgen);
@@ -873,14 +856,82 @@ fn exp_a1() {
         let model = train(cfg);
         let e = evaluate_pairs(&model, &eval_gen, 20, 424242);
         println!(
-            "{:<26} | {:>9.3} | {:>9.3} | {:>9.3} | {:>9.2}",
+            "{:<26} | {:>9.3} | {:>9.3} | {:>9.3} | {:>9.2} | {:>10.3}",
             name,
             e.mean_positive,
             e.mean_negative,
             e.mean_positive - e.mean_negative,
-            e.top1_accuracy
+            e.top1_accuracy,
+            sketch_sep(&model)
         );
     }
     println!("\n(Expected shape: the full model separates views best; single-camera");
-    println!(" training loses viewpoint invariance — the paper's key data recipe.)\n");
+    println!(" training loses viewpoint invariance — the paper's key data recipe.)");
+    println!("(sketch-sep: how often a single-object sketch scores an isolated clip");
+    println!(" of its own kind above one of another kind; DESIGN.md §4.5.)\n");
+}
+
+/// `sketch-sep`: under the canonical sketch of each of four single-object
+/// kinds, the pairwise win rate of six isolated clips of that kind over
+/// six of each other kind (1.0 = every sketch always ranks its own event
+/// first) — the statistic that chose `TrainingConfig::default()`.
+fn sketch_sep(model: &TrainedModel) -> f32 {
+    let kinds = [
+        EventKind::LeftTurn,
+        EventKind::RightTurn,
+        EventKind::UTurn,
+        EventKind::StopAndGo,
+    ];
+    let sim = model.similarity();
+    let clips: Vec<Vec<Clip>> = kinds
+        .iter()
+        .map(|&k| {
+            (0..6u64)
+                .map(|r| isolated_event_clip(k, 45.0, None, 1000 + r * 17 + k as u64 * 3))
+                .collect()
+        })
+        .collect();
+    let (mut wins, mut total) = (0usize, 0usize);
+    for (qi, &qk) in kinds.iter().enumerate() {
+        let prep = sim.prepare(&query_clip(qk)).expect("sketch queries embed");
+        let scores: Vec<Vec<f32>> = clips
+            .iter()
+            .map(|row| row.iter().map(|c| sim.score(&prep, c)).collect())
+            .collect();
+        for row in scores
+            .iter()
+            .enumerate()
+            .filter(|&(ci, _)| ci != qi)
+            .map(|(_, r)| r)
+        {
+            for &pos in &scores[qi] {
+                wins += row.iter().filter(|&&neg| pos > neg).count();
+                total += row.len();
+            }
+        }
+    }
+    wins as f32 / total as f32
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse(&args).map(|chosen| chosen.iter().map(|(name, _)| *name).collect())
+    }
+
+    #[test]
+    fn names_run_in_table_order_and_an_unknown_name_is_refused() {
+        let every = ["f1", "q1", "q2", "t1", "t2", "t3", "t4", "t5", "a1"];
+        assert_eq!(names(&[]).unwrap(), every);
+        assert_eq!(names(&["t1", "all"]).unwrap(), every);
+        assert_eq!(names(&["t1", "q1"]).unwrap(), ["q1", "t1"]);
+        for wrong in ["q3", "probe", "Q1", ""] {
+            let err = names(&["q1", wrong]).unwrap_err();
+            assert!(err.contains(&format!("{wrong:?}")), "{err}");
+            assert!(err.contains("f1 q1 q2 t1 t2 t3 t4 t5 a1 or all"), "{err}");
+        }
+    }
 }

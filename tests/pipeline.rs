@@ -5,10 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketchql::{ClassicalSimilarity, Matcher, VideoIndex};
-use sketchql_datasets::{
-    evaluate_retrieval, generate_video, query_clip, EventKind, PredictedMoment, SceneFamily,
-    VideoConfig,
-};
+use sketchql_datasets::{generate_video, query_clip, EventKind, SceneFamily, VideoConfig};
 use sketchql_tracker::{evaluate_tracking, DetectorConfig, TrackerConfig};
 use sketchql_trajectory::DistanceKind;
 
@@ -45,16 +42,7 @@ fn classical_matcher_retrieves_left_turns_from_tracked_video() {
     let query = query_clip(EventKind::LeftTurn);
     let results = matcher.search(&idx, &query).unwrap();
     assert!(!results.is_empty());
-    let truth = v.events_of(EventKind::LeftTurn);
-    let preds: Vec<PredictedMoment> = results
-        .iter()
-        .map(|m| PredictedMoment {
-            start: m.start,
-            end: m.end,
-            score: m.score,
-        })
-        .collect();
-    let r = evaluate_retrieval(&preds, &truth);
+    let r = sketchql_suite::evaluate(&results, &v.events_of(EventKind::LeftTurn));
     assert!(
         r.recall > 0.0,
         "at least one left turn should be recovered: {r:?}"
